@@ -19,17 +19,11 @@ package flowsched
 // the figures at any scale. Metrics are attached via b.ReportMetric:
 // avgRT, maxRT (response times) and ratio (heuristic / lower bound).
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"flowsched/internal/core"
-	"flowsched/internal/obs"
-	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
 	"flowsched/internal/workload"
 )
@@ -540,263 +534,5 @@ func BenchmarkExtendedWorkloads(b *testing.B) {
 				b.ReportMetric(max, "maxRT")
 			})
 		}
-	}
-}
-
-// streamBenchResult is one row of the BENCH_stream.json baseline.
-// AllocsPerRound/BytesPerRound are run-phase totals amortized over the
-// processed rounds (warm-up arena/pool growth and per-window verification
-// included), so the perf trajectory tracks allocation alongside time; the
-// steady-state-zero property itself is asserted exactly by the
-// TestSteadyStateZeroAlloc tests in internal/stream.
-type streamBenchResult struct {
-	Policy         string  `json:"policy,omitempty"`
-	Shards         int     `json:"shards,omitempty"`
-	Flows          int64   `json:"flows"`
-	Rounds         int64   `json:"rounds"`
-	NsPerRound     float64 `json:"ns_per_round"`
-	FlowsPerSec    float64 `json:"flows_per_sec"`
-	AllocsPerRound float64 `json:"allocs_per_round"`
-	BytesPerRound  float64 `json:"bytes_per_round"`
-	SpeedupVsK1    float64 `json:"speedup_vs_k1,omitempty"`
-	// VsRoundRobin is the row's ns/round over the RoundRobin row of the
-	// same sweep — the recorded price of a policy's extra guarantees,
-	// gated by cmd/benchgate.
-	VsRoundRobin float64 `json:"vs_roundrobin,omitempty"`
-}
-
-// streamBaseline accumulates both stream benchmarks' rows; the file is
-// rewritten after every sub-benchmark so partial runs still leave a valid
-// baseline. Failure to write is not a benchmark failure.
-var streamBaseline = struct {
-	Results      []streamBenchResult `json:"results"`
-	Sharded      []streamBenchResult `json:"sharded"`
-	Policies     []streamBenchResult `json:"policies"`
-	Instrumented []streamBenchResult `json:"instrumented"`
-}{}
-
-// setStreamRow writes a row at a fixed index: the benchmark harness may
-// invoke a sub-benchmark closure several times (growing b.N), and keyed
-// writes keep the baseline at one row per sub-benchmark instead of
-// appending a duplicate per invocation.
-func setStreamRow(rows *[]streamBenchResult, i int, r streamBenchResult) {
-	for len(*rows) <= i {
-		*rows = append(*rows, streamBenchResult{})
-	}
-	(*rows)[i] = r
-}
-
-func writeStreamBaseline(b *testing.B) {
-	b.Helper()
-	if data, err := json.MarshalIndent(map[string]any{
-		"benchmark":    "BenchmarkStreamRuntime",
-		"gomaxprocs":   runtime.GOMAXPROCS(0),
-		"results":      streamBaseline.Results,
-		"sharded":      streamBaseline.Sharded,
-		"policies":     streamBaseline.Policies,
-		"instrumented": streamBaseline.Instrumented,
-	}, "", "  "); err == nil {
-		if err := os.WriteFile("BENCH_stream.json", append(data, '\n'), 0o644); err != nil {
-			b.Logf("baseline not written: %v", err)
-		}
-	}
-}
-
-// drainStream runs one seeded 150-port Pareto arrival drain through the
-// streaming runtime under the named native policy and returns its
-// throughput row. maxPending sets the admission limit (and with it the
-// steady-state resident backlog the policy works against each round).
-func drainStream(b *testing.B, policy string, totalFlows int64, shards, verifyEvery, maxPending int) streamBenchResult {
-	b.Helper()
-	return drainStreamRec(b, policy, totalFlows, shards, verifyEvery, maxPending, nil)
-}
-
-// drainStreamRec is drainStream with an optional flight recorder attached
-// to the runtime, so the instrumented round loop can be benchmarked
-// against the plain one on identical arrivals.
-func drainStreamRec(b *testing.B, policy string, totalFlows int64, shards, verifyEvery, maxPending int, rec *obs.FlightRecorder) streamBenchResult {
-	b.Helper()
-	pol := stream.ByName(policy)
-	if pol == nil {
-		b.Fatalf("unknown native policy %q", policy)
-	}
-	src := workload.NewArrivalSource(workload.ArrivalConfig{
-		Ports: 150, M: 300, MaxFlows: totalFlows,
-		Alpha: 1.3, MinDemand: 1, MaxDemand: 1,
-	}, rand.New(rand.NewSource(17)))
-	rt, err := stream.New(src, stream.Config{
-		Switch:      switchnet.UnitSwitch(150),
-		Policy:      pol,
-		Shards:      shards,
-		MaxPending:  maxPending,
-		VerifyEvery: verifyEvery,
-		Recorder:    rec,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	sum, err := rt.Run()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if sum.Completed != totalFlows {
-		b.Fatalf("drained %d of %d flows", sum.Completed, totalFlows)
-	}
-	if sum.PeakPending > maxPending {
-		b.Fatalf("peak pending %d exceeded the admission limit", sum.PeakPending)
-	}
-	if verifyEvery > 0 && sum.WindowsVerified == 0 {
-		b.Fatal("no verification windows ran")
-	}
-	return streamBenchResult{
-		Policy:         policy,
-		Shards:         sum.Shards,
-		Flows:          sum.Completed,
-		Rounds:         sum.Rounds,
-		NsPerRound:     float64(elapsed.Nanoseconds()) / float64(sum.Rounds),
-		FlowsPerSec:    float64(sum.Completed) / elapsed.Seconds(),
-		AllocsPerRound: float64(ms1.Mallocs-ms0.Mallocs) / float64(sum.Rounds),
-		BytesPerRound:  float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(sum.Rounds),
-	}
-}
-
-// BenchmarkStreamRuntime seeds the streaming-subsystem perf trajectory: it
-// drains overloaded Poisson/Pareto arrival streams of growing total size
-// through the incremental RoundRobin policy at a fixed admission limit and
-// reports throughput and per-round cost. Because the runtime's state is
-// incremental (VOQs plus touched-list resets, never a rescan of all flows
-// seen), ns/round must stay flat as the total flow count grows — that is
-// the property this benchmark guards. It pins Shards to 1: it is the
-// single-core baseline the sharded benchmark is judged against. Results
-// are written to BENCH_stream.json as a machine-readable baseline.
-func BenchmarkStreamRuntime(b *testing.B) {
-	for fi, totalFlows := range []int64{1 << 16, 1 << 18, 1 << 20} {
-		b.Run(fmt.Sprintf("flows=%d", totalFlows), func(b *testing.B) {
-			var last streamBenchResult
-			for i := 0; i < b.N; i++ {
-				last = drainStream(b, "RoundRobin", totalFlows, 1, 0, 1<<16)
-			}
-			b.ReportMetric(last.NsPerRound, "ns/round")
-			b.ReportMetric(last.FlowsPerSec, "flows/s")
-			b.ReportMetric(last.AllocsPerRound, "allocs/round")
-			last.Shards = 0 // unsharded series: omit the shard column
-			setStreamRow(&streamBaseline.Results, fi, last)
-			writeStreamBaseline(b)
-		})
-	}
-}
-
-// BenchmarkStreamRuntimeSharded sweeps the shard count on the paper-scale
-// 150-port, 1M-flow drain with windowed verification on — the multi-core
-// throughput trajectory of the sharded runtime. Every run is
-// verifier-spot-checked, and speedup_vs_k1 in BENCH_stream.json records
-// each K's throughput against the K=1 run of the same sweep; meaningful
-// speedups (>= 1.5x at K >= 4) require GOMAXPROCS >= K, so read the
-// recorded gomaxprocs alongside the sweep.
-func BenchmarkStreamRuntimeSharded(b *testing.B) {
-	const totalFlows = 1 << 20
-	var base float64
-	for ki, K := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", K), func(b *testing.B) {
-			var last streamBenchResult
-			for i := 0; i < b.N; i++ {
-				last = drainStream(b, "RoundRobin", totalFlows, K, 256, 1<<16)
-			}
-			if K == 1 {
-				base = last.FlowsPerSec
-			}
-			if base > 0 {
-				last.SpeedupVsK1 = last.FlowsPerSec / base
-				b.ReportMetric(last.SpeedupVsK1, "speedup_vs_k1")
-			}
-			b.ReportMetric(last.NsPerRound, "ns/round")
-			b.ReportMetric(last.FlowsPerSec, "flows/s")
-			b.ReportMetric(last.AllocsPerRound, "allocs/round")
-			setStreamRow(&streamBaseline.Sharded, ki, last)
-			writeStreamBaseline(b)
-		})
-	}
-}
-
-// BenchmarkStreamRuntimePolicies is the per-policy cost trajectory on the
-// paper-scale drain: every native incremental policy drains the same
-// seeded 150-port 1M-flow Pareto stream unsharded, so the rows in
-// BENCH_stream.json's policies section are directly comparable ns/round
-// costs of RoundRobin's rotation sweep, OldestFirst's calendar-ordered
-// head scan, and WeightedISLIP's request/grant/accept iterations. The
-// admission limit is 2048 — a moderate resident backlog (~14 flows per
-// port) that keeps every queue busy while measuring policy cost rather
-// than raw arena memory streaming (the deep-backlog regime is
-// BenchmarkStreamRuntime's job). The age-aware policies scan the
-// incremental candidate index (internal/stream/ageindex.go) instead of
-// sweeping every active VOQ's head record, so their per-round cost
-// tracks head churn plus scheduled volume, not backlog depth. The
-// reported vs_roundrobin ratio is the price of the age-aware
-// guarantees; the acceptance bar for the age-aware policies is staying
-// within 1.25x of RoundRobin here, held by cmd/benchgate against the
-// recorded rows. (StreamFIFO is excluded: it is the documented
-// O(pending) non-incremental baseline and would drown the chart.)
-func BenchmarkStreamRuntimePolicies(b *testing.B) {
-	const totalFlows = 1 << 20
-	var base float64
-	for pi, policy := range []string{"RoundRobin", "OldestFirst", "WeightedISLIP"} {
-		b.Run(policy, func(b *testing.B) {
-			var last streamBenchResult
-			for i := 0; i < b.N; i++ {
-				last = drainStream(b, policy, totalFlows, 1, 0, 2048)
-			}
-			if policy == "RoundRobin" {
-				base = last.NsPerRound
-			}
-			if base > 0 {
-				last.VsRoundRobin = last.NsPerRound / base
-				b.ReportMetric(last.VsRoundRobin, "vs_roundrobin")
-			}
-			b.ReportMetric(last.NsPerRound, "ns/round")
-			b.ReportMetric(last.FlowsPerSec, "flows/s")
-			b.ReportMetric(last.AllocsPerRound, "allocs/round")
-			setStreamRow(&streamBaseline.Policies, pi, last)
-			writeStreamBaseline(b)
-		})
-	}
-}
-
-// BenchmarkStreamRuntimeRecorded prices the flight recorder: the same
-// seeded 256k-flow drain runs plain and with a recorder attached, and the
-// pair of rows in BENCH_stream.json's instrumented section is the
-// observability tax — the recorder's word-atomic ring writes plus the
-// per-phase clock reads its presence enables (the uninstrumented path
-// takes none). The recorder adds zero allocations per round by
-// construction (pinned by TestSteadyStateZeroAllocRecorded); this
-// benchmark pins the time side, and cmd/benchgate holds the recorded
-// ns/round to a bounded ratio of the plain run.
-func BenchmarkStreamRuntimeRecorded(b *testing.B) {
-	const totalFlows = 1 << 18
-	for vi, variant := range []string{"RoundRobin", "RoundRobin+recorder"} {
-		b.Run(variant, func(b *testing.B) {
-			var last streamBenchResult
-			for i := 0; i < b.N; i++ {
-				var rec *obs.FlightRecorder
-				if vi == 1 {
-					rec = obs.NewFlightRecorder(0)
-				}
-				last = drainStreamRec(b, "RoundRobin", totalFlows, 1, 0, 1<<16, rec)
-				if rec != nil && rec.Written() == 0 {
-					b.Fatal("recorder attached but nothing recorded")
-				}
-			}
-			b.ReportMetric(last.NsPerRound, "ns/round")
-			b.ReportMetric(last.AllocsPerRound, "allocs/round")
-			last.Policy = variant
-			last.Shards = 0
-			setStreamRow(&streamBaseline.Instrumented, vi, last)
-			writeStreamBaseline(b)
-		})
 	}
 }

@@ -86,7 +86,7 @@ func main() {
 		ports       = flag.Int("ports", 16, "switch size m (m x m ports)")
 		capacity    = flag.Int("cap", 1, "per-port capacity")
 		policy      = flag.String("policy", "RoundRobin", fmt.Sprintf("native streaming policy %v", stream.Names()))
-		shards      = flag.Int("shards", 0, "runtime shards (0 = GOMAXPROCS, capped at -ports)")
+		shards      = flag.Int("shards", 1, "runtime shards (capped at -ports; > 1 needs a native policy and changes the schedule)")
 		maxPending  = flag.Int("maxpending", stream.DefaultMaxPending, "admission limit on the resident pending set")
 		admit       = flag.String("admit", "lossless", "admission mode: lossless, drop, or deadline")
 		deadline    = flag.Int("deadline", 0, "response-time bound in rounds (admit mode deadline)")

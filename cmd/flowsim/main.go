@@ -96,7 +96,7 @@ func main() {
 		streamMode  = flag.Bool("stream", false, "streaming mode: drain an unbounded arrival stream through internal/stream")
 		cpuProfile  = flag.String("cpuprofile", "", "stream: write a CPU profile of the drain to this file")
 		memProfile  = flag.String("memprofile", "", "stream: write a post-drain heap profile to this file")
-		shards      = flag.Int("shards", 0, "stream: runtime shards the input ports are partitioned across (0 = GOMAXPROCS for shardable policies, capped at -ports; > 1 needs a native policy)")
+		shards      = flag.Int("shards", 1, "stream: runtime shards the input ports are partitioned across (capped at -ports; > 1 needs a native policy and changes the schedule)")
 		flows       = flag.Int64("flows", 1_000_000, "stream: total flows to drain (set explicitly with -trace to cap the replay; otherwise traces drain fully)")
 		admit       = flag.String("admit", "lossless", "stream: admission mode at the MaxPending limit — lossless (backpressure), drop (shed arrivals), deadline (expire aged flows)")
 		deadlineF   = flag.Int("deadline", 0, "stream: response-time bound in rounds for -admit deadline")

@@ -61,15 +61,18 @@
 //     StreamOldestFirst serves VOQ heads globally oldest-first — the
 //     paper's MinRTime age-priority discipline on the fast path,
 //     property-tested round-for-round equivalent to bridging the
-//     corresponding simulator policy on unit-demand replays;
+//     corresponding simulator policy on unit-demand replays at one
+//     shard;
 //     StreamWeightedISLIP runs queue-age-weighted request/grant/accept
 //     matching with rotation-pointer tie-breaks; StreamFIFO is the
 //     admission-order baseline. StreamBridge runs any simulator heuristic
 //     on the stream unchanged, reproducing Simulate round for round on a
-//     replayed finite instance. StreamConfig.Shards partitions the input
-//     ports across worker shards for multi-core single-switch scheduling:
-//     shards own their inputs' queues outright and settle output capacity
-//     by a deterministic fused-barrier propose/reconcile protocol (one
+//     replayed finite instance. StreamConfig.Shards (default 1; more is
+//     an explicit opt-in that changes the schedule and weakens the
+//     cross-input guarantees, see internal/stream's "Sharding caveat")
+//     partitions the input ports across worker shards: shards own their
+//     inputs' queues outright and settle output capacity by a
+//     deterministic fused-barrier propose/reconcile protocol (one
 //     synchronization point per round), so a run is reproducible at any
 //     fixed shard count; the round loop is allocation-free at steady
 //     state. Metrics are streaming

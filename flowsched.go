@@ -361,9 +361,10 @@ func StreamRoundRobin() StreamPolicy { return &stream.RoundRobin{} }
 func StreamFIFO() StreamPolicy { return stream.FIFO{} }
 
 // StreamOldestFirst returns the age-aware native policy: VOQ heads served
-// globally oldest-first via an incremental heap keyed by (release, seq) —
-// the paper's MinRTime service discipline (greedy age-ordered maximal
-// selection) at O(active VOQs log active VOQs) per round. Shardable.
+// oldest-first in (release, input, output) order — the paper's MinRTime
+// service discipline (greedy age-ordered maximal selection) at
+// O(active VOQs + release span) per round. Shardable; the selection is
+// the global age-greedy one at one shard only.
 func StreamOldestFirst() StreamPolicy { return &stream.OldestFirst{} }
 
 // StreamWeightedISLIP returns the queue-age-weighted iSLIP native policy:

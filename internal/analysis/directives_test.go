@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -113,4 +115,53 @@ func lineContaining(t *testing.T, src, sub string) int {
 		t.Fatalf("fixture lacks %q", sub)
 	}
 	return 1 + strings.Count(src[:idx], "\n")
+}
+
+// allowBudget is the number of //flowsched:allow directives in the
+// module's non-test code. Each one is a hot-path or determinism
+// exception a reviewer has to take on trust, so the number may only be
+// lowered: a change that needs a new allow retires an old one.
+const allowBudget = 26
+
+// TestAllowBudget counts the parsed allow directives (not mentions of
+// the syntax in prose) across every non-test Go file of the module,
+// analyzer fixtures excluded.
+func TestAllowBudget(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	var files []*ast.File
+	err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			// Fixtures, dot directories, and the benchmark's build output.
+			if n := e.Name(); n == "testdata" || (n != ".." && strings.HasPrefix(n, ".")) ||
+				path == filepath.Join(root, "benchmark", "out") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDirectives(fset, files)
+	if got := len(d.allows); got > allowBudget {
+		for _, a := range d.allows {
+			t.Logf("%s:%d: allow %s: %s", a.file, a.line, a.check, a.why)
+		}
+		t.Fatalf("%d //flowsched:allow directives in non-test code, budget is %d", got, allowBudget)
+	} else if got < allowBudget {
+		t.Fatalf("%d //flowsched:allow directives in non-test code: lower allowBudget from %d to match", got, allowBudget)
+	}
 }

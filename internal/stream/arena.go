@@ -189,9 +189,6 @@ func (sh *shard) voqPush(vi int, id int32) {
 		// record. (Compaction re-pushes through here too: its first push
 		// is the surviving head, so the record stays exact.)
 		sh.heads[vi] = voqHead{rel: r.rel, seq: sh.ar.seq[id], dem: r.dem}
-		if sh.ai != nil {
-			sh.ai.touch(vi)
-		}
 	}
 }
 
@@ -206,12 +203,6 @@ func (sh *shard) voqPush(vi int, id int32) {
 func (sh *shard) voqRemove(vi int, id int32) (drained bool) {
 	q := &sh.vqs[vi]
 	r := &sh.ar.rec[id]
-	if sh.ai != nil && r.blk == q.head && r.off == q.headOff {
-		// Only a head removal changes the queue's candidate entry (a
-		// drained queue's sole flow is its head, so that case is covered
-		// too); mid-queue removals leave the head — and the index — alone.
-		sh.ai.touch(vi)
-	}
 	sh.pool.blocks[r.blk].ids[r.off] = noID
 	q.live--
 	if q.live == 0 {

@@ -1,0 +1,131 @@
+package stream
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"flowsched/internal/switchnet"
+)
+
+// churnSource feeds a deterministic high-churn arrival pattern: bursty
+// per-round batches over cycling port pairs with demands mixed over
+// 1..maxDem, so VOQs activate, drain, and re-activate constantly and the
+// shards' oldest pending release moves every round.
+type churnSource struct {
+	ports, rounds, maxDem int
+	r, i                  int
+}
+
+func (s *churnSource) Next() (switchnet.Flow, bool) {
+	for s.r < s.rounds {
+		per := 3 + (s.r*7)%9 // burst size varies 3..11 per round
+		if s.i >= per {
+			s.r++
+			s.i = 0
+			continue
+		}
+		k := s.r*31 + s.i*13
+		f := switchnet.Flow{
+			In:      k % s.ports,
+			Out:     (k*5 + s.i) % s.ports,
+			Demand:  1 + k%s.maxDem,
+			Release: s.r,
+		}
+		s.i++
+		return f, true
+	}
+	return switchnet.Flow{}, false
+}
+
+func (s *churnSource) Err() error { return nil }
+
+// churnGolden pins the sharded age policies' schedules on the churn
+// source: FNV-1a over the OnSchedule (seq, round) stream, recorded at
+// the commit that still kept a maintained per-shard candidate index
+// (reconcile shard order off its front) and OldestFirst's sparse
+// reconcile mode, which the cap-2 rows exercised there. A hash that
+// moves means sharded OldestFirst or WeightedISLIP schedules differently.
+var churnGolden = map[string]uint64{
+	"OldestFirst/K2/cap3":   0xf97de0b063160b87,
+	"OldestFirst/K2/cap2":   0x31544b31021ed4ec,
+	"OldestFirst/K3/cap3":   0xb1a93a527f4643b0,
+	"OldestFirst/K3/cap2":   0x915eb99fe718da81,
+	"OldestFirst/K4/cap3":   0xc14bdb691d9d50ac,
+	"OldestFirst/K4/cap2":   0xe16923d1ea04f14c,
+	"WeightedISLIP/K2/cap3": 0x1c9a4b30093c26c3,
+	"WeightedISLIP/K2/cap2": 0x0d5a2d1164904320,
+	"WeightedISLIP/K3/cap3": 0xd930d07b86b078d1,
+	"WeightedISLIP/K3/cap2": 0x937b2be7255de4d8,
+	"WeightedISLIP/K4/cap3": 0x08d3c0ad58789f05,
+	"WeightedISLIP/K4/cap2": 0xad0b9a37b505fc3c,
+}
+
+// TestShardedAgeOrderUnderChurn drives both age-aware policies at
+// several shard counts through the churn source with deadline expiry on
+// (so heads change by activation, departure, and expiry) and checks,
+// after every round, that shard.oldestRel — read off the admission
+// sublist head — is the minimum head-age record over the shard's
+// non-empty VOQs, the key reconcile orders shards by. The whole run's
+// schedule must also hash to its golden value.
+func TestShardedAgeOrderUnderChurn(t *testing.T) {
+	const ports, rounds = 7, 160
+	for _, pol := range []string{"OldestFirst", "WeightedISLIP"} {
+		for _, shards := range []int{2, 3, 4} {
+			for _, portCap := range []int{3, 2} {
+				name := fmt.Sprintf("%s/K%d/cap%d", pol, shards, portCap)
+				t.Run(name, func(t *testing.T) {
+					h := fnv.New64a()
+					var buf [16]byte
+					rt, err := New(&churnSource{ports: ports, rounds: rounds, maxDem: portCap}, Config{
+						Switch: switchnet.NewSwitch(ports, ports, portCap),
+						Policy: ByName(pol), Shards: shards,
+						MaxPending: 48, Admit: AdmitDeadline, Deadline: 6,
+						OnSchedule: func(seq int64, _ switchnet.Flow, round int) {
+							binary.LittleEndian.PutUint64(buf[:8], uint64(seq))
+							binary.LittleEndian.PutUint64(buf[8:], uint64(round))
+							h.Write(buf[:])
+						},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					rt.startWorkers()
+					defer rt.stopWorkers()
+					steps := 0
+					for {
+						done, err := rt.step()
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, sh := range rt.shards {
+							want := int64(math.MaxInt64)
+							for vi := range sh.vqs {
+								if sh.vqs[vi].live > 0 && sh.heads[vi].rel < want {
+									want = sh.heads[vi].rel
+								}
+							}
+							if got := sh.oldestRel(); got != want {
+								t.Fatalf("round %d shard %d: oldestRel %d, oldest VOQ head record %d", rt.round, sh.idx, got, want)
+							}
+						}
+						if done {
+							break
+						}
+						if steps++; steps > 1<<20 {
+							t.Fatal("runaway stream")
+						}
+					}
+					if sum := rt.Snapshot(); sum.Completed == 0 || sum.Expired == 0 {
+						t.Fatalf("churn run should both complete and expire flows: %+v", sum)
+					}
+					if got := h.Sum64(); got != churnGolden[name] {
+						t.Fatalf("schedule hash %#x, golden %#x", got, churnGolden[name])
+					}
+				})
+			}
+		}
+	}
+}

@@ -31,14 +31,13 @@
 //   - OldestFirst: serves VOQ heads globally oldest-first (release
 //     round, ties in port order) — the paper's MinRTime service
 //     discipline (SPAA 2020, Section 5.2: age-priority greedy maximal
-//     selection, the GreedyAge ablation's rule) on the fast path. On
-//     unit-demand workloads each round's selection is round-for-round
-//     identical to bridging that simulator policy (property tested),
-//     for O(input ports + active VOQs + release span) per round instead
-//     of an O(pending log pending) rescan. Best for maximum response
-//     time;
-//     no flow ever starves (a waiting head only gets older until
-//     nothing outranks it).
+//     selection, the GreedyAge ablation's rule) on the fast path. At one
+//     shard, on unit-demand workloads, each round's selection is
+//     round-for-round identical to bridging that simulator policy
+//     (property tested), for O(input ports + active VOQs + release span)
+//     per round instead of an O(pending log pending) rescan. Best for
+//     maximum response time; no flow ever starves (a waiting head only
+//     gets older until nothing outranks it).
 //   - WeightedISLIP: iterative request/grant/accept matching weighted
 //     by head-of-queue age with per-port rotation pointers as
 //     tie-breakers — the queue-age-weighted crossbar matchings of
@@ -52,20 +51,29 @@
 //     non-incremental baseline, kept for ablations.
 //
 // Cost model: RoundRobin touches only served VOQs; OldestFirst and
-// WeightedISLIP read every active VOQ's head-age record every round
-// (that is what an age-aware selection has to look at), so their cost
-// grows with the resident backlog's active-VOQ count while RoundRobin's
-// does not — see BenchmarkStreamRuntimePolicies for the measured ratios.
+// WeightedISLIP read every active VOQ's head-age record every round, at
+// every shard count (that is what an age-aware selection has to look
+// at; nothing is carried between rounds), so their cost grows with the
+// resident backlog's active-VOQ count while RoundRobin's does not — see
+// the benchmark/ suite's quality.<policy>.flows_per_s for the measured
+// ratios.
 // Simulator policies (MaxCard, MinRTime's exact matching, MaxWeight, …)
 // run through Bridge at a full per-round rescan of the pending set.
 //
 // Sharding caveat: every native policy is Shardable, but a shard only
-// sees its own inputs, so cross-input guarantees weaken at K > 1 —
-// OldestFirst is oldest-first per shard (ages still bound waiting within
-// a shard), WeightedISLIP arbitrates output grants per shard against
-// carved budgets, and Bridge (needing the global pending set) refuses to
-// shard at all. Schedules remain bit-deterministic for a fixed K
-// (property tested across K in {1, 2, 4}).
+// sees its own inputs, so cross-input guarantees weaken at K > 1.
+// OldestFirst's propose pass is oldest-first per shard against carved
+// output budgets, and its reconcile pass is a token chain that visits
+// shards by oldest pending release, each shard again serving only its
+// own heads: that is not the global age-greedy selection, so the
+// MinRTime-style equivalence above is a K = 1 property (ages still
+// bound waiting within a shard). WeightedISLIP arbitrates output grants
+// per shard against carved budgets and reconciles in the same shard
+// order; RoundRobin and StreamFIFO reconcile in shard index order; and
+// Bridge (needing the global pending set) refuses to shard at all.
+// Config.Shards defaults to 1, so K > 1 is always an explicit choice.
+// Schedules remain bit-deterministic for a fixed K (property tested
+// across K in {1, 2, 4}).
 //
 // # Sharding
 //
@@ -91,10 +99,13 @@
 //     independent of goroutine interleaving.
 //  2. Reconcile (sequential in shard order). The coordinator computes
 //     each output's unused budget — OutCaps[j] minus the total phase-1
-//     usage — and offers every shard, in shard index order, a second Pick
-//     against that shared leftover pool. Any capacity one shard could not
-//     use is therefore visible to all shards, so sharding never idles a
-//     port that an unsharded run would have filled.
+//     usage — and offers every shard, one at a time, a second Pick
+//     against that shared leftover pool: a token passes shard to shard,
+//     by oldest pending release (ties to the lower shard index) for
+//     OldestFirst and WeightedISLIP, in shard index order for RoundRobin
+//     and StreamFIFO. Any capacity one shard could not use is therefore
+//     visible to all shards, so sharding never idles a port that an
+//     unsharded run would have filled.
 //
 // Retirement of round r's picks is deferred into round r+1's fused phase
 // — "apply folds into the next propose" — so the protocol has exactly one
@@ -111,9 +122,9 @@
 // Inside Pick a View exposes only the calling shard's slice of the
 // runtime. Each and NumPending cover the shard's pending flows (oldest
 // first in global admission order); QueueIn and QueueOut count the shard's
-// flows per port; NumActiveInputs, ActiveInput, NumActiveVOQs, ActiveVOQ,
-// and VOQHead are defined over the shard's own inputs; IDs are shard-local
-// and must not cross Views. InputFree is always exact, because inputs are
+// flows per port; NumActiveInputs, ActiveInput, NextActiveVOQ, VOQHead
+// and VOQHeadRecord are defined over the shard's own inputs; IDs are
+// shard-local and must not cross Views. InputFree is always exact, because inputs are
 // owned. OutputFree reports the shard's remaining carved budget during the
 // propose phase and the global leftover pool during the reconcile phase.
 // With Shards == 1 there is a single shard owning everything, OutputFree
@@ -195,8 +206,9 @@
 //
 //   - No recorder, no cost. Every clock read is gated on the recorder's
 //     presence; an uninstrumented runtime takes zero time.Now calls per
-//     round, and the instrumented path is benchmarked against the plain
-//     one (BenchmarkStreamRuntimeRecorded) and gated by cmd/benchgate.
+//     round, and the instrumented path is measured against the plain
+//     one, with repeats, by the benchmark/ suite
+//     (obs.recorder_overhead_pct).
 //   - Phase semantics. ProposeNS times the fused barrier phase (retire,
 //     admit, propose), ReconcileNS the serial leftover-capacity pass,
 //     ApplyNS any out-of-cadence forced retirement (verification
@@ -258,10 +270,8 @@
 //     checkpointed and re-imported (restarting them fresh used to
 //     silently change post-restore tie-breaking).
 //
-//   - OldestFirst: restore-exact; selection is memoryless, and on
-//     sharded runtimes the incremental age index is rebuilt from the
-//     restored pending set (the candidate order is a pure function
-//     of it).
+//   - OldestFirst: restore-exact; selection is memoryless given the
+//     restored pending set.
 //
 //   - WeightedISLIP: restore-exact; the grant and accept rotation
 //     pointers are checkpointed and re-imported.
@@ -324,23 +334,10 @@
 //     runs behind a single barrier, and OnSchedule callbacks read the
 //     still-live taken slots before they retire in the next fused phase.
 //     The reconcile pass (sharded runtimes only) is a pipelined
-//     shard-to-shard token chain in a deterministic order — oldest live
-//     head first for the age-aware policies, shard index order
-//     otherwise — so the second picks overlap their dispatch and cache
-//     traffic across workers instead of running coordinator-serial.
-//   - Age index. On sharded runtimes the age-aware policies keep an
-//     incremental cross-round candidate index per shard (see ageIndex):
-//     head activations and departures journaled at voqPush/voqRemove,
-//     folded in O(changed VOQs) per round into a persistent
-//     release-sorted two-level order with in-place tombstones. It feeds
-//     the reconcile pass — sparse picks over the still-free inputs'
-//     candidates and the oldest-head-first shard ordering — and rebuilds
-//     from the pending set on restore or reload. Capacity-rich propose
-//     passes instead rebuild their candidate order per round with a
-//     bitmap sweep and a counting sort: at a deep resident backlog the
-//     sweep's sequential record reads beat any random-access index
-//     maintenance, which is also why one-shard runtimes (no reconcile
-//     pass) skip the index entirely.
+//     shard-to-shard token chain in a deterministic order — oldest
+//     pending release first for the age-aware policies, shard index
+//     order otherwise — so the second picks overlap their dispatch and
+//     cache traffic across workers instead of running coordinator-serial.
 //   - Admission. Sources implementing BatchSource deliver each round's
 //     released arrivals in one PullBatch call into a reused buffer —
 //     interface-call overhead is paid per round, not per flow.

@@ -243,24 +243,6 @@ func (rt *Runtime) applyReload(rc ReloadConfig) error {
 	if rc.MaxPending <= 0 {
 		return fmt.Errorf("stream: reload: MaxPending %d is not positive", rc.MaxPending)
 	}
-	if _, indexed := rc.Policy.(ageIndexUser); indexed && rt.nshards > 1 {
-		// Same bound New enforces (the index exists only on sharded
-		// runtimes): the age index packs a VOQ's index into aiViBits of
-		// its entry key, and the swap may introduce the index to a
-		// runtime built without one.
-		mIn, mOut := rt.sw.NumIn(), rt.sw.NumOut()
-		if nLoc := (mIn + rt.nshards - 1) / rt.nshards; nLoc*mOut > 1<<aiViBits {
-			return fmt.Errorf("stream: reload: policy %q needs %d VOQs per shard, over the age index's %d",
-				rc.Policy.Name(), nLoc*mOut, 1<<aiViBits)
-		}
-		if rt.lastRel >= aiMaxRel {
-			// The stream has already run past the index's packed-key
-			// horizon; rebuilding an index over (or after) such releases
-			// could overflow keys, so the swap is refused.
-			return fmt.Errorf("stream: reload: policy %q indexes releases up to %d, and the stream already reached %d",
-				rc.Policy.Name(), int64(aiMaxRel), rt.lastRel)
-		}
-	}
 	switch rc.Admit {
 	case AdmitLossless, AdmitDrop:
 		if rc.Deadline != 0 {
@@ -282,19 +264,6 @@ func (rt *Runtime) applyReload(rc ReloadConfig) error {
 			r.Reset(rt.sw)
 		}
 		sh.pol = pol
-		// Reconcile the age index with the incoming policy: build and
-		// backfill one from the resident pending set when the new policy
-		// uses it and the runtime is sharded (deterministic — the
-		// candidate order is a pure function of the pending set), drop it
-		// when it does not (the arena hooks no-op on nil).
-		if _, ok := pol.(ageIndexUser); ok && rt.nshards > 1 {
-			if sh.ai == nil {
-				sh.ai = newAgeIndex(sh)
-				sh.ai.rebuild()
-			}
-		} else {
-			sh.ai = nil
-		}
 	}
 	rt.cfg.Policy = rc.Policy
 	rt.cfg.MaxPending = rc.MaxPending

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -377,5 +378,59 @@ func TestRestorePreservesBackpressureSemantics(t *testing.T) {
 	// rounds >= 9, so flow released at 3 contributes >= 7.
 	if sum.MaxResponse < 9+1-3 {
 		t.Fatalf("restored MaxResponse %d too small for a release-3 flow completing at round >= 9", sum.MaxResponse)
+	}
+}
+
+// TestShardedAgePoliciesTakeFarReleases pins that the sharded age-aware
+// policies put no horizon on release rounds: a stream that idle-jumps
+// past 2^40 drains at K=2, and a Reload onto either policy once the
+// stream is past that point is accepted and keeps draining.
+func TestShardedAgePoliciesTakeFarReleases(t *testing.T) {
+	const far = 1 << 41
+	flows := genFlows(4, 3, 4)
+	for _, f := range genFlows(4, 3, 4) {
+		f.Release += far
+		flows = append(flows, f)
+	}
+	for _, name := range []string{"OldestFirst", "WeightedISLIP"} {
+		for _, reload := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/reload=%v", name, reload), func(t *testing.T) {
+				start := name
+				if reload {
+					start = "RoundRobin"
+				}
+				rt, err := New(&sliceSource{flows: flows}, Config{
+					Switch: switchnet.UnitSwitch(4), Policy: ByName(start), Shards: 2, MaxPending: 32,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rt.startWorkers()
+				defer rt.stopWorkers()
+				swapped := !reload
+				for steps := 0; ; steps++ {
+					if !swapped && rt.lastRel >= far {
+						rt.applyPending()
+						if err := rt.applyReload(ReloadConfig{Policy: ByName(name), MaxPending: 32}); err != nil {
+							t.Fatalf("reload after release %d: %v", rt.lastRel, err)
+						}
+						swapped = true
+					}
+					done, err := rt.step()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if done {
+						break
+					}
+					if steps > 1<<10 {
+						t.Fatal("runaway stream")
+					}
+				}
+				if sum := rt.Snapshot(); !swapped || sum.Completed != int64(len(flows)) || sum.Round < far {
+					t.Fatalf("swapped %v, summary %+v, want %d completions past round %d", swapped, sum, len(flows), far)
+				}
+			})
+		}
 	}
 }

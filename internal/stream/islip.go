@@ -41,7 +41,7 @@ const DefaultISLIPIters = 2
 // round always makes progress when any head fits. Weight comparisons form
 // a total order — age first, pointer distance second, and distances are
 // unique per port — so the outcome is independent of iteration order over
-// the active lists: same stream, same shard count, bit-identical
+// the active-input list: same stream, same shard count, bit-identical
 // schedules.
 //
 // A round costs O(Iters * active VOQs + scheduled) hot-record reads —
@@ -51,11 +51,9 @@ const DefaultISLIPIters = 2
 // WeightedISLIP is Shardable: each shard matches its own inputs against
 // its carved (then reconciled) output budgets with its own pointer
 // state, which is exactly the per-input decomposition the
-// request/grant/accept structure already has. As an age-aware policy it
-// keeps the shard's incremental age index (see ageIndex) when the
-// runtime is sharded; the index is not consulted by the sweep — it feeds
-// the reconcile pass's oldest-head-first shard ordering and the
-// checkpoint-restore rebuild.
+// request/grant/accept structure already has. As an age-aware policy its
+// reconcile pass visits shards by oldest pending release (see
+// Runtime.reconcile).
 type WeightedISLIP struct {
 	// Iters caps the request/grant/accept iterations per pick pass;
 	// <= 0 selects DefaultISLIPIters.
@@ -105,10 +103,8 @@ func (p *WeightedISLIP) Reset(sw switchnet.Switch) {
 	p.outFree = make([]int32, p.numOut)
 }
 
-// usesAgeIndex marks the policy as a consumer of the shard's incremental
-// age index; newShard builds one exactly when this is implemented and
-// the runtime is sharded.
-func (*WeightedISLIP) usesAgeIndex() {}
+// reconcileOldestShardFirst implements oldestShardFirst.
+func (*WeightedISLIP) reconcileOldestShardFirst() {}
 
 // exportScratch implements scratchPolicy: the grant rotation pointers in
 // output-port order, then the accept pointers in input-port order — the

@@ -16,10 +16,11 @@ import (
 // service order is the total order (release, input, output, admission
 // seq) and the schedule is a pure function of the stream.
 //
-// A capacity-rich pass (the propose phase) builds the round's candidate
-// set by sweeping the head-age records: inputs in ascending port order,
-// each input's active VOQs in ascending port order off the bitmap words,
-// so candidates are emitted pre-sorted by (input, output) and the record
+// Every pass builds its candidate set by sweeping the head-age records:
+// inputs with capacity left in ascending port order (a reconcile pass
+// therefore visits only what the propose phase left unsaturated), each
+// input's active VOQs in ascending port order off the bitmap words, so
+// candidates are emitted pre-sorted by (input, output) and the record
 // reads are plain sequential array traffic. The port-order tie-break is
 // what makes ordering sort-free: one stable counting pass over the
 // release span — head ages are small integers around the current round —
@@ -31,22 +32,6 @@ import (
 // served head's successor re-enters through a small auxiliary heap (at
 // most one entry per flow served), keeping the merged order exact. The
 // scan exits as soon as the shard's input capacity is exhausted.
-//
-// A capacity-poor pass — the reconcile pass at several shards, where the
-// propose phase already saturated most inputs — switches to a sparse
-// gather instead: the still-free inputs' candidates that fit both
-// remaining capacities go straight into the heap (skipping the full
-// sweep and the counting sort), and the heap drains in the same global
-// order with the same at-serve capacity recheck. Capacity only decreases
-// during a pass, so a head not servable at pass start can never serve,
-// and the drain takes exactly the serves the full scan would — same
-// selection, a fraction of the visits. The mode choice compares the free
-// inputs' candidate count against the shard's incremental age index
-// (see ageIndex) scan length; both sides are pure functions of quiescent
-// shard state, so the choice cannot perturb the schedule. The index is
-// built only when the runtime is sharded — the single-shard fused phase
-// is always capacity-rich, and skipping the index there keeps its
-// journal maintenance off the one-shard hot path entirely.
 //
 // Within a VOQ the policy is strict FIFO: a head whose demand does not
 // fit the remaining port capacity blocks its queue for the round (the
@@ -64,19 +49,21 @@ import (
 // only to its high-water mark, so steady-state rounds allocate nothing.
 //
 // OldestFirst is Shardable: each shard serves its own inputs' heads
-// oldest-first, and the reconcile pass orders shards oldest-head-first
-// (see Runtime.reconcile, fed by the age index fronts) so service
-// against the shared leftover pool is globally, not per-shard,
-// oldest-first. The head-age records during that pass may still carry a
-// propose-pass pick (they update at retirement), in which case the entry
-// stands for the taken head's oldest untaken successor — deterministic,
-// just ordered and prechecked by the record rather than the successor's
-// own key.
+// oldest-first against its carved budgets, and the reconcile pass visits
+// shards by oldest pending release (see Runtime.reconcile), each again
+// serving its own heads oldest-first against the shared leftover pool.
+// That is not the global age-greedy selection — the equivalence with the
+// bridged MinRTime-style policy above is a one-shard property (see the
+// package docs, "Sharding caveat"). The head-age records during the
+// reconcile pass may still carry a propose-pass pick (they update at
+// retirement), in which case the entry stands for the taken head's
+// oldest untaken successor — deterministic, just ordered and prechecked
+// by the record rather than the successor's own key.
 type OldestFirst struct {
 	ent []ofEntry // sweep scratch: one entry per candidate VOQ
 	ord []ofEntry // the entries in global order
 	cnt []int32   // calendar buckets: per-release counts, then offsets
-	h   []ofEntry // auxiliary min-heap: successors, sparse-mode candidates
+	h   []ofEntry // auxiliary min-heap of served heads' successors
 	// inFree/outFree mirror the ports' remaining capacity during the
 	// scan (seeded from the View, decremented alongside every take), so
 	// a skipped entry costs local array reads, not View calls.
@@ -95,8 +82,8 @@ func (p *OldestFirst) Reset(sw switchnet.Switch) {
 // round's candidate set streams through cache three times — sweep,
 // scatter, scan — so entry size is bandwidth). Entries order by
 // (rel, in, out); at most one candidate per VOQ is live at a time —
-// the sweep emits one entry per queue, the sparse gather one per queue,
-// and a successor enters only after its predecessor was consumed — so
+// the sweep emits one entry per queue, and a successor enters only
+// after its predecessor was consumed — so
 // the key is unique, the order total, and the scan sequence
 // deterministic.
 type ofEntry struct {
@@ -122,10 +109,8 @@ func (*OldestFirst) Name() string { return "OldestFirst" }
 // fresh instance per shard shares nothing.
 func (*OldestFirst) NewShard() Policy { return &OldestFirst{} }
 
-// usesAgeIndex marks the policy as a consumer of the shard's incremental
-// age index; newShard builds one exactly when this is implemented and
-// the runtime is sharded.
-func (*OldestFirst) usesAgeIndex() {}
+// reconcileOldestShardFirst implements oldestShardFirst.
+func (*OldestFirst) reconcileOldestShardFirst() {}
 
 // Pick implements Policy.
 //
@@ -137,33 +122,17 @@ func (p *OldestFirst) Pick(v *View) {
 	for j := 0; j < mOut; j++ {
 		p.outFree[j] = int32(v.OutputFree(j))
 	}
-	// Seed the input capacity mirror and count the free inputs'
-	// candidates; every candidate lives on an active input, so the count
-	// is exact for the mode choice below.
-	sumFree, freeCand := 0, 0
+	// Seed the input capacity mirror; every candidate lives on an active
+	// input.
+	sumFree := 0
 	for a := 0; a < v.NumActiveInputs(); a++ {
 		in := v.ActiveInput(a)
 		free := v.InputFree(in)
 		p.inFree[in] = int32(free)
-		if free > 0 {
-			sumFree += free
-			freeCand += v.NumActiveVOQs(in)
-		}
+		sumFree += free
 	}
 	if sumFree == 0 {
 		return
-	}
-	if ai := v.sh.ai; ai != nil {
-		ai.trim()
-		// Sparse mode: when the inputs with capacity left hold far fewer
-		// candidates than the index holds live entries — the reconcile
-		// pass after a near-maximal propose — gathering those candidates
-		// directly beats the full sweep and sort. Both modes take
-		// identical serves, so the choice cannot perturb the schedule.
-		if freeCand*4 < ai.scanLen() {
-			p.pickSparse(v, freeCand)
-			return
-		}
 	}
 	p.ent = p.ent[:0]
 	minRel, maxRel := int64(math.MaxInt64), int64(math.MinInt64)
@@ -214,40 +183,6 @@ func (p *OldestFirst) Pick(v *View) {
 			continue
 		}
 		sumFree -= int(d)
-	}
-}
-
-// pickSparse is the low-capacity mode: gather every candidate of the
-// still-free inputs that fits both remaining capacities into the heap,
-// then drain it in (release, input, output) order with the same at-serve
-// capacity recheck the dense scan applies. cap reserves the heap once
-// for the gather's upper bound.
-func (p *OldestFirst) pickSparse(v *View, freeCand int) {
-	if cap(p.h) < freeCand {
-		p.h = make([]ofEntry, 0, freeCand) //flowsched:allow alloc: heap scratch grows to the free-input candidate high-water mark, then recycles
-	}
-	for a := 0; a < v.NumActiveInputs(); a++ {
-		in := v.ActiveInput(a)
-		free := p.inFree[in]
-		if free <= 0 {
-			continue
-		}
-		for k, n := 0, v.NumActiveVOQs(in); k < n; k++ {
-			out := v.ActiveVOQ(in, k)
-			of := p.outFree[out]
-			if of <= 0 {
-				continue
-			}
-			rel, _, demand := v.VOQHeadRecord(in, out)
-			dem := int32(demand)
-			if dem > free || of < dem {
-				continue
-			}
-			p.heapPush(ofEntry{rel: rel, dem: dem, in: int16(in), out: int16(out)})
-		}
-	}
-	for len(p.h) > 0 {
-		p.take(v, p.pop())
 	}
 }
 

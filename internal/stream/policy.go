@@ -17,13 +17,19 @@ import (
 // continues the exact schedule the uninterrupted run would have
 // produced. Policies without the interface are memoryless — their
 // schedule is a pure function of the pending set — and need nothing
-// carried. The incremental age index is deliberately not part of the
-// scratch: its candidate order is itself a pure function of the pending
-// set, so restore re-admission rebuilds it (journal cursor included)
-// deterministically through the voqPush journaling hooks.
+// carried.
 type scratchPolicy interface {
 	exportScratch(dst []int64) []int64
 	importScratch(src []int64) error
+}
+
+// oldestShardFirst marks the native policies whose reconcile pass visits
+// shards by oldest pending release instead of shard index order (see
+// Runtime.reconcile). It is a marker, not a default, because ordering
+// every policy that way would change sharded RoundRobin and StreamFIFO
+// schedules.
+type oldestShardFirst interface {
+	reconcileOldestShardFirst()
 }
 
 // FIFO takes pending flows oldest-first (admission order), first-fit. A
@@ -141,7 +147,7 @@ func (p *RoundRobin) Pick(v *View) {
 // serveVOQ drains (in, out) oldest-first while capacity lasts and returns
 // the input's remaining free capacity. The rotation pointer advances once
 // per VOQ served, however many flows drained, and records the output
-// *port* — immune to the active list's swap-delete reordering.
+// *port*, so it stays meaningful as VOQs activate and drain around it.
 func (p *RoundRobin) serveVOQ(v *View, in, out, free int) int {
 	free, served := drainVOQ(v, in, out, free)
 	if served {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -169,8 +168,8 @@ type Config struct {
 	// Shards partitions the input ports across that many runtime shards
 	// (input i belongs to shard i mod Shards), scheduled by the
 	// deterministic fused-barrier output-capacity protocol described in
-	// the package docs. <= 0 selects GOMAXPROCS for Shardable policies
-	// and 1 otherwise; the value is always capped at NumIn.
+	// the package docs. <= 0 selects 1; the value is always capped at
+	// NumIn.
 	Shards int
 	// MaxPending bounds the resident pending set (admission control);
 	// <= 0 selects DefaultMaxPending. What happens at the limit is
@@ -482,9 +481,6 @@ func New(src Source, cfg Config) (*Runtime, error) {
 	sharder, shardable := cfg.Policy.(Shardable)
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
-		if shardable {
-			cfg.Shards = runtime.GOMAXPROCS(0)
-		}
 	}
 	if cfg.Shards > mIn {
 		cfg.Shards = mIn
@@ -492,15 +488,6 @@ func New(src Source, cfg Config) (*Runtime, error) {
 	if cfg.Shards > 1 && !shardable {
 		return nil, fmt.Errorf("stream: policy %q cannot run sharded (it does not implement Shardable); set Config.Shards to 1",
 			cfg.Policy.Name())
-	}
-	if _, indexed := cfg.Policy.(ageIndexUser); indexed && cfg.Shards > 1 {
-		// The age index (built only on sharded runtimes) packs a VOQ's
-		// index into aiViBits of its entry key; the largest shard owns
-		// ceil(mIn/K) inputs.
-		if nLoc := (mIn + cfg.Shards - 1) / cfg.Shards; nLoc*mOut > 1<<aiViBits {
-			return nil, fmt.Errorf("stream: policy %q needs %d VOQs per shard, over the age index's %d (use more shards or a smaller switch)",
-				cfg.Policy.Name(), nLoc*mOut, 1<<aiViBits)
-		}
 	}
 	if cfg.CheckpointEveryRounds < 0 {
 		return nil, fmt.Errorf("stream: CheckpointEveryRounds %d is negative", cfg.CheckpointEveryRounds)
@@ -587,12 +574,6 @@ func (rt *Runtime) checkFlow(f switchnet.Flow) error {
 		return fmt.Errorf("stream: source yielded release %d after %d (must be non-decreasing)", f.Release, rt.lastRel)
 	}
 	rt.lastRel = f.Release
-	if f.Release >= aiMaxRel && rt.shards[0].ai != nil {
-		// Releases ride in the age index's packed keys, so an indexed
-		// run has a (2^40-round) horizon; plain policies accept any
-		// release (sparse streams jump idle gaps far larger than this).
-		return fmt.Errorf("stream: release %d is at or beyond the age index's %d-round horizon (use a non-indexed policy)", f.Release, int64(aiMaxRel))
-	}
 	if err := rt.sw.ValidateFlow(f); err != nil {
 		return fmt.Errorf("stream: inadmissible flow: %w", err)
 	}
@@ -839,12 +820,13 @@ func (rt *Runtime) applyPending() {
 // soon as its predecessor hands over the token — so the pass overlaps
 // its own dispatch, serve-loop, and cache traffic across workers instead
 // of running coordinator-serial. The order is the shard index order for
-// plain policies (bit-identical to the serial sweep this replaced); for
-// age-indexed policies it is oldest-head-first over the shards' index
-// fronts (ties to the lower shard index), so OldestFirst service against
-// the shared pool is globally, not per-shard, oldest-first. Either order
-// is a pure function of quiescent shard state, so schedules stay
-// deterministic for a fixed K.
+// plain policies; for the age-aware ones (oldestShardFirst) it is by the
+// shards' oldest pending release (shard.oldestRel, ties to the lower
+// shard index), so the shard holding the oldest flow gets first call on
+// the shared pool — each shard still serves only its own heads, so this
+// is not the global age-greedy selection. Either order is a pure
+// function of quiescent shard state, so schedules stay deterministic for
+// a fixed K.
 func (rt *Runtime) reconcile() {
 	copy(rt.leftover, rt.sw.OutCaps)
 	used := 0
@@ -863,11 +845,11 @@ func (rt *Runtime) reconcile() {
 	for i := range order {
 		order[i] = i
 	}
-	if rt.shards[0].ai != nil {
+	if _, ok := rt.shards[0].pol.(oldestShardFirst); ok {
 		for i, sh := range rt.shards {
-			rt.reconRel[i] = sh.ai.oldestRel()
+			rt.reconRel[i] = sh.oldestRel()
 		}
-		// Insertion sort by (oldest head release, shard index): K is
+		// Insertion sort by (oldest pending release, shard index): K is
 		// small, the keys are nearly sorted round over round, and the
 		// tie-break keeps the sort stable over the identity order.
 		for i := 1; i < len(order); i++ {

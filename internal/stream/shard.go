@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync/atomic"
 
@@ -75,12 +76,11 @@ type shard struct {
 
 	// Cached partition geometry: shard count, output-port count, and
 	// bitmap words per input, plus the port capacities (read-only views
-	// of the switch's slices). liTab/voqBase/bitBase are per-global-input
-	// lookup tables (local index, VOQ base, bitmap word base) that keep
-	// integer division by the shard count out of the hot paths.
+	// of the switch's slices). voqBase/bitBase are per-global-input
+	// lookup tables (VOQ base, bitmap word base) that keep integer
+	// division by the shard count out of the hot paths.
 	nsh, mOut, nw   int
 	inCaps, outCaps []int
-	liTab           []int32
 	voqBase         []int32
 	bitBase         []int32
 
@@ -92,22 +92,16 @@ type shard struct {
 	vqs   []voqState
 	heads []voqHead
 
-	// ai is the incremental cross-round candidate index, present exactly
-	// when the shard's policy scans it (implements ageIndexUser); nil
-	// otherwise, and the arena journaling hooks no-op. reconPos is the
-	// shard's position in the current round's reconcile order, assigned
-	// by the coordinator before phaseReconcile is dispatched.
-	ai       *ageIndex
+	// reconPos is the shard's position in the current round's reconcile
+	// order, assigned by the coordinator before phaseReconcile is
+	// dispatched.
 	reconPos int
 
-	// activeOut[in/nsh] lists the output ports with a non-empty VOQ at
-	// owned input in; activeOutPos is each VOQ's index there (noID if
-	// inactive). actBits mirrors the same membership as a per-input
-	// bitmap (nw words per input), which gives rotation policies
-	// next-active-VOQ-in-port-order probes in O(1) word operations.
-	activeOut    [][]int32
-	activeOutPos []int32
-	actBits      []uint64
+	// actBits holds, per owned input, the bitmap (nw words) of output
+	// ports with a non-empty VOQ there: the age-aware policies sweep its
+	// words, and rotation policies get next-active-VOQ-in-port-order
+	// probes in O(1) word operations.
+	actBits []uint64
 	// activeIn lists owned input ports with any pending flow (global port
 	// numbers); activeInPos is each input's index there.
 	activeIn    []int32
@@ -152,56 +146,39 @@ func newShard(rt *Runtime, idx int, pol Policy) *shard {
 	nLocal := (mIn - idx + rt.nshards - 1) / rt.nshards
 	nw := (mOut + 63) / 64
 	sh := &shard{
-		rt:           rt,
-		idx:          idx,
-		pol:          pol,
-		head:         noID,
-		tail:         noID,
-		nsh:          rt.nshards,
-		mOut:         mOut,
-		nw:           nw,
-		inCaps:       rt.sw.InCaps,
-		outCaps:      rt.sw.OutCaps,
-		liTab:        make([]int32, mIn),
-		voqBase:      make([]int32, mIn),
-		bitBase:      make([]int32, mIn),
-		queueIn:      make([]int, mIn),
-		queueOut:     make([]int, mOut),
-		loadIn:       make([]int, mIn),
-		loadOut:      make([]int, mOut),
-		vqs:          make([]voqState, nLocal*mOut),
-		heads:        make([]voqHead, nLocal*mOut),
-		activeOut:    make([][]int32, nLocal),
-		activeOutPos: make([]int32, nLocal*mOut),
-		actBits:      make([]uint64, nLocal*nw),
-		activeIn:     make([]int32, 0, nLocal),
-		activeInPos:  make([]int32, mIn),
-		win:          stats.NewEpochWindow(rt.cfg.WindowRounds, rt.cfg.WindowShards),
+		rt:          rt,
+		idx:         idx,
+		pol:         pol,
+		head:        noID,
+		tail:        noID,
+		nsh:         rt.nshards,
+		mOut:        mOut,
+		nw:          nw,
+		inCaps:      rt.sw.InCaps,
+		outCaps:     rt.sw.OutCaps,
+		voqBase:     make([]int32, mIn),
+		bitBase:     make([]int32, mIn),
+		queueIn:     make([]int, mIn),
+		queueOut:    make([]int, mOut),
+		loadIn:      make([]int, mIn),
+		loadOut:     make([]int, mOut),
+		vqs:         make([]voqState, nLocal*mOut),
+		heads:       make([]voqHead, nLocal*mOut),
+		actBits:     make([]uint64, nLocal*nw),
+		activeIn:    make([]int32, 0, nLocal),
+		activeInPos: make([]int32, mIn),
+		win:         stats.NewEpochWindow(rt.cfg.WindowRounds, rt.cfg.WindowShards),
 	}
 	for i := range sh.vqs {
 		sh.vqs[i] = voqState{head: noID, tail: noID}
-		sh.activeOutPos[i] = noID
 	}
 	for i := 0; i < mIn; i++ {
 		li := i / rt.nshards
-		sh.liTab[i] = int32(li)
 		sh.voqBase[i] = int32(li * mOut)
 		sh.bitBase[i] = int32(li * nw)
 	}
-	// Preallocate the per-input active lists so first-time VOQ activation
-	// never allocates mid-run.
-	for i := range sh.activeOut {
-		sh.activeOut[i] = make([]int32, 0, mOut)
-	}
 	for i := range sh.activeInPos {
 		sh.activeInPos[i] = noID
-	}
-	if _, ok := pol.(ageIndexUser); ok && sh.nsh > 1 {
-		// The index pays journal maintenance every round to earn its keep
-		// in the reconcile pass (sparse picks, oldest-head-first shard
-		// ordering); a one-shard runtime has no reconcile pass, so it
-		// skips the index — and its cost — entirely.
-		sh.ai = newAgeIndex(sh)
 	}
 	sh.view.sh = sh
 	return sh
@@ -233,6 +210,19 @@ func (sh *shard) nextActive(in, from int) int {
 		}
 	}
 	return -1
+}
+
+// oldestRel returns the release round of the shard's oldest pending flow
+// (math.MaxInt64 when it has none) — the key the reconcile pass orders
+// shards by. Releases are non-decreasing in source order (checkFlow) and
+// routing preserves that order per shard, so the admission sublist is
+// release-sorted, every VOQ is a subsequence of it, and its head carries
+// the minimum over all VOQ head records.
+func (sh *shard) oldestRel() int64 {
+	if sh.head == noID {
+		return math.MaxInt64
+	}
+	return sh.ar.rec[sh.head].rel
 }
 
 // budget is the shard's carve of output j's capacity this round: an equal
@@ -285,12 +275,6 @@ func (sh *shard) do(ph int) {
 		sh.takesRound = sh.rt.round
 		if sh.rt.deadline > 0 {
 			sh.expire()
-		}
-		if sh.ai != nil {
-			// Every head change of the round (retirement, admission,
-			// expiry) is journaled by now; fold them in so Pick scans a
-			// fully current index.
-			sh.ai.applyJournal()
 		}
 		if sh.count > 0 {
 			sh.phase = pickBudget
@@ -373,9 +357,6 @@ func (sh *shard) admit(av arrival) {
 	sh.tail = id
 
 	if sh.vqs[vi].live == 0 {
-		li := sh.liTab[f.In]
-		sh.activeOutPos[vi] = int32(len(sh.activeOut[li]))
-		sh.activeOut[li] = append(sh.activeOut[li], int32(f.Out)) //flowsched:allow alloc: active-VOQ list grows to the per-input port-count high-water mark
 		sh.actBits[int(sh.bitBase[f.In])+f.Out>>6] |= 1 << uint(f.Out&63)
 	}
 	sh.voqPush(vi, id)
@@ -408,16 +389,6 @@ func (sh *shard) depart(id int32) {
 
 	vi := sh.voq(in, out)
 	if sh.voqRemove(vi, id) {
-		// Swap-delete the drained VOQ from the input's active list.
-		li := sh.liTab[in]
-		pos := sh.activeOutPos[vi]
-		list := sh.activeOut[li]
-		last := len(list) - 1
-		moved := list[last]
-		list[pos] = moved
-		sh.activeOut[li] = list[:last]
-		sh.activeOutPos[sh.voq(in, int(moved))] = pos
-		sh.activeOutPos[vi] = noID
 		sh.actBits[int(sh.bitBase[in])+out>>6] &^= 1 << uint(out&63)
 	}
 

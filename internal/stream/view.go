@@ -85,12 +85,6 @@ func (v *View) OutputFree(j int) int {
 func (v *View) NumActiveInputs() int  { return len(v.sh.activeIn) }
 func (v *View) ActiveInput(k int) int { return int(v.sh.activeIn[k]) }
 
-// NumActiveVOQs returns how many output ports have a non-empty virtual
-// output queue at input in; ActiveVOQ returns the k-th such output port.
-// in must be one of the shard's inputs (any input when Shards == 1).
-func (v *View) NumActiveVOQs(in int) int { return len(v.sh.activeOut[v.sh.liTab[in]]) }
-func (v *View) ActiveVOQ(in, k int) int  { return int(v.sh.activeOut[v.sh.liTab[in]][k]) }
-
 // NextActiveVOQ returns the output port of the next non-empty VOQ at input
 // in, at or after port from (0 <= from < NumOut) in circular port order,
 // or -1 if the input has none. It is the O(1)-probe primitive behind
