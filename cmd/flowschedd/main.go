@@ -5,8 +5,8 @@
 //
 // Endpoints:
 //
-//	POST /flows    ingest a batch: {"flows":[{"in":0,"out":1,"demand":1},...]}
-//	GET  /metrics  Prometheus text exposition: runtime, phase histograms, SLO burn rates, pilot gauges
+//	POST /flows    ingest a batch: {"flows":[{"in":0,"out":1,"demand":1},...]} (at most 1 MiB, else 413)
+//	GET  /metrics  Prometheus text exposition: runtime, ingest counters, phase histograms, SLO burn rates, pilot gauges
 //	GET  /snapshot current stream.Summary as JSON
 //	GET  /trace    flight recorder: last rounds as JSONL (?last=N)
 //	GET  /slo      burn-rate engine state as JSON
@@ -23,6 +23,14 @@
 //	curl -s localhost:8080/metrics | grep flowsched_slo
 //	curl -s localhost:8080/trace?last=64
 //	curl -s -X POST localhost:8080/drain
+//
+// POST /flows bodies in exactly that shape — one "flows" member, flow
+// members "in", "out", "demand" (and an ignored "release") in lower case
+// and any order, plain integer values, any JSON whitespace — are decoded
+// in one pass. Any other valid JSON encoding/json would accept (other
+// key case, extra members, 1e0 for 1, trailing data) is accepted too, on
+// a several times slower path; flowsched_ingest_decode_fallback_total on
+// /metrics counts those bodies.
 //
 // Crash safety: -checkpoint FILE persists quiescent checkpoints (atomic,
 // CRC-sealed) on POST /checkpoint, every -checkpointevery, and after the
@@ -91,7 +99,7 @@ func main() {
 		admit       = flag.String("admit", "lossless", "admission mode: lossless, drop, or deadline")
 		deadline    = flag.Int("deadline", 0, "response-time bound in rounds (admit mode deadline)")
 		verifyEvery = flag.Int("verifyevery", 0, "spot-check window in rounds fed to the verify oracle (0 = off)")
-		buffer      = flag.Int("buffer", daemon.DefaultBuffer, "ingest queue depth between HTTP handlers and the round loop")
+		buffer      = flag.Int("buffer", daemon.DefaultBuffer, "ingest queue depth in flows between HTTP handlers and the round loop")
 
 		traceRounds = flag.Int("tracerounds", 0, "flight recorder ring size behind GET /trace (0 = default)")
 		sloBound    = flag.Int("slobound", 0, "response-time SLO bound in rounds; enables the response_within_bound target (0 = delivery target only)")
@@ -194,7 +202,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "flowschedd: pprof on %s/debug/pprof/\n", *pprofAddr)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Addr:    *addr,
+		Handler: srv.Handler(),
+		// A client that stalls mid-request or idles on a keep-alive
+		// connection gives its goroutine and socket back. No WriteTimeout:
+		// POST /drain legitimately answers as late as the backlog drains.
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
 	httpErr := make(chan error, 1)
 	go func() {
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {

@@ -402,11 +402,14 @@ func NewInstanceSource(inst *Instance) *workload.InstanceSource {
 	return workload.NewInstanceSource(inst)
 }
 
-// NewChanSource returns a concurrent-feed arrival source: producers Push
-// flows from any goroutine while a runtime drains it; Close ends the
-// stream. Release rounds are assigned at admission (the scheduler's clock
-// is virtual). It implements StreamLiveFeeder — this is the source behind
-// the flowschedd daemon's HTTP ingest.
+// NewChanSource returns a concurrent-feed arrival source: producers
+// PushBatch slices of flows (or Push single ones) from any goroutine while
+// a runtime drains it; Close ends the stream. A pushed slice is queued as
+// it is and belongs to the source from then on. buffer bounds the flows
+// waiting for the runtime, not the batches. Release rounds are assigned
+// at admission (the scheduler's clock is virtual). It implements
+// StreamLiveFeeder — this is the source behind the flowschedd daemon's
+// HTTP ingest.
 func NewChanSource(buffer int) *workload.ChanSource {
 	return workload.NewChanSource(buffer)
 }

@@ -1,67 +1,120 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-
-	"flowsched/internal/switchnet"
+	"sync"
+	"sync/atomic"
 )
 
 // maxIngestBody bounds one POST /flows body (1 MiB ≈ 20k flows).
 const maxIngestBody = 1 << 20
 
-// flowsRequest is the POST /flows body. Release rounds are assigned by
-// the scheduler (its clock is virtual rounds, which a client cannot
-// observe), so any release a client sets is ignored.
-type flowsRequest struct {
-	Flows []switchnet.Flow `json:"flows"`
-}
+// bodyPool recycles the buffers request bodies are read into. A buffer
+// grows to the largest body it has held, which maxIngestBody caps.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // flowsResponse acknowledges an accepted batch.
 type flowsResponse struct {
 	Accepted int `json:"accepted"`
 }
 
+// ingestCodes are the statuses POST /flows answers with.
+var ingestCodes = [...]int{
+	http.StatusAccepted,
+	http.StatusBadRequest,
+	http.StatusRequestEntityTooLarge,
+	http.StatusServiceUnavailable,
+}
+
+// ingestStats are the ingest edge's counters behind /metrics.
+type ingestStats struct {
+	requests [len(ingestCodes)]atomic.Int64 // by status, indexed as ingestCodes
+	flows    atomic.Int64                   // flows handed to the feed
+	fallback atomic.Int64                   // bodies decoded by encoding/json, not the scanner
+}
+
+// answered counts one POST /flows response.
+func (st *ingestStats) answered(code int) {
+	for i, c := range ingestCodes {
+		if c == code {
+			st.requests[i].Add(1)
+		}
+	}
+}
+
+// refuse answers a POST /flows that is not accepted.
+func (s *Server) refuse(w http.ResponseWriter, code int, msg string) {
+	s.stats.answered(code)
+	http.Error(w, msg, code)
+}
+
 // handleFlows ingests one batch. The whole batch is validated against
 // the switch before anything is pushed: the runtime treats an
 // inadmissible flow as a fatal stream error (it would abort the run), so
-// garbage must be rejected at the door, atomically per batch.
+// garbage must be rejected at the door, atomically per batch. A valid
+// batch is handed to the feed as one slice, which the feed then owns.
 func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 	if !s.beginIngest() {
-		http.Error(w, "draining: no new flows accepted", http.StatusServiceUnavailable)
+		s.refuse(w, http.StatusServiceUnavailable, "draining: no new flows accepted")
 		return
 	}
 	defer s.ingest.Done()
 
-	var req flowsRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody)).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer bodyPool.Put(buf)
+	if n := r.ContentLength; n > 0 && n <= maxIngestBody {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxIngestBody)); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			s.refuse(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body over %d bytes: send smaller batches", tooLarge.Limit))
+			return
+		}
+		s.refuse(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	if len(req.Flows) == 0 {
-		http.Error(w, `no flows in batch (want {"flows":[{"in":0,"out":1,"demand":1},...]})`, http.StatusBadRequest)
+	// The decoded flows hold no reference into buf, so it can go back to
+	// the pool while they sit in the feed.
+	flows, fallback, err := decodeFlows(buf.Bytes())
+	if fallback {
+		s.stats.fallback.Add(1)
+	}
+	if err != nil {
+		s.refuse(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	for i, f := range req.Flows {
-		f.Release = 0 // assigned at admission; validate what will run
-		if err := s.sw.ValidateFlow(f); err != nil {
-			http.Error(w, fmt.Sprintf("flow %d rejected: %v", i, err), http.StatusBadRequest)
+	if len(flows) == 0 {
+		s.refuse(w, http.StatusBadRequest, `no flows in batch (want {"flows":[{"in":0,"out":1,"demand":1},...]})`)
+		return
+	}
+	for i := range flows {
+		flows[i].Release = 0 // assigned at admission; validate what will run
+		if err := s.sw.ValidateFlow(flows[i]); err != nil {
+			s.refuse(w, http.StatusBadRequest, fmt.Sprintf("flow %d rejected: %v", i, err))
 			return
 		}
 	}
-	for i, f := range req.Flows {
-		if !s.src.Push(f) {
-			// A concurrent Stop closed the feed mid-batch.
-			http.Error(w, fmt.Sprintf("stopping: %d of %d flows accepted", i, len(req.Flows)),
-				http.StatusServiceUnavailable)
-			return
-		}
+	delivered, err := s.src.PushBatch(r.Context(), flows)
+	s.stats.flows.Add(int64(delivered))
+	if err != nil {
+		// A concurrent Stop closed the feed mid-batch, or the client gave
+		// up while the batch waited for room.
+		s.refuse(w, http.StatusServiceUnavailable,
+			fmt.Sprintf("stopping: %d of %d flows accepted", delivered, len(flows)))
+		return
 	}
+	s.stats.answered(http.StatusAccepted)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(flowsResponse{Accepted: len(req.Flows)})
+	json.NewEncoder(w).Encode(flowsResponse{Accepted: len(flows)})
 }
 
 // healthzResponse is the GET /healthz body.
@@ -151,12 +204,13 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics serves the Prometheus text exposition: the runtime
-// Summary, the per-phase timing histograms recomputed from the flight
-// recorder at scrape time, the SLO burn-rate gauges, and (when enabled)
-// the pilot's optimality gauges.
+// Summary, the ingest edge's counters, the per-phase timing histograms
+// recomputed from the flight recorder at scrape time, the SLO burn-rate
+// gauges, and (when enabled) the pilot's optimality gauges.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	writeMetrics(w, s.rt.Snapshot())
+	s.writeIngestMetrics(w)
 	writePhaseMetrics(w, s.rec)
 	writeSLOMetrics(w, s.slo.Status())
 	if s.pilot != nil {

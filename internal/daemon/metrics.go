@@ -17,12 +17,8 @@ import (
 // cumulative _sum/_count over every completed flow, quantiles over the
 // sliding metrics window.
 func writeMetrics(w io.Writer, s stream.Summary) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
+	counter := func(name, help string, v int64) { writeCounter(w, name, help, v) }
+	gauge := func(name, help string, v float64) { writeGauge(w, name, help, v) }
 	counter("flowsched_rounds_total", "Scheduling rounds processed (idle gaps are jumped, not counted).", s.Rounds)
 	gauge("flowsched_round", "Current scheduler round (virtual time).", float64(s.Round))
 	gauge("flowsched_shards", "Runtime shards the input ports are partitioned across.", float64(s.Shards))
@@ -43,6 +39,32 @@ func writeMetrics(w io.Writer, s stream.Summary) {
 	fmt.Fprintf(w, "flowsched_response_rounds_count %d\n", s.Completed)
 	gauge("flowsched_response_rounds_max", "Maximum response time over all completed flows.", float64(s.MaxResponse))
 	counter("flowsched_response_slow_total", "Completions whose response time exceeded the configured response bound.", s.SlowResponses)
+}
+
+// writeCounter and writeGauge render one unlabelled series with its
+// HELP and TYPE lines.
+func writeCounter(w io.Writer, name, help string, v int64) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+}
+
+func writeGauge(w io.Writer, name, help string, v float64) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
+}
+
+// writeIngestMetrics renders the ingest edge: POST /flows requests by
+// status, flows handed to the feed, how many bodies missed the one-pass
+// decoder, and the feed's depth. A fallback count that keeps pace with
+// the request count means clients do not send the canonical body shape
+// and every request pays encoding/json.
+func (s *Server) writeIngestMetrics(w io.Writer) {
+	st := &s.stats
+	fmt.Fprintf(w, "# HELP flowsched_ingest_requests_total POST /flows requests by response status.\n# TYPE flowsched_ingest_requests_total counter\n")
+	for i, code := range ingestCodes {
+		fmt.Fprintf(w, "flowsched_ingest_requests_total{code=\"%d\"} %d\n", code, st.requests[i].Load())
+	}
+	writeCounter(w, "flowsched_ingest_flows_total", "Flows handed to the ingest feed.", st.flows.Load())
+	writeCounter(w, "flowsched_ingest_decode_fallback_total", "POST /flows bodies not in the canonical shape, decoded by encoding/json.", st.fallback.Load())
+	writeGauge(w, "flowsched_ingest_feed_flows", "Flows buffered in the ingest feed, accepted and not yet pulled by the round loop.", float64(s.src.Buffered()))
 }
 
 // phaseBuckets are the upper bounds (seconds) of the per-phase timing

@@ -3,8 +3,9 @@
 // (POST /flows, batched), feed the runtime through a concurrently-fed
 // ChanSource, and drain under a native streaming policy while the
 // service exposes live observability — GET /metrics (Prometheus text
-// fed from the lock-free Snapshot path, including SLO burn rates,
-// per-phase timing histograms, and the optimality pilot's gauges),
+// fed from the lock-free Snapshot path, including the ingest edge's
+// counters, SLO burn rates, per-phase timing histograms, and the
+// optimality pilot's gauges),
 // GET /snapshot (the JSON Summary), GET /trace (the flight recorder's
 // per-round JSONL), GET /slo (burn-rate state), GET /pilot (live
 // competitive-ratio estimates), GET /healthz (drain/degraded aware) —
@@ -20,6 +21,23 @@
 // accounting and response quantiles are continuous across a kill -9.
 // POST /reload swaps the scheduling policy and admission settings
 // between rounds without dropping the pending set.
+//
+// The ingest edge is built to cost about what the round loop does. A
+// POST /flows body (at most 1 MiB; 413 beyond) of the canonical shape
+//
+//	{"flows":[{"in":0,"out":1,"demand":1},...]}
+//
+// — the one member "flows"; flow members "in", "out", "demand" and an
+// ignored "release", lower case, any order; plain integers; whitespace
+// anywhere JSON allows — is decoded in a single pass into one slice,
+// validated whole, and handed to the feed as that slice: one
+// synchronisation per request, not per flow. Every other body goes
+// through encoding/json exactly as it always did, so anything that
+// decoder accepts (other key case, unknown members, 1e0, trailing data)
+// is still accepted, several times slower, and its errors still word the
+// 400. flowsched_ingest_decode_fallback_total says how much traffic that
+// is. A handler blocked on a full feed (lossless backpressure) gives up
+// with 503 when its client does.
 //
 // The split of responsibilities: cmd/flowschedd owns flags, listening
 // sockets, and signals; this package owns everything between an
@@ -132,6 +150,7 @@ type Server struct {
 	mu       sync.Mutex
 	draining bool
 	ingest   sync.WaitGroup
+	stats    ingestStats
 
 	startOnce sync.Once
 	drainOnce sync.Once
