@@ -37,9 +37,10 @@
 // final drain; -restore FILE resumes from one — the pending set re-enters
 // with original releases and counters continue, so accounting and
 // response quantiles are continuous across a kill -9. A restore adopts
-// the checkpoint's policy/maxpending/admit/deadline (and switch shape)
-// unless the matching flag is given explicitly. A corrupt or truncated
-// checkpoint is refused with a typed error before anything starts.
+// the checkpoint's policy/shards/maxpending/admit/deadline (and switch
+// shape) unless the matching flag is given explicitly. A corrupt or
+// truncated checkpoint is refused with a typed error before anything
+// starts.
 //
 // SIGINT/SIGTERM trigger the same graceful drain as POST /drain (writing
 // a final checkpoint when -checkpoint is set); SIGHUP re-applies the
@@ -113,7 +114,7 @@ func main() {
 
 		ckptPath  = flag.String("checkpoint", "", "checkpoint file: written on POST /checkpoint, every -checkpointevery, and after the final drain")
 		ckptEvery = flag.Duration("checkpointevery", 0, "periodic checkpoint cadence (0 = on-demand and drain only; needs -checkpoint)")
-		restore   = flag.String("restore", "", "resume from this checkpoint file (its policy/admission/switch settings apply unless overridden by explicit flags)")
+		restore   = flag.String("restore", "", "resume from this checkpoint file (its policy/shards/admission/switch settings apply unless overridden by explicit flags)")
 	)
 	flag.Parse()
 	explicit := map[string]bool{}
@@ -127,17 +128,8 @@ func main() {
 		}
 		// The checkpoint's configuration is the default on restore; an
 		// explicit flag deliberately deviates from it (a reload-on-restart).
-		if !explicit["policy"] {
-			*policy = ck.Policy
-		}
-		if !explicit["maxpending"] {
-			*maxPending = ck.MaxPending
-		}
-		if !explicit["admit"] {
-			*admit = ck.Admit
-		}
-		if !explicit["deadline"] {
-			*deadline = ck.Deadline
+		if err := ck.AdoptFlags(flag.CommandLine); err != nil {
+			fatal(err)
 		}
 		if n, c, uniform := uniformShape(ck); uniform {
 			if !explicit["ports"] {
@@ -185,8 +177,8 @@ func main() {
 		fatal(err)
 	}
 	if restoreCk != nil {
-		fmt.Fprintf(os.Stderr, "flowschedd: restored %s: resumed at round %d, %d pending\n",
-			*restore, restoreCk.Round, restoreCk.Pending)
+		fmt.Fprintf(os.Stderr, "flowschedd: restored %s: resumed at round %d, %d pending, %d shards\n",
+			*restore, restoreCk.Round, restoreCk.Pending, *shards)
 	}
 	srv.Start()
 

@@ -45,9 +45,9 @@
 //	flowsim -stream -policy StreamFIFO -flows 200000 -restore run.ckpt
 //
 // A restore adopts the checkpoint's policy (when -policy is left at
-// "all") and its maxpending/admit/deadline unless the matching flag is
-// given explicitly; corrupt or truncated checkpoint files are refused
-// with a typed error before anything runs.
+// "all") and its shards/maxpending/admit/deadline unless the matching
+// flag is given explicitly; corrupt or truncated checkpoint files are
+// refused with a typed error before anything runs.
 //
 // With -stream -policy all every native policy drains sequentially over
 // identical arrivals (same seed or trace). With -trace, -flows caps the
@@ -123,17 +123,8 @@ func main() {
 			}
 			// The checkpoint's configuration is the default on restore; an
 			// explicit flag deliberately deviates from it.
-			if !explicit["policy"] {
-				*policy = ck.Policy
-			}
-			if !explicit["maxpending"] {
-				*maxPending = ck.MaxPending
-			}
-			if !explicit["admit"] {
-				*admit = ck.Admit
-			}
-			if !explicit["deadline"] {
-				*deadlineF = ck.Deadline
+			if err := ck.AdoptFlags(flag.CommandLine); err != nil {
+				fatal(err)
 			}
 			restoreCk = ck
 		}
@@ -439,7 +430,7 @@ func drainStream(o streamOpts, pol stream.Policy, mode stream.AdmitMode, logFile
 		fatal(err)
 	}
 	if o.restore != nil {
-		fmt.Printf("restore         resumed at round %d, %d pending\n", o.restore.Round, o.restore.Pending)
+		fmt.Printf("restore         resumed at round %d, %d pending, %d shards\n", o.restore.Round, o.restore.Pending, o.shards)
 	}
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()

@@ -261,12 +261,12 @@ type (
 // under an incremental policy with sliding-window metrics and windowed
 // spot-check verification.
 type (
-	// StreamSource yields flows in non-decreasing release order.
+	// StreamSource yields flows in non-decreasing release order, a round's
+	// worth at a time through PullBatch or one at a time through Next.
 	StreamSource = stream.Source
-	// StreamBatchSource is a StreamSource that can also drain arrivals in
-	// batches (PullBatch); the runtime detects it and amortizes one call
-	// over a round's arrivals. All workload sources implement it.
-	StreamBatchSource = stream.BatchSource
+	// StreamBatchSource is StreamSource under the name benchmark/ uses
+	// for it.
+	StreamBatchSource = StreamSource
 	// StreamPolicy selects a capacity-feasible pending subset each round.
 	StreamPolicy = stream.Policy
 	// StreamView is a policy's window onto the runtime's per-port state.
@@ -288,10 +288,6 @@ type (
 	// StreamAdmitMode selects admission behaviour at the MaxPending limit:
 	// lossless backpressure, shedding (drop), or deadline expiry.
 	StreamAdmitMode = stream.AdmitMode
-	// StreamLiveFeeder marks sources fed concurrently with the run (e.g.
-	// ChanSource); the runtime admits from them without backpressure
-	// deadlock by parking only when the pending set is empty.
-	StreamLiveFeeder = stream.LiveFeeder
 	// StreamCheckpointState is a quiescent snapshot of a run — the pending
 	// set in admission order with original releases, the round, and exact
 	// counters — captured by Runtime.CheckpointState; internal/chkpt
@@ -304,9 +300,9 @@ type (
 	// StreamReloadConfig swaps the policy and admission settings between
 	// rounds (Runtime.Reload) without dropping the pending set.
 	StreamReloadConfig = stream.ReloadConfig
-	// StreamParker marks live sources whose idle park multiplexes with the
-	// runtime's control mailbox, keeping checkpoint/reload requests
-	// serviceable while the feed is quiet.
+	// StreamParker is the one optional source capability: an idle wait
+	// the runtime can interrupt, so checkpoint/reload requests and Stop
+	// are served while a concurrently-fed source (ChanSource) is quiet.
 	StreamParker = stream.Parker
 	// ArrivalConfig describes a generator-driven arrival process
 	// (Poisson arrivals, unit/uniform/bounded-Pareto sizes).
@@ -408,15 +404,15 @@ func NewInstanceSource(inst *Instance) *workload.InstanceSource {
 // it is and belongs to the source from then on. buffer bounds the flows
 // waiting for the runtime, not the batches. Release rounds are assigned
 // at admission (the scheduler's clock is virtual). It implements
-// StreamLiveFeeder — this is the source behind the flowschedd daemon's
-// HTTP ingest.
+// StreamParker — this is the source behind the flowschedd daemon's HTTP
+// ingest.
 func NewChanSource(buffer int) *workload.ChanSource {
 	return workload.NewChanSource(buffer)
 }
 
-// NewLimitSource caps a batch-capable source at max flows — e.g. bounding
-// a CSV trace replay (flowsim -stream -trace honors -flows through it).
-func NewLimitSource(src workload.BatchFlowSource, max int64) *workload.Limit {
+// NewLimitSource caps a source at max flows — e.g. bounding a CSV trace
+// replay (flowsim -stream -trace honors -flows through it).
+func NewLimitSource(src workload.FlowSource, max int64) *workload.Limit {
 	return workload.NewLimit(src, max)
 }
 

@@ -35,10 +35,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"flowsched/internal/stats"
 	"flowsched/internal/stream"
@@ -79,20 +81,9 @@ const (
 // castagnoli is the CRC-32C table (matches common storage-stack CRCs).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Counters are the cumulative runtime counters at the checkpoint; they
-// mirror stream.ResumeCounters field for field.
-type Counters struct {
-	Admitted      int64 `json:"admitted"`
-	Completed     int64 `json:"completed"`
-	Dropped       int64 `json:"dropped"`
-	Expired       int64 `json:"expired"`
-	Backpressured int64 `json:"backpressured"`
-	TotalResponse int64 `json:"total_response"`
-	SlowResponses int64 `json:"slow_responses"`
-	Rounds        int64 `json:"rounds"`
-	MaxResponse   int   `json:"max_response"`
-	PeakPending   int   `json:"peak_pending"`
-}
+// Counters are the cumulative runtime counters at the checkpoint, in the
+// struct the runtime resumes from; its JSON tags are the file's keys.
+type Counters = stream.ResumeCounters
 
 // Checkpoint is the durable image of a quiescent runtime.
 type Checkpoint struct {
@@ -166,21 +157,10 @@ func FromState(st *stream.CheckpointState, cfg stream.Config) *Checkpoint {
 		Deadline:       cfg.Deadline,
 		InCaps:         append([]int(nil), cfg.Switch.InCaps...),
 		OutCaps:        append([]int(nil), cfg.Switch.OutCaps...),
-		Counters: Counters{
-			Admitted:      st.Summary.Admitted,
-			Completed:     st.Summary.Completed,
-			Dropped:       st.Summary.Dropped,
-			Expired:       st.Summary.Expired,
-			Backpressured: st.Summary.Backpressured,
-			TotalResponse: st.Summary.TotalResponse,
-			SlowResponses: st.Summary.SlowResponses,
-			Rounds:        st.Summary.Rounds,
-			MaxResponse:   st.Summary.MaxResponse,
-			PeakPending:   st.Summary.PeakPending,
-		},
-		Flows:   flows,
-		Scratch: scratch,
-		Windows: windows,
+		Counters:       st.Summary.Counters(),
+		Flows:          flows,
+		Scratch:        scratch,
+		Windows:        windows,
 	}
 }
 
@@ -194,19 +174,33 @@ func (c *Checkpoint) Resume() *stream.Resume {
 		ScratchPolicy: c.Policy,
 		Scratch:       c.Scratch,
 		Windows:       c.Windows,
-		Counters: stream.ResumeCounters{
-			Admitted:      c.Counters.Admitted,
-			Completed:     c.Counters.Completed,
-			Dropped:       c.Counters.Dropped,
-			Expired:       c.Counters.Expired,
-			Backpressured: c.Counters.Backpressured,
-			TotalResponse: c.Counters.TotalResponse,
-			SlowResponses: c.Counters.SlowResponses,
-			Rounds:        c.Counters.Rounds,
-			MaxResponse:   c.Counters.MaxResponse,
-			PeakPending:   c.Counters.PeakPending,
-		},
+		Counters:      c.Counters,
 	}
+}
+
+// AdoptFlags makes the checkpoint's scheduling configuration the default
+// of a restoring command: each of -policy, -shards, -maxpending, -admit
+// and -deadline that the parsed command line did not give is set to the
+// checkpoint's value, so a plain -restore continues the run it was taken
+// from and an explicit flag deliberately deviates from it.
+func (c *Checkpoint) AdoptFlags(fs *flag.FlagSet) error {
+	explicit := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	for _, kv := range [][2]string{
+		{"policy", c.Policy},
+		{"shards", strconv.Itoa(c.Shards)},
+		{"maxpending", strconv.Itoa(c.MaxPending)},
+		{"admit", c.Admit},
+		{"deadline", strconv.Itoa(c.Deadline)},
+	} {
+		if explicit[kv[0]] {
+			continue
+		}
+		if err := fs.Set(kv[0], kv[1]); err != nil {
+			return fmt.Errorf("chkpt: adopt -%s %s: %w", kv[0], kv[1], err)
+		}
+	}
+	return nil
 }
 
 // Compatible reports whether the checkpoint can be restored onto sw: the

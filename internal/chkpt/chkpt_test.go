@@ -1,7 +1,10 @@
 package chkpt
 
 import (
+	"bytes"
+	"encoding/base64"
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -74,6 +77,43 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if len(ents) != 1 {
 		t.Fatalf("temporary files left behind: %v", ents)
+	}
+}
+
+// parentImage is a version-2 checkpoint file written by the commit before
+// Counters became an alias of stream.ResumeCounters, with every counter
+// distinct and non-zero.
+const parentImage = "RkxPV0NLUFQCAAAA9QEAAAAAAAB7InJvdW5kIjo0MiwicGVuZGluZyI6Miwic291cmNlX2NvbnN1bWVkIjozMywicG9saWN5IjoiUm91bmRSb2JpbiIsInNoYXJkcyI6MiwibWF4X3BlbmRpbmciOjY0LCJhZG1pdCI6ImRlYWRsaW5lIiwiZGVhZGxpbmUiOjksImluX2NhcHMiOlsxLDEsMSwxXSwib3V0X2NhcHMiOlsxLDEsMSwxXSwiY291bnRlcnMiOnsiYWRtaXR0ZWQiOjMyLCJjb21wbGV0ZWQiOjIwLCJkcm9wcGVkIjo0LCJleHBpcmVkIjo2LCJiYWNrcHJlc3N1cmVkIjozLCJ0b3RhbF9yZXNwb25zZSI6NTUsInNsb3dfcmVzcG9uc2VzIjo1LCJyb3VuZHMiOjQwLCJtYXhfcmVzcG9uc2UiOjgsInBlYWtfcGVuZGluZyI6N30sImZsb3dzIjpbeyJpbiI6MCwib3V0IjoxLCJkZW1hbmQiOjEsInJlbGVhc2UiOjQwfSx7ImluIjoxLCJvdXQiOjIsImRlbWFuZCI6MSwicmVsZWFzZSI6NDF9LHsiaW4iOjIsIm91dCI6MywiZGVtYW5kIjoxLCJyZWxlYXNlIjo0Mn1dLCJwb2xpY3lfc2NyYXRjaCI6W1sxLDJdLFszLDBdXX0wvDE+"
+
+// TestParentImageDecodes pins the on-disk format across the counters
+// merge: a file the previous build wrote decodes to the same counters,
+// resumes a runtime from them, and re-encodes byte for byte (same JSON
+// keys, same key order, same Version).
+func TestParentImageDecodes(t *testing.T) {
+	data, err := base64.StdEncoding.DecodeString(parentImage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Counters{
+		Admitted: 32, Completed: 20, Dropped: 4, Expired: 6, Backpressured: 3,
+		TotalResponse: 55, SlowResponses: 5, Rounds: 40, MaxResponse: 8, PeakPending: 7,
+	}
+	if ck.Counters != want {
+		t.Fatalf("counters = %+v, want %+v", ck.Counters, want)
+	}
+	if got := ck.Resume().Counters; got != want {
+		t.Fatalf("Resume().Counters = %+v, want %+v", got, want)
+	}
+	again, err := Encode(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatalf("re-encoded image differs from the parent-written one:\n got %q\nwant %q", again, data)
 	}
 }
 
@@ -201,5 +241,44 @@ func TestCompatible(t *testing.T) {
 	sw.OutCaps[2] = 3
 	if err := c.Compatible(sw); err == nil {
 		t.Fatal("accepted a different capacity")
+	}
+}
+
+// TestAdoptFlags pins what a -restore takes from the checkpoint: every
+// scheduling flag the command line left alone — the shard count included,
+// without which a K=2 image resumed at K=1 drops its policy scratch and
+// schedules differently — and none it set.
+func TestAdoptFlags(t *testing.T) {
+	ck := sample()
+	ck.Admit, ck.Deadline = "deadline", 9
+	parse := func(args ...string) (policy, admit *string, shards, maxPending, deadline *int, fs *flag.FlagSet) {
+		fs = flag.NewFlagSet("test", flag.ContinueOnError)
+		policy = fs.String("policy", "RoundRobin", "")
+		admit = fs.String("admit", "lossless", "")
+		shards = fs.Int("shards", 1, "")
+		maxPending = fs.Int("maxpending", 1<<17, "")
+		deadline = fs.Int("deadline", 0, "")
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	policy, admit, shards, maxPending, deadline, fs := parse()
+	if err := ck.AdoptFlags(fs); err != nil {
+		t.Fatal(err)
+	}
+	if *policy != "OldestFirst" || *shards != 2 || *maxPending != 64 || *admit != "deadline" || *deadline != 9 {
+		t.Fatalf("plain restore adopted policy %q shards %d maxpending %d admit %q deadline %d",
+			*policy, *shards, *maxPending, *admit, *deadline)
+	}
+	policy, admit, shards, maxPending, deadline, fs = parse("-shards", "1", "-policy", "RoundRobin")
+	if err := ck.AdoptFlags(fs); err != nil {
+		t.Fatal(err)
+	}
+	if *policy != "RoundRobin" || *shards != 1 {
+		t.Fatalf("explicit flags overridden: policy %q shards %d", *policy, *shards)
+	}
+	if *maxPending != 64 || *admit != "deadline" || *deadline != 9 {
+		t.Fatalf("unset flags not adopted next to explicit ones: maxpending %d admit %q deadline %d", *maxPending, *admit, *deadline)
 	}
 }

@@ -47,8 +47,7 @@ func (s *Server) Drain() (*stream.Summary, error) {
 func (s *Server) Stop() (*stream.Summary, error) {
 	s.setDraining()
 	s.rt.Stop()
-	// Stop alone cannot interrupt a round loop parked on the idle feed;
-	// closing the source can.
+	// Closing the feed releases handlers parked in PushBatch.
 	s.src.Close()
 	return s.Wait()
 }

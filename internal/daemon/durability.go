@@ -47,7 +47,9 @@ func (s *Server) restoring() bool {
 // checkpoint taken then would not cover the flows still waiting in the
 // old checkpoint's unreplayed prefix, so persisting it could lose them.
 // Serialized with reloads: the file records the scheduling configuration
-// that was live when the state was captured.
+// that was live when the state was captured. An attempt that fails — in
+// the capture or in the write — counts once in
+// flowsched_checkpoint_errors_total; a refusal is not an attempt.
 func (s *Server) CheckpointNow(ctx context.Context) (*chkpt.Checkpoint, error) {
 	if s.ckptPath == "" {
 		return nil, ErrNoCheckpointPath
@@ -59,6 +61,7 @@ func (s *Server) CheckpointNow(ctx context.Context) (*chkpt.Checkpoint, error) {
 	defer s.ckptMu.Unlock()
 	st, err := s.rt.CheckpointState(ctx, s.ckptBuf)
 	if err != nil {
+		s.ckptErrors++
 		return nil, fmt.Errorf("daemon: checkpoint capture: %w", err)
 	}
 	s.ckptBuf = st.Flows
@@ -74,8 +77,8 @@ func (s *Server) CheckpointNow(ctx context.Context) (*chkpt.Checkpoint, error) {
 
 // checkpointLoop writes a checkpoint every ckptEvery until the round
 // loop ends. Ticks that land mid-restore are skipped (the previous
-// checkpoint stays authoritative); write failures are counted and
-// exposed on /metrics rather than killing the daemon — the next tick
+// checkpoint stays authoritative); failures are counted by CheckpointNow
+// and exposed on /metrics rather than killing the daemon — the next tick
 // retries.
 func (s *Server) checkpointLoop() {
 	defer close(s.ckptDone)
@@ -86,18 +89,17 @@ func (s *Server) checkpointLoop() {
 		case <-s.runDone:
 			return
 		case <-t.C:
-			ctx, cancel := context.WithTimeout(context.Background(), checkpointTimeout)
-			_, err := s.CheckpointNow(ctx)
-			cancel()
-			if err != nil && !errors.Is(err, ErrRestoring) {
-				// Counted under ckptMu by CheckpointNow for save failures;
-				// capture failures (context expiry) are counted here.
-				s.ckptMu.Lock()
-				s.ckptErrors++
-				s.ckptMu.Unlock()
-			}
+			s.checkpointTick()
 		}
 	}
+}
+
+// checkpointTick is one periodic attempt. Its error is dropped here
+// because CheckpointNow has already counted it.
+func (s *Server) checkpointTick() {
+	ctx, cancel := context.WithTimeout(context.Background(), checkpointTimeout)
+	defer cancel()
+	_, _ = s.CheckpointNow(ctx)
 }
 
 // checkpointResponse is the POST /checkpoint body: where the image went

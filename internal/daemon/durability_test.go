@@ -1,6 +1,8 @@
 package daemon_test
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -367,4 +369,66 @@ func TestDaemonCheckpointEveryRequiresPath(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "CheckpointPath") {
 		t.Fatalf("cadence without a path accepted: %v", err)
 	}
+}
+
+// FuzzReload throws arbitrary bytes at POST /reload on a live server with
+// flows in flight on both sides of the call. The endpoint answers 200
+// (with the configuration now live), 400 or 503 and nothing else, and
+// whatever it did to the policy and the admission settings, the drained
+// accounting balances.
+func FuzzReload(f *testing.F) {
+	for _, seed := range []string{
+		`{"policy":"OldestFirst","admit":"deadline","deadline":64,"max_pending":128}`,
+		`{"policy":"WeightedISLIP","admit":"drop","max_pending":1}`,
+		`{"admit":"deadline","deadline":1}`,
+		`{"admit":"lossless"}`,
+		`{"policy":"NoSuchPolicy"}`,
+		`{"admit":"yolo"}`,
+		`{"max_pending":-5}`,
+		`{"deadline":16}`,
+		`{"POLICY":"StreamFIFO","extra":[1,2,3]}`,
+		`{"max_pending":1e0}`,
+		`{"policy":"RoundRobin"} trailing`,
+		`{"policy":`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		srv := newServer(t, daemon.Config{})
+		srv.Start()
+		ingest := func() {
+			if code, msg := post(context.Background(), srv, unitBody(t, 16)); code != http.StatusAccepted {
+				t.Fatalf("ingest: status %d (%q)", code, msg)
+			}
+		}
+		ingest()
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+			var live struct {
+				Policy string `json:"policy"`
+				Admit  string `json:"admit"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &live); err != nil || stream.ByName(live.Policy) == nil {
+				t.Errorf("200 with body %q (%v)", rec.Body, err)
+			}
+			if _, err := stream.ParseAdmitMode(live.Admit); err != nil || live.Admit == "" {
+				t.Errorf("200 echoes admit %q (%v)", live.Admit, err)
+			}
+		case http.StatusBadRequest, http.StatusServiceUnavailable:
+		default:
+			t.Errorf("status %d (%q)", rec.Code, rec.Body)
+		}
+		ingest()
+		sum, err := srv.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Admitted != 32 || sum.Pending != 0 || sum.Admitted != sum.Completed+sum.Dropped+sum.Expired {
+			t.Errorf("accounting after reload %q: %+v", body, sum)
+		}
+	})
 }

@@ -24,15 +24,6 @@ import (
 	"flowsched/internal/switchnet"
 )
 
-// Source is the workload-facing contract the wrappers consume and
-// re-expose (FlowSource + PullBatch, matching workload.BatchFlowSource
-// and stream.BatchSource).
-type Source interface {
-	Next() (f switchnet.Flow, ok bool)
-	Err() error
-	PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow
-}
-
 // HiccupSource simulates an ingest path that stalls and recovers: with
 // probability Prob per flow (seeded), the flow — and, releases being
 // non-decreasing, everything after it — is pushed MinGap..MaxGap rounds
@@ -40,7 +31,7 @@ type Source interface {
 // exactly like a real feed that falls behind and never un-sends what it
 // already delayed.
 type HiccupSource struct {
-	src   Source
+	src   stream.Source
 	rng   *rand.Rand
 	prob  float64
 	min   int
@@ -55,7 +46,7 @@ type HiccupSource struct {
 
 // NewHiccupSource wraps src; prob is the per-flow hiccup probability and
 // [minGap, maxGap] the rounds each hiccup adds to every later release.
-func NewHiccupSource(src Source, seed int64, prob float64, minGap, maxGap int) *HiccupSource {
+func NewHiccupSource(src stream.Source, seed int64, prob float64, minGap, maxGap int) *HiccupSource {
 	if minGap < 1 {
 		minGap = 1
 	}
@@ -91,7 +82,7 @@ func (s *HiccupSource) Next() (switchnet.Flow, bool) {
 	return s.jitter(f), true
 }
 
-// PullBatch implements stream.BatchSource. The shift moves flows into
+// PullBatch implements stream.Source. The shift moves flows into
 // the future, so a shifted flow may no longer be released at the round
 // the underlying source would have released it; pulled-too-early flows
 // wait in an internal carry buffer.
@@ -131,14 +122,14 @@ func (s *HiccupSource) Err() error { return s.src.Err() }
 // report end-of-stream and Err reports the injected error, exactly the
 // contract a dying feed presents.
 type ErrorSource struct {
-	src  Source
+	src  stream.Source
 	left int
 	err  error
 	hit  bool
 }
 
 // NewErrorSource wraps src to die with err after n flows.
-func NewErrorSource(src Source, n int, err error) *ErrorSource {
+func NewErrorSource(src stream.Source, n int, err error) *ErrorSource {
 	return &ErrorSource{src: src, left: n, err: err}
 }
 
@@ -155,7 +146,7 @@ func (s *ErrorSource) Next() (switchnet.Flow, bool) {
 	return f, ok
 }
 
-// PullBatch implements stream.BatchSource.
+// PullBatch implements stream.Source.
 func (s *ErrorSource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow {
 	if s.left <= 0 {
 		s.hit = true
@@ -184,7 +175,7 @@ func (s *ErrorSource) Err() error {
 // runtime must cross with its idle-jump path (and, with verification
 // windows on, flush across) without disturbing accounting.
 type JumpSource struct {
-	src     Source
+	src     stream.Source
 	left    int
 	jump    int
 	scratch []switchnet.Flow
@@ -192,7 +183,7 @@ type JumpSource struct {
 
 // NewJumpSource wraps src to jump the clock by jump rounds after n
 // flows.
-func NewJumpSource(src Source, n, jump int) *JumpSource {
+func NewJumpSource(src stream.Source, n, jump int) *JumpSource {
 	return &JumpSource{src: src, left: n, jump: jump}
 }
 
@@ -220,7 +211,7 @@ func (s *JumpSource) Next() (switchnet.Flow, bool) {
 	return s.shift(f), true
 }
 
-// PullBatch implements stream.BatchSource, carrying post-jump flows
+// PullBatch implements stream.Source, carrying post-jump flows
 // pulled early until their shifted release.
 func (s *JumpSource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow {
 	n := 0

@@ -40,6 +40,24 @@ func (s *churnSource) Next() (switchnet.Flow, bool) {
 	return switchnet.Flow{}, false
 }
 
+// PullBatch reads through Next and rewinds the generator over the first
+// flow released after round.
+func (s *churnSource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow {
+	for n := 0; n < max; n++ {
+		at := *s
+		f, ok := s.Next()
+		if !ok {
+			break
+		}
+		if f.Release > round {
+			*s = at
+			break
+		}
+		dst = append(dst, f)
+	}
+	return dst
+}
+
 func (s *churnSource) Err() error { return nil }
 
 // churnGolden pins the sharded age policies' schedules on the churn

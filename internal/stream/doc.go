@@ -41,8 +41,8 @@
 //   - WeightedISLIP: iterative request/grant/accept matching weighted
 //     by head-of-queue age with per-port rotation pointers as
 //     tie-breakers — the queue-age-weighted crossbar matchings of
-//     Liang & Modiano's input-queued-switch analysis. O(Iters * active
-//     VOQs + scheduled) per round. Like OldestFirst it serves the
+//     Liang & Modiano's input-queued-switch analysis. O(active VOQs +
+//     scheduled) per round. Like OldestFirst it serves the
 //     oldest head where conflicts allow, but resolves port contention
 //     by local arbitration instead of a global order — cheaper
 //     coordination, the same starvation-freedom (age eventually
@@ -168,19 +168,33 @@
 // phase before the policy proposes), so for a fixed K the counts replay
 // bit for bit and verification windows stay oracle-clean in every mode.
 //
-// # Live sources
+// # Sources, live and finite
 //
-// A Source additionally implementing LiveFeeder (LiveFeed() == true, e.g.
-// workload.ChanSource feeding the flowschedd daemon) is fed concurrently
-// with the run, so "the source has nothing" no longer means "the stream
-// ended". The runtime then admits exclusively through non-blocking
-// PullBatch calls and parks in a blocking Next only when the pending set
-// is empty — under lossless admission a full pending set simply stops
-// pulling (the feed buffers), and shutting down requires closing the
-// source (Runtime.Stop cannot interrupt a parked Next). Rounds are
-// virtual time: the clock advances per scheduling round and jumps on
-// idle gaps, so releases are stamped by the source at pull time, not by
-// the producer.
+// There is one arrival path, the paper's (Section 5.2.1: each round the
+// newly released flows join the pending set, then the policy picks). Every
+// round the coordinator routes a held lookahead flow, if it has one, and
+// then drains Source.PullBatch — MaxPending minus the resident count at a
+// time — until a short batch says nothing more is released; PullBatch
+// never blocks. Only when the pending set is empty and nothing is released
+// does it ask for one flow whatever its release: Parker.Park(wake) if the
+// source offers it, Source.Next otherwise. That flow becomes the lookahead
+// and the clock jumps to its release; no flow means the stream has ended
+// and so has the run.
+//
+// A finite source (a generator, a trace, an instance) answers that call at
+// once. A concurrently-fed one (workload.ChanSource behind the flowschedd
+// daemon) blocks in it until a producer pushes or the feed is closed, so
+// "the source has nothing" parks the runtime instead of ending the run —
+// with nothing pending there is no round to delay. The runtime does not
+// distinguish the two: under lossless admission a full pending set simply
+// stops pulling and the feed buffers. Park's wake channel is what keeps a
+// parked runtime reachable: Stop, PendingFlows, CheckpointState and Reload
+// all nudge it, the park returns without a flow, and the next step serves
+// them. A blocking source without Park cannot be woken; closing it is then
+// the only way to end its run. Rounds are virtual time — the clock
+// advances per scheduling round and jumps on idle gaps — so a live source
+// stamps releases itself, from the rounds PullBatch shows it, not from the
+// producer.
 //
 // # Verification
 //
@@ -227,20 +241,24 @@
 //
 // # Durability and reload
 //
-// Everything the runtime can change about itself mid-run rides one
-// mechanism: a one-slot control mailbox the coordinator polls with a
-// single non-blocking select at the top of each step, after forcing any
-// owed retirement. That point is quiescent — every pick settled, every
-// inbox empty, the summary balanced — so the three control operations
-// are serviced with no locks on the round path and no flow ever observed
-// in two states:
+// Everything the runtime can be asked mid-run rides one mechanism: a
+// one-slot mailbox of closures the coordinator polls with a single
+// non-blocking select at the top of each step, running the closure it
+// finds after forcing any owed retirement (Runtime.quiesce). That point
+// is quiescent — every pick settled, every inbox empty, the summary
+// balanced — so each operation is a few lines run there, with no locks
+// on the round path and no flow ever observed in two states; once Run has
+// returned the same closure runs directly on the caller:
 //
 //   - Runtime.CheckpointState captures a CheckpointState: the pending set
 //     in global admission order (a K-way merge of the shards'
 //     admission-order sublists by sequence number, so releases are
 //     non-decreasing along it and a restore can replay it as a source),
 //     original releases preserved, plus the coordinator's un-admitted
-//     lookahead flow if one exists, the round, and an exact Summary.
+//     lookahead flow if it holds one (it does only between an idle fetch
+//     and the next admission pass), the round, and an exact Summary. One
+//     function, capture, builds the state for explicit requests, post-run
+//     reads and the periodic trigger alike.
 //     Config.CheckpointEveryRounds > 0 instead fires OnCheckpoint
 //     periodically from the coordinator itself — the cadence check is two
 //     integer compares per round, capture reuses runtime-owned buffers,
@@ -288,24 +306,20 @@
 //     MaxPending below the resident count sheds nothing — admission just
 //     stays closed until the backlog drains.
 //
-// A live runtime parked on an idle Parker source (workload.ChanSource)
-// is woken by a lossy one-slot nudge channel to service these requests —
-// and Stop — while the feed is quiet; see Parker. The failure modes are
+// A runtime parked on an idle Parker source (workload.ChanSource) is
+// woken by a lossy one-slot nudge channel to serve the mailbox — and
+// Stop — while the feed is quiet; see Parker. The failure modes are
 // exercised by internal/faultinject's deterministic chaos harness, whose
 // differential test pins crash equivalence: kill at a checkpoint, restore,
 // drain, and the summary and completion multiset match the uninterrupted
 // run's.
 //
-// Runtime.PendingFlows snapshots the resident pending set off the hot
-// path: the request parks in a one-slot mailbox the coordinator services
-// at the top of its next step, after forcing any owed retirement, so the
-// copy observes quiescent per-shard state mid-run without a lock on the
-// round path. After Run returns the runtime answers directly. Callers
-// bound the wait with the context: a live-fed runtime parked on an empty
-// pending set answers nothing until work arrives (its pending set is
-// empty then anyway), and a run that aborted mid-round may leave the
-// mailbox unserviced. The internal/pilot optimality estimator is the
-// canonical consumer.
+// Runtime.PendingFlows snapshots the resident pending set through the
+// same mailbox, so the copy observes quiescent per-shard state mid-run
+// without a lock on the round path. Callers bound the wait with the
+// context: a runtime blocked in the Next of a source without Park answers
+// nothing until a flow arrives (its pending set is empty then anyway).
+// The internal/pilot optimality estimator is the canonical consumer.
 //
 // # Performance model
 //
@@ -338,9 +352,9 @@
 //     pending release first for the age-aware policies, shard index
 //     order otherwise — so the second picks overlap their dispatch and
 //     cache traffic across workers instead of running coordinator-serial.
-//   - Admission. Sources implementing BatchSource deliver each round's
-//     released arrivals in one PullBatch call into a reused buffer —
-//     interface-call overhead is paid per round, not per flow.
+//   - Admission. A source delivers each round's released arrivals in
+//     one PullBatch call into a reused buffer — interface-call overhead
+//     is paid per round, not per flow.
 //   - Snapshot epochs. Scalar metrics are atomics written once per
 //     applied round; window quantiles live in stats.EpochWindow, a
 //     seqlock ring of preallocated log-histogram shards. Snapshot readers

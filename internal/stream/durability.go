@@ -10,9 +10,9 @@ import (
 
 // This file is the runtime's durability and live-reconfiguration surface:
 // quiescent-point checkpoint capture, restore baselines, and policy /
-// admission reload. Everything here rides the coordinator's control
-// mailbox — one non-blocking select at the top of each step — so the
-// steady-state round loop pays nothing for any of it (see the package
+// admission reload. Everything here rides the coordinator's quiescent-
+// point mailbox — one non-blocking select at the top of each step — so
+// the steady-state round loop pays nothing for any of it (see the package
 // docs, "Durability and reload").
 
 // CheckpointState is a quiescent snapshot of everything a restart needs
@@ -33,11 +33,11 @@ type CheckpointState struct {
 	// Flows holds the pending set in admission order (original releases
 	// preserved — admission order follows source order, so releases are
 	// non-decreasing along it), plus at most one trailing flow the
-	// coordinator had pulled from the source but not yet admitted (the
-	// lookahead). The lookahead is part of the unconsumed stream, not the
-	// pending set: a restore replays it as the first post-pending source
-	// flow, and it is the only consumed-but-unadmitted flow that can
-	// exist at a quiescent point.
+	// coordinator had fetched from the source while idle but not yet
+	// admitted (the lookahead). The lookahead is part of the unconsumed
+	// stream, not the pending set: a restore replays it as the first
+	// post-pending source flow, and it is the only consumed-but-unadmitted
+	// flow that can exist at a quiescent point.
 	Flows []switchnet.Flow
 	// Summary is the exact metrics summary at the snapshot point.
 	Summary Summary
@@ -74,18 +74,7 @@ func (st *CheckpointState) Resume() *Resume {
 		ScratchPolicy: st.Policy,
 		Scratch:       st.Scratch,
 		Windows:       st.Windows,
-		Counters: ResumeCounters{
-			Admitted:      st.Summary.Admitted,
-			Completed:     st.Summary.Completed,
-			Dropped:       st.Summary.Dropped,
-			Expired:       st.Summary.Expired,
-			Backpressured: st.Summary.Backpressured,
-			TotalResponse: st.Summary.TotalResponse,
-			SlowResponses: st.Summary.SlowResponses,
-			Rounds:        st.Summary.Rounds,
-			MaxResponse:   st.Summary.MaxResponse,
-			PeakPending:   st.Summary.PeakPending,
-		},
+		Counters:      st.Summary.Counters(),
 	}
 }
 
@@ -128,17 +117,35 @@ type Resume struct {
 // ResumeCounters are the checkpointed cumulative counters a restored
 // runtime continues from; see the matching Summary fields for semantics.
 // They must balance: Admitted == Completed + Pending + Dropped + Expired.
+// The JSON tags are the checkpoint file's keys (internal/chkpt writes
+// this struct as it is).
 type ResumeCounters struct {
-	Admitted      int64
-	Completed     int64
-	Dropped       int64
-	Expired       int64
-	Backpressured int64
-	TotalResponse int64
-	SlowResponses int64
-	Rounds        int64
-	MaxResponse   int
-	PeakPending   int
+	Admitted      int64 `json:"admitted"`
+	Completed     int64 `json:"completed"`
+	Dropped       int64 `json:"dropped"`
+	Expired       int64 `json:"expired"`
+	Backpressured int64 `json:"backpressured"`
+	TotalResponse int64 `json:"total_response"`
+	SlowResponses int64 `json:"slow_responses"`
+	Rounds        int64 `json:"rounds"`
+	MaxResponse   int   `json:"max_response"`
+	PeakPending   int   `json:"peak_pending"`
+}
+
+// Counters extracts the cumulative counters a restore continues from.
+func (s Summary) Counters() ResumeCounters {
+	return ResumeCounters{
+		Admitted:      s.Admitted,
+		Completed:     s.Completed,
+		Dropped:       s.Dropped,
+		Expired:       s.Expired,
+		Backpressured: s.Backpressured,
+		TotalResponse: s.TotalResponse,
+		SlowResponses: s.SlowResponses,
+		Rounds:        s.Rounds,
+		MaxResponse:   s.MaxResponse,
+		PeakPending:   s.PeakPending,
+	}
 }
 
 // applyResume validates r and seeds the runtime's clock, counters, and
@@ -230,42 +237,26 @@ type ReloadConfig struct {
 
 // applyReload validates rc and swaps the policy and admission settings at
 // the quiescent point: owed picks are settled, so no retired flow is
-// mid-flight through the old policy's scratch state.
+// mid-flight through the old policy's scratch state. A reload after the
+// run is meaningless and reports an error.
 func (rt *Runtime) applyReload(rc ReloadConfig) error {
+	select {
+	case <-rt.finished:
+		return fmt.Errorf("stream: reload: runtime already finished")
+	default:
+	}
 	if rc.Policy == nil {
 		return fmt.Errorf("stream: reload: nil policy")
-	}
-	sharder, shardable := rc.Policy.(Shardable)
-	if rt.nshards > 1 && !shardable {
-		return fmt.Errorf("stream: reload: policy %q cannot run sharded (it does not implement Shardable) and the runtime has %d shards",
-			rc.Policy.Name(), rt.nshards)
 	}
 	if rc.MaxPending <= 0 {
 		return fmt.Errorf("stream: reload: MaxPending %d is not positive", rc.MaxPending)
 	}
-	switch rc.Admit {
-	case AdmitLossless, AdmitDrop:
-		if rc.Deadline != 0 {
-			return fmt.Errorf("stream: reload: Deadline %d is set but Admit is %s (deadlines need AdmitDeadline)", rc.Deadline, rc.Admit)
-		}
-	case AdmitDeadline:
-		if rc.Deadline <= 0 {
-			return fmt.Errorf("stream: reload: AdmitDeadline needs a positive Deadline, got %d", rc.Deadline)
-		}
-	default:
-		return fmt.Errorf("stream: reload: unknown admission mode %d", int(rc.Admit))
+	if err := validateAdmit(rc.Admit, rc.Deadline); err != nil {
+		return fmt.Errorf("stream: reload: %w", err)
 	}
-	for _, sh := range rt.shards {
-		pol := rc.Policy
-		if rt.nshards > 1 {
-			pol = sharder.NewShard()
-		}
-		if r, ok := pol.(Resetter); ok {
-			r.Reset(rt.sw)
-		}
-		sh.pol = pol
+	if err := rt.installPolicy(rc.Policy); err != nil {
+		return fmt.Errorf("stream: reload: %w", err)
 	}
-	rt.cfg.Policy = rc.Policy
 	rt.cfg.MaxPending = rc.MaxPending
 	rt.cfg.Admit = rc.Admit
 	rt.cfg.Deadline = rc.Deadline
@@ -274,81 +265,89 @@ func (rt *Runtime) applyReload(rc ReloadConfig) error {
 	return nil
 }
 
-// Parker is a LiveFeeder whose idle wait can be multiplexed with the
-// runtime's control mailbox: Park blocks until a flow arrives (ok true),
-// the feed is closed and drained (ok false), or wake receives (woke
-// true, no flow consumed). A runtime parked on a plain LiveFeeder's
-// blocking Next cannot answer PendingFlows / CheckpointState / Reload
-// requests — or honor Stop — until the next arrival; a Parker source
-// keeps the control surface live while the feed is quiet.
-// workload.ChanSource is the canonical implementation.
-type Parker interface {
-	LiveFeeder
-	Park(wake <-chan struct{}) (f switchnet.Flow, ok, woke bool)
-}
-
-// Control requests serviced by the coordinator between rounds (see
-// serveCtl); ctlResp is the reply.
-const (
-	ctlPending = iota + 1
-	ctlCheckpoint
-	ctlReload
-)
-
-type ctlReq struct {
-	kind int
-	dst  []switchnet.Flow
-	rc   ReloadConfig
-	resp chan ctlResp
-}
-
-type ctlResp struct {
-	st  CheckpointState
-	err error
-}
-
-// serveCtl answers at most one queued control request per step. It runs
-// at the top of step, when shard state is quiescent and the inboxes are
+// serveCtl runs at most one queued mailbox closure per step. It runs at
+// the top of step, when shard state is quiescent and the inboxes are
 // empty (the previous round phase threaded them); owed picks retire
 // first, so flows the previous round already scheduled are not reported
 // as pending and a captured summary is exact. The idle check is one
 // non-blocking channel poll — no clock, no allocation.
 func (rt *Runtime) serveCtl() {
 	select {
-	case req := <-rt.ctl:
+	case fn := <-rt.ctl:
 		rt.applyPending()
-		req.resp <- rt.handleCtl(req)
+		fn()
 	default:
 	}
 }
 
-// handleCtl executes one control request at the quiescent point.
-func (rt *Runtime) handleCtl(req ctlReq) ctlResp {
-	switch req.kind {
-	case ctlReload:
-		return ctlResp{err: rt.applyReload(req.rc)}
-	case ctlCheckpoint:
-		buf := rt.collectPendingBySeq(req.dst)
-		p := len(buf)
-		if rt.haveLook {
-			buf = append(buf, rt.look)
+// quiesce runs fn against quiescent runtime state and returns once it
+// has: on the coordinator between rounds while Run is live (owed picks
+// settled first; an idle Park is woken for it), or directly on the
+// caller once Run has returned (best-effort if the run failed mid-round:
+// picks the error abandoned may still be linked). When ctx ends first fn
+// may still run later, so it must not write anything its caller reads
+// after an error.
+func (rt *Runtime) quiesce(ctx context.Context, fn func()) error {
+	ran := make(chan struct{})
+	select {
+	case rt.ctl <- func() { fn(); close(ran) }:
+		rt.nudge()
+	case <-rt.finished:
+		fn()
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	select {
+	case <-ran:
+	case <-rt.finished:
+		// The coordinator runs a closure the moment it takes it, so either
+		// it ran before Run returned or it never will.
+		select {
+		case <-ran:
+		default:
+			fn()
 		}
-		return ctlResp{st: CheckpointState{
-			Round: rt.round, Pending: p, Flows: buf, Summary: rt.Snapshot(),
-			Policy:  rt.cfg.Policy.Name(),
-			Scratch: rt.collectScratch(nil),
-			Windows: rt.collectWindows(nil),
-		}}
-	default: // ctlPending
-		return ctlResp{st: CheckpointState{Round: rt.round, Flows: rt.collectPending(req.dst)}}
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	return nil
+}
+
+// nudge interrupts an idle Park so a queued closure (or a Stop) is
+// noticed while the feed is quiet. Buffered and lossy: one pending wake
+// is enough, extras coalesce.
+func (rt *Runtime) nudge() {
+	select {
+	case rt.wake <- struct{}{}:
+	default:
+	}
+}
+
+// capture builds the CheckpointState of the quiescent runtime, appending
+// the flows to dst and reusing scratch and windows when their shapes
+// match (see collectScratch). Explicit requests pass nil for both, so a
+// reply never aliases the periodic trigger's reused buffers.
+func (rt *Runtime) capture(dst []switchnet.Flow, scratch [][]int64, windows []stats.WindowSnapshot) CheckpointState {
+	flows := rt.collectPendingBySeq(dst)
+	pending := len(flows)
+	if rt.haveLook {
+		flows = append(flows, rt.look)
+	}
+	return CheckpointState{
+		Round:   rt.round,
+		Pending: pending,
+		Flows:   flows,
+		Summary: rt.Snapshot(),
+		Policy:  rt.cfg.Policy.Name(),
+		Scratch: rt.collectScratch(scratch),
+		Windows: rt.collectWindows(windows),
 	}
 }
 
 // collectScratch captures each shard policy's scratch state (see
 // scratchPolicy) into dst, reusing its per-shard slices when the shape
-// matches; nil when the policy carries no scratch. Explicit-request
-// captures pass nil (freshly allocated, so the reply cannot alias the
-// periodic trigger's reused buffers); fireCheckpoint passes its own.
+// matches; nil when the policy carries no scratch.
 func (rt *Runtime) collectScratch(dst [][]int64) [][]int64 {
 	if _, ok := rt.shards[0].pol.(scratchPolicy); !ok {
 		return nil
@@ -414,114 +413,32 @@ func (rt *Runtime) collectPendingBySeq(dst []switchnet.Flow) []switchnet.Flow {
 }
 
 // fireCheckpoint services the round-cadence periodic trigger (see
-// Config.CheckpointEveryRounds): it settles owed picks, captures a
-// CheckpointState into the runtime-owned reused buffers, and hands it to
-// OnCheckpoint. The callback must not retain the state or its flow slice
-// past its return — the next capture overwrites both.
+// Config.CheckpointEveryRounds): it settles owed picks, captures into the
+// previous capture's buffers, and hands the state to OnCheckpoint. The
+// callback must not retain the state or its slices past its return — the
+// next capture overwrites them.
 func (rt *Runtime) fireCheckpoint() {
 	rt.applyPending()
-	buf := rt.collectPendingBySeq(rt.ckptBuf[:0])
-	p := len(buf)
-	if rt.haveLook {
-		buf = append(buf, rt.look)
-	}
-	rt.ckptBuf = buf
-	rt.scratchBufs = rt.collectScratch(rt.scratchBufs)
-	rt.winBufs = rt.collectWindows(rt.winBufs)
-	rt.ckptState = CheckpointState{
-		Round: rt.round, Pending: p, Flows: buf, Summary: rt.Snapshot(),
-		Policy:  rt.cfg.Policy.Name(),
-		Scratch: rt.scratchBufs,
-		Windows: rt.winBufs,
-	}
-	rt.cfg.OnCheckpoint(&rt.ckptState)
+	st := &rt.ckptState
+	*st = rt.capture(st.Flows[:0], st.Scratch, st.Windows)
+	rt.cfg.OnCheckpoint(st)
 	rt.nextCkpt = rt.round + rt.ckptEvery
 }
 
-// finishedCtl is the post-run fallback: once Run has returned the state
-// is quiescent, so snapshot requests read it directly (best-effort if the
-// run failed mid-round: picks the error abandoned may still be linked).
-// A reload after the run is meaningless and reports an error.
-func (rt *Runtime) finishedCtl(req ctlReq) ctlResp {
-	switch req.kind {
-	case ctlReload:
-		return ctlResp{err: fmt.Errorf("stream: reload: runtime already finished")}
-	case ctlCheckpoint:
-		buf := rt.collectPendingBySeq(req.dst)
-		p := len(buf)
-		if rt.haveLook {
-			buf = append(buf, rt.look)
-		}
-		return ctlResp{st: CheckpointState{
-			Round: int(rt.mRound.Load()), Pending: p, Flows: buf, Summary: rt.Snapshot(),
-			Policy:  rt.cfg.Policy.Name(),
-			Scratch: rt.collectScratch(nil),
-			Windows: rt.collectWindows(nil),
-		}}
-	default:
-		return ctlResp{st: CheckpointState{Round: int(rt.mRound.Load()), Flows: rt.collectPending(req.dst)}}
-	}
-}
-
-// request hands req to the coordinator and waits for the reply, falling
-// back to a direct read once Run has returned. The wake nudge unparks an
-// idle live runtime (Parker sources) so the request is serviced even
-// while the feed is quiet.
-func (rt *Runtime) request(ctx context.Context, req ctlReq) (ctlResp, error) {
-	select {
-	case rt.ctl <- req:
-		rt.nudge()
-	case <-rt.finished:
-		return rt.finishedCtl(req), nil
-	case <-ctx.Done():
-		return ctlResp{}, ctx.Err()
-	}
-	select {
-	case resp := <-req.resp:
-		return resp, nil
-	case <-rt.finished:
-		// The coordinator may have taken the request just before
-		// finishing; prefer its reply, else the state is quiescent now and
-		// a direct read is safe.
-		select {
-		case resp := <-req.resp:
-			return resp, nil
-		default:
-		}
-		return rt.finishedCtl(req), nil
-	case <-ctx.Done():
-		return ctlResp{}, ctx.Err()
-	}
-}
-
-// nudge unparks an idle live runtime so a queued control request (or a
-// Stop) is noticed while the feed is quiet. Buffered and lossy: one
-// pending wake is enough, extras coalesce.
-func (rt *Runtime) nudge() {
-	select {
-	case rt.wake <- struct{}{}:
-	default:
-	}
-}
-
 // PendingFlows snapshots the resident pending set without stalling the
-// round loop: the request is handed to the coordinator, which services
-// it between rounds (retiring owed picks first, so the snapshot never
-// contains an already-scheduled flow), and the flows are appended to
-// dst[:0] along with the round the snapshot is consistent at. After Run
-// has returned the quiescent state is read directly.
-//
-// A runtime parked idle on a Parker source is woken to answer; on a
-// plain LiveFeeder the request waits for the next arrival — but a parked
-// runtime's pending set is empty, so callers should use a ctx timeout
-// and treat expiry as "empty or idle". dst is reused across calls by
-// design; the returned slice aliases it.
+// round loop: the coordinator collects it between rounds (retiring owed
+// picks first, so the snapshot never contains an already-scheduled flow)
+// into dst[:0], along with the round the snapshot is consistent at.
+// After Run has returned the quiescent state is read directly. A runtime
+// parked idle on a Parker source is woken to answer. dst is reused across
+// calls by design; the returned slice aliases it.
 func (rt *Runtime) PendingFlows(ctx context.Context, dst []switchnet.Flow) ([]switchnet.Flow, int, error) {
-	resp, err := rt.request(ctx, ctlReq{kind: ctlPending, dst: dst[:0], resp: make(chan ctlResp, 1)})
-	if err != nil {
+	var flows []switchnet.Flow
+	var round int
+	if err := rt.quiesce(ctx, func() { flows, round = rt.collectPending(dst[:0]), rt.round }); err != nil {
 		return dst[:0], 0, err
 	}
-	return resp.st.Flows, resp.st.Round, nil
+	return flows, round, nil
 }
 
 // CheckpointState snapshots everything a restart needs — the pending set
@@ -529,14 +446,14 @@ func (rt *Runtime) PendingFlows(ctx context.Context, dst []switchnet.Flow) ([]sw
 // coordinator holds one), the round, and an exact balanced Summary — at
 // a quiescent point between rounds, without stalling the round loop. The
 // flows are appended to dst[:0]; the returned state aliases it. See
-// PendingFlows for the service and idle-park semantics; internal/chkpt
-// serializes the result.
+// PendingFlows for the service semantics; internal/chkpt serializes the
+// result.
 func (rt *Runtime) CheckpointState(ctx context.Context, dst []switchnet.Flow) (CheckpointState, error) {
-	resp, err := rt.request(ctx, ctlReq{kind: ctlCheckpoint, dst: dst[:0], resp: make(chan ctlResp, 1)})
-	if err != nil {
+	var st CheckpointState
+	if err := rt.quiesce(ctx, func() { st = rt.capture(dst[:0], nil, nil) }); err != nil {
 		return CheckpointState{}, err
 	}
-	return resp.st, nil
+	return st, nil
 }
 
 // Reload swaps the scheduling policy and admission settings between
@@ -548,9 +465,9 @@ func (rt *Runtime) CheckpointState(ctx context.Context, dst []switchnet.Flow) (C
 // validation error, if any, without changing anything; it cannot be
 // called after Run has returned.
 func (rt *Runtime) Reload(ctx context.Context, rc ReloadConfig) error {
-	resp, err := rt.request(ctx, ctlReq{kind: ctlReload, rc: rc, resp: make(chan ctlResp, 1)})
-	if err != nil {
-		return err
+	var err error
+	if qerr := rt.quiesce(ctx, func() { err = rt.applyReload(rc) }); qerr != nil {
+		return qerr
 	}
-	return resp.err
+	return err
 }

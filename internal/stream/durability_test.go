@@ -10,7 +10,7 @@ import (
 	"flowsched/internal/workload"
 )
 
-// sliceSource replays a fixed flow slice (FlowSource + BatchFlowSource),
+// sliceSource replays a fixed flow slice,
 // standing in for a checkpoint prefix or a finite recorded stream.
 type sliceSource struct {
 	flows []switchnet.Flow

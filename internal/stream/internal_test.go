@@ -57,6 +57,9 @@ type emptySource struct{}
 
 func (emptySource) Next() (switchnet.Flow, bool) { return switchnet.Flow{}, false }
 func (emptySource) Err() error                   { return nil }
+func (emptySource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow {
+	return dst
+}
 
 // TestFlushWindowLabelsTrueRounds pins the verification-failure label to
 // the true min/max buffered rounds. The old label was [vstart, vstart+w)

@@ -7,12 +7,11 @@ import (
 	"flowsched/internal/switchnet"
 )
 
-// DefaultISLIPIters is the request/grant/accept iteration count a zero
-// WeightedISLIP.Iters selects. Two iterations resolve the vast majority
-// of port conflicts on practical switch sizes (classic iSLIP converges
-// in O(log N) iterations; its hardware deployments ran 1-4), and each
-// extra iteration re-sweeps the unmatched inputs' head records — raise
-// Iters when match completeness matters more than round cost.
+// DefaultISLIPIters is WeightedISLIP's request/grant/accept iteration
+// count per pick pass. Two iterations resolve the vast majority of port
+// conflicts on practical switch sizes (classic iSLIP converges in
+// O(log N) iterations; its hardware deployments ran 1-4), and each extra
+// iteration re-sweeps the unmatched inputs' head records.
 const DefaultISLIPIters = 2
 
 // WeightedISLIP is the native queue-age-weighted iSLIP scheduler:
@@ -37,15 +36,15 @@ const DefaultISLIPIters = 2
 //     (strict FIFO; a blocked head blocks its queue). Both rotation
 //     pointers then advance to the accepted pair.
 //
-// Iterations repeat until one serves nothing (or Iters is reached), so a
-// round always makes progress when any head fits. Weight comparisons form
-// a total order — age first, pointer distance second, and distances are
-// unique per port — so the outcome is independent of iteration order over
-// the active-input list: same stream, same shard count, bit-identical
-// schedules.
+// Iterations repeat until one serves nothing (or DefaultISLIPIters is
+// reached), so a round always makes progress when any head fits. Weight
+// comparisons form a total order — age first, pointer distance second,
+// and distances are unique per port — so the outcome is independent of
+// iteration order over the active-input list: same stream, same shard
+// count, bit-identical schedules.
 //
-// A round costs O(Iters * active VOQs + scheduled) hot-record reads —
-// the request sweep skips a saturated input in O(1), so a reconcile pass
+// A round costs O(active VOQs + scheduled) hot-record reads — the
+// request sweep skips a saturated input in O(1), so a reconcile pass
 // re-sweeps only the capacity that is genuinely left — with all scratch
 // preallocated at Reset, so steady-state rounds allocate nothing.
 // WeightedISLIP is Shardable: each shard matches its own inputs against
@@ -55,10 +54,6 @@ const DefaultISLIPIters = 2
 // reconcile pass visits shards by oldest pending release (see
 // Runtime.reconcile).
 type WeightedISLIP struct {
-	// Iters caps the request/grant/accept iterations per pick pass;
-	// <= 0 selects DefaultISLIPIters.
-	Iters int
-
 	// Rotation pointers: grant[j] is the input whose grant output j last
 	// had accepted, accept[i] the output input i last accepted (-1 before
 	// any). Ties resolve to the port closest after the pointer.
@@ -86,7 +81,7 @@ func (*WeightedISLIP) Name() string { return "WeightedISLIP" }
 
 // NewShard implements Shardable: pointer and scratch state is per-shard
 // (the runtime calls Reset on every shard instance at construction).
-func (p *WeightedISLIP) NewShard() Policy { return &WeightedISLIP{Iters: p.Iters} }
+func (p *WeightedISLIP) NewShard() Policy { return &WeightedISLIP{} }
 
 // Reset implements Resetter: it sizes the pointer and scratch arrays to
 // the switch so Pick never allocates.
@@ -149,16 +144,12 @@ func newIDs(n int) []int32 {
 //
 //flowsched:hotpath
 func (p *WeightedISLIP) Pick(v *View) {
-	iters := p.Iters
-	if iters <= 0 {
-		iters = DefaultISLIPIters
-	}
 	// Snapshot the outputs' visible free capacity once per pass; drains
 	// keep it current between iterations.
 	for j := 0; j < p.numOut; j++ {
 		p.outFree[j] = int32(v.OutputFree(j))
 	}
-	for it := 0; it < iters; it++ {
+	for it := 0; it < DefaultISLIPIters; it++ {
 		if p.iterate(v) == 0 {
 			return
 		}

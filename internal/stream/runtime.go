@@ -14,44 +14,36 @@ import (
 	"flowsched/internal/verify"
 )
 
-// Source yields flows in non-decreasing release order. Next returns
-// ok=false when the stream is exhausted or failed; Err reports the failure
-// (nil for a clean end). The sources in internal/workload (ArrivalSource,
-// TraceSource, InstanceSource) satisfy it.
+// Source is the runtime's one arrival contract: flows in non-decreasing
+// release order, read two ways over the same sequence. PullBatch appends
+// to dst up to max flows whose Release is <= round and returns the
+// extended slice; it never blocks, never consumes a later flow, and a
+// short batch (fewer than max) means nothing further is released at round
+// — the next flow is later, not here yet, or the stream has ended. Next
+// returns the next flow whatever its release, or ok=false once the stream
+// is exhausted or failed (Err says which; nil is a clean end); on a
+// concurrently-fed source it blocks until a flow arrives or the feed is
+// closed. Any interleaving of the two yields the sequence Next alone
+// would. The runtime admits through PullBatch every round and calls Next
+// only when the pending set is empty, so a blocking Next parks an idle
+// runtime instead of stalling a busy one. Every source in
+// internal/workload and internal/faultinject satisfies it.
 type Source interface {
 	Next() (f switchnet.Flow, ok bool)
+	PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow
 	Err() error
 }
 
-// BatchSource is a Source that can also drain arrivals in batches:
-// PullBatch appends to dst up to max flows whose Release is <= round and
-// returns the extended slice, never consuming a later flow. The runtime
-// detects it at construction and amortizes one call over a round's
-// arrivals instead of paying an interface call per flow; the workload
-// sources all implement it.
-type BatchSource interface {
-	Source
-	PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow
-}
-
-// LiveFeeder marks a Source that is fed concurrently while the runtime
-// drains it — a network ingest queue rather than a finite backing store —
-// so running out of buffered flows does not mean the stream has ended.
-// The runtime treats such a source differently in two ways: admission
-// only ever drains what is immediately available (PullBatch must be
-// non-blocking; a live source must implement BatchSource, checked at
-// construction), and the blocking Next is consulted only when the
-// pending set is empty, so an idle runtime parks on the source instead
-// of spinning or terminating. Closing the source (Next returning
-// ok=false once the feed is shut and drained) ends the run; Stop alone
-// cannot interrupt a parked Next, so a shutdown path must close the
-// source as well. internal/workload.ChanSource is the canonical
-// implementation.
-type LiveFeeder interface {
-	Source
-	// LiveFeed reports whether the source is concurrently fed. It is
-	// consulted once, at construction.
-	LiveFeed() bool
+// Parker is the one optional capability of a Source: an idle wait the
+// runtime can interrupt. Park blocks like Next until a flow arrives (ok
+// true) or the stream ends (ok false), and additionally returns woke=true
+// — no flow consumed — when wake receives. The idle runtime calls it in
+// place of Next, so a queued PendingFlows / CheckpointState / Reload
+// request or a Stop is served while the feed is quiet; a source without
+// it is assumed never to block for long in Next.
+// workload.ChanSource is the canonical implementation.
+type Parker interface {
+	Park(wake <-chan struct{}) (f switchnet.Flow, ok, woke bool)
 }
 
 // ID identifies an admitted flow in a shard's pending set. IDs are
@@ -104,9 +96,11 @@ type Shardable interface {
 const (
 	DefaultMaxPending   = 1 << 17
 	DefaultWindowRounds = 1024
-	defaultWindowShards = 8
 	DefaultStallRounds  = 4096
 )
+
+// windowShards is the ring granularity of the sliding metrics window.
+const windowShards = 8
 
 // AdmitMode selects how the runtime behaves when it cannot serve every
 // arrival: lossless backpressure (the default), shedding on a full
@@ -190,10 +184,8 @@ type Config struct {
 	// rounds through the verify oracle.
 	VerifyEvery int
 	// WindowRounds is the sliding metrics window in rounds (<= 0 selects
-	// DefaultWindowRounds); WindowShards its ring granularity (<= 0
-	// selects 8).
+	// DefaultWindowRounds).
 	WindowRounds int
-	WindowShards int
 	// StallRounds aborts the run after the policy has scheduled nothing
 	// for that many consecutive rounds with a non-empty pending set
 	// (<= 0 selects DefaultStallRounds).
@@ -294,16 +286,14 @@ type Summary struct {
 // goroutines; it reads atomics and epoch windows only, so it never
 // stalls the round loop.
 type Runtime struct {
-	cfg     Config
-	src     Source
-	batcher BatchSource
-	sw      switchnet.Switch
-	caps    []int
+	cfg  Config
+	src  Source
+	sw   switchnet.Switch
+	caps []int
 
-	// live marks a concurrently-fed source (see LiveFeeder): admission
-	// never blocks and the round loop parks on Next only when idle.
+	// parker is src's Park method when it offers one (see Parker).
 	// deadline caches Config.Deadline for the shards' expiry walk.
-	live     bool
+	parker   Parker
 	deadline int
 
 	// rec is Config.Recorder; respBound caches Config.ResponseBound for
@@ -319,13 +309,12 @@ type Runtime struct {
 	tApplyNS     int64
 	tVerifyNS    int64
 
-	// ctl carries control requests — pending-set snapshots, checkpoint
-	// captures, live reloads — into the round loop (see serveCtl);
-	// finished is closed once Run returns, switching late snapshots to a
-	// direct read of the quiescent shard state. wake unparks an idle
-	// live runtime (Parker sources) so a queued request or a Stop is
-	// noticed while the feed is quiet.
-	ctl      chan ctlReq
+	// ctl is the quiescent-point mailbox: closures the coordinator runs
+	// between rounds (see quiesce); finished is closed once Run returns,
+	// after which they run directly on the caller. wake interrupts an idle
+	// Park so a queued closure or a Stop is noticed while the feed is
+	// quiet.
+	ctl      chan func()
 	wake     chan struct{}
 	finished chan struct{}
 	finOnce  sync.Once
@@ -333,19 +322,15 @@ type Runtime struct {
 	// stop requests a clean stop of Run between rounds (see Stop).
 	stop atomic.Bool
 
-	// parker is the source's Park method when it offers one (see Parker).
-	parker Parker
-
 	// Restore and periodic-checkpoint state: restoreLeft counts source
 	// flows still owed to checkpoint re-admission (not re-counted);
 	// ckptEvery/nextCkpt drive the round-cadence OnCheckpoint trigger,
-	// with ckptState/ckptBuf reused across captures so a warmed trigger
-	// allocates nothing.
+	// with ckptState's flow, scratch and window buffers reused across
+	// captures so a warmed trigger allocates nothing.
 	restoreLeft int
 	ckptEvery   int
 	nextCkpt    int
 	ckptState   CheckpointState
-	ckptBuf     []switchnet.Flow
 	mergeHeads  []int32
 
 	nshards int
@@ -356,9 +341,10 @@ type Runtime struct {
 	seq   int64
 	peak  int
 
+	// look is the one flow fetched past an empty pending set (see idle),
+	// held until the next admission pass routes it.
 	look     switchnet.Flow
 	haveLook bool
-	srcDone  bool
 	lastRel  int
 	batch    []switchnet.Flow
 
@@ -375,12 +361,6 @@ type Runtime struct {
 	tok        []chan struct{}
 	reconOrder []int
 	reconRel   []int64
-
-	// Checkpoint-capture scratch for policy scratch state and window
-	// sketches, reused across captures so a warmed checkpoint cadence
-	// allocates nothing (see collectScratch, collectWindows).
-	scratchBufs [][]int64
-	winBufs     []stats.WindowSnapshot
 
 	err     error
 	stalled int
@@ -454,17 +434,8 @@ func New(src Source, cfg Config) (*Runtime, error) {
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = DefaultMaxPending
 	}
-	switch cfg.Admit {
-	case AdmitLossless, AdmitDrop:
-		if cfg.Deadline != 0 {
-			return nil, fmt.Errorf("stream: Deadline %d is set but Admit is %s (deadlines need AdmitDeadline)", cfg.Deadline, cfg.Admit)
-		}
-	case AdmitDeadline:
-		if cfg.Deadline <= 0 {
-			return nil, fmt.Errorf("stream: AdmitDeadline needs a positive Deadline, got %d", cfg.Deadline)
-		}
-	default:
-		return nil, fmt.Errorf("stream: unknown admission mode %d", int(cfg.Admit))
+	if err := validateAdmit(cfg.Admit, cfg.Deadline); err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
 	}
 	if cfg.ResponseBound < 0 {
 		return nil, fmt.Errorf("stream: ResponseBound %d is negative", cfg.ResponseBound)
@@ -472,22 +443,14 @@ func New(src Source, cfg Config) (*Runtime, error) {
 	if cfg.WindowRounds <= 0 {
 		cfg.WindowRounds = DefaultWindowRounds
 	}
-	if cfg.WindowShards <= 0 {
-		cfg.WindowShards = defaultWindowShards
-	}
 	if cfg.StallRounds <= 0 {
 		cfg.StallRounds = DefaultStallRounds
 	}
-	sharder, shardable := cfg.Policy.(Shardable)
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
 	if cfg.Shards > mIn {
 		cfg.Shards = mIn
-	}
-	if cfg.Shards > 1 && !shardable {
-		return nil, fmt.Errorf("stream: policy %q cannot run sharded (it does not implement Shardable); set Config.Shards to 1",
-			cfg.Policy.Name())
 	}
 	if cfg.CheckpointEveryRounds < 0 {
 		return nil, fmt.Errorf("stream: CheckpointEveryRounds %d is negative", cfg.CheckpointEveryRounds)
@@ -506,20 +469,13 @@ func New(src Source, cfg Config) (*Runtime, error) {
 		nshards:   cfg.Shards,
 		shards:    make([]*shard, cfg.Shards),
 		vdone:     make(chan error, 1),
-		ctl:       make(chan ctlReq, 1),
+		ctl:       make(chan func(), 1),
 		wake:      make(chan struct{}, 1),
 		finished:  make(chan struct{}),
 		ckptEvery: cfg.CheckpointEveryRounds,
 		nextCkpt:  cfg.CheckpointEveryRounds,
 	}
-	rt.batcher, _ = src.(BatchSource)
-	if lf, ok := src.(LiveFeeder); ok && lf.LiveFeed() {
-		if rt.batcher == nil {
-			return nil, fmt.Errorf("stream: live source %T must implement BatchSource (admission from a live feed cannot block)", src)
-		}
-		rt.live = true
-		rt.parker, _ = src.(Parker)
-	}
+	rt.parker, _ = src.(Parker)
 	if rt.nshards > 1 {
 		rt.leftover = make([]int, mOut)
 		for _, c := range cfg.Switch.OutCaps {
@@ -533,14 +489,10 @@ func New(src Source, cfg Config) (*Runtime, error) {
 		rt.reconRel = make([]int64, rt.nshards)
 	}
 	for s := range rt.shards {
-		pol := cfg.Policy
-		if rt.nshards > 1 {
-			pol = sharder.NewShard()
-		}
-		if r, ok := pol.(Resetter); ok {
-			r.Reset(cfg.Switch)
-		}
-		rt.shards[s] = newShard(rt, s, pol)
+		rt.shards[s] = newShard(rt, s)
+	}
+	if err := rt.installPolicy(cfg.Policy); err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
 	}
 	if cfg.Resume != nil {
 		if err := rt.applyResume(cfg.Resume); err != nil {
@@ -553,17 +505,43 @@ func New(src Source, cfg Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// pull refreshes the one-flow lookahead from the source.
-func (rt *Runtime) pull() {
-	if rt.haveLook || rt.srcDone {
-		return
+// validateAdmit checks an admission mode against its deadline.
+func validateAdmit(mode AdmitMode, deadline int) error {
+	switch mode {
+	case AdmitLossless, AdmitDrop:
+		if deadline != 0 {
+			return fmt.Errorf("Deadline %d is set but Admit is %s (deadlines need AdmitDeadline)", deadline, mode)
+		}
+	case AdmitDeadline:
+		if deadline <= 0 {
+			return fmt.Errorf("AdmitDeadline needs a positive Deadline, got %d", deadline)
+		}
+	default:
+		return fmt.Errorf("unknown admission mode %d", int(mode))
 	}
-	f, ok := rt.src.Next()
-	if !ok {
-		rt.srcDone = true
-		return
+	return nil
+}
+
+// installPolicy gives every shard its instance of pol — pol itself at one
+// shard, a fresh NewShard each otherwise — Reset against the switch, and
+// records pol as the configured policy.
+func (rt *Runtime) installPolicy(pol Policy) error {
+	sharder, shardable := pol.(Shardable)
+	if rt.nshards > 1 && !shardable {
+		return fmt.Errorf("policy %q cannot run sharded (it does not implement Shardable) and the runtime has %d shards",
+			pol.Name(), rt.nshards)
 	}
-	rt.look, rt.haveLook = f, true
+	for _, sh := range rt.shards {
+		sh.pol = pol
+		if rt.nshards > 1 {
+			sh.pol = sharder.NewShard()
+		}
+		if r, ok := sh.pol.(Resetter); ok {
+			r.Reset(rt.sw)
+		}
+	}
+	rt.cfg.Policy = pol
+	return nil
 }
 
 // checkFlow validates the stream contract for a consumed flow — releases
@@ -632,79 +610,16 @@ func (rt *Runtime) admitted(arrived, backpressured, dropped int) {
 	}
 }
 
-// admit drains every currently-released arrival the admission mode
-// allows into the shard inboxes, one batch call when the source supports
-// it. Under AdmitDrop a full pending set sheds the released backlog
-// instead of stalling the source.
+// admit is the one admission pass: it routes the flow an idle step
+// fetched (the pending set was empty then, so there is room), then drains
+// everything the source has released by this round into the shard
+// inboxes, MaxPending-count flows at a time, until a short batch says
+// nothing more is released. At the limit AdmitDrop keeps draining in
+// dropChunk batches and sheds them; the other modes stop and leave the
+// backlog in the source.
 func (rt *Runtime) admit() error {
-	if rt.live {
-		return rt.admitLive()
-	}
-	rt.pull()
 	arrived, backpressured, dropped := 0, 0, 0
-	drop := rt.cfg.Admit == AdmitDrop
-	for rt.haveLook && rt.look.Release <= rt.round {
-		if rt.count >= rt.cfg.MaxPending {
-			if !drop {
-				break
-			}
-			if err := rt.checkFlow(rt.look); err != nil {
-				return err
-			}
-			arrived++
-			dropped++
-			rt.haveLook = false
-			for rt.batcher != nil {
-				rt.batch = rt.batcher.PullBatch(rt.batch[:0], rt.round, dropChunk)
-				for _, f := range rt.batch {
-					if err := rt.checkFlow(f); err != nil {
-						return err
-					}
-				}
-				arrived += len(rt.batch)
-				dropped += len(rt.batch)
-				if len(rt.batch) < dropChunk {
-					break
-				}
-			}
-			rt.pull()
-			continue
-		}
-		bp, err := rt.route(rt.look)
-		if err != nil {
-			return err
-		}
-		arrived++
-		backpressured += bp
-		rt.haveLook = false
-		if rt.batcher != nil && rt.count < rt.cfg.MaxPending {
-			rt.batch = rt.batcher.PullBatch(rt.batch[:0], rt.round, rt.cfg.MaxPending-rt.count)
-			for _, f := range rt.batch {
-				bp, err := rt.route(f)
-				if err != nil {
-					return err
-				}
-				arrived++
-				backpressured += bp
-			}
-		}
-		rt.pull()
-	}
-	rt.admitted(arrived, backpressured, dropped)
-	return nil
-}
-
-// admitLive is the admission pass for concurrently-fed sources: it
-// drains only what the feed has immediately available (PullBatch never
-// blocks on a LiveFeeder) and never terminates the stream — end of feed
-// is detected by the idle park in step, not here.
-func (rt *Runtime) admitLive() error {
-	arrived, backpressured, dropped := 0, 0, 0
-	drop := rt.cfg.Admit == AdmitDrop
 	if rt.haveLook {
-		// A flow the idle park pulled: admit it ahead of the batch. The
-		// park only returns with an empty pending set, so there is always
-		// room.
 		bp, err := rt.route(rt.look)
 		if err != nil {
 			return err
@@ -713,15 +628,15 @@ func (rt *Runtime) admitLive() error {
 		backpressured += bp
 		rt.haveLook = false
 	}
-	for !rt.srcDone {
+	for {
 		want := rt.cfg.MaxPending - rt.count
 		if want <= 0 {
-			if !drop {
+			if rt.cfg.Admit != AdmitDrop {
 				break
 			}
 			want = dropChunk
 		}
-		rt.batch = rt.batcher.PullBatch(rt.batch[:0], rt.round, want)
+		rt.batch = rt.src.PullBatch(rt.batch[:0], rt.round, want)
 		for _, f := range rt.batch {
 			if rt.count < rt.cfg.MaxPending {
 				bp, err := rt.route(f)
@@ -986,17 +901,7 @@ func (rt *Runtime) step() (done bool, err error) {
 	}
 	if rt.count == 0 {
 		rt.applyPending()
-		if !rt.haveLook {
-			if rt.live && !rt.srcDone {
-				return rt.park()
-			}
-			if err := rt.src.Err(); err != nil {
-				return false, err
-			}
-			return true, nil
-		}
-		// Idle gap: jump straight to the next arrival.
-		return false, rt.setRound(rt.look.Release)
+		return rt.idle()
 	}
 
 	// The fused phase: every shard retires the previous round's picks,
@@ -1078,36 +983,25 @@ func (rt *Runtime) step() (done bool, err error) {
 	return false, rt.setRound(rt.round + 1)
 }
 
-// park blocks an idle live runtime on the source until the feed produces
-// a flow or closes. A stop requested before the park is honored without
-// blocking. With a Parker source the block is also interrupted by the
-// wake channel — a queued control request (or a Stop, which nudges) gets
-// serviced on the next step instead of waiting for an arrival; with a
-// plain LiveFeeder, Stop cannot interrupt the block itself and a
-// shutdown path must close the source too (see LiveFeeder).
-func (rt *Runtime) park() (done bool, err error) {
-	if rt.stop.Load() {
-		return true, nil
-	}
+// idle is the step of a runtime with nothing pending and nothing
+// released: it fetches the next flow — Park(wake) on a Parker source,
+// Next otherwise — holds it as the lookahead and jumps the clock to its
+// release, or ends the run when the stream has. On a concurrently-fed
+// source this is where the runtime waits; a wake (a queued mailbox
+// closure, a Stop) returns without a flow and the next step serves it.
+func (rt *Runtime) idle() (done bool, err error) {
 	var f switchnet.Flow
 	var ok bool
 	if rt.parker != nil {
 		var woke bool
-		f, ok, woke = rt.parker.Park(rt.wake)
-		if woke {
-			// No flow consumed; loop back through step, which services the
-			// control mailbox (or notices the stop) and parks again.
+		if f, ok, woke = rt.parker.Park(rt.wake); woke {
 			return false, nil
 		}
 	} else {
 		f, ok = rt.src.Next()
 	}
 	if !ok {
-		rt.srcDone = true
-		if err := rt.src.Err(); err != nil {
-			return false, err
-		}
-		return true, nil
+		return true, rt.src.Err()
 	}
 	rt.look, rt.haveLook = f, true
 	if f.Release > rt.round {
@@ -1156,9 +1050,9 @@ func (rt *Runtime) Run() (*Summary, error) {
 // Stop requests a clean stop: Run finishes the iteration in flight,
 // settles owed picks, joins the verify goroutine, and returns the final
 // Summary with a nil error. Safe to call from any goroutine, before or
-// during Run, and idempotent. A live runtime parked idle on a Parker
-// source is woken and stops promptly; parked on a plain LiveFeeder's
-// Next it is not interruptible — that shutdown path must close the
+// during Run, and idempotent. A runtime parked idle on a Parker source
+// is woken and stops promptly; blocked in the Next of a source without
+// Park it is not interruptible — that shutdown path must close the
 // source too.
 func (rt *Runtime) Stop() {
 	rt.stop.Store(true)

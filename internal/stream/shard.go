@@ -141,14 +141,13 @@ type shard struct {
 }
 
 // newShard builds the shard owning inputs congruent to idx mod rt.nshards.
-func newShard(rt *Runtime, idx int, pol Policy) *shard {
+func newShard(rt *Runtime, idx int) *shard {
 	mIn, mOut := rt.sw.NumIn(), rt.sw.NumOut()
 	nLocal := (mIn - idx + rt.nshards - 1) / rt.nshards
 	nw := (mOut + 63) / 64
 	sh := &shard{
 		rt:          rt,
 		idx:         idx,
-		pol:         pol,
 		head:        noID,
 		tail:        noID,
 		nsh:         rt.nshards,
@@ -167,7 +166,7 @@ func newShard(rt *Runtime, idx int, pol Policy) *shard {
 		actBits:     make([]uint64, nLocal*nw),
 		activeIn:    make([]int32, 0, nLocal),
 		activeInPos: make([]int32, mIn),
-		win:         stats.NewEpochWindow(rt.cfg.WindowRounds, rt.cfg.WindowShards),
+		win:         stats.NewEpochWindow(rt.cfg.WindowRounds, windowShards),
 	}
 	for i := range sh.vqs {
 		sh.vqs[i] = voqState{head: noID, tail: noID}

@@ -154,9 +154,6 @@ func TestLiveSourceDrainAndClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rt.live {
-		t.Fatal("ChanSource not detected as a live feed")
-	}
 	var sum *Summary
 	var runErr error
 	finished := make(chan struct{})
@@ -188,22 +185,6 @@ func TestLiveSourceDrainAndClose(t *testing.T) {
 	}
 	if sum.Admitted != total || sum.Completed != total || sum.Pending != 0 {
 		t.Fatalf("closed feed not fully drained: %+v", sum)
-	}
-}
-
-// liveNoBatch is a live source without batch draining — an invalid
-// combination (admission from a live feed must be non-blocking).
-type liveNoBatch struct{ emptySource }
-
-func (liveNoBatch) LiveFeed() bool { return true }
-
-// TestLiveSourceRequiresBatch pins the construction-time check.
-func TestLiveSourceRequiresBatch(t *testing.T) {
-	if _, err := New(liveNoBatch{}, Config{
-		Switch: switchnet.UnitSwitch(2),
-		Policy: ByName("RoundRobin"),
-	}); err == nil {
-		t.Fatal("live source without PullBatch accepted")
 	}
 }
 

@@ -16,15 +16,11 @@ import (
 	"flowsched/internal/workload"
 )
 
-// The workload sources must satisfy the runtime's Source contract, and
-// its batch-draining extension so admission amortizes interface calls.
+// The workload sources must satisfy the runtime's Source contract.
 var (
-	_ stream.Source      = (*workload.ArrivalSource)(nil)
-	_ stream.Source      = (*workload.TraceSource)(nil)
-	_ stream.Source      = (*workload.InstanceSource)(nil)
-	_ stream.BatchSource = (*workload.ArrivalSource)(nil)
-	_ stream.BatchSource = (*workload.TraceSource)(nil)
-	_ stream.BatchSource = (*workload.InstanceSource)(nil)
+	_ stream.Source = (*workload.ArrivalSource)(nil)
+	_ stream.Source = (*workload.TraceSource)(nil)
+	_ stream.Source = (*workload.InstanceSource)(nil)
 )
 
 // sliceSource yields a fixed flow sequence, for adversarial inputs.
@@ -40,6 +36,14 @@ func (s *sliceSource) Next() (switchnet.Flow, bool) {
 	f := s.flows[s.pos]
 	s.pos++
 	return f, true
+}
+
+func (s *sliceSource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow {
+	for n := 0; n < max && s.pos < len(s.flows) && s.flows[s.pos].Release <= round; n++ {
+		dst = append(dst, s.flows[s.pos])
+		s.pos++
+	}
+	return dst
 }
 
 func (s *sliceSource) Err() error { return nil }

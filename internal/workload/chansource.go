@@ -20,10 +20,10 @@ var ErrSourceClosed = errors.New("workload: ChanSource closed")
 // ChanSource adapts a concurrently-fed queue of flows into a streaming
 // source: producers PushBatch (or Push) from any number of goroutines (a
 // network ingest path, typically) while a single consumer — the runtime —
-// drains them. It implements the stream runtime's LiveFeeder contract:
-// PullBatch never blocks, Next blocks until a flow arrives or the source
-// is closed, and LiveFeed reports true so the runtime parks on Next only
-// when idle.
+// drains them. It is the live reading of the source contract: PullBatch
+// hands over what is buffered and never blocks, Next blocks until a flow
+// arrives or the source is closed and drained, and Park is Next with a
+// wake channel, which is where an idle runtime waits.
 //
 // The feed carries slabs, not flows: a pushed slice is queued as it is,
 // in sub-slices of at most slabChunk flows, and the consumer reads the
@@ -209,7 +209,7 @@ func (s *ChanSource) Next() (switchnet.Flow, bool) {
 	return f, ok
 }
 
-// PullBatch implements BatchFlowSource without ever blocking: it drains
+// PullBatch implements FlowSource without ever blocking: it drains
 // at most max immediately-available flows, across slab boundaries,
 // stamped with the given round.
 func (s *ChanSource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow {
@@ -226,11 +226,11 @@ func (s *ChanSource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet
 	return dst
 }
 
-// Park implements the stream runtime's Parker contract: it blocks like
-// Next but is additionally interrupted by wake, so an idle runtime can
-// be unparked to service control requests (pending snapshots,
-// checkpoints, reloads, stop) while the feed is quiet. woke=true means
-// no flow was consumed. The rest of the returned flow's slab stays
+// Park is the stream runtime's interruptible idle wait (stream.Parker):
+// it blocks like Next but also returns when wake receives, so an idle
+// runtime can be unparked to serve its mailbox (pending snapshots,
+// checkpoints, reloads) or a Stop while the feed is quiet. woke=true
+// means no flow was consumed. The rest of the returned flow's slab stays
 // queued for PullBatch.
 func (s *ChanSource) Park(wake <-chan struct{}) (f switchnet.Flow, ok, woke bool) {
 	for !s.open() {
@@ -252,6 +252,3 @@ func (s *ChanSource) Park(wake <-chan struct{}) (f switchnet.Flow, ok, woke bool
 
 // Err implements FlowSource: a closed feed is always a clean end.
 func (s *ChanSource) Err() error { return nil }
-
-// LiveFeed marks the source as concurrently fed (stream.LiveFeeder).
-func (s *ChanSource) LiveFeed() bool { return true }

@@ -20,35 +20,22 @@ import (
 // satisfies this automatically because it stamps releases at the
 // current round, which a restored runtime opens at the resume round.
 //
-// The wrapper is transparent to the runtime's source probing: it always
-// batches, reports the tail's LiveFeed, and forwards Park when the
-// prefix is drained (so a restored daemon still parks interruptibly on
-// its ingest queue).
+// The wrapper always offers Park: an unreplayed prefix flow answers it
+// at once, and past the prefix it is the tail's Park when the tail has
+// one (so a restored daemon still parks interruptibly on its ingest
+// queue) and the tail's Next when it does not — a tail without Park is a
+// finite replay whose Next does not wait.
 type CheckpointSource struct {
 	prefix []switchnet.Flow
 	at     int
 	tail   FlowSource
-
-	tailBatch BatchFlowSource
-	tailLive  bool
-	tailPark  interface {
-		Park(wake <-chan struct{}) (f switchnet.Flow, ok, woke bool)
-	}
 }
 
 // NewCheckpointSource returns a source that yields prefix (unmodified,
 // in order) and then everything tail yields. The prefix slice is
 // retained, not copied.
 func NewCheckpointSource(prefix []switchnet.Flow, tail FlowSource) *CheckpointSource {
-	s := &CheckpointSource{prefix: prefix, tail: tail}
-	s.tailBatch, _ = tail.(BatchFlowSource)
-	if lf, ok := tail.(interface{ LiveFeed() bool }); ok {
-		s.tailLive = lf.LiveFeed()
-	}
-	s.tailPark, _ = tail.(interface {
-		Park(wake <-chan struct{}) (f switchnet.Flow, ok, woke bool)
-	})
-	return s
+	return &CheckpointSource{prefix: prefix, tail: tail}
 }
 
 // Remaining reports how many prefix flows have not been replayed yet.
@@ -64,10 +51,8 @@ func (s *CheckpointSource) Next() (switchnet.Flow, bool) {
 	return s.tail.Next()
 }
 
-// PullBatch implements BatchFlowSource: it drains prefix flows released
-// at or before round, then delegates leftover capacity to the tail. A
-// tail without batching contributes nothing here (the runtime then pulls
-// it flow by flow through Next), and it never blocks on a live tail.
+// PullBatch implements FlowSource: it drains prefix flows released
+// at or before round, then delegates leftover capacity to the tail.
 func (s *CheckpointSource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow {
 	n := 0
 	for s.at < len(s.prefix) && n < max && s.prefix[s.at].Release <= round {
@@ -75,8 +60,8 @@ func (s *CheckpointSource) PullBatch(dst []switchnet.Flow, round, max int) []swi
 		s.at++
 		n++
 	}
-	if s.at == len(s.prefix) && n < max && s.tailBatch != nil {
-		dst = s.tailBatch.PullBatch(dst, round, max-n)
+	if s.at == len(s.prefix) && n < max {
+		dst = s.tail.PullBatch(dst, round, max-n)
 	}
 	return dst
 }
@@ -84,25 +69,13 @@ func (s *CheckpointSource) PullBatch(dst []switchnet.Flow, round, max int) []swi
 // Err reports the tail's failure; the prefix itself cannot fail.
 func (s *CheckpointSource) Err() error { return s.tail.Err() }
 
-// LiveFeed reports whether the tail is concurrently fed
-// (stream.LiveFeeder); the prefix is always immediately available either
-// way.
-func (s *CheckpointSource) LiveFeed() bool { return s.tailLive }
-
-// Park implements the stream runtime's Parker contract over the tail: an
-// unreplayed prefix flow is returned immediately, otherwise the park is
-// forwarded. A tail without Park blocks in its Next — the wake interrupt
-// is then unavailable, exactly as if the tail were used bare.
+// Park is the stream runtime's interruptible idle wait (stream.Parker)
+// over the prefix and then the tail; see the type comment.
 func (s *CheckpointSource) Park(wake <-chan struct{}) (f switchnet.Flow, ok, woke bool) {
-	if s.at < len(s.prefix) {
-		f := s.prefix[s.at]
-		s.at++
-		return f, true, false
+	if p, live := s.tail.(parker); live && s.at == len(s.prefix) {
+		return p.Park(wake)
 	}
-	if s.tailPark != nil {
-		return s.tailPark.Park(wake)
-	}
-	f, ok = s.tail.Next()
+	f, ok = s.Next()
 	return f, ok, false
 }
 
@@ -113,7 +86,6 @@ func (s *CheckpointSource) Park(wake <-chan struct{}) (f switchnet.Flow, ok, wok
 // skip.
 type SkipSource struct {
 	src     FlowSource
-	batch   BatchFlowSource
 	left    int
 	scratch []switchnet.Flow
 }
@@ -124,9 +96,7 @@ func Skip(src FlowSource, n int) *SkipSource {
 	if n < 0 {
 		n = 0
 	}
-	s := &SkipSource{src: src, left: n}
-	s.batch, _ = src.(BatchFlowSource)
-	return s
+	return &SkipSource{src: src, left: n}
 }
 
 // discard burns through the remaining skip count.
@@ -146,21 +116,15 @@ func (s *SkipSource) Next() (switchnet.Flow, bool) {
 	return s.src.Next()
 }
 
-// PullBatch implements BatchFlowSource when the underlying source does.
-// The skipped flows are discarded through the same batch path, so a
-// skipped source stays non-blocking if the underlying one is. Over a
-// source without batching it reports nothing available and the caller
-// falls back to Next.
+// PullBatch implements FlowSource. The skipped flows are discarded
+// through the same batch path, so it never blocks.
 func (s *SkipSource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow {
-	if s.batch == nil {
-		return dst
-	}
 	for s.left > 0 {
 		want := s.left
 		if want > 512 {
 			want = 512
 		}
-		s.scratch = s.batch.PullBatch(s.scratch[:0], round, want)
+		s.scratch = s.src.PullBatch(s.scratch[:0], round, want)
 		s.left -= len(s.scratch)
 		if len(s.scratch) < want {
 			// The source has nothing more released at this round; the
@@ -168,7 +132,7 @@ func (s *SkipSource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet
 			return dst
 		}
 	}
-	return s.batch.PullBatch(dst, round, max)
+	return s.src.PullBatch(dst, round, max)
 }
 
 // Err reports the underlying source's failure.

@@ -99,16 +99,13 @@ func TestCheckpointSourceReplaysPrefixThenTail(t *testing.T) {
 	})
 }
 
-// TestCheckpointSourceLiveTail pins the LiveFeeder/Parker passthrough
-// over a ChanSource tail: the wrapper stays live, prefix flows answer a
-// park immediately, and a drained prefix forwards the park (wake
-// included).
+// TestCheckpointSourceLiveTail pins the Park passthrough over a
+// ChanSource tail: prefix flows answer a park immediately, and a drained
+// prefix forwards the park (wake included). Over a tail without Park the
+// park is the tail's Next.
 func TestCheckpointSourceLiveTail(t *testing.T) {
 	ch := NewChanSource(4)
 	src := NewCheckpointSource(seqFlows(1, 0), ch)
-	if !src.LiveFeed() {
-		t.Fatal("live tail not reported live")
-	}
 	wake := make(chan struct{}, 1)
 	f, ok, woke := src.Park(wake)
 	if !ok || woke || f.Release != 0 {
@@ -124,9 +121,9 @@ func TestCheckpointSourceLiveTail(t *testing.T) {
 	if f, ok, _ := src.Park(wake); !ok || f.In != 2 {
 		t.Fatalf("forwarded park missed the pushed flow: %+v %v", f, ok)
 	}
-	// An offline tail reports not-live.
-	if NewCheckpointSource(nil, &fixedSource{}).LiveFeed() {
-		t.Fatal("offline tail reported live")
+	wake <- struct{}{}
+	if _, ok, woke := NewCheckpointSource(nil, &fixedSource{}).Park(wake); ok || woke {
+		t.Fatalf("park over a drained finite tail: ok=%v woke=%v, want a clean end", ok, woke)
 	}
 }
 

@@ -88,7 +88,7 @@ func (s *ChurnSource) Next() (switchnet.Flow, bool) {
 // Err implements FlowSource.
 func (s *ChurnSource) Err() error { return s.err }
 
-// PullBatch implements BatchFlowSource. Generated rounds beyond round
+// PullBatch implements FlowSource. Generated rounds beyond round
 // stay buffered for later calls.
 func (s *ChurnSource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow {
 	for n := 0; n < max; n++ {

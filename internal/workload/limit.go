@@ -2,18 +2,18 @@ package workload
 
 import "flowsched/internal/switchnet"
 
-// Limit caps a batch source at a fixed number of flows: after Max flows
+// Limit caps a source at a fixed number of flows: after Max flows
 // have been yielded the stream reports a clean end, regardless of what
 // the wrapped source still holds. flowsim uses it to honor -flows as a
 // drain cap on trace replays.
 type Limit struct {
-	src       BatchFlowSource
+	src       FlowSource
 	remaining int64
 }
 
 // NewLimit wraps src so at most max flows are yielded (max <= 0 yields
 // none).
-func NewLimit(src BatchFlowSource, max int64) *Limit {
+func NewLimit(src FlowSource, max int64) *Limit {
 	if max < 0 {
 		max = 0
 	}
@@ -32,7 +32,7 @@ func (s *Limit) Next() (switchnet.Flow, bool) {
 	return f, ok
 }
 
-// PullBatch implements BatchFlowSource.
+// PullBatch implements FlowSource.
 func (s *Limit) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow {
 	if s.remaining <= 0 {
 		return dst

@@ -18,35 +18,41 @@ import (
 // interface is restated as FlowSource to keep this package free of a
 // dependency on the runtime.
 
-// FlowSource yields flows in non-decreasing release order. Next returns
-// the next flow, or ok=false when the stream is exhausted or failed; Err
-// reports the failure (nil for a clean end of stream).
+// FlowSource yields flows in non-decreasing release order, read two ways
+// over the same sequence. Next returns the next flow whatever its
+// release, or ok=false when the stream is exhausted or failed; Err
+// reports the failure (nil for a clean end of stream). PullBatch appends
+// to dst up to max flows whose Release is <= round and returns the
+// extended slice, never blocking and never consuming a flow released
+// later; a short batch (fewer than max) means no further flow with
+// Release <= round is currently available — the stream is exhausted,
+// failed, or its next flow releases later. The two may be interleaved
+// freely: the flows come out in the order Next alone would yield them.
+// The streaming runtime admits through PullBatch and calls Next only
+// when it has nothing pending (see stream.Source).
 type FlowSource interface {
 	Next() (f switchnet.Flow, ok bool)
+	PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow
 	Err() error
 }
 
-// BatchFlowSource is a FlowSource that can also drain flows in batches:
-// PullBatch appends to dst up to max flows whose Release is <= round and
-// returns the extended slice, never consuming a flow released later. A
-// short batch (fewer than max) means no further flow with Release <= round
-// is currently available — the stream is exhausted, failed (see Err), or
-// its next flow releases later. The streaming runtime uses it to amortize
-// one interface call over a whole round of arrivals instead of paying one
-// per flow; all sources in this package implement it.
-type BatchFlowSource interface {
-	FlowSource
-	PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow
+// parker is the optional interruptible idle wait of a live source
+// (stream.Parker, restated): ChanSource has it, and CheckpointSource
+// forwards it.
+type parker interface {
+	Park(wake <-chan struct{}) (f switchnet.Flow, ok, woke bool)
 }
 
-// The package's sources must all support batch draining.
+// Every source of the package meets the contract.
 var (
-	_ BatchFlowSource = (*ArrivalSource)(nil)
-	_ BatchFlowSource = (*TraceSource)(nil)
-	_ BatchFlowSource = (*InstanceSource)(nil)
-	_ BatchFlowSource = (*ChurnSource)(nil)
-	_ BatchFlowSource = (*ChanSource)(nil)
-	_ BatchFlowSource = (*Limit)(nil)
+	_ FlowSource = (*ArrivalSource)(nil)
+	_ FlowSource = (*TraceSource)(nil)
+	_ FlowSource = (*InstanceSource)(nil)
+	_ FlowSource = (*ChurnSource)(nil)
+	_ FlowSource = (*ChanSource)(nil)
+	_ FlowSource = (*Limit)(nil)
+	_ FlowSource = (*CheckpointSource)(nil)
+	_ FlowSource = (*SkipSource)(nil)
 )
 
 // ArrivalConfig describes a generator-driven arrival process: Poisson(M)
@@ -139,7 +145,7 @@ func (s *ArrivalSource) Next() (switchnet.Flow, bool) {
 // Err implements FlowSource.
 func (s *ArrivalSource) Err() error { return s.err }
 
-// PullBatch implements BatchFlowSource. Generated rounds beyond round stay
+// PullBatch implements FlowSource. Generated rounds beyond round stay
 // buffered for later Next/PullBatch calls.
 func (s *ArrivalSource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow {
 	for n := 0; n < max; n++ {
@@ -216,7 +222,7 @@ func (s *TraceSource) Next() (switchnet.Flow, bool) {
 	return s.read()
 }
 
-// PullBatch implements BatchFlowSource.
+// PullBatch implements FlowSource.
 func (s *TraceSource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow {
 	for n := 0; n < max; n++ {
 		var f switchnet.Flow
@@ -315,7 +321,7 @@ func (s *InstanceSource) Next() (switchnet.Flow, bool) {
 	return f, true
 }
 
-// PullBatch implements BatchFlowSource.
+// PullBatch implements FlowSource.
 func (s *InstanceSource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow {
 	for n := 0; n < max && s.pos < len(s.order); n++ {
 		f := s.inst.Flows[s.order[s.pos]]

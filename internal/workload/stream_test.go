@@ -47,10 +47,10 @@ func TestArrivalSourceBasics(t *testing.T) {
 // stream. Also pins the horizon contract: a batch never contains a flow
 // released after the requested round.
 func TestPullBatchMatchesNext(t *testing.T) {
-	mk := func() []BatchFlowSource {
+	mk := func() []FlowSource {
 		inst := PoissonConfig{M: 4, T: 9, Ports: 5}.Generate(rand.New(rand.NewSource(8)))
 		trace := "release,in,out,demand\n0,0,1,1\n0,2,3,1\n1,1,1,1\n4,3,0,1\n4,4,4,1\n9,0,0,1\n"
-		return []BatchFlowSource{
+		return []FlowSource{
 			NewArrivalSource(ArrivalConfig{Ports: 6, M: 2.5, MaxFlows: 400}, rand.New(rand.NewSource(3))),
 			NewTraceSource(strings.NewReader(trace), switchnet.UnitSwitch(5)),
 			NewInstanceSource(inst),
