@@ -13,6 +13,8 @@ package flowsched
 //	BenchmarkFig4a    - Lemma 5.1 unbounded-competitiveness gadget.
 //	BenchmarkIterRoundOverload - Lemma 3.3/3.7 interval overload ablation.
 //	BenchmarkAblation* - matching-engine and augmentation ablations.
+//	BenchmarkOfflineLadder - the offline LP pipeline at growing paper-model
+//	                  sizes, with pivots and peak L+U nonzeros per rung.
 //
 // Benchmarks use a scaled-down default grid (8-port switch, same load
 // ratios M/m as the paper's 150-port runs); cmd/experiments regenerates
@@ -22,6 +24,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"flowsched/internal/core"
 	"flowsched/internal/switchnet"
@@ -388,6 +391,58 @@ func BenchmarkSubstrateLPSolve(b *testing.B) {
 		if _, err := ARTLowerBound(inst); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOfflineLadder runs the paper's offline pipeline — ARTLowerBound,
+// SolveART(c=1), SolveMRT — on one seeded paper-model instance per rung (a
+// unit switch, unit flows, uniform releases: the shape of the benchmark's
+// offline_paper workload, which is the first rung). Beside ns/op it reports
+// the simplex pivots of the three calls together (SolveMRT's search
+// included), the largest L+U any of their factorisations stored, and the
+// share of the time that went to ARTLowerBound.
+func BenchmarkOfflineLadder(b *testing.B) {
+	for _, rung := range []struct {
+		name                 string
+		ports, rounds, flows int
+	}{
+		{"5x5_25", 5, 5, 25},
+		{"10x10_100", 10, 10, 100},
+		{"20x20_400", 20, 10, 400},
+	} {
+		b.Run(rung.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			inst := &Instance{Switch: UnitSwitch(rung.ports), Flows: make([]Flow, rung.flows)}
+			for j := range inst.Flows {
+				inst.Flows[j] = Flow{In: rng.Intn(rung.ports), Out: rng.Intn(rung.ports), Demand: 1, Release: rng.Intn(rung.rounds)}
+			}
+			var (
+				pivots, peak int
+				lbTime       time.Duration
+			)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				lb, err := ARTLowerBound(inst)
+				if err != nil {
+					b.Fatal(err)
+				}
+				lbTime += time.Since(start)
+				art, err := SolveART(inst, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				mrt, err := SolveMRT(inst)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pivots = lb.Iterations + art.LPIterations + mrt.LPIterations + mrt.SearchLP.Pivots()
+				peak = max(lb.LP.PeakLUNonzeros, art.LP.PeakLUNonzeros, mrt.LP.PeakLUNonzeros, mrt.SearchLP.PeakLUNonzeros)
+			}
+			b.ReportMetric(float64(pivots), "pivots")
+			b.ReportMetric(float64(peak), "peak_lu_nnz")
+			b.ReportMetric(lbTime.Seconds()*1e3/float64(b.N), "art_lb_ms")
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"flowsched/internal/bvn"
+	"flowsched/internal/lp"
 	"flowsched/internal/switchnet"
 )
 
@@ -32,6 +33,8 @@ type ARTResult struct {
 	// LPIterations totals simplex pivots across all iterative-rounding
 	// solves.
 	LPIterations int
+	// LP sums the solver's stage breakdown over the same solves.
+	LP lp.Stats
 }
 
 // SolveART implements Theorem 1 for unit-demand flows: a schedule whose
@@ -90,6 +93,7 @@ func SolveART(inst *switchnet.Instance, c int) (*ARTResult, error) {
 		Batches:      batches,
 		ForcedFixes:  ps.ForcedFixes,
 		LPIterations: ps.LPIterations,
+		LP:           ps.LP,
 	}
 	caps := switchnet.ScaleCaps(inst.Switch.Caps(), 1+c)
 	if err := sched.Validate(inst, caps); err != nil {

@@ -17,6 +17,9 @@ type ARTLowerBoundResult struct {
 	Horizon int
 	// Iterations counts simplex pivots.
 	Iterations int
+	// LP is the solver's stage breakdown of the solve that produced the
+	// bound (like Iterations, it leaves out horizons found infeasible).
+	LP lp.Stats
 }
 
 // ARTLowerBound solves the fractional relaxation (1)-(4):
@@ -49,6 +52,7 @@ func ARTLowerBound(inst *switchnet.Instance) (*ARTLowerBoundResult, error) {
 				TotalResponse: sol.Obj,
 				Horizon:       horizon,
 				Iterations:    sol.Iterations,
+				LP:            sol.Stats,
 			}, nil
 		case lp.Infeasible:
 			horizon *= 2

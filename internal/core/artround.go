@@ -32,6 +32,14 @@ type PseudoSchedule struct {
 	ForcedFixes int
 	// LPIterations totals simplex pivots across all LP solves.
 	LPIterations int
+	// LP sums the solver's stage breakdown over the same solves.
+	LP lp.Stats
+}
+
+// addSolve accounts one LP solve of the rounding.
+func (ps *PseudoSchedule) addSolve(st lp.Stats) {
+	ps.LPIterations += st.Pivots()
+	ps.LP.Add(st)
 }
 
 // TotalResponse returns the total response time of the pseudo-schedule.
@@ -69,12 +77,12 @@ func IterativeRound(inst *switchnet.Instance) (*PseudoSchedule, error) {
 	}
 
 	// LP(0): interval constraints of width 4 with capacity 4*c_p (7).
-	entries, lpVal, iters, err := solveInitialIntervalLP(inst)
+	entries, lpVal, st, err := solveInitialIntervalLP(inst)
 	if err != nil {
 		return nil, err
 	}
 	ps.LPValue = lpVal
-	ps.LPIterations += iters
+	ps.addSolve(st)
 
 	remaining := n
 	lastSupport := math.MaxInt
@@ -137,21 +145,18 @@ func IterativeRound(inst *switchnet.Instance) (*PseudoSchedule, error) {
 
 		// Build and solve LP(l) over the surviving variables with
 		// regrouped intervals (11).
-		var solved []entry
-		var its int
-		solved, its, err = solveRegroupedLP(inst, entries)
+		entries, st, err = solveRegroupedLP(inst, entries)
 		if err != nil {
 			return nil, err
 		}
-		ps.LPIterations += its
-		entries = solved
+		ps.addSolve(st)
 	}
 	return ps, nil
 }
 
 // solveInitialIntervalLP builds and solves LP (5)-(8) and returns its
-// support as entries.
-func solveInitialIntervalLP(inst *switchnet.Instance) ([]entry, float64, int, error) {
+// support as entries, with the stats of the solve that succeeded.
+func solveInitialIntervalLP(inst *switchnet.Instance) ([]entry, float64, lp.Stats, error) {
 	horizon := inst.CongestionHorizon()
 	for attempt := 0; attempt < 8; attempt++ {
 		vm := newVarMap()
@@ -197,7 +202,7 @@ func solveInitialIntervalLP(inst *switchnet.Instance) ([]entry, float64, int, er
 		}
 		sol, err := p.Solve()
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, 0, lp.Stats{}, err
 		}
 		switch sol.Status {
 		case lp.Optimal:
@@ -208,20 +213,20 @@ func solveInitialIntervalLP(inst *switchnet.Instance) ([]entry, float64, int, er
 					entries = append(entries, entry{k.flow, k.round, v})
 				}
 			}
-			return entries, sol.Obj, sol.Iterations, nil
+			return entries, sol.Obj, sol.Stats, nil
 		case lp.Infeasible:
 			horizon *= 2
 		default:
-			return nil, 0, 0, fmt.Errorf("core: interval LP status %v", sol.Status)
+			return nil, 0, lp.Stats{}, fmt.Errorf("core: interval LP status %v", sol.Status)
 		}
 	}
-	return nil, 0, 0, fmt.Errorf("core: interval LP infeasible up to horizon %d", horizon)
+	return nil, 0, lp.Stats{}, fmt.Errorf("core: interval LP infeasible up to horizon %d", horizon)
 }
 
 // solveRegroupedLP builds LP(l) for iteration l >= 1: variables are exactly
 // the surviving entries; per-port interval groups are regrown greedily from
 // the previous solution until their size first exceeds 4*c_p (Section 3.1).
-func solveRegroupedLP(inst *switchnet.Instance, entries []entry) ([]entry, int, error) {
+func solveRegroupedLP(inst *switchnet.Instance, entries []entry) ([]entry, lp.Stats, error) {
 	p := lp.NewProblem(len(entries))
 	for j, en := range entries {
 		e := inst.Flows[en.flow]
@@ -294,10 +299,10 @@ func solveRegroupedLP(inst *switchnet.Instance, entries []entry) ([]entry, int, 
 	}
 	sol, err := p.Solve()
 	if err != nil {
-		return nil, 0, err
+		return nil, lp.Stats{}, err
 	}
 	if sol.Status != lp.Optimal {
-		return nil, 0, fmt.Errorf("core: regrouped LP status %v", sol.Status)
+		return nil, lp.Stats{}, fmt.Errorf("core: regrouped LP status %v", sol.Status)
 	}
 	out := make([]entry, 0, len(entries))
 	for j, en := range entries {
@@ -305,5 +310,5 @@ func solveRegroupedLP(inst *switchnet.Instance, entries []entry) ([]entry, int, 
 			out = append(out, entry{en.flow, en.round, sol.X[j]})
 		}
 	}
-	return out, sol.Iterations, nil
+	return out, sol.Stats, nil
 }

@@ -99,6 +99,8 @@ type TimeConstrainedResult struct {
 	CapIncrease int
 	// LPIterations counts simplex pivots.
 	LPIterations int
+	// LP is the solver's stage breakdown of that solve.
+	LP lp.Stats
 	// ForcedDrops mirrors rounding.Result.ForcedDrops (0 in practice).
 	ForcedDrops int
 }
@@ -200,6 +202,7 @@ func SolveTimeConstrained(inst *switchnet.Instance, win Windows) (*TimeConstrain
 		Schedule:     sched,
 		CapIncrease:  inc,
 		LPIterations: sol.Iterations,
+		LP:           sol.Stats,
 		ForcedDrops:  rres.ForcedDrops,
 	}, nil
 }
@@ -211,14 +214,24 @@ type MRTResult struct {
 	// LP relaxation is feasible. It lower-bounds any capacity-respecting
 	// schedule, and the returned schedule achieves it with augmentation.
 	Rho int
+	// SearchLP sums the solver's stage breakdown over the feasibility LPs
+	// of the search for Rho; the final solve's is the embedded LP.
+	SearchLP lp.Stats
 }
 
 // MRTLowerBound returns the smallest rho for which LP (19)-(21) with
 // windows [r_e, r_e+rho) is feasible. This is the lower bound the paper's
 // Figure 7 compares heuristics against.
 func MRTLowerBound(inst *switchnet.Instance) (int, error) {
+	rho, _, err := searchRho(inst)
+	return rho, err
+}
+
+// searchRho is MRTLowerBound with the summed stats of the LPs it solved.
+func searchRho(inst *switchnet.Instance) (int, lp.Stats, error) {
+	var search lp.Stats
 	if inst.N() == 0 {
-		return 0, nil
+		return 0, search, nil
 	}
 	feasible := func(rho int) (bool, error) {
 		p, _ := timeConstrainedLP(inst, ResponseWindows(inst, rho))
@@ -226,6 +239,7 @@ func MRTLowerBound(inst *switchnet.Instance) (int, error) {
 		if err != nil {
 			return false, err
 		}
+		search.Add(sol.Stats)
 		switch sol.Status {
 		case lp.Optimal:
 			return true, nil
@@ -247,7 +261,7 @@ func MRTLowerBound(inst *switchnet.Instance) (int, error) {
 	for {
 		ok, err := feasible(hi)
 		if err != nil {
-			return 0, err
+			return 0, search, err
 		}
 		if ok {
 			break
@@ -255,14 +269,14 @@ func MRTLowerBound(inst *switchnet.Instance) (int, error) {
 		lo = hi + 1
 		hi *= 2
 		if hi > inst.CongestionHorizon()*4+16 {
-			return 0, fmt.Errorf("core: no feasible rho up to %d", hi)
+			return 0, search, fmt.Errorf("core: no feasible rho up to %d", hi)
 		}
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
 		ok, err := feasible(mid)
 		if err != nil {
-			return 0, err
+			return 0, search, err
 		}
 		if ok {
 			hi = mid
@@ -270,7 +284,7 @@ func MRTLowerBound(inst *switchnet.Instance) (int, error) {
 			lo = mid + 1
 		}
 	}
-	return hi, nil
+	return hi, search, nil
 }
 
 // SolveMRT implements the FS-MRT pipeline of Section 4.2: binary search on
@@ -278,7 +292,7 @@ func MRTLowerBound(inst *switchnet.Instance) (int, error) {
 // returned schedule has maximum response time Rho (the LP optimum, hence
 // optimal) using port capacities c_p + 2*d_max - 1.
 func SolveMRT(inst *switchnet.Instance) (*MRTResult, error) {
-	rho, err := MRTLowerBound(inst)
+	rho, search, err := searchRho(inst)
 	if err != nil {
 		return nil, err
 	}
@@ -292,5 +306,5 @@ func SolveMRT(inst *switchnet.Instance) (*MRTResult, error) {
 	if got := res.Schedule.MaxResponse(inst); got > rho {
 		return nil, fmt.Errorf("core: rounded schedule has max response %d > rho %d", got, rho)
 	}
-	return &MRTResult{TimeConstrainedResult: res, Rho: rho}, nil
+	return &MRTResult{TimeConstrainedResult: res, Rho: rho, SearchLP: search}, nil
 }

@@ -211,6 +211,33 @@ func TestResultTableCSV(t *testing.T) {
 	}
 }
 
+// TestLPSolversReportStageCounts: the LP-backed solvers carry the solver's
+// stage counts into their table rows, the others a blank.
+func TestLPSolversReportStageCounts(t *testing.T) {
+	table := RunSweep(SweepConfig{
+		Solvers:    []Solver{ARTSolver{C: 1}, MRTSolver{}, SolverByName("MaxCard")},
+		Generators: []Generator{PoissonGen{Cfg: workload.PoissonConfig{M: 3, T: 3, Ports: 3}}},
+		Trials:     1,
+		Seed:       5,
+	})
+	if err := table.FirstError(); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range table.Rows[:2] {
+		st := table.Verdicts[i].Solution.Stats
+		if len(r.LP) != len(lpStatKeys) || r.LP[0] != int(st["lp_rows"]) ||
+			st["lp_rows"] == 0 || st["lp_refactors"] == 0 || st["lp_lu_peak_nnz"] < st["lp_rows"] {
+			t.Fatalf("%s: LP columns %v, stats %v", r.Solver, r.LP, st)
+		}
+		if got := st["lp_phase1_pivots"] + st["lp_phase2_pivots"]; got != st["lp_pivots"] {
+			t.Fatalf("%s: phase pivots sum to %v, lp_pivots is %v", r.Solver, got, st["lp_pivots"])
+		}
+	}
+	if r := table.Rows[2]; r.LP != nil || !strings.Contains(strings.Join(r.cells(), ","), ",-,") {
+		t.Fatalf("%s: LP columns %v, cells %v", r.Solver, r.LP, r.cells())
+	}
+}
+
 // TestEmptyInstanceScenarios: zero-flow draws must verify trivially for
 // every registered solver.
 func TestEmptyInstanceScenarios(t *testing.T) {

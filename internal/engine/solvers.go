@@ -7,9 +7,28 @@ import (
 	"flowsched/internal/coflow"
 	"flowsched/internal/core"
 	"flowsched/internal/heuristics"
+	"flowsched/internal/lp"
 	"flowsched/internal/sim"
 	"flowsched/internal/switchnet"
 )
+
+// lpStatKeys names, in table order, the solver-stage counts an LP-backed
+// solver reports in Solution.Stats beside lp_pivots.
+var lpStatKeys = []string{
+	"lp_rows", "lp_cols", "lp_nnz", "lp_phase1_pivots", "lp_phase2_pivots",
+	"lp_bound_flips", "lp_refactors", "lp_lu_peak_nnz",
+}
+
+// withLPStats adds st under lpStatKeys to a solver's stats.
+func withLPStats(stats map[string]float64, st lp.Stats) map[string]float64 {
+	for i, v := range []int{
+		st.Rows, st.Cols, st.Nonzeros, st.Phase1Pivots, st.Phase2Pivots,
+		st.BoundFlips, st.Refactors, st.PeakLUNonzeros,
+	} {
+		stats[lpStatKeys[i]] = float64(v)
+	}
+	return stats
+}
 
 // ARTSolver adapts SolveART (Theorem 1): unit-demand instances, capacities
 // scaled by 1+C.
@@ -30,12 +49,12 @@ func (s ARTSolver) Solve(inst *switchnet.Instance) (*Solution, error) {
 	return &Solution{
 		Schedule: res.Schedule,
 		Caps:     switchnet.ScaleCaps(inst.Switch.Caps(), res.CapFactor),
-		Stats: map[string]float64{
+		Stats: withLPStats(map[string]float64{
 			"lp_bound":   res.LPBound,
 			"window_h":   float64(res.WindowH),
 			"lp_pivots":  float64(res.LPIterations),
 			"cap_factor": float64(res.CapFactor),
-		},
+		}, res.LP),
 	}, nil
 }
 
@@ -55,11 +74,12 @@ func (MRTSolver) Solve(inst *switchnet.Instance) (*Solution, error) {
 	return &Solution{
 		Schedule: res.Schedule,
 		Caps:     switchnet.AddCaps(inst.Switch.Caps(), res.CapIncrease),
-		Stats: map[string]float64{
-			"rho":          float64(res.Rho),
-			"cap_increase": float64(res.CapIncrease),
-			"lp_pivots":    float64(res.LPIterations),
-		},
+		Stats: withLPStats(map[string]float64{
+			"rho":              float64(res.Rho),
+			"cap_increase":     float64(res.CapIncrease),
+			"lp_pivots":        float64(res.LPIterations),
+			"lp_search_pivots": float64(res.SearchLP.Pivots()),
+		}, res.LP),
 	}, nil
 }
 
@@ -83,10 +103,10 @@ func (s TimeConstrainedSolver) Solve(inst *switchnet.Instance) (*Solution, error
 	return &Solution{
 		Schedule: res.Schedule,
 		Caps:     switchnet.AddCaps(inst.Switch.Caps(), res.CapIncrease),
-		Stats: map[string]float64{
+		Stats: withLPStats(map[string]float64{
 			"cap_increase": float64(res.CapIncrease),
 			"lp_pivots":    float64(res.LPIterations),
-		},
+		}, res.LP),
 	}, nil
 }
 

@@ -22,6 +22,11 @@ type Row struct {
 	AvgResponse   float64
 	MaxResponse   int
 	Makespan      int
+	// LP holds the solver-stage counts of an LP-backed solver in
+	// lpStatKeys order (rows, columns, nonzeros, phase-1 and phase-2
+	// pivots, bound flips, refactorisations, peak L+U nonzeros); nil for
+	// a solver that solves no LP.
+	LP []int
 	// Err is the failure description, "" on success.
 	Err string
 }
@@ -59,6 +64,13 @@ func NewResultTable(verdicts []Verdict) *ResultTable {
 			r.MaxResponse = v.Report.MaxResponse
 			r.Makespan = v.Report.Makespan
 		}
+		if v.Solution != nil {
+			if _, ok := v.Solution.Stats[lpStatKeys[0]]; ok {
+				for _, k := range lpStatKeys {
+					r.LP = append(r.LP, int(v.Solution.Stats[k]))
+				}
+			}
+		}
 		if v.Err != nil {
 			r.Err = v.Err.Error()
 		}
@@ -87,12 +99,14 @@ func (t *ResultTable) FirstError() error {
 	return nil
 }
 
-// header is the column set shared by Render and WriteCSV.
-var header = []string{"workload", "solver", "seed", "n", "verified", "total_resp", "avg_resp", "max_resp", "makespan", "err"}
+// header is the column set shared by Render and WriteCSV: the verdict, the
+// LP stage counts (lpStatKeys, "-" for a solver without an LP), the error.
+var header = append(append([]string{"workload", "solver", "seed", "n", "verified", "total_resp", "avg_resp", "max_resp", "makespan"},
+	lpStatKeys...), "err")
 
 // cells formats one row in header order.
 func (r Row) cells() []string {
-	return []string{
+	cells := []string{
 		r.Workload,
 		r.Solver,
 		strconv.FormatInt(r.Seed, 10),
@@ -102,8 +116,15 @@ func (r Row) cells() []string {
 		strconv.FormatFloat(r.AvgResponse, 'f', 3, 64),
 		strconv.Itoa(r.MaxResponse),
 		strconv.Itoa(r.Makespan),
-		r.Err,
 	}
+	for i := range lpStatKeys {
+		if r.LP == nil {
+			cells = append(cells, "-")
+		} else {
+			cells = append(cells, strconv.Itoa(r.LP[i]))
+		}
+	}
+	return append(cells, r.Err)
 }
 
 // Render prints the table with aligned columns.

@@ -7,6 +7,133 @@ import (
 	"testing/quick"
 )
 
+// denseLU is the dense LU with partial pivoting the solver shipped with
+// before the sparse factorisation replaced it, kept as the reference the
+// differential tests compare luFactor against.
+type denseLU struct {
+	n    int
+	lu   []float64 // row-major combined L (unit diagonal) and U
+	perm []int     // row permutation: solving uses b[perm[i]]
+}
+
+// factorizeDense computes the LU factorization of the dense row-major
+// matrix a (a copy is taken).
+func factorizeDense(n int, a []float64) (*denseLU, error) {
+	f := &denseLU{n: n, lu: append([]float64(nil), a...), perm: make([]int, n)}
+	for i := range f.perm {
+		f.perm[i] = i
+	}
+	lu := f.lu
+	for k := 0; k < n; k++ {
+		p := k
+		maxAbs := math.Abs(lu[k*n+k])
+		for i := k + 1; i < n; i++ {
+			if v := math.Abs(lu[i*n+k]); v > maxAbs {
+				maxAbs = v
+				p = i
+			}
+		}
+		if maxAbs < 1e-12 {
+			return nil, ErrSingular
+		}
+		if p != k {
+			f.perm[k], f.perm[p] = f.perm[p], f.perm[k]
+			for j := 0; j < n; j++ {
+				lu[k*n+j], lu[p*n+j] = lu[p*n+j], lu[k*n+j]
+			}
+		}
+		pivot := lu[k*n+k]
+		for i := k + 1; i < n; i++ {
+			m := lu[i*n+k] / pivot
+			lu[i*n+k] = m
+			if m == 0 {
+				continue
+			}
+			row := lu[i*n : i*n+n]
+			prow := lu[k*n : k*n+n]
+			for j := k + 1; j < n; j++ {
+				row[j] -= m * prow[j]
+			}
+		}
+	}
+	return f, nil
+}
+
+// solve solves A x = b in place.
+func (f *denseLU) solve(b []float64) {
+	n := f.n
+	tmp := make([]float64, n)
+	for i := 0; i < n; i++ {
+		tmp[i] = b[f.perm[i]]
+	}
+	for i := 1; i < n; i++ {
+		s := tmp[i]
+		row := f.lu[i*n : i*n+n]
+		for j := 0; j < i; j++ {
+			s -= row[j] * tmp[j]
+		}
+		tmp[i] = s
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := tmp[i]
+		row := f.lu[i*n : i*n+n]
+		for j := i + 1; j < n; j++ {
+			s -= row[j] * tmp[j]
+		}
+		tmp[i] = s / row[i]
+	}
+	copy(b, tmp)
+}
+
+// solveT solves A^T x = b in place.
+func (f *denseLU) solveT(b []float64) {
+	n := f.n
+	for i := 0; i < n; i++ {
+		s := b[i]
+		for j := 0; j < i; j++ {
+			s -= f.lu[j*n+i] * b[j]
+		}
+		b[i] = s / f.lu[i*n+i]
+	}
+	for i := n - 2; i >= 0; i-- {
+		s := b[i]
+		for j := i + 1; j < n; j++ {
+			s -= f.lu[j*n+i] * b[j]
+		}
+		b[i] = s
+	}
+	tmp := make([]float64, n)
+	for i := 0; i < n; i++ {
+		tmp[f.perm[i]] = b[i]
+	}
+	copy(b, tmp)
+}
+
+// sparseColumns returns the columns of the dense row-major n x n matrix a
+// and the identity basis over them.
+func sparseColumns(n int, a []float64) ([]spCol, []int) {
+	cols := make([]spCol, n)
+	for j := range cols {
+		for i := 0; i < n; i++ {
+			if v := a[i*n+j]; v != 0 {
+				cols[j].ri = append(cols[j].ri, i)
+				cols[j].rv = append(cols[j].rv, v)
+			}
+		}
+	}
+	return cols, identityBasis(n)
+}
+
+// factorize runs the sparse factorisation on a dense row-major matrix.
+func factorize(n int, a []float64) (*luFactor, error) {
+	f := new(luFactor)
+	cols, basis := sparseColumns(n, a)
+	if err := f.factor(cols, basis); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 func TestLUSolveKnown(t *testing.T) {
 	// A = [[2,1],[1,3]], b = [5,10] => x = [1,3].
 	f, err := factorize(2, []float64{2, 1, 1, 3})

@@ -1,9 +1,14 @@
 // Package lp implements a linear-programming solver: a revised simplex
-// method with bounded variables, two-phase initialization, product-form
-// basis updates with periodic dense-LU refactorization, and Bland's rule as
-// an anti-cycling fallback. It stands in for the commercial solver (Gurobi)
-// used in the paper's experiments and solves the relaxations (1)-(4),
-// (5)-(8)/(9)-(12) and (19)-(21).
+// method with bounded variables, two-phase initialization, Dantzig
+// pricing, and Bland's rule as an anti-cycling fallback. The basis is kept
+// as a sparse LU factorisation (lu.go: a singleton pass peels the unit
+// slack and artificial columns that make up most of a scheduling basis,
+// the remaining nucleus is factored left-looking with threshold pivoting)
+// plus a sparse product-form eta file, refactored every refactorEvery
+// pivots; FTRAN and BTRAN walk stored nonzeros only, so a pivot costs what
+// the basis holds, not the square of its order. It stands in for the
+// commercial solver (Gurobi) used in the paper's experiments and solves
+// the relaxations (1)-(4), (5)-(8)/(9)-(12) and (19)-(21).
 //
 // Solutions returned by Solve are basic (vertex) solutions, which the
 // iterative-rounding algorithms in internal/core rely on.
@@ -153,6 +158,44 @@ type Solution struct {
 	Dual []float64
 	// Iterations counts simplex pivots across both phases.
 	Iterations int
+	// Stats breaks the solve down by stage.
+	Stats Stats
+}
+
+// Stats counts what a solve was given and what it did. They are counters
+// the pivot loop keeps anyway; the package reads no clock.
+type Stats struct {
+	// Rows, Cols and Nonzeros size the constraint matrix as built (slack
+	// and artificial columns not counted).
+	Rows, Cols, Nonzeros int
+	// Phase1Pivots and Phase2Pivots split Solution.Iterations by phase.
+	Phase1Pivots, Phase2Pivots int
+	// BoundFlips counts the iterations among them that moved a nonbasic
+	// variable to its other bound and left the basis alone.
+	BoundFlips int
+	// Refactors counts basis factorisations, the first and the final
+	// accuracy pass included.
+	Refactors int
+	// PeakLUNonzeros is the largest number of nonzeros any of them stored
+	// in L and U together, diagonal included.
+	PeakLUNonzeros int
+}
+
+// Pivots is the iteration count of both phases together,
+// Solution.Iterations for a single solve.
+func (s Stats) Pivots() int { return s.Phase1Pivots + s.Phase2Pivots }
+
+// Add accumulates another solve into s: counts add up, the peak is the
+// larger of the two.
+func (s *Stats) Add(o Stats) {
+	s.Rows += o.Rows
+	s.Cols += o.Cols
+	s.Nonzeros += o.Nonzeros
+	s.Phase1Pivots += o.Phase1Pivots
+	s.Phase2Pivots += o.Phase2Pivots
+	s.BoundFlips += o.BoundFlips
+	s.Refactors += o.Refactors
+	s.PeakLUNonzeros = max(s.PeakLUNonzeros, o.PeakLUNonzeros)
 }
 
 // RowActivity returns sum_k val[k]*X[idx[k]] for row i of the problem.

@@ -35,18 +35,53 @@ type simplex struct {
 	atUpper []bool // nonbasic status
 	x       []float64
 
-	lu    *luFactor
-	etas  []eta
+	lu    luFactor
+	etas  etaFile
 	iters int
 	bland bool
 	degen int
 
+	y, w, res []float64 // BTRAN, FTRAN and refactor work vectors, length m
+
+	// Stats counters: matrix nonzeros, iterations spent in phase 1, bound
+	// flips, factorisations and the largest L+U seen.
+	nnz, phase1, flips, refactors, peakLU int
+
 	maxIters int
 }
 
-type eta struct {
-	r int
-	w []float64
+// etaFile is the product-form update of the basis inverse since the last
+// refactorisation: eta k replaced the basis column at position r[k] by one
+// whose FTRAN image was w, stored as the pivot w[r] in piv[k] and the other
+// nonzeros of w, ascending, at start[k]:start[k+1] of idx/val. The arrays
+// are truncated, not freed, at a refactorisation, so a pivot allocates
+// only while the file is still growing to its working size.
+type etaFile struct {
+	r     []int
+	piv   []float64
+	start []int
+	idx   []int
+	val   []float64
+}
+
+func (e *etaFile) len() int { return len(e.r) }
+
+func (e *etaFile) reset() {
+	e.r, e.piv, e.idx, e.val = e.r[:0], e.piv[:0], e.idx[:0], e.val[:0]
+	e.start = append(e.start[:0], 0)
+}
+
+// push appends the eta of a pivot in row r with entering image w.
+func (e *etaFile) push(r int, w []float64) {
+	e.r = append(e.r, r)
+	e.piv = append(e.piv, w[r])
+	for i, wi := range w {
+		if wi != 0 && i != r {
+			e.idx = append(e.idx, i)
+			e.val = append(e.val, wi)
+		}
+	}
+	e.start = append(e.start, len(e.idx))
 }
 
 // SolveOptions tunes the solver.
@@ -59,43 +94,136 @@ type SolveOptions struct {
 // basic solution, or a solution whose Status explains why none exists.
 func (p *Problem) Solve() (*Solution, error) { return p.SolveWith(SolveOptions{}) }
 
-// SolveWith is Solve with explicit options.
+// SolveWith is Solve with explicit options. A refactorisation that finds
+// the basis numerically singular is an error wrapping ErrSingular, not a
+// status.
 func (p *Problem) SolveWith(opt SolveOptions) (*Solution, error) {
+	s, early, err := p.newSimplex(opt)
+	if s == nil {
+		return early, err
+	}
+	total := p.n + s.m // artificials sit at total and above
+
+	if s.n > total {
+		s.cost = make([]float64, s.n)
+		for j := total; j < s.n; j++ {
+			s.cost[j] = 1
+		}
+		st, err := s.iterate()
+		if err != nil {
+			return nil, err
+		}
+		s.phase1 = s.iters
+		if st == IterLimit {
+			return s.solution(IterLimit), nil
+		}
+		infeas := 0.0
+		for j := total; j < s.n; j++ {
+			infeas += s.x[j]
+		}
+		if infeas > phase1Tol {
+			return s.solution(Infeasible), nil
+		}
+		// Freeze artificials at zero.
+		for j := total; j < s.n; j++ {
+			s.lower[j], s.upper[j] = 0, 0
+			s.x[j] = 0
+		}
+	}
+
+	// Phase 2.
+	s.cost = make([]float64, s.n)
+	copy(s.cost, p.cost)
+	s.bland = false
+	s.degen = 0
+	st, err := s.iterate()
+	if err != nil {
+		return nil, err
+	}
+	if st != Optimal {
+		return s.solution(st), nil
+	}
+	// Final accuracy pass.
+	if err := s.refactor(); err != nil {
+		return nil, err
+	}
+	sol := s.solution(Optimal)
+	sol.X = make([]float64, p.n)
+	copy(sol.X, s.x[:p.n])
+	sol.Obj = p.Objective(sol.X)
+	// Dual values: y = B^{-T} c_B at the final basis.
+	sol.Dual = make([]float64, s.m)
+	for i, j := range s.basis {
+		sol.Dual[i] = s.cost[j]
+	}
+	s.btran(sol.Dual)
+	return sol, nil
+}
+
+// newSimplex builds the working state of a solve with its starting basis
+// factored: slacks where the residual fits their bounds, artificials (the
+// columns past NumVars+NumRows) elsewhere. A problem decided without a
+// pivot returns a nil simplex and its solution or error instead.
+func (p *Problem) newSimplex(opt SolveOptions) (*simplex, *Solution, error) {
 	m := len(p.rows)
 	s := &simplex{
 		m:       m,
 		nStruct: p.n,
 	}
 	// Columns: structural, then one slack per row, artificials appended
-	// during initialization as needed.
+	// below as needed. All of them are views into two flat arrays: the
+	// structural entries column by column in row order, then one slot per
+	// unit column.
 	total := p.n + m
-	s.cols = make([]spCol, total)
-	s.lower = make([]float64, total)
-	s.upper = make([]float64, total)
+	s.cols = make([]spCol, total, total+m)
+	s.lower = make([]float64, total, total+m)
+	s.upper = make([]float64, total, total+m)
 	s.rhs = make([]float64, m)
+	start := make([]int, p.n+1)
 	for i, r := range p.rows {
 		s.rhs[i] = r.rhs
-		for k, j := range r.idx {
+		for _, j := range r.idx {
 			if j < 0 || j >= p.n {
-				return nil, fmt.Errorf("lp: row %d references variable %d out of range", i, j)
+				return nil, nil, fmt.Errorf("lp: row %d references variable %d out of range", i, j)
 			}
-			s.cols[j].ri = append(s.cols[j].ri, i)
-			s.cols[j].rv = append(s.cols[j].rv, r.val[k])
+			start[j+1]++
 		}
+	}
+	for j := 0; j < p.n; j++ {
+		start[j+1] += start[j]
+	}
+	s.nnz = start[p.n]
+	ri, rv := make([]int, s.nnz+2*m), make([]float64, s.nnz+2*m)
+	for j := 0; j < p.n; j++ {
+		a, b := start[j], start[j+1]
+		s.cols[j] = spCol{ri: ri[a:a:b], rv: rv[a:a:b]}
+	}
+	for i, r := range p.rows {
+		for k, j := range r.idx {
+			c := &s.cols[j]
+			c.ri = append(c.ri, i)
+			c.rv = append(c.rv, r.val[k])
+		}
+	}
+	units := s.nnz
+	unit := func(i int, v float64) spCol {
+		ri[units], rv[units] = i, v
+		units++
+		return spCol{ri: ri[units-1 : units], rv: rv[units-1 : units]}
 	}
 	for j := 0; j < p.n; j++ {
 		s.lower[j] = p.lower[j]
 		s.upper[j] = p.upper[j]
 		if math.IsInf(s.lower[j], -1) && math.IsInf(s.upper[j], 1) {
-			return nil, fmt.Errorf("lp: variable %d is free; free variables are not supported", j)
+			return nil, nil, fmt.Errorf("lp: variable %d is free; free variables are not supported", j)
 		}
 		if s.lower[j] > s.upper[j] {
-			return &Solution{Status: Infeasible}, nil
+			return nil, &Solution{Status: Infeasible}, nil
 		}
 	}
 	for i, r := range p.rows {
 		j := p.n + i
-		s.cols[j] = spCol{ri: []int{i}, rv: []float64{1}}
+		s.cols[j] = unit(i, 1)
 		switch r.sense {
 		case LE:
 			s.lower[j], s.upper[j] = 0, Inf
@@ -105,21 +233,21 @@ func (p *Problem) SolveWith(opt SolveOptions) (*Solution, error) {
 			s.lower[j], s.upper[j] = 0, 0
 		}
 	}
-	s.n = total
 	s.maxIters = opt.MaxIters
 	if s.maxIters == 0 {
 		s.maxIters = 200*(m+1) + 20*p.n + 20000
 	}
 
 	if m == 0 {
-		return p.solveUnconstrained()
+		sol, err := p.solveUnconstrained()
+		return nil, sol, err
 	}
 
 	// Nonbasic start for structural and slack columns: the finite bound
 	// (preferring lower).
-	s.x = make([]float64, total)
-	s.atUpper = make([]bool, total)
-	s.pos = make([]int, total)
+	s.x = make([]float64, total, total+m)
+	s.atUpper = make([]bool, total, total+m)
+	s.pos = make([]int, total, total+m)
 	for j := range s.pos {
 		s.pos[j] = -1
 	}
@@ -134,7 +262,8 @@ func (p *Problem) SolveWith(opt SolveOptions) (*Solution, error) {
 
 	// Residuals decide the initial basis: slack if its value fits its
 	// bounds, otherwise an artificial column.
-	res := make([]float64, m)
+	s.y, s.w, s.res = make([]float64, m), make([]float64, m), make([]float64, m)
+	res := s.res
 	copy(res, s.rhs)
 	for j := 0; j < p.n; j++ {
 		if v := s.x[j]; v != 0 {
@@ -144,8 +273,6 @@ func (p *Problem) SolveWith(opt SolveOptions) (*Solution, error) {
 		}
 	}
 	s.basis = make([]int, m)
-	needPhase1 := false
-	var phase1Cost []float64
 	for i := 0; i < m; i++ {
 		sj := p.n + i
 		if res[i] >= s.lower[sj]-feasTol && res[i] <= s.upper[sj]+feasTol {
@@ -172,71 +299,34 @@ func (p *Problem) SolveWith(opt SolveOptions) (*Solution, error) {
 			sigma = -1
 		}
 		aj := len(s.cols)
-		s.cols = append(s.cols, spCol{ri: []int{i}, rv: []float64{sigma}})
+		s.cols = append(s.cols, unit(i, sigma))
 		s.lower = append(s.lower, 0)
 		s.upper = append(s.upper, Inf)
 		s.x = append(s.x, resid/sigma)
 		s.atUpper = append(s.atUpper, false)
 		s.pos = append(s.pos, i)
 		s.basis[i] = aj
-		needPhase1 = true
 	}
 	s.n = len(s.cols)
 
 	if err := s.refactor(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	return s, nil, nil
+}
 
-	if needPhase1 {
-		phase1Cost = make([]float64, s.n)
-		for j := total; j < s.n; j++ {
-			phase1Cost[j] = 1
-		}
-		s.cost = phase1Cost
-		st := s.iterate()
-		if st == IterLimit {
-			return &Solution{Status: IterLimit, Iterations: s.iters}, nil
-		}
-		infeas := 0.0
-		for j := total; j < s.n; j++ {
-			infeas += s.x[j]
-		}
-		if infeas > phase1Tol {
-			return &Solution{Status: Infeasible, Iterations: s.iters}, nil
-		}
-		// Freeze artificials at zero.
-		for j := total; j < s.n; j++ {
-			s.lower[j], s.upper[j] = 0, 0
-			s.x[j] = 0
-		}
-	}
-
-	// Phase 2.
-	s.cost = make([]float64, s.n)
-	copy(s.cost, p.cost)
-	s.bland = false
-	s.degen = 0
-	st := s.iterate()
-	if st == Unbounded {
-		return &Solution{Status: Unbounded, Iterations: s.iters}, nil
-	}
-	if st == IterLimit {
-		return &Solution{Status: IterLimit, Iterations: s.iters}, nil
-	}
-	// Final accuracy pass.
-	if err := s.refactor(); err != nil {
-		return nil, err
-	}
-	x := make([]float64, p.n)
-	copy(x, s.x[:p.n])
-	// Dual values: y = B^{-T} c_B at the final basis.
-	y := make([]float64, m)
-	for i, j := range s.basis {
-		y[i] = s.cost[j]
-	}
-	s.btran(y)
-	sol := &Solution{Status: Optimal, X: x, Obj: p.Objective(x), Dual: y, Iterations: s.iters}
-	return sol, nil
+// solution reports the solve's status and counters.
+func (s *simplex) solution(st Status) *Solution {
+	return &Solution{Status: st, Iterations: s.iters, Stats: Stats{
+		Rows:           s.m,
+		Cols:           s.nStruct,
+		Nonzeros:       s.nnz,
+		Phase1Pivots:   s.phase1,
+		Phase2Pivots:   s.iters - s.phase1,
+		BoundFlips:     s.flips,
+		Refactors:      s.refactors,
+		PeakLUNonzeros: s.peakLU,
+	}}
 }
 
 // solveUnconstrained handles problems without rows: each variable sits at
@@ -266,25 +356,17 @@ func (p *Problem) solveUnconstrained() (*Solution, error) {
 	return &Solution{Status: Optimal, X: x, Obj: p.Objective(x)}, nil
 }
 
-// refactor rebuilds the dense LU of the basis and recomputes basic values
-// from scratch for numerical hygiene.
+// refactor rebuilds the sparse LU of the basis, empties the eta file and
+// recomputes basic values from scratch for numerical hygiene.
 func (s *simplex) refactor() error {
-	m := s.m
-	dense := make([]float64, m*m)
-	for i, j := range s.basis {
-		col := s.cols[j]
-		for k, r := range col.ri {
-			dense[r*m+i] = col.rv[k]
-		}
+	if err := s.lu.factor(s.cols, s.basis); err != nil {
+		return fmt.Errorf("lp: singular basis after %d pivots: %w", s.iters, err)
 	}
-	f, err := factorize(m, dense)
-	if err != nil {
-		return err
-	}
-	s.lu = f
-	s.etas = s.etas[:0]
+	s.etas.reset()
+	s.refactors++
+	s.peakLU = max(s.peakLU, s.lu.nnz())
 	// x_B = B^{-1} (b - N x_N).
-	res := make([]float64, m)
+	res := s.res
 	copy(res, s.rhs)
 	for j := 0; j < s.n; j++ {
 		if s.pos[j] >= 0 {
@@ -307,30 +389,28 @@ func (s *simplex) refactor() error {
 // ftran computes w = B^{-1} v in place.
 func (s *simplex) ftran(v []float64) {
 	s.lu.solve(v)
-	for _, e := range s.etas {
-		alpha := v[e.r] / e.w[e.r]
+	e := &s.etas
+	for k, r := range e.r {
+		alpha := v[r] / e.piv[k]
 		if alpha != 0 {
-			for i, wi := range e.w {
-				if wi != 0 {
-					v[i] -= wi * alpha
-				}
+			for t := e.start[k]; t < e.start[k+1]; t++ {
+				v[e.idx[t]] -= e.val[t] * alpha
 			}
 		}
-		v[e.r] = alpha
+		v[r] = alpha
 	}
 }
 
 // btran computes y = B^{-T} v in place.
 func (s *simplex) btran(v []float64) {
-	for k := len(s.etas) - 1; k >= 0; k-- {
-		e := s.etas[k]
+	e := &s.etas
+	for k := e.len() - 1; k >= 0; k-- {
 		sum := 0.0
-		for i, wi := range e.w {
-			if i != e.r && wi != 0 {
-				sum += wi * v[i]
-			}
+		for t := e.start[k]; t < e.start[k+1]; t++ {
+			sum += e.val[t] * v[e.idx[t]]
 		}
-		v[e.r] = (v[e.r] - sum) / e.w[e.r]
+		r := e.r[k]
+		v[r] = (v[r] - sum) / e.piv[k]
 	}
 	s.lu.solveT(v)
 }
@@ -346,14 +426,14 @@ func (s *simplex) reducedCost(j int, y []float64) float64 {
 }
 
 // iterate runs primal simplex pivots with the current cost vector until
-// optimality, unboundedness, or the iteration limit.
-func (s *simplex) iterate() Status {
+// optimality, unboundedness, or the iteration limit. The error is a
+// refactorisation that found the basis singular.
+func (s *simplex) iterate() (Status, error) {
 	m := s.m
-	y := make([]float64, m)
-	w := make([]float64, m)
+	y, w := s.y, s.w
 	for {
 		if s.iters >= s.maxIters {
-			return IterLimit
+			return IterLimit, nil
 		}
 		// BTRAN for duals.
 		for i := range y {
@@ -400,7 +480,7 @@ func (s *simplex) iterate() Status {
 			}
 		}
 		if enter < 0 {
-			return Optimal
+			return Optimal, nil
 		}
 
 		// FTRAN of the entering column.
@@ -454,7 +534,7 @@ func (s *simplex) iterate() Status {
 			}
 		}
 		if math.IsInf(delta, 1) {
-			return Unbounded
+			return Unbounded, nil
 		}
 
 		if delta <= feasTol {
@@ -477,6 +557,7 @@ func (s *simplex) iterate() Status {
 				s.x[enter] = s.lower[enter]
 			}
 			s.iters++
+			s.flips++
 			continue
 		}
 
@@ -494,13 +575,11 @@ func (s *simplex) iterate() Status {
 		s.pos[jOut] = -1
 		s.basis[leave] = enter
 		s.pos[enter] = leave
-		s.etas = append(s.etas, eta{r: leave, w: append([]float64(nil), w...)})
+		s.etas.push(leave, w)
 		s.iters++
-		if len(s.etas) >= refactorEvery {
+		if s.etas.len() >= refactorEvery {
 			if err := s.refactor(); err != nil {
-				// Singular update: fall back to a fresh factorization on
-				// the next loop; treat as iteration-limit failure.
-				return IterLimit
+				return IterLimit, err
 			}
 		}
 	}
