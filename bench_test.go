@@ -15,6 +15,8 @@ package flowsched
 //	BenchmarkAblation* - matching-engine and augmentation ablations.
 //	BenchmarkOfflineLadder - the offline LP pipeline at growing paper-model
 //	                  sizes, with pivots and peak L+U nonzeros per rung.
+//	BenchmarkVerifyWindow - the feasibility oracle on one stream-sized
+//	                  window, cold (CheckSchedule) and on a warmed Checker.
 //
 // Benchmarks use a scaled-down default grid (8-port switch, same load
 // ratios M/m as the paper's 150-port runs); cmd/experiments regenerates
@@ -28,6 +30,7 @@ import (
 
 	"flowsched/internal/core"
 	"flowsched/internal/switchnet"
+	"flowsched/internal/verify"
 	"flowsched/internal/workload"
 )
 
@@ -444,6 +447,55 @@ func BenchmarkOfflineLadder(b *testing.B) {
 			b.ReportMetric(lbTime.Seconds()*1e3/float64(b.N), "art_lb_ms")
 		})
 	}
+}
+
+// BenchmarkVerifyWindow runs the feasibility oracle over one verification
+// window of the size the drain_verified workload flushes: a 150-port unit
+// switch saturated for 256 rounds (a rotating permutation per round, 38400
+// flows, in round order). "cold" is CheckSchedule, which builds its scratch
+// per call; "warm" is one Checker kept across calls, the way the stream
+// runtime keeps its, and fails if a warmed check allocates.
+func BenchmarkVerifyWindow(b *testing.B) {
+	const ports, rounds = 150, 256
+	inst := &Instance{Switch: UnitSwitch(ports)}
+	sched := &Schedule{}
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < ports; i++ {
+			inst.Flows = append(inst.Flows, Flow{In: i, Out: (i + r) % ports, Demand: 1, Release: r})
+			sched.Round = append(sched.Round, r)
+		}
+	}
+	caps := inst.Switch.Caps()
+	perFlow := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(inst.Flows)), "ns/flow")
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := CheckSchedule(inst, sched, caps); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perFlow(b)
+	})
+	b.Run("warm", func(b *testing.B) {
+		var c verify.Checker
+		check := func() {
+			if _, err := c.Check(inst, sched, caps); err != nil {
+				b.Fatal(err)
+			}
+		}
+		check()
+		if allocs := testing.AllocsPerRun(1, check); allocs != 0 {
+			b.Fatalf("a warmed Checker performed %v allocs on a window it had seen, want 0", allocs)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			check()
+		}
+		perFlow(b)
+	})
 }
 
 func BenchmarkSubstrateSimRound(b *testing.B) {

@@ -215,7 +215,8 @@ type VerifyReport = verify.Report
 // CheckSchedule validates sched against inst under per-port capacities
 // caps (global index order) and recomputes the response-time metrics. It
 // returns a non-nil error iff the schedule is not a real schedule for the
-// instance under caps.
+// instance under caps; a flow whose ports are not on the switch or whose
+// demand is not positive is reported as a violation like any other.
 func CheckSchedule(inst *Instance, sched *Schedule, caps []int) (*VerifyReport, error) {
 	return verify.CheckSchedule(inst, sched, caps)
 }

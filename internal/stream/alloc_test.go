@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"flowsched/internal/obs"
@@ -51,8 +52,9 @@ func (s *patternSource) Err() error { return nil }
 // and policy scratch buffers (RoundRobin's pointers, OldestFirst's heap,
 // WeightedISLIP's request/grant arrays) length-reset, and the metric path
 // (atomic counters plus the preallocated epoch window) never touches the
-// allocator.
-func testSteadyStateZeroAlloc(t *testing.T, shards int, pol Policy, admit AdmitMode, deadline int, rec *obs.FlightRecorder, mut ...func(*Config)) {
+// allocator. It returns the warmed runtime, still steppable, for gates
+// that measure further.
+func testSteadyStateZeroAlloc(t *testing.T, shards int, pol Policy, admit AdmitMode, deadline int, rec *obs.FlightRecorder, mut ...func(*Config)) *Runtime {
 	t.Helper()
 	src := &patternSource{ports: 8, per: 12}
 	cfg := Config{
@@ -72,7 +74,7 @@ func testSteadyStateZeroAlloc(t *testing.T, shards int, pol Policy, admit AdmitM
 		t.Fatal(err)
 	}
 	rt.startWorkers()
-	defer rt.stopWorkers()
+	t.Cleanup(rt.stopWorkers)
 	// Overloaded pattern (12 arrivals vs <= 8 services per round): the
 	// pending set pins at MaxPending well inside the warm-up.
 	for i := 0; i < 4096; i++ {
@@ -109,6 +111,7 @@ func testSteadyStateZeroAlloc(t *testing.T, shards int, pol Policy, admit AdmitM
 	if allocs != 0 {
 		t.Fatalf("%s K=%d steady-state round performed %v allocs, want 0", pol.Name(), shards, allocs)
 	}
+	return rt
 }
 
 // TestSteadyStateZeroAlloc covers every incremental native policy at
@@ -142,6 +145,46 @@ func TestSteadyStateZeroAllocAdmissionModes(t *testing.T) {
 				testSteadyStateZeroAlloc(t, shards, ByName("RoundRobin"), tc.admit, tc.deadline, nil)
 			})
 		}
+	}
+}
+
+// TestSteadyStateZeroAllocVerify extends the allocation gate to windowed
+// verification: with VerifyEvery = 64 a window is flushed, merged, handed
+// to the verifier goroutine, checked and joined every 64 rounds, and none
+// of it — the merge buffers, the channel hand-off, the oracle's Checker —
+// may touch the allocator once warmed. testing.AllocsPerRun reports an
+// integer average, which would round a few allocations per window down to
+// zero, so the gate proper is the process-wide malloc count over 512
+// further rounds, taken after one window has run on the single P the
+// measurement pins (the runtime's per-P caches of channel-wait records
+// start empty there).
+func TestSteadyStateZeroAllocVerify(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("K%d", shards), func(t *testing.T) {
+			rt := testSteadyStateZeroAlloc(t, shards, ByName("RoundRobin"), AdmitLossless, 0, nil, func(cfg *Config) {
+				cfg.VerifyEvery = 64
+			})
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			steps := func(n int) {
+				for i := 0; i < n; i++ {
+					if _, err := rt.step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			steps(64)
+			windows := rt.mWindows.Load()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			steps(512)
+			runtime.ReadMemStats(&after)
+			if got := rt.mWindows.Load() - windows; got < 512/64-1 {
+				t.Fatalf("%d windows verified inside the measured rounds, want >= %d; the gate missed the verification path", got, 512/64-1)
+			}
+			if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+				t.Fatalf("K=%d: 512 steady-state rounds with verification on performed %d allocs, want 0", shards, allocs)
+			}
+		})
 	}
 }
 

@@ -199,14 +199,38 @@
 // # Verification
 //
 // With Config.VerifyEvery > 0 the runtime feeds each completed window of
-// rounds — every flow scheduled in those rounds, with original releases,
-// merged across shards — through the internal/verify oracle, aborting the
-// run on the first infeasible window. Spot-checking costs O(flows per
-// window) and keeps the unbounded run honest without retaining history.
-// The oracle runs on its own goroutine, overlapped with the next window's
-// rounds and joined at the next flush, so on spare cores verification is
-// off the round loop's critical path; a failure surfaces one window late,
-// but the schedule itself never depends on the verdict.
+// rounds — every flow scheduled in those rounds, with original releases —
+// through the internal/verify oracle, aborting the run on the first
+// infeasible window. Spot-checking keeps the unbounded run honest without
+// retaining history. The schedule never depends on the verdict.
+//
+// What a window costs. Each shard copies a flow and its round into its
+// verification buffer as it retires the flow. At the flush the coordinator
+// merges the shard buffers round by round into the runtime's window
+// buffers, so the oracle receives the flows in round order and sweeps them
+// without sorting: one pass for the per-flow checks, one that sums each
+// round's demands into a per-port counter array and compares the ports the
+// round touched with their capacities. That is O(flows in the window)
+// time and O(flows + ports) memory — the shard buffers, the window
+// buffers and the oracle's verify.Checker, all owned by the runtime and
+// reused — so after the buffers have grown to the largest window a flush
+// allocates nothing (TestSteadyStateZeroAllocVerify counts mallocs over
+// eight windows). What remains is a price, not zero: on the benchmark's
+// drain_verified workload (150 ports, VerifyEvery = 256, about 38 k flows
+// a window) against drain_deep, the same flows and schedule unverified,
+// alternated runs on a 2-vCPU Xeon read 0.46 against 0.42 CPU-µs per flow
+// (+9 %) and 33.4 against 22.0 B per flow, the extra bytes being one fresh
+// runtime's buffer growth spread over a million flows.
+//
+// Who pays it. The check runs on one verifier goroutine, started with the
+// shard workers and stopped — and waited for — when Run returns, however
+// it returns. The coordinator hands it window w and goes on with the
+// rounds of window w+1; it collects the verdict at the next flush (or the
+// end of the run), so a failure surfaces one window late, labelled with
+// the first and last round its flows were really scheduled in. The
+// overlap hides the oracle's pass from flows_per_s only when a core is
+// spare for it; the buffering and the merge are on the round loop either
+// way, and the CPU is spent whether or not anyone waits for it.
 //
 // # Observability
 //

@@ -76,6 +76,8 @@ func TestFlushWindowLabelsTrueRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.startWorkers()
+	defer rt.stopWorkers()
 	sh := rt.shards[0]
 	// A feasible flow at round 5, then two unit flows on the same port
 	// pair in round 9: load 2 on a unit-capacity port, infeasible.
@@ -86,7 +88,7 @@ func TestFlushWindowLabelsTrueRounds(t *testing.T) {
 	)
 	sh.vrounds = append(sh.vrounds, 5, 9, 9)
 
-	// flushWindow launches the oracle check asynchronously; the verdict
+	// flushWindow hands the window to the verifier goroutine; the verdict
 	// surfaces at the join.
 	err = rt.flushWindow()
 	if err == nil {

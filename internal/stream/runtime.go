@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -367,13 +368,21 @@ type Runtime struct {
 	started bool
 
 	// Verification window state: vstart is the active window's first
-	// round; vflows/vrounds are the flush-time merge scratch, checked by
-	// an overlapped oracle goroutine (vdone joins it).
+	// round; vflows/vrounds hold the flushed window, merged across shards
+	// in round order, while the verifier goroutine (serveVerify) checks it
+	// with the runtime's one Checker. vwork hands it the window's round
+	// span, vdone carries the verdict back (joinVerify), and vexit closes
+	// when the goroutine has returned; vheads is the merge's per-shard
+	// cursor.
 	vstart   int
 	vflows   []switchnet.Flow
 	vrounds  []int
+	vheads   []int
+	checker  verify.Checker
 	vpending bool
+	vwork    chan vwindow
 	vdone    chan error
+	vexit    chan struct{}
 
 	wg sync.WaitGroup
 
@@ -468,6 +477,7 @@ func New(src Source, cfg Config) (*Runtime, error) {
 		respBound: cfg.ResponseBound,
 		nshards:   cfg.Shards,
 		shards:    make([]*shard, cfg.Shards),
+		vheads:    make([]int, cfg.Shards),
 		vdone:     make(chan error, 1),
 		ctl:       make(chan func(), 1),
 		wake:      make(chan struct{}, 1),
@@ -660,14 +670,24 @@ func (rt *Runtime) admit() error {
 	return nil
 }
 
-// startWorkers launches the shard worker pool (nshards > 1); stopWorkers
-// shuts it down. Run brackets itself with them; white-box tests driving
-// step directly do the same.
+// startWorkers launches the runtime's goroutines — the shard worker pool
+// (nshards > 1) and the window verifier (VerifyEvery > 0); stopWorkers
+// shuts them down, returning once the verifier has exited, whether or not
+// its last verdict was collected. Run brackets itself with them; white-box
+// tests driving step or flushWindow directly do the same.
 func (rt *Runtime) startWorkers() {
-	if rt.nshards == 1 || rt.started {
+	if rt.started {
 		return
 	}
 	rt.started = true
+	if rt.cfg.VerifyEvery > 0 {
+		rt.vwork = make(chan vwindow, 1)
+		rt.vexit = make(chan struct{})
+		go rt.serveVerify()
+	}
+	if rt.nshards == 1 {
+		return
+	}
 	for _, sh := range rt.shards {
 		sh.work = make(chan int, 1)
 		go sh.serve()
@@ -679,6 +699,14 @@ func (rt *Runtime) stopWorkers() {
 		return
 	}
 	rt.started = false
+	if rt.vwork != nil {
+		close(rt.vwork)
+		<-rt.vexit
+		rt.vwork = nil
+	}
+	if rt.nshards == 1 {
+		return
+	}
 	for _, sh := range rt.shards {
 		close(sh.work)
 	}
@@ -820,34 +848,57 @@ func (rt *Runtime) setRound(t int) error {
 	return nil
 }
 
-// flushWindow hands every buffered scheduled flow to an overlapped verify
+// vwindow is one flushed verification window's true round span: the first
+// and last round any of its flows was scheduled in.
+type vwindow struct{ lo, hi int }
+
+// flushWindow hands every buffered scheduled flow to the verifier
 // goroutine. All loads in the buffered rounds are fully represented —
 // flows are buffered at retirement across all shards, owed picks are
 // settled before a flush, and rounds only move forward — so the oracle's
-// per-(port, round) capacity check is exact. The check for window w runs
+// per-(port, round) capacity check is exact. Each shard buffers in round
+// order, so merging round by round (shard order within a round) hands the
+// oracle a window it can sweep without sorting. The check for window w runs
 // concurrently with the rounds of window w+1 and is joined at the next
 // flush (or the end of the run), hiding the oracle's cost on spare cores
 // without changing the schedule; failures are labelled with the true
 // min/max buffered rounds, not the window boundaries, so an idle jump
-// across several window starts cannot skew the report.
+// across several window starts cannot skew the report. The merge buffers
+// and the Checker are reused, so a window no larger than an earlier one
+// allocates nothing.
 func (rt *Runtime) flushWindow() error {
 	if err := rt.joinVerify(); err != nil {
 		return err
 	}
-	rt.vflows = rt.vflows[:0]
-	rt.vrounds = rt.vrounds[:0]
-	lo, hi := 0, 0
+	total := 0
 	for _, sh := range rt.shards {
-		rt.vflows = append(rt.vflows, sh.vflows...)
-		for _, r := range sh.vrounds {
-			if len(rt.vrounds) == 0 || r < lo {
-				lo = r
+		total += len(sh.vrounds)
+	}
+	rt.vflows = slices.Grow(rt.vflows[:0], total)
+	rt.vrounds = slices.Grow(rt.vrounds[:0], total)
+	heads := rt.vheads
+	clear(heads)
+	for {
+		next, found := 0, false
+		for s, sh := range rt.shards {
+			if h := heads[s]; h < len(sh.vrounds) && (!found || sh.vrounds[h] < next) {
+				next, found = sh.vrounds[h], true
 			}
-			if len(rt.vrounds) == 0 || r > hi {
-				hi = r
-			}
-			rt.vrounds = append(rt.vrounds, r)
 		}
+		if !found {
+			break
+		}
+		for s, sh := range rt.shards {
+			h := heads[s]
+			for h < len(sh.vrounds) && sh.vrounds[h] == next {
+				h++
+			}
+			rt.vflows = append(rt.vflows, sh.vflows[heads[s]:h]...)
+			rt.vrounds = append(rt.vrounds, sh.vrounds[heads[s]:h]...)
+			heads[s] = h
+		}
+	}
+	for _, sh := range rt.shards {
 		sh.vflows = sh.vflows[:0]
 		sh.vrounds = sh.vrounds[:0]
 	}
@@ -855,22 +906,30 @@ func (rt *Runtime) flushWindow() error {
 		return nil
 	}
 	rt.vpending = true
-	go func(lo, hi int) {
-		inst := &switchnet.Instance{Switch: rt.sw, Flows: rt.vflows}
-		sched := &switchnet.Schedule{Round: rt.vrounds}
-		if _, err := verify.CheckSchedule(inst, sched, rt.caps); err != nil {
-			rt.vdone <- fmt.Errorf("stream: verification window over rounds [%d, %d] infeasible: %w", lo, hi, err)
-			return
-		}
-		rt.mWindows.Add(1)
-		rt.vdone <- nil
-	}(lo, hi)
+	rt.vwork <- vwindow{lo: rt.vrounds[0], hi: rt.vrounds[len(rt.vrounds)-1]}
 	return nil
 }
 
-// joinVerify waits for the in-flight window check, if any. The channel is
-// buffered, so an abandoned check (error path elsewhere) cannot leak its
-// goroutine.
+// serveVerify is the verifier goroutine's loop: one oracle pass per flushed
+// window, until stopWorkers closes the channel. The coordinator leaves
+// vflows/vrounds alone from the send until it has taken the verdict. vdone
+// is buffered, so a verdict nobody collects (the run failed elsewhere)
+// does not hold the goroutine.
+func (rt *Runtime) serveVerify() {
+	defer close(rt.vexit)
+	for w := range rt.vwork {
+		inst := switchnet.Instance{Switch: rt.sw, Flows: rt.vflows}
+		sched := switchnet.Schedule{Round: rt.vrounds}
+		if _, err := rt.checker.Check(&inst, &sched, rt.caps); err != nil {
+			rt.vdone <- fmt.Errorf("stream: verification window over rounds [%d, %d] infeasible: %w", w.lo, w.hi, err)
+			continue
+		}
+		rt.mWindows.Add(1)
+		rt.vdone <- nil
+	}
+}
+
+// joinVerify waits for the in-flight window check, if any.
 func (rt *Runtime) joinVerify() error {
 	if !rt.vpending {
 		return nil
@@ -1013,7 +1072,9 @@ func (rt *Runtime) idle() (done bool, err error) {
 // Run drains the source: it advances round by round until the source is
 // exhausted and the pending set is empty — or until Stop is called — then
 // returns the final summary. On either exit every owed pick is settled,
-// the verify goroutine is joined, and the shard worker pool is shut down.
+// the last window's verdict is collected, and the verifier goroutine and
+// the shard worker pool are shut down; on an error return the goroutines
+// are shut down all the same.
 // It is not restartable.
 func (rt *Runtime) Run() (*Summary, error) {
 	defer rt.finOnce.Do(func() { close(rt.finished) })

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,8 +61,8 @@ func TestStopMidRunSettlesOwedPicks(t *testing.T) {
 		if rt.owedApply() {
 			t.Fatalf("K=%d: owed picks left unsettled after Stop", shards)
 		}
-		if rt.vpending {
-			t.Fatalf("K=%d: verify goroutine not joined after Stop", shards)
+		if rt.vpending || !verifierExited(rt) {
+			t.Fatalf("K=%d: verifier not joined after Stop (verdict pending %v)", shards, rt.vpending)
 		}
 		if sum.Completed == 0 || sum.Pending == 0 {
 			t.Fatalf("K=%d: stop mid-overload should leave both completions (%d) and pending flows (%d)",
@@ -72,6 +74,91 @@ func TestStopMidRunSettlesOwedPicks(t *testing.T) {
 		if sum.Admitted != sum.Completed+int64(sum.Pending)+sum.Dropped+sum.Expired {
 			t.Fatalf("K=%d: accounting unbalanced: admitted %d != completed %d + pending %d + dropped %d + expired %d",
 				shards, sum.Admitted, sum.Completed, sum.Pending, sum.Dropped, sum.Expired)
+		}
+	}
+}
+
+// verifierExited reports whether the verifier goroutine has returned.
+func verifierExited(rt *Runtime) bool {
+	select {
+	case <-rt.vexit:
+		return true
+	default:
+		return false
+	}
+}
+
+// failingSource is patternSource cut off after limit flows, ending with an
+// error instead of a clean close.
+type failingSource struct {
+	patternSource
+	limit int
+	err   error
+}
+
+func (s *failingSource) Next() (switchnet.Flow, bool) {
+	if s.i >= s.limit {
+		return switchnet.Flow{}, false
+	}
+	return s.gen(), true
+}
+
+func (s *failingSource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow {
+	for n := 0; n < max && s.round <= round && s.i < s.limit; n++ {
+		dst = append(dst, s.gen())
+	}
+	return dst
+}
+
+func (s *failingSource) Err() error { return s.err }
+
+// TestAbortedRunJoinsVerifier: a run that ends in an error — not through
+// the final flush-and-join — still leaves no verifier goroutine behind. A
+// source failure abandons the verdict of the window in flight; an
+// infeasible window (injected by zeroing the capacities the oracle checks
+// against, since View.Take never produces one) aborts the run one window
+// late and is reported with the rounds its flows were really scheduled in.
+func TestAbortedRunJoinsVerifier(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		cfg := Config{
+			Switch:      switchnet.UnitSwitch(8),
+			Policy:      ByName("RoundRobin"),
+			Shards:      shards,
+			MaxPending:  256,
+			VerifyEvery: 8,
+		}
+
+		feedLost := errors.New("feed lost")
+		src := &failingSource{patternSource: patternSource{ports: 8, per: 12}, limit: 600, err: feedLost}
+		rt, err := New(src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Run(); !errors.Is(err, feedLost) {
+			t.Fatalf("K=%d: run over a failing source returned %v", shards, err)
+		}
+		if !rt.vpending || rt.mWindows.Load() == 0 {
+			t.Fatalf("K=%d: the source failed with no window in flight (pending %v, %d verified); the test missed the abandonment path",
+				shards, rt.vpending, rt.mWindows.Load())
+		}
+		if !verifierExited(rt) {
+			t.Fatalf("K=%d: verifier goroutine outlived a run aborted by its source", shards)
+		}
+
+		rt, err = New(&patternSource{ports: 8, per: 12}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clear(rt.caps)
+		_, err = rt.Run()
+		if err == nil || !strings.Contains(err.Error(), "verification window over rounds [0, 7] infeasible") {
+			t.Fatalf("K=%d: run over zeroed capacities returned %v, want the first window [0, 7] reported", shards, err)
+		}
+		if last := 2*cfg.VerifyEvery - 1; rt.round != last {
+			t.Fatalf("K=%d: window [0, 7] reported in round %d, want one window late at the close of round %d", shards, rt.round, last)
+		}
+		if !verifierExited(rt) {
+			t.Fatalf("K=%d: verifier goroutine outlived a run aborted by an infeasible window", shards)
 		}
 	}
 }

@@ -1,20 +1,50 @@
 // Package verify is the repository's trusted feasibility oracle for flow
 // schedules. It re-derives, from first principles and independently of the
 // solver code paths, whether a produced schedule is a real schedule for its
-// instance: every flow assigned a round, no flow before its release, full
-// demand delivery, and no port loaded beyond the stated (possibly augmented)
-// capacity in any round. It also recomputes the paper's response-time
-// metrics from the raw assignment so experiment tables never report numbers
-// a solver merely claims.
+// instance: every flow a flow of the switch, every flow assigned a round, no
+// flow before its release, full demand delivery, and no port loaded beyond
+// the stated (possibly augmented) capacity in any round. It also recomputes
+// the paper's response-time metrics from the raw assignment so experiment
+// tables never report numbers a solver merely claims.
 //
 // The package deliberately duplicates rather than calls
 // switchnet.Schedule.Validate: an oracle shared by property tests, the
-// scenario engine, and the experiment drivers must not inherit a bug from
-// the code it checks.
+// scenario engine, the experiment drivers and the stream runtime's windowed
+// verification must not inherit a bug from the code it checks.
+//
+// # The check
+//
+// The paper's constraint is per port per round — the demand scheduled on a
+// port in a round is at most its capacity — so the oracle is a sweep, not a
+// table: one pass over the flows checks each on its own and indexes those
+// that carry load; the index is put in round order (a stable sort, skipped
+// when the rounds already arrive non-decreasing, as the stream runtime's
+// windows do); and a second pass walks it one round at a time, summing
+// demands into one counter per port, comparing the ports that round touched
+// against their capacities, and zeroing them again. Time is O(flows), plus
+// the sort when needed; memory is O(flows + ports) however far apart the
+// rounds lie. There is one implementation: a Checker owns the scratch and
+// CheckSchedule, CheckScaled and CheckAugmented run a fresh one.
+//
+// The oracle trusts nothing about a flow. One whose input or output port is
+// not on the switch, or whose demand is not positive, is a violation in its
+// own right and is otherwise left out: it adds nothing to the demand,
+// delivery and response totals and loads no port.
+//
+// # Violation order
+//
+// Violations are listed deterministically: first the per-flow ones (off the
+// switch, non-positive demand, unscheduled, negative round, before release)
+// in flow order, then the overloaded (port, round) pairs by ascending round
+// and, within a round, in the order the flows of that round first touch the
+// port, a flow's input before its output. The list stops at 32 entries; the
+// scalar fields cover every flow and every port regardless.
 package verify
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"flowsched/internal/switchnet"
 )
@@ -42,8 +72,9 @@ type Report struct {
 	// MaxOverload is the largest amount by which any (port, round) load
 	// exceeds the checked capacities; 0 for a capacity-feasible schedule.
 	MaxOverload int
-	// Violations lists every feasibility violation found, in a stable
-	// order. Empty iff the schedule is feasible.
+	// Violations lists the feasibility violations found, in the order the
+	// package comment gives, up to maxViolations of them. Empty iff the
+	// schedule is feasible.
 	Violations []string
 }
 
@@ -67,96 +98,159 @@ func (r *Report) Err() error {
 // by MaxOverload / Scheduled.
 const maxViolations = 32
 
-// CheckSchedule validates sched against inst under the per-port capacities
-// caps (global index order: inputs then outputs; pass
-// inst.Switch.Caps() for unaugmented checking). It returns a Report with
-// recomputed metrics and the violation list, and a non-nil error iff the
-// schedule is not a real schedule for the instance under caps.
+// violate records one violation, up to maxViolations.
+func (r *Report) violate(format string, args ...any) {
+	if len(r.Violations) < maxViolations {
+		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
+	}
+}
+
+// Checker is the oracle with its scratch memory attached: the round-ordered
+// index of the scheduled flows, one load counter per port, the list of
+// ports the current round touched, and the Report itself. The zero value is
+// ready to use. A Checker kept across calls — the stream runtime keeps one
+// for its lifetime — checks a window no larger than one it has seen before
+// without allocating; memory is O(flows + ports) whatever the round span.
+// A Checker is not safe for concurrent use.
+type Checker struct {
+	order   []int
+	load    []int
+	touched []int
+	rep     Report
+}
+
+// Check validates sched against inst under the per-port capacities caps
+// (global index order: inputs then outputs; pass inst.Switch.Caps() for
+// unaugmented checking). It returns a Report with recomputed metrics and
+// the violation list, and a non-nil error iff the schedule is not a real
+// schedule for the instance under caps. The Report is the Checker's own and
+// is overwritten by the next Check.
 //
 // Structural mismatches (wrong schedule length, wrong capacity count) are
 // returned as errors with a nil report, since no meaningful metrics exist.
-func CheckSchedule(inst *switchnet.Instance, sched *switchnet.Schedule, caps []int) (*Report, error) {
-	if inst == nil || sched == nil {
-		return nil, fmt.Errorf("verify: nil %s", map[bool]string{true: "instance", false: "schedule"}[inst == nil])
+func (c *Checker) Check(inst *switchnet.Instance, sched *switchnet.Schedule, caps []int) (*Report, error) {
+	if inst == nil {
+		return nil, fmt.Errorf("verify: nil instance")
+	}
+	if sched == nil {
+		return nil, fmt.Errorf("verify: nil schedule")
 	}
 	if len(sched.Round) != len(inst.Flows) {
 		return nil, fmt.Errorf("verify: schedule covers %d flows, instance has %d", len(sched.Round), len(inst.Flows))
 	}
-	if len(caps) != inst.Switch.NumPorts() {
-		return nil, fmt.Errorf("verify: got %d capacities, instance has %d ports", len(caps), inst.Switch.NumPorts())
+	nIn, nOut := inst.Switch.NumIn(), inst.Switch.NumOut()
+	if len(caps) != nIn+nOut {
+		return nil, fmt.Errorf("verify: got %d capacities, instance has %d ports", len(caps), nIn+nOut)
 	}
 
-	rep := &Report{Flows: len(inst.Flows)}
-	violate := func(format string, args ...any) {
-		if len(rep.Violations) < maxViolations {
-			rep.Violations = append(rep.Violations, fmt.Sprintf(format, args...))
+	c.rep = Report{Flows: len(inst.Flows), Violations: c.rep.Violations[:0]}
+	rep := &c.rep
+
+	// Per-flow checks and metric accumulation, in flow order. order
+	// collects the flows that load a port; sorted tracks whether their
+	// rounds already arrive non-decreasing.
+	order := slices.Grow(c.order[:0], len(inst.Flows))
+	sorted, last := true, 0
+	var scheduled, totalDemand, delivered, totalResp, maxResp, makespan int
+	for f := range inst.Flows {
+		e := &inst.Flows[f]
+		malformed := false
+		if e.In < 0 || e.In >= nIn {
+			rep.violate("flow %d input port %d outside the switch's %d inputs", f, e.In, nIn)
+			malformed = true
 		}
-	}
-
-	// Per-flow checks and metric accumulation.
-	type pr struct{ port, round int }
-	loads := make(map[pr]int)
-	for f, e := range inst.Flows {
-		rep.TotalDemand += e.Demand
+		if e.Out < 0 || e.Out >= nOut {
+			rep.violate("flow %d output port %d outside the switch's %d outputs", f, e.Out, nOut)
+			malformed = true
+		}
+		if e.Demand <= 0 {
+			rep.violate("flow %d demand %d is not positive", f, e.Demand)
+			malformed = true
+		}
+		if malformed {
+			continue
+		}
+		totalDemand += e.Demand
 		t := sched.Round[f]
 		if t == switchnet.Unscheduled {
-			violate("flow %d is unscheduled", f)
+			rep.violate("flow %d is unscheduled", f)
 			continue
 		}
 		if t < 0 {
-			violate("flow %d assigned negative round %d", f, t)
+			rep.violate("flow %d assigned negative round %d", f, t)
 			continue
 		}
-		rep.Scheduled++
-		rep.DeliveredDemand += e.Demand
+		scheduled++
+		delivered += e.Demand
 		if t < e.Release {
-			violate("flow %d scheduled at round %d before release %d", f, t, e.Release)
+			rep.violate("flow %d scheduled at round %d before release %d", f, t, e.Release)
 		}
 		resp := t + 1 - e.Release
-		rep.TotalResponse += resp
-		if resp > rep.MaxResponse {
-			rep.MaxResponse = resp
+		totalResp += resp
+		maxResp = max(maxResp, resp)
+		makespan = max(makespan, t+1)
+		if t < last {
+			sorted = false
 		}
-		if t+1 > rep.Makespan {
-			rep.Makespan = t + 1
-		}
-		loads[pr{inst.Switch.PortIndex(switchnet.In, e.In), t}] += e.Demand
-		loads[pr{inst.Switch.PortIndex(switchnet.Out, e.Out), t}] += e.Demand
+		last = t
+		order = append(order, f)
 	}
-	if rep.Scheduled > 0 {
-		rep.AvgResponse = float64(rep.TotalResponse) / float64(rep.Scheduled)
+	c.order = order
+	rep.Scheduled, rep.TotalDemand, rep.DeliveredDemand = scheduled, totalDemand, delivered
+	rep.TotalResponse, rep.MaxResponse, rep.Makespan = totalResp, maxResp, makespan
+	if scheduled > 0 {
+		rep.AvgResponse = float64(totalResp) / float64(scheduled)
+	}
+	if !sorted {
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(sched.Round[a], sched.Round[b]) })
 	}
 
-	// Port-capacity checks. Map iteration order is random, so collect the
-	// worst overload unconditionally and report violations deterministically
-	// by a second pass over flows' (port, round) pairs.
-	for key, load := range loads {
-		if over := load - caps[key.port]; over > rep.MaxOverload {
-			rep.MaxOverload = over
-		}
+	// Port-capacity sweep, one round at a time: add the round's demands
+	// into the per-port counters, compare every touched port against its
+	// capacity, and zero exactly those counters for the next round. Every
+	// flow in order has a positive demand, so a zero counter means an
+	// untouched port.
+	if len(c.load) < len(caps) {
+		c.load = make([]int, len(caps))
+		c.touched = make([]int, 0, len(caps))
 	}
-	if rep.MaxOverload > 0 {
-		seen := make(map[pr]bool)
-		for f, e := range inst.Flows {
-			t := sched.Round[f]
-			if t == switchnet.Unscheduled || t < 0 {
-				continue
+	load, touched := c.load, c.touched[:0]
+	for i := 0; i < len(order); {
+		t := sched.Round[order[i]]
+		for ; i < len(order) && sched.Round[order[i]] == t; i++ {
+			e := &inst.Flows[order[i]]
+			in, out := e.In, nIn+e.Out
+			if load[in] == 0 {
+				touched = append(touched, in)
 			}
-			for _, key := range []pr{
-				{inst.Switch.PortIndex(switchnet.In, e.In), t},
-				{inst.Switch.PortIndex(switchnet.Out, e.Out), t},
-			} {
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				if load := loads[key]; load > caps[key.port] {
-					violate("round %d: port %d loaded %d > capacity %d", key.round, key.port, load, caps[key.port])
-				}
+			load[in] += e.Demand
+			if load[out] == 0 {
+				touched = append(touched, out)
 			}
+			load[out] += e.Demand
 		}
+		for _, p := range touched {
+			if over := load[p] - caps[p]; over > 0 {
+				rep.MaxOverload = max(rep.MaxOverload, over)
+				rep.violate("round %d: port %d loaded %d > capacity %d", t, p, load[p], caps[p])
+			}
+			load[p] = 0
+		}
+		touched = touched[:0]
 	}
 	return rep, rep.Err()
+}
+
+// CheckSchedule is Check on a fresh Checker. The Report it returns is a
+// copy, the caller's to keep, and holds none of the Checker's scratch.
+func CheckSchedule(inst *switchnet.Instance, sched *switchnet.Schedule, caps []int) (*Report, error) {
+	var c Checker
+	rep, err := c.Check(inst, sched, caps)
+	if rep == nil {
+		return nil, err
+	}
+	out := *rep
+	return &out, err
 }
 
 // CheckScaled checks sched under port capacities scaled by factor — the
