@@ -14,7 +14,8 @@ package flowsched
 //	BenchmarkIterRoundOverload - Lemma 3.3/3.7 interval overload ablation.
 //	BenchmarkAblation* - matching-engine and augmentation ablations.
 //	BenchmarkOfflineLadder - the offline LP pipeline at growing paper-model
-//	                  sizes, with pivots and peak L+U nonzeros per rung.
+//	                  sizes, with pivots, perturbations, peak L+U nonzeros
+//	                  and milliseconds per call per rung.
 //	BenchmarkVerifyWindow - the feasibility oracle on one stream-sized
 //	                  window, cold (CheckSchedule) and on a warmed Checker.
 //
@@ -29,6 +30,7 @@ import (
 	"time"
 
 	"flowsched/internal/core"
+	"flowsched/internal/lp"
 	"flowsched/internal/switchnet"
 	"flowsched/internal/verify"
 	"flowsched/internal/workload"
@@ -402,8 +404,10 @@ func BenchmarkSubstrateLPSolve(b *testing.B) {
 // unit switch, unit flows, uniform releases: the shape of the benchmark's
 // offline_paper workload, which is the first rung). Beside ns/op it reports
 // the simplex pivots of the three calls together (SolveMRT's search
-// included), the largest L+U any of their factorisations stored, and the
-// share of the time that went to ARTLowerBound.
+// included, each LP counted once), how many stalls the solver answered with
+// a bound perturbation, the largest L+U any of their factorisations stored,
+// and the milliseconds each call took. CI runs the rungs through 20x20/400;
+// 30x30/900 is there to be run by hand (a minute or two).
 func BenchmarkOfflineLadder(b *testing.B) {
 	for _, rung := range []struct {
 		name                 string
@@ -412,6 +416,7 @@ func BenchmarkOfflineLadder(b *testing.B) {
 		{"5x5_25", 5, 5, 25},
 		{"10x10_100", 10, 10, 100},
 		{"20x20_400", 20, 10, 400},
+		{"30x30_900", 30, 10, 900},
 	} {
 		b.Run(rung.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
@@ -420,31 +425,38 @@ func BenchmarkOfflineLadder(b *testing.B) {
 				inst.Flows[j] = Flow{In: rng.Intn(rung.ports), Out: rng.Intn(rung.ports), Demand: 1, Release: rng.Intn(rung.rounds)}
 			}
 			var (
-				pivots, peak int
-				lbTime       time.Duration
+				st      lp.Stats
+				elapsed [3]time.Duration
 			)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				start := time.Now()
-				lb, err := ARTLowerBound(inst)
-				if err != nil {
-					b.Fatal(err)
+				var (
+					lb  *ARTLowerBoundResult
+					art *ARTResult
+					mrt *MRTResult
+				)
+				for k, call := range []func() error{
+					func() (err error) { lb, err = ARTLowerBound(inst); return },
+					func() (err error) { art, err = SolveART(inst, 1); return },
+					func() (err error) { mrt, err = SolveMRT(inst); return },
+				} {
+					start := time.Now()
+					if err := call(); err != nil {
+						b.Fatal(err)
+					}
+					elapsed[k] += time.Since(start)
 				}
-				lbTime += time.Since(start)
-				art, err := SolveART(inst, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mrt, err := SolveMRT(inst)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pivots = lb.Iterations + art.LPIterations + mrt.LPIterations + mrt.SearchLP.Pivots()
-				peak = max(lb.LP.PeakLUNonzeros, art.LP.PeakLUNonzeros, mrt.LP.PeakLUNonzeros, mrt.SearchLP.PeakLUNonzeros)
+				st = lb.LP
+				st.Add(art.LP)
+				st.Add(mrt.LP)
+				st.Add(mrt.SearchLP)
 			}
-			b.ReportMetric(float64(pivots), "pivots")
-			b.ReportMetric(float64(peak), "peak_lu_nnz")
-			b.ReportMetric(lbTime.Seconds()*1e3/float64(b.N), "art_lb_ms")
+			b.ReportMetric(float64(st.Pivots()), "pivots")
+			b.ReportMetric(float64(st.Perturbations), "perturbations")
+			b.ReportMetric(float64(st.PeakLUNonzeros), "peak_lu_nnz")
+			for k, name := range []string{"art_lb_ms", "solve_art_ms", "solve_mrt_ms"} {
+				b.ReportMetric(elapsed[k].Seconds()*1e3/float64(b.N), name)
+			}
 		})
 	}
 }

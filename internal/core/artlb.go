@@ -31,7 +31,11 @@ type ARTLowerBoundResult struct {
 //
 // By Lemma 3.1 the optimum lower-bounds the total response time of every
 // schedule; the paper's Figure 6 uses it as the baseline. The horizon is
-// grown geometrically until the LP is feasible.
+// grown geometrically until the LP is feasible. Only the optimum is used,
+// never the vertex, so the solve is crash-started: it begins at the
+// first-fit schedule in release order, a feasible point of the LP whenever
+// the horizon holds one, and spends no pivot on phase 1 (LP.StartAtUpper
+// counts the flows placed, LP.Phase1Pivots is 0 when that is all of them).
 func ARTLowerBound(inst *switchnet.Instance) (*ARTLowerBoundResult, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -41,10 +45,10 @@ func ARTLowerBound(inst *switchnet.Instance) (*ARTLowerBoundResult, error) {
 	}
 	horizon := inst.CongestionHorizon()
 	for attempt := 0; attempt < 8; attempt++ {
-		p, _ := artLowerBoundLP(inst, horizon)
-		sol, err := p.Solve()
+		p, start := artLowerBoundLP(inst, horizon)
+		sol, err := p.SolveWith(lp.SolveOptions{Start: start})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: ART lower-bound LP at horizon %d: %w", horizon, err)
 		}
 		switch sol.Status {
 		case lp.Optimal:
@@ -57,26 +61,40 @@ func ARTLowerBound(inst *switchnet.Instance) (*ARTLowerBoundResult, error) {
 		case lp.Infeasible:
 			horizon *= 2
 		default:
-			return nil, fmt.Errorf("core: ART lower-bound LP status %v", sol.Status)
+			return nil, fmt.Errorf("core: ART lower-bound LP at horizon %d: status %v (%s)",
+				horizon, sol.Status, describeLP(sol.Stats))
 		}
 	}
 	return nil, fmt.Errorf("core: ART lower-bound LP infeasible up to horizon %d", horizon)
 }
 
-// artLowerBoundLP builds LP (1)-(4) over rounds [r_e, horizon).
-func artLowerBoundLP(inst *switchnet.Instance, horizon int) (*lp.Problem, *varMap) {
-	vm := newVarMap()
-	for f, e := range inst.Flows {
-		for t := e.Release; t < horizon; t++ {
-			vm.add(f, t)
-		}
+// describeLP names a solve for an error message: its size and what the
+// solver spent on it.
+func describeLP(st lp.Stats) string {
+	return fmt.Sprintf("%d rows, %d cols, %d pivots, %d perturbations",
+		st.Rows, st.Cols, st.Pivots(), st.Perturbations)
+}
+
+// artLowerBoundLP builds LP (1)-(4) over rounds [r_e, horizon) together
+// with the point its solve starts from: b_et = d_e where firstFit, in
+// release order, places flow e.
+func artLowerBoundLP(inst *switchnet.Instance, horizon int) (*lp.Problem, []float64) {
+	rounds := make([]int, horizon)
+	for t := range rounds {
+		rounds[t] = t
 	}
-	p := lp.NewProblem(vm.len())
-	for j := 0; j < vm.len(); j++ {
-		k := vm.key(j)
-		e := inst.Flows[k.flow]
-		kappa := inst.Kappa(k.flow)
-		cost := float64(k.round-e.Release)/float64(e.Demand) + 1/(2*float64(kappa))
+	cand := make(Windows, inst.N())
+	release := make([]int, inst.N())
+	for f, e := range inst.Flows {
+		cand[f] = rounds[e.Release:]
+		release[f] = e.Release
+	}
+	ix := newTimeIndex(inst, cand)
+	p := lp.NewProblem(ix.len())
+	for j, f := range ix.flow {
+		e := inst.Flows[f]
+		kappa := inst.Kappa(f)
+		cost := float64(ix.round[j]-e.Release)/float64(e.Demand) + 1/(2*float64(kappa))
 		p.SetCost(j, cost)
 		// b_et <= d_e is implied at any optimum (costs are positive) and
 		// tightens the relaxation the simplex must explore.
@@ -84,32 +102,20 @@ func artLowerBoundLP(inst *switchnet.Instance, horizon int) (*lp.Problem, *varMa
 	}
 	// Constraint (2): full demand scheduled.
 	for f, e := range inst.Flows {
-		var idx []int
-		var val []float64
-		for t := e.Release; t < horizon; t++ {
-			idx = append(idx, vm.byK[varKey{f, t}])
-			val = append(val, 1)
+		a, b := ix.off[f], ix.off[f+1]
+		p.AddRow(ix.ident[a:b], ix.ones[a:b], lp.GE, float64(e.Demand))
+	}
+	// Constraint (3): per-port per-round capacity.
+	rows := newPortRows(inst, ix)
+	for k, port := range rows.port {
+		a, b := rows.start[k], rows.start[k+1]
+		p.AddRow(rows.vars[a:b], ix.ones[:b-a], lp.LE, float64(inst.Switch.Cap(port)))
+	}
+	start := make([]float64, ix.len())
+	for f, j := range firstFit(inst, orderBy(release), ix) {
+		if j >= 0 {
+			start[j] = float64(inst.Flows[f].Demand)
 		}
-		p.AddRow(idx, val, lp.GE, float64(e.Demand))
 	}
-	// Constraint (3): per-port per-round capacity, rows in deterministic
-	// order.
-	rows := make(map[portRound][]int)
-	for j := 0; j < vm.len(); j++ {
-		k := vm.key(j)
-		e := inst.Flows[k.flow]
-		pIn := inst.Switch.PortIndex(switchnet.In, e.In)
-		pOut := inst.Switch.PortIndex(switchnet.Out, e.Out)
-		rows[portRound{pIn, k.round}] = append(rows[portRound{pIn, k.round}], j)
-		rows[portRound{pOut, k.round}] = append(rows[portRound{pOut, k.round}], j)
-	}
-	for _, key := range sortedPortRounds(rows) {
-		vars := rows[key]
-		val := make([]float64, len(vars))
-		for i := range vars {
-			val[i] = 1
-		}
-		p.AddRow(vars, val, lp.LE, float64(inst.Switch.Cap(key.port)))
-	}
-	return p, vm
+	return p, start
 }

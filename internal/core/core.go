@@ -11,12 +11,27 @@
 //   - Online (Section 5.1): the batched AMRT algorithm of Lemma 5.3.
 //   - Combinatorial lower bounds used when LPs are too large.
 //
+// Two of the LPs are crash-started: the solves of LP (1)-(4) in
+// ARTLowerBound and of LP (19)-(21) in MRTLowerBound, SolveMRT and
+// SolveTimeConstrained begin at a first-fit schedule (firstFit), handed to
+// the solver as lp.SolveOptions.Start. A schedule that respects every port
+// capacity is a feasible 0/1 point of both, so the simplex starts where
+// phase 1 would have had to get to. That is sound because nothing but the
+// optimum of the first and the feasibility of the second is reported, and
+// Theorem 3's rounding holds at whatever vertex it is given. The interval
+// LP (5)-(8) of IterativeRound and SolveART is the exception and is started
+// cold: its vertex is the pseudo-schedule, so a different path to the same
+// optimum would be a different schedule. There is no switch between the
+// two; lp.Stats.StartAtUpper in a result says how many flows the start
+// placed.
+//
 //flowsched:deterministic
 package core
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"flowsched/internal/switchnet"
@@ -77,6 +92,132 @@ func sortedPortRounds(m map[portRound][]int) []portRound {
 		return keys[a].t < keys[b].t
 	})
 	return keys
+}
+
+// timeIndex lays out the variables of a time-indexed LP flow by flow: flow
+// f owns variables off[f] up to off[f+1], one per candidate round, in the
+// order its candidates were given. slot ranks a variable's round among the
+// nSlots distinct rounds in use, which makes every per-(port, round) table
+// a dense array of nSlots entries per port, whatever the rounds are; in[f]
+// and out[f] are where the entries of flow f's two ports begin.
+type timeIndex struct {
+	off     []int // len flows+1
+	in, out []int // per flow
+	flow    []int // per variable
+	round   []int
+	slot    []int
+	nSlots  int
+	// ident[j] = j and ones[j] = 1: a flow's row is a run of each.
+	ident []int
+	ones  []float64
+}
+
+// newTimeIndex indexes one variable per flow and candidate round.
+func newTimeIndex(inst *switchnet.Instance, rounds Windows) *timeIndex {
+	ix := &timeIndex{off: make([]int, len(rounds)+1)}
+	for f, r := range rounds {
+		ix.off[f+1] = ix.off[f] + len(r)
+	}
+	n := ix.off[len(rounds)]
+	ix.flow, ix.round, ix.slot, ix.ident = make([]int, n), make([]int, n), make([]int, n), make([]int, n)
+	ix.ones = make([]float64, n)
+	for f, r := range rounds {
+		for k, t := range r {
+			ix.flow[ix.off[f]+k], ix.round[ix.off[f]+k] = f, t
+		}
+	}
+	for j := range ix.ident {
+		ix.ident[j], ix.ones[j] = j, 1
+	}
+	distinct := slices.Clone(ix.round)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	for j, t := range ix.round {
+		ix.slot[j], _ = slices.BinarySearch(distinct, t)
+	}
+	ix.nSlots = len(distinct)
+	ix.in, ix.out = make([]int, len(rounds)), make([]int, len(rounds))
+	for f, e := range inst.Flows {
+		ix.in[f] = inst.Switch.PortIndex(switchnet.In, e.In) * ix.nSlots
+		ix.out[f] = inst.Switch.PortIndex(switchnet.Out, e.Out) * ix.nSlots
+	}
+	return ix
+}
+
+// len is the number of variables.
+func (ix *timeIndex) len() int { return len(ix.flow) }
+
+// portRows groups the variables of a timeIndex by (port, round): row k is
+// vars[start[k]:start[k+1]], ascending, and constrains port[k]. Rows hold
+// only (port, round) pairs some variable touches and are ordered by port,
+// then round — the order sortedPortRounds gives the map-built LPs, for the
+// reason given there, without the map or the sort.
+type portRows struct {
+	port, start, vars []int
+}
+
+func newPortRows(inst *switchnet.Instance, ix *timeIndex) portRows {
+	next := make([]int, inst.Switch.NumPorts()*ix.nSlots+1)
+	for j, f := range ix.flow {
+		next[ix.in[f]+ix.slot[j]+1]++
+		next[ix.out[f]+ix.slot[j]+1]++
+	}
+	var rows portRows
+	for key := 1; key < len(next); key++ {
+		if next[key] > 0 {
+			rows.port = append(rows.port, (key-1)/ix.nSlots)
+			rows.start = append(rows.start, next[key-1])
+		}
+		next[key] += next[key-1]
+	}
+	rows.start = append(rows.start, 2*ix.len())
+	rows.vars = make([]int, 2*ix.len())
+	for j, f := range ix.flow {
+		for _, key := range [2]int{ix.in[f] + ix.slot[j], ix.out[f] + ix.slot[j]} {
+			rows.vars[next[key]] = j
+			next[key]++
+		}
+	}
+	return rows
+}
+
+// firstFit places each flow, in the given order, at the first of its
+// candidate rounds where both of its ports still have room for its whole
+// demand, and returns the variable chosen per flow (-1 for a flow no
+// candidate round can take). The placement respects every port capacity, so
+// it is a feasible 0/1 point of LP (1)-(4) and of LP (19)-(21) over the same
+// candidates: the point those LPs' solves start from.
+func firstFit(inst *switchnet.Instance, order []int, ix *timeIndex) []int {
+	load := make([]int, inst.Switch.NumPorts()*ix.nSlots)
+	placed := make([]int, inst.N())
+	for f := range placed {
+		placed[f] = -1
+	}
+	for _, f := range order {
+		e := inst.Flows[f]
+		roomIn := inst.Switch.InCaps[e.In] - e.Demand
+		roomOut := inst.Switch.OutCaps[e.Out] - e.Demand
+		for j := ix.off[f]; j < ix.off[f+1]; j++ {
+			a, b := ix.in[f]+ix.slot[j], ix.out[f]+ix.slot[j]
+			if load[a] <= roomIn && load[b] <= roomOut {
+				load[a] += e.Demand
+				load[b] += e.Demand
+				placed[f] = j
+				break
+			}
+		}
+	}
+	return placed
+}
+
+// orderBy returns the flows sorted by key, ties in index order.
+func orderBy(key []int) []int {
+	order := make([]int, len(key))
+	for f := range order {
+		order[f] = f
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return key[a] - key[b] })
+	return order
 }
 
 // requireUnitDemands guards the Theorem 1 pipeline, which the paper states

@@ -1,0 +1,304 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"flowsched/internal/lp"
+	"flowsched/internal/switchnet"
+	"flowsched/internal/verify"
+)
+
+// crashInstance draws an instance for the crash-start tests: ports with
+// capacities 1..maxCap on both sides, flows of demand 1..min(maxDemand,
+// kappa), releases uniform on [0, rounds).
+func crashInstance(rng *rand.Rand, ports, rounds, flows, maxCap, maxDemand int) *switchnet.Instance {
+	sw := switchnet.NewSwitch(ports, ports, 1)
+	for i := range sw.InCaps {
+		sw.InCaps[i], sw.OutCaps[i] = 1+rng.Intn(maxCap), 1+rng.Intn(maxCap)
+	}
+	inst := &switchnet.Instance{Switch: sw, Flows: make([]switchnet.Flow, flows)}
+	for f := range inst.Flows {
+		e := switchnet.Flow{In: rng.Intn(ports), Out: rng.Intn(ports), Release: rng.Intn(rounds)}
+		e.Demand = 1 + rng.Intn(min(maxDemand, sw.InCaps[e.In], sw.OutCaps[e.Out]))
+		inst.Flows[f] = e
+	}
+	return inst
+}
+
+// checkPlacement verifies what firstFit promises: every placed flow sits on
+// one of its own variables and no (port, round) is loaded past capacity.
+func checkPlacement(t *testing.T, inst *switchnet.Instance, ix *timeIndex, placed []int) {
+	t.Helper()
+	load := map[portRound]int{}
+	for f, j := range placed {
+		if j < 0 {
+			continue
+		}
+		if j < ix.off[f] || j >= ix.off[f+1] || ix.flow[j] != f {
+			t.Fatalf("flow %d placed on variable %d outside its own %d..%d", f, j, ix.off[f], ix.off[f+1])
+		}
+		e := inst.Flows[f]
+		load[portRound{inst.Switch.PortIndex(switchnet.In, e.In), ix.round[j]}] += e.Demand
+		load[portRound{inst.Switch.PortIndex(switchnet.Out, e.Out), ix.round[j]}] += e.Demand
+	}
+	for k, l := range load {
+		if l > inst.Switch.Cap(k.port) {
+			t.Fatalf("port %d round %d loaded %d > capacity %d", k.port, k.t, l, inst.Switch.Cap(k.port))
+		}
+	}
+}
+
+func TestFirstFit(t *testing.T) {
+	sw := switchnet.NewSwitch(2, 2, 1)
+	sw.InCaps[1] = 2
+	sw.OutCaps[1] = 2
+	inst := &switchnet.Instance{Switch: sw, Flows: []switchnet.Flow{
+		{In: 0, Out: 0, Demand: 1}, // 0
+		{In: 0, Out: 1, Demand: 1}, // 1: shares input 0 with flow 0
+		{In: 1, Out: 1, Demand: 2}, // 2: fills port 1's capacity alone
+		{In: 1, Out: 1, Demand: 1}, // 3
+		{In: 0, Out: 0, Demand: 1}, // 4: both its rounds are taken
+	}}
+	for _, c := range []struct {
+		name  string
+		win   Windows
+		order []int
+		want  []int // round per flow, -1 unplaced
+	}{
+		{"index order", Windows{{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}}, []int{0, 1, 2, 3, 4}, []int{0, 1, 0, 1, -1}},
+		{"reverse order", Windows{{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}}, []int{4, 3, 2, 1, 0}, []int{1, -1, 1, 0, 0}},
+		{"sparse unsorted windows", Windows{{7}, {7, 3}, {1000000, 3}, {3}, {7, 5}}, []int{0, 1, 2, 3, 4}, []int{7, 3, 1000000, 3, 5}},
+		{"partial order", Windows{{0}, {0}, {0}, {0}, {0}}, []int{1}, []int{-1, 0, -1, -1, -1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ix := newTimeIndex(inst, c.win)
+			placed := firstFit(inst, c.order, ix)
+			checkPlacement(t, inst, ix, placed)
+			got := make([]int, len(placed))
+			for f, j := range placed {
+				got[f] = -1
+				if j >= 0 {
+					got[f] = ix.round[j]
+				}
+			}
+			if !slices.Equal(got, c.want) {
+				t.Errorf("rounds %v, want %v", got, c.want)
+			}
+		})
+	}
+}
+
+// TestPortRowsMatchSortedMap: the dense grouping emits exactly the rows,
+// in exactly the order, that the map-and-sort construction of the interval
+// LP builders produces — the property that keeps lp.Stats and every pivot
+// count of the rebuilt LPs where they were.
+func TestPortRowsMatchSortedMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 30; trial++ {
+		inst := crashInstance(rng, 2+rng.Intn(4), 6, 1+rng.Intn(20), 3, 2)
+		win := make(Windows, inst.N())
+		for f, e := range inst.Flows {
+			for t := e.Release + 8; t >= e.Release; t-- { // descending and gappy
+				if rng.Intn(3) > 0 {
+					win[f] = append(win[f], t*7)
+				}
+			}
+			if len(win[f]) == 0 {
+				win[f] = []int{e.Release * 7}
+			}
+		}
+		ix := newTimeIndex(inst, win)
+		want := make(map[portRound][]int)
+		for j, f := range ix.flow {
+			e := inst.Flows[f]
+			for _, port := range []int{inst.Switch.PortIndex(switchnet.In, e.In), inst.Switch.PortIndex(switchnet.Out, e.Out)} {
+				k := portRound{port, ix.round[j]}
+				want[k] = append(want[k], j)
+			}
+		}
+		rows := newPortRows(inst, ix)
+		keys := sortedPortRounds(want)
+		if len(keys) != len(rows.port) {
+			t.Fatalf("trial %d: %d rows, want %d", trial, len(rows.port), len(keys))
+		}
+		for k, key := range keys {
+			got := rows.vars[rows.start[k]:rows.start[k+1]]
+			if rows.port[k] != key.port || !slices.Equal(got, want[key]) {
+				t.Fatalf("trial %d row %d: port %d vars %v, want port %d round %d vars %v",
+					trial, k, rows.port[k], got, key.port, key.t, want[key])
+			}
+		}
+	}
+}
+
+// coldRho is the search of MRTLowerBound by linear scan with cold-started
+// solves: the reference the crash-started binary search must agree with.
+func coldRho(t *testing.T, inst *switchnet.Instance) int {
+	t.Helper()
+	for rho := 1; ; rho++ {
+		sol, err := timeConstrainedLP(inst, ResponseWindows(inst, rho)).p.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status == lp.Optimal {
+			return rho
+		}
+		if sol.Status != lp.Infeasible || rho > 4*inst.CongestionHorizon() {
+			t.Fatalf("cold LP at rho %d: %v", rho, sol.Status)
+		}
+	}
+}
+
+// TestCrashStartAgreesWithColdStart is the differential test of the crash
+// start: over seeded instances with unit and multi-unit demands and port
+// capacities 1-4, the solve that starts at the first-fit schedule and the
+// one that starts cold agree on everything that is reported.
+func TestCrashStartAgreesWithColdStart(t *testing.T) {
+	rng := rand.New(rand.NewSource(2020))
+	placedAll, searched := 0, 0
+	// Paper-model instances whose rho lies above the volume bound, so that
+	// the search solves more than one LP; the random draws rarely do.
+	gap := []*switchnet.Instance{paperInstance(19, 4, 5, 12), paperInstance(51, 3, 4, 8), paperInstance(132, 3, 3, 6)}
+	for trial := 0; trial < 40+len(gap); trial++ {
+		maxCap, maxDemand := 1+trial%4, 1+(trial/4)%3
+		var inst *switchnet.Instance
+		if trial < 40 {
+			inst = crashInstance(rng, 2+rng.Intn(4), 1+rng.Intn(5), 4+rng.Intn(24), maxCap, maxDemand)
+		} else {
+			inst, maxCap, maxDemand = gap[trial-40], 1, 1
+		}
+		name := fmt.Sprintf("trial %d (%d flows, caps<=%d, demands<=%d)", trial, inst.N(), maxCap, maxDemand)
+		inc := 2*inst.MaxDemand() - 1
+
+		// LP (1)-(4): same status and optimum at a horizon that may be too
+		// short and at the one ARTLowerBound starts from.
+		var atCongestion *lp.Solution
+		for _, horizon := range []int{inst.MaxRelease() + 1, inst.CongestionHorizon()} {
+			p, start := artLowerBoundLP(inst, horizon)
+			cold, err := p.Solve()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			warm, err := p.SolveWith(lp.SolveOptions{Start: start})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if warm.Status != cold.Status || (cold.Status == lp.Optimal && math.Abs(warm.Obj-cold.Obj) > 1e-9) {
+				t.Fatalf("%s horizon %d: crash-started (%v, %v), cold (%v, %v)", name, horizon, warm.Status, warm.Obj, cold.Status, cold.Obj)
+			}
+			if warm.Stats.StartAtUpper == inst.N() {
+				placedAll++
+				if warm.Stats.Phase1Pivots != 0 {
+					t.Fatalf("%s horizon %d: every flow placed, yet %d phase-1 pivots", name, horizon, warm.Stats.Phase1Pivots)
+				}
+			}
+			atCongestion = cold
+		}
+		lb, err := ARTLowerBound(inst)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if atCongestion.Status != lp.Optimal || lb.Horizon != inst.CongestionHorizon() || math.Abs(lb.TotalResponse-atCongestion.Obj) > 1e-9 {
+			t.Fatalf("%s: ARTLowerBound (%v, horizon %d), cold solve at the congestion horizon %d (%v, %v)",
+				name, lb.TotalResponse, lb.Horizon, inst.CongestionHorizon(), atCongestion.Status, atCongestion.Obj)
+		}
+
+		// LP (19)-(21): same rho, and the same answer on the windows
+		// around it.
+		rho, err := MRTLowerBound(inst)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := coldRho(t, inst); rho != want {
+			t.Fatalf("%s: crash-started rho %d, cold %d", name, rho, want)
+		}
+		mrt, err := SolveMRT(inst)
+		if err != nil || mrt.Rho != rho {
+			t.Fatalf("%s: SolveMRT rho %v, error %v; MRTLowerBound %d", name, mrt, err, rho)
+		}
+		if _, err := verify.CheckAugmented(inst, mrt.Schedule, inc); err != nil || mrt.Schedule.MaxResponse(inst) > rho {
+			t.Fatalf("%s: SolveMRT schedule: %v, max response %d, rho %d", name, err, mrt.Schedule.MaxResponse(inst), rho)
+		}
+		// Each LP of the search is counted once: the one at rho in LP, the
+		// others (none when the volume bound is rho already) in SearchLP.
+		atRho, err := timeConstrainedLP(inst, ResponseWindows(inst, rho)).solve()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if mrt.LP != atRho.Stats || mrt.LPIterations != atRho.Iterations {
+			t.Fatalf("%s: SolveMRT reports %+v for the solve at rho, which is %+v", name, mrt.LP, atRho.Stats)
+		}
+		if first := max(TrivialMRTLowerBound(inst), 1); (first == rho) != (mrt.SearchLP == lp.Stats{}) {
+			t.Fatalf("%s: search from %d to rho %d reports %+v for its other LPs", name, first, rho, mrt.SearchLP)
+		} else if first < rho {
+			searched++
+		}
+		deadline := make([]int, inst.N())
+		for f, e := range inst.Flows {
+			deadline[f] = e.Release + rng.Intn(2*rho)
+		}
+		irregular, err := DeadlineWindows(inst, deadline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := range irregular { // punch holes, keep at least the deadline
+			kept := irregular[f][:0]
+			for _, r := range irregular[f] {
+				if r == deadline[f] || rng.Intn(4) > 0 {
+					kept = append(kept, r)
+				}
+			}
+			irregular[f] = kept
+		}
+		families := []Windows{ResponseWindows(inst, rho), ResponseWindows(inst, rho+1), irregular}
+		if rho > 1 {
+			families = append(families, ResponseWindows(inst, rho-1))
+		}
+		for k, win := range families {
+			m := timeConstrainedLP(inst, win)
+			cold, err := m.p.Solve()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			warm, err := m.solve()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if warm.Status != cold.Status {
+				t.Fatalf("%s windows %d: crash-started %v, cold %v", name, k, warm.Status, cold.Status)
+			}
+			if warm.Stats.StartAtUpper == inst.N() {
+				placedAll++
+				if warm.Status != lp.Optimal || warm.Iterations != 0 {
+					t.Fatalf("%s windows %d: every flow placed, yet status %v after %d pivots", name, k, warm.Status, warm.Iterations)
+				}
+			}
+			res, err := SolveTimeConstrained(inst, win)
+			if cold.Status == lp.Infeasible {
+				if !errors.Is(err, ErrInfeasible) {
+					t.Fatalf("%s windows %d: cold LP infeasible, SolveTimeConstrained returned %v", name, k, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s windows %d: %v", name, k, err)
+			}
+			if _, err := verify.CheckAugmented(inst, res.Schedule, inc); err != nil {
+				t.Fatalf("%s windows %d: %v", name, k, err)
+			}
+			for f, r := range res.Schedule.Round {
+				if !slices.Contains(win[f], r) {
+					t.Fatalf("%s windows %d: flow %d at round %d outside its window %v", name, k, f, r, win[f])
+				}
+			}
+		}
+	}
+	if placedAll == 0 || searched == 0 {
+		t.Errorf("%d LPs placed whole by first fit, %d searches past the volume bound: a path went untested", placedAll, searched)
+	}
+}

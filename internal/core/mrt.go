@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"flowsched/internal/lp"
 	"flowsched/internal/rounding"
@@ -45,49 +46,59 @@ func DeadlineWindows(inst *switchnet.Instance, deadline []int) (Windows, error) 
 	return w, nil
 }
 
+// windowLP is LP (19)-(21) over a window family, with the rows it was
+// built from (Theorem 3's rounding system has the same ones) and the point
+// its solve starts from.
+type windowLP struct {
+	p    *lp.Problem
+	ix   *timeIndex
+	caps portRows
+	coef []float64 // d_e per entry of caps.vars
+	// start is x_et = 1 where firstFit places flow e, taking the flows by
+	// the last round of their windows. Only whether the LP is feasible
+	// and Theorem 3's guarantee — which holds at any vertex — are used,
+	// so the solve may start there: with every flow placed it is feasible
+	// without a pivot, otherwise phase 1 works on the unplaced flows only.
+	start []float64
+}
+
 // timeConstrainedLP builds LP (19)-(21): variables x_{e,t} for t in R(e),
-// an equality row per flow and a capacity row per (port, round).
-func timeConstrainedLP(inst *switchnet.Instance, win Windows) (*lp.Problem, *varMap) {
-	vm := newVarMap()
-	for f := range inst.Flows {
-		for _, t := range win[f] {
-			vm.add(f, t)
-		}
-	}
-	p := lp.NewProblem(vm.len())
-	for j := 0; j < vm.len(); j++ {
-		p.SetBounds(j, 0, 1)
+// an equality row per flow and a capacity row per (port, round) that some
+// window touches.
+func timeConstrainedLP(inst *switchnet.Instance, win Windows) *windowLP {
+	ix := newTimeIndex(inst, win)
+	m := &windowLP{p: lp.NewProblem(ix.len()), ix: ix, caps: newPortRows(inst, ix)}
+	for j := range ix.ident {
+		m.p.SetBounds(j, 0, 1)
 	}
 	// Constraint (20): each flow fully scheduled.
+	deadline := make([]int, inst.N())
 	for f := range inst.Flows {
-		idx := make([]int, 0, len(win[f]))
-		val := make([]float64, 0, len(win[f]))
-		for _, t := range win[f] {
-			idx = append(idx, vm.byK[varKey{f, t}])
-			val = append(val, 1)
+		a, b := ix.off[f], ix.off[f+1]
+		m.p.AddRow(ix.ident[a:b], ix.ones[a:b], lp.EQ, 1)
+		deadline[f] = slices.Max(win[f])
+	}
+	// Constraint (19): port capacity per round.
+	m.coef = make([]float64, len(m.caps.vars))
+	for k, j := range m.caps.vars {
+		m.coef[k] = float64(inst.Flows[ix.flow[j]].Demand)
+	}
+	for k, port := range m.caps.port {
+		a, b := m.caps.start[k], m.caps.start[k+1]
+		m.p.AddRow(m.caps.vars[a:b], m.coef[a:b], lp.LE, float64(inst.Switch.Cap(port)))
+	}
+	m.start = make([]float64, ix.len())
+	for _, j := range firstFit(inst, orderBy(deadline), ix) {
+		if j >= 0 {
+			m.start[j] = 1
 		}
-		p.AddRow(idx, val, lp.EQ, 1)
 	}
-	// Constraint (19): port capacity per round, one row per (port, round)
-	// that some window touches, in deterministic order.
-	rows := make(map[portRound][]int)
-	for j := 0; j < vm.len(); j++ {
-		k := vm.key(j)
-		e := inst.Flows[k.flow]
-		pIn := inst.Switch.PortIndex(switchnet.In, e.In)
-		pOut := inst.Switch.PortIndex(switchnet.Out, e.Out)
-		rows[portRound{pIn, k.round}] = append(rows[portRound{pIn, k.round}], j)
-		rows[portRound{pOut, k.round}] = append(rows[portRound{pOut, k.round}], j)
-	}
-	for _, key := range sortedPortRounds(rows) {
-		vars := rows[key]
-		val := make([]float64, len(vars))
-		for i, j := range vars {
-			val[i] = float64(inst.Flows[vm.key(j).flow].Demand)
-		}
-		p.AddRow(vars, val, lp.LE, float64(inst.Switch.Cap(key.port)))
-	}
-	return p, vm
+	return m
+}
+
+// solve runs the crash-started solve of the LP.
+func (m *windowLP) solve() (*lp.Solution, error) {
+	return m.p.SolveWith(lp.SolveOptions{Start: m.start})
 }
 
 // TimeConstrainedResult is the outcome of SolveTimeConstrained.
@@ -130,8 +141,8 @@ func SolveTimeConstrained(inst *switchnet.Instance, win Windows) (*TimeConstrain
 			}
 		}
 	}
-	p, vm := timeConstrainedLP(inst, win)
-	sol, err := p.Solve()
+	m := timeConstrainedLP(inst, win)
+	sol, err := m.solve()
 	if err != nil {
 		return nil, err
 	}
@@ -140,40 +151,28 @@ func SolveTimeConstrained(inst *switchnet.Instance, win Windows) (*TimeConstrain
 	case lp.Infeasible:
 		return nil, ErrInfeasible
 	default:
-		return nil, fmt.Errorf("core: LP solve ended with status %v", sol.Status)
+		return nil, fmt.Errorf("core: LP (19)-(21): status %v (%s)", sol.Status, describeLP(sol.Stats))
 	}
+	return roundWindowLP(inst, m, sol)
+}
 
+// roundWindowLP is the rounding half of Theorem 3: from an optimal solution
+// of m to a schedule inside the windows at capacities c_p + 2*d_max - 1.
+func roundWindowLP(inst *switchnet.Instance, m *windowLP, sol *lp.Solution) (*TimeConstrainedResult, error) {
+	ix := m.ix
 	dmax := inst.MaxDemand()
 	// Build the rounding system exactly as in the proof of Theorem 3:
 	// assignment rows guarded from dropping below 1 (budget 1, scaled
 	// Delta = 2*d_max in the paper's matrix form), capacity rows guarded
 	// from rising by 2*d_max or more.
-	sys := rounding.NewSystem(vm.len())
+	sys := rounding.NewSystem(ix.len())
 	for f := range inst.Flows {
-		idx := make([]int, 0, len(win[f]))
-		coef := make([]float64, 0, len(win[f]))
-		for _, t := range win[f] {
-			idx = append(idx, vm.byK[varKey{f, t}])
-			coef = append(coef, 1)
-		}
-		sys.AddRow(idx, coef, rounding.Lower, 1)
+		a, b := ix.off[f], ix.off[f+1]
+		sys.AddRow(ix.ident[a:b], ix.ones[a:b], rounding.Lower, 1)
 	}
-	capRows := make(map[portRound][]int)
-	for j := 0; j < vm.len(); j++ {
-		k := vm.key(j)
-		e := inst.Flows[k.flow]
-		pIn := inst.Switch.PortIndex(switchnet.In, e.In)
-		pOut := inst.Switch.PortIndex(switchnet.Out, e.Out)
-		capRows[portRound{pIn, k.round}] = append(capRows[portRound{pIn, k.round}], j)
-		capRows[portRound{pOut, k.round}] = append(capRows[portRound{pOut, k.round}], j)
-	}
-	for _, key := range sortedPortRounds(capRows) {
-		vars := capRows[key]
-		coef := make([]float64, len(vars))
-		for i, j := range vars {
-			coef[i] = float64(inst.Flows[vm.key(j).flow].Demand)
-		}
-		sys.AddRow(vars, coef, rounding.Upper, float64(2*dmax))
+	for k := range m.caps.port {
+		a, b := m.caps.start[k], m.caps.start[k+1]
+		sys.AddRow(m.caps.vars[a:b], m.coef[a:b], rounding.Upper, float64(2*dmax))
 	}
 	rres := sys.Round(sol.X)
 
@@ -184,9 +183,9 @@ func SolveTimeConstrained(inst *switchnet.Instance, win Windows) (*TimeConstrain
 		if v < 0.5 {
 			continue
 		}
-		k := vm.key(j)
-		if cur := sched.Round[k.flow]; cur == switchnet.Unscheduled || k.round < cur {
-			sched.Round[k.flow] = k.round
+		f, t := ix.flow[j], ix.round[j]
+		if cur := sched.Round[f]; cur == switchnet.Unscheduled || t < cur {
+			sched.Round[f] = t
 		}
 	}
 	for f, t := range sched.Round {
@@ -209,44 +208,68 @@ func SolveTimeConstrained(inst *switchnet.Instance, win Windows) (*TimeConstrain
 
 // MRTResult is the outcome of SolveMRT.
 type MRTResult struct {
+	// TimeConstrainedResult is the rounding at Rho. Its LP and LPIterations
+	// are the search's solve at Rho — the last one it found feasible, whose
+	// solution is the one rounded; no LP is solved a second time for it.
 	*TimeConstrainedResult
 	// Rho is the optimal maximum response time: the smallest rho whose
 	// LP relaxation is feasible. It lower-bounds any capacity-respecting
 	// schedule, and the returned schedule achieves it with augmentation.
 	Rho int
-	// SearchLP sums the solver's stage breakdown over the feasibility LPs
-	// of the search for Rho; the final solve's is the embedded LP.
+	// SearchLP sums the solver's stage breakdown over every other
+	// feasibility LP of the search for Rho (zero when the volume bound the
+	// search starts from is already Rho), so LP and SearchLP together
+	// count each solve once.
 	SearchLP lp.Stats
 }
 
 // MRTLowerBound returns the smallest rho for which LP (19)-(21) with
 // windows [r_e, r_e+rho) is feasible. This is the lower bound the paper's
-// Figure 7 compares heuristics against.
+// Figure 7 compares heuristics against. Each feasibility LP of the search
+// is crash-started from a first-fit schedule (see windowLP): only its
+// yes/no answer is used.
 func MRTLowerBound(inst *switchnet.Instance) (int, error) {
-	rho, _, err := searchRho(inst)
-	return rho, err
+	s, err := searchRho(inst)
+	return s.rho, err
 }
 
-// searchRho is MRTLowerBound with the summed stats of the LPs it solved.
-func searchRho(inst *switchnet.Instance) (int, lp.Stats, error) {
-	var search lp.Stats
+// rhoSearch is what searchRho found: the smallest feasible rho, the LP at
+// rho with its optimal solution, and the summed stats of the other LPs
+// solved on the way.
+type rhoSearch struct {
+	rho   int
+	m     *windowLP
+	sol   *lp.Solution
+	other lp.Stats
+}
+
+// searchRho finds the smallest rho whose LP (19)-(21) is feasible.
+func searchRho(inst *switchnet.Instance) (rhoSearch, error) {
+	var s rhoSearch
 	if inst.N() == 0 {
-		return 0, search, nil
+		return s, nil
 	}
+	// feasible solves the LP at rho; a feasible one replaces the LP kept
+	// in s, which is thereby always the one at the search's upper end.
 	feasible := func(rho int) (bool, error) {
-		p, _ := timeConstrainedLP(inst, ResponseWindows(inst, rho))
-		sol, err := p.Solve()
+		m := timeConstrainedLP(inst, ResponseWindows(inst, rho))
+		sol, err := m.solve()
 		if err != nil {
-			return false, err
+			return false, fmt.Errorf("core: LP (19)-(21) at rho %d: %w", rho, err)
 		}
-		search.Add(sol.Stats)
 		switch sol.Status {
 		case lp.Optimal:
+			if s.sol != nil {
+				s.other.Add(s.sol.Stats)
+			}
+			s.m, s.sol = m, sol
 			return true, nil
 		case lp.Infeasible:
+			s.other.Add(sol.Stats)
 			return false, nil
 		default:
-			return false, fmt.Errorf("core: LP status %v during binary search", sol.Status)
+			return false, fmt.Errorf("core: LP (19)-(21) at rho %d: status %v (%s)",
+				rho, sol.Status, describeLP(sol.Stats))
 		}
 	}
 	// The volume bound of TrivialMRTLowerBound is valid for the LP too
@@ -261,7 +284,7 @@ func searchRho(inst *switchnet.Instance) (int, lp.Stats, error) {
 	for {
 		ok, err := feasible(hi)
 		if err != nil {
-			return 0, search, err
+			return s, err
 		}
 		if ok {
 			break
@@ -269,14 +292,14 @@ func searchRho(inst *switchnet.Instance) (int, lp.Stats, error) {
 		lo = hi + 1
 		hi *= 2
 		if hi > inst.CongestionHorizon()*4+16 {
-			return 0, search, fmt.Errorf("core: no feasible rho up to %d", hi)
+			return s, fmt.Errorf("core: no feasible rho up to %d", hi)
 		}
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
 		ok, err := feasible(mid)
 		if err != nil {
-			return 0, search, err
+			return s, err
 		}
 		if ok {
 			hi = mid
@@ -284,27 +307,33 @@ func searchRho(inst *switchnet.Instance) (int, lp.Stats, error) {
 			lo = mid + 1
 		}
 	}
-	return hi, search, nil
+	s.rho = hi
+	return s, nil
 }
 
 // SolveMRT implements the FS-MRT pipeline of Section 4.2: binary search on
 // the response bound rho, then Theorem 3 rounding at the optimum. The
 // returned schedule has maximum response time Rho (the LP optimum, hence
-// optimal) using port capacities c_p + 2*d_max - 1.
+// optimal) using port capacities c_p + 2*d_max - 1. The solution rounded
+// is the one the search found at Rho; Theorem 3 holds at any vertex of the
+// LP, so the crash-started one serves.
 func SolveMRT(inst *switchnet.Instance) (*MRTResult, error) {
-	rho, search, err := searchRho(inst)
-	if err != nil {
+	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
 	if inst.N() == 0 {
 		return &MRTResult{TimeConstrainedResult: &TimeConstrainedResult{Schedule: switchnet.NewSchedule(0)}, Rho: 0}, nil
 	}
-	res, err := SolveTimeConstrained(inst, ResponseWindows(inst, rho))
+	s, err := searchRho(inst)
 	if err != nil {
 		return nil, err
 	}
-	if got := res.Schedule.MaxResponse(inst); got > rho {
-		return nil, fmt.Errorf("core: rounded schedule has max response %d > rho %d", got, rho)
+	res, err := roundWindowLP(inst, s.m, s.sol)
+	if err != nil {
+		return nil, err
 	}
-	return &MRTResult{TimeConstrainedResult: res, Rho: rho, SearchLP: search}, nil
+	if got := res.Schedule.MaxResponse(inst); got > s.rho {
+		return nil, fmt.Errorf("core: rounded schedule has max response %d > rho %d", got, s.rho)
+	}
+	return &MRTResult{TimeConstrainedResult: res, Rho: s.rho, SearchLP: s.other}, nil
 }

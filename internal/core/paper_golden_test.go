@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"flowsched/internal/lp"
 	"flowsched/internal/switchnet"
 )
 
@@ -22,16 +23,24 @@ func paperInstance(seed int64, ports, rounds, flows int) *switchnet.Instance {
 }
 
 // TestPaperModelGolden pins what the LP pipeline computes on seeded
-// paper-model instances. Everything but lbPivots was recorded with the
-// dense-LU solver this repository shipped before internal/lp's sparse
-// factorisation and is unchanged by it: a basis kernel may change what a
-// solve costs, never the optimum, the horizon, or the schedule SolveART
-// rounds out of it. LP (1)-(4) is degenerate enough that its duals carry
-// thirds, so which of two equal reduced costs reads one ulp larger — and
-// with it the path to the optimum, not the optimum — depends on the
-// kernel's order of operations; lbPivots is the sparse kernel's count, the
-// dense one's is in the comment beside it. The interval LPs of SolveART
-// have 0/1 bases whose solves are exact, and their counts did not move.
+// paper-model instances. lbObj, lbHorizon and the SolveART triple were
+// recorded with the dense-LU solver this repository first shipped and have
+// survived both the sparse factorisation and the crash start: a basis
+// kernel or a starting point may change what a solve costs, never the
+// optimum, the horizon, or — SolveART's interval LPs are still started
+// cold, their vertex is the schedule — what SolveART rounds out of it.
+// lbPivots is the count of the crash-started solve, which begins at the
+// first-fit schedule and spends nothing on phase 1; the cold sparse and
+// dense counts are in the comment beside it. (LP (1)-(4) is degenerate
+// enough that its duals carry thirds, so the path to the optimum, not the
+// optimum, moves with the order of floating-point operations.) rho and the
+// two SolveMRT counts pin "one solve at rho, not three": first fit places
+// every flow inside its rho window on these instances, so the LP at rho is
+// feasible as it stands (0 pivots), the volume bound the search starts
+// from is rho itself (no other LP, SearchLP empty), and the solution that
+// is rounded is the search's. Before the crash start the same call spent
+// 105/123/1004 pivots on that LP — twice, once in the search and once
+// more to round.
 func TestPaperModelGolden(t *testing.T) {
 	cases := []struct {
 		name                 string
@@ -42,10 +51,11 @@ func TestPaperModelGolden(t *testing.T) {
 		lbHorizon, lbPivots int
 		artLPBound          float64
 		artTotal, artPivots int
+		rho                 int
 	}{
-		{"5x5_25/seed1", 1, 5, 5, 25, 50.5, 16, 136 /* dense 136 */, 30.5, 141, 94},
-		{"5x5_25/seed2", 2, 5, 5, 25, 40.5, 14, 176 /* dense 161 */, 13.5, 116, 58},
-		{"10x10_100/seed1", 1, 10, 10, 100, 232, 28, 2799 /* dense 2673 */, 127, 753, 499},
+		{"5x5_25/seed1", 1, 5, 5, 25, 50.5, 16, 80 /* cold 136, dense 136 */, 30.5, 141, 94, 6},
+		{"5x5_25/seed2", 2, 5, 5, 25, 40.5, 14, 73 /* cold 176, dense 161 */, 13.5, 116, 58, 4},
+		{"10x10_100/seed1", 1, 10, 10, 100, 232, 28, 1364 /* cold 2799, dense 2673 */, 127, 753, 499, 9},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -61,6 +71,9 @@ func TestPaperModelGolden(t *testing.T) {
 			if got := lb.LP.Pivots(); got != lb.Iterations || lb.LP.Rows == 0 || lb.LP.PeakLUNonzeros < lb.LP.Rows {
 				t.Errorf("ARTLowerBound stats %+v do not add up to %d pivots", lb.LP, lb.Iterations)
 			}
+			if lb.LP.Phase1Pivots != 0 || lb.LP.StartAtUpper != c.flows {
+				t.Errorf("ARTLowerBound stats %+v: want all %d flows placed by the crash start and no phase-1 pivot", lb.LP, c.flows)
+			}
 			art, err := SolveART(inst, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -69,8 +82,16 @@ func TestPaperModelGolden(t *testing.T) {
 				t.Errorf("SolveART = (LP bound %v, total %d, %d pivots), want (%v, %d, %d)",
 					art.LPBound, got, art.LPIterations, c.artLPBound, c.artTotal, c.artPivots)
 			}
-			if got := art.LP.Pivots(); got != art.LPIterations {
-				t.Errorf("SolveART stats %+v do not add up to %d pivots", art.LP, art.LPIterations)
+			if got := art.LP.Pivots(); got != art.LPIterations || art.LP.StartAtUpper != 0 {
+				t.Errorf("SolveART stats %+v: want %d pivots from a cold start", art.LP, art.LPIterations)
+			}
+			mrt, err := SolveMRT(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mrt.Rho != c.rho || mrt.LPIterations != 0 || mrt.LP.StartAtUpper != c.flows || mrt.SearchLP != (lp.Stats{}) {
+				t.Errorf("SolveMRT = (rho %d, %d pivots at rho %+v, search %+v), want rho %d from one pivot-free solve",
+					mrt.Rho, mrt.LPIterations, mrt.LP, mrt.SearchLP, c.rho)
 			}
 		})
 	}

@@ -16,14 +16,16 @@ import (
 // solver reports in Solution.Stats beside lp_pivots.
 var lpStatKeys = []string{
 	"lp_rows", "lp_cols", "lp_nnz", "lp_phase1_pivots", "lp_phase2_pivots",
-	"lp_bound_flips", "lp_refactors", "lp_lu_peak_nnz",
+	"lp_bound_flips", "lp_refactors", "lp_lu_peak_nnz", "lp_perturbations",
+	"lp_start_at_upper",
 }
 
 // withLPStats adds st under lpStatKeys to a solver's stats.
 func withLPStats(stats map[string]float64, st lp.Stats) map[string]float64 {
 	for i, v := range []int{
 		st.Rows, st.Cols, st.Nonzeros, st.Phase1Pivots, st.Phase2Pivots,
-		st.BoundFlips, st.Refactors, st.PeakLUNonzeros,
+		st.BoundFlips, st.Refactors, st.PeakLUNonzeros, st.Perturbations,
+		st.StartAtUpper,
 	} {
 		stats[lpStatKeys[i]] = float64(v)
 	}

@@ -24,8 +24,9 @@ type Row struct {
 	Makespan      int
 	// LP holds the solver-stage counts of an LP-backed solver in
 	// lpStatKeys order (rows, columns, nonzeros, phase-1 and phase-2
-	// pivots, bound flips, refactorisations, peak L+U nonzeros); nil for
-	// a solver that solves no LP.
+	// pivots, bound flips, refactorisations, peak L+U nonzeros, stalls
+	// answered with a perturbation, variables the crash start put at
+	// their upper bound); nil for a solver that solves no LP.
 	LP []int
 	// Err is the failure description, "" on success.
 	Err string

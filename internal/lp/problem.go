@@ -1,17 +1,53 @@
 // Package lp implements a linear-programming solver: a revised simplex
-// method with bounded variables, two-phase initialization, Dantzig
-// pricing, and Bland's rule as an anti-cycling fallback. The basis is kept
-// as a sparse LU factorisation (lu.go: a singleton pass peels the unit
-// slack and artificial columns that make up most of a scheduling basis,
-// the remaining nucleus is factored left-looking with threshold pivoting)
-// plus a sparse product-form eta file, refactored every refactorEvery
-// pivots; FTRAN and BTRAN walk stored nonzeros only, so a pivot costs what
-// the basis holds, not the square of its order. It stands in for the
-// commercial solver (Gurobi) used in the paper's experiments and solves
-// the relaxations (1)-(4), (5)-(8)/(9)-(12) and (19)-(21).
+// method with bounded variables, two-phase initialization, Dantzig pricing,
+// and a bound perturbation as the answer to a stall. The basis is kept as a
+// sparse LU factorisation (lu.go: a singleton pass peels the unit slack and
+// artificial columns that make up most of a scheduling basis, the remaining
+// nucleus is factored left-looking with threshold pivoting) plus a sparse
+// product-form eta file, refactored every refactorEvery pivots; FTRAN and
+// BTRAN walk stored nonzeros only, so a pivot costs what the basis holds,
+// not the square of its order. It stands in for the commercial solver
+// (Gurobi) used in the paper's experiments and solves the relaxations
+// (1)-(4), (5)-(8)/(9)-(12) and (19)-(21).
 //
 // Solutions returned by Solve are basic (vertex) solutions, which the
 // iterative-rounding algorithms in internal/core rely on.
+//
+// # Starting point
+//
+// SolveOptions.Start names a point to start from. Exactly one thing is
+// read from it: a variable whose entry equals its finite upper bound starts
+// nonbasic at that bound; any other entry, and a nil Start, leave the
+// variable where a cold solve puts it (its lower bound, or the upper one if
+// there is no lower). The starting basis is then chosen from the row
+// residuals as always — the slack where the point satisfies the row, an
+// artificial where it does not — so a start that satisfies every row has
+// no artificial and no phase 1, a partial one pays phase 1 only for the
+// rows it misses, and a solve with a nil Start pivots exactly as it did
+// before Start existed. A caller that holds a feasible 0/1 point of its LP
+// (internal/core: a first-fit schedule) and needs the optimum, not a
+// particular vertex, passes it. A Start of the wrong length is an error.
+//
+// # Stalls
+//
+// A 0/1 point is a maximally degenerate vertex: every tight row has its
+// slack basic at a bound, and Dantzig pricing can turn the basis over there
+// indefinitely without moving. After degenLimit consecutive degenerate
+// pivots the solver perturbs: every bound that a basic variable sits on
+// moves outward by perturbScale*(1+|bound|)*(1+u) — about 1e-6, ten times
+// feasTol so that the steps it opens count as progress, u a draw in [0,1)
+// from a fixed-seed xorshift so that no two are equal — which turns the
+// tied zero ratios into distinct positive ones; pricing and the ratio test
+// are unchanged. When the phase ends the true bounds come back, nonbasic
+// variables are snapped onto them, the basis is refactored and the basic
+// values recomputed: the basis is still dual feasible, so the restored
+// point is optimal if it is within feasTol of every bound. A basic
+// variable that is not is swapped for an artificial carrying its violation
+// and the phases run again from that basis (simplex.settle). A perturbed
+// point is never returned, Stats.Perturbations counts the stalls, and a
+// solve that never makes degenLimit degenerate pivots in a row is not
+// touched by any of this. The package reads no clock and no global random
+// source: a solve is a function of its problem and options.
 //
 //flowsched:deterministic
 package lp
@@ -179,6 +215,13 @@ type Stats struct {
 	// PeakLUNonzeros is the largest number of nonzeros any of them stored
 	// in L and U together, diagonal included.
 	PeakLUNonzeros int
+	// Perturbations counts the stalls the solve answered by perturbing its
+	// bounds (0 for a solve that never made degenLimit degenerate pivots in
+	// a row).
+	Perturbations int
+	// StartAtUpper counts the variables SolveOptions.Start put at their
+	// upper bound (0 for a cold start).
+	StartAtUpper int
 }
 
 // Pivots is the iteration count of both phases together,
@@ -196,6 +239,8 @@ func (s *Stats) Add(o Stats) {
 	s.BoundFlips += o.BoundFlips
 	s.Refactors += o.Refactors
 	s.PeakLUNonzeros = max(s.PeakLUNonzeros, o.PeakLUNonzeros)
+	s.Perturbations += o.Perturbations
+	s.StartAtUpper += o.StartAtUpper
 }
 
 // RowActivity returns sum_k val[k]*X[idx[k]] for row i of the problem.

@@ -10,8 +10,10 @@ const (
 	optTol        = 1e-7 // reduced-cost optimality tolerance
 	pivotTol      = 1e-9 // minimum pivot magnitude
 	refactorEvery = 64   // eta vectors kept before refactorization
-	degenLimit    = 400  // degenerate pivots before switching to Bland
+	degenLimit    = 400  // consecutive degenerate pivots before the bounds are perturbed
 	phase1Tol     = 1e-6 // residual infeasibility accepted after phase 1
+	perturbScale  = 1e-6 // a perturbed bound moves by perturbScale*(1+|bound|)*(1+u), u in [0,1)
+	perturbSeed   = 0x9e3779b97f4a7c15
 )
 
 // spCol is a sparse column of the constraint matrix.
@@ -38,14 +40,21 @@ type simplex struct {
 	lu    luFactor
 	etas  etaFile
 	iters int
-	bland bool
-	degen int
+	degen int // consecutive degenerate pivots
+
+	// Stall handling (perturb, settle): while perturbed, lower/upper hold
+	// shifted bounds and lower0/upper0 the true ones. rng is the xorshift
+	// state the shifts are drawn from, seeded the same for every solve.
+	perturbed      bool
+	lower0, upper0 []float64
+	rng            uint64
 
 	y, w, res []float64 // BTRAN, FTRAN and refactor work vectors, length m
 
 	// Stats counters: matrix nonzeros, iterations spent in phase 1, bound
-	// flips, factorisations and the largest L+U seen.
-	nnz, phase1, flips, refactors, peakLU int
+	// flips, factorisations, the largest L+U seen, stalls perturbed away
+	// and variables Start put at their upper bound.
+	nnz, phase1, flips, refactors, peakLU, perturbations, startAtUpper int
 
 	maxIters int
 }
@@ -88,6 +97,15 @@ func (e *etaFile) push(r int, w []float64) {
 type SolveOptions struct {
 	// MaxIters bounds total pivots (0 means automatic).
 	MaxIters int
+	// Start, when not nil, is a point to start from, one entry per
+	// variable: a variable whose entry equals its finite upper bound starts
+	// nonbasic at that bound instead of at its lower one. Nothing else is
+	// read — every other entry means "as without Start" — and the starting
+	// basis is still chosen from the residuals: a slack on every row the
+	// point satisfies, an artificial on every row it does not. A start that
+	// satisfies every row therefore needs no phase 1. A Start of the wrong
+	// length is an error.
+	Start []float64
 }
 
 // Solve runs the two-phase revised simplex method and returns an optimal
@@ -102,46 +120,66 @@ func (p *Problem) SolveWith(opt SolveOptions) (*Solution, error) {
 	if s == nil {
 		return early, err
 	}
-	total := p.n + s.m // artificials sit at total and above
+	return s.solve(p)
+}
 
-	if s.n > total {
-		s.cost = make([]float64, s.n)
-		for j := total; j < s.n; j++ {
-			s.cost[j] = 1
+// solve runs both phases from the factored starting basis of newSimplex.
+func (s *simplex) solve(p *Problem) (*Solution, error) {
+	// Artificials sit at p.n+s.m and above; those from live on are still to
+	// be driven out. The loop runs once unless a phase stalled, perturbed
+	// its bounds and ended at a basis the true bounds reject: settle then
+	// hands the violations to fresh artificials and phase 1 runs again
+	// from that basis.
+	for live := p.n + s.m; ; {
+		if s.n > live {
+			s.cost = make([]float64, s.n)
+			for j := live; j < s.n; j++ {
+				s.cost[j] = 1
+			}
+			before := s.iters
+			st, err := s.iterate()
+			if err != nil {
+				return nil, err
+			}
+			s.phase1 += s.iters - before
+			if st == IterLimit {
+				return s.solution(IterLimit), nil
+			}
+			if added, err := s.settle(); err != nil {
+				return nil, err
+			} else if added > 0 {
+				continue
+			}
+			infeas := 0.0
+			for j := live; j < s.n; j++ {
+				infeas += s.x[j]
+			}
+			if infeas > phase1Tol {
+				return s.solution(Infeasible), nil
+			}
+			// Freeze artificials at zero.
+			for j := live; j < s.n; j++ {
+				s.lower[j], s.upper[j] = 0, 0
+				s.x[j] = 0
+			}
+			live = s.n
 		}
+
+		// Phase 2.
+		s.cost = make([]float64, s.n)
+		copy(s.cost, p.cost)
 		st, err := s.iterate()
 		if err != nil {
 			return nil, err
 		}
-		s.phase1 = s.iters
-		if st == IterLimit {
-			return s.solution(IterLimit), nil
+		if st != Optimal {
+			return s.solution(st), nil
 		}
-		infeas := 0.0
-		for j := total; j < s.n; j++ {
-			infeas += s.x[j]
+		if added, err := s.settle(); err != nil {
+			return nil, err
+		} else if added == 0 {
+			break
 		}
-		if infeas > phase1Tol {
-			return s.solution(Infeasible), nil
-		}
-		// Freeze artificials at zero.
-		for j := total; j < s.n; j++ {
-			s.lower[j], s.upper[j] = 0, 0
-			s.x[j] = 0
-		}
-	}
-
-	// Phase 2.
-	s.cost = make([]float64, s.n)
-	copy(s.cost, p.cost)
-	s.bland = false
-	s.degen = 0
-	st, err := s.iterate()
-	if err != nil {
-		return nil, err
-	}
-	if st != Optimal {
-		return s.solution(st), nil
 	}
 	// Final accuracy pass.
 	if err := s.refactor(); err != nil {
@@ -165,10 +203,14 @@ func (p *Problem) SolveWith(opt SolveOptions) (*Solution, error) {
 // columns past NumVars+NumRows) elsewhere. A problem decided without a
 // pivot returns a nil simplex and its solution or error instead.
 func (p *Problem) newSimplex(opt SolveOptions) (*simplex, *Solution, error) {
+	if opt.Start != nil && len(opt.Start) != p.n {
+		return nil, nil, fmt.Errorf("lp: Start has %d entries for %d variables", len(opt.Start), p.n)
+	}
 	m := len(p.rows)
 	s := &simplex{
 		m:       m,
 		nStruct: p.n,
+		rng:     perturbSeed,
 	}
 	// Columns: structural, then one slack per row, artificials appended
 	// below as needed. All of them are views into two flat arrays: the
@@ -244,7 +286,7 @@ func (p *Problem) newSimplex(opt SolveOptions) (*simplex, *Solution, error) {
 	}
 
 	// Nonbasic start for structural and slack columns: the finite bound
-	// (preferring lower).
+	// (preferring lower), or the upper one where Start sits on it.
 	s.x = make([]float64, total, total+m)
 	s.atUpper = make([]bool, total, total+m)
 	s.pos = make([]int, total, total+m)
@@ -257,6 +299,13 @@ func (p *Problem) newSimplex(opt SolveOptions) (*simplex, *Solution, error) {
 		} else {
 			s.x[j] = s.upper[j]
 			s.atUpper[j] = true
+		}
+	}
+	for j, v := range opt.Start {
+		if v == s.upper[j] && !s.atUpper[j] && !math.IsInf(v, 1) {
+			s.x[j] = v
+			s.atUpper[j] = true
+			s.startAtUpper++
 		}
 	}
 
@@ -326,6 +375,8 @@ func (s *simplex) solution(st Status) *Solution {
 		BoundFlips:     s.flips,
 		Refactors:      s.refactors,
 		PeakLUNonzeros: s.peakLU,
+		Perturbations:  s.perturbations,
+		StartAtUpper:   s.startAtUpper,
 	}}
 }
 
@@ -426,8 +477,9 @@ func (s *simplex) reducedCost(j int, y []float64) float64 {
 }
 
 // iterate runs primal simplex pivots with the current cost vector until
-// optimality, unboundedness, or the iteration limit. The error is a
-// refactorisation that found the basis singular.
+// optimality, unboundedness, or the iteration limit, perturbing the bounds
+// when it stalls; the caller settles. The error is a refactorisation that
+// found the basis singular.
 func (s *simplex) iterate() (Status, error) {
 	m := s.m
 	y, w := s.y, s.w
@@ -454,26 +506,14 @@ func (s *simplex) iterate() (Status, error) {
 			}
 			d := s.reducedCost(j, y)
 			if !s.atUpper[j] && d < -optTol {
-				score := -d
-				if s.bland {
-					enter = j
-					enterDir = 1
-					break
-				}
-				if score > best {
-					best = score
+				if -d > best {
+					best = -d
 					enter = j
 					enterDir = 1
 				}
 			} else if s.atUpper[j] && d > optTol {
-				score := d
-				if s.bland {
-					enter = j
-					enterDir = -1
-					break
-				}
-				if score > best {
-					best = score
+				if d > best {
+					best = d
 					enter = j
 					enterDir = -1
 				}
@@ -526,8 +566,9 @@ func (s *simplex) iterate() (Status, error) {
 			if ratio < 0 {
 				ratio = 0
 			}
+			// Among near-tied ratios the larger pivot wins (stability).
 			if ratio < delta-pivotTol ||
-				(ratio < delta+pivotTol && leave >= 0 && betterLeave(s, i, leave, w)) {
+				(ratio < delta+pivotTol && leave >= 0 && math.Abs(w[i]) > math.Abs(w[leave])) {
 				delta = ratio
 				leave = i
 				leaveToUpper = toUpper
@@ -540,11 +581,13 @@ func (s *simplex) iterate() (Status, error) {
 		if delta <= feasTol {
 			s.degen++
 			if s.degen > degenLimit {
-				s.bland = true
+				// Stalled: price again from this basis with its
+				// degenerate bounds moved apart.
+				s.perturb()
+				continue
 			}
 		} else {
 			s.degen = 0
-			s.bland = false
 		}
 
 		if leave < 0 {
@@ -598,12 +641,100 @@ func (s *simplex) applyStep(dir, delta float64, w []float64) {
 	}
 }
 
-// betterLeave prefers the leaving row with the larger pivot magnitude among
-// near-tied ratios (numerical stability); in Bland mode it prefers the
-// lowest basis column index (anti-cycling).
-func betterLeave(s *simplex, i, cur int, w []float64) bool {
-	if s.bland {
-		return s.basis[i] < s.basis[cur]
+// perturb answers a stall — degenLimit consecutive degenerate pivots — by
+// moving every bound a basic variable sits on outward by its own small
+// random amount, so that the tied ratios of the degenerate vertex become
+// distinct positive steps and Dantzig pricing makes progress again. The true
+// bounds are kept for settle; the amounts come from a fixed-seed xorshift,
+// so a solve is a function of its problem alone.
+func (s *simplex) perturb() {
+	if !s.perturbed {
+		s.lower0 = append(s.lower0[:0], s.lower...)
+		s.upper0 = append(s.upper0[:0], s.upper...)
+		s.perturbed = true
 	}
-	return math.Abs(w[i]) > math.Abs(w[cur])
+	for _, j := range s.basis {
+		if s.x[j]-s.lower[j] <= feasTol {
+			s.lower[j] -= s.shift(s.lower[j])
+		}
+		if s.upper[j]-s.x[j] <= feasTol {
+			s.upper[j] += s.shift(s.upper[j])
+		}
+	}
+	s.perturbations++
+	s.degen = 0
+}
+
+// shift draws the amount one bound moves by: perturbScale relative to the
+// bound's size, times a factor in [1, 2) that differs from bound to bound.
+func (s *simplex) shift(bound float64) float64 {
+	s.rng ^= s.rng << 13
+	s.rng ^= s.rng >> 7
+	s.rng ^= s.rng << 17
+	u := float64(s.rng>>11) / (1 << 53)
+	return perturbScale * (1 + math.Abs(bound)) * (1 + u)
+}
+
+// settle closes a phase. If the phase perturbed its bounds it puts the true
+// ones back, snaps the nonbasic variables onto them and recomputes the basic
+// ones; the basis is still dual feasible, so the restored point is the
+// phase's optimum unless a basic variable now lies outside its true bounds
+// by more than feasTol. Each such variable is made nonbasic at the bound it
+// violates and its place in the basis is taken by a fresh artificial — its
+// own column, signed so the artificial starts at the size of the violation
+// — for the caller's next phase 1 to drive out. It returns how many
+// artificials it added.
+func (s *simplex) settle() (int, error) {
+	s.degen = 0
+	if !s.perturbed {
+		return 0, nil
+	}
+	s.perturbed = false
+	copy(s.lower, s.lower0)
+	copy(s.upper, s.upper0)
+	for j := 0; j < s.n; j++ {
+		if s.pos[j] >= 0 {
+			continue
+		}
+		if s.atUpper[j] {
+			s.x[j] = s.upper[j]
+		} else {
+			s.x[j] = s.lower[j]
+		}
+	}
+	if err := s.refactor(); err != nil {
+		return 0, err
+	}
+	added := 0
+	for i, j := range s.basis {
+		v := s.x[j]
+		col := s.cols[j]
+		switch {
+		case v < s.lower[j]-feasTol:
+			neg := make([]float64, len(col.rv))
+			for k, a := range col.rv {
+				neg[k] = -a
+			}
+			col.rv = neg
+			s.x[j], s.atUpper[j] = s.lower[j], false
+		case v > s.upper[j]+feasTol:
+			s.x[j], s.atUpper[j] = s.upper[j], true
+		default:
+			continue
+		}
+		s.pos[j] = -1
+		s.basis[i] = len(s.cols)
+		s.cols = append(s.cols, col)
+		s.lower = append(s.lower, 0)
+		s.upper = append(s.upper, Inf)
+		s.x = append(s.x, math.Abs(v-s.x[j]))
+		s.atUpper = append(s.atUpper, false)
+		s.pos = append(s.pos, i)
+		added++
+	}
+	if added == 0 {
+		return 0, nil
+	}
+	s.n = len(s.cols)
+	return added, s.refactor()
 }
