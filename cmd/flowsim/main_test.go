@@ -1,0 +1,38 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// TestDispatch drives the front door without exec: what is not a
+// subcommand or an artifact is a usage error (status 2) that names the
+// valid ones, and -h on a subcommand lists that subcommand's flags only.
+func TestDispatch(t *testing.T) {
+	for _, c := range []struct {
+		args      []string
+		status    int
+		want, not string // in stderr / not in stderr
+	}{
+		{[]string{"nosuchcmd"}, 2, "art, gen, mrt, paper", ""},
+		{[]string{"paper", "-fig", "nosuch"}, 2, "6, 7, t1, t3, amrt, 4a, ablation, bounds, sweep, all", ""},
+		{[]string{"paper", "-nosuchflag"}, 2, "-lptrials", "-stream"},
+		{[]string{"paper", "-T", "4,x"}, 2, `bad integer "x"`, ""},
+		{[]string{"gen", "-kind", "nosuch"}, 2, `unknown kind "nosuch"`, ""},
+		{[]string{"-policy", "nosuch"}, 2, `unknown policy "nosuch"`, ""},
+		{[]string{"art", "-in", "/nonexistent/instance.json"}, 1, "flowsim art: open", ""},
+		{[]string{"art", "-h"}, 0, "-schedule", "-stream"},
+		{[]string{"mrt", "-h"}, 0, "-deadlines", "-kind"},
+		{[]string{"gen", "-h"}, 0, "-teachers", "-fig"},
+		{[]string{"-h"}, 0, "-stream", "-deadlines"},
+	} {
+		var stderr bytes.Buffer
+		if got := dispatch(c.args, &stderr); got != c.status {
+			t.Errorf("flowsim %v: exit status %d, want %d (stderr %q)", c.args, got, c.status, &stderr)
+		}
+		if !strings.Contains(stderr.String(), c.want) || (c.not != "" && strings.Contains(stderr.String(), c.not)) {
+			t.Errorf("flowsim %v: stderr %q, want it to contain %q and not %q", c.args, &stderr, c.want, c.not)
+		}
+	}
+}

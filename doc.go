@@ -130,6 +130,9 @@
 //
 // The LP solver, matching algorithms, edge coloring, rounding theorem, and
 // simulator are all implemented in this repository with no external
-// dependencies; see DESIGN.md for the system inventory and EXPERIMENTS.md
-// for the reproduction of the paper's figures.
+// dependencies. The paper's figures and theorem tables are reproduced by
+// the artifact registry of internal/experiments, run with
+// `flowsim paper -fig KEY`; cmd/flowsim is the one command-line front door
+// to the offline algorithms (`flowsim art`, `flowsim mrt`), the instance
+// generators (`flowsim gen`), the simulator and the streaming runtime.
 package flowsched

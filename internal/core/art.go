@@ -28,8 +28,11 @@ type ARTResult struct {
 	WindowH int
 	// Batches is the number of conversion windows that contained flows.
 	Batches int
-	// ForcedFixes mirrors PseudoSchedule.ForcedFixes (0 in practice).
-	ForcedFixes int
+	// RoundingIterations and ForcedFixes mirror the PseudoSchedule's:
+	// LP re-solves of the rounding (O(log n) by Lemma 3.5) and
+	// degeneracy-safeguard fixes (0 in practice).
+	RoundingIterations int
+	ForcedFixes        int
 	// LPIterations totals simplex pivots across all iterative-rounding
 	// solves.
 	LPIterations int
@@ -85,15 +88,16 @@ func SolveART(inst *switchnet.Instance, c int) (*ARTResult, error) {
 		}
 	}
 	res := &ARTResult{
-		Schedule:     sched,
-		CapFactor:    1 + c,
-		LPBound:      ps.LPValue,
-		PseudoTotal:  ps.TotalResponse(inst),
-		WindowH:      usedH,
-		Batches:      batches,
-		ForcedFixes:  ps.ForcedFixes,
-		LPIterations: ps.LPIterations,
-		LP:           ps.LP,
+		Schedule:           sched,
+		CapFactor:          1 + c,
+		LPBound:            ps.LPValue,
+		PseudoTotal:        ps.TotalResponse(inst),
+		WindowH:            usedH,
+		Batches:            batches,
+		RoundingIterations: ps.RoundingIterations,
+		ForcedFixes:        ps.ForcedFixes,
+		LPIterations:       ps.LPIterations,
+		LP:                 ps.LP,
 	}
 	caps := switchnet.ScaleCaps(inst.Switch.Caps(), 1+c)
 	if err := sched.Validate(inst, caps); err != nil {

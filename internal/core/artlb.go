@@ -79,17 +79,11 @@ func describeLP(st lp.Stats) string {
 // with the point its solve starts from: b_et = d_e where firstFit, in
 // release order, places flow e.
 func artLowerBoundLP(inst *switchnet.Instance, horizon int) (*lp.Problem, []float64) {
-	rounds := make([]int, horizon)
-	for t := range rounds {
-		rounds[t] = t
-	}
-	cand := make(Windows, inst.N())
 	release := make([]int, inst.N())
 	for f, e := range inst.Flows {
-		cand[f] = rounds[e.Release:]
 		release[f] = e.Release
 	}
-	ix := newTimeIndex(inst, cand)
+	ix := newTimeIndex(inst, fromRelease(inst, horizon), 1)
 	p := lp.NewProblem(ix.len())
 	for j, f := range ix.flow {
 		e := inst.Flows[f]

@@ -159,46 +159,23 @@ func IterativeRound(inst *switchnet.Instance) (*PseudoSchedule, error) {
 func solveInitialIntervalLP(inst *switchnet.Instance) ([]entry, float64, lp.Stats, error) {
 	horizon := inst.CongestionHorizon()
 	for attempt := 0; attempt < 8; attempt++ {
-		vm := newVarMap()
-		for f, e := range inst.Flows {
-			for t := e.Release; t < horizon; t++ {
-				vm.add(f, t)
-			}
-		}
-		p := lp.NewProblem(vm.len())
-		for j := 0; j < vm.len(); j++ {
-			k := vm.key(j)
-			e := inst.Flows[k.flow]
-			p.SetCost(j, float64(k.round-e.Release)+0.5)
+		// Variables flow by flow, rounds ascending; a slot per aligned
+		// width-4 window, so the port rows are constraint (7): the sum
+		// over t in [4a, 4a+4) is at most 4*c_p.
+		ix := newTimeIndex(inst, fromRelease(inst, horizon), 4)
+		p := lp.NewProblem(ix.len())
+		for j, f := range ix.flow {
+			p.SetCost(j, float64(ix.round[j]-inst.Flows[f].Release)+0.5)
 			p.SetBounds(j, 0, 1)
 		}
-		for f, e := range inst.Flows {
-			var idx []int
-			var val []float64
-			for t := e.Release; t < horizon; t++ {
-				idx = append(idx, vm.byK[varKey{f, t}])
-				val = append(val, 1)
-			}
-			p.AddRow(idx, val, lp.GE, 1)
+		for f := range inst.Flows {
+			a, b := ix.off[f], ix.off[f+1]
+			p.AddRow(ix.ident[a:b], ix.ones[a:b], lp.GE, 1)
 		}
-		// Width-4 aligned windows: sum over t in [4a, 4a+4) at most 4*c_p,
-		// rows in deterministic order.
-		rows := make(map[portRound][]int)
-		for j := 0; j < vm.len(); j++ {
-			k := vm.key(j)
-			e := inst.Flows[k.flow]
-			pIn := inst.Switch.PortIndex(switchnet.In, e.In)
-			pOut := inst.Switch.PortIndex(switchnet.Out, e.Out)
-			rows[portRound{pIn, k.round / 4}] = append(rows[portRound{pIn, k.round / 4}], j)
-			rows[portRound{pOut, k.round / 4}] = append(rows[portRound{pOut, k.round / 4}], j)
-		}
-		for _, key := range sortedPortRounds(rows) {
-			vars := rows[key]
-			val := make([]float64, len(vars))
-			for i := range val {
-				val[i] = 1
-			}
-			p.AddRow(vars, val, lp.LE, 4*float64(inst.Switch.Cap(key.port)))
+		rows := newPortRows(inst, ix)
+		for k, port := range rows.port {
+			a, b := rows.start[k], rows.start[k+1]
+			p.AddRow(rows.vars[a:b], ix.ones[:b-a], lp.LE, 4*float64(inst.Switch.Cap(port)))
 		}
 		sol, err := p.Solve()
 		if err != nil {
@@ -209,8 +186,7 @@ func solveInitialIntervalLP(inst *switchnet.Instance) ([]entry, float64, lp.Stat
 			var entries []entry
 			for j, v := range sol.X {
 				if v > zeroTol {
-					k := vm.key(j)
-					entries = append(entries, entry{k.flow, k.round, v})
+					entries = append(entries, entry{ix.flow[j], ix.round[j], v})
 				}
 			}
 			return entries, sol.Obj, sol.Stats, nil

@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"flowsched/internal/switchnet"
 )
@@ -41,65 +40,13 @@ import (
 // requested constraints (e.g. no schedule with the given response bound).
 var ErrInfeasible = errors.New("core: infeasible")
 
-// varKey identifies an LP variable b_{e,t} / x_{e,t}.
-type varKey struct {
-	flow  int
-	round int
-}
-
-// varMap assigns dense indices to (flow, round) variables.
-type varMap struct {
-	keys []varKey
-	byK  map[varKey]int
-}
-
-func newVarMap() *varMap {
-	return &varMap{byK: make(map[varKey]int)}
-}
-
-func (m *varMap) add(flow, round int) int {
-	k := varKey{flow, round}
-	if j, ok := m.byK[k]; ok {
-		return j
-	}
-	j := len(m.keys)
-	m.keys = append(m.keys, k)
-	m.byK[k] = j
-	return j
-}
-
-func (m *varMap) len() int { return len(m.keys) }
-
-func (m *varMap) key(j int) varKey { return m.keys[j] }
-
-// portRound keys a per-(port, round-or-window) constraint row.
-type portRound struct{ port, t int }
-
-// sortedPortRounds returns the map's keys ordered by (port, t). Constraint
-// rows must be added to LPs and rounding systems in this deterministic
-// order: map iteration order would otherwise vary per run, perturbing the
-// simplex pivot sequence and producing different (all individually valid)
-// schedules for the same instance — breaking reproducible sweeps.
-func sortedPortRounds(m map[portRound][]int) []portRound {
-	keys := make([]portRound, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].port != keys[b].port {
-			return keys[a].port < keys[b].port
-		}
-		return keys[a].t < keys[b].t
-	})
-	return keys
-}
-
 // timeIndex lays out the variables of a time-indexed LP flow by flow: flow
 // f owns variables off[f] up to off[f+1], one per candidate round, in the
-// order its candidates were given. slot ranks a variable's round among the
-// nSlots distinct rounds in use, which makes every per-(port, round) table
-// a dense array of nSlots entries per port, whatever the rounds are; in[f]
-// and out[f] are where the entries of flow f's two ports begin.
+// order its candidates were given. slot ranks a variable's window — its
+// round divided by the index's width: the round itself at width 1 — among
+// the nSlots distinct windows in use, which makes every per-(port, window)
+// table a dense array of nSlots entries per port, whatever the rounds are;
+// in[f] and out[f] are where the entries of flow f's two ports begin.
 type timeIndex struct {
 	off     []int // len flows+1
 	in, out []int // per flow
@@ -112,8 +59,9 @@ type timeIndex struct {
 	ones  []float64
 }
 
-// newTimeIndex indexes one variable per flow and candidate round.
-func newTimeIndex(inst *switchnet.Instance, rounds Windows) *timeIndex {
+// newTimeIndex indexes one variable per flow and candidate round, with
+// aligned windows of width rounds as slots.
+func newTimeIndex(inst *switchnet.Instance, rounds Windows, width int) *timeIndex {
 	ix := &timeIndex{off: make([]int, len(rounds)+1)}
 	for f, r := range rounds {
 		ix.off[f+1] = ix.off[f] + len(r)
@@ -129,11 +77,14 @@ func newTimeIndex(inst *switchnet.Instance, rounds Windows) *timeIndex {
 	for j := range ix.ident {
 		ix.ident[j], ix.ones[j] = j, 1
 	}
-	distinct := slices.Clone(ix.round)
+	for j, t := range ix.round {
+		ix.slot[j] = t / width
+	}
+	distinct := slices.Clone(ix.slot)
 	slices.Sort(distinct)
 	distinct = slices.Compact(distinct)
-	for j, t := range ix.round {
-		ix.slot[j], _ = slices.BinarySearch(distinct, t)
+	for j, w := range ix.slot {
+		ix.slot[j], _ = slices.BinarySearch(distinct, w)
 	}
 	ix.nSlots = len(distinct)
 	ix.in, ix.out = make([]int, len(rounds)), make([]int, len(rounds))
@@ -147,11 +98,27 @@ func newTimeIndex(inst *switchnet.Instance, rounds Windows) *timeIndex {
 // len is the number of variables.
 func (ix *timeIndex) len() int { return len(ix.flow) }
 
-// portRows groups the variables of a timeIndex by (port, round): row k is
+// fromRelease gives every flow the candidate rounds [r_e, horizon), the
+// variables of LP (1)-(4) and of the interval LP (5)-(8). The windows
+// share one backing array.
+func fromRelease(inst *switchnet.Instance, horizon int) Windows {
+	rounds := make([]int, horizon)
+	for t := range rounds {
+		rounds[t] = t
+	}
+	cand := make(Windows, inst.N())
+	for f, e := range inst.Flows {
+		cand[f] = rounds[e.Release:]
+	}
+	return cand
+}
+
+// portRows groups the variables of a timeIndex by (port, slot): row k is
 // vars[start[k]:start[k+1]], ascending, and constrains port[k]. Rows hold
-// only (port, round) pairs some variable touches and are ordered by port,
-// then round — the order sortedPortRounds gives the map-built LPs, for the
-// reason given there, without the map or the sort.
+// only (port, slot) pairs some variable touches and are ordered by port,
+// then slot. The order is part of the result: a different row order walks
+// the simplex through different pivots to a different, equally valid,
+// vertex, and a sweep would stop being reproducible.
 type portRows struct {
 	port, start, vars []int
 }

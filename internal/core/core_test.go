@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
 	"flowsched/internal/switchnet"
+	"flowsched/internal/workload"
 )
 
 // poissonish returns a random unit-demand instance on an m x m unit switch
@@ -242,45 +244,59 @@ func TestIterativeRoundProperties(t *testing.T) {
 	}
 }
 
-func TestIterativeRoundOverloadBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	inst := poissonish(rng, 4, 3, 5)
-	ps, err := IterativeRound(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Lemma 3.3(3): for any interval, port load <= cp*len + O(cp log n).
-	// Measure the worst interval overload against a generous constant.
-	n := inst.N()
-	logN := 1
-	for v := 1; v < n; v *= 2 {
-		logN++
-	}
+// maxIntervalOverload is the largest load - c_p*length over ports and
+// intervals of rounds, for an assignment of unit flows to rounds.
+func maxIntervalOverload(inst *switchnet.Instance, round []int) int {
 	horizon := 0
-	for _, r := range ps.Round {
-		if r+1 > horizon {
-			horizon = r + 1
-		}
+	for _, r := range round {
+		horizon = max(horizon, r+1)
 	}
 	numPorts := inst.Switch.NumPorts()
-	loads := make([][]int, horizon)
-	for t := range loads {
-		loads[t] = make([]int, numPorts)
-	}
-	for f, r := range ps.Round {
+	loads := make([]int, horizon*numPorts)
+	for f, r := range round {
 		e := inst.Flows[f]
-		loads[r][inst.Switch.PortIndex(switchnet.In, e.In)]++
-		loads[r][inst.Switch.PortIndex(switchnet.Out, e.Out)]++
+		loads[r*numPorts+inst.Switch.PortIndex(switchnet.In, e.In)]++
+		loads[r*numPorts+inst.Switch.PortIndex(switchnet.Out, e.Out)]++
 	}
+	worst := 0
 	for p := 0; p < numPorts; p++ {
 		cp := inst.Switch.Cap(p)
 		for t1 := 0; t1 < horizon; t1++ {
 			sum := 0
 			for t2 := t1; t2 < horizon; t2++ {
-				sum += loads[t2][p]
-				if over := sum - cp*(t2-t1+1); over > 12*cp*logN {
-					t.Fatalf("port %d interval [%d,%d] overload %d > %d", p, t1, t2, over, 12*cp*logN)
-				}
+				sum += loads[t2*numPorts+p]
+				worst = max(worst, sum-cp*(t2-t1+1))
+			}
+		}
+	}
+	return worst
+}
+
+// TestIterativeRoundOverloadBound is Lemma 3.3(3) as a growth guard: over
+// seeded Poisson instances of about 20, 40 and 80 flows on 5 ports, no
+// port's load over any interval exceeds c_p*length by more than
+// 8*c_p*ceil(log2(n+2)), and the rounding never needs its degeneracy
+// safeguard. Measured overloads are 4 to 6 at c_p = 1; the constant is
+// generous on purpose, the logarithm is the claim.
+func TestIterativeRoundOverloadBound(t *testing.T) {
+	for _, n := range []int{20, 40, 80} {
+		for seed := 0; seed < 10; seed++ {
+			rng := rand.New(rand.NewSource(int64(seed) + 61))
+			inst := workload.PoissonConfig{M: float64(n) / 6, T: 6, Ports: 5}.Generate(rng)
+			if inst.N() == 0 {
+				continue
+			}
+			ps, err := IterativeRound(inst)
+			if err != nil {
+				t.Fatalf("n~%d seed %d: %v", n, seed, err)
+			}
+			if ps.ForcedFixes != 0 {
+				t.Errorf("n~%d seed %d: %d forced fixes", n, seed, ps.ForcedFixes)
+			}
+			bound := 8 * int(math.Ceil(math.Log2(float64(inst.N()+2))))
+			if over := maxIntervalOverload(inst, ps.Round); over > bound {
+				t.Errorf("n~%d seed %d: interval overload %d > %d (n = %d, %d rounding iterations)",
+					n, seed, over, bound, inst.N(), ps.RoundingIterations)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -28,6 +29,24 @@ func crashInstance(rng *rand.Rand, ports, rounds, flows, maxCap, maxDemand int) 
 		inst.Flows[f] = e
 	}
 	return inst
+}
+
+// portRound keys a per-(port, round) constraint row in the tests' map-built
+// reference.
+type portRound struct{ port, t int }
+
+// sortedPortRounds returns the map's keys ordered by (port, t): the row
+// order the LP builders used when they grouped variables through a map, and
+// the one portRows must keep.
+func sortedPortRounds(m map[portRound][]int) []portRound {
+	keys := make([]portRound, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b portRound) int {
+		return cmp.Or(a.port-b.port, a.t-b.t)
+	})
+	return keys
 }
 
 // checkPlacement verifies what firstFit promises: every placed flow sits on
@@ -76,7 +95,7 @@ func TestFirstFit(t *testing.T) {
 		{"partial order", Windows{{0}, {0}, {0}, {0}, {0}}, []int{1}, []int{-1, 0, -1, -1, -1}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			ix := newTimeIndex(inst, c.win)
+			ix := newTimeIndex(inst, c.win, 1)
 			placed := firstFit(inst, c.order, ix)
 			checkPlacement(t, inst, ix, placed)
 			got := make([]int, len(placed))
@@ -112,7 +131,7 @@ func TestPortRowsMatchSortedMap(t *testing.T) {
 				win[f] = []int{e.Release * 7}
 			}
 		}
-		ix := newTimeIndex(inst, win)
+		ix := newTimeIndex(inst, win, 1)
 		want := make(map[portRound][]int)
 		for j, f := range ix.flow {
 			e := inst.Flows[f]

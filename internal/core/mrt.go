@@ -66,7 +66,7 @@ type windowLP struct {
 // an equality row per flow and a capacity row per (port, round) that some
 // window touches.
 func timeConstrainedLP(inst *switchnet.Instance, win Windows) *windowLP {
-	ix := newTimeIndex(inst, win)
+	ix := newTimeIndex(inst, win, 1)
 	m := &windowLP{p: lp.NewProblem(ix.len()), ix: ix, caps: newPortRows(inst, ix)}
 	for j := range ix.ident {
 		m.p.SetBounds(j, 0, 1)

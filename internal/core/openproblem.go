@@ -9,8 +9,8 @@ import "flowsched/internal/switchnet"
 // exact (backtracking) schedule exists, searching up to maxRho; -1 means
 // no schedule with rho <= maxRho was found.
 //
-// The paper conjectures a constant suffices; the probe lets experiments
-// gather evidence (see BenchmarkOpenProblem and EXPERIMENTS.md).
+// The paper conjectures a constant suffices; the probe gathers evidence
+// (TestSmoothSequencesScheduleWithSmallRho keeps it below 5).
 func OpenProblemProbe(inst *switchnet.Instance, maxRho int) int {
 	for rho := 1; rho <= maxRho; rho++ {
 		if ExactMRTFeasible(inst, rho) {

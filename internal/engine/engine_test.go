@@ -206,13 +206,17 @@ func TestResultTableCSV(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("CSV has %d lines, want header + 2 rows:\n%s", len(lines), buf.String())
 	}
-	if !strings.HasPrefix(lines[0], "workload,solver,seed") {
+	if !strings.HasPrefix(lines[0], "workload,solver,seed,n,verified,augment,total_resp,") {
 		t.Fatalf("bad header %q", lines[0])
+	}
+	if !strings.Contains(lines[1], ",true,-,") {
+		t.Fatalf("a simulator policy runs on the raw capacities, row %q", lines[1])
 	}
 }
 
 // TestLPSolversReportStageCounts: the LP-backed solvers carry the solver's
-// stage counts into their table rows, the others a blank.
+// stage counts into their table rows, the others a blank; every row names
+// the augmentation its solver declared.
 func TestLPSolversReportStageCounts(t *testing.T) {
 	table := RunSweep(SweepConfig{
 		Solvers:    []Solver{ARTSolver{C: 1}, MRTSolver{}, SolverByName("MaxCard")},
@@ -222,6 +226,18 @@ func TestLPSolversReportStageCounts(t *testing.T) {
 	})
 	if err := table.FirstError(); err != nil {
 		t.Fatal(err)
+	}
+	for i, want := range []string{"x2", "+1", "-"} {
+		if got := table.Rows[i].Augment; got != want {
+			t.Fatalf("%s: augment column %q, want %q", table.Rows[i].Solver, got, want)
+		}
+	}
+	if st := table.Verdicts[0].Solution.Stats; st["rounding_iterations"] < 1 || st["batches"] < 1 ||
+		st["pseudo_total"] < st["lp_bound"]-1e-9 {
+		t.Fatalf("ART stage counts missing or inconsistent: %v", st)
+	}
+	if st := table.Verdicts[1].Solution.Stats; st["overload"] < 0 || st["overload"] > st["cap_increase"] {
+		t.Fatalf("MRT overload %v outside its declared increase %v", st["overload"], st["cap_increase"])
 	}
 	for i, r := range table.Rows[:2] {
 		st := table.Verdicts[i].Solution.Stats

@@ -52,10 +52,13 @@ func (s ARTSolver) Solve(inst *switchnet.Instance) (*Solution, error) {
 		Schedule: res.Schedule,
 		Caps:     switchnet.ScaleCaps(inst.Switch.Caps(), res.CapFactor),
 		Stats: withLPStats(map[string]float64{
-			"lp_bound":   res.LPBound,
-			"window_h":   float64(res.WindowH),
-			"lp_pivots":  float64(res.LPIterations),
-			"cap_factor": float64(res.CapFactor),
+			"lp_bound":            res.LPBound,
+			"pseudo_total":        float64(res.PseudoTotal),
+			"rounding_iterations": float64(res.RoundingIterations),
+			"window_h":            float64(res.WindowH),
+			"batches":             float64(res.Batches),
+			"lp_pivots":           float64(res.LPIterations),
+			"cap_factor":          float64(res.CapFactor),
 		}, res.LP),
 	}, nil
 }
@@ -77,8 +80,11 @@ func (MRTSolver) Solve(inst *switchnet.Instance) (*Solution, error) {
 		Schedule: res.Schedule,
 		Caps:     switchnet.AddCaps(inst.Switch.Caps(), res.CapIncrease),
 		Stats: withLPStats(map[string]float64{
-			"rho":              float64(res.Rho),
-			"cap_increase":     float64(res.CapIncrease),
+			"rho":          float64(res.Rho),
+			"cap_increase": float64(res.CapIncrease),
+			// What of the increase the schedule used: its worst port
+			// overload against the raw capacities.
+			"overload":         float64(res.Schedule.MaxOverload(inst, inst.Switch.Caps())),
 			"lp_pivots":        float64(res.LPIterations),
 			"lp_search_pivots": float64(res.SearchLP.Pivots()),
 		}, res.LP),
@@ -129,9 +135,11 @@ func (AMRTSolver) Solve(inst *switchnet.Instance) (*Solution, error) {
 		Schedule: res.Schedule,
 		Caps:     core.AMRTCaps(inst),
 		Stats: map[string]float64{
-			"final_rho":   float64(res.FinalRho),
-			"rho_bumps":   float64(res.RhoBumps),
-			"checkpoints": float64(res.Checkpoints),
+			"final_rho":    float64(res.FinalRho),
+			"rho_bumps":    float64(res.RhoBumps),
+			"checkpoints":  float64(res.Checkpoints),
+			"cap_increase": float64(2*inst.MaxDemand() - 1),
+			"cap_factor":   2,
 		},
 	}, nil
 }

@@ -16,6 +16,11 @@ type Row struct {
 	Seed     int64
 	N        int
 	Verified bool
+	// Augment is the capacity the solver declared its schedule feasible
+	// under, from its cap_increase and cap_factor stats: "+k" for c_p + k,
+	// "xk" for k*c_p, "+jxk" for k*(c_p + j), "-" for the raw capacities.
+	// The response columns are bought with it.
+	Augment string
 	// Recomputed metrics from the verify oracle (zero when the solver
 	// errored before producing a schedule).
 	TotalResponse int
@@ -49,6 +54,7 @@ func NewResultTable(verdicts []Verdict) *ResultTable {
 			Seed:     v.Scenario.Seed,
 			N:        v.N,
 			Verified: v.Verified,
+			Augment:  "-",
 		}
 		if v.Scenario.Workload != nil {
 			r.Workload = v.Scenario.Workload.Name()
@@ -66,6 +72,7 @@ func NewResultTable(verdicts []Verdict) *ResultTable {
 			r.Makespan = v.Report.Makespan
 		}
 		if v.Solution != nil {
+			r.Augment = augment(v.Solution.Stats)
 			if _, ok := v.Solution.Stats[lpStatKeys[0]]; ok {
 				for _, k := range lpStatKeys {
 					r.LP = append(r.LP, int(v.Solution.Stats[k]))
@@ -78,6 +85,21 @@ func NewResultTable(verdicts []Verdict) *ResultTable {
 		t.Rows[i] = r
 	}
 	return t
+}
+
+// augment formats a solver's declared capacity augmentation.
+func augment(stats map[string]float64) string {
+	s := ""
+	if k, ok := stats["cap_increase"]; ok {
+		s = fmt.Sprintf("+%.0f", k)
+	}
+	if k, ok := stats["cap_factor"]; ok {
+		s += fmt.Sprintf("x%.0f", k)
+	}
+	if s == "" {
+		return "-"
+	}
+	return s
 }
 
 // AllVerified reports whether every scenario passed the oracle.
@@ -102,7 +124,7 @@ func (t *ResultTable) FirstError() error {
 
 // header is the column set shared by Render and WriteCSV: the verdict, the
 // LP stage counts (lpStatKeys, "-" for a solver without an LP), the error.
-var header = append(append([]string{"workload", "solver", "seed", "n", "verified", "total_resp", "avg_resp", "max_resp", "makespan"},
+var header = append(append([]string{"workload", "solver", "seed", "n", "verified", "augment", "total_resp", "avg_resp", "max_resp", "makespan"},
 	lpStatKeys...), "err")
 
 // cells formats one row in header order.
@@ -113,6 +135,7 @@ func (r Row) cells() []string {
 		strconv.FormatInt(r.Seed, 10),
 		strconv.Itoa(r.N),
 		strconv.FormatBool(r.Verified),
+		r.Augment,
 		strconv.Itoa(r.TotalResponse),
 		strconv.FormatFloat(r.AvgResponse, 'f', 3, 64),
 		strconv.Itoa(r.MaxResponse),

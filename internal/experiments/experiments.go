@@ -1,15 +1,20 @@
-// Package experiments regenerates the paper's evaluation artifacts
-// (Figures 6 and 7, plus validation tables for Theorems 1 and 3 and the
-// online results of Section 5.1). It drives the simulator, the LP lower
-// bounds, and the offline algorithms over the paper's load grid, writes
-// CSV and ASCII charts, and is shared by cmd/experiments and the test
-// suite.
+// Package experiments is the one implementation of the paper's evaluation:
+// Figures 6 and 7, the validation tables of Theorems 1 and 3 and of the
+// online results of Section 5.1, the ablations and the solver x workload
+// sweep. Each is an Artifact of the Artifacts registry — a key and a plan
+// of cells: seeded draws of a workload, the engine solvers that schedule
+// them, the bounds evaluated on them, and what the results become — which
+// `flowsim paper -fig KEY` and the tests iterate.
 //
-// Scale note (see DESIGN.md): the paper uses a 150x150 switch with
-// M in {50,100,150,300,600}. The default configuration here keeps the same
-// load ratios M/m on a smaller switch so the homegrown simplex can solve
-// the LP baselines in minutes rather than hours; every knob is a flag in
-// cmd/experiments.
+// A number that comes from a schedule is read from a verdict the verify
+// oracle accepted, under the augmentation its solver declares; a rejected
+// schedule fails the artifact. A draw without flows is not a data point
+// anywhere. All seeds come from seedFor, so the rows of a table judge the
+// same draws, and the output does not depend on Config.Workers.
+//
+// Scale: the paper uses a 150x150 switch with M in {50,100,150,300,600}.
+// DefaultConfig keeps the load ratios M/m on a smaller switch, so the
+// repository's own simplex solves the LP baselines in minutes, not hours.
 package experiments
 
 import (
@@ -18,15 +23,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
-	"flowsched/internal/core"
 	"flowsched/internal/engine"
-	"flowsched/internal/heuristics"
 	"flowsched/internal/plot"
-	"flowsched/internal/sim"
 	"flowsched/internal/stats"
 	"flowsched/internal/switchnet"
-	"flowsched/internal/verify"
 	"flowsched/internal/workload"
 )
 
@@ -47,8 +50,6 @@ type Config struct {
 	Seed int64
 	// EnableLP computes the LP baselines (dominates runtime).
 	EnableLP bool
-	// OutDir receives CSV and ASCII outputs ("" = no files).
-	OutDir string
 	// Workers bounds parallelism (0 = GOMAXPROCS).
 	Workers int
 }
@@ -89,197 +90,243 @@ func seedFor(base int64, ri, T, trial int) int64 {
 	return base + int64(ri)*1_000_003 + int64(T)*7919 + int64(trial)*104729 + 17
 }
 
-// Fig6 regenerates the average-response-time panels of Figure 6: one chart
-// per load ratio, series per heuristic plus the LP (1)-(4) lower bound.
-func Fig6(cfg Config, w io.Writer) ([]*plot.Chart, error) {
-	return figure(cfg, w, "fig6", "avg response time", func(rep *verify.Report) float64 {
-		return rep.AvgResponse
-	}, func(inst *switchnet.Instance) (float64, error) {
-		lb, err := core.ARTLowerBound(inst)
-		if err != nil {
-			return 0, err
+// seeds is seedFor along the trial axis of grid point (ri, T); artifacts
+// off the load grid use ri = 0.
+func (c Config) seeds(ri, T int) func(trial int) int64 {
+	return func(trial int) int64 { return seedFor(c.Seed, ri, T, trial) }
+}
+
+// poisson is the Section 5.2.1 workload at load ratio M/m, with demands up
+// to dmax on ports of capacity dmax.
+func (c Config) poisson(ratio float64, T, dmax int) engine.Generator {
+	return engine.PoissonGen{Cfg: workload.PoissonConfig{
+		M: ratio * float64(c.Ports), T: T, Ports: c.Ports, Cap: dmax, MaxDemand: dmax,
+	}}
+}
+
+// Output is what an artifact produces: charts or a table.
+type Output interface {
+	Render(w io.Writer)
+	// Save writes the CSV (and, for charts, ASCII) files into dir, which
+	// it creates.
+	Save(dir string) error
+}
+
+// metric reads one number off a verdict.
+type metric = func(engine.Verdict) float64
+
+// Artifact is one evaluation artifact, declared as data.
+type Artifact struct {
+	// Key selects the artifact (`flowsim paper -fig KEY`); Title heads
+	// its output.
+	Key, Title string
+	// Plan lays the artifact out at cfg: the output, and the cells whose
+	// Emit calls fill it in, in order.
+	Plan func(cfg Config) (Output, []Cell)
+}
+
+// Bound is a lower bound on an instance's optimum: LP (1)-(4), the rho
+// search of LP (19)-(21), SRPT.
+type Bound func(*switchnet.Instance) (float64, error)
+
+// Cell is one row of a table or one x of a chart: N seeded draws of a
+// workload, the solvers that schedule them — all on the same N instances —
+// and the bounds evaluated on them.
+type Cell struct {
+	Gen     engine.Generator
+	N       int
+	Seed    func(trial int) int64
+	Solvers []engine.Solver
+	Bounds  []Bound
+	// Emit receives each solver's N verdicts, all verified, and each
+	// bound's mean over the draws that had flows.
+	Emit func(cols [][]engine.Verdict, lb []float64)
+}
+
+// Run executes every cell's schedules in one engine run and every bound in
+// one fan-out on the engine's pool, both on cfg.Workers workers, fails on a
+// solver or bound that erred and on a schedule the oracle rejected, and
+// emits.
+func (a Artifact) Run(cfg Config) (Output, error) {
+	out, cells := a.Plan(cfg)
+	var scenarios, draws []engine.Scenario
+	var bounds []Bound // per draw
+	for _, c := range cells {
+		for _, s := range c.Solvers {
+			scenarios = append(scenarios, c.trials(s)...)
 		}
-		return lb.TotalResponse / float64(inst.N()), nil
+		for _, b := range c.Bounds {
+			draws = append(draws, c.trials(nil)...)
+			bounds = append(bounds, slices.Repeat([]Bound{b}, c.N)...)
+		}
+	}
+	verdicts := engine.Run(scenarios, engine.Options{Workers: cfg.Workers})
+	for i, v := range verdicts {
+		if !v.Verified {
+			return nil, fmt.Errorf("%s: scenario %d: %w", a.Key, i, v.Err)
+		}
+	}
+	vals := make([]float64, len(draws))
+	errs := make([]error, len(draws))
+	engine.ForEach(len(draws), cfg.Workers, func(i int) {
+		inst := draws[i].Workload.Generate(rand.New(rand.NewSource(draws[i].Seed)))
+		if inst.N() > 0 {
+			vals[i], errs[i] = bounds[i](inst)
+		}
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("%s: bound on %s (seed %d): %w", a.Key, draws[i].Workload.Name(), draws[i].Seed, err)
+		}
+	}
+	for _, c := range cells {
+		cols := make([][]engine.Verdict, len(c.Solvers))
+		for s := range cols {
+			cols[s], verdicts = verdicts[:c.N], verdicts[c.N:]
+		}
+		lb := make([]float64, len(c.Bounds))
+		for b := range lb {
+			// An empty draw was left at 0, which no instance with a flow
+			// reads; the block is consumed here, so it is filtered in place.
+			lb[b] = stats.Mean(slices.DeleteFunc(vals[:c.N], func(x float64) bool { return x == 0 }))
+			vals = vals[c.N:]
+		}
+		c.Emit(cols, lb)
+	}
+	return out, nil
+}
+
+// trials lists the cell's draws as scenarios for one solver (nil: the
+// draws alone).
+func (c Cell) trials(s engine.Solver) []engine.Scenario {
+	out := make([]engine.Scenario, c.N)
+	for tr := range out {
+		out[tr] = engine.Scenario{Seed: c.Seed(tr), Workload: c.Gen, Solver: s}
+	}
+	return out
+}
+
+// Select resolves a -fig value: one artifact by key, or all of them for
+// "all". An unknown key is an error naming the valid ones.
+func Select(key string) ([]Artifact, error) {
+	if key == "all" {
+		return Artifacts, nil
+	}
+	var keys []string
+	for _, a := range Artifacts {
+		if a.Key == key {
+			return []Artifact{a}, nil
+		}
+		keys = append(keys, a.Key)
+	}
+	return nil, fmt.Errorf("unknown artifact %q (valid: %s, all)", key, strings.Join(keys, ", "))
+}
+
+// vals is f over the draws of a column that had flows; avg and peak are
+// its mean and maximum.
+func vals(col []engine.Verdict, f metric) []float64 {
+	var xs []float64
+	for _, v := range col {
+		if v.N > 0 {
+			xs = append(xs, f(v))
+		}
+	}
+	return xs
+}
+
+func avg(col []engine.Verdict, f metric) float64  { return stats.Mean(vals(col, f)) }
+func peak(col []engine.Verdict, f metric) float64 { return stats.Max(vals(col, f)) }
+
+// Charts is the output of a figure: one panel per load ratio.
+type Charts []*plot.Chart
+
+// Render implements Output.
+func (cs Charts) Render(w io.Writer) {
+	for _, c := range cs {
+		fmt.Fprintln(w, c.RenderASCII(56, 12))
+	}
+}
+
+// Save implements Output: a CSV and an ASCII rendering per panel.
+func (cs Charts) Save(dir string) error {
+	for _, c := range cs {
+		if err := save(dir, sanitize(c.Title)+".csv", c.WriteCSV); err != nil {
+			return err
+		}
+		err := save(dir, sanitize(c.Title)+".txt", func(w io.Writer) error {
+			_, err := io.WriteString(w, c.RenderASCII(64, 14))
+			return err
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Sweep is the output of the engine sweep: its verified result table.
+type Sweep struct{ *engine.ResultTable }
+
+// Save implements Output.
+func (s Sweep) Save(dir string) error { return save(dir, "engine_sweep.csv", s.WriteCSV) }
+
+// Table is a labelled grid, the output of the validation artifacts.
+type Table struct {
+	Title   string
+	Columns []string
+	Rows    [][]string
+}
+
+// row appends a row; format's cells are separated by spaces.
+func (t *Table) row(format string, args ...any) {
+	t.Rows = append(t.Rows, strings.Fields(fmt.Sprintf(format, args...)))
+}
+
+// Render implements Output: the title, then aligned columns.
+func (t *Table) Render(w io.Writer) {
+	rows := append([][]string{t.Columns}, t.Rows...)
+	widths := make([]int, len(t.Columns))
+	for _, row := range rows {
+		for i, cell := range row {
+			widths[i] = max(widths[i], len(cell))
+		}
+	}
+	fmt.Fprintln(w, t.Title)
+	for _, row := range rows {
+		for i, cell := range row {
+			fmt.Fprintf(w, "  %-*s", widths[i], cell)
+		}
+		fmt.Fprintln(w)
+	}
+}
+
+// Save implements Output: one CSV named from the title.
+func (t *Table) Save(dir string) error {
+	return save(dir, sanitize(t.Title)+".csv", func(w io.Writer) error {
+		_, err := fmt.Fprintln(w, strings.Join(t.Columns, ","))
+		for _, row := range t.Rows {
+			if err == nil {
+				_, err = fmt.Fprintln(w, strings.Join(row, ","))
+			}
+		}
+		return err
 	})
 }
 
-// Fig7 regenerates the maximum-response-time panels of Figure 7 with the
-// binary-search LP (19)-(21) lower bound.
-func Fig7(cfg Config, w io.Writer) ([]*plot.Chart, error) {
-	return figure(cfg, w, "fig7", "max response time", func(rep *verify.Report) float64 {
-		return float64(rep.MaxResponse)
-	}, func(inst *switchnet.Instance) (float64, error) {
-		rho, err := core.MRTLowerBound(inst)
-		return float64(rho), err
-	})
-}
-
-// figure is the shared Figure 6/7 driver. Heuristic cells run as engine
-// scenarios, so every plotted point comes from a schedule the verify oracle
-// accepted; the metric is read from the oracle's recomputation, never from
-// the simulator's own claim.
-func figure(cfg Config, w io.Writer, name, ylabel string,
-	metric func(*verify.Report) float64,
-	lowerBound func(*switchnet.Instance) (float64, error)) ([]*plot.Chart, error) {
-
-	pols := heuristics.All()
-	var charts []*plot.Chart
-	for ri, ratio := range cfg.Ratios {
-		M := ratio * float64(cfg.Ports)
-		chart := &plot.Chart{
-			Title:  fmt.Sprintf("%s %s (m=%d, M=%.3g)", name, ratioName(ratio), cfg.Ports, M),
-			XLabel: "T",
-			YLabel: ylabel,
-		}
-
-		// Heuristic curves: one scenario per T x policy x trial.
-		type cell struct {
-			T     int
-			pol   sim.Policy
-			trial int
-		}
-		var cells []cell
-		var scenarios []engine.Scenario
-		for _, T := range cfg.HeurT {
-			for _, pol := range pols {
-				for tr := 0; tr < cfg.Trials; tr++ {
-					cells = append(cells, cell{T, pol, tr})
-					scenarios = append(scenarios, engine.Scenario{
-						Seed:     seedFor(cfg.Seed, ri, T, tr),
-						Workload: engine.PoissonGen{Cfg: workload.PoissonConfig{M: M, T: T, Ports: cfg.Ports}},
-						Solver:   engine.PolicySolver{Policy: pol},
-					})
-				}
-			}
-		}
-		verdicts := engine.Run(scenarios, engine.Options{Workers: cfg.Workers})
-		for i, v := range verdicts {
-			if v.Err != nil {
-				return nil, fmt.Errorf("%s cell %d: %w", name, i, v.Err)
-			}
-		}
-		for _, T := range cfg.HeurT {
-			for _, pol := range pols {
-				var xs []float64
-				for i, c := range cells {
-					if c.T == T && c.pol.Name() == pol.Name() {
-						xs = append(xs, metric(verdicts[i].Report))
-					}
-				}
-				chart.AddPoint(pol.Name(), float64(T), stats.Mean(xs))
-			}
-		}
-
-		// LP baseline curve (bounds, not schedules: plain fan-out on the
-		// engine's pool).
-		if cfg.EnableLP {
-			type lpCell struct{ T, trial int }
-			var lpCells []lpCell
-			for _, T := range cfg.LPT {
-				for tr := 0; tr < cfg.LPTrials; tr++ {
-					lpCells = append(lpCells, lpCell{T, tr})
-				}
-			}
-			lpVals := make([]float64, len(lpCells))
-			lpErrs := make([]error, len(lpCells))
-			engine.ForEach(len(lpCells), cfg.Workers, func(i int) {
-				c := lpCells[i]
-				// Same seeds as the heuristics' first trials: the LP
-				// bound applies to the same instance draws.
-				rng := rand.New(rand.NewSource(seedFor(cfg.Seed, ri, c.T, c.trial)))
-				inst := workload.PoissonConfig{M: M, T: c.T, Ports: cfg.Ports}.Generate(rng)
-				if inst.N() == 0 {
-					return
-				}
-				v, err := lowerBound(inst)
-				if err != nil {
-					lpErrs[i] = err
-					return
-				}
-				lpVals[i] = v
-			})
-			for i, err := range lpErrs {
-				if err != nil {
-					return nil, fmt.Errorf("%s LP cell %d: %w", name, i, err)
-				}
-			}
-			for _, T := range cfg.LPT {
-				var xs []float64
-				for i, c := range lpCells {
-					if c.T == T {
-						xs = append(xs, lpVals[i])
-					}
-				}
-				chart.AddPoint("LP", float64(T), stats.Mean(xs))
-			}
-		}
-		charts = append(charts, chart)
-		if w != nil {
-			fmt.Fprintln(w, chart.RenderASCII(56, 12))
-		}
-	}
-	if cfg.OutDir != "" {
-		for _, c := range charts {
-			if err := writeChart(cfg.OutDir, c); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return charts, nil
-}
-
-// SweepTable runs the full default engine sweep (every registered solver
-// crossed with the default workload patterns) at the configuration's scale
-// and renders its verified result table.
-func SweepTable(cfg Config, w io.Writer) (*engine.ResultTable, error) {
-	T := 4
-	if len(cfg.HeurT) > 0 {
-		T = cfg.HeurT[0]
-	}
-	table := engine.RunSweep(engine.DefaultSweep(cfg.Ports, T, cfg.Trials, cfg.Seed, cfg.Workers))
-	if err := table.FirstError(); err != nil {
-		return nil, err
-	}
-	if w != nil {
-		table.Render(w)
-	}
-	if cfg.OutDir != "" {
-		if err := os.MkdirAll(cfg.OutDir, 0o755); err != nil {
-			return nil, err
-		}
-		f, err := os.Create(filepath.Join(cfg.OutDir, "engine_sweep.csv"))
-		if err != nil {
-			return nil, err
-		}
-		if err := table.WriteCSV(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-	}
-	return table, nil
-}
-
-// writeChart dumps CSV and ASCII renderings of a chart into dir.
-func writeChart(dir string, c *plot.Chart) error {
+// save creates dir/name, and dir if need be, and fills it with write.
+func save(dir, name string, write func(io.Writer) error) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	base := filepath.Join(dir, sanitize(c.Title))
-	f, err := os.Create(base + ".csv")
+	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
 		return err
 	}
-	if err := c.WriteCSV(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.WriteFile(base+".txt", []byte(c.RenderASCII(64, 14)), 0o644)
+	return f.Close()
 }
 
 func sanitize(s string) string {

@@ -7,11 +7,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"flowsched/internal/engine"
+	"flowsched/internal/switchnet"
 )
 
 // tinyConfig keeps experiment tests fast.
-func tinyConfig(t *testing.T) Config {
-	t.Helper()
+func tinyConfig() Config {
 	return Config{
 		Ports:    4,
 		Ratios:   []float64{1, 4},
@@ -21,47 +23,142 @@ func tinyConfig(t *testing.T) Config {
 		LPTrials: 1,
 		Seed:     3,
 		EnableLP: true,
-		OutDir:   t.TempDir(),
 	}
 }
 
-func TestFig6ProducesPanels(t *testing.T) {
-	cfg := tinyConfig(t)
-	var buf bytes.Buffer
-	charts, err := Fig6(cfg, &buf)
+// runTable runs the table artifact key at cfg.
+func runTable(t *testing.T, key string, cfg Config) *Table {
+	t.Helper()
+	arts, err := Select(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(charts) != len(cfg.Ratios) {
-		t.Fatalf("panels = %d, want %d", len(charts), len(cfg.Ratios))
+	out, err := arts[0].Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range charts {
-		names := map[string]bool{}
-		for _, s := range c.Series {
-			names[s.Name] = true
-		}
-		for _, want := range []string{"MaxCard", "MinRTime", "MaxWeight", "LP"} {
-			if !names[want] {
-				t.Fatalf("panel %q missing series %q", c.Title, want)
+	return out.(*Table)
+}
+
+// cell parses a numeric table cell.
+func cell(t *testing.T, s string) float64 {
+	t.Helper()
+	var v float64
+	if _, err := fmt.Sscanf(s, "%g", &v); err != nil {
+		t.Fatalf("cell %q: %v", s, err)
+	}
+	return v
+}
+
+// TestRegistry runs every artifact of the registry at tinyConfig: it must
+// succeed (Run fails on any verdict the oracle did not accept), render the
+// same bytes whatever the worker count, and save at least one CSV with a
+// header and a row.
+func TestRegistry(t *testing.T) {
+	for _, a := range Artifacts {
+		t.Run(a.Key, func(t *testing.T) {
+			cfg, dir := tinyConfig(), t.TempDir()
+			var rendered [2]bytes.Buffer
+			for i, workers := range []int{1, 4} {
+				cfg.Workers = workers
+				out, err := a.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out.Render(&rendered[i])
+				if err := out.Save(dir); err != nil {
+					t.Fatal(err)
+				}
 			}
+			if rendered[0].Len() == 0 || !bytes.Equal(rendered[0].Bytes(), rendered[1].Bytes()) {
+				t.Fatalf("output differs between 1 and 4 workers (or is empty):\n%s\n---\n%s", &rendered[0], &rendered[1])
+			}
+			files, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+			if err != nil || len(files) == 0 {
+				t.Fatalf("csv files = %v (%v)", files, err)
+			}
+			for _, f := range files {
+				if data, err := os.ReadFile(f); err != nil || bytes.Count(data, []byte("\n")) < 2 {
+					t.Fatalf("%s: no header and row (%v)", f, err)
+				}
+			}
+		})
+	}
+}
+
+// TestSweepIsTheEnginesDefaultSweep: the sweep artifact's cells expand to
+// engine.DefaultSweep's scenarios, seeds and row order included.
+func TestSweepIsTheEnginesDefaultSweep(t *testing.T) {
+	cfg := tinyConfig()
+	arts, err := Select("sweep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := arts[0].Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	out.Render(&got)
+	engine.RunSweep(engine.DefaultSweep(cfg.Ports, cfg.HeurT[0], cfg.Trials, cfg.Seed, 0)).Render(&want)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("sweep artifact:\n%s\nengine.DefaultSweep:\n%s", &got, &want)
+	}
+}
+
+// TestSelect: a key resolves to its artifact, "all" to the registry, and
+// anything else to an error that names the key and the valid ones.
+func TestSelect(t *testing.T) {
+	all, err := Select("all")
+	if err != nil || len(all) != len(Artifacts) {
+		t.Fatalf("Select(all) = %d artifacts, %v", len(all), err)
+	}
+	seen := map[string]bool{}
+	for _, a := range Artifacts {
+		one, err := Select(a.Key)
+		if err != nil || len(one) != 1 || one[0].Title != a.Title || seen[a.Key] {
+			t.Fatalf("Select(%q) = %v, %v (duplicate key: %v)", a.Key, one, err, seen[a.Key])
 		}
+		seen[a.Key] = true
 	}
-	if !strings.Contains(buf.String(), "fig6") {
-		t.Fatal("ASCII output missing")
+	_, err = Select("nosuch")
+	if err == nil || !strings.Contains(err.Error(), `"nosuch"`) || !strings.Contains(err.Error(), "6, 7, t1, t3, amrt, 4a, ablation, bounds, sweep, all") {
+		t.Fatalf("Select(nosuch) error %v does not name the key and the valid ones", err)
 	}
-	files, err := filepath.Glob(filepath.Join(cfg.OutDir, "*.csv"))
-	if err != nil || len(files) != len(cfg.Ratios) {
-		t.Fatalf("csv files = %v (%v)", files, err)
+}
+
+// pileUp schedules every flow in round 0 and claims the raw capacities.
+type pileUp struct{}
+
+func (pileUp) Name() string { return "pileUp" }
+
+func (pileUp) Solve(inst *switchnet.Instance) (*engine.Solution, error) {
+	return &engine.Solution{Schedule: switchnet.NewSchedule(inst.N()), Caps: inst.Switch.Caps()}, nil
+}
+
+// TestRunFailsOnRejectedSchedule: no number reaches a table from a schedule
+// the oracle rejected.
+func TestRunFailsOnRejectedSchedule(t *testing.T) {
+	emitted := false
+	a := Artifact{Key: "cheat", Plan: func(cfg Config) (Output, []Cell) {
+		return &Table{}, []Cell{{Gen: cfg.poisson(4, 4, 1), N: 2, Seed: cfg.seeds(0, 4), Solvers: []engine.Solver{pileUp{}},
+			Emit: func([][]engine.Verdict, []float64) { emitted = true }}}
+	}}
+	if _, err := a.Run(tinyConfig()); err == nil || emitted {
+		t.Fatalf("Run accepted an infeasible schedule (err %v, emitted %v)", err, emitted)
 	}
 }
 
 func TestFig7LowerBoundIsBelowHeuristics(t *testing.T) {
-	cfg := tinyConfig(t)
-	charts, err := Fig7(cfg, nil)
+	arts, err := Select("7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range charts {
+	out, err := arts[0].Run(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range out.(Charts) {
 		var lp map[float64]float64
 		for _, s := range c.Series {
 			if s.Name == "LP" {
@@ -88,90 +185,73 @@ func TestFig7LowerBoundIsBelowHeuristics(t *testing.T) {
 	}
 }
 
+// TestTheorem1TableShape: the three augmentations are judged on the same
+// draws, so the rows agree on n and on the pseudo-schedule (which does not
+// depend on c), and more capacity never needs a longer conversion window.
 func TestTheorem1TableShape(t *testing.T) {
-	cfg := tinyConfig(t)
-	cfg.Trials = 1
-	var buf bytes.Buffer
-	tab, err := Theorem1Table(cfg, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTable(t, "t1", tinyConfig())
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	if !strings.Contains(buf.String(), "theorem1") {
-		t.Fatal("render missing")
+	for i, row := range tab.Rows[1:] {
+		prev := tab.Rows[i]
+		if row[5] != prev[5] || row[4] != prev[4] || cell(t, row[5]) == 0 {
+			t.Fatalf("rows %v and %v were not computed on the same draws", prev, row)
+		}
+		if cell(t, row[3]) > cell(t, prev[3]) {
+			t.Fatalf("window_h grows with c: %v then %v", prev, row)
+		}
 	}
 }
 
 func TestTheorem3TableWithinBudget(t *testing.T) {
-	cfg := tinyConfig(t)
-	cfg.Trials = 2
-	tab, err := Theorem3Table(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range tab.Rows {
-		// overload_max column (index 3) must be <= budget (index 4).
-		var over, budget int
-		if _, err := fmtSscan(row[3], &over); err != nil {
-			t.Fatal(err)
+	sawOverload := false
+	for _, row := range runTable(t, "t3", tinyConfig()).Rows {
+		// rho_sched equals rho_LP, and overload_max (against the raw
+		// capacities) is within the budget 2*d_max-1.
+		if row[1] != row[2] {
+			t.Fatalf("schedule's rho %s is not the LP's %s", row[2], row[1])
 		}
-		if _, err := fmtSscan(row[4], &budget); err != nil {
-			t.Fatal(err)
-		}
+		over, budget := cell(t, row[3]), cell(t, row[4])
 		if over > budget {
-			t.Fatalf("overload %d exceeds budget %d", over, budget)
+			t.Fatalf("overload %v exceeds budget %v", over, budget)
 		}
+		sawOverload = sawOverload || over > 0
+	}
+	if !sawOverload {
+		t.Fatal("no row used any of its augmentation: the overload is not read against the raw capacities")
 	}
 }
 
+// TestAMRTTableGuarantee is Lemma 5.3 on the table's own numbers: the
+// online schedule's maximum response is at most twice its final guess, and
+// never below the offline optimum.
 func TestAMRTTableGuarantee(t *testing.T) {
-	cfg := tinyConfig(t)
-	cfg.Trials = 1
-	tab, err := AMRTTable(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := tinyConfig()
+	tab := runTable(t, "amrt", cfg)
 	if len(tab.Rows) != len(cfg.Ratios) {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
+	for _, row := range tab.Rows {
+		maxRT, twice, offline := cell(t, row[2]), cell(t, row[3]), cell(t, row[4])
+		if maxRT > twice || maxRT < offline || offline <= 0 {
+			t.Fatalf("row %v: want offline_rho <= maxRT <= 2*final_rho", row)
+		}
+	}
 }
 
+// TestFig4aTableDiverges is Lemma 5.1 on the table's own numbers: on the
+// gadget every heuristic's ratio to the offline cost grows with its length.
 func TestFig4aTableDiverges(t *testing.T) {
-	cfg := tinyConfig(t)
-	tab, err := Fig4aTable(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) < 3 {
+	tab := runTable(t, "4a", tinyConfig())
+	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-}
-
-func TestAblationTableCoversAllPolicies(t *testing.T) {
-	cfg := tinyConfig(t)
-	cfg.Trials = 1
-	tab, err := AblationTable(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 5 {
-		t.Fatalf("rows = %d, want 5 policies", len(tab.Rows))
-	}
-}
-
-func TestSRPTComparisonTable(t *testing.T) {
-	cfg := tinyConfig(t)
-	tab, err := SRPTComparisonTable(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range tab.Rows {
-		// SRPT/LP ratio should be positive and typically >= ~0.5 (the LP
-		// has the -1/2 offset) — sanity-check positivity only.
-		if !strings.Contains(row[3], ".") {
-			t.Fatalf("ratio cell malformed: %q", row[3])
+	for i, row := range tab.Rows[1:] {
+		for col := 3; col < len(row); col++ {
+			if cell(t, row[col]) <= cell(t, tab.Rows[i][col]) {
+				t.Fatalf("%s does not grow: %v then %v", tab.Columns[col], tab.Rows[i], row)
+			}
 		}
 	}
 }
@@ -179,7 +259,7 @@ func TestSRPTComparisonTable(t *testing.T) {
 func TestTableWriteCSVAndRender(t *testing.T) {
 	dir := t.TempDir()
 	tab := &Table{Title: "demo table", Columns: []string{"a", "b"}, Rows: [][]string{{"1", "2"}}}
-	if err := tab.WriteCSV(dir); err != nil {
+	if err := tab.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "demo_table.csv"))
@@ -211,9 +291,4 @@ func TestSanitize(t *testing.T) {
 	if got := sanitize("fig6 M=m (m=6, M=2)"); strings.ContainsAny(got, " ()") {
 		t.Fatalf("sanitize left specials: %q", got)
 	}
-}
-
-// fmtSscan parses an integer table cell.
-func fmtSscan(s string, v *int) (int, error) {
-	return fmt.Sscanf(s, "%d", v)
 }

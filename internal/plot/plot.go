@@ -1,5 +1,5 @@
 // Package plot renders the experiment harness's outputs: CSV files for
-// machine consumption and compact ASCII line charts for EXPERIMENTS.md,
+// machine consumption and compact ASCII line charts for `flowsim paper`,
 // standing in for the paper's figure pipeline (Figures 6 and 7).
 package plot
 
