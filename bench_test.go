@@ -4,8 +4,10 @@ package flowsched
 // and Gurobi, and the two that CI runs on every push:
 //
 //	BenchmarkOfflineLadder - the offline LP pipeline at growing paper-model
-//	                  sizes, with pivots, perturbations, peak L+U nonzeros
-//	                  and milliseconds per call per rung.
+//	                  sizes and at two cells of the paper's own grid (150
+//	                  ports), with pivots, phase-1 pivots, flows in the
+//	                  starting basis, perturbations, peak L+U nonzeros and
+//	                  milliseconds per call per rung.
 //	BenchmarkVerifyWindow - the feasibility oracle on one stream-sized
 //	                  window, cold (CheckSchedule) and on a warmed Checker.
 //	BenchmarkSubstrate* - one LP solve, one 150-port drain, the SRPT bound,
@@ -43,30 +45,47 @@ func BenchmarkSubstrateLPSolve(b *testing.B) {
 }
 
 // BenchmarkOfflineLadder runs the paper's offline pipeline — ARTLowerBound,
-// SolveART(c=1), SolveMRT — on one seeded paper-model instance per rung (a
-// unit switch, unit flows, uniform releases: the shape of the benchmark's
-// offline_paper workload, which is the first rung). Beside ns/op it reports
-// the simplex pivots of the three calls together (SolveMRT's search
-// included, each LP counted once), how many stalls the solver answered with
-// a bound perturbation, the largest L+U any of their factorisations stored,
-// and the milliseconds each call took. CI runs the rungs through 20x20/400;
-// 30x30/900 is there to be run by hand (a minute or two).
+// SolveART(c=1), SolveMRT — on one seeded instance per rung. The n x n rungs
+// are paper-model instances (a unit switch, unit flows, uniform releases:
+// the shape of the benchmark's offline_paper workload, which is the first
+// rung) at load M >= m, the paper's hard corner; the 150p rungs are cells of
+// the paper's own grid (Section 5.2: 150 ports, Poisson arrivals of mean M
+// per round for T rounds, GeneratePoisson at seed 1). Beside ns/op it
+// reports the simplex pivots of the three calls together (SolveMRT's search
+// included, each LP counted once), how many of them were phase 1, how many
+// flows the crash starts put in a starting basis, how many stalls the
+// solver answered with a bound perturbation, the largest L+U any of their
+// factorisations stored, and the milliseconds each call took. CI runs every
+// rung but 30x30/900, which is there to be run by hand (a minute or two).
 func BenchmarkOfflineLadder(b *testing.B) {
+	paperModel := func(ports, rounds, flows int) func() *Instance {
+		return func() *Instance {
+			rng := rand.New(rand.NewSource(1))
+			inst := &Instance{Switch: UnitSwitch(ports), Flows: make([]Flow, flows)}
+			for j := range inst.Flows {
+				inst.Flows[j] = Flow{In: rng.Intn(ports), Out: rng.Intn(ports), Demand: 1, Release: rng.Intn(rounds)}
+			}
+			return inst
+		}
+	}
+	poisson := func(m float64, t int) func() *Instance {
+		return func() *Instance {
+			return GeneratePoisson(PoissonConfig{M: m, T: t, Ports: 150}, rand.New(rand.NewSource(1)))
+		}
+	}
 	for _, rung := range []struct {
-		name                 string
-		ports, rounds, flows int
+		name string
+		inst func() *Instance
 	}{
-		{"5x5_25", 5, 5, 25},
-		{"10x10_100", 10, 10, 100},
-		{"20x20_400", 20, 10, 400},
-		{"30x30_900", 30, 10, 900},
+		{"5x5_25", paperModel(5, 5, 25)},
+		{"10x10_100", paperModel(10, 10, 100)},
+		{"20x20_400", paperModel(20, 10, 400)},
+		{"30x30_900", paperModel(30, 10, 900)},
+		{"150p_M50_T6", poisson(50, 6)},
+		{"150p_M100_T6", poisson(100, 6)},
 	} {
 		b.Run(rung.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			inst := &Instance{Switch: UnitSwitch(rung.ports), Flows: make([]Flow, rung.flows)}
-			for j := range inst.Flows {
-				inst.Flows[j] = Flow{In: rng.Intn(rung.ports), Out: rng.Intn(rung.ports), Demand: 1, Release: rng.Intn(rung.rounds)}
-			}
+			inst := rung.inst()
 			var (
 				st      lp.Stats
 				elapsed [3]time.Duration
@@ -95,6 +114,8 @@ func BenchmarkOfflineLadder(b *testing.B) {
 				st.Add(mrt.SearchLP)
 			}
 			b.ReportMetric(float64(st.Pivots()), "pivots")
+			b.ReportMetric(float64(st.Phase1Pivots), "phase1_pivots")
+			b.ReportMetric(float64(st.StartBasic), "start_basic")
 			b.ReportMetric(float64(st.Perturbations), "perturbations")
 			b.ReportMetric(float64(st.PeakLUNonzeros), "peak_lu_nnz")
 			for k, name := range []string{"art_lb_ms", "solve_art_ms", "solve_mrt_ms"} {

@@ -45,12 +45,16 @@ type ARTResult struct {
 // multiplicative (1 + O(log n)/c) — of the LP lower bound, using port
 // capacities scaled by 1+c.
 //
-// The pipeline is: iterative LP rounding (Lemma 3.3) to a pseudo-schedule;
+// The pipeline is: iterative LP rounding (Lemma 3.3) to a pseudo-schedule,
+// its first LP crash-started from a greedy schedule (solveInitialIntervalLP);
 // split the timeline into windows of length h; transform each window's
 // flows through port replication; Birkhoff-von Neumann edge coloring into
 // at most Delta matchings; execute 1+c matchings per round in the following
 // window. h is grown geometrically from ceil(log2 n / c) until every
 // window's matchings fit, which Lemma 3.7 guarantees at h = O(log n / c).
+// LPBound is an optimum and does not depend on how the LP was solved; the
+// schedule is rounded from the vertex the started solve ends at, so where
+// that optimum is not unique it is one of several the theorem covers.
 func SolveART(inst *switchnet.Instance, c int) (*ARTResult, error) {
 	if c < 1 {
 		return nil, fmt.Errorf("core: capacity augmentation c must be >= 1, got %d", c)

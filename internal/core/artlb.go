@@ -34,8 +34,10 @@ type ARTLowerBoundResult struct {
 // grown geometrically until the LP is feasible. Only the optimum is used,
 // never the vertex, so the solve is crash-started: it begins at the
 // first-fit schedule in release order, a feasible point of the LP whenever
-// the horizon holds one, and spends no pivot on phase 1 (LP.StartAtUpper
-// counts the flows placed, LP.Phase1Pivots is 0 when that is all of them).
+// the horizon holds one, with the placed flows basic on their covering rows,
+// and spends no pivot on phase 1 (LP.StartAtUpper counts the flows placed,
+// LP.StartBasic those in the starting basis, LP.Phase1Pivots is 0 when every
+// flow is placed).
 func ARTLowerBound(inst *switchnet.Instance) (*ARTLowerBoundResult, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -79,10 +81,6 @@ func describeLP(st lp.Stats) string {
 // with the point its solve starts from: b_et = d_e where firstFit, in
 // release order, places flow e.
 func artLowerBoundLP(inst *switchnet.Instance, horizon int) (*lp.Problem, []float64) {
-	release := make([]int, inst.N())
-	for f, e := range inst.Flows {
-		release[f] = e.Release
-	}
 	ix := newTimeIndex(inst, fromRelease(inst, horizon), 1)
 	p := lp.NewProblem(ix.len())
 	for j, f := range ix.flow {
@@ -106,7 +104,7 @@ func artLowerBoundLP(inst *switchnet.Instance, horizon int) (*lp.Problem, []floa
 		p.AddRow(rows.vars[a:b], ix.ones[:b-a], lp.LE, float64(inst.Switch.Cap(port)))
 	}
 	start := make([]float64, ix.len())
-	for f, j := range firstFit(inst, orderBy(release), ix) {
+	for f, j := range firstFit(inst, releaseOrder(inst), ix) {
 		if j >= 0 {
 			start[j] = float64(inst.Flows[f].Demand)
 		}

@@ -154,30 +154,18 @@ func IterativeRound(inst *switchnet.Instance) (*PseudoSchedule, error) {
 	return ps, nil
 }
 
-// solveInitialIntervalLP builds and solves LP (5)-(8) and returns its
-// support as entries, with the stats of the solve that succeeded.
+// solveInitialIntervalLP solves LP (5)-(8), growing the horizon until it is
+// feasible, and returns its support as entries with the stats of the solve
+// that succeeded. The solve is crash-started at intervalLP's greedy point:
+// what the rounding needs of LP(0) is a basic optimum — Lemma 3.3's interval
+// bound and Theorem 1's conversion hold at every one — not the vertex a cold
+// start happens to reach, so the pseudo-schedule may differ from a cold
+// solve's where the optimum is not unique, at the same LP cost.
 func solveInitialIntervalLP(inst *switchnet.Instance) ([]entry, float64, lp.Stats, error) {
 	horizon := inst.CongestionHorizon()
 	for attempt := 0; attempt < 8; attempt++ {
-		// Variables flow by flow, rounds ascending; a slot per aligned
-		// width-4 window, so the port rows are constraint (7): the sum
-		// over t in [4a, 4a+4) is at most 4*c_p.
-		ix := newTimeIndex(inst, fromRelease(inst, horizon), 4)
-		p := lp.NewProblem(ix.len())
-		for j, f := range ix.flow {
-			p.SetCost(j, float64(ix.round[j]-inst.Flows[f].Release)+0.5)
-			p.SetBounds(j, 0, 1)
-		}
-		for f := range inst.Flows {
-			a, b := ix.off[f], ix.off[f+1]
-			p.AddRow(ix.ident[a:b], ix.ones[a:b], lp.GE, 1)
-		}
-		rows := newPortRows(inst, ix)
-		for k, port := range rows.port {
-			a, b := rows.start[k], rows.start[k+1]
-			p.AddRow(rows.vars[a:b], ix.ones[:b-a], lp.LE, 4*float64(inst.Switch.Cap(port)))
-		}
-		sol, err := p.Solve()
+		p, ix, start := intervalLP(inst, horizon)
+		sol, err := p.SolveWith(lp.SolveOptions{Start: start})
 		if err != nil {
 			return nil, 0, lp.Stats{}, err
 		}
@@ -197,6 +185,34 @@ func solveInitialIntervalLP(inst *switchnet.Instance) ([]entry, float64, lp.Stat
 		}
 	}
 	return nil, 0, lp.Stats{}, fmt.Errorf("core: interval LP infeasible up to horizon %d", horizon)
+}
+
+// intervalLP builds LP (5)-(8) over rounds [r_e, horizon) together with the
+// point its solve starts from: x_et = 1 where firstFit, in release order,
+// places flow e — the earliest round of the first aligned width-4 window in
+// which both its ports hold fewer than 4*c_p flows. The point satisfies (6)
+// and (7), so the solve has no phase 1 whenever the horizon holds every
+// flow.
+func intervalLP(inst *switchnet.Instance, horizon int) (*lp.Problem, *timeIndex, []float64) {
+	// Variables flow by flow, rounds ascending; a slot per aligned width-4
+	// window, so the port rows are constraint (7): the sum over t in
+	// [4a, 4a+4) is at most 4*c_p.
+	ix := newTimeIndex(inst, fromRelease(inst, horizon), 4)
+	p := lp.NewProblem(ix.len())
+	for j, f := range ix.flow {
+		p.SetCost(j, float64(ix.round[j]-inst.Flows[f].Release)+0.5)
+		p.SetBounds(j, 0, 1)
+	}
+	for f := range inst.Flows {
+		a, b := ix.off[f], ix.off[f+1]
+		p.AddRow(ix.ident[a:b], ix.ones[a:b], lp.GE, 1)
+	}
+	rows := newPortRows(inst, ix)
+	for k, port := range rows.port {
+		a, b := rows.start[k], rows.start[k+1]
+		p.AddRow(rows.vars[a:b], ix.ones[:b-a], lp.LE, 4*float64(inst.Switch.Cap(port)))
+	}
+	return p, ix, unitStart(inst, releaseOrder(inst), ix)
 }
 
 // solveRegroupedLP builds LP(l) for iteration l >= 1: variables are exactly

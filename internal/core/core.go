@@ -11,19 +11,31 @@
 //   - Online (Section 5.1): the batched AMRT algorithm of Lemma 5.3.
 //   - Combinatorial lower bounds used when LPs are too large.
 //
-// Two of the LPs are crash-started: the solves of LP (1)-(4) in
-// ARTLowerBound and of LP (19)-(21) in MRTLowerBound, SolveMRT and
-// SolveTimeConstrained begin at a first-fit schedule (firstFit), handed to
-// the solver as lp.SolveOptions.Start. A schedule that respects every port
-// capacity is a feasible 0/1 point of both, so the simplex starts where
-// phase 1 would have had to get to. That is sound because nothing but the
-// optimum of the first and the feasibility of the second is reported, and
-// Theorem 3's rounding holds at whatever vertex it is given. The interval
-// LP (5)-(8) of IterativeRound and SolveART is the exception and is started
-// cold: its vertex is the pseudo-schedule, so a different path to the same
-// optimum would be a different schedule. There is no switch between the
-// two; lp.Stats.StartAtUpper in a result says how many flows the start
-// placed.
+// All three LPs are crash-started: each solve begins at a greedy schedule
+// (firstFit), handed to the solver as lp.SolveOptions.Start. A schedule
+// names one column per covering row — constraints (2), (6), (20), added
+// first in every builder — so the solver puts those columns in its starting
+// basis and the simplex starts where phase 1 would have had to get to, with
+// the schedule's costs as its starting duals. What each caller may rely on
+// is what its LP is used for, never a particular vertex:
+//
+//   - LP (1)-(4), ARTLowerBound: the optimum. The start is first fit in
+//     release order, a schedule that respects every port capacity.
+//   - LP (19)-(21), MRTLowerBound, SolveMRT and SolveTimeConstrained:
+//     feasibility, and Theorem 3's rounding, which holds at whatever vertex
+//     it is given. The start is first fit by deadline; when it places every
+//     flow the LP has nothing to minimise and the solver returns the start
+//     as it stands.
+//   - The interval LP (5)-(8), IterativeRound and SolveART: the optimum,
+//     Lemma 3.3's interval bound and Theorem 1's conversion, all of which
+//     hold at every basic optimum. The start is first fit in release order
+//     over aligned width-4 windows holding 4*c_p each, a point of (6)-(7).
+//     Where the optimum is not unique the pseudo-schedule, and so the
+//     schedule, is the one the started solve ends at, at the same LP cost.
+//
+// The regrouped LPs of the rounding's later iterations are solved cold.
+// There is no switch: lp.Stats.StartAtUpper in a result says how many flows
+// the start placed and lp.Stats.StartBasic how many of them began basic.
 //
 //flowsched:deterministic
 package core
@@ -48,6 +60,7 @@ var ErrInfeasible = errors.New("core: infeasible")
 // table a dense array of nSlots entries per port, whatever the rounds are;
 // in[f] and out[f] are where the entries of flow f's two ports begin.
 type timeIndex struct {
+	width   int
 	off     []int // len flows+1
 	in, out []int // per flow
 	flow    []int // per variable
@@ -62,7 +75,7 @@ type timeIndex struct {
 // newTimeIndex indexes one variable per flow and candidate round, with
 // aligned windows of width rounds as slots.
 func newTimeIndex(inst *switchnet.Instance, rounds Windows, width int) *timeIndex {
-	ix := &timeIndex{off: make([]int, len(rounds)+1)}
+	ix := &timeIndex{width: width, off: make([]int, len(rounds)+1)}
 	for f, r := range rounds {
 		ix.off[f+1] = ix.off[f] + len(r)
 	}
@@ -149,11 +162,14 @@ func newPortRows(inst *switchnet.Instance, ix *timeIndex) portRows {
 }
 
 // firstFit places each flow, in the given order, at the first of its
-// candidate rounds where both of its ports still have room for its whole
-// demand, and returns the variable chosen per flow (-1 for a flow no
-// candidate round can take). The placement respects every port capacity, so
-// it is a feasible 0/1 point of LP (1)-(4) and of LP (19)-(21) over the same
-// candidates: the point those LPs' solves start from.
+// candidate rounds whose window — the round itself at width 1 — still has
+// room for its whole demand on both of its ports, a window of the index
+// holding width*c_p per port, and returns the variable chosen per flow (-1
+// for a flow no candidate can take). At width 1 the placement is a schedule
+// that respects every port capacity, a feasible 0/1 point of LP (1)-(4) and
+// of LP (19)-(21) over the same candidates; at width 4 it respects
+// constraint (7) and is one of the interval LP (5)-(8). It is the point all
+// three LPs' solves start from.
 func firstFit(inst *switchnet.Instance, order []int, ix *timeIndex) []int {
 	load := make([]int, inst.Switch.NumPorts()*ix.nSlots)
 	placed := make([]int, inst.N())
@@ -162,8 +178,8 @@ func firstFit(inst *switchnet.Instance, order []int, ix *timeIndex) []int {
 	}
 	for _, f := range order {
 		e := inst.Flows[f]
-		roomIn := inst.Switch.InCaps[e.In] - e.Demand
-		roomOut := inst.Switch.OutCaps[e.Out] - e.Demand
+		roomIn := ix.width*inst.Switch.InCaps[e.In] - e.Demand
+		roomOut := ix.width*inst.Switch.OutCaps[e.Out] - e.Demand
 		for j := ix.off[f]; j < ix.off[f+1]; j++ {
 			a, b := ix.in[f]+ix.slot[j], ix.out[f]+ix.slot[j]
 			if load[a] <= roomIn && load[b] <= roomOut {
@@ -175,6 +191,29 @@ func firstFit(inst *switchnet.Instance, order []int, ix *timeIndex) []int {
 		}
 	}
 	return placed
+}
+
+// unitStart is the 0/1 point of firstFit's placement: 1 on the variable
+// chosen for each flow placed, the start of an LP whose variables are
+// bounded by 1.
+func unitStart(inst *switchnet.Instance, order []int, ix *timeIndex) []float64 {
+	start := make([]float64, ix.len())
+	for _, j := range firstFit(inst, order, ix) {
+		if j >= 0 {
+			start[j] = 1
+		}
+	}
+	return start
+}
+
+// releaseOrder returns the flows sorted by release round, ties in index
+// order: the order firstFit takes them in for LP (1)-(4) and LP (5)-(8).
+func releaseOrder(inst *switchnet.Instance) []int {
+	release := make([]int, inst.N())
+	for f, e := range inst.Flows {
+		release[f] = e.Release
+	}
+	return orderBy(release)
 }
 
 // orderBy returns the flows sorted by key, ties in index order.

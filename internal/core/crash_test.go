@@ -50,7 +50,8 @@ func sortedPortRounds(m map[portRound][]int) []portRound {
 }
 
 // checkPlacement verifies what firstFit promises: every placed flow sits on
-// one of its own variables and no (port, round) is loaded past capacity.
+// one of its own variables and no (port, window) — a round at width 1 — is
+// loaded past width times the capacity.
 func checkPlacement(t *testing.T, inst *switchnet.Instance, ix *timeIndex, placed []int) {
 	t.Helper()
 	load := map[portRound]int{}
@@ -62,12 +63,12 @@ func checkPlacement(t *testing.T, inst *switchnet.Instance, ix *timeIndex, place
 			t.Fatalf("flow %d placed on variable %d outside its own %d..%d", f, j, ix.off[f], ix.off[f+1])
 		}
 		e := inst.Flows[f]
-		load[portRound{inst.Switch.PortIndex(switchnet.In, e.In), ix.round[j]}] += e.Demand
-		load[portRound{inst.Switch.PortIndex(switchnet.Out, e.Out), ix.round[j]}] += e.Demand
+		load[portRound{inst.Switch.PortIndex(switchnet.In, e.In), ix.round[j] / ix.width}] += e.Demand
+		load[portRound{inst.Switch.PortIndex(switchnet.Out, e.Out), ix.round[j] / ix.width}] += e.Demand
 	}
 	for k, l := range load {
-		if l > inst.Switch.Cap(k.port) {
-			t.Fatalf("port %d round %d loaded %d > capacity %d", k.port, k.t, l, inst.Switch.Cap(k.port))
+		if l > ix.width*inst.Switch.Cap(k.port) {
+			t.Fatalf("port %d window %d loaded %d > %d times capacity %d", k.port, k.t, l, ix.width, inst.Switch.Cap(k.port))
 		}
 	}
 }
@@ -83,19 +84,49 @@ func TestFirstFit(t *testing.T) {
 		{In: 1, Out: 1, Demand: 1}, // 3
 		{In: 0, Out: 0, Demand: 1}, // 4: both its rounds are taken
 	}}
+	// Six unit flows through one unit port pair, the last two released
+	// late: at width 4 a window holds four of them.
+	queue := &switchnet.Instance{Switch: switchnet.UnitSwitch(1), Flows: make([]switchnet.Flow, 6)}
+	for f := range queue.Flows {
+		queue.Flows[f].Demand = 1
+	}
+	upTo9 := func(from int) []int {
+		var rounds []int
+		for r := from; r <= 9; r++ {
+			rounds = append(rounds, r)
+		}
+		return rounds
+	}
+	queued := Windows{upTo9(0), upTo9(0), upTo9(0), upTo9(0), upTo9(2), upTo9(5)}
+	all := []int{0, 1, 2, 3, 4, 5}
 	for _, c := range []struct {
 		name  string
+		inst  *switchnet.Instance
+		width int
 		win   Windows
 		order []int
 		want  []int // round per flow, -1 unplaced
 	}{
-		{"index order", Windows{{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}}, []int{0, 1, 2, 3, 4}, []int{0, 1, 0, 1, -1}},
-		{"reverse order", Windows{{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}}, []int{4, 3, 2, 1, 0}, []int{1, -1, 1, 0, 0}},
-		{"sparse unsorted windows", Windows{{7}, {7, 3}, {1000000, 3}, {3}, {7, 5}}, []int{0, 1, 2, 3, 4}, []int{7, 3, 1000000, 3, 5}},
-		{"partial order", Windows{{0}, {0}, {0}, {0}, {0}}, []int{1}, []int{-1, 0, -1, -1, -1}},
+		{"index order", inst, 1, Windows{{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}}, all[:5], []int{0, 1, 0, 1, -1}},
+		{"reverse order", inst, 1, Windows{{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}}, []int{4, 3, 2, 1, 0}, []int{1, -1, 1, 0, 0}},
+		{"sparse unsorted windows", inst, 1, Windows{{7}, {7, 3}, {1000000, 3}, {3}, {7, 5}}, all[:5], []int{7, 3, 1000000, 3, 5}},
+		{"partial order", inst, 1, Windows{{0}, {0}, {0}, {0}, {0}}, []int{1}, []int{-1, 0, -1, -1, -1}},
+		// Width 1: one flow per round, as ever.
+		{"queue, width 1", queue, 1, queued, all, []int{0, 1, 2, 3, 4, 5}},
+		// Width 4: window [0, 4) takes four flows, each at the earliest of
+		// its rounds; the fifth finds it full although rounds 2 and 3 are
+		// its own, and goes to the first round of window [4, 8); the sixth
+		// joins it there at its own earliest round.
+		{"queue, width 4", queue, 4, queued, all, []int{0, 0, 0, 0, 4, 5}},
+		// Room is 4*c_p minus what is placed, in demand units: port 1 (c_p
+		// 2) holds 8 per window, ports 0 hold 4, so round 0 takes all five.
+		{"width 4, capacities and demands", inst, 4, Windows{{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}}, all[:5], []int{0, 0, 0, 0, 0}},
+		// The fifth flow has no round outside the full window [0, 4).
+		{"width 4, full window", queue, 4, Windows{{0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3}, {9}}, all, []int{0, 0, 0, 0, -1, 9}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			ix := newTimeIndex(inst, c.win, 1)
+			inst := c.inst
+			ix := newTimeIndex(inst, c.win, c.width)
 			placed := firstFit(inst, c.order, ix)
 			checkPlacement(t, inst, ix, placed)
 			got := make([]int, len(placed))
@@ -176,10 +207,11 @@ func coldRho(t *testing.T, inst *switchnet.Instance) int {
 // TestCrashStartAgreesWithColdStart is the differential test of the crash
 // start: over seeded instances with unit and multi-unit demands and port
 // capacities 1-4, the solve that starts at the first-fit schedule and the
-// one that starts cold agree on everything that is reported.
+// one that starts cold agree on everything that is reported — for all three
+// LPs, the interval LP on the unit-demand instances it is stated for.
 func TestCrashStartAgreesWithColdStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(2020))
-	placedAll, searched := 0, 0
+	placedAll, intervalPlacedAll, searched := 0, 0, 0
 	// Paper-model instances whose rho lies above the volume bound, so that
 	// the search solves more than one LP; the random draws rarely do.
 	gap := []*switchnet.Instance{paperInstance(19, 4, 5, 12), paperInstance(51, 3, 4, 8), paperInstance(132, 3, 3, 6)}
@@ -225,6 +257,41 @@ func TestCrashStartAgreesWithColdStart(t *testing.T) {
 		if atCongestion.Status != lp.Optimal || lb.Horizon != inst.CongestionHorizon() || math.Abs(lb.TotalResponse-atCongestion.Obj) > 1e-9 {
 			t.Fatalf("%s: ARTLowerBound (%v, horizon %d), cold solve at the congestion horizon %d (%v, %v)",
 				name, lb.TotalResponse, lb.Horizon, inst.CongestionHorizon(), atCongestion.Status, atCongestion.Obj)
+		}
+
+		// LP (5)-(8), stated for unit flows: same optimum from the width-4
+		// greedy as from a cold start, no phase 1 when the greedy places
+		// every flow, and Theorem 1 on top of the started vertex — no forced
+		// fix in the rounding, a schedule the oracle accepts at 2x capacity.
+		if inst.UnitDemands() {
+			p, _, start := intervalLP(inst, inst.CongestionHorizon())
+			cold, err := p.Solve()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			warm, err := p.SolveWith(lp.SolveOptions{Start: start})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if cold.Status != lp.Optimal || warm.Status != lp.Optimal || math.Abs(warm.Obj-cold.Obj) > 1e-9 {
+				t.Fatalf("%s: interval LP crash-started (%v, %v), cold (%v, %v)", name, warm.Status, warm.Obj, cold.Status, cold.Obj)
+			}
+			if warm.Stats.StartAtUpper == inst.N() {
+				intervalPlacedAll++
+				if warm.Stats.Phase1Pivots != 0 {
+					t.Fatalf("%s: interval LP: every flow placed, yet %d phase-1 pivots", name, warm.Stats.Phase1Pivots)
+				}
+			}
+			art, err := SolveART(inst, 1)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if math.Abs(art.LPBound-cold.Obj) > 1e-9 || art.ForcedFixes != 0 {
+				t.Fatalf("%s: SolveART LP bound %v with %d forced fixes, cold interval LP %v", name, art.LPBound, art.ForcedFixes, cold.Obj)
+			}
+			if _, err := verify.CheckScaled(inst, art.Schedule, 2); err != nil {
+				t.Fatalf("%s: SolveART schedule at 2x capacity: %v", name, err)
+			}
 		}
 
 		// LP (19)-(21): same rho, and the same answer on the windows
@@ -317,7 +384,7 @@ func TestCrashStartAgreesWithColdStart(t *testing.T) {
 			}
 		}
 	}
-	if placedAll == 0 || searched == 0 {
-		t.Errorf("%d LPs placed whole by first fit, %d searches past the volume bound: a path went untested", placedAll, searched)
+	if placedAll == 0 || intervalPlacedAll == 0 || searched == 0 {
+		t.Errorf("%d LPs and %d interval LPs placed whole by first fit, %d searches past the volume bound: a path went untested", placedAll, intervalPlacedAll, searched)
 	}
 }

@@ -57,8 +57,9 @@ type windowLP struct {
 	// start is x_et = 1 where firstFit places flow e, taking the flows by
 	// the last round of their windows. Only whether the LP is feasible
 	// and Theorem 3's guarantee — which holds at any vertex — are used,
-	// so the solve may start there: with every flow placed it is feasible
-	// without a pivot, otherwise phase 1 works on the unplaced flows only.
+	// so the solve may start there: with every flow placed the start is
+	// the answer and comes back unfactored, otherwise phase 1 works on the
+	// unplaced flows only.
 	start []float64
 }
 
@@ -87,12 +88,7 @@ func timeConstrainedLP(inst *switchnet.Instance, win Windows) *windowLP {
 		a, b := m.caps.start[k], m.caps.start[k+1]
 		m.p.AddRow(m.caps.vars[a:b], m.coef[a:b], lp.LE, float64(inst.Switch.Cap(port)))
 	}
-	m.start = make([]float64, ix.len())
-	for _, j := range firstFit(inst, orderBy(deadline), ix) {
-		if j >= 0 {
-			m.start[j] = 1
-		}
-	}
+	m.start = unitStart(inst, orderBy(deadline), ix)
 	return m
 }
 

@@ -23,23 +23,26 @@ func paperInstance(seed int64, ports, rounds, flows int) *switchnet.Instance {
 }
 
 // TestPaperModelGolden pins what the LP pipeline computes on seeded
-// paper-model instances. lbObj, lbHorizon and the SolveART triple were
-// recorded with the dense-LU solver this repository first shipped and have
-// survived both the sparse factorisation and the crash start: a basis
-// kernel or a starting point may change what a solve costs, never the
-// optimum, the horizon, or — SolveART's interval LPs are still started
-// cold, their vertex is the schedule — what SolveART rounds out of it.
-// lbPivots is the count of the crash-started solve, which begins at the
-// first-fit schedule and spends nothing on phase 1; the cold sparse and
-// dense counts are in the comment beside it. (LP (1)-(4) is degenerate
-// enough that its duals carry thirds, so the path to the optimum, not the
-// optimum, moves with the order of floating-point operations.) rho and the
-// two SolveMRT counts pin "one solve at rho, not three": first fit places
-// every flow inside its rho window on these instances, so the LP at rho is
-// feasible as it stands (0 pivots), the volume bound the search starts
-// from is rho itself (no other LP, SearchLP empty), and the solution that
-// is rounded is the search's. Before the crash start the same call spent
-// 105/123/1004 pivots on that LP — twice, once in the search and once
+// paper-model instances. lbObj, lbHorizon, artLPBound and rho are optima:
+// they were recorded with the dense-LU solver this repository first shipped
+// and have survived the sparse factorisation, the crash start and the crash
+// basis — a basis kernel or a starting point may change what a solve costs,
+// never the optimum or the horizon. The pivot counts and artTotal are what
+// the solves cost and where they end today, all three LPs started from a
+// greedy schedule with its flows in the starting basis; the counts of the
+// solves before that (crash start with an all-slack basis for LP (1)-(4),
+// cold for the interval LP) are in the comments beside them. artTotal moves
+// with the start because the interval LP's optimum is not unique and the
+// schedule is rounded from the vertex the solve ends at; one LP (1)-(4)
+// count rose (10x10). (LP (1)-(4) is degenerate enough that its duals carry
+// thirds, so the path to the optimum, not the optimum, moves with the order
+// of floating-point operations.) rho and the two SolveMRT counts pin "one
+// solve at rho, not three": first fit places every flow inside its rho
+// window on these instances, so the LP at rho is answered by its start as
+// it stands (0 pivots, no factorisation), the volume bound the search
+// starts from is rho itself (no other LP, SearchLP empty), and the solution
+// that is rounded is the search's. Before the crash start the same call
+// spent 105/123/1004 pivots on that LP — twice, once in the search and once
 // more to round.
 func TestPaperModelGolden(t *testing.T) {
 	cases := []struct {
@@ -53,9 +56,9 @@ func TestPaperModelGolden(t *testing.T) {
 		artTotal, artPivots int
 		rho                 int
 	}{
-		{"5x5_25/seed1", 1, 5, 5, 25, 50.5, 16, 80 /* cold 136, dense 136 */, 30.5, 141, 94, 6},
-		{"5x5_25/seed2", 2, 5, 5, 25, 40.5, 14, 73 /* cold 176, dense 161 */, 13.5, 116, 58, 4},
-		{"10x10_100/seed1", 1, 10, 10, 100, 232, 28, 1364 /* cold 2799, dense 2673 */, 127, 753, 499, 9},
+		{"5x5_25/seed1", 1, 5, 5, 25, 50.5, 16, 55 /* all-slack start 80, cold 136, dense 136 */, 30.5, 139 /* cold 141 */, 9 /* cold 94 */, 6},
+		{"5x5_25/seed2", 2, 5, 5, 25, 40.5, 14, 51 /* all-slack start 73, cold 176, dense 161 */, 13.5, 116 /* cold 116 */, 1 /* cold 58 */, 4},
+		{"10x10_100/seed1", 1, 10, 10, 100, 232, 28, 1454 /* all-slack start 1364, cold 2799, dense 2673 */, 127, 746 /* cold 753 */, 85 /* cold 499 */, 9},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -71,8 +74,8 @@ func TestPaperModelGolden(t *testing.T) {
 			if got := lb.LP.Pivots(); got != lb.Iterations || lb.LP.Rows == 0 || lb.LP.PeakLUNonzeros < lb.LP.Rows {
 				t.Errorf("ARTLowerBound stats %+v do not add up to %d pivots", lb.LP, lb.Iterations)
 			}
-			if lb.LP.Phase1Pivots != 0 || lb.LP.StartAtUpper != c.flows {
-				t.Errorf("ARTLowerBound stats %+v: want all %d flows placed by the crash start and no phase-1 pivot", lb.LP, c.flows)
+			if lb.LP.Phase1Pivots != 0 || lb.LP.StartAtUpper != c.flows || lb.LP.StartBasic != c.flows {
+				t.Errorf("ARTLowerBound stats %+v: want all %d flows placed by the crash start, in the basis, and no phase-1 pivot", lb.LP, c.flows)
 			}
 			art, err := SolveART(inst, 1)
 			if err != nil {
@@ -82,14 +85,14 @@ func TestPaperModelGolden(t *testing.T) {
 				t.Errorf("SolveART = (LP bound %v, total %d, %d pivots), want (%v, %d, %d)",
 					art.LPBound, got, art.LPIterations, c.artLPBound, c.artTotal, c.artPivots)
 			}
-			if got := art.LP.Pivots(); got != art.LPIterations || art.LP.StartAtUpper != 0 {
-				t.Errorf("SolveART stats %+v: want %d pivots from a cold start", art.LP, art.LPIterations)
+			if got := art.LP.Pivots(); got != art.LPIterations || art.LP.Phase1Pivots != 0 || art.LP.StartAtUpper != c.flows {
+				t.Errorf("SolveART stats %+v: want %d pivots, none of them in phase 1, from a start that places all %d flows", art.LP, art.LPIterations, c.flows)
 			}
 			mrt, err := SolveMRT(inst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mrt.Rho != c.rho || mrt.LPIterations != 0 || mrt.LP.StartAtUpper != c.flows || mrt.SearchLP != (lp.Stats{}) {
+			if mrt.Rho != c.rho || mrt.LPIterations != 0 || mrt.LP.Refactors != 0 || mrt.LP.StartAtUpper != c.flows || mrt.SearchLP != (lp.Stats{}) {
 				t.Errorf("SolveMRT = (rho %d, %d pivots at rho %+v, search %+v), want rho %d from one pivot-free solve",
 					mrt.Rho, mrt.LPIterations, mrt.LP, mrt.SearchLP, c.rho)
 			}

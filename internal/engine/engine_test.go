@@ -241,8 +241,17 @@ func TestLPSolversReportStageCounts(t *testing.T) {
 	}
 	for i, r := range table.Rows[:2] {
 		st := table.Verdicts[i].Solution.Stats
-		if len(r.LP) != len(lpStatKeys) || r.LP[0] != int(st["lp_rows"]) ||
-			st["lp_rows"] == 0 || st["lp_refactors"] == 0 || st["lp_lu_peak_nnz"] < st["lp_rows"] {
+		if len(r.LP) != len(lpStatKeys) || r.LP[0] != int(st["lp_rows"]) || st["lp_rows"] == 0 ||
+			st["lp_start_basic"] > st["lp_start_at_upper"] || st["lp_start_at_upper"] != float64(r.N) {
+			t.Fatalf("%s: LP columns %v, stats %v", r.Solver, r.LP, st)
+		}
+		// Only an LP whose start was the answer — MRT's, when first fit
+		// places every flow inside its rho window — is never factored.
+		if st["lp_refactors"] == 0 {
+			if r.Solver != "MRT" || st["lp_pivots"] != 0 {
+				t.Fatalf("%s: an unfactored LP with stats %v", r.Solver, st)
+			}
+		} else if st["lp_lu_peak_nnz"] < st["lp_rows"] || st["lp_start_basic"] == 0 {
 			t.Fatalf("%s: LP columns %v, stats %v", r.Solver, r.LP, st)
 		}
 		if got := st["lp_phase1_pivots"] + st["lp_phase2_pivots"]; got != st["lp_pivots"] {

@@ -17,7 +17,7 @@ import (
 var lpStatKeys = []string{
 	"lp_rows", "lp_cols", "lp_nnz", "lp_phase1_pivots", "lp_phase2_pivots",
 	"lp_bound_flips", "lp_refactors", "lp_lu_peak_nnz", "lp_perturbations",
-	"lp_start_at_upper",
+	"lp_start_at_upper", "lp_start_basic",
 }
 
 // withLPStats adds st under lpStatKeys to a solver's stats.
@@ -25,7 +25,7 @@ func withLPStats(stats map[string]float64, st lp.Stats) map[string]float64 {
 	for i, v := range []int{
 		st.Rows, st.Cols, st.Nonzeros, st.Phase1Pivots, st.Phase2Pivots,
 		st.BoundFlips, st.Refactors, st.PeakLUNonzeros, st.Perturbations,
-		st.StartAtUpper,
+		st.StartAtUpper, st.StartBasic,
 	} {
 		stats[lpStatKeys[i]] = float64(v)
 	}

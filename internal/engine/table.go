@@ -31,7 +31,8 @@ type Row struct {
 	// lpStatKeys order (rows, columns, nonzeros, phase-1 and phase-2
 	// pivots, bound flips, refactorisations, peak L+U nonzeros, stalls
 	// answered with a perturbation, variables the crash start put at
-	// their upper bound); nil for a solver that solves no LP.
+	// their upper bound, and those among them it put in the starting
+	// basis); nil for a solver that solves no LP.
 	LP []int
 	// Err is the failure description, "" on success.
 	Err string

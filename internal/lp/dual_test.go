@@ -21,9 +21,10 @@ func dualIdentityHolds(p *Problem, sol *Solution) bool {
 	for j := 0; j < p.n; j++ {
 		d[j] = p.cost[j]
 	}
-	for i, r := range p.rows {
-		for k, j := range r.idx {
-			d[j] -= y[i] * r.val[k]
+	for i := range p.rows {
+		idx, val := p.entries(i)
+		for k, j := range idx {
+			d[j] -= y[i] * val[k]
 		}
 	}
 	const tol = 1e-6

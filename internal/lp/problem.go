@@ -17,24 +17,57 @@
 //
 // SolveOptions.Start names a point to start from. Exactly one thing is
 // read from it: a variable whose entry equals its finite upper bound starts
-// nonbasic at that bound; any other entry, and a nil Start, leave the
-// variable where a cold solve puts it (its lower bound, or the upper one if
-// there is no lower). The starting basis is then chosen from the row
-// residuals as always — the slack where the point satisfies the row, an
-// artificial where it does not — so a start that satisfies every row has
-// no artificial and no phase 1, a partial one pays phase 1 only for the
-// rows it misses, and a solve with a nil Start pivots exactly as it did
-// before Start existed. A caller that holds a feasible 0/1 point of its LP
-// (internal/core: a first-fit schedule) and needs the optimum, not a
-// particular vertex, passes it. A Start of the wrong length is an error.
+// at that bound; any other entry, and a nil Start, leave the variable where
+// a cold solve puts it (its lower bound, or the upper one if there is no
+// lower). The starting basis is then chosen from the row residuals as
+// always — the slack where the point satisfies the row, an artificial where
+// it does not — so a start that satisfies every row has no artificial and
+// no phase 1, and a partial one pays phase 1 only for the rows it misses.
+//
+// Then the named variables are crashed into that basis. Each, in index
+// order, takes the basis place of the slack of the first of its rows,
+// ascending, that (a) still has its slack basic and sitting exactly on one
+// of its bounds — the point meets the row with equality — and (b) carries a
+// coefficient of at least pivotTol, provided the variable has no entry in
+// any row an earlier variable took; the displaced slack goes nonbasic at
+// the bound it sits on. The point does not move. The structural columns, in
+// the order taken, are zero above their own row on the rows taken, so with
+// the unit columns around them the basis is triangular and cannot be
+// singular: there is no fallback because none is needed. What changes is
+// the starting duals — y = c_j/a_ij on a taken row instead of 0 — and that
+// the simplex need not spend a degenerate pivot per variable pulling them
+// in. In a scheduling LP whose covering rows come first, a schedule's
+// variables take exactly those rows, and a flow placed at its cheapest
+// column needs no pivot at all. Stats.StartAtUpper counts the variables
+// named, Stats.StartBasic those that entered the basis. A Start that names
+// no upper bound, and a nil one, pivot exactly as a cold solve always did.
+//
+// A starting point that satisfies every row of an LP whose objective is
+// identically zero is the answer, and is returned as it stands — zero
+// duals, no pivot, no factorisation. A caller that holds a feasible 0/1
+// point of its LP (internal/core: a greedy schedule) and needs the optimum
+// or feasibility, not a particular vertex, passes it. A Start of the wrong
+// length is an error.
+//
+// # Working memory
+//
+// A solve's working state — column arrays, bounds, basis, work vectors, the
+// LU and the eta file — comes from a sync.Pool and goes back on every exit,
+// and a Problem keeps its rows in one index/value arena, so a solve
+// allocates its Solution, X and Dual and otherwise only what the state has
+// not yet grown to. The state carries nothing from one solve to the next
+// but capacity: load sizes and writes every array before anything reads
+// it, and the counters and the perturbation's random state restart from
+// the same values, so a solve is still a function of its problem and
+// options alone, on any goroutine, whatever the pool held.
 //
 // # Stalls
 //
-// A 0/1 point is a maximally degenerate vertex: every tight row has its
-// slack basic at a bound, and Dantzig pricing can turn the basis over there
-// indefinitely without moving. After degenLimit consecutive degenerate
-// pivots the solver perturbs: every bound that a basic variable sits on
-// moves outward by perturbScale*(1+|bound|)*(1+u) — about 1e-6, ten times
+// A 0/1 point is a maximally degenerate vertex: every tight row the crash
+// basis did not take has its slack basic at a bound, and Dantzig pricing can
+// turn the basis over there indefinitely without moving. After degenLimit
+// consecutive degenerate pivots the solver perturbs: every bound that a
+// basic variable sits on moves outward by perturbScale*(1+|bound|)*(1+u) — about 1e-6, ten times
 // feasTol so that the steps it opens count as progress, u a draw in [0,1)
 // from a fixed-seed xorshift so that no two are equal — which turns the
 // tied zero ratios into distinct positive ones; pricing and the ratio test
@@ -112,12 +145,12 @@ func (s Status) String() string {
 	}
 }
 
-// row is one linear constraint in sparse form.
+// row is one linear constraint: its sense and right-hand side, and where its
+// entries lie in the problem's idx/val arena.
 type row struct {
-	idx   []int
-	val   []float64
-	sense Sense
-	rhs   float64
+	start, end int
+	sense      Sense
+	rhs        float64
 }
 
 // Problem is a linear program over variables x_0..x_{n-1}:
@@ -133,6 +166,10 @@ type Problem struct {
 	lower []float64
 	upper []float64
 	rows  []row
+	// The entries of every row, one after another: a row costs two appends
+	// to arrays that double, not two slices of its own.
+	idx []int
+	val []float64
 }
 
 // NewProblem returns a problem with numVars variables, all with zero cost
@@ -171,13 +208,17 @@ func (p *Problem) AddRow(idx []int, val []float64, sense Sense, rhs float64) int
 	if len(idx) != len(val) {
 		panic("lp: AddRow index/value length mismatch")
 	}
-	p.rows = append(p.rows, row{
-		idx:   append([]int(nil), idx...),
-		val:   append([]float64(nil), val...),
-		sense: sense,
-		rhs:   rhs,
-	})
+	p.rows = append(p.rows, row{start: len(p.idx), end: len(p.idx) + len(idx), sense: sense, rhs: rhs})
+	p.idx = append(p.idx, idx...)
+	p.val = append(p.val, val...)
 	return len(p.rows) - 1
+}
+
+// entries returns the variables and coefficients of row i, as views into the
+// arena.
+func (p *Problem) entries(i int) ([]int, []float64) {
+	r := p.rows[i]
+	return p.idx[r.start:r.end], p.val[r.start:r.end]
 }
 
 // Solution is the result of solving a Problem.
@@ -209,8 +250,11 @@ type Stats struct {
 	// BoundFlips counts the iterations among them that moved a nonbasic
 	// variable to its other bound and left the basis alone.
 	BoundFlips int
-	// Refactors counts basis factorisations, the first and the final
-	// accuracy pass included.
+	// Refactors counts basis factorisations, the first included. The final
+	// accuracy pass is one more unless nothing moved after the last of them
+	// — it would recompute what the solve already holds and is skipped — so
+	// a solve that needs no pivot factors once, and one whose start is
+	// returned as it stands (a zero objective, every row satisfied) never.
 	Refactors int
 	// PeakLUNonzeros is the largest number of nonzeros any of them stored
 	// in L and U together, diagonal included.
@@ -220,8 +264,11 @@ type Stats struct {
 	// a row).
 	Perturbations int
 	// StartAtUpper counts the variables SolveOptions.Start put at their
-	// upper bound (0 for a cold start).
+	// upper bound (0 for a cold start), basic or not.
 	StartAtUpper int
+	// StartBasic counts those among them that entered the starting basis in
+	// place of a slack (the crash basis of the package comment).
+	StartBasic int
 }
 
 // Pivots is the iteration count of both phases together,
@@ -241,14 +288,15 @@ func (s *Stats) Add(o Stats) {
 	s.PeakLUNonzeros = max(s.PeakLUNonzeros, o.PeakLUNonzeros)
 	s.Perturbations += o.Perturbations
 	s.StartAtUpper += o.StartAtUpper
+	s.StartBasic += o.StartBasic
 }
 
 // RowActivity returns sum_k val[k]*X[idx[k]] for row i of the problem.
 func (p *Problem) RowActivity(x []float64, i int) float64 {
-	r := p.rows[i]
+	idx, val := p.entries(i)
 	s := 0.0
-	for k, j := range r.idx {
-		s += r.val[k] * x[j]
+	for k, j := range idx {
+		s += val[k] * x[j]
 	}
 	return s
 }

@@ -3,6 +3,8 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 )
 
 const (
@@ -22,7 +24,9 @@ type spCol struct {
 	rv []float64
 }
 
-// simplex holds the working state of a solve.
+// simplex holds the working state of a solve. Its arrays outlive the solve
+// (simplexPool): load sizes and fills every one of them for the problem at
+// hand, so nothing a solve reads was written by an earlier one.
 type simplex struct {
 	m, n    int // rows; total columns (structural + slack + artificial)
 	nStruct int
@@ -32,32 +36,57 @@ type simplex struct {
 	upper   []float64
 	rhs     []float64
 
+	// Column storage: cols are views into ri/rv — the structural entries
+	// column by column in row order (column j from colStart[j]), then one
+	// slot per unit column.
+	colStart []int
+	ri       []int
+	rv       []float64
+
 	basis   []int  // basis[i] = column basic in row i
 	pos     []int  // pos[j] = row position if basic, else -1
 	atUpper []bool // nonbasic status
 	x       []float64
 
-	lu    luFactor
-	etas  etaFile
-	iters int
-	degen int // consecutive degenerate pivots
+	lu   luFactor
+	etas etaFile
 
-	// Stall handling (perturb, settle): while perturbed, lower/upper hold
-	// shifted bounds and lower0/upper0 the true ones. rng is the xorshift
-	// state the shifts are drawn from, seeded the same for every solve.
-	perturbed      bool
+	// While perturbed (perturb, settle), lower/upper hold shifted bounds and
+	// lower0/upper0 the true ones.
 	lower0, upper0 []float64
-	rng            uint64
 
 	y, w, res []float64 // BTRAN, FTRAN and refactor work vectors, length m
 
-	// Stats counters: matrix nonzeros, iterations spent in phase 1, bound
-	// flips, factorisations, the largest L+U seen, stalls perturbed away
-	// and variables Start put at their upper bound.
-	nnz, phase1, flips, refactors, peakLU, perturbations, startAtUpper int
-
-	maxIters int
+	tally
 }
+
+// tally is the part of the working state that load starts from zero: the
+// progress of the solve and the counters behind Stats.
+type tally struct {
+	iters    int
+	degen    int // consecutive degenerate pivots
+	maxIters int
+
+	// factored says the LU and the basic values are those of the current
+	// basis and nonbasic point: refactor sets it, applyStep — every pivot
+	// and every bound flip — clears it.
+	factored bool
+
+	// Stall handling: whether the bounds are perturbed, and the xorshift
+	// state the shifts are drawn from, seeded the same for every solve.
+	perturbed bool
+	rng       uint64
+
+	// Matrix nonzeros, iterations spent in phase 1, bound flips,
+	// factorisations, the largest L+U seen, stalls perturbed away, and the
+	// variables Start put at their upper bound and into the starting basis.
+	nnz, phase1, flips, refactors, peakLU, perturbations, startAtUpper, startBasic int
+}
+
+// simplexPool hands the working state of one solve to the next, so that a
+// solve allocates its Solution and little else. A simplex taken from it is
+// overwritten by load before anything reads it.
+var simplexPool = sync.Pool{New: func() any { return new(simplex) }}
 
 // etaFile is the product-form update of the basis inverse since the last
 // refactorisation: eta k replaced the basis column at position r[k] by one
@@ -99,11 +128,11 @@ type SolveOptions struct {
 	MaxIters int
 	// Start, when not nil, is a point to start from, one entry per
 	// variable: a variable whose entry equals its finite upper bound starts
-	// nonbasic at that bound instead of at its lower one. Nothing else is
-	// read — every other entry means "as without Start" — and the starting
-	// basis is still chosen from the residuals: a slack on every row the
-	// point satisfies, an artificial on every row it does not. A start that
-	// satisfies every row therefore needs no phase 1. A Start of the wrong
+	// at that bound instead of at its lower one — basic, in place of the
+	// slack of a row the point satisfies with equality, where the
+	// triangular rule of the package comment allows it, nonbasic otherwise.
+	// Nothing else is read: every other entry means "as without Start". A
+	// start that satisfies every row needs no phase 1. A Start of the wrong
 	// length is an error.
 	Start []float64
 }
@@ -116,14 +145,20 @@ func (p *Problem) Solve() (*Solution, error) { return p.SolveWith(SolveOptions{}
 // the basis numerically singular is an error wrapping ErrSingular, not a
 // status.
 func (p *Problem) SolveWith(opt SolveOptions) (*Solution, error) {
-	s, early, err := p.newSimplex(opt)
-	if s == nil {
-		return early, err
+	s := simplexPool.Get().(*simplex)
+	defer simplexPool.Put(s)
+	return s.run(p, opt)
+}
+
+// run solves p on s, whatever s held before.
+func (s *simplex) run(p *Problem, opt SolveOptions) (*Solution, error) {
+	if sol, err := s.load(p, opt); sol != nil || err != nil {
+		return sol, err
 	}
 	return s.solve(p)
 }
 
-// solve runs both phases from the factored starting basis of newSimplex.
+// solve runs both phases from the factored starting basis of load.
 func (s *simplex) solve(p *Problem) (*Solution, error) {
 	// Artificials sit at p.n+s.m and above; those from live on are still to
 	// be driven out. The loop runs once unless a phase stalled, perturbed
@@ -132,7 +167,8 @@ func (s *simplex) solve(p *Problem) (*Solution, error) {
 	// from that basis.
 	for live := p.n + s.m; ; {
 		if s.n > live {
-			s.cost = make([]float64, s.n)
+			s.cost = grow(s.cost, s.n)
+			clear(s.cost)
 			for j := live; j < s.n; j++ {
 				s.cost[j] = 1
 			}
@@ -166,8 +202,8 @@ func (s *simplex) solve(p *Problem) (*Solution, error) {
 		}
 
 		// Phase 2.
-		s.cost = make([]float64, s.n)
-		copy(s.cost, p.cost)
+		s.cost = grow(s.cost, s.n)
+		clear(s.cost[copy(s.cost, p.cost):])
 		st, err := s.iterate()
 		if err != nil {
 			return nil, err
@@ -181,9 +217,12 @@ func (s *simplex) solve(p *Problem) (*Solution, error) {
 			break
 		}
 	}
-	// Final accuracy pass.
-	if err := s.refactor(); err != nil {
-		return nil, err
+	// Final accuracy pass, unless nothing has moved since the last
+	// factorisation: it would rebuild the LU and the basic values it holds.
+	if !s.factored {
+		if err := s.refactor(); err != nil {
+			return nil, err
+		}
 	}
 	sol := s.solution(Optimal)
 	sol.X = make([]float64, p.n)
@@ -198,35 +237,36 @@ func (s *simplex) solve(p *Problem) (*Solution, error) {
 	return sol, nil
 }
 
-// newSimplex builds the working state of a solve with its starting basis
+// load makes s the working state of a solve of p with its starting basis
 // factored: slacks where the residual fits their bounds, artificials (the
-// columns past NumVars+NumRows) elsewhere. A problem decided without a
-// pivot returns a nil simplex and its solution or error instead.
-func (p *Problem) newSimplex(opt SolveOptions) (*simplex, *Solution, error) {
+// columns past NumVars+NumRows) elsewhere, and the variables Start names in
+// place of slacks where the triangular rule lets them. A problem decided
+// without a pivot returns its solution or error instead, and s is not to be
+// solved.
+func (s *simplex) load(p *Problem, opt SolveOptions) (*Solution, error) {
 	if opt.Start != nil && len(opt.Start) != p.n {
-		return nil, nil, fmt.Errorf("lp: Start has %d entries for %d variables", len(opt.Start), p.n)
+		return nil, fmt.Errorf("lp: Start has %d entries for %d variables", len(opt.Start), p.n)
 	}
 	m := len(p.rows)
-	s := &simplex{
-		m:       m,
-		nStruct: p.n,
-		rng:     perturbSeed,
-	}
+	s.m, s.nStruct = m, p.n
+	s.tally = tally{rng: perturbSeed}
 	// Columns: structural, then one slack per row, artificials appended
-	// below as needed. All of them are views into two flat arrays: the
-	// structural entries column by column in row order, then one slot per
-	// unit column.
+	// below as needed (room for one per row, so appending them does not
+	// reallocate).
 	total := p.n + m
-	s.cols = make([]spCol, total, total+m)
-	s.lower = make([]float64, total, total+m)
-	s.upper = make([]float64, total, total+m)
-	s.rhs = make([]float64, m)
-	start := make([]int, p.n+1)
+	s.cols = grow(s.cols, total+m)[:total]
+	s.lower = grow(s.lower, total+m)[:total]
+	s.upper = grow(s.upper, total+m)[:total]
+	s.rhs = grow(s.rhs, m)
+	start := grow(s.colStart, p.n+1)
+	s.colStart = start
+	clear(start)
 	for i, r := range p.rows {
 		s.rhs[i] = r.rhs
-		for _, j := range r.idx {
+		idx, _ := p.entries(i)
+		for _, j := range idx {
 			if j < 0 || j >= p.n {
-				return nil, nil, fmt.Errorf("lp: row %d references variable %d out of range", i, j)
+				return nil, fmt.Errorf("lp: row %d references variable %d out of range", i, j)
 			}
 			start[j+1]++
 		}
@@ -235,16 +275,18 @@ func (p *Problem) newSimplex(opt SolveOptions) (*simplex, *Solution, error) {
 		start[j+1] += start[j]
 	}
 	s.nnz = start[p.n]
-	ri, rv := make([]int, s.nnz+2*m), make([]float64, s.nnz+2*m)
+	s.ri, s.rv = grow(s.ri, s.nnz+2*m), grow(s.rv, s.nnz+2*m)
+	ri, rv := s.ri, s.rv
 	for j := 0; j < p.n; j++ {
 		a, b := start[j], start[j+1]
 		s.cols[j] = spCol{ri: ri[a:a:b], rv: rv[a:a:b]}
 	}
-	for i, r := range p.rows {
-		for k, j := range r.idx {
+	for i := range p.rows {
+		idx, val := p.entries(i)
+		for k, j := range idx {
 			c := &s.cols[j]
 			c.ri = append(c.ri, i)
-			c.rv = append(c.rv, r.val[k])
+			c.rv = append(c.rv, val[k])
 		}
 	}
 	units := s.nnz
@@ -257,10 +299,10 @@ func (p *Problem) newSimplex(opt SolveOptions) (*simplex, *Solution, error) {
 		s.lower[j] = p.lower[j]
 		s.upper[j] = p.upper[j]
 		if math.IsInf(s.lower[j], -1) && math.IsInf(s.upper[j], 1) {
-			return nil, nil, fmt.Errorf("lp: variable %d is free; free variables are not supported", j)
+			return nil, fmt.Errorf("lp: variable %d is free; free variables are not supported", j)
 		}
 		if s.lower[j] > s.upper[j] {
-			return nil, &Solution{Status: Infeasible}, nil
+			return &Solution{Status: Infeasible}, nil
 		}
 	}
 	for i, r := range p.rows {
@@ -281,28 +323,28 @@ func (p *Problem) newSimplex(opt SolveOptions) (*simplex, *Solution, error) {
 	}
 
 	if m == 0 {
-		sol, err := p.solveUnconstrained()
-		return nil, sol, err
+		return p.solveUnconstrained()
 	}
 
 	// Nonbasic start for structural and slack columns: the finite bound
 	// (preferring lower), or the upper one where Start sits on it.
-	s.x = make([]float64, total, total+m)
-	s.atUpper = make([]bool, total, total+m)
-	s.pos = make([]int, total, total+m)
-	for j := range s.pos {
-		s.pos[j] = -1
-	}
+	s.x = grow(s.x, total+m)[:total]
+	s.atUpper = grow(s.atUpper, total+m)[:total]
+	s.pos = grow(s.pos, total+m)[:total]
 	for j := 0; j < total; j++ {
-		if !math.IsInf(s.lower[j], -1) {
-			s.x[j] = s.lower[j]
-		} else {
+		s.pos[j] = -1
+		s.atUpper[j] = math.IsInf(s.lower[j], -1)
+		s.x[j] = s.lower[j]
+		if s.atUpper[j] {
 			s.x[j] = s.upper[j]
-			s.atUpper[j] = true
 		}
 	}
+	// named says whether Start moves variable j to its upper bound.
+	named := func(j int, v float64) bool {
+		return v == s.upper[j] && !math.IsInf(v, 1) && !math.IsInf(s.lower[j], -1)
+	}
 	for j, v := range opt.Start {
-		if v == s.upper[j] && !s.atUpper[j] && !math.IsInf(v, 1) {
+		if named(j, v) {
 			s.x[j] = v
 			s.atUpper[j] = true
 			s.startAtUpper++
@@ -311,7 +353,7 @@ func (p *Problem) newSimplex(opt SolveOptions) (*simplex, *Solution, error) {
 
 	// Residuals decide the initial basis: slack if its value fits its
 	// bounds, otherwise an artificial column.
-	s.y, s.w, s.res = make([]float64, m), make([]float64, m), make([]float64, m)
+	s.y, s.w, s.res = grow(s.y, m), grow(s.w, m), grow(s.res, m)
 	res := s.res
 	copy(res, s.rhs)
 	for j := 0; j < p.n; j++ {
@@ -321,7 +363,7 @@ func (p *Problem) newSimplex(opt SolveOptions) (*simplex, *Solution, error) {
 			}
 		}
 	}
-	s.basis = make([]int, m)
+	s.basis = grow(s.basis, m)
 	for i := 0; i < m; i++ {
 		sj := p.n + i
 		if res[i] >= s.lower[sj]-feasTol && res[i] <= s.upper[sj]+feasTol {
@@ -358,10 +400,56 @@ func (p *Problem) newSimplex(opt SolveOptions) (*simplex, *Solution, error) {
 	}
 	s.n = len(s.cols)
 
-	if err := s.refactor(); err != nil {
-		return nil, nil, err
+	// A point that satisfies every row is the answer when there is nothing
+	// to minimise: no basis is needed to say so.
+	if s.n == total && !slices.ContainsFunc(p.cost, func(c float64) bool { return c != 0 }) {
+		sol := s.solution(Optimal)
+		sol.X = slices.Clone(s.x[:p.n])
+		sol.Dual = make([]float64, m)
+		return sol, nil
 	}
-	return s, nil, nil
+
+	// Crash basis: a variable Start named takes the basis place of the slack
+	// of its crashRow, and the slack goes nonbasic at the bound it sits on —
+	// the same point, with the variable's cost in the starting duals.
+	for j, v := range opt.Start {
+		if !named(j, v) {
+			continue
+		}
+		if row := s.crashRow(j); row >= 0 {
+			sj := p.n + row
+			s.basis[row], s.pos[j] = j, row
+			s.pos[sj], s.atUpper[sj] = -1, s.x[sj] != s.lower[sj]
+			s.startBasic++
+		}
+	}
+
+	if err := s.refactor(); err != nil {
+		return nil, err
+	}
+	return nil, nil
+}
+
+// crashRow returns the row whose slack structural j may replace in the
+// starting basis, or -1: the first of j's rows whose slack is still basic
+// and sits exactly on one of its bounds — the point meets the row with
+// equality — under a coefficient worth pivoting on, provided j has no entry
+// in any row an earlier variable took. The structural columns, in the order
+// taken, are therefore triangular on the rows taken, and the basis cannot be
+// singular.
+func (s *simplex) crashRow(j int) int {
+	col, row := s.cols[j], -1
+	for k, i := range col.ri {
+		sj := s.nStruct + i
+		switch {
+		case s.basis[i] < s.nStruct:
+			return -1
+		case row < 0 && s.basis[i] == sj && math.Abs(col.rv[k]) >= pivotTol &&
+			(s.x[sj] == s.lower[sj] || s.x[sj] == s.upper[sj]):
+			row = i
+		}
+	}
+	return row
 }
 
 // solution reports the solve's status and counters.
@@ -377,6 +465,7 @@ func (s *simplex) solution(st Status) *Solution {
 		PeakLUNonzeros: s.peakLU,
 		Perturbations:  s.perturbations,
 		StartAtUpper:   s.startAtUpper,
+		StartBasic:     s.startBasic,
 	}}
 }
 
@@ -414,6 +503,7 @@ func (s *simplex) refactor() error {
 		return fmt.Errorf("lp: singular basis after %d pivots: %w", s.iters, err)
 	}
 	s.etas.reset()
+	s.factored = true
 	s.refactors++
 	s.peakLU = max(s.peakLU, s.lu.nnz())
 	// x_B = B^{-1} (b - N x_N).
@@ -631,6 +721,7 @@ func (s *simplex) iterate() (Status, error) {
 // applyStep moves the basic variables for a step of size delta in direction
 // dir of the entering column (w = B^{-1} A_enter).
 func (s *simplex) applyStep(dir, delta float64, w []float64) {
+	s.factored = false
 	if delta == 0 {
 		return
 	}

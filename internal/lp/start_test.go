@@ -115,6 +115,9 @@ func TestStartReadsOnlyUpperBounds(t *testing.T) {
 	if part.Stats.Phase1Pivots == 0 || part.Stats.Phase1Pivots >= nilStart.Stats.Phase1Pivots {
 		t.Errorf("partial start spent %d phase-1 pivots, the cold solve %d", part.Stats.Phase1Pivots, nilStart.Stats.Phase1Pivots)
 	}
+	if part.Stats.StartAtUpper != 20 || part.Stats.StartBasic != 20 {
+		t.Errorf("partial start stats %+v, want the 20 flows it places at their upper bound and in the basis", part.Stats)
+	}
 
 	if _, err := p.SolveWith(SolveOptions{Start: start[:len(start)-1]}); err == nil || !strings.Contains(err.Error(), "Start has") {
 		t.Errorf("short start: error %v", err)
@@ -128,14 +131,17 @@ func TestStartReadsOnlyUpperBounds(t *testing.T) {
 }
 
 // TestStallIsPerturbedNotCycled is the regression for the stall a 0/1
-// starting vertex causes: every flow row and every busy port-round of the
-// first-fit point has its slack basic at a bound, and this instance's
-// crash-started solve makes degenLimit degenerate pivots in a row without
-// leaving its starting objective. Bland's rule sat there until the
-// iteration limit; the perturbation must carry the solve to the cold
-// solve's optimum, and what comes back must be a point of the true LP.
+// starting vertex causes: every busy port-round of the first-fit point has
+// its slack basic at a bound, and this instance's crash-started solve makes
+// degenLimit degenerate pivots in a row without moving. Bland's rule sat
+// there until the iteration limit; the perturbation must carry the solve to
+// the cold solve's optimum, and what comes back must be a point of the true
+// LP. (The instance this test first used, seed 1, no longer stalls: with its
+// flows in the starting basis it reaches the optimum in 2,462 pivots and no
+// perturbation. Seeds 2 to 6 of the same shape all still stall; 5 is the
+// cheapest.)
 func TestStallIsPerturbedNotCycled(t *testing.T) {
-	p, start := responseLP(1, 12, 4, 200)
+	p, start := responseLP(5, 12, 4, 200)
 	cold := solveOK(t, p)
 	warm, err := p.SolveWith(SolveOptions{Start: start})
 	if err != nil {
@@ -170,9 +176,9 @@ func TestSettleRepairsARejectedBasis(t *testing.T) {
 	p.SetBounds(0, 0, 0.6)
 	p.SetBounds(1, 0, 1)
 	p.AddRow([]int{0, 1}, []float64{1, 1}, LE, 1)
-	s, _, err := p.newSimplex(SolveOptions{})
-	if err != nil || s == nil {
-		t.Fatalf("newSimplex: %v", err)
+	s := new(simplex)
+	if sol, err := s.load(p, SolveOptions{}); err != nil || sol != nil {
+		t.Fatalf("load: %+v, %v", sol, err)
 	}
 	s.lower0, s.upper0 = slices.Clone(s.lower), slices.Clone(s.upper)
 	s.perturbed = true
@@ -192,50 +198,89 @@ func TestSettleRepairsARejectedBasis(t *testing.T) {
 	}
 }
 
-// FuzzSolveStart: whatever 0/upper pattern a small LP is started from, the
-// status and the optimum are those of the cold solve; a start of the wrong
-// length is an error, never a panic.
+// fuzzLP decodes a small LP and a 0/upper starting pattern from fuzz input:
+// up to 6 variables with costs in [-4, 4] and upper bounds in [1, 4] (one in
+// eight has none), up to 4 rows with coefficients in [-3, 3] of any sense.
+// Input shorter than its header decodes to nil.
+func fuzzLP(data []byte) (*Problem, []float64) {
+	if len(data) < 3 {
+		return nil, nil
+	}
+	n, m, pattern := 1+int(data[0])%6, int(data[1])%5, data[2]
+	data = data[3:]
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	p := NewProblem(n)
+	start := make([]float64, n)
+	for j := 0; j < n; j++ {
+		p.SetCost(j, float64(next()%9-4))
+		if b := next(); b%8 != 0 { // one variable in eight has no upper bound
+			p.SetBounds(j, 0, float64(1+b%4))
+		} else if p.cost[j] < 0 {
+			p.SetCost(j, -p.cost[j]) // keep the LP bounded
+		}
+		if pattern>>j&1 == 1 {
+			start[j] = p.upper[j]
+		}
+	}
+	for i := 0; i < m; i++ {
+		var idx []int
+		var val []float64
+		for j := 0; j < n; j++ {
+			if c := next()%7 - 3; c != 0 {
+				idx, val = append(idx, j), append(val, float64(c))
+			}
+		}
+		p.AddRow(idx, val, Sense(next()%3), float64(next()%11-3))
+	}
+	return p, start
+}
+
+// The last two seeds of FuzzSolveStart: two variables started at their upper
+// bound 2 under the rows x0 >= 2, x1 >= 2, which the start meets with
+// equality, so both enter the starting basis; and under x0 <= 5, x1 <= 5,
+// whose slacks are interior, so neither does.
+var (
+	fuzzSeedAllBasic  = []byte{1, 2, 3, 5, 1, 6, 1, 4, 3, 1, 5, 3, 4, 1, 5}
+	fuzzSeedNoneBasic = []byte{1, 2, 3, 3, 1, 3, 1, 4, 3, 0, 8, 3, 4, 0, 8}
+)
+
+// TestFuzzSeedsCoverTheCrashBasis: the fuzz corpus holds a start that takes
+// every row it could and one that takes none.
+func TestFuzzSeedsCoverTheCrashBasis(t *testing.T) {
+	for _, c := range []struct {
+		data  []byte
+		basic int
+	}{{fuzzSeedAllBasic, 2}, {fuzzSeedNoneBasic, 0}} {
+		p, start := fuzzLP(c.data)
+		sol, err := p.SolveWith(SolveOptions{Start: start})
+		if err != nil || sol.Status != Optimal || sol.Stats.StartAtUpper != 2 || sol.Stats.StartBasic != c.basic {
+			t.Errorf("seed %v: %+v, %v; want 2 variables started at their upper bound, %d of them basic", c.data, sol, err, c.basic)
+		}
+	}
+}
+
+// FuzzSolveStart: whatever 0/upper pattern a small LP is started from —
+// whichever of the named variables the crash basis takes in — the status and
+// the optimum are those of the cold solve, the point is feasible and the
+// duals certify it; a start of the wrong length is an error, never a panic.
 func FuzzSolveStart(f *testing.F) {
 	f.Add([]byte{3, 2, 0xff, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{5, 3, 0x15, 9, 9, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 8, 7, 6, 5, 4, 3, 2, 1})
 	f.Add([]byte{1, 1, 1, 4, 4, 4, 4})
 	f.Add([]byte{4, 4, 0xaa, 250, 3, 17, 99, 4, 8, 15, 16, 23, 42, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55})
+	f.Add(fuzzSeedAllBasic)
+	f.Add(fuzzSeedNoneBasic)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
+		p, start := fuzzLP(data)
+		if p == nil {
 			return
-		}
-		n, m, pattern := 1+int(data[0])%6, int(data[1])%5, data[2]
-		data = data[3:]
-		next := func() int {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int(b)
-		}
-		p := NewProblem(n)
-		start := make([]float64, n)
-		for j := 0; j < n; j++ {
-			p.SetCost(j, float64(next()%9-4))
-			if b := next(); b%8 != 0 { // one variable in eight has no upper bound
-				p.SetBounds(j, 0, float64(1+b%4))
-			} else if p.cost[j] < 0 {
-				p.SetCost(j, -p.cost[j]) // keep the LP bounded
-			}
-			if pattern>>j&1 == 1 {
-				start[j] = p.upper[j]
-			}
-		}
-		for i := 0; i < m; i++ {
-			var idx []int
-			var val []float64
-			for j := 0; j < n; j++ {
-				if c := next()%7 - 3; c != 0 {
-					idx, val = append(idx, j), append(val, float64(c))
-				}
-			}
-			p.AddRow(idx, val, Sense(next()%3), float64(next()%11-3))
 		}
 		cold, err := p.Solve()
 		if err != nil {
@@ -248,12 +293,18 @@ func FuzzSolveStart(f *testing.F) {
 		if warm.Status != cold.Status {
 			t.Fatalf("started solve %v, cold %v", warm.Status, cold.Status)
 		}
+		if warm.Stats.StartBasic > warm.Stats.StartAtUpper {
+			t.Fatalf("stats %+v: more variables in the starting basis than at their upper bound", warm.Stats)
+		}
 		if cold.Status == Optimal {
 			if math.Abs(warm.Obj-cold.Obj) > 1e-9*(1+math.Abs(cold.Obj)) {
 				t.Fatalf("started optimum %v, cold %v", warm.Obj, cold.Obj)
 			}
 			if err := p.CheckFeasible(warm.X, 1e-6); err != nil {
 				t.Fatal(err)
+			}
+			if p.NumRows() > 0 && !dualIdentityHolds(p, warm) { // no rows, no duals
+				t.Fatalf("started solve fails the dual identity: %+v", warm)
 			}
 		}
 		if _, err := p.SolveWith(SolveOptions{Start: append(start, 0)}); err == nil {
