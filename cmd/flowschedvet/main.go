@@ -1,57 +1,33 @@
 // Command flowschedvet runs the flowsched invariant suite — hotpath,
 // gatedclock, atomicfield, determinism (see internal/analysis) — over Go
-// packages. It speaks two protocols:
+// packages loaded with `go list`:
 //
-//	flowschedvet ./...             standalone: loads packages via go list
-//	go vet -vettool=$(which flowschedvet) ./...
-//	                               unit checker: driven by go vet configs
+//	flowschedvet ./...
+//
+// It is the same driver, over the same packages, that `go test` runs as
+// internal/analysis's TestRepoClean.
 //
 // Exit status: 0 clean, 1 internal error, 2 findings.
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"flowsched/internal/analysis"
 )
 
 func main() {
-	// The vettool protocol probes with -V=full and -flags before any
-	// config; handle those before flag parsing so order never matters.
-	if len(os.Args) == 2 {
-		switch os.Args[1] {
-		case "-V=full", "--V=full":
-			printVersion()
-			return
-		case "-flags", "--flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: flowschedvet [packages]\n       (as a vettool: go vet -vettool=flowschedvet ./...)\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: flowschedvet [packages]\n\nAnalyzers:\n")
 		for _, a := range analysis.Suite() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
 	}
 	flag.Parse()
-	args := flag.Args()
 
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		findings, err := analysis.RunUnit(args[0], os.Stderr)
-		exit(findings, err)
-	}
-	findings, err := analysis.RunStandalone(".", args, os.Stdout)
-	exit(findings, err)
-}
-
-func exit(findings int, err error) {
+	findings, err := analysis.RunStandalone(".", flag.Args(), os.Stdout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "flowschedvet: %v\n", err)
 		os.Exit(1)
@@ -59,18 +35,4 @@ func exit(findings int, err error) {
 	if findings > 0 {
 		os.Exit(2)
 	}
-	os.Exit(0)
-}
-
-// printVersion emits the cache key line go vet demands of a vettool: it
-// must change whenever the tool's behavior could, so hash the binary.
-func printVersion() {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("%s version flowschedvet-%x\n", os.Args[0], h.Sum(nil)[:12])
 }

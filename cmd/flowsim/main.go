@@ -110,6 +110,15 @@ var commands = map[string]command{"art": art, "mrt": mrt, "gen": gen, "paper": p
 // not catch itself: exit status 2, as for one it does.
 type usageError struct{ error }
 
+// atLeastOne is the usage error for a size flag below 1, which would
+// otherwise reach a generator or a make as a panic or an empty table.
+func atLeastOne(flag string, v int) error {
+	if v < 1 {
+		return usageError{fmt.Errorf("-%s must be at least 1, got %d", flag, v)}
+	}
+	return nil
+}
+
 // dispatch runs the subcommand args[0] names, or the simulator when args
 // start with a flag, and returns the exit status. Results go to standard
 // output, everything else to stderr.
@@ -155,6 +164,8 @@ func loadInstance(inFile, trace string, cfg workload.PoissonConfig, seed int64) 
 		}
 		defer f.Close()
 		return switchnet.ReadInstance(f)
+	case cfg.Ports < 1:
+		return nil, atLeastOne("ports", cfg.Ports)
 	case trace != "":
 		f, err := os.Open(trace)
 		if err != nil {
@@ -206,6 +217,9 @@ func simulate(fs *flag.FlagSet) func() error {
 	}
 	return func() error {
 		if *streamMode {
+			if err := atLeastOne("ports", *ports); err != nil {
+				return err
+			}
 			explicit := map[string]bool{}
 			fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 			var restoreCk *chkpt.Checkpoint
@@ -242,6 +256,9 @@ func simulate(fs *flag.FlagSet) func() error {
 			pols = []sim.Policy{p}
 		}
 
+		if err := atLeastOne("trials", *trials); err != nil {
+			return err
+		}
 		// A loaded instance is the one trial; otherwise trial tr is the
 		// Poisson draw of seed+tr. Policies crossed with trials run on the
 		// engine's pool, so every policy judges the same instances.

@@ -19,6 +19,14 @@ func TestDispatch(t *testing.T) {
 		{[]string{"paper", "-fig", "nosuch"}, 2, "6, 7, t1, t3, amrt, 4a, ablation, bounds, sweep, all", ""},
 		{[]string{"paper", "-nosuchflag"}, 2, "-lptrials", "-stream"},
 		{[]string{"paper", "-T", "4,x"}, 2, `bad integer "x"`, ""},
+		{[]string{"paper", "-T", "6x,0x10"}, 2, `bad integer "6x"`, ""},
+		{[]string{"mrt", "-deadlines", "9z"}, 2, `bad integer "9z"`, ""},
+		{[]string{"-trials", "-1"}, 2, "-trials must be at least 1, got -1", ""},
+		{[]string{"-stream", "-ports", "-1"}, 2, "-ports must be at least 1, got -1", ""},
+		{[]string{"art", "-ports", "0"}, 2, "-ports must be at least 1, got 0", ""},
+		{[]string{"gen", "-ports", "0"}, 2, "-ports must be at least 1, got 0", ""},
+		{[]string{"paper", "-fig", "t1", "-trials", "0"}, 2, "-trials must be at least 1, got 0", ""},
+		{[]string{"paper", "-fig", "t1", "-lptrials", "0"}, 2, "-lptrials must be at least 1, got 0", ""},
 		{[]string{"gen", "-kind", "nosuch"}, 2, `unknown kind "nosuch"`, ""},
 		{[]string{"-policy", "nosuch"}, 2, `unknown policy "nosuch"`, ""},
 		{[]string{"art", "-in", "/nonexistent/instance.json"}, 1, "flowsim art: open", ""},

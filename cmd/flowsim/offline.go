@@ -1,11 +1,13 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
+	"strconv"
 	"strings"
 
 	"flowsched/internal/core"
@@ -142,8 +144,8 @@ func parseInts(s string) ([]int, error) {
 		if part == "" {
 			continue
 		}
-		var v int
-		if _, err := fmt.Sscanf(part, "%d", &v); err != nil {
+		v, err := strconv.Atoi(part)
+		if err != nil {
 			return nil, usageError{fmt.Errorf("bad integer %q", part)}
 		}
 		out = append(out, v)
@@ -174,6 +176,9 @@ func gen(fs *flag.FlagSet) func() error {
 			"json": switchnet.WriteInstance, "trace": workload.WriteTrace}[*format]
 		if write == nil {
 			return usageError{fmt.Errorf("unknown format %q", *format)}
+		}
+		if err := atLeastOne("ports", *ports); err != nil {
+			return err
 		}
 		rng := rand.New(rand.NewSource(*seed))
 		var inst *switchnet.Instance
@@ -235,7 +240,7 @@ func paper(fs *flag.FlagSet) func() error {
 	fs.IntVar(&cfg.LPTrials, "lptrials", cfg.LPTrials, "LP trials per grid point")
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "base RNG seed")
 	out := fs.String("out", "", "directory for CSV/ASCII outputs")
-	fs.BoolVar(&cfg.EnableLP, "lp", cfg.EnableLP, "compute LP lower-bound baselines (dominates runtime)")
+	fs.BoolVar(&cfg.EnableLP, "lp", cfg.EnableLP, "compute LP lower-bound baselines (at 150 ports, T=6: 10 ms a draw at M=50, 0.3 s at M=100, 31 s at M=150)")
 	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "parallel workers (0 = GOMAXPROCS)")
 	heurT := fs.String("T", "6,8,10,12,16,20", "comma-separated T sweep for heuristics")
 	lpT := fs.String("lpT", "6,8,10", "comma-separated T sweep for LP baselines")
@@ -249,6 +254,14 @@ func paper(fs *flag.FlagSet) func() error {
 		}
 		if cfg.LPT, err = parseInts(*lpT); err != nil {
 			return err
+		}
+		if err := cmp.Or(atLeastOne("ports", cfg.Ports), atLeastOne("trials", cfg.Trials)); err != nil {
+			return err
+		}
+		if cfg.EnableLP {
+			if err := atLeastOne("lptrials", cfg.LPTrials); err != nil {
+				return err
+			}
 		}
 		for _, a := range arts {
 			fmt.Printf("== %s ==\n", a.Title)

@@ -19,12 +19,16 @@
 //
 //   - Online scheduling (Section 5): the batched AMRT algorithm of
 //     Lemma 5.3 (OnlineAMRT) and the simulation heuristics MaxCard,
-//     MinRTime and MaxWeight evaluated in Figures 6 and 7 (Simulate,
-//     Policies).
+//     MinRTime and MaxWeight evaluated in Figures 6 and 7 (Simulate over
+//     Policies, or one of them from PolicyByName).
 //
-//   - Workload generators matching the paper's methodology (Poisson
-//     arrivals on an m x m switch) and its lower-bound gadgets, plus
-//     permutation and hotspot traffic patterns.
+//   - The paper's workload model (GeneratePoisson: Poisson arrivals on an
+//     m x m switch) and its lower-bound gadgets (Fig4a, Fig4b); the
+//     permutation, hotspot, heavy-tailed and trace workloads are behind
+//     `flowsim gen` and the scenario engine.
+//
+//   - Coflows (SimulateCoflows): groups of flows that complete together,
+//     under the Varys-style policies CoflowSEBF, CoflowSCF and CoflowFIFO.
 //
 //   - A schedule verifier (CheckSchedule, CheckScaled, CheckAugmented):
 //     an independent feasibility oracle that re-derives port-capacity
@@ -32,7 +36,7 @@
 //     release-time respect, and recomputes all response-time metrics from
 //     the raw assignment.
 //
-//   - A scenario engine (RunScenarios, RunSweep, DefaultSweep): a sharded,
+//   - A scenario engine (RunSweep over a DefaultSweep): a sharded,
 //     deterministic sweep harness that crosses any registered solver (the
 //     offline algorithms, the online heuristics, the coflow policies) with
 //     any workload generator on a bounded worker pool. Every scenario
@@ -42,31 +46,31 @@
 //
 //   - A streaming scheduler runtime (NewStreamRuntime): the online setting
 //     extended to unbounded arrival processes. Flows arrive from a
-//     StreamSource (Poisson/bounded-Pareto generators, streaming CSV trace
-//     replay, finite-instance replay, or a concurrently fed ChanSource),
-//     pass admission control into a bounded pending set, and drain under a
-//     StreamPolicy. Admission at the MaxPending limit is selectable
-//     (StreamAdmitMode): lossless backpressure on the source (default;
-//     queueing delay stays visible in the metrics because response times
-//     are always charged from the original release round), shedding
-//     (StreamAdmitDrop, shed arrivals counted in Dropped), or deadline
-//     expiry (StreamAdmitDeadline, pending flows past the Deadline bound
-//     expire, capping the response time of everything that completes); in
-//     every mode Admitted == Completed + Pending + Dropped + Expired.
-//     Runs are cancelable (Stop, RunContext) with the final summary still
-//     balancing. Four native policies run at incremental cost and are
-//     selectable by name (StreamPolicyByName; flowsim -stream -policy):
-//     RoundRobin serves per-(input,output) virtual output queues with
-//     iSLIP-style per-input pointers rotating in output-port order;
-//     StreamOldestFirst serves VOQ heads globally oldest-first — the
-//     paper's MinRTime age-priority discipline on the fast path,
-//     property-tested round-for-round equivalent to bridging the
-//     corresponding simulator policy on unit-demand replays at one
-//     shard;
-//     StreamWeightedISLIP runs queue-age-weighted request/grant/accept
-//     matching with rotation-pointer tie-breaks; StreamFIFO is the
-//     admission-order baseline. StreamBridge runs any simulator heuristic
-//     on the stream unchanged, reproducing Simulate round for round on a
+//     StreamSource (NewInstanceSource replays a finite instance,
+//     NewChanSource is fed concurrently; internal/workload also has
+//     Poisson/bounded-Pareto generators and streaming CSV trace replay,
+//     behind `flowsim -stream`), pass admission control into a bounded
+//     pending set, and drain under a StreamPolicy. Admission at the
+//     MaxPending limit is StreamConfig.Admit: lossless backpressure on the
+//     source (default; queueing delay stays visible in the metrics because
+//     response times are always charged from the original release round),
+//     shedding (shed arrivals counted in Dropped), or deadline expiry
+//     (pending flows past the Deadline bound expire, capping the response
+//     time of everything that completes); in every mode Admitted ==
+//     Completed + Pending + Dropped + Expired. Runs are cancelable (Stop,
+//     RunContext) with the final summary still balancing. Four native
+//     policies run at incremental cost and are selected by name
+//     (StreamPolicyByName; flowsim -stream -policy): RoundRobin
+//     (StreamRoundRobin) serves per-(input,output) virtual output queues
+//     with iSLIP-style per-input pointers rotating in output-port order;
+//     OldestFirst serves VOQ heads globally oldest-first — the paper's
+//     MinRTime age-priority discipline on the fast path, property-tested
+//     round-for-round equivalent to bridging the corresponding simulator
+//     policy on unit-demand replays at one shard; WeightedISLIP runs
+//     queue-age-weighted request/grant/accept matching with
+//     rotation-pointer tie-breaks; StreamFIFO is the admission-order
+//     baseline. internal/stream's Bridge runs any simulator heuristic on
+//     the stream unchanged, reproducing Simulate round for round on a
 //     replayed finite instance. StreamConfig.Shards (default 1; more is
 //     an explicit opt-in that changes the schedule and weakens the
 //     cross-input guarantees, see internal/stream's "Sharding caveat")
@@ -75,20 +79,22 @@
 //     deterministic fused-barrier propose/reconcile protocol (one
 //     synchronization point per round), so a run is reproducible at any
 //     fixed shard count; the round loop is allocation-free at steady
-//     state. Metrics are streaming
-//     (running totals plus sliding-window response-time quantiles from a
-//     mergeable log-histogram sketch, merged across shards), and
-//     VerifyEvery feeds each completed window of rounds through the
-//     verify oracle, so even unbounded runs are spot-checked for
-//     feasibility.
+//     state. Metrics are streaming (StreamSummary: running totals plus
+//     sliding-window response-time quantiles from a mergeable
+//     log-histogram sketch, merged across shards), VerifyEvery feeds each
+//     completed window of rounds through the verify oracle, so even
+//     unbounded runs are spot-checked for feasibility, and a
+//     FlightRecorder (NewFlightRecorder) attached through
+//     StreamConfig.Recorder keeps the last rounds' RoundRecords.
 //
 //   - A scheduler daemon (cmd/flowschedd, internal/daemon): the streaming
 //     runtime as a long-running HTTP/JSON service. POST /flows decodes
 //     a body of the canonical shape {"flows":[{"in":0,"out":1,"demand":1}]}
 //     in one pass (any other valid JSON takes encoding/json, slower),
 //     validates the batch atomically at the door and hands it whole, as
-//     one slice, to a concurrently fed ChanSource; GET /metrics serves the Prometheus text exposition
-//     from the runtime's lock-free snapshot path, GET /snapshot returns
+//     one slice, to a concurrently fed ChanSource; GET /metrics serves
+//     the Prometheus text exposition from the runtime's lock-free
+//     snapshot path, GET /snapshot returns
 //     the live StreamSummary as JSON, and POST /drain (or SIGTERM)
 //     gracefully finishes the backlog and returns the final summary with
 //     nothing left pending. The daemon is crash-safe (internal/chkpt):
@@ -115,12 +121,13 @@
 //     delivery and response-bound targets, driving flowsched_slo_* gauges,
 //     GET /slo, and healthz degradation; and an optimality pilot that
 //     replays the live runtime's completion window and pending-set
-//     snapshots through the paper's lower bounds (SRPTLowerBound,
-//     TrivialMRTLowerBound) to publish live competitive-ratio estimates
-//     (GET /pilot) that are always >= 1 by restriction-feasibility.
+//     snapshots through the paper's lower bounds (SRPTLowerBound and
+//     internal/core's trivial maximum-response bound) to publish live
+//     competitive-ratio estimates (GET /pilot) that are always >= 1 by
+//     restriction-feasibility.
 //
 //   - A static invariant suite (cmd/flowschedvet, internal/analysis):
-//     four custom go vet analyzers — hotpath (zero allocation on
+//     four custom static analyzers — hotpath (zero allocation on
 //     //flowsched:hotpath call graphs), gatedclock (wall-clock reads
 //     gated on the flight recorder), atomicfield (no mixed atomic/plain
 //     field access), determinism (no map-order, global-rand, or clock

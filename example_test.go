@@ -1,7 +1,9 @@
 package flowsched_test
 
 import (
+	"errors"
 	"fmt"
+	"math/rand"
 
 	flowsched "flowsched"
 )
@@ -39,7 +41,31 @@ func ExampleSimulate() {
 	// max response: 1
 }
 
-// ExampleDeadlineWindows solves the deadline model of Remark 4.2.
+// ExampleSolveART sweeps Theorem 1's capacity factor on a shuffle known up
+// front: a larger c buys capacity and drives the total response time
+// toward the LP (1)-(4) bound. Each schedule is validated under the
+// capacities, scaled by 1+c, it was bought with.
+func ExampleSolveART() {
+	rng := rand.New(rand.NewSource(42))
+	inst := flowsched.GeneratePoisson(flowsched.PoissonConfig{M: 6, T: 6, Ports: 6}, rng)
+	lb, _ := flowsched.ARTLowerBound(inst)
+	fmt.Printf("%d unit flows, LP bound on total response %.1f\n", inst.N(), lb.TotalResponse)
+	for _, c := range []int{1, 2, 4} {
+		res, _ := flowsched.SolveART(inst, c)
+		caps := flowsched.ScaleCaps(inst.Switch.Caps(), res.CapFactor)
+		fmt.Printf("c=%d: total response %d, window h=%d, valid at %dx capacity: %v\n",
+			c, res.Schedule.TotalResponse(inst), res.WindowH, res.CapFactor, res.Schedule.Validate(inst, caps) == nil)
+	}
+	// Output:
+	// 41 unit flows, LP bound on total response 78.5
+	// c=1: total response 258, window h=6, valid at 2x capacity: true
+	// c=2: total response 148, window h=3, valid at 3x capacity: true
+	// c=4: total response 106, window h=1, valid at 5x capacity: true
+}
+
+// ExampleDeadlineWindows solves the deadline model of Remark 4.2: every
+// flow is scheduled inside its window, or the windows are reported
+// infeasible.
 func ExampleDeadlineWindows() {
 	inst := &flowsched.Instance{
 		Switch: flowsched.UnitSwitch(2),
@@ -52,9 +78,14 @@ func ExampleDeadlineWindows() {
 	res, err := flowsched.SolveTimeConstrained(inst, win)
 	fmt.Println("feasible:", err == nil)
 	fmt.Println("complete:", res.Schedule.Complete())
+	// Both flows need output 0 in round 0.
+	tight, _ := flowsched.DeadlineWindows(inst, []int{0, 0})
+	_, err = flowsched.SolveTimeConstrained(inst, tight)
+	fmt.Println("tightened windows infeasible:", errors.Is(err, flowsched.ErrInfeasible))
 	// Output:
 	// feasible: true
 	// complete: true
+	// tightened windows infeasible: true
 }
 
 // ExampleRunSweep runs the scenario engine: every registered solver
@@ -138,4 +169,46 @@ func ExampleStreamRuntime() {
 	// total response: 6
 	// max response: 3
 	// windows verified: 1
+}
+
+// ExampleSimulateCoflows schedules a skewed job mix whose shuffles are
+// coflows — groups of flows that help their job only once all of them
+// finish (the Section 6 generalization). The coflow-aware policies, SEBF
+// from Varys and smallest-coflow-first, keep the mice out from behind the
+// elephants; coflow-oblivious FIFO does not.
+func ExampleSimulateCoflows() {
+	const m = 8
+	rng := rand.New(rand.NewSource(11))
+	in := &flowsched.CoflowInstance{Switch: flowsched.UnitSwitch(m)}
+	for e := 0; e < 2; e++ { // two elephant shuffles
+		cf := flowsched.Coflow{Release: e}
+		for i := 0; i < 24; i++ {
+			cf.Members = append(cf.Members, flowsched.Flow{In: rng.Intn(m), Out: rng.Intn(m), Demand: 1})
+		}
+		in.Coflows = append(in.Coflows, cf)
+	}
+	for t := 0; t < 10; t++ { // and a stream of interactive mice
+		in.Coflows = append(in.Coflows, flowsched.Coflow{
+			Release: t,
+			Members: []flowsched.Flow{
+				{In: rng.Intn(m), Out: rng.Intn(m), Demand: 1},
+				{In: rng.Intn(m), Out: rng.Intn(m), Demand: 1},
+			},
+		})
+	}
+	for _, p := range []struct {
+		name string
+		mk   func(owner []int) flowsched.Policy
+	}{
+		{"FIFO", flowsched.CoflowFIFO(in)},
+		{"SCF", flowsched.CoflowSCF},
+		{"SEBF", flowsched.CoflowSEBF},
+	} {
+		res, _, _ := flowsched.SimulateCoflows(in, p.mk)
+		fmt.Printf("%-4s avg coflow response %.2f, max %d\n", p.name, res.AvgResponse(), res.MaxResponse)
+	}
+	// Output:
+	// FIFO avg coflow response 7.58, max 10
+	// SCF  avg coflow response 3.17, max 17
+	// SEBF avg coflow response 3.17, max 17
 }

@@ -1,7 +1,6 @@
 package flowsched
 
 import (
-	"io"
 	"math/rand"
 
 	"flowsched/internal/coflow"
@@ -26,18 +25,6 @@ type (
 	Instance = switchnet.Instance
 	// Schedule assigns each flow to a single round.
 	Schedule = switchnet.Schedule
-	// Side selects the input or output side of the switch.
-	Side = switchnet.Side
-)
-
-// Re-exported switch constructors and constants.
-const (
-	// In is the ingress side.
-	In = switchnet.In
-	// Out is the egress side.
-	Out = switchnet.Out
-	// Unscheduled marks a flow without an assigned round.
-	Unscheduled = switchnet.Unscheduled
 )
 
 // NewSwitch returns an m x m' switch with uniform port capacity cap.
@@ -47,14 +34,8 @@ func NewSwitch(m, mPrime, cap int) Switch { return switchnet.NewSwitch(m, mPrime
 // experimental configuration).
 func UnitSwitch(m int) Switch { return switchnet.UnitSwitch(m) }
 
-// NewSchedule returns an all-unscheduled schedule for n flows.
-func NewSchedule(n int) *Schedule { return switchnet.NewSchedule(n) }
-
 // ScaleCaps multiplies capacities by factor (resource augmentation "(1+c)x").
 func ScaleCaps(caps []int, factor int) []int { return switchnet.ScaleCaps(caps, factor) }
-
-// AddCaps adds delta to capacities (resource augmentation "+2*d_max-1").
-func AddCaps(caps []int, delta int) []int { return switchnet.AddCaps(caps, delta) }
 
 // Offline algorithm results.
 type (
@@ -94,9 +75,6 @@ func SolveTimeConstrained(inst *Instance, win Windows) (*TimeConstrainedResult, 
 	return core.SolveTimeConstrained(inst, win)
 }
 
-// ResponseWindows builds FS-MRT windows [r_e, r_e+rho) for every flow.
-func ResponseWindows(inst *Instance, rho int) Windows { return core.ResponseWindows(inst, rho) }
-
 // DeadlineWindows builds windows [r_e, deadline_e] for every flow.
 func DeadlineWindows(inst *Instance, deadline []int) (Windows, error) {
 	return core.DeadlineWindows(inst, deadline)
@@ -130,30 +108,22 @@ type (
 	Policy = sim.Policy
 	// SimResult summarizes one simulation run.
 	SimResult = sim.Result
-	// SimState is the per-round view offered to a Policy.
-	SimState = sim.State
-	// PendingFlow is one released, unscheduled flow.
-	PendingFlow = sim.Pending
 )
 
 // Simulate runs the online simulator of Section 5.2.1 with the policy.
 func Simulate(inst *Instance, pol Policy) (*SimResult, error) { return sim.Run(inst, pol) }
 
-// The paper's heuristics (Section 5.2) and ablation baselines.
+// Two of the paper's heuristics (Section 5.2) by value; PolicyByName
+// resolves these, MinRTime and the ablation baselines FIFO and GreedyAge.
 var (
 	// MaxCard extracts a maximum-cardinality matching every round.
 	MaxCard Policy = heuristics.MaxCard{}
-	// MinRTime extracts a maximum-weight matching by flow age.
-	MinRTime Policy = heuristics.MinRTime{}
 	// MaxWeight extracts a maximum-weight matching by queue sizes.
 	MaxWeight Policy = heuristics.MaxWeight{}
-	// FIFO is a first-fit-by-age ablation baseline.
-	FIFO Policy = heuristics.FIFO{}
-	// GreedyAge replaces MinRTime's exact matching with greedy selection.
-	GreedyAge Policy = heuristics.GreedyAge{}
 )
 
-// Policies returns the three heuristics evaluated in Figures 6 and 7.
+// Policies returns the three heuristics evaluated in Figures 6 and 7:
+// MaxCard, MinRTime and MaxWeight.
 func Policies() []Policy { return heuristics.All() }
 
 // PolicyByName resolves a policy by its Name; nil if unknown.
@@ -171,13 +141,6 @@ func Fig4a(T, M int) *Instance { return workload.Fig4a(T, M) }
 
 // Fig4b builds the Lemma 5.2 online lower-bound gadget.
 func Fig4b() *Instance { return workload.Fig4b() }
-
-// ReadTrace parses a CSV flow trace ("release,in,out,demand") onto the
-// given switch, for replaying real datacenter traces.
-func ReadTrace(r io.Reader, sw Switch) (*Instance, error) { return workload.ReadTrace(r, sw) }
-
-// WriteTrace emits an instance's flows as a CSV trace.
-func WriteTrace(w io.Writer, inst *Instance) error { return workload.WriteTrace(w, inst) }
 
 // Coflow extension (the Section 6 "generalizations" direction): groups of
 // flows that complete together, with Varys-style online policies.
@@ -237,19 +200,6 @@ func CheckAugmented(inst *Instance, sched *Schedule, delta int) (*VerifyReport, 
 // harness that runs any registered solver against any workload generator
 // and verifies every schedule with the oracle.
 type (
-	// Scenario is one seeded (workload, solver) cell.
-	Scenario = engine.Scenario
-	// ScenarioVerdict is the engine's judgment of one scenario.
-	ScenarioVerdict = engine.Verdict
-	// EngineOptions tunes worker count and sharding.
-	EngineOptions = engine.Options
-	// EngineSolver schedules instances and declares the capacities its
-	// schedules are feasible under.
-	EngineSolver = engine.Solver
-	// EngineSolution is a solver's schedule plus declared capacities.
-	EngineSolution = engine.Solution
-	// WorkloadGen generates instances from a scenario-private RNG.
-	WorkloadGen = engine.Generator
 	// SweepConfig crosses solvers with generators over seeded trials.
 	SweepConfig = engine.SweepConfig
 	// ResultTable is a sweep's verdict table (Render, WriteCSV).
@@ -275,57 +225,18 @@ type (
 	// StreamConfig tunes shard count, admission control, metric windows,
 	// and verification cadence.
 	StreamConfig = stream.Config
-	// StreamShardable marks streaming policies that can run one instance
-	// per runtime shard when StreamConfig.Shards > 1 partitions the input
-	// ports across shards (see internal/stream's package docs for the
-	// deterministic fused-barrier output-capacity protocol).
-	StreamShardable = stream.Shardable
 	// StreamRuntime drains a source round by round in bounded memory.
 	// Run blocks until the source drains (or Stop/RunContext cancels it);
 	// Snapshot reads live metrics from any goroutine.
 	StreamRuntime = stream.Runtime
 	// StreamSummary is a point-in-time view of the streaming metrics.
 	StreamSummary = stream.Summary
-	// StreamAdmitMode selects admission behaviour at the MaxPending limit:
-	// lossless backpressure, shedding (drop), or deadline expiry.
-	StreamAdmitMode = stream.AdmitMode
 	// StreamCheckpointState is a quiescent snapshot of a run — the pending
 	// set in admission order with original releases, the round, and exact
 	// counters — captured by Runtime.CheckpointState; internal/chkpt
 	// serializes it to atomic CRC-sealed files.
 	StreamCheckpointState = stream.CheckpointState
-	// StreamResume seeds StreamConfig.Resume so a new runtime continues a
-	// checkpointed run: counters resume from their baselines and the
-	// checkpoint's pending prefix re-enters without being re-counted.
-	StreamResume = stream.Resume
-	// StreamReloadConfig swaps the policy and admission settings between
-	// rounds (Runtime.Reload) without dropping the pending set.
-	StreamReloadConfig = stream.ReloadConfig
-	// StreamParker is the one optional source capability: an idle wait
-	// the runtime can interrupt, so checkpoint/reload requests and Stop
-	// are served while a concurrently-fed source (ChanSource) is quiet.
-	StreamParker = stream.Parker
-	// ArrivalConfig describes a generator-driven arrival process
-	// (Poisson arrivals, unit/uniform/bounded-Pareto sizes).
-	ArrivalConfig = workload.ArrivalConfig
 )
-
-// Admission modes for StreamConfig.Admit.
-const (
-	// StreamAdmitLossless blocks the source at the MaxPending limit
-	// (default; losslessly order-preserving).
-	StreamAdmitLossless = stream.AdmitLossless
-	// StreamAdmitDrop sheds arrivals at the MaxPending limit, counted in
-	// StreamSummary.Dropped.
-	StreamAdmitDrop = stream.AdmitDrop
-	// StreamAdmitDeadline expires pending flows older than
-	// StreamConfig.Deadline rounds, counted in StreamSummary.Expired.
-	StreamAdmitDeadline = stream.AdmitDeadline
-)
-
-// ParseStreamAdmitMode parses "lossless", "drop", or "deadline" ("" means
-// lossless).
-func ParseStreamAdmitMode(s string) (StreamAdmitMode, error) { return stream.ParseAdmitMode(s) }
 
 // NewStreamRuntime builds a streaming runtime over src.
 func NewStreamRuntime(src StreamSource, cfg StreamConfig) (*StreamRuntime, error) {
@@ -350,48 +261,13 @@ func NewFlightRecorder(rounds int) *FlightRecorder { return obs.NewFlightRecorde
 
 // StreamRoundRobin returns the native incremental policy: virtual output
 // queues served oldest-first with iSLIP-style per-input pointers rotating
-// in output-port order, independent of the pending count. It is shardable
-// (StreamShardable), so it drives multi-core sharded runtimes.
+// in output-port order, independent of the pending count.
 func StreamRoundRobin() StreamPolicy { return &stream.RoundRobin{} }
 
-// StreamFIFO returns the oldest-first first-fit streaming baseline.
-func StreamFIFO() StreamPolicy { return stream.FIFO{} }
-
-// StreamOldestFirst returns the age-aware native policy: VOQ heads served
-// oldest-first in (release, input, output) order — the paper's MinRTime
-// service discipline (greedy age-ordered maximal selection) at
-// O(active VOQs + release span) per round. Shardable; the selection is
-// the global age-greedy one at one shard only.
-func StreamOldestFirst() StreamPolicy { return &stream.OldestFirst{} }
-
-// StreamWeightedISLIP returns the queue-age-weighted iSLIP native policy:
-// iterative request/grant/accept matching weighted by head-of-queue age,
-// with per-port rotation pointers breaking ties. Shardable.
-func StreamWeightedISLIP() StreamPolicy { return &stream.WeightedISLIP{} }
-
-// StreamPolicyByName resolves a native streaming policy by name (see
-// StreamPolicyNames); nil if unknown.
+// StreamPolicyByName resolves a native streaming policy by name
+// (RoundRobin, OldestFirst, WeightedISLIP, StreamFIFO; see internal/stream);
+// nil if unknown.
 func StreamPolicyByName(name string) StreamPolicy { return stream.ByName(name) }
-
-// StreamPolicyNames lists the native streaming policy names in
-// presentation order.
-func StreamPolicyNames() []string { return stream.Names() }
-
-// StreamBridge adapts any simulator Policy (MaxCard, MinRTime, MaxWeight,
-// ...) to the streaming runtime; the bounded pending set is materialized
-// as a SimState each round.
-func StreamBridge(p Policy) StreamPolicy { return &stream.Bridge{P: p} }
-
-// NewArrivalSource returns an unbounded generator-driven arrival stream.
-func NewArrivalSource(cfg ArrivalConfig, rng *rand.Rand) *workload.ArrivalSource {
-	return workload.NewArrivalSource(cfg, rng)
-}
-
-// NewTraceSource streams the CSV trace format ("release,in,out,demand",
-// sorted by release) without loading it into memory.
-func NewTraceSource(r io.Reader, sw Switch) *workload.TraceSource {
-	return workload.NewTraceSource(r, sw)
-}
 
 // NewInstanceSource replays a finite instance as an arrival stream in
 // (release, index) order.
@@ -404,37 +280,10 @@ func NewInstanceSource(inst *Instance) *workload.InstanceSource {
 // a runtime drains it; Close ends the stream. A pushed slice is queued as
 // it is and belongs to the source from then on. buffer bounds the flows
 // waiting for the runtime, not the batches. Release rounds are assigned
-// at admission (the scheduler's clock is virtual). It implements
-// StreamParker — this is the source behind the flowschedd daemon's HTTP
-// ingest.
+// at admission (the scheduler's clock is virtual). This is the source
+// behind the flowschedd daemon's HTTP ingest.
 func NewChanSource(buffer int) *workload.ChanSource {
 	return workload.NewChanSource(buffer)
-}
-
-// NewLimitSource caps a source at max flows — e.g. bounding a CSV trace
-// replay (flowsim -stream -trace honors -flows through it).
-func NewLimitSource(src workload.FlowSource, max int64) *workload.Limit {
-	return workload.NewLimit(src, max)
-}
-
-// BoundedPareto draws from the bounded Pareto(alpha) distribution on
-// [lo, hi] — the heavy-tailed flow-size model shared by ParetoConfig and
-// the arrival sources.
-func BoundedPareto(rng *rand.Rand, alpha float64, lo, hi int) int {
-	return workload.BoundedPareto(rng, alpha, lo, hi)
-}
-
-// ParetoConfig is the heavy-tailed offline workload: Poisson arrivals with
-// bounded-Pareto demands.
-type ParetoConfig = workload.ParetoConfig
-
-// GeneratePareto draws an instance from the heavy-tailed workload model.
-func GeneratePareto(cfg ParetoConfig, rng *rand.Rand) *Instance { return cfg.Generate(rng) }
-
-// RunScenarios executes scenarios on the engine's worker pool and returns
-// verdicts in scenario order.
-func RunScenarios(scenarios []Scenario, opt EngineOptions) []ScenarioVerdict {
-	return engine.Run(scenarios, opt)
 }
 
 // RunSweep executes a full solver x workload sweep and returns its result
@@ -447,14 +296,3 @@ func RunSweep(cfg SweepConfig) *ResultTable { return engine.RunSweep(cfg) }
 func DefaultSweep(ports, T, trials int, seed int64, workers int) SweepConfig {
 	return engine.DefaultSweep(ports, T, trials, seed, workers)
 }
-
-// EngineSolvers returns the default solver registry.
-func EngineSolvers() []EngineSolver { return engine.Solvers() }
-
-// EngineSolverByName resolves a solver by its table name (e.g. "MRT",
-// "ART(c=1)", "MaxWeight", "Coflow/SEBF"); nil if unknown.
-func EngineSolverByName(name string) EngineSolver { return engine.SolverByName(name) }
-
-// EngineGenerators returns the default workload registry at the given
-// scale.
-func EngineGenerators(ports, T int) []WorkloadGen { return engine.Generators(ports, T) }

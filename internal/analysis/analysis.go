@@ -33,11 +33,10 @@
 // The framework below mirrors the golang.org/x/tools/go/analysis API
 // shape — Analyzer, Pass, Diagnostic, per-object facts — but is built on
 // the standard library alone (go/ast, go/types, go/importer), because
-// this repository carries no module dependencies. cmd/flowschedvet
-// drives the suite standalone over `go list` packages (load.go) and as a
-// `go vet -vettool` unit checker speaking the vet.cfg protocol
-// (unit.go), with facts serialized through the vetx files go vet already
-// plumbs between packages.
+// this repository carries no module dependencies. There is one driver,
+// RunStandalone (load.go): it loads packages with `go list`, analyzes
+// them in dependency order in one process and carries facts between them
+// in memory. cmd/flowschedvet and TestRepoClean both call it.
 package analysis
 
 import (
@@ -106,19 +105,6 @@ func (p *Pass) Reportf(pos token.Pos, check, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Check: check, Message: fmt.Sprintf(format, args...)})
 }
 
-// InTestFile reports whether pos lies in a _test.go file. The suite's
-// contracts bind the shipped runtime; test code is exempt (it is free to
-// allocate, range maps, and read clocks), though it still type-checks as
-// part of the package.
-func (p *Pass) InTestFile(pos token.Pos) bool {
-	f := p.Fset.File(pos)
-	if f == nil {
-		return false
-	}
-	name := f.Name()
-	return len(name) >= 8 && name[len(name)-8:] == "_test.go"
-}
-
 // ExportObjectFact publishes a fact about obj (a package-level function
 // or method of the analyzed package) for downstream packages' passes.
 func (p *Pass) ExportObjectFact(obj types.Object, fact any) {
@@ -133,8 +119,8 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact any) bool {
 
 // objectKey is the stable cross-load identity of a package-level object:
 // the same function yields the same key whether its package was
-// type-checked from source (standalone mode) or loaded from gc export
-// data (vettool mode).
+// type-checked from source (when it is analyzed) or loaded from gc
+// export data (when a package importing it is).
 func objectKey(obj types.Object) string {
 	pkg := ""
 	if obj.Pkg() != nil {
@@ -169,16 +155,6 @@ func recvString(t types.Type) string {
 // Suite returns the flowschedvet analyzers in reporting order.
 func Suite() []*Analyzer {
 	return []*Analyzer{HotPath, GatedClock, AtomicField, Determinism}
-}
-
-// AnalyzerByName resolves one of the suite's analyzers; nil if unknown.
-func AnalyzerByName(name string) *Analyzer {
-	for _, a := range Suite() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // sortDiagnostics orders findings by position for stable output.

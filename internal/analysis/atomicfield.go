@@ -59,7 +59,7 @@ func runAtomicField(pass *Pass) error {
 			}
 			stack = append(stack, n)
 			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || pass.InTestFile(sel.Pos()) {
+			if !ok {
 				return true
 			}
 			fld := selectedField(info, sel)

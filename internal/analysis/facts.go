@@ -6,12 +6,9 @@ import (
 )
 
 // factStore is the cross-package fact channel: per analyzer, per object
-// key (see objectKey), one JSON-encoded fact. In standalone mode one
-// store lives for the whole run and packages are analyzed in dependency
-// order; in vettool mode the store is seeded from the dependency vetx
-// files go vet hands the tool and the merged contents are written to the
-// package's own vetx output, so downstream compilations see the
-// transitive closure.
+// key (see objectKey), one JSON-encoded fact. One store lives for the
+// whole run and packages are analyzed in dependency order, so a fact an
+// upstream pass exports is there when a downstream pass imports it.
 type factStore struct {
 	data map[string]map[string]json.RawMessage
 }
@@ -39,28 +36,4 @@ func (s *factStore) importFact(analyzer, key string, into any) bool {
 		return false
 	}
 	return json.Unmarshal(raw, into) == nil
-}
-
-// encode serializes the whole store (the vetx payload).
-func (s *factStore) encode() ([]byte, error) {
-	return json.Marshal(s.data)
-}
-
-// merge decodes a serialized store and overlays it; unreadable payloads
-// are ignored (a missing fact degrades to "unknown", never to a crash).
-func (s *factStore) merge(payload []byte) {
-	var in map[string]map[string]json.RawMessage
-	if json.Unmarshal(payload, &in) != nil {
-		return
-	}
-	for analyzer, m := range in {
-		dst := s.data[analyzer]
-		if dst == nil {
-			dst = map[string]json.RawMessage{}
-			s.data[analyzer] = dst
-		}
-		for k, v := range m {
-			dst[k] = v
-		}
-	}
 }

@@ -82,7 +82,7 @@ func runHotPath(pass *Pass) error {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || pass.InTestFile(fn.Pos()) {
+			if !ok || fn.Body == nil {
 				continue
 			}
 			obj := idx.objs[fn]

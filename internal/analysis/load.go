@@ -19,8 +19,7 @@ import (
 // the package graph with `go list -export -deps`, type-checks each
 // module package from source against its dependencies' gc export data,
 // and runs the suite in dependency order so that object facts published
-// by an upstream pass are available downstream — the same propagation
-// go vet gets from vetx files, without leaving the process.
+// by an upstream pass are available downstream.
 
 // listedPkg is the subset of `go list -json` output the driver needs.
 type listedPkg struct {
@@ -36,7 +35,9 @@ type listedPkg struct {
 
 // RunStandalone analyzes the packages matching patterns (resolved by the
 // go tool from dir), printing findings to out in file:line:col form.
-// It returns the number of findings.
+// It returns the number of findings. Only a package's GoFiles are
+// loaded: the suite's contracts bind the shipped runtime, and test code
+// stays free to allocate, range maps and read clocks.
 func RunStandalone(dir string, patterns []string, out io.Writer) (int, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}

@@ -9,7 +9,7 @@ import (
 // Session is the exported entry point for driving the suite over
 // already-type-checked packages — the analysistest harness uses it to
 // analyze fixture packages in dependency order while sharing one fact
-// store, exactly as the standalone and vettool drivers do.
+// store, exactly as RunStandalone does.
 type Session struct {
 	store *factStore
 }

@@ -17,8 +17,7 @@ type ARTLowerBoundResult struct {
 	Horizon int
 	// Iterations counts simplex pivots.
 	Iterations int
-	// LP is the solver's stage breakdown of the solve that produced the
-	// bound (like Iterations, it leaves out horizons found infeasible).
+	// LP is the solver's stage breakdown of the solve.
 	LP lp.Stats
 }
 
@@ -30,14 +29,15 @@ type ARTLowerBoundResult struct {
 //	     b_et >= 0
 //
 // By Lemma 3.1 the optimum lower-bounds the total response time of every
-// schedule; the paper's Figure 6 uses it as the baseline. The horizon is
-// grown geometrically until the LP is feasible. Only the optimum is used,
-// never the vertex, so the solve is crash-started: it begins at the
-// first-fit schedule in release order, a feasible point of the LP whenever
-// the horizon holds one, with the placed flows basic on their covering rows,
-// and spends no pivot on phase 1 (LP.StartAtUpper counts the flows placed,
-// LP.StartBasic those in the starting basis, LP.Phase1Pivots is 0 when every
-// flow is placed).
+// schedule; the paper's Figure 6 uses it as the baseline. The LP is solved
+// once, over the rounds before inst.CongestionHorizon(), where it is always
+// feasible (see there: spreading every flow evenly over the rounds after
+// the last release satisfies (2) and (3)). Only the optimum is used, never
+// the vertex, so the solve is crash-started: it begins at the first-fit
+// schedule in release order with the placed flows basic on their covering
+// rows, and spends no pivot on phase 1 when every flow is placed
+// (LP.StartAtUpper counts the flows placed, LP.StartBasic those in the
+// starting basis).
 func ARTLowerBound(inst *switchnet.Instance) (*ARTLowerBoundResult, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -46,28 +46,21 @@ func ARTLowerBound(inst *switchnet.Instance) (*ARTLowerBoundResult, error) {
 		return &ARTLowerBoundResult{}, nil
 	}
 	horizon := inst.CongestionHorizon()
-	for attempt := 0; attempt < 8; attempt++ {
-		p, start := artLowerBoundLP(inst, horizon)
-		sol, err := p.SolveWith(lp.SolveOptions{Start: start})
-		if err != nil {
-			return nil, fmt.Errorf("core: ART lower-bound LP at horizon %d: %w", horizon, err)
-		}
-		switch sol.Status {
-		case lp.Optimal:
-			return &ARTLowerBoundResult{
-				TotalResponse: sol.Obj,
-				Horizon:       horizon,
-				Iterations:    sol.Iterations,
-				LP:            sol.Stats,
-			}, nil
-		case lp.Infeasible:
-			horizon *= 2
-		default:
-			return nil, fmt.Errorf("core: ART lower-bound LP at horizon %d: status %v (%s)",
-				horizon, sol.Status, describeLP(sol.Stats))
-		}
+	p, start := artLowerBoundLP(inst, horizon)
+	sol, err := p.SolveWith(lp.SolveOptions{Start: start})
+	if err != nil {
+		return nil, fmt.Errorf("core: ART lower-bound LP at horizon %d: %w", horizon, err)
 	}
-	return nil, fmt.Errorf("core: ART lower-bound LP infeasible up to horizon %d", horizon)
+	if sol.Status != lp.Optimal {
+		return nil, fmt.Errorf("core: ART lower-bound LP at horizon %d: status %v (%s)",
+			horizon, sol.Status, describeLP(sol.Stats))
+	}
+	return &ARTLowerBoundResult{
+		TotalResponse: sol.Obj,
+		Horizon:       horizon,
+		Iterations:    sol.Iterations,
+		LP:            sol.Stats,
+	}, nil
 }
 
 // describeLP names a solve for an error message: its size and what the

@@ -154,37 +154,33 @@ func IterativeRound(inst *switchnet.Instance) (*PseudoSchedule, error) {
 	return ps, nil
 }
 
-// solveInitialIntervalLP solves LP (5)-(8), growing the horizon until it is
-// feasible, and returns its support as entries with the stats of the solve
-// that succeeded. The solve is crash-started at intervalLP's greedy point:
-// what the rounding needs of LP(0) is a basic optimum — Lemma 3.3's interval
+// solveInitialIntervalLP solves LP (5)-(8) once, over the rounds before
+// inst.CongestionHorizon() — where x_et = 1/h on the h rounds after the last
+// release satisfies (6) and (7), so the LP is feasible (see
+// CongestionHorizon) — and returns its support as entries with the stats of
+// the solve. The solve is crash-started at intervalLP's greedy point: what
+// the rounding needs of LP(0) is a basic optimum — Lemma 3.3's interval
 // bound and Theorem 1's conversion hold at every one — not the vertex a cold
 // start happens to reach, so the pseudo-schedule may differ from a cold
 // solve's where the optimum is not unique, at the same LP cost.
 func solveInitialIntervalLP(inst *switchnet.Instance) ([]entry, float64, lp.Stats, error) {
 	horizon := inst.CongestionHorizon()
-	for attempt := 0; attempt < 8; attempt++ {
-		p, ix, start := intervalLP(inst, horizon)
-		sol, err := p.SolveWith(lp.SolveOptions{Start: start})
-		if err != nil {
-			return nil, 0, lp.Stats{}, err
-		}
-		switch sol.Status {
-		case lp.Optimal:
-			var entries []entry
-			for j, v := range sol.X {
-				if v > zeroTol {
-					entries = append(entries, entry{ix.flow[j], ix.round[j], v})
-				}
-			}
-			return entries, sol.Obj, sol.Stats, nil
-		case lp.Infeasible:
-			horizon *= 2
-		default:
-			return nil, 0, lp.Stats{}, fmt.Errorf("core: interval LP status %v", sol.Status)
+	p, ix, start := intervalLP(inst, horizon)
+	sol, err := p.SolveWith(lp.SolveOptions{Start: start})
+	if err != nil {
+		return nil, 0, lp.Stats{}, fmt.Errorf("core: interval LP at horizon %d: %w", horizon, err)
+	}
+	if sol.Status != lp.Optimal {
+		return nil, 0, lp.Stats{}, fmt.Errorf("core: interval LP at horizon %d: status %v (%s)",
+			horizon, sol.Status, describeLP(sol.Stats))
+	}
+	var entries []entry
+	for j, v := range sol.X {
+		if v > zeroTol {
+			entries = append(entries, entry{ix.flow[j], ix.round[j], v})
 		}
 	}
-	return nil, 0, lp.Stats{}, fmt.Errorf("core: interval LP infeasible up to horizon %d", horizon)
+	return entries, sol.Obj, sol.Stats, nil
 }
 
 // intervalLP builds LP (5)-(8) over rounds [r_e, horizon) together with the

@@ -208,26 +208,57 @@ func coldRho(t *testing.T, inst *switchnet.Instance) int {
 // start: over seeded instances with unit and multi-unit demands and port
 // capacities 1-4, the solve that starts at the first-fit schedule and the
 // one that starts cold agree on everything that is reported — for all three
-// LPs, the interval LP on the unit-demand instances it is stated for.
+// LPs, the interval LP on the unit-demand instances it is stated for. It
+// also pins what lets ARTLowerBound and solveInitialIntervalLP solve once:
+// LP (1)-(4) and LP (5)-(8) are Optimal at CongestionHorizon on every
+// instance, the ones built to crowd that horizon included.
 func TestCrashStartAgreesWithColdStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(2020))
 	placedAll, intervalPlacedAll, searched := 0, 0, 0
-	// Paper-model instances whose rho lies above the volume bound, so that
-	// the search solves more than one LP; the random draws rarely do.
-	gap := []*switchnet.Instance{paperInstance(19, 4, 5, 12), paperInstance(51, 3, 4, 8), paperInstance(132, 3, 3, 6)}
-	for trial := 0; trial < 40+len(gap); trial++ {
+	fixed := []*switchnet.Instance{
+		// Paper-model instances whose rho lies above the volume bound, so
+		// that the search solves more than one LP; the random draws rarely
+		// do.
+		paperInstance(19, 4, 5, 12), paperInstance(51, 3, 4, 8), paperInstance(132, 3, 3, 6),
+		// The horizon's worst cases. One input of capacity 1 carries every
+		// flow, so the flows need exactly the h rounds the horizon allows
+		// after the last release.
+		{Switch: switchnet.UnitSwitch(4), Flows: []switchnet.Flow{
+			{In: 0, Out: 0, Demand: 1}, {In: 0, Out: 1, Demand: 1}, {In: 0, Out: 2, Demand: 1}, {In: 0, Out: 3, Demand: 1},
+			{In: 0, Out: 0, Demand: 1, Release: 1}, {In: 0, Out: 1, Demand: 1, Release: 1}, {In: 0, Out: 2, Demand: 1, Release: 2},
+			{In: 0, Out: 3, Demand: 1, Release: 2}, {In: 0, Out: 0, Demand: 1, Release: 2}, {In: 0, Out: 1, Demand: 1, Release: 2},
+		}},
+		// Every demand at its ceiling d_e = kappa_e, on shared ports.
+		{Switch: switchnet.Switch{InCaps: []int{3, 2, 4}, OutCaps: []int{2, 3, 4}}, Flows: []switchnet.Flow{
+			{In: 0, Out: 0, Demand: 2}, {In: 0, Out: 1, Demand: 3}, {In: 0, Out: 2, Demand: 3}, {In: 1, Out: 0, Demand: 2},
+			{In: 1, Out: 1, Demand: 2, Release: 1}, {In: 2, Out: 0, Demand: 2, Release: 1}, {In: 2, Out: 2, Demand: 4, Release: 1},
+			{In: 2, Out: 2, Demand: 4, Release: 2}, {In: 0, Out: 2, Demand: 3, Release: 2}, {In: 2, Out: 1, Demand: 3, Release: 2},
+		}},
+		// A straggler released long after the rest have gone: the rounds
+		// the proof spreads over begin at its release.
+		{Switch: switchnet.UnitSwitch(3), Flows: []switchnet.Flow{
+			{In: 0, Out: 0, Demand: 1}, {In: 0, Out: 1, Demand: 1}, {In: 0, Out: 2, Demand: 1}, {In: 1, Out: 0, Demand: 1},
+			{In: 2, Out: 0, Demand: 1}, {In: 0, Out: 0, Demand: 1, Release: 1}, {In: 0, Out: 1, Demand: 1, Release: 1},
+			{In: 0, Out: 0, Demand: 1, Release: 30},
+		}},
+	}
+	for trial := 0; trial < 40+len(fixed); trial++ {
 		maxCap, maxDemand := 1+trial%4, 1+(trial/4)%3
 		var inst *switchnet.Instance
 		if trial < 40 {
 			inst = crashInstance(rng, 2+rng.Intn(4), 1+rng.Intn(5), 4+rng.Intn(24), maxCap, maxDemand)
 		} else {
-			inst, maxCap, maxDemand = gap[trial-40], 1, 1
+			inst = fixed[trial-40]
+			if err := inst.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			maxCap, maxDemand = slices.Max(inst.Switch.Caps()), inst.MaxDemand()
 		}
 		name := fmt.Sprintf("trial %d (%d flows, caps<=%d, demands<=%d)", trial, inst.N(), maxCap, maxDemand)
 		inc := 2*inst.MaxDemand() - 1
 
 		// LP (1)-(4): same status and optimum at a horizon that may be too
-		// short and at the one ARTLowerBound starts from.
+		// short and at the one ARTLowerBound solves at, where it is Optimal.
 		var atCongestion *lp.Solution
 		for _, horizon := range []int{inst.MaxRelease() + 1, inst.CongestionHorizon()} {
 			p, start := artLowerBoundLP(inst, horizon)

@@ -13,8 +13,13 @@
 // same draws, and the output does not depend on Config.Workers.
 //
 // Scale: the paper uses a 150x150 switch with M in {50,100,150,300,600}.
-// DefaultConfig keeps the load ratios M/m on a smaller switch, so the
-// repository's own simplex solves the LP baselines in minutes, not hours.
+// DefaultConfig keeps the load ratios M/m on a 6-port switch, where every
+// artifact with its LP baselines takes seconds. That is a choice of
+// default, not the solver's reach: at 150 ports, unit capacities, T=6
+// (2-core 2.1 GHz Xeon, seed 1) the LP (1)-(4) bound takes 10 ms at M=50
+// and 0.3 s at M=100, SolveART(c=1) 1 ms and 7-11 ms, SolveMRT under
+// 7 ms; the wall is load, not ports — at M=150 the same bound is 31 s and
+// 52.5 k pivots, and M >= 300 has not finished (ROADMAP item 2).
 package experiments
 
 import (
@@ -48,7 +53,8 @@ type Config struct {
 	LPTrials int
 	// Seed makes runs reproducible.
 	Seed int64
-	// EnableLP computes the LP baselines (dominates runtime).
+	// EnableLP computes the LP baselines: most of an artifact's time once
+	// M >= m, a small part of it below that (see the package comment).
 	EnableLP bool
 	// Workers bounds parallelism (0 = GOMAXPROCS).
 	Workers int

@@ -27,9 +27,6 @@ func New(n int) *Graph {
 	return &Graph{n: n, head: make([][]int, n)}
 }
 
-// NumVertices returns the number of vertices.
-func (g *Graph) NumVertices() int { return g.n }
-
 // AddEdge adds a directed edge from u to v with the given capacity and cost
 // (cost is ignored by MaxFlow). It returns the edge's id, which can be used
 // with Flow to recover the amount routed on the edge.

@@ -187,9 +187,6 @@ func NewProblem(numVars int) *Problem {
 	return p
 }
 
-// NumVars returns the number of variables.
-func (p *Problem) NumVars() int { return p.n }
-
 // NumRows returns the number of constraint rows.
 func (p *Problem) NumRows() int { return len(p.rows) }
 

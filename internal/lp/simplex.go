@@ -239,10 +239,10 @@ func (s *simplex) solve(p *Problem) (*Solution, error) {
 
 // load makes s the working state of a solve of p with its starting basis
 // factored: slacks where the residual fits their bounds, artificials (the
-// columns past NumVars+NumRows) elsewhere, and the variables Start names in
-// place of slacks where the triangular rule lets them. A problem decided
-// without a pivot returns its solution or error instead, and s is not to be
-// solved.
+// columns past the variables and the slacks) elsewhere, and the variables
+// Start names in place of slacks where the triangular rule lets them. A
+// problem decided without a pivot returns its solution or error instead,
+// and s is not to be solved.
 func (s *simplex) load(p *Problem, opt SolveOptions) (*Solution, error) {
 	if opt.Start != nil && len(opt.Start) != p.n {
 		return nil, fmt.Errorf("lp: Start has %d entries for %d variables", len(opt.Start), p.n)

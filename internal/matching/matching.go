@@ -1,14 +1,12 @@
 // Package matching implements bipartite matching algorithms used by the
 // scheduling heuristics and the Birkhoff-von Neumann decomposition:
 // Hopcroft-Karp maximum-cardinality matching, Hungarian maximum-weight
-// matching, greedy matching, and capacitated variants built on min-cost
-// flow. It replaces the Lemon graph library used by the paper's original
-// simulator (Section 5.2.2).
+// matching, and capacitated variants built on min-cost flow. It replaces
+// the Lemon graph library used by the paper's original simulator
+// (Section 5.2.2).
 //
 //flowsched:deterministic
 package matching
-
-import "sort"
 
 // NoMatch marks an unmatched vertex in matching results.
 const NoMatch = -1
@@ -221,42 +219,4 @@ func MatchWeight(matchL []int, weight func(l, r int) float64) float64 {
 		}
 	}
 	return total
-}
-
-// GreedyMaxWeight computes a maximal matching by repeatedly taking the
-// heaviest available edge. It is a 1/2-approximation of maximum weight and
-// is used as a fast ablation baseline for the heuristics.
-func GreedyMaxWeight(nL, nR int, adj [][]int, weight func(l, r int) float64) []int {
-	type cand struct {
-		l, r int
-		w    float64
-	}
-	var edges []cand
-	for l := 0; l < nL; l++ {
-		for _, r := range adj[l] {
-			edges = append(edges, cand{l, r, weight(l, r)})
-		}
-	}
-	// Descending weight, ties broken by (l, r) for determinism.
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].w != edges[j].w {
-			return edges[i].w > edges[j].w
-		}
-		if edges[i].l != edges[j].l {
-			return edges[i].l < edges[j].l
-		}
-		return edges[i].r < edges[j].r
-	})
-	matchL := make([]int, nL)
-	for i := range matchL {
-		matchL[i] = NoMatch
-	}
-	usedR := make([]bool, nR)
-	for _, e := range edges {
-		if matchL[e.l] == NoMatch && !usedR[e.r] {
-			matchL[e.l] = e.r
-			usedR[e.r] = true
-		}
-	}
-	return matchL
 }

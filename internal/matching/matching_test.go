@@ -210,26 +210,6 @@ func TestQuickMaxWeightMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestGreedyMaxWeightIsHalfApprox(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nL, nR, adj := randomBipartite(rng, 6)
-		weights := make(map[[2]int]float64)
-		for l := range adj {
-			for _, r := range adj[l] {
-				weights[[2]int{l, r}] = float64(1 + rng.Intn(20))
-			}
-		}
-		w := func(l, r int) float64 { return weights[[2]int{l, r}] }
-		g := GreedyMaxWeight(nL, nR, adj, w)
-		opt := bruteMaxWeight(nL, nR, adj, w)
-		return MatchWeight(g, w) >= opt/2-1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCapacitatedMaxCardinalityRespectsCaps(t *testing.T) {
 	capL := []int{2, 1}
 	capR := []int{1, 2}

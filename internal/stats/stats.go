@@ -1,12 +1,7 @@
-// Package stats provides the small statistical toolkit used by the
-// experiment harness: summary statistics, streaming accumulation, and
-// normal-approximation confidence intervals over repeated trials.
+// Package stats holds the trial summaries the experiment harness prints
+// (Mean, Max) and the response-time sketches the streaming runtime keeps
+// (LogHistogram, WindowQuantiles, EpochWindow).
 package stats
-
-import (
-	"math"
-	"sort"
-)
 
 // Mean returns the arithmetic mean, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -33,118 +28,3 @@ func Max(xs []float64) float64 {
 	}
 	return m
 }
-
-// Min returns the minimum, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// StdDev returns the sample standard deviation (n-1 denominator), or 0 for
-// fewer than two samples.
-func StdDev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	mu := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - mu
-		s += d * d
-	}
-	return math.Sqrt(s / float64(n-1))
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation on
-// a copy of xs.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	ys := append([]float64(nil), xs...)
-	sort.Float64s(ys)
-	if q <= 0 {
-		return ys[0]
-	}
-	if q >= 1 {
-		return ys[len(ys)-1]
-	}
-	pos := q * float64(len(ys)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return ys[lo]
-	}
-	frac := pos - float64(lo)
-	return ys[lo]*(1-frac) + ys[hi]*frac
-}
-
-// CI95 returns the half-width of a 95% normal-approximation confidence
-// interval for the mean.
-func CI95(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	return 1.96 * StdDev(xs) / math.Sqrt(float64(n))
-}
-
-// Welford accumulates mean and variance in one pass without storing
-// samples. The zero value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-	max  float64
-	min  float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	if w.n == 1 {
-		w.max, w.min = x, x
-	} else {
-		if x > w.max {
-			w.max = x
-		}
-		if x < w.min {
-			w.min = x
-		}
-	}
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Max returns the running maximum (0 before any Add).
-func (w *Welford) Max() float64 { return w.max }
-
-// Min returns the running minimum (0 before any Add).
-func (w *Welford) Min() float64 { return w.min }
-
-// Var returns the running sample variance.
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the running sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Var()) }

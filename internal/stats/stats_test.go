@@ -1,101 +1,16 @@
 package stats
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestMeanMaxMin(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5}
 	if Mean(xs) != 2.8 {
 		t.Errorf("mean = %v", Mean(xs))
 	}
-	if Max(xs) != 5 || Min(xs) != 1 {
-		t.Errorf("max/min = %v/%v", Max(xs), Min(xs))
+	if Max(xs) != 5 {
+		t.Errorf("max = %v", Max(xs))
 	}
-	if Mean(nil) != 0 || Max(nil) != 0 || Min(nil) != 0 {
+	if Mean(nil) != 0 || Max(nil) != 0 {
 		t.Error("empty-slice defaults wrong")
-	}
-}
-
-func TestStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	// Sample stddev of this classic set is ~2.138.
-	if got := StdDev(xs); math.Abs(got-2.1381) > 1e-3 {
-		t.Errorf("stddev = %v", got)
-	}
-	if StdDev([]float64{1}) != 0 {
-		t.Error("single sample stddev must be 0")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if Quantile(xs, 0) != 1 || Quantile(xs, 1) != 5 {
-		t.Error("extremes wrong")
-	}
-	if Quantile(xs, 0.5) != 3 {
-		t.Errorf("median = %v", Quantile(xs, 0.5))
-	}
-	if got := Quantile(xs, 0.25); got != 2 {
-		t.Errorf("q25 = %v", got)
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("empty quantile")
-	}
-	// Input must not be reordered.
-	ys := []float64{3, 1, 2}
-	Quantile(ys, 0.5)
-	if ys[0] != 3 {
-		t.Error("input mutated")
-	}
-}
-
-func TestCI95(t *testing.T) {
-	xs := []float64{10, 10, 10, 10}
-	if CI95(xs) != 0 {
-		t.Error("constant data must have zero CI")
-	}
-	if CI95([]float64{1}) != 0 {
-		t.Error("single sample CI must be 0")
-	}
-	wide := []float64{0, 10}
-	if CI95(wide) <= 0 {
-		t.Error("CI should be positive for varied data")
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(50)
-		xs := make([]float64, n)
-		var w Welford
-		for i := range xs {
-			xs[i] = rng.NormFloat64() * 10
-			w.Add(xs[i])
-		}
-		if w.N() != n {
-			return false
-		}
-		if math.Abs(w.Mean()-Mean(xs)) > 1e-9 {
-			return false
-		}
-		if math.Abs(w.StdDev()-StdDev(xs)) > 1e-9 {
-			return false
-		}
-		return w.Max() == Max(xs) && w.Min() == Min(xs)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWelfordZeroValue(t *testing.T) {
-	var w Welford
-	if w.N() != 0 || w.Mean() != 0 || w.Var() != 0 {
-		t.Error("zero value not usable")
 	}
 }

@@ -120,12 +120,11 @@
 // # Shard-scoped View contract
 //
 // Inside Pick a View exposes only the calling shard's slice of the
-// runtime. Each and NumPending cover the shard's pending flows (oldest
-// first in global admission order); QueueIn and QueueOut count the shard's
-// flows per port; NumActiveInputs, ActiveInput, NextActiveVOQ, VOQHead
-// and VOQHeadRecord are defined over the shard's own inputs; IDs are
-// shard-local and must not cross Views. InputFree is always exact, because inputs are
-// owned. OutputFree reports the shard's remaining carved budget during the
+// runtime. Each covers the shard's pending flows (oldest first in global
+// admission order); QueueIn and QueueOut count the shard's flows per
+// port; NumActiveInputs, ActiveInput, NextActiveVOQ and VOQHead are
+// defined over the shard's own inputs; IDs are shard-local and must not
+// cross Views. InputFree is always exact, because inputs are owned. OutputFree reports the shard's remaining carved budget during the
 // propose phase and the global leftover pool during the reconcile phase.
 // With Shards == 1 there is a single shard owning everything, OutputFree
 // is always exact, and the View is exactly the pre-sharding contract —
@@ -409,9 +408,9 @@
 //     the offending line (or a function's doc comment); an allow without
 //     a justification is itself a finding.
 //
-// Run it locally with `go run ./cmd/flowschedvet ./...` or through
-// `go vet -vettool`; CI fails on any unannotated finding, and
-// TestRepoClean enforces the same as part of go test ./....
+// Run it with `go run ./cmd/flowschedvet ./...`; an unannotated finding
+// exits 2, and TestRepoClean runs the same driver over the same packages
+// as part of go test ./....
 //
 //flowsched:clockgated
 //flowsched:deterministic

@@ -18,9 +18,6 @@ func (v *View) Round() int { return v.sh.rt.round }
 // Switch describes port counts and capacities.
 func (v *View) Switch() switchnet.Switch { return v.sh.rt.sw }
 
-// NumPending returns the shard's resident pending-set size.
-func (v *View) NumPending() int { return v.sh.count }
-
 // Each calls fn for every pending flow on the shard in admission order
 // (oldest first) until fn returns false. seq is the flow's global
 // admission sequence number; id its (reusable, shard-local) pending
@@ -47,12 +44,6 @@ func (v *View) Demand(id ID) int { return int(v.sh.ar.rec[id].dem) }
 // order VOQ heads by it every round, so it shares the cache line a
 // feasibility check already pulled.
 func (v *View) Release(id ID) int64 { return v.sh.ar.rec[id].rel }
-
-// Seq returns the global admission sequence number of a pending id — the
-// deterministic tie-breaker between flows released in the same round. It
-// is a cold-column read; policies should consult it once per considered
-// head (e.g. when enqueueing a heap entry), not per comparison.
-func (v *View) Seq(id ID) int64 { return v.sh.ar.seq[id] }
 
 // QueueIn returns the number of the shard's pending flows at input port i
 // (the queue depth the MaxWeight heuristic weighs by); QueueOut likewise
@@ -91,11 +82,12 @@ func (v *View) ActiveInput(k int) int { return int(v.sh.activeIn[k]) }
 // port-order rotation policies. in must be one of the shard's inputs.
 func (v *View) NextActiveVOQ(in, from int) int { return v.sh.nextActive(in, from) }
 
-// voqWords and headRow are the in-package fast path behind NextActiveVOQ
-// and VOQHeadRecord: input in's active-VOQ bitmap words and its
-// out-indexed row of head-age records, handed out as slices so a policy
-// sweeping every active VOQ pays plain array reads instead of a call and
-// an index recomputation per VOQ. Both are read-only for policies.
+// voqWords and headRow are what the native policies sweep: input in's
+// active-VOQ bitmap words (the array behind NextActiveVOQ) and its
+// out-indexed row of head-age records (see voqHead), handed out as
+// slices so a policy sweeping every active VOQ pays plain array reads
+// instead of a call and an index recomputation per VOQ. Both are
+// read-only for policies.
 func (v *View) voqWords(in int) []uint64 {
 	base := int(v.sh.bitBase[in])
 	return v.sh.actBits[base : base+v.sh.nw]
@@ -113,20 +105,6 @@ func (v *View) VOQHead(in, out int) ID {
 	return ID(v.sh.voqFirst(v.sh.voq(in, out)))
 }
 
-// VOQHeadRecord reads the (in, out) queue's mirrored head-age record:
-// the release round, admission sequence number, and demand of its oldest
-// flow, without touching the queue's ring blocks or the flow's arena
-// record. This is the primitive the age-aware policies sweep every round
-// — a dense array indexed in port order, maintained by the runtime at
-// admission and retirement. The values are meaningful only for a
-// non-empty VOQ, and describe the queue as of the last retirement: a
-// flow taken earlier in the same round still owns the record until it
-// departs (check Taken on the id if the distinction matters). in must be
-// one of the shard's inputs.
-func (v *View) VOQHeadRecord(in, out int) (rel, seq int64, demand int) {
-	h := &v.sh.heads[v.sh.voq(in, out)]
-	return h.rel, h.seq, int(h.dem)
-}
 func (v *View) VOQNext(id ID) ID {
 	r := &v.sh.ar.rec[id]
 	return ID(v.sh.voqNext(v.sh.voq(int(r.in), int(r.out)), int32(id)))

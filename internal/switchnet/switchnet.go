@@ -207,9 +207,16 @@ func (in *Instance) PortLoads() []int {
 	return loads
 }
 
-// CongestionHorizon returns a round index by which any reasonable schedule
-// can finish all flows: max release plus the largest ceil(load/capacity)
-// over ports plus d_max slack. It is used to size LP horizons.
+// CongestionHorizon returns a round count within which the paper's
+// time-indexed LPs — (1)-(4) and the interval LP (5)-(8) — are feasible:
+// max release + h + d_max + 1, where h is the largest ceil(load_p/c_p)
+// over ports. Proof: give every flow d_e/h in each of the h rounds
+// [maxRel, maxRel+h). Each flow is released by maxRel and receives d_e in
+// total, which is (2) and (6); in each of those rounds port p carries
+// load_p/h <= c_p, which is (3), and summed over any four of them (7). The
+// d_max + 1 on top is slack the proof does not use. internal/core solves
+// both LPs once at this horizon and reports an infeasible one as an
+// internal error.
 func (in *Instance) CongestionHorizon() int {
 	h := 0
 	loads := in.PortLoads()
