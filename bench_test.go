@@ -13,6 +13,10 @@ package flowsched
 //	BenchmarkSubstrate* - one LP solve, one 150-port drain, the SRPT bound,
 //	                  the iterative rounding, a workload generator.
 //
+// The streaming runtime's pick has its own ladder, BenchmarkOldestFirstPick
+// in internal/stream/bench_test.go, beside the unexported counters it
+// reports (heads ordered and stages per round); CI runs it too.
+//
 // Nothing here reports a schedule's quality: a b.N loop keeps whatever its
 // last iteration drew. The paper's figures and theorem tables — the
 // heuristics against the LP bounds, Theorems 1 and 3, Lemmas 5.1 and 5.3,

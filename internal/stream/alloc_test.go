@@ -56,7 +56,6 @@ func (s *patternSource) Err() error { return nil }
 // that measure further.
 func testSteadyStateZeroAlloc(t *testing.T, shards int, pol Policy, admit AdmitMode, deadline int, rec *obs.FlightRecorder, mut ...func(*Config)) *Runtime {
 	t.Helper()
-	src := &patternSource{ports: 8, per: 12}
 	cfg := Config{
 		Switch:     switchnet.UnitSwitch(8),
 		Policy:     pol,
@@ -69,14 +68,17 @@ func testSteadyStateZeroAlloc(t *testing.T, shards int, pol Policy, admit AdmitM
 	for _, m := range mut {
 		m(&cfg)
 	}
+	ports := cfg.Switch.NumIn()
+	src := &patternSource{ports: ports, per: ports * 3 / 2}
 	rt, err := New(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt.startWorkers()
 	t.Cleanup(rt.stopWorkers)
-	// Overloaded pattern (12 arrivals vs <= 8 services per round): the
-	// pending set pins at MaxPending well inside the warm-up.
+	// Overloaded pattern (3 arrivals for every 2 a unit switch can serve
+	// per round): the pending set pins at MaxPending well inside the
+	// warm-up.
 	for i := 0; i < 4096; i++ {
 		done, err := rt.step()
 		if err != nil {
@@ -86,7 +88,7 @@ func testSteadyStateZeroAlloc(t *testing.T, shards int, pol Policy, admit AdmitM
 			t.Fatal("unbounded source drained during warm-up")
 		}
 	}
-	if admit != AdmitDeadline && rt.peak != 512 {
+	if admit != AdmitDeadline && rt.peak != cfg.MaxPending {
 		t.Fatalf("pending set never reached the admission limit: peak %d", rt.peak)
 	}
 	switch admit {
@@ -116,7 +118,11 @@ func testSteadyStateZeroAlloc(t *testing.T, shards int, pol Policy, admit AdmitM
 
 // TestSteadyStateZeroAlloc covers every incremental native policy at
 // K in {1, 2}. StreamFIFO is excluded by design: it is the O(pending)
-// baseline, documented as non-incremental.
+// baseline, documented as non-incremental. The 8-port switch of the
+// shared set-up is too small for OldestFirst to stage, so it gets a
+// second row where it does — 40x40 with 4k flows resident, every VOQ
+// active — and the row checks that it did: a pick that never cuts orders
+// every active VOQ's head at least once a round.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	for _, name := range []string{"RoundRobin", "OldestFirst", "WeightedISLIP"} {
 		for _, shards := range []int{1, 2} {
@@ -124,6 +130,69 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 				testSteadyStateZeroAlloc(t, shards, ByName(name), AdmitLossless, 0, nil)
 			})
 		}
+	}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("OldestFirst/deep/K%d", shards), func(t *testing.T) {
+			rt := testSteadyStateZeroAlloc(t, shards, ByName("OldestFirst"), AdmitLossless, 0, nil, func(cfg *Config) {
+				cfg.Switch = switchnet.UnitSwitch(40)
+				cfg.MaxPending = 4096
+			})
+			var ordered, active int64
+			for _, sh := range rt.shards {
+				ordered -= sh.pol.(*OldestFirst).ordered
+			}
+			const rounds = 64
+			for i := 0; i < rounds; i++ {
+				if _, err := rt.step(); err != nil {
+					t.Fatal(err)
+				}
+				for _, sh := range rt.shards {
+					for vi := range sh.vqs {
+						if sh.vqs[vi].live > 0 {
+							active++
+						}
+					}
+				}
+			}
+			for _, sh := range rt.shards {
+				ordered += sh.pol.(*OldestFirst).ordered
+			}
+			if ordered >= active {
+				t.Fatalf("%d heads ordered over %d rounds with %d active VOQs a round: the gate never ran the staged path",
+					ordered, rounds, active/rounds)
+			}
+		})
+	}
+}
+
+// TestOldestFirstRampAllocBounded pins that the pick's scratch grows
+// geometrically. A fresh K=2 runtime (so the shards' policy instances
+// start cold, as they do on every run) fills a 64x64 switch to 8k
+// resident over some 250 rounds, its candidate count a new high on each
+// of them; scratch that regrew to the exact size reallocated two ~30 KB
+// arrays per shard every round, 11.3 MB for the ramp, where geometric
+// growth leaves 2.2 MB for everything the round loop allocates on the
+// way up — arena columns and VOQ blocks included.
+func TestOldestFirstRampAllocBounded(t *testing.T) {
+	const ports, backlog = 64, 8192
+	rt, err := New(&patternSource{ports: ports, per: ports * 3 / 2}, Config{
+		Switch: switchnet.UnitSwitch(ports), Policy: ByName("OldestFirst"), Shards: 2, MaxPending: backlog,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.startWorkers()
+	defer rt.stopWorkers()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for rt.peak < backlog {
+		if _, err := rt.step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Fatalf("ramp to %d resident allocated %d bytes in %d rounds, want <= %d", backlog, got, rt.round, 4<<20)
 	}
 }
 

@@ -1,0 +1,63 @@
+package stream
+
+import (
+	"math/rand"
+	"testing"
+
+	"flowsched/internal/workload"
+)
+
+// BenchmarkOldestFirstPick times one scheduling round of an OldestFirst
+// runtime pinned at a resident backlog — the paper's 150-port switch,
+// Poisson arrivals at twice what it can serve — and reports beside
+// ns/round what the pick did with it: the VOQ heads its stages ordered
+// and scanned per round and the stages per round (the counters are per
+// Pick call, and K=1 calls Pick once a round). The cap1 rungs are
+// drain_age's regime at a thin, the benchmark's and a deep backlog; the
+// cap8 rung carries multi-unit demands, where the target (16 x the free
+// capacity) exceeds the VOQ count and the pick is the single-stage case
+// with a live successor heap.
+func BenchmarkOldestFirstPick(b *testing.B) {
+	const ports = 150
+	for _, rung := range []struct {
+		name         string
+		cap, backlog int
+	}{
+		{"cap1_2k", 1, 1 << 11},
+		{"cap1_16k", 1, 1 << 14},
+		{"cap1_64k", 1, 1 << 16},
+		{"cap8_16k", 8, 1 << 14},
+	} {
+		b.Run(rung.name, func(b *testing.B) {
+			src := workload.NewArrivalSource(workload.ArrivalConfig{
+				Ports: ports, Cap: rung.cap, M: 2 * ports, MaxDemand: rung.cap,
+			}, rand.New(rand.NewSource(1)))
+			pol := &OldestFirst{}
+			rt, err := New(src, Config{Switch: src.Switch(), Policy: pol, MaxPending: rung.backlog})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rt.startWorkers()
+			defer rt.stopWorkers()
+			step := func() {
+				if _, err := rt.step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Fill to the admission limit, then let head ages settle.
+			for rt.peak < rung.backlog {
+				step()
+			}
+			for i := 0; i < 512; i++ {
+				step()
+			}
+			stages, ordered := pol.stages, pol.ordered
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+			b.ReportMetric(float64(pol.ordered-ordered)/float64(b.N), "heads/round")
+			b.ReportMetric(float64(pol.stages-stages)/float64(b.N), "stages/round")
+		})
+	}
+}

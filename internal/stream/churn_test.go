@@ -94,56 +94,85 @@ func TestShardedAgeOrderUnderChurn(t *testing.T) {
 		for _, shards := range []int{2, 3, 4} {
 			for _, portCap := range []int{3, 2} {
 				name := fmt.Sprintf("%s/K%d/cap%d", pol, shards, portCap)
+				var plain int64
 				t.Run(name, func(t *testing.T) {
-					h := fnv.New64a()
-					var buf [16]byte
-					rt, err := New(&churnSource{ports: ports, rounds: rounds, maxDem: portCap}, Config{
-						Switch: switchnet.NewSwitch(ports, ports, portCap),
-						Policy: ByName(pol), Shards: shards,
-						MaxPending: 48, Admit: AdmitDeadline, Deadline: 6,
-						OnSchedule: func(seq int64, _ switchnet.Flow, round int) {
-							binary.LittleEndian.PutUint64(buf[:8], uint64(seq))
-							binary.LittleEndian.PutUint64(buf[8:], uint64(round))
-							h.Write(buf[:])
-						},
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					rt.startWorkers()
-					defer rt.stopWorkers()
-					steps := 0
-					for {
-						done, err := rt.step()
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, sh := range rt.shards {
-							want := int64(math.MaxInt64)
-							for vi := range sh.vqs {
-								if sh.vqs[vi].live > 0 && sh.heads[vi].rel < want {
-									want = sh.heads[vi].rel
-								}
-							}
-							if got := sh.oldestRel(); got != want {
-								t.Fatalf("round %d shard %d: oldestRel %d, oldest VOQ head record %d", rt.round, sh.idx, got, want)
-							}
-						}
-						if done {
-							break
-						}
-						if steps++; steps > 1<<20 {
-							t.Fatal("runaway stream")
-						}
-					}
-					if sum := rt.Snapshot(); sum.Completed == 0 || sum.Expired == 0 {
-						t.Fatalf("churn run should both complete and expire flows: %+v", sum)
-					}
-					if got := h.Sum64(); got != churnGolden[name] {
-						t.Fatalf("schedule hash %#x, golden %#x", got, churnGolden[name])
+					plain = testAgeOrderUnderChurn(t, ByName(pol), shards, portCap, churnGolden[name])
+				})
+				if pol != "OldestFirst" {
+					continue
+				}
+				// The same golden row with OldestFirst's stage target
+				// forced to 1: picks, propose and reconcile alike, cut
+				// after almost every release and finish in later stages.
+				// The default target never cuts on a 7-port switch and the
+				// schedules are equal, so any extra stage is a cut.
+				t.Run(name+"/cuts", func(t *testing.T) {
+					cuts := testAgeOrderUnderChurn(t, &OldestFirst{factor: 1}, shards, portCap, churnGolden[name])
+					if cuts <= plain {
+						t.Fatalf("%d stages with the target forced to 1, %d at the default: the staged path never ran", cuts, plain)
 					}
 				})
 			}
 		}
 	}
+}
+
+// testAgeOrderUnderChurn is one row of TestShardedAgeOrderUnderChurn; it
+// returns the stages the shards' OldestFirst instances ran (0 for another
+// policy).
+func testAgeOrderUnderChurn(t *testing.T, pol Policy, shards, portCap int, golden uint64) (stages int64) {
+	const ports, rounds = 7, 160
+	h := fnv.New64a()
+	var buf [16]byte
+	rt, err := New(&churnSource{ports: ports, rounds: rounds, maxDem: portCap}, Config{
+		Switch: switchnet.NewSwitch(ports, ports, portCap),
+		Policy: pol, Shards: shards,
+		MaxPending: 48, Admit: AdmitDeadline, Deadline: 6,
+		OnSchedule: func(seq int64, _ switchnet.Flow, round int) {
+			binary.LittleEndian.PutUint64(buf[:8], uint64(seq))
+			binary.LittleEndian.PutUint64(buf[8:], uint64(round))
+			h.Write(buf[:])
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.startWorkers()
+	defer rt.stopWorkers()
+	steps := 0
+	for {
+		done, err := rt.step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range rt.shards {
+			want := int64(math.MaxInt64)
+			for vi := range sh.vqs {
+				if sh.vqs[vi].live > 0 && sh.heads[vi].rel < want {
+					want = sh.heads[vi].rel
+				}
+			}
+			if got := sh.oldestRel(); got != want {
+				t.Fatalf("round %d shard %d: oldestRel %d, oldest VOQ head record %d", rt.round, sh.idx, got, want)
+			}
+		}
+		if done {
+			break
+		}
+		if steps++; steps > 1<<20 {
+			t.Fatal("runaway stream")
+		}
+	}
+	if sum := rt.Snapshot(); sum.Completed == 0 || sum.Expired == 0 {
+		t.Fatalf("churn run should both complete and expire flows: %+v", sum)
+	}
+	if got := h.Sum64(); got != golden {
+		t.Fatalf("schedule hash %#x, golden %#x", got, golden)
+	}
+	for _, sh := range rt.shards {
+		if of, ok := sh.pol.(*OldestFirst); ok {
+			stages += of.stages
+		}
+	}
+	return stages
 }

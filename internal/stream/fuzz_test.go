@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -50,78 +51,102 @@ func FuzzPolicyPicks(f *testing.F) {
 			}
 		}
 		inst := &switchnet.Instance{Switch: sw, Flows: flows}
-		src := workload.NewInstanceSource(inst)
-
-		cfg := stream.Config{
-			Switch:      sw,
-			Policy:      stream.ByName(name),
-			Shards:      K,
-			VerifyEvery: 3,
-		}
+		maxPending := 0
 		if rng.Intn(2) == 0 {
-			cfg.MaxPending = 8 + rng.Intn(64) // exercise backpressure
+			maxPending = 8 + rng.Intn(64) // exercise backpressure
 		}
-
-		served := make([]bool, n)
-		sched := switchnet.NewSchedule(n)
-		loadIn := make([]int, ports)
-		loadOut := make([]int, ports)
-		curRound := -1
-		cfg.OnSchedule = func(seq int64, fl switchnet.Flow, round int) {
-			if seq < 0 || seq >= int64(n) {
-				t.Fatalf("%s K=%d: served unknown seq %d", name, K, seq)
-			}
-			fi := src.Order()[seq]
-			if served[fi] {
-				t.Fatalf("%s K=%d: flow %d served twice", name, K, fi)
-			}
-			served[fi] = true
-			if fl != flows[fi] {
-				t.Fatalf("%s K=%d: served flow %+v != source flow %+v (pick outside VOQ contents)",
-					name, K, fl, flows[fi])
-			}
-			if round < fl.Release {
-				t.Fatalf("%s K=%d: flow %d served in round %d before release %d", name, K, fi, round, fl.Release)
-			}
-			if round < curRound {
-				t.Fatalf("%s K=%d: serve rounds went backwards (%d after %d)", name, K, round, curRound)
-			}
-			if round > curRound {
-				for p := range loadIn {
-					loadIn[p], loadOut[p] = 0, 0
-				}
-				curRound = round
-			}
-			loadIn[fl.In] += fl.Demand
-			loadOut[fl.Out] += fl.Demand
-			if loadIn[fl.In] > sw.InCaps[fl.In] || loadOut[fl.Out] > sw.OutCaps[fl.Out] {
-				t.Fatalf("%s K=%d: round %d overloads a port of flow %+v (in %d/%d, out %d/%d)",
-					name, K, round, fl, loadIn[fl.In], sw.InCaps[fl.In], loadOut[fl.Out], sw.OutCaps[fl.Out])
-			}
-			sched.Round[fi] = round
+		// OldestFirst runs twice: at its default stage target, and with
+		// the target forced to 1 so every pick cuts after almost every
+		// release and finishes in later stages.
+		factors := []int{0}
+		if name == "OldestFirst" {
+			factors = []int{0, 1}
 		}
-
-		rt, err := stream.New(src, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum, err := rt.Run()
-		if err != nil {
-			t.Fatalf("%s K=%d: %v", name, K, err)
-		}
-		if sum.Completed != int64(n) {
-			t.Fatalf("%s K=%d: completed %d of %d", name, K, sum.Completed, n)
-		}
-		for fi, ok := range served {
-			if !ok {
-				t.Fatalf("%s K=%d: flow %d never served", name, K, fi)
-			}
-		}
-		if sum.WindowsVerified == 0 {
-			t.Fatalf("%s K=%d: no verification windows ran", name, K)
-		}
-		if _, err := verify.CheckSchedule(inst, sched, sw.Caps()); err != nil {
-			t.Fatalf("%s K=%d: schedule rejected by oracle: %v", name, K, err)
+		for _, factor := range factors {
+			fuzzPolicyPicks(t, inst, name, K, maxPending, factor)
 		}
 	})
+}
+
+// fuzzPolicyPicks drains inst under the named policy at K shards and
+// checks FuzzPolicyPicks' invariants; factor is OldestFirst's stage
+// target (0 = default).
+func fuzzPolicyPicks(t *testing.T, inst *switchnet.Instance, name string, K, maxPending, factor int) {
+	sw, flows := inst.Switch, inst.Flows
+	n, ports := len(flows), sw.NumIn()
+	src := workload.NewInstanceSource(inst)
+	pol := stream.ByName(name)
+	if of, ok := pol.(*stream.OldestFirst); ok && factor != 0 {
+		of.SetTargetFactor(factor)
+		name = fmt.Sprintf("%s(factor %d)", name, factor)
+	}
+	cfg := stream.Config{
+		Switch:      sw,
+		Policy:      pol,
+		Shards:      K,
+		VerifyEvery: 3,
+		MaxPending:  maxPending,
+	}
+
+	served := make([]bool, n)
+	sched := switchnet.NewSchedule(n)
+	loadIn := make([]int, ports)
+	loadOut := make([]int, ports)
+	curRound := -1
+	cfg.OnSchedule = func(seq int64, fl switchnet.Flow, round int) {
+		if seq < 0 || seq >= int64(n) {
+			t.Fatalf("%s K=%d: served unknown seq %d", name, K, seq)
+		}
+		fi := src.Order()[seq]
+		if served[fi] {
+			t.Fatalf("%s K=%d: flow %d served twice", name, K, fi)
+		}
+		served[fi] = true
+		if fl != flows[fi] {
+			t.Fatalf("%s K=%d: served flow %+v != source flow %+v (pick outside VOQ contents)",
+				name, K, fl, flows[fi])
+		}
+		if round < fl.Release {
+			t.Fatalf("%s K=%d: flow %d served in round %d before release %d", name, K, fi, round, fl.Release)
+		}
+		if round < curRound {
+			t.Fatalf("%s K=%d: serve rounds went backwards (%d after %d)", name, K, round, curRound)
+		}
+		if round > curRound {
+			for p := range loadIn {
+				loadIn[p], loadOut[p] = 0, 0
+			}
+			curRound = round
+		}
+		loadIn[fl.In] += fl.Demand
+		loadOut[fl.Out] += fl.Demand
+		if loadIn[fl.In] > sw.InCaps[fl.In] || loadOut[fl.Out] > sw.OutCaps[fl.Out] {
+			t.Fatalf("%s K=%d: round %d overloads a port of flow %+v (in %d/%d, out %d/%d)",
+				name, K, round, fl, loadIn[fl.In], sw.InCaps[fl.In], loadOut[fl.Out], sw.OutCaps[fl.Out])
+		}
+		sched.Round[fi] = round
+	}
+
+	rt, err := stream.New(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := rt.Run()
+	if err != nil {
+		t.Fatalf("%s K=%d: %v", name, K, err)
+	}
+	if sum.Completed != int64(n) {
+		t.Fatalf("%s K=%d: completed %d of %d", name, K, sum.Completed, n)
+	}
+	for fi, ok := range served {
+		if !ok {
+			t.Fatalf("%s K=%d: flow %d never served", name, K, fi)
+		}
+	}
+	if sum.WindowsVerified == 0 {
+		t.Fatalf("%s K=%d: no verification windows ran", name, K)
+	}
+	if _, err := verify.CheckSchedule(inst, sched, sw.Caps()); err != nil {
+		t.Fatalf("%s K=%d: schedule rejected by oracle: %v", name, K, err)
+	}
 }

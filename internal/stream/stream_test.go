@@ -190,21 +190,102 @@ func TestOldestFirstMatchesBridgedMinRTimeStyle(t *testing.T) {
 			}
 			bridged, _ := runStreamed(t, inst, &stream.Bridge{P: agePortOrder{}},
 				stream.Config{VerifyEvery: 4})
-			native, sum := runStreamed(t, inst, &stream.OldestFirst{},
-				stream.Config{VerifyEvery: 4})
-			for f := range native.Round {
-				if native.Round[f] != bridged.Round[f] || native.Round[f] != simRes.Schedule.Round[f] {
-					t.Fatalf("M=%g seed %d: flow %d — OldestFirst round %d, bridged AgePortOrder %d, sim %d",
-						cfg.M, seed, f, native.Round[f], bridged.Round[f], simRes.Schedule.Round[f])
+			// Factor 0 is the default target, which never cuts on switches
+			// this small; 1 forces a cut after almost every release, so the
+			// staged path runs. The schedules are equal, so any stage the
+			// second run adds is a cut (asserted on the overloaded config).
+			var plain int64
+			for _, factor := range []int{0, 1} {
+				pol := &stream.OldestFirst{}
+				pol.SetTargetFactor(factor)
+				native, sum := runStreamed(t, inst, pol, stream.Config{VerifyEvery: 4})
+				for f := range native.Round {
+					if native.Round[f] != bridged.Round[f] || native.Round[f] != simRes.Schedule.Round[f] {
+						t.Fatalf("M=%g seed %d factor %d: flow %d — OldestFirst round %d, bridged AgePortOrder %d, sim %d",
+							cfg.M, seed, factor, f, native.Round[f], bridged.Round[f], simRes.Schedule.Round[f])
+					}
+				}
+				if int(sum.TotalResponse) != simRes.TotalResponse || sum.MaxResponse != simRes.MaxResponse {
+					t.Fatalf("M=%g seed %d factor %d: OldestFirst metrics (%d,%d) != sim (%d,%d)",
+						cfg.M, seed, factor, sum.TotalResponse, sum.MaxResponse,
+						simRes.TotalResponse, simRes.MaxResponse)
+				}
+				if _, err := verify.CheckSchedule(inst, native, inst.Switch.Caps()); err != nil {
+					t.Fatalf("M=%g seed %d factor %d: OldestFirst schedule rejected by oracle: %v", cfg.M, seed, factor, err)
+				}
+				if factor == 0 {
+					plain = pol.Stages()
+				} else if cfg.M == 12 && pol.Stages() <= plain {
+					t.Fatalf("M=%g seed %d: %d stages with the target forced to 1, %d at the default: the staged path never ran",
+						cfg.M, seed, pol.Stages(), plain)
 				}
 			}
-			if int(sum.TotalResponse) != simRes.TotalResponse || sum.MaxResponse != simRes.MaxResponse {
-				t.Fatalf("M=%g seed %d: OldestFirst metrics (%d,%d) != sim (%d,%d)",
-					cfg.M, seed, sum.TotalResponse, sum.MaxResponse,
-					simRes.TotalResponse, simRes.MaxResponse)
+		}
+	}
+}
+
+// TestOldestFirstScheduleIgnoresStageTarget is the staged pick's own
+// property: where a pick cuts its release range changes what it sorts,
+// never what it serves. On multi-unit demands over capacities above one
+// — the successor heap live, heads that do not fit abandoning their
+// queues — at K in {1, 2, 3}, the OnSchedule (seq, round) stream is the
+// same with the stage target forced to 1 (a cut after almost every
+// release), at the default, and with cuts off; and one instance reused
+// for all of them at K=1 (where the runtime picks with the value it was
+// given) serves what a fresh one does, because the fields are per-pick
+// scratch. The 9-port switch is where factor 1 cuts hardest; the 70-port
+// one is wide enough (more than 2 x 16 outputs per unit of input
+// capacity) for the default target to cut.
+func TestOldestFirstScheduleIgnoresStageTarget(t *testing.T) {
+	const never = 1 << 20
+	for _, cfg := range []workload.PoissonConfig{
+		{M: 40, T: 30, Ports: 9, Cap: 4, MaxDemand: 4},
+		{M: 300, T: 24, Ports: 70, Cap: 2, MaxDemand: 2},
+	} {
+		for _, K := range []int{1, 2, 3} {
+			inst := cfg.Generate(rand.New(rand.NewSource(int64(K))))
+			run := func(pol *stream.OldestFirst) (trace [][2]int64, stages int64) {
+				before := pol.Stages()
+				rt, err := stream.New(workload.NewInstanceSource(inst), stream.Config{
+					Switch: inst.Switch, Policy: pol, Shards: K, VerifyEvery: 16,
+					OnSchedule: func(seq int64, _ switchnet.Flow, round int) {
+						trace = append(trace, [2]int64{seq, int64(round)})
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := rt.Run(); err != nil {
+					t.Fatal(err)
+				}
+				return trace, pol.Stages() - before
 			}
-			if _, err := verify.CheckSchedule(inst, native, inst.Switch.Caps()); err != nil {
-				t.Fatalf("M=%g seed %d: OldestFirst schedule rejected by oracle: %v", cfg.M, seed, err)
+			fresh := &stream.OldestFirst{}
+			fresh.SetTargetFactor(never)
+			want, uncut := run(fresh)
+			if len(want) != inst.N() {
+				t.Fatalf("%d ports K=%d: %d of %d flows scheduled", cfg.Ports, K, len(want), inst.N())
+			}
+			used := &stream.OldestFirst{}
+			for _, factor := range []int{1, 0, never, 1} {
+				used.SetTargetFactor(factor)
+				got, stages := run(used)
+				if len(got) != len(want) {
+					t.Fatalf("%d ports K=%d factor %d: %d flows scheduled, want %d", cfg.Ports, K, factor, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%d ports K=%d factor %d: serve %d is (seq, round) %v, uncut pick serves %v",
+							cfg.Ports, K, factor, i, got[i], want[i])
+					}
+				}
+				// Equal schedules mean equal picks, so a stage beyond the
+				// uncut run's is a cut. (At K > 1 the shards pick with their
+				// own instances and these counts stay 0.)
+				cuts := factor == 1 || (factor == 0 && cfg.Ports == 70)
+				if K == 1 && cuts != (stages > uncut) {
+					t.Fatalf("%d ports factor %d: %d stages against %d uncut, want cuts: %v", cfg.Ports, factor, stages, uncut, cuts)
+				}
 			}
 		}
 	}
