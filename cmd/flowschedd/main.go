@@ -11,7 +11,7 @@
 //	GET  /trace    flight recorder: last rounds as JSONL (?last=N)
 //	GET  /slo      burn-rate engine state as JSON
 //	GET  /pilot    live competitive-ratio estimates (404 unless -pilotevery > 0)
-//	GET  /healthz  {"status":"ok"}; "degraded" (200) on SLO fast-burn breach; "restoring"/"draining" (503)
+//	GET  /healthz  {"status":"ok"}; "degraded" (200) on SLO fast-burn breach; "draining" (503)
 //	POST /drain    graceful shutdown: finish the backlog, return the final summary
 //	POST /checkpoint  write a checkpoint now (needs -checkpoint)
 //	POST /reload   swap policy/admission live: {"policy":"OldestFirst","admit":"drop","max_pending":64}
@@ -34,9 +34,10 @@
 //
 // Crash safety: -checkpoint FILE persists quiescent checkpoints (atomic,
 // CRC-sealed) on POST /checkpoint, every -checkpointevery, and after the
-// final drain; -restore FILE resumes from one — the pending set re-enters
-// with original releases and counters continue, so accounting and
-// response quantiles are continuous across a kill -9. A restore adopts
+// final drain; -restore FILE resumes from one — the pending set is
+// resident again, with original releases, and counters continue before
+// the listener serves its first request, so accounting and response
+// quantiles are continuous across a kill -9. A restore adopts
 // the checkpoint's policy/shards/maxpending/admit/deadline (and switch
 // shape) unless the matching flag is given explicitly. A corrupt or
 // truncated checkpoint is refused with a typed error before anything

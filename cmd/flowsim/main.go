@@ -235,6 +235,14 @@ func simulate(fs *flag.FlagSet) func() error {
 				}
 				restoreCk = ck
 			}
+			// After adoption: a checkpoint's -maxpending is held to the same
+			// rule as one typed on the command line.
+			if err := atLeastOne("maxpending", *maxPending); err != nil {
+				return err
+			}
+			if err := atLeastOne("window", *window); err != nil {
+				return err
+			}
 			runStream(streamOpts{
 				ports: *ports, m: *mFlag, policy: *policy, seed: *seed, trace: *trace,
 				dmax: *demands, flows: *flows, flowsSet: explicit["flows"], alpha: *alpha,
@@ -488,14 +496,15 @@ func drainStream(o streamOpts, pol stream.Policy, mode stream.AdmitMode, logFile
 		Recorder:     rec,
 	}
 	if o.restore != nil {
-		// The checkpointed pending set (and lookahead) replays first with
-		// original releases; the regenerated arrival stream skips exactly
-		// the flows the checkpointed run had already consumed.
+		// The checkpointed pending set (and lookahead) is resident with its
+		// original releases when New returns; the regenerated arrival
+		// stream skips exactly the flows the checkpointed run had already
+		// consumed.
 		if err := o.restore.Compatible(sw); err != nil {
 			fatal(err)
 		}
-		src = workload.NewCheckpointSource(o.restore.Flows, workload.Skip(src, int(o.restore.SourceConsumed)))
-		scfg.Resume = o.restore.Resume()
+		workload.Skip(src, o.restore.SourceConsumed)
+		scfg.Resume = o.restore.State()
 	}
 	ckptWrites := 0
 	ckptLast := 0

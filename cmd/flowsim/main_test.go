@@ -2,14 +2,25 @@ package main
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"flowsched/internal/chkpt"
 )
 
 // TestDispatch drives the front door without exec: what is not a
 // subcommand or an artifact is a usage error (status 2) that names the
 // valid ones, and -h on a subcommand lists that subcommand's flags only.
 func TestDispatch(t *testing.T) {
+	// A checkpoint whose admission limit is 0: a restore adopts it, and the
+	// adopted value is checked like a typed one.
+	zeroLimit := filepath.Join(t.TempDir(), "zero.ckpt")
+	if err := chkpt.Save(zeroLimit, &chkpt.Checkpoint{
+		Policy: "RoundRobin", Shards: 1, Admit: "lossless", InCaps: []int{1, 1}, OutCaps: []int{1, 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		args      []string
 		status    int
@@ -23,6 +34,10 @@ func TestDispatch(t *testing.T) {
 		{[]string{"mrt", "-deadlines", "9z"}, 2, `bad integer "9z"`, ""},
 		{[]string{"-trials", "-1"}, 2, "-trials must be at least 1, got -1", ""},
 		{[]string{"-stream", "-ports", "-1"}, 2, "-ports must be at least 1, got -1", ""},
+		{[]string{"-stream", "-window", "0"}, 2, "-window must be at least 1, got 0", ""},
+		{[]string{"-stream", "-maxpending", "0"}, 2, "-maxpending must be at least 1, got 0", ""},
+		{[]string{"-stream", "-maxpending", "-5"}, 2, "-maxpending must be at least 1, got -5", ""},
+		{[]string{"-stream", "-ports", "2", "-restore", zeroLimit}, 2, "-maxpending must be at least 1, got 0", ""},
 		{[]string{"art", "-ports", "0"}, 2, "-ports must be at least 1, got 0", ""},
 		{[]string{"gen", "-ports", "0"}, 2, "-ports must be at least 1, got 0", ""},
 		{[]string{"paper", "-fig", "t1", "-trials", "0"}, 2, "-trials must be at least 1, got 0", ""},

@@ -101,9 +101,8 @@
 //     -checkpoint persists quiescent checkpoints — atomic, CRC-sealed,
 //     version-stamped — on POST /checkpoint, on a periodic cadence, and
 //     after the final drain; -restore resumes from one with the pending
-//     set re-entering at its original releases and every cumulative
-//     counter continuous across a kill -9 (GET /healthz reports
-//     "restoring" with 503 until the restored backlog is resident).
+//     set resident at its original releases and every cumulative counter
+//     continuous across a kill -9 before the first request is served.
 //     POST /reload (or SIGHUP) swaps the policy and admission settings
 //     between rounds without dropping a single pending flow. The crash
 //     and corruption paths are exercised by a deterministic fault-

@@ -29,6 +29,12 @@
 // restore instead of restarting empty). Version-1 files still load: the
 // new sections simply read as absent, restoring with fresh pointers and
 // empty windows exactly as version 1 always did.
+//
+// A restart is Load, then Checkpoint.State as stream.Config.Resume: the
+// pending set, lookahead and counters all travel in that one value, and
+// the restored runtime is whole when stream.New returns. The runtime's
+// source carries only what comes after — a replayable source skips
+// SourceConsumed flows (workload.Skip), a live feed starts empty.
 package chkpt
 
 import (
@@ -81,9 +87,38 @@ const (
 // castagnoli is the CRC-32C table (matches common storage-stack CRCs).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Counters are the cumulative runtime counters at the checkpoint, in the
-// struct the runtime resumes from; its JSON tags are the file's keys.
-type Counters = stream.ResumeCounters
+// Counters are the cumulative runtime counters at the checkpoint; see the
+// matching stream.Summary fields for semantics. They balance:
+// Admitted == Completed + Pending + Dropped + Expired. The JSON tags are
+// the file's keys.
+type Counters struct {
+	Admitted      int64 `json:"admitted"`
+	Completed     int64 `json:"completed"`
+	Dropped       int64 `json:"dropped"`
+	Expired       int64 `json:"expired"`
+	Backpressured int64 `json:"backpressured"`
+	TotalResponse int64 `json:"total_response"`
+	SlowResponses int64 `json:"slow_responses"`
+	Rounds        int64 `json:"rounds"`
+	MaxResponse   int   `json:"max_response"`
+	PeakPending   int   `json:"peak_pending"`
+}
+
+// countersOf extracts the cumulative counters a checkpoint records.
+func countersOf(s stream.Summary) Counters {
+	return Counters{
+		Admitted:      s.Admitted,
+		Completed:     s.Completed,
+		Dropped:       s.Dropped,
+		Expired:       s.Expired,
+		Backpressured: s.Backpressured,
+		TotalResponse: s.TotalResponse,
+		SlowResponses: s.SlowResponses,
+		Rounds:        s.Rounds,
+		MaxResponse:   s.MaxResponse,
+		PeakPending:   s.PeakPending,
+	}
+}
 
 // Checkpoint is the durable image of a quiescent runtime.
 type Checkpoint struct {
@@ -157,24 +192,39 @@ func FromState(st *stream.CheckpointState, cfg stream.Config) *Checkpoint {
 		Deadline:       cfg.Deadline,
 		InCaps:         append([]int(nil), cfg.Switch.InCaps...),
 		OutCaps:        append([]int(nil), cfg.Switch.OutCaps...),
-		Counters:       st.Summary.Counters(),
+		Counters:       countersOf(st.Summary),
 		Flows:          flows,
 		Scratch:        scratch,
 		Windows:        windows,
 	}
 }
 
-// Resume converts the checkpoint into the stream.Config.Resume a
-// restored runtime needs. The flows travel separately, through
-// workload.NewCheckpointSource(c.Flows, tail).
-func (c *Checkpoint) Resume() *stream.Resume {
-	return &stream.Resume{
-		Round:         c.Round,
-		Pending:       c.Pending,
-		ScratchPolicy: c.Policy,
-		Scratch:       c.Scratch,
-		Windows:       c.Windows,
-		Counters:      c.Counters,
+// State converts the checkpoint back into the runtime capture it was
+// written from, the stream.Config.Resume a restored runtime takes.
+func (c *Checkpoint) State() *stream.CheckpointState {
+	cc := c.Counters
+	return &stream.CheckpointState{
+		Round:   c.Round,
+		Pending: c.Pending,
+		Flows:   c.Flows,
+		Summary: stream.Summary{
+			Round:         c.Round,
+			Rounds:        cc.Rounds,
+			Shards:        c.Shards,
+			Admitted:      cc.Admitted,
+			Completed:     cc.Completed,
+			Pending:       c.Pending,
+			PeakPending:   cc.PeakPending,
+			Backpressured: cc.Backpressured,
+			Dropped:       cc.Dropped,
+			Expired:       cc.Expired,
+			TotalResponse: cc.TotalResponse,
+			MaxResponse:   cc.MaxResponse,
+			SlowResponses: cc.SlowResponses,
+		},
+		Policy:  c.Policy,
+		Scratch: c.Scratch,
+		Windows: c.Windows,
 	}
 }
 

@@ -80,9 +80,9 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// parentImage is a version-2 checkpoint file written by the commit before
-// Counters became an alias of stream.ResumeCounters, with every counter
-// distinct and non-zero.
+// parentImage is a version-2 checkpoint file written by an earlier build,
+// from before the counters struct moved into internal/stream and back,
+// with every counter distinct and non-zero.
 const parentImage = "RkxPV0NLUFQCAAAA9QEAAAAAAAB7InJvdW5kIjo0MiwicGVuZGluZyI6Miwic291cmNlX2NvbnN1bWVkIjozMywicG9saWN5IjoiUm91bmRSb2JpbiIsInNoYXJkcyI6MiwibWF4X3BlbmRpbmciOjY0LCJhZG1pdCI6ImRlYWRsaW5lIiwiZGVhZGxpbmUiOjksImluX2NhcHMiOlsxLDEsMSwxXSwib3V0X2NhcHMiOlsxLDEsMSwxXSwiY291bnRlcnMiOnsiYWRtaXR0ZWQiOjMyLCJjb21wbGV0ZWQiOjIwLCJkcm9wcGVkIjo0LCJleHBpcmVkIjo2LCJiYWNrcHJlc3N1cmVkIjozLCJ0b3RhbF9yZXNwb25zZSI6NTUsInNsb3dfcmVzcG9uc2VzIjo1LCJyb3VuZHMiOjQwLCJtYXhfcmVzcG9uc2UiOjgsInBlYWtfcGVuZGluZyI6N30sImZsb3dzIjpbeyJpbiI6MCwib3V0IjoxLCJkZW1hbmQiOjEsInJlbGVhc2UiOjQwfSx7ImluIjoxLCJvdXQiOjIsImRlbWFuZCI6MSwicmVsZWFzZSI6NDF9LHsiaW4iOjIsIm91dCI6MywiZGVtYW5kIjoxLCJyZWxlYXNlIjo0Mn1dLCJwb2xpY3lfc2NyYXRjaCI6W1sxLDJdLFszLDBdXX0wvDE+"
 
 // TestParentImageDecodes pins the on-disk format across the counters
@@ -105,8 +105,8 @@ func TestParentImageDecodes(t *testing.T) {
 	if ck.Counters != want {
 		t.Fatalf("counters = %+v, want %+v", ck.Counters, want)
 	}
-	if got := ck.Resume().Counters; got != want {
-		t.Fatalf("Resume().Counters = %+v, want %+v", got, want)
+	if got := countersOf(ck.State().Summary); got != want {
+		t.Fatalf("State().Summary counters = %+v, want %+v", got, want)
 	}
 	again, err := Encode(ck)
 	if err != nil {

@@ -65,8 +65,8 @@ func TestCheckpointErrorsCountFailedAttempts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A server that was never started cannot reach a quiescent point, so
-	// a capture under a finished context fails before anything is written.
+	// A capture under a finished context fails before anything is
+	// written, even on a server that was never started.
 	cfg.CheckpointPath = filepath.Join(t.TempDir(), "ck")
 	idle, err := New(cfg)
 	if err != nil {

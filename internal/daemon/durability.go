@@ -18,10 +18,6 @@ import (
 // endpoint. Both ride the runtime's quiescent-point control mailbox, so
 // neither stalls the round loop.
 
-// ErrRestoring reports an operation refused because a restore's
-// re-admission prefix is still in flight; callers should retry shortly.
-var ErrRestoring = errors.New("daemon: restore in progress")
-
 // ErrNoCheckpointPath reports a checkpoint request against a server
 // started without a checkpoint path.
 var ErrNoCheckpointPath = errors.New("daemon: no checkpoint path configured")
@@ -31,21 +27,8 @@ var ErrNoCheckpointPath = errors.New("daemon: no checkpoint path configured")
 // between rounds, so anything close to this means the runtime is wedged.
 const checkpointTimeout = 10 * time.Second
 
-// restoring reports whether a restore's re-admission prefix is still in
-// flight. The restored runtime's admission counter starts Pending short
-// of the checkpointed value and counts back up as the prefix re-enters,
-// so Admitted < resumeTarget is exactly "not every checkpointed flow is
-// resident again". Lock-free: resumeTarget is immutable after New and
-// Snapshot reads atomics.
-func (s *Server) restoring() bool {
-	return s.resumeTarget > 0 && s.rt.Snapshot().Admitted < s.resumeTarget
-}
-
 // CheckpointNow captures a quiescent checkpoint and writes it atomically
-// to the configured path, returning the image that was persisted. It
-// refuses with ErrRestoring while a restore prefix is mid-replay — a
-// checkpoint taken then would not cover the flows still waiting in the
-// old checkpoint's unreplayed prefix, so persisting it could lose them.
+// to the configured path, returning the image that was persisted.
 // Serialized with reloads: the file records the scheduling configuration
 // that was live when the state was captured. An attempt that fails — in
 // the capture or in the write — counts once in
@@ -53,9 +36,6 @@ func (s *Server) restoring() bool {
 func (s *Server) CheckpointNow(ctx context.Context) (*chkpt.Checkpoint, error) {
 	if s.ckptPath == "" {
 		return nil, ErrNoCheckpointPath
-	}
-	if s.restoring() {
-		return nil, ErrRestoring
 	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
@@ -76,10 +56,8 @@ func (s *Server) CheckpointNow(ctx context.Context) (*chkpt.Checkpoint, error) {
 }
 
 // checkpointLoop writes a checkpoint every ckptEvery until the round
-// loop ends. Ticks that land mid-restore are skipped (the previous
-// checkpoint stays authoritative); failures are counted by CheckpointNow
-// and exposed on /metrics rather than killing the daemon — the next tick
-// retries.
+// loop ends. Failures are counted by CheckpointNow and exposed on
+// /metrics rather than killing the daemon — the next tick retries.
 func (s *Server) checkpointLoop() {
 	defer close(s.ckptDone)
 	t := time.NewTicker(s.ckptEvery)
@@ -110,18 +88,12 @@ type checkpointResponse struct {
 	Pending int    `json:"pending"`
 }
 
-// handleCheckpoint writes a checkpoint on demand. 503 with Retry-After
-// while a restore is replaying (the previous checkpoint must stay
-// authoritative until every flow it covers is resident again).
+// handleCheckpoint writes a checkpoint on demand.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	ck, err := s.CheckpointNow(r.Context())
 	switch {
 	case errors.Is(err, ErrNoCheckpointPath):
 		http.Error(w, "checkpointing disabled: start the daemon with a checkpoint path", http.StatusConflict)
-		return
-	case errors.Is(err, ErrRestoring):
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "restoring: retry once the restored pending set is resident", http.StatusServiceUnavailable)
 		return
 	case err != nil:
 		http.Error(w, fmt.Sprintf("checkpoint failed: %v", err), http.StatusInternalServerError)
@@ -152,9 +124,8 @@ type reloadResponse struct {
 // handleReload swaps the scheduling policy and admission settings at the
 // runtime's next quiescent point without dropping the pending set.
 // Invalid requests change nothing and report 400; a reload during a
-// restore replay or a drain answers 503 with Retry-After (the former
-// clears in milliseconds, the latter never — but a draining daemon
-// already advertises itself via /healthz).
+// drain answers 503 with Retry-After (it never clears, but a draining
+// daemon already advertises itself via /healthz).
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	var req reloadRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody)).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
@@ -167,11 +138,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if draining {
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "draining: configuration is frozen", http.StatusServiceUnavailable)
-		return
-	}
-	if s.restoring() {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "restoring: retry once the restored pending set is resident", http.StatusServiceUnavailable)
 		return
 	}
 
@@ -225,13 +191,9 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 
 // Reload swaps the scheduling policy and admission settings at the
 // runtime's next quiescent point without dropping the pending set; the
-// new configuration is what later checkpoints record. It refuses with
-// ErrRestoring while a restore prefix is mid-replay. This is the same
+// new configuration is what later checkpoints record. This is the same
 // path POST /reload takes; cmd/flowschedd drives it on SIGHUP.
 func (s *Server) Reload(ctx context.Context, rc stream.ReloadConfig) error {
-	if s.restoring() {
-		return ErrRestoring
-	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 	return s.reloadLocked(ctx, rc)

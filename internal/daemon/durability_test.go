@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -158,9 +159,9 @@ func restoreCheckpoint() *chkpt.Checkpoint {
 	}
 }
 
-// TestDaemonRestoreContinuity: a server built from a checkpoint reports
-// "restoring" (503) until the pending prefix is resident, refuses
-// checkpoints and reloads meanwhile, then finishes the restored backlog
+// TestDaemonRestoreContinuity: a server built from a checkpoint is
+// healthy and checkpoints exactly the restored pending set before its
+// round loop has run a single round, then finishes the restored backlog
 // with response times charged from the original releases and counters
 // continuous with the checkpoint.
 func TestDaemonRestoreContinuity(t *testing.T) {
@@ -178,28 +179,27 @@ func TestDaemonRestoreContinuity(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Not started yet: the prefix cannot have replayed, so the restoring
-	// state is observable deterministically.
-	if code, status := getHealthz(t, ts.URL); code != http.StatusServiceUnavailable || status != "restoring" {
-		t.Fatalf("pre-start healthz: %d %q, want 503 restoring", code, status)
+	// Not started yet, so no round has run: the restored backlog is
+	// already resident, the daemon is healthy, and a checkpoint taken now
+	// is exactly the one it was restored from.
+	if code, status := getHealthz(t, ts.URL); code != http.StatusOK || status != "ok" {
+		t.Fatalf("restored healthz: %d %q, want 200 ok", code, status)
 	}
-	if code, _ := postJSON(t, ts.URL, "/checkpoint", ""); code != http.StatusServiceUnavailable {
-		t.Fatalf("checkpoint during restore: status %d, want 503", code)
+	if code, body := postJSON(t, ts.URL, "/checkpoint", ""); code != http.StatusOK {
+		t.Fatalf("checkpoint of the restored state: status %d, body %q", code, body)
 	}
-	if code, _ := postJSON(t, ts.URL, "/reload", `{"policy":"OldestFirst"}`); code != http.StatusServiceUnavailable {
-		t.Fatalf("reload during restore: status %d, want 503", code)
+	again, err := chkpt.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Round != ck.Round || again.Pending != ck.Pending || again.Counters != ck.Counters ||
+		again.SourceConsumed != ck.SourceConsumed || !slices.Equal(again.Flows, ck.Flows) {
+		t.Fatalf("checkpoint of the restored state differs:\n got %+v\nwant %+v", again, ck)
 	}
 
 	srv.Start()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if code, status := getHealthz(t, ts.URL); code == http.StatusOK && status == "ok" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("restore never finished")
-		}
-		time.Sleep(time.Millisecond)
+	if code, status := getHealthz(t, ts.URL); code != http.StatusOK || status != "ok" {
+		t.Fatalf("healthz right after Start: %d %q, want 200 ok", code, status)
 	}
 
 	flows := make([]switchnet.Flow, 5)

@@ -128,32 +128,24 @@ type healthzResponse struct {
 // handleHealthz reports liveness and routing advice. A draining daemon
 // answers 503 so load balancers stop routing to it — it is deliberately
 // leaving the pool, and every rejected POST /flows would otherwise count
-// against the caller. A restoring daemon (a restore's re-admission
-// prefix still replaying) also answers 503: it is about to be healthy,
-// but routing to it before the checkpointed backlog is resident would
-// interleave new work ahead of flows that are already owed responses.
-// A daemon whose fast SLO burn rate breaches reports "degraded" with the
-// breaching target names but stays 200: an overloaded scheduler still
-// serves, and pulling degraded replicas from a pool under load would
-// cascade the overload onto the survivors.
+// against the caller. A daemon whose fast SLO burn rate breaches reports
+// "degraded" with the breaching target names but stays 200: an
+// overloaded scheduler still serves, and pulling degraded replicas from
+// a pool under load would cascade the overload onto the survivors. A
+// restored daemon is "ok" from its first request: its checkpointed
+// backlog is resident before it serves.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
 	resp := healthzResponse{Status: "ok"}
 	code := http.StatusOK
-	switch {
-	case draining:
+	if draining {
 		resp.Status = "draining"
 		code = http.StatusServiceUnavailable
-	case s.restoring():
-		resp.Status = "restoring"
-		code = http.StatusServiceUnavailable
-	default:
-		if names := s.slo.Breaching(); len(names) > 0 {
-			resp.Status = "degraded"
-			resp.Breaching = names
-		}
+	} else if names := s.slo.Breaching(); len(names) > 0 {
+		resp.Status = "degraded"
+		resp.Breaching = names
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

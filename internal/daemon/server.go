@@ -8,17 +8,19 @@
 // optimality pilot's gauges),
 // GET /snapshot (the JSON Summary), GET /trace (the flight recorder's
 // per-round JSONL), GET /slo (burn-rate state), GET /pilot (live
-// competitive-ratio estimates), GET /healthz (drain/degraded aware) —
-// and a graceful shutdown path (POST /drain: refuse new ingest, finish
-// every pending flow, report the final accounting).
+// competitive-ratio estimates), GET /healthz ("ok", "degraded" or
+// "draining") — and a graceful shutdown path (POST /drain: refuse new
+// ingest, finish every pending flow, report the final accounting).
 //
 // The service is crash-safe when configured with a checkpoint path: the
 // runtime's quiescent-point snapshots are written as atomic, CRC-sealed
 // files (internal/chkpt) on a wall-clock cadence, on POST /checkpoint,
 // and once more after a graceful drain, and Config.Restore resumes a new
-// server from one — the pending set re-enters with original releases and
-// the cumulative counters continue from the checkpointed baselines, so
-// accounting and response quantiles are continuous across a kill -9.
+// server from one — the pending set is resident again, with original
+// releases, and the cumulative counters continue from the checkpointed
+// baselines by the time New returns, so accounting and response
+// quantiles are continuous across a kill -9 and a restored server is
+// healthy, checkpointable and reloadable from its first request.
 // POST /reload swaps the scheduling policy and admission settings
 // between rounds without dropping the pending set.
 //
@@ -118,9 +120,9 @@ type Config struct {
 	CheckpointEvery time.Duration
 	// Restore, when non-nil, resumes the runtime from a loaded (and
 	// already CRC-verified) checkpoint instead of starting empty: its
-	// switch shape must match Switch, its pending flows re-enter with
-	// their original releases ahead of new ingest, and the counters
-	// continue from the checkpointed baselines. The scheduling fields
+	// switch shape must match Switch, its pending flows are resident with
+	// their original releases when New returns, ahead of any new ingest,
+	// and the counters continue from the checkpointed baselines. The scheduling fields
 	// (Policy, MaxPending, Admit, Deadline) are NOT adopted from the
 	// checkpoint — the caller decides whether to keep or override them.
 	Restore *chkpt.Checkpoint
@@ -181,11 +183,6 @@ type Server struct {
 	// inside drainOnce, read only after it (Drain surfaces it when the
 	// run itself succeeded).
 	finalCkptErr error
-	// resumeTarget is the checkpointed Admitted counter when this server
-	// was built from Config.Restore: the restored runtime's admission
-	// counter starts Pending short of it and climbs back as the prefix
-	// re-admits, so Admitted < resumeTarget means "restoring".
-	resumeTarget int64
 }
 
 // New builds a Server; the runtime configuration is validated eagerly.
@@ -234,16 +231,13 @@ func New(cfg Config) (*Server, error) {
 		ResponseBound: cfg.ResponseBound,
 		OnSchedule:    onSchedule,
 	}
-	// The runtime's source: on a restore, the checkpointed pending set
-	// (plus its lookahead flow, if any) replays ahead of the live feed so
-	// every checkpointed flow re-enters — with its original release —
-	// before anything newly ingested.
-	var rtSrc stream.Source = src
+	// On a restore the checkpointed pending set (plus its lookahead flow,
+	// if any) is resident, with original releases, when stream.New
+	// returns: the live feed carries only what is ingested after it.
 	if cfg.Restore != nil {
-		rtSrc = workload.NewCheckpointSource(cfg.Restore.Flows, src)
-		scfg.Resume = cfg.Restore.Resume()
+		scfg.Resume = cfg.Restore.State()
 	}
-	rt, err := stream.New(rtSrc, scfg)
+	rt, err := stream.New(src, scfg)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: %w", err)
 	}
@@ -298,9 +292,6 @@ func New(cfg Config) (*Server, error) {
 		ckptPath:    cfg.CheckpointPath,
 		ckptEvery:   cfg.CheckpointEvery,
 		ckptDone:    make(chan struct{}),
-	}
-	if cfg.Restore != nil {
-		s.resumeTarget = cfg.Restore.Counters.Admitted
 	}
 	s.mux.HandleFunc("POST /flows", s.handleFlows)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)

@@ -3,10 +3,12 @@ package engine
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"flowsched/internal/heuristics"
 	"flowsched/internal/switchnet"
 	"flowsched/internal/workload"
 )
@@ -179,20 +181,31 @@ func TestFixedGenClones(t *testing.T) {
 	}
 }
 
-func TestSolverByName(t *testing.T) {
-	for _, name := range []string{"ART(c=1)", "MRT", "AMRT", "MaxCard", "MinRTime", "MaxWeight", "FIFO", "GreedyAge", "Coflow/SEBF", "Coflow/SCF", "Coflow/FIFO"} {
-		if SolverByName(name) == nil {
-			t.Fatalf("SolverByName(%q) = nil", name)
+// solversNamed picks solvers by Name from the default registry plus the
+// variants it leaves out — the FIFO and GreedyAge heuristics and the SCF
+// and FIFO coflow orders — failing t on a name neither holds.
+func solversNamed(t testing.TB, names ...string) []Solver {
+	t.Helper()
+	all := append(Solvers(),
+		PolicySolver{Policy: heuristics.ByName("FIFO")},
+		PolicySolver{Policy: heuristics.ByName("GreedyAge")},
+		CoflowSolver{Policy: "SCF"},
+		CoflowSolver{Policy: "FIFO"},
+	)
+	out := make([]Solver, len(names))
+	for i, name := range names {
+		j := slices.IndexFunc(all, func(s Solver) bool { return s.Name() == name })
+		if j < 0 {
+			t.Fatalf("no solver named %q", name)
 		}
+		out[i] = all[j]
 	}
-	if SolverByName("nope") != nil {
-		t.Fatal("unknown name should resolve to nil")
-	}
+	return out
 }
 
 func TestResultTableCSV(t *testing.T) {
 	cfg := SweepConfig{
-		Solvers:    []Solver{PolicySolver{Policy: SolverByName("MaxCard").(PolicySolver).Policy}},
+		Solvers:    solversNamed(t, "MaxCard"),
 		Generators: []Generator{PoissonGen{Cfg: workload.PoissonConfig{M: 2, T: 3, Ports: 3}}},
 		Trials:     2,
 		Seed:       3,
@@ -219,7 +232,7 @@ func TestResultTableCSV(t *testing.T) {
 // the augmentation its solver declared.
 func TestLPSolversReportStageCounts(t *testing.T) {
 	table := RunSweep(SweepConfig{
-		Solvers:    []Solver{ARTSolver{C: 1}, MRTSolver{}, SolverByName("MaxCard")},
+		Solvers:    solversNamed(t, "ART(c=1)", "MRT", "MaxCard"),
 		Generators: []Generator{PoissonGen{Cfg: workload.PoissonConfig{M: 3, T: 3, Ports: 3}}},
 		Trials:     1,
 		Seed:       5,
@@ -284,9 +297,9 @@ func TestEmptyInstanceScenarios(t *testing.T) {
 func TestParetoGenScenarios(t *testing.T) {
 	gen := ParetoGen{Cfg: workload.ParetoConfig{M: 4, T: 6, Ports: 5, Alpha: 1.1, MinDemand: 1, MaxDemand: 6}}
 	var scenarios []Scenario
-	for _, name := range []string{"MRT", "AMRT", "MaxWeight", "FIFO"} {
+	for _, s := range solversNamed(t, "MRT", "AMRT", "MaxWeight", "FIFO") {
 		for seed := int64(1); seed <= 3; seed++ {
-			scenarios = append(scenarios, Scenario{Seed: seed, Workload: gen, Solver: SolverByName(name)})
+			scenarios = append(scenarios, Scenario{Seed: seed, Workload: gen, Solver: s})
 		}
 	}
 	verdicts := Run(scenarios, Options{Workers: 2, KeepInstances: true})

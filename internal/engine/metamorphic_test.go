@@ -24,8 +24,9 @@ func TestMetamorphicBoundsBelowPolicySchedules(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		for _, name := range []string{"MaxCard", "MinRTime", "MaxWeight", "FIFO", "GreedyAge"} {
-			sol, err := SolverByName(name).Solve(inst)
+		for _, s := range solversNamed(t, "MaxCard", "MinRTime", "MaxWeight", "FIFO", "GreedyAge") {
+			name := s.Name()
+			sol, err := s.Solve(inst)
 			if err != nil {
 				t.Fatalf("trial %d: %s: %v", trial, name, err)
 			}

@@ -244,23 +244,3 @@ func Solvers() []Solver {
 	}
 	return append(out, CoflowSolver{Policy: "SEBF"})
 }
-
-// SolverByName resolves a registered solver by Name; nil if unknown. Sim
-// policies outside the default registry (FIFO, GreedyAge) resolve too.
-func SolverByName(name string) Solver {
-	for _, s := range Solvers() {
-		if s.Name() == name {
-			return s
-		}
-	}
-	if p := heuristics.ByName(name); p != nil {
-		return PolicySolver{Policy: p}
-	}
-	switch name {
-	case "Coflow/SCF":
-		return CoflowSolver{Policy: "SCF"}
-	case "Coflow/FIFO":
-		return CoflowSolver{Policy: "FIFO"}
-	}
-	return nil
-}

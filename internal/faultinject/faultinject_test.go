@@ -80,8 +80,8 @@ type flowResp struct {
 // for every registry policy at every supported shard count. The
 // stateful policies (RoundRobin's rotation pointers, WeightedISLIP's
 // grant/accept pointers) only pass because the checkpoint carries
-// their scratch; the age-indexed policies only pass because restore
-// re-admission rebuilds the candidate index deterministically.
+// their scratch; the others only pass because a restore re-admits the
+// pending set under its original sequence numbers and shards.
 func TestCrashEquivalenceDifferential(t *testing.T) {
 	const ports, rounds, per = 6, 60, 9
 	flows := genFlows(ports, rounds, per)
@@ -163,12 +163,13 @@ func TestCrashEquivalenceDifferential(t *testing.T) {
 					}
 					pre = kept
 					var post []flowResp
-					tail := workload.Skip(&fixedSource{flows: flows}, int(ck.SourceConsumed))
+					tail := &fixedSource{flows: flows}
+					workload.Skip(tail, ck.SourceConsumed)
 					cfgC := cfgFor(func(seq int64, f switchnet.Flow, round int) {
 						post = append(post, flowResp{f, round})
 					})
-					cfgC.Resume = ck.Resume()
-					rtC, err := stream.New(workload.NewCheckpointSource(ck.Flows, tail), cfgC)
+					cfgC.Resume = ck.State()
+					rtC, err := stream.New(tail, cfgC)
 					if err != nil {
 						t.Fatal(err)
 					}

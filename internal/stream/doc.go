@@ -285,13 +285,14 @@
 // finds after forcing any owed retirement (Runtime.quiesce). That point
 // is quiescent — every pick settled, every inbox empty, the summary
 // balanced — so each operation is a few lines run there, with no locks
-// on the round path and no flow ever observed in two states; once Run has
-// returned the same closure runs directly on the caller:
+// on the round path and no flow ever observed in two states; before Run
+// has started and once it has returned the same closure runs directly on
+// the caller:
 //
 //   - Runtime.CheckpointState captures a CheckpointState: the pending set
 //     in global admission order (a K-way merge of the shards'
 //     admission-order sublists by sequence number, so releases are
-//     non-decreasing along it and a restore can replay it as a source),
+//     non-decreasing along it and a restore can re-admit it in order),
 //     original releases preserved, plus the coordinator's un-admitted
 //     lookahead flow if it holds one (it does only between an idle fetch
 //     and the next admission pass), the round, and an exact Summary. One
@@ -304,20 +305,25 @@
 //     TestSteadyStateZeroAllocCheckpoint). internal/chkpt serializes the
 //     state to atomic, CRC-sealed files.
 //
-//   - Config.Resume restarts from a checkpoint: the clock opens at the
-//     checkpointed round, the first Resume.Pending source flows (fed by
-//     workload.NewCheckpointSource: checkpoint prefix, then the normal
-//     tail) are re-admissions — not re-counted as admissions or
-//     backpressure, thanks to a counter baseline started exactly Pending
-//     short — and the cumulative counters continue from the checkpointed
-//     values. Response times stay charged from original releases, and
-//     Admitted == Completed + Pending + Dropped + Expired holds across
-//     the restart as if it never happened. A checkpoint also carries the
-//     policy's schedule-affecting scratch (CheckpointState.Scratch,
-//     chkpt format v2) and the window quantile sketches
-//     (CheckpointState.Windows, via stats.EpochWindow Export/Import), so
-//     a kill -9/restore cycle is schedule-exact for every native policy
-//     and window metrics continue instead of restarting empty:
+//   - Config.Resume takes a CheckpointState, and a restored runtime is
+//     whole when New returns: the clock reads the checkpointed round, the
+//     cumulative counters continue from the checkpointed values, the
+//     pending set is resident again — routed and threaded under the
+//     admission sequence numbers and shards it had, not counted again as
+//     admissions or backpressure — and a lookahead flow is held exactly
+//     where idle left it. The source carries only the rest of the stream
+//     (workload.Skip for a replayable one; a live feed starts empty), so
+//     there is no interval after a restart in which the backlog is still
+//     arriving: Snapshot, CheckpointState and Reload see the whole
+//     restored state at once. Response times stay charged from original
+//     releases, and Admitted == Completed + Pending + Dropped + Expired
+//     holds across the restart as if it never happened. A checkpoint
+//     also carries the policy's schedule-affecting scratch
+//     (CheckpointState.Scratch, chkpt format v2) and the window quantile
+//     sketches (CheckpointState.Windows, via stats.EpochWindow
+//     Export/Import), so a kill -9/restore cycle is schedule-exact for
+//     every native policy and window metrics continue instead of
+//     restarting empty:
 //
 //   - StreamFIFO: restore-exact; selection is memoryless given the
 //     restored pending order.

@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the runtime's durability and live-reconfiguration surface:
-// quiescent-point checkpoint capture, restore baselines, and policy /
-// admission reload. Everything here rides the coordinator's quiescent-
+// quiescent-point checkpoint capture, restore, and policy / admission
+// reload. Everything here rides the coordinator's quiescent-
 // point mailbox — one non-blocking select at the top of each step — so
 // the steady-state round loop pays nothing for any of it (see the package
 // docs, "Durability and reload").
@@ -24,8 +24,8 @@ import (
 // both "completed" and "pending".
 type CheckpointState struct {
 	// Round is the round the snapshot is consistent at: every flow in
-	// Flows[:Pending] was released at or before it, and a restored
-	// runtime resumes at exactly this round.
+	// Flows was released at or before it, and a restored runtime resumes
+	// at exactly this round.
 	Round int
 	// Pending is the number of leading Flows entries that are resident
 	// pending flows; it always equals Summary.Pending.
@@ -35,9 +35,9 @@ type CheckpointState struct {
 	// non-decreasing along it), plus at most one trailing flow the
 	// coordinator had fetched from the source while idle but not yet
 	// admitted (the lookahead). The lookahead is part of the unconsumed
-	// stream, not the pending set: a restore replays it as the first
-	// post-pending source flow, and it is the only consumed-but-unadmitted
-	// flow that can exist at a quiescent point.
+	// stream, not the pending set: a restored runtime holds it as the next
+	// flow to admit, and it is the only consumed-but-unadmitted flow that
+	// can exist at a quiescent point.
 	Flows []switchnet.Flow
 	// Summary is the exact metrics summary at the snapshot point.
 	Summary Summary
@@ -64,103 +64,28 @@ func (st *CheckpointState) SourceFlows() int64 {
 	return st.Summary.Admitted + int64(len(st.Flows)-st.Pending)
 }
 
-// Resume converts the snapshot into the Config.Resume a restored runtime
-// needs. The flow prefix travels separately, through the restore source
-// (workload.NewCheckpointSource over Flows).
-func (st *CheckpointState) Resume() *Resume {
-	return &Resume{
-		Round:         st.Round,
-		Pending:       st.Pending,
-		ScratchPolicy: st.Policy,
-		Scratch:       st.Scratch,
-		Windows:       st.Windows,
-		Counters:      st.Summary.Counters(),
+// restore validates st (see Config.Resume) and makes the runtime its
+// continuation: the clock opens at st.Round, the cumulative counters
+// continue from st.Summary, the pending set is routed and threaded back
+// into the shards with its original releases — under the admission
+// sequence numbers and shards it held before, and counted neither as
+// admissions nor as backpressure, because it arrived in the previous run —
+// and a trailing lookahead becomes the held flow idle would have left.
+// Called once, at the end of New.
+func (rt *Runtime) restore(st *CheckpointState) error {
+	c := st.Summary
+	if st.Round < 0 {
+		return fmt.Errorf("stream: resume round %d is negative", st.Round)
 	}
-}
-
-// Resume restarts a runtime from a checkpointed state: the clock opens at
-// Round instead of zero, the first Pending source flows are re-admissions
-// of the checkpointed pending set (they re-enter with their original
-// releases and are not re-counted as admissions or backpressure), and the
-// cumulative counters continue from the checkpointed baselines — so
-// response times stay charged from each flow's original release and
-// Admitted == Completed + Pending + Dropped + Expired holds across the
-// restart as if it never happened.
-type Resume struct {
-	// Round is the round to resume at; it must be at least every restored
-	// flow's release.
-	Round int
-	// Pending is the number of leading source flows that are checkpoint
-	// re-admissions. It must not exceed MaxPending: a checkpoint taken
-	// under a larger admission limit cannot be restored into a smaller
-	// one without shedding, which a restore must never do silently.
-	Pending int
-	// Counters are the cumulative baselines at the checkpoint.
-	Counters ResumeCounters
-	// ScratchPolicy/Scratch restore policy rotation state: Scratch is
-	// imported into the per-shard policy instances only when ScratchPolicy
-	// matches the resumed runtime's policy name, the shard counts agree,
-	// and the policy carries scratch at all — any mismatch (an explicit
-	// policy or shard-count override at restore) silently resumes with
-	// fresh pointers, which is a correct, merely less schedule-exact,
-	// restore. A shape-matched import that still fails (corrupt values)
-	// is a hard construction error.
-	ScratchPolicy string
-	Scratch       [][]int64
-	// Windows restores the sliding-window quantile sketches; snapshots
-	// are merged into shard 0's window (Snapshot merges across shards, so
-	// carrying history on one shard is indistinguishable), tolerant of a
-	// shard-count change. Incompatible window geometry drops them.
-	Windows []stats.WindowSnapshot
-}
-
-// ResumeCounters are the checkpointed cumulative counters a restored
-// runtime continues from; see the matching Summary fields for semantics.
-// They must balance: Admitted == Completed + Pending + Dropped + Expired.
-// The JSON tags are the checkpoint file's keys (internal/chkpt writes
-// this struct as it is).
-type ResumeCounters struct {
-	Admitted      int64 `json:"admitted"`
-	Completed     int64 `json:"completed"`
-	Dropped       int64 `json:"dropped"`
-	Expired       int64 `json:"expired"`
-	Backpressured int64 `json:"backpressured"`
-	TotalResponse int64 `json:"total_response"`
-	SlowResponses int64 `json:"slow_responses"`
-	Rounds        int64 `json:"rounds"`
-	MaxResponse   int   `json:"max_response"`
-	PeakPending   int   `json:"peak_pending"`
-}
-
-// Counters extracts the cumulative counters a restore continues from.
-func (s Summary) Counters() ResumeCounters {
-	return ResumeCounters{
-		Admitted:      s.Admitted,
-		Completed:     s.Completed,
-		Dropped:       s.Dropped,
-		Expired:       s.Expired,
-		Backpressured: s.Backpressured,
-		TotalResponse: s.TotalResponse,
-		SlowResponses: s.SlowResponses,
-		Rounds:        s.Rounds,
-		MaxResponse:   s.MaxResponse,
-		PeakPending:   s.PeakPending,
+	if st.Pending < 0 {
+		return fmt.Errorf("stream: resume pending count %d is negative", st.Pending)
 	}
-}
-
-// applyResume validates r and seeds the runtime's clock, counters, and
-// re-admission budget from it. Called once, at the end of New.
-func (rt *Runtime) applyResume(r *Resume) error {
-	c := r.Counters
-	if r.Round < 0 {
-		return fmt.Errorf("stream: resume round %d is negative", r.Round)
-	}
-	if r.Pending < 0 {
-		return fmt.Errorf("stream: resume pending count %d is negative", r.Pending)
-	}
-	if r.Pending > rt.cfg.MaxPending {
+	if st.Pending > rt.cfg.MaxPending {
 		return fmt.Errorf("stream: resume pending count %d exceeds MaxPending %d (restore must not shed checkpointed flows)",
-			r.Pending, rt.cfg.MaxPending)
+			st.Pending, rt.cfg.MaxPending)
+	}
+	if n := len(st.Flows); n < st.Pending || n > st.Pending+1 {
+		return fmt.Errorf("stream: resume carries %d flows for %d pending (at most one lookahead)", n, st.Pending)
 	}
 	for _, v := range []int64{c.Admitted, c.Completed, c.Dropped, c.Expired, c.Backpressured,
 		c.TotalResponse, c.SlowResponses, c.Rounds, int64(c.MaxResponse), int64(c.PeakPending)} {
@@ -168,23 +93,36 @@ func (rt *Runtime) applyResume(r *Resume) error {
 			return fmt.Errorf("stream: resume counters contain a negative value: %+v", c)
 		}
 	}
-	if c.Admitted != c.Completed+int64(r.Pending)+c.Dropped+c.Expired {
+	if c.Admitted != c.Completed+int64(st.Pending)+c.Dropped+c.Expired {
 		return fmt.Errorf("stream: resume counters do not balance: admitted %d != completed %d + pending %d + dropped %d + expired %d",
-			c.Admitted, c.Completed, r.Pending, c.Dropped, c.Expired)
+			c.Admitted, c.Completed, st.Pending, c.Dropped, c.Expired)
 	}
-	rt.round = r.Round
-	rt.vstart = r.Round
-	rt.restoreLeft = r.Pending
-	rt.peak = c.PeakPending
-	rt.mRound.Store(int64(r.Round))
+	rt.round = st.Round
+	rt.vstart = st.Round
+	for i, f := range st.Flows {
+		if f.Release > st.Round {
+			return fmt.Errorf("stream: resume flow %d released at %d, after the resume round %d", i, f.Release, st.Round)
+		}
+		var err error
+		if i < st.Pending {
+			_, err = rt.route(f)
+		} else if err = rt.checkFlow(f); err == nil {
+			rt.look, rt.haveLook = f, true
+		}
+		if err != nil {
+			return fmt.Errorf("stream: resume flow %d: %w", i, err)
+		}
+	}
+	for _, sh := range rt.shards {
+		sh.admitAll()
+	}
+	rt.peak = max(c.PeakPending, rt.count)
+	rt.mRound.Store(int64(st.Round))
 	rt.mRounds.Store(c.Rounds)
-	// The re-admissions will be counted again as they arrive; start the
-	// admission counter short by exactly that many so the total lands back
-	// on the checkpointed value.
-	rt.mAdmitted.Store(c.Admitted - int64(r.Pending))
+	rt.mAdmitted.Store(c.Admitted)
 	rt.mBackpressured.Store(c.Backpressured)
 	rt.mDropped.Store(c.Dropped)
-	rt.mPeak.Store(int64(c.PeakPending))
+	rt.mPeak.Store(int64(rt.peak))
 	// Completion baselines live on shard 0: Snapshot sums the scalar
 	// counters and maxes the response high-water mark across shards, so
 	// one shard carrying the history is indistinguishable from all of
@@ -199,10 +137,10 @@ func (rt *Runtime) applyResume(r *Resume) error {
 	// onto shard instances that carry scratch — anything else means the
 	// operator overrode the configuration at restore, and fresh rotation
 	// pointers are the correct fallback.
-	if len(r.Scratch) == rt.nshards && r.ScratchPolicy == rt.cfg.Policy.Name() {
+	if len(st.Scratch) == rt.nshards && st.Policy == rt.cfg.Policy.Name() {
 		if _, ok := rt.shards[0].pol.(scratchPolicy); ok {
 			for s, shd := range rt.shards {
-				if err := shd.pol.(scratchPolicy).importScratch(r.Scratch[s]); err != nil {
+				if err := shd.pol.(scratchPolicy).importScratch(st.Scratch[s]); err != nil {
 					return fmt.Errorf("stream: resume policy scratch (shard %d): %w", s, err)
 				}
 			}
@@ -211,8 +149,8 @@ func (rt *Runtime) applyResume(r *Resume) error {
 	// Window sketches: merge every checkpointed shard window into shard
 	// 0's (readers merge across shards anyway), tolerating a shard-count
 	// change between the checkpoint and the resume.
-	for i := range r.Windows {
-		sh.win.Import(&r.Windows[i])
+	for i := range st.Windows {
+		sh.win.Import(&st.Windows[i])
 	}
 	return nil
 }
@@ -281,13 +219,26 @@ func (rt *Runtime) serveCtl() {
 }
 
 // quiesce runs fn against quiescent runtime state and returns once it
-// has: on the coordinator between rounds while Run is live (owed picks
-// settled first; an idle Park is woken for it), or directly on the
-// caller once Run has returned (best-effort if the run failed mid-round:
-// picks the error abandoned may still be linked). When ctx ends first fn
-// may still run later, so it must not write anything its caller reads
+// has: directly on the caller before Run has started (New leaves the
+// state whole, restored backlog included), on the coordinator between
+// rounds while Run is live (owed picks settled first; an idle Park is
+// woken for it), or directly on the caller once Run has returned
+// (best-effort if the run failed mid-round: picks the error abandoned may
+// still be linked). A ctx already done runs nothing; when ctx ends first
+// fn may still run later, so it must not write anything its caller reads
 // after an error.
 func (rt *Runtime) quiesce(ctx context.Context, fn func()) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	rt.runMu.Lock()
+	if !rt.running {
+		// Holding runMu keeps Run from starting under fn.
+		defer rt.runMu.Unlock()
+		fn()
+		return nil
+	}
+	rt.runMu.Unlock()
 	ran := make(chan struct{})
 	select {
 	case rt.ctl <- func() { fn(); close(ran) }:
@@ -377,8 +328,8 @@ func (rt *Runtime) collectWindows(dst []stats.WindowSnapshot) []stats.WindowSnap
 // collectPendingBySeq appends every resident pending flow to dst in
 // global admission order — a K-way merge of the shards' admission-order
 // sublists by sequence number. Checkpoints use it instead of the plain
-// shard-order walk because a restore replays the flows as a source, and
-// the stream contract requires globally non-decreasing releases;
+// shard-order walk because a restore re-admits the flows in order under
+// the stream contract, which requires globally non-decreasing releases;
 // admission order guarantees that (and re-routing by input port lands
 // every flow back on its original shard, in its original per-shard
 // order). The merge scratch is runtime-owned and reused, so a warmed
@@ -429,7 +380,8 @@ func (rt *Runtime) fireCheckpoint() {
 // round loop: the coordinator collects it between rounds (retiring owed
 // picks first, so the snapshot never contains an already-scheduled flow)
 // into dst[:0], along with the round the snapshot is consistent at.
-// After Run has returned the quiescent state is read directly. A runtime
+// Before Run has started or after it has returned the quiescent state is
+// read directly. A runtime
 // parked idle on a Parker source is woken to answer. dst is reused across
 // calls by design; the returned slice aliases it.
 func (rt *Runtime) PendingFlows(ctx context.Context, dst []switchnet.Flow) ([]switchnet.Flow, int, error) {

@@ -10,8 +10,8 @@ import (
 	"flowsched/internal/workload"
 )
 
-// sliceSource replays a fixed flow slice,
-// standing in for a checkpoint prefix or a finite recorded stream.
+// sliceSource replays a fixed flow slice, standing in for a finite
+// recorded stream.
 type sliceSource struct {
 	flows []switchnet.Flow
 	at    int
@@ -75,28 +75,41 @@ func TestResumeValidation(t *testing.T) {
 	base := func() Config {
 		return Config{Switch: sw, Policy: ByName("StreamFIFO"), Shards: 1, MaxPending: 8}
 	}
-	ok := ResumeCounters{Admitted: 10, Completed: 7, Dropped: 0, Expired: 0}
+	ok := Summary{Admitted: 10, Completed: 7, Dropped: 0, Expired: 0}
+	three := genFlows(4, 3, 1) // releases 0, 1, 2
+	with := func(mut func(fs []switchnet.Flow)) []switchnet.Flow {
+		fs := append([]switchnet.Flow(nil), three...)
+		mut(fs)
+		return fs
+	}
 	for _, tc := range []struct {
 		name string
-		r    Resume
+		st   CheckpointState
 	}{
-		{"negative round", Resume{Round: -1, Pending: 3, Counters: ok}},
-		{"negative pending", Resume{Round: 5, Pending: -1, Counters: ok}},
-		{"pending over MaxPending", Resume{Round: 5, Pending: 9, Counters: ResumeCounters{Admitted: 9, Completed: 0}}},
-		{"unbalanced counters", Resume{Round: 5, Pending: 3, Counters: ResumeCounters{Admitted: 11, Completed: 7}}},
-		{"negative counter", Resume{Round: 5, Pending: 3, Counters: ResumeCounters{Admitted: 10, Completed: 7, TotalResponse: -1}}},
+		{"negative round", CheckpointState{Round: -1, Pending: 3, Flows: three, Summary: ok}},
+		{"negative pending", CheckpointState{Round: 5, Pending: -1, Summary: ok}},
+		{"pending over MaxPending", CheckpointState{Round: 5, Pending: 9, Flows: genFlows(4, 9, 1), Summary: Summary{Admitted: 9, Completed: 0}}},
+		{"unbalanced counters", CheckpointState{Round: 5, Pending: 3, Flows: three, Summary: Summary{Admitted: 11, Completed: 7}}},
+		{"negative counter", CheckpointState{Round: 5, Pending: 3, Flows: three, Summary: Summary{Admitted: 10, Completed: 7, TotalResponse: -1}}},
+		{"flows short of pending", CheckpointState{Round: 5, Pending: 3, Flows: three[:2], Summary: ok}},
+		{"two flows past pending", CheckpointState{Round: 5, Pending: 1, Flows: three, Summary: Summary{Admitted: 8, Completed: 7}}},
+		{"released after round", CheckpointState{Round: 1, Pending: 3, Flows: three, Summary: ok}},
+		{"lookahead released after round", CheckpointState{Round: 0, Pending: 1, Flows: three[:2], Summary: Summary{Admitted: 8, Completed: 7}}},
+		{"releases decrease", CheckpointState{Round: 5, Pending: 3, Flows: with(func(fs []switchnet.Flow) { fs[2].Release = 0 }), Summary: ok}},
+		{"inadmissible flow", CheckpointState{Round: 5, Pending: 3, Flows: with(func(fs []switchnet.Flow) { fs[1].Demand = 2 }), Summary: ok}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base()
-			cfg.Resume = &tc.r
+			cfg.Resume = &tc.st
 			if _, err := New(&sliceSource{}, cfg); err == nil {
-				t.Fatalf("New accepted resume %+v", tc.r)
+				t.Fatalf("New accepted resume %+v", tc.st)
 			}
 		})
 	}
-	// The balanced case constructs and reports the baselines verbatim.
+	// The balanced case constructs and reports the baselines verbatim,
+	// with the restored pending set already resident.
 	cfg := base()
-	cfg.Resume = &Resume{Round: 5, Pending: 3, Counters: ResumeCounters{
+	cfg.Resume = &CheckpointState{Round: 5, Pending: 3, Flows: three, Summary: Summary{
 		Admitted: 10, Completed: 7, TotalResponse: 21, MaxResponse: 6, Rounds: 5, PeakPending: 4,
 	}}
 	rt, err := New(&sliceSource{}, cfg)
@@ -107,11 +120,68 @@ func TestResumeValidation(t *testing.T) {
 	if s.Round != 5 || s.Rounds != 5 || s.Completed != 7 || s.TotalResponse != 21 || s.MaxResponse != 6 || s.PeakPending != 4 {
 		t.Fatalf("restored baselines not visible in snapshot: %+v", s)
 	}
-	if s.Pending != 3-3 {
-		// Admitted baseline is short by Pending until the re-admissions
-		// arrive, so a pre-Run snapshot reports zero pending.
-		t.Fatalf("pre-run snapshot pending = %d, want 0", s.Pending)
+	if s.Pending != 3 || s.Admitted != 10 {
+		t.Fatalf("snapshot right after New: pending %d, admitted %d; want the checkpoint's 3 and 10", s.Pending, s.Admitted)
 	}
+}
+
+// TestResumeReplaysPrefixThenTail pins the order a restore admits in: the
+// restored pending set under sequence numbers 0..Pending-1, then the
+// lookahead, then the source tail — read through PullBatch when it is
+// released by the resume round, through the idle step's Next when it is
+// released later — and the tail's first batch counts the restored flows
+// against MaxPending.
+func TestResumeReplaysPrefixThenTail(t *testing.T) {
+	sw := switchnet.UnitSwitch(4)
+	prefix := genFlows(4, 3, 1) // releases 0, 1, 2
+	tail := func(n, rel int) []switchnet.Flow {
+		out := make([]switchnet.Flow, n)
+		for i := range out {
+			out[i] = switchnet.Flow{In: i % 4, Out: (i + 2) % 4, Demand: 1, Release: rel}
+		}
+		return out
+	}
+	drain := func(t *testing.T, st *CheckpointState, rest []switchnet.Flow, maxPending int) *Summary {
+		t.Helper()
+		want := append(append([]switchnet.Flow(nil), st.Flows...), rest...)
+		scheduled := 0
+		rt, err := New(&sliceSource{flows: rest}, Config{
+			Switch: sw, Policy: ByName("StreamFIFO"), MaxPending: maxPending, Resume: st,
+			OnSchedule: func(seq int64, f switchnet.Flow, _ int) {
+				scheduled++
+				if seq >= int64(len(want)) || f != want[seq] {
+					t.Errorf("seq %d is %+v; want the admission order %+v", seq, f, want)
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := rt.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scheduled != len(want) || sum.Admitted != st.SourceFlows()+int64(len(rest)) {
+			t.Fatalf("scheduled %d of %d flows: %+v", scheduled, len(want), sum)
+		}
+		return sum
+	}
+	t.Run("PullBatch", func(t *testing.T) {
+		drain(t, &CheckpointState{Round: 2, Pending: 3, Flows: prefix, Summary: Summary{Admitted: 3}}, tail(4, 2), 0)
+	})
+	t.Run("Next", func(t *testing.T) {
+		// Only a lookahead: it is admitted first, and the tail, released
+		// after the backlog drains, is fetched by the idle step.
+		drain(t, &CheckpointState{Round: 2, Pending: 0, Flows: prefix[2:], Summary: Summary{Admitted: 5, Completed: 5}}, tail(3, 9), 0)
+	})
+	t.Run("batch respects max across the seam", func(t *testing.T) {
+		sum := drain(t, &CheckpointState{Round: 2, Pending: 3, Flows: prefix, Summary: Summary{Admitted: 3, PeakPending: 3}}, tail(4, 2), 4)
+		// One tail flow fits beside the three restored ones at the resume
+		// round; the other three wait, so they are backpressured.
+		if sum.PeakPending != 4 || sum.Backpressured != 3 {
+			t.Fatalf("peak pending %d, backpressured %d; want 4 and 3", sum.PeakPending, sum.Backpressured)
+		}
+	})
 }
 
 // TestCheckpointConfigValidation pins the trigger's construction checks.
@@ -129,7 +199,7 @@ func TestCheckpointConfigValidation(t *testing.T) {
 
 // TestCheckpointRestoreContinuity is the core restore property at the
 // stream layer: checkpoint an uninterrupted drain mid-run, restore a
-// fresh runtime from that state (checkpoint prefix + skipped source
+// fresh runtime from that state (Config.Resume plus the skipped source
 // tail), drain it, and the restored run's final summary and completion
 // multiset must match the uninterrupted run exactly — same flows, same
 // rounds, same response accounting charged from original releases.
@@ -195,13 +265,14 @@ func TestCheckpointRestoreContinuity(t *testing.T) {
 			}
 			pre = kept
 
-			// Restored drain: checkpoint prefix, then the recorded stream
-			// past the consumed point.
+			// Restored drain: the checkpointed state, then the recorded
+			// stream past the consumed point.
 			var post []flowResp
-			tail := workload.Skip(&sliceSource{flows: flows}, int(st.SourceFlows()))
-			rtC, err := New(workload.NewCheckpointSource(st.Flows, tail), Config{
+			tail := &sliceSource{flows: flows}
+			workload.Skip(tail, st.SourceFlows())
+			rtC, err := New(tail, Config{
 				Switch: sw, Policy: ByName(pol), Shards: 1, MaxPending: 24,
-				Resume: st.Resume(),
+				Resume: &st,
 				OnSchedule: func(seq int64, f switchnet.Flow, round int) {
 					post = append(post, flowResp{f, round})
 				},
@@ -358,10 +429,10 @@ func TestRestorePreservesBackpressureSemantics(t *testing.T) {
 		{In: 1, Out: 2, Demand: 1, Release: 4},
 		{In: 2, Out: 3, Demand: 1, Release: 5},
 	}
-	res := &Resume{Round: 9, Pending: len(pending), Counters: ResumeCounters{
+	res := &CheckpointState{Round: 9, Pending: len(pending), Flows: pending, Summary: Summary{
 		Admitted: 10, Completed: 7, TotalResponse: 30, Rounds: 9, MaxResponse: 5, PeakPending: 5, Backpressured: 2,
 	}}
-	rt, err := New(workload.NewCheckpointSource(pending, &sliceSource{}), Config{
+	rt, err := New(&sliceSource{}, Config{
 		Switch: sw, Policy: ByName("StreamFIFO"), Shards: 1, MaxPending: 8, Resume: res,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -64,6 +65,89 @@ func FuzzPolicyPicks(f *testing.F) {
 		}
 		for _, factor := range factors {
 			fuzzPolicyPicks(t, inst, name, K, maxPending, factor)
+		}
+	})
+}
+
+// FuzzResume feeds an arbitrary CheckpointState into New with an
+// InstanceSource tail on a 4x4 unit switch: any round, pending count and
+// counters, and up to eight restored flows that may be out of range,
+// unsorted, released after the round, or more than one past the pending
+// set. New either refuses it or returns a runtime whose Snapshot already
+// holds the checkpoint's pending set, and whose run then drains
+// verifier-clean with every flow it was handed accounted for. Nothing
+// panics.
+func FuzzResume(f *testing.F) {
+	valid := []byte{0, 1, 0, 4, 1, 2, 0, 3, 2, 3, 0, 2} // releases round-2, round-1, round
+	f.Add(int32(10), int8(3), int16(7), int16(0), int16(0), int16(30), int8(0), uint8(0), uint8(0), uint8(5), valid)
+	f.Add(int32(10), int8(3), int16(7), int16(2), int16(1), int16(30), int8(0), uint8(1), uint8(1), uint8(9), valid)
+	f.Add(int32(10), int8(2), int16(7), int16(0), int16(0), int16(30), int8(0), uint8(2), uint8(0), uint8(3), valid) // lookahead
+	f.Add(int32(10), int8(1), int16(7), int16(0), int16(0), int16(30), int8(0), uint8(3), uint8(1), uint8(3), valid) // two past pending
+	f.Add(int32(10), int8(3), int16(7), int16(0), int16(0), int16(30), int8(1), uint8(0), uint8(0), uint8(3), valid) // unbalanced
+	f.Add(int32(10), int8(3), int16(-1), int16(0), int16(0), int16(30), int8(0), uint8(0), uint8(0), uint8(3), valid)
+	f.Add(int32(-1), int8(0), int16(0), int16(0), int16(0), int16(0), int8(0), uint8(0), uint8(0), uint8(3), []byte{})
+	f.Add(int32(10), int8(2), int16(0), int16(0), int16(0), int16(0), int8(0), uint8(0), uint8(0), uint8(3), []byte{0, 1, 0, 0, 1, 2, 0, 2}) // after round
+	f.Add(int32(10), int8(2), int16(0), int16(0), int16(0), int16(0), int8(0), uint8(0), uint8(0), uint8(3), []byte{0, 1, 0, 2, 1, 2, 0, 9}) // unsorted
+	f.Add(int32(10), int8(2), int16(0), int16(0), int16(0), int16(0), int8(0), uint8(0), uint8(0), uint8(3), []byte{4, 1, 0, 2, 1, 2, 3, 2}) // out of range
+	f.Add(int32(1), int8(9), int16(0), int16(0), int16(0), int16(0), int8(0), uint8(0), uint8(0), uint8(0), bytes.Repeat([]byte{1, 1, 0, 3}, 9))
+	f.Fuzz(func(t *testing.T, round int32, pending int8, completed, dropped, expired, hist int16, skew int8,
+		polSel, kSel, tailN uint8, data []byte) {
+		sw := switchnet.UnitSwitch(4)
+		var flows []switchnet.Flow
+		for i := 0; i+4 <= len(data) && len(flows) < 8; i += 4 {
+			flows = append(flows, switchnet.Flow{
+				In:      int(data[i] % 5),
+				Out:     int(data[i+1] % 5),
+				Demand:  [4]int{1, 1, 0, 2}[data[i+2]%4],
+				Release: int(round) - int(data[i+3]%16) + 2,
+			})
+		}
+		st := &stream.CheckpointState{
+			Round:   int(round),
+			Pending: int(pending),
+			Flows:   flows,
+			Summary: stream.Summary{
+				Admitted:      int64(completed) + int64(pending) + int64(dropped) + int64(expired) + int64(skew),
+				Completed:     int64(completed),
+				Dropped:       int64(dropped),
+				Expired:       int64(expired),
+				Backpressured: int64(hist / 4),
+				TotalResponse: int64(hist),
+				SlowResponses: int64(hist / 8),
+				Rounds:        int64(hist),
+				MaxResponse:   int(hist % 64),
+				PeakPending:   int(hist % 16),
+			},
+		}
+		tail := &switchnet.Instance{Switch: sw}
+		for i := range int(tailN % 16) {
+			tail.Flows = append(tail.Flows, switchnet.Flow{In: i % 4, Out: (i*3 + 1) % 4, Demand: 1, Release: int(round) + i/3})
+		}
+		names := stream.Names()
+		rt, err := stream.New(workload.NewInstanceSource(tail), stream.Config{
+			Switch:      sw,
+			Policy:      stream.ByName(names[int(polSel)%len(names)]),
+			Shards:      1 + int(kSel%2),
+			MaxPending:  8,
+			VerifyEvery: 4,
+			Resume:      st,
+		})
+		if err != nil {
+			return
+		}
+		if s := rt.Snapshot(); s.Pending != st.Pending || s.Admitted != st.Summary.Admitted || s.Round != st.Round {
+			t.Fatalf("snapshot right after New: %+v, want the checkpoint's round %d, pending %d, admitted %d",
+				s, st.Round, st.Pending, st.Summary.Admitted)
+		}
+		sum, err := rt.Run()
+		if err != nil {
+			t.Fatalf("New accepted %+v, but the run failed: %v", st, err)
+		}
+		if sum.Pending != 0 || sum.Admitted != sum.Completed+sum.Dropped+sum.Expired {
+			t.Fatalf("drained summary unbalanced: %+v", sum)
+		}
+		if want := st.SourceFlows() + int64(len(tail.Flows)); sum.Admitted != want {
+			t.Fatalf("admitted %d, want %d restored plus %d tail flows", sum.Admitted, st.SourceFlows(), len(tail.Flows))
 		}
 	})
 }

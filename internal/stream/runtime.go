@@ -97,8 +97,12 @@ type Shardable interface {
 const (
 	DefaultMaxPending   = 1 << 17
 	DefaultWindowRounds = 1024
-	DefaultStallRounds  = 4096
 )
+
+// DefaultStallRounds is the stall guard: Run fails once the policy has
+// scheduled nothing for that many consecutive rounds with a non-empty
+// pending set.
+const DefaultStallRounds = 4096
 
 // windowShards is the ring granularity of the sliding metrics window.
 const windowShards = 8
@@ -187,10 +191,6 @@ type Config struct {
 	// WindowRounds is the sliding metrics window in rounds (<= 0 selects
 	// DefaultWindowRounds).
 	WindowRounds int
-	// StallRounds aborts the run after the policy has scheduled nothing
-	// for that many consecutive rounds with a non-empty pending set
-	// (<= 0 selects DefaultStallRounds).
-	StallRounds int
 	// OnSchedule, when non-nil, observes every departure: seq is the
 	// flow's admission sequence number (its position in source order). It
 	// is always invoked from the goroutine driving Run, in shard index
@@ -211,15 +211,22 @@ type Config struct {
 	// evaluation. Unlike AdmitDeadline it never changes the schedule:
 	// slow flows still complete, they are just counted.
 	ResponseBound int
-	// Resume, when non-nil, restarts the runtime from a checkpointed
-	// state: the clock opens at Resume.Round, the cumulative counters
-	// continue from Resume.Counters, and the first Resume.Pending source
-	// flows are treated as re-admissions of the checkpointed pending set
-	// (original releases honored, not re-counted as admissions or
-	// backpressure). The source must deliver exactly the checkpointed
-	// flows first — workload.NewCheckpointSource wires this up; see the
-	// package docs ("Durability and reload").
-	Resume *Resume
+	// Resume, when non-nil, restarts the runtime from a captured
+	// CheckpointState, and the restore is complete when New returns: the
+	// clock reads Resume.Round, the cumulative counters continue from
+	// Resume.Summary, and the pending set Resume.Flows[:Resume.Pending] is
+	// resident with its original releases, under the admission sequence
+	// numbers and shards it had (not counted again as admissions or
+	// backpressure). A trailing lookahead flow is the next one admitted.
+	// The source carries only what follows: a replayable one skips
+	// Resume.SourceFlows() flows (workload.Skip), a live one starts empty.
+	// New rejects a state it cannot continue faithfully — a negative
+	// round or count, unbalanced or negative counters, more pending flows
+	// than MaxPending, anything but zero or one flow past the pending
+	// set, or a flow released after the round, out of release order, or
+	// inadmissible on the switch. See the package docs ("Durability and
+	// reload").
+	Resume *CheckpointState
 	// CheckpointEveryRounds > 0 invokes OnCheckpoint with a quiescent
 	// CheckpointState at most once per that many rounds, from the
 	// coordinator between rounds. The trigger is a round-cadence integer
@@ -323,16 +330,19 @@ type Runtime struct {
 	// stop requests a clean stop of Run between rounds (see Stop).
 	stop atomic.Bool
 
-	// Restore and periodic-checkpoint state: restoreLeft counts source
-	// flows still owed to checkpoint re-admission (not re-counted);
-	// ckptEvery/nextCkpt drive the round-cadence OnCheckpoint trigger,
-	// with ckptState's flow, scratch and window buffers reused across
-	// captures so a warmed trigger allocates nothing.
-	restoreLeft int
-	ckptEvery   int
-	nextCkpt    int
-	ckptState   CheckpointState
-	mergeHeads  []int32
+	// running is set, under runMu, when Run starts; until then quiesce
+	// runs its closure on the caller while holding runMu.
+	runMu   sync.Mutex
+	running bool
+
+	// Periodic-checkpoint state: ckptEvery/nextCkpt drive the
+	// round-cadence OnCheckpoint trigger, with ckptState's flow, scratch
+	// and window buffers reused across captures so a warmed trigger
+	// allocates nothing.
+	ckptEvery  int
+	nextCkpt   int
+	ckptState  CheckpointState
+	mergeHeads []int32
 
 	nshards int
 	shards  []*shard
@@ -452,9 +462,6 @@ func New(src Source, cfg Config) (*Runtime, error) {
 	if cfg.WindowRounds <= 0 {
 		cfg.WindowRounds = DefaultWindowRounds
 	}
-	if cfg.StallRounds <= 0 {
-		cfg.StallRounds = DefaultStallRounds
-	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
@@ -505,7 +512,7 @@ func New(src Source, cfg Config) (*Runtime, error) {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
 	if cfg.Resume != nil {
-		if err := rt.applyResume(cfg.Resume); err != nil {
+		if err := rt.restore(cfg.Resume); err != nil {
 			return nil, err
 		}
 		if rt.ckptEvery > 0 {
@@ -579,13 +586,6 @@ func (rt *Runtime) route(f switchnet.Flow) (int, error) {
 	sh.inbox = append(sh.inbox, arrival{flow: f, seq: rt.seq})
 	rt.seq++
 	rt.count++
-	if rt.restoreLeft > 0 {
-		// A checkpoint re-admission: its release predates the resume round
-		// by construction, but it was already counted (admitted, and
-		// backpressured if it ever was) before the checkpoint.
-		rt.restoreLeft--
-		return 0, nil
-	}
 	if f.Release < rt.round {
 		return 1, nil
 	}
@@ -998,7 +998,7 @@ func (rt *Runtime) step() (done bool, err error) {
 	rt.mRounds.Add(1)
 	if total == 0 && expired == 0 {
 		rt.stalled++
-		if rt.stalled >= rt.cfg.StallRounds {
+		if rt.stalled >= DefaultStallRounds {
 			return false, fmt.Errorf("stream: policy %q scheduled nothing for %d consecutive rounds with %d flows pending",
 				rt.cfg.Policy.Name(), rt.stalled, rt.count)
 		}
@@ -1078,6 +1078,9 @@ func (rt *Runtime) idle() (done bool, err error) {
 // It is not restartable.
 func (rt *Runtime) Run() (*Summary, error) {
 	defer rt.finOnce.Do(func() { close(rt.finished) })
+	rt.runMu.Lock()
+	rt.running = true
+	rt.runMu.Unlock()
 	if err := rt.firstErr(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -423,9 +424,8 @@ func (noopPolicy) Pick(*stream.View) {}
 func TestStreamStallGuard(t *testing.T) {
 	src := &sliceSource{flows: []switchnet.Flow{{In: 0, Out: 0, Demand: 1, Release: 0}}}
 	rt, err := stream.New(src, stream.Config{
-		Switch:      switchnet.UnitSwitch(2),
-		Policy:      noopPolicy{},
-		StallRounds: 10,
+		Switch: switchnet.UnitSwitch(2),
+		Policy: noopPolicy{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -789,15 +789,13 @@ func TestWeightedISLIPServesOldestHeadUnderChurn(t *testing.T) {
 }
 
 // TestStreamStallAbortsExactly pins the stall guard to the documented
-// count: with StallRounds = N the run aborts after exactly N consecutive
-// empty rounds, not N+1.
+// count: the run aborts after exactly DefaultStallRounds consecutive
+// empty rounds, not one more.
 func TestStreamStallAbortsExactly(t *testing.T) {
-	const stallRounds = 7
 	src := &sliceSource{flows: []switchnet.Flow{{In: 0, Out: 0, Demand: 1, Release: 0}}}
 	rt, err := stream.New(src, stream.Config{
-		Switch:      switchnet.UnitSwitch(2),
-		Policy:      noopPolicy{},
-		StallRounds: stallRounds,
+		Switch: switchnet.UnitSwitch(2),
+		Policy: noopPolicy{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -806,11 +804,11 @@ func TestStreamStallAbortsExactly(t *testing.T) {
 	if err == nil {
 		t.Fatal("stalled run did not fail")
 	}
-	if !strings.Contains(err.Error(), "for 7 consecutive rounds") {
+	if want := fmt.Sprintf("for %d consecutive rounds", stream.DefaultStallRounds); !strings.Contains(err.Error(), want) {
 		t.Fatalf("stall error does not report the exact round count: %v", err)
 	}
-	if got := rt.Snapshot().Rounds; got != stallRounds {
-		t.Fatalf("aborted after %d processed rounds, want exactly %d", got, stallRounds)
+	if got := rt.Snapshot().Rounds; got != stream.DefaultStallRounds {
+		t.Fatalf("aborted after %d processed rounds, want exactly %d", got, stream.DefaultStallRounds)
 	}
 }
 

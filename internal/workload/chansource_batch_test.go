@@ -223,26 +223,3 @@ func TestChanSourceParkLeavesSlabToPullBatch(t *testing.T) {
 		t.Fatalf("drained feed reports %d buffered", s.Buffered())
 	}
 }
-
-// TestCheckpointSourceSlabFedTail: a restore's prefix replays with its
-// own releases, then the live tail's slabs follow, stamped.
-func TestCheckpointSourceSlabFedTail(t *testing.T) {
-	ch := NewChanSource(2 * slabChunk)
-	prefix := seqFlows(3, 5)
-	src := NewCheckpointSource(prefix, ch)
-	ch.PushBatch(context.Background(), numbered(1, 0, slabChunk+2))
-	got := src.PullBatch(nil, 9, 4)
-	if len(got) != 4 || got[0] != prefix[0] || got[2] != prefix[2] {
-		t.Fatalf("first batch = %+v; want the prefix, then one tail flow", got)
-	}
-	if got[3].In != 1 || got[3].Demand != 0 || got[3].Release != 9 {
-		t.Fatalf("first tail flow = %+v; want producer 1's flow 0 released at 9", got[3])
-	}
-	f, ok, _ := src.Park(nil)
-	if !ok || f.Demand != 1 {
-		t.Fatalf("park after the prefix = %+v, %v; want tail flow 1", f, ok)
-	}
-	if got = src.PullBatch(nil, 10, 1000); len(got) != slabChunk || got[0].Demand != 2 || got[slabChunk-1].Demand != slabChunk+1 {
-		t.Fatalf("rest of the tail: %d flows, first %+v", len(got), got[0])
-	}
-}

@@ -49,3 +49,16 @@ func (s *Limit) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow
 // Err implements FlowSource, surfacing the wrapped source's error: a
 // capped-off stream still reports how its underlying reader failed.
 func (s *Limit) Err() error { return s.src.Err() }
+
+// Skip discards the first n flows of src in place, through Next, stopping
+// early if the stream ends. It resumes a replayable, from-the-beginning
+// source (ArrivalSource, TraceSource, InstanceSource) past a checkpoint's
+// consumed point (stream.CheckpointState.SourceFlows); such sources never
+// block in Next. A live feed needs no skip: it resumes empty.
+func Skip(src FlowSource, n int64) {
+	for ; n > 0; n-- {
+		if _, ok := src.Next(); !ok {
+			return
+		}
+	}
+}

@@ -36,13 +36,6 @@ type FlowSource interface {
 	Err() error
 }
 
-// parker is the optional interruptible idle wait of a live source
-// (stream.Parker, restated): ChanSource has it, and CheckpointSource
-// forwards it.
-type parker interface {
-	Park(wake <-chan struct{}) (f switchnet.Flow, ok, woke bool)
-}
-
 // Every source of the package meets the contract.
 var (
 	_ FlowSource = (*ArrivalSource)(nil)
@@ -51,8 +44,6 @@ var (
 	_ FlowSource = (*ChurnSource)(nil)
 	_ FlowSource = (*ChanSource)(nil)
 	_ FlowSource = (*Limit)(nil)
-	_ FlowSource = (*CheckpointSource)(nil)
-	_ FlowSource = (*SkipSource)(nil)
 )
 
 // ArrivalConfig describes a generator-driven arrival process: Poisson(M)
