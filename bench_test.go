@@ -5,7 +5,8 @@ package flowsched
 //
 //	BenchmarkOfflineLadder - the offline LP pipeline at growing paper-model
 //	                  sizes and at two cells of the paper's own grid (150
-//	                  ports), with pivots, phase-1 pivots, flows in the
+//	                  ports), with the LP (1)-(4) horizon solved, the LPs
+//	                  SolveMRT built, pivots, phase-1 pivots, flows in the
 //	                  starting basis, perturbations, peak L+U nonzeros and
 //	                  milliseconds per call per rung.
 //	BenchmarkVerifyWindow - the feasibility oracle on one stream-sized
@@ -55,12 +56,16 @@ func BenchmarkSubstrateLPSolve(b *testing.B) {
 // rung) at load M >= m, the paper's hard corner; the 150p rungs are cells of
 // the paper's own grid (Section 5.2: 150 ports, Poisson arrivals of mean M
 // per round for T rounds, GeneratePoisson at seed 1). Beside ns/op it
-// reports the simplex pivots of the three calls together (SolveMRT's search
-// included, each LP counted once), how many of them were phase 1, how many
-// flows the crash starts put in a starting basis, how many stalls the
-// solver answered with a bound perturbation, the largest L+U any of their
-// factorisations stored, and the milliseconds each call took. CI runs every
-// rung but 30x30/900, which is there to be run by hand (a minute or two).
+// reports the horizon ARTLowerBound solved LP (1)-(4) over (lb_horizon:
+// where first fit ends when the duals certify it, the congestion horizon
+// beside it otherwise), how many feasibility LPs SolveMRT's search built
+// (mrt_lps: 0 when first fit answered every rho it tried), the simplex
+// pivots of the three calls together (SolveMRT's search included, each LP
+// counted once), how many of them were phase 1, how many flows the crash
+// starts put in a starting basis, how many stalls the solver answered with a
+// bound perturbation, the largest L+U any of their factorisations stored,
+// and the milliseconds each call took. CI runs every rung but 30x30/900,
+// which is there to be run by hand (a minute or two).
 func BenchmarkOfflineLadder(b *testing.B) {
 	paperModel := func(ports, rounds, flows int) func() *Instance {
 		return func() *Instance {
@@ -91,8 +96,9 @@ func BenchmarkOfflineLadder(b *testing.B) {
 		b.Run(rung.name, func(b *testing.B) {
 			inst := rung.inst()
 			var (
-				st      lp.Stats
-				elapsed [3]time.Duration
+				st                lp.Stats
+				elapsed           [3]time.Duration
+				lbHorizon, mrtLPs int
 			)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -116,7 +122,11 @@ func BenchmarkOfflineLadder(b *testing.B) {
 				st.Add(art.LP)
 				st.Add(mrt.LP)
 				st.Add(mrt.SearchLP)
+				lbHorizon, mrtLPs = lb.Horizon, mrt.LPs
 			}
+			b.ReportMetric(float64(lbHorizon), "lb_horizon")
+			b.ReportMetric(float64(inst.CongestionHorizon()), "congestion_horizon")
+			b.ReportMetric(float64(mrtLPs), "mrt_lps")
 			b.ReportMetric(float64(st.Pivots()), "pivots")
 			b.ReportMetric(float64(st.Phase1Pivots), "phase1_pivots")
 			b.ReportMetric(float64(st.StartBasic), "start_basic")

@@ -240,7 +240,7 @@ func paper(fs *flag.FlagSet) func() error {
 	fs.IntVar(&cfg.LPTrials, "lptrials", cfg.LPTrials, "LP trials per grid point")
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "base RNG seed")
 	out := fs.String("out", "", "directory for CSV/ASCII outputs")
-	fs.BoolVar(&cfg.EnableLP, "lp", cfg.EnableLP, "compute LP lower-bound baselines (at 150 ports, T=6: 10 ms a draw at M=50, 0.3 s at M=100, 31 s at M=150)")
+	fs.BoolVar(&cfg.EnableLP, "lp", cfg.EnableLP, "compute LP lower-bound baselines (at 150 ports, T=6: 7 ms a draw at M=50, 0.28 s at M=100, 35 s at M=150)")
 	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "parallel workers (0 = GOMAXPROCS)")
 	heurT := fs.String("T", "6,8,10,12,16,20", "comma-separated T sweep for heuristics")
 	lpT := fs.String("lpT", "6,8,10", "comma-separated T sweep for LP baselines")

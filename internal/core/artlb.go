@@ -13,11 +13,16 @@ type ARTLowerBoundResult struct {
 	// TotalResponse is the LP optimum, a lower bound on the total
 	// response time of any schedule (Lemma 3.1).
 	TotalResponse float64
-	// Horizon is the time horizon the LP was solved over.
+	// Horizon is the horizon the LP was solved over: the round after the
+	// last one first fit uses, where the optimum's duals certify that no
+	// later round prices out, and inst.CongestionHorizon() otherwise. It
+	// lies in [MaxRelease+1, CongestionHorizon].
 	Horizon int
 	// Iterations counts simplex pivots.
 	Iterations int
-	// LP is the solver's stage breakdown of the solve.
+	// LP is the solver's stage breakdown of the solve — of both solves when
+	// the first was not certified and the LP was solved again at
+	// CongestionHorizon.
 	LP lp.Stats
 }
 
@@ -29,15 +34,17 @@ type ARTLowerBoundResult struct {
 //	     b_et >= 0
 //
 // By Lemma 3.1 the optimum lower-bounds the total response time of every
-// schedule; the paper's Figure 6 uses it as the baseline. The LP is solved
-// once, over the rounds before inst.CongestionHorizon(), where it is always
-// feasible (see there: spreading every flow evenly over the rounds after
-// the last release satisfies (2) and (3)). Only the optimum is used, never
-// the vertex, so the solve is crash-started: it begins at the first-fit
-// schedule in release order with the placed flows basic on their covering
-// rows, and spends no pivot on phase 1 when every flow is placed
+// schedule; the paper's Figure 6 uses it as the baseline. Only the optimum is
+// used, never the vertex. The LP is solved over the rounds first fit in
+// release order uses (solveOverFirstFit), crash-started at that schedule with
+// the placed flows basic on their covering rows, so phase 1 has nothing to do
 // (LP.StartAtUpper counts the flows placed, LP.StartBasic those in the
-// starting basis).
+// starting basis). That optimum is the LP's over every longer horizon when
+// the duals price every later round out (pricedOut). When they do not, or
+// first fit cannot place every flow before inst.CongestionHorizon(), the LP
+// is solved once over the rounds before CongestionHorizon, where it is always
+// feasible (see there: spreading every flow evenly over the rounds after the
+// last release satisfies (2) and (3)), and is the full LP.
 func ARTLowerBound(inst *switchnet.Instance) (*ARTLowerBoundResult, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -45,22 +52,13 @@ func ARTLowerBound(inst *switchnet.Instance) (*ARTLowerBoundResult, error) {
 	if inst.N() == 0 {
 		return &ARTLowerBoundResult{}, nil
 	}
-	horizon := inst.CongestionHorizon()
-	p, start := artLowerBoundLP(inst, horizon)
-	sol, err := p.SolveWith(lp.SolveOptions{Start: start})
+	sol, horizon, st, err := solveOverFirstFit(inst, 1, artCost, "ART lower-bound LP", func(horizon int, placed []int) (*lp.Problem, []float64) {
+		return artLowerBoundLP(inst, horizon, placed)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("core: ART lower-bound LP at horizon %d: %w", horizon, err)
+		return nil, err
 	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("core: ART lower-bound LP at horizon %d: status %v (%s)",
-			horizon, sol.Status, describeLP(sol.Stats))
-	}
-	return &ARTLowerBoundResult{
-		TotalResponse: sol.Obj,
-		Horizon:       horizon,
-		Iterations:    sol.Iterations,
-		LP:            sol.Stats,
-	}, nil
+	return &ARTLowerBoundResult{TotalResponse: sol.Obj, Horizon: horizon, Iterations: st.Pivots(), LP: st}, nil
 }
 
 // describeLP names a solve for an error message: its size and what the
@@ -70,20 +68,23 @@ func describeLP(st lp.Stats) string {
 		st.Rows, st.Cols, st.Pivots(), st.Perturbations)
 }
 
+// artCost is the cost of b_et in LP (1)-(4), (t-r_e)/d_e + 1/(2*kappa_e).
+func artCost(inst *switchnet.Instance, f, t int) float64 {
+	e := inst.Flows[f]
+	return float64(t-e.Release)/float64(e.Demand) + 1/(2*float64(inst.Kappa(f)))
+}
+
 // artLowerBoundLP builds LP (1)-(4) over rounds [r_e, horizon) together
 // with the point its solve starts from: b_et = d_e where firstFit, in
-// release order, places flow e.
-func artLowerBoundLP(inst *switchnet.Instance, horizon int) (*lp.Problem, []float64) {
+// release order over fromRelease, placed flow e (placed inside the horizon).
+func artLowerBoundLP(inst *switchnet.Instance, horizon int, placed []int) (*lp.Problem, []float64) {
 	ix := newTimeIndex(inst, fromRelease(inst, horizon), 1)
 	p := lp.NewProblem(ix.len())
 	for j, f := range ix.flow {
-		e := inst.Flows[f]
-		kappa := inst.Kappa(f)
-		cost := float64(ix.round[j]-e.Release)/float64(e.Demand) + 1/(2*float64(kappa))
-		p.SetCost(j, cost)
+		p.SetCost(j, artCost(inst, f, ix.round[j]))
 		// b_et <= d_e is implied at any optimum (costs are positive) and
 		// tightens the relaxation the simplex must explore.
-		p.SetBounds(j, 0, float64(e.Demand))
+		p.SetBounds(j, 0, float64(inst.Flows[f].Demand))
 	}
 	// Constraint (2): full demand scheduled.
 	for f, e := range inst.Flows {
@@ -96,11 +97,5 @@ func artLowerBoundLP(inst *switchnet.Instance, horizon int) (*lp.Problem, []floa
 		a, b := rows.start[k], rows.start[k+1]
 		p.AddRow(rows.vars[a:b], ix.ones[:b-a], lp.LE, float64(inst.Switch.Cap(port)))
 	}
-	start := make([]float64, ix.len())
-	for f, j := range firstFit(inst, releaseOrder(inst), ix) {
-		if j >= 0 {
-			start[j] = float64(inst.Flows[f].Demand)
-		}
-	}
-	return p, start
+	return p, startAt(ix, placed, func(f int) float64 { return float64(inst.Flows[f].Demand) })
 }

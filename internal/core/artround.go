@@ -154,25 +154,27 @@ func IterativeRound(inst *switchnet.Instance) (*PseudoSchedule, error) {
 	return ps, nil
 }
 
-// solveInitialIntervalLP solves LP (5)-(8) once, over the rounds before
+// solveInitialIntervalLP solves LP (5)-(8) and returns its support as
+// entries with the stats of the solves. It is ARTLowerBound's rule at window
+// width 4 (solveOverFirstFit): the LP is solved over the rounds the width-4
+// first fit uses, rounded up to whole windows, and that optimum stands when
+// its duals price every later round out; otherwise, or when first fit cannot
+// place every flow, it is solved once over the rounds before
 // inst.CongestionHorizon() — where x_et = 1/h on the h rounds after the last
 // release satisfies (6) and (7), so the LP is feasible (see
-// CongestionHorizon) — and returns its support as entries with the stats of
-// the solve. The solve is crash-started at intervalLP's greedy point: what
-// the rounding needs of LP(0) is a basic optimum — Lemma 3.3's interval
-// bound and Theorem 1's conversion hold at every one — not the vertex a cold
-// start happens to reach, so the pseudo-schedule may differ from a cold
-// solve's where the optimum is not unique, at the same LP cost.
+// CongestionHorizon). Each solve is crash-started at that greedy point: what
+// the rounding needs of LP(0) is a basic optimum — Lemma 3.3's interval bound
+// and Theorem 1's conversion hold at every one — not the vertex a cold start
+// happens to reach, so the pseudo-schedule may differ from a cold solve's
+// where the optimum is not unique, at the same LP cost.
 func solveInitialIntervalLP(inst *switchnet.Instance) ([]entry, float64, lp.Stats, error) {
-	horizon := inst.CongestionHorizon()
-	p, ix, start := intervalLP(inst, horizon)
-	sol, err := p.SolveWith(lp.SolveOptions{Start: start})
+	var ix *timeIndex // of the last LP built, the one whose solve stands
+	sol, _, st, err := solveOverFirstFit(inst, 4, intervalCost, "interval LP", func(horizon int, placed []int) (p *lp.Problem, start []float64) {
+		p, ix, start = intervalLP(inst, horizon, placed)
+		return p, start
+	})
 	if err != nil {
-		return nil, 0, lp.Stats{}, fmt.Errorf("core: interval LP at horizon %d: %w", horizon, err)
-	}
-	if sol.Status != lp.Optimal {
-		return nil, 0, lp.Stats{}, fmt.Errorf("core: interval LP at horizon %d: status %v (%s)",
-			horizon, sol.Status, describeLP(sol.Stats))
+		return nil, 0, st, err
 	}
 	var entries []entry
 	for j, v := range sol.X {
@@ -180,23 +182,28 @@ func solveInitialIntervalLP(inst *switchnet.Instance) ([]entry, float64, lp.Stat
 			entries = append(entries, entry{ix.flow[j], ix.round[j], v})
 		}
 	}
-	return entries, sol.Obj, sol.Stats, nil
+	return entries, sol.Obj, st, nil
+}
+
+// intervalCost is the cost of x_et in LP (5)-(8), t-r_e+1/2.
+func intervalCost(inst *switchnet.Instance, f, t int) float64 {
+	return float64(t-inst.Flows[f].Release) + 0.5
 }
 
 // intervalLP builds LP (5)-(8) over rounds [r_e, horizon) together with the
-// point its solve starts from: x_et = 1 where firstFit, in release order,
-// places flow e — the earliest round of the first aligned width-4 window in
-// which both its ports hold fewer than 4*c_p flows. The point satisfies (6)
-// and (7), so the solve has no phase 1 whenever the horizon holds every
-// flow.
-func intervalLP(inst *switchnet.Instance, horizon int) (*lp.Problem, *timeIndex, []float64) {
+// point its solve starts from: x_et = 1 where firstFit, in release order over
+// fromRelease at width 4, placed flow e (placed inside the horizon) — the
+// earliest round of the first aligned width-4 window in which both its ports
+// hold fewer than 4*c_p flows. The point satisfies (6) and (7), so the solve
+// has no phase 1 whenever the horizon holds every flow.
+func intervalLP(inst *switchnet.Instance, horizon int, placed []int) (*lp.Problem, *timeIndex, []float64) {
 	// Variables flow by flow, rounds ascending; a slot per aligned width-4
 	// window, so the port rows are constraint (7): the sum over t in
 	// [4a, 4a+4) is at most 4*c_p.
 	ix := newTimeIndex(inst, fromRelease(inst, horizon), 4)
 	p := lp.NewProblem(ix.len())
 	for j, f := range ix.flow {
-		p.SetCost(j, float64(ix.round[j]-inst.Flows[f].Release)+0.5)
+		p.SetCost(j, intervalCost(inst, f, ix.round[j]))
 		p.SetBounds(j, 0, 1)
 	}
 	for f := range inst.Flows {
@@ -208,7 +215,7 @@ func intervalLP(inst *switchnet.Instance, horizon int) (*lp.Problem, *timeIndex,
 		a, b := rows.start[k], rows.start[k+1]
 		p.AddRow(rows.vars[a:b], ix.ones[:b-a], lp.LE, 4*float64(inst.Switch.Cap(port)))
 	}
-	return p, ix, unitStart(inst, releaseOrder(inst), ix)
+	return p, ix, startAt(ix, placed, one)
 }
 
 // solveRegroupedLP builds LP(l) for iteration l >= 1: variables are exactly

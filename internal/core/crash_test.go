@@ -50,25 +50,25 @@ func sortedPortRounds(m map[portRound][]int) []portRound {
 }
 
 // checkPlacement verifies what firstFit promises: every placed flow sits on
-// one of its own variables and no (port, window) — a round at width 1 — is
+// one of its own rounds and no (port, window) — a round at width 1 — is
 // loaded past width times the capacity.
-func checkPlacement(t *testing.T, inst *switchnet.Instance, ix *timeIndex, placed []int) {
+func checkPlacement(t *testing.T, inst *switchnet.Instance, win Windows, width int, placed []int) {
 	t.Helper()
 	load := map[portRound]int{}
-	for f, j := range placed {
-		if j < 0 {
+	for f, k := range placed {
+		if k < 0 {
 			continue
 		}
-		if j < ix.off[f] || j >= ix.off[f+1] || ix.flow[j] != f {
-			t.Fatalf("flow %d placed on variable %d outside its own %d..%d", f, j, ix.off[f], ix.off[f+1])
+		if k >= len(win[f]) {
+			t.Fatalf("flow %d placed at position %d of its %d rounds", f, k, len(win[f]))
 		}
 		e := inst.Flows[f]
-		load[portRound{inst.Switch.PortIndex(switchnet.In, e.In), ix.round[j] / ix.width}] += e.Demand
-		load[portRound{inst.Switch.PortIndex(switchnet.Out, e.Out), ix.round[j] / ix.width}] += e.Demand
+		load[portRound{inst.Switch.PortIndex(switchnet.In, e.In), win[f][k] / width}] += e.Demand
+		load[portRound{inst.Switch.PortIndex(switchnet.Out, e.Out), win[f][k] / width}] += e.Demand
 	}
 	for k, l := range load {
-		if l > ix.width*inst.Switch.Cap(k.port) {
-			t.Fatalf("port %d window %d loaded %d > %d times capacity %d", k.port, k.t, l, ix.width, inst.Switch.Cap(k.port))
+		if l > width*inst.Switch.Cap(k.port) {
+			t.Fatalf("port %d window %d loaded %d > %d times capacity %d", k.port, k.t, l, width, inst.Switch.Cap(k.port))
 		}
 	}
 }
@@ -126,18 +126,51 @@ func TestFirstFit(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			inst := c.inst
-			ix := newTimeIndex(inst, c.win, c.width)
-			placed := firstFit(inst, c.order, ix)
-			checkPlacement(t, inst, ix, placed)
+			placed := firstFit(inst, c.order, c.win, c.width)
+			checkPlacement(t, inst, c.win, c.width, placed)
 			got := make([]int, len(placed))
-			for f, j := range placed {
+			for f, k := range placed {
 				got[f] = -1
-				if j >= 0 {
-					got[f] = ix.round[j]
+				if k >= 0 {
+					got[f] = c.win[f][k]
 				}
 			}
 			if !slices.Equal(got, c.want) {
 				t.Errorf("rounds %v, want %v", got, c.want)
+			}
+		})
+	}
+}
+
+// TestWindowSlots: slots follow the windows' order and are never more than
+// the rounds they number, however far those rounds lie — a far batch is
+// numbered from its first window, sparse rounds by rank.
+func TestWindowSlots(t *testing.T) {
+	const far = 1 << 50
+	for _, c := range []struct {
+		name  string
+		win   Windows
+		width int
+		n     int
+		slots []int // per round of win, flattened
+	}{
+		{"empty", Windows{{}, nil}, 1, 0, nil},
+		{"dense from zero", Windows{{0, 1, 2}, {2}}, 1, 3, []int{0, 1, 2, 2}},
+		{"far batch", Windows{{far + 1, far + 2}, {far + 3}}, 1, 3, []int{0, 1, 2}},
+		{"far batch, width 4", Windows{{far, far + 5}, {far + 9}}, 4, 3, []int{0, 1, 2}},
+		{"sparse", Windows{{7, 1000000}, {3}}, 1, 3, []int{1, 2, 0}},
+		{"sparse, width 4", Windows{{far + 3, 1}, {far}}, 4, 2, []int{1, 0, 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := newWindowSlots(c.win, c.width)
+			var got []int
+			for _, rounds := range c.win {
+				for _, r := range rounds {
+					got = append(got, s.slot(r))
+				}
+			}
+			if s.n != c.n || !slices.Equal(got, c.slots) {
+				t.Errorf("n %d slots %v, want %d %v", s.n, got, c.n, c.slots)
 			}
 		})
 	}
@@ -191,7 +224,7 @@ func TestPortRowsMatchSortedMap(t *testing.T) {
 func coldRho(t *testing.T, inst *switchnet.Instance) int {
 	t.Helper()
 	for rho := 1; ; rho++ {
-		sol, err := timeConstrainedLP(inst, ResponseWindows(inst, rho)).p.Solve()
+		sol, err := timeConstrainedLP(inst, ResponseWindows(inst, rho), nil).p.Solve()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,12 +242,13 @@ func coldRho(t *testing.T, inst *switchnet.Instance) int {
 // capacities 1-4, the solve that starts at the first-fit schedule and the
 // one that starts cold agree on everything that is reported — for all three
 // LPs, the interval LP on the unit-demand instances it is stated for. It
-// also pins what lets ARTLowerBound and solveInitialIntervalLP solve once:
-// LP (1)-(4) and LP (5)-(8) are Optimal at CongestionHorizon on every
-// instance, the ones built to crowd that horizon included.
+// also pins the fallback of ARTLowerBound and solveInitialIntervalLP: LP
+// (1)-(4) and LP (5)-(8) are Optimal at CongestionHorizon on every instance,
+// the ones built to crowd that horizon included, and the optima over the
+// first-fit horizon are theirs.
 func TestCrashStartAgreesWithColdStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(2020))
-	placedAll, intervalPlacedAll, searched := 0, 0, 0
+	wholeStarts, intervalWhole, searched, restricted, fitAtRho := 0, 0, 0, 0, 0
 	fixed := []*switchnet.Instance{
 		// Paper-model instances whose rho lies above the volume bound, so
 		// that the search solves more than one LP; the random draws rarely
@@ -258,10 +292,10 @@ func TestCrashStartAgreesWithColdStart(t *testing.T) {
 		inc := 2*inst.MaxDemand() - 1
 
 		// LP (1)-(4): same status and optimum at a horizon that may be too
-		// short and at the one ARTLowerBound solves at, where it is Optimal.
+		// short and at ARTLowerBound's fallback, where it is Optimal.
 		var atCongestion *lp.Solution
 		for _, horizon := range []int{inst.MaxRelease() + 1, inst.CongestionHorizon()} {
-			p, start := artLowerBoundLP(inst, horizon)
+			p, start := artLowerBoundLP(inst, horizon, firstFit(inst, releaseOrder(inst), fromRelease(inst, horizon), 1))
 			cold, err := p.Solve()
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -274,7 +308,7 @@ func TestCrashStartAgreesWithColdStart(t *testing.T) {
 				t.Fatalf("%s horizon %d: crash-started (%v, %v), cold (%v, %v)", name, horizon, warm.Status, warm.Obj, cold.Status, cold.Obj)
 			}
 			if warm.Stats.StartAtUpper == inst.N() {
-				placedAll++
+				wholeStarts++
 				if warm.Stats.Phase1Pivots != 0 {
 					t.Fatalf("%s horizon %d: every flow placed, yet %d phase-1 pivots", name, horizon, warm.Stats.Phase1Pivots)
 				}
@@ -285,9 +319,13 @@ func TestCrashStartAgreesWithColdStart(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if atCongestion.Status != lp.Optimal || lb.Horizon != inst.CongestionHorizon() || math.Abs(lb.TotalResponse-atCongestion.Obj) > 1e-9 {
+		if atCongestion.Status != lp.Optimal || lb.Horizon <= inst.MaxRelease() || lb.Horizon > inst.CongestionHorizon() ||
+			math.Abs(lb.TotalResponse-atCongestion.Obj) > 1e-9 {
 			t.Fatalf("%s: ARTLowerBound (%v, horizon %d), cold solve at the congestion horizon %d (%v, %v)",
 				name, lb.TotalResponse, lb.Horizon, inst.CongestionHorizon(), atCongestion.Status, atCongestion.Obj)
+		}
+		if lb.Horizon < inst.CongestionHorizon() {
+			restricted++
 		}
 
 		// LP (5)-(8), stated for unit flows: same optimum from the width-4
@@ -295,7 +333,8 @@ func TestCrashStartAgreesWithColdStart(t *testing.T) {
 		// every flow, and Theorem 1 on top of the started vertex — no forced
 		// fix in the rounding, a schedule the oracle accepts at 2x capacity.
 		if inst.UnitDemands() {
-			p, _, start := intervalLP(inst, inst.CongestionHorizon())
+			h := inst.CongestionHorizon()
+			p, _, start := intervalLP(inst, h, firstFit(inst, releaseOrder(inst), fromRelease(inst, h), 4))
 			cold, err := p.Solve()
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -308,7 +347,7 @@ func TestCrashStartAgreesWithColdStart(t *testing.T) {
 				t.Fatalf("%s: interval LP crash-started (%v, %v), cold (%v, %v)", name, warm.Status, warm.Obj, cold.Status, cold.Obj)
 			}
 			if warm.Stats.StartAtUpper == inst.N() {
-				intervalPlacedAll++
+				intervalWhole++
 				if warm.Stats.Phase1Pivots != 0 {
 					t.Fatalf("%s: interval LP: every flow placed, yet %d phase-1 pivots", name, warm.Stats.Phase1Pivots)
 				}
@@ -341,13 +380,28 @@ func TestCrashStartAgreesWithColdStart(t *testing.T) {
 		if _, err := verify.CheckAugmented(inst, mrt.Schedule, inc); err != nil || mrt.Schedule.MaxResponse(inst) > rho {
 			t.Fatalf("%s: SolveMRT schedule: %v, max response %d, rho %d", name, err, mrt.Schedule.MaxResponse(inst), rho)
 		}
-		// Each LP of the search is counted once: the one at rho in LP, the
-		// others (none when the volume bound is rho already) in SearchLP.
-		atRho, err := timeConstrainedLP(inst, ResponseWindows(inst, rho)).solve()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		// Each LP of the search is counted once: the one at rho in LP — none
+		// where first fit places every flow, and then the schedule is the
+		// rounding of the LP's start — the others (none when the volume bound
+		// is rho already) in SearchLP.
+		win := ResponseWindows(inst, rho)
+		placed := firstFit(inst, releaseOrder(inst), win, 1)
+		m := timeConstrainedLP(inst, win, placed)
+		atRho, err := m.solve()
+		if err != nil || atRho.Status != lp.Optimal {
+			t.Fatalf("%s: LP at rho: %v, %v", name, atRho, err)
 		}
-		if mrt.LP != atRho.Stats || mrt.LPIterations != atRho.Iterations {
+		if placedAll(placed) {
+			fitAtRho++
+			want, err := roundWindowLP(inst, m, atRho)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if mrt.LP != (lp.Stats{}) || mrt.LPIterations != 0 || !slices.Equal(mrt.Schedule.Round, want.Schedule.Round) {
+				t.Fatalf("%s: first fit places every flow at rho, yet SolveMRT reports %+v and schedule %v; the rounded LP gives %v",
+					name, mrt.LP, mrt.Schedule.Round, want.Schedule.Round)
+			}
+		} else if mrt.LP != atRho.Stats || mrt.LPIterations != atRho.Iterations {
 			t.Fatalf("%s: SolveMRT reports %+v for the solve at rho, which is %+v", name, mrt.LP, atRho.Stats)
 		}
 		if first := max(TrivialMRTLowerBound(inst), 1); (first == rho) != (mrt.SearchLP == lp.Stats{}) {
@@ -377,7 +431,7 @@ func TestCrashStartAgreesWithColdStart(t *testing.T) {
 			families = append(families, ResponseWindows(inst, rho-1))
 		}
 		for k, win := range families {
-			m := timeConstrainedLP(inst, win)
+			m := timeConstrainedLP(inst, win, firstFit(inst, deadlineOrder(win), win, 1))
 			cold, err := m.p.Solve()
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -390,7 +444,7 @@ func TestCrashStartAgreesWithColdStart(t *testing.T) {
 				t.Fatalf("%s windows %d: crash-started %v, cold %v", name, k, warm.Status, cold.Status)
 			}
 			if warm.Stats.StartAtUpper == inst.N() {
-				placedAll++
+				wholeStarts++
 				if warm.Status != lp.Optimal || warm.Iterations != 0 {
 					t.Fatalf("%s windows %d: every flow placed, yet status %v after %d pivots", name, k, warm.Status, warm.Iterations)
 				}
@@ -415,7 +469,8 @@ func TestCrashStartAgreesWithColdStart(t *testing.T) {
 			}
 		}
 	}
-	if placedAll == 0 || intervalPlacedAll == 0 || searched == 0 {
-		t.Errorf("%d LPs and %d interval LPs placed whole by first fit, %d searches past the volume bound: a path went untested", placedAll, intervalPlacedAll, searched)
+	if wholeStarts == 0 || intervalWhole == 0 || searched == 0 || restricted == 0 || fitAtRho == 0 {
+		t.Errorf("%d LPs and %d interval LPs placed whole by first fit, %d searches past the volume bound, %d bounds solved short of the congestion horizon, %d rho answered by first fit: a path went untested",
+			wholeStarts, intervalWhole, searched, restricted, fitAtRho)
 	}
 }

@@ -54,30 +54,28 @@ type windowLP struct {
 	ix   *timeIndex
 	caps portRows
 	coef []float64 // d_e per entry of caps.vars
-	// start is x_et = 1 where firstFit places flow e, taking the flows by
-	// the last round of their windows. Only whether the LP is feasible
-	// and Theorem 3's guarantee — which holds at any vertex — are used,
-	// so the solve may start there: with every flow placed the start is
-	// the answer and comes back unfactored, otherwise phase 1 works on the
-	// unplaced flows only.
+	// start is x_et = 1 where firstFit placed flow e, taking the flows by
+	// the last round of their windows (deadlineOrder). The LP is built only
+	// where that placement leaves a flow out, so phase 1 works on the
+	// unplaced flows only; only whether the LP is feasible and Theorem 3's
+	// guarantee — which holds at any vertex — are used, so the solve may
+	// start there.
 	start []float64
 }
 
 // timeConstrainedLP builds LP (19)-(21): variables x_{e,t} for t in R(e),
 // an equality row per flow and a capacity row per (port, round) that some
-// window touches.
-func timeConstrainedLP(inst *switchnet.Instance, win Windows) *windowLP {
+// window touches, with the start placed by firstFit over win.
+func timeConstrainedLP(inst *switchnet.Instance, win Windows, placed []int) *windowLP {
 	ix := newTimeIndex(inst, win, 1)
 	m := &windowLP{p: lp.NewProblem(ix.len()), ix: ix, caps: newPortRows(inst, ix)}
 	for j := range ix.ident {
 		m.p.SetBounds(j, 0, 1)
 	}
 	// Constraint (20): each flow fully scheduled.
-	deadline := make([]int, inst.N())
 	for f := range inst.Flows {
 		a, b := ix.off[f], ix.off[f+1]
 		m.p.AddRow(ix.ident[a:b], ix.ones[a:b], lp.EQ, 1)
-		deadline[f] = slices.Max(win[f])
 	}
 	// Constraint (19): port capacity per round.
 	m.coef = make([]float64, len(m.caps.vars))
@@ -88,8 +86,18 @@ func timeConstrainedLP(inst *switchnet.Instance, win Windows) *windowLP {
 		a, b := m.caps.start[k], m.caps.start[k+1]
 		m.p.AddRow(m.caps.vars[a:b], m.coef[a:b], lp.LE, float64(inst.Switch.Cap(port)))
 	}
-	m.start = unitStart(inst, orderBy(deadline), ix)
+	m.start = startAt(ix, placed, one)
 	return m
+}
+
+// deadlineOrder returns the flows sorted by the last round of their windows,
+// ties in index order: the order firstFit takes them in for LP (19)-(21).
+func deadlineOrder(win Windows) []int {
+	deadline := make([]int, len(win))
+	for f, rounds := range win {
+		deadline[f] = slices.Max(rounds)
+	}
+	return orderBy(deadline)
 }
 
 // solve runs the crash-started solve of the LP.
@@ -104,18 +112,33 @@ type TimeConstrainedResult struct {
 	// CapIncrease is the augmentation guaranteed by Theorem 3: the
 	// schedule respects capacities c_p + CapIncrease.
 	CapIncrease int
-	// LPIterations counts simplex pivots.
+	// LPIterations counts simplex pivots, and LP is the solver's stage
+	// breakdown of that solve. Both are zero when first fit placed every
+	// flow and no LP was built.
 	LPIterations int
-	// LP is the solver's stage breakdown of that solve.
-	LP lp.Stats
+	LP           lp.Stats
 	// ForcedDrops mirrors rounding.Result.ForcedDrops (0 in practice).
 	ForcedDrops int
+}
+
+// fitSchedule is the result where firstFit placed every flow inside its
+// window: the placement is a 0/1 point of LP (19)-(21), so the LP is
+// feasible, and Theorem 3's rounding leaves an integral point as it is, so
+// the placement is the schedule — one that also respects the original
+// capacities. No LP is built for it.
+func fitSchedule(inst *switchnet.Instance, win Windows, placed []int) *TimeConstrainedResult {
+	sched := switchnet.NewSchedule(inst.N())
+	for f, k := range placed {
+		sched.Round[f] = win[f][k]
+	}
+	return &TimeConstrainedResult{Schedule: sched, CapIncrease: 2*inst.MaxDemand() - 1}
 }
 
 // SolveTimeConstrained implements Theorem 3: it either reports that the
 // time-constrained instance has no schedule (ErrInfeasible), or returns a
 // schedule that places every flow inside its window while exceeding each
-// port capacity by at most 2*d_max-1.
+// port capacity by at most 2*d_max-1. First fit by deadline runs first; LP
+// (19)-(21) is built and solved only when it leaves a flow out.
 func SolveTimeConstrained(inst *switchnet.Instance, win Windows) (*TimeConstrainedResult, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -137,7 +160,11 @@ func SolveTimeConstrained(inst *switchnet.Instance, win Windows) (*TimeConstrain
 			}
 		}
 	}
-	m := timeConstrainedLP(inst, win)
+	placed := firstFit(inst, deadlineOrder(win), win, 1)
+	if placedAll(placed) {
+		return fitSchedule(inst, win, placed), nil
+	}
+	m := timeConstrainedLP(inst, win, placed)
 	sol, err := m.solve()
 	if err != nil {
 		return nil, err
@@ -204,39 +231,57 @@ func roundWindowLP(inst *switchnet.Instance, m *windowLP, sol *lp.Solution) (*Ti
 
 // MRTResult is the outcome of SolveMRT.
 type MRTResult struct {
-	// TimeConstrainedResult is the rounding at Rho. Its LP and LPIterations
-	// are the search's solve at Rho — the last one it found feasible, whose
-	// solution is the one rounded; no LP is solved a second time for it.
+	// TimeConstrainedResult is the schedule at Rho. Where first fit placed
+	// every flow inside its Rho window it is that placement, at the original
+	// capacities, and no LP was built for it: LP and LPIterations are zero.
+	// Otherwise it is the rounding of the search's solve at Rho — the last
+	// one it found feasible; no LP is solved a second time for it — and LP
+	// and LPIterations are that solve's.
 	*TimeConstrainedResult
 	// Rho is the optimal maximum response time: the smallest rho whose
 	// LP relaxation is feasible. It lower-bounds any capacity-respecting
 	// schedule, and the returned schedule achieves it with augmentation.
 	Rho int
 	// SearchLP sums the solver's stage breakdown over every other
-	// feasibility LP of the search for Rho (zero when the volume bound the
-	// search starts from is already Rho), so LP and SearchLP together
-	// count each solve once.
+	// feasibility LP the search built (zero when it built none but the one
+	// at Rho), so LP and SearchLP together count each solve once.
 	SearchLP lp.Stats
+	// LPs counts the feasibility LPs the search built, the one at Rho
+	// included: a rho at which first fit places every flow builds none.
+	LPs int
 }
 
 // MRTLowerBound returns the smallest rho for which LP (19)-(21) with
 // windows [r_e, r_e+rho) is feasible. This is the lower bound the paper's
-// Figure 7 compares heuristics against. Each feasibility LP of the search
-// is crash-started from a first-fit schedule (see windowLP): only its
-// yes/no answer is used.
+// Figure 7 compares heuristics against. Each rho of the search is answered
+// by first fit where it places every flow, and by its LP, crash-started from
+// that placement (see windowLP), only where it does not: only the yes/no
+// answer is used.
 func MRTLowerBound(inst *switchnet.Instance) (int, error) {
 	s, err := searchRho(inst)
 	return s.rho, err
 }
 
-// rhoSearch is what searchRho found: the smallest feasible rho, the LP at
-// rho with its optimal solution, and the summed stats of the other LPs
-// solved on the way.
+// rhoSearch is what searchRho found: the smallest feasible rho with, at rho,
+// the windows and first fit's placement in them, and the LP with its optimal
+// solution when the placement left a flow out (nil otherwise); the summed
+// stats of the other LPs solved on the way, and how many LPs were built.
 type rhoSearch struct {
-	rho   int
-	m     *windowLP
-	sol   *lp.Solution
-	other lp.Stats
+	rho    int
+	win    Windows
+	placed []int
+	m      *windowLP
+	sol    *lp.Solution
+	other  lp.Stats
+	lps    int
+}
+
+// schedule is Theorem 3's schedule at the search's rho.
+func (s *rhoSearch) schedule(inst *switchnet.Instance) (*TimeConstrainedResult, error) {
+	if s.sol == nil {
+		return fitSchedule(inst, s.win, s.placed), nil
+	}
+	return roundWindowLP(inst, s.m, s.sol)
 }
 
 // searchRho finds the smallest rho whose LP (19)-(21) is feasible.
@@ -245,28 +290,39 @@ func searchRho(inst *switchnet.Instance) (rhoSearch, error) {
 	if inst.N() == 0 {
 		return s, nil
 	}
-	// feasible solves the LP at rho; a feasible one replaces the LP kept
-	// in s, which is thereby always the one at the search's upper end.
+	// The deadlines r_e+rho-1 of the windows order the flows as their
+	// releases do, whatever rho is.
+	order := releaseOrder(inst)
+	// feasible answers rho by first fit, or by the LP where first fit leaves
+	// a flow out; a feasible rho replaces what s holds, which is thereby
+	// always the answer at the search's upper end.
 	feasible := func(rho int) (bool, error) {
-		m := timeConstrainedLP(inst, ResponseWindows(inst, rho))
-		sol, err := m.solve()
-		if err != nil {
-			return false, fmt.Errorf("core: LP (19)-(21) at rho %d: %w", rho, err)
-		}
-		switch sol.Status {
-		case lp.Optimal:
-			if s.sol != nil {
-				s.other.Add(s.sol.Stats)
+		win := ResponseWindows(inst, rho)
+		placed := firstFit(inst, order, win, 1)
+		var m *windowLP
+		var sol *lp.Solution
+		if !placedAll(placed) {
+			m = timeConstrainedLP(inst, win, placed)
+			s.lps++
+			var err error
+			if sol, err = m.solve(); err != nil {
+				return false, fmt.Errorf("core: LP (19)-(21) at rho %d: %w", rho, err)
 			}
-			s.m, s.sol = m, sol
-			return true, nil
-		case lp.Infeasible:
-			s.other.Add(sol.Stats)
-			return false, nil
-		default:
-			return false, fmt.Errorf("core: LP (19)-(21) at rho %d: status %v (%s)",
-				rho, sol.Status, describeLP(sol.Stats))
+			switch sol.Status {
+			case lp.Optimal:
+			case lp.Infeasible:
+				s.other.Add(sol.Stats)
+				return false, nil
+			default:
+				return false, fmt.Errorf("core: LP (19)-(21) at rho %d: status %v (%s)",
+					rho, sol.Status, describeLP(sol.Stats))
+			}
 		}
+		if s.sol != nil {
+			s.other.Add(s.sol.Stats)
+		}
+		s.win, s.placed, s.m, s.sol = win, placed, m, sol
+		return true, nil
 	}
 	// The volume bound of TrivialMRTLowerBound is valid for the LP too
 	// (it only compares demand mass against capacity mass), so the search
@@ -277,6 +333,7 @@ func searchRho(inst *switchnet.Instance) (rhoSearch, error) {
 		lo = 1
 	}
 	hi := lo
+	limit := inst.CongestionHorizon()*4 + 16
 	for {
 		ok, err := feasible(hi)
 		if err != nil {
@@ -287,7 +344,7 @@ func searchRho(inst *switchnet.Instance) (rhoSearch, error) {
 		}
 		lo = hi + 1
 		hi *= 2
-		if hi > inst.CongestionHorizon()*4+16 {
+		if hi > limit {
 			return s, fmt.Errorf("core: no feasible rho up to %d", hi)
 		}
 	}
@@ -310,9 +367,11 @@ func searchRho(inst *switchnet.Instance) (rhoSearch, error) {
 // SolveMRT implements the FS-MRT pipeline of Section 4.2: binary search on
 // the response bound rho, then Theorem 3 rounding at the optimum. The
 // returned schedule has maximum response time Rho (the LP optimum, hence
-// optimal) using port capacities c_p + 2*d_max - 1. The solution rounded
-// is the one the search found at Rho; Theorem 3 holds at any vertex of the
-// LP, so the crash-started one serves.
+// optimal) using port capacities c_p + 2*d_max - 1. The schedule is the one
+// the search found at Rho: first fit's placement where it placed every flow,
+// which is the LP's 0/1 point and needs no rounding, and otherwise the
+// rounding of the search's solve — Theorem 3 holds at any vertex of the LP,
+// so the crash-started one serves.
 func SolveMRT(inst *switchnet.Instance) (*MRTResult, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -324,12 +383,12 @@ func SolveMRT(inst *switchnet.Instance) (*MRTResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := roundWindowLP(inst, s.m, s.sol)
+	res, err := s.schedule(inst)
 	if err != nil {
 		return nil, err
 	}
 	if got := res.Schedule.MaxResponse(inst); got > s.rho {
 		return nil, fmt.Errorf("core: rounded schedule has max response %d > rho %d", got, s.rho)
 	}
-	return &MRTResult{TimeConstrainedResult: res, Rho: s.rho, SearchLP: s.other}, nil
+	return &MRTResult{TimeConstrainedResult: res, Rho: s.rho, SearchLP: s.other, LPs: s.lps}, nil
 }

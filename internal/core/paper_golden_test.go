@@ -23,26 +23,27 @@ func paperInstance(seed int64, ports, rounds, flows int) *switchnet.Instance {
 }
 
 // TestPaperModelGolden pins what the LP pipeline computes on seeded
-// paper-model instances. lbObj, lbHorizon, artLPBound and rho are optima:
-// they were recorded with the dense-LU solver this repository first shipped
-// and have survived the sparse factorisation, the crash start and the crash
-// basis — a basis kernel or a starting point may change what a solve costs,
-// never the optimum or the horizon. The pivot counts and artTotal are what
-// the solves cost and where they end today, all three LPs started from a
-// greedy schedule with its flows in the starting basis; the counts of the
-// solves before that (crash start with an all-slack basis for LP (1)-(4),
-// cold for the interval LP) are in the comments beside them. artTotal moves
-// with the start because the interval LP's optimum is not unique and the
-// schedule is rounded from the vertex the solve ends at; one LP (1)-(4)
-// count rose (10x10). (LP (1)-(4) is degenerate enough that its duals carry
-// thirds, so the path to the optimum, not the optimum, moves with the order
-// of floating-point operations.) rho and the two SolveMRT counts pin "one
-// solve at rho, not three": first fit places every flow inside its rho
-// window on these instances, so the LP at rho is answered by its start as
-// it stands (0 pivots, no factorisation), the volume bound the search
-// starts from is rho itself (no other LP, SearchLP empty), and the solution
-// that is rounded is the search's. Before the crash start the same call
-// spent 105/123/1004 pivots on that LP — twice, once in the search and once
+// paper-model instances. lbObj, artLPBound and rho are optima: they were
+// recorded with the dense-LU solver this repository first shipped and have
+// survived the sparse factorisation, the crash start, the crash basis and the
+// first-fit horizon — a basis kernel, a starting point or a horizon the duals
+// certify may change what a solve costs, never the optimum. lbHorizon is the
+// horizon LP (1)-(4) was solved over, the round after the last one first fit
+// uses (16/14/28, the congestion horizon, before it became the fallback).
+// The pivot counts and artTotal are what the solves cost and where they end
+// today, all LPs started from a greedy schedule with its flows in the
+// starting basis; the counts of the solves before that are in the comments
+// beside them (LP (1)-(4): at the congestion horizon, then with an all-slack
+// start; the interval LP: cold). artTotal moves with the start because the
+// interval LP's optimum is not unique and the schedule is rounded from the
+// vertex the solve ends at. (LP (1)-(4) is degenerate enough that its duals
+// carry thirds, so the path to the optimum, not the optimum, moves with the
+// order of floating-point operations.) rho and the SolveMRT stats pin "no LP
+// at all": first fit places every flow inside its rho window on these
+// instances, so rho is answered, and the schedule given, by that placement
+// (no LP built, LP and SearchLP empty), and the volume bound the search
+// starts from is rho itself. Before the crash start the same call spent
+// 105/123/1004 pivots on the LP at rho — twice, once in the search and once
 // more to round.
 func TestPaperModelGolden(t *testing.T) {
 	cases := []struct {
@@ -56,9 +57,9 @@ func TestPaperModelGolden(t *testing.T) {
 		artTotal, artPivots int
 		rho                 int
 	}{
-		{"5x5_25/seed1", 1, 5, 5, 25, 50.5, 16, 55 /* all-slack start 80, cold 136, dense 136 */, 30.5, 139 /* cold 141 */, 9 /* cold 94 */, 6},
-		{"5x5_25/seed2", 2, 5, 5, 25, 40.5, 14, 51 /* all-slack start 73, cold 176, dense 161 */, 13.5, 116 /* cold 116 */, 1 /* cold 58 */, 4},
-		{"10x10_100/seed1", 1, 10, 10, 100, 232, 28, 1454 /* all-slack start 1364, cold 2799, dense 2673 */, 127, 746 /* cold 753 */, 85 /* cold 499 */, 9},
+		{"5x5_25/seed1", 1, 5, 5, 25, 50.5, 10, 55 /* at horizon 16: 55, all-slack start 80, cold 136, dense 136 */, 30.5, 139 /* cold 141 */, 9 /* cold 94 */, 6},
+		{"5x5_25/seed2", 2, 5, 5, 25, 40.5, 8, 51 /* at horizon 14: 51, all-slack start 73, cold 176, dense 161 */, 13.5, 116 /* cold 116 */, 1 /* cold 58 */, 4},
+		{"10x10_100/seed1", 1, 10, 10, 100, 232, 18, 1217 /* at horizon 28: 1454, all-slack start 1364, cold 2799, dense 2673 */, 127, 746 /* cold 753 */, 85 /* cold 499 */, 9},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -92,9 +93,9 @@ func TestPaperModelGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mrt.Rho != c.rho || mrt.LPIterations != 0 || mrt.LP.Refactors != 0 || mrt.LP.StartAtUpper != c.flows || mrt.SearchLP != (lp.Stats{}) {
-				t.Errorf("SolveMRT = (rho %d, %d pivots at rho %+v, search %+v), want rho %d from one pivot-free solve",
-					mrt.Rho, mrt.LPIterations, mrt.LP, mrt.SearchLP, c.rho)
+			if mrt.Rho != c.rho || mrt.LPIterations != 0 || mrt.LP != (lp.Stats{}) || mrt.SearchLP != (lp.Stats{}) || mrt.LPs != 0 {
+				t.Errorf("SolveMRT = (rho %d, %d pivots at rho %+v, search %+v, %d LPs), want rho %d with no LP built",
+					mrt.Rho, mrt.LPIterations, mrt.LP, mrt.SearchLP, mrt.LPs, c.rho)
 			}
 		})
 	}

@@ -229,7 +229,8 @@ func TestResultTableCSV(t *testing.T) {
 
 // TestLPSolversReportStageCounts: the LP-backed solvers carry the solver's
 // stage counts into their table rows, the others a blank; every row names
-// the augmentation its solver declared.
+// the augmentation its solver declared. An MRT row may count no LP at all —
+// first fit answered its search — and then its whole block is zero.
 func TestLPSolversReportStageCounts(t *testing.T) {
 	table := RunSweep(SweepConfig{
 		Solvers:    solversNamed(t, "ART(c=1)", "MRT", "MaxCard"),
@@ -254,17 +255,17 @@ func TestLPSolversReportStageCounts(t *testing.T) {
 	}
 	for i, r := range table.Rows[:2] {
 		st := table.Verdicts[i].Solution.Stats
-		if len(r.LP) != len(lpStatKeys) || r.LP[0] != int(st["lp_rows"]) || st["lp_rows"] == 0 ||
-			st["lp_start_basic"] > st["lp_start_at_upper"] || st["lp_start_at_upper"] != float64(r.N) {
-			t.Fatalf("%s: LP columns %v, stats %v", r.Solver, r.LP, st)
+		if len(r.LP) != len(lpStatKeys) {
+			t.Fatalf("%s: LP columns %v", r.Solver, r.LP)
 		}
-		// Only an LP whose start was the answer — MRT's, when first fit
-		// places every flow inside its rho window — is never factored.
-		if st["lp_refactors"] == 0 {
-			if r.Solver != "MRT" || st["lp_pivots"] != 0 {
-				t.Fatalf("%s: an unfactored LP with stats %v", r.Solver, st)
-			}
-		} else if st["lp_lu_peak_nnz"] < st["lp_rows"] || st["lp_start_basic"] == 0 {
+		if r.Solver == "MRT" && st["lp_pivots"] == 0 && !slices.ContainsFunc(r.LP, func(v int) bool { return v != 0 }) {
+			continue
+		}
+		// A built LP is factored. ART's start places every flow here; MRT
+		// builds its LP at rho only where first fit leaves a flow out.
+		if r.LP[0] != int(st["lp_rows"]) || st["lp_rows"] == 0 || st["lp_refactors"] == 0 ||
+			st["lp_lu_peak_nnz"] < st["lp_rows"] || st["lp_start_basic"] == 0 || st["lp_start_basic"] > st["lp_start_at_upper"] ||
+			(st["lp_start_at_upper"] == float64(r.N)) != (r.Solver != "MRT") {
 			t.Fatalf("%s: LP columns %v, stats %v", r.Solver, r.LP, st)
 		}
 		if got := st["lp_phase1_pivots"] + st["lp_phase2_pivots"]; got != st["lp_pivots"] {

@@ -16,10 +16,10 @@
 // DefaultConfig keeps the load ratios M/m on a 6-port switch, where every
 // artifact with its LP baselines takes seconds. That is a choice of
 // default, not the solver's reach: at 150 ports, unit capacities, T=6
-// (2-core 2.1 GHz Xeon, seed 1) the LP (1)-(4) bound takes 10 ms at M=50
-// and 0.3 s at M=100, SolveART(c=1) 1 ms and 7-11 ms, SolveMRT under
-// 7 ms; the wall is load, not ports — at M=150 the same bound is 31 s and
-// 52.5 k pivots, and M >= 300 has not finished (ROADMAP item 2).
+// (2-core 2.1 GHz Xeon, seed 1) the LP (1)-(4) bound takes 7 ms at M=50
+// and 0.28 s at M=100, SolveART(c=1) 1 ms and 6 ms, SolveMRT 0.1 ms and
+// 7 ms; the wall is load, not ports — at M=150 the same bound is 35 s and
+// 53.9 k pivots, and M >= 300 has not finished (ROADMAP item 2).
 package experiments
 
 import (

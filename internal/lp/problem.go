@@ -41,13 +41,9 @@
 // column needs no pivot at all. Stats.StartAtUpper counts the variables
 // named, Stats.StartBasic those that entered the basis. A Start that names
 // no upper bound, and a nil one, pivot exactly as a cold solve always did.
-//
-// A starting point that satisfies every row of an LP whose objective is
-// identically zero is the answer, and is returned as it stands — zero
-// duals, no pivot, no factorisation. A caller that holds a feasible 0/1
-// point of its LP (internal/core: a greedy schedule) and needs the optimum
-// or feasibility, not a particular vertex, passes it. A Start of the wrong
-// length is an error.
+// A caller that holds a feasible 0/1 point of its LP (internal/core: a
+// greedy schedule) and needs the optimum, not a particular vertex, passes
+// it. A Start of the wrong length is an error.
 //
 // # Working memory
 //
@@ -250,8 +246,7 @@ type Stats struct {
 	// Refactors counts basis factorisations, the first included. The final
 	// accuracy pass is one more unless nothing moved after the last of them
 	// — it would recompute what the solve already holds and is skipped — so
-	// a solve that needs no pivot factors once, and one whose start is
-	// returned as it stands (a zero objective, every row satisfied) never.
+	// a solve that needs no pivot factors once.
 	Refactors int
 	// PeakLUNonzeros is the largest number of nonzeros any of them stored
 	// in L and U together, diagonal included.
@@ -267,6 +262,12 @@ type Stats struct {
 	// place of a slack (the crash basis of the package comment).
 	StartBasic int
 }
+
+// PricedOut reports whether a nonbasic variable at its lower bound with
+// reduced cost d stays out of the basis at optimality: Solve's pricing
+// enters such a variable only when d < -optTol. A caller that prices a
+// column the LP does not hold against a returned Dual applies the same test.
+func PricedOut(d float64) bool { return d >= -optTol }
 
 // Pivots is the iteration count of both phases together,
 // Solution.Iterations for a single solve.

@@ -3,7 +3,6 @@ package lp
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 )
 
@@ -399,15 +398,6 @@ func (s *simplex) load(p *Problem, opt SolveOptions) (*Solution, error) {
 		s.basis[i] = aj
 	}
 	s.n = len(s.cols)
-
-	// A point that satisfies every row is the answer when there is nothing
-	// to minimise: no basis is needed to say so.
-	if s.n == total && !slices.ContainsFunc(p.cost, func(c float64) bool { return c != 0 }) {
-		sol := s.solution(Optimal)
-		sol.X = slices.Clone(s.x[:p.n])
-		sol.Dual = make([]float64, m)
-		return sol, nil
-	}
 
 	// Crash basis: a variable Start named takes the basis place of the slack
 	// of its crashRow, and the slack goes nonbasic at the bound it sits on —

@@ -214,9 +214,11 @@ func (in *Instance) PortLoads() []int {
 // [maxRel, maxRel+h). Each flow is released by maxRel and receives d_e in
 // total, which is (2) and (6); in each of those rounds port p carries
 // load_p/h <= c_p, which is (3), and summed over any four of them (7). The
-// d_max + 1 on top is slack the proof does not use. internal/core solves
-// both LPs once at this horizon and reports an infeasible one as an
-// internal error.
+// d_max + 1 on top is slack the proof does not use. In internal/core it is
+// the fallback horizon of both LPs and the certificate's bound: each is
+// solved over the rounds first fit uses, and once more at this horizon only
+// when the optimum's duals do not rule out every round up to it; an
+// infeasible LP here is reported as an internal error.
 func (in *Instance) CongestionHorizon() int {
 	h := 0
 	loads := in.PortLoads()
