@@ -7,8 +7,8 @@ package flowsched
 //	                  sizes and at two cells of the paper's own grid (150
 //	                  ports), with the LP (1)-(4) horizon solved, the LPs
 //	                  SolveMRT built, pivots, phase-1 pivots, flows in the
-//	                  starting basis, perturbations, peak L+U nonzeros and
-//	                  milliseconds per call per rung.
+//	                  starting basis, perturbations, peak L+U nonzeros,
+//	                  milliseconds per call and B/op and allocs/op per rung.
 //	BenchmarkVerifyWindow - the feasibility oracle on one stream-sized
 //	                  window, cold (CheckSchedule) and on a warmed Checker.
 //	BenchmarkSubstrate* - one LP solve, one 150-port drain, the SRPT bound,
@@ -64,8 +64,9 @@ func BenchmarkSubstrateLPSolve(b *testing.B) {
 // counted once), how many of them were phase 1, how many flows the crash
 // starts put in a starting basis, how many stalls the solver answered with a
 // bound perturbation, the largest L+U any of their factorisations stored,
-// and the milliseconds each call took. CI runs every rung but 30x30/900,
-// which is there to be run by hand (a minute or two).
+// the milliseconds each call took, and B/op and allocs/op for the three
+// calls together. CI runs every rung but 30x30/900, which is there to be run
+// by hand (a minute or two).
 func BenchmarkOfflineLadder(b *testing.B) {
 	paperModel := func(ports, rounds, flows int) func() *Instance {
 		return func() *Instance {
@@ -94,6 +95,7 @@ func BenchmarkOfflineLadder(b *testing.B) {
 		{"150p_M100_T6", poisson(100, 6)},
 	} {
 		b.Run(rung.name, func(b *testing.B) {
+			b.ReportAllocs()
 			inst := rung.inst()
 			var (
 				st                lp.Stats

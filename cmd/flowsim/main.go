@@ -216,6 +216,9 @@ func simulate(fs *flag.FlagSet) func() error {
 		usage()
 	}
 	return func() error {
+		if err := atLeastOne("dmax", *demands); err != nil {
+			return err
+		}
 		if *streamMode {
 			if err := atLeastOne("ports", *ports); err != nil {
 				return err
@@ -383,7 +386,7 @@ func streamPolicy(name string) stream.Policy {
 // streamSource builds a fresh arrival source for one drain. Each policy
 // in a -policy all sweep gets its own source (same trace bytes or RNG
 // seed), so every drain judges the same arrival process.
-func streamSource(o streamOpts, sw switchnet.Switch, capacity int) (stream.Source, func()) {
+func streamSource(o streamOpts, sw switchnet.Switch) (stream.Source, func()) {
 	if o.trace != "" {
 		f, err := os.Open(o.trace)
 		if err != nil {
@@ -399,8 +402,8 @@ func streamSource(o streamOpts, sw switchnet.Switch, capacity int) (stream.Sourc
 		return src, func() { f.Close() }
 	}
 	src := workload.NewArrivalSource(workload.ArrivalConfig{
-		Ports: o.ports, Cap: capacity, M: o.m, MaxFlows: o.flows,
-		Alpha: o.alpha, MinDemand: 1, MaxDemand: capacity,
+		Ports: o.ports, Cap: o.dmax, M: o.m, MaxFlows: o.flows,
+		Alpha: o.alpha, MinDemand: 1, MaxDemand: o.dmax,
 	}, rand.New(rand.NewSource(o.seed)))
 	return src, func() {}
 }
@@ -473,12 +476,8 @@ func runStream(o streamOpts) {
 // prints its metrics block. A non-empty logFile attaches a flight
 // recorder to the drain and dumps its last rounds as JSONL afterwards.
 func drainStream(o streamOpts, pol stream.Policy, mode stream.AdmitMode, logFile string) {
-	capacity := o.dmax
-	if capacity < 1 {
-		capacity = 1
-	}
-	sw := switchnet.NewSwitch(o.ports, o.ports, capacity)
-	src, closeSrc := streamSource(o, sw, capacity)
+	sw := switchnet.NewSwitch(o.ports, o.ports, o.dmax)
+	src, closeSrc := streamSource(o, sw)
 	defer closeSrc()
 	var rec *obs.FlightRecorder
 	if logFile != "" {

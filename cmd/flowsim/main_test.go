@@ -40,6 +40,12 @@ func TestDispatch(t *testing.T) {
 		{[]string{"-stream", "-ports", "2", "-restore", zeroLimit}, 2, "-maxpending must be at least 1, got 0", ""},
 		{[]string{"art", "-ports", "0"}, 2, "-ports must be at least 1, got 0", ""},
 		{[]string{"gen", "-ports", "0"}, 2, "-ports must be at least 1, got 0", ""},
+		{[]string{"art", "-c", "0"}, 2, "-c must be at least 1, got 0", "core:"},
+		{[]string{"mrt", "-dmax", "0"}, 2, "-dmax must be at least 1, got 0", ""},
+		{[]string{"mrt", "-dmax", "-3"}, 2, "-dmax must be at least 1, got -3", "capacity"},
+		{[]string{"gen", "-dmax", "0"}, 2, "-dmax must be at least 1, got 0", ""},
+		{[]string{"-dmax", "0"}, 2, "-dmax must be at least 1, got 0", ""},
+		{[]string{"-stream", "-dmax", "-3"}, 2, "-dmax must be at least 1, got -3", ""},
 		{[]string{"paper", "-fig", "t1", "-trials", "0"}, 2, "-trials must be at least 1, got 0", ""},
 		{[]string{"paper", "-fig", "t1", "-lptrials", "0"}, 2, "-lptrials must be at least 1, got 0", ""},
 		{[]string{"gen", "-kind", "nosuch"}, 2, `unknown kind "nosuch"`, ""},

@@ -32,6 +32,9 @@ func art(fs *flag.FlagSet) func() error {
 		schedule = fs.Bool("schedule", false, "print the per-flow schedule")
 	)
 	return func() error {
+		if err := atLeastOne("c", *c); err != nil {
+			return err
+		}
 		inst, err := loadInstance(*inFile, "", workload.PoissonConfig{M: *mFlag, T: *tFlag, Ports: *ports}, *seed)
 		if err != nil {
 			return err
@@ -80,6 +83,9 @@ func mrt(fs *flag.FlagSet) func() error {
 		gantt     = fs.Bool("gantt", false, "print a per-port load timeline")
 	)
 	return func() error {
+		if err := atLeastOne("dmax", *dmax); err != nil {
+			return err
+		}
 		inst, err := loadInstance(*inFile, "",
 			workload.PoissonConfig{M: *mFlag, T: *tFlag, Ports: *ports, Cap: *dmax, MaxDemand: *dmax}, *seed)
 		if err != nil {
@@ -177,7 +183,7 @@ func gen(fs *flag.FlagSet) func() error {
 		if write == nil {
 			return usageError{fmt.Errorf("unknown format %q", *format)}
 		}
-		if err := atLeastOne("ports", *ports); err != nil {
+		if err := cmp.Or(atLeastOne("ports", *ports), atLeastOne("dmax", *dmax)); err != nil {
 			return err
 		}
 		rng := rand.New(rand.NewSource(*seed))

@@ -52,9 +52,7 @@ func ARTLowerBound(inst *switchnet.Instance) (*ARTLowerBoundResult, error) {
 	if inst.N() == 0 {
 		return &ARTLowerBoundResult{}, nil
 	}
-	sol, horizon, st, err := solveOverFirstFit(inst, 1, artCost, "ART lower-bound LP", func(horizon int, placed []int) (*lp.Problem, []float64) {
-		return artLowerBoundLP(inst, horizon, placed)
-	})
+	sol, horizon, st, err := solveOverFirstFit(inst, artLayout, "ART lower-bound LP")
 	if err != nil {
 		return nil, err
 	}
@@ -69,33 +67,9 @@ func describeLP(st lp.Stats) string {
 }
 
 // artCost is the cost of b_et in LP (1)-(4), (t-r_e)/d_e + 1/(2*kappa_e).
+// The LP is artLayout: b_et <= d_e is implied at any optimum (costs are
+// positive) and tightens the relaxation the simplex must explore.
 func artCost(inst *switchnet.Instance, f, t int) float64 {
 	e := inst.Flows[f]
 	return float64(t-e.Release)/float64(e.Demand) + 1/(2*float64(inst.Kappa(f)))
-}
-
-// artLowerBoundLP builds LP (1)-(4) over rounds [r_e, horizon) together
-// with the point its solve starts from: b_et = d_e where firstFit, in
-// release order over fromRelease, placed flow e (placed inside the horizon).
-func artLowerBoundLP(inst *switchnet.Instance, horizon int, placed []int) (*lp.Problem, []float64) {
-	ix := newTimeIndex(inst, fromRelease(inst, horizon), 1)
-	p := lp.NewProblem(ix.len())
-	for j, f := range ix.flow {
-		p.SetCost(j, artCost(inst, f, ix.round[j]))
-		// b_et <= d_e is implied at any optimum (costs are positive) and
-		// tightens the relaxation the simplex must explore.
-		p.SetBounds(j, 0, float64(inst.Flows[f].Demand))
-	}
-	// Constraint (2): full demand scheduled.
-	for f, e := range inst.Flows {
-		a, b := ix.off[f], ix.off[f+1]
-		p.AddRow(ix.ident[a:b], ix.ones[a:b], lp.GE, float64(e.Demand))
-	}
-	// Constraint (3): per-port per-round capacity.
-	rows := newPortRows(inst, ix)
-	for k, port := range rows.port {
-		a, b := rows.start[k], rows.start[k+1]
-		p.AddRow(rows.vars[a:b], ix.ones[:b-a], lp.LE, float64(inst.Switch.Cap(port)))
-	}
-	return p, startAt(ix, placed, func(f int) float64 { return float64(inst.Flows[f].Demand) })
 }

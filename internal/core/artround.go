@@ -168,54 +168,32 @@ func IterativeRound(inst *switchnet.Instance) (*PseudoSchedule, error) {
 // happens to reach, so the pseudo-schedule may differ from a cold solve's
 // where the optimum is not unique, at the same LP cost.
 func solveInitialIntervalLP(inst *switchnet.Instance) ([]entry, float64, lp.Stats, error) {
-	var ix *timeIndex // of the last LP built, the one whose solve stands
-	sol, _, st, err := solveOverFirstFit(inst, 4, intervalCost, "interval LP", func(horizon int, placed []int) (p *lp.Problem, start []float64) {
-		p, ix, start = intervalLP(inst, horizon, placed)
-		return p, start
-	})
+	sol, horizon, st, err := solveOverFirstFit(inst, intervalLayout, "interval LP")
 	if err != nil {
 		return nil, 0, st, err
 	}
+	// The variables are x_et for t in [r_e, horizon), flow by flow.
 	var entries []entry
-	for j, v := range sol.X {
-		if v > zeroTol {
-			entries = append(entries, entry{ix.flow[j], ix.round[j], v})
+	j := 0
+	for f, e := range inst.Flows {
+		for t := e.Release; t < horizon; t++ {
+			if v := sol.X[j]; v > zeroTol {
+				entries = append(entries, entry{f, t, v})
+			}
+			j++
 		}
 	}
 	return entries, sol.Obj, st, nil
 }
 
-// intervalCost is the cost of x_et in LP (5)-(8), t-r_e+1/2.
+// intervalCost is the cost of x_et in LP (5)-(8), t-r_e+1/2. The LP is
+// intervalLayout: a port row per aligned width-4 window is constraint (7),
+// the sum over t in [4a, 4a+4) at most 4*c_p, and the start is x_et = 1 at
+// the earliest round of the first such window in which both of e's ports
+// hold fewer than 4*c_p flows. That point satisfies (6) and (7), so the
+// solve has no phase 1 whenever the horizon holds every flow.
 func intervalCost(inst *switchnet.Instance, f, t int) float64 {
 	return float64(t-inst.Flows[f].Release) + 0.5
-}
-
-// intervalLP builds LP (5)-(8) over rounds [r_e, horizon) together with the
-// point its solve starts from: x_et = 1 where firstFit, in release order over
-// fromRelease at width 4, placed flow e (placed inside the horizon) — the
-// earliest round of the first aligned width-4 window in which both its ports
-// hold fewer than 4*c_p flows. The point satisfies (6) and (7), so the solve
-// has no phase 1 whenever the horizon holds every flow.
-func intervalLP(inst *switchnet.Instance, horizon int, placed []int) (*lp.Problem, *timeIndex, []float64) {
-	// Variables flow by flow, rounds ascending; a slot per aligned width-4
-	// window, so the port rows are constraint (7): the sum over t in
-	// [4a, 4a+4) is at most 4*c_p.
-	ix := newTimeIndex(inst, fromRelease(inst, horizon), 4)
-	p := lp.NewProblem(ix.len())
-	for j, f := range ix.flow {
-		p.SetCost(j, intervalCost(inst, f, ix.round[j]))
-		p.SetBounds(j, 0, 1)
-	}
-	for f := range inst.Flows {
-		a, b := ix.off[f], ix.off[f+1]
-		p.AddRow(ix.ident[a:b], ix.ones[a:b], lp.GE, 1)
-	}
-	rows := newPortRows(inst, ix)
-	for k, port := range rows.port {
-		a, b := rows.start[k], rows.start[k+1]
-		p.AddRow(rows.vars[a:b], ix.ones[:b-a], lp.LE, 4*float64(inst.Switch.Cap(port)))
-	}
-	return p, ix, startAt(ix, placed, one)
 }
 
 // solveRegroupedLP builds LP(l) for iteration l >= 1: variables are exactly
@@ -279,7 +257,7 @@ func solveRegroupedLP(inst *switchnet.Instance, entries []entry) ([]entry, lp.St
 			for i := range val {
 				val[i] = 1
 			}
-			p.AddRow(append([]int(nil), group...), val, lp.LE, size)
+			p.AddRow(group, val, lp.LE, size)
 			group = group[:0]
 			size = 0
 		}

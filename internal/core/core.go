@@ -11,11 +11,16 @@
 //   - Online (Section 5.1): the batched AMRT algorithm of Lemma 5.3.
 //   - Combinatorial lower bounds used when LPs are too large.
 //
+// One time-indexed builder (newTimeLP) serves the three LPs: a layout says
+// which one, and the builder writes every row in place into a reused
+// lp.Problem, which goes back for the next build once the solve — or, for
+// LP (19)-(21), Theorem 3's rounding, which reads the same rows — is done.
+//
 // First fit (firstFit) runs before any of the three LPs is built, and what
 // it finds decides how much LP there is. Every LP that is built is
 // crash-started at that greedy schedule, handed to the solver as
 // lp.SolveOptions.Start. A schedule names one column per covering row —
-// constraints (2), (6), (20), added first in every builder — so the solver
+// constraints (2), (6), (20), the builder's first rows — so the solver
 // puts those columns in its starting basis and the simplex starts where
 // phase 1 would have had to get to, with the schedule's costs as its
 // starting duals. What each caller may rely on is what its LP is used for,
@@ -53,6 +58,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"flowsched/internal/lp"
 	"flowsched/internal/switchnet"
@@ -111,58 +117,6 @@ func (s windowSlots) slot(t int) int {
 	return k
 }
 
-// timeIndex lays out the variables of a time-indexed LP flow by flow: flow
-// f owns variables off[f] up to off[f+1], one per candidate round, in the
-// order its candidates were given. slot is a variable's window's slot among
-// the nSlots of windowSlots, which orders the windows as the rounds are
-// ordered; in[f] and out[f] are where the entries of flow f's two ports
-// begin in a per-(port, slot) table.
-type timeIndex struct {
-	off     []int // len flows+1
-	in, out []int // per flow
-	flow    []int // per variable
-	round   []int
-	slot    []int
-	nSlots  int
-	// ident[j] = j and ones[j] = 1: a flow's row is a run of each.
-	ident []int
-	ones  []float64
-}
-
-// newTimeIndex indexes one variable per flow and candidate round, with
-// aligned windows of width rounds as slots.
-func newTimeIndex(inst *switchnet.Instance, rounds Windows, width int) *timeIndex {
-	ix := &timeIndex{off: make([]int, len(rounds)+1)}
-	for f, r := range rounds {
-		ix.off[f+1] = ix.off[f] + len(r)
-	}
-	n := ix.off[len(rounds)]
-	ix.flow, ix.round, ix.slot, ix.ident = make([]int, n), make([]int, n), make([]int, n), make([]int, n)
-	ix.ones = make([]float64, n)
-	for f, r := range rounds {
-		for k, t := range r {
-			ix.flow[ix.off[f]+k], ix.round[ix.off[f]+k] = f, t
-		}
-	}
-	for j := range ix.ident {
-		ix.ident[j], ix.ones[j] = j, 1
-	}
-	slots := newWindowSlots(rounds, width)
-	for j, t := range ix.round {
-		ix.slot[j] = slots.slot(t)
-	}
-	ix.nSlots = slots.n
-	ix.in, ix.out = make([]int, len(rounds)), make([]int, len(rounds))
-	for f, e := range inst.Flows {
-		ix.in[f] = inst.Switch.PortIndex(switchnet.In, e.In) * ix.nSlots
-		ix.out[f] = inst.Switch.PortIndex(switchnet.Out, e.Out) * ix.nSlots
-	}
-	return ix
-}
-
-// len is the number of variables.
-func (ix *timeIndex) len() int { return len(ix.flow) }
-
 // fromRelease gives every flow the candidate rounds [r_e, horizon), the
 // variables of LP (1)-(4) and of the interval LP (5)-(8). The windows
 // share one backing array.
@@ -178,39 +132,141 @@ func fromRelease(inst *switchnet.Instance, horizon int) Windows {
 	return cand
 }
 
-// portRows groups the variables of a timeIndex by (port, slot): row k is
-// vars[start[k]:start[k+1]], ascending, and constrains port[k]. Rows hold
-// only (port, slot) pairs some variable touches and are ordered by port,
-// then slot. The order is part of the result: a different row order walks
-// the simplex through different pivots to a different, equally valid,
-// vertex, and a sweep would stop being reproducible.
-type portRows struct {
-	port, start, vars []int
+// layout is what tells the paper's three time-indexed LPs apart; newTimeLP
+// builds all three. What they share is the layout itself:
+//
+//   - one variable per flow and candidate round, flow by flow, in the order
+//     the flow's rounds are given;
+//   - a covering row per flow, in flow order, first: constraints (2), (6)
+//     and (20);
+//   - then a row per port and aligned window of width rounds that some
+//     variable touches, ordered by port, then window, with its variables
+//     ascending: constraints (3), (7) and (19).
+//
+// The row order is part of the result: a different order walks the simplex
+// through different pivots to a different, equally valid, vertex, and a
+// sweep would stop being reproducible.
+type layout struct {
+	width int      // rounds per window of a port row: 4 for (7), 1 elsewhere
+	cover lp.Sense // of the covering rows: GE for (2) and (6), EQ for (20)
+	cost  costFunc // nil for LP (19)-(21), which only asks for feasibility
+	// units says a variable is the demand b_et served in round t, in
+	// [0, d_e], that covers d_e and weighs 1 on its ports (LP (1)-(4)).
+	// Otherwise it is the share x_et, in [0, 1], that covers 1 and weighs d_e.
+	units bool
 }
 
-func newPortRows(inst *switchnet.Instance, ix *timeIndex) portRows {
-	next := make([]int, inst.Switch.NumPorts()*ix.nSlots+1)
-	for j, f := range ix.flow {
-		next[ix.in[f]+ix.slot[j]+1]++
-		next[ix.out[f]+ix.slot[j]+1]++
+var (
+	artLayout      = layout{width: 1, cover: lp.GE, cost: artCost, units: true} // LP (1)-(4)
+	intervalLayout = layout{width: 4, cover: lp.GE, cost: intervalCost}         // LP (5)-(8); unit demands, so b = x
+	windowLayout   = layout{width: 1, cover: lp.EQ}                             // LP (19)-(21)
+)
+
+// timeLP is a time-indexed LP laid out in its own lp.Problem, with the
+// windows it was built over and the point its solve starts from. The build,
+// the solve and Theorem 3's rounding all read the same rows; release hands
+// it back to timeLPs after the last of them.
+type timeLP struct {
+	p   lp.Problem
+	win Windows
+	// start is firstFit's placement as a point of the LP: the covering row's
+	// right-hand side on the variable chosen for each flow placed, 0
+	// elsewhere.
+	start []float64
+	next  []int // per (port, window): the build's counting sort
+}
+
+// timeLPs keeps the memory of released LPs for the next build. A timeLP
+// carries nothing from one build to the next but capacity, as lp's solver
+// state does: newTimeLP resets or writes everything it holds.
+var timeLPs = sync.Pool{New: func() any { return new(timeLP) }}
+
+// newTimeLP builds the LP of layout l over the candidate rounds win, its
+// start placed by firstFit over win (nil places nothing), writing every row
+// in place into the Problem's arena, which is reserved at its final size.
+func newTimeLP(inst *switchnet.Instance, win Windows, l layout, placed []int) *timeLP {
+	m := timeLPs.Get().(*timeLP)
+	m.win = win
+	slots := newWindowSlots(win, l.width)
+	ports := inst.Switch.NumPorts()
+	keys := func(f int) (in, out int) {
+		e := inst.Flows[f]
+		return inst.Switch.PortIndex(switchnet.In, e.In) * slots.n, inst.Switch.PortIndex(switchnet.Out, e.Out) * slots.n
 	}
-	var rows portRows
-	for key := 1; key < len(next); key++ {
-		if next[key] > 0 {
-			rows.port = append(rows.port, (key-1)/ix.nSlots)
-			rows.start = append(rows.start, next[key-1])
+	// Count each port row's entries, one per variable on each of its two
+	// ports, at next[key+1].
+	m.next = append(m.next[:0], make([]int, ports*slots.n+1)...)
+	n := 0
+	for f, rounds := range win {
+		in, out := keys(f)
+		for _, t := range rounds {
+			s := slots.slot(t)
+			m.next[in+s+1]++
+			m.next[out+s+1]++
 		}
-		next[key] += next[key-1]
+		n += len(rounds)
 	}
-	rows.start = append(rows.start, 2*ix.len())
-	rows.vars = make([]int, 2*ix.len())
-	for j, f := range ix.flow {
-		for _, key := range [2]int{ix.in[f] + ix.slot[j], ix.out[f] + ix.slot[j]} {
-			rows.vars[next[key]] = j
-			next[key]++
+	p := &m.p
+	p.Reset(n, len(win)+min(2*n, ports*slots.n), 3*n)
+	m.start = append(m.start[:0], make([]float64, n)...)
+	j := 0
+	for f, rounds := range win {
+		cover := 1.0
+		if l.units {
+			cover = float64(inst.Flows[f].Demand)
+		}
+		idx, val := p.AppendRow(len(rounds), l.cover, cover)
+		if placed != nil && placed[f] >= 0 {
+			m.start[j+placed[f]] = cover
+		}
+		for k, t := range rounds {
+			idx[k], val[k] = j, 1
+			if l.cost != nil {
+				p.SetCost(j, l.cost(inst, f, t))
+			}
+			p.SetBounds(j, 0, cover)
+			j++
 		}
 	}
-	return rows
+	// The port rows, sized by the counts; next[key] becomes where key's row
+	// begins among their entries, then the scatter fills each row in turn.
+	first := p.NumRows()
+	for key := 1; key < len(m.next); key++ {
+		if m.next[key] > 0 {
+			p.AppendRow(m.next[key], lp.LE, float64(l.width*inst.Switch.Cap((key-1)/slots.n)))
+		}
+		m.next[key] += m.next[key-1]
+	}
+	idx, val := p.Entries(first, p.NumRows())
+	j = 0
+	for f, rounds := range win {
+		in, out := keys(f)
+		weight := float64(inst.Flows[f].Demand)
+		if l.units {
+			weight = 1
+		}
+		for _, t := range rounds {
+			s := slots.slot(t)
+			for _, key := range [2]int{in + s, out + s} {
+				idx[m.next[key]], val[m.next[key]] = j, weight
+				m.next[key]++
+			}
+			j++
+		}
+	}
+	return m
+}
+
+// solve runs the LP's solve from its start.
+func (m *timeLP) solve() (*lp.Solution, error) {
+	return m.p.SolveWith(lp.SolveOptions{Start: m.start})
+}
+
+// release hands m back to timeLPs; nothing may read it, or a Solution's
+// rounding system built on its rows, afterwards.
+func (m *timeLP) release() {
+	m.win = nil
+	timeLPs.Put(m)
 }
 
 // firstFit places each flow, in the given order, at the first of its
@@ -218,8 +274,8 @@ func newPortRows(inst *switchnet.Instance, ix *timeIndex) portRows {
 // itself at width 1 — still has room for its whole demand on both of its
 // ports, a window holding width*c_p per port, and returns the position in
 // win[f] chosen per flow (-1 for a flow no candidate can take). It needs no
-// timeIndex: the loads are one dense array of windowSlots per port, so it
-// runs before any LP is built and decides whether one is. At width 1 the
+// LP: the loads are one dense array of windowSlots per port, so it runs
+// before any LP is built and decides whether one is. At width 1 the
 // placement is a schedule that respects every port capacity, a feasible 0/1
 // point of LP (1)-(4) and of LP (19)-(21) over the same candidates; at width
 // 4 it respects constraint (7) and is one of the interval LP (5)-(8). It is
@@ -253,22 +309,6 @@ func firstFit(inst *switchnet.Instance, order []int, win Windows, width int) []i
 
 // placedAll reports whether firstFit placed every flow.
 func placedAll(placed []int) bool { return !slices.Contains(placed, -1) }
-
-// one is the value of a placed flow's variable in an LP whose variables are
-// bounded by 1.
-func one(int) float64 { return 1 }
-
-// startAt is the point of a placement in an LP indexed by ix over the same
-// windows: val(f) on the variable chosen for each flow placed, 0 elsewhere.
-func startAt(ix *timeIndex, placed []int, val func(f int) float64) []float64 {
-	start := make([]float64, ix.len())
-	for f, k := range placed {
-		if k >= 0 {
-			start[ix.off[f]+k] = val(f)
-		}
-	}
-	return start
-}
 
 // fitHorizon is the horizon an LP over the rounds [r_e, horizon) of
 // fromRelease is solved at when firstFit placed every flow there: the round
@@ -308,22 +348,22 @@ func pricedOut(inst *switchnet.Instance, sol *lp.Solution, horizon int, cost cos
 type costFunc func(inst *switchnet.Instance, f, t int) float64
 
 // solveOverFirstFit solves a time-indexed LP over the rounds [r_e, horizon)
-// whose costs grow in t — LP (1)-(4) at width 1, the interval LP (5)-(8) at
-// width 4, named what in errors — with build making the LP and its start
-// from a horizon and firstFit's placement in release order at that width.
-// The first solve is over fitHorizon, and its optimum stands when pricedOut
-// certifies it; otherwise, or when first fit cannot place every flow, the LP
-// is solved once over the rounds before inst.CongestionHorizon(), where it is
-// always feasible and is the full LP. It returns the solve that stands, its
-// horizon, and the stats of every solve.
-func solveOverFirstFit(inst *switchnet.Instance, width int, cost costFunc, what string,
-	build func(horizon int, placed []int) (*lp.Problem, []float64)) (*lp.Solution, int, lp.Stats, error) {
+// of fromRelease whose costs grow in t — LP (1)-(4) or the interval LP
+// (5)-(8), of layout l, named what in errors — started at firstFit's
+// placement in release order at l's width. The first solve is over
+// fitHorizon, and its optimum stands when pricedOut certifies it; otherwise,
+// or when first fit cannot place every flow, the LP is solved once over the
+// rounds before inst.CongestionHorizon(), where it is always feasible and is
+// the full LP. Each LP is released once solved. It returns the solve that
+// stands, its horizon, and the stats of every solve.
+func solveOverFirstFit(inst *switchnet.Instance, l layout, what string) (*lp.Solution, int, lp.Stats, error) {
 	full := inst.CongestionHorizon()
-	placed := firstFit(inst, releaseOrder(inst), fromRelease(inst, full), width)
+	placed := firstFit(inst, releaseOrder(inst), fromRelease(inst, full), l.width)
 	var st lp.Stats
-	for horizon := fitHorizon(inst, placed, width, full); ; horizon = full {
-		p, start := build(horizon, placed)
-		sol, err := p.SolveWith(lp.SolveOptions{Start: start})
+	for horizon := fitHorizon(inst, placed, l.width, full); ; horizon = full {
+		m := newTimeLP(inst, fromRelease(inst, horizon), l, placed)
+		sol, err := m.solve()
+		m.release()
 		if err != nil {
 			return nil, horizon, st, fmt.Errorf("core: %s at horizon %d: %w", what, horizon, err)
 		}
@@ -332,7 +372,7 @@ func solveOverFirstFit(inst *switchnet.Instance, width int, cost costFunc, what 
 				what, horizon, sol.Status, describeLP(sol.Stats))
 		}
 		st.Add(sol.Stats)
-		if horizon == full || pricedOut(inst, sol, horizon, cost) {
+		if horizon == full || pricedOut(inst, sol, horizon, l.cost) {
 			return sol, horizon, st, nil
 		}
 	}

@@ -37,7 +37,7 @@ type portRound struct{ port, t int }
 
 // sortedPortRounds returns the map's keys ordered by (port, t): the row
 // order the LP builders used when they grouped variables through a map, and
-// the one portRows must keep.
+// the one newTimeLP must keep.
 func sortedPortRounds(m map[portRound][]int) []portRound {
 	keys := make([]portRound, 0, len(m))
 	for k := range m {
@@ -176,10 +176,11 @@ func TestWindowSlots(t *testing.T) {
 	}
 }
 
-// TestPortRowsMatchSortedMap: the dense grouping emits exactly the rows,
-// in exactly the order, that the map-and-sort construction of the interval
-// LP builders produces — the property that keeps lp.Stats and every pivot
-// count of the rebuilt LPs where they were.
+// TestPortRowsMatchSortedMap: the builder's port rows are exactly the rows,
+// in exactly the order, that the map-and-sort construction of the first LP
+// builders produced, each weighing its variables by their flows' demands
+// against the port's capacity — the property that keeps lp.Stats and every
+// pivot count of the rebuilt LPs where they were.
 func TestPortRowsMatchSortedMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
@@ -195,25 +196,32 @@ func TestPortRowsMatchSortedMap(t *testing.T) {
 				win[f] = []int{e.Release * 7}
 			}
 		}
-		ix := newTimeIndex(inst, win, 1)
 		want := make(map[portRound][]int)
-		for j, f := range ix.flow {
+		var demand []float64 // per variable
+		for f, rounds := range win {
 			e := inst.Flows[f]
-			for _, port := range []int{inst.Switch.PortIndex(switchnet.In, e.In), inst.Switch.PortIndex(switchnet.Out, e.Out)} {
-				k := portRound{port, ix.round[j]}
-				want[k] = append(want[k], j)
+			for _, r := range rounds {
+				for _, port := range []int{inst.Switch.PortIndex(switchnet.In, e.In), inst.Switch.PortIndex(switchnet.Out, e.Out)} {
+					k := portRound{port, r}
+					want[k] = append(want[k], len(demand))
+				}
+				demand = append(demand, float64(e.Demand))
 			}
 		}
-		rows := newPortRows(inst, ix)
+		p := &timeConstrainedLP(inst, win, nil).p
 		keys := sortedPortRounds(want)
-		if len(keys) != len(rows.port) {
-			t.Fatalf("trial %d: %d rows, want %d", trial, len(rows.port), len(keys))
+		if p.NumRows() != inst.N()+len(keys) {
+			t.Fatalf("trial %d: %d rows, want %d covering and %d port rows", trial, p.NumRows(), inst.N(), len(keys))
 		}
 		for k, key := range keys {
-			got := rows.vars[rows.start[k]:rows.start[k+1]]
-			if rows.port[k] != key.port || !slices.Equal(got, want[key]) {
-				t.Fatalf("trial %d row %d: port %d vars %v, want port %d round %d vars %v",
-					trial, k, rows.port[k], got, key.port, key.t, want[key])
+			idx, val, sense, rhs := p.Row(inst.N() + k)
+			weights := make([]float64, len(idx))
+			for i, j := range idx {
+				weights[i] = demand[j]
+			}
+			if !slices.Equal(idx, want[key]) || !slices.Equal(val, weights) || sense != lp.LE || rhs != float64(inst.Switch.Cap(key.port)) {
+				t.Fatalf("trial %d port row %d: vars %v weights %v %v %v, want port %d round %d vars %v <= %d",
+					trial, k, idx, val, sense, rhs, key.port, key.t, want[key], inst.Switch.Cap(key.port))
 			}
 		}
 	}

@@ -15,15 +15,16 @@ import (
 type Windows [][]int
 
 // ResponseWindows builds the windows of the FS-MRT reduction: flow e may
-// run in rounds [r_e, r_e+rho).
+// run in rounds [r_e, r_e+rho). The windows share one backing array, each
+// capped at its own end.
 func ResponseWindows(inst *switchnet.Instance, rho int) Windows {
+	rounds := make([]int, inst.N()*rho)
 	w := make(Windows, inst.N())
 	for f, e := range inst.Flows {
-		rounds := make([]int, rho)
-		for i := 0; i < rho; i++ {
-			rounds[i] = e.Release + i
+		w[f] = rounds[f*rho : (f+1)*rho : (f+1)*rho]
+		for i := range w[f] {
+			w[f][i] = e.Release + i
 		}
-		w[f] = rounds
 	}
 	return w
 }
@@ -46,63 +47,23 @@ func DeadlineWindows(inst *switchnet.Instance, deadline []int) (Windows, error) 
 	return w, nil
 }
 
-// windowLP is LP (19)-(21) over a window family, with the rows it was
-// built from (Theorem 3's rounding system has the same ones) and the point
-// its solve starts from.
-type windowLP struct {
-	p    *lp.Problem
-	ix   *timeIndex
-	caps portRows
-	coef []float64 // d_e per entry of caps.vars
-	// start is x_et = 1 where firstFit placed flow e, taking the flows by
-	// the last round of their windows (deadlineOrder). The LP is built only
-	// where that placement leaves a flow out, so phase 1 works on the
-	// unplaced flows only; only whether the LP is feasible and Theorem 3's
-	// guarantee — which holds at any vertex — are used, so the solve may
-	// start there.
-	start []float64
-}
-
-// timeConstrainedLP builds LP (19)-(21): variables x_{e,t} for t in R(e),
-// an equality row per flow and a capacity row per (port, round) that some
-// window touches, with the start placed by firstFit over win.
-func timeConstrainedLP(inst *switchnet.Instance, win Windows, placed []int) *windowLP {
-	ix := newTimeIndex(inst, win, 1)
-	m := &windowLP{p: lp.NewProblem(ix.len()), ix: ix, caps: newPortRows(inst, ix)}
-	for j := range ix.ident {
-		m.p.SetBounds(j, 0, 1)
-	}
-	// Constraint (20): each flow fully scheduled.
-	for f := range inst.Flows {
-		a, b := ix.off[f], ix.off[f+1]
-		m.p.AddRow(ix.ident[a:b], ix.ones[a:b], lp.EQ, 1)
-	}
-	// Constraint (19): port capacity per round.
-	m.coef = make([]float64, len(m.caps.vars))
-	for k, j := range m.caps.vars {
-		m.coef[k] = float64(inst.Flows[ix.flow[j]].Demand)
-	}
-	for k, port := range m.caps.port {
-		a, b := m.caps.start[k], m.caps.start[k+1]
-		m.p.AddRow(m.caps.vars[a:b], m.coef[a:b], lp.LE, float64(inst.Switch.Cap(port)))
-	}
-	m.start = startAt(ix, placed, one)
-	return m
-}
-
 // deadlineOrder returns the flows sorted by the last round of their windows,
 // ties in index order: the order firstFit takes them in for LP (19)-(21).
+//
+// That LP, over a window family, is windowLayout: x_et for t in R(e), an
+// equality row per flow — constraint (20) — and a capacity row per (port,
+// round) that some window touches — constraint (19). Theorem 3's rounding
+// system has the same rows and reads them from the LP. Its start is x_et = 1
+// where first fit placed flow e. The LP is built only where that placement
+// leaves a flow out, so phase 1 works on the unplaced flows only; only
+// whether the LP is feasible and Theorem 3's guarantee — which holds at any
+// vertex — are used, so the solve may start there.
 func deadlineOrder(win Windows) []int {
 	deadline := make([]int, len(win))
 	for f, rounds := range win {
 		deadline[f] = slices.Max(rounds)
 	}
 	return orderBy(deadline)
-}
-
-// solve runs the crash-started solve of the LP.
-func (m *windowLP) solve() (*lp.Solution, error) {
-	return m.p.SolveWith(lp.SolveOptions{Start: m.start})
 }
 
 // TimeConstrainedResult is the outcome of SolveTimeConstrained.
@@ -164,7 +125,8 @@ func SolveTimeConstrained(inst *switchnet.Instance, win Windows) (*TimeConstrain
 	if placedAll(placed) {
 		return fitSchedule(inst, win, placed), nil
 	}
-	m := timeConstrainedLP(inst, win, placed)
+	m := newTimeLP(inst, win, windowLayout, placed)
+	defer m.release()
 	sol, err := m.solve()
 	if err != nil {
 		return nil, err
@@ -181,34 +143,33 @@ func SolveTimeConstrained(inst *switchnet.Instance, win Windows) (*TimeConstrain
 
 // roundWindowLP is the rounding half of Theorem 3: from an optimal solution
 // of m to a schedule inside the windows at capacities c_p + 2*d_max - 1.
-func roundWindowLP(inst *switchnet.Instance, m *windowLP, sol *lp.Solution) (*TimeConstrainedResult, error) {
-	ix := m.ix
+func roundWindowLP(inst *switchnet.Instance, m *timeLP, sol *lp.Solution) (*TimeConstrainedResult, error) {
 	dmax := inst.MaxDemand()
-	// Build the rounding system exactly as in the proof of Theorem 3:
-	// assignment rows guarded from dropping below 1 (budget 1, scaled
-	// Delta = 2*d_max in the paper's matrix form), capacity rows guarded
-	// from rising by 2*d_max or more.
-	sys := rounding.NewSystem(ix.len())
-	for f := range inst.Flows {
-		a, b := ix.off[f], ix.off[f+1]
-		sys.AddRow(ix.ident[a:b], ix.ones[a:b], rounding.Lower, 1)
-	}
-	for k := range m.caps.port {
-		a, b := m.caps.start[k], m.caps.start[k+1]
-		sys.AddRow(m.caps.vars[a:b], m.coef[a:b], rounding.Upper, float64(2*dmax))
+	// Build the rounding system exactly as in the proof of Theorem 3, on the
+	// LP's own rows: assignment rows (the first, one per flow) guarded from
+	// dropping below 1 (budget 1, scaled Delta = 2*d_max in the paper's
+	// matrix form), capacity rows guarded from rising by 2*d_max or more.
+	sys := rounding.NewSystem(m.p.NumVars())
+	for i := range m.p.NumRows() {
+		idx, val, _, _ := m.p.Row(i)
+		if i < inst.N() {
+			sys.AddRow(idx, val, rounding.Lower, 1)
+		} else {
+			sys.AddRow(idx, val, rounding.Upper, float64(2*dmax))
+		}
 	}
 	rres := sys.Round(sol.X)
 
 	// Extract the schedule: the earliest chosen round per flow (extra
 	// chosen rounds, if any, are discarded, which only lowers loads).
 	sched := switchnet.NewSchedule(inst.N())
-	for j, v := range rres.X {
-		if v < 0.5 {
-			continue
-		}
-		f, t := ix.flow[j], ix.round[j]
-		if cur := sched.Round[f]; cur == switchnet.Unscheduled || t < cur {
-			sched.Round[f] = t
+	j := 0
+	for f, rounds := range m.win {
+		for _, t := range rounds {
+			if cur := sched.Round[f]; rres.X[j] >= 0.5 && (cur == switchnet.Unscheduled || t < cur) {
+				sched.Round[f] = t
+			}
+			j++
 		}
 	}
 	for f, t := range sched.Round {
@@ -255,10 +216,11 @@ type MRTResult struct {
 // windows [r_e, r_e+rho) is feasible. This is the lower bound the paper's
 // Figure 7 compares heuristics against. Each rho of the search is answered
 // by first fit where it places every flow, and by its LP, crash-started from
-// that placement (see windowLP), only where it does not: only the yes/no
+// that placement (see deadlineOrder), only where it does not: only the yes/no
 // answer is used.
 func MRTLowerBound(inst *switchnet.Instance) (int, error) {
 	s, err := searchRho(inst)
+	s.release()
 	return s.rho, err
 }
 
@@ -270,7 +232,7 @@ type rhoSearch struct {
 	rho    int
 	win    Windows
 	placed []int
-	m      *windowLP
+	m      *timeLP
 	sol    *lp.Solution
 	other  lp.Stats
 	lps    int
@@ -284,6 +246,14 @@ func (s *rhoSearch) schedule(inst *switchnet.Instance) (*TimeConstrainedResult, 
 	return roundWindowLP(inst, s.m, s.sol)
 }
 
+// release hands back the LP at rho, if one was built, once nothing reads it.
+func (s *rhoSearch) release() {
+	if s.m != nil {
+		s.m.release()
+		s.m = nil
+	}
+}
+
 // searchRho finds the smallest rho whose LP (19)-(21) is feasible.
 func searchRho(inst *switchnet.Instance) (rhoSearch, error) {
 	var s rhoSearch
@@ -295,25 +265,27 @@ func searchRho(inst *switchnet.Instance) (rhoSearch, error) {
 	order := releaseOrder(inst)
 	// feasible answers rho by first fit, or by the LP where first fit leaves
 	// a flow out; a feasible rho replaces what s holds, which is thereby
-	// always the answer at the search's upper end.
+	// always the answer at the search's upper end. Every other LP is
+	// released as soon as it has answered.
 	feasible := func(rho int) (bool, error) {
 		win := ResponseWindows(inst, rho)
 		placed := firstFit(inst, order, win, 1)
-		var m *windowLP
+		var m *timeLP
 		var sol *lp.Solution
 		if !placedAll(placed) {
-			m = timeConstrainedLP(inst, win, placed)
+			m = newTimeLP(inst, win, windowLayout, placed)
 			s.lps++
 			var err error
-			if sol, err = m.solve(); err != nil {
-				return false, fmt.Errorf("core: LP (19)-(21) at rho %d: %w", rho, err)
+			if sol, err = m.solve(); err != nil || sol.Status != lp.Optimal {
+				m.release()
 			}
-			switch sol.Status {
-			case lp.Optimal:
-			case lp.Infeasible:
+			switch {
+			case err != nil:
+				return false, fmt.Errorf("core: LP (19)-(21) at rho %d: %w", rho, err)
+			case sol.Status == lp.Infeasible:
 				s.other.Add(sol.Stats)
 				return false, nil
-			default:
+			case sol.Status != lp.Optimal:
 				return false, fmt.Errorf("core: LP (19)-(21) at rho %d: status %v (%s)",
 					rho, sol.Status, describeLP(sol.Stats))
 			}
@@ -321,6 +293,7 @@ func searchRho(inst *switchnet.Instance) (rhoSearch, error) {
 		if s.sol != nil {
 			s.other.Add(s.sol.Stats)
 		}
+		s.release()
 		s.win, s.placed, s.m, s.sol = win, placed, m, sol
 		return true, nil
 	}
@@ -380,6 +353,7 @@ func SolveMRT(inst *switchnet.Instance) (*MRTResult, error) {
 		return &MRTResult{TimeConstrainedResult: &TimeConstrainedResult{Schedule: switchnet.NewSchedule(0)}, Rho: 0}, nil
 	}
 	s, err := searchRho(inst)
+	defer s.release()
 	if err != nil {
 		return nil, err
 	}

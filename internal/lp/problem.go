@@ -49,13 +49,21 @@
 //
 // A solve's working state — column arrays, bounds, basis, work vectors, the
 // LU and the eta file — comes from a sync.Pool and goes back on every exit,
-// and a Problem keeps its rows in one index/value arena, so a solve
-// allocates its Solution, X and Dual and otherwise only what the state has
-// not yet grown to. The state carries nothing from one solve to the next
-// but capacity: load sizes and writes every array before anything reads
-// it, and the counters and the perturbation's random state restart from
-// the same values, so a solve is still a function of its problem and
+// so a solve allocates its Solution, X and Dual and otherwise only what the
+// state has not yet grown to. The state carries nothing from one solve to
+// the next but capacity: load sizes and writes every array before anything
+// reads it, and the counters and the perturbation's random state restart
+// from the same values, so a solve is still a function of its problem and
 // options alone, on any goroutine, whatever the pool held.
+//
+// A Problem is reusable on the same terms. Its rows live in one
+// index/value arena, row after row: AppendRow hands a builder the next row's
+// run of it to write in place, AddRow copies into one, and Entries gives a
+// span of rows back as one view, so a builder that groups entries by row can
+// scatter them straight into the arena. Reset empties a Problem for the next
+// LP and keeps nothing of it but the capacity of its arrays, which it can
+// also reserve ahead, so a caller that keeps its Problems builds an LP of a
+// size it has built before without allocating.
 //
 // # Stalls
 //
@@ -84,6 +92,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Inf is the bound value representing an infinite (absent) bound.
@@ -142,11 +151,12 @@ func (s Status) String() string {
 }
 
 // row is one linear constraint: its sense and right-hand side, and where its
-// entries lie in the problem's idx/val arena.
+// entries begin in the problem's idx/val arena (they end where the next
+// row's begin).
 type row struct {
-	start, end int
-	sense      Sense
-	rhs        float64
+	start int
+	sense Sense
+	rhs   float64
 }
 
 // Problem is a linear program over variables x_0..x_{n-1}:
@@ -154,16 +164,21 @@ type row struct {
 //	minimize    sum_j Cost[j] * x_j
 //	subject to  each added row, and Lower[j] <= x_j <= Upper[j].
 //
-// Variables default to cost 0 and bounds [0, +Inf). Build with NewProblem,
-// SetCost, SetBounds and AddRow, then call Solve.
+// Variables default to cost 0 and bounds [0, +Inf). Build with NewProblem
+// or Reset, SetCost, SetBounds and AddRow or AppendRow, then call Solve.
+//
+// A Problem is reusable. Reset empties it for the next LP and keeps the
+// capacity of its arrays, and a solve keeps no reference to it, so it can be
+// reset as soon as SolveWith returns, unless something still reads its rows.
 type Problem struct {
 	n     int
 	cost  []float64
 	lower []float64
 	upper []float64
 	rows  []row
-	// The entries of every row, one after another: a row costs two appends
-	// to arrays that double, not two slices of its own.
+	// The entries of every row, one row after another in row order. A row is
+	// a run of this arena that AppendRow hands out and its caller writes in
+	// place; AddRow copies into one.
 	idx []int
 	val []float64
 }
@@ -171,20 +186,34 @@ type Problem struct {
 // NewProblem returns a problem with numVars variables, all with zero cost
 // and bounds [0, +Inf).
 func NewProblem(numVars int) *Problem {
-	p := &Problem{
-		n:     numVars,
-		cost:  make([]float64, numVars),
-		lower: make([]float64, numVars),
-		upper: make([]float64, numVars),
-	}
+	p := new(Problem)
+	p.Reset(numVars, 0, 0)
+	return p
+}
+
+// Reset makes p the problem NewProblem(numVars) returns, keeping the
+// capacity of p's arrays; nothing of the problem before survives. rows and
+// nonzeros reserve room for that many rows and entries in all, so that a
+// builder that knows its LP's size appends every row without the arena
+// growing.
+func (p *Problem) Reset(numVars, rows, nonzeros int) {
+	p.n = numVars
+	p.cost, p.lower, p.upper = grow(p.cost, numVars), grow(p.lower, numVars), grow(p.upper, numVars)
+	clear(p.cost)
+	clear(p.lower)
 	for j := range p.upper {
 		p.upper[j] = Inf
 	}
-	return p
+	p.rows = slices.Grow(p.rows[:0], rows)
+	p.idx = slices.Grow(p.idx[:0], nonzeros)
+	p.val = slices.Grow(p.val[:0], nonzeros)
 }
 
 // NumRows returns the number of constraint rows.
 func (p *Problem) NumRows() int { return len(p.rows) }
+
+// NumVars returns the number of variables.
+func (p *Problem) NumVars() int { return p.n }
 
 // SetCost sets the objective coefficient of variable j.
 func (p *Problem) SetCost(j int, c float64) { p.cost[j] = c }
@@ -195,24 +224,64 @@ func (p *Problem) SetBounds(j int, lo, hi float64) {
 	p.upper[j] = hi
 }
 
+// Var returns the cost and bounds of variable j.
+func (p *Problem) Var(j int) (cost, lo, hi float64) { return p.cost[j], p.lower[j], p.upper[j] }
+
 // AddRow appends the constraint sum_k val[k]*x_{idx[k]} (sense) rhs and
-// returns its row index. The idx slice must not contain duplicates.
+// returns its row index: AppendRow, with the entries copied in. The idx
+// slice must not contain duplicates.
 func (p *Problem) AddRow(idx []int, val []float64, sense Sense, rhs float64) int {
 	if len(idx) != len(val) {
 		panic("lp: AddRow index/value length mismatch")
 	}
-	p.rows = append(p.rows, row{start: len(p.idx), end: len(p.idx) + len(idx), sense: sense, rhs: rhs})
-	p.idx = append(p.idx, idx...)
-	p.val = append(p.val, val...)
+	ri, rv := p.AppendRow(len(idx), sense, rhs)
+	copy(ri, idx)
+	copy(rv, val)
 	return len(p.rows) - 1
+}
+
+// AppendRow appends a constraint of n entries, sum_k val[k]*x_{idx[k]}
+// (sense) rhs, and returns idx and val, zeroed, for the caller to write: they
+// are the row itself, in the arena, so nothing is copied. They stay the
+// row's until the arena grows, which appending a row past the room Reset
+// reserved may do; the entries of a row must name distinct variables.
+func (p *Problem) AppendRow(n int, sense Sense, rhs float64) (idx []int, val []float64) {
+	a := len(p.idx)
+	p.rows = append(p.rows, row{start: a, sense: sense, rhs: rhs})
+	p.idx, p.val = slices.Grow(p.idx, n)[:a+n], slices.Grow(p.val, n)[:a+n]
+	idx, val = p.idx[a:], p.val[a:]
+	clear(idx)
+	clear(val)
+	return idx, val
+}
+
+// Entries returns the entries of rows from up to to, which lie one after
+// another in the arena in row order, as one view into it: reading it reads
+// the rows, writing it writes them.
+func (p *Problem) Entries(from, to int) ([]int, []float64) {
+	a, b := p.offset(from), p.offset(to)
+	return p.idx[a:b:b], p.val[a:b:b]
+}
+
+// offset is where the entries of row i begin in the arena, the arena's
+// length for i = NumRows().
+func (p *Problem) offset(i int) int {
+	if i == len(p.rows) {
+		return len(p.idx)
+	}
+	return p.rows[i].start
+}
+
+// Row returns row i: its entries, as Entries(i, i+1) gives them, its sense
+// and its right-hand side.
+func (p *Problem) Row(i int) (idx []int, val []float64, sense Sense, rhs float64) {
+	idx, val = p.entries(i)
+	return idx, val, p.rows[i].sense, p.rows[i].rhs
 }
 
 // entries returns the variables and coefficients of row i, as views into the
 // arena.
-func (p *Problem) entries(i int) ([]int, []float64) {
-	r := p.rows[i]
-	return p.idx[r.start:r.end], p.val[r.start:r.end]
-}
+func (p *Problem) entries(i int) ([]int, []float64) { return p.Entries(i, i+1) }
 
 // Solution is the result of solving a Problem.
 type Solution struct {

@@ -56,16 +56,15 @@ func NewSystem(numVars int) *System {
 //
 //	Upper:  sum(coef * xhat) <  sum(coef * x) + budget
 //	Lower:  sum(coef * xhat) >  sum(coef * x) - budget
+//
+// The system keeps idx and coef, not copies — a row can be an LP's own row
+// — and only reads them, so the caller must not change them before Round
+// returns.
 func (s *System) AddRow(idx []int, coef []float64, kind RowKind, budget float64) {
 	if len(idx) != len(coef) {
 		panic("rounding: AddRow index/coefficient length mismatch")
 	}
-	s.rows = append(s.rows, sysRow{
-		idx:    append([]int(nil), idx...),
-		coef:   append([]float64(nil), coef...),
-		kind:   kind,
-		budget: budget,
-	})
+	s.rows = append(s.rows, sysRow{idx: idx, coef: coef, kind: kind, budget: budget})
 }
 
 // Result is the output of Round.
