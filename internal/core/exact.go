@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"flowsched/internal/switchnet"
-)
+import "flowsched/internal/switchnet"
 
 // ExactMRTFeasible decides by exhaustive backtracking whether the instance
 // admits a schedule with maximum response time at most rho under the
@@ -12,7 +8,7 @@ import (
 // flows; it exists to validate the Theorem 2 reduction and the online
 // lower-bound gadgets on small instances, and to cross-check the LP bound.
 func ExactMRTFeasible(inst *switchnet.Instance, rho int) bool {
-	return ExactMRTFeasibleWithFixed(inst, rho, nil)
+	return ExactFeasibleWindows(inst, ResponseWindows(inst, rho))
 }
 
 // ExactARTOptimal computes the exact minimum total response time of an
@@ -62,22 +58,26 @@ func ExactARTOptimal(inst *switchnet.Instance, maxRho int) int {
 }
 
 // ExactFeasibleWindows decides by exhaustive backtracking whether every
-// flow can be scheduled within its explicit window (original capacities).
-// Used by adversarial analyses that must forbid specific rounds, e.g. the
-// Lemma 5.2 case analysis.
+// flow can be scheduled within its explicit window (original capacities),
+// taking the flows in deadline order for earlier pruning. Used by
+// adversarial analyses that must forbid specific rounds, e.g. the Lemma
+// 5.2 case analysis.
 func ExactFeasibleWindows(inst *switchnet.Instance, win Windows) bool {
-	n := inst.N()
-	if n == 0 {
-		return true
+	for _, rounds := range win {
+		if len(rounds) == 0 {
+			return false
+		}
 	}
+	order := deadlineOrder(win)
 	loads := map[int][]int{}
 	numPorts := inst.Switch.NumPorts()
 	caps := inst.Switch.Caps()
-	var rec func(f int) bool
-	rec = func(f int) bool {
-		if f == n {
+	var rec func(k int) bool
+	rec = func(k int) bool {
+		if k == len(order) {
 			return true
 		}
+		f := order[k]
 		e := inst.Flows[f]
 		pIn := inst.Switch.PortIndex(switchnet.In, e.In)
 		pOut := inst.Switch.PortIndex(switchnet.Out, e.Out)
@@ -92,88 +92,11 @@ func ExactFeasibleWindows(inst *switchnet.Instance, win Windows) bool {
 			}
 			row[pIn] += e.Demand
 			row[pOut] += e.Demand
-			if rec(f + 1) {
+			if rec(k + 1) {
 				return true
 			}
 			row[pIn] -= e.Demand
 			row[pOut] -= e.Demand
-		}
-		return false
-	}
-	return rec(0)
-}
-
-// ExactMRTFeasibleWithFixed is ExactMRTFeasible with some flows pinned to
-// given rounds (fixed[f] = round, or switchnet.Unscheduled to leave f
-// free). It supports adversarial analyses where an online algorithm's
-// prefix decisions are fixed and the best completion is sought.
-func ExactMRTFeasibleWithFixed(inst *switchnet.Instance, rho int, fixed []int) bool {
-	n := inst.N()
-	if n == 0 {
-		return true
-	}
-	loads := map[int][]int{}
-	numPorts := inst.Switch.NumPorts()
-	caps := inst.Switch.Caps()
-	getRow := func(t int) []int {
-		row, ok := loads[t]
-		if !ok {
-			row = make([]int, numPorts)
-			loads[t] = row
-		}
-		return row
-	}
-	place := func(f, t int) bool {
-		e := inst.Flows[f]
-		row := getRow(t)
-		pIn := inst.Switch.PortIndex(switchnet.In, e.In)
-		pOut := inst.Switch.PortIndex(switchnet.Out, e.Out)
-		if row[pIn]+e.Demand > caps[pIn] || row[pOut]+e.Demand > caps[pOut] {
-			return false
-		}
-		row[pIn] += e.Demand
-		row[pOut] += e.Demand
-		return true
-	}
-	unplace := func(f, t int) {
-		e := inst.Flows[f]
-		row := getRow(t)
-		row[inst.Switch.PortIndex(switchnet.In, e.In)] -= e.Demand
-		row[inst.Switch.PortIndex(switchnet.Out, e.Out)] -= e.Demand
-	}
-
-	var free []int
-	for f := 0; f < n; f++ {
-		if fixed != nil && fixed[f] != switchnet.Unscheduled {
-			t := fixed[f]
-			if t < inst.Flows[f].Release || t >= inst.Flows[f].Release+rho {
-				return false
-			}
-			if !place(f, t) {
-				return false
-			}
-		} else {
-			free = append(free, f)
-		}
-	}
-	// Order by deadline for earlier pruning.
-	sort.Slice(free, func(a, b int) bool {
-		return inst.Flows[free[a]].Release < inst.Flows[free[b]].Release
-	})
-	var rec func(k int) bool
-	rec = func(k int) bool {
-		if k == len(free) {
-			return true
-		}
-		f := free[k]
-		r := inst.Flows[f].Release
-		for t := r; t < r+rho; t++ {
-			if place(f, t) {
-				if rec(k + 1) {
-					return true
-				}
-				unplace(f, t)
-			}
 		}
 		return false
 	}

@@ -86,9 +86,6 @@ type Verdict struct {
 type Options struct {
 	// Workers bounds parallelism (<= 0 selects GOMAXPROCS).
 	Workers int
-	// ShardSize is the number of scenarios a worker claims at once
-	// (<= 0 auto-sizes).
-	ShardSize int
 	// KeepInstances retains each generated instance on its verdict, for
 	// callers that compute additional per-instance baselines.
 	KeepInstances bool
@@ -99,7 +96,7 @@ type Options struct {
 // and failures are recorded, not thrown.
 func Run(scenarios []Scenario, opt Options) []Verdict {
 	verdicts := make([]Verdict, len(scenarios))
-	ForEachSharded(len(scenarios), opt.Workers, opt.ShardSize, func(i int) {
+	ForEach(len(scenarios), opt.Workers, func(i int) {
 		verdicts[i] = runOne(scenarios[i], opt.KeepInstances)
 	})
 	return verdicts

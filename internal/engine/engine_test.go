@@ -27,14 +27,6 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	}
 }
 
-func TestForEachShardedExplicitShards(t *testing.T) {
-	var sum atomic.Int64
-	ForEachSharded(50, 4, 7, func(i int) { sum.Add(int64(i)) })
-	if got := sum.Load(); got != 49*50/2 {
-		t.Fatalf("sum = %d, want %d", got, 49*50/2)
-	}
-}
-
 func TestDeriveSeedStableAndSpread(t *testing.T) {
 	a := DeriveSeed(1, 0, 0)
 	if a != DeriveSeed(1, 0, 0) {

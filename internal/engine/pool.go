@@ -17,13 +17,6 @@ import (
 // the scenario engine both build on it instead of hand-rolling
 // sync.WaitGroup pools.
 func ForEach(n, workers int, fn func(i int)) {
-	ForEachSharded(n, workers, 0, fn)
-}
-
-// ForEachSharded is ForEach with an explicit shard size (items claimed per
-// cursor bump). shardSize <= 0 picks a size that gives each worker several
-// shards for load balance while keeping cursor contention negligible.
-func ForEachSharded(n, workers, shardSize int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
@@ -33,12 +26,9 @@ func ForEachSharded(n, workers, shardSize int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
-	if shardSize <= 0 {
-		shardSize = n / (workers * 8)
-		if shardSize < 1 {
-			shardSize = 1
-		}
-	}
+	// Each worker gets several shards for load balance while cursor
+	// contention stays negligible.
+	shardSize := max(n/(workers*8), 1)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

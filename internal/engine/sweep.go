@@ -11,9 +11,8 @@ type SweepConfig struct {
 	// Seed is the base seed; per-scenario seeds are derived from it and
 	// the cell coordinates, so the whole table is reproducible.
 	Seed int64
-	// Workers and ShardSize tune the pool (see Options).
-	Workers   int
-	ShardSize int
+	// Workers bounds the pool's parallelism (see Options).
+	Workers int
 	// KeepInstances retains generated instances on the verdicts.
 	KeepInstances bool
 }
@@ -49,7 +48,6 @@ func (c SweepConfig) Scenarios() []Scenario {
 func RunSweep(cfg SweepConfig) *ResultTable {
 	verdicts := Run(cfg.Scenarios(), Options{
 		Workers:       cfg.Workers,
-		ShardSize:     cfg.ShardSize,
 		KeepInstances: cfg.KeepInstances,
 	})
 	return NewResultTable(verdicts)

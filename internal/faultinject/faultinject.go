@@ -22,6 +22,7 @@ import (
 
 	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
+	"flowsched/internal/workload"
 )
 
 // HiccupSource simulates an ingest path that stalls and recovers: with
@@ -30,7 +31,11 @@ import (
 // later than the underlying source released it. The shift accumulates,
 // exactly like a real feed that falls behind and never un-sends what it
 // already delayed.
+//
+// The wrapped source must be replayable — its Next never blocks — since
+// PullBatch reads it through Next: wrapping a live ChanSource would block.
 type HiccupSource struct {
+	workload.Seq
 	src   stream.Source
 	rng   *rand.Rand
 	prob  float64
@@ -38,7 +43,6 @@ type HiccupSource struct {
 	max   int
 	shift int
 
-	scratch []switchnet.Flow
 	// Hiccups counts injected stalls, for test assertions that the fault
 	// actually fired.
 	Hiccups int
@@ -53,66 +57,24 @@ func NewHiccupSource(src stream.Source, seed int64, prob float64, minGap, maxGap
 	if maxGap < minGap {
 		maxGap = minGap
 	}
-	return &HiccupSource{src: src, rng: rand.New(rand.NewSource(seed)), prob: prob, min: minGap, max: maxGap}
+	s := &HiccupSource{src: src, rng: rand.New(rand.NewSource(seed)), prob: prob, min: minGap, max: maxGap}
+	s.Seq = workload.NewSeq(s.read)
+	return s
 }
 
-// jitter rolls the hiccup die for one flow and shifts its release.
-func (s *HiccupSource) jitter(f switchnet.Flow) switchnet.Flow {
+// read takes the next flow of the wrapped source, rolls the hiccup die
+// for it and shifts its release.
+func (s *HiccupSource) read() (switchnet.Flow, bool) {
+	f, ok := s.src.Next()
+	if !ok {
+		return f, false
+	}
 	if s.rng.Float64() < s.prob {
 		s.shift += s.min + s.rng.Intn(s.max-s.min+1)
 		s.Hiccups++
 	}
 	f.Release += s.shift
-	return f
-}
-
-// Next implements stream.Source, draining the carry buffer first so
-// delivery order (and release monotonicity) survives interleaved Next
-// and PullBatch reads.
-func (s *HiccupSource) Next() (switchnet.Flow, bool) {
-	if len(s.scratch) > 0 {
-		f := s.scratch[0]
-		s.scratch = s.scratch[1:]
-		return f, true
-	}
-	f, ok := s.src.Next()
-	if !ok {
-		return f, false
-	}
-	return s.jitter(f), true
-}
-
-// PullBatch implements stream.Source. The shift moves flows into
-// the future, so a shifted flow may no longer be released at the round
-// the underlying source would have released it; pulled-too-early flows
-// wait in an internal carry buffer.
-func (s *HiccupSource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow {
-	n := 0
-	for n < max && len(s.scratch) > 0 && s.scratch[0].Release <= round {
-		dst = append(dst, s.scratch[0])
-		s.scratch = s.scratch[1:]
-		n++
-	}
-	for n < max {
-		f, ok := s.src.Next()
-		if !ok {
-			break
-		}
-		if f.Release > round {
-			// The underlying source would not have released this yet; keep
-			// its jittered form for a later pull.
-			s.scratch = append(s.scratch, s.jitter(f))
-			break
-		}
-		g := s.jitter(f)
-		if g.Release > round {
-			s.scratch = append(s.scratch, g)
-			break
-		}
-		dst = append(dst, g)
-		n++
-	}
-	return dst
+	return f, true
 }
 
 // Err implements stream.Source.
@@ -173,67 +135,37 @@ func (s *ErrorSource) Err() error {
 // JumpSource injects a virtual-clock jump: after n flows, every later
 // release is shifted forward by jump rounds, opening a huge idle gap the
 // runtime must cross with its idle-jump path (and, with verification
-// windows on, flush across) without disturbing accounting.
+// windows on, flush across) without disturbing accounting. Like
+// HiccupSource, it reads the wrapped source through Next, which must
+// never block.
 type JumpSource struct {
-	src     stream.Source
-	left    int
-	jump    int
-	scratch []switchnet.Flow
+	workload.Seq
+	src  stream.Source
+	left int
+	jump int
 }
 
 // NewJumpSource wraps src to jump the clock by jump rounds after n
 // flows.
 func NewJumpSource(src stream.Source, n, jump int) *JumpSource {
-	return &JumpSource{src: src, left: n, jump: jump}
+	s := &JumpSource{src: src, left: n, jump: jump}
+	s.Seq = workload.NewSeq(s.read)
+	return s
 }
 
-func (s *JumpSource) shift(f switchnet.Flow) switchnet.Flow {
+// read takes the next flow of the wrapped source, shifted once n flows
+// have passed.
+func (s *JumpSource) read() (switchnet.Flow, bool) {
+	f, ok := s.src.Next()
+	if !ok {
+		return f, false
+	}
 	if s.left > 0 {
 		s.left--
 	} else {
 		f.Release += s.jump
 	}
-	return f
-}
-
-// Next implements stream.Source, draining the carry buffer first so
-// delivery order survives interleaved Next and PullBatch reads.
-func (s *JumpSource) Next() (switchnet.Flow, bool) {
-	if len(s.scratch) > 0 {
-		f := s.scratch[0]
-		s.scratch = s.scratch[1:]
-		return f, true
-	}
-	f, ok := s.src.Next()
-	if !ok {
-		return f, false
-	}
-	return s.shift(f), true
-}
-
-// PullBatch implements stream.Source, carrying post-jump flows
-// pulled early until their shifted release.
-func (s *JumpSource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow {
-	n := 0
-	for n < max && len(s.scratch) > 0 && s.scratch[0].Release <= round {
-		dst = append(dst, s.scratch[0])
-		s.scratch = s.scratch[1:]
-		n++
-	}
-	for n < max {
-		f, ok := s.src.Next()
-		if !ok {
-			break
-		}
-		g := s.shift(f)
-		if g.Release > round {
-			s.scratch = append(s.scratch, g)
-			break
-		}
-		dst = append(dst, g)
-		n++
-	}
-	return dst
+	return f, true
 }
 
 // Err implements stream.Source.

@@ -33,14 +33,10 @@ type ChurnConfig struct {
 // rng seed, so a test can replay the exact flow sequence from a second
 // instance.
 type ChurnSource struct {
-	cfg     ChurnConfig
-	rng     *rand.Rand
-	round   int
-	buf     []switchnet.Flow
-	pos     int
-	emitted int64
-	err     error
-	done    bool
+	Seq
+	cfg ChurnConfig
+	rng *rand.Rand
+	err error
 }
 
 // NewChurnSource returns a source drawing from cfg with rng. With Ins ==
@@ -53,11 +49,12 @@ func NewChurnSource(cfg ChurnConfig, rng *rand.Rand) *ChurnSource {
 	if cfg.PerRound <= 0 {
 		cfg.PerRound = 2
 	}
-	s := &ChurnSource{cfg: cfg, rng: rng}
+	s := &ChurnSource{Seq: NewSeq(ended), cfg: cfg, rng: rng}
 	if cfg.Outs <= 0 || cfg.HotOuts > cfg.Outs {
 		s.err = fmt.Errorf("workload: churn source needs Outs > 0 and HotOuts <= Outs (got %d, %d)", cfg.Outs, cfg.HotOuts)
-		s.done = true
+		return s
 	}
+	s.Seq = generated(cfg.MaxFlows, s.fillRound)
 	return s
 }
 
@@ -67,66 +64,26 @@ func (s *ChurnSource) Switch() switchnet.Switch {
 	return switchnet.NewSwitch(s.cfg.Ins, s.cfg.Outs, 1)
 }
 
-// Next implements FlowSource.
-func (s *ChurnSource) Next() (switchnet.Flow, bool) {
-	if s.done {
-		return switchnet.Flow{}, false
-	}
-	if s.cfg.MaxFlows > 0 && s.emitted >= s.cfg.MaxFlows {
-		s.done = true
-		return switchnet.Flow{}, false
-	}
-	for s.pos >= len(s.buf) {
-		s.fillRound()
-	}
-	f := s.buf[s.pos]
-	s.pos++
-	s.emitted++
-	return f, true
-}
-
 // Err implements FlowSource.
 func (s *ChurnSource) Err() error { return s.err }
 
-// PullBatch implements FlowSource. Generated rounds beyond round
-// stay buffered for later calls.
-func (s *ChurnSource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow {
-	for n := 0; n < max; n++ {
-		if s.done || (s.cfg.MaxFlows > 0 && s.emitted >= s.cfg.MaxFlows) {
-			break
-		}
-		for s.pos >= len(s.buf) && s.round <= round {
-			s.fillRound()
-		}
-		if s.pos >= len(s.buf) || s.buf[s.pos].Release > round {
-			break
-		}
-		dst = append(dst, s.buf[s.pos])
-		s.pos++
-		s.emitted++
-	}
-	return dst
-}
-
-// fillRound draws the next round's arrivals: the hot flows first, then
+// fillRound appends round's arrivals to dst: the hot flows first, then
 // the churn draws.
-func (s *ChurnSource) fillRound() {
-	s.buf = s.buf[:0]
-	s.pos = 0
+func (s *ChurnSource) fillRound(dst []switchnet.Flow, round int) []switchnet.Flow {
 	for h := 0; h < s.cfg.HotOuts; h++ {
-		s.buf = append(s.buf, switchnet.Flow{In: 0, Out: h, Demand: 1, Release: s.round})
+		dst = append(dst, switchnet.Flow{In: 0, Out: h, Demand: 1, Release: round})
 	}
 	for i := 0; i < s.cfg.PerRound; i++ {
 		in := 0
 		if s.cfg.Ins > 1 {
 			in = s.rng.Intn(s.cfg.Ins)
 		}
-		s.buf = append(s.buf, switchnet.Flow{
+		dst = append(dst, switchnet.Flow{
 			In:      in,
 			Out:     s.rng.Intn(s.cfg.Outs),
 			Demand:  1,
-			Release: s.round,
+			Release: round,
 		})
 	}
-	s.round++
+	return dst
 }

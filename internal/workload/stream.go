@@ -16,7 +16,11 @@ import (
 // the runtime can schedule unbounded arrival processes in bounded memory.
 // All sources here satisfy internal/stream.Source structurally; the
 // interface is restated as FlowSource to keep this package free of a
-// dependency on the runtime.
+// dependency on the runtime. The generated and parsed sources
+// (ArrivalSource, ChurnSource, TraceSource) and faultinject's shifting
+// wrappers each supply one reader of their sequence to a Seq, which
+// derives Next and PullBatch from it; ChanSource (a live feed),
+// InstanceSource (a slice) and the delegating Limit do not.
 
 // FlowSource yields flows in non-decreasing release order, read two ways
 // over the same sequence. Next returns the next flow whatever its
@@ -29,7 +33,8 @@ import (
 // failed, or its next flow releases later. The two may be interleaved
 // freely: the flows come out in the order Next alone would yield them.
 // The streaming runtime admits through PullBatch and calls Next only
-// when it has nothing pending (see stream.Source).
+// when it has nothing pending (see stream.Source). A reader that never
+// blocks gets both reads, and that guarantee, by embedding a Seq.
 type FlowSource interface {
 	Next() (f switchnet.Flow, ok bool)
 	PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow
@@ -67,26 +72,21 @@ type ArrivalConfig struct {
 
 // ArrivalSource streams flows drawn round by round from an ArrivalConfig.
 type ArrivalSource struct {
+	Seq
 	cfg        ArrivalConfig
 	rng        *rand.Rand
 	cap        int
 	minD, maxD int
-	round      int
-	buf        []switchnet.Flow
-	pos        int
-	emitted    int64
 	err        error
-	done       bool
 }
 
 // NewArrivalSource returns a source drawing from cfg with rng. It fails
 // fast (first Next returns ok=false with an Err) on a non-positive arrival
 // rate or switch size.
 func NewArrivalSource(cfg ArrivalConfig, rng *rand.Rand) *ArrivalSource {
-	s := &ArrivalSource{cfg: cfg, rng: rng}
+	s := &ArrivalSource{Seq: NewSeq(ended), cfg: cfg, rng: rng}
 	if cfg.Ports <= 0 || cfg.M <= 0 {
 		s.err = fmt.Errorf("workload: arrival source needs Ports > 0 and M > 0 (got %d, %g)", cfg.Ports, cfg.M)
-		s.done = true
 		return s
 	}
 	s.cap = cfg.Cap
@@ -107,6 +107,7 @@ func NewArrivalSource(cfg ArrivalConfig, rng *rand.Rand) *ArrivalSource {
 	if s.minD > s.maxD {
 		s.minD = s.maxD
 	}
+	s.Seq = generated(cfg.MaxFlows, s.fillRound)
 	return s
 }
 
@@ -115,51 +116,11 @@ func (s *ArrivalSource) Switch() switchnet.Switch {
 	return switchnet.NewSwitch(s.cfg.Ports, s.cfg.Ports, s.cap)
 }
 
-// Next implements FlowSource.
-func (s *ArrivalSource) Next() (switchnet.Flow, bool) {
-	if s.done {
-		return switchnet.Flow{}, false
-	}
-	if s.cfg.MaxFlows > 0 && s.emitted >= s.cfg.MaxFlows {
-		s.done = true
-		return switchnet.Flow{}, false
-	}
-	for s.pos >= len(s.buf) {
-		s.fillRound()
-	}
-	f := s.buf[s.pos]
-	s.pos++
-	s.emitted++
-	return f, true
-}
-
 // Err implements FlowSource.
 func (s *ArrivalSource) Err() error { return s.err }
 
-// PullBatch implements FlowSource. Generated rounds beyond round stay
-// buffered for later Next/PullBatch calls.
-func (s *ArrivalSource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow {
-	for n := 0; n < max; n++ {
-		if s.done || (s.cfg.MaxFlows > 0 && s.emitted >= s.cfg.MaxFlows) {
-			break
-		}
-		for s.pos >= len(s.buf) && s.round <= round {
-			s.fillRound()
-		}
-		if s.pos >= len(s.buf) || s.buf[s.pos].Release > round {
-			break
-		}
-		dst = append(dst, s.buf[s.pos])
-		s.pos++
-		s.emitted++
-	}
-	return dst
-}
-
-// fillRound draws the next round's arrivals (possibly none).
-func (s *ArrivalSource) fillRound() {
-	s.buf = s.buf[:0]
-	s.pos = 0
+// fillRound appends round's arrivals (possibly none) to dst.
+func (s *ArrivalSource) fillRound(dst []switchnet.Flow, round int) []switchnet.Flow {
 	k := Poisson(s.rng, s.cfg.M)
 	for i := 0; i < k; i++ {
 		d := 1
@@ -169,14 +130,14 @@ func (s *ArrivalSource) fillRound() {
 		case s.maxD > 1:
 			d = 1 + s.rng.Intn(s.maxD)
 		}
-		s.buf = append(s.buf, switchnet.Flow{
+		dst = append(dst, switchnet.Flow{
 			In:      s.rng.Intn(s.cfg.Ports),
 			Out:     s.rng.Intn(s.cfg.Ports),
 			Demand:  d,
-			Release: s.round,
+			Release: round,
 		})
 	}
-	s.round++
+	return dst
 }
 
 // TraceSource streams the repository's CSV flow-trace format
@@ -185,55 +146,21 @@ func (s *ArrivalSource) fillRound() {
 // are read, and the trace must be sorted by release round — the streaming
 // contract — or Next fails with an Err.
 type TraceSource struct {
+	Seq
 	cr      *csv.Reader
 	sw      switchnet.Switch
 	line    int
 	lastRel int
 	err     error
 	done    bool
-
-	// peek holds a record read past a PullBatch round horizon, yielded by
-	// the next Next or PullBatch call.
-	peek     switchnet.Flow
-	havePeek bool
 }
 
 // NewTraceSource returns a streaming reader of the CSV trace r whose flows
 // run on switch sw.
 func NewTraceSource(r io.Reader, sw switchnet.Switch) *TraceSource {
-	return &TraceSource{cr: traceReader(r), sw: sw}
-}
-
-// Next implements FlowSource.
-func (s *TraceSource) Next() (switchnet.Flow, bool) {
-	if s.havePeek {
-		s.havePeek = false
-		return s.peek, true
-	}
-	return s.read()
-}
-
-// PullBatch implements FlowSource.
-func (s *TraceSource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow {
-	for n := 0; n < max; n++ {
-		var f switchnet.Flow
-		var ok bool
-		if s.havePeek {
-			f, ok = s.peek, true
-			s.havePeek = false
-		} else {
-			f, ok = s.read()
-		}
-		if !ok {
-			break
-		}
-		if f.Release > round {
-			s.peek, s.havePeek = f, true
-			break
-		}
-		dst = append(dst, f)
-	}
-	return dst
+	s := &TraceSource{cr: traceReader(r), sw: sw}
+	s.Seq = NewSeq(s.read)
+	return s
 }
 
 // read parses, validates, and returns the next trace record.

@@ -102,8 +102,8 @@ func TestPullBatchMatchesNext(t *testing.T) {
 }
 
 // TestPullBatchHonorsMaxAndPeek: max caps a batch, and a record read past
-// the round horizon is not lost — it surfaces on the next call (the
-// TraceSource peek path, and buffered rounds elsewhere).
+// the round horizon is not lost — Seq holds it back and it surfaces on the
+// next call.
 func TestPullBatchHonorsMaxAndPeek(t *testing.T) {
 	trace := "0,0,1,1\n0,1,2,1\n0,2,3,1\n3,3,3,1\n"
 	src := NewTraceSource(strings.NewReader(trace), switchnet.UnitSwitch(5))
