@@ -1,6 +1,6 @@
 // Command flowschedd runs the streaming scheduler as a long-running
 // HTTP/JSON service: flows arrive over the network, drain through the
-// sharded runtime under a native streaming policy, and the service
+// streaming runtime under a native streaming policy, and the service
 // exposes live metrics and a graceful drain.
 //
 // Endpoints:
@@ -96,7 +96,7 @@ func main() {
 		ports       = flag.Int("ports", 16, "switch size m (m x m ports)")
 		capacity    = flag.Int("cap", 1, "per-port capacity")
 		policy      = flag.String("policy", "RoundRobin", fmt.Sprintf("native streaming policy %v", stream.Names()))
-		shards      = flag.Int("shards", 1, "runtime shards (capped at -ports; > 1 needs a native policy and changes the schedule)")
+		shards      = flag.Int("shards", 1, "shards the input ports and pending state are partitioned across, run in sequence on one goroutine (at least 1, capped at -ports; > 1 needs a native policy and changes the schedule)")
 		maxPending  = flag.Int("maxpending", stream.DefaultMaxPending, "admission limit on the resident pending set")
 		admit       = flag.String("admit", "lossless", "admission mode: lossless, drop, or deadline")
 		deadline    = flag.Int("deadline", 0, "response-time bound in rounds (admit mode deadline)")
@@ -142,6 +142,12 @@ func main() {
 		}
 		restoreCk = ck
 	}
+	// After adoption, so a checkpoint's shard count is held to the same
+	// rule as a typed one.
+	if *shards < 1 {
+		fmt.Fprintf(os.Stderr, "flowschedd: -shards must be at least 1, got %d\n", *shards)
+		os.Exit(2)
+	}
 
 	pol := stream.ByName(*policy)
 	if pol == nil {
@@ -179,7 +185,7 @@ func main() {
 	}
 	if restoreCk != nil {
 		fmt.Fprintf(os.Stderr, "flowschedd: restored %s: resumed at round %d, %d pending, %d shards\n",
-			*restore, restoreCk.Round, restoreCk.Pending, *shards)
+			*restore, restoreCk.Round, restoreCk.Pending, srv.Snapshot().Shards)
 	}
 	srv.Start()
 

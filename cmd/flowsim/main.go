@@ -30,8 +30,9 @@
 // through admission control, and drain under an incremental policy with
 // sliding-window metrics and optional spot-check verification:
 //
-// With -shards K the runtime partitions the input ports across K worker
-// shards (multi-core single-switch scheduling; native policies only).
+// With -shards K the runtime partitions the input ports and the pending
+// state across K shards, which one goroutine runs in sequence: K > 1
+// changes the schedule (native policies only), not the parallelism.
 // The native streaming policies — RoundRobin, OldestFirst (age-aware
 // oldest-head-first, the paper's MinRTime discipline at incremental
 // cost), WeightedISLIP (queue-age-weighted request/grant/accept), and
@@ -196,7 +197,7 @@ func simulate(fs *flag.FlagSet) func() error {
 		streamMode  = fs.Bool("stream", false, "streaming mode: drain an unbounded arrival stream through internal/stream")
 		cpuProfile  = fs.String("cpuprofile", "", "stream: write a CPU profile of the drain to this file")
 		memProfile  = fs.String("memprofile", "", "stream: write a post-drain heap profile to this file")
-		shards      = fs.Int("shards", 1, "stream: runtime shards the input ports are partitioned across (capped at -ports; > 1 needs a native policy and changes the schedule)")
+		shards      = fs.Int("shards", 1, "stream: shards the input ports and pending state are partitioned across, run in sequence on one goroutine (at least 1, capped at -ports; > 1 needs a native policy and changes the schedule)")
 		flows       = fs.Int64("flows", 1_000_000, "stream: total flows to drain (set explicitly with -trace to cap the replay; otherwise traces drain fully)")
 		admit       = fs.String("admit", "lossless", "stream: admission mode at the MaxPending limit — lossless (backpressure), drop (shed arrivals), deadline (expire aged flows)")
 		deadlineF   = fs.Int("deadline", 0, "stream: response-time bound in rounds for -admit deadline")
@@ -238,9 +239,12 @@ func simulate(fs *flag.FlagSet) func() error {
 				}
 				restoreCk = ck
 			}
-			// After adoption: a checkpoint's -maxpending is held to the same
-			// rule as one typed on the command line.
+			// After adoption: a checkpoint's -maxpending and -shards are held
+			// to the same rule as ones typed on the command line.
 			if err := atLeastOne("maxpending", *maxPending); err != nil {
+				return err
+			}
+			if err := atLeastOne("shards", *shards); err != nil {
 				return err
 			}
 			if err := atLeastOne("window", *window); err != nil {
@@ -522,7 +526,7 @@ func drainStream(o streamOpts, pol stream.Policy, mode stream.AdmitMode, logFile
 		fatal(err)
 	}
 	if o.restore != nil {
-		fmt.Printf("restore         resumed at round %d, %d pending, %d shards\n", o.restore.Round, o.restore.Pending, o.shards)
+		fmt.Printf("restore         resumed at round %d, %d pending, %d shards\n", o.restore.Round, o.restore.Pending, rt.Snapshot().Shards)
 	}
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()

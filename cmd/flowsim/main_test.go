@@ -21,6 +21,14 @@ func TestDispatch(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// One whose shard count is 0 (with a valid admission limit): the
+	// adopted -shards is checked like a typed one too.
+	zeroShards := filepath.Join(t.TempDir(), "zeroshards.ckpt")
+	if err := chkpt.Save(zeroShards, &chkpt.Checkpoint{
+		Policy: "RoundRobin", MaxPending: 8, Admit: "lossless", InCaps: []int{1, 1}, OutCaps: []int{1, 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		args      []string
 		status    int
@@ -37,6 +45,9 @@ func TestDispatch(t *testing.T) {
 		{[]string{"-stream", "-window", "0"}, 2, "-window must be at least 1, got 0", ""},
 		{[]string{"-stream", "-maxpending", "0"}, 2, "-maxpending must be at least 1, got 0", ""},
 		{[]string{"-stream", "-maxpending", "-5"}, 2, "-maxpending must be at least 1, got -5", ""},
+		{[]string{"-stream", "-shards", "0"}, 2, "-shards must be at least 1, got 0", ""},
+		{[]string{"-stream", "-shards", "-3"}, 2, "-shards must be at least 1, got -3", ""},
+		{[]string{"-stream", "-ports", "2", "-restore", zeroShards}, 2, "-shards must be at least 1, got 0", ""},
 		{[]string{"-stream", "-ports", "2", "-restore", zeroLimit}, 2, "-maxpending must be at least 1, got 0", ""},
 		{[]string{"art", "-ports", "0"}, 2, "-ports must be at least 1, got 0", ""},
 		{[]string{"gen", "-ports", "0"}, 2, "-ports must be at least 1, got 0", ""},

@@ -24,9 +24,9 @@
 // admission configuration, the switch shape for compatibility checking,
 // and — since version 2 — the policy's per-shard scratch state (rotation
 // pointers, so RoundRobin and WeightedISLIP restores are schedule-exact,
-// not just accounting-exact) and the per-shard sliding-window quantile
-// sketches (so /metrics response quantiles are continuous across a
-// restore instead of restarting empty). Version-1 files still load: the
+// not just accounting-exact) and the sliding-window quantile sketch (so
+// /metrics response quantiles are continuous across a restore instead of
+// restarting empty). Version-1 files still load: the
 // new sections simply read as absent, restoring with fresh pointers and
 // empty windows exactly as version 1 always did.
 //
@@ -154,8 +154,10 @@ type Checkpoint struct {
 	// for memoryless policies and in version-1 files. A restore replays
 	// it only when policy and shard count match.
 	Scratch [][]int64 `json:"policy_scratch,omitempty"`
-	// Windows holds the per-shard sliding-window quantile sketches,
-	// absent in version-1 files (those restore with empty windows).
+	// Windows holds the sliding-window quantile sketch: one entry, or one
+	// per shard in images written while each shard kept its own window (a
+	// restore merges all of them). Absent in version-1 files, which
+	// restore with an empty window.
 	Windows []stats.WindowSnapshot `json:"windows,omitempty"`
 }
 

@@ -2,14 +2,35 @@ package chkpt
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
+	"encoding/binary"
 	"errors"
 	"flag"
+	"hash/fnv"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
+	"flowsched/internal/workload"
+)
+
+var (
+	k2Restored = stream.Summary{
+		Round: 300, Rounds: 300, Shards: 2, Admitted: 1914, Completed: 1824, Pending: 90, PeakPending: 96,
+		Backpressured: 1621, TotalResponse: 86000, AvgResponse: 86000.0 / 1824, MaxResponse: 187,
+		P50: 85.5, P90: 97.5, P99: 187.5,
+	}
+	k2Drained = stream.Summary{
+		Round: 681, Rounds: 681, Shards: 2, Admitted: 4000, Completed: 4000, PeakPending: 96,
+		Backpressured: 3707, TotalResponse: 436998, AvgResponse: 436998.0 / 4000, MaxResponse: 304,
+		P50: 211.5, P90: 251.5, P99: 295.5,
+	}
+	k2TailHash = uint64(0x1e10df67760c1d39)
 )
 
 func sample() *Checkpoint {
@@ -114,6 +135,80 @@ func TestParentImageDecodes(t *testing.T) {
 	}
 	if !bytes.Equal(again, data) {
 		t.Fatalf("re-encoded image differs from the parent-written one:\n got %q\nwant %q", again, data)
+	}
+}
+
+// k2Source is the arrival stream behind testdata/k2_roundrobin.ckpt:
+// Poisson(9) flows of demand 1..2 a round on a capacity-2 6x6 switch, an
+// overload that keeps the admission limit binding.
+func k2Source() *workload.ArrivalSource {
+	return workload.NewArrivalSource(workload.ArrivalConfig{Ports: 6, Cap: 2, M: 9, MaxFlows: 4000, MaxDemand: 2},
+		rand.New(rand.NewSource(11)))
+}
+
+// k2Config is the configuration the image was written under.
+func k2Config() stream.Config {
+	return stream.Config{
+		Switch: switchnet.NewSwitch(6, 6, 2), Policy: stream.ByName("RoundRobin"), Shards: 2,
+		MaxPending: 96, WindowRounds: 64,
+	}
+}
+
+// TestParentK2ImageRestoresExactly restores a checkpoint file an earlier
+// build wrote from a two-shard RoundRobin drain: the pending set in global
+// admission order plus one lookahead flow, both shards' rotation pointers,
+// and one window sketch per shard. (A capture holds a lookahead only with
+// nothing pending, so the image is a periodic capture at round 300 with the
+// stream's next flow appended as its lookahead, which Config.Resume
+// accepts.) The restored runtime must report the
+// summary that build reported right after New — counters and window
+// quantiles alike — capture the same flows back in the same order, and
+// schedule the rest of the stream exactly as that build did.
+func TestParentK2ImageRestoresExactly(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "k2_roundrobin.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Shards != 2 || len(ck.Scratch) != 2 || len(ck.Windows) != 2 || len(ck.Flows) != ck.Pending+1 || ck.Pending == 0 {
+		t.Fatalf("image lost its shape: %d shards, %d scratch, %d windows, %d flows for %d pending",
+			ck.Shards, len(ck.Scratch), len(ck.Windows), len(ck.Flows), ck.Pending)
+	}
+	cfg := k2Config()
+	cfg.Resume = ck.State()
+	h := fnv.New64a()
+	var buf [16]byte
+	cfg.OnSchedule = func(seq int64, _ switchnet.Flow, round int) {
+		binary.LittleEndian.PutUint64(buf[:8], uint64(seq))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(round))
+		h.Write(buf[:])
+	}
+	src := k2Source()
+	workload.Skip(src, ck.SourceConsumed)
+	rt, err := stream.New(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.Snapshot(); got != k2Restored {
+		t.Fatalf("restored summary\n got %+v\nwant %+v", got, k2Restored)
+	}
+	st, err := rt.CheckpointState(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Pending != ck.Pending || !slices.Equal(st.Flows, ck.Flows) {
+		t.Fatalf("re-capture holds %d flows (%d pending), the image %d (%d pending), or a different order",
+			len(st.Flows), st.Pending, len(ck.Flows), ck.Pending)
+	}
+	sum, err := rt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Sum64(); got != k2TailHash || *sum != k2Drained {
+		t.Fatalf("drained tail: hash %#016x, summary %+v\nwant hash %#016x, summary %+v", got, *sum, k2TailHash, k2Drained)
 	}
 }
 

@@ -41,9 +41,9 @@ func (s *Server) Drain() (*stream.Summary, error) {
 }
 
 // Stop is the hard stop: pending flows are abandoned where Drain would
-// finish them. The runtime still settles owed picks and joins its verify
-// goroutine, so the summary's accounting balances — Pending just need
-// not be zero.
+// finish them. The runtime still finishes the round in flight — its
+// picks retire in it — and joins its verify goroutine, so the summary's
+// accounting balances; Pending just need not be zero.
 func (s *Server) Stop() (*stream.Summary, error) {
 	s.setDraining()
 	s.rt.Stop()

@@ -33,13 +33,12 @@ const DefaultRounds = 4096
 // RoundRecord is one scheduling round as the coordinator saw it: what
 // moved (arrivals, scheduled departures, drops, expiries, the resident
 // pending count after the round) and where the time went, split by the
-// round protocol's phases. ProposeNS covers the fused barrier phase
-// (retire the previous round's picks + admit + propose), ReconcileNS the
-// serial leftover-capacity pass, ApplyNS any explicit out-of-cadence
-// retirement (verification flushes, idle jumps), and VerifyNS the time
-// spent blocked joining the overlapped verify goroutine. Phase time
-// accrued between scheduling rounds (e.g. an apply forced by an idle
-// jump) is charged to the next emitted record.
+// round protocol's phases. ProposeNS covers admit + expire + pick over
+// all shards, ReconcileNS the leftover-capacity pass (sharded runtimes
+// only), ApplyNS the round's own retirement of its picks, every round,
+// and VerifyNS the time spent blocked joining the overlapped verify
+// goroutine. A join happens between scheduling rounds, at a window flush,
+// and is charged to the next emitted record.
 type RoundRecord struct {
 	Round       int64 `json:"round"`
 	Arrived     int64 `json:"arrived"`

@@ -74,8 +74,8 @@ func testSteadyStateZeroAlloc(t *testing.T, shards int, pol Policy, admit AdmitM
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.startWorkers()
-	t.Cleanup(rt.stopWorkers)
+	rt.startVerifier()
+	t.Cleanup(rt.stopVerifier)
 	// Overloaded pattern (3 arrivals for every 2 a unit switch can serve
 	// per round): the pending set pins at MaxPending well inside the
 	// warm-up.
@@ -97,11 +97,7 @@ func testSteadyStateZeroAlloc(t *testing.T, shards int, pol Policy, admit AdmitM
 			t.Fatal("overloaded drop-mode warm-up shed nothing")
 		}
 	case AdmitDeadline:
-		var expired int64
-		for _, sh := range rt.shards {
-			expired += sh.expired.Load()
-		}
-		if expired == 0 {
+		if rt.mExpired.Load() == 0 {
 			t.Fatal("overloaded deadline-mode warm-up expired nothing")
 		}
 	}
@@ -181,8 +177,6 @@ func TestOldestFirstRampAllocBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.startWorkers()
-	defer rt.stopWorkers()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for rt.peak < backlog {

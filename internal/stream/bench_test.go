@@ -37,8 +37,6 @@ func BenchmarkOldestFirstPick(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rt.startWorkers()
-			defer rt.stopWorkers()
 			step := func() {
 				if _, err := rt.step(); err != nil {
 					b.Fatal(err)

@@ -137,8 +137,6 @@ func testAgeOrderUnderChurn(t *testing.T, pol Policy, shards, portCap int, golde
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.startWorkers()
-	defer rt.stopWorkers()
 	steps := 0
 	for {
 		done, err := rt.step()

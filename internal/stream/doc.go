@@ -78,8 +78,8 @@
 // Sharding caveat: every native policy is Shardable, but a shard only
 // sees its own inputs, so cross-input guarantees weaken at K > 1.
 // OldestFirst's propose pass is oldest-first per shard against carved
-// output budgets, and its reconcile pass is a token chain that visits
-// shards by oldest pending release, each shard again serving only its
+// output budgets, and its reconcile pass visits shards by oldest
+// pending release, each shard again serving only its
 // own heads: that is not the global age-greedy selection, so the
 // MinRTime-style equivalence above is a K = 1 property (ages still
 // bound waiting within a shard). WeightedISLIP arbitrates output grants
@@ -96,41 +96,38 @@
 // belongs to shard i mod K. Each shard exclusively owns the pending slots
 // of flows arriving at its inputs — their admission-order sublist, their
 // virtual output queues and active-port indexes, their load tallies — plus
-// its own policy instance (Shardable.NewShard), its own sliding-window
-// metric sketches, and its own verification buffer. Input-queued-switch
-// state decomposes cleanly along this axis because every structure the
-// scheduler mutates per round is keyed by input port; only output capacity
-// couples the shards, and it is settled by a deterministic two-phase
-// protocol each round:
+// its own policy instance (Shardable.NewShard). Input-queued-switch state
+// decomposes cleanly along this axis because every structure the scheduler
+// mutates per round is keyed by input port. The shards partition state;
+// they are not threads. The coordinator runs every shard's part of a
+// round itself, in sequence, and the runtime keeps one set of completion
+// metrics, one sliding window and one verification buffer for all of
+// them. Only output capacity couples the shards, and it is settled by a
+// deterministic two-step protocol each round:
 //
-//  1. Propose (parallel, fused with retirement). Every shard first
-//     retires the previous round's settled picks (departures, metrics,
-//     verification buffering), then admits the arrivals the coordinator
-//     routed to it, then runs its policy against a carved output budget:
-//     output j's capacity splits into floor(OutCaps[j]/K) units per
-//     shard, with the OutCaps[j] mod K spare units rotating across
-//     shards by round so no shard permanently owns them. Shards touch
-//     disjoint state, so the phase runs on all cores and its outcome is
-//     independent of goroutine interleaving.
-//  2. Reconcile (sequential in shard order). The coordinator computes
-//     each output's unused budget — OutCaps[j] minus the total phase-1
-//     usage — and offers every shard, one at a time, a second Pick
-//     against that shared leftover pool: a token passes shard to shard,
-//     by oldest pending release (ties to the lower shard index) for
-//     OldestFirst and WeightedISLIP, in shard index order for RoundRobin
-//     and StreamFIFO. Any capacity one shard could not use is therefore
-//     visible to all shards, so sharding never idles a port that an
-//     unsharded run would have filled.
+//  1. Propose (shard index order). Every shard admits the arrivals the
+//     coordinator routed to it, expires what the deadline has passed,
+//     and runs its policy against a carved output budget: output j's
+//     capacity splits into floor(OutCaps[j]/K) units per shard, with the
+//     OutCaps[j] mod K spare units rotating across shards by round so no
+//     shard permanently owns them.
+//  2. Reconcile (a computed shard order). The coordinator computes each
+//     output's unused budget — OutCaps[j] minus the total propose usage
+//     — and offers every shard, one at a time, a second Pick against
+//     that shared leftover pool: by oldest pending release (ties to the
+//     lower shard index) for OldestFirst and WeightedISLIP, in shard
+//     index order for RoundRobin and StreamFIFO. Any capacity one shard
+//     could not use is therefore visible to all shards, so sharding
+//     never idles a port that an unsharded run would have filled.
 //
-// Retirement of round r's picks is deferred into round r+1's fused phase
-// — "apply folds into the next propose" — so the protocol has exactly one
-// synchronization point per round (the fused-phase barrier) instead of
-// separate propose and apply barriers, and shard A can be proposing round
-// r+1 while shard B is still retiring round r. Before a verification
-// window flushes, before an idle jump, and at the end of the run the
-// coordinator forces the owed retirement so observed state is settled.
-// For a fixed K the schedule is a pure function of the source — replaying
-// the same stream at the same shard count reproduces it bit for bit.
+// OnSchedule then reports the round's picks, and every shard retires
+// them — departures, metrics, verification buffering — before the round
+// ends. For a fixed K the schedule is a pure function of the source —
+// replaying the same stream at the same shard count reproduces it bit for
+// bit. Sharding buys no parallelism, and threads would not pay for it: on
+// the benchmark's drain_age_k2 (2-vCPU Xeon), proposes run on a worker
+// pool read 1.26 M flows/s at 0.98 CPU-µs per flow, run inline 1.40 M at
+// 0.72.
 //
 // # Shard-scoped View contract
 //
@@ -178,8 +175,8 @@
 //     trades completions for a hard response-time bound.
 //
 // Drop and expiry decisions are part of the deterministic round protocol
-// (drops on the coordinator's admission path, expiry inside the fused
-// phase before the policy proposes), so for a fixed K the counts replay
+// (drops on the coordinator's admission path, expiry inside each shard's
+// propose, before its policy picks), so for a fixed K the counts replay
 // bit for bit and verification windows stay oracle-clean in every mode.
 //
 // # Sources, live and finite
@@ -218,33 +215,34 @@
 // infeasible window. Spot-checking keeps the unbounded run honest without
 // retaining history. The schedule never depends on the verdict.
 //
-// What a window costs. Each shard copies a flow and its round into its
-// verification buffer as it retires the flow. At the flush the coordinator
-// merges the shard buffers round by round into the runtime's window
-// buffers, so the oracle receives the flows in round order and sweeps them
-// without sorting: one pass for the per-flow checks, one that sums each
-// round's demands into a per-port counter array and compares the ports the
-// round touched with their capacities. That is O(flows in the window)
-// time and O(flows + ports) memory — the shard buffers, the window
-// buffers and the oracle's verify.Checker, all owned by the runtime and
-// reused — so after the buffers have grown to the largest window a flush
-// allocates nothing (TestSteadyStateZeroAllocVerify counts mallocs over
-// eight windows). What remains is a price, not zero: on the benchmark's
+// What a window costs. Each shard copies a flow and its round into the
+// runtime's verification buffer as it retires the flow. Every round
+// retires before the next begins, so the buffer is in round order and the
+// oracle sweeps it without sorting: one pass for the per-flow checks, one
+// that sums each round's demands into a per-port counter array and
+// compares the ports the round touched with their capacities. At the
+// flush the coordinator swaps the buffer with the one the verifier has
+// finished with, grown to the flushed window's length. That is O(flows in
+// the window) time and O(flows + ports) memory — the two window buffers
+// and the oracle's verify.Checker, all owned by the runtime and reused —
+// so after the buffers have grown to the largest window a flush allocates
+// nothing (TestSteadyStateZeroAllocVerify counts mallocs over eight
+// windows). What remains is a price, not zero: on the benchmark's
 // drain_verified workload (150 ports, VerifyEvery = 256, about 38 k flows
 // a window) against drain_deep, the same flows and schedule unverified,
 // alternated runs on a 2-vCPU Xeon read 0.46 against 0.42 CPU-µs per flow
 // (+9 %) and 33.4 against 22.0 B per flow, the extra bytes being one fresh
 // runtime's buffer growth spread over a million flows.
 //
-// Who pays it. The check runs on one verifier goroutine, started with the
-// shard workers and stopped — and waited for — when Run returns, however
-// it returns. The coordinator hands it window w and goes on with the
+// Who pays it. The check runs on one verifier goroutine, stopped — and
+// waited for — when Run returns, however it returns. The coordinator
+// hands it window w and goes on with the
 // rounds of window w+1; it collects the verdict at the next flush (or the
 // end of the run), so a failure surfaces one window late, labelled with
 // the first and last round its flows were really scheduled in. The
 // overlap hides the oracle's pass from flows_per_s only when a core is
-// spare for it; the buffering and the merge are on the round loop either
-// way, and the CPU is spent whether or not anyone waits for it.
+// spare for it; the buffering is on the round loop either way, and the
+// CPU is spent whether or not anyone waits for it.
 //
 // # Observability
 //
@@ -261,13 +259,13 @@
 //     round, and the instrumented path is measured against the plain
 //     one, with repeats, by the benchmark/ suite
 //     (obs.recorder_overhead_pct).
-//   - Phase semantics. ProposeNS times the fused barrier phase (retire,
-//     admit, propose), ReconcileNS the serial leftover-capacity pass,
-//     ApplyNS any out-of-cadence forced retirement (verification
-//     flushes, idle jumps), and VerifyNS only the blocking join on the
-//     verify oracle — overlap with the next window's rounds is the
-//     oracle's normal, invisible case. Work landing between scheduling
-//     rounds is charged to the next emitted record.
+//   - Phase semantics. ProposeNS times every shard's propose (admit,
+//     expire, pick), ReconcileNS the leftover-capacity pass, ApplyNS the
+//     round's own retirement (every round), and VerifyNS only the
+//     blocking join on the verify oracle — overlap with the next window's
+//     rounds is the oracle's normal, invisible case. The join lands
+//     between scheduling rounds and is charged to the next emitted
+//     record.
 //   - Only scheduling rounds emit, so the recorded round numbers are
 //     strictly increasing — idle jumps leave gaps, never duplicates.
 //   - Record emission precedes the round-counter publish, so a record
@@ -282,8 +280,8 @@
 // Everything the runtime can be asked mid-run rides one mechanism: a
 // one-slot mailbox of closures the coordinator polls with a single
 // non-blocking select at the top of each step, running the closure it
-// finds after forcing any owed retirement (Runtime.quiesce). That point
-// is quiescent — every pick settled, every inbox empty, the summary
+// finds (Runtime.quiesce). That point is quiescent — every pick
+// retired, every inbox empty, the summary
 // balanced — so each operation is a few lines run there, with no locks
 // on the round path and no flow ever observed in two states; before Run
 // has started and once it has returned the same closure runs directly on
@@ -389,20 +387,18 @@
 //     through View.EachVOQ's block cursor: sequential block reads plus
 //     one hot-record line per flow. Blocks recycle through the pool free
 //     list, so steady-state queue churn never allocates.
-//   - Barrier schedule. One coordinator/shard synchronization point per
-//     round: the fused phase (retire round r-1, admit, propose round r)
-//     runs behind a single barrier, and OnSchedule callbacks read the
-//     still-live taken slots before they retire in the next fused phase.
-//     The reconcile pass (sharded runtimes only) is a pipelined
-//     shard-to-shard token chain in a deterministic order — oldest
-//     pending release first for the age-aware policies, shard index
-//     order otherwise — so the second picks overlap their dispatch and
-//     cache traffic across workers instead of running coordinator-serial.
+//   - Round schedule. One goroutine owns the round: the coordinator runs
+//     each shard's propose, the reconcile pass (sharded runtimes only, in
+//     a deterministic order — oldest pending release first for the
+//     age-aware policies, shard index order otherwise), the OnSchedule
+//     callbacks over the still-live taken slots, and each shard's
+//     retirement, in sequence. There is no barrier and no hand-off, and
+//     nothing carries over: a round's picks retire in that round.
 //   - Admission. A source delivers each round's released arrivals in
 //     one PullBatch call into a reused buffer — interface-call overhead
 //     is paid per round, not per flow.
-//   - Snapshot epochs. Scalar metrics are atomics written once per
-//     applied round; window quantiles live in stats.EpochWindow, a
+//   - Snapshot epochs. Scalar metrics are atomics written once per shard
+//     per round; window quantiles live in stats.EpochWindow, a
 //     seqlock ring of preallocated log-histogram shards. Snapshot readers
 //     merge with atomic loads and retry on epoch change, so metrics reads
 //     never stall the round loop, and the record path (Begin/Observe/End)
@@ -416,8 +412,8 @@
 //
 //   - //flowsched:hotpath on a function's doc comment requires it — and
 //     everything it reaches through static calls — to be free of
-//     heap-allocating constructs. The fused round phase (shard.do,
-//     apply, pickShared), View.Take, the arena and VOQ block operations,
+//     heap-allocating constructs. A shard's round (shard.propose,
+//     pickShared, apply), View.Take, the arena and VOQ block operations,
 //     every native policy's Pick, stats.EpochWindow's record path, and
 //     obs.FlightRecorder.Record are all roots.
 //   - //flowsched:clockgated (this package's mark, below) requires every

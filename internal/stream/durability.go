@@ -18,8 +18,8 @@ import (
 // CheckpointState is a quiescent snapshot of everything a restart needs
 // to continue the run as if it had never stopped: the pending set with
 // original releases, the round, and the exact cumulative counters. The
-// coordinator captures it between rounds with every owed pick settled,
-// so the summary always balances
+// coordinator captures it between rounds, when every pick has retired, so
+// the summary always balances
 // (Admitted == Completed + Pending + Dropped + Expired) and no flow is
 // both "completed" and "pending".
 type CheckpointState struct {
@@ -49,9 +49,11 @@ type CheckpointState struct {
 	// makes RoundRobin and WeightedISLIP restore-exact.
 	Policy  string
 	Scratch [][]int64
-	// Windows holds the shards' sliding-window quantile sketches (one
-	// snapshot per shard in shard order), so response quantiles are
-	// continuous across a restore instead of restarting empty.
+	// Windows holds the sliding-window quantile sketch, so response
+	// quantiles are continuous across a restore instead of restarting
+	// empty. A capture writes one snapshot; images from before the runtime
+	// kept a single window carry one per shard, and a restore merges
+	// every entry.
 	Windows []stats.WindowSnapshot
 }
 
@@ -123,16 +125,11 @@ func (rt *Runtime) restore(st *CheckpointState) error {
 	rt.mBackpressured.Store(c.Backpressured)
 	rt.mDropped.Store(c.Dropped)
 	rt.mPeak.Store(int64(rt.peak))
-	// Completion baselines live on shard 0: Snapshot sums the scalar
-	// counters and maxes the response high-water mark across shards, so
-	// one shard carrying the history is indistinguishable from all of
-	// them.
-	sh := rt.shards[0]
-	sh.completed.Store(c.Completed)
-	sh.expired.Store(c.Expired)
-	sh.totalResp.Store(c.TotalResponse)
-	sh.maxResp.Store(int64(c.MaxResponse))
-	sh.slowResp.Store(c.SlowResponses)
+	rt.mCompleted.Store(c.Completed)
+	rt.mExpired.Store(c.Expired)
+	rt.mTotalResp.Store(c.TotalResponse)
+	rt.mMaxResp.Store(int64(c.MaxResponse))
+	rt.mSlowResp.Store(c.SlowResponses)
 	// Policy scratch: replay only on an exact (policy, shard count) match
 	// onto shard instances that carry scratch — anything else means the
 	// operator overrode the configuration at restore, and fresh rotation
@@ -146,11 +143,8 @@ func (rt *Runtime) restore(st *CheckpointState) error {
 			}
 		}
 	}
-	// Window sketches: merge every checkpointed shard window into shard
-	// 0's (readers merge across shards anyway), tolerating a shard-count
-	// change between the checkpoint and the resume.
 	for i := range st.Windows {
-		sh.win.Import(&st.Windows[i])
+		rt.win.Import(&st.Windows[i])
 	}
 	return nil
 }
@@ -174,9 +168,9 @@ type ReloadConfig struct {
 }
 
 // applyReload validates rc and swaps the policy and admission settings at
-// the quiescent point: owed picks are settled, so no retired flow is
-// mid-flight through the old policy's scratch state. A reload after the
-// run is meaningless and reports an error.
+// the quiescent point: every pick has retired, so no flow is mid-flight
+// through the old policy's scratch state. A reload after the run is
+// meaningless and reports an error.
 func (rt *Runtime) applyReload(rc ReloadConfig) error {
 	select {
 	case <-rt.finished:
@@ -204,15 +198,13 @@ func (rt *Runtime) applyReload(rc ReloadConfig) error {
 }
 
 // serveCtl runs at most one queued mailbox closure per step. It runs at
-// the top of step, when shard state is quiescent and the inboxes are
-// empty (the previous round phase threaded them); owed picks retire
-// first, so flows the previous round already scheduled are not reported
-// as pending and a captured summary is exact. The idle check is one
-// non-blocking channel poll — no clock, no allocation.
+// the top of step, when shard state is quiescent, the inboxes are empty
+// (the previous round's propose threaded them) and the previous round's
+// picks have retired, so a captured summary is exact. The idle check is
+// one non-blocking channel poll — no clock, no allocation.
 func (rt *Runtime) serveCtl() {
 	select {
 	case fn := <-rt.ctl:
-		rt.applyPending()
 		fn()
 	default:
 	}
@@ -221,10 +213,9 @@ func (rt *Runtime) serveCtl() {
 // quiesce runs fn against quiescent runtime state and returns once it
 // has: directly on the caller before Run has started (New leaves the
 // state whole, restored backlog included), on the coordinator between
-// rounds while Run is live (owed picks settled first; an idle Park is
-// woken for it), or directly on the caller once Run has returned
-// (best-effort if the run failed mid-round: picks the error abandoned may
-// still be linked). A ctx already done runs nothing; when ctx ends first
+// rounds while Run is live (an idle Park is woken for it), or directly
+// on the caller once Run has returned (best-effort if the run failed
+// mid-round: picks the error abandoned may still be linked). A ctx already done runs nothing; when ctx ends first
 // fn may still run later, so it must not write anything its caller reads
 // after an error.
 func (rt *Runtime) quiesce(ctx context.Context, fn func()) error {
@@ -312,16 +303,14 @@ func (rt *Runtime) collectScratch(dst [][]int64) [][]int64 {
 	return dst
 }
 
-// collectWindows captures each shard's sliding-window sketch into dst,
-// reusing its snapshots' backing slices when the shape matches. Same
+// collectWindows captures the sliding-window sketch into dst's one
+// entry, reusing its backing slices when dst has that shape. Same
 // aliasing discipline as collectScratch.
 func (rt *Runtime) collectWindows(dst []stats.WindowSnapshot) []stats.WindowSnapshot {
-	if len(dst) != rt.nshards {
-		dst = make([]stats.WindowSnapshot, rt.nshards)
+	if len(dst) != 1 {
+		dst = make([]stats.WindowSnapshot, 1)
 	}
-	for s, sh := range rt.shards {
-		sh.win.ExportInto(&dst[s])
-	}
+	rt.win.ExportInto(&dst[0])
 	return dst
 }
 
@@ -364,12 +353,11 @@ func (rt *Runtime) collectPendingBySeq(dst []switchnet.Flow) []switchnet.Flow {
 }
 
 // fireCheckpoint services the round-cadence periodic trigger (see
-// Config.CheckpointEveryRounds): it settles owed picks, captures into the
-// previous capture's buffers, and hands the state to OnCheckpoint. The
-// callback must not retain the state or its slices past its return — the
-// next capture overwrites them.
+// Config.CheckpointEveryRounds): it captures into the previous capture's
+// buffers and hands the state to OnCheckpoint. The callback must not
+// retain the state or its slices past its return — the next capture
+// overwrites them.
 func (rt *Runtime) fireCheckpoint() {
-	rt.applyPending()
 	st := &rt.ckptState
 	*st = rt.capture(st.Flows[:0], st.Scratch, st.Windows)
 	rt.cfg.OnCheckpoint(st)
@@ -377,9 +365,9 @@ func (rt *Runtime) fireCheckpoint() {
 }
 
 // PendingFlows snapshots the resident pending set without stalling the
-// round loop: the coordinator collects it between rounds (retiring owed
-// picks first, so the snapshot never contains an already-scheduled flow)
-// into dst[:0], along with the round the snapshot is consistent at.
+// round loop: the coordinator collects it between rounds (every pick
+// retired, so the snapshot never contains an already-scheduled flow) into
+// dst[:0], along with the round the snapshot is consistent at.
 // Before Run has started or after it has returned the quiescent state is
 // read directly. A runtime
 // parked idle on a Parker source is woken to answer. dst is reused across
@@ -410,7 +398,7 @@ func (rt *Runtime) CheckpointState(ctx context.Context, dst []switchnet.Flow) (C
 
 // Reload swaps the scheduling policy and admission settings between
 // rounds without dropping the pending set: the coordinator applies rc at
-// the next quiescent point (owed picks settled, shard state consistent),
+// the next quiescent point (every pick retired, shard state consistent),
 // per-shard policy instances are rebuilt and Reset, and the very next
 // round schedules under the new configuration. Pending flows keep their
 // original releases, so response accounting is unaffected. Returns the

@@ -476,12 +476,9 @@ func TestShardedAgePoliciesTakeFarReleases(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rt.startWorkers()
-				defer rt.stopWorkers()
 				swapped := !reload
 				for steps := 0; ; steps++ {
 					if !swapped && rt.lastRel >= far {
-						rt.applyPending()
 						if err := rt.applyReload(ReloadConfig{Policy: ByName(name), MaxPending: 32}); err != nil {
 							t.Fatalf("reload after release %d: %v", rt.lastRel, err)
 						}

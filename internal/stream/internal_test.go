@@ -66,7 +66,8 @@ func (emptySource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.F
 // with a vstart that went stale when an idle jump crossed several window
 // boundaries before the flush; deriving it from the buffered rounds cannot
 // drift. An infeasible buffer can only be injected white-box — View.Take
-// never produces one — so this test writes the shard buffers directly.
+// never produces one — so this test writes the runtime's one verification
+// buffer directly.
 func TestFlushWindowLabelsTrueRounds(t *testing.T) {
 	rt, err := New(emptySource{}, Config{
 		Switch:      switchnet.UnitSwitch(2),
@@ -76,17 +77,16 @@ func TestFlushWindowLabelsTrueRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.startWorkers()
-	defer rt.stopWorkers()
-	sh := rt.shards[0]
+	rt.startVerifier()
+	defer rt.stopVerifier()
 	// A feasible flow at round 5, then two unit flows on the same port
 	// pair in round 9: load 2 on a unit-capacity port, infeasible.
-	sh.vflows = append(sh.vflows,
+	rt.bufFlows = append(rt.bufFlows,
 		switchnet.Flow{In: 1, Out: 1, Demand: 1},
 		switchnet.Flow{In: 0, Out: 0, Demand: 1},
 		switchnet.Flow{In: 0, Out: 0, Demand: 1},
 	)
-	sh.vrounds = append(sh.vrounds, 5, 9, 9)
+	rt.bufRounds = append(rt.bufRounds, 5, 9, 9)
 
 	// flushWindow hands the window to the verifier goroutine; the verdict
 	// surfaces at the join.

@@ -24,8 +24,6 @@ func ofRun(t *testing.T, src Source, sw switchnet.Switch, maxPending, factor int
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.startWorkers()
-	defer rt.stopWorkers()
 	for {
 		stages, sorts := pol.stages, pol.sorts
 		done, err := rt.step()

@@ -66,7 +66,8 @@ const noID int32 = -1
 // In a sharded runtime (Config.Shards > 1) each shard runs its own policy
 // instance and Pick may be invoked twice per round — once against the
 // shard's carved output budgets and once against the reconciled leftover
-// pool (see the package docs); the View is shard-scoped either way.
+// pool (see the package docs); the View is shard-scoped either way. Every
+// Pick, at any shard count, runs on the goroutine driving Run.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
@@ -164,11 +165,13 @@ type Config struct {
 	// Policy selects flows each round. With Shards > 1 it must implement
 	// Shardable; each shard then runs its own NewShard instance.
 	Policy Policy
-	// Shards partitions the input ports across that many runtime shards
-	// (input i belongs to shard i mod Shards), scheduled by the
-	// deterministic fused-barrier output-capacity protocol described in
-	// the package docs. <= 0 selects 1; the value is always capped at
-	// NumIn.
+	// Shards partitions the input ports and the pending state across that
+	// many shards (input i belongs to shard i mod Shards), each with its
+	// own policy instance, under the deterministic carve-and-reconcile
+	// output-capacity protocol described in the package docs. The shards
+	// run in sequence on the goroutine driving Run, so the count changes
+	// the schedule, not the parallelism. <= 0 selects 1; the value is
+	// always capped at NumIn.
 	Shards int
 	// MaxPending bounds the resident pending set (admission control);
 	// <= 0 selects DefaultMaxPending. What happens at the limit is
@@ -194,7 +197,7 @@ type Config struct {
 	// OnSchedule, when non-nil, observes every departure: seq is the
 	// flow's admission sequence number (its position in source order). It
 	// is always invoked from the goroutine driving Run, in shard index
-	// order within a round.
+	// order within a round, before the round's picks retire.
 	OnSchedule func(seq int64, f switchnet.Flow, round int)
 	// Recorder, when non-nil, receives one obs.RoundRecord per scheduling
 	// round, written by the coordinator inside the round loop: per-round
@@ -281,18 +284,16 @@ type Summary struct {
 	// accepted.
 	WindowsVerified int64
 	// P50, P90, P99 are response-time quantiles over the sliding metrics
-	// window, merged across shards (sketched; see stats.LogHistogram for
-	// the error bound).
+	// window (sketched; see stats.LogHistogram for the error bound).
 	P50, P90, P99 float64
 }
 
 // Runtime is the streaming scheduler. Run drives it from one goroutine —
 // the coordinator — which pulls the source, routes arrivals to shards,
-// and sequences the fused per-round phase; with Config.Shards > 1 that
-// phase executes on a pool of shard worker goroutines behind a single
-// barrier per round. Snapshot may be called concurrently from other
-// goroutines; it reads atomics and epoch windows only, so it never
-// stalls the round loop.
+// and runs every shard's part of each round itself, in shard order; the
+// only other goroutine it starts is the window verifier (VerifyEvery >
+// 0). Snapshot may be called concurrently from other goroutines; it reads
+// atomics and the epoch window only, so it never stalls the round loop.
 type Runtime struct {
 	cfg  Config
 	src  Source
@@ -305,7 +306,7 @@ type Runtime struct {
 	deadline int
 
 	// rec is Config.Recorder; respBound caches Config.ResponseBound for
-	// the shards' apply pass. The recArrived/recDropped counts and the
+	// the shards' apply. The recArrived/recDropped counts and the
 	// per-phase nanosecond accumulators hold what has accrued since the
 	// last emitted record; all are touched only when rec != nil.
 	rec          *obs.FlightRecorder
@@ -359,45 +360,40 @@ type Runtime struct {
 	lastRel  int
 	batch    []switchnet.Flow
 
-	// leftover is the reconcile-phase output budget pool, rebuilt each
-	// round from OutCaps minus the propose-phase usage (nshards > 1);
-	// totalOutCap is sum(OutCaps), the pool's upper bound.
+	// leftover is the reconcile pass's output budget pool, rebuilt each
+	// round from OutCaps minus the propose usage (nshards > 1);
+	// totalOutCap is sum(OutCaps), the pool's upper bound. reconOrder is
+	// the round's shard visiting order (identity, or oldest-head-first for
+	// the age-aware policies) and reconRel its per-shard sort key scratch.
 	leftover    []int
 	totalOutCap int
-
-	// Pipelined-reconcile state (nshards > 1): tok[p] hands the pool from
-	// reconcile position p to p+1, reconOrder is the round's shard
-	// visiting order (identity, or oldest-head-first for age-indexed
-	// policies), and reconRel is its per-shard sort key scratch.
-	tok        []chan struct{}
-	reconOrder []int
-	reconRel   []int64
+	reconOrder  []int
+	reconRel    []int64
 
 	err     error
 	stalled int
-	started bool
 
 	// Verification window state: vstart is the active window's first
-	// round; vflows/vrounds hold the flushed window, merged across shards
-	// in round order, while the verifier goroutine (serveVerify) checks it
-	// with the runtime's one Checker. vwork hands it the window's round
-	// span, vdone carries the verdict back (joinVerify), and vexit closes
-	// when the goroutine has returned; vheads is the merge's per-shard
-	// cursor.
-	vstart   int
-	vflows   []switchnet.Flow
-	vrounds  []int
-	vheads   []int
-	checker  verify.Checker
-	vpending bool
-	vwork    chan vwindow
-	vdone    chan error
-	vexit    chan struct{}
+	// round. The shards' apply appends every retired flow and its round to
+	// bufFlows/bufRounds — round order, shard order within a round — and a
+	// flush swaps that buffer with vflows/vrounds, which the verifier
+	// goroutine (serveVerify) then checks with the runtime's one Checker.
+	// vwork hands it the window's round span, vdone carries the verdict
+	// back (joinVerify), and vexit closes when the goroutine has returned.
+	vstart    int
+	bufFlows  []switchnet.Flow
+	bufRounds []int
+	vflows    []switchnet.Flow
+	vrounds   []int
+	checker   verify.Checker
+	vpending  bool
+	vwork     chan vwindow
+	vdone     chan error
+	vexit     chan struct{}
 
-	wg sync.WaitGroup
-
-	// Snapshot-visible coordinator metrics. The round loop only ever
-	// stores/adds; Snapshot only loads.
+	// Snapshot-visible metrics. The round loop only ever stores/adds;
+	// Snapshot only loads. win is the sliding response-time window, an
+	// epoch (seqlock) window readers copy without stalling the writer.
 	mRound         atomic.Int64
 	mRounds        atomic.Int64
 	mAdmitted      atomic.Int64
@@ -405,12 +401,17 @@ type Runtime struct {
 	mDropped       atomic.Int64
 	mPeak          atomic.Int64
 	mWindows       atomic.Int64
+	mCompleted     atomic.Int64
+	mExpired       atomic.Int64
+	mTotalResp     atomic.Int64
+	mMaxResp       atomic.Int64
+	mSlowResp      atomic.Int64
+	win            *stats.EpochWindow
 
-	// snapMu serializes concurrent Snapshot callers over the merge
+	// snapMu serializes concurrent Snapshot callers over the read
 	// scratch; the round loop never takes it.
-	snapMu       sync.Mutex
-	scratch      stats.LogHistogram
-	shardScratch stats.LogHistogram
+	snapMu  sync.Mutex
+	scratch stats.LogHistogram
 }
 
 // New builds a Runtime over src. The configuration is validated eagerly:
@@ -484,23 +485,19 @@ func New(src Source, cfg Config) (*Runtime, error) {
 		respBound: cfg.ResponseBound,
 		nshards:   cfg.Shards,
 		shards:    make([]*shard, cfg.Shards),
-		vheads:    make([]int, cfg.Shards),
 		vdone:     make(chan error, 1),
 		ctl:       make(chan func(), 1),
 		wake:      make(chan struct{}, 1),
 		finished:  make(chan struct{}),
 		ckptEvery: cfg.CheckpointEveryRounds,
 		nextCkpt:  cfg.CheckpointEveryRounds,
+		win:       stats.NewEpochWindow(cfg.WindowRounds, windowShards),
 	}
 	rt.parker, _ = src.(Parker)
 	if rt.nshards > 1 {
 		rt.leftover = make([]int, mOut)
 		for _, c := range cfg.Switch.OutCaps {
 			rt.totalOutCap += c
-		}
-		rt.tok = make([]chan struct{}, rt.nshards)
-		for i := range rt.tok {
-			rt.tok[i] = make(chan struct{}, 1)
 		}
 		rt.reconOrder = make([]int, rt.nshards)
 		rt.reconRel = make([]int64, rt.nshards)
@@ -576,8 +573,8 @@ func (rt *Runtime) checkFlow(f switchnet.Flow) error {
 }
 
 // route validates f, assigns its admission sequence number, and queues it
-// on its input port's shard; the shard threads it during the next round
-// phase. Returns the number backpressured (0 or 1) for metric batching.
+// on its input port's shard; the shard threads it in its next propose.
+// Returns the number backpressured (0 or 1) for metric batching.
 func (rt *Runtime) route(f switchnet.Flow) (int, error) {
 	if err := rt.checkFlow(f); err != nil {
 		return 0, err
@@ -670,106 +667,39 @@ func (rt *Runtime) admit() error {
 	return nil
 }
 
-// startWorkers launches the runtime's goroutines — the shard worker pool
-// (nshards > 1) and the window verifier (VerifyEvery > 0); stopWorkers
-// shuts them down, returning once the verifier has exited, whether or not
-// its last verdict was collected. Run brackets itself with them; white-box
-// tests driving step or flushWindow directly do the same.
-func (rt *Runtime) startWorkers() {
-	if rt.started {
+// startVerifier launches the window verifier goroutine (VerifyEvery >
+// 0), the one goroutine a Runtime starts; stopVerifier shuts it down,
+// returning once it has exited, whether or not its last verdict was
+// collected. Run brackets itself with them; white-box tests driving step
+// or flushWindow directly with verification on do the same.
+func (rt *Runtime) startVerifier() {
+	if rt.cfg.VerifyEvery <= 0 || rt.vwork != nil {
 		return
 	}
-	rt.started = true
-	if rt.cfg.VerifyEvery > 0 {
-		rt.vwork = make(chan vwindow, 1)
-		rt.vexit = make(chan struct{})
-		go rt.serveVerify()
-	}
-	if rt.nshards == 1 {
-		return
-	}
-	for _, sh := range rt.shards {
-		sh.work = make(chan int, 1)
-		go sh.serve()
-	}
+	rt.vwork = make(chan vwindow, 1)
+	rt.vexit = make(chan struct{})
+	go rt.serveVerify()
 }
 
-func (rt *Runtime) stopWorkers() {
-	if !rt.started {
+func (rt *Runtime) stopVerifier() {
+	if rt.vwork == nil {
 		return
 	}
-	rt.started = false
-	if rt.vwork != nil {
-		close(rt.vwork)
-		<-rt.vexit
-		rt.vwork = nil
-	}
-	if rt.nshards == 1 {
-		return
-	}
-	for _, sh := range rt.shards {
-		close(sh.work)
-	}
+	close(rt.vwork)
+	<-rt.vexit
+	rt.vwork = nil
 }
 
-// runPhase executes ph on every shard: inline for a single shard, on the
-// worker pool otherwise. It is the protocol's only synchronization point:
-// the coordinator blocks here once per round.
-func (rt *Runtime) runPhase(ph int) {
-	if rt.nshards == 1 {
-		rt.shards[0].do(ph)
-		return
-	}
-	rt.wg.Add(rt.nshards)
-	for _, sh := range rt.shards {
-		sh.work <- ph
-	}
-	rt.wg.Wait()
-}
-
-// owedApply reports whether any shard still holds settled picks awaiting
-// retirement under the fused protocol.
-func (rt *Runtime) owedApply() bool {
-	for _, sh := range rt.shards {
-		if len(sh.takes) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// applyPending forces retirement of owed picks outside the fused cadence,
-// so verification flushes, idle jumps, and the end of the run observe
-// fully settled state.
-func (rt *Runtime) applyPending() {
-	if !rt.owedApply() {
-		return
-	}
-	if rt.rec != nil {
-		t0 := time.Now()
-		rt.runPhase(phaseApply)
-		rt.tApplyNS += time.Since(t0).Nanoseconds()
-		return
-	}
-	rt.runPhase(phaseApply)
-}
-
-// reconcile redistributes output capacity no shard used in the propose
-// phase: leftover[j] = OutCaps[j] - total phase-1 usage, then each shard
-// gets a second Pick against the shared pool. The second Picks run as a
-// pipelined shard-to-shard token chain (phaseReconcile): the coordinator
-// assigns each shard its position in a deterministic visiting order,
-// dispatches the phase to all workers at once, and each shard picks as
-// soon as its predecessor hands over the token — so the pass overlaps
-// its own dispatch, serve-loop, and cache traffic across workers instead
-// of running coordinator-serial. The order is the shard index order for
-// plain policies; for the age-aware ones (oldestShardFirst) it is by the
-// shards' oldest pending release (shard.oldestRel, ties to the lower
-// shard index), so the shard holding the oldest flow gets first call on
-// the shared pool — each shard still serves only its own heads, so this
-// is not the global age-greedy selection. Either order is a pure
-// function of quiescent shard state, so schedules stay deterministic for
-// a fixed K.
+// reconcile redistributes output capacity no shard used in its propose:
+// leftover[j] = OutCaps[j] - total propose usage, then each shard in turn
+// gets a second Pick against the shared pool (shard.pickShared). The
+// order is the shard index order for plain policies; for the age-aware
+// ones (oldestShardFirst) it is by the shards' oldest pending release
+// (shard.oldestRel, ties to the lower shard index), so the shard holding
+// the oldest flow gets first call on the shared pool — each shard still
+// serves only its own heads, so this is not the global age-greedy
+// selection. Either order is a pure function of the shards' state, so
+// schedules stay deterministic for a fixed K.
 func (rt *Runtime) reconcile() {
 	copy(rt.leftover, rt.sw.OutCaps)
 	used := 0
@@ -805,14 +735,9 @@ func (rt *Runtime) reconcile() {
 			}
 		}
 	}
-	for pos, s := range order {
-		rt.shards[s].reconPos = pos
-	}
-	rt.wg.Add(rt.nshards)
 	for _, s := range order {
-		rt.shards[s].work <- phaseReconcile
+		rt.shards[s].pickShared()
 	}
-	rt.wg.Wait()
 }
 
 // firstErr surfaces the first error in deterministic order: the runtime's
@@ -833,11 +758,9 @@ func (rt *Runtime) firstErr() error {
 // completes.
 func (rt *Runtime) setRound(t int) error {
 	if w := rt.cfg.VerifyEvery; w > 0 && t >= rt.vstart+w {
-		// Rounds only move forward, so the buffers never hold flows beyond
-		// the current window: one flush empties them, and the remaining
-		// boundaries an idle jump crosses advance in a single step. Owed
-		// picks retire first so the closing window's loads are complete.
-		rt.applyPending()
+		// Rounds only move forward, so the buffer never holds flows beyond
+		// the current window: one flush empties it, and the remaining
+		// boundaries an idle jump crosses advance in a single step.
 		if err := rt.flushWindow(); err != nil {
 			return err
 		}
@@ -854,64 +777,35 @@ type vwindow struct{ lo, hi int }
 
 // flushWindow hands every buffered scheduled flow to the verifier
 // goroutine. All loads in the buffered rounds are fully represented —
-// flows are buffered at retirement across all shards, owed picks are
-// settled before a flush, and rounds only move forward — so the oracle's
-// per-(port, round) capacity check is exact. Each shard buffers in round
-// order, so merging round by round (shard order within a round) hands the
-// oracle a window it can sweep without sorting. The check for window w runs
-// concurrently with the rounds of window w+1 and is joined at the next
-// flush (or the end of the run), hiding the oracle's cost on spare cores
-// without changing the schedule; failures are labelled with the true
-// min/max buffered rounds, not the window boundaries, so an idle jump
-// across several window starts cannot skew the report. The merge buffers
-// and the Checker are reused, so a window no larger than an earlier one
-// allocates nothing.
+// every round's picks retire, into the one buffer, before the round ends,
+// and rounds only move forward — so the oracle's per-(port, round)
+// capacity check is exact, and the buffer is already in round order, so
+// the oracle sweeps it without sorting. The flush swaps the buffer with
+// the verifier's previous one, which its join has freed, and grows that
+// one to this window's length, so two buffers of a window's size carry
+// the whole run and a window no larger than an earlier one allocates
+// nothing. The check for window w runs concurrently with the rounds of
+// window w+1 and is joined at the next flush (or the end of the run); it
+// never changes the schedule. Failures are labelled with the true min/max
+// buffered rounds, not the window boundaries, so an idle jump across
+// several window starts cannot skew the report.
 func (rt *Runtime) flushWindow() error {
 	if err := rt.joinVerify(); err != nil {
 		return err
 	}
-	total := 0
-	for _, sh := range rt.shards {
-		total += len(sh.vrounds)
-	}
-	rt.vflows = slices.Grow(rt.vflows[:0], total)
-	rt.vrounds = slices.Grow(rt.vrounds[:0], total)
-	heads := rt.vheads
-	clear(heads)
-	for {
-		next, found := 0, false
-		for s, sh := range rt.shards {
-			if h := heads[s]; h < len(sh.vrounds) && (!found || sh.vrounds[h] < next) {
-				next, found = sh.vrounds[h], true
-			}
-		}
-		if !found {
-			break
-		}
-		for s, sh := range rt.shards {
-			h := heads[s]
-			for h < len(sh.vrounds) && sh.vrounds[h] == next {
-				h++
-			}
-			rt.vflows = append(rt.vflows, sh.vflows[heads[s]:h]...)
-			rt.vrounds = append(rt.vrounds, sh.vrounds[heads[s]:h]...)
-			heads[s] = h
-		}
-	}
-	for _, sh := range rt.shards {
-		sh.vflows = sh.vflows[:0]
-		sh.vrounds = sh.vrounds[:0]
-	}
-	if len(rt.vflows) == 0 {
+	n := len(rt.bufRounds)
+	if n == 0 {
 		return nil
 	}
+	rt.vflows, rt.bufFlows = rt.bufFlows, slices.Grow(rt.vflows[:0], n)
+	rt.vrounds, rt.bufRounds = rt.bufRounds, slices.Grow(rt.vrounds[:0], n)
 	rt.vpending = true
-	rt.vwork <- vwindow{lo: rt.vrounds[0], hi: rt.vrounds[len(rt.vrounds)-1]}
+	rt.vwork <- vwindow{lo: rt.vrounds[0], hi: rt.vrounds[n-1]}
 	return nil
 }
 
 // serveVerify is the verifier goroutine's loop: one oracle pass per flushed
-// window, until stopWorkers closes the channel. The coordinator leaves
+// window, until stopVerifier closes the channel. The coordinator leaves
 // vflows/vrounds alone from the send until it has taken the verdict. vdone
 // is buffered, so a verdict nobody collects (the run failed elsewhere)
 // does not hold the goroutine.
@@ -944,7 +838,7 @@ func (rt *Runtime) joinVerify() error {
 	return <-rt.vdone
 }
 
-// step advances the runtime by one iteration — an idle jump or one fused
+// step advances the runtime by one iteration — an idle jump or one
 // scheduling round — and reports whether the stream is fully drained.
 func (rt *Runtime) step() (done bool, err error) {
 	rt.serveCtl()
@@ -959,18 +853,23 @@ func (rt *Runtime) step() (done bool, err error) {
 		return false, err
 	}
 	if rt.count == 0 {
-		rt.applyPending()
 		return rt.idle()
 	}
 
-	// The fused phase: every shard retires the previous round's picks,
-	// admits its routed arrivals, and proposes against its carved output
-	// budgets — then the coordinator reconciles unused capacity.
+	// Every shard admits its routed arrivals, expires, and proposes
+	// against its carved output budgets; then the shards reconcile unused
+	// capacity.
 	var t0 time.Time
 	if rt.rec != nil {
 		t0 = time.Now()
 	}
-	rt.runPhase(phaseRound)
+	expired := 0
+	for _, sh := range rt.shards {
+		expired += sh.propose()
+	}
+	if expired > 0 {
+		rt.mExpired.Add(int64(expired))
+	}
 	if rt.rec != nil {
 		rt.tProposeNS += time.Since(t0).Nanoseconds()
 	}
@@ -988,12 +887,9 @@ func (rt *Runtime) step() (done bool, err error) {
 		return false, err
 	}
 
-	total, expired := 0, 0
+	total := 0
 	for _, sh := range rt.shards {
 		total += len(sh.takes)
-		if rt.deadline > 0 {
-			expired += sh.expRound
-		}
 	}
 	rt.mRounds.Add(1)
 	if total == 0 && expired == 0 {
@@ -1007,23 +903,30 @@ func (rt *Runtime) step() (done bool, err error) {
 	}
 
 	if cb := rt.cfg.OnSchedule; cb != nil {
-		// Shard workers are quiescent between phases and retirement of
-		// this round's picks is deferred to the next fused phase, so the
-		// taken slots are still live here; shard order keeps the callback
-		// sequence deterministic.
+		// The taken slots retire below, so they are still live here; shard
+		// order keeps the callback sequence deterministic.
 		for _, sh := range rt.shards {
 			for _, id := range sh.takes {
 				cb(sh.ar.seq[id], sh.ar.flow(id), rt.round)
 			}
 		}
 	}
+	if rt.rec != nil {
+		t0 = time.Now()
+	}
+	for _, sh := range rt.shards {
+		sh.apply()
+	}
+	if rt.rec != nil {
+		rt.tApplyNS += time.Since(t0).Nanoseconds()
+	}
 	rt.count -= total + expired
 	if rt.rec != nil {
 		// One record per scheduling round (idle jumps emit nothing, so
-		// the trace's rounds are strictly increasing). Phase time accrued
-		// outside this round — an apply forced by an idle jump, a verify
-		// join at a window flush — has landed in the accumulators and is
-		// charged here, then everything resets for the next record.
+		// the trace's rounds are strictly increasing). Verify time accrued
+		// after the previous record — the join at a window flush — has
+		// landed in the accumulators and is charged here, then everything
+		// resets for the next record.
 		rt.rec.Record(obs.RoundRecord{
 			Round:       int64(rt.round),
 			Arrived:     rt.recArrived,
@@ -1071,11 +974,10 @@ func (rt *Runtime) idle() (done bool, err error) {
 
 // Run drains the source: it advances round by round until the source is
 // exhausted and the pending set is empty — or until Stop is called — then
-// returns the final summary. On either exit every owed pick is settled,
-// the last window's verdict is collected, and the verifier goroutine and
-// the shard worker pool are shut down; on an error return the goroutines
-// are shut down all the same.
-// It is not restartable.
+// returns the final summary. On either exit every round's picks have
+// retired, the last window's verdict is collected, and the verifier
+// goroutine is shut down; on an error return it is shut down all the
+// same. It is not restartable.
 func (rt *Runtime) Run() (*Summary, error) {
 	defer rt.finOnce.Do(func() { close(rt.finished) })
 	rt.runMu.Lock()
@@ -1084,8 +986,8 @@ func (rt *Runtime) Run() (*Summary, error) {
 	if err := rt.firstErr(); err != nil {
 		return nil, err
 	}
-	rt.startWorkers()
-	defer rt.stopWorkers()
+	rt.startVerifier()
+	defer rt.stopVerifier()
 	for !rt.stop.Load() {
 		done, err := rt.step()
 		if err != nil {
@@ -1095,10 +997,6 @@ func (rt *Runtime) Run() (*Summary, error) {
 			break
 		}
 	}
-	// A stop can land between a fused phase and its deferred retirement;
-	// settle so the final summary reflects every pick taken. (No-op on the
-	// drained path — step settles before reporting done.)
-	rt.applyPending()
 	if rt.cfg.VerifyEvery > 0 {
 		if err := rt.flushWindow(); err != nil {
 			return nil, err
@@ -1112,7 +1010,7 @@ func (rt *Runtime) Run() (*Summary, error) {
 }
 
 // Stop requests a clean stop: Run finishes the iteration in flight,
-// settles owed picks, joins the verify goroutine, and returns the final
+// joins the verify goroutine, and returns the final
 // Summary with a nil error. Safe to call from any goroutine, before or
 // during Run, and idempotent. A runtime parked idle on a Parker source
 // is woken and stops promptly; blocked in the Next of a source without
@@ -1137,8 +1035,8 @@ func (rt *Runtime) RunContext(ctx context.Context) (*Summary, error) {
 
 // collectPending appends every resident pending flow to dst, walking each
 // shard's admission-order sublist in shard order. The caller must hold
-// the state quiescent: the coordinator between phases (with owed picks
-// settled), or any goroutine after Run has returned.
+// the state quiescent: the coordinator between rounds, or any goroutine
+// after Run has returned.
 func (rt *Runtime) collectPending(dst []switchnet.Flow) []switchnet.Flow {
 	for _, sh := range rt.shards {
 		a := &sh.ar
@@ -1149,30 +1047,18 @@ func (rt *Runtime) collectPending(dst []switchnet.Flow) []switchnet.Flow {
 	return dst
 }
 
-// Snapshot returns the current streaming metrics, merging the per-shard
-// completion counters and window sketches. It is safe to call concurrently
-// with Run and never blocks the round loop: scalar counters are atomics
-// and the window sketches are epoch (seqlock) windows the reader retries,
-// so the coordinator and shard workers proceed at full speed while any
+// Snapshot returns the current streaming metrics. It is safe to call
+// concurrently with Run and never blocks the round loop: scalar counters
+// are atomics and the window sketch is an epoch (seqlock) window the
+// reader retries, so the coordinator proceeds at full speed while any
 // number of snapshots are taken.
 func (rt *Runtime) Snapshot() Summary {
 	rt.snapMu.Lock()
 	defer rt.snapMu.Unlock()
 	round := int(rt.mRound.Load())
-	rt.scratch.Reset()
-	var completed, totalResp, expired, slow int64
-	maxResp := 0
-	for _, sh := range rt.shards {
-		completed += sh.completed.Load()
-		expired += sh.expired.Load()
-		slow += sh.slowResp.Load()
-		totalResp += sh.totalResp.Load()
-		if m := int(sh.maxResp.Load()); m > maxResp {
-			maxResp = m
-		}
-		sh.win.ReadInto(&rt.shardScratch, round)
-		rt.scratch.Merge(&rt.shardScratch)
-	}
+	completed, totalResp := rt.mCompleted.Load(), rt.mTotalResp.Load()
+	expired := rt.mExpired.Load()
+	rt.win.ReadInto(&rt.scratch, round)
 	// Admitted loads after the outcome counters: it only grows and is
 	// always at least their sum on the writer side, so
 	// Completed + Dropped + Expired <= Admitted (and Pending >= 0) holds
@@ -1191,8 +1077,8 @@ func (rt *Runtime) Snapshot() Summary {
 		Dropped:         dropped,
 		Expired:         expired,
 		TotalResponse:   totalResp,
-		MaxResponse:     maxResp,
-		SlowResponses:   slow,
+		MaxResponse:     int(rt.mMaxResp.Load()),
+		SlowResponses:   rt.mSlowResp.Load(),
 		WindowsVerified: rt.mWindows.Load(),
 		P50:             rt.scratch.Quantile(0.50),
 		P90:             rt.scratch.Quantile(0.90),

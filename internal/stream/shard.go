@@ -4,31 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync/atomic"
 
-	"flowsched/internal/stats"
 	"flowsched/internal/switchnet"
 )
 
-// Coordinator-to-shard phase requests (see Runtime.runPhase).
-const (
-	// phaseRound is the fused per-round phase: retire the previous round's
-	// settled picks, admit routed arrivals, and propose picks against the
-	// shard's carved output budgets — one parallel section, one barrier.
-	phaseRound = iota + 1
-	// phaseApply retires owed picks without starting a new round; the
-	// coordinator uses it to settle state before a verification-window
-	// flush, an idle jump, or the end of the run.
-	phaseApply
-	// phaseReconcile runs the shard's pickShared leg of the pipelined
-	// reconcile pass: the shard waits on its predecessor's token (per the
-	// coordinator-assigned reconPos order), picks against the shared
-	// leftover pool, and hands the token to its successor — a shard-to-
-	// shard chain instead of a coordinator-serial sweep.
-	phaseReconcile
-)
-
-// View.OutputFree semantics, per pick pass (see shard.do).
+// View.OutputFree semantics, per pick pass (see shard.propose and
+// shard.pickShared).
 const (
 	// pickBudget: OutputFree is the shard's remaining carved budget.
 	pickBudget = iota + 1
@@ -45,12 +26,12 @@ type arrival struct {
 
 // shard owns the pending state of the input ports congruent to idx modulo
 // Runtime.nshards: their arena, admission-order sublist, VOQ block
-// chains, load tallies, policy instance, metric counters and window
-// sketch, and verification buffer. During the fused round phase shards
-// touch only their own state (plus read-only Runtime config), so the
-// phase runs concurrently without locks; the reconcile pass runs as a
-// pipelined shard-to-shard token chain in a coordinator-chosen
-// deterministic order (see Runtime.reconcile).
+// chains, load tallies and policy instance. The shards are a partition,
+// not a set of threads: the coordinator runs each one's propose, then the
+// reconcile pass in a deterministic shard order (see Runtime.reconcile),
+// then each one's apply, all in sequence on the coordinator's goroutine.
+// A shard retires into the runtime's one set of completion metrics and
+// its one verification buffer.
 type shard struct {
 	rt  *Runtime
 	idx int
@@ -63,8 +44,8 @@ type shard struct {
 	tail  int32
 	count int
 
-	// inbox holds arrivals routed by the coordinator since the last round
-	// phase, in source order.
+	// inbox holds arrivals routed by the coordinator since the shard's
+	// last propose, in source order.
 	inbox []arrival
 
 	// Per-port tallies. queueIn/queueOut count the shard's pending flows;
@@ -92,11 +73,6 @@ type shard struct {
 	vqs   []voqState
 	heads []voqHead
 
-	// reconPos is the shard's position in the current round's reconcile
-	// order, assigned by the coordinator before phaseReconcile is
-	// dispatched.
-	reconPos int
-
 	// actBits holds, per owned input, the bitmap (nw words) of output
 	// ports with a non-empty VOQ there: the age-aware policies sweep its
 	// words, and rotation policies get next-active-VOQ-in-port-order
@@ -107,37 +83,13 @@ type shard struct {
 	activeIn    []int32
 	activeInPos []int32
 
-	// takes holds the round's settled picks until the next phaseRound (or
-	// an explicit phaseApply) retires them; takesRound is the round they
-	// were picked in. expRound counts the flows the round phase expired
-	// (AdmitDeadline); the coordinator reads it after the barrier to keep
-	// its global pending count in step.
-	takes      []int32
-	takesRound int
-	expRound   int
-	cscratch   []int32
-	view       View
-	phase      int
-	err        error
-
-	// Verification buffer: flows the shard scheduled since the last
-	// window flush, with their rounds.
-	vflows  []switchnet.Flow
-	vrounds []int
-
-	// work carries phase requests from the coordinator when the runtime
-	// runs a worker pool (nshards > 1).
-	work chan int
-
-	// Snapshot-visible completion metrics: scalar counters are atomics
-	// updated once per applied round; the window sketch is an epoch
-	// (seqlock) window readers merge without stalling the shard.
-	completed atomic.Int64
-	expired   atomic.Int64
-	totalResp atomic.Int64
-	maxResp   atomic.Int64
-	slowResp  atomic.Int64
-	win       *stats.EpochWindow
+	// takes holds the round's picks until apply retires them at the end
+	// of the same round.
+	takes    []int32
+	cscratch []int32
+	view     View
+	phase    int
+	err      error
 }
 
 // newShard builds the shard owning inputs congruent to idx mod rt.nshards.
@@ -166,7 +118,6 @@ func newShard(rt *Runtime, idx int) *shard {
 		actBits:     make([]uint64, nLocal*nw),
 		activeIn:    make([]int32, 0, nLocal),
 		activeInPos: make([]int32, mIn),
-		win:         stats.NewEpochWindow(rt.cfg.WindowRounds, windowShards),
 	}
 	for i := range sh.vqs {
 		sh.vqs[i] = voqState{head: noID, tail: noID}
@@ -254,54 +205,35 @@ func (sh *shard) fail(format string, args ...any) {
 	}
 }
 
-// serve is the shard's worker loop (nshards > 1): it executes phase
-// requests until the coordinator closes the channel.
-func (sh *shard) serve() {
-	for ph := range sh.work {
-		sh.do(ph)
-		sh.rt.wg.Done()
-	}
-}
-
-// do executes one phase on the shard's own state.
+// propose is the shard's first leg of a round: it threads the arrivals
+// the coordinator routed to it, expires what can no longer meet the
+// deadline (AdmitDeadline), and picks against its carved output budgets.
+// It returns how many flows it expired.
 //
 //flowsched:hotpath
-func (sh *shard) do(ph int) {
-	switch ph {
-	case phaseRound:
-		sh.apply()
-		sh.admitAll()
-		sh.takesRound = sh.rt.round
-		if sh.rt.deadline > 0 {
-			sh.expire()
-		}
-		if sh.count > 0 {
-			sh.phase = pickBudget
-			sh.pol.Pick(&sh.view)
-		}
-	case phaseApply:
-		sh.apply()
-	case phaseReconcile:
-		pos := sh.reconPos
-		if pos > 0 {
-			<-sh.rt.tok[pos-1]
-		}
-		sh.pickShared()
-		if pos+1 < sh.nsh {
-			sh.rt.tok[pos] <- struct{}{}
-		}
+func (sh *shard) propose() int {
+	sh.admitAll()
+	expired := 0
+	if sh.rt.deadline > 0 {
+		expired = sh.expire()
 	}
+	if sh.count > 0 {
+		sh.phase = pickBudget
+		sh.pol.Pick(&sh.view)
+	}
+	return expired
 }
 
-// expire unthreads pending flows that can no longer meet the deadline:
-// completing a flow this round gives it response round+1-release, so any
-// flow with round+1-release > Deadline is past saving. The admission
-// sublist follows source order and releases are non-decreasing along it,
-// so walking from the head and stopping at the first survivor sees every
-// expirable flow. Runs inside the round phase after apply (no retired
-// flow is still threaded) and before Pick (an expired flow is never
-// scheduled), which keeps the schedule verifier-clean and deterministic.
-func (sh *shard) expire() {
+// expire unthreads pending flows that can no longer meet the deadline and
+// returns how many: completing a flow this round gives it response
+// round+1-release, so any flow with round+1-release > Deadline is past
+// saving. The admission sublist follows source order and releases are
+// non-decreasing along it, so walking from the head and stopping at the
+// first survivor sees every expirable flow. Runs after the previous
+// round's apply (no retired flow is still threaded) and before Pick (an
+// expired flow is never scheduled), which keeps the schedule
+// verifier-clean and deterministic.
+func (sh *shard) expire() int {
 	a := &sh.ar
 	horizon := int64(sh.rt.round + 1 - sh.rt.deadline)
 	n := 0
@@ -309,15 +241,12 @@ func (sh *shard) expire() {
 		sh.depart(sh.head)
 		n++
 	}
-	sh.expRound = n
-	if n > 0 {
-		sh.expired.Add(int64(n))
-	}
+	return n
 }
 
-// pickShared runs the reconcile pass: a second Pick against the global
-// leftover pool. Runs at most once per round per shard, serialized by
-// the reconcile token chain (K>1) or called directly (K=1).
+// pickShared is the shard's leg of the reconcile pass: a second Pick
+// against the global leftover pool, at most once per round, in the order
+// Runtime.reconcile computes.
 //
 //flowsched:hotpath
 func (sh *shard) pickShared() {
@@ -406,24 +335,24 @@ func (sh *shard) depart(id int32) {
 	a.free(id)
 }
 
-// apply retires the owed round's taken flows: verification buffering,
-// metric updates, structure unlinking, and load reset. Under the fused
-// protocol it runs at the start of the next round phase (or an explicit
-// phaseApply), after the coordinator's OnSchedule callbacks for the owed
-// round have fired.
+// apply retires the round's taken flows: the runtime's completion metrics
+// and verification buffer, structure unlinking, and load reset. It runs
+// at the end of the round the flows were picked in, after the
+// coordinator's OnSchedule callbacks for that round have fired.
 //
 //flowsched:hotpath
 func (sh *shard) apply() {
 	if len(sh.takes) == 0 {
 		return
 	}
+	rt := sh.rt
 	a := &sh.ar
-	t := sh.takesRound
-	verifying := sh.rt.cfg.VerifyEvery > 0
-	bound := sh.rt.respBound
+	t := rt.round
+	verifying := rt.cfg.VerifyEvery > 0
+	bound := rt.respBound
 	var n, sum, slow int64
-	maxR := int(sh.maxResp.Load())
-	sh.win.Begin()
+	maxR := int(rt.mMaxResp.Load())
+	rt.win.Begin()
 	for _, id := range sh.takes {
 		resp := t + 1 - int(a.rec[id].rel)
 		n++
@@ -434,18 +363,18 @@ func (sh *shard) apply() {
 		if bound > 0 && resp > bound {
 			slow++
 		}
-		sh.win.Observe(t, resp)
+		rt.win.Observe(t, resp)
 		if verifying {
-			sh.vflows = append(sh.vflows, a.flow(id)) //flowsched:allow alloc: verification buffer, nil unless verify mode is on; amortized there
-			sh.vrounds = append(sh.vrounds, t)        //flowsched:allow alloc: grows in lockstep with vflows under verify mode only
+			rt.bufFlows = append(rt.bufFlows, a.flow(id)) //flowsched:allow alloc: verification buffer, nil unless verify mode is on; amortized there
+			rt.bufRounds = append(rt.bufRounds, t)        //flowsched:allow alloc: grows in lockstep with bufFlows under verify mode only
 		}
 	}
-	sh.win.End()
-	sh.completed.Add(n)
-	sh.totalResp.Add(sum)
-	sh.maxResp.Store(int64(maxR))
+	rt.win.End()
+	rt.mCompleted.Add(n)
+	rt.mTotalResp.Add(sum)
+	rt.mMaxResp.Store(int64(maxR))
 	if slow > 0 {
-		sh.slowResp.Add(slow)
+		rt.mSlowResp.Add(slow)
 	}
 
 	for _, id := range sh.takes {

@@ -25,9 +25,9 @@ func awaitProgress(t *testing.T, rt *Runtime, cond func(Summary) bool) {
 
 // TestStopMidRunSettlesOwedPicks is the headline-bugfix property: stopping
 // an unbounded overloaded run mid-flight returns a final Summary with
-// every owed pick retired (no flow counted scheduled but not completed),
-// the verify goroutine joined, and the accounting balanced — at K = 1 and
-// on the sharded worker pool.
+// every pick retired (no shard holds a flow counted scheduled but not
+// completed), the verify goroutine joined, and the accounting balanced —
+// unsharded and sharded.
 func TestStopMidRunSettlesOwedPicks(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		src := &patternSource{ports: 8, per: 12}
@@ -58,8 +58,10 @@ func TestStopMidRunSettlesOwedPicks(t *testing.T) {
 		if runErr != nil {
 			t.Fatalf("K=%d: stopped run failed: %v", shards, runErr)
 		}
-		if rt.owedApply() {
-			t.Fatalf("K=%d: owed picks left unsettled after Stop", shards)
+		for _, sh := range rt.shards {
+			if len(sh.takes) > 0 {
+				t.Fatalf("K=%d: shard %d holds %d unretired picks after Stop", shards, sh.idx, len(sh.takes))
+			}
 		}
 		if rt.vpending || !verifierExited(rt) {
 			t.Fatalf("K=%d: verifier not joined after Stop (verdict pending %v)", shards, rt.vpending)

@@ -3,6 +3,7 @@ package stream_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -991,8 +992,8 @@ func TestStreamShardedBackpressure(t *testing.T) {
 }
 
 // TestStreamShardedSnapshotRace exercises concurrent Snapshot calls
-// against a sharded drain: the worker pool, the per-shard metric merges,
-// and the coordinator counters all run under the race detector.
+// against a sharded drain: the round loop's metric writes and the
+// snapshot readers run under the race detector.
 func TestStreamShardedSnapshotRace(t *testing.T) {
 	src := workload.NewArrivalSource(workload.ArrivalConfig{
 		Ports: 8, M: 8, MaxFlows: 20000,
@@ -1012,7 +1013,7 @@ func TestStreamShardedSnapshotRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			// Poll rather than busy-spin: on a single-core box a hot
-			// Snapshot loop starves the coordinator's worker handoffs.
+			// Snapshot loop starves the coordinator.
 			tick := time.NewTicker(200 * time.Microsecond)
 			defer tick.Stop()
 			for {
@@ -1037,6 +1038,52 @@ func TestStreamShardedSnapshotRace(t *testing.T) {
 	}
 	if sum.Completed != 20000 {
 		t.Fatalf("completed %d of 20000", sum.Completed)
+	}
+}
+
+// TestShardedRunStartsNoGoroutine: the shards are a partition, not a
+// thread pool. With verification off, a K = 4 run starts no goroutine at
+// all, so every OnSchedule callback sees the goroutine count Run's caller
+// saw before it.
+func TestShardedRunStartsNoGoroutine(t *testing.T) {
+	src := workload.NewArrivalSource(workload.ArrivalConfig{
+		Ports: 8, M: 12, MaxFlows: 4000,
+	}, rand.New(rand.NewSource(2)))
+	before, calls, worst := 0, 0, 0
+	rt, err := stream.New(src, stream.Config{
+		Switch: src.Switch(),
+		Policy: stream.ByName("OldestFirst"),
+		Shards: 4,
+		OnSchedule: func(int64, switchnet.Flow, int) {
+			calls++
+			if n := runtime.NumGoroutine(); n != before && worst == before {
+				worst = n
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Let goroutines earlier tests left winding down exit first: the count
+	// must hold still for a while before it is the baseline.
+	before = runtime.NumGoroutine()
+	for still := 0; still < 20; {
+		time.Sleep(time.Millisecond)
+		if n := runtime.NumGoroutine(); n == before {
+			still++
+		} else {
+			before, still = n, 0
+		}
+	}
+	worst = before
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if calls == 0 {
+		t.Fatal("nothing scheduled")
+	}
+	if worst != before {
+		t.Fatalf("%d goroutines inside OnSchedule, %d before Run", worst, before)
 	}
 }
 
