@@ -61,9 +61,10 @@ type Config struct {
 	// treats a timeout as "idle" rather than an error worth waiting on
 	// (<= 0 selects DefaultSnapshotTimeout).
 	SnapshotTimeout time.Duration
-	// MaxSnapshot caps the pending flows fed to the backlog bound; the
-	// bound over a prefix of the pending set is still a valid lower
-	// bound for the whole backlog, and the cap keeps the O(n^2) sweep
+	// MaxSnapshot caps the pending flows fed to the backlog bound. The
+	// snapshot is in admission order, so the prefix kept is the oldest
+	// flows; the bound over it is still a valid lower bound for the
+	// whole backlog, and the cap keeps the O(n^2) sweep
 	// bounded when the resident set is huge (<= 0 selects
 	// DefaultMaxSnapshot).
 	MaxSnapshot int

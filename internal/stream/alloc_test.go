@@ -12,8 +12,8 @@ import (
 // patternSource emits a fixed, deterministic arrival pattern forever: per
 // unit flows per round with endpoints cycling over the switch. Determinism
 // matters for the allocation assertions — after warm-up every scratch
-// buffer, arena column, and VOQ block chain has reached its high-water
-// mark, so a measured round can only allocate if the hot path itself does.
+// buffer and arena column has reached its high-water mark, so a measured
+// round can only allocate if the hot path itself does.
 type patternSource struct {
 	ports, per int
 	round, i   int
@@ -47,8 +47,9 @@ func (s *patternSource) Err() error { return nil }
 
 // testSteadyStateZeroAlloc pins the tentpole property: once the pending
 // set and every internal buffer have warmed to their high-water marks, a
-// scheduling round performs zero heap allocations — arena slots and VOQ
-// blocks recycle through their free lists, the admission batch, takes,
+// scheduling round performs zero heap allocations — arena slots recycle
+// through their free list (the VOQs are links inside them), the admission
+// batch, takes,
 // and policy scratch buffers (RoundRobin's pointers, OldestFirst's heap,
 // WeightedISLIP's request/grant arrays) length-reset, and the metric path
 // (atomic counters plus the preallocated epoch window) never touches the
@@ -168,7 +169,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 // of them; scratch that regrew to the exact size reallocated two ~30 KB
 // arrays per shard every round, 11.3 MB for the ramp, where geometric
 // growth leaves 2.2 MB for everything the round loop allocates on the
-// way up — arena columns and VOQ blocks included.
+// way up — arena columns included.
 func TestOldestFirstRampAllocBounded(t *testing.T) {
 	const ports, backlog = 64, 8192
 	rt, err := New(&patternSource{ports: ports, per: ports * 3 / 2}, Config{

@@ -3,39 +3,36 @@ package stream
 import "flowsched/internal/switchnet"
 
 // The pending-set storage of a shard: a struct-of-arrays arena addressed
-// by flow ID, plus pooled ring-buffer blocks holding the virtual output
-// queues. Both structures recycle through free lists, so a shard at
-// steady state — pending count fluctuating below its high-water mark —
-// performs zero heap allocations per round: slot IDs come off the arena
-// free list, VOQ storage comes off the block pool, and every per-round
-// scratch slice is length-reset, never reallocated.
+// by flow ID, with every virtual output queue threaded through it as an
+// intrusive doubly linked list. A queue owns no storage of its own — a
+// push or a removal rewrites links in records that already exist — and
+// IDs recycle through a free list, so a shard at steady state (pending
+// count fluctuating below its high-water mark) performs zero heap
+// allocations per round: slot IDs come off the arena free list, and every
+// per-round scratch slice is length-reset, never reallocated.
 //
 // The arena's columns are grouped by access affinity, not one array per
-// scalar field: a feasibility or age check (Take, serveVOQ, the age-aware
-// policies' head ordering) reads exactly one 32-byte hot record, an
-// admission-order unlink touches only the packed link pairs, and the cold
-// sequence number stays out of the pick-path cache footprint. A pending
-// flow costs 40 bytes across the columns versus a 56-byte AoS slot, and
-// the field a hot path does not need is never pulled into cache.
+// scalar field: a feasibility or age check (Take, drainVOQ, the age-aware
+// policies' head ordering) and a step along a VOQ read exactly one 40-byte
+// hot record, and the cold sequence number stays out of the pick-path
+// cache footprint. A pending flow costs 48 bytes across the two columns.
 
 // flowRec is the hot per-flow record: release round (the age-aware
-// policies order VOQ heads by it every round, so it rides in the hot
-// line), admission-order links, the flow's position inside its VOQ block
-// chain, demand, ports, and the live/taken state bits — everything the
-// pick and depart paths read or write, packed into exactly 32 bytes so
-// two flows share a cache line and a feasibility-plus-age check
-// (Taken+Demand+Release+Take) costs a single line per flow. Ports are
-// int16 (the switch is capped at 1<<15 ports a side at construction);
-// the VOQ index is no longer cached — it is two array reads away via
-// shard.voq(in, out), which is cheaper than the four bytes it occupied.
+// policies order VOQ heads by it every round), admission-order links, VOQ
+// links, demand, ports, and the live/taken state bits — everything the
+// pick and depart paths read or write, in 40 bytes. A policy walking a VOQ
+// reads each flow's record for Taken and Demand anyway, and the successor
+// link sits in that same record, so one record read serves both the
+// feasibility check and the step to the next flow. Ports are int16 (the
+// switch is capped at 1<<15 ports a side at construction); the VOQ index
+// is not cached — it is two array reads away via shard.voq(in, out).
 type flowRec struct {
-	rel        int64 // release round
-	prev, next int32 // admission-order links; noID terminates
-	blk        int32 // VOQ ring-block position (see blockPool)
-	dem        int32
-	in, out    int16
-	off        int16 // offset inside blk; < blockLen
-	state      uint16
+	rel          int64 // release round
+	prev, next   int32 // admission-order links; noID terminates
+	vprev, vnext int32 // VOQ links, oldest to youngest; noID terminates
+	dem          int32
+	in, out      int16
+	state        uint16
 }
 
 // arena state bits.
@@ -45,7 +42,7 @@ const (
 )
 
 // arena holds one shard's pending flows as two parallel columns indexed
-// by flow ID — the 32-byte hot record and the 8-byte cold admission
+// by flow ID — the 40-byte hot record and the 8-byte cold admission
 // sequence number (read at retirement, at Bridge materialization, and
 // when an age-aware policy breaks a release-round tie). There is no
 // per-flow heap object: a flow is a row across the columns, reconstructed
@@ -68,8 +65,8 @@ func (a *arena) alloc() int32 {
 		a.freed = a.freed[:n-1]
 		return id
 	}
-	a.rec = append(a.rec, flowRec{blk: noID, prev: noID, next: noID}) //flowsched:allow alloc: arena rows grow to the live-flow high-water mark, then recycle through freed
-	a.seq = append(a.seq, 0)                                          //flowsched:allow alloc: grows in lockstep with rec to the same high-water mark
+	a.rec = append(a.rec, flowRec{prev: noID, next: noID, vprev: noID, vnext: noID}) //flowsched:allow alloc: arena rows grow to the live-flow high-water mark, then recycle through freed
+	a.seq = append(a.seq, 0)                                                         //flowsched:allow alloc: grows in lockstep with rec to the same high-water mark
 	return int32(len(a.rec) - 1)
 }
 
@@ -99,34 +96,10 @@ func (a *arena) flow(id int32) switchnet.Flow {
 	}
 }
 
-// blockLen is the number of flow IDs per VOQ ring block, sized so a block
-// is exactly one 64-byte cache line: sparse VOQs (a handful of pending
-// flows) stay one-line dense, deep VOQs chain lines.
-const blockLen = 15
-
-// voqBlock is one pooled segment of a VOQ FIFO: a fixed array of flow IDs
-// written append-only at the tail, with next chaining toward younger
-// blocks. Entries removed out of FIFO order are tombstoned (noID) and
-// skipped; a block whose entries are all consumed returns to the pool, and
-// a fully drained VOQ releases its whole chain at once.
-type voqBlock struct {
-	next int32
-	ids  [blockLen]int32
-}
-
-// blockPool owns a shard's VOQ blocks, recycled through a free list.
-type blockPool struct {
-	blocks []voqBlock
-	free   []int32
-}
-
-// voqState is one VOQ's packed cursor record — head/tail block chain
-// position plus live and tombstone tallies — sized so a queue probe
-// touches one cache line of VOQ state instead of one per parallel array.
+// voqState is one VOQ: the ends of its list and its length.
 type voqState struct {
-	head, tail       int32
-	headOff, tailOff int16
-	live, dead       int32
+	head, tail int32 // oldest and youngest IDs; noID when empty
+	live       int32
 }
 
 // voqHead is the per-VOQ head-age record: the release round, admission
@@ -135,10 +108,9 @@ type voqState struct {
 // head departure — appends behind a non-empty head cannot change it).
 // The age-aware policies order and filter VOQ heads every round; reading
 // this dense vi-indexed array costs one sequential cache line per 2-3
-// VOQs instead of chasing queue state -> ring block -> flow record for
-// every head. Entries are only meaningful while the VOQ is non-empty,
-// and during a pick pass they describe the queue as of the last
-// retirement — a head taken earlier in the same round still owns the
+// VOQs instead of chasing queue state -> flow record for every head.
+// Entries are only meaningful while the VOQ is non-empty, and during a
+// pick pass they describe the queue as of the last retirement — a head taken earlier in the same round still owns the
 // entry until it departs (policies see takes via View.Taken).
 type voqHead struct {
 	rel, seq int64
@@ -146,158 +118,52 @@ type voqHead struct {
 	_        int32
 }
 
-// get returns a fresh (unlinked) block index.
-func (p *blockPool) get() int32 {
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.blocks[b].next = noID
-		return b
-	}
-	p.blocks = append(p.blocks, voqBlock{next: noID}) //flowsched:allow alloc: block pool grows to the VOQ-block high-water mark, then recycles
-	return int32(len(p.blocks) - 1)
-}
-
-// put recycles block b.
-func (p *blockPool) put(b int32) {
-	p.free = append(p.free, b) //flowsched:allow alloc: pool free list grows to the block high-water mark
-}
-
-// voqPush appends id to VOQ vi's tail, growing the chain by a pooled
-// block when the tail block is full.
+// voqPush links id at VOQ vi's tail.
 //
 //flowsched:hotpath
 func (sh *shard) voqPush(vi int, id int32) {
 	q := &sh.vqs[vi]
-	switch {
-	case q.tail == noID:
-		b := sh.pool.get()
-		q.head, q.headOff = b, 0
-		q.tail, q.tailOff = b, 0
-	case q.tailOff == blockLen:
-		b := sh.pool.get()
-		sh.pool.blocks[q.tail].next = b
-		q.tail, q.tailOff = b, 0
-	}
-	o := q.tailOff
-	sh.pool.blocks[q.tail].ids[o] = id
 	r := &sh.ar.rec[id]
-	r.blk, r.off = q.tail, o
-	q.tailOff = o + 1
-	if q.live++; q.live == 1 {
-		// First flow of an empty queue is its head; refresh the head-age
-		// record. (Compaction re-pushes through here too: its first push
-		// is the surviving head, so the record stays exact.)
+	r.vprev, r.vnext = q.tail, noID
+	if q.tail != noID {
+		sh.ar.rec[q.tail].vnext = id
+	} else {
+		// The first flow of an empty queue is its head.
+		q.head = id
 		sh.heads[vi] = voqHead{rel: r.rel, seq: sh.ar.seq[id], dem: r.dem}
 	}
+	q.tail = id
+	q.live++
 }
 
-// voqRemove unthreads id from VOQ vi and reports whether the VOQ drained.
-// A head removal advances the head past any tombstones (recycling spent
-// blocks); a mid-queue removal tombstones in place, with compaction once
-// tombstones outnumber live entries by more than a block — so the chain
-// never holds more than O(live + blockLen) entries and every entry is
-// visited O(1) times amortized.
+// voqRemove unlinks id from VOQ vi, wherever it sits, and reports whether
+// the VOQ drained. Only a head removal refreshes the head-age record.
 //
 //flowsched:hotpath
 func (sh *shard) voqRemove(vi int, id int32) (drained bool) {
 	q := &sh.vqs[vi]
-	r := &sh.ar.rec[id]
-	sh.pool.blocks[r.blk].ids[r.off] = noID
+	rec := sh.ar.rec
+	r := &rec[id]
+	if r.vnext != noID {
+		rec[r.vnext].vprev = r.vprev
+	} else {
+		q.tail = r.vprev
+	}
+	if r.vprev != noID {
+		rec[r.vprev].vnext = r.vnext
+	} else {
+		q.head = r.vnext
+		if h := q.head; h != noID {
+			sh.heads[vi] = voqHead{rel: rec[h].rel, seq: sh.ar.seq[h], dem: rec[h].dem}
+		}
+	}
 	q.live--
-	if q.live == 0 {
-		for b := q.head; b != noID; {
-			nb := sh.pool.blocks[b].next
-			sh.pool.put(b)
-			b = nb
-		}
-		*q = voqState{head: noID, tail: noID}
-		return true
-	}
-	q.dead++
-	sh.voqAdvanceHead(q)
-	if q.dead > q.live+blockLen {
-		sh.voqCompact(vi)
-	}
-	// Refresh the head-age record: a head removal surfaced its successor
-	// (a mid-queue removal rewrites the same values — cheaper than
-	// distinguishing the cases).
-	h := sh.voqFirst(vi)
-	hr := &sh.ar.rec[h]
-	sh.heads[vi] = voqHead{rel: hr.rel, seq: sh.ar.seq[h], dem: hr.dem}
-	return false
+	return q.live == 0
 }
 
-// voqAdvanceHead moves q's head cursor to its oldest live entry,
-// consuming tombstones and recycling blocks the head walks off of. With
-// live > 0 the cursor always lands on a live ID, so voqFirst is O(1).
-func (sh *shard) voqAdvanceHead(q *voqState) {
-	b, o := q.head, q.headOff
-	for {
-		if b == q.tail && o == q.tailOff {
-			break
-		}
-		if o == blockLen {
-			nb := sh.pool.blocks[b].next
-			sh.pool.put(b)
-			b, o = nb, 0
-			continue
-		}
-		if sh.pool.blocks[b].ids[o] != noID {
-			break
-		}
-		o++
-		q.dead--
-	}
-	q.head, q.headOff = b, o
-}
+// voqFirst returns VOQ vi's oldest ID, or noID if it is empty.
+func (sh *shard) voqFirst(vi int) int32 { return sh.vqs[vi].head }
 
-// voqFirst returns VOQ vi's oldest live ID, or noID if it is empty.
-func (sh *shard) voqFirst(vi int) int32 {
-	q := &sh.vqs[vi]
-	if q.live == 0 {
-		return noID
-	}
-	return sh.pool.blocks[q.head].ids[q.headOff]
-}
-
-// voqNext returns the next live ID after id in VOQ vi (toward younger
-// flows), or noID at the tail. Tombstone runs it skips are bounded by the
-// compaction threshold.
-func (sh *shard) voqNext(vi int, id int32) int32 {
-	q := &sh.vqs[vi]
-	r := &sh.ar.rec[id]
-	b, o := r.blk, r.off+1
-	for {
-		if b == q.tail && o >= q.tailOff {
-			return noID
-		}
-		if o == blockLen {
-			b, o = sh.pool.blocks[b].next, 0
-			continue
-		}
-		if nid := sh.pool.blocks[b].ids[o]; nid != noID {
-			return nid
-		}
-		o++
-	}
-}
-
-// voqCompact rewrites VOQ vi's live entries into a fresh chain, dropping
-// every tombstone and returning the old blocks to the pool.
-func (sh *shard) voqCompact(vi int) {
-	q := &sh.vqs[vi]
-	sh.cscratch = sh.cscratch[:0]
-	for id := sh.voqFirst(vi); id != noID; id = sh.voqNext(vi, id) {
-		sh.cscratch = append(sh.cscratch, id) //flowsched:allow alloc: compaction scratch is length-reset and grows to the longest VOQ
-	}
-	for b := q.head; b != noID; {
-		nb := sh.pool.blocks[b].next
-		sh.pool.put(b)
-		b = nb
-	}
-	*q = voqState{head: noID, tail: noID}
-	for _, id := range sh.cscratch {
-		sh.voqPush(vi, id)
-	}
-}
+// voqNext returns the ID after id in its VOQ (toward younger flows), or
+// noID at the tail.
+func (sh *shard) voqNext(id int32) int32 { return sh.ar.rec[id].vnext }

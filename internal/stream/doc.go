@@ -371,22 +371,23 @@
 // traffic is budgeted per flow, not per data structure:
 //
 //   - Arena layout. A shard stores pending flows in a struct-of-arrays
-//     arena indexed by flow ID: a 32-byte hot record (ports, demand,
-//     cached VOQ index, state bits, VOQ block position, admission-order
-//     links — everything the pick and depart paths touch, two flows per
-//     cache line) and a 16-byte cold record (release, sequence number)
-//     read only at retirement. IDs recycle through a LIFO free list, so
-//     the arena stops growing once the pending set reaches its high-water
-//     mark and there are no per-flow heap objects, ever.
-//   - VOQ storage. Virtual output queues are chains of pooled ring-buffer
-//     blocks (15 flow IDs plus a link — one cache line per block) with a
-//     packed per-VOQ cursor record. Pushes append at the tail;
-//     out-of-FIFO-order departures tombstone in place and compact once
-//     tombstones outnumber live entries by more than a block; a drained
-//     VOQ returns its whole chain to the pool. Policies sweep queues
-//     through View.EachVOQ's block cursor: sequential block reads plus
-//     one hot-record line per flow. Blocks recycle through the pool free
-//     list, so steady-state queue churn never allocates.
+//     arena indexed by flow ID: a 40-byte hot record (release, ports,
+//     demand, state bits, admission-order links, VOQ links — everything
+//     the pick and depart paths touch) and an 8-byte cold column, the
+//     admission sequence number, read at retirement and on release ties.
+//     The VOQ index is not cached; it is two array reads away. IDs
+//     recycle through a LIFO free list, so the arena stops growing once
+//     the pending set reaches its high-water mark and there are no
+//     per-flow heap objects, ever.
+//   - VOQ storage. Each virtual output queue is a doubly linked list
+//     threaded through the arena's hot records, plus a {head, tail,
+//     length} record per VOQ. A push links at the tail, and a departure
+//     unlinks in O(1) from anywhere in the queue; only a head departure
+//     refreshes the VOQ's head-age record. Policies sweep a queue through
+//     View.EachVOQ, which follows the successor links: the one
+//     hot-record line per flow that the policy's Taken and Demand checks
+//     read anyway. A queue owns no storage, so queue churn never
+//     allocates.
 //   - Round schedule. One goroutine owns the round: the coordinator runs
 //     each shard's propose, the reconcile pass (sharded runtimes only, in
 //     a deterministic order — oldest pending release first for the
@@ -413,7 +414,7 @@
 //   - //flowsched:hotpath on a function's doc comment requires it — and
 //     everything it reaches through static calls — to be free of
 //     heap-allocating constructs. A shard's round (shard.propose,
-//     pickShared, apply), View.Take, the arena and VOQ block operations,
+//     pickShared, apply), View.Take, the arena and VOQ list operations,
 //     every native policy's Pick, stats.EpochWindow's record path, and
 //     obs.FlightRecorder.Record are all roots.
 //   - //flowsched:clockgated (this package's mark, below) requires every

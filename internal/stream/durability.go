@@ -315,23 +315,22 @@ func (rt *Runtime) collectWindows(dst []stats.WindowSnapshot) []stats.WindowSnap
 }
 
 // collectPendingBySeq appends every resident pending flow to dst in
-// global admission order — a K-way merge of the shards' admission-order
-// sublists by sequence number. Checkpoints use it instead of the plain
-// shard-order walk because a restore re-admits the flows in order under
-// the stream contract, which requires globally non-decreasing releases;
-// admission order guarantees that (and re-routing by input port lands
-// every flow back on its original shard, in its original per-shard
-// order). The merge scratch is runtime-owned and reused, so a warmed
-// periodic capture allocates nothing.
+// global admission order: a K-way merge of the shards' admission-order
+// sublists by sequence number (at K = 1, a walk of the one sublist).
+// Releases are non-decreasing along it, so a restore can re-admit the
+// flows in order under the stream contract (and re-routing by input port
+// lands every flow back on its original shard, in its original per-shard
+// order). Checkpoints and PendingFlows both use it, so they agree. The
+// caller must hold the state quiescent: the coordinator between rounds,
+// or any goroutine after Run has returned. The merge cursors live on the
+// stack (up to eight shards), so concurrent post-run callers share no
+// scratch and a warmed capture allocates nothing.
 func (rt *Runtime) collectPendingBySeq(dst []switchnet.Flow) []switchnet.Flow {
-	if rt.nshards == 1 {
-		return rt.collectPending(dst)
-	}
-	heads := rt.mergeHeads[:0]
+	var cursors [8]int32
+	heads := cursors[:0]
 	for _, sh := range rt.shards {
 		heads = append(heads, sh.head)
 	}
-	rt.mergeHeads = heads
 	for {
 		best := -1
 		var bestSeq int64
@@ -367,7 +366,8 @@ func (rt *Runtime) fireCheckpoint() {
 // PendingFlows snapshots the resident pending set without stalling the
 // round loop: the coordinator collects it between rounds (every pick
 // retired, so the snapshot never contains an already-scheduled flow) into
-// dst[:0], along with the round the snapshot is consistent at.
+// dst[:0] in global admission order, the order a checkpoint stores, along
+// with the round the snapshot is consistent at.
 // Before Run has started or after it has returned the quiescent state is
 // read directly. A runtime
 // parked idle on a Parker source is woken to answer. dst is reused across
@@ -375,7 +375,7 @@ func (rt *Runtime) fireCheckpoint() {
 func (rt *Runtime) PendingFlows(ctx context.Context, dst []switchnet.Flow) ([]switchnet.Flow, int, error) {
 	var flows []switchnet.Flow
 	var round int
-	if err := rt.quiesce(ctx, func() { flows, round = rt.collectPending(dst[:0]), rt.round }); err != nil {
+	if err := rt.quiesce(ctx, func() { flows, round = rt.collectPendingBySeq(dst[:0]), rt.round }); err != nil {
 		return dst[:0], 0, err
 	}
 	return flows, round, nil

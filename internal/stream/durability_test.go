@@ -3,6 +3,8 @@ package stream
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -184,6 +186,54 @@ func TestResumeReplaysPrefixThenTail(t *testing.T) {
 	})
 }
 
+// TestPendingFlowsInAdmissionOrder pins PendingFlows to the order a
+// checkpoint stores: a K = 2 restore whose pending flows alternate between
+// the shards reads back, before Run, exactly as Flows[:Pending] — not one
+// shard's flows after the other's.
+func TestPendingFlowsInAdmissionOrder(t *testing.T) {
+	flows := genFlows(4, 5, 2) // inputs cycle 0, 1, 2, 3: shards alternate 0, 1
+	st := &CheckpointState{Round: 4, Pending: 9, Flows: flows, Summary: Summary{Admitted: 9}}
+	rt, err := New(&sliceSource{}, Config{
+		Switch: switchnet.UnitSwitch(4), Policy: ByName("RoundRobin"), Shards: 2, Resume: st,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, round, err := rt.PendingFlows(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if round != st.Round || !slices.Equal(got, st.Flows[:st.Pending]) {
+		t.Fatalf("PendingFlows at round %d = %v; want round %d and %v", round, got, st.Round, st.Flows[:st.Pending])
+	}
+	ck, err := rt.CheckpointState(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ck.Flows[:ck.Pending], got) {
+		t.Fatalf("CheckpointState holds %v, PendingFlows %v", ck.Flows[:ck.Pending], got)
+	}
+	// After Run returns, every caller reads the state itself, so
+	// concurrent snapshots must share no merge scratch.
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := rt.CheckpointState(context.Background(), nil); err != nil {
+				t.Error(err)
+			}
+			if _, _, err := rt.PendingFlows(context.Background(), nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestCheckpointConfigValidation pins the trigger's construction checks.
 func TestCheckpointConfigValidation(t *testing.T) {
 	sw := switchnet.UnitSwitch(4)
@@ -227,8 +277,8 @@ func TestCheckpointRestoreContinuity(t *testing.T) {
 
 			// Checkpointed run: capture at the first cadence firing, then
 			// stop. Completions recorded strictly before the capture round
-			// belong to the checkpoint's past (the capture settles owed
-			// picks first).
+			// belong to the checkpoint's past (every round's picks retire
+			// in that round, before the capture).
 			var st CheckpointState
 			var pre []flowResp
 			captured := false

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"unsafe"
@@ -8,13 +9,14 @@ import (
 	"flowsched/internal/switchnet"
 )
 
-// TestArenaRecordLayout pins the arena's cache-budget claims: the hot
-// record — now carrying the release round for the age-aware policies —
-// must stay exactly 32 bytes (two flows per cache line), and the cold
-// column is a bare sequence number.
+// TestArenaRecordLayout pins the arena's cache budget: the hot record is
+// exactly 40 bytes, because it carries the VOQ links beside the release,
+// demand, ports and state bits — one record read gives a policy walking a
+// queue both the feasibility fields and the step to the next flow — and
+// the cold column is a bare sequence number.
 func TestArenaRecordLayout(t *testing.T) {
-	if s := unsafe.Sizeof(flowRec{}); s != 32 {
-		t.Fatalf("flowRec is %d bytes, want exactly 32", s)
+	if s := unsafe.Sizeof(flowRec{}); s != 40 {
+		t.Fatalf("flowRec is %d bytes, want exactly 40", s)
 	}
 	var a arena
 	id := a.alloc()
@@ -182,66 +184,130 @@ func TestNextActiveVOQWordBoundaries(t *testing.T) {
 	probe(0, 0)
 }
 
-// TestVOQTombstonesAndCompaction drives the pooled ring-buffer VOQ storage
-// through its out-of-FIFO-order removal path directly: tombstoned
-// mid-queue entries must stay invisible to head/next iteration, compaction
-// must trigger once tombstones outnumber live entries by more than a
-// block, and a drained VOQ must return its whole chain to the pool for
-// reuse (no unbounded block growth across refill cycles).
-func TestVOQTombstonesAndCompaction(t *testing.T) {
+// TestVOQListModel drives the linked-list VOQs of one input through random
+// admissions and departures — at the head, in the middle and at the tail
+// of a queue — and compares every queue with a slice-per-VOQ reference
+// after every step: the head, the full walk both ways, the tail, the
+// length, the head-age mirror and the active-VOQ bit. Refill/drain cycles
+// afterwards must recycle arena rows, never grow past the high-water mark.
+func TestVOQListModel(t *testing.T) {
+	const outs = 4
 	rt, err := New(emptySource{}, Config{
-		Switch: switchnet.NewSwitch(1, 2, 1),
+		Switch: switchnet.NewSwitch(1, outs, 3),
 		Policy: &RoundRobin{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sh := rt.shards[0]
-	vi := sh.voq(0, 0)
-
-	const n = 4 * blockLen
-	ids := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		sh.admit(arrival{flow: switchnet.Flow{In: 0, Out: 0, Demand: 1, Release: i}, seq: int64(i)})
-		ids = append(ids, sh.tail)
+	rng := rand.New(rand.NewSource(1))
+	type entry struct {
+		id int32
+		hd voqHead
 	}
-	// Remove every younger flow (tail side), oldest-first survivor: each is
-	// a mid-queue removal, so tombstones accumulate until compaction.
-	for i := n - 1; i >= 1; i-- {
-		sh.depart(ids[i])
-		if head := sh.voqFirst(vi); head != ids[0] {
-			t.Fatalf("after %d removals, VOQ head = %d, want oldest %d", n-i, head, ids[0])
-		}
-		if nxt := sh.voqNext(vi, ids[0]); i > 1 {
-			if nxt != ids[1] {
-				t.Fatalf("voqNext skipped to %d, want next-oldest %d", nxt, ids[1])
+	model := make([][]entry, outs)
+	seq, live, peak := int64(0), 0, 0
+	admit := func(rel int) {
+		out, dem := rng.Intn(outs), 1+rng.Intn(3)
+		sh.admit(arrival{flow: switchnet.Flow{In: 0, Out: out, Demand: dem, Release: rel}, seq: seq})
+		model[out] = append(model[out], entry{id: sh.tail, hd: voqHead{rel: int64(rel), seq: seq, dem: int32(dem)}})
+		seq++
+		live++
+		peak = max(peak, live)
+	}
+	// depart removes the k-th flow of VOQ out: 0 is the head, the last
+	// index the tail, anything between a mid-queue unlink.
+	depart := func(out, k int) {
+		q := model[out]
+		sh.depart(q[k].id)
+		model[out] = append(q[:k], q[k+1:]...)
+		live--
+	}
+	check := func(step int) {
+		t.Helper()
+		for out, q := range model {
+			vi := sh.voq(0, out)
+			var fwd, back []int32
+			for id := sh.voqFirst(vi); id != noID; id = sh.voqNext(id) {
+				if fwd = append(fwd, id); len(fwd) > len(q) {
+					break
+				}
 			}
-		} else if nxt != noID {
-			t.Fatalf("voqNext past the only live entry = %d, want noID", nxt)
-		}
-		if sh.vqs[vi].dead > sh.vqs[vi].live+blockLen {
-			t.Fatalf("tombstones escaped the compaction bound: %d dead, %d live", sh.vqs[vi].dead, sh.vqs[vi].live)
+			for id := sh.vqs[vi].tail; id != noID; id = sh.ar.rec[id].vprev {
+				if back = append(back, id); len(back) > len(q) {
+					break
+				}
+			}
+			if len(fwd) != len(q) || len(back) != len(q) || int(sh.vqs[vi].live) != len(q) {
+				t.Fatalf("step %d VOQ %d: walks of %d forward and %d back, live %d; the model holds %d",
+					step, out, len(fwd), len(back), sh.vqs[vi].live, len(q))
+			}
+			for k, e := range q {
+				if fwd[k] != e.id || back[len(q)-1-k] != e.id {
+					t.Fatalf("step %d VOQ %d position %d: forward %d, back %d; want id %d", step, out, k, fwd[k], back[len(q)-1-k], e.id)
+				}
+			}
+			active := sh.actBits[out>>6]&(1<<uint(out&63)) != 0
+			if active != (len(q) > 0) {
+				t.Fatalf("step %d VOQ %d: active bit %v with %d queued", step, out, active, len(q))
+			}
+			if len(q) == 0 {
+				if sh.voqFirst(vi) != noID || sh.vqs[vi].tail != noID {
+					t.Fatalf("step %d VOQ %d: empty queue has head %d, tail %d", step, out, sh.voqFirst(vi), sh.vqs[vi].tail)
+				}
+				continue
+			}
+			if sh.vqs[vi].tail != q[len(q)-1].id {
+				t.Fatalf("step %d VOQ %d: tail %d, want %d", step, out, sh.vqs[vi].tail, q[len(q)-1].id)
+			}
+			if sh.heads[vi] != q[0].hd {
+				t.Fatalf("step %d VOQ %d: head-age record %+v, want %+v", step, out, sh.heads[vi], q[0].hd)
+			}
 		}
 	}
-	sh.depart(ids[0])
-	if sh.vqs[vi].live != 0 || sh.vqs[vi].head != noID {
-		t.Fatal("drained VOQ did not release its chain")
+	// nonEmpty picks a random queued VOQ; there must be one.
+	nonEmpty := func() int {
+		for {
+			if out := rng.Intn(outs); len(model[out]) > 0 {
+				return out
+			}
+		}
 	}
+	for step := 0; step < 4000; step++ {
+		if live == 0 || (live < 48 && rng.Intn(2) == 0) {
+			admit(step / 8)
+		} else {
+			out := nonEmpty()
+			n := len(model[out])
+			switch rng.Intn(3) {
+			case 0:
+				depart(out, 0)
+			case 1:
+				depart(out, n-1)
+			default:
+				depart(out, rng.Intn(n))
+			}
+		}
+		check(step)
+	}
+	for live > 0 {
+		depart(nonEmpty(), 0)
+	}
+	check(-1)
 
-	// Refill/drain cycles must recycle pooled blocks, not grow the pool.
-	grown := len(sh.pool.blocks)
+	hw := len(sh.ar.rec)
 	for cycle := 0; cycle < 8; cycle++ {
-		var cids []int32
-		for i := 0; i < n; i++ {
-			sh.admit(arrival{flow: switchnet.Flow{In: 0, Out: 0, Demand: 1, Release: n + cycle}, seq: int64(n*cycle + i)})
-			cids = append(cids, sh.tail)
+		for live < peak {
+			admit(4000 + cycle)
 		}
-		for _, id := range cids {
-			sh.depart(id)
+		for live > 0 {
+			out := nonEmpty()
+			depart(out, rng.Intn(len(model[out])))
 		}
-	}
-	if len(sh.pool.blocks) > grown {
-		t.Fatalf("block pool grew from %d to %d across refill cycles", grown, len(sh.pool.blocks))
+		check(-2 - cycle)
+		if len(sh.ar.rec) > hw {
+			t.Fatalf("cycle %d: arena grew from %d to %d rows", cycle, hw, len(sh.ar.rec))
+		}
 	}
 }
 

@@ -161,7 +161,7 @@ func (p *WeightedISLIP) Pick(v *View) {
 func (p *WeightedISLIP) iterate(v *View) int {
 	// Request + grant: sweep the shard's active VOQs once in ascending
 	// port order off the bitmap words, reading each queue's head-age
-	// record (one dense array read per VOQ, no queue-block chasing and
+	// record (one dense array read per VOQ, no list chasing and
 	// no per-VOQ calls); each output retains only its strongest request,
 	// so the grant decision falls out of the sweep without materializing
 	// request lists.

@@ -161,10 +161,10 @@ func (p *RoundRobin) serveVOQ(v *View, in, out, free int) int {
 // flows already taken this round (a pick of the propose pass is not a
 // blocked head, so the reconcile pass may drain past it). It returns the
 // input's remaining free capacity and whether anything was served. The
-// sweep runs on View.EachVOQ's block cursor, so each queue entry costs
-// one sequential block read plus the flow's own descriptor line; an
-// untaken head that does not fit stops the sweep — FIFO within the VOQ,
-// a blocked head blocks the queue.
+// sweep walks View.EachVOQ's links, so each queue entry costs the one
+// hot-record line its Taken and Demand checks read anyway; an untaken
+// head that does not fit stops the sweep — FIFO within the VOQ, a blocked
+// head blocks the queue.
 func drainVOQ(v *View, in, out, free int) (int, bool) {
 	served := false
 	v.EachVOQ(in, out, func(id ID) bool { //flowsched:allow alloc: non-escaping iterator closure; zero-alloc steady state pinned by TestSteadyStateAllocs

@@ -340,10 +340,9 @@ type Runtime struct {
 	// round-cadence OnCheckpoint trigger, with ckptState's flow, scratch
 	// and window buffers reused across captures so a warmed trigger
 	// allocates nothing.
-	ckptEvery  int
-	nextCkpt   int
-	ckptState  CheckpointState
-	mergeHeads []int32
+	ckptEvery int
+	nextCkpt  int
+	ckptState CheckpointState
 
 	nshards int
 	shards  []*shard
@@ -1031,20 +1030,6 @@ func (rt *Runtime) RunContext(ctx context.Context) (*Summary, error) {
 	}
 	defer context.AfterFunc(ctx, rt.Stop)()
 	return rt.Run()
-}
-
-// collectPending appends every resident pending flow to dst, walking each
-// shard's admission-order sublist in shard order. The caller must hold
-// the state quiescent: the coordinator between rounds, or any goroutine
-// after Run has returned.
-func (rt *Runtime) collectPending(dst []switchnet.Flow) []switchnet.Flow {
-	for _, sh := range rt.shards {
-		a := &sh.ar
-		for id := sh.head; id != noID; id = a.rec[id].next {
-			dst = append(dst, a.flow(id))
-		}
-	}
-	return dst
 }
 
 // Snapshot returns the current streaming metrics. It is safe to call

@@ -25,11 +25,12 @@ type arrival struct {
 }
 
 // shard owns the pending state of the input ports congruent to idx modulo
-// Runtime.nshards: their arena, admission-order sublist, VOQ block
-// chains, load tallies and policy instance. The shards are a partition,
-// not a set of threads: the coordinator runs each one's propose, then the
-// reconcile pass in a deterministic shard order (see Runtime.reconcile),
-// then each one's apply, all in sequence on the coordinator's goroutine.
+// Runtime.nshards: their arena, admission-order sublist, virtual output
+// queues (lists threaded through the arena), load tallies and policy
+// instance. The shards are a partition, not a set of threads: the
+// coordinator runs each one's propose, then the reconcile pass in a
+// deterministic shard order (see Runtime.reconcile), then each one's
+// apply, all in sequence on the coordinator's goroutine.
 // A shard retires into the runtime's one set of completion metrics and
 // its one verification buffer.
 type shard struct {
@@ -66,10 +67,9 @@ type shard struct {
 	bitBase         []int32
 
 	// Virtual output queues over owned inputs, indexed by
-	// (in/nsh)*mOut + out (see shard.voq): one packed cursor record per
-	// VOQ over the pooled ring blocks, plus the mirrored head-age record
-	// the age-aware policies sweep (see arena.go).
-	pool  blockPool
+	// (in/nsh)*mOut + out (see shard.voq): the ends and length of each
+	// VOQ's list through the arena, plus the mirrored head-age record the
+	// age-aware policies sweep (see arena.go).
 	vqs   []voqState
 	heads []voqHead
 
@@ -85,11 +85,10 @@ type shard struct {
 
 	// takes holds the round's picks until apply retires them at the end
 	// of the same round.
-	takes    []int32
-	cscratch []int32
-	view     View
-	phase    int
-	err      error
+	takes []int32
+	view  View
+	phase int
+	err   error
 }
 
 // newShard builds the shard owning inputs congruent to idx mod rt.nshards.
@@ -271,10 +270,8 @@ func (sh *shard) admit(av arrival) {
 	id := a.alloc()
 	vi := sh.voq(f.In, f.Out)
 	a.rec[id] = flowRec{
-		rel: int64(f.Release),
-		in:  int16(f.In), out: int16(f.Out), dem: int32(f.Demand),
-		state: stLive, blk: noID,
-		prev: sh.tail, next: noID,
+		rel: int64(f.Release), prev: sh.tail, next: noID,
+		dem: int32(f.Demand), in: int16(f.In), out: int16(f.Out), state: stLive,
 	}
 	a.seq[id] = av.seq
 	if sh.tail != noID {

@@ -863,8 +863,8 @@ func TestBridgeOwnsQueueScratch(t *testing.T) {
 
 // youngestFirst takes pending flows newest-first — the adversarial access
 // pattern for the runtime's VOQ storage, since every take removes from the
-// tail of its queue while older flows stay pending (out-of-FIFO-order
-// departures are the tombstone path of the pooled ring-buffer blocks).
+// tail of its queue while older flows stay pending, so every departure
+// unlinks a tail and none a head.
 type youngestFirst struct{ ids []stream.ID }
 
 func (*youngestFirst) Name() string { return "youngestFirst" }
@@ -881,8 +881,8 @@ func (p *youngestFirst) Pick(v *stream.View) {
 
 // TestStreamYoungestFirstDrain drains a long same-VOQ backlog newest-first
 // with verification on: the runtime must keep FIFO iteration coherent
-// (VOQHead stays the oldest pending flow) while tombstones accumulate and
-// compact, and the resulting schedule must still pass the oracle.
+// (VOQHead stays the oldest pending flow) while the queue is unlinked from
+// its tail, and the resulting schedule must still pass the oracle.
 func TestStreamYoungestFirstDrain(t *testing.T) {
 	const flows = 160
 	var fs []switchnet.Flow

@@ -105,38 +105,18 @@ func (v *View) VOQHead(in, out int) ID {
 	return ID(v.sh.voqFirst(v.sh.voq(in, out)))
 }
 
-func (v *View) VOQNext(id ID) ID {
-	r := &v.sh.ar.rec[id]
-	return ID(v.sh.voqNext(v.sh.voq(int(r.in), int(r.out)), int32(id)))
-}
+func (v *View) VOQNext(id ID) ID { return ID(v.sh.voqNext(int32(id))) }
 
 // EachVOQ calls fn for every pending flow on the (in, out) virtual output
-// queue, oldest first, until fn returns false. It is the fast path for
-// policies that sweep whole queues: iteration runs on a block cursor —
-// one VOQ-state load, then sequential reads through the pooled ring
-// blocks — instead of re-deriving the queue position of every id the way
-// chained VOQNext calls must. in must be one of the shard's inputs.
+// queue, oldest first, until fn returns false. It walks the queue's links
+// through the arena: each step reads the hot record that fn's own Taken
+// and Demand calls read. in must be one of the shard's inputs.
 func (v *View) EachVOQ(in, out int, fn func(id ID) bool) {
 	sh := v.sh
-	q := &sh.vqs[sh.voq(in, out)]
-	if q.live == 0 {
-		return
-	}
-	b, o := q.head, q.headOff
-	for {
-		if b == q.tail && o >= q.tailOff {
+	for id := sh.voqFirst(sh.voq(in, out)); id != noID; id = sh.voqNext(id) {
+		if !fn(ID(id)) {
 			return
 		}
-		if o == blockLen {
-			b, o = sh.pool.blocks[b].next, 0
-			continue
-		}
-		if id := sh.pool.blocks[b].ids[o]; id != noID {
-			if !fn(ID(id)) {
-				return
-			}
-		}
-		o++
 	}
 }
 
