@@ -43,8 +43,9 @@ const (
 
 // arena holds one shard's pending flows as two parallel columns indexed
 // by flow ID — the 40-byte hot record and the 8-byte cold admission
-// sequence number (read at retirement, at Bridge materialization, and
-// when an age-aware policy breaks a release-round tie). There is no
+// sequence number (read when OnSchedule reports a pick, by View.Each, and
+// when a checkpoint merges the shards' admission orders; no pick, head
+// update or departure reads it). There is no
 // per-flow heap object: a flow is a row across the columns, reconstructed
 // into a switchnet.Flow only at the API boundary (View.Flow, verification
 // buffering, OnSchedule).
@@ -102,20 +103,21 @@ type voqState struct {
 	live       int32
 }
 
-// voqHead is the per-VOQ head-age record: the release round, admission
-// sequence number, and demand of the queue's oldest flow, mirrored out of
-// the arena whenever the head changes (first push into an empty queue,
-// head departure — appends behind a non-empty head cannot change it).
-// The age-aware policies order and filter VOQ heads every round; reading
-// this dense vi-indexed array costs one sequential cache line per 2-3
-// VOQs instead of chasing queue state -> flow record for every head.
+// voqHead is the per-VOQ head-age record: the release round and demand of
+// the queue's oldest flow, mirrored out of the arena's hot record whenever
+// the head changes (first push into an empty queue, head departure —
+// appends behind a non-empty head cannot change it). The age-aware
+// policies order and filter VOQ heads every round; reading this dense
+// vi-indexed array of 16-byte records costs one sequential cache line per
+// four VOQs instead of chasing queue state -> flow record for every head.
 // Entries are only meaningful while the VOQ is non-empty, and during a
-// pick pass they describe the queue as of the last retirement — a head taken earlier in the same round still owns the
-// entry until it departs (policies see takes via View.Taken).
+// pick pass they describe the queue as of the last retirement — a head
+// taken earlier in the same round still owns the entry until it departs
+// (policies see takes via View.Taken).
 type voqHead struct {
-	rel, seq int64
-	dem      int32
-	_        int32
+	rel int64
+	dem int32
+	_   int32
 }
 
 // voqPush links id at VOQ vi's tail.
@@ -130,7 +132,7 @@ func (sh *shard) voqPush(vi int, id int32) {
 	} else {
 		// The first flow of an empty queue is its head.
 		q.head = id
-		sh.heads[vi] = voqHead{rel: r.rel, seq: sh.ar.seq[id], dem: r.dem}
+		sh.heads[vi] = voqHead{rel: r.rel, dem: r.dem}
 	}
 	q.tail = id
 	q.live++
@@ -154,7 +156,7 @@ func (sh *shard) voqRemove(vi int, id int32) (drained bool) {
 	} else {
 		q.head = r.vnext
 		if h := q.head; h != noID {
-			sh.heads[vi] = voqHead{rel: rec[h].rel, seq: sh.ar.seq[h], dem: rec[h].dem}
+			sh.heads[vi] = voqHead{rel: rec[h].rel, dem: rec[h].dem}
 		}
 	}
 	q.live--

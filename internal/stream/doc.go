@@ -13,9 +13,9 @@
 // and per-round load tallies reset via touched lists — updated in O(1)
 // per arrival and departure. A round therefore costs
 // O(arrived + scheduled + policy), never a rescan of every flow seen so
-// far; with the native RoundRobin policy the policy term is
-// O(active ports + scheduled) bitmap-word probes per round, independent
-// of the pending count.
+// far; with the native RoundRobin policy the policy term is bitmap-word
+// operations over the active inputs plus reads of only the VOQs whose
+// output still has capacity, independent of the pending count.
 //
 // # Policy selection
 //
@@ -23,11 +23,13 @@
 // resolve them; flowsim selects them with -policy):
 //
 //   - RoundRobin: per-input rotation over VOQs in output-port order
-//     (iSLIP-style desynchronization). O(active ports + scheduled)
-//     bitmap probes per round — the cheapest native policy, touching
-//     only what it serves. Fairness guarantee: port-order rotation, no
-//     VOQ overtaken within one rotation of the port space; no age
-//     awareness, so no response-time guarantee from the paper.
+//     (iSLIP-style desynchronization) — the cheapest native policy. Each
+//     input's active-VOQ bitmap words are AND-ed with a mask of the
+//     outputs that still have capacity, so a round reads only VOQs it
+//     could serve, and a saturated output costs bitmap operations only.
+//     Fairness guarantee: port-order rotation, no VOQ overtaken within
+//     one rotation of the port space; no age awareness, so no
+//     response-time guarantee from the paper.
 //   - OldestFirst: serves VOQ heads globally oldest-first (release
 //     round, ties in port order) — the paper's MinRTime service
 //     discipline (SPAA 2020, Section 5.2: age-priority greedy maximal
@@ -55,7 +57,9 @@
 //   - StreamFIFO: admission-order first-fit. O(pending) per round — the
 //     non-incremental baseline, kept for ablations.
 //
-// Cost model: RoundRobin touches only served VOQs; OldestFirst and
+// Cost model: RoundRobin reads only VOQs whose output has capacity left
+// (a blocked output costs bitmap operations only; a multi-unit head
+// larger than what is left costs one record read); OldestFirst and
 // WeightedISLIP read every active VOQ's head-age record every round, at
 // every shard count (that is what an age-aware selection has to look
 // at; nothing is carried between rounds), so their cost grows with the
@@ -374,11 +378,14 @@
 //     arena indexed by flow ID: a 40-byte hot record (release, ports,
 //     demand, state bits, admission-order links, VOQ links — everything
 //     the pick and depart paths touch) and an 8-byte cold column, the
-//     admission sequence number, read at retirement and on release ties.
-//     The VOQ index is not cached; it is two array reads away. IDs
-//     recycle through a LIFO free list, so the arena stops growing once
-//     the pending set reaches its high-water mark and there are no
-//     per-flow heap objects, ever.
+//     admission sequence number, read only when OnSchedule reports a
+//     pick, by View.Each and by a checkpoint capture. Each VOQ's head-age
+//     record (release and demand, 16 bytes) is mirrored from the hot
+//     record when the head changes, so a head change never touches the
+//     cold column. The VOQ index is not cached; it is two array reads
+//     away. IDs recycle through a LIFO free list, so the arena stops
+//     growing once the pending set reaches its high-water mark and there
+//     are no per-flow heap objects, ever.
 //   - VOQ storage. Each virtual output queue is a doubly linked list
 //     threaded through the arena's hot records, plus a {head, tail,
 //     length} record per VOQ. A push links at the tail, and a departure

@@ -108,6 +108,41 @@ func TestResumeValidation(t *testing.T) {
 			}
 		})
 	}
+	// Rotation pointers a restored pick would start from: RoundRobin's per
+	// input in [-1, NumOut), WeightedISLIP's grants per output in
+	// [-1, NumIn) and accepts per input in [-1, NumOut). A 3x5 switch tells
+	// the two ranges apart; a malformed pointer once panicked Run.
+	for _, tc := range []struct {
+		name, pol string
+		scratch   []int64
+		ok        bool
+	}{
+		{"RoundRobin pointers at the bounds", "RoundRobin", []int64{-1, 4, 0}, true},
+		{"RoundRobin pointer below -1", "RoundRobin", []int64{-500, 0, 0}, false},
+		{"RoundRobin pointer at NumOut", "RoundRobin", []int64{0, 5, 0}, false},
+		{"ISLIP pointers at the bounds", "WeightedISLIP", []int64{2, -1, 0, 1, 2, 4, -1, 0}, true},
+		{"ISLIP grant at NumIn", "WeightedISLIP", []int64{3, -1, 0, 1, 2, 4, -1, 0}, false},
+		{"ISLIP grant below -1", "WeightedISLIP", []int64{0, -2, 0, 1, 2, 4, -1, 0}, false},
+		{"ISLIP accept at NumOut", "WeightedISLIP", []int64{2, -1, 0, 1, 2, 5, -1, 0}, false},
+		{"ISLIP accept past int32", "WeightedISLIP", []int64{2, -1, 0, 1, 2, 1 << 32, -1, 0}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sw := switchnet.NewSwitch(3, 5, 1)
+			flows := []switchnet.Flow{{In: 0, Out: 4, Demand: 1}, {In: 2, Out: 0, Demand: 1}, {In: 1, Out: 3, Demand: 1}}
+			rt, err := New(&sliceSource{}, Config{Switch: sw, Policy: ByName(tc.pol), MaxPending: 8, Resume: &CheckpointState{
+				Round: 5, Pending: 3, Flows: flows, Summary: Summary{Admitted: 3},
+				Policy: tc.pol, Scratch: [][]int64{tc.scratch},
+			}})
+			if (err == nil) != tc.ok {
+				t.Fatalf("New returned %v; want accepted %v", err, tc.ok)
+			}
+			if err == nil {
+				if sum, err := rt.Run(); err != nil || sum.Completed != 3 {
+					t.Fatalf("accepted pointers %v, then the drain returned %+v, %v", tc.scratch, sum, err)
+				}
+			}
+		})
+	}
 	// The balanced case constructs and reports the baselines verbatim,
 	// with the restored pending set already resident.
 	cfg := base()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"flowsched/internal/stream"
@@ -73,26 +74,44 @@ func FuzzPolicyPicks(f *testing.F) {
 // InstanceSource tail on a 4x4 unit switch: any round, pending count and
 // counters, and up to eight restored flows that may be out of range,
 // unsorted, released after the round, or more than one past the pending
-// set. New either refuses it or returns a runtime whose Snapshot already
-// holds the checkpoint's pending set, and whose run then drains
-// verifier-clean with every flow it was handed accounted for. Nothing
-// panics.
+// set; for the policies that carry rotation pointers, one of them is
+// fuzzed too. New either refuses it or returns a runtime whose Snapshot
+// already holds the checkpoint's pending set, and whose run then drains
+// verifier-clean with every flow it was handed accounted for. A pointer
+// outside [-1, 4) is always refused. Nothing panics.
 func FuzzResume(f *testing.F) {
 	valid := []byte{0, 1, 0, 4, 1, 2, 0, 3, 2, 3, 0, 2} // releases round-2, round-1, round
-	f.Add(int32(10), int8(3), int16(7), int16(0), int16(0), int16(30), int8(0), uint8(0), uint8(0), uint8(5), valid)
-	f.Add(int32(10), int8(3), int16(7), int16(2), int16(1), int16(30), int8(0), uint8(1), uint8(1), uint8(9), valid)
-	f.Add(int32(10), int8(2), int16(7), int16(0), int16(0), int16(30), int8(0), uint8(2), uint8(0), uint8(3), valid) // lookahead
-	f.Add(int32(10), int8(1), int16(7), int16(0), int16(0), int16(30), int8(0), uint8(3), uint8(1), uint8(3), valid) // two past pending
-	f.Add(int32(10), int8(3), int16(7), int16(0), int16(0), int16(30), int8(1), uint8(0), uint8(0), uint8(3), valid) // unbalanced
-	f.Add(int32(10), int8(3), int16(-1), int16(0), int16(0), int16(30), int8(0), uint8(0), uint8(0), uint8(3), valid)
-	f.Add(int32(-1), int8(0), int16(0), int16(0), int16(0), int16(0), int8(0), uint8(0), uint8(0), uint8(3), []byte{})
-	f.Add(int32(10), int8(2), int16(0), int16(0), int16(0), int16(0), int8(0), uint8(0), uint8(0), uint8(3), []byte{0, 1, 0, 0, 1, 2, 0, 2}) // after round
-	f.Add(int32(10), int8(2), int16(0), int16(0), int16(0), int16(0), int8(0), uint8(0), uint8(0), uint8(3), []byte{0, 1, 0, 2, 1, 2, 0, 9}) // unsorted
-	f.Add(int32(10), int8(2), int16(0), int16(0), int16(0), int16(0), int8(0), uint8(0), uint8(0), uint8(3), []byte{4, 1, 0, 2, 1, 2, 3, 2}) // out of range
-	f.Add(int32(1), int8(9), int16(0), int16(0), int16(0), int16(0), int8(0), uint8(0), uint8(0), uint8(0), bytes.Repeat([]byte{1, 1, 0, 3}, 9))
+	f.Add(int32(10), int8(3), int16(7), int16(0), int16(0), int16(30), int8(0), uint8(0), uint8(0), uint8(5), uint8(0), int16(-1), valid)
+	f.Add(int32(10), int8(3), int16(7), int16(2), int16(1), int16(30), int8(0), uint8(1), uint8(1), uint8(9), uint8(0), int16(-1), valid)
+	f.Add(int32(10), int8(2), int16(7), int16(0), int16(0), int16(30), int8(0), uint8(2), uint8(0), uint8(3), uint8(0), int16(-1), valid) // lookahead
+	f.Add(int32(10), int8(1), int16(7), int16(0), int16(0), int16(30), int8(0), uint8(3), uint8(1), uint8(3), uint8(0), int16(-1), valid) // two past pending
+	f.Add(int32(10), int8(3), int16(7), int16(0), int16(0), int16(30), int8(1), uint8(0), uint8(0), uint8(3), uint8(0), int16(-1), valid) // unbalanced
+	f.Add(int32(10), int8(3), int16(-1), int16(0), int16(0), int16(30), int8(0), uint8(0), uint8(0), uint8(3), uint8(0), int16(-1), valid)
+	f.Add(int32(-1), int8(0), int16(0), int16(0), int16(0), int16(0), int8(0), uint8(0), uint8(0), uint8(3), uint8(0), int16(-1), []byte{})
+	f.Add(int32(10), int8(2), int16(0), int16(0), int16(0), int16(0), int8(0), uint8(0), uint8(0), uint8(3), uint8(0), int16(-1), []byte{0, 1, 0, 0, 1, 2, 0, 2}) // after round
+	f.Add(int32(10), int8(2), int16(0), int16(0), int16(0), int16(0), int8(0), uint8(0), uint8(0), uint8(3), uint8(0), int16(-1), []byte{0, 1, 0, 2, 1, 2, 0, 9}) // unsorted
+	f.Add(int32(10), int8(2), int16(0), int16(0), int16(0), int16(0), int8(0), uint8(0), uint8(0), uint8(3), uint8(0), int16(-1), []byte{4, 1, 0, 2, 1, 2, 3, 2}) // out of range
+	f.Add(int32(1), int8(9), int16(0), int16(0), int16(0), int16(0), int8(0), uint8(0), uint8(0), uint8(0), uint8(0), int16(-1), bytes.Repeat([]byte{1, 1, 0, 3}, 9))
+	f.Add(int32(10), int8(3), int16(7), int16(0), int16(0), int16(30), int8(0), uint8(0), uint8(1), uint8(5), uint8(2), int16(3), valid)    // pointer at the last port
+	f.Add(int32(10), int8(3), int16(7), int16(0), int16(0), int16(30), int8(0), uint8(0), uint8(0), uint8(5), uint8(1), int16(-500), valid) // pointer below -1
+	f.Add(int32(10), int8(3), int16(7), int16(0), int16(0), int16(30), int8(0), uint8(2), uint8(1), uint8(5), uint8(5), int16(4), valid)    // accept past the ports
 	f.Fuzz(func(t *testing.T, round int32, pending int8, completed, dropped, expired, hist int16, skew int8,
-		polSel, kSel, tailN uint8, data []byte) {
+		polSel, kSel, tailN, scratchAt uint8, scratch int16, data []byte) {
 		sw := switchnet.UnitSwitch(4)
+		names := stream.Names()
+		name := names[int(polSel)%len(names)]
+		shards := 1 + int(kSel%2)
+		// Every shard carries pointers for the whole switch: RoundRobin's
+		// four per input, WeightedISLIP's four grants then four accepts.
+		// All are -1 but the fuzzed one.
+		var ptrs [][]int64
+		if n := map[string]int{"RoundRobin": 4, "WeightedISLIP": 8}[name]; n > 0 {
+			ptrs = make([][]int64, shards)
+			for s := range ptrs {
+				ptrs[s] = slices.Repeat([]int64{-1}, n)
+			}
+			ptrs[0][int(scratchAt)%n] = int64(scratch)
+		}
 		var flows []switchnet.Flow
 		for i := 0; i+4 <= len(data) && len(flows) < 8; i += 4 {
 			flows = append(flows, switchnet.Flow{
@@ -118,22 +137,26 @@ func FuzzResume(f *testing.F) {
 				MaxResponse:   int(hist % 64),
 				PeakPending:   int(hist % 16),
 			},
+			Policy:  name,
+			Scratch: ptrs,
 		}
 		tail := &switchnet.Instance{Switch: sw}
 		for i := range int(tailN % 16) {
 			tail.Flows = append(tail.Flows, switchnet.Flow{In: i % 4, Out: (i*3 + 1) % 4, Demand: 1, Release: int(round) + i/3})
 		}
-		names := stream.Names()
 		rt, err := stream.New(workload.NewInstanceSource(tail), stream.Config{
 			Switch:      sw,
-			Policy:      stream.ByName(names[int(polSel)%len(names)]),
-			Shards:      1 + int(kSel%2),
+			Policy:      stream.ByName(name),
+			Shards:      shards,
 			MaxPending:  8,
 			VerifyEvery: 4,
 			Resume:      st,
 		})
 		if err != nil {
 			return
+		}
+		if ptrs != nil && (scratch < -1 || scratch >= 4) {
+			t.Fatalf("New accepted %s rotation pointer %d on a 4x4 switch", name, scratch)
 		}
 		if s := rt.Snapshot(); s.Pending != st.Pending || s.Admitted != st.Summary.Admitted || s.Round != st.Round {
 			t.Fatalf("snapshot right after New: %+v, want the checkpoint's round %d, pending %d, admitted %d",

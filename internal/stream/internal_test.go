@@ -13,10 +13,15 @@ import (
 // exactly 40 bytes, because it carries the VOQ links beside the release,
 // demand, ports and state bits — one record read gives a policy walking a
 // queue both the feasibility fields and the step to the next flow — and
-// the cold column is a bare sequence number.
+// the cold column is a bare sequence number. The per-VOQ head-age mirror
+// the age-aware policies sweep is 16 bytes: release and demand, four
+// records to a cache line, and nothing from the cold column.
 func TestArenaRecordLayout(t *testing.T) {
 	if s := unsafe.Sizeof(flowRec{}); s != 40 {
 		t.Fatalf("flowRec is %d bytes, want exactly 40", s)
+	}
+	if s := unsafe.Sizeof(voqHead{}); s != 16 {
+		t.Fatalf("voqHead is %d bytes, want exactly 16", s)
 	}
 	var a arena
 	id := a.alloc()
@@ -210,7 +215,7 @@ func TestVOQListModel(t *testing.T) {
 	admit := func(rel int) {
 		out, dem := rng.Intn(outs), 1+rng.Intn(3)
 		sh.admit(arrival{flow: switchnet.Flow{In: 0, Out: out, Demand: dem, Release: rel}, seq: seq})
-		model[out] = append(model[out], entry{id: sh.tail, hd: voqHead{rel: int64(rel), seq: seq, dem: int32(dem)}})
+		model[out] = append(model[out], entry{id: sh.tail, hd: voqHead{rel: int64(rel), dem: int32(dem)}})
 		seq++
 		live++
 		peak = max(peak, live)

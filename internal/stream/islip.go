@@ -117,15 +117,23 @@ func (p *WeightedISLIP) exportScratch(dst []int64) []int64 {
 
 // importScratch implements scratchPolicy; it runs after Reset, against a
 // same-geometry switch (the runtime checks policy name and shard count
-// before offering a snapshot).
+// before offering a snapshot). A grant pointer outside [-1, NumIn) or an
+// accept pointer outside [-1, NumOut) is refused: no run writes one, and
+// circDist's distances are unique per port only for pointers in range.
 func (p *WeightedISLIP) importScratch(src []int64) error {
 	if len(src) != p.numOut+p.numIn {
 		return fmt.Errorf("WeightedISLIP scratch: got %d values, want %d", len(src), p.numOut+p.numIn)
 	}
 	for j := 0; j < p.numOut; j++ {
+		if g := src[j]; g < -1 || g >= int64(p.numIn) {
+			return fmt.Errorf("WeightedISLIP scratch: output %d's grant pointer %d is outside [-1, %d)", j, g, p.numIn)
+		}
 		p.grant[j] = int32(src[j])
 	}
 	for i := 0; i < p.numIn; i++ {
+		if a := src[p.numOut+i]; a < -1 || a >= int64(p.numOut) {
+			return fmt.Errorf("WeightedISLIP scratch: input %d's accept pointer %d is outside [-1, %d)", i, a, p.numOut)
+		}
 		p.accept[i] = int32(src[p.numOut+i])
 	}
 	return nil

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math/bits"
 
 	"flowsched/internal/sim"
 	"flowsched/internal/switchnet"
@@ -63,13 +64,25 @@ func (FIFO) Pick(v *View) {
 // persistently-active VOQ at an input is served within one full rotation
 // of the port space). Within a VOQ a blocked head blocks the queue —
 // strict FIFO, so no flow is ever overtaken by a younger flow on the same
-// port pair. A round costs O(active ports + scheduled) bitmap-word probes
-// (View.NextActiveVOQ), independent of how many flows are pending or were
-// ever seen.
+// port pair.
+//
+// A pick sweeps each input's active-VOQ bitmap words AND-ed with a mask
+// of the outputs that still have capacity, so it reads queues and arena
+// records only for VOQs whose output can take a flow; a saturated output
+// costs bitmap-word operations, nothing more. A round therefore costs
+// O(ports + active inputs x words) word operations plus the queues it
+// reads, independent of how many flows are pending or were ever seen.
+// Skipping a saturated output cannot move the schedule: demands are at
+// least 1, so its VOQ would serve nothing, and the pointer moves only on
+// a serve.
 type RoundRobin struct {
 	// rr[in] is the last output port served at input in (-1 before any);
 	// a pass over in's VOQs starts at its successor in port order.
 	rr []int
+	// mask has one bit per output with capacity left during a pick, laid
+	// out like the active-VOQ bitmap words it is AND-ed with.
+	mask []uint64
+	nOut int
 }
 
 // Name implements Policy.
@@ -79,12 +92,15 @@ func (*RoundRobin) Name() string { return "RoundRobin" }
 // state, so a fresh instance per shard preserves the rotation semantics.
 func (*RoundRobin) NewShard() Policy { return &RoundRobin{} }
 
-// Reset implements Resetter.
+// Reset implements Resetter: it sizes the pointers and the free-output
+// mask to the switch so Pick never allocates.
 func (p *RoundRobin) Reset(sw switchnet.Switch) {
 	p.rr = make([]int, sw.NumIn())
 	for i := range p.rr {
 		p.rr[i] = -1
 	}
+	p.nOut = sw.NumOut()
+	p.mask = make([]uint64, (p.nOut+63)/64)
 }
 
 // exportScratch implements scratchPolicy: the per-input rotation
@@ -98,12 +114,16 @@ func (p *RoundRobin) exportScratch(dst []int64) []int64 {
 
 // importScratch implements scratchPolicy; it runs after Reset, against a
 // same-geometry switch (the runtime checks policy name and shard count
-// before offering a snapshot).
+// before offering a snapshot). A pointer outside [-1, NumOut) is refused:
+// no run writes one, and a sweep cannot start from it.
 func (p *RoundRobin) importScratch(src []int64) error {
 	if len(src) != len(p.rr) {
 		return fmt.Errorf("RoundRobin scratch: got %d values, want %d", len(src), len(p.rr))
 	}
 	for i, v := range src {
+		if v < -1 || v >= int64(p.nOut) {
+			return fmt.Errorf("RoundRobin scratch: input %d's pointer %d is outside [-1, %d)", i, v, p.nOut)
+		}
 		p.rr[i] = int(v)
 	}
 	return nil
@@ -113,47 +133,63 @@ func (p *RoundRobin) importScratch(src []int64) error {
 //
 //flowsched:hotpath
 func (p *RoundRobin) Pick(v *View) {
-	m := v.Switch().NumOut()
-	for a := 0; a < v.NumActiveInputs(); a++ {
+	clear(p.mask)
+	nOut := 0
+	for j := 0; j < p.nOut; j++ {
+		if v.OutputFree(j) > 0 {
+			p.mask[j>>6] |= 1 << uint(j&63)
+			nOut++
+		}
+	}
+	nw := len(p.mask)
+	for a := 0; a < v.NumActiveInputs() && nOut > 0; a++ {
 		in := v.ActiveInput(a)
 		free := v.InputFree(in)
 		if free <= 0 {
 			continue
 		}
-		start := (p.rr[in] + 1 + m) % m
-		// One circular sweep over the input's active VOQs in port order,
-		// starting at the pointer's successor: NextActiveVOQ probes are
-		// O(1) bitmap word operations, and strictly increasing circular
-		// distance detects the wrap-around.
-		cur, prev := start, -1
-		for free > 0 {
-			out := v.NextActiveVOQ(in, cur)
-			if out < 0 {
-				break
+		start := p.rr[in] + 1
+		if start == p.nOut {
+			start = 0
+		}
+		// One circular sweep over the input's active VOQs toward outputs
+		// with capacity, in port order from the pointer's successor: the
+		// start word's bits at or above start, the words after it, the
+		// words before it, and last the start word's bits below start.
+		// Serving (in, out) can clear only out's mask bit, and the sweep
+		// has passed out by then, so each word is read once.
+		w0, below := start>>6, uint64(1)<<uint(start&63)-1
+		words := v.voqWords(in)
+		for k := 0; k <= nw && free > 0; k++ {
+			wi := w0 + k
+			if wi >= nw {
+				wi -= nw
 			}
-			d := (out - start + m) % m
-			if d <= prev {
-				break // wrapped: every active VOQ has been visited
+			w := words[wi] & p.mask[wi]
+			if k == 0 {
+				w &^= below
+			} else if k == nw {
+				w &= below
 			}
-			prev = d
-			free = p.serveVOQ(v, in, out, free)
-			if cur = out + 1; cur == m {
-				cur = 0
+			for ; w != 0 && free > 0; w &= w - 1 {
+				out := wi<<6 + bits.TrailingZeros64(w)
+				var served bool
+				if free, served = drainVOQ(v, in, out, free); !served {
+					continue
+				}
+				// The pointer advances once per VOQ served, however many
+				// flows drained, and records the output port, so it stays
+				// meaningful as VOQs activate and drain around it.
+				p.rr[in] = out
+				if v.OutputFree(out) <= 0 {
+					p.mask[wi] &^= 1 << uint(out&63)
+					if nOut--; nOut == 0 {
+						return
+					}
+				}
 			}
 		}
 	}
-}
-
-// serveVOQ drains (in, out) oldest-first while capacity lasts and returns
-// the input's remaining free capacity. The rotation pointer advances once
-// per VOQ served, however many flows drained, and records the output
-// *port*, so it stays meaningful as VOQs activate and drain around it.
-func (p *RoundRobin) serveVOQ(v *View, in, out, free int) int {
-	free, served := drainVOQ(v, in, out, free)
-	if served {
-		p.rr[in] = out
-	}
-	return free
 }
 
 // drainVOQ drains the (in, out) virtual output queue oldest-first while
@@ -164,7 +200,10 @@ func (p *RoundRobin) serveVOQ(v *View, in, out, free int) int {
 // sweep walks View.EachVOQ's links, so each queue entry costs the one
 // hot-record line its Taken and Demand checks read anyway; an untaken
 // head that does not fit stops the sweep — FIFO within the VOQ, a blocked
-// head blocks the queue.
+// head blocks the queue. Callers reach it only for an output with
+// visible capacity: RoundRobin masks saturated outputs out of its sweep,
+// and WeightedISLIP drains only an accepted request, whose output its
+// request filter checked.
 func drainVOQ(v *View, in, out, free int) (int, bool) {
 	served := false
 	v.EachVOQ(in, out, func(id ID) bool { //flowsched:allow alloc: non-escaping iterator closure; zero-alloc steady state pinned by TestSteadyStateAllocs

@@ -74,9 +74,8 @@ type shard struct {
 	heads []voqHead
 
 	// actBits holds, per owned input, the bitmap (nw words) of output
-	// ports with a non-empty VOQ there: the age-aware policies sweep its
-	// words, and rotation policies get next-active-VOQ-in-port-order
-	// probes in O(1) word operations.
+	// ports with a non-empty VOQ there: RoundRobin, OldestFirst and
+	// WeightedISLIP sweep its words, and View.NextActiveVOQ probes them.
 	actBits []uint64
 	// activeIn lists owned input ports with any pending flow (global port
 	// numbers); activeInPos is each input's index there.

@@ -78,8 +78,9 @@ func (v *View) ActiveInput(k int) int { return int(v.sh.activeIn[k]) }
 
 // NextActiveVOQ returns the output port of the next non-empty VOQ at input
 // in, at or after port from (0 <= from < NumOut) in circular port order,
-// or -1 if the input has none. It is the O(1)-probe primitive behind
-// port-order rotation policies. in must be one of the shard's inputs.
+// or -1 if the input has none, in O(NumOut/64) bitmap-word probes. It is
+// a primitive for port-order rotation policies written outside this
+// package. in must be one of the shard's inputs.
 func (v *View) NextActiveVOQ(in, from int) int { return v.sh.nextActive(in, from) }
 
 // voqWords and headRow are what the native policies sweep: input in's
