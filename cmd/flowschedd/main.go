@@ -96,7 +96,7 @@ func main() {
 		ports       = flag.Int("ports", 16, "switch size m (m x m ports)")
 		capacity    = flag.Int("cap", 1, "per-port capacity")
 		policy      = flag.String("policy", "RoundRobin", fmt.Sprintf("native streaming policy %v", stream.Names()))
-		shards      = flag.Int("shards", 1, "shards the input ports and pending state are partitioned across, run in sequence on one goroutine (at least 1, capped at -ports; > 1 needs a native policy and changes the schedule)")
+		shards      = flag.Int("shards", 1, "shards the input ports and each round's output capacity are partitioned across, run in sequence on one goroutine (at least 1, capped at -ports; > 1 needs a native policy and changes the schedule)")
 		maxPending  = flag.Int("maxpending", stream.DefaultMaxPending, "admission limit on the resident pending set")
 		admit       = flag.String("admit", "lossless", "admission mode: lossless, drop, or deadline")
 		deadline    = flag.Int("deadline", 0, "response-time bound in rounds (admit mode deadline)")

@@ -30,9 +30,10 @@
 // through admission control, and drain under an incremental policy with
 // sliding-window metrics and optional spot-check verification:
 //
-// With -shards K the runtime partitions the input ports and the pending
-// state across K shards, which one goroutine runs in sequence: K > 1
-// changes the schedule (native policies only), not the parallelism.
+// With -shards K the runtime partitions the input ports and each round's
+// output capacity across K shards, which one goroutine runs in sequence;
+// the pending flows stay in one store. K > 1 changes the schedule (native
+// policies only), not the parallelism.
 // The native streaming policies — RoundRobin, OldestFirst (age-aware
 // oldest-head-first, the paper's MinRTime discipline at incremental
 // cost), WeightedISLIP (queue-age-weighted request/grant/accept), and
@@ -113,7 +114,7 @@ type usageError struct{ error }
 
 // atLeastOne is the usage error for a size flag below 1, which would
 // otherwise reach a generator or a make as a panic or an empty table.
-func atLeastOne(flag string, v int) error {
+func atLeastOne[T int | int64](flag string, v T) error {
 	if v < 1 {
 		return usageError{fmt.Errorf("-%s must be at least 1, got %d", flag, v)}
 	}
@@ -197,8 +198,8 @@ func simulate(fs *flag.FlagSet) func() error {
 		streamMode  = fs.Bool("stream", false, "streaming mode: drain an unbounded arrival stream through internal/stream")
 		cpuProfile  = fs.String("cpuprofile", "", "stream: write a CPU profile of the drain to this file")
 		memProfile  = fs.String("memprofile", "", "stream: write a post-drain heap profile to this file")
-		shards      = fs.Int("shards", 1, "stream: shards the input ports and pending state are partitioned across, run in sequence on one goroutine (at least 1, capped at -ports; > 1 needs a native policy and changes the schedule)")
-		flows       = fs.Int64("flows", 1_000_000, "stream: total flows to drain (set explicitly with -trace to cap the replay; otherwise traces drain fully)")
+		shards      = fs.Int("shards", 1, "stream: shards the input ports and each round's output capacity are partitioned across, run in sequence on one goroutine (at least 1, capped at -ports; > 1 needs a native policy and changes the schedule)")
+		flows       = fs.Int64("flows", 1_000_000, "stream: total flows to drain, at least 1 (set explicitly with -trace to cap the replay; otherwise traces drain fully)")
 		admit       = fs.String("admit", "lossless", "stream: admission mode at the MaxPending limit — lossless (backpressure), drop (shed arrivals), deadline (expire aged flows)")
 		deadlineF   = fs.Int("deadline", 0, "stream: response-time bound in rounds for -admit deadline")
 		alpha       = fs.Float64("alpha", 0, "stream: bounded-Pareto size tail index (0 = unit/uniform sizes)")
@@ -208,7 +209,7 @@ func simulate(fs *flag.FlagSet) func() error {
 		roundLog    = fs.String("roundlog", "", "stream: write the flight recorder's last rounds as JSONL to this file (policy-suffixed when sweeping)")
 		logRounds   = fs.Int("logrounds", 0, "stream: flight recorder ring size for -roundlog (0 = default)")
 		ckptFile    = fs.String("checkpoint", "", "stream: write a checkpoint file every -checkpointrounds rounds (0 = once, after the drain)")
-		ckptRounds  = fs.Int("checkpointrounds", 0, "stream: periodic checkpoint cadence in rounds (needs -checkpoint)")
+		ckptRounds  = fs.Int("checkpointrounds", 0, "stream: periodic checkpoint cadence in rounds, not negative (needs -checkpoint; 0 = once, after the drain)")
 		restoreF    = fs.String("restore", "", "stream: resume the drain from this checkpoint file (same seed/trace/flags as the original run)")
 	)
 	usage := fs.Usage
@@ -249,6 +250,12 @@ func simulate(fs *flag.FlagSet) func() error {
 			}
 			if err := atLeastOne("window", *window); err != nil {
 				return err
+			}
+			if err := atLeastOne("flows", *flows); err != nil {
+				return err
+			}
+			if *ckptRounds < 0 {
+				return usageError{fmt.Errorf("-checkpointrounds must not be negative, got %d", *ckptRounds)}
 			}
 			runStream(streamOpts{
 				ports: *ports, m: *mFlag, policy: *policy, seed: *seed, trace: *trace,

@@ -47,6 +47,9 @@ func TestDispatch(t *testing.T) {
 		{[]string{"-stream", "-maxpending", "-5"}, 2, "-maxpending must be at least 1, got -5", ""},
 		{[]string{"-stream", "-shards", "0"}, 2, "-shards must be at least 1, got 0", ""},
 		{[]string{"-stream", "-shards", "-3"}, 2, "-shards must be at least 1, got -3", ""},
+		{[]string{"-stream", "-flows", "0"}, 2, "-flows must be at least 1, got 0", ""},
+		{[]string{"-stream", "-flows", "-1"}, 2, "-flows must be at least 1, got -1", ""},
+		{[]string{"-stream", "-checkpoint", "unwritten.ckpt", "-checkpointrounds", "-3"}, 2, "-checkpointrounds must not be negative, got -3", ""},
 		{[]string{"-stream", "-ports", "2", "-restore", zeroShards}, 2, "-shards must be at least 1, got 0", ""},
 		{[]string{"-stream", "-ports", "2", "-restore", zeroLimit}, 2, "-maxpending must be at least 1, got 0", ""},
 		{[]string{"art", "-ports", "0"}, 2, "-ports must be at least 1, got 0", ""},

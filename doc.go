@@ -74,11 +74,12 @@
 //     replayed finite instance. StreamConfig.Shards (default 1; more is
 //     an explicit opt-in that changes the schedule and weakens the
 //     cross-input guarantees, see internal/stream's "Sharding caveat")
-//     partitions the input ports and the pending state across shards:
-//     shards own their inputs' queues outright and settle output capacity
-//     by a deterministic propose/reconcile protocol the coordinator runs
-//     shard by shard on its own goroutine (a partition, not a thread
-//     pool), so a run is reproducible at any fixed shard count; the round
+//     partitions the input ports across shards: the pending flows stay in
+//     the runtime's one store, each shard picks among its inputs' queues,
+//     and the shards settle output capacity by a deterministic
+//     propose/reconcile protocol the coordinator runs shard by shard on
+//     its own goroutine (a partition, not a thread pool), so a run is
+//     reproducible at any fixed shard count; the round
 //     loop is allocation-free at steady state. Metrics are streaming
 //     (StreamSummary: running totals plus sliding-window response-time
 //     quantiles from a mergeable log-histogram sketch), VerifyEvery feeds

@@ -33,8 +33,9 @@ const DefaultRounds = 4096
 // RoundRecord is one scheduling round as the coordinator saw it: what
 // moved (arrivals, scheduled departures, drops, expiries, the resident
 // pending count after the round) and where the time went, split by the
-// round protocol's phases. ProposeNS covers admit + expire + pick over
-// all shards, ReconcileNS the leftover-capacity pass (sharded runtimes
+// round protocol's phases. ProposeNS covers expire + pick over all
+// shards (the admission pass that threads arrivals into the pending store
+// is in no phase), ReconcileNS the leftover-capacity pass (sharded runtimes
 // only), ApplyNS the round's own retirement of its picks, every round,
 // and VerifyNS the time spent blocked joining the overlapped verify
 // goroutine. A join happens between scheduling rounds, at a window flush,

@@ -143,11 +143,9 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 				if _, err := rt.step(); err != nil {
 					t.Fatal(err)
 				}
-				for _, sh := range rt.shards {
-					for vi := range sh.vqs {
-						if sh.vqs[vi].live > 0 {
-							active++
-						}
+				for vi := range rt.vqs {
+					if rt.vqs[vi].live > 0 {
+						active++
 					}
 				}
 			}

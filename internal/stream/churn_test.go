@@ -84,9 +84,10 @@ var churnGolden = map[string]uint64{
 // TestShardedAgeOrderUnderChurn drives both age-aware policies at
 // several shard counts through the churn source with deadline expiry on
 // (so heads change by activation, departure, and expiry) and checks,
-// after every round, that shard.oldestRel — read off the admission
-// sublist head — is the minimum head-age record over the shard's
-// non-empty VOQs, the key reconcile orders shards by. The whole run's
+// after every round, that shard.oldestRel — the release of the shard's
+// first flow on the runtime's admission list — is the minimum head-age
+// record over the non-empty VOQs at the shard's inputs, the key reconcile
+// orders shards by. The whole run's
 // schedule must also hash to its golden value.
 func TestShardedAgeOrderUnderChurn(t *testing.T) {
 	const ports, rounds = 7, 160
@@ -145,9 +146,11 @@ func testAgeOrderUnderChurn(t *testing.T, pol Policy, shards, portCap int, golde
 		}
 		for _, sh := range rt.shards {
 			want := int64(math.MaxInt64)
-			for vi := range sh.vqs {
-				if sh.vqs[vi].live > 0 && sh.heads[vi].rel < want {
-					want = sh.heads[vi].rel
+			for in := sh.idx; in < ports; in += shards {
+				for vi := in * ports; vi < (in+1)*ports; vi++ {
+					if rt.vqs[vi].live > 0 && rt.heads[vi].rel < want {
+						want = rt.heads[vi].rel
+					}
 				}
 			}
 			if got := sh.oldestRel(); got != want {

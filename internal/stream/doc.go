@@ -97,24 +97,24 @@
 // # Sharding
 //
 // Config.Shards > 1 partitions the input ports across K shards: input i
-// belongs to shard i mod K. Each shard exclusively owns the pending slots
-// of flows arriving at its inputs — their admission-order sublist, their
-// virtual output queues and active-port indexes, their load tallies — plus
-// its own policy instance (Shardable.NewShard). Input-queued-switch state
-// decomposes cleanly along this axis because every structure the scheduler
-// mutates per round is keyed by input port. The shards partition state;
-// they are not threads. The coordinator runs every shard's part of a
-// round itself, in sequence, and the runtime keeps one set of completion
-// metrics, one sliding window and one verification buffer for all of
-// them. Only output capacity couples the shards, and it is settled by a
-// deterministic two-step protocol each round:
+// belongs to shard i mod K. A shard owns a policy instance
+// (Shardable.NewShard), the count and active-input list of its pending
+// flows, its usage of its carved output budgets and its round's picks.
+// The pending flows themselves stay in the runtime's one store — one
+// arena, one admission-order list, one VOQ per (input, output) pair —
+// which admission threads each arrival into directly, as in the paper's
+// online model (Section 5.2.1: one pending set that each round's releases
+// join). The shards are not threads. The coordinator runs every shard's
+// part of a round itself, in sequence, and the runtime keeps one set of
+// completion metrics, one sliding window and one verification buffer for
+// all of them. Only output capacity couples the shards, and it is settled
+// by a deterministic two-step protocol each round, after the expiry walk:
 //
-//  1. Propose (shard index order). Every shard admits the arrivals the
-//     coordinator routed to it, expires what the deadline has passed,
-//     and runs its policy against a carved output budget: output j's
-//     capacity splits into floor(OutCaps[j]/K) units per shard, with the
-//     OutCaps[j] mod K spare units rotating across shards by round so no
-//     shard permanently owns them.
+//  1. Propose (shard index order). Every shard runs its policy against a
+//     carved output budget: output j's capacity splits into
+//     floor(OutCaps[j]/K) units per shard, with the OutCaps[j] mod K
+//     spare units rotating across shards by round so no shard
+//     permanently owns them.
 //  2. Reconcile (a computed shard order). The coordinator computes each
 //     output's unused budget — OutCaps[j] minus the total propose usage
 //     — and offers every shard, one at a time, a second Pick against
@@ -135,17 +135,21 @@
 //
 // # Shard-scoped View contract
 //
-// Inside Pick a View exposes only the calling shard's slice of the
-// runtime. Each covers the shard's pending flows (oldest first in global
-// admission order); QueueIn and QueueOut count the shard's flows per
-// port; NumActiveInputs, ActiveInput, NextActiveVOQ and VOQHead are
-// defined over the shard's own inputs; IDs are shard-local and must not
-// cross Views. InputFree is always exact, because inputs are owned. OutputFree reports the shard's remaining carved budget during the
-// propose phase and the global leftover pool during the reconcile phase.
-// With Shards == 1 there is a single shard owning everything, OutputFree
-// is always exact, and the View is exactly the pre-sharding contract —
-// which is why bridged simulator policies (see Bridge), whose matchings
-// need the full pending set, require Shards == 1.
+// Inside Pick a View reads the runtime's one store, scoped to the calling
+// shard where a policy depends on it. Each walks the admission-order list
+// and yields only the shard's flows; QueueIn counts the shard's flows at
+// its own inputs and reads 0 at every other input (OldestFirst's input
+// loop relies on this); NumActiveInputs and ActiveInput list only the
+// shard's inputs. IDs are runtime-wide: VOQHead, VOQNext and the per-flow
+// reads work at any input, but Take refuses a flow at another shard's
+// input and fails the run. QueueOut is the switch-wide count. InputFree
+// is always exact, because inputs are owned. OutputFree reports the
+// shard's remaining carved budget during the propose phase and the global
+// leftover pool during the reconcile phase. With Shards == 1 there is a
+// single shard owning everything, OutputFree is always exact, and the
+// View is exactly the pre-sharding contract — which is why bridged
+// simulator policies (see Bridge), whose matchings need the full pending
+// set, require Shards == 1.
 //
 // Config.OnSchedule is always invoked from the coordinator goroutine, in
 // shard index order within a round, so callbacks need no locking.
@@ -171,23 +175,23 @@
 //     queue. The source is always drained at release time — overload
 //     costs flows, never feed stalls — which is the right contract for a
 //     live network feed that cannot be paused.
-//   - AdmitDeadline: admission stays lossless, but each round every shard
+//   - AdmitDeadline: admission stays lossless, but each round the runtime
 //     expires the pending flows whose age exceeds Config.Deadline rounds
-//     (head-walks of the admission-order sublists — O(expired) per round,
+//     (a head walk of the admission-order list — O(expired) per round,
 //     exploiting non-decreasing releases), counted in Expired. Completed
 //     flows therefore always have MaxResponse <= Deadline: the runtime
 //     trades completions for a hard response-time bound.
 //
 // Drop and expiry decisions are part of the deterministic round protocol
-// (drops on the coordinator's admission path, expiry inside each shard's
-// propose, before its policy picks), so for a fixed K the counts replay
-// bit for bit and verification windows stay oracle-clean in every mode.
+// (drops on the coordinator's admission path, expiry before any shard
+// picks), so for a fixed K the counts replay bit for bit and verification
+// windows stay oracle-clean in every mode.
 //
 // # Sources, live and finite
 //
 // There is one arrival path, the paper's (Section 5.2.1: each round the
 // newly released flows join the pending set, then the policy picks). Every
-// round the coordinator routes a held lookahead flow, if it has one, and
+// round the coordinator admits a held lookahead flow, if it has one, and
 // then drains Source.PullBatch — MaxPending minus the resident count at a
 // time — until a short batch says nothing more is released; PullBatch
 // never blocks. Only when the pending set is empty and nothing is released
@@ -263,13 +267,14 @@
 //     round, and the instrumented path is measured against the plain
 //     one, with repeats, by the benchmark/ suite
 //     (obs.recorder_overhead_pct).
-//   - Phase semantics. ProposeNS times every shard's propose (admit,
-//     expire, pick), ReconcileNS the leftover-capacity pass, ApplyNS the
-//     round's own retirement (every round), and VerifyNS only the
-//     blocking join on the verify oracle — overlap with the next window's
-//     rounds is the oracle's normal, invisible case. The join lands
-//     between scheduling rounds and is charged to the next emitted
-//     record.
+//   - Phase semantics. ProposeNS times the expiry walk and every shard's
+//     propose pick (the admission pass, which threads arrivals into the
+//     pending store, is in no phase), ReconcileNS the leftover-capacity
+//     pass, ApplyNS the round's own retirement (every round), and
+//     VerifyNS only the blocking join on the verify oracle — overlap with
+//     the next window's rounds is the oracle's normal, invisible case.
+//     The join lands between scheduling rounds and is charged to the next
+//     emitted record.
 //   - Only scheduling rounds emit, so the recorded round numbers are
 //     strictly increasing — idle jumps leave gaps, never duplicates.
 //   - Record emission precedes the round-counter publish, so a record
@@ -285,16 +290,15 @@
 // one-slot mailbox of closures the coordinator polls with a single
 // non-blocking select at the top of each step, running the closure it
 // finds (Runtime.quiesce). That point is quiescent — every pick
-// retired, every inbox empty, the summary
-// balanced — so each operation is a few lines run there, with no locks
-// on the round path and no flow ever observed in two states; before Run
-// has started and once it has returned the same closure runs directly on
-// the caller:
+// retired, every admitted flow threaded, the summary balanced — so each
+// operation is a few lines run there, with no locks on the round path
+// and no flow ever observed in two states; before Run has started and
+// once it has returned the same closure runs directly on the caller:
 //
 //   - Runtime.CheckpointState captures a CheckpointState: the pending set
-//     in global admission order (a K-way merge of the shards'
-//     admission-order sublists by sequence number, so releases are
-//     non-decreasing along it and a restore can re-admit it in order),
+//     in admission order (a walk of the store's admission-order list, so
+//     releases are non-decreasing along it and a restore can re-admit it
+//     in order),
 //     original releases preserved, plus the coordinator's un-admitted
 //     lookahead flow if it holds one (it does only between an idle fetch
 //     and the next admission pass), the round, and an exact Summary. One
@@ -310,8 +314,8 @@
 //   - Config.Resume takes a CheckpointState, and a restored runtime is
 //     whole when New returns: the clock reads the checkpointed round, the
 //     cumulative counters continue from the checkpointed values, the
-//     pending set is resident again — routed and threaded under the
-//     admission sequence numbers and shards it had, not counted again as
+//     pending set is resident again — threaded back into the store under
+//     the admission sequence numbers it had, not counted again as
 //     admissions or backpressure — and a lookahead flow is held exactly
 //     where idle left it. The source carries only the rest of the stream
 //     (workload.Skip for a replayable one; a live feed starts empty), so
@@ -363,8 +367,8 @@
 // run's.
 //
 // Runtime.PendingFlows snapshots the resident pending set through the
-// same mailbox, so the copy observes quiescent per-shard state mid-run
-// without a lock on the round path. Callers bound the wait with the
+// same mailbox, so the copy observes a quiescent store mid-run without a
+// lock on the round path. Callers bound the wait with the
 // context: a runtime blocked in the Next of a source without Park answers
 // nothing until a flow arrives (its pending set is empty then anyway).
 // The internal/pilot optimality estimator is the canonical consumer.
@@ -374,18 +378,18 @@
 // The round loop is allocation-free at steady state and its memory
 // traffic is budgeted per flow, not per data structure:
 //
-//   - Arena layout. A shard stores pending flows in a struct-of-arrays
-//     arena indexed by flow ID: a 40-byte hot record (release, ports,
-//     demand, state bits, admission-order links, VOQ links — everything
-//     the pick and depart paths touch) and an 8-byte cold column, the
-//     admission sequence number, read only when OnSchedule reports a
-//     pick, by View.Each and by a checkpoint capture. Each VOQ's head-age
-//     record (release and demand, 16 bytes) is mirrored from the hot
-//     record when the head changes, so a head change never touches the
-//     cold column. The VOQ index is not cached; it is two array reads
-//     away. IDs recycle through a LIFO free list, so the arena stops
-//     growing once the pending set reaches its high-water mark and there
-//     are no per-flow heap objects, ever.
+//   - Arena layout. The runtime stores every pending flow, whatever its
+//     shard, in one struct-of-arrays arena indexed by flow ID: a 40-byte
+//     hot record (release, ports, demand, state bits, admission-order
+//     links, VOQ links — everything the pick and depart paths touch) and
+//     an 8-byte cold column, the admission sequence number, read only
+//     when OnSchedule reports a pick, by View.Each and by a checkpoint
+//     capture. Each VOQ's head-age record (release and demand, 16 bytes)
+//     is mirrored from the hot record when the head changes, so a head
+//     change never touches the cold column. The VOQ index is not cached;
+//     it is in*NumOut + out. IDs recycle through a LIFO free list, so the
+//     arena stops growing once the pending set reaches its high-water
+//     mark and there are no per-flow heap objects, ever.
 //   - VOQ storage. Each virtual output queue is a doubly linked list
 //     threaded through the arena's hot records, plus a {head, tail,
 //     length} record per VOQ. A push links at the tail, and a departure
@@ -420,8 +424,9 @@
 //
 //   - //flowsched:hotpath on a function's doc comment requires it — and
 //     everything it reaches through static calls — to be free of
-//     heap-allocating constructs. A shard's round (shard.propose,
-//     pickShared, apply), View.Take, the arena and VOQ list operations,
+//     heap-allocating constructs. The store's admission, departure and
+//     expiry (Runtime.admitFlow, depart, expire), a shard's round
+//     (shard.pick, apply), View.Take, the arena and VOQ list operations,
 //     every native policy's Pick, stats.EpochWindow's record path, and
 //     obs.FlightRecorder.Record are all roots.
 //   - //flowsched:clockgated (this package's mark, below) requires every

@@ -68,11 +68,11 @@ func (st *CheckpointState) SourceFlows() int64 {
 
 // restore validates st (see Config.Resume) and makes the runtime its
 // continuation: the clock opens at st.Round, the cumulative counters
-// continue from st.Summary, the pending set is routed and threaded back
-// into the shards with its original releases — under the admission
-// sequence numbers and shards it held before, and counted neither as
-// admissions nor as backpressure, because it arrived in the previous run —
-// and a trailing lookahead becomes the held flow idle would have left.
+// continue from st.Summary, the pending set is threaded back into the
+// store with its original releases — under the admission sequence
+// numbers it held before, and counted neither as admissions nor as
+// backpressure, because it arrived in the previous run — and a trailing
+// lookahead becomes the held flow idle would have left.
 // Called once, at the end of New.
 func (rt *Runtime) restore(st *CheckpointState) error {
 	c := st.Summary
@@ -114,9 +114,6 @@ func (rt *Runtime) restore(st *CheckpointState) error {
 		if err != nil {
 			return fmt.Errorf("stream: resume flow %d: %w", i, err)
 		}
-	}
-	for _, sh := range rt.shards {
-		sh.admitAll()
 	}
 	rt.peak = max(c.PeakPending, rt.count)
 	rt.mRound.Store(int64(st.Round))
@@ -192,16 +189,14 @@ func (rt *Runtime) applyReload(rc ReloadConfig) error {
 	rt.cfg.MaxPending = rc.MaxPending
 	rt.cfg.Admit = rc.Admit
 	rt.cfg.Deadline = rc.Deadline
-	rt.deadline = rc.Deadline
 	rt.stalled = 0
 	return nil
 }
 
 // serveCtl runs at most one queued mailbox closure per step. It runs at
-// the top of step, when shard state is quiescent, the inboxes are empty
-// (the previous round's propose threaded them) and the previous round's
-// picks have retired, so a captured summary is exact. The idle check is
-// one non-blocking channel poll — no clock, no allocation.
+// the top of step, when the pending store is quiescent and the previous
+// round's picks have retired, so a captured summary is exact. The idle
+// check is one non-blocking channel poll — no clock, no allocation.
 func (rt *Runtime) serveCtl() {
 	select {
 	case fn := <-rt.ctl:
@@ -215,9 +210,9 @@ func (rt *Runtime) serveCtl() {
 // state whole, restored backlog included), on the coordinator between
 // rounds while Run is live (an idle Park is woken for it), or directly
 // on the caller once Run has returned (best-effort if the run failed
-// mid-round: picks the error abandoned may still be linked). A ctx already done runs nothing; when ctx ends first
-// fn may still run later, so it must not write anything its caller reads
-// after an error.
+// mid-round: picks the error abandoned may still be linked). A ctx
+// already done runs nothing; when ctx ends first fn may still run later,
+// so it must not write anything its caller reads after an error.
 func (rt *Runtime) quiesce(ctx context.Context, fn func()) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -271,7 +266,7 @@ func (rt *Runtime) nudge() {
 // match (see collectScratch). Explicit requests pass nil for both, so a
 // reply never aliases the periodic trigger's reused buffers.
 func (rt *Runtime) capture(dst []switchnet.Flow, scratch [][]int64, windows []stats.WindowSnapshot) CheckpointState {
-	flows := rt.collectPendingBySeq(dst)
+	flows := rt.collectPending(dst)
 	pending := len(flows)
 	if rt.haveLook {
 		flows = append(flows, rt.look)
@@ -314,41 +309,17 @@ func (rt *Runtime) collectWindows(dst []stats.WindowSnapshot) []stats.WindowSnap
 	return dst
 }
 
-// collectPendingBySeq appends every resident pending flow to dst in
-// global admission order: a K-way merge of the shards' admission-order
-// sublists by sequence number (at K = 1, a walk of the one sublist).
-// Releases are non-decreasing along it, so a restore can re-admit the
-// flows in order under the stream contract (and re-routing by input port
-// lands every flow back on its original shard, in its original per-shard
-// order). Checkpoints and PendingFlows both use it, so they agree. The
+// collectPending appends every resident pending flow to dst in admission
+// order, the order the source delivered them. Releases are non-decreasing
+// along it, so a restore can re-admit the flows in order under the stream
+// contract. Checkpoints and PendingFlows both use it, so they agree. The
 // caller must hold the state quiescent: the coordinator between rounds,
-// or any goroutine after Run has returned. The merge cursors live on the
-// stack (up to eight shards), so concurrent post-run callers share no
-// scratch and a warmed capture allocates nothing.
-func (rt *Runtime) collectPendingBySeq(dst []switchnet.Flow) []switchnet.Flow {
-	var cursors [8]int32
-	heads := cursors[:0]
-	for _, sh := range rt.shards {
-		heads = append(heads, sh.head)
+// or any goroutine after Run has returned.
+func (rt *Runtime) collectPending(dst []switchnet.Flow) []switchnet.Flow {
+	for id := rt.head; id != noID; id = rt.ar.rec[id].next {
+		dst = append(dst, rt.ar.flow(id))
 	}
-	for {
-		best := -1
-		var bestSeq int64
-		for s, id := range heads {
-			if id == noID {
-				continue
-			}
-			if seq := rt.shards[s].ar.seq[id]; best < 0 || seq < bestSeq {
-				best, bestSeq = s, seq
-			}
-		}
-		if best < 0 {
-			return dst
-		}
-		sh := rt.shards[best]
-		dst = append(dst, sh.ar.flow(heads[best]))
-		heads[best] = sh.ar.rec[heads[best]].next
-	}
+	return dst
 }
 
 // fireCheckpoint services the round-cadence periodic trigger (see
@@ -375,7 +346,7 @@ func (rt *Runtime) fireCheckpoint() {
 func (rt *Runtime) PendingFlows(ctx context.Context, dst []switchnet.Flow) ([]switchnet.Flow, int, error) {
 	var flows []switchnet.Flow
 	var round int
-	if err := rt.quiesce(ctx, func() { flows, round = rt.collectPendingBySeq(dst[:0]), rt.round }); err != nil {
+	if err := rt.quiesce(ctx, func() { flows, round = rt.collectPending(dst[:0]), rt.round }); err != nil {
 		return dst[:0], 0, err
 	}
 	return flows, round, nil
@@ -398,7 +369,7 @@ func (rt *Runtime) CheckpointState(ctx context.Context, dst []switchnet.Flow) (C
 
 // Reload swaps the scheduling policy and admission settings between
 // rounds without dropping the pending set: the coordinator applies rc at
-// the next quiescent point (every pick retired, shard state consistent),
+// the next quiescent point (every pick retired, the store consistent),
 // per-shard policy instances are rebuilt and Reset, and the very next
 // round schedules under the new configuration. Pending flows keep their
 // original releases, so response accounting is unaffected. Returns the

@@ -123,23 +123,22 @@ func TestNextActiveVOQWordBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := rt.shards[0]
 	seq := int64(0)
 	add := func(out int) {
-		sh.admit(arrival{flow: switchnet.Flow{In: 0, Out: out, Demand: 1}, seq: seq})
+		rt.admitFlow(switchnet.Flow{In: 0, Out: out, Demand: 1}, seq)
 		seq++
 	}
 	drain := func(out int) {
-		id := sh.voqFirst(sh.voq(0, out))
+		id := rt.vqs[out].head
 		if id == noID {
 			t.Fatalf("VOQ (0, %d) empty before drain", out)
 		}
-		sh.depart(id)
+		rt.depart(rt.shards[0], id)
 	}
 	probe := func(from, want int) {
 		t.Helper()
-		if got := sh.nextActive(0, from); got != want {
-			t.Fatalf("nextActive(0, %d) = %d, want %d", from, got, want)
+		if got := rt.shards[0].view.NextActiveVOQ(0, from); got != want {
+			t.Fatalf("NextActiveVOQ(0, %d) = %d, want %d", from, got, want)
 		}
 	}
 
@@ -165,21 +164,20 @@ func TestNextActiveVOQWordBoundaries(t *testing.T) {
 	drain(127) // clears the last live bit anywhere
 	probe(0, -1)
 	probe(129, -1)
-	for i, w := range sh.actBits {
+	for i, w := range rt.actBits {
 		if w != 0 {
 			t.Fatalf("bitmap word %d left set after full drain: %x", i, w)
 		}
 	}
 
 	// NumOut == 64: the single-word edge case, wrap from bit 63 to bit 0.
-	rt64, err := New(emptySource{}, Config{
+	rt, err = New(emptySource{}, Config{
 		Switch: switchnet.NewSwitch(1, 64, 1),
 		Policy: &RoundRobin{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh = rt64.shards[0]
 	add(0)
 	add(63)
 	probe(1, 63)
@@ -204,7 +202,6 @@ func TestVOQListModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := rt.shards[0]
 	rng := rand.New(rand.NewSource(1))
 	type entry struct {
 		id int32
@@ -214,8 +211,8 @@ func TestVOQListModel(t *testing.T) {
 	seq, live, peak := int64(0), 0, 0
 	admit := func(rel int) {
 		out, dem := rng.Intn(outs), 1+rng.Intn(3)
-		sh.admit(arrival{flow: switchnet.Flow{In: 0, Out: out, Demand: dem, Release: rel}, seq: seq})
-		model[out] = append(model[out], entry{id: sh.tail, hd: voqHead{rel: int64(rel), dem: int32(dem)}})
+		rt.admitFlow(switchnet.Flow{In: 0, Out: out, Demand: dem, Release: rel}, seq)
+		model[out] = append(model[out], entry{id: rt.tail, hd: voqHead{rel: int64(rel), dem: int32(dem)}})
 		seq++
 		live++
 		peak = max(peak, live)
@@ -224,49 +221,49 @@ func TestVOQListModel(t *testing.T) {
 	// index the tail, anything between a mid-queue unlink.
 	depart := func(out, k int) {
 		q := model[out]
-		sh.depart(q[k].id)
+		rt.depart(rt.shards[0], q[k].id)
 		model[out] = append(q[:k], q[k+1:]...)
 		live--
 	}
 	check := func(step int) {
 		t.Helper()
 		for out, q := range model {
-			vi := sh.voq(0, out)
+			vi := out
 			var fwd, back []int32
-			for id := sh.voqFirst(vi); id != noID; id = sh.voqNext(id) {
+			for id := rt.vqs[vi].head; id != noID; id = rt.ar.rec[id].vnext {
 				if fwd = append(fwd, id); len(fwd) > len(q) {
 					break
 				}
 			}
-			for id := sh.vqs[vi].tail; id != noID; id = sh.ar.rec[id].vprev {
+			for id := rt.vqs[vi].tail; id != noID; id = rt.ar.rec[id].vprev {
 				if back = append(back, id); len(back) > len(q) {
 					break
 				}
 			}
-			if len(fwd) != len(q) || len(back) != len(q) || int(sh.vqs[vi].live) != len(q) {
+			if len(fwd) != len(q) || len(back) != len(q) || int(rt.vqs[vi].live) != len(q) {
 				t.Fatalf("step %d VOQ %d: walks of %d forward and %d back, live %d; the model holds %d",
-					step, out, len(fwd), len(back), sh.vqs[vi].live, len(q))
+					step, out, len(fwd), len(back), rt.vqs[vi].live, len(q))
 			}
 			for k, e := range q {
 				if fwd[k] != e.id || back[len(q)-1-k] != e.id {
 					t.Fatalf("step %d VOQ %d position %d: forward %d, back %d; want id %d", step, out, k, fwd[k], back[len(q)-1-k], e.id)
 				}
 			}
-			active := sh.actBits[out>>6]&(1<<uint(out&63)) != 0
+			active := rt.actBits[out>>6]&(1<<uint(out&63)) != 0
 			if active != (len(q) > 0) {
 				t.Fatalf("step %d VOQ %d: active bit %v with %d queued", step, out, active, len(q))
 			}
 			if len(q) == 0 {
-				if sh.voqFirst(vi) != noID || sh.vqs[vi].tail != noID {
-					t.Fatalf("step %d VOQ %d: empty queue has head %d, tail %d", step, out, sh.voqFirst(vi), sh.vqs[vi].tail)
+				if rt.vqs[vi].head != noID || rt.vqs[vi].tail != noID {
+					t.Fatalf("step %d VOQ %d: empty queue has head %d, tail %d", step, out, rt.vqs[vi].head, rt.vqs[vi].tail)
 				}
 				continue
 			}
-			if sh.vqs[vi].tail != q[len(q)-1].id {
-				t.Fatalf("step %d VOQ %d: tail %d, want %d", step, out, sh.vqs[vi].tail, q[len(q)-1].id)
+			if rt.vqs[vi].tail != q[len(q)-1].id {
+				t.Fatalf("step %d VOQ %d: tail %d, want %d", step, out, rt.vqs[vi].tail, q[len(q)-1].id)
 			}
-			if sh.heads[vi] != q[0].hd {
-				t.Fatalf("step %d VOQ %d: head-age record %+v, want %+v", step, out, sh.heads[vi], q[0].hd)
+			if rt.heads[vi] != q[0].hd {
+				t.Fatalf("step %d VOQ %d: head-age record %+v, want %+v", step, out, rt.heads[vi], q[0].hd)
 			}
 		}
 	}
@@ -300,7 +297,7 @@ func TestVOQListModel(t *testing.T) {
 	}
 	check(-1)
 
-	hw := len(sh.ar.rec)
+	hw := len(rt.ar.rec)
 	for cycle := 0; cycle < 8; cycle++ {
 		for live < peak {
 			admit(4000 + cycle)
@@ -310,8 +307,8 @@ func TestVOQListModel(t *testing.T) {
 			depart(out, rng.Intn(len(model[out])))
 		}
 		check(-2 - cycle)
-		if len(sh.ar.rec) > hw {
-			t.Fatalf("cycle %d: arena grew from %d to %d rows", cycle, hw, len(sh.ar.rec))
+		if len(rt.ar.rec) > hw {
+			t.Fatalf("cycle %d: arena grew from %d to %d rows", cycle, hw, len(rt.ar.rec))
 		}
 	}
 }

@@ -47,10 +47,10 @@ type Parker interface {
 	Park(wake <-chan struct{}) (f switchnet.Flow, ok, woke bool)
 }
 
-// ID identifies an admitted flow in a shard's pending set. IDs are
-// shard-local and reused after departure: they are stable only while the
-// flow is pending, and only meaningful against the View that produced
-// them.
+// ID identifies an admitted flow in the runtime's pending set. IDs are
+// reused after departure: they are stable only while the flow is pending.
+// Every shard's View reads the same IDs, but only the shard owning a
+// flow's input may take it.
 type ID = int
 
 // NoID marks the absence of a pending flow.
@@ -165,13 +165,14 @@ type Config struct {
 	// Policy selects flows each round. With Shards > 1 it must implement
 	// Shardable; each shard then runs its own NewShard instance.
 	Policy Policy
-	// Shards partitions the input ports and the pending state across that
-	// many shards (input i belongs to shard i mod Shards), each with its
-	// own policy instance, under the deterministic carve-and-reconcile
-	// output-capacity protocol described in the package docs. The shards
-	// run in sequence on the goroutine driving Run, so the count changes
-	// the schedule, not the parallelism. <= 0 selects 1; the value is
-	// always capped at NumIn.
+	// Shards partitions the input ports and each round's output capacity
+	// across that many shards (input i belongs to shard i mod Shards),
+	// each with its own policy instance and a View scoped to its inputs,
+	// under the deterministic carve-and-reconcile protocol described in
+	// the package docs. The pending flows stay in the runtime's one store.
+	// The shards run in sequence on the goroutine driving Run, so the
+	// count changes the schedule, not the parallelism. <= 0 selects 1; the
+	// value is always capped at NumIn.
 	Shards int
 	// MaxPending bounds the resident pending set (admission control);
 	// <= 0 selects DefaultMaxPending. What happens at the limit is
@@ -289,11 +290,12 @@ type Summary struct {
 }
 
 // Runtime is the streaming scheduler. Run drives it from one goroutine —
-// the coordinator — which pulls the source, routes arrivals to shards,
-// and runs every shard's part of each round itself, in shard order; the
-// only other goroutine it starts is the window verifier (VerifyEvery >
-// 0). Snapshot may be called concurrently from other goroutines; it reads
-// atomics and the epoch window only, so it never stalls the round loop.
+// the coordinator — which pulls the source, threads arrivals into the
+// pending store, and runs every shard's part of each round itself, in
+// shard order; the only other goroutine it starts is the window verifier
+// (VerifyEvery > 0). Snapshot may be called concurrently from other
+// goroutines; it reads atomics and the epoch window only, so it never
+// stalls the round loop.
 type Runtime struct {
 	cfg  Config
 	src  Source
@@ -301,9 +303,7 @@ type Runtime struct {
 	caps []int
 
 	// parker is src's Park method when it offers one (see Parker).
-	// deadline caches Config.Deadline for the shards' expiry walk.
-	parker   Parker
-	deadline int
+	parker Parker
 
 	// rec is Config.Recorder; respBound caches Config.ResponseBound for
 	// the shards' apply. The recArrived/recDropped counts and the
@@ -347,13 +347,28 @@ type Runtime struct {
 	nshards int
 	shards  []*shard
 
+	// The pending store (see arena.go): one arena, with head/tail
+	// delimiting the admission-order list through it; the VOQs, indexed
+	// in*mOut+out, and their head-age records; each input's nw-word
+	// active-VOQ bitmap; the pending counts per port, the round's
+	// scheduled demand per input, and each input's index in its shard's
+	// activeIn list.
+	ar                        arena
+	head, tail                int32
+	mOut, nw                  int
+	vqs                       []voqState
+	heads                     []voqHead
+	actBits                   []uint64
+	queueIn, queueOut, loadIn []int
+	activeInPos               []int32
+
 	round int
 	count int
 	seq   int64
 	peak  int
 
 	// look is the one flow fetched past an empty pending set (see idle),
-	// held until the next admission pass routes it.
+	// held until the next admission pass admits it.
 	look     switchnet.Flow
 	haveLook bool
 	lastRel  int
@@ -479,7 +494,6 @@ func New(src Source, cfg Config) (*Runtime, error) {
 		src:       src,
 		sw:        cfg.Switch,
 		caps:      cfg.Switch.Caps(),
-		deadline:  cfg.Deadline,
 		rec:       cfg.Recorder,
 		respBound: cfg.ResponseBound,
 		nshards:   cfg.Shards,
@@ -493,6 +507,7 @@ func New(src Source, cfg Config) (*Runtime, error) {
 		win:       stats.NewEpochWindow(cfg.WindowRounds, windowShards),
 	}
 	rt.parker, _ = src.(Parker)
+	rt.initStore(mIn, mOut)
 	if rt.nshards > 1 {
 		rt.leftover = make([]int, mOut)
 		for _, c := range cfg.Switch.OutCaps {
@@ -558,8 +573,8 @@ func (rt *Runtime) installPolicy(pol Policy) error {
 }
 
 // checkFlow validates the stream contract for a consumed flow — releases
-// non-decreasing, flow admissible on the switch — whether it is routed or
-// shed, so a malformed source fails the run even under AdmitDrop.
+// non-decreasing, flow admissible on the switch — whether it is admitted
+// or shed, so a malformed source fails the run even under AdmitDrop.
 func (rt *Runtime) checkFlow(f switchnet.Flow) error {
 	if f.Release < rt.lastRel {
 		return fmt.Errorf("stream: source yielded release %d after %d (must be non-decreasing)", f.Release, rt.lastRel)
@@ -571,15 +586,14 @@ func (rt *Runtime) checkFlow(f switchnet.Flow) error {
 	return nil
 }
 
-// route validates f, assigns its admission sequence number, and queues it
-// on its input port's shard; the shard threads it in its next propose.
-// Returns the number backpressured (0 or 1) for metric batching.
+// route validates f, assigns its admission sequence number, and threads
+// it into the pending store (admitFlow). Returns the number backpressured
+// (0 or 1) for metric batching.
 func (rt *Runtime) route(f switchnet.Flow) (int, error) {
 	if err := rt.checkFlow(f); err != nil {
 		return 0, err
 	}
-	sh := rt.shards[f.In%rt.nshards]
-	sh.inbox = append(sh.inbox, arrival{flow: f, seq: rt.seq})
+	rt.admitFlow(f, rt.seq)
 	rt.seq++
 	rt.count++
 	if f.Release < rt.round {
@@ -618,8 +632,8 @@ func (rt *Runtime) admitted(arrived, backpressured, dropped int) {
 
 // admit is the one admission pass: it routes the flow an idle step
 // fetched (the pending set was empty then, so there is room), then drains
-// everything the source has released by this round into the shard
-// inboxes, MaxPending-count flows at a time, until a short batch says
+// everything the source has released by this round into the pending
+// store, MaxPending-count flows at a time, until a short batch says
 // nothing more is released. At the limit AdmitDrop keeps draining in
 // dropChunk batches and sheds them; the other modes stop and leave the
 // backlog in the source.
@@ -691,7 +705,7 @@ func (rt *Runtime) stopVerifier() {
 
 // reconcile redistributes output capacity no shard used in its propose:
 // leftover[j] = OutCaps[j] - total propose usage, then each shard in turn
-// gets a second Pick against the shared pool (shard.pickShared). The
+// gets a second Pick against the shared pool (shard.pick). The
 // order is the shard index order for plain policies; for the age-aware
 // ones (oldestShardFirst) it is by the shards' oldest pending release
 // (shard.oldestRel, ties to the lower shard index), so the shard holding
@@ -735,7 +749,7 @@ func (rt *Runtime) reconcile() {
 		}
 	}
 	for _, s := range order {
-		rt.shards[s].pickShared()
+		rt.shards[s].pick(pickShared)
 	}
 }
 
@@ -855,7 +869,7 @@ func (rt *Runtime) step() (done bool, err error) {
 		return rt.idle()
 	}
 
-	// Every shard admits its routed arrivals, expires, and proposes
+	// Expire what the deadline has passed, then every shard proposes
 	// against its carved output budgets; then the shards reconcile unused
 	// capacity.
 	var t0 time.Time
@@ -863,8 +877,11 @@ func (rt *Runtime) step() (done bool, err error) {
 		t0 = time.Now()
 	}
 	expired := 0
+	if rt.cfg.Deadline > 0 {
+		expired = rt.expire()
+	}
 	for _, sh := range rt.shards {
-		expired += sh.propose()
+		sh.pick(pickBudget)
 	}
 	if expired > 0 {
 		rt.mExpired.Add(int64(expired))
@@ -906,7 +923,7 @@ func (rt *Runtime) step() (done bool, err error) {
 		// order keeps the callback sequence deterministic.
 		for _, sh := range rt.shards {
 			for _, id := range sh.takes {
-				cb(sh.ar.seq[id], sh.ar.flow(id), rt.round)
+				cb(rt.ar.seq[id], rt.ar.flow(id), rt.round)
 			}
 		}
 	}

@@ -1,30 +1,40 @@
 package stream
 
-import "flowsched/internal/switchnet"
+import (
+	"math/bits"
 
-// View is a Policy's window onto one shard's slice of the runtime's
-// incremental per-port state (the whole runtime when Config.Shards == 1;
-// see the package docs for the shard-scoped contract). It is valid only
-// inside Pick: the pending set, the admission order, and the VOQ indexes
-// are frozen for the duration (Take marks flows but departures apply after
-// the round's picks complete), so iteration is always safe.
+	"flowsched/internal/switchnet"
+)
+
+// View is a Policy's window onto the runtime's pending store, scoped to
+// one shard (the whole runtime when Config.Shards == 1; see the package
+// docs for the shard-scoped contract). It is valid only inside Pick: the
+// pending set, the admission order, and the VOQ indexes are frozen for the
+// duration (Take marks flows but departures apply after the round's picks
+// complete), so iteration is always safe.
 type View struct {
+	rt *Runtime
 	sh *shard
 }
 
 // Round returns the current round t.
-func (v *View) Round() int { return v.sh.rt.round }
+func (v *View) Round() int { return v.rt.round }
 
 // Switch describes port counts and capacities.
-func (v *View) Switch() switchnet.Switch { return v.sh.rt.sw }
+func (v *View) Switch() switchnet.Switch { return v.rt.sw }
 
-// Each calls fn for every pending flow on the shard in admission order
-// (oldest first) until fn returns false. seq is the flow's global
-// admission sequence number; id its (reusable, shard-local) pending
-// identifier.
+// Each calls fn for every pending flow at the shard's inputs in admission
+// order (oldest first) until fn returns false. seq is the flow's global
+// admission sequence number; id its (reusable) pending identifier. With
+// several shards it walks the runtime's whole admission list and skips
+// the other shards' flows.
 func (v *View) Each(fn func(id ID, seq int64, f switchnet.Flow) bool) {
-	a := &v.sh.ar
-	for id := v.sh.head; id != noID; id = a.rec[id].next {
+	rt, sh := v.rt, v.sh
+	a := &rt.ar
+	for id := rt.head; id != noID; id = a.rec[id].next {
+		if rt.nshards > 1 && !sh.holds(int(a.rec[id].in)) {
+			continue
+		}
 		if !fn(ID(id), a.seq[id], a.flow(id)) {
 			return
 		}
@@ -32,40 +42,47 @@ func (v *View) Each(fn func(id ID, seq int64, f switchnet.Flow) bool) {
 }
 
 // Flow returns the flow data of a pending id.
-func (v *View) Flow(id ID) switchnet.Flow { return v.sh.ar.flow(int32(id)) }
+func (v *View) Flow(id ID) switchnet.Flow { return v.rt.ar.flow(int32(id)) }
 
 // Demand returns just the demand of a pending id — the one field a
 // feasibility check needs, read from the hot record without gathering the
 // full flow across the arena's columns.
-func (v *View) Demand(id ID) int { return int(v.sh.ar.rec[id].dem) }
+func (v *View) Demand(id ID) int { return int(v.rt.ar.rec[id].dem) }
 
 // Release returns the release round of a pending id. Like Demand it is a
 // hot-record read — the age-aware policies (OldestFirst, WeightedISLIP)
 // order VOQ heads by it every round, so it shares the cache line a
 // feasibility check already pulled.
-func (v *View) Release(id ID) int64 { return v.sh.ar.rec[id].rel }
+func (v *View) Release(id ID) int64 { return v.rt.ar.rec[id].rel }
 
-// QueueIn returns the number of the shard's pending flows at input port i
-// (the queue depth the MaxWeight heuristic weighs by); QueueOut likewise
-// for output port j. With a single shard these are the global depths.
-func (v *View) QueueIn(i int) int  { return v.sh.queueIn[i] }
-func (v *View) QueueOut(j int) int { return v.sh.queueOut[j] }
+// QueueIn returns the number of pending flows at input port i (the queue
+// depth the MaxWeight heuristic weighs by), 0 for another shard's input.
+// QueueOut returns the number of pending flows at output port j across
+// the whole switch; its one reader, Bridge, runs only at Shards == 1.
+func (v *View) QueueIn(i int) int {
+	if v.rt.nshards > 1 && !v.sh.holds(i) {
+		return 0
+	}
+	return v.rt.queueIn[i]
+}
+
+func (v *View) QueueOut(j int) int { return v.rt.queueOut[j] }
 
 // InputFree returns input port i's remaining capacity this round; it is
 // exact, because every input belongs to exactly one shard.
-func (v *View) InputFree(i int) int { return v.sh.inCaps[i] - v.sh.loadIn[i] }
+func (v *View) InputFree(i int) int { return v.rt.sw.InCaps[i] - v.rt.loadIn[i] }
 
 // OutputFree returns output port j's remaining capacity as visible to the
 // shard this pass: its remaining carved budget during the propose phase,
 // the global reconciled leftover during the reconcile phase (and simply
 // the port's remaining capacity when Config.Shards == 1).
 func (v *View) OutputFree(j int) int {
-	sh := v.sh
-	if sh.nsh == 1 {
-		return sh.outCaps[j] - sh.loadOut[j]
+	rt, sh := v.rt, v.sh
+	if rt.nshards == 1 {
+		return rt.sw.OutCaps[j] - sh.loadOut[j]
 	}
 	if sh.phase == pickShared {
-		return sh.rt.leftover[j]
+		return rt.leftover[j]
 	}
 	return sh.budget(j) - sh.loadOut[j]
 }
@@ -80,8 +97,25 @@ func (v *View) ActiveInput(k int) int { return int(v.sh.activeIn[k]) }
 // in, at or after port from (0 <= from < NumOut) in circular port order,
 // or -1 if the input has none, in O(NumOut/64) bitmap-word probes. It is
 // a primitive for port-order rotation policies written outside this
-// package. in must be one of the shard's inputs.
-func (v *View) NextActiveVOQ(in, from int) int { return v.sh.nextActive(in, from) }
+// package.
+func (v *View) NextActiveVOQ(in, from int) int {
+	words := v.voqWords(in)
+	w := from >> 6
+	if masked := words[w] &^ (1<<uint(from&63) - 1); masked != 0 {
+		return w<<6 + bits.TrailingZeros64(masked)
+	}
+	for i := w + 1; i < len(words); i++ {
+		if words[i] != 0 {
+			return i<<6 + bits.TrailingZeros64(words[i])
+		}
+	}
+	for i := 0; i <= w; i++ {
+		if words[i] != 0 {
+			return i<<6 + bits.TrailingZeros64(words[i])
+		}
+	}
+	return -1
+}
 
 // voqWords and headRow are what the native policies sweep: input in's
 // active-VOQ bitmap words (the array behind NextActiveVOQ) and its
@@ -90,31 +124,32 @@ func (v *View) NextActiveVOQ(in, from int) int { return v.sh.nextActive(in, from
 // instead of a call and an index recomputation per VOQ. Both are
 // read-only for policies.
 func (v *View) voqWords(in int) []uint64 {
-	base := int(v.sh.bitBase[in])
-	return v.sh.actBits[base : base+v.sh.nw]
+	nw := v.rt.nw
+	return v.rt.actBits[in*nw : (in+1)*nw]
 }
 
 func (v *View) headRow(in int) []voqHead {
-	base := int(v.sh.voqBase[in])
-	return v.sh.heads[base : base+v.sh.mOut]
+	m := v.rt.mOut
+	return v.rt.heads[in*m : (in+1)*m]
 }
 
 // VOQHead returns the oldest pending flow on the (in, out) virtual output
 // queue, or NoID if it is empty; VOQNext walks the queue toward younger
-// flows. in must be one of the shard's inputs.
+// flows. Another shard's queues are readable, but Take refuses their
+// flows.
 func (v *View) VOQHead(in, out int) ID {
-	return ID(v.sh.voqFirst(v.sh.voq(in, out)))
+	return ID(v.rt.vqs[in*v.rt.mOut+out].head)
 }
 
-func (v *View) VOQNext(id ID) ID { return ID(v.sh.voqNext(int32(id))) }
+func (v *View) VOQNext(id ID) ID { return ID(v.rt.ar.rec[id].vnext) }
 
 // EachVOQ calls fn for every pending flow on the (in, out) virtual output
 // queue, oldest first, until fn returns false. It walks the queue's links
 // through the arena: each step reads the hot record that fn's own Taken
-// and Demand calls read. in must be one of the shard's inputs.
+// and Demand calls read.
 func (v *View) EachVOQ(in, out int, fn func(id ID) bool) {
-	sh := v.sh
-	for id := sh.voqFirst(sh.voq(in, out)); id != noID; id = sh.voqNext(id) {
+	rec := v.rt.ar.rec
+	for id := v.rt.vqs[in*v.rt.mOut+out].head; id != noID; id = rec[id].vnext {
 		if !fn(ID(id)) {
 			return
 		}
@@ -122,19 +157,19 @@ func (v *View) EachVOQ(in, out int, fn func(id ID) bool) {
 }
 
 // Taken reports whether id was already selected this round.
-func (v *View) Taken(id ID) bool { return v.sh.ar.taken(int32(id)) }
+func (v *View) Taken(id ID) bool { return v.rt.ar.taken(int32(id)) }
 
 // Take schedules pending flow id in the current round if its input port
 // and the visible output capacity (see OutputFree) both have room, and
 // reports whether it did. Taking an id twice is a no-op returning false;
-// taking a dead id fails the run.
+// taking a dead id, or a flow at another shard's input, fails the run.
 //
 //flowsched:hotpath
 func (v *View) Take(id ID) bool {
-	sh := v.sh
-	a := &sh.ar
-	if id < 0 || id >= a.len() || !a.live(int32(id)) {
-		sh.fail("stream: policy %q took invalid pending id %d", sh.pol.Name(), id) //flowsched:allow alloc: cold contract-violation path: records the first policy error and stops the shard
+	rt, sh := v.rt, v.sh
+	a := &rt.ar
+	if id < 0 || id >= len(a.rec) || !a.live(int32(id)) || (rt.nshards > 1 && !sh.holds(int(a.rec[id].in))) {
+		sh.fail("stream: policy %q took id %d, which is not a pending flow at its shard's inputs", sh.pol.Name(), id) //flowsched:allow alloc: cold contract-violation path: records the first policy error and stops the shard
 		return false
 	}
 	if a.taken(int32(id)) {
@@ -142,15 +177,15 @@ func (v *View) Take(id ID) bool {
 	}
 	rc := &a.rec[id]
 	in, out, d := int(rc.in), int(rc.out), int(rc.dem)
-	if sh.loadIn[in]+d > sh.inCaps[in] || v.OutputFree(out) < d {
+	if rt.loadIn[in]+d > rt.sw.InCaps[in] || v.OutputFree(out) < d {
 		return false
 	}
-	if sh.loadIn[in] == 0 {
+	if rt.loadIn[in] == 0 {
 		sh.touchIn = append(sh.touchIn, int32(in)) //flowsched:allow alloc: touched-input scratch is length-reset on apply and grows to the port count
 	}
-	sh.loadIn[in] += d
-	if sh.nsh > 1 && sh.phase == pickShared {
-		sh.rt.leftover[out] -= d
+	rt.loadIn[in] += d
+	if rt.nshards > 1 && sh.phase == pickShared {
+		rt.leftover[out] -= d
 	} else {
 		if sh.loadOut[out] == 0 {
 			sh.touchOut = append(sh.touchOut, int32(out)) //flowsched:allow alloc: touched-output scratch is length-reset on apply and grows to the port count
