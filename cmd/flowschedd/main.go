@@ -96,7 +96,7 @@ func main() {
 		ports       = flag.Int("ports", 16, "switch size m (m x m ports)")
 		capacity    = flag.Int("cap", 1, "per-port capacity")
 		policy      = flag.String("policy", "RoundRobin", fmt.Sprintf("native streaming policy %v", stream.Names()))
-		shards      = flag.Int("shards", 1, "shards the input ports and each round's output capacity are partitioned across, run in sequence on one goroutine (at least 1, capped at -ports; > 1 needs a native policy and changes the schedule)")
+		shards      = flag.Int("shards", 1, "shards the input ports are partitioned across, which take turns each round on one goroutine (at least 1, capped at -ports; > 1 needs a native policy and changes the schedule)")
 		maxPending  = flag.Int("maxpending", stream.DefaultMaxPending, "admission limit on the resident pending set")
 		admit       = flag.String("admit", "lossless", "admission mode: lossless, drop, or deadline")
 		deadline    = flag.Int("deadline", 0, "response-time bound in rounds (admit mode deadline)")
@@ -145,8 +145,13 @@ func main() {
 	// After adoption, so a checkpoint's shard count is held to the same
 	// rule as a typed one.
 	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "flowschedd: -shards must be at least 1, got %d\n", *shards)
-		os.Exit(2)
+		usage("-shards must be at least 1, got %d", *shards)
+	}
+	if *verifyEvery < 0 {
+		usage("-verifyevery must not be negative, got %d", *verifyEvery)
+	}
+	if *ckptEvery < 0 {
+		usage("-checkpointevery must not be negative, got %v", *ckptEvery)
 	}
 
 	pol := stream.ByName(*policy)
@@ -277,4 +282,11 @@ loop:
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "flowschedd: %v\n", err)
 	os.Exit(1)
+}
+
+// usage reports a flag value the flag package accepts but the daemon
+// cannot run with, and exits 2, as for a flag error.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "flowschedd: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -30,9 +30,9 @@
 // through admission control, and drain under an incremental policy with
 // sliding-window metrics and optional spot-check verification:
 //
-// With -shards K the runtime partitions the input ports and each round's
-// output capacity across K shards, which one goroutine runs in sequence;
-// the pending flows stay in one store. K > 1 changes the schedule (native
+// With -shards K the runtime partitions the input ports across K shards,
+// which take turns each round, oldest first, on one goroutine; the
+// pending flows stay in one store. K > 1 changes the schedule (native
 // policies only), not the parallelism.
 // The native streaming policies — RoundRobin, OldestFirst (age-aware
 // oldest-head-first, the paper's MinRTime discipline at incremental
@@ -198,7 +198,7 @@ func simulate(fs *flag.FlagSet) func() error {
 		streamMode  = fs.Bool("stream", false, "streaming mode: drain an unbounded arrival stream through internal/stream")
 		cpuProfile  = fs.String("cpuprofile", "", "stream: write a CPU profile of the drain to this file")
 		memProfile  = fs.String("memprofile", "", "stream: write a post-drain heap profile to this file")
-		shards      = fs.Int("shards", 1, "stream: shards the input ports and each round's output capacity are partitioned across, run in sequence on one goroutine (at least 1, capped at -ports; > 1 needs a native policy and changes the schedule)")
+		shards      = fs.Int("shards", 1, "stream: shards the input ports are partitioned across, which take turns each round on one goroutine (at least 1, capped at -ports; > 1 needs a native policy and changes the schedule)")
 		flows       = fs.Int64("flows", 1_000_000, "stream: total flows to drain, at least 1 (set explicitly with -trace to cap the replay; otherwise traces drain fully)")
 		admit       = fs.String("admit", "lossless", "stream: admission mode at the MaxPending limit — lossless (backpressure), drop (shed arrivals), deadline (expire aged flows)")
 		deadlineF   = fs.Int("deadline", 0, "stream: response-time bound in rounds for -admit deadline")
@@ -256,6 +256,9 @@ func simulate(fs *flag.FlagSet) func() error {
 			}
 			if *ckptRounds < 0 {
 				return usageError{fmt.Errorf("-checkpointrounds must not be negative, got %d", *ckptRounds)}
+			}
+			if *verifyEvery < 0 {
+				return usageError{fmt.Errorf("-verifyevery must not be negative, got %d", *verifyEvery)}
 			}
 			runStream(streamOpts{
 				ports: *ports, m: *mFlag, policy: *policy, seed: *seed, trace: *trace,

@@ -50,6 +50,7 @@ func TestDispatch(t *testing.T) {
 		{[]string{"-stream", "-flows", "0"}, 2, "-flows must be at least 1, got 0", ""},
 		{[]string{"-stream", "-flows", "-1"}, 2, "-flows must be at least 1, got -1", ""},
 		{[]string{"-stream", "-checkpoint", "unwritten.ckpt", "-checkpointrounds", "-3"}, 2, "-checkpointrounds must not be negative, got -3", ""},
+		{[]string{"-stream", "-verifyevery", "-3", "-flows", "2000"}, 2, "-verifyevery must not be negative, got -3", ""},
 		{[]string{"-stream", "-ports", "2", "-restore", zeroShards}, 2, "-shards must be at least 1, got 0", ""},
 		{[]string{"-stream", "-ports", "2", "-restore", zeroLimit}, 2, "-maxpending must be at least 1, got 0", ""},
 		{[]string{"art", "-ports", "0"}, 2, "-ports must be at least 1, got 0", ""},

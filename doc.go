@@ -76,11 +76,11 @@
 //     cross-input guarantees, see internal/stream's "Sharding caveat")
 //     partitions the input ports across shards: the pending flows stay in
 //     the runtime's one store, each shard picks among its inputs' queues,
-//     and the shards settle output capacity by a deterministic
-//     propose/reconcile protocol the coordinator runs shard by shard on
-//     its own goroutine (a partition, not a thread pool), so a run is
-//     reproducible at any fixed shard count; the round
-//     loop is allocation-free at steady state. Metrics are streaming
+//     and the shards take turns each round, oldest pending release
+//     first, each against the output capacity the ones before it left —
+//     all on the coordinator's goroutine (a partition, not a thread
+//     pool), so a run is reproducible at any fixed shard count; the
+//     round loop is allocation-free at steady state. Metrics are streaming
 //     (StreamSummary: running totals plus sliding-window response-time
 //     quantiles from a mergeable log-histogram sketch), VerifyEvery feeds
 //     each completed window of rounds through the verify oracle, so even

@@ -371,6 +371,20 @@ func TestDaemonCheckpointEveryRequiresPath(t *testing.T) {
 	}
 }
 
+// TestDaemonCheckpointEveryNegative: a negative cadence is refused, not
+// read as "no periodic checkpoints", even with a path to write to.
+func TestDaemonCheckpointEveryNegative(t *testing.T) {
+	_, err := daemon.New(daemon.Config{
+		Switch:          switchnet.UnitSwitch(4),
+		Policy:          stream.ByName("RoundRobin"),
+		CheckpointPath:  filepath.Join(t.TempDir(), "ck"),
+		CheckpointEvery: -5 * time.Second,
+	})
+	if err == nil || !strings.Contains(err.Error(), "CheckpointEvery -5s is negative") {
+		t.Fatalf("negative cadence: %v, want the negative-cadence error", err)
+	}
+}
+
 // FuzzReload throws arbitrary bytes at POST /reload on a live server with
 // flows in flight on both sides of the call. The endpoint answers 200
 // (with the configuration now live), 400 or 503 and nothing else, and

@@ -82,9 +82,9 @@ var phaseBuckets = []float64{
 // histogram (counts can go down as rounds age out), which trades
 // counter semantics for zero new hot-path instrumentation — the
 // recorder's records are the only source. The phases are obs.RoundRecord's:
-// "propose" is admit + expire + pick over all shards, "reconcile" the
-// leftover-capacity pass, "apply" the round's own retirement (every
-// round), and "verify" the blocking join on the window verifier.
+// "propose" is expire + pick over all shards, "reconcile" the ordering of
+// the shards' turns (0 at one shard), "apply" the round's own retirement
+// (every round), and "verify" the blocking join on the window verifier.
 func writePhaseMetrics(w io.Writer, rec *obs.FlightRecorder) {
 	recs := rec.Last(nil, rec.Cap())
 	fmt.Fprintf(w, "# HELP flowsched_phase_seconds Per-round phase time over the flight recorder window (sliding, not cumulative).\n")

@@ -116,7 +116,7 @@ type Config struct {
 	CheckpointPath string
 	// CheckpointEvery is the periodic checkpoint cadence; it requires
 	// CheckpointPath. Zero disables the periodic writer (explicit and
-	// drain checkpoints still work).
+	// drain checkpoints still work); a negative cadence is refused.
 	CheckpointEvery time.Duration
 	// Restore, when non-nil, resumes the runtime from a loaded (and
 	// already CRC-verified) checkpoint instead of starting empty: its
@@ -192,6 +192,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.SLOObjective <= 0 {
 		cfg.SLOObjective = DefaultSLOObjective
+	}
+	if cfg.CheckpointEvery < 0 {
+		return nil, fmt.Errorf("daemon: CheckpointEvery %v is negative", cfg.CheckpointEvery)
 	}
 	if cfg.CheckpointEvery > 0 && cfg.CheckpointPath == "" {
 		return nil, fmt.Errorf("daemon: CheckpointEvery %v set without a CheckpointPath", cfg.CheckpointEvery)

@@ -35,8 +35,9 @@ const DefaultRounds = 4096
 // pending count after the round) and where the time went, split by the
 // round protocol's phases. ProposeNS covers expire + pick over all
 // shards (the admission pass that threads arrivals into the pending store
-// is in no phase), ReconcileNS the leftover-capacity pass (sharded runtimes
-// only), ApplyNS the round's own retirement of its picks, every round,
+// is in no phase), ReconcileNS the ordering of the shards' turns (0 at
+// one shard; the name and JSON key predate the turns), ApplyNS the
+// round's own retirement of its picks, every round,
 // and VerifyNS the time spent blocked joining the overlapped verify
 // goroutine. A join happens between scheduling rounds, at a window flush,
 // and is charged to the next emitted record.

@@ -10,8 +10,8 @@ import "flowsched/internal/switchnet"
 // a free list, so at steady state (pending count fluctuating below its
 // high-water mark) the store performs zero heap allocations per round:
 // slot IDs come off the arena free list, and every per-round scratch
-// slice is length-reset, never reallocated. Shards own none of it; they
-// carve output capacity (see shard.go).
+// slice is length-reset, never reallocated. Shards own none of it (see
+// shard.go).
 //
 // The arena's columns are grouped by access affinity, not one array per
 // scalar field: a feasibility or age check (Take, drainVOQ, the age-aware
@@ -109,9 +109,9 @@ type voqState struct {
 // vi-indexed array of 16-byte records costs one sequential cache line per
 // four VOQs instead of chasing queue state -> flow record for every head.
 // Entries are only meaningful while the VOQ is non-empty, and during a
-// pick pass they describe the queue as of the last retirement — a head
-// taken earlier in the same round still owns the entry until it departs
-// (policies see takes via View.Taken).
+// pick they describe the queue as of the last retirement — a head the
+// same pick already took still owns the entry until it departs (policies
+// see takes via View.Taken).
 type voqHead struct {
 	rel int64
 	dem int32
@@ -130,7 +130,7 @@ func (rt *Runtime) initStore(mIn, mOut int) {
 	rt.actBits = make([]uint64, mIn*rt.nw)
 	rt.queueIn = make([]int, mIn)
 	rt.queueOut = make([]int, mOut)
-	rt.loadIn = make([]int, mIn)
+	rt.loadIn, rt.loadOut = make([]int, mIn), make([]int, mOut)
 	rt.activeInPos = make([]int32, mIn)
 	for i := range rt.activeInPos {
 		rt.activeInPos[i] = noID

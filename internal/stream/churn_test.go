@@ -61,24 +61,23 @@ func (s *churnSource) PullBatch(dst []switchnet.Flow, round, max int) []switchne
 func (s *churnSource) Err() error { return nil }
 
 // churnGolden pins the sharded age policies' schedules on the churn
-// source: FNV-1a over the OnSchedule (seq, round) stream, recorded at
-// the commit that still kept a maintained per-shard candidate index
-// (reconcile shard order off its front) and OldestFirst's sparse
-// reconcile mode, which the cap-2 rows exercised there. A hash that
-// moves means sharded OldestFirst or WeightedISLIP schedules differently.
+// source, under the shards' turns: FNV-1a over the OnSchedule (seq,
+// round) stream, with a deadline of 4 rounds, short enough that expiry
+// binds at every K. A hash that moves means sharded OldestFirst or
+// WeightedISLIP schedules differently.
 var churnGolden = map[string]uint64{
-	"OldestFirst/K2/cap3":   0xf97de0b063160b87,
-	"OldestFirst/K2/cap2":   0x31544b31021ed4ec,
-	"OldestFirst/K3/cap3":   0xb1a93a527f4643b0,
-	"OldestFirst/K3/cap2":   0x915eb99fe718da81,
-	"OldestFirst/K4/cap3":   0xc14bdb691d9d50ac,
-	"OldestFirst/K4/cap2":   0xe16923d1ea04f14c,
-	"WeightedISLIP/K2/cap3": 0x1c9a4b30093c26c3,
-	"WeightedISLIP/K2/cap2": 0x0d5a2d1164904320,
-	"WeightedISLIP/K3/cap3": 0xd930d07b86b078d1,
-	"WeightedISLIP/K3/cap2": 0x937b2be7255de4d8,
-	"WeightedISLIP/K4/cap3": 0x08d3c0ad58789f05,
-	"WeightedISLIP/K4/cap2": 0xad0b9a37b505fc3c,
+	"OldestFirst/K2/cap3":   0xbf55f7ba3443e5b9,
+	"OldestFirst/K2/cap2":   0x2799dfa9f4e37a2e,
+	"OldestFirst/K3/cap3":   0xb310646498545ab3,
+	"OldestFirst/K3/cap2":   0xbbe1179a92108e56,
+	"OldestFirst/K4/cap3":   0x0d854b10f775dfde,
+	"OldestFirst/K4/cap2":   0x30be50bf05a29545,
+	"WeightedISLIP/K2/cap3": 0xdb01c9f50bfc083b,
+	"WeightedISLIP/K2/cap2": 0x28e04d1c3cc4925f,
+	"WeightedISLIP/K3/cap3": 0x3bc6546a07eebd2a,
+	"WeightedISLIP/K3/cap2": 0xdd40a49ba565fce4,
+	"WeightedISLIP/K4/cap3": 0xf6989c71bd130b7a,
+	"WeightedISLIP/K4/cap2": 0x6ac63e67ffe5dcf2,
 }
 
 // TestShardedAgeOrderUnderChurn drives both age-aware policies at
@@ -86,9 +85,9 @@ var churnGolden = map[string]uint64{
 // (so heads change by activation, departure, and expiry) and checks,
 // after every round, that shard.oldestRel — the release of the shard's
 // first flow on the runtime's admission list — is the minimum head-age
-// record over the non-empty VOQs at the shard's inputs, the key reconcile
-// orders shards by. The whole run's
-// schedule must also hash to its golden value.
+// record over the non-empty VOQs at the shard's inputs, the key the
+// shards take turns by. The whole run's schedule must also hash to its
+// golden value.
 func TestShardedAgeOrderUnderChurn(t *testing.T) {
 	const ports, rounds = 7, 160
 	for _, pol := range []string{"OldestFirst", "WeightedISLIP"} {
@@ -103,14 +102,15 @@ func TestShardedAgeOrderUnderChurn(t *testing.T) {
 					continue
 				}
 				// The same golden row with OldestFirst's stage target
-				// forced to 1: picks, propose and reconcile alike, cut
-				// after almost every release and finish in later stages.
-				// The default target never cuts on a 7-port switch and the
+				// forced below zero: every shard's pick cuts after every
+				// release and finishes in later stages. (Deadline 4 keeps
+				// the backlog too thin for a target of 1 to cut.) The
+				// default target never cuts on a 7-port switch and the
 				// schedules are equal, so any extra stage is a cut.
 				t.Run(name+"/cuts", func(t *testing.T) {
-					cuts := testAgeOrderUnderChurn(t, &OldestFirst{factor: 1}, shards, portCap, churnGolden[name])
+					cuts := testAgeOrderUnderChurn(t, &OldestFirst{factor: -1}, shards, portCap, churnGolden[name])
 					if cuts <= plain {
-						t.Fatalf("%d stages with the target forced to 1, %d at the default: the staged path never ran", cuts, plain)
+						t.Fatalf("%d stages with the target forced below zero, %d at the default: the staged path never ran", cuts, plain)
 					}
 				})
 			}
@@ -128,7 +128,7 @@ func testAgeOrderUnderChurn(t *testing.T, pol Policy, shards, portCap int, golde
 	rt, err := New(&churnSource{ports: ports, rounds: rounds, maxDem: portCap}, Config{
 		Switch: switchnet.NewSwitch(ports, ports, portCap),
 		Policy: pol, Shards: shards,
-		MaxPending: 48, Admit: AdmitDeadline, Deadline: 6,
+		MaxPending: 48, Admit: AdmitDeadline, Deadline: 4,
 		OnSchedule: func(seq int64, _ switchnet.Flow, round int) {
 			binary.LittleEndian.PutUint64(buf[:8], uint64(seq))
 			binary.LittleEndian.PutUint64(buf[8:], uint64(round))

@@ -80,49 +80,38 @@
 // run through Bridge at a full per-round rescan of the pending set.
 //
 // Sharding caveat: every native policy is Shardable, but a shard only
-// sees its own inputs, so cross-input guarantees weaken at K > 1.
-// OldestFirst's propose pass is oldest-first per shard against carved
-// output budgets, and its reconcile pass visits shards by oldest
-// pending release, each shard again serving only its
-// own heads: that is not the global age-greedy selection, so the
-// MinRTime-style equivalence above is a K = 1 property (ages still
-// bound waiting within a shard). WeightedISLIP arbitrates output grants
-// per shard against carved budgets and reconciles in the same shard
-// order; RoundRobin and StreamFIFO reconcile in shard index order; and
-// Bridge (needing the global pending set) refuses to shard at all.
-// Config.Shards defaults to 1, so K > 1 is always an explicit choice.
-// Schedules remain bit-deterministic for a fixed K (property tested
-// across K in {1, 2, 4}).
+// sees its own inputs, so cross-input guarantees weaken at K > 1. The
+// shards take turns, oldest first, and each serves only its own heads:
+// OldestFirst is oldest-first within a shard, not the global age-greedy
+// selection, so the MinRTime-style equivalence above is a K = 1 property
+// (ages still bound waiting within a shard), and WeightedISLIP arbitrates
+// output grants per shard. Bridge (needing the global pending set)
+// refuses to shard at all. Config.Shards defaults to 1, so K > 1 is
+// always an explicit choice. Schedules remain bit-deterministic for a
+// fixed K (property tested across K in {1, 2, 4}).
 //
 // # Sharding
 //
 // Config.Shards > 1 partitions the input ports across K shards: input i
 // belongs to shard i mod K. A shard owns a policy instance
 // (Shardable.NewShard), the count and active-input list of its pending
-// flows, its usage of its carved output budgets and its round's picks.
-// The pending flows themselves stay in the runtime's one store — one
-// arena, one admission-order list, one VOQ per (input, output) pair —
-// which admission threads each arrival into directly, as in the paper's
-// online model (Section 5.2.1: one pending set that each round's releases
-// join). The shards are not threads. The coordinator runs every shard's
-// part of a round itself, in sequence, and the runtime keeps one set of
-// completion metrics, one sliding window and one verification buffer for
-// all of them. Only output capacity couples the shards, and it is settled
-// by a deterministic two-step protocol each round, after the expiry walk:
+// flows and its round's picks. The pending flows themselves stay in the
+// runtime's one store — one arena, one admission-order list, one VOQ per
+// (input, output) pair — which admission threads each arrival into
+// directly, as in the paper's online model (Section 5.2.1: one pending
+// set that each round's releases join). The shards are not threads. The
+// coordinator runs every shard's part of a round itself, in sequence,
+// and the runtime keeps one set of completion metrics, one sliding
+// window, one verification buffer and one per-port load tally for all of
+// them.
 //
-//  1. Propose (shard index order). Every shard runs its policy against a
-//     carved output budget: output j's capacity splits into
-//     floor(OutCaps[j]/K) units per shard, with the OutCaps[j] mod K
-//     spare units rotating across shards by round so no shard
-//     permanently owns them.
-//  2. Reconcile (a computed shard order). The coordinator computes each
-//     output's unused budget — OutCaps[j] minus the total propose usage
-//     — and offers every shard, one at a time, a second Pick against
-//     that shared leftover pool: by oldest pending release (ties to the
-//     lower shard index) for OldestFirst and WeightedISLIP, in shard
-//     index order for RoundRobin and StreamFIFO. Any capacity one shard
-//     could not use is therefore visible to all shards, so sharding
-//     never idles a port that an unsharded run would have filled.
+// Shards take turns, oldest first. After the expiry walk the coordinator
+// orders the shards by their oldest pending release, ties to the lower
+// index, and each shard picks once, in that order, against the output
+// capacity the shards before it left. No capacity is set aside for a
+// shard, so a round may schedule any set of flows whose demand fits every
+// port, as in the paper's model, and a flow may fill an output alone
+// whichever shard holds it. The order is the same for every policy.
 //
 // OnSchedule then reports the round's picks, and every shard retires
 // them — departures, metrics, verification buffering — before the round
@@ -143,13 +132,12 @@
 // shard's inputs. IDs are runtime-wide: VOQHead, VOQNext and the per-flow
 // reads work at any input, but Take refuses a flow at another shard's
 // input and fails the run. QueueOut is the switch-wide count. InputFree
-// is always exact, because inputs are owned. OutputFree reports the
-// shard's remaining carved budget during the propose phase and the global
-// leftover pool during the reconcile phase. With Shards == 1 there is a
-// single shard owning everything, OutputFree is always exact, and the
-// View is exactly the pre-sharding contract — which is why bridged
-// simulator policies (see Bridge), whose matchings need the full pending
-// set, require Shards == 1.
+// and OutputFree are exact: an input is owned, and an output offers what
+// the shards that took their turn earlier in the round left. With
+// Shards == 1 a single shard owns everything and the View is the
+// pre-sharding contract — which is why bridged simulator policies (see
+// Bridge), whose matchings need the full pending set, require
+// Shards == 1.
 //
 // Config.OnSchedule is always invoked from the coordinator goroutine, in
 // shard index order within a round, so callbacks need no locking.
@@ -268,9 +256,9 @@
 //     one, with repeats, by the benchmark/ suite
 //     (obs.recorder_overhead_pct).
 //   - Phase semantics. ProposeNS times the expiry walk and every shard's
-//     propose pick (the admission pass, which threads arrivals into the
-//     pending store, is in no phase), ReconcileNS the leftover-capacity
-//     pass, ApplyNS the round's own retirement (every round), and
+//     pick (the admission pass, which threads arrivals into the pending
+//     store, is in no phase), ReconcileNS the ordering of the shards'
+//     turns (0 at K = 1), ApplyNS the round's own retirement, and
 //     VerifyNS only the blocking join on the verify oracle — overlap with
 //     the next window's rounds is the oracle's normal, invisible case.
 //     The join lands between scheduling rounds and is charged to the next
@@ -399,12 +387,10 @@
 //     hot-record line per flow that the policy's Taken and Demand checks
 //     read anyway. A queue owns no storage, so queue churn never
 //     allocates.
-//   - Round schedule. One goroutine owns the round: the coordinator runs
-//     each shard's propose, the reconcile pass (sharded runtimes only, in
-//     a deterministic order — oldest pending release first for the
-//     age-aware policies, shard index order otherwise), the OnSchedule
-//     callbacks over the still-live taken slots, and each shard's
-//     retirement, in sequence. There is no barrier and no hand-off, and
+//   - Round schedule. One goroutine owns the round: the coordinator
+//     orders the shards' turns (sharded runtimes only), runs each shard's
+//     pick in that order, then the OnSchedule callbacks over the
+//     still-live taken slots and each shard's retirement, in sequence. There is no barrier and no hand-off, and
 //     nothing carries over: a round's picks retire in that round.
 //   - Admission. A source delivers each round's released arrivals in
 //     one PullBatch call into a reused buffer — interface-call overhead

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -267,6 +268,19 @@ func TestPendingFlowsInAdmissionOrder(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestVerifyEveryValidation: a negative window is refused at
+// construction rather than read as "off".
+func TestVerifyEveryValidation(t *testing.T) {
+	cfg := Config{Switch: switchnet.UnitSwitch(4), Policy: ByName("StreamFIFO"), VerifyEvery: -3}
+	if _, err := New(&sliceSource{}, cfg); err == nil || !strings.Contains(err.Error(), "VerifyEvery -3 is negative") {
+		t.Fatalf("New with VerifyEvery -3: %v, want the negative-window error", err)
+	}
+	cfg.VerifyEvery = 0
+	if _, err := New(&sliceSource{}, cfg); err != nil {
+		t.Fatalf("New with VerifyEvery 0 (off): %v", err)
+	}
 }
 
 // TestCheckpointConfigValidation pins the trigger's construction checks.

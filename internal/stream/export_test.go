@@ -5,8 +5,8 @@ package stream
 
 // SetTargetFactor makes p's picks aim their stages at n candidates per
 // unit of free input capacity instead of ofFactor: 1 cuts after almost
-// every release, a huge n never cuts, 0 restores the default. The
-// schedule must not depend on it.
+// every release, a negative n after every one, a huge n never cuts, 0
+// restores the default. The schedule must not depend on it.
 func (p *OldestFirst) SetTargetFactor(n int) { p.factor = n }
 
 // Stages reports how many stages p's picks have run so far.

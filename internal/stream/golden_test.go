@@ -14,35 +14,36 @@ import (
 
 // nativeGolden pins every native policy's schedule at K in {1, 2, 4}
 // under lossless and deadline admission: FNV-1a over the (seq, round)
-// pairs OnSchedule reports, in the order it reports them. The hashes were
-// recorded while the shard phases still ran on a worker pool with
-// deferred retirement, so they hold the runtime to the schedules (and the
-// within-round callback order) of that design at every K.
+// pairs OnSchedule reports, in the order it reports them. The K1 rows pin
+// the unsharded schedules, which no change to sharding may move; the K2
+// and K4 rows pin the shards' turns — once each per round, oldest pending
+// release first, each against the output capacity the earlier turns
+// left — and the within-round callback order.
 var nativeGolden = map[string]uint64{
 	"RoundRobin/K1/lossless":    0x1cf5e41cbd8ce398,
 	"RoundRobin/K1/deadline":    0xab541e53e89abd8f,
-	"RoundRobin/K2/lossless":    0x5170a5520dca0447,
-	"RoundRobin/K2/deadline":    0x320e5b3a715ca3b1,
-	"RoundRobin/K4/lossless":    0xdc4cce8d4a2ac5ed,
-	"RoundRobin/K4/deadline":    0x35fc7f88fa19bdae,
+	"RoundRobin/K2/lossless":    0x016ecd415b9746ec,
+	"RoundRobin/K2/deadline":    0x2cabc274ed379fb0,
+	"RoundRobin/K4/lossless":    0xc898a3da42049fd6,
+	"RoundRobin/K4/deadline":    0x0afb13898fd381b3,
 	"OldestFirst/K1/lossless":   0x488bbd9842b505ac,
 	"OldestFirst/K1/deadline":   0x772551226ee7a06d,
-	"OldestFirst/K2/lossless":   0xe4b84ccda9580a90,
-	"OldestFirst/K2/deadline":   0xe93d3125e9b0ce05,
-	"OldestFirst/K4/lossless":   0x388f85e7964912d7,
-	"OldestFirst/K4/deadline":   0xa3299d8bec3e2a99,
+	"OldestFirst/K2/lossless":   0x1648f14af8d98816,
+	"OldestFirst/K2/deadline":   0x2babcadab28f7311,
+	"OldestFirst/K4/lossless":   0x36e752b82d9c139c,
+	"OldestFirst/K4/deadline":   0xc06f139b14272e8b,
 	"WeightedISLIP/K1/lossless": 0x8adc74322ec46beb,
 	"WeightedISLIP/K1/deadline": 0x04a03f91e88f0af5,
-	"WeightedISLIP/K2/lossless": 0x8f9a817483da4b19,
-	"WeightedISLIP/K2/deadline": 0x3acb405dbf8d571b,
-	"WeightedISLIP/K4/lossless": 0xa5589ae0adc46206,
-	"WeightedISLIP/K4/deadline": 0xf124bd427faec036,
+	"WeightedISLIP/K2/lossless": 0x4fc0a78cb7cd2ad9,
+	"WeightedISLIP/K2/deadline": 0x6204c26332666091,
+	"WeightedISLIP/K4/lossless": 0xfe3b05b985ed24b9,
+	"WeightedISLIP/K4/deadline": 0x982d16221d41eecb,
 	"StreamFIFO/K1/lossless":    0x339851d434ab8d09,
 	"StreamFIFO/K1/deadline":    0xefdc2f42eeba6c8e,
-	"StreamFIFO/K2/lossless":    0x5d387cb8f8d7b1d9,
-	"StreamFIFO/K2/deadline":    0x79a533f2433f7b1d,
-	"StreamFIFO/K4/lossless":    0x19a7ca9c3609ec2b,
-	"StreamFIFO/K4/deadline":    0xae0fd4c1fbc5ce64,
+	"StreamFIFO/K2/lossless":    0xe11b7cf687484738,
+	"StreamFIFO/K2/deadline":    0xea6ef1f9f1e6f396,
+	"StreamFIFO/K4/lossless":    0xe32b5d9ddadcf328,
+	"StreamFIFO/K4/deadline":    0xadb8672a7c869b64,
 }
 
 // goldenFlows is the pinned instance: a hot-output ChurnSource draw on a

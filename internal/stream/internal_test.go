@@ -312,38 +312,3 @@ func TestVOQListModel(t *testing.T) {
 		}
 	}
 }
-
-// TestShardBudgetsPartitionCapacity: for every round offset the per-shard
-// carves of an output's capacity must sum to exactly the capacity, so
-// propose-phase picks can never overload a port and reconcile redistributes
-// precisely what was left.
-func TestShardBudgetsPartitionCapacity(t *testing.T) {
-	for _, caps := range []int{1, 2, 3, 5, 8} {
-		for _, k := range []int{1, 2, 3, 4} {
-			rt, err := New(emptySource{}, Config{
-				Switch: switchnet.NewSwitch(4, 4, caps),
-				Policy: &RoundRobin{},
-				Shards: k,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for round := 0; round < 6; round++ {
-				rt.round = round
-				for j := 0; j < 4; j++ {
-					sum := 0
-					for _, sh := range rt.shards {
-						b := sh.budget(j)
-						if b < 0 {
-							t.Fatalf("caps=%d k=%d round=%d out=%d shard=%d: negative budget %d", caps, k, round, j, sh.idx, b)
-						}
-						sum += b
-					}
-					if sum != caps {
-						t.Fatalf("caps=%d k=%d round=%d out=%d: budgets sum to %d", caps, k, round, j, sum)
-					}
-				}
-			}
-		}
-	}
-}

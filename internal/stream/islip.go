@@ -8,7 +8,7 @@ import (
 )
 
 // DefaultISLIPIters is WeightedISLIP's request/grant/accept iteration
-// count per pick pass. Two iterations resolve the vast majority of port
+// count per pick. Two iterations resolve the vast majority of port
 // conflicts on practical switch sizes (classic iSLIP converges in
 // O(log N) iterations; its hardware deployments ran 1-4), and each extra
 // iteration re-sweeps the unmatched inputs' head records.
@@ -44,15 +44,13 @@ const DefaultISLIPIters = 2
 // count, bit-identical schedules.
 //
 // A round costs O(active VOQs + scheduled) hot-record reads — the
-// request sweep skips a saturated input in O(1), so a reconcile pass
-// re-sweeps only the capacity that is genuinely left — with all scratch
+// request sweep skips a saturated input in O(1) — with all scratch
 // preallocated at Reset, so steady-state rounds allocate nothing.
-// WeightedISLIP is Shardable: each shard matches its own inputs against
-// its carved (then reconciled) output budgets with its own pointer
-// state, which is exactly the per-input decomposition the
-// request/grant/accept structure already has. As an age-aware policy its
-// reconcile pass visits shards by oldest pending release (see
-// Runtime.reconcile).
+// WeightedISLIP is Shardable: each shard, at its turn (see
+// Runtime.orderTurns), matches its own inputs against the output
+// capacity the shards before it left, with its own pointer state, which
+// is exactly the per-input decomposition the request/grant/accept
+// structure already has.
 type WeightedISLIP struct {
 	// Rotation pointers: grant[j] is the input whose grant output j last
 	// had accepted, accept[i] the output input i last accepted (-1 before
@@ -63,7 +61,7 @@ type WeightedISLIP struct {
 	// Per-iteration scratch, preallocated at Reset and reset via the
 	// touched lists: the strongest request per output and the strongest
 	// grant per input, as (port, release) pairs, plus a snapshot of the
-	// outputs' visible free capacity (constant within an iteration: the
+	// outputs' free capacity (constant within an iteration: the
 	// request sweep completes before any drain) so the request filter
 	// costs local array reads.
 	reqIn         []int32
@@ -97,9 +95,6 @@ func (p *WeightedISLIP) Reset(sw switchnet.Switch) {
 	p.accIns = make([]int32, 0, p.numIn)
 	p.outFree = make([]int32, p.numOut)
 }
-
-// reconcileOldestShardFirst implements oldestShardFirst.
-func (*WeightedISLIP) reconcileOldestShardFirst() {}
 
 // exportScratch implements scratchPolicy: the grant rotation pointers in
 // output-port order, then the accept pointers in input-port order — the
@@ -152,8 +147,8 @@ func newIDs(n int) []int32 {
 //
 //flowsched:hotpath
 func (p *WeightedISLIP) Pick(v *View) {
-	// Snapshot the outputs' visible free capacity once per pass; drains
-	// keep it current between iterations.
+	// Snapshot the outputs' free capacity once per pick; drains keep it
+	// current between iterations.
 	for j := 0; j < p.numOut; j++ {
 		p.outFree[j] = int32(v.OutputFree(j))
 	}
@@ -214,9 +209,9 @@ func (p *WeightedISLIP) iterate(v *View) int {
 	// Serve the accepted matches and advance the rotation pointers.
 	// Accepted pairs touch pairwise-distinct inputs and outputs (one
 	// grant per output, one accept per input), so the drains cannot
-	// interfere; at round start every accepted head serves. (During a
-	// reconcile pass the head-age record can still describe a
-	// propose-pass pick — the drain skips it, and a queue left with
+	// interfere; in the first iteration every accepted head serves. (In
+	// a later one the head-age record can still describe a flow an
+	// earlier iteration took — the drain skips it, and a queue left with
 	// nothing servable simply wastes its grant for the iteration.)
 	matched := 0
 	for _, i := range p.accIns {

@@ -16,7 +16,8 @@ import (
 // recorder large enough to hold the whole run and checks the trace's
 // accounting against the final summary: rounds strictly increasing, the
 // per-round Arrived/Scheduled/Dropped/Expired columns summing to the
-// cumulative counters, and the final record's pending count at zero.
+// cumulative counters, no phase time negative (and no turn ordering at
+// one shard), and the final record's pending count at zero.
 func TestStreamFlightRecorderTrace(t *testing.T) {
 	inst := workload.PoissonConfig{M: 6, T: 40, Ports: 6}.Generate(rand.New(rand.NewSource(11)))
 	for _, shards := range []int{1, 2} {
@@ -51,6 +52,9 @@ func TestStreamFlightRecorderTrace(t *testing.T) {
 			expired += r.Expired
 			if r.ProposeNS < 0 || r.ReconcileNS < 0 || r.ApplyNS < 0 || r.VerifyNS < 0 {
 				t.Fatalf("K=%d: negative phase time in %+v", shards, r)
+			}
+			if shards == 1 && r.ReconcileNS != 0 {
+				t.Fatalf("K=1: a turn-ordering time in %+v", r)
 			}
 		}
 		if arrived != sum.Admitted {

@@ -17,10 +17,9 @@ import (
 //
 // A pick runs in stages over disjoint, ascending release ranges
 // [lo, hi). A stage sweeps the head-age records — inputs with capacity
-// left in ascending port order (a reconcile pass therefore visits only
-// what the propose phase left unsaturated), each input's active VOQs in
-// ascending port order off the bitmap words, AND-ed with a mask of the
-// outputs that still have capacity — and keeps the heads released inside
+// left in ascending port order, each input's active VOQs in ascending
+// port order off the bitmap words, AND-ed with a mask of the outputs
+// that still have capacity — and keeps the heads released inside
 // its range, so candidates are emitted pre-sorted by (input, output) and
 // the record reads are plain sequential array traffic. The port-order
 // tie-break is what makes ordering sort-free: one stable counting pass
@@ -73,17 +72,12 @@ import (
 // geometrically to its high-water mark, so steady-state rounds allocate
 // nothing and a backlog ramping to a new high costs O(log) regrowths.
 //
-// OldestFirst is Shardable: each shard serves its own inputs' heads
-// oldest-first against its carved budgets, and the reconcile pass visits
-// shards by oldest pending release (see Runtime.reconcile), each again
-// serving its own heads oldest-first against the shared leftover pool.
+// OldestFirst is Shardable: the shards take turns, oldest first (see
+// Runtime.orderTurns), and each serves its own inputs' heads
+// oldest-first against the output capacity the shards before it left.
 // That is not the global age-greedy selection — the equivalence with the
 // bridged MinRTime-style policy above is a one-shard property (see the
-// package docs, "Sharding caveat"). The head-age records during the
-// reconcile pass may still carry a propose-pass pick (they update at
-// retirement), in which case the entry stands for the taken head's
-// oldest untaken successor — deterministic, just ordered and prechecked
-// by the record rather than the successor's own key.
+// package docs, "Sharding caveat").
 type OldestFirst struct {
 	ent []ofEntry // sweep scratch: one stage's candidates, (in, out)-sorted
 	ord []ofEntry // the stage's candidates in global order
@@ -101,7 +95,8 @@ type OldestFirst struct {
 	mask []uint64
 	hist [ofHistLen]int32 // cut estimate: sampled head releases per bucket
 	// factor overrides ofFactor when nonzero; only tests set it (to cut
-	// after almost every release, or never).
+	// after almost every release, after every one when negative, or
+	// never).
 	factor int
 	// stages, ordered and sorts count the stages run, the candidates they
 	// ordered and the stages that fell back to the comparison sort, for
@@ -165,9 +160,6 @@ func (*OldestFirst) Name() string { return "OldestFirst" }
 // NewShard implements Shardable: all state is per-Pick scratch, so a
 // fresh instance per shard shares nothing.
 func (p *OldestFirst) NewShard() Policy { return &OldestFirst{factor: p.factor} }
-
-// reconcileOldestShardFirst implements oldestShardFirst.
-func (*OldestFirst) reconcileOldestShardFirst() {}
 
 // Pick implements Policy.
 //
@@ -342,7 +334,7 @@ func (p *OldestFirst) take(v *View, e ofEntry) int32 {
 		id = v.VOQNext(id)
 	}
 	if id == NoID || !v.Take(id) {
-		return 0 // reconcile-pass successor differs from the record
+		return 0 // not reached: e is the queue's untaken head, checked to fit
 	}
 	d := int32(v.Demand(id))
 	p.inFree[e.in] -= d

@@ -24,15 +24,6 @@ type scratchPolicy interface {
 	importScratch(src []int64) error
 }
 
-// oldestShardFirst marks the native policies whose reconcile pass visits
-// shards by oldest pending release instead of shard index order (see
-// Runtime.reconcile). It is a marker, not a default, because ordering
-// every policy that way would change sharded RoundRobin and StreamFIFO
-// schedules.
-type oldestShardFirst interface {
-	reconcileOldestShardFirst()
-}
-
 // FIFO takes pending flows oldest-first (admission order), first-fit. A
 // round costs O(pending) — bounded by Config.MaxPending — so it is the
 // streaming analogue of the heuristics package's FIFO baseline, not an
@@ -193,15 +184,15 @@ func (p *RoundRobin) Pick(v *View) {
 }
 
 // drainVOQ drains the (in, out) virtual output queue oldest-first while
-// free input capacity and the visible output capacity last, skipping
-// flows already taken this round (a pick of the propose pass is not a
-// blocked head, so the reconcile pass may drain past it). It returns the
+// free input and output capacity last, skipping flows already taken this
+// round (a flow an earlier WeightedISLIP iteration took is not a blocked
+// head, so a later one may drain past it). It returns the
 // input's remaining free capacity and whether anything was served. The
 // sweep walks View.EachVOQ's links, so each queue entry costs the one
 // hot-record line its Taken and Demand checks read anyway; an untaken
 // head that does not fit stops the sweep — FIFO within the VOQ, a blocked
 // head blocks the queue. Callers reach it only for an output with
-// visible capacity: RoundRobin masks saturated outputs out of its sweep,
+// capacity: RoundRobin masks saturated outputs out of its sweep,
 // and WeightedISLIP drains only an accepted request, whose output its
 // request filter checked.
 func drainVOQ(v *View, in, out, free int) (int, bool) {

@@ -64,10 +64,10 @@ const noID int32 = -1
 // a policy cannot overload a port; it can only fail to make progress.
 //
 // In a sharded runtime (Config.Shards > 1) each shard runs its own policy
-// instance and Pick may be invoked twice per round — once against the
-// shard's carved output budgets and once against the reconciled leftover
-// pool (see the package docs); the View is shard-scoped either way. Every
-// Pick, at any shard count, runs on the goroutine driving Run.
+// instance, and Pick is invoked once per shard per round, the shards
+// taking turns oldest first (see the package docs); the View is
+// shard-scoped. Every Pick, at any shard count, runs on the goroutine
+// driving Run.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
@@ -165,11 +165,11 @@ type Config struct {
 	// Policy selects flows each round. With Shards > 1 it must implement
 	// Shardable; each shard then runs its own NewShard instance.
 	Policy Policy
-	// Shards partitions the input ports and each round's output capacity
-	// across that many shards (input i belongs to shard i mod Shards),
-	// each with its own policy instance and a View scoped to its inputs,
-	// under the deterministic carve-and-reconcile protocol described in
-	// the package docs. The pending flows stay in the runtime's one store.
+	// Shards partitions the input ports across that many shards (input i
+	// belongs to shard i mod Shards), each with its own policy instance
+	// and a View scoped to its inputs; each round the shards take turns,
+	// oldest first, as the package docs describe. The pending flows stay
+	// in the runtime's one store.
 	// The shards run in sequence on the goroutine driving Run, so the
 	// count changes the schedule, not the parallelism. <= 0 selects 1; the
 	// value is always capped at NumIn.
@@ -190,7 +190,8 @@ type Config struct {
 	// AdmitDeadline, and must be zero with the other modes.
 	Deadline int
 	// VerifyEvery > 0 spot-checks each completed window of that many
-	// rounds through the verify oracle.
+	// rounds through the verify oracle; 0 turns verification off, and a
+	// negative value is a construction error.
 	VerifyEvery int
 	// WindowRounds is the sliding metrics window in rounds (<= 0 selects
 	// DefaultWindowRounds).
@@ -203,9 +204,9 @@ type Config struct {
 	// Recorder, when non-nil, receives one obs.RoundRecord per scheduling
 	// round, written by the coordinator inside the round loop: per-round
 	// arrival/schedule/drop/expiry/pending counts plus per-phase
-	// nanoseconds (propose, reconcile, apply, verify-join). Recording
-	// adds no allocations to the steady-state round (asserted by
-	// TestSteadyStateZeroAllocRecorded) and only two monotonic-clock
+	// nanoseconds (expire and pick, turn ordering, apply, verify-join).
+	// Recording adds no allocations to the steady-state round (asserted
+	// by TestSteadyStateZeroAllocRecorded) and only two monotonic-clock
 	// reads per timed phase; with Recorder nil the hot path takes no
 	// clock reads at all.
 	Recorder *obs.FlightRecorder
@@ -350,17 +351,20 @@ type Runtime struct {
 	// The pending store (see arena.go): one arena, with head/tail
 	// delimiting the admission-order list through it; the VOQs, indexed
 	// in*mOut+out, and their head-age records; each input's nw-word
-	// active-VOQ bitmap; the pending counts per port, the round's
-	// scheduled demand per input, and each input's index in its shard's
-	// activeIn list.
-	ar                        arena
-	head, tail                int32
-	mOut, nw                  int
-	vqs                       []voqState
-	heads                     []voqHead
-	actBits                   []uint64
-	queueIn, queueOut, loadIn []int
-	activeInPos               []int32
+	// active-VOQ bitmap; the pending counts per port; the round's
+	// scheduled demand per port, with touchIn/touchOut listing the ports
+	// it is nonzero at; and each input's index in its shard's activeIn
+	// list.
+	ar                arena
+	head, tail        int32
+	mOut, nw          int
+	vqs               []voqState
+	heads             []voqHead
+	actBits           []uint64
+	queueIn, queueOut []int
+	loadIn, loadOut   []int
+	touchIn, touchOut []int32
+	activeInPos       []int32
 
 	round int
 	count int
@@ -374,15 +378,10 @@ type Runtime struct {
 	lastRel  int
 	batch    []switchnet.Flow
 
-	// leftover is the reconcile pass's output budget pool, rebuilt each
-	// round from OutCaps minus the propose usage (nshards > 1);
-	// totalOutCap is sum(OutCaps), the pool's upper bound. reconOrder is
-	// the round's shard visiting order (identity, or oldest-head-first for
-	// the age-aware policies) and reconRel its per-shard sort key scratch.
-	leftover    []int
-	totalOutCap int
-	reconOrder  []int
-	reconRel    []int64
+	// turns is the round's shard turn order (see orderTurns) and
+	// turnRel its per-shard sort key scratch.
+	turns   []int
+	turnRel []int64
 
 	err     error
 	stalled int
@@ -474,6 +473,9 @@ func New(src Source, cfg Config) (*Runtime, error) {
 	if cfg.ResponseBound < 0 {
 		return nil, fmt.Errorf("stream: ResponseBound %d is negative", cfg.ResponseBound)
 	}
+	if cfg.VerifyEvery < 0 {
+		return nil, fmt.Errorf("stream: VerifyEvery %d is negative", cfg.VerifyEvery)
+	}
 	if cfg.WindowRounds <= 0 {
 		cfg.WindowRounds = DefaultWindowRounds
 	}
@@ -508,16 +510,11 @@ func New(src Source, cfg Config) (*Runtime, error) {
 	}
 	rt.parker, _ = src.(Parker)
 	rt.initStore(mIn, mOut)
-	if rt.nshards > 1 {
-		rt.leftover = make([]int, mOut)
-		for _, c := range cfg.Switch.OutCaps {
-			rt.totalOutCap += c
-		}
-		rt.reconOrder = make([]int, rt.nshards)
-		rt.reconRel = make([]int64, rt.nshards)
-	}
+	rt.turns = make([]int, rt.nshards)
+	rt.turnRel = make([]int64, rt.nshards)
 	for s := range rt.shards {
 		rt.shards[s] = newShard(rt, s)
+		rt.turns[s] = s
 	}
 	if err := rt.installPolicy(cfg.Policy); err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
@@ -703,53 +700,28 @@ func (rt *Runtime) stopVerifier() {
 	rt.vwork = nil
 }
 
-// reconcile redistributes output capacity no shard used in its propose:
-// leftover[j] = OutCaps[j] - total propose usage, then each shard in turn
-// gets a second Pick against the shared pool (shard.pick). The
-// order is the shard index order for plain policies; for the age-aware
-// ones (oldestShardFirst) it is by the shards' oldest pending release
-// (shard.oldestRel, ties to the lower shard index), so the shard holding
-// the oldest flow gets first call on the shared pool — each shard still
-// serves only its own heads, so this is not the global age-greedy
-// selection. Either order is a pure function of the shards' state, so
-// schedules stay deterministic for a fixed K.
-func (rt *Runtime) reconcile() {
-	copy(rt.leftover, rt.sw.OutCaps)
-	used := 0
-	for _, sh := range rt.shards {
-		for _, j := range sh.touchOut {
-			rt.leftover[j] -= sh.loadOut[j]
-			used += sh.loadOut[j]
-		}
+// orderTurns sets the round's shard turn order: by the shards' oldest
+// pending release (shard.oldestRel), ties to the lower shard index, so
+// the shard holding the oldest flow picks first and each later shard
+// picks against the output capacity the earlier ones left. Each shard
+// still serves only its own inputs, so this is not the global selection
+// an unsharded policy makes. The order is a pure function of the
+// pending store, so schedules stay deterministic for a fixed K.
+func (rt *Runtime) orderTurns() {
+	order := rt.turns
+	for i, sh := range rt.shards {
+		rt.turnRel[i] = sh.oldestRel()
 	}
-	if used == rt.totalOutCap {
-		// Saturated round: nothing to redistribute, so skip the reconcile
-		// pass entirely.
-		return
-	}
-	order := rt.reconOrder
-	for i := range order {
-		order[i] = i
-	}
-	if _, ok := rt.shards[0].pol.(oldestShardFirst); ok {
-		for i, sh := range rt.shards {
-			rt.reconRel[i] = sh.oldestRel()
-		}
-		// Insertion sort by (oldest pending release, shard index): K is
-		// small, the keys are nearly sorted round over round, and the
-		// tie-break keeps the sort stable over the identity order.
-		for i := 1; i < len(order); i++ {
-			for j := i; j > 0; j-- {
-				a, b := order[j], order[j-1]
-				if rt.reconRel[a] > rt.reconRel[b] || (rt.reconRel[a] == rt.reconRel[b] && a > b) {
-					break
-				}
-				order[j], order[j-1] = order[j-1], order[j]
+	// Insertion sort by (oldest pending release, shard index): K is small
+	// and last round's order is usually nearly right.
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0; j-- {
+			a, b := order[j], order[j-1]
+			if rt.turnRel[a] > rt.turnRel[b] || (rt.turnRel[a] == rt.turnRel[b] && a > b) {
+				break
 			}
+			order[j], order[j-1] = order[j-1], order[j]
 		}
-	}
-	for _, s := range order {
-		rt.shards[s].pick(pickShared)
 	}
 }
 
@@ -869,9 +841,8 @@ func (rt *Runtime) step() (done bool, err error) {
 		return rt.idle()
 	}
 
-	// Expire what the deadline has passed, then every shard proposes
-	// against its carved output budgets; then the shards reconcile unused
-	// capacity.
+	// Expire what the deadline has passed, then the shards take their
+	// turns. The turn ordering is timed apart from the span around it.
 	var t0 time.Time
 	if rt.rec != nil {
 		t0 = time.Now()
@@ -880,23 +851,26 @@ func (rt *Runtime) step() (done bool, err error) {
 	if rt.cfg.Deadline > 0 {
 		expired = rt.expire()
 	}
-	for _, sh := range rt.shards {
-		sh.pick(pickBudget)
+	if rt.nshards > 1 {
+		var t1 time.Time
+		if rt.rec != nil {
+			t1 = time.Now()
+		}
+		rt.orderTurns()
+		if rt.rec != nil {
+			d := time.Since(t1).Nanoseconds()
+			rt.tReconcileNS += d
+			rt.tProposeNS -= d
+		}
+	}
+	for _, s := range rt.turns {
+		rt.shards[s].pick()
 	}
 	if expired > 0 {
 		rt.mExpired.Add(int64(expired))
 	}
 	if rt.rec != nil {
 		rt.tProposeNS += time.Since(t0).Nanoseconds()
-	}
-	if rt.nshards > 1 {
-		if rt.rec != nil {
-			t0 = time.Now()
-		}
-		rt.reconcile()
-		if rt.rec != nil {
-			rt.tReconcileNS += time.Since(t0).Nanoseconds()
-		}
 	}
 	if err := rt.firstErr(); err != nil {
 		rt.err = err
@@ -933,6 +907,13 @@ func (rt *Runtime) step() (done bool, err error) {
 	for _, sh := range rt.shards {
 		sh.apply()
 	}
+	for _, p := range rt.touchIn {
+		rt.loadIn[p] = 0
+	}
+	for _, p := range rt.touchOut {
+		rt.loadOut[p] = 0
+	}
+	rt.touchIn, rt.touchOut = rt.touchIn[:0], rt.touchOut[:0]
 	if rt.rec != nil {
 		rt.tApplyNS += time.Since(t0).Nanoseconds()
 	}

@@ -5,22 +5,13 @@ import (
 	"math"
 )
 
-// View.OutputFree semantics, per pick pass (see shard.pick).
-const (
-	// pickBudget: OutputFree is the shard's remaining carved budget.
-	pickBudget = iota + 1
-	// pickShared: OutputFree is the reconciled global leftover pool.
-	pickShared
-)
-
-// shard is one part of the carve-and-reconcile protocol: the input ports
+// shard is one part of the input-port partition: the input ports
 // congruent to idx modulo Runtime.nshards, their policy instance and the
 // round's picks at them. The pending flows themselves live in the
-// runtime's one store (see arena.go); a shard only counts its own, lists
-// its inputs that have any, and tracks its usage of its carved output
-// budgets. The shards are a partition, not a set of threads: the
-// coordinator runs each one's propose pick, then the reconcile pass in a
-// deterministic shard order (see Runtime.reconcile), then each one's
+// runtime's one store (see arena.go); a shard only counts its own and
+// lists its inputs that have any. The shards are a partition, not a set
+// of threads: each round the coordinator runs every shard's pick once,
+// in the turn order Runtime.orderTurns computes, then every shard's
 // apply, all in sequence on the coordinator's goroutine.
 type shard struct {
 	rt  *Runtime
@@ -30,12 +21,6 @@ type shard struct {
 	// count is the number of pending flows at the shard's inputs.
 	count int
 
-	// loadOut tracks propose-phase usage against the shard's carved
-	// budgets; touchIn/touchOut list the ports whose load (the runtime's
-	// loadIn, the shard's loadOut) apply resets.
-	loadOut           []int
-	touchIn, touchOut []int32
-
 	// activeIn lists the shard's input ports with any pending flow (global
 	// port numbers); Runtime.activeInPos is each input's index there.
 	activeIn []int32
@@ -44,13 +29,12 @@ type shard struct {
 	// of the same round.
 	takes []int32
 	view  View
-	phase int
 	err   error
 }
 
 // newShard builds the shard owning inputs congruent to idx mod rt.nshards.
 func newShard(rt *Runtime, idx int) *shard {
-	sh := &shard{rt: rt, idx: idx, loadOut: make([]int, rt.sw.NumOut())}
+	sh := &shard{rt: rt, idx: idx}
 	sh.view = View{rt: rt, sh: sh}
 	return sh
 }
@@ -65,10 +49,10 @@ func (sh *shard) holds(in int) bool {
 }
 
 // oldestRel returns the release round of the shard's oldest pending flow
-// (math.MaxInt64 when it has none) — the key the reconcile pass orders
-// shards by. Releases are non-decreasing along the runtime's admission
-// list (checkFlow), so the shard's first flow on it is its oldest, and
-// every VOQ head record of the shard is at least that old.
+// (math.MaxInt64 when it has none) — the key the shards take turns by.
+// Releases are non-decreasing along the runtime's admission list
+// (checkFlow), so the shard's first flow on it is its oldest, and every
+// VOQ head record of the shard is at least that old.
 func (sh *shard) oldestRel() int64 {
 	rt := sh.rt
 	rec := rt.ar.rec
@@ -80,28 +64,6 @@ func (sh *shard) oldestRel() int64 {
 	return math.MaxInt64
 }
 
-// budget is the shard's carve of output j's capacity this round: an equal
-// split of OutCaps[j] across the shards, with the remainder rotating by
-// round so no shard permanently owns the spare units.
-func (sh *shard) budget(j int) int {
-	c := sh.rt.sw.OutCaps[j]
-	k := sh.rt.nshards
-	if k == 1 {
-		return c
-	}
-	b := c / k
-	if r := c % k; r != 0 {
-		rot := sh.idx - (j+sh.rt.round)%k
-		if rot < 0 {
-			rot += k
-		}
-		if rot < r {
-			b++
-		}
-	}
-	return b
-}
-
 // fail records the shard's first error (policy contract violations land
 // here via View.Fail); the coordinator surfaces it in shard order.
 func (sh *shard) fail(format string, args ...any) {
@@ -110,22 +72,19 @@ func (sh *shard) fail(format string, args ...any) {
 	}
 }
 
-// pick runs the shard's policy for one pass of the round, when it has a
-// pending flow not yet taken: pickBudget is the propose leg, against its
-// carved output budgets, after admission and expiry; pickShared its leg
-// of the reconcile pass, against the global leftover pool, in the order
-// Runtime.reconcile computes.
+// pick runs the shard's policy for its one turn of the round, when it
+// has a pending flow: after admission and expiry, against the capacity
+// the shards before it in the turn order left (see Runtime.orderTurns).
 //
 //flowsched:hotpath
-func (sh *shard) pick(phase int) {
-	if sh.count > len(sh.takes) {
-		sh.phase = phase
+func (sh *shard) pick() {
+	if sh.count > 0 {
 		sh.pol.Pick(&sh.view)
 	}
 }
 
 // apply retires the round's taken flows: the runtime's completion metrics
-// and verification buffer, structure unlinking, and load reset. It runs
+// and verification buffer, and structure unlinking. It runs
 // at the end of the round the flows were picked in, after the
 // coordinator's OnSchedule callbacks for that round have fired.
 //
@@ -170,12 +129,4 @@ func (sh *shard) apply() {
 		rt.depart(sh, id)
 	}
 	sh.takes = sh.takes[:0]
-	for _, p := range sh.touchIn {
-		rt.loadIn[p] = 0
-	}
-	for _, p := range sh.touchOut {
-		sh.loadOut[p] = 0
-	}
-	sh.touchIn = sh.touchIn[:0]
-	sh.touchOut = sh.touchOut[:0]
 }

@@ -1116,11 +1116,11 @@ func TestShardedRejectsUnshardablePolicy(t *testing.T) {
 	}
 }
 
-// TestShardedReconcileDrainsPastTakenHead: a VOQ head scheduled in the
-// propose pass is not a blocked head — the reconcile pass must drain the
-// leftover output capacity behind it. Two unit flows on the same port
-// pair of a capacity-2 switch must both go in round 0 at any shard count,
-// exactly as an unsharded run schedules them.
+// TestShardedReconcileDrainsPastTakenHead: a VOQ head a shard has just
+// taken is not a blocked head — the same pick must drain the output
+// capacity left behind it. Two unit flows on the same port pair of a
+// capacity-2 switch must both go in round 0 at any shard count, exactly
+// as an unsharded run schedules them.
 func TestShardedReconcileDrainsPastTakenHead(t *testing.T) {
 	for _, K := range []int{1, 2} {
 		flows := []switchnet.Flow{
@@ -1144,7 +1144,7 @@ func TestShardedReconcileDrainsPastTakenHead(t *testing.T) {
 		}
 		for _, r := range rounds {
 			if r != 0 {
-				t.Fatalf("K=%d: scheduled rounds %v, want both in round 0 (reconcile idled capacity)", K, rounds)
+				t.Fatalf("K=%d: scheduled rounds %v, want both in round 0 (a shard idled capacity)", K, rounds)
 			}
 		}
 	}

@@ -68,24 +68,12 @@ func (v *View) QueueIn(i int) int {
 
 func (v *View) QueueOut(j int) int { return v.rt.queueOut[j] }
 
-// InputFree returns input port i's remaining capacity this round; it is
-// exact, because every input belongs to exactly one shard.
-func (v *View) InputFree(i int) int { return v.rt.sw.InCaps[i] - v.rt.loadIn[i] }
-
-// OutputFree returns output port j's remaining capacity as visible to the
-// shard this pass: its remaining carved budget during the propose phase,
-// the global reconciled leftover during the reconcile phase (and simply
-// the port's remaining capacity when Config.Shards == 1).
-func (v *View) OutputFree(j int) int {
-	rt, sh := v.rt, v.sh
-	if rt.nshards == 1 {
-		return rt.sw.OutCaps[j] - sh.loadOut[j]
-	}
-	if sh.phase == pickShared {
-		return rt.leftover[j]
-	}
-	return sh.budget(j) - sh.loadOut[j]
-}
+// InputFree and OutputFree return a port's remaining capacity this round.
+// An input belongs to one shard, so only that shard's picks use it; an
+// output offers what the shards that took their turn earlier in the round
+// left of it.
+func (v *View) InputFree(i int) int  { return v.rt.sw.InCaps[i] - v.rt.loadIn[i] }
+func (v *View) OutputFree(j int) int { return v.rt.sw.OutCaps[j] - v.rt.loadOut[j] }
 
 // NumActiveInputs returns how many of the shard's input ports have pending
 // flows; ActiveInput returns the k-th of them. The order is arbitrary but
@@ -159,8 +147,8 @@ func (v *View) EachVOQ(in, out int, fn func(id ID) bool) {
 // Taken reports whether id was already selected this round.
 func (v *View) Taken(id ID) bool { return v.rt.ar.taken(int32(id)) }
 
-// Take schedules pending flow id in the current round if its input port
-// and the visible output capacity (see OutputFree) both have room, and
+// Take schedules pending flow id in the current round if its input and
+// output ports both have room (see InputFree and OutputFree), and
 // reports whether it did. Taking an id twice is a no-op returning false;
 // taking a dead id, or a flow at another shard's input, fails the run.
 //
@@ -177,21 +165,17 @@ func (v *View) Take(id ID) bool {
 	}
 	rc := &a.rec[id]
 	in, out, d := int(rc.in), int(rc.out), int(rc.dem)
-	if rt.loadIn[in]+d > rt.sw.InCaps[in] || v.OutputFree(out) < d {
+	if rt.loadIn[in]+d > rt.sw.InCaps[in] || rt.loadOut[out]+d > rt.sw.OutCaps[out] {
 		return false
 	}
 	if rt.loadIn[in] == 0 {
-		sh.touchIn = append(sh.touchIn, int32(in)) //flowsched:allow alloc: touched-input scratch is length-reset on apply and grows to the port count
+		rt.touchIn = append(rt.touchIn, int32(in)) //flowsched:allow alloc: touched-input scratch is length-reset every round and grows to the port count
 	}
 	rt.loadIn[in] += d
-	if rt.nshards > 1 && sh.phase == pickShared {
-		rt.leftover[out] -= d
-	} else {
-		if sh.loadOut[out] == 0 {
-			sh.touchOut = append(sh.touchOut, int32(out)) //flowsched:allow alloc: touched-output scratch is length-reset on apply and grows to the port count
-		}
-		sh.loadOut[out] += d
+	if rt.loadOut[out] == 0 {
+		rt.touchOut = append(rt.touchOut, int32(out)) //flowsched:allow alloc: touched-output scratch is length-reset every round and grows to the port count
 	}
+	rt.loadOut[out] += d
 	rc.state |= stTaken
 	sh.takes = append(sh.takes, int32(id)) //flowsched:allow alloc: takes buffer is length-reset on apply and grows to the per-round take high-water mark
 	return true

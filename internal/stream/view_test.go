@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -98,7 +100,7 @@ func (p *viewProbe) Pick(v *View) {
 // its policies rely on. From a shard's View, Each walks only that shard's
 // flows in admission order, QueueIn reads 0 at the other shard's inputs
 // (OldestFirst's input loop depends on it), and ActiveInput never names
-// one of them — on both the propose and the reconcile pass. IDs are
+// one of them, whatever the shard's turn. IDs are
 // runtime-wide, so another shard's flow is readable through VOQHead; a
 // Take of it fails the run with the policy-contract error.
 func TestShardScopedViewContract(t *testing.T) {
@@ -132,5 +134,126 @@ func TestShardScopedViewContract(t *testing.T) {
 	_, err = rt.Run()
 	if err == nil || !strings.Contains(err.Error(), "not a pending flow at its shard's inputs") {
 		t.Fatalf("taking another shard's flow: run returned %v, want the policy-contract error", err)
+	}
+}
+
+// turnProbe wraps one shard's instance of a native policy and checks the
+// turn-taking protocol on entry to every Pick, before handing the pick
+// on. The shards of one runtime share a turnLog.
+type turnProbe struct {
+	t     *testing.T
+	inner Policy
+	log   *turnLog
+}
+
+// turnLog is what the probes of one runtime have seen: the round, oldest
+// pending release and index of the last shard to pick, the round each
+// shard last picked in, and counts that show the checks were not vacuous.
+type turnLog struct {
+	round, idx int
+	rel        int64
+	last       []int
+	// picks counts probed picks; reordered those that came after a
+	// higher-indexed shard's in the same round; contested those that
+	// found output capacity already taken this round.
+	picks, reordered, contested int
+}
+
+func (p *turnProbe) Name() string { return p.inner.Name() }
+
+func (p *turnProbe) NewShard() Policy {
+	return &turnProbe{t: p.t, inner: p.inner.(Shardable).NewShard(), log: p.log}
+}
+
+func (p *turnProbe) Reset(sw switchnet.Switch) {
+	if r, ok := p.inner.(Resetter); ok {
+		r.Reset(sw)
+	}
+}
+
+func (p *turnProbe) Pick(v *View) {
+	t, rt, sh, lg := p.t, v.rt, v.sh, p.log
+	if lg.last[sh.idx] == rt.round {
+		t.Fatalf("round %d: shard %d picked a second time", rt.round, sh.idx)
+	}
+	lg.last[sh.idx] = rt.round
+
+	// The shard's key is the release of its first flow on the admission
+	// list; within a round the keys must rise, ties by index.
+	rel := int64(math.MaxInt64)
+	for id := rt.head; id != noID; id = rt.ar.rec[id].next {
+		if int(rt.ar.rec[id].in)%rt.nshards == sh.idx {
+			rel = rt.ar.rec[id].rel
+			break
+		}
+	}
+	if lg.round == rt.round {
+		if rel < lg.rel || (rel == lg.rel && sh.idx < lg.idx) {
+			t.Fatalf("round %d: shard %d (oldest release %d) picked after shard %d (oldest release %d)",
+				rt.round, sh.idx, rel, lg.idx, lg.rel)
+		}
+		if sh.idx < lg.idx {
+			lg.reordered++
+		}
+	}
+	lg.round, lg.rel, lg.idx = rt.round, rel, sh.idx
+
+	// Every output offers its capacity minus what the shards before this
+	// one took at it this round.
+	used := make([]int, rt.sw.NumOut())
+	for _, o := range rt.shards {
+		for _, id := range o.takes {
+			used[rt.ar.rec[id].out] += int(rt.ar.rec[id].dem)
+		}
+	}
+	contested := false
+	for j, u := range used {
+		if got, want := v.OutputFree(j), rt.sw.OutCaps[j]-u; got != want {
+			t.Fatalf("round %d shard %d: OutputFree(%d) = %d on entry, want capacity %d minus %d taken = %d",
+				rt.round, sh.idx, j, got, rt.sw.OutCaps[j], u, want)
+		}
+		contested = contested || u > 0
+	}
+	if contested {
+		lg.contested++
+	}
+	lg.picks++
+	p.inner.Pick(v)
+}
+
+// TestShardsPickInTurn holds every native policy at K in {2, 3, 4} to the
+// turn-taking protocol: in every round each shard picks at most once, the
+// shards pick in (oldest pending release, index) order, and each finds
+// every output's capacity less exactly what the shards before it took
+// there this round. Deadline admission keeps heads changing by expiry as
+// well as by departure.
+func TestShardsPickInTurn(t *testing.T) {
+	const ports = 7
+	for _, name := range Names() {
+		for _, K := range []int{2, 3, 4} {
+			t.Run(fmt.Sprintf("%s/K%d", name, K), func(t *testing.T) {
+				lg := &turnLog{round: -1, last: make([]int, K)}
+				for i := range lg.last {
+					lg.last[i] = -1
+				}
+				rt, err := New(&churnSource{ports: ports, rounds: 160, maxDem: 2}, Config{
+					Switch: switchnet.NewSwitch(ports, ports, 2),
+					Policy: &turnProbe{t: t, inner: ByName(name), log: lg},
+					Shards: K, MaxPending: 48, Admit: AdmitDeadline, Deadline: 4,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum, err := rt.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("%d picks, %d after a higher index, %d contested", lg.picks, lg.reordered, lg.contested)
+				if sum.Completed == 0 || sum.Expired == 0 || lg.reordered == 0 || lg.contested == 0 {
+					t.Fatalf("vacuous run: %d completed, %d expired, %d probed picks, %d after a higher index, %d contested",
+						sum.Completed, sum.Expired, lg.picks, lg.reordered, lg.contested)
+				}
+			})
+		}
 	}
 }
