@@ -142,10 +142,16 @@ func main() {
 		}
 		restoreCk = ck
 	}
-	// After adoption, so a checkpoint's shard count is held to the same
-	// rule as a typed one.
+	// After adoption, so a checkpoint's shard count and admission limit
+	// are held to the same rule as typed ones.
 	if *shards < 1 {
 		usage("-shards must be at least 1, got %d", *shards)
+	}
+	if *maxPending < 1 {
+		usage("-maxpending must be at least 1, got %d", *maxPending)
+	}
+	if *buffer < 1 {
+		usage("-buffer must be at least 1, got %d", *buffer)
 	}
 	if *verifyEvery < 0 {
 		usage("-verifyevery must not be negative, got %d", *verifyEvery)

@@ -1,8 +1,12 @@
 // Command flowschedvet runs the flowsched invariant suite — hotpath,
-// gatedclock, atomicfield, determinism (see internal/analysis) — over Go
-// packages loaded with `go list`:
+// gatedclock, atomicfield, determinism and reach (see internal/analysis)
+// — over Go packages loaded with `go list`:
 //
 //	flowschedvet ./...
+//
+// reach judges the whole module at once, so it runs only when the
+// packages loaded cover every package of the module; a narrower
+// pattern runs the other four.
 //
 // It is the same driver, over the same packages, that `go test` runs as
 // internal/analysis's TestRepoClean.

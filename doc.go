@@ -127,15 +127,17 @@
 //     restriction-feasibility.
 //
 //   - A static invariant suite (cmd/flowschedvet, internal/analysis):
-//     four custom static analyzers — hotpath (zero allocation on
+//     five custom static analyzers — hotpath (zero allocation on
 //     //flowsched:hotpath call graphs), gatedclock (wall-clock reads
 //     gated on the flight recorder), atomicfield (no mixed atomic/plain
 //     field access), determinism (no map-order, global-rand, or clock
-//     input in schedule-affecting packages) — that make the runtime's
+//     input in schedule-affecting packages), reach (every package-level
+//     declaration is reached from a binary, the root package's exports
+//     or a //flowsched:testonly mark) — that make the runtime's
 //     performance contracts compile-time-checkable; see the "Static
 //     invariants" section of internal/stream's package doc.
 //
-// The LP solver, matching algorithms, edge coloring, rounding theorem, and
+// The LP solver, capacitated matchings, edge coloring, rounding theorem, and
 // simulator are all implemented in this repository with no external
 // dependencies. The paper's figures and theorem tables are reproduced by
 // the artifact registry of internal/experiments, run with

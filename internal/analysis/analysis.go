@@ -1,10 +1,11 @@
-// Package analysis is flowschedvet's invariant suite: four custom static
+// Package analysis is flowschedvet's invariant suite: five custom static
 // analyzers that make the streaming runtime's hot-path contracts —
 // contracts stated in internal/stream's docs and until now enforced only
 // dynamically by alloc_test.go, the cross-K determinism suite, and hand
-// review — checkable at build time, on every package, in CI.
+// review — checkable at build time, on every package, in CI; and one
+// that keeps production code to what a binary reaches.
 //
-// The four analyzers (Suite returns them in order):
+// The five analyzers (Suite returns them in order):
 //
 //   - hotpath: functions annotated //flowsched:hotpath, and everything
 //     they transitively call through static calls, must be free of
@@ -22,13 +23,18 @@
 //     raw map iteration (outside the collect-then-sort idiom), no
 //     global math/rand, no wall-clock input — the cross-K
 //     bit-reproducibility contract PR 1 had to retrofit dynamically.
+//   - reach: over the whole module, every package-level declaration of
+//     a non-main package is reached from a main, the root package's
+//     exports, an init or an initialised var, or is marked
+//     //flowsched:testonly <why> (itself or its package clause).
 //
 // Deliberate exceptions carry a justified escape hatch in the source:
 //
 //	//flowsched:allow <check>: <one-line justification>
 //
 // (checks: alloc, clock, atomic, maprange, rand, wallclock). A bare
-// allow without a justification is itself a finding.
+// allow without a justification is itself a finding. The testonly
+// marks are held to a budget that only goes down.
 //
 // The framework below mirrors the golang.org/x/tools/go/analysis API
 // shape — Analyzer, Pass, Diagnostic, per-object facts — but is built on
@@ -36,7 +42,9 @@
 // this repository carries no module dependencies. There is one driver,
 // RunStandalone (load.go): it loads packages with `go list`, analyzes
 // them in dependency order in one process and carries facts between them
-// in memory. cmd/flowschedvet and TestRepoClean both call it.
+// in memory through a Session, which gives the reach verdict when the
+// packages cover the whole module. cmd/flowschedvet and TestRepoClean
+// both call it.
 package analysis
 
 import (
@@ -87,6 +95,8 @@ type Pass struct {
 	report func(Diagnostic)
 	// facts is the cross-package fact store; the driver wires it.
 	facts *factStore
+	// reach collects the module's declarations for the reach check.
+	reach *reachGraph
 }
 
 // Report files one finding unless an allow directive for its check
@@ -154,7 +164,7 @@ func recvString(t types.Type) string {
 
 // Suite returns the flowschedvet analyzers in reporting order.
 func Suite() []*Analyzer {
-	return []*Analyzer{HotPath, GatedClock, AtomicField, Determinism}
+	return []*Analyzer{HotPath, GatedClock, AtomicField, Determinism, Reach}
 }
 
 // sortDiagnostics orders findings by position for stable output.

@@ -13,6 +13,8 @@
 // each other (loaded from source, analyzed in the order given to Run so
 // facts flow dependency-first) and the standard library (loaded from the
 // build cache's export data via go list -export).
+//
+//flowsched:testonly the analyzer fixture tests of internal/analysis (suite_test.go) drive the suite through it
 package analysistest
 
 import (
@@ -37,15 +39,27 @@ import (
 )
 
 // Run analyzes each fixture package (paths relative to testdata/src, in
-// order — list dependencies before dependents) and checks its // want
+// order — list dependencies before dependents) and checks their // want
 // expectations.
 func Run(t *testing.T, testdata, module string, pkgs ...string) {
+	t.Helper()
+	run(t, testdata, module, false, pkgs)
+}
+
+// RunModule is Run over a whole fixture module: pkgs are every package
+// of module, and the want expectations cover the reach check's findings
+// as well.
+func RunModule(t *testing.T, testdata, module string, pkgs ...string) {
+	t.Helper()
+	run(t, testdata, module, true, pkgs)
+}
+
+func run(t *testing.T, testdata, module string, reach bool, pkgs []string) {
 	t.Helper()
 	ld := &loader{
 		testdata:   testdata,
 		fset:       token.NewFileSet(),
 		session:    analysis.NewSession(),
-		module:     module,
 		loaded:     map[string]*fixturePkg{},
 		exportFile: map[string]string{},
 	}
@@ -56,14 +70,20 @@ func Run(t *testing.T, testdata, module string, pkgs ...string) {
 		}
 		return os.Open(f)
 	})
+	var files []*ast.File
+	var diags []analysis.Diagnostic
 	for _, pkg := range pkgs {
 		fp, err := ld.load(pkg)
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", pkg, err)
 		}
-		diags := ld.session.Analyze(ld.fset, fp.files, fp.pkg, fp.info, module)
-		checkWants(t, ld.fset, pkg, fp.files, diags)
+		files = append(files, fp.files...)
+		diags = append(diags, ld.session.Analyze(ld.fset, fp.files, fp.pkg, fp.info, module)...)
 	}
+	if reach {
+		diags = append(diags, ld.session.Reach(ld.fset)...)
+	}
+	checkWants(t, ld.fset, module, files, diags)
 }
 
 type fixturePkg struct {
@@ -76,7 +96,6 @@ type loader struct {
 	testdata   string
 	fset       *token.FileSet
 	session    *analysis.Session
-	module     string
 	loaded     map[string]*fixturePkg
 	exportFile map[string]string
 	gc         types.Importer

@@ -30,6 +30,13 @@ import (
 //	    including struct field declarations, whose findings anchor at
 //	    the field). The justification is mandatory; an allow without one
 //	    is itself reported.
+//
+//	//flowsched:testonly <why>
+//	    On a package-level declaration's doc comment, or on the package
+//	    clause's: the declaration (every declaration of the package) is
+//	    test support no binary reaches, and the reach check takes it as a
+//	    root. The reason, naming the test or ROADMAP item that needs it,
+//	    is mandatory.
 
 // Checks valid in an allow directive, mapped to their analyzer.
 var allowChecks = map[string]string{
@@ -64,6 +71,10 @@ type Directives struct {
 	marks   map[string]bool
 	hotpath map[*ast.FuncDecl]bool
 	allows  []allowance
+	// testonly maps a marked declaration (*ast.FuncDecl, *ast.GenDecl),
+	// or the *ast.File whose package clause is marked, to the mark's
+	// position.
+	testonly map[ast.Node]token.Pos
 	// Malformed directives, reported by the driver.
 	malformed []Diagnostic
 }
@@ -71,31 +82,45 @@ type Directives struct {
 // NewDirectives parses every //flowsched: comment in files.
 func NewDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 	d := &Directives{
-		fset:    fset,
-		marks:   map[string]bool{},
-		hotpath: map[*ast.FuncDecl]bool{},
+		fset:     fset,
+		marks:    map[string]bool{},
+		hotpath:  map[*ast.FuncDecl]bool{},
+		testonly: map[ast.Node]token.Pos{},
 	}
 	for _, f := range files {
-		// Map doc-comment groups to their function declarations, so a
-		// directive in one resolves to the function's extent.
-		fnDoc := map[*ast.CommentGroup]*ast.FuncDecl{}
+		// Map doc-comment groups to what they document, so a directive
+		// in one resolves to its declaration (a function's extent, for
+		// hotpath and allow) or to the package clause.
+		owner := map[*ast.CommentGroup]ast.Node{}
+		if f.Doc != nil {
+			owner[f.Doc] = f
+		}
 		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Doc != nil {
-				fnDoc[fn.Doc] = fn
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Doc != nil {
+					owner[decl.Doc] = decl
+				}
+			case *ast.GenDecl:
+				if decl.Doc != nil {
+					owner[decl.Doc] = decl
+				}
 			}
 		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				d.parse(c, fnDoc[cg])
+				d.parse(c, owner[cg])
 			}
 		}
 	}
 	return d
 }
 
-// parse handles one comment; fn is non-nil when the comment rides a
-// function's doc group.
-func (d *Directives) parse(c *ast.Comment, fn *ast.FuncDecl) {
+// parse handles one comment; owner is what the comment's group
+// documents (a declaration, or the *ast.File of a package clause), or
+// nil.
+func (d *Directives) parse(c *ast.Comment, owner ast.Node) {
+	fn, _ := owner.(*ast.FuncDecl)
 	const prefix = "//flowsched:"
 	if !strings.HasPrefix(c.Text, prefix) {
 		return
@@ -136,6 +161,12 @@ func (d *Directives) parse(c *ast.Comment, fn *ast.FuncDecl) {
 			a.file, a.line = pos.Filename, pos.Line
 		}
 		d.allows = append(d.allows, a)
+	case verb == "testonly":
+		if owner == nil || strings.TrimSpace(rest) == "" {
+			d.fail(c, "//flowsched:testonly needs a reason, on a package-level declaration's or the package clause's doc comment")
+			return
+		}
+		d.testonly[owner] = c.Slash
 	default:
 		d.fail(c, "unknown //flowsched: directive %q", verb)
 	}

@@ -123,10 +123,17 @@ func lineContaining(t *testing.T, src, sub string) int {
 // lowered: a change that needs a new allow retires an old one.
 const allowBudget = 20
 
-// TestAllowBudget counts the parsed allow directives (not mentions of
-// the syntax in prose) across every non-test Go file of the module,
-// analyzer fixtures excluded.
-func TestAllowBudget(t *testing.T) {
+// testonlyBudget is the number of //flowsched:testonly marks in the
+// module's non-test code. Each one keeps code no binary reaches, so it
+// may only be lowered too: test support with one user moves into that
+// user's _test.go file instead.
+const testonlyBudget = 6
+
+// moduleDirectives parses the directives (not mentions of the syntax in
+// prose) across every non-test Go file of the module, analyzer fixtures
+// excluded.
+func moduleDirectives(t *testing.T) *Directives {
+	t.Helper()
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
 	var files []*ast.File
@@ -155,7 +162,11 @@ func TestAllowBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDirectives(fset, files)
+	return NewDirectives(fset, files)
+}
+
+func TestAllowBudget(t *testing.T) {
+	d := moduleDirectives(t)
 	if got := len(d.allows); got > allowBudget {
 		for _, a := range d.allows {
 			t.Logf("%s:%d: allow %s: %s", a.file, a.line, a.check, a.why)
@@ -163,5 +174,17 @@ func TestAllowBudget(t *testing.T) {
 		t.Fatalf("%d //flowsched:allow directives in non-test code, budget is %d", got, allowBudget)
 	} else if got < allowBudget {
 		t.Fatalf("%d //flowsched:allow directives in non-test code: lower allowBudget from %d to match", got, allowBudget)
+	}
+}
+
+func TestTestonlyBudget(t *testing.T) {
+	d := moduleDirectives(t)
+	if got := len(d.testonly); got > testonlyBudget {
+		for _, pos := range d.testonly {
+			t.Logf("%s: testonly mark", d.fset.Position(pos))
+		}
+		t.Fatalf("%d //flowsched:testonly marks in non-test code, budget is %d", got, testonlyBudget)
+	} else if got < testonlyBudget {
+		t.Fatalf("%d //flowsched:testonly marks in non-test code: lower testonlyBudget from %d to match", got, testonlyBudget)
 	}
 }

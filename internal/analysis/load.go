@@ -37,12 +37,14 @@ type listedPkg struct {
 // go tool from dir), printing findings to out in file:line:col form.
 // It returns the number of findings. Only a package's GoFiles are
 // loaded: the suite's contracts bind the shipped runtime, and test code
-// stays free to allocate, range maps and read clocks.
+// stays free to allocate, range maps and read clocks — and reaches
+// nothing. The reach check runs only when the loaded packages cover
+// the whole module, since a partial load has no roots to judge by.
 func RunStandalone(dir string, patterns []string, out io.Writer) (int, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := goList(dir, patterns)
+	pkgs, err := goList(dir, append([]string{"-export", "-deps"}, patterns...))
 	if err != nil {
 		return 0, err
 	}
@@ -55,7 +57,7 @@ func RunStandalone(dir string, patterns []string, out io.Writer) (int, error) {
 	}
 
 	fset := token.NewFileSet()
-	store := newFactStore()
+	s := NewSession()
 	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		f := exportFile[path]
 		if f == "" {
@@ -65,6 +67,8 @@ func RunStandalone(dir string, patterns []string, out io.Writer) (int, error) {
 	})
 
 	total := 0
+	analyzed := map[string]bool{}
+	module := ""
 	for _, p := range pkgs {
 		if p.Standard || p.Module == nil || p.Error != nil {
 			if p.Error != nil && p.Module != nil {
@@ -72,19 +76,36 @@ func RunStandalone(dir string, patterns []string, out io.Writer) (int, error) {
 			}
 			continue
 		}
-		n, err := analyzePackage(fset, imp, store, p, out)
+		n, err := analyzePackage(fset, imp, s, p, out)
 		if err != nil {
 			return total, fmt.Errorf("%s: %w", p.ImportPath, err)
 		}
 		total += n
+		analyzed[p.ImportPath], module = true, p.Module.Path
 	}
-	return total, nil
+	if module == "" {
+		return total, nil
+	}
+	// The patterns' packages come last, so module is theirs.
+	all, err := goList(dir, []string{"-find", module + "/..."})
+	if err != nil {
+		return total, err
+	}
+	for _, p := range all {
+		if p.Module != nil && !analyzed[p.ImportPath] {
+			return total, nil
+		}
+	}
+	diags := s.Reach(fset)
+	printDiags(out, fset, diags)
+	return total + len(diags), nil
 }
 
-// goList shells out to `go list -export -deps -json` and decodes the
-// package stream (dependency order: imports precede importers).
-func goList(dir string, patterns []string) ([]*listedPkg, error) {
-	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
+// goList shells out to `go list -e -json` with args and decodes the
+// package stream (with -deps, in dependency order: imports precede
+// importers).
+func goList(dir string, args []string) ([]*listedPkg, error) {
+	args = append([]string{"list", "-e", "-json"}, args...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -106,7 +127,7 @@ func goList(dir string, patterns []string) ([]*listedPkg, error) {
 
 // analyzePackage type-checks one module package from source and runs the
 // full suite over it, printing findings to out.
-func analyzePackage(fset *token.FileSet, imp types.Importer, store *factStore, p *listedPkg, out io.Writer) (int, error) {
+func analyzePackage(fset *token.FileSet, imp types.Importer, s *Session, p *listedPkg, out io.Writer) (int, error) {
 	var files []*ast.File
 	for _, name := range p.GoFiles {
 		path := name
@@ -125,7 +146,7 @@ func analyzePackage(fset *token.FileSet, imp types.Importer, store *factStore, p
 	if err != nil {
 		return 0, err
 	}
-	diags := runSuite(fset, files, pkg, info, p.Module.Path, store)
+	diags := s.Analyze(fset, files, pkg, info, p.Module.Path)
 	printDiags(out, fset, diags)
 	return len(diags), nil
 }
@@ -138,37 +159,6 @@ func newTypesInfo() *types.Info {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
-}
-
-// runSuite executes every analyzer over one type-checked package,
-// returning position-sorted diagnostics (malformed directives included).
-func runSuite(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, module string, store *factStore) []Diagnostic {
-	dirs := NewDirectives(fset, files)
-	var diags []Diagnostic
-	diags = append(diags, dirs.Malformed()...)
-	for _, a := range Suite() {
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Module:    module,
-			Dirs:      dirs,
-			facts:     store,
-			report: func(d Diagnostic) {
-				diags = append(diags, d)
-			},
-		}
-		if err := a.Run(pass); err != nil {
-			diags = append(diags, Diagnostic{
-				Pos: token.NoPos, Check: a.Name,
-				Message: fmt.Sprintf("internal error: %v", err),
-			})
-		}
-	}
-	sortDiagnostics(fset, diags)
-	return diags
 }
 
 // printDiags writes findings as file:line:col: analyzer-tagged lines.

@@ -41,6 +41,24 @@ func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, testdata(t), "determ", "determ")
 }
 
+// TestReach runs the whole-module reach check over a fixture module with
+// one binary: unreached and bare-marked declarations are findings, a
+// mark on code the binary reaches is one, and marked declarations and
+// packages reach what they call.
+func TestReach(t *testing.T) {
+	analysistest.RunModule(t, testdata(t), "reachmod", "reachmod/lib", "reachmod/support", "reachmod/cmd/tool")
+}
+
+// TestReachNeedsWholeModule: a pattern narrower than the module skips the
+// reach check, which would otherwise find every declaration of
+// internal/matching unreached, since no main is loaded.
+func TestReachNeedsWholeModule(t *testing.T) {
+	findings, err := analysis.RunStandalone(".", []string{"flowsched/internal/matching"}, testWriter{t})
+	if err != nil || findings != 0 {
+		t.Fatalf("flowschedvet on internal/matching: %d findings, err %v", findings, err)
+	}
+}
+
 // TestRepoClean is the dogfood gate as a tier-1 test: the whole module
 // must analyze clean, so a hot-path regression fails go test ./... even
 // before CI's dedicated flowschedvet step runs.

@@ -7,54 +7,10 @@ import "flowsched/internal/switchnet"
 // original (unaugmented) port capacities. Exponential in the number of
 // flows; it exists to validate the Theorem 2 reduction and the online
 // lower-bound gadgets on small instances, and to cross-check the LP bound.
+//
+//flowsched:testonly the exact oracle of core's lemma tests and engine's TestMetamorphicMRTMatchesBruteForce
 func ExactMRTFeasible(inst *switchnet.Instance, rho int) bool {
 	return ExactFeasibleWindows(inst, ResponseWindows(inst, rho))
-}
-
-// ExactARTOptimal computes the exact minimum total response time of an
-// instance by branch and bound over schedules within maxRho rounds of each
-// flow's release (original capacities). Exponential; used to certify that
-// ARTLowerBound is a true lower bound and to measure its gap on tiny
-// instances. It returns -1 if no schedule fits within maxRho.
-func ExactARTOptimal(inst *switchnet.Instance, maxRho int) int {
-	n := inst.N()
-	if n == 0 {
-		return 0
-	}
-	loads := map[int][]int{}
-	numPorts := inst.Switch.NumPorts()
-	caps := inst.Switch.Caps()
-	best := -1
-	var rec func(f, sum int)
-	rec = func(f, sum int) {
-		if best >= 0 && sum+(n-f) >= best {
-			return // each remaining flow adds >= 1
-		}
-		if f == n {
-			best = sum
-			return
-		}
-		e := inst.Flows[f]
-		pIn := inst.Switch.PortIndex(switchnet.In, e.In)
-		pOut := inst.Switch.PortIndex(switchnet.Out, e.Out)
-		for t := e.Release; t < e.Release+maxRho; t++ {
-			row, ok := loads[t]
-			if !ok {
-				row = make([]int, numPorts)
-				loads[t] = row
-			}
-			if row[pIn]+e.Demand > caps[pIn] || row[pOut]+e.Demand > caps[pOut] {
-				continue
-			}
-			row[pIn] += e.Demand
-			row[pOut] += e.Demand
-			rec(f+1, sum+t+1-e.Release)
-			row[pIn] -= e.Demand
-			row[pOut] -= e.Demand
-		}
-	}
-	rec(0, 0)
-	return best
 }
 
 // ExactFeasibleWindows decides by exhaustive backtracking whether every

@@ -7,6 +7,52 @@ import (
 	"flowsched/internal/switchnet"
 )
 
+// ExactARTOptimal computes the exact minimum total response time of an
+// instance by branch and bound over schedules within maxRho rounds of each
+// flow's release (original capacities). Exponential; used to certify that
+// ARTLowerBound is a true lower bound and to measure its gap on tiny
+// instances. It returns -1 if no schedule fits within maxRho.
+func ExactARTOptimal(inst *switchnet.Instance, maxRho int) int {
+	n := inst.N()
+	if n == 0 {
+		return 0
+	}
+	loads := map[int][]int{}
+	numPorts := inst.Switch.NumPorts()
+	caps := inst.Switch.Caps()
+	best := -1
+	var rec func(f, sum int)
+	rec = func(f, sum int) {
+		if best >= 0 && sum+(n-f) >= best {
+			return // each remaining flow adds >= 1
+		}
+		if f == n {
+			best = sum
+			return
+		}
+		e := inst.Flows[f]
+		pIn := inst.Switch.PortIndex(switchnet.In, e.In)
+		pOut := inst.Switch.PortIndex(switchnet.Out, e.Out)
+		for t := e.Release; t < e.Release+maxRho; t++ {
+			row, ok := loads[t]
+			if !ok {
+				row = make([]int, numPorts)
+				loads[t] = row
+			}
+			if row[pIn]+e.Demand > caps[pIn] || row[pOut]+e.Demand > caps[pOut] {
+				continue
+			}
+			row[pIn] += e.Demand
+			row[pOut] += e.Demand
+			rec(f+1, sum+t+1-e.Release)
+			row[pIn] -= e.Demand
+			row[pOut] -= e.Demand
+		}
+	}
+	rec(0, 0)
+	return best
+}
+
 // TestARTLowerBoundBelowExactOptimum cross-validates LP (1)-(4) against
 // exhaustive search: the LP is always at most the true optimum, and the
 // true optimum is at most what the greedy schedule achieves.

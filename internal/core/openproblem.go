@@ -11,6 +11,8 @@ import "flowsched/internal/switchnet"
 //
 // The paper conjectures a constant suffices; the probe gathers evidence
 // (TestSmoothSequencesScheduleWithSmallRho keeps it below 5).
+//
+//flowsched:testonly TestSmoothSequencesScheduleWithSmallRho's probe until ROADMAP 7a's open artifact runs it
 func OpenProblemProbe(inst *switchnet.Instance, maxRho int) int {
 	for rho := 1; rho <= maxRho; rho++ {
 		if ExactMRTFeasible(inst, rho) {

@@ -283,32 +283,3 @@ func TestEmptyInstanceScenarios(t *testing.T) {
 		}
 	}
 }
-
-// TestParetoGenScenarios runs the heavy-tailed generator through the
-// engine: demand-capable solvers must produce verified schedules, and the
-// instances must actually exercise non-unit demands.
-func TestParetoGenScenarios(t *testing.T) {
-	gen := ParetoGen{Cfg: workload.ParetoConfig{M: 4, T: 6, Ports: 5, Alpha: 1.1, MinDemand: 1, MaxDemand: 6}}
-	var scenarios []Scenario
-	for _, s := range solversNamed(t, "MRT", "AMRT", "MaxWeight", "FIFO") {
-		for seed := int64(1); seed <= 3; seed++ {
-			scenarios = append(scenarios, Scenario{Seed: seed, Workload: gen, Solver: s})
-		}
-	}
-	verdicts := Run(scenarios, Options{Workers: 2, KeepInstances: true})
-	sawGeneral := false
-	for _, v := range verdicts {
-		if v.N == 0 {
-			continue
-		}
-		if !v.Verified {
-			t.Fatalf("%s on %s (seed %d): %v", v.Scenario.Solver.Name(), gen.Name(), v.Scenario.Seed, v.Err)
-		}
-		if !v.Instance.UnitDemands() {
-			sawGeneral = true
-		}
-	}
-	if !sawGeneral {
-		t.Fatal("pareto generator produced only unit demands")
-	}
-}

@@ -21,23 +21,6 @@ func (g PoissonGen) Name() string {
 // Generate implements Generator.
 func (g PoissonGen) Generate(rng *rand.Rand) *switchnet.Instance { return g.Cfg.Generate(rng) }
 
-// ParetoGen wraps the heavy-tailed workload of workload.ParetoConfig:
-// Poisson(M) arrivals per round with bounded-Pareto demands, the same size
-// distribution the streaming arrival sources draw from — so offline sweeps
-// and unbounded stream runs are comparable on one traffic model.
-type ParetoGen struct {
-	Cfg workload.ParetoConfig
-}
-
-// Name implements Generator.
-func (g ParetoGen) Name() string {
-	return fmt.Sprintf("pareto(m=%d,M=%.3g,T=%d,a=%.2g,d<=%d)",
-		g.Cfg.Ports, g.Cfg.M, g.Cfg.T, g.Cfg.Alpha, g.Cfg.MaxDemand)
-}
-
-// Generate implements Generator.
-func (g ParetoGen) Generate(rng *rand.Rand) *switchnet.Instance { return g.Cfg.Generate(rng) }
-
 // PermutationGen wraps the permutation-traffic pattern: one random perfect
 // matching of the ports per round.
 type PermutationGen struct {

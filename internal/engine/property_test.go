@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"flowsched/internal/core"
 	"flowsched/internal/switchnet"
 	"flowsched/internal/verify"
 )
@@ -87,17 +88,19 @@ func TestPropertyGeneralDemandSolvers(t *testing.T) {
 }
 
 // TestPropertyTimeConstrainedSolver: with a generous response window the
-// time-constrained solver must succeed and keep every flow inside it.
+// time-constrained solver (Theorem 3, over the FS-MRT windows
+// [r_e, r_e+rho)) must succeed within its 2*d_max-1 augmentation and keep
+// every flow inside its window.
 func TestPropertyTimeConstrainedSolver(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 6; trial++ {
 		inst := randomUnitInstance(rng)
 		rho := inst.CongestionHorizon() + 1
-		sol, err := (TimeConstrainedSolver{Rho: rho}).Solve(inst)
+		res, err := core.SolveTimeConstrained(inst, core.ResponseWindows(inst, rho))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		rep, err := verify.CheckSchedule(inst, sol.Schedule, sol.Caps)
+		rep, err := verify.CheckAugmented(inst, res.Schedule, 2*inst.MaxDemand()-1)
 		if err != nil {
 			t.Fatalf("trial %d: oracle: %v", trial, err)
 		}

@@ -91,33 +91,6 @@ func (MRTSolver) Solve(inst *switchnet.Instance) (*Solution, error) {
 	}, nil
 }
 
-// TimeConstrainedSolver adapts SolveTimeConstrained with the FS-MRT window
-// family [r_e, r_e+Rho): it either schedules every flow within Rho rounds
-// of release (augmentation 2*d_max-1) or fails with core.ErrInfeasible.
-type TimeConstrainedSolver struct {
-	// Rho is the per-flow response window length.
-	Rho int
-}
-
-// Name implements Solver.
-func (s TimeConstrainedSolver) Name() string { return fmt.Sprintf("TC(rho=%d)", s.Rho) }
-
-// Solve implements Solver.
-func (s TimeConstrainedSolver) Solve(inst *switchnet.Instance) (*Solution, error) {
-	res, err := core.SolveTimeConstrained(inst, core.ResponseWindows(inst, s.Rho))
-	if err != nil {
-		return nil, err
-	}
-	return &Solution{
-		Schedule: res.Schedule,
-		Caps:     switchnet.AddCaps(inst.Switch.Caps(), res.CapIncrease),
-		Stats: withLPStats(map[string]float64{
-			"cap_increase": float64(res.CapIncrease),
-			"lp_pivots":    float64(res.LPIterations),
-		}, res.LP),
-	}, nil
-}
-
 // AMRTSolver adapts OnlineAMRT (Lemma 5.3): online batching, capacities
 // 2*(c_p + 2*d_max - 1).
 type AMRTSolver struct{}

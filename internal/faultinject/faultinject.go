@@ -13,6 +13,8 @@
 // stream contract (releases stay non-decreasing, batch pulls stay
 // release-gated); they reshape timing and availability, which is what
 // real faults do.
+//
+//flowsched:testonly the fault tests of faultinject and workload (conformance, golden) import it; no binary injects faults
 package faultinject
 
 import (

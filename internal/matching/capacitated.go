@@ -1,3 +1,13 @@
+// Package matching solves the capacitated bipartite matchings
+// (b-matchings) the scheduling heuristics of Section 5.2.2 pick each
+// round: every port may join up to its capacity of selected edges.
+// CapacitatedMaxCardinality is Dinic's max flow over flownet, which on
+// unit capacities has Hopcroft–Karp's O(E√V) bound;
+// CapacitatedMaxWeight is a min-cost flow that augments only profitable
+// paths. Together they replace the Lemon graph library used by the
+// paper's original simulator.
+//
+//flowsched:deterministic
 package matching
 
 import "flowsched/internal/flownet"
@@ -14,7 +24,7 @@ type Edge struct {
 // each left vertex l appears in at most capL[l] selected edges and each
 // right vertex r in at most capR[r]. It returns the indices of selected
 // edges. This is the b-matching generalization needed for switches with
-// non-unit port capacities; solved by max flow.
+// non-unit port capacities; solved by Dinic's max flow.
 func CapacitatedMaxCardinality(capL, capR []int, edges []Edge) []int {
 	nL, nR := len(capL), len(capR)
 	g := flownet.New(nL + nR + 2)

@@ -66,150 +66,6 @@ func randomBipartite(rng *rand.Rand, maxN int) (nL, nR int, adj [][]int) {
 	return
 }
 
-func checkValidMatching(t *testing.T, nR int, matchL []int, adj [][]int) {
-	t.Helper()
-	seen := make([]bool, nR)
-	for l, r := range matchL {
-		if r == NoMatch {
-			continue
-		}
-		if r < 0 || r >= nR {
-			t.Fatalf("left %d matched out of range: %d", l, r)
-		}
-		if seen[r] {
-			t.Fatalf("right %d matched twice", r)
-		}
-		seen[r] = true
-		found := false
-		for _, x := range adj[l] {
-			if x == r {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("matched pair (%d,%d) is not an edge", l, r)
-		}
-	}
-}
-
-func TestMaxCardinalitySimple(t *testing.T) {
-	// Perfect matching exists on 3x3.
-	adj := [][]int{{0, 1}, {0}, {1, 2}}
-	m := MaxCardinality(3, 3, adj)
-	checkValidMatching(t, 3, m, adj)
-	if Cardinality(m) != 3 {
-		t.Fatalf("cardinality = %d, want 3", Cardinality(m))
-	}
-}
-
-func TestMaxCardinalityEmpty(t *testing.T) {
-	if m := MaxCardinality(0, 0, nil); len(m) != 0 {
-		t.Fatal("empty graph should give empty matching")
-	}
-	m := MaxCardinality(2, 2, [][]int{{}, {}})
-	if Cardinality(m) != 0 {
-		t.Fatal("edgeless graph must have empty matching")
-	}
-}
-
-func TestQuickMaxCardinalityMatchesBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nL, nR, adj := randomBipartite(rng, 7)
-		m := MaxCardinality(nL, nR, adj)
-		// Validity.
-		seen := make([]bool, nR)
-		for l, r := range m {
-			if r == NoMatch {
-				continue
-			}
-			if seen[r] {
-				return false
-			}
-			seen[r] = true
-			ok := false
-			for _, x := range adj[l] {
-				if x == r {
-					ok = true
-				}
-			}
-			if !ok {
-				return false
-			}
-		}
-		return Cardinality(m) == bruteMaxCardinality(nL, nR, adj)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMinCostAssignmentKnown(t *testing.T) {
-	cost := [][]float64{
-		{4, 1, 3},
-		{2, 0, 5},
-		{3, 2, 2},
-	}
-	assign, total := MinCostAssignment(cost)
-	if total != 5 {
-		t.Fatalf("total = %v, want 5", total)
-	}
-	// Optimal: row0->col1 (1), row1->col0 (2), row2->col2 (2).
-	want := []int{1, 0, 2}
-	for i := range want {
-		if assign[i] != want[i] {
-			t.Fatalf("assign = %v, want %v", assign, want)
-		}
-	}
-}
-
-func TestMinCostAssignmentEmpty(t *testing.T) {
-	if a, c := MinCostAssignment(nil); a != nil || c != 0 {
-		t.Fatal("empty assignment should be nil, 0")
-	}
-}
-
-func TestMaxWeightSimple(t *testing.T) {
-	adj := [][]int{{0, 1}, {0}}
-	w := func(l, r int) float64 {
-		if l == 0 && r == 0 {
-			return 10
-		}
-		if l == 0 && r == 1 {
-			return 3
-		}
-		return 4 // (1,0)
-	}
-	m := MaxWeight(2, 2, adj, w)
-	checkValidMatching(t, 2, m, adj)
-	// Optimal is the single heavy edge (0,0): 10 beats 3+4=7.
-	if got := MatchWeight(m, w); got != 10 {
-		t.Fatalf("weight = %v, want 10", got)
-	}
-}
-
-func TestQuickMaxWeightMatchesBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nL, nR, adj := randomBipartite(rng, 6)
-		weights := make(map[[2]int]float64)
-		for l := range adj {
-			for _, r := range adj[l] {
-				weights[[2]int{l, r}] = float64(1 + rng.Intn(20))
-			}
-		}
-		w := func(l, r int) float64 { return weights[[2]int{l, r}] }
-		m := MaxWeight(nL, nR, adj, w)
-		got := MatchWeight(m, w)
-		want := bruteMaxWeight(nL, nR, adj, w)
-		return got > want-1e-9 && got < want+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCapacitatedMaxCardinalityRespectsCaps(t *testing.T) {
 	capL := []int{2, 1}
 	capR := []int{1, 2}
@@ -246,36 +102,38 @@ func TestCapacitatedMaxWeightPicksHeavy(t *testing.T) {
 	}
 }
 
-// Property: capacitated max cardinality with unit caps equals Hopcroft-Karp.
-func TestQuickCapacitatedUnitEqualsHK(t *testing.T) {
+// unitCaps is a capacity of one on each of n vertices.
+func unitCaps(n int) []int {
+	caps := make([]int, n)
+	for i := range caps {
+		caps[i] = 1
+	}
+	return caps
+}
+
+// Property: at unit capacities the capacitated max cardinality is the
+// brute-force maximum matching's size.
+func TestQuickCapacitatedUnitMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nL, nR, adj := randomBipartite(rng, 6)
-		capL := make([]int, nL)
-		capR := make([]int, nR)
-		for i := range capL {
-			capL[i] = 1
-		}
-		for i := range capR {
-			capR[i] = 1
-		}
 		var edges []Edge
 		for l := range adj {
 			for _, r := range adj[l] {
 				edges = append(edges, Edge{l, r, 0})
 			}
 		}
-		sel := CapacitatedMaxCardinality(capL, capR, edges)
-		hk := MaxCardinality(nL, nR, adj)
-		return len(sel) == Cardinality(hk)
+		sel := CapacitatedMaxCardinality(unitCaps(nL), unitCaps(nR), edges)
+		return len(sel) == bruteMaxCardinality(nL, nR, adj)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: capacitated max weight with unit caps equals Hungarian answer.
-func TestQuickCapacitatedWeightEqualsHungarian(t *testing.T) {
+// Property: at unit capacities the capacitated max weight is the
+// brute-force maximum-weight matching's weight.
+func TestQuickCapacitatedWeightUnitMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nL, nR, adj := randomBipartite(rng, 5)
@@ -288,24 +146,104 @@ func TestQuickCapacitatedWeightEqualsHungarian(t *testing.T) {
 				edges = append(edges, Edge{l, r, wt})
 			}
 		}
-		capL := make([]int, nL)
-		capR := make([]int, nR)
-		for i := range capL {
-			capL[i] = 1
-		}
-		for i := range capR {
-			capR[i] = 1
-		}
-		sel := CapacitatedMaxWeight(capL, capR, edges)
+		sel := CapacitatedMaxWeight(unitCaps(nL), unitCaps(nR), edges)
 		total := 0
 		for _, i := range sel {
 			total += edges[i].Weight
 		}
 		w := func(l, r int) float64 { return float64(weights[[2]int{l, r}]) }
-		m := MaxWeight(nL, nR, adj, w)
-		return float64(total) == MatchWeight(m, w)
+		return float64(total) == bruteMaxWeight(nL, nR, adj, w)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// bruteBMatching enumerates every subset of edges (len(edges) ≤ 12) and
+// returns the largest size and the largest weight of a subset in which
+// each vertex's degree stays within its capacity.
+func bruteBMatching(capL, capR []int, edges []Edge) (size, weight int) {
+	loadL := make([]int, len(capL))
+	loadR := make([]int, len(capR))
+	for mask := 0; mask < 1<<len(edges); mask++ {
+		clear(loadL)
+		clear(loadR)
+		n, w, ok := 0, 0, true
+		for i, e := range edges {
+			if mask&(1<<i) == 0 {
+				continue
+			}
+			loadL[e.L]++
+			loadR[e.R]++
+			if loadL[e.L] > capL[e.L] || loadR[e.R] > capR[e.R] {
+				ok = false
+				break
+			}
+			n, w = n+1, w+e.Weight
+		}
+		if ok {
+			size, weight = max(size, n), max(weight, w)
+		}
+	}
+	return size, weight
+}
+
+// Property: at port capacities 1-3, with parallel edges allowed (several
+// flows on one port pair), both capacitated matchers return a subset
+// within the capacities whose size, respectively weight, is the
+// brute-force b-matching optimum. The heuristics solve exactly these
+// whenever a port's capacity exceeds one.
+func TestQuickCapacitatedBMatchingMatchesBruteForce(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		capL := make([]int, 1+rng.Intn(4))
+		capR := make([]int, 1+rng.Intn(4))
+		for i := range capL {
+			capL[i] = 1 + rng.Intn(3)
+		}
+		for i := range capR {
+			capR[i] = 1 + rng.Intn(3)
+		}
+		edges := make([]Edge, rng.Intn(13))
+		for i := range edges {
+			edges[i] = Edge{rng.Intn(len(capL)), rng.Intn(len(capR)), rng.Intn(10)}
+		}
+		wantSize, wantWeight := bruteBMatching(capL, capR, edges)
+
+		// within reports a valid selection's size and weight.
+		within := func(sel []int) (int, int, bool) {
+			loadL := make([]int, len(capL))
+			loadR := make([]int, len(capR))
+			seen := make([]bool, len(edges))
+			w := 0
+			for _, i := range sel {
+				if i < 0 || i >= len(edges) || seen[i] {
+					return 0, 0, false
+				}
+				seen[i] = true
+				e := edges[i]
+				loadL[e.L]++
+				loadR[e.R]++
+				if loadL[e.L] > capL[e.L] || loadR[e.R] > capR[e.R] {
+					return 0, 0, false
+				}
+				w += e.Weight
+			}
+			return len(sel), w, true
+		}
+		n, _, ok := within(CapacitatedMaxCardinality(capL, capR, edges))
+		if !ok || n != wantSize {
+			t.Logf("seed %d: max cardinality %d (valid %v), brute force %d", seed, n, ok, wantSize)
+			return false
+		}
+		_, w, ok := within(CapacitatedMaxWeight(capL, capR, edges))
+		if !ok || w != wantWeight {
+			t.Logf("seed %d: max weight %d (valid %v), brute force %d", seed, w, ok, wantWeight)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 )
 
-// EpochWindow is the concurrent counterpart of WindowQuantiles: the same
-// rotating ring of LogHistogram shards over a sliding window of rounds,
+// EpochWindow is the concurrent counterpart of the tests' WindowQuantiles
+// oracle: the same rotating ring of LogHistogram shards over a sliding window of rounds,
 // but safe to query from other goroutines while a single writer records —
 // without the writer ever taking a lock or allocating.
 //
@@ -26,7 +26,7 @@ import (
 // Ring expiry moved from the writer to the reader: each ring slot is
 // labelled with the period it covers, and ReadInto skips slots whose
 // period has slid out of the window as of the caller's round — the
-// equivalent of WindowQuantiles.Advance without mutating shared state
+// equivalent of the oracle's Advance without mutating shared state
 // from the read side.
 //
 // Every ring is preallocated to the sketch's full bucket range at

@@ -6,6 +6,109 @@ import (
 	"testing"
 )
 
+// WindowQuantiles is EpochWindow's single-threaded oracle: it tracks
+// quantiles over a sliding window of the most recent rounds by rotating a fixed ring of LogHistogram shards: each shard covers
+// window/shards consecutive rounds, and a query merges the live shards.
+// Memory is O(shards * buckets) regardless of how many observations ever
+// arrived. Rounds must be observed in non-decreasing order.
+type WindowQuantiles struct {
+	shards     []LogHistogram
+	perShard   int
+	lastPeriod int64
+	started    bool
+	scratch    LogHistogram
+}
+
+// NewWindowQuantiles returns a sliding window covering (approximately) the
+// given number of rounds, split into the given number of shards. Both
+// arguments are clamped to at least 1.
+func NewWindowQuantiles(windowRounds, shards int) *WindowQuantiles {
+	if shards < 1 {
+		shards = 1
+	}
+	if windowRounds < shards {
+		windowRounds = shards
+	}
+	return &WindowQuantiles{
+		shards:   make([]LogHistogram, shards),
+		perShard: (windowRounds + shards - 1) / shards,
+	}
+}
+
+// Observe records value v at the given round, expiring shards whose rounds
+// have slid out of the window.
+func (w *WindowQuantiles) Observe(round, v int) {
+	w.advance(round)
+	w.shards[w.lastPeriod%int64(len(w.shards))].Add(v)
+}
+
+// Advance expires shards that have slid out of the window as of round,
+// without recording an observation — call it before querying quantiles
+// when observations may have stopped arriving (an idle or stalled stream),
+// so stale shards do not linger in the reported window.
+func (w *WindowQuantiles) Advance(round int) { w.advance(round) }
+
+// advance rotates the ring up to the shard period containing round.
+func (w *WindowQuantiles) advance(round int) {
+	period := int64(round) / int64(w.perShard)
+	if !w.started {
+		w.started = true
+		w.lastPeriod = period
+		return
+	}
+	if period <= w.lastPeriod {
+		return
+	}
+	steps := period - w.lastPeriod
+	if steps > int64(len(w.shards)) {
+		steps = int64(len(w.shards))
+	}
+	for s := int64(1); s <= steps; s++ {
+		w.shards[(w.lastPeriod+s)%int64(len(w.shards))].Reset()
+	}
+	w.lastPeriod = period
+}
+
+// N returns the number of observations currently inside the window.
+func (w *WindowQuantiles) N() uint64 {
+	var n uint64
+	for i := range w.shards {
+		n += w.shards[i].n
+	}
+	return n
+}
+
+// Quantile returns the q-quantile over the window's live observations; 0
+// if the window is empty.
+func (w *WindowQuantiles) Quantile(q float64) float64 {
+	w.scratch.Reset()
+	w.MergeInto(&w.scratch)
+	return w.scratch.Quantile(q)
+}
+
+// MergeInto merges the window's live observations into dst. It is the
+// cross-window merge path for sharded runtimes that keep one
+// WindowQuantiles per shard over the same rounds and combine them at
+// snapshot time: merging every shard's window into one LogHistogram
+// yields the same quantiles as a single window observing all values.
+func (w *WindowQuantiles) MergeInto(dst *LogHistogram) {
+	for i := range w.shards {
+		dst.Merge(&w.shards[i])
+	}
+}
+
+// Grow preallocates every ring shard and the query scratch to cover
+// observations up to max, so Observe, Advance, and Quantile stop
+// allocating once the window is constructed: rotation already reuses the
+// shard backing arrays (Reset retains storage), and growing up front
+// removes the remaining Add/Merge growth path.
+func (w *WindowQuantiles) Grow(max int) {
+	for i := range w.shards {
+		w.shards[i].Grow(max)
+	}
+	w.scratch.Grow(max)
+}
+
 // TestEpochWindowMatchesWindowQuantiles: with a single writer and no
 // concurrency, the epoch window must report exactly the quantiles of a
 // WindowQuantiles fed the same observation stream — same ring geometry,

@@ -1,6 +1,7 @@
 // Package stats holds the trial summaries the experiment harness prints
 // (Mean, Max) and the response-time sketches the streaming runtime keeps
-// (LogHistogram, WindowQuantiles, EpochWindow).
+// (LogHistogram, EpochWindow). WindowQuantiles, EpochWindow's
+// single-threaded oracle, lives in the package's tests.
 package stats
 
 // Mean returns the arithmetic mean, or 0 for an empty slice.

@@ -42,6 +42,8 @@ type ChurnSource struct {
 // NewChurnSource returns a source drawing from cfg with rng. With Ins ==
 // 1 the input draw is skipped, so the output sequence depends only on the
 // seed and PerRound.
+//
+//flowsched:testonly the churn fairness and golden tests of workload and stream draw from it; ROADMAP 2b decides whether a benchmark workload does
 func NewChurnSource(cfg ChurnConfig, rng *rand.Rand) *ChurnSource {
 	if cfg.Ins <= 0 {
 		cfg.Ins = 1

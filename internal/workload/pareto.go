@@ -3,15 +3,11 @@ package workload
 import (
 	"math"
 	"math/rand"
-
-	"flowsched/internal/switchnet"
 )
 
 // Heavy-tailed flow sizes. Datacenter flow-size distributions are famously
 // heavy-tailed (most flows are mice, most bytes live in elephants), so the
-// extended experiments and the streaming sources share one bounded-Pareto
-// size model: offline sweeps draw whole instances from ParetoConfig, and
-// the arrival sources draw per-flow demands from the same sampler.
+// arrival sources draw per-flow demands from a bounded Pareto.
 
 // BoundedPareto draws an integer from the bounded Pareto(alpha)
 // distribution on [lo, hi] by inverse-CDF sampling. alpha <= 0 is treated
@@ -39,52 +35,4 @@ func BoundedPareto(rng *rand.Rand, alpha float64, lo, hi int) int {
 		v = hi
 	}
 	return v
-}
-
-// ParetoConfig is the heavy-tailed counterpart of PoissonConfig: Poisson(M)
-// arrivals per round for T rounds on a Ports x Ports switch, with demands
-// drawn from a bounded Pareto(Alpha) on [MinDemand, MaxDemand]. Port
-// capacities are max(Cap, MaxDemand) so every flow satisfies the standing
-// assumption d_e <= kappa_e.
-type ParetoConfig struct {
-	// M is the mean number of flows released per round; T the number of
-	// arrival rounds; Ports the switch size.
-	M     float64
-	T     int
-	Ports int
-	// Cap is the per-port capacity (raised to MaxDemand if smaller).
-	Cap int
-	// Alpha is the Pareto tail index; smaller is heavier (<= 0 means 1).
-	Alpha float64
-	// MinDemand and MaxDemand bound the flow sizes (clamped to >= 1).
-	MinDemand, MaxDemand int
-}
-
-// Generate draws an instance from the configuration using rng.
-func (c ParetoConfig) Generate(rng *rand.Rand) *switchnet.Instance {
-	minD := c.MinDemand
-	if minD < 1 {
-		minD = 1
-	}
-	maxD := c.MaxDemand
-	if maxD < minD {
-		maxD = minD
-	}
-	cap := c.Cap
-	if cap < maxD {
-		cap = maxD
-	}
-	inst := &switchnet.Instance{Switch: switchnet.NewSwitch(c.Ports, c.Ports, cap)}
-	for t := 0; t < c.T; t++ {
-		k := Poisson(rng, c.M)
-		for i := 0; i < k; i++ {
-			inst.Flows = append(inst.Flows, switchnet.Flow{
-				In:      rng.Intn(c.Ports),
-				Out:     rng.Intn(c.Ports),
-				Demand:  BoundedPareto(rng, c.Alpha, minD, maxD),
-				Release: t,
-			})
-		}
-	}
-	return inst
 }

@@ -62,6 +62,8 @@ func SmoothSequence(rng *rand.Rand, m, T int) *switchnet.Instance {
 // CheckSmooth verifies the interval-degree condition of SmoothSequence on
 // an arbitrary unit-demand instance; it returns the worst violation
 // (0 means the condition holds).
+//
+//flowsched:testonly core's TestSmoothSequencesScheduleWithSmallRho checks its instances with it
 func CheckSmooth(inst *switchnet.Instance) int {
 	T := inst.MaxRelease() + 1
 	numPorts := inst.Switch.NumPorts()

@@ -173,26 +173,6 @@ func TestBoundedParetoTail(t *testing.T) {
 	}
 }
 
-func TestParetoConfigGenerate(t *testing.T) {
-	cfg := ParetoConfig{M: 4, T: 6, Ports: 5, Alpha: 1.1, MinDemand: 1, MaxDemand: 8}
-	inst := cfg.Generate(rand.New(rand.NewSource(4)))
-	if err := inst.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if inst.Switch.InCaps[0] < 8 {
-		t.Fatalf("capacity %d below max demand 8", inst.Switch.InCaps[0])
-	}
-	varied := false
-	for _, f := range inst.Flows {
-		if f.Demand > 1 {
-			varied = true
-		}
-	}
-	if !varied && inst.N() > 20 {
-		t.Fatal("pareto demands all unit")
-	}
-}
-
 // TestTraceSourceMatchesReadTrace: streaming a sorted trace must yield
 // exactly what the batch reader loads.
 func TestTraceSourceMatchesReadTrace(t *testing.T) {
