@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"flowsched/internal/switchnet"
@@ -134,25 +136,40 @@ func TrivialMRTLowerBound(inst *switchnet.Instance) int {
 	// at or after r that must finish by r + rho give
 	// rho >= load/(cap) - (their spread); use the simplest prefix form:
 	// flows released in [r, r'] need (sum demands)/cap rounds, so
-	// rho >= ceil(load / cap) - (r' - r).
+	// rho >= ceil(load / cap) - (r' - r). Each flow is an event at both its
+	// ports; counting places every port's events in one run of one slice,
+	// and each run is sorted by release. The order among equal releases
+	// does not matter: a window holding every tie at both its ends
+	// dominates one that holds only some.
 	type ev struct{ release, demand int }
 	numPorts := inst.Switch.NumPorts()
-	byPort := make([][]ev, numPorts)
+	next := make([]int, numPorts+1) // where port p's next event goes
 	for _, e := range inst.Flows {
-		pIn := inst.Switch.PortIndex(switchnet.In, e.In)
-		pOut := inst.Switch.PortIndex(switchnet.Out, e.Out)
-		byPort[pIn] = append(byPort[pIn], ev{e.Release, e.Demand})
-		byPort[pOut] = append(byPort[pOut], ev{e.Release, e.Demand})
+		next[inst.Switch.PortIndex(switchnet.In, e.In)+1]++
+		next[inst.Switch.PortIndex(switchnet.Out, e.Out)+1]++
 	}
-	for p := 0; p < numPorts; p++ {
-		evs := byPort[p]
-		sort.Slice(evs, func(a, b int) bool { return evs[a].release < evs[b].release })
+	for p := range numPorts {
+		next[p+1] += next[p]
+	}
+	evs := make([]ev, 2*inst.N())
+	for _, e := range inst.Flows {
+		for _, p := range [2]int{inst.Switch.PortIndex(switchnet.In, e.In), inst.Switch.PortIndex(switchnet.Out, e.Out)} {
+			evs[next[p]] = ev{e.Release, e.Demand}
+			next[p]++
+		}
+	}
+	// Port p's run now ends at next[p], where port p+1's begins.
+	lo := 0
+	for p := range numPorts {
+		port := evs[lo:next[p]]
+		lo = next[p]
+		slices.SortFunc(port, func(a, b ev) int { return cmp.Compare(a.release, b.release) })
 		cap := inst.Switch.Cap(p)
-		for i := 0; i < len(evs); i++ {
+		for i := range port {
 			load := 0
-			for j := i; j < len(evs); j++ {
-				load += evs[j].demand
-				spread := evs[j].release - evs[i].release
+			for j := i; j < len(port); j++ {
+				load += port[j].demand
+				spread := port[j].release - port[i].release
 				if rho := (load+cap-1)/cap - spread; rho > best {
 					best = rho
 				}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"flowsched/internal/switchnet"
@@ -411,6 +412,69 @@ func TestTrivialMRTLowerBound(t *testing.T) {
 	// Output port 0 receives 2 unit flows at release 0 => rho >= 2.
 	if got := TrivialMRTLowerBound(inst); got != 2 {
 		t.Fatalf("bound = %d, want 2", got)
+	}
+}
+
+// trivialMRTLowerBoundRef is TrivialMRTLowerBound as it was first written:
+// one event list per port, each sorted by release on its own.
+func trivialMRTLowerBoundRef(inst *switchnet.Instance) int {
+	if inst.N() == 0 {
+		return 0
+	}
+	best := 1
+	type ev struct{ release, demand int }
+	numPorts := inst.Switch.NumPorts()
+	byPort := make([][]ev, numPorts)
+	for _, e := range inst.Flows {
+		pIn := inst.Switch.PortIndex(switchnet.In, e.In)
+		pOut := inst.Switch.PortIndex(switchnet.Out, e.Out)
+		byPort[pIn] = append(byPort[pIn], ev{e.Release, e.Demand})
+		byPort[pOut] = append(byPort[pOut], ev{e.Release, e.Demand})
+	}
+	for p := 0; p < numPorts; p++ {
+		evs := byPort[p]
+		sort.Slice(evs, func(a, b int) bool { return evs[a].release < evs[b].release })
+		cap := inst.Switch.Cap(p)
+		for i := 0; i < len(evs); i++ {
+			load := 0
+			for j := i; j < len(evs); j++ {
+				load += evs[j].demand
+				spread := evs[j].release - evs[i].release
+				if rho := (load+cap-1)/cap - spread; rho > best {
+					best = rho
+				}
+			}
+		}
+	}
+	return best
+}
+
+// TestTrivialMRTLowerBoundMatchesReference holds the one-sort bound to the
+// per-port reference on random instances full of tied releases, with
+// multi-unit demands, unequal port counts and capacities above one.
+func TestTrivialMRTLowerBoundMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 500; trial++ {
+		in, out := 1+rng.Intn(5), 1+rng.Intn(5)
+		sw := switchnet.Switch{InCaps: make([]int, in), OutCaps: make([]int, out)}
+		minCap := 4
+		for _, caps := range [][]int{sw.InCaps, sw.OutCaps} {
+			for i := range caps {
+				caps[i] = 1 + rng.Intn(4)
+				minCap = min(minCap, caps[i])
+			}
+		}
+		inst := &switchnet.Instance{Switch: sw, Flows: make([]switchnet.Flow, rng.Intn(40))}
+		span := 1 + rng.Intn(6)
+		for f := range inst.Flows {
+			inst.Flows[f] = switchnet.Flow{In: rng.Intn(in), Out: rng.Intn(out), Demand: 1 + rng.Intn(minCap), Release: rng.Intn(span)}
+		}
+		if err := inst.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if got, want := TrivialMRTLowerBound(inst), trivialMRTLowerBoundRef(inst); got != want {
+			t.Fatalf("trial %d: bound %d, reference %d, instance %+v", trial, got, want, inst)
+		}
 	}
 }
 

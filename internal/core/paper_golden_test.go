@@ -9,17 +9,26 @@ import (
 	"flowsched/internal/switchnet"
 )
 
-// paperInstance rebuilds the shape of the benchmark's offline_paper
-// generator (Section 5.2.1): a unit ports x ports switch and exactly
-// flows unit flows with uniform endpoints and releases uniform on
-// [0, rounds).
-func paperInstance(seed int64, ports, rounds, flows int) *switchnet.Instance {
+// paperInstances rebuilds the benchmark's offline_paper generator
+// (Section 5.2.1): count instances drawn one after another from one seeded
+// stream, each a unit ports x ports switch and exactly flows unit flows
+// with uniform endpoints and releases uniform on [0, rounds).
+func paperInstances(seed int64, count, ports, rounds, flows int) []*switchnet.Instance {
 	r := rand.New(rand.NewSource(seed))
-	fl := make([]switchnet.Flow, flows)
-	for j := range fl {
-		fl[j] = switchnet.Flow{In: r.Intn(ports), Out: r.Intn(ports), Demand: 1, Release: r.Intn(rounds)}
+	insts := make([]*switchnet.Instance, count)
+	for i := range insts {
+		fl := make([]switchnet.Flow, flows)
+		for j := range fl {
+			fl[j] = switchnet.Flow{In: r.Intn(ports), Out: r.Intn(ports), Demand: 1, Release: r.Intn(rounds)}
+		}
+		insts[i] = &switchnet.Instance{Switch: switchnet.UnitSwitch(ports), Flows: fl}
 	}
-	return &switchnet.Instance{Switch: switchnet.UnitSwitch(ports), Flows: fl}
+	return insts
+}
+
+// paperInstance is the first of paperInstances' draws from seed.
+func paperInstance(seed int64, ports, rounds, flows int) *switchnet.Instance {
+	return paperInstances(seed, 1, ports, rounds, flows)[0]
 }
 
 // TestPaperModelGolden pins what the LP pipeline computes on seeded

@@ -327,25 +327,35 @@ func grow[T any](s []T, n int) []T {
 // solve solves B x = b in place: b is indexed by row on entry and by basis
 // position on return.
 func (f *luFactor) solve(b []float64) {
+	m := f.m
+	prow, pcol, diag, uStart := f.prow[:m], f.pcol[:m], f.diag[:m], f.uStart[:m+1]
+	lStart, lRow, lVal, uRow, uVal := f.lStart[:len(f.lSteps)+1], f.lRow, f.lVal, f.uRow, f.uVal
 	for s, k := range f.lSteps {
-		t := b[f.prow[k]]
+		t := b[prow[k]]
 		if t == 0 {
 			continue
 		}
-		for e := f.lStart[s]; e < f.lStart[s+1]; e++ {
-			b[f.lRow[e]] -= f.lVal[e] * t
+		// Cut to rows' length, vals needs no bounds check in the loop.
+		rows := lRow[lStart[s]:lStart[s+1]]
+		vals := lVal[lStart[s]:lStart[s+1]]
+		vals = vals[:len(rows)]
+		for e, i := range rows {
+			b[i] -= vals[e] * t
 		}
 	}
-	x := f.tmp
-	for k := f.m - 1; k >= 0; k-- {
-		t := b[f.prow[k]]
+	x := f.tmp[:m]
+	for k := m - 1; k >= 0; k-- {
+		t := b[prow[k]]
 		if t != 0 {
-			t /= f.diag[k]
-			for e := f.uStart[k]; e < f.uStart[k+1]; e++ {
-				b[f.uRow[e]] -= f.uVal[e] * t
+			t /= diag[k]
+			rows := uRow[uStart[k]:uStart[k+1]]
+			vals := uVal[uStart[k]:uStart[k+1]]
+			vals = vals[:len(rows)]
+			for e, i := range rows {
+				b[i] -= vals[e] * t
 			}
 		}
-		x[f.pcol[k]] = t
+		x[pcol[k]] = t
 	}
 	copy(b, x)
 }
@@ -353,19 +363,28 @@ func (f *luFactor) solve(b []float64) {
 // solveT solves B^T y = c in place: c is indexed by basis position on
 // entry and by row on return.
 func (f *luFactor) solveT(c []float64) {
-	y := f.tmp
-	for k := 0; k < f.m; k++ {
-		t := c[f.pcol[k]]
-		for e := f.uStart[k]; e < f.uStart[k+1]; e++ {
-			t -= f.uVal[e] * y[f.uRow[e]]
+	m := f.m
+	prow, pcol, diag, uStart := f.prow[:m], f.pcol[:m], f.diag[:m], f.uStart[:m+1]
+	lStart, lRow, lVal, uRow, uVal := f.lStart[:len(f.lSteps)+1], f.lRow, f.lVal, f.uRow, f.uVal
+	y := f.tmp[:m]
+	for k := 0; k < m; k++ {
+		t := c[pcol[k]]
+		rows := uRow[uStart[k]:uStart[k+1]]
+		vals := uVal[uStart[k]:uStart[k+1]]
+		vals = vals[:len(rows)]
+		for e, i := range rows {
+			t -= vals[e] * y[i]
 		}
-		y[f.prow[k]] = t / f.diag[k]
+		y[prow[k]] = t / diag[k]
 	}
 	for s := len(f.lSteps) - 1; s >= 0; s-- {
-		r := f.prow[f.lSteps[s]]
+		r := prow[f.lSteps[s]]
 		t := y[r]
-		for e := f.lStart[s]; e < f.lStart[s+1]; e++ {
-			t -= f.lVal[e] * y[f.lRow[e]]
+		rows := lRow[lStart[s]:lStart[s+1]]
+		vals := lVal[lStart[s]:lStart[s+1]]
+		vals = vals[:len(rows)]
+		for e, i := range rows {
+			t -= vals[e] * y[i]
 		}
 		y[r] = t
 	}

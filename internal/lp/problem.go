@@ -5,7 +5,9 @@
 // artificial columns that make up most of a scheduling basis, the remaining
 // nucleus is factored left-looking with threshold pivoting) plus a sparse
 // product-form eta file, refactored every refactorEvery pivots; FTRAN and
-// BTRAN walk stored nonzeros only, so a pivot costs what the basis holds,
+// BTRAN walk stored nonzeros only, and the ratio test, the basic-value
+// update and the eta push walk the list of rows where FTRAN's image is
+// nonzero, so a pivot costs what the basis and the entering column hold,
 // not the square of its order. It stands in for the commercial solver
 // (Gurobi) used in the paper's experiments and solves the relaxations
 // (1)-(4), (5)-(8)/(9)-(12) and (19)-(21).

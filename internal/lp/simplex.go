@@ -55,6 +55,7 @@ type simplex struct {
 	lower0, upper0 []float64
 
 	y, w, res []float64 // BTRAN, FTRAN and refactor work vectors, length m
+	nz        []int     // rows where w is nonzero after FTRAN, ascending; room for m
 
 	tally
 }
@@ -90,9 +91,10 @@ var simplexPool = sync.Pool{New: func() any { return new(simplex) }}
 // etaFile is the product-form update of the basis inverse since the last
 // refactorisation: eta k replaced the basis column at position r[k] by one
 // whose FTRAN image was w, stored as the pivot w[r] in piv[k] and the other
-// nonzeros of w, ascending, at start[k]:start[k+1] of idx/val. The arrays
-// are truncated, not freed, at a refactorisation, so a pivot allocates
-// only while the file is still growing to its working size.
+// nonzeros of w, ascending, at start[k]:start[k+1] of idx/val. A push walks
+// w's nonzero list, not its rows. The arrays are truncated, not freed, at a
+// refactorisation, so a pivot allocates only while the file is still
+// growing to its working size.
 type etaFile struct {
 	r     []int
 	piv   []float64
@@ -108,17 +110,32 @@ func (e *etaFile) reset() {
 	e.start = append(e.start[:0], 0)
 }
 
-// push appends the eta of a pivot in row r with entering image w.
-func (e *etaFile) push(r int, w []float64) {
+// push appends the eta of a pivot in row r with entering image w, whose
+// nonzeros sit in the rows nz, ascending.
+func (e *etaFile) push(r int, w []float64, nz []int) {
 	e.r = append(e.r, r)
 	e.piv = append(e.piv, w[r])
-	for i, wi := range w {
-		if wi != 0 && i != r {
+	for _, i := range nz {
+		if i != r {
 			e.idx = append(e.idx, i)
-			e.val = append(e.val, wi)
+			e.val = append(e.val, w[i])
 		}
 	}
 	e.start = append(e.start, len(e.idx))
+}
+
+// nonzeros writes the rows where w is nonzero, ascending, to the front of
+// nz, which has room for every row of w, and returns them.
+func nonzeros(nz []int, w []float64) []int {
+	nz = nz[:len(w)]
+	n := 0
+	for i, wi := range w {
+		if wi != 0 {
+			nz[n] = i
+			n++
+		}
+	}
+	return nz[:n]
 }
 
 // SolveOptions tunes the solver.
@@ -362,7 +379,10 @@ func (s *simplex) load(p *Problem, opt SolveOptions) (*Solution, error) {
 			}
 		}
 	}
-	s.basis = grow(s.basis, m)
+	// The nonzero list lives in the basis' spare capacity: one array backs
+	// both, so the list adds no allocation when the state grows.
+	s.basis = grow(s.basis, 2*m)[:m]
+	s.nz = s.basis[m : 2*m]
 	for i := 0; i < m; i++ {
 		sj := p.n + i
 		if res[i] >= s.lower[sj]-feasTol && res[i] <= s.upper[sj]+feasTol {
@@ -521,11 +541,17 @@ func (s *simplex) refactor() error {
 func (s *simplex) ftran(v []float64) {
 	s.lu.solve(v)
 	e := &s.etas
+	n := e.len()
+	piv, start, idx, val := e.piv[:n], e.start[:n+1], e.idx, e.val
 	for k, r := range e.r {
-		alpha := v[r] / e.piv[k]
+		alpha := v[r] / piv[k]
 		if alpha != 0 {
-			for t := e.start[k]; t < e.start[k+1]; t++ {
-				v[e.idx[t]] -= e.val[t] * alpha
+			// Cut to ix's length, vx needs no bounds check in the loop.
+			ix := idx[start[k]:start[k+1]]
+			vx := val[start[k]:start[k+1]]
+			vx = vx[:len(ix)]
+			for t, i := range ix {
+				v[i] -= vx[t] * alpha
 			}
 		}
 		v[r] = alpha
@@ -535,112 +561,123 @@ func (s *simplex) ftran(v []float64) {
 // btran computes y = B^{-T} v in place.
 func (s *simplex) btran(v []float64) {
 	e := &s.etas
-	for k := e.len() - 1; k >= 0; k-- {
+	n := e.len()
+	er, piv, start, idx, val := e.r[:n], e.piv[:n], e.start[:n+1], e.idx, e.val
+	for k := n - 1; k >= 0; k-- {
 		sum := 0.0
-		for t := e.start[k]; t < e.start[k+1]; t++ {
-			sum += e.val[t] * v[e.idx[t]]
+		ix := idx[start[k]:start[k+1]]
+		vx := val[start[k]:start[k+1]]
+		vx = vx[:len(ix)]
+		for t, i := range ix {
+			sum += vx[t] * v[i]
 		}
-		r := e.r[k]
-		v[r] = (v[r] - sum) / e.piv[k]
+		r := er[k]
+		v[r] = (v[r] - sum) / piv[k]
 	}
 	s.lu.solveT(v)
 }
 
-// reducedCost returns c_j - y . A_j.
-func (s *simplex) reducedCost(j int, y []float64) float64 {
-	d := s.cost[j]
-	col := s.cols[j]
+// reducedCost returns c - y . col: c_j - y . A_j for column j of cost c.
+func reducedCost(c float64, col spCol, y []float64) float64 {
+	rv := col.rv[:len(col.ri)]
 	for k, r := range col.ri {
-		d -= col.rv[k] * y[r]
+		c -= rv[k] * y[r]
 	}
-	return d
+	return c
 }
 
 // iterate runs primal simplex pivots with the current cost vector until
 // optimality, unboundedness, or the iteration limit, perturbing the bounds
 // when it stalls; the caller settles. The error is a refactorisation that
-// found the basis singular.
+// found the basis singular. After FTRAN a pivot lists the rows where the
+// entering image w is nonzero, and the ratio test, the basic-value update
+// and the eta push walk that list, not every row.
 func (s *simplex) iterate() (Status, error) {
 	m := s.m
-	y, w := s.y, s.w
+	y, w := s.y[:m], s.w[:m]
 	for {
 		if s.iters >= s.maxIters {
 			return IterLimit, nil
 		}
-		// BTRAN for duals.
-		for i := range y {
-			y[i] = 0
-		}
-		for i, j := range s.basis {
-			y[i] = s.cost[j]
+		// Nothing in a pivot reallocates the working arrays; reading them
+		// through locals of known length lets the loops below keep their
+		// headers in registers and skip most bounds checks.
+		n := s.n
+		basis := s.basis[:m]
+		cost, cols, pos, atUpper := s.cost[:n], s.cols[:n], s.pos[:n], s.atUpper[:n]
+		lower, upper, x := s.lower[:n], s.upper[:n], s.x[:n]
+
+		// BTRAN for duals; the basis writes every row of y.
+		for i, j := range basis {
+			y[i] = cost[j]
 		}
 		s.btran(y)
 
-		// Pricing.
+		// Pricing: the first column of largest reduced cost beyond optTol in
+		// its improving direction. best starts at optTol, so beating it is
+		// the eligibility test.
 		enter := -1
 		enterDir := 1.0
 		best := optTol
-		for j := 0; j < s.n; j++ {
-			if s.pos[j] >= 0 || s.lower[j] == s.upper[j] {
+		for j := range cols {
+			if pos[j] >= 0 || lower[j] == upper[j] {
 				continue
 			}
-			d := s.reducedCost(j, y)
-			if !s.atUpper[j] && d < -optTol {
+			d := reducedCost(cost[j], cols[j], y)
+			if !atUpper[j] {
 				if -d > best {
 					best = -d
 					enter = j
 					enterDir = 1
 				}
-			} else if s.atUpper[j] && d > optTol {
-				if d > best {
-					best = d
-					enter = j
-					enterDir = -1
-				}
+			} else if d > best {
+				best = d
+				enter = j
+				enterDir = -1
 			}
 		}
 		if enter < 0 {
 			return Optimal, nil
 		}
 
-		// FTRAN of the entering column.
-		for i := range w {
-			w[i] = 0
-		}
-		col := s.cols[enter]
+		// FTRAN of the entering column, and the rows where it is nonzero.
+		clear(w)
+		col := cols[enter]
 		for k, r := range col.ri {
 			w[r] = col.rv[k]
 		}
 		s.ftran(w)
+		nz := nonzeros(s.nz, w)
 
 		// Ratio test with bounded variables. Entering moves by
 		// enterDir * delta >= 0; basic i changes by -enterDir*delta*w[i].
+		// A zero w[i] is below pivotTol, so only the listed rows compete.
 		delta := math.Inf(1)
 		leave := -1
 		leaveToUpper := false
-		if !math.IsInf(s.upper[enter], 1) && !math.IsInf(s.lower[enter], -1) {
-			delta = s.upper[enter] - s.lower[enter]
+		if !math.IsInf(upper[enter], 1) && !math.IsInf(lower[enter], -1) {
+			delta = upper[enter] - lower[enter]
 		}
-		for i := 0; i < m; i++ {
+		for _, i := range nz {
 			wi := w[i] * enterDir
 			if math.Abs(wi) < pivotTol {
 				continue
 			}
-			jb := s.basis[i]
+			jb := basis[i]
 			var ratio float64
 			var toUpper bool
 			if wi > 0 {
 				// Basic decreases toward its lower bound.
-				if math.IsInf(s.lower[jb], -1) {
+				if math.IsInf(lower[jb], -1) {
 					continue
 				}
-				ratio = (s.x[jb] - s.lower[jb]) / wi
+				ratio = (x[jb] - lower[jb]) / wi
 				toUpper = false
 			} else {
-				if math.IsInf(s.upper[jb], 1) {
+				if math.IsInf(upper[jb], 1) {
 					continue
 				}
-				ratio = (s.x[jb] - s.upper[jb]) / wi
+				ratio = (x[jb] - upper[jb]) / wi
 				toUpper = true
 			}
 			if ratio < 0 {
@@ -672,12 +709,12 @@ func (s *simplex) iterate() (Status, error) {
 
 		if leave < 0 {
 			// Bound flip: entering jumps to its other bound.
-			s.applyStep(enterDir, delta, w)
-			s.atUpper[enter] = !s.atUpper[enter]
-			if s.atUpper[enter] {
-				s.x[enter] = s.upper[enter]
+			s.applyStep(enterDir, delta, w, nz)
+			atUpper[enter] = !atUpper[enter]
+			if atUpper[enter] {
+				x[enter] = upper[enter]
 			} else {
-				s.x[enter] = s.lower[enter]
+				x[enter] = lower[enter]
 			}
 			s.iters++
 			s.flips++
@@ -685,20 +722,20 @@ func (s *simplex) iterate() (Status, error) {
 		}
 
 		// Pivot: update values, basis, and eta file.
-		s.applyStep(enterDir, delta, w)
-		s.x[enter] += enterDir * delta
-		jOut := s.basis[leave]
+		s.applyStep(enterDir, delta, w, nz)
+		x[enter] += enterDir * delta
+		jOut := basis[leave]
 		if leaveToUpper {
-			s.x[jOut] = s.upper[jOut]
-			s.atUpper[jOut] = true
+			x[jOut] = upper[jOut]
+			atUpper[jOut] = true
 		} else {
-			s.x[jOut] = s.lower[jOut]
-			s.atUpper[jOut] = false
+			x[jOut] = lower[jOut]
+			atUpper[jOut] = false
 		}
-		s.pos[jOut] = -1
-		s.basis[leave] = enter
-		s.pos[enter] = leave
-		s.etas.push(leave, w)
+		pos[jOut] = -1
+		basis[leave] = enter
+		pos[enter] = leave
+		s.etas.push(leave, w, nz)
 		s.iters++
 		if s.etas.len() >= refactorEvery {
 			if err := s.refactor(); err != nil {
@@ -709,16 +746,14 @@ func (s *simplex) iterate() (Status, error) {
 }
 
 // applyStep moves the basic variables for a step of size delta in direction
-// dir of the entering column (w = B^{-1} A_enter).
-func (s *simplex) applyStep(dir, delta float64, w []float64) {
+// dir of the entering column (w = B^{-1} A_enter, nonzero in the rows nz).
+func (s *simplex) applyStep(dir, delta float64, w []float64, nz []int) {
 	s.factored = false
 	if delta == 0 {
 		return
 	}
-	for i, j := range s.basis {
-		if w[i] != 0 {
-			s.x[j] -= dir * delta * w[i]
-		}
+	for _, i := range nz {
+		s.x[s.basis[i]] -= dir * delta * w[i]
 	}
 }
 

@@ -200,7 +200,7 @@ func TestEtaFileMatchesFreshFactor(t *testing.T) {
 		if math.Abs(w[leave]) < 0.1 {
 			t.Fatalf("update %d: no usable pivot", k)
 		}
-		s.etas.push(leave, w)
+		s.etas.push(leave, w, nonzeros(make([]int, m), w))
 		s.basis[leave] = enter
 		if s.etas.len() != k {
 			t.Fatalf("eta file holds %d updates after %d pushes", s.etas.len(), k)
@@ -257,18 +257,32 @@ func matchingLP(rng *rand.Rand, ports, rounds, flows int) *Problem {
 
 // TestPivotLoopAllocatesNothing single-steps a warmed solve: once the eta
 // file and the factorisation have grown to their working size, an
-// iteration — pricing, FTRAN, ratio test, eta push, and every 64th a
-// refactorisation — allocates nothing, and neither do the solves alone. And
-// a whole solve stands on the memory of the one before it: the second
-// SolveWith of a problem allocates its Solution, X and Dual, nothing else.
+// iteration — pricing, FTRAN, the nonzero list, ratio test, eta push, and
+// every 64th a refactorisation — allocates nothing, and neither do the
+// solves alone. Half the variables are capped at 1/2, so the measured
+// iterations include bound flips. And a whole solve stands on the memory of
+// the one before it: the second SolveWith of a problem allocates its
+// Solution, X and Dual, nothing else.
 func TestPivotLoopAllocatesNothing(t *testing.T) {
 	p := matchingLP(rand.New(rand.NewSource(3)), 10, 8, 160)
-	s := new(simplex)
-	if sol, err := s.load(p, SolveOptions{}); err != nil || sol != nil {
-		t.Fatalf("load: %+v, %v", sol, err)
+	for j := 0; j < p.NumVars(); j += 2 {
+		p.SetBounds(j, 0, 0.5)
 	}
-	s.cost = make([]float64, s.n)
-	copy(s.cost, p.cost)
+	s := new(simplex)
+	start := func() {
+		if sol, err := s.load(p, SolveOptions{}); err != nil || sol != nil {
+			t.Fatalf("load: %+v, %v", sol, err)
+		}
+		s.cost = grow(s.cost, s.n)
+		copy(s.cost, p.cost)
+	}
+	// One whole solve grows the state; the measured iterations are the
+	// first ones of the next.
+	start()
+	if st, err := s.iterate(); err != nil || st != Optimal {
+		t.Fatalf("warming solve: status %v, error %v", st, err)
+	}
+	start()
 	step := func() {
 		s.maxIters = s.iters + 1
 		st, err := s.iterate()
@@ -276,15 +290,12 @@ func TestPivotLoopAllocatesNothing(t *testing.T) {
 			t.Fatalf("iteration %d: status %v, error %v; the LP is too small for this test", s.iters, st, err)
 		}
 	}
-	for s.refactors < 4 {
-		step()
-	}
-	before := s.refactors
 	if n := testing.AllocsPerRun(3*refactorEvery, step); n != 0 {
 		t.Errorf("%v allocations per warmed iteration, want 0", n)
 	}
-	if s.refactors < before+2 {
-		t.Errorf("the measured iterations held %d refactorisations, want at least 2", s.refactors-before)
+	// load factored once; the rest are the measured iterations'.
+	if refactors := s.refactors - 1; refactors < 2 || s.flips == 0 {
+		t.Errorf("the measured iterations held %d refactorisations and %d bound flips, want at least 2 and 1", refactors, s.flips)
 	}
 	v := make([]float64, s.m)
 	for name, f := range map[string]func([]float64){
