@@ -64,6 +64,7 @@ import (
 
 	"flowsched/internal/chkpt"
 	"flowsched/internal/daemon"
+	"flowsched/internal/obs"
 	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
 )
@@ -158,6 +159,12 @@ func main() {
 	}
 	if *ckptEvery < 0 {
 		usage("-checkpointevery must not be negative, got %v", *ckptEvery)
+	}
+	if *traceRounds > obs.MaxRecords {
+		usage("-tracerounds must be at most %d, got %d", obs.MaxRecords, *traceRounds)
+	}
+	if *pilotWindow > obs.MaxRecords {
+		usage("-pilotwindow must be at most %d, got %d", obs.MaxRecords, *pilotWindow)
 	}
 
 	pol := stream.ByName(*policy)

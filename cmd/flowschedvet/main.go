@@ -4,6 +4,10 @@
 //
 //	flowschedvet ./...
 //
+// atomicfield holds shared words to the typed atomics: a sync/atomic
+// package-level call, or a typed atomic field copied by value, is a
+// finding.
+//
 // reach judges the whole module at once, so it runs only when the
 // packages loaded cover every package of the module; a narrower
 // pattern runs the other four.

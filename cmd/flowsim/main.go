@@ -260,6 +260,9 @@ func simulate(fs *flag.FlagSet) func() error {
 			if *verifyEvery < 0 {
 				return usageError{fmt.Errorf("-verifyevery must not be negative, got %d", *verifyEvery)}
 			}
+			if *logRounds > obs.MaxRecords {
+				return usageError{fmt.Errorf("-logrounds must be at most %d, got %d", obs.MaxRecords, *logRounds)}
+			}
 			runStream(streamOpts{
 				ports: *ports, m: *mFlag, policy: *policy, seed: *seed, trace: *trace,
 				dmax: *demands, flows: *flows, flowsSet: explicit["flows"], alpha: *alpha,

@@ -129,8 +129,9 @@
 //   - A static invariant suite (cmd/flowschedvet, internal/analysis):
 //     five custom static analyzers — hotpath (zero allocation on
 //     //flowsched:hotpath call graphs), gatedclock (wall-clock reads
-//     gated on the flight recorder), atomicfield (no mixed atomic/plain
-//     field access), determinism (no map-order, global-rand, or clock
+//     gated on the flight recorder), atomicfield (shared words are
+//     typed atomics: no sync/atomic function calls, no by-value copies),
+//     determinism (no map-order, global-rand, or clock
 //     input in schedule-affecting packages), reach (every package-level
 //     declaration is reached from a binary, the root package's exports
 //     or a //flowsched:testonly mark) — that make the runtime's

@@ -256,7 +256,8 @@ type (
 )
 
 // NewFlightRecorder returns a recorder holding the last rounds records
-// (rounds <= 0 selects the default capacity).
+// (rounds <= 0 selects the default capacity; it panics above
+// 16,777,216, obs.MaxRecords).
 func NewFlightRecorder(rounds int) *FlightRecorder { return obs.NewFlightRecorder(rounds) }
 
 // StreamRoundRobin returns the native incremental policy: virtual output

@@ -15,10 +15,11 @@
 //     wall-clock read (time.Now / time.Since / time.Until) must be
 //     dominated by a nil check of a *FlightRecorder — the "zero clock
 //     reads uninstrumented" contract.
-//   - atomicfield: a struct field passed to sync/atomic anywhere must be
-//     accessed atomically everywhere in the package — the mixed-access
-//     bug class the obs ring and the runtime's counter ordering are
-//     hand-verified against.
+//   - atomicfield: shared words are sync/atomic's typed wrappers
+//     (atomic.Int64 …), so the type makes every access atomic. A call to
+//     a sync/atomic package-level function, whose operand is a plain
+//     word, is a finding ("use the typed atomics"), and so is a
+//     by-value copy of a typed atomic field.
 //   - determinism: in packages annotated //flowsched:deterministic, no
 //     raw map iteration (outside the collect-then-sort idiom), no
 //     global math/rand, no wall-clock input — the cross-K

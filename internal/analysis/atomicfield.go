@@ -7,49 +7,22 @@ import (
 	"strings"
 )
 
-// AtomicField catches the mixed-access bug class: once any access to a
-// struct field goes through sync/atomic (atomic.LoadInt64(&s.f),
-// atomic.StoreUint64(&s.f[i], …)), every other access to that field in
-// the package must be atomic too — a plain read or write would race with
-// the atomic side. Fields declared with the typed atomic.* wrappers
-// (atomic.Int64 …) are checked for by-value copies, which silently
-// detach the copy from the shared word.
-//
-// The analysis is per-package: every field it can reason about in this
-// repository is unexported, so all accesses are in-package by
-// construction. Single-writer disciplines that deliberately mix plain
-// reads with atomic stores (the seqlock'd stats ring) annotate the field
-// declaration with //flowsched:allow atomic, which suppresses every
-// finding for that field at once.
+// AtomicField keeps shared words in sync/atomic's typed wrappers
+// (atomic.Int64, atomic.Uint64 …), whose type makes every access atomic.
+// A call to a sync/atomic package-level function (atomic.LoadInt64(&s.f)
+// …) is a finding: its operand is a plain word that any other line may
+// read or write plainly, the mixed-access race the types rule out. A
+// typed atomic field must not be copied by value either, which silently
+// detaches the copy from the shared word; vet's copylocks catches that
+// too, but tier-1 go test does not run it.
 var AtomicField = &Analyzer{
 	Name: "atomicfield",
-	Doc:  "require fields accessed via sync/atomic anywhere to be accessed atomically everywhere",
+	Doc:  "forbid sync/atomic package-level calls (use the typed atomics) and by-value copies of typed atomic fields",
 	Run:  runAtomicField,
 }
 
 func runAtomicField(pass *Pass) error {
 	info := pass.TypesInfo
-
-	// Pass 1: find fields whose address reaches a sync/atomic call, and
-	// remember the sanctioned selector nodes (those inside such calls).
-	atomicFields := map[*types.Var][]token.Pos{}
-	sanctioned := map[ast.Node]bool{}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicCall(info, call) || len(call.Args) == 0 {
-				return true
-			}
-			if fld, sel := addressedField(info, call.Args[0]); fld != nil {
-				atomicFields[fld] = append(atomicFields[fld], call.Pos())
-				sanctioned[sel] = true
-			}
-			return true
-		})
-	}
-
-	// Pass 2: every other access to those fields must itself be atomic;
-	// typed atomic.* fields must not be copied by value.
 	for _, f := range pass.Files {
 		var stack []ast.Node
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -58,26 +31,15 @@ func runAtomicField(pass *Pass) error {
 				return true
 			}
 			stack = append(stack, n)
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fld := selectedField(info, sel)
-			if fld == nil {
-				return true
-			}
-			if _, hot := atomicFields[fld]; hot {
-				if sanctioned[sel] || ancestorSanctioned(stack, sanctioned) {
-					return true
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if fn := atomicFunc(info, n); fn != nil {
+					pass.Reportf(n.Pos(), "atomic", "call to atomic.%s on a plain word: use the typed atomics", fn.Name())
 				}
-				if _, ok := pass.Dirs.Allowed("atomic", fld.Pos()); ok {
-					return true
+			case *ast.SelectorExpr:
+				if fld := selectedField(info, n); fld != nil && isTypedAtomic(fld.Type()) && copiesAtomicValue(stack) {
+					pass.Reportf(n.Pos(), "atomic", "field %s has type %s and must not be copied by value", fld.Name(), fld.Type().String())
 				}
-				pass.Reportf(sel.Pos(), "atomic", "field %s is accessed with sync/atomic elsewhere in this package; this plain access races with it", fld.Name())
-				return true
-			}
-			if isTypedAtomic(fld.Type()) && copiesAtomicValue(stack) {
-				pass.Reportf(sel.Pos(), "atomic", "field %s has type %s and must not be copied by value", fld.Name(), fld.Type().String())
 			}
 			return true
 		})
@@ -85,38 +47,21 @@ func runAtomicField(pass *Pass) error {
 	return nil
 }
 
-// isAtomicCall matches calls to sync/atomic package-level functions.
-func isAtomicCall(info *types.Info, call *ast.CallExpr) bool {
+// atomicFunc returns the sync/atomic package-level function call calls,
+// or nil.
+func atomicFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return false
+		return nil
 	}
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+		return nil
 	}
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return false // atomic.Int64 methods manage their own word
+		return nil // atomic.Int64 methods manage their own word
 	}
-	return fn.Pkg().Path() == "sync/atomic"
-}
-
-// addressedField unwraps &s.f or &s.f[i] to the field variable and the
-// selector node that names it.
-func addressedField(info *types.Info, arg ast.Expr) (*types.Var, *ast.SelectorExpr) {
-	un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-	if !ok || un.Op != token.AND {
-		return nil, nil
-	}
-	x := ast.Unparen(un.X)
-	if ix, ok := x.(*ast.IndexExpr); ok {
-		x = ast.Unparen(ix.X)
-	}
-	sel, ok := x.(*ast.SelectorExpr)
-	if !ok {
-		return nil, nil
-	}
-	return selectedField(info, sel), sel
+	return fn
 }
 
 // selectedField resolves a selector to the struct field it names, nil
@@ -128,17 +73,6 @@ func selectedField(info *types.Info, sel *ast.SelectorExpr) *types.Var {
 	}
 	fld, _ := s.Obj().(*types.Var)
 	return fld
-}
-
-// ancestorSanctioned reports whether the selector sits inside a
-// sanctioned one (s.f in the sanctioned &s.f[i]'s path, for example).
-func ancestorSanctioned(stack []ast.Node, sanctioned map[ast.Node]bool) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if sanctioned[stack[i]] {
-			return true
-		}
-	}
-	return false
 }
 
 // isTypedAtomic matches the sync/atomic wrapper types (atomic.Int64 …).

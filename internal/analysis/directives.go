@@ -26,10 +26,9 @@ import (
 //	    Suppress findings of <check> (alloc, clock, atomic, maprange,
 //	    rand, wallclock) in the directive's extent: the whole function
 //	    when it rides a function's doc comment, otherwise its own line
-//	    and the next (covering both end-of-line and lead positions —
-//	    including struct field declarations, whose findings anchor at
-//	    the field). The justification is mandatory; an allow without one
-//	    is itself reported.
+//	    and the next (covering both end-of-line and lead positions). The
+//	    justification is mandatory; an allow without one is itself
+//	    reported.
 //
 //	//flowsched:testonly <why>
 //	    On a package-level declaration's doc comment, or on the package
@@ -40,8 +39,11 @@ import (
 
 // Checks valid in an allow directive, mapped to their analyzer.
 var allowChecks = map[string]string{
-	"alloc":     "hotpath",
-	"clock":     "gatedclock",
+	"alloc": "hotpath",
+	"clock": "gatedclock",
+	// atomic covers a sync/atomic package-level call or a by-value copy
+	// of a typed atomic field; no code carries one, since the typed
+	// atomics cost a hot path nothing over the calls.
 	"atomic":    "atomicfield",
 	"maprange":  "determinism",
 	"rand":      "determinism",

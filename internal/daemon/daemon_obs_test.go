@@ -148,6 +148,19 @@ func TestDaemonSLOBreachFlips(t *testing.T) {
 	}
 }
 
+// TestDaemonRefusesOversizedTrace: a ring size past obs.MaxRecords is a
+// configuration error, not an allocation that wraps or eats the host.
+func TestDaemonRefusesOversizedTrace(t *testing.T) {
+	_, err := daemon.New(daemon.Config{
+		Switch:      switchnet.UnitSwitch(4),
+		Policy:      stream.ByName("RoundRobin"),
+		TraceRounds: math.MaxInt,
+	})
+	if err == nil || !strings.Contains(err.Error(), "MaxRecords") {
+		t.Fatalf("TraceRounds MaxInt: %v, want the MaxRecords error", err)
+	}
+}
+
 // TestDaemonTraceEndpoint: GET /trace serves the flight recorder as
 // JSONL with strictly increasing rounds whose counts reconcile with the
 // final summary.

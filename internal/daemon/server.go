@@ -87,7 +87,8 @@ type Config struct {
 	Buffer      int
 
 	// TraceRounds sizes the flight recorder ring behind GET /trace and
-	// the phase histograms (<= 0 selects obs.DefaultRounds).
+	// the phase histograms (<= 0 selects obs.DefaultRounds; above
+	// obs.MaxRecords, New refuses it).
 	TraceRounds int
 	// ResponseBound, when > 0, defines the response-time objective in
 	// rounds: completions slower than it count against the
@@ -206,6 +207,9 @@ func New(cfg Config) (*Server, error) {
 		if err := cfg.Restore.Compatible(cfg.Switch); err != nil {
 			return nil, fmt.Errorf("daemon: restore: %w", err)
 		}
+	}
+	if cfg.TraceRounds > obs.MaxRecords {
+		return nil, fmt.Errorf("daemon: TraceRounds %d exceeds obs.MaxRecords (%d)", cfg.TraceRounds, obs.MaxRecords)
 	}
 	rec := obs.NewFlightRecorder(cfg.TraceRounds)
 	var pi *pilot.Pilot

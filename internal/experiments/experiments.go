@@ -16,10 +16,11 @@
 // DefaultConfig keeps the load ratios M/m on a 6-port switch, where every
 // artifact with its LP baselines takes seconds. That is a choice of
 // default, not the solver's reach: at 150 ports, unit capacities, T=6
-// (2-core 2.1 GHz Xeon, seed 1) the LP (1)-(4) bound takes 7 ms at M=50
-// and 0.28 s at M=100, SolveART(c=1) 1 ms and 6 ms, SolveMRT 0.1 ms and
-// 7 ms; the wall is load, not ports — at M=150 the same bound is 35 s and
-// 53.9 k pivots, and M >= 300 has not finished (ROADMAP item 2).
+// (2-core Xeon, seed 1, one cold call per process) the LP (1)-(4) bound
+// takes 11 ms at M=50 and 0.29-0.33 s at M=100 (1,732 pivots),
+// SolveART(c=1) 1.3-1.5 ms and 8-9 ms, SolveMRT 0.1 ms and 7.5-8.5 ms;
+// the wall is load, not ports — at M=150 the same bound is 30 s and
+// 53.9 k pivots, and M >= 300 has not finished (ROADMAP items 3 and 5).
 package experiments
 
 import (

@@ -4,14 +4,14 @@
 // locks — and any number of readers drain concurrently for traces,
 // scrape-time histograms, and post-mortems.
 //
-// The concurrency discipline is the same word-atomic single-writer
-// protocol as stats.EpochWindow: the writer publishes each record with
-// plain-ordered atomic word stores and then advances an atomic head
-// counter; a reader snapshots the head, copies candidate slots with
-// atomic loads, re-reads the head, and discards any slot the writer may
-// have re-entered during the copy. A torn slot is therefore never
-// returned — it is detected by the head having lapped it — and neither
-// side ever blocks the other.
+// The recorder, like the pilot's completion window, runs on Ring: the
+// writer stores a record's typed atomic words and then advances a head
+// counter; a reader copies the records below the head, re-reads it, and
+// drops any record the writer may have lapped during the copy. That is
+// not stats.EpochWindow's protocol, which is a seqlock: its writer
+// brackets each batch in Begin/End epochs, and a reader retries while an
+// epoch is open or has moved. The ring has no epochs and no retries; a
+// torn record is detected by the head having lapped it, and dropped.
 //
 // The package depends only on the standard library, so the stream
 // runtime (and anything below it) can accept a *FlightRecorder without
@@ -54,8 +54,8 @@ type RoundRecord struct {
 	VerifyNS    int64 `json:"verify_ns"`
 }
 
-// recordWords is the flat ring's per-record word count; the store/load
-// helpers below are the single source of truth for the layout.
+// recordWords is a round record's width in ring words; Record and
+// decodeRound are the single source of truth for the layout.
 const recordWords = 10
 
 // FlightRecorder is the fixed-size round ring. One goroutine calls
@@ -63,59 +63,67 @@ const recordWords = 10
 //
 // The zero value is not usable; construct with NewFlightRecorder.
 type FlightRecorder struct {
-	// head is the number of complete records ever written. Record k
-	// (zero-based) lives in slot k % slots until lapped.
-	head atomic.Int64
-	// slots is rounds+1: the spare slot absorbs the record the writer
-	// may be mid-storing, so the last `rounds` records are always
-	// readable untorn (see the discard rule in Last).
-	slots  int64
-	rounds int64
-	buf    []int64 // slots * recordWords words, accessed atomically
+	ring *Ring
 }
 
 // NewFlightRecorder returns a ring holding the last `rounds` records
-// (<= 0 selects DefaultRounds).
+// (<= 0 selects DefaultRounds). It panics if rounds exceeds MaxRecords;
+// a caller taking the size from input checks it first.
 func NewFlightRecorder(rounds int) *FlightRecorder {
 	if rounds <= 0 {
 		rounds = DefaultRounds
 	}
-	return &FlightRecorder{
-		slots:  int64(rounds) + 1,
-		rounds: int64(rounds),
-		buf:    make([]int64, (rounds+1)*recordWords),
+	ring, err := NewRing(rounds, recordWords)
+	if err != nil {
+		panic("obs: NewFlightRecorder: " + err.Error())
 	}
+	return &FlightRecorder{ring: ring}
 }
 
 // Cap returns the ring capacity in rounds: how much history Last can
 // guarantee.
-func (r *FlightRecorder) Cap() int { return int(r.rounds) }
+func (r *FlightRecorder) Cap() int { return r.ring.Cap() }
 
 // Written returns the total number of records ever recorded (not capped
 // at the ring size).
-func (r *FlightRecorder) Written() int64 { return r.head.Load() }
+func (r *FlightRecorder) Written() int64 { return r.ring.Written() }
 
 // Record appends one round record. Single writer only; it performs no
 // locking and no heap allocation, so it is safe on an allocation-free
-// hot path. The head advances after the slot's words are stored, so a
-// concurrent reader either sees the whole record or discards the slot.
+// hot path. The record becomes visible whole, after all its words are
+// stored.
 //
 //flowsched:hotpath
 func (r *FlightRecorder) Record(rec RoundRecord) {
-	h := r.head.Load()
-	b := (h % r.slots) * recordWords
-	w := r.buf[b : b+recordWords : b+recordWords]
-	atomic.StoreInt64(&w[0], rec.Round)
-	atomic.StoreInt64(&w[1], rec.Arrived)
-	atomic.StoreInt64(&w[2], rec.Scheduled)
-	atomic.StoreInt64(&w[3], rec.Dropped)
-	atomic.StoreInt64(&w[4], rec.Expired)
-	atomic.StoreInt64(&w[5], rec.Pending)
-	atomic.StoreInt64(&w[6], rec.ProposeNS)
-	atomic.StoreInt64(&w[7], rec.ReconcileNS)
-	atomic.StoreInt64(&w[8], rec.ApplyNS)
-	atomic.StoreInt64(&w[9], rec.VerifyNS)
-	r.head.Store(h + 1)
+	w := (*[recordWords]atomic.Int64)(r.ring.Slot())
+	w[0].Store(rec.Round)
+	w[1].Store(rec.Arrived)
+	w[2].Store(rec.Scheduled)
+	w[3].Store(rec.Dropped)
+	w[4].Store(rec.Expired)
+	w[5].Store(rec.Pending)
+	w[6].Store(rec.ProposeNS)
+	w[7].Store(rec.ReconcileNS)
+	w[8].Store(rec.ApplyNS)
+	w[9].Store(rec.VerifyNS)
+	r.ring.Publish()
+}
+
+// decodeRound loads one record's words in Record's layout.
+func decodeRound(words []atomic.Int64) RoundRecord {
+	w := (*[recordWords]atomic.Int64)(words)
+	return RoundRecord{
+		Round:       w[0].Load(),
+		Arrived:     w[1].Load(),
+		Scheduled:   w[2].Load(),
+		Dropped:     w[3].Load(),
+		Expired:     w[4].Load(),
+		Pending:     w[5].Load(),
+		ProposeNS:   w[6].Load(),
+		ReconcileNS: w[7].Load(),
+		ApplyNS:     w[8].Load(),
+		VerifyNS:    w[9].Load(),
+	}
 }
 
 // Last appends up to n of the most recent records to dst, oldest first,
@@ -125,47 +133,7 @@ func (r *FlightRecorder) Record(rec RoundRecord) {
 // concurrently with Record and with other readers (dst must not be
 // shared between concurrent readers).
 func (r *FlightRecorder) Last(dst []RoundRecord, n int) []RoundRecord {
-	if n <= 0 {
-		return dst
-	}
-	if int64(n) > r.rounds {
-		n = int(r.rounds)
-	}
-	h1 := r.head.Load()
-	lo := h1 - int64(n)
-	if lo < 0 {
-		lo = 0
-	}
-	start := len(dst)
-	for k := lo; k < h1; k++ {
-		b := (k % r.slots) * recordWords
-		w := r.buf[b : b+recordWords : b+recordWords]
-		dst = append(dst, RoundRecord{
-			Round:       atomic.LoadInt64(&w[0]),
-			Arrived:     atomic.LoadInt64(&w[1]),
-			Scheduled:   atomic.LoadInt64(&w[2]),
-			Dropped:     atomic.LoadInt64(&w[3]),
-			Expired:     atomic.LoadInt64(&w[4]),
-			Pending:     atomic.LoadInt64(&w[5]),
-			ProposeNS:   atomic.LoadInt64(&w[6]),
-			ReconcileNS: atomic.LoadInt64(&w[7]),
-			ApplyNS:     atomic.LoadInt64(&w[8]),
-			VerifyNS:    atomic.LoadInt64(&w[9]),
-		})
-	}
-	// The writer may have advanced during the copy: record k is only
-	// intact if its slot has not been re-entered, i.e. k is within the
-	// last slots-1 records of the post-copy head (the slot of record h2
-	// itself may be mid-write; the spare slot makes slots-1 == rounds).
-	h2 := r.head.Load()
-	if safeLo := h2 - r.slots + 1; safeLo > lo {
-		drop := int(safeLo - lo)
-		if drop > len(dst)-start {
-			drop = len(dst) - start
-		}
-		dst = append(dst[:start], dst[start+drop:]...)
-	}
-	return dst
+	return ReadLast(r.ring, dst, n, decodeRound)
 }
 
 // WriteJSONL encodes the last n records (oldest first) as JSON Lines —

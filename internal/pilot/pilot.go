@@ -14,9 +14,9 @@
 // always >= 1, with equality witnessing an optimal stretch.
 //
 // Cost model: the evaluator is fully off the hot path. Completions reach
-// it through an OnSchedule hook that stores four words into a fixed
-// atomic ring (no locks, no allocations, coordinator-side cost of a few
-// nanoseconds per flow); the pending set is snapshotted between rounds
+// it through an OnSchedule hook that stores four words into an obs.Ring
+// (no locks, no allocations, coordinator-side cost of a few nanoseconds
+// per flow); the pending set is snapshotted between rounds
 // through Runtime.PendingFlows, which costs the coordinator one walk of
 // the pending list per evaluation — not per round; and the bound
 // recomputation (O(window^2 / ports) worst case for the backlog bound,
@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"flowsched/internal/core"
+	"flowsched/internal/obs"
 	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
 )
@@ -52,7 +53,8 @@ const compWords = 4
 // Config tunes a Pilot.
 type Config struct {
 	// Window is the number of most-recent completions each evaluation
-	// rebuilds its sub-instance from (<= 0 selects DefaultWindow).
+	// rebuilds its sub-instance from (<= 0 selects DefaultWindow; above
+	// obs.MaxRecords, New refuses it).
 	Window int
 	// Every is Run's evaluation cadence (<= 0 selects DefaultEvery).
 	Every time.Duration
@@ -107,22 +109,25 @@ type Pilot struct {
 	cfg Config
 	rt  *stream.Runtime
 
-	// Completion ring, same single-writer word-atomic protocol as
-	// internal/obs: the coordinator's OnSchedule stores compWords words
-	// then advances head; the evaluator copies and discards anything
-	// the writer may have lapped. slots = window+1 (spare slot).
-	head   atomic.Int64
-	slots  int64
-	window int64
-	buf    []int64
+	// ring holds the last Window completions, compWords words each, under
+	// obs.Ring's lap-and-drop protocol: the coordinator's OnSchedule is
+	// its writer, Evaluate its reader.
+	ring *obs.Ring
 
 	mu sync.Mutex
 	st Status
 
 	// Evaluator scratch, reused across evaluations.
-	flows  []switchnet.Flow
-	rounds []int64
-	pend   []switchnet.Flow
+	comps []completion
+	flows []switchnet.Flow
+	pend  []switchnet.Flow
+}
+
+// completion is one ring record: a flow and the round it was scheduled
+// in.
+type completion struct {
+	flow  switchnet.Flow
+	round int64
 }
 
 // New validates cfg and returns a pilot for runtimes over sw.
@@ -145,27 +150,23 @@ func New(sw switchnet.Switch, cfg Config) (*Pilot, error) {
 	if cfg.MaxSnapshot <= 0 {
 		cfg.MaxSnapshot = DefaultMaxSnapshot
 	}
-	return &Pilot{
-		sw:     sw,
-		cfg:    cfg,
-		slots:  int64(cfg.Window) + 1,
-		window: int64(cfg.Window),
-		buf:    make([]int64, (cfg.Window+1)*compWords),
-	}, nil
+	ring, err := obs.NewRing(cfg.Window, compWords)
+	if err != nil {
+		return nil, fmt.Errorf("pilot: window: %w", err)
+	}
+	return &Pilot{sw: sw, cfg: cfg, ring: ring}, nil
 }
 
 // OnSchedule is the completion hook for stream.Config.OnSchedule: it
 // records one completion into the ring with four atomic word stores and
 // no allocations. Single writer (the runtime's coordinator) only.
 func (p *Pilot) OnSchedule(seq int64, f switchnet.Flow, round int) {
-	h := p.head.Load()
-	b := (h % p.slots) * compWords
-	w := p.buf[b : b+compWords : b+compWords]
-	atomic.StoreInt64(&w[0], int64(f.In)<<16|int64(f.Out))
-	atomic.StoreInt64(&w[1], int64(f.Demand))
-	atomic.StoreInt64(&w[2], int64(f.Release))
-	atomic.StoreInt64(&w[3], int64(round))
-	p.head.Store(h + 1)
+	w := (*[compWords]atomic.Int64)(p.ring.Slot())
+	w[0].Store(int64(f.In)<<16 | int64(f.Out))
+	w[1].Store(int64(f.Demand))
+	w[2].Store(int64(f.Release))
+	w[3].Store(int64(round))
+	p.ring.Publish()
 }
 
 // Bind attaches the runtime whose pending set Evaluate snapshots. It
@@ -173,37 +174,18 @@ func (p *Pilot) OnSchedule(seq int64, f switchnet.Flow, round int) {
 // OnSchedule hook, and the pilot needs the built runtime.
 func (p *Pilot) Bind(rt *stream.Runtime) { p.rt = rt }
 
-// lastCompletions copies up to window completions from the ring into
-// the scratch slices, oldest first, discarding anything the writer may
-// have lapped mid-copy.
-func (p *Pilot) lastCompletions() {
-	p.flows = p.flows[:0]
-	p.rounds = p.rounds[:0]
-	h1 := p.head.Load()
-	lo := h1 - p.window
-	if lo < 0 {
-		lo = 0
-	}
-	for k := lo; k < h1; k++ {
-		b := (k % p.slots) * compWords
-		w := p.buf[b : b+compWords : b+compWords]
-		ports := atomic.LoadInt64(&w[0])
-		p.flows = append(p.flows, switchnet.Flow{
+// decodeCompletion loads one completion's words in OnSchedule's layout.
+func decodeCompletion(words []atomic.Int64) completion {
+	w := (*[compWords]atomic.Int64)(words)
+	ports := w[0].Load()
+	return completion{
+		flow: switchnet.Flow{
 			In:      int(ports >> 16),
 			Out:     int(ports & 0xffff),
-			Demand:  int(atomic.LoadInt64(&w[1])),
-			Release: int(atomic.LoadInt64(&w[2])),
-		})
-		p.rounds = append(p.rounds, atomic.LoadInt64(&w[3]))
-	}
-	h2 := p.head.Load()
-	if safeLo := h2 - p.slots + 1; safeLo > lo {
-		drop := int(safeLo - lo)
-		if drop > len(p.flows) {
-			drop = len(p.flows)
-		}
-		p.flows = append(p.flows[:0], p.flows[drop:]...)
-		p.rounds = append(p.rounds[:0], p.rounds[drop:]...)
+			Demand:  int(w[1].Load()),
+			Release: int(w[2].Load()),
+		},
+		round: w[3].Load(),
 	}
 }
 
@@ -212,20 +194,22 @@ func (p *Pilot) lastCompletions() {
 // bounds the pending-set snapshot (further capped by SnapshotTimeout);
 // the ratio computation itself never blocks on the runtime.
 func (p *Pilot) Evaluate(ctx context.Context) Status {
-	p.lastCompletions()
+	p.comps = obs.ReadLast(p.ring, p.comps[:0], p.ring.Cap(), decodeCompletion)
+	p.flows = p.flows[:0]
 	var (
 		achievedTotal int64
 		achievedMax   int
 		lastRound     int64
 	)
-	for i, f := range p.flows {
-		resp := p.rounds[i] + 1 - int64(f.Release)
+	for _, c := range p.comps {
+		p.flows = append(p.flows, c.flow)
+		resp := c.round + 1 - int64(c.flow.Release)
 		achievedTotal += resp
 		if int(resp) > achievedMax {
 			achievedMax = int(resp)
 		}
-		if p.rounds[i] > lastRound {
-			lastRound = p.rounds[i]
+		if c.round > lastRound {
+			lastRound = c.round
 		}
 	}
 	totalLB, maxLB := 0, 0

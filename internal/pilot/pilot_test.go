@@ -2,6 +2,7 @@ package pilot_test
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -109,6 +110,14 @@ func TestPilotWindowWrap(t *testing.T) {
 	}
 	if !st.Sane() || st.TotalRatio < 1 || st.MaxRatio < 1 {
 		t.Fatalf("wrapped-window ratios unsound: %+v", st)
+	}
+}
+
+// TestPilotRefusesOversizedWindow: a window past obs.MaxRecords is an
+// error from New, before the ring is sized from it.
+func TestPilotRefusesOversizedWindow(t *testing.T) {
+	if _, err := pilot.New(switchnet.UnitSwitch(4), pilot.Config{Window: math.MaxInt}); err == nil {
+		t.Fatal("pilot.New accepted Window: math.MaxInt")
 	}
 }
 

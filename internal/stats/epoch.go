@@ -7,21 +7,21 @@ import (
 )
 
 // EpochWindow is the concurrent counterpart of the tests' WindowQuantiles
-// oracle: the same rotating ring of LogHistogram shards over a sliding window of rounds,
-// but safe to query from other goroutines while a single writer records —
-// without the writer ever taking a lock or allocating.
+// oracle: the same rotating ring of histogram shards over a sliding window
+// of rounds, but safe to query from other goroutines while a single writer
+// records — without the writer ever taking a lock or allocating.
 //
 // The protocol is a seqlock. The writer brackets each batch of Observe
 // calls in Begin/End, which bump an epoch counter to odd (write open) and
-// back to even (stable); every mutation of ring state between them is a
-// plain load plus an atomic store. A reader snapshots the epoch, merges
-// the live rings with atomic loads, and retries if the epoch was odd or
-// changed underneath it — so readers never block the writer, and the
-// writer never waits for readers. After maxReadRetries inconsistent
-// attempts a reader keeps its last merge, which can be mid-write by at
-// most one round's observations: quantile sketches are approximate by
-// construction, so a torn read only perturbs the estimate, never memory
-// safety (counts are word-atomic).
+// back to even (stable). Ring state is typed atomic words: the writer, the
+// only one, bumps a count with a load and a store, and a reader merges
+// with loads. A reader snapshots the epoch, merges the live rings, and
+// retries if the epoch was odd or changed underneath it — so readers never
+// block the writer, and the writer never waits for readers. After
+// maxReadRetries inconsistent attempts a reader keeps its last merge,
+// which can be mid-write by at most one round's observations: quantile
+// sketches are approximate by construction, so a torn read only perturbs
+// the estimate, never memory safety (counts are word-atomic).
 //
 // Ring expiry moved from the writer to the reader: each ring slot is
 // labelled with the period it covers, and ReadInto skips slots whose
@@ -34,10 +34,9 @@ import (
 // allocations for any value.
 type EpochWindow struct {
 	seq   atomic.Uint64
-	rings []LogHistogram
+	rings []liveHistogram
 	// period covered by ring i.
-	//flowsched:allow atomic: seqlock single-writer — the writer mixes plain reads with atomic stores; readers take the atomic side and retry on seq mismatch
-	periods []int64
+	periods []atomic.Int64
 
 	perShard int
 
@@ -65,13 +64,13 @@ func NewEpochWindow(windowRounds, shards int) *EpochWindow {
 		windowRounds = shards
 	}
 	w := &EpochWindow{
-		rings:    make([]LogHistogram, shards),
-		periods:  make([]int64, shards),
+		rings:    make([]liveHistogram, shards),
+		periods:  make([]atomic.Int64, shards),
 		perShard: (windowRounds + shards - 1) / shards,
 	}
 	for i := range w.rings {
-		w.rings[i].Grow(math.MaxInt)
-		w.periods[i] = neverPeriod
+		w.rings[i].counts = make([]atomic.Uint64, sketchBucket(math.MaxInt)+1)
+		w.periods[i].Store(neverPeriod)
 	}
 	return w
 }
@@ -99,7 +98,7 @@ func (w *EpochWindow) Observe(round, v int) {
 	case !w.started:
 		w.started = true
 		w.lastPeriod = period
-		atomic.StoreInt64(&w.periods[period%n], period)
+		w.periods[period%n].Store(period)
 	case period > w.lastPeriod:
 		// Rotate: reset and relabel every slot for the periods the window
 		// just entered (at most one full ring, however large the jump).
@@ -108,8 +107,8 @@ func (w *EpochWindow) Observe(round, v int) {
 			q = lo
 		}
 		for ; q <= period; q++ {
-			w.rings[q%n].resetAtomic()
-			atomic.StoreInt64(&w.periods[q%n], q)
+			w.rings[q%n].reset()
+			w.periods[q%n].Store(q)
 		}
 		w.lastPeriod = period
 	}
@@ -117,9 +116,9 @@ func (w *EpochWindow) Observe(round, v int) {
 	if v < 0 {
 		v = 0
 	}
-	b := sketchBucket(uint64(v))
-	atomic.StoreUint64(&ring.counts[b], ring.counts[b]+1)
-	atomic.StoreUint64(&ring.n, ring.n+1)
+	c := &ring.counts[sketchBucket(uint64(v))]
+	c.Store(c.Load() + 1)
+	ring.n.Store(ring.n.Load() + 1)
 }
 
 // ReadInto resets dst and merges the window's observations that are still
@@ -142,10 +141,10 @@ func (w *EpochWindow) ReadInto(dst *LogHistogram, round int) {
 		}
 		dst.Reset()
 		for i := range w.rings {
-			if atomic.LoadInt64(&w.periods[i]) < minPeriod {
+			if w.periods[i].Load() < minPeriod {
 				continue
 			}
-			dst.mergeAtomic(&w.rings[i])
+			w.rings[i].mergeInto(dst)
 		}
 		if w.seq.Load() == s1 || attempt >= maxReadRetries {
 			return
@@ -188,15 +187,21 @@ func (s *WindowSnapshot) Clone() WindowSnapshot {
 func (w *EpochWindow) ExportInto(dst *WindowSnapshot) {
 	n := len(w.rings)
 	dst.PerShard = w.perShard
-	dst.Periods = append(dst.Periods[:0], w.periods...)
+	dst.Periods = dst.Periods[:0]
 	dst.Ns = dst.Ns[:0]
 	if cap(dst.Counts) < n {
 		dst.Counts = append(dst.Counts, make([][]uint64, n-len(dst.Counts))...)
 	}
 	dst.Counts = dst.Counts[:n]
 	for i := range w.rings {
-		dst.Counts[i] = append(dst.Counts[i][:0], w.rings[i].counts...)
-		dst.Ns = append(dst.Ns, w.rings[i].n)
+		ring := &w.rings[i]
+		dst.Periods = append(dst.Periods, w.periods[i].Load())
+		counts := dst.Counts[i][:0]
+		for b := range ring.counts {
+			counts = append(counts, ring.counts[b].Load())
+		}
+		dst.Counts[i] = counts
+		dst.Ns = append(dst.Ns, ring.n.Load())
 	}
 }
 
@@ -207,7 +212,7 @@ func (w *EpochWindow) ExportInto(dst *WindowSnapshot) {
 // one that postdates it relabels the slot first — so an import never
 // rewinds the window, and a changed ring count merely folds several old
 // periods together. Runs single-threaded (construction time, before any
-// writer or reader exists), so plain stores suffice.
+// writer or reader exists).
 func (w *EpochWindow) Import(s *WindowSnapshot) {
 	if s.PerShard != w.perShard {
 		return
@@ -223,11 +228,11 @@ func (w *EpochWindow) Import(s *WindowSnapshot) {
 		}
 		i := p % n
 		ring := &w.rings[i]
-		switch {
-		case w.periods[i] == p:
-		case w.periods[i] < p:
-			ring.Reset()
-			w.periods[i] = p
+		switch cur := w.periods[i].Load(); {
+		case cur == p:
+		case cur < p:
+			ring.reset()
+			w.periods[i].Store(p)
 		default:
 			continue
 		}
@@ -236,9 +241,9 @@ func (w *EpochWindow) Import(s *WindowSnapshot) {
 			cnts = cnts[:len(ring.counts)]
 		}
 		for b, c := range cnts {
-			ring.counts[b] += c
+			ring.counts[b].Add(c)
 		}
-		ring.n += s.Ns[j]
+		ring.n.Add(s.Ns[j])
 		w.started = true
 		if p > w.lastPeriod {
 			w.lastPeriod = p
@@ -246,25 +251,27 @@ func (w *EpochWindow) Import(s *WindowSnapshot) {
 	}
 }
 
-// resetAtomic is Reset with atomic element stores, for histograms readers
-// may be loading concurrently.
-func (h *LogHistogram) resetAtomic() {
-	atomic.StoreUint64(&h.n, 0)
+// liveHistogram is one EpochWindow ring slot: a LogHistogram's counts
+// held in typed atomic words, preallocated to every bucket, so readers
+// may load them while the writer stores.
+type liveHistogram struct {
+	n      atomic.Uint64
+	counts []atomic.Uint64
+}
+
+// reset empties the histogram under concurrent readers.
+func (h *liveHistogram) reset() {
+	h.n.Store(0)
 	for i := range h.counts {
-		atomic.StoreUint64(&h.counts[i], 0)
+		h.counts[i].Store(0)
 	}
 }
 
-// mergeAtomic is Merge with atomic element loads from src; dst is
-// reader-private, so its side stays plain.
-func (dst *LogHistogram) mergeAtomic(src *LogHistogram) {
-	if len(src.counts) > len(dst.counts) {
-		grown := make([]uint64, len(src.counts))
-		copy(grown, dst.counts)
-		dst.counts = grown
+// mergeInto adds h's observations into dst, which is reader-private.
+func (h *liveHistogram) mergeInto(dst *LogHistogram) {
+	dst.Grow(math.MaxInt) // h covers every bucket
+	for i := range h.counts {
+		dst.counts[i] += h.counts[i].Load()
 	}
-	for i := range src.counts {
-		dst.counts[i] += atomic.LoadUint64(&src.counts[i])
-	}
-	dst.n += atomic.LoadUint64(&src.n)
+	dst.n += h.n.Load()
 }

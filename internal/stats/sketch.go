@@ -20,9 +20,7 @@ const sketchLog2 = 4
 // LogHistogram is a bounded-memory, mergeable quantile sketch over
 // non-negative integers. The zero value is an empty sketch ready to use.
 type LogHistogram struct {
-	//flowsched:allow atomic: seqlock single-writer — plain writer-side access; concurrent readers use atomic loads and tolerate torn merges by design
-	n uint64
-	//flowsched:allow atomic: seqlock single-writer — plain writer-side access; concurrent readers use atomic loads and tolerate torn merges by design
+	n      uint64
 	counts []uint64
 }
 
