@@ -160,11 +160,22 @@ func main() {
 	if *ckptEvery < 0 {
 		usage("-checkpointevery must not be negative, got %v", *ckptEvery)
 	}
-	if *traceRounds > obs.MaxRecords {
-		usage("-tracerounds must be at most %d, got %d", obs.MaxRecords, *traceRounds)
+	if *traceRounds < 0 || *traceRounds > obs.MaxRecords {
+		usage("-tracerounds must be in [0, %d], got %d", obs.MaxRecords, *traceRounds)
 	}
-	if *pilotWindow > obs.MaxRecords {
-		usage("-pilotwindow must be at most %d, got %d", obs.MaxRecords, *pilotWindow)
+	if *pilotWindow < 0 || *pilotWindow > obs.MaxRecords {
+		usage("-pilotwindow must be in [0, %d], got %d", obs.MaxRecords, *pilotWindow)
+	}
+	if !(*sloObj >= 0 && *sloObj < 1) {
+		usage("-sloobjective must be in [0, 1), got %v", *sloObj)
+	}
+	for _, f := range []struct {
+		name string
+		d    time.Duration
+	}{{"sloevery", *sloEvery}, {"slofast", *sloFast}, {"sloslow", *sloSlow}, {"pilotevery", *pilotEvery}} {
+		if f.d < 0 {
+			usage("-%s must not be negative, got %v", f.name, f.d)
+		}
 	}
 
 	pol := stream.ByName(*policy)

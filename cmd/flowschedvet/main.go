@@ -13,7 +13,8 @@
 // pattern runs the other four.
 //
 // It is the same driver, over the same packages, that `go test` runs as
-// internal/analysis's TestRepoClean.
+// internal/analysis's TestRepoClean, and the one its analyzer fixture
+// tests run on the fixture modules under internal/analysis/testdata/src.
 //
 // Exit status: 0 clean, 1 internal error, 2 findings.
 package main

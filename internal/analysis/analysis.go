@@ -37,15 +37,16 @@
 // allow without a justification is itself a finding. The testonly
 // marks are held to a budget that only goes down.
 //
-// The framework below mirrors the golang.org/x/tools/go/analysis API
-// shape — Analyzer, Pass, Diagnostic, per-object facts — but is built on
-// the standard library alone (go/ast, go/types, go/importer), because
-// this repository carries no module dependencies. There is one driver,
-// RunStandalone (load.go): it loads packages with `go list`, analyzes
-// them in dependency order in one process and carries facts between them
-// in memory through a Session, which gives the reach verdict when the
-// packages cover the whole module. cmd/flowschedvet and TestRepoClean
-// both call it.
+// The framework below borrows the golang.org/x/tools/go/analysis names
+// — Analyzer, Pass, Diagnostic — but is built on the standard library
+// alone (go/ast, go/types, go/importer), because this repository carries
+// no module dependencies. Code is loaded one way: Run (load.go) loads
+// packages with `go list`, analyzes them in dependency order in one
+// process through a Session, which carries hotpath's per-function
+// verdicts between packages in a typed map and gives the reach verdict
+// when the packages cover the whole module. cmd/flowschedvet (through
+// RunStandalone, which prints Run's findings), TestRepoClean and every
+// fixture test call it.
 package analysis
 
 import (
@@ -58,15 +59,15 @@ import (
 
 // Analyzer is one named invariant check. Run inspects a single package
 // through its Pass and reports findings; cross-package state flows
-// through the Pass's fact API, never through analyzer globals.
+// through the Session the Pass points into, never through analyzer
+// globals.
 type Analyzer struct {
 	// Name is the check's identifier in diagnostics and CLI output.
 	Name string
 	// Doc is the one-paragraph description printed by -help.
 	Doc string
-	// Run analyzes one package. It returns an error only for internal
-	// failures; findings go through Pass.Report.
-	Run func(*Pass) error
+	// Run analyzes one package; findings go through Pass.Report.
+	Run func(*Pass)
 }
 
 // Diagnostic is one finding, positioned in the analyzed package.
@@ -94,8 +95,9 @@ type Pass struct {
 
 	// report receives findings; the driver wires it.
 	report func(Diagnostic)
-	// facts is the cross-package fact store; the driver wires it.
-	facts *factStore
+	// allocs holds hotpath's verdict on every function analyzed so far,
+	// keyed by objectKey; the driver wires it.
+	allocs map[string]allocFact
 	// reach collects the module's declarations for the reach check.
 	reach *reachGraph
 }
@@ -114,18 +116,6 @@ func (p *Pass) Report(d Diagnostic) {
 // Reportf is Report with formatting.
 func (p *Pass) Reportf(pos token.Pos, check, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Check: check, Message: fmt.Sprintf(format, args...)})
-}
-
-// ExportObjectFact publishes a fact about obj (a package-level function
-// or method of the analyzed package) for downstream packages' passes.
-func (p *Pass) ExportObjectFact(obj types.Object, fact any) {
-	p.facts.export(p.Analyzer.Name, objectKey(obj), fact)
-}
-
-// ImportObjectFact loads the fact published for obj by an upstream
-// package's pass into fact (a pointer), reporting whether one existed.
-func (p *Pass) ImportObjectFact(obj types.Object, fact any) bool {
-	return p.facts.importFact(p.Analyzer.Name, objectKey(obj), fact)
 }
 
 // objectKey is the stable cross-load identity of a package-level object:

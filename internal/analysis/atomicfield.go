@@ -21,7 +21,7 @@ var AtomicField = &Analyzer{
 	Run:  runAtomicField,
 }
 
-func runAtomicField(pass *Pass) error {
+func runAtomicField(pass *Pass) {
 	info := pass.TypesInfo
 	for _, f := range pass.Files {
 		var stack []ast.Node
@@ -44,7 +44,6 @@ func runAtomicField(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // atomicFunc returns the sync/atomic package-level function call calls,

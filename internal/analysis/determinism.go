@@ -32,9 +32,9 @@ var Determinism = &Analyzer{
 	Run:  runDeterminism,
 }
 
-func runDeterminism(pass *Pass) error {
+func runDeterminism(pass *Pass) {
 	if !pass.Dirs.HasMark("deterministic") {
-		return nil
+		return
 	}
 	checkClock := !pass.Dirs.HasMark("clockgated")
 	for _, f := range pass.Files {
@@ -46,7 +46,6 @@ func runDeterminism(pass *Pass) error {
 			checkDeterminism(pass, fn, checkClock)
 		}
 	}
-	return nil
 }
 
 func checkDeterminism(pass *Pass, fn *ast.FuncDecl, checkClock bool) {

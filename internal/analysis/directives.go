@@ -128,8 +128,8 @@ func (d *Directives) parse(c *ast.Comment, owner ast.Node) {
 		return
 	}
 	body := strings.TrimPrefix(c.Text, prefix)
-	// Fixture sources append analysistest expectations to directive
-	// lines; they are not part of the directive.
+	// Fixture sources append the fixture tests' // want expectations to
+	// directive lines; they are not part of the directive.
 	if i := strings.Index(body, "// want"); i >= 0 {
 		body = body[:i]
 	}

@@ -127,7 +127,7 @@ const allowBudget = 17
 // module's non-test code. Each one keeps code no binary reaches, so it
 // may only be lowered too: test support with one user moves into that
 // user's _test.go file instead.
-const testonlyBudget = 6
+const testonlyBudget = 5
 
 // moduleDirectives parses the directives (not mentions of the syntax in
 // prose) across every non-test Go file of the module, analyzer fixtures

@@ -24,7 +24,7 @@ import (
 // assignments of concrete values into interfaces, variadic argument
 // packing, go statements, and any call into a package not on the
 // known-clean list (math, math/bits, sync/atomic) that has no published
-// "does not allocate" fact. Dynamic calls (interface methods, func
+// "does not allocate" verdict. Dynamic calls (interface methods, func
 // values) are not followed; implementations of hot interfaces carry
 // their own //flowsched:hotpath root (every native policy's Pick does).
 var HotPath = &Analyzer{
@@ -33,11 +33,12 @@ var HotPath = &Analyzer{
 	Run:  runHotPath,
 }
 
-// allocFact is the cross-package verdict on one function, published for
-// every function of an analyzed package under its objectKey.
+// allocFact is the cross-package verdict on one function, recorded in
+// Pass.allocs for every function of an analyzed package under its
+// objectKey.
 type allocFact struct {
-	Allocates bool   `json:"allocates"`
-	Reason    string `json:"reason,omitempty"`
+	allocates bool
+	reason    string
 }
 
 // cleanPkgs are stdlib packages whose functions never heap-allocate.
@@ -75,7 +76,7 @@ type fnSummary struct {
 	reason    string
 }
 
-func runHotPath(pass *Pass) error {
+func runHotPath(pass *Pass) {
 	idx := indexFuncs(pass)
 	sums := map[*types.Func]*fnSummary{}
 	var order []*types.Func // declaration order, for stable fixpoint + facts
@@ -111,10 +112,10 @@ func runHotPath(pass *Pass) error {
 		}
 	}
 
-	// Publish facts for downstream packages.
+	// Record the verdicts for downstream packages.
 	for _, obj := range order {
 		s := sums[obj]
-		pass.ExportObjectFact(obj, allocFact{Allocates: s.allocates, Reason: s.reason})
+		pass.allocs[objectKey(obj)] = allocFact{s.allocates, s.reason}
 	}
 
 	// Report every unallowed site reachable from a //flowsched:hotpath
@@ -127,7 +128,6 @@ func runHotPath(pass *Pass) error {
 		}
 		reportReachable(pass, sums, rootObj, reported)
 	}
-	return nil
 }
 
 // verdict decides whether s allocates given the current fixpoint state,
@@ -335,13 +335,12 @@ func scanCall(pass *Pass, s *fnSummary, addSite func(token.Pos, string, ...any),
 	case cleanPkgs[pkg.Path()]:
 		return
 	case pkg.Path() == pass.Module || strings.HasPrefix(pkg.Path(), pass.Module+"/"):
-		var fact allocFact
-		if !pass.ImportObjectFact(fn, &fact) {
+		if fact, ok := pass.allocs[objectKey(fn)]; !ok {
 			edge.allocates = true
 			edge.desc = "calls " + pkg.Name() + "." + funcDisplayName(fn) + ", which has no hotpath fact"
-		} else if fact.Allocates {
+		} else if fact.allocates {
 			edge.allocates = true
-			edge.desc = "calls " + pkg.Name() + "." + funcDisplayName(fn) + ", which " + shortReason(fact.Reason)
+			edge.desc = "calls " + pkg.Name() + "." + funcDisplayName(fn) + ", which " + shortReason(fact.reason)
 		}
 	case pkg.Path() == "fmt" || pkg.Path() == "log":
 		edge.allocates = true

@@ -15,11 +15,12 @@ import (
 	"path/filepath"
 )
 
-// Standalone driver: flowschedvet invoked with package patterns loads
-// the package graph with `go list -export -deps`, type-checks each
-// module package from source against its dependencies' gc export data,
-// and runs the suite in dependency order so that object facts published
-// by an upstream pass are available downstream.
+// The driver: Run loads the package graph with `go list -export -deps`,
+// type-checks each module package from source against its
+// dependencies' gc export data, and runs the suite over the packages in
+// the order go list gives them (imports before importers), so that
+// hotpath's verdicts on an upstream package are in the Session when a
+// downstream package's pass reads them.
 
 // listedPkg is the subset of `go list -json` output the driver needs.
 type listedPkg struct {
@@ -28,25 +29,27 @@ type listedPkg struct {
 	Export     string
 	Standard   bool
 	GoFiles    []string
-	ImportMap  map[string]string
 	Module     *struct{ Path string }
 	Error      *struct{ Err string }
 }
 
-// RunStandalone analyzes the packages matching patterns (resolved by the
-// go tool from dir), printing findings to out in file:line:col form.
-// It returns the number of findings. Only a package's GoFiles are
-// loaded: the suite's contracts bind the shipped runtime, and test code
-// stays free to allocate, range maps and read clocks — and reaches
-// nothing. The reach check runs only when the loaded packages cover
-// the whole module, since a partial load has no roots to judge by.
-func RunStandalone(dir string, patterns []string, out io.Writer) (int, error) {
+// Run analyzes the packages matching patterns (resolved by the go tool
+// from dir, inside dir's module) and returns the file set and the
+// findings: each package's position-sorted, in dependency order, then
+// the reach check's. On an error it returns the findings so far. Only a
+// package's GoFiles are loaded: the suite's contracts bind the shipped
+// runtime, and test code stays free to allocate, range maps and read
+// clocks — and reaches nothing. The reach check runs only when the
+// loaded packages cover the whole module, since a partial load has no
+// roots to judge by.
+func Run(dir string, patterns []string) (*token.FileSet, []Diagnostic, error) {
+	fset := token.NewFileSet()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	pkgs, err := goList(dir, append([]string{"-export", "-deps"}, patterns...))
 	if err != nil {
-		return 0, err
+		return fset, nil, err
 	}
 
 	exportFile := map[string]string{}
@@ -55,9 +58,6 @@ func RunStandalone(dir string, patterns []string, out io.Writer) (int, error) {
 			exportFile[p.ImportPath] = p.Export
 		}
 	}
-
-	fset := token.NewFileSet()
-	s := NewSession()
 	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		f := exportFile[path]
 		if f == "" {
@@ -66,39 +66,52 @@ func RunStandalone(dir string, patterns []string, out io.Writer) (int, error) {
 		return os.Open(f)
 	})
 
-	total := 0
+	s := newSession()
+	var diags []Diagnostic
 	analyzed := map[string]bool{}
 	module := ""
 	for _, p := range pkgs {
-		if p.Standard || p.Module == nil || p.Error != nil {
-			if p.Error != nil && p.Module != nil {
-				return total, fmt.Errorf("%s: %s", p.ImportPath, p.Error.Err)
-			}
+		if p.Standard || p.Module == nil {
 			continue
 		}
-		n, err := analyzePackage(fset, imp, s, p, out)
-		if err != nil {
-			return total, fmt.Errorf("%s: %w", p.ImportPath, err)
+		if p.Error != nil {
+			return fset, diags, fmt.Errorf("%s: %s", p.ImportPath, p.Error.Err)
 		}
-		total += n
+		ds, err := analyzePackage(fset, imp, s, p)
+		if err != nil {
+			return fset, diags, fmt.Errorf("%s: %w", p.ImportPath, err)
+		}
+		diags = append(diags, ds...)
 		analyzed[p.ImportPath], module = true, p.Module.Path
 	}
 	if module == "" {
-		return total, nil
+		return fset, diags, nil
 	}
 	// The patterns' packages come last, so module is theirs.
 	all, err := goList(dir, []string{"-find", module + "/..."})
 	if err != nil {
-		return total, err
+		return fset, diags, err
 	}
 	for _, p := range all {
 		if p.Module != nil && !analyzed[p.ImportPath] {
-			return total, nil
+			return fset, diags, nil
 		}
 	}
-	diags := s.Reach(fset)
-	printDiags(out, fset, diags)
-	return total + len(diags), nil
+	return fset, append(diags, s.Reach(fset)...), nil
+}
+
+// RunStandalone is Run printing the findings to out, one per line in
+// file:line:col: check: message form. It returns the number of findings.
+func RunStandalone(dir string, patterns []string, out io.Writer) (int, error) {
+	fset, diags, err := Run(dir, patterns)
+	for _, d := range diags {
+		pos := "-"
+		if d.Pos.IsValid() {
+			pos = fset.Position(d.Pos).String()
+		}
+		fmt.Fprintf(out, "%s: %s: %s\n", pos, d.Check, d.Message)
+	}
+	return len(diags), err
 }
 
 // goList shells out to `go list -e -json` with args and decodes the
@@ -126,48 +139,26 @@ func goList(dir string, args []string) ([]*listedPkg, error) {
 }
 
 // analyzePackage type-checks one module package from source and runs the
-// full suite over it, printing findings to out.
-func analyzePackage(fset *token.FileSet, imp types.Importer, s *Session, p *listedPkg, out io.Writer) (int, error) {
+// full suite over it.
+func analyzePackage(fset *token.FileSet, imp types.Importer, s *Session, p *listedPkg) ([]Diagnostic, error) {
 	var files []*ast.File
 	for _, name := range p.GoFiles {
-		path := name
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(p.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		files = append(files, f)
 	}
-	info := newTypesInfo()
-	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(p.ImportPath, fset, files, info)
-	if err != nil {
-		return 0, err
-	}
-	diags := s.Analyze(fset, files, pkg, info, p.Module.Path)
-	printDiags(out, fset, diags)
-	return len(diags), nil
-}
-
-func newTypesInfo() *types.Info {
-	return &types.Info{
+	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
-}
-
-// printDiags writes findings as file:line:col: analyzer-tagged lines.
-func printDiags(out io.Writer, fset *token.FileSet, diags []Diagnostic) {
-	for _, d := range diags {
-		pos := "-"
-		if d.Pos.IsValid() {
-			pos = fset.Position(d.Pos).String()
-		}
-		fmt.Fprintf(out, "%s: %s: %s\n", pos, d.Check, d.Message)
+	pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info)
+	if err != nil {
+		return nil, err
 	}
+	return s.Analyze(fset, files, pkg, info, p.Module.Path), nil
 }

@@ -47,7 +47,7 @@ func newReachGraph() *reachGraph {
 	return &reachGraph{edges: map[string][]string{}, marks: map[token.Pos][]string{}}
 }
 
-func runReach(pass *Pass) error {
+func runReach(pass *Pass) {
 	g := pass.reach
 	isMain := pass.Pkg.Name() == "main"
 	var pkgMark token.Pos
@@ -110,7 +110,6 @@ func runReach(pass *Pass) error {
 			}
 		}
 	}
-	return nil
 }
 
 // refKey keys a reference to a package-level object or a method; any

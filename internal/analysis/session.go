@@ -1,33 +1,35 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 )
 
 // Session drives the suite over already-type-checked packages, analyzed
-// in dependency order, sharing one fact store and one reach graph
-// between them; RunStandalone and the analysistest harness both use one.
+// in dependency order, sharing one map of hotpath verdicts and one reach
+// graph between them; Run creates one per load.
 type Session struct {
-	store *factStore
-	reach *reachGraph
+	// allocs is hotpath's verdict on every function of the packages
+	// analyzed so far, keyed by objectKey: an upstream package's entries
+	// are there when a downstream package's pass reads them.
+	allocs map[string]allocFact
+	reach  *reachGraph
 }
 
-// NewSession creates a session with an empty fact store and reach graph.
-func NewSession() *Session { return &Session{store: newFactStore(), reach: newReachGraph()} }
+func newSession() *Session {
+	return &Session{allocs: map[string]allocFact{}, reach: newReachGraph()}
+}
 
 // Analyze runs every analyzer in the suite over one package and returns
-// its position-sorted diagnostics, malformed directives included. Facts
-// exported by the pass, and the package's reach graph, stay in the
-// session for later calls.
+// its position-sorted diagnostics, malformed directives included. The
+// package's hotpath verdicts and reach graph stay in the session for
+// later calls.
 func (s *Session) Analyze(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, module string) []Diagnostic {
 	dirs := NewDirectives(fset, files)
-	var diags []Diagnostic
-	diags = append(diags, dirs.Malformed()...)
+	diags := dirs.Malformed()
 	for _, a := range Suite() {
-		pass := &Pass{
+		a.Run(&Pass{
 			Analyzer:  a,
 			Fset:      fset,
 			Files:     files,
@@ -35,18 +37,12 @@ func (s *Session) Analyze(fset *token.FileSet, files []*ast.File, pkg *types.Pac
 			TypesInfo: info,
 			Module:    module,
 			Dirs:      dirs,
-			facts:     s.store,
+			allocs:    s.allocs,
 			reach:     s.reach,
 			report: func(d Diagnostic) {
 				diags = append(diags, d)
 			},
-		}
-		if err := a.Run(pass); err != nil {
-			diags = append(diags, Diagnostic{
-				Pos: token.NoPos, Check: a.Name,
-				Message: fmt.Sprintf("internal error: %v", err),
-			})
-		}
+		})
 	}
 	sortDiagnostics(fset, diags)
 	return diags
@@ -60,6 +56,3 @@ func (s *Session) Reach(fset *token.FileSet) []Diagnostic {
 	sortDiagnostics(fset, diags)
 	return diags
 }
-
-// NewInfo allocates the types.Info with every map the suite consumes.
-func NewInfo() *types.Info { return newTypesInfo() }

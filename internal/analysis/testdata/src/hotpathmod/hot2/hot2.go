@@ -2,7 +2,7 @@
 // sits two calls below the root, in another package entirely.
 package hot2
 
-import "hotpathmod/dep"
+import "fixtures/hotpathmod/dep"
 
 //flowsched:hotpath
 func Root() int { return level1() }

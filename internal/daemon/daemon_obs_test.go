@@ -161,6 +161,34 @@ func TestDaemonRefusesOversizedTrace(t *testing.T) {
 	}
 }
 
+// TestDaemonRefusesNegativeObservability: a negative observability
+// setting is a configuration error, not "use the default" and, for
+// PilotEvery, not "pilot off".
+func TestDaemonRefusesNegativeObservability(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*daemon.Config)
+	}{
+		{"TraceRounds", func(c *daemon.Config) { c.TraceRounds = -1 }},
+		{"SLOObjective", func(c *daemon.Config) { c.SLOObjective = -0.5 }},
+		{"SLOSampleEvery", func(c *daemon.Config) { c.SLOSampleEvery = -time.Second }},
+		{"SLOFastWindow", func(c *daemon.Config) { c.SLOFastWindow = -time.Second }},
+		{"SLOSlowWindow", func(c *daemon.Config) { c.SLOSlowWindow = -time.Second }},
+		{"PilotEvery", func(c *daemon.Config) { c.PilotEvery = -time.Second }},
+		{"PilotWindow", func(c *daemon.Config) { c.PilotWindow = -1 }},
+	} {
+		cfg := daemon.Config{Switch: switchnet.UnitSwitch(4), Policy: stream.ByName("RoundRobin")}
+		tc.set(&cfg)
+		// A server New accepts is never started, so there is nothing to
+		// stop.
+		if _, err := daemon.New(cfg); err == nil {
+			t.Errorf("negative %s accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.name+" ") || !strings.Contains(err.Error(), "is negative") {
+			t.Errorf("negative %s: %v, want the negative-%s error", tc.name, err, tc.name)
+		}
+	}
+}
+
 // TestDaemonTraceEndpoint: GET /trace serves the flight recorder as
 // JSONL with strictly increasing rounds whose counts reconcile with the
 // final summary.

@@ -87,8 +87,8 @@ type Config struct {
 	Buffer      int
 
 	// TraceRounds sizes the flight recorder ring behind GET /trace and
-	// the phase histograms (<= 0 selects obs.DefaultRounds; above
-	// obs.MaxRecords, New refuses it).
+	// the phase histograms (zero selects obs.DefaultRounds; New refuses
+	// a negative value and one above obs.MaxRecords).
 	TraceRounds int
 	// ResponseBound, when > 0, defines the response-time objective in
 	// rounds: completions slower than it count against the
@@ -96,7 +96,7 @@ type Config struct {
 	// (the delivery target always runs).
 	ResponseBound int
 	// SLOObjective is the good-event fraction both targets aim for,
-	// in (0, 1); <= 0 selects DefaultSLOObjective.
+	// in (0, 1); zero selects DefaultSLOObjective.
 	SLOObjective float64
 	// SLOSampleEvery, SLOFastWindow, SLOSlowWindow tune the burn-rate
 	// engine's sampler and windows (zero selects the slo package
@@ -105,8 +105,11 @@ type Config struct {
 	SLOFastWindow  time.Duration
 	SLOSlowWindow  time.Duration
 	// PilotEvery > 0 enables the optimality pilot at that evaluation
-	// cadence; PilotWindow sets its completion window (<= 0 selects the
-	// pilot package default).
+	// cadence (zero leaves it off); PilotWindow sets its completion
+	// window (zero selects the pilot package default).
+	//
+	// New refuses a negative value in any of the observability settings
+	// above rather than reading it as "default" or "off".
 	PilotEvery  time.Duration
 	PilotWindow int
 
@@ -191,11 +194,26 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Buffer <= 0 {
 		cfg.Buffer = DefaultBuffer
 	}
-	if cfg.SLOObjective <= 0 {
-		cfg.SLOObjective = DefaultSLOObjective
-	}
-	if cfg.CheckpointEvery < 0 {
+	switch {
+	case cfg.TraceRounds < 0:
+		return nil, fmt.Errorf("daemon: TraceRounds %d is negative", cfg.TraceRounds)
+	case cfg.SLOObjective < 0:
+		return nil, fmt.Errorf("daemon: SLOObjective %v is negative", cfg.SLOObjective)
+	case cfg.SLOSampleEvery < 0:
+		return nil, fmt.Errorf("daemon: SLOSampleEvery %v is negative", cfg.SLOSampleEvery)
+	case cfg.SLOFastWindow < 0:
+		return nil, fmt.Errorf("daemon: SLOFastWindow %v is negative", cfg.SLOFastWindow)
+	case cfg.SLOSlowWindow < 0:
+		return nil, fmt.Errorf("daemon: SLOSlowWindow %v is negative", cfg.SLOSlowWindow)
+	case cfg.PilotEvery < 0:
+		return nil, fmt.Errorf("daemon: PilotEvery %v is negative", cfg.PilotEvery)
+	case cfg.PilotWindow < 0:
+		return nil, fmt.Errorf("daemon: PilotWindow %d is negative", cfg.PilotWindow)
+	case cfg.CheckpointEvery < 0:
 		return nil, fmt.Errorf("daemon: CheckpointEvery %v is negative", cfg.CheckpointEvery)
+	}
+	if cfg.SLOObjective == 0 {
+		cfg.SLOObjective = DefaultSLOObjective
 	}
 	if cfg.CheckpointEvery > 0 && cfg.CheckpointPath == "" {
 		return nil, fmt.Errorf("daemon: CheckpointEvery %v set without a CheckpointPath", cfg.CheckpointEvery)
@@ -280,7 +298,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("daemon: %w", err)
 	}
 	sampleEvery := cfg.SLOSampleEvery
-	if sampleEvery <= 0 {
+	if sampleEvery == 0 {
 		sampleEvery = slo.DefaultSampleEvery
 	}
 	s := &Server{

@@ -38,7 +38,15 @@ import (
 	"flowsched/internal/switchnet"
 )
 
-// Defaults for Config fields left zero.
+// Defaults for Config fields left zero, and the snapshot bounds.
+// DefaultSnapshotTimeout bounds each pending-set snapshot: an
+// idle-parked live runtime answers nothing until its next arrival, so
+// the pilot treats a timeout as "idle" rather than an error worth
+// waiting on. DefaultMaxSnapshot caps the pending flows fed to the
+// backlog bound. The snapshot is in admission order, so the prefix kept
+// is the oldest flows; the bound over it is still a valid lower bound
+// for the whole backlog, and the cap keeps the O(n^2) sweep bounded when
+// the resident set is huge.
 const (
 	DefaultWindow          = 2048
 	DefaultEvery           = time.Second
@@ -58,18 +66,6 @@ type Config struct {
 	Window int
 	// Every is Run's evaluation cadence (<= 0 selects DefaultEvery).
 	Every time.Duration
-	// SnapshotTimeout bounds each pending-set snapshot; an idle-parked
-	// live runtime answers nothing until its next arrival, so the pilot
-	// treats a timeout as "idle" rather than an error worth waiting on
-	// (<= 0 selects DefaultSnapshotTimeout).
-	SnapshotTimeout time.Duration
-	// MaxSnapshot caps the pending flows fed to the backlog bound. The
-	// snapshot is in admission order, so the prefix kept is the oldest
-	// flows; the bound over it is still a valid lower bound for the
-	// whole backlog, and the cap keeps the O(n^2) sweep
-	// bounded when the resident set is huge (<= 0 selects
-	// DefaultMaxSnapshot).
-	MaxSnapshot int
 }
 
 // Status is the pilot's latest evaluation.
@@ -144,12 +140,6 @@ func New(sw switchnet.Switch, cfg Config) (*Pilot, error) {
 	if cfg.Every <= 0 {
 		cfg.Every = DefaultEvery
 	}
-	if cfg.SnapshotTimeout <= 0 {
-		cfg.SnapshotTimeout = DefaultSnapshotTimeout
-	}
-	if cfg.MaxSnapshot <= 0 {
-		cfg.MaxSnapshot = DefaultMaxSnapshot
-	}
 	ring, err := obs.NewRing(cfg.Window, compWords)
 	if err != nil {
 		return nil, fmt.Errorf("pilot: window: %w", err)
@@ -191,7 +181,7 @@ func decodeCompletion(words []atomic.Int64) completion {
 
 // Evaluate performs one evaluation — completion-window ratios plus a
 // pending-set backlog bound — and returns the updated status. ctx
-// bounds the pending-set snapshot (further capped by SnapshotTimeout);
+// bounds the pending-set snapshot (further capped by DefaultSnapshotTimeout);
 // the ratio computation itself never blocks on the runtime.
 func (p *Pilot) Evaluate(ctx context.Context) Status {
 	p.comps = obs.ReadLast(p.ring, p.comps[:0], p.ring.Cap(), decodeCompletion)
@@ -239,7 +229,7 @@ func (p *Pilot) Evaluate(ctx context.Context) Status {
 	p.mu.Unlock()
 
 	if p.rt != nil {
-		sctx, cancel := context.WithTimeout(ctx, p.cfg.SnapshotTimeout)
+		sctx, cancel := context.WithTimeout(ctx, DefaultSnapshotTimeout)
 		pend, _, err := p.rt.PendingFlows(sctx, p.pend)
 		cancel()
 		p.mu.Lock()
@@ -248,9 +238,9 @@ func (p *Pilot) Evaluate(ctx context.Context) Status {
 		} else {
 			p.pend = pend
 			p.st.PendingFlows = len(pend)
-			p.st.PendingTruncated = len(pend) > p.cfg.MaxSnapshot
+			p.st.PendingTruncated = len(pend) > DefaultMaxSnapshot
 			if p.st.PendingTruncated {
-				pend = pend[:p.cfg.MaxSnapshot]
+				pend = pend[:DefaultMaxSnapshot]
 			}
 			if len(pend) > 0 {
 				p.st.BacklogBoundRounds = core.TrivialMRTLowerBound(&switchnet.Instance{Switch: p.sw, Flows: pend})

@@ -43,11 +43,13 @@ type Target struct {
 	SLI       SLI
 }
 
-// Defaults for Config fields left zero, following the fast-burn /
-// slow-burn alerting convention (1h/14.4× paging, 6h/3× warning scaled
-// down to scheduler time: windows here default to seconds, not hours,
-// because a round is microseconds, but the thresholds keep their
-// standard meaning relative to the windows).
+// Defaults for Config fields left zero, and the burn-rate thresholds,
+// following the fast-burn / slow-burn alerting convention (1h/14.4×
+// paging, 6h/3× warning scaled down to scheduler time: windows here
+// default to seconds, not hours, because a round is microseconds, but
+// the thresholds keep their standard meaning relative to the windows):
+// fast-window burn >= DefaultFastBurn is a breach, slow-window burn >=
+// DefaultSlowBurn a warning.
 const (
 	DefaultSampleEvery = 250 * time.Millisecond
 	DefaultFastWindow  = 5 * time.Second
@@ -68,11 +70,6 @@ type Config struct {
 	// selects the defaults). FastWindow must not exceed SlowWindow.
 	FastWindow time.Duration
 	SlowWindow time.Duration
-	// FastBurn and SlowBurn are the burn-rate thresholds: fast-window
-	// burn >= FastBurn is a breach, slow-window burn >= SlowBurn a
-	// warning (<= 0 selects the defaults).
-	FastBurn float64
-	SlowBurn float64
 }
 
 // TargetStatus is one target's latest evaluation.
@@ -160,12 +157,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.FastWindow > cfg.SlowWindow {
 		return nil, fmt.Errorf("slo: fast window %v exceeds slow window %v", cfg.FastWindow, cfg.SlowWindow)
 	}
-	if cfg.FastBurn <= 0 {
-		cfg.FastBurn = DefaultFastBurn
-	}
-	if cfg.SlowBurn <= 0 {
-		cfg.SlowBurn = DefaultSlowBurn
-	}
 	slots := int(cfg.SlowWindow/cfg.SampleEvery) + 2
 	e := &Engine{
 		cfg:  cfg,
@@ -207,8 +198,8 @@ func (e *Engine) Observe(now time.Time, s stream.Summary) {
 		budget := 1 - t.Objective
 		ts.FastBurnRate = ts.FastErrorRate / budget
 		ts.SlowBurnRate = ts.SlowErrorRate / budget
-		ts.Breaching = ts.FastBurnRate >= e.cfg.FastBurn
-		ts.Warning = ts.SlowBurnRate >= e.cfg.SlowBurn
+		ts.Breaching = ts.FastBurnRate >= DefaultFastBurn
+		ts.Warning = ts.SlowBurnRate >= DefaultSlowBurn
 	}
 }
 

@@ -245,10 +245,11 @@
 // Config.Recorder attaches an obs.FlightRecorder to the round loop: the
 // coordinator writes one RoundRecord per scheduling round — admission,
 // scheduling, shedding, and backlog counts plus per-phase wall time —
-// into the recorder's fixed ring with zero allocations (the same
-// single-writer word-atomic discipline as the stats.EpochWindow
-// sketches), and readers drain the last N rounds concurrently without
-// ever stalling the writer. The contract:
+// into the recorder's fixed ring with zero allocations (an obs.Ring: a
+// reader drops any record the writer may have lapped while it copied,
+// unlike the stats.EpochWindow sketches, which are a seqlock), and
+// readers drain the last N rounds concurrently without ever stalling
+// the writer. The contract:
 //
 //   - No recorder, no cost. Every clock read is gated on the recorder's
 //     presence; an uninstrumented runtime takes zero time.Now calls per
