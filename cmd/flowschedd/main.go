@@ -55,6 +55,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -91,47 +92,64 @@ func uniformShape(ck *chkpt.Checkpoint) (n, c int, uniform bool) {
 	return len(ck.InCaps), c, true
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the daemon on the command line args: the final summary goes to
+// stdout, everything else to stderr, and it returns the exit status — 2
+// for a flag value it cannot run with, 1 for any other failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("flowschedd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		ports       = flag.Int("ports", 16, "switch size m (m x m ports)")
-		capacity    = flag.Int("cap", 1, "per-port capacity")
-		policy      = flag.String("policy", "RoundRobin", fmt.Sprintf("native streaming policy %v", stream.Names()))
-		shards      = flag.Int("shards", 1, "shards the input ports are partitioned across, which take turns each round on one goroutine (at least 1, capped at -ports; > 1 needs a native policy and changes the schedule)")
-		maxPending  = flag.Int("maxpending", stream.DefaultMaxPending, "admission limit on the resident pending set")
-		admit       = flag.String("admit", "lossless", "admission mode: lossless, drop, or deadline")
-		deadline    = flag.Int("deadline", 0, "response-time bound in rounds (admit mode deadline)")
-		verifyEvery = flag.Int("verifyevery", 0, "spot-check window in rounds fed to the verify oracle (0 = off)")
-		buffer      = flag.Int("buffer", daemon.DefaultBuffer, "ingest queue depth in flows between HTTP handlers and the round loop")
+		addr        = fs.String("addr", ":8080", "listen address")
+		ports       = fs.Int("ports", 16, "switch size m (m x m ports)")
+		capacity    = fs.Int("cap", 1, "per-port capacity")
+		policy      = fs.String("policy", "RoundRobin", fmt.Sprintf("native streaming policy %v", stream.Names()))
+		shards      = fs.Int("shards", 1, "shards the input ports are partitioned across, which take turns each round on one goroutine (at least 1, capped at -ports; > 1 needs a native policy and changes the schedule)")
+		maxPending  = fs.Int("maxpending", stream.DefaultMaxPending, "admission limit on the resident pending set")
+		admit       = fs.String("admit", "lossless", "admission mode: lossless, drop, or deadline")
+		deadline    = fs.Int("deadline", 0, "response-time bound in rounds (admit mode deadline)")
+		verifyEvery = fs.Int("verifyevery", 0, "spot-check window in rounds fed to the verify oracle (0 = off)")
+		buffer      = fs.Int("buffer", daemon.DefaultBuffer, "ingest queue depth in flows between HTTP handlers and the round loop")
 
-		traceRounds = flag.Int("tracerounds", 0, "flight recorder ring size behind GET /trace (0 = default)")
-		sloBound    = flag.Int("slobound", 0, "response-time SLO bound in rounds; enables the response_within_bound target (0 = delivery target only)")
-		sloObj      = flag.Float64("sloobjective", 0, "good-event fraction the SLO targets aim for, in (0,1) (0 = default)")
-		sloEvery    = flag.Duration("sloevery", 0, "burn-rate engine sample cadence (0 = default)")
-		sloFast     = flag.Duration("slofast", 0, "fast burn-rate window (0 = default)")
-		sloSlow     = flag.Duration("sloslow", 0, "slow burn-rate window (0 = default)")
-		pilotEvery  = flag.Duration("pilotevery", 0, "optimality pilot evaluation cadence (0 = pilot off)")
-		pilotWindow = flag.Int("pilotwindow", 0, "pilot completion window in flows (0 = default)")
-		pprofAddr   = flag.String("pprof", "", "side listener for net/http/pprof (empty = off)")
+		traceRounds = fs.Int("tracerounds", 0, "flight recorder ring size behind GET /trace (0 = default)")
+		sloBound    = fs.Int("slobound", 0, "response-time SLO bound in rounds; enables the response_within_bound target (0 = delivery target only)")
+		sloObj      = fs.Float64("sloobjective", 0, "good-event fraction the SLO targets aim for, in (0,1) (0 = default)")
+		sloEvery    = fs.Duration("sloevery", 0, "burn-rate engine sample cadence (0 = default)")
+		sloFast     = fs.Duration("slofast", 0, "fast burn-rate window (0 = default)")
+		sloSlow     = fs.Duration("sloslow", 0, "slow burn-rate window (0 = default)")
+		pilotEvery  = fs.Duration("pilotevery", 0, "optimality pilot evaluation cadence (0 = pilot off)")
+		pilotWindow = fs.Int("pilotwindow", 0, "pilot completion window in flows (0 = default)")
+		pprofAddr   = fs.String("pprof", "", "side listener for net/http/pprof (empty = off)")
 
-		ckptPath  = flag.String("checkpoint", "", "checkpoint file: written on POST /checkpoint, every -checkpointevery, and after the final drain")
-		ckptEvery = flag.Duration("checkpointevery", 0, "periodic checkpoint cadence (0 = on-demand and drain only; needs -checkpoint)")
-		restore   = flag.String("restore", "", "resume from this checkpoint file (its policy/shards/admission/switch settings apply unless overridden by explicit flags)")
+		ckptPath  = fs.String("checkpoint", "", "checkpoint file: written on POST /checkpoint, every -checkpointevery, and after the final drain")
+		ckptEvery = fs.Duration("checkpointevery", 0, "periodic checkpoint cadence (0 = on-demand and drain only; needs -checkpoint)")
+		restore   = fs.String("restore", "", "resume from this checkpoint file (its policy/shards/admission/switch settings apply unless overridden by explicit flags)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag set has said why
+	}
+	// fail reports why the daemon stops and returns the exit status.
+	fail := func(status int, format string, args ...any) int {
+		fmt.Fprintf(stderr, "flowschedd: "+format+"\n", args...)
+		return status
+	}
 	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
 	var restoreCk *chkpt.Checkpoint
 	if *restore != "" {
 		ck, err := chkpt.Load(*restore)
 		if err != nil {
-			fatal(err)
+			return fail(1, "%v", err)
 		}
 		// The checkpoint's configuration is the default on restore; an
 		// explicit flag deliberately deviates from it (a reload-on-restart).
-		if err := ck.AdoptFlags(flag.CommandLine); err != nil {
-			fatal(err)
+		if err := ck.AdoptFlags(fs); err != nil {
+			return fail(1, "%v", err)
 		}
 		if n, c, uniform := uniformShape(ck); uniform {
 			if !explicit["ports"] {
@@ -145,46 +163,40 @@ func main() {
 	}
 	// After adoption, so a checkpoint's shard count and admission limit
 	// are held to the same rule as typed ones.
-	if *shards < 1 {
-		usage("-shards must be at least 1, got %d", *shards)
-	}
-	if *maxPending < 1 {
-		usage("-maxpending must be at least 1, got %d", *maxPending)
-	}
-	if *buffer < 1 {
-		usage("-buffer must be at least 1, got %d", *buffer)
-	}
-	if *verifyEvery < 0 {
-		usage("-verifyevery must not be negative, got %d", *verifyEvery)
-	}
-	if *ckptEvery < 0 {
-		usage("-checkpointevery must not be negative, got %v", *ckptEvery)
-	}
-	if *traceRounds < 0 || *traceRounds > obs.MaxRecords {
-		usage("-tracerounds must be in [0, %d], got %d", obs.MaxRecords, *traceRounds)
-	}
-	if *pilotWindow < 0 || *pilotWindow > obs.MaxRecords {
-		usage("-pilotwindow must be in [0, %d], got %d", obs.MaxRecords, *pilotWindow)
-	}
-	if !(*sloObj >= 0 && *sloObj < 1) {
-		usage("-sloobjective must be in [0, 1), got %v", *sloObj)
+	switch {
+	case *shards < 1:
+		return fail(2, "-shards must be at least 1, got %d", *shards)
+	case *maxPending < 1:
+		return fail(2, "-maxpending must be at least 1, got %d", *maxPending)
+	case *buffer < 1:
+		return fail(2, "-buffer must be at least 1, got %d", *buffer)
+	case *verifyEvery < 0:
+		return fail(2, "-verifyevery must not be negative, got %d", *verifyEvery)
+	case *ckptEvery < 0:
+		return fail(2, "-checkpointevery must not be negative, got %v", *ckptEvery)
+	case *traceRounds < 0 || *traceRounds > obs.MaxRecords:
+		return fail(2, "-tracerounds must be in [0, %d], got %d", obs.MaxRecords, *traceRounds)
+	case *pilotWindow < 0 || *pilotWindow > obs.MaxRecords:
+		return fail(2, "-pilotwindow must be in [0, %d], got %d", obs.MaxRecords, *pilotWindow)
+	case !(*sloObj >= 0 && *sloObj < 1):
+		return fail(2, "-sloobjective must be in [0, 1), got %v", *sloObj)
 	}
 	for _, f := range []struct {
 		name string
 		d    time.Duration
 	}{{"sloevery", *sloEvery}, {"slofast", *sloFast}, {"sloslow", *sloSlow}, {"pilotevery", *pilotEvery}} {
 		if f.d < 0 {
-			usage("-%s must not be negative, got %v", f.name, f.d)
+			return fail(2, "-%s must not be negative, got %v", f.name, f.d)
 		}
 	}
 
 	pol := stream.ByName(*policy)
 	if pol == nil {
-		fatal(fmt.Errorf("unknown policy %q (native streaming policies: %v)", *policy, stream.Names()))
+		return fail(2, "unknown policy %q (native streaming policies: %v)", *policy, stream.Names())
 	}
 	mode, err := stream.ParseAdmitMode(*admit)
 	if err != nil {
-		fatal(err)
+		return fail(2, "%v", err)
 	}
 	srv, err := daemon.New(daemon.Config{
 		Switch:      switchnet.NewSwitch(*ports, *ports, *capacity),
@@ -210,10 +222,10 @@ func main() {
 		Restore:         restoreCk,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(1, "%v", err)
 	}
 	if restoreCk != nil {
-		fmt.Fprintf(os.Stderr, "flowschedd: restored %s: resumed at round %d, %d pending, %d shards\n",
+		fmt.Fprintf(stderr, "flowschedd: restored %s: resumed at round %d, %d pending, %d shards\n",
 			*restore, restoreCk.Round, restoreCk.Pending, srv.Snapshot().Shards)
 	}
 	srv.Start()
@@ -224,10 +236,10 @@ func main() {
 		// socket as ingest.
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintf(os.Stderr, "flowschedd: pprof listener: %v\n", err)
+				fmt.Fprintf(stderr, "flowschedd: pprof listener: %v\n", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "flowschedd: pprof on %s/debug/pprof/\n", *pprofAddr)
+		fmt.Fprintf(stderr, "flowschedd: pprof on %s/debug/pprof/\n", *pprofAddr)
 	}
 
 	httpSrv := &http.Server{
@@ -246,11 +258,14 @@ func main() {
 			httpErr <- err
 		}
 	}()
-	fmt.Fprintf(os.Stderr, "flowschedd: listening on %s (%dx%d switch, policy %s, admit %s)\n",
+	fmt.Fprintf(stderr, "flowschedd: listening on %s (%dx%d switch, policy %s, admit %s)\n",
 		*addr, *ports, *ports, pol.Name(), mode)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
+	defer signal.Stop(sig)
+	// The loop ends on a drain or a failure; either way the listener is
+	// shut down below before run returns.
 loop:
 	for {
 		select {
@@ -268,23 +283,21 @@ loop:
 				})
 				cancel()
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "flowschedd: SIGHUP reload: %v\n", err)
+					fmt.Fprintf(stderr, "flowschedd: SIGHUP reload: %v\n", err)
 				} else {
-					fmt.Fprintf(os.Stderr, "flowschedd: SIGHUP: reloaded policy %s, admit %s, maxpending %d\n",
+					fmt.Fprintf(stderr, "flowschedd: SIGHUP: reloaded policy %s, admit %s, maxpending %d\n",
 						pol.Name(), mode, *maxPending)
 				}
 				continue
 			}
-			fmt.Fprintf(os.Stderr, "flowschedd: %v: draining\n", s)
-			if _, err := srv.Drain(); err != nil {
-				fatal(err)
-			}
+			fmt.Fprintf(stderr, "flowschedd: %v: draining\n", s)
+			_, err = srv.Drain()
 			break loop
 		case <-srv.Done():
 			// Drained via POST /drain (or the run failed).
 			break loop
-		case err := <-httpErr:
-			fatal(err)
+		case err = <-httpErr:
+			break loop
 		}
 	}
 
@@ -292,25 +305,16 @@ loop:
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "flowschedd: http shutdown: %v\n", err)
+		fmt.Fprintf(stderr, "flowschedd: http shutdown: %v\n", err)
 	}
-
+	if err != nil {
+		return fail(1, "%v", err)
+	}
 	sum, err := srv.Wait()
 	if err != nil {
-		fatal(err)
+		return fail(1, "%v", err)
 	}
 	out, _ := json.MarshalIndent(sum, "", "  ")
-	fmt.Println(string(out))
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "flowschedd: %v\n", err)
-	os.Exit(1)
-}
-
-// usage reports a flag value the flag package accepts but the daemon
-// cannot run with, and exits 2, as for a flag error.
-func usage(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "flowschedd: "+format+"\n", args...)
-	os.Exit(2)
+	fmt.Fprintln(stdout, string(out))
+	return 0
 }

@@ -3,7 +3,7 @@
 // flags alone run the simulator.
 //
 //	flowsim paper -fig all -out results                   the figures and tables (internal/experiments)
-//	flowsim paper -fig 7 -ports 150 -lp=false -trials 3   ... at paper scale, heuristics only
+//	flowsim paper -fig 7 -ports 150 -lpT '' -trials 3     ... at paper scale, heuristics only
 //	flowsim art -ports 6 -M 6 -T 6 -c 2                   offline FS-ART, Theorem 1
 //	flowsim art -in instance.json -c 1 -schedule
 //	flowsim mrt -ports 6 -M 8 -T 6 -gantt                 offline FS-MRT, Theorem 3
@@ -24,11 +24,11 @@
 //	flowsim -in instance.json -policy MinRTime
 //	flowsim -ports 32 -M 64 -T 50 -policy all -srpt
 //
-// Streaming mode runs the internal/stream runtime on an unbounded arrival
-// process instead of a finite instance: flows arrive Poisson(M) per round
-// (optionally with bounded-Pareto sizes, or replayed from -trace), pass
-// through admission control, and drain under an incremental policy with
-// sliding-window metrics and optional spot-check verification:
+// `flowsim stream` runs the internal/stream runtime on an unbounded
+// arrival process instead of a finite instance: flows arrive Poisson(M)
+// per round (optionally with bounded-Pareto sizes, or replayed from
+// -trace), pass through admission control, and drain under an incremental
+// policy with sliding-window metrics and optional spot-check verification.
 //
 // With -shards K the runtime partitions the input ports across K shards,
 // which take turns each round, oldest first, on one goroutine; the
@@ -39,12 +39,12 @@
 // cost), WeightedISLIP (queue-age-weighted request/grant/accept), and
 // StreamFIFO — run sharded; simulator policy names bridge at shards=1:
 //
-//	flowsim -stream -flows 1000000 -ports 150 -M 300 -policy OldestFirst
-//	flowsim -stream -flows 1000000 -ports 150 -M 300 -policy WeightedISLIP -shards 4
-//	flowsim -stream -flows 200000 -alpha 1.3 -dmax 8 -policy MaxWeight -verifyevery 64
-//	flowsim -stream -flows 500000 -ports 64 -M 128 -policy all
-//	flowsim -stream -flows 200000 -maxpending 1024 -admit drop -policy RoundRobin
-//	flowsim -stream -flows 200000 -policy OldestFirst -roundlog rounds.jsonl
+//	flowsim stream -flows 1000000 -ports 150 -M 300 -policy OldestFirst
+//	flowsim stream -flows 1000000 -ports 150 -M 300 -policy WeightedISLIP -shards 4
+//	flowsim stream -flows 200000 -alpha 1.3 -dmax 8 -policy MaxWeight -verifyevery 64
+//	flowsim stream -flows 500000 -ports 64 -M 128 -policy all
+//	flowsim stream -flows 200000 -maxpending 1024 -admit drop -policy RoundRobin
+//	flowsim stream -flows 200000 -policy OldestFirst -roundlog rounds.jsonl
 //
 // -roundlog attaches the internal/obs flight recorder to the drain and
 // writes its last rounds (counts plus per-phase timings) as JSONL; a
@@ -58,43 +58,36 @@
 // deterministically, so a run killed mid-drain and restored finishes
 // with the same accounting an uninterrupted run reports:
 //
-//	flowsim -stream -policy StreamFIFO -flows 200000 -checkpoint run.ckpt -checkpointrounds 500
-//	flowsim -stream -policy StreamFIFO -flows 200000 -restore run.ckpt
+//	flowsim stream -policy StreamFIFO -flows 200000 -checkpoint run.ckpt -checkpointrounds 500
+//	flowsim stream -policy StreamFIFO -flows 200000 -restore run.ckpt
 //
 // A restore adopts the checkpoint's policy (when -policy is left at
 // "all") and its shards/maxpending/admit/deadline unless the matching
 // flag is given explicitly; corrupt or truncated checkpoint files are
 // refused with a typed error before anything runs.
 //
-// With -stream -policy all every native policy drains sequentially over
-// identical arrivals (same seed or trace). With -trace, -flows caps the
-// replay only when set explicitly; by default traces drain fully.
-// -admit selects the admission behaviour at the MaxPending limit:
-// lossless backpressure (default), drop (shed arrivals), or deadline
-// (expire flows older than -deadline rounds).
+// With `flowsim stream -policy all` every native policy drains
+// sequentially over identical arrivals (same seed or trace). With -trace,
+// -flows caps the replay only when set explicitly; by default traces
+// drain fully. -admit selects the admission behaviour at the MaxPending
+// limit: lossless backpressure (default), drop (shed arrivals), or
+// deadline (expire flows older than -deadline rounds).
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
-	"time"
 
-	"flowsched/internal/chkpt"
 	"flowsched/internal/core"
 	"flowsched/internal/engine"
 	"flowsched/internal/heuristics"
-	"flowsched/internal/obs"
 	"flowsched/internal/sim"
 	"flowsched/internal/stats"
-	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
 	"flowsched/internal/workload"
 )
@@ -106,7 +99,7 @@ func main() { os.Exit(dispatch(os.Args[1:], os.Stderr)) }
 type command func(fs *flag.FlagSet) (run func() error)
 
 // commands are the subcommands, by first argument.
-var commands = map[string]command{"art": art, "mrt": mrt, "gen": gen, "paper": paper}
+var commands = map[string]command{"art": art, "mrt": mrt, "gen": gen, "paper": paper, "stream": streamCmd}
 
 // usageError is a mistake on the command line that the flag package does
 // not catch itself: exit status 2, as for one it does.
@@ -129,7 +122,7 @@ func dispatch(args []string, stderr io.Writer) int {
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		name = "flowsim " + args[0]
 		if cmd = commands[args[0]]; cmd == nil {
-			fmt.Fprintf(stderr, "flowsim: unknown command %q (commands: art, gen, mrt, paper; flags alone run the simulator)\n", args[0])
+			fmt.Fprintf(stderr, "flowsim: unknown command %q (commands: art, gen, mrt, paper, stream; flags alone run the simulator)\n", args[0])
 			return 2
 		}
 		args = args[1:]
@@ -179,14 +172,13 @@ func loadInstance(inFile, trace string, cfg workload.PoissonConfig, seed int64) 
 	return cfg.Generate(rand.New(rand.NewSource(seed))), nil
 }
 
-// simulate is flowsim without a subcommand: the online simulator, or with
-// -stream the streaming runtime.
+// simulate is flowsim without a subcommand: the online simulator.
 func simulate(fs *flag.FlagSet) func() error {
 	var (
 		ports   = fs.Int("ports", 150, "switch size m")
 		mFlag   = fs.Float64("M", 150, "mean flow arrivals per round")
 		tFlag   = fs.Int("T", 20, "arrival rounds")
-		policy  = fs.String("policy", "all", "MaxCard, MinRTime, MaxWeight, FIFO, GreedyAge, or all; with -stream a native streaming policy — RoundRobin, OldestFirst, WeightedISLIP, StreamFIFO — while simulator names run bridged at shards=1; -stream -policy all drains every native policy sequentially")
+		policy  = fs.String("policy", "all", "MaxCard, MinRTime, MaxWeight, FIFO, GreedyAge, or all")
 		trials  = fs.Int("trials", 10, "number of random trials")
 		seed    = fs.Int64("seed", 1, "base RNG seed")
 		inFile  = fs.String("in", "", "load instance JSON instead of generating")
@@ -194,87 +186,16 @@ func simulate(fs *flag.FlagSet) func() error {
 		srpt    = fs.Bool("srpt", false, "also print the per-port SRPT lower bound")
 		demands = fs.Int("dmax", 1, "max flow demand (capacity scales to match)")
 		workers = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-
-		streamMode  = fs.Bool("stream", false, "streaming mode: drain an unbounded arrival stream through internal/stream")
-		cpuProfile  = fs.String("cpuprofile", "", "stream: write a CPU profile of the drain to this file")
-		memProfile  = fs.String("memprofile", "", "stream: write a post-drain heap profile to this file")
-		shards      = fs.Int("shards", 1, "stream: shards the input ports are partitioned across, which take turns each round on one goroutine (at least 1, capped at -ports; > 1 needs a native policy and changes the schedule)")
-		flows       = fs.Int64("flows", 1_000_000, "stream: total flows to drain, at least 1 (set explicitly with -trace to cap the replay; otherwise traces drain fully)")
-		admit       = fs.String("admit", "lossless", "stream: admission mode at the MaxPending limit — lossless (backpressure), drop (shed arrivals), deadline (expire aged flows)")
-		deadlineF   = fs.Int("deadline", 0, "stream: response-time bound in rounds for -admit deadline")
-		alpha       = fs.Float64("alpha", 0, "stream: bounded-Pareto size tail index (0 = unit/uniform sizes)")
-		maxPending  = fs.Int("maxpending", stream.DefaultMaxPending, "stream: admission limit on the resident pending set")
-		window      = fs.Int("window", stream.DefaultWindowRounds, "stream: sliding metrics window in rounds")
-		verifyEvery = fs.Int("verifyevery", 0, "stream: spot-check window in rounds fed to the verify oracle (0 = off)")
-		roundLog    = fs.String("roundlog", "", "stream: write the flight recorder's last rounds as JSONL to this file (policy-suffixed when sweeping)")
-		logRounds   = fs.Int("logrounds", 0, "stream: flight recorder ring size for -roundlog (0 = default)")
-		ckptFile    = fs.String("checkpoint", "", "stream: write a checkpoint file every -checkpointrounds rounds (0 = once, after the drain)")
-		ckptRounds  = fs.Int("checkpointrounds", 0, "stream: periodic checkpoint cadence in rounds, not negative (needs -checkpoint; 0 = once, after the drain)")
-		restoreF    = fs.String("restore", "", "stream: resume the drain from this checkpoint file (same seed/trace/flags as the original run)")
 	)
 	usage := fs.Usage
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "Subcommands (flowsim CMD -h): art, gen, mrt, paper. Without one:")
+		fmt.Fprintln(fs.Output(), "Subcommands (flowsim CMD -h): art, gen, mrt, paper, stream. Without one:")
 		usage()
 	}
 	return func() error {
 		if err := atLeastOne("dmax", *demands); err != nil {
 			return err
 		}
-		if *streamMode {
-			if err := atLeastOne("ports", *ports); err != nil {
-				return err
-			}
-			explicit := map[string]bool{}
-			fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-			var restoreCk *chkpt.Checkpoint
-			if *restoreF != "" {
-				ck, err := chkpt.Load(*restoreF)
-				if err != nil {
-					return err
-				}
-				// The checkpoint's configuration is the default on restore; an
-				// explicit flag deliberately deviates from it.
-				if err := ck.AdoptFlags(fs); err != nil {
-					return err
-				}
-				restoreCk = ck
-			}
-			// After adoption: a checkpoint's -maxpending and -shards are held
-			// to the same rule as ones typed on the command line.
-			if err := atLeastOne("maxpending", *maxPending); err != nil {
-				return err
-			}
-			if err := atLeastOne("shards", *shards); err != nil {
-				return err
-			}
-			if err := atLeastOne("window", *window); err != nil {
-				return err
-			}
-			if err := atLeastOne("flows", *flows); err != nil {
-				return err
-			}
-			if *ckptRounds < 0 {
-				return usageError{fmt.Errorf("-checkpointrounds must not be negative, got %d", *ckptRounds)}
-			}
-			if *verifyEvery < 0 {
-				return usageError{fmt.Errorf("-verifyevery must not be negative, got %d", *verifyEvery)}
-			}
-			if *logRounds > obs.MaxRecords {
-				return usageError{fmt.Errorf("-logrounds must be at most %d, got %d", obs.MaxRecords, *logRounds)}
-			}
-			runStream(streamOpts{
-				ports: *ports, m: *mFlag, policy: *policy, seed: *seed, trace: *trace,
-				dmax: *demands, flows: *flows, flowsSet: explicit["flows"], alpha: *alpha,
-				maxPending: *maxPending, admit: *admit, deadline: *deadlineF,
-				window: *window, verifyEvery: *verifyEvery, shards: *shards,
-				cpuProfile: *cpuProfile, memProfile: *memProfile,
-				roundLog: *roundLog, logRounds: *logRounds,
-				ckptFile: *ckptFile, ckptRounds: *ckptRounds, restore: restoreCk,
-			})
-			return nil
-		}
-
 		pols := heuristics.All()
 		if *policy != "all" {
 			p := heuristics.ByName(*policy)
@@ -310,7 +231,7 @@ func simulate(fs *flag.FlagSet) func() error {
 				})
 			}
 		}
-		verdicts := engine.Run(scenarios, engine.Options{Workers: *workers, KeepInstances: *srpt})
+		verdicts := engine.Run(scenarios, engine.Options{Workers: *workers})
 
 		fmt.Printf("%-10s %10s %10s %10s %8s %9s\n", "policy", "avgRT", "maxRT", "rounds", "n", "verified")
 		vi := 0
@@ -346,10 +267,10 @@ func simulate(fs *flag.FlagSet) func() error {
 				pol.Name(), stats.Mean(avgs), stats.Mean(maxs), stats.Mean(rounds), stats.Mean(ns), verified, count)
 		}
 		if *srpt {
-			// The first policy's verdicts cover every distinct instance.
+			// The engine solved clones (FixedGen), so insts are as loaded.
 			var bounds []float64
-			for _, v := range verdicts[:len(insts)] {
-				if inst := v.Instance; inst != nil && inst.N() > 0 {
+			for _, inst := range insts {
+				if inst.N() > 0 {
 					bounds = append(bounds, float64(core.SRPTLowerBound(inst))/float64(inst.N()))
 				}
 			}
@@ -357,260 +278,4 @@ func simulate(fs *flag.FlagSet) func() error {
 		}
 		return nil
 	}
-}
-
-type streamOpts struct {
-	ports       int
-	m           float64
-	policy      string
-	seed        int64
-	trace       string
-	dmax        int
-	flows       int64
-	flowsSet    bool
-	admit       string
-	deadline    int
-	alpha       float64
-	maxPending  int
-	window      int
-	verifyEvery int
-	shards      int
-	cpuProfile  string
-	memProfile  string
-	roundLog    string
-	logRounds   int
-	ckptFile    string
-	ckptRounds  int
-	restore     *chkpt.Checkpoint
-}
-
-// streamPolicy resolves -policy against the native streaming registry
-// first (stream.Names: RoundRobin, OldestFirst, WeightedISLIP,
-// StreamFIFO — shardable, incremental cost) and falls back to bridging a
-// simulator heuristic (full pending rescan per round, pinned to
-// shards=1). "all" is handled by the caller: it fans out to one drain
-// per native policy.
-func streamPolicy(name string) stream.Policy {
-	if p := stream.ByName(name); p != nil {
-		return p
-	}
-	if p := heuristics.ByName(name); p != nil {
-		return &stream.Bridge{P: p}
-	}
-	return nil
-}
-
-// streamSource builds a fresh arrival source for one drain. Each policy
-// in a -policy all sweep gets its own source (same trace bytes or RNG
-// seed), so every drain judges the same arrival process.
-func streamSource(o streamOpts, sw switchnet.Switch) (stream.Source, func()) {
-	if o.trace != "" {
-		f, err := os.Open(o.trace)
-		if err != nil {
-			fatal(err)
-		}
-		ts := workload.NewTraceSource(f, sw)
-		var src stream.Source = ts
-		if o.flowsSet {
-			// -flows was given explicitly: cap the replay. The default
-			// (1M) must not silently truncate a longer trace.
-			src = workload.NewLimit(ts, o.flows)
-		}
-		return src, func() { f.Close() }
-	}
-	src := workload.NewArrivalSource(workload.ArrivalConfig{
-		Ports: o.ports, Cap: o.dmax, M: o.m, MaxFlows: o.flows,
-		Alpha: o.alpha, MinDemand: 1, MaxDemand: o.dmax,
-	}, rand.New(rand.NewSource(o.seed)))
-	return src, func() {}
-}
-
-// runStream drains an unbounded arrival stream through the streaming
-// runtime and reports its final metrics. -policy all sweeps every
-// native streaming policy sequentially over identical arrivals.
-func runStream(o streamOpts) {
-	if o.ckptRounds != 0 && o.ckptFile == "" {
-		fatal(fmt.Errorf("-checkpointrounds %d needs -checkpoint", o.ckptRounds))
-	}
-	if (o.ckptFile != "" || o.restore != nil) && o.policy == "all" {
-		fatal(fmt.Errorf("-checkpoint/-restore need a single policy, not a -policy all sweep"))
-	}
-	var pols []stream.Policy
-	if o.policy == "all" {
-		for _, name := range stream.Names() {
-			pols = append(pols, stream.ByName(name))
-		}
-	} else {
-		pol := streamPolicy(o.policy)
-		if pol == nil {
-			fmt.Fprintf(os.Stderr, "flowsim: unknown stream policy %q (native: %v; simulator policies bridge at shards=1; all sweeps the native set)\n",
-				o.policy, stream.Names())
-			os.Exit(2)
-		}
-		pols = []stream.Policy{pol}
-	}
-	mode, err := stream.ParseAdmitMode(o.admit)
-	if err != nil {
-		fatal(err)
-	}
-	if o.cpuProfile != "" {
-		f, err := os.Create(o.cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	for i, pol := range pols {
-		if i > 0 {
-			fmt.Println()
-		}
-		logFile := o.roundLog
-		if logFile != "" && len(pols) > 1 {
-			// A sweep writes one trace per policy: suffix the file name so
-			// drains don't clobber each other.
-			logFile = logFile + "." + pol.Name()
-		}
-		drainStream(o, pol, mode, logFile)
-	}
-	if o.memProfile != "" {
-		f, err := os.Create(o.memProfile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// drainStream runs one policy to completion over a fresh source and
-// prints its metrics block. A non-empty logFile attaches a flight
-// recorder to the drain and dumps its last rounds as JSONL afterwards.
-func drainStream(o streamOpts, pol stream.Policy, mode stream.AdmitMode, logFile string) {
-	sw := switchnet.NewSwitch(o.ports, o.ports, o.dmax)
-	src, closeSrc := streamSource(o, sw)
-	defer closeSrc()
-	var rec *obs.FlightRecorder
-	if logFile != "" {
-		rec = obs.NewFlightRecorder(o.logRounds)
-	}
-	scfg := stream.Config{
-		Switch:       sw,
-		Policy:       pol,
-		Shards:       o.shards,
-		MaxPending:   o.maxPending,
-		Admit:        mode,
-		Deadline:     o.deadline,
-		WindowRounds: o.window,
-		VerifyEvery:  o.verifyEvery,
-		Recorder:     rec,
-	}
-	if o.restore != nil {
-		// The checkpointed pending set (and lookahead) is resident with its
-		// original releases when New returns; the regenerated arrival
-		// stream skips exactly the flows the checkpointed run had already
-		// consumed.
-		if err := o.restore.Compatible(sw); err != nil {
-			fatal(err)
-		}
-		workload.Skip(src, o.restore.SourceConsumed)
-		scfg.Resume = o.restore.State()
-	}
-	ckptWrites := 0
-	ckptLast := 0
-	if o.ckptFile != "" && o.ckptRounds > 0 {
-		scfg.CheckpointEveryRounds = o.ckptRounds
-		scfg.OnCheckpoint = func(st *stream.CheckpointState) {
-			if err := chkpt.Save(o.ckptFile, chkpt.FromState(st, scfg)); err != nil {
-				fatal(err)
-			}
-			ckptWrites++
-			ckptLast = st.Round
-		}
-	}
-	rt, err := stream.New(src, scfg)
-	if err != nil {
-		fatal(err)
-	}
-	if o.restore != nil {
-		fmt.Printf("restore         resumed at round %d, %d pending, %d shards\n", o.restore.Round, o.restore.Pending, rt.Snapshot().Shards)
-	}
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	sum, err := rt.Run()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&ms1)
-	if err != nil {
-		fatal(err)
-	}
-	rounds := max(sum.Rounds, 1)
-	fmt.Printf("policy          %s\n", pol.Name())
-	fmt.Printf("shards          %d\n", sum.Shards)
-	fmt.Printf("flows           %d (admitted %d)\n", sum.Completed, sum.Admitted)
-	fmt.Printf("rounds          %d (final round %d)\n", sum.Rounds, sum.Round)
-	fmt.Printf("wall time       %v (%.0f flows/s)\n",
-		elapsed.Round(time.Millisecond),
-		float64(sum.Completed)/elapsed.Seconds())
-	fmt.Printf("round cost      %.0f ns/round, %.3f allocs/round, %.1f B/round (drain total amortized)\n",
-		float64(elapsed.Nanoseconds())/float64(rounds),
-		float64(ms1.Mallocs-ms0.Mallocs)/float64(rounds),
-		float64(ms1.TotalAlloc-ms0.TotalAlloc)/float64(rounds))
-	fmt.Printf("avg response    %.3f rounds\n", sum.AvgResponse)
-	fmt.Printf("max response    %d rounds\n", sum.MaxResponse)
-	fmt.Printf("window p50/p90/p99  %.0f / %.0f / %.0f rounds (last %d rounds)\n",
-		sum.P50, sum.P90, sum.P99, o.window)
-	fmt.Printf("peak pending    %d (admission limit %d)\n", sum.PeakPending, o.maxPending)
-	fmt.Printf("backpressured   %d flows\n", sum.Backpressured)
-	switch mode {
-	case stream.AdmitDrop:
-		fmt.Printf("dropped         %d flows (shed on a full pending set)\n", sum.Dropped)
-	case stream.AdmitDeadline:
-		fmt.Printf("expired         %d flows (deadline %d rounds)\n", sum.Expired, o.deadline)
-	}
-	if o.verifyEvery > 0 {
-		fmt.Printf("verified        %d windows of %d rounds\n", sum.WindowsVerified, o.verifyEvery)
-	}
-	if o.ckptFile != "" {
-		if o.ckptRounds == 0 {
-			// Final-only mode: persist the drained state (nothing pending,
-			// counters exact) so a later run can continue the accounting.
-			st, err := rt.CheckpointState(context.Background(), nil)
-			if err != nil {
-				fatal(err)
-			}
-			if err := chkpt.Save(o.ckptFile, chkpt.FromState(&st, scfg)); err != nil {
-				fatal(err)
-			}
-			ckptWrites, ckptLast = 1, st.Round
-		}
-		fmt.Printf("checkpoint      %s (%d writes, last at round %d)\n", o.ckptFile, ckptWrites, ckptLast)
-	}
-	if rec != nil {
-		f, err := os.Create(logFile)
-		if err != nil {
-			fatal(err)
-		}
-		written, err := rec.WriteJSONL(f, rec.Cap())
-		if err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("round log       %s (%d of %d recorded rounds)\n", logFile, written, rec.Written())
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "flowsim: %v\n", err)
-	os.Exit(1)
 }

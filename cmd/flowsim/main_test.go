@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,7 +13,9 @@ import (
 
 // TestDispatch drives the front door without exec: what is not a
 // subcommand or an artifact is a usage error (status 2) that names the
-// valid ones, and -h on a subcommand lists that subcommand's flags only.
+// valid ones, -h on a subcommand lists that subcommand's flags only, a
+// mode refuses the flags of another, and a failure returns through the
+// deferred cleanups.
 func TestDispatch(t *testing.T) {
 	// A checkpoint whose admission limit is 0: a restore adopts it, and the
 	// adopted value is checked like a typed one.
@@ -29,6 +33,18 @@ func TestDispatch(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// A trace whose 301st flow names a port a 16-port switch does not
+	// have: the drain runs for its first rounds, then fails.
+	dir := t.TempDir()
+	var trace strings.Builder
+	for r := range 300 {
+		fmt.Fprintf(&trace, "%d,%d,%d,1\n", r, r%16, (r+1)%16)
+	}
+	trace.WriteString("300,99,0,1\n")
+	badTrace, prof := filepath.Join(dir, "bad.csv"), filepath.Join(dir, "p.prof")
+	if err := os.WriteFile(badTrace, []byte(trace.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		args      []string
 		status    int
@@ -41,18 +57,18 @@ func TestDispatch(t *testing.T) {
 		{[]string{"paper", "-T", "6x,0x10"}, 2, `bad integer "6x"`, ""},
 		{[]string{"mrt", "-deadlines", "9z"}, 2, `bad integer "9z"`, ""},
 		{[]string{"-trials", "-1"}, 2, "-trials must be at least 1, got -1", ""},
-		{[]string{"-stream", "-ports", "-1"}, 2, "-ports must be at least 1, got -1", ""},
-		{[]string{"-stream", "-window", "0"}, 2, "-window must be at least 1, got 0", ""},
-		{[]string{"-stream", "-maxpending", "0"}, 2, "-maxpending must be at least 1, got 0", ""},
-		{[]string{"-stream", "-maxpending", "-5"}, 2, "-maxpending must be at least 1, got -5", ""},
-		{[]string{"-stream", "-shards", "0"}, 2, "-shards must be at least 1, got 0", ""},
-		{[]string{"-stream", "-shards", "-3"}, 2, "-shards must be at least 1, got -3", ""},
-		{[]string{"-stream", "-flows", "0"}, 2, "-flows must be at least 1, got 0", ""},
-		{[]string{"-stream", "-flows", "-1"}, 2, "-flows must be at least 1, got -1", ""},
-		{[]string{"-stream", "-checkpoint", "unwritten.ckpt", "-checkpointrounds", "-3"}, 2, "-checkpointrounds must not be negative, got -3", ""},
-		{[]string{"-stream", "-verifyevery", "-3", "-flows", "2000"}, 2, "-verifyevery must not be negative, got -3", ""},
-		{[]string{"-stream", "-ports", "2", "-restore", zeroShards}, 2, "-shards must be at least 1, got 0", ""},
-		{[]string{"-stream", "-ports", "2", "-restore", zeroLimit}, 2, "-maxpending must be at least 1, got 0", ""},
+		{[]string{"stream", "-ports", "-1"}, 2, "-ports must be at least 1, got -1", ""},
+		{[]string{"stream", "-window", "0"}, 2, "-window must be at least 1, got 0", ""},
+		{[]string{"stream", "-maxpending", "0"}, 2, "-maxpending must be at least 1, got 0", ""},
+		{[]string{"stream", "-maxpending", "-5"}, 2, "-maxpending must be at least 1, got -5", ""},
+		{[]string{"stream", "-shards", "0"}, 2, "-shards must be at least 1, got 0", ""},
+		{[]string{"stream", "-shards", "-3"}, 2, "-shards must be at least 1, got -3", ""},
+		{[]string{"stream", "-flows", "0"}, 2, "-flows must be at least 1, got 0", ""},
+		{[]string{"stream", "-flows", "-1"}, 2, "-flows must be at least 1, got -1", ""},
+		{[]string{"stream", "-checkpoint", "unwritten.ckpt", "-checkpointrounds", "-3"}, 2, "-checkpointrounds must not be negative, got -3", ""},
+		{[]string{"stream", "-verifyevery", "-3", "-flows", "2000"}, 2, "-verifyevery must not be negative, got -3", ""},
+		{[]string{"stream", "-ports", "2", "-restore", zeroShards}, 2, "-shards must be at least 1, got 0", ""},
+		{[]string{"stream", "-ports", "2", "-restore", zeroLimit}, 2, "-maxpending must be at least 1, got 0", ""},
 		{[]string{"art", "-ports", "0"}, 2, "-ports must be at least 1, got 0", ""},
 		{[]string{"gen", "-ports", "0"}, 2, "-ports must be at least 1, got 0", ""},
 		{[]string{"art", "-c", "0"}, 2, "-c must be at least 1, got 0", "core:"},
@@ -60,7 +76,7 @@ func TestDispatch(t *testing.T) {
 		{[]string{"mrt", "-dmax", "-3"}, 2, "-dmax must be at least 1, got -3", "capacity"},
 		{[]string{"gen", "-dmax", "0"}, 2, "-dmax must be at least 1, got 0", ""},
 		{[]string{"-dmax", "0"}, 2, "-dmax must be at least 1, got 0", ""},
-		{[]string{"-stream", "-dmax", "-3"}, 2, "-dmax must be at least 1, got -3", ""},
+		{[]string{"stream", "-dmax", "-3"}, 2, "-dmax must be at least 1, got -3", ""},
 		{[]string{"paper", "-fig", "t1", "-trials", "0"}, 2, "-trials must be at least 1, got 0", ""},
 		{[]string{"paper", "-fig", "t1", "-lptrials", "0"}, 2, "-lptrials must be at least 1, got 0", ""},
 		{[]string{"gen", "-kind", "nosuch"}, 2, `unknown kind "nosuch"`, ""},
@@ -69,7 +85,18 @@ func TestDispatch(t *testing.T) {
 		{[]string{"art", "-h"}, 0, "-schedule", "-stream"},
 		{[]string{"mrt", "-h"}, 0, "-deadlines", "-kind"},
 		{[]string{"gen", "-h"}, 0, "-teachers", "-fig"},
-		{[]string{"-h"}, 0, "-stream", "-deadlines"},
+		{[]string{"-h"}, 0, "-srpt", "-maxpending"},
+		{[]string{"stream", "-h"}, 0, "-checkpointrounds", "-srpt"},
+		{[]string{"-checkpoint", "x.ckpt"}, 2, "flag provided but not defined: -checkpoint", ""},
+		{[]string{"-stream"}, 2, "flag provided but not defined: -stream", ""},
+		{[]string{"stream", "-in", "x.json"}, 2, "flag provided but not defined: -in", ""},
+		{[]string{"stream", "-trials", "1"}, 2, "flag provided but not defined: -trials", ""},
+		{[]string{"stream", "-srpt"}, 2, "flag provided but not defined: -srpt", ""},
+		{[]string{"stream", "-policy", "nosuch"}, 2, `unknown stream policy "nosuch"`, ""},
+		{[]string{"stream", "-admit", "bogus"}, 2, `unknown admission mode "bogus"`, ""},
+		{[]string{"stream", "-checkpointrounds", "5"}, 2, "-checkpointrounds 5 needs -checkpoint", ""},
+		{[]string{"stream", "-checkpoint", filepath.Join(dir, "c.ckpt")}, 2, "need a single policy", ""},
+		{[]string{"stream", "-ports", "16", "-trace", badTrace, "-cpuprofile", prof}, 1, "trace line 301", ""},
 	} {
 		var stderr bytes.Buffer
 		if got := dispatch(c.args, &stderr); got != c.status {
@@ -77,6 +104,15 @@ func TestDispatch(t *testing.T) {
 		}
 		if !strings.Contains(stderr.String(), c.want) || (c.not != "" && strings.Contains(stderr.String(), c.not)) {
 			t.Errorf("flowsim %v: stderr %q, want it to contain %q and not %q", c.args, &stderr, c.want, c.not)
+		}
+	}
+	// The failed drain still stopped its CPU profile: a gzipped proto.
+	if b, err := os.ReadFile(prof); err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Errorf("CPU profile of the failed drain: %d bytes (err %v), want a gzip stream", len(b), err)
+	}
+	for _, f := range []string{"x.ckpt", filepath.Join(dir, "c.ckpt")} {
+		if _, err := os.Stat(f); err == nil {
+			t.Errorf("a refused command wrote %s", f)
 		}
 	}
 }

@@ -246,10 +246,9 @@ func paper(fs *flag.FlagSet) func() error {
 	fs.IntVar(&cfg.LPTrials, "lptrials", cfg.LPTrials, "LP trials per grid point")
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "base RNG seed")
 	out := fs.String("out", "", "directory for CSV/ASCII outputs")
-	fs.BoolVar(&cfg.EnableLP, "lp", cfg.EnableLP, "compute LP lower-bound baselines (at 150 ports, T=6: 7 ms a draw at M=50, 0.28 s at M=100, 35 s at M=150)")
 	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "parallel workers (0 = GOMAXPROCS)")
 	heurT := fs.String("T", "6,8,10,12,16,20", "comma-separated T sweep for heuristics")
-	lpT := fs.String("lpT", "6,8,10", "comma-separated T sweep for LP baselines")
+	lpT := fs.String("lpT", "6,8,10", "comma-separated T sweep for the figures' LP baselines, '' for none (at 150 ports, T=6: 7 ms a draw at M=50, 0.28 s at M=100, 35 s at M=150)")
 	return func() error {
 		arts, err := experiments.Select(*fig)
 		if err != nil {
@@ -261,13 +260,8 @@ func paper(fs *flag.FlagSet) func() error {
 		if cfg.LPT, err = parseInts(*lpT); err != nil {
 			return err
 		}
-		if err := cmp.Or(atLeastOne("ports", cfg.Ports), atLeastOne("trials", cfg.Trials)); err != nil {
+		if err := cmp.Or(atLeastOne("ports", cfg.Ports), atLeastOne("trials", cfg.Trials), atLeastOne("lptrials", cfg.LPTrials)); err != nil {
 			return err
-		}
-		if cfg.EnableLP {
-			if err := atLeastOne("lptrials", cfg.LPTrials); err != nil {
-				return err
-			}
 		}
 		for _, a := range arts {
 			fmt.Printf("== %s ==\n", a.Title)

@@ -49,7 +49,7 @@
 //     StreamSource (NewInstanceSource replays a finite instance,
 //     NewChanSource is fed concurrently; internal/workload also has
 //     Poisson/bounded-Pareto generators and streaming CSV trace replay,
-//     behind `flowsim -stream`), pass admission control into a bounded
+//     behind `flowsim stream`), pass admission control into a bounded
 //     pending set, and drain under a StreamPolicy. Admission at the
 //     MaxPending limit is StreamConfig.Admit: lossless backpressure on the
 //     source (default; queueing delay stays visible in the metrics because
@@ -60,7 +60,7 @@
 //     Completed + Pending + Dropped + Expired. Runs are cancelable (Stop,
 //     RunContext) with the final summary still balancing. Four native
 //     policies run at incremental cost and are selected by name
-//     (StreamPolicyByName; flowsim -stream -policy): RoundRobin
+//     (StreamPolicyByName; flowsim stream -policy): RoundRobin
 //     (StreamRoundRobin) serves per-(input,output) virtual output queues
 //     with iSLIP-style per-input pointers rotating in output-port order;
 //     OldestFirst serves VOQ heads globally oldest-first — the paper's

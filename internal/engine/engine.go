@@ -69,8 +69,6 @@ type Verdict struct {
 	Scenario Scenario
 	// N is the generated instance's flow count.
 	N int
-	// Instance is retained only when Options.KeepInstances is set.
-	Instance *switchnet.Instance
 	// Solution is the solver output (nil if the solver errored).
 	Solution *Solution
 	// Report is the oracle's recomputation (nil if the solver errored).
@@ -86,9 +84,6 @@ type Verdict struct {
 type Options struct {
 	// Workers bounds parallelism (<= 0 selects GOMAXPROCS).
 	Workers int
-	// KeepInstances retains each generated instance on its verdict, for
-	// callers that compute additional per-instance baselines.
-	KeepInstances bool
 }
 
 // Run executes all scenarios on the worker pool and returns verdicts in
@@ -97,13 +92,13 @@ type Options struct {
 func Run(scenarios []Scenario, opt Options) []Verdict {
 	verdicts := make([]Verdict, len(scenarios))
 	ForEach(len(scenarios), opt.Workers, func(i int) {
-		verdicts[i] = runOne(scenarios[i], opt.KeepInstances)
+		verdicts[i] = runOne(scenarios[i])
 	})
 	return verdicts
 }
 
 // runOne generates, solves, and verifies a single scenario.
-func runOne(sc Scenario, keep bool) Verdict {
+func runOne(sc Scenario) Verdict {
 	v := Verdict{Scenario: sc}
 	if sc.Workload == nil || sc.Solver == nil {
 		v.Err = fmt.Errorf("engine: scenario %q missing workload or solver", sc.Label)
@@ -112,9 +107,6 @@ func runOne(sc Scenario, keep bool) Verdict {
 	rng := rand.New(rand.NewSource(sc.Seed))
 	inst := sc.Workload.Generate(rng)
 	v.N = inst.N()
-	if keep {
-		v.Instance = inst
-	}
 	sol, err := sc.Solver.Solve(inst)
 	if err != nil {
 		v.Err = fmt.Errorf("engine: %s on %s (seed %d): %w", sc.Solver.Name(), sc.Workload.Name(), sc.Seed, err)

@@ -13,8 +13,6 @@ type SweepConfig struct {
 	Seed int64
 	// Workers bounds the pool's parallelism (see Options).
 	Workers int
-	// KeepInstances retains generated instances on the verdicts.
-	KeepInstances bool
 }
 
 // Scenarios expands the sweep into its scenario list: generators outermost,
@@ -46,10 +44,7 @@ func (c SweepConfig) Scenarios() []Scenario {
 // that require a fully verified sweep check table.AllVerified or
 // table.FirstError.
 func RunSweep(cfg SweepConfig) *ResultTable {
-	verdicts := Run(cfg.Scenarios(), Options{
-		Workers:       cfg.Workers,
-		KeepInstances: cfg.KeepInstances,
-	})
+	verdicts := Run(cfg.Scenarios(), Options{Workers: cfg.Workers})
 	return NewResultTable(verdicts)
 }
 

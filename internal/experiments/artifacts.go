@@ -78,9 +78,6 @@ func figure(key, title, name, ylabel string, y metric, bound Bound) Artifact {
 		var charts Charts
 		var cells []Cell
 		pols := heuristics.All()
-		if !cfg.EnableLP {
-			cfg.LPT = nil
-		}
 		for ri, ratio := range cfg.Ratios {
 			chart := &plot.Chart{XLabel: "T", YLabel: ylabel,
 				Title: fmt.Sprintf("%s %s (m=%d, M=%.3g)", name, ratioName(ratio), cfg.Ports, ratio*float64(cfg.Ports))}

@@ -47,16 +47,14 @@ type Config struct {
 	Ratios []float64
 	// HeurT are the T values swept for heuristics.
 	HeurT []int
-	// LPT are the T values at which LP lower bounds are computed.
+	// LPT are the T values at which the figures' LP lower bounds are
+	// computed; empty, the figures draw heuristics only.
 	LPT []int
 	// Trials and LPTrials are the per-point repetition counts.
 	Trials   int
 	LPTrials int
 	// Seed makes runs reproducible.
 	Seed int64
-	// EnableLP computes the LP baselines: most of an artifact's time once
-	// M >= m, a small part of it below that (see the package comment).
-	EnableLP bool
 	// Workers bounds parallelism (0 = GOMAXPROCS).
 	Workers int
 }
@@ -72,7 +70,6 @@ func DefaultConfig() Config {
 		Trials:   5,
 		LPTrials: 2,
 		Seed:     1,
-		EnableLP: true,
 	}
 }
 

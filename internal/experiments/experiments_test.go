@@ -22,7 +22,6 @@ func tinyConfig() Config {
 		Trials:   2,
 		LPTrials: 1,
 		Seed:     3,
-		EnableLP: true,
 	}
 }
 

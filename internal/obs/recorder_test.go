@@ -134,6 +134,27 @@ func TestRecorderRecordZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestRecorderLastAllocatesOnce: a copy of a full ring sizes its
+// destination once, not by regrowing it as the records are appended.
+func TestRecorderLastAllocatesOnce(t *testing.T) {
+	r := NewFlightRecorder(DefaultRounds)
+	for i := range int64(2 * r.Cap()) {
+		r.Record(rec(i))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if got := r.Last(nil, r.Cap()); len(got) != r.Cap() {
+			t.Fatalf("Last returned %d records, want %d", len(got), r.Cap())
+		}
+	})
+	want := 1.0
+	if raceEnabled {
+		want = 2 // instrumented builds do not fuse slices.Grow's append of a make
+	}
+	if allocs != want {
+		t.Fatalf("Last(nil, Cap()) on a full ring performed %v allocs, want %v", allocs, want)
+	}
+}
+
 // TestRecorderJSONL round-trips the JSONL export.
 func TestRecorderJSONL(t *testing.T) {
 	r := NewFlightRecorder(8)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -82,6 +83,7 @@ func ReadLast[T any](r *Ring, dst []T, n int, decode func(w []atomic.Int64) T) [
 	h1 := r.head.Load()
 	lo := max(h1-int64(n), 0)
 	start := len(dst)
+	dst = slices.Grow(dst, int(h1-lo))
 	for k := lo; k < h1; k++ {
 		b := k % r.slots * r.width
 		dst = append(dst, decode(r.words[b:b+r.width:b+r.width]))
