@@ -104,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		addr        = fs.String("addr", ":8080", "listen address")
 		ports       = fs.Int("ports", 16, "switch size m (m x m ports)")
 		capacity    = fs.Int("cap", 1, "per-port capacity")
-		policy      = fs.String("policy", "RoundRobin", fmt.Sprintf("native streaming policy %v", stream.Names()))
+		policy      = fs.String("policy", "RoundRobin", fmt.Sprintf("streaming policy, one of %v (the paper's heuristics run bridged, at one shard)", stream.AllNames()))
 		shards      = fs.Int("shards", 1, "shards the input ports are partitioned across, which take turns each round on one goroutine (at least 1, capped at -ports; > 1 needs a native policy and changes the schedule)")
 		maxPending  = fs.Int("maxpending", stream.DefaultMaxPending, "admission limit on the resident pending set")
 		admit       = fs.String("admit", "lossless", "admission mode: lossless, drop, or deadline")
@@ -192,7 +192,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	pol := stream.ByName(*policy)
 	if pol == nil {
-		return fail(2, "unknown policy %q (native streaming policies: %v)", *policy, stream.Names())
+		return fail(2, "unknown policy %q (streaming policies: %v)", *policy, stream.AllNames())
 	}
 	mode, err := stream.ParseAdmitMode(*admit)
 	if err != nil {

@@ -34,10 +34,11 @@
 // which take turns each round, oldest first, on one goroutine; the
 // pending flows stay in one store. K > 1 changes the schedule (native
 // policies only), not the parallelism.
-// The native streaming policies — RoundRobin, OldestFirst (age-aware
-// oldest-head-first, the paper's MinRTime discipline at incremental
-// cost), WeightedISLIP (queue-age-weighted request/grant/accept), and
-// StreamFIFO — run sharded; simulator policy names bridge at shards=1:
+// -policy names the paper's heuristics, bridged at shards=1, or a native
+// policy — RoundRobin, OldestFirst (age-aware oldest-head-first, the
+// paper's MinRTime discipline at incremental cost), WeightedISLIP
+// (queue-age-weighted request/grant/accept), and StreamFIFO — which run
+// sharded; stream's -policy all drains the native ones:
 //
 //	flowsim stream -flows 1000000 -ports 150 -M 300 -policy OldestFirst
 //	flowsim stream -flows 1000000 -ports 150 -M 300 -policy WeightedISLIP -shards 4
@@ -85,9 +86,8 @@ import (
 
 	"flowsched/internal/core"
 	"flowsched/internal/engine"
-	"flowsched/internal/heuristics"
-	"flowsched/internal/sim"
 	"flowsched/internal/stats"
+	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
 	"flowsched/internal/workload"
 )
@@ -178,7 +178,7 @@ func simulate(fs *flag.FlagSet) func() error {
 		ports   = fs.Int("ports", 150, "switch size m")
 		mFlag   = fs.Float64("M", 150, "mean flow arrivals per round")
 		tFlag   = fs.Int("T", 20, "arrival rounds")
-		policy  = fs.String("policy", "all", "MaxCard, MinRTime, MaxWeight, FIFO, GreedyAge, or all")
+		policy  = fs.String("policy", "all", fmt.Sprintf("one of %v, or all", stream.AllNames()))
 		trials  = fs.Int("trials", 10, "number of random trials")
 		seed    = fs.Int64("seed", 1, "base RNG seed")
 		inFile  = fs.String("in", "", "load instance JSON instead of generating")
@@ -196,13 +196,12 @@ func simulate(fs *flag.FlagSet) func() error {
 		if err := atLeastOne("dmax", *demands); err != nil {
 			return err
 		}
-		pols := heuristics.All()
+		pols := stream.AllNames()
 		if *policy != "all" {
-			p := heuristics.ByName(*policy)
-			if p == nil {
+			if stream.ByName(*policy) == nil {
 				return usageError{fmt.Errorf("unknown policy %q", *policy)}
 			}
-			pols = []sim.Policy{p}
+			pols = []string{*policy}
 		}
 
 		if err := atLeastOne("trials", *trials); err != nil {
@@ -263,8 +262,9 @@ func simulate(fs *flag.FlagSet) func() error {
 				rounds = append(rounds, v.Solution.Stats["rounds"])
 				ns = append(ns, float64(v.N))
 			}
-			fmt.Printf("%-10s %10.3f %10.2f %10.1f %8.0f %6d/%-2d\n",
-				pol.Name(), stats.Mean(avgs), stats.Mean(maxs), stats.Mean(rounds), stats.Mean(ns), verified, count)
+			// A name past 10 bytes takes avgRT's padding: columns align.
+			fmt.Printf("%s%*.3f %10.2f %10.1f %8.0f %6d/%-2d\n",
+				pol, 21-len(pol), stats.Mean(avgs), stats.Mean(maxs), stats.Mean(rounds), stats.Mean(ns), verified, count)
 		}
 		if *srpt {
 			// The engine solved clones (FixedGen), so insts are as loaded.

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"flowsched/internal/chkpt"
-	"flowsched/internal/heuristics"
 	"flowsched/internal/obs"
 	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
@@ -42,7 +41,7 @@ func streamCmd(fs *flag.FlagSet) func() error {
 	o := &streamFlags{}
 	fs.IntVar(&o.ports, "ports", 150, "switch size m")
 	fs.Float64Var(&o.m, "M", 150, "mean flow arrivals per round")
-	fs.StringVar(&o.policy, "policy", "all", "a native streaming policy — RoundRobin, OldestFirst, WeightedISLIP, StreamFIFO — while simulator names (MaxCard, MinRTime, MaxWeight, FIFO, GreedyAge) run bridged at shards=1; all drains every native policy sequentially")
+	fs.StringVar(&o.policy, "policy", "all", fmt.Sprintf("one of %v (the paper's heuristics run bridged, at shards=1), or all: every native policy %v in turn", stream.AllNames(), stream.Names()))
 	fs.Int64Var(&o.seed, "seed", 1, "base RNG seed")
 	fs.StringVar(&o.trace, "trace", "", "load a CSV flow trace (release,in,out,demand) onto a -ports switch")
 	fs.IntVar(&o.dmax, "dmax", 1, "max flow demand (capacity scales to match)")
@@ -102,10 +101,9 @@ func streamCmd(fs *flag.FlagSet) func() error {
 				pols = append(pols, stream.ByName(name))
 			}
 		} else {
-			pol := streamPolicy(o.policy)
+			pol := stream.ByName(o.policy)
 			if pol == nil {
-				return usageError{fmt.Errorf("unknown stream policy %q (native: %v; simulator policies bridge at shards=1; all sweeps the native set)",
-					o.policy, stream.Names())}
+				return usageError{fmt.Errorf("unknown stream policy %q (known: %v; all drains the native ones)", o.policy, stream.AllNames())}
 			}
 			pols = []stream.Policy{pol}
 		}
@@ -152,22 +150,6 @@ func streamCmd(fs *flag.FlagSet) func() error {
 		}
 		return f.Close()
 	}
-}
-
-// streamPolicy resolves -policy against the native streaming registry
-// first (stream.Names: RoundRobin, OldestFirst, WeightedISLIP,
-// StreamFIFO — shardable, incremental cost) and falls back to bridging a
-// simulator heuristic (full pending rescan per round, pinned to
-// shards=1). "all" is handled by the caller: it fans out to one drain
-// per native policy.
-func streamPolicy(name string) stream.Policy {
-	if p := stream.ByName(name); p != nil {
-		return p
-	}
-	if p := heuristics.ByName(name); p != nil {
-		return &stream.Bridge{P: p}
-	}
-	return nil
 }
 
 // streamSource builds a fresh arrival source for one drain, and what

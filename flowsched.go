@@ -111,10 +111,13 @@ type (
 )
 
 // Simulate runs the online simulator of Section 5.2.1 with the policy.
-func Simulate(inst *Instance, pol Policy) (*SimResult, error) { return sim.Run(inst, pol) }
+func Simulate(inst *Instance, pol Policy) (*SimResult, error) {
+	res, _, err := stream.Replay(inst, stream.Config{Policy: &stream.Bridge{P: pol}})
+	return res, err
+}
 
 // Two of the paper's heuristics (Section 5.2) by value; PolicyByName
-// resolves these, MinRTime and the ablation baselines FIFO and GreedyAge.
+// resolves these and MinRTime.
 var (
 	// MaxCard extracts a maximum-cardinality matching every round.
 	MaxCard Policy = heuristics.MaxCard{}
@@ -126,8 +129,14 @@ var (
 // MaxCard, MinRTime and MaxWeight.
 func Policies() []Policy { return heuristics.All() }
 
-// PolicyByName resolves a policy by its Name; nil if unknown.
-func PolicyByName(name string) Policy { return heuristics.ByName(name) }
+// PolicyByName resolves one of the paper's heuristics through the stream
+// policy table; nil if name is unknown or a native streaming policy.
+func PolicyByName(name string) Policy {
+	if b, ok := stream.ByName(name).(*stream.Bridge); ok {
+		return b.P
+	}
+	return nil
+}
 
 // PoissonConfig is the paper's workload model: Poisson(M) uniform flows
 // per round for T rounds on a Ports x Ports switch.
@@ -265,9 +274,9 @@ func NewFlightRecorder(rounds int) *FlightRecorder { return obs.NewFlightRecorde
 // in output-port order, independent of the pending count.
 func StreamRoundRobin() StreamPolicy { return &stream.RoundRobin{} }
 
-// StreamPolicyByName resolves a native streaming policy by name
-// (RoundRobin, OldestFirst, WeightedISLIP, StreamFIFO; see internal/stream);
-// nil if unknown.
+// StreamPolicyByName resolves a streaming policy by name — a native one
+// (RoundRobin, OldestFirst, WeightedISLIP, StreamFIFO) or one of the
+// paper's heuristics, bridged; see internal/stream — nil if unknown.
 func StreamPolicyByName(name string) StreamPolicy { return stream.ByName(name) }
 
 // NewInstanceSource replays a finite instance as an arrival stream in

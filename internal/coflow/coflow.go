@@ -9,14 +9,17 @@
 // coflow-level response metrics, and provides online policies:
 // coflow-FIFO, SCF (smallest total size first) and SEBF (smallest
 // effective bottleneck first, the Varys heuristic) — all implemented as
-// sim.Policy so the existing engine and validation apply unchanged.
+// sim.Policy, run bridged on the streaming runtime, with the owner map
+// indexed by the flow identifiers a policy is shown (sim.Pending.Flow).
 package coflow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"flowsched/internal/sim"
+	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
 )
 
@@ -178,7 +181,7 @@ func FIFO(in *Instance, owner []int) sim.Policy {
 		name:  "CoflowFIFO",
 		owner: owner,
 		key: func(st *sim.State, members []int) int {
-			return in.Coflows[ownerOf(owner, st, members)].Release
+			return in.Coflows[owner[st.Pending[members[0]].Flow]].Release
 		},
 	}
 }
@@ -225,20 +228,17 @@ func SEBF(owner []int) sim.Policy {
 	}
 }
 
-// ownerOf returns the coflow index of a group's first member.
-func ownerOf(owner []int, st *sim.State, members []int) int {
-	return owner[st.Pending[members[0]].Flow]
-}
-
-// Run flattens the instance, simulates the policy, and returns coflow
-// metrics together with the flow-level result.
+// Run flattens the instance, replays it under the policy, and returns
+// coflow and flow-level results. The runtime shows flows by admission
+// position, in release order, so mk gets the owner map in that order.
 func Run(in *Instance, mk func(owner []int) sim.Policy) (*Result, *sim.Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, nil, err
 	}
 	flat, owner := in.Flatten()
-	pol := mk(owner)
-	simRes, err := sim.Run(flat, pol)
+	admitted := slices.Clone(owner)
+	slices.SortStableFunc(admitted, func(a, b int) int { return in.Coflows[a].Release - in.Coflows[b].Release })
+	simRes, _, err := stream.Replay(flat, stream.Config{Policy: &stream.Bridge{P: mk(admitted)}})
 	if err != nil {
 		return nil, nil, err
 	}

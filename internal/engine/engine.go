@@ -36,7 +36,7 @@ type Solution struct {
 	Schedule *switchnet.Schedule
 	// Caps are the capacities the schedule is claimed feasible under
 	// (e.g. ScaleCaps(caps, 1+c) for Theorem 1, AddCaps(caps, 2*d_max-1)
-	// for Theorem 3, the raw capacities for simulator policies).
+	// for Theorem 3, the raw capacities for runtime policies).
 	Caps []int
 	// Stats carries solver-specific diagnostics (LP pivots, rho guesses,
 	// simulated rounds, ...).

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"flowsched/internal/heuristics"
 	"flowsched/internal/switchnet"
 	"flowsched/internal/workload"
 )
@@ -174,13 +173,13 @@ func TestFixedGenClones(t *testing.T) {
 }
 
 // solversNamed picks solvers by Name from the default registry plus the
-// variants it leaves out — the FIFO and GreedyAge heuristics and the SCF
-// and FIFO coflow orders — failing t on a name neither holds.
+// variants it leaves out — the StreamFIFO and OldestFirst policies and the
+// SCF and FIFO coflow orders — failing t on a name neither holds.
 func solversNamed(t testing.TB, names ...string) []Solver {
 	t.Helper()
 	all := append(Solvers(),
-		PolicySolver{Policy: heuristics.ByName("FIFO")},
-		PolicySolver{Policy: heuristics.ByName("GreedyAge")},
+		PolicySolver{Policy: "StreamFIFO"},
+		PolicySolver{Policy: "OldestFirst"},
 		CoflowSolver{Policy: "SCF"},
 		CoflowSolver{Policy: "FIFO"},
 	)

@@ -24,7 +24,7 @@ func TestMetamorphicBoundsBelowPolicySchedules(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		for _, s := range solversNamed(t, "MaxCard", "MinRTime", "MaxWeight", "FIFO", "GreedyAge") {
+		for _, s := range solversNamed(t, "MaxCard", "MinRTime", "MaxWeight", "StreamFIFO", "OldestFirst") {
 			name := s.Name()
 			sol, err := s.Solve(inst)
 			if err != nil {

@@ -68,7 +68,7 @@ func TestPropertyAllSolversProduceVerifiableSchedules(t *testing.T) {
 // correctly refuses).
 func TestPropertyGeneralDemandSolvers(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	solvers := solversNamed(t, "MRT", "AMRT", "MaxCard", "MinRTime", "MaxWeight", "FIFO", "GreedyAge", "Coflow/SEBF", "Coflow/SCF")
+	solvers := solversNamed(t, "MRT", "AMRT", "MaxCard", "MinRTime", "MaxWeight", "StreamFIFO", "OldestFirst", "Coflow/SEBF", "Coflow/SCF")
 	for trial := 0; trial < 8; trial++ {
 		inst := randomGeneralInstance(rng)
 		for _, s := range solvers {

@@ -9,6 +9,7 @@ import (
 	"flowsched/internal/heuristics"
 	"flowsched/internal/lp"
 	"flowsched/internal/sim"
+	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
 )
 
@@ -117,19 +118,24 @@ func (AMRTSolver) Solve(inst *switchnet.Instance) (*Solution, error) {
 	}, nil
 }
 
-// PolicySolver adapts a sim.Policy (the Section 5.2 heuristics and the
-// greedy/FIFO ablations): the simulator enforces raw capacities, so the
-// declared augmentation is none.
+// PolicySolver replays the instance (stream.Replay) under the stream
+// policy table's entry Policy, on raw capacities. It resolves a fresh
+// policy per Solve: native policies carry per-run state, and the pool
+// runs Solve concurrently.
 type PolicySolver struct {
-	Policy sim.Policy
+	Policy string
 }
 
 // Name implements Solver.
-func (s PolicySolver) Name() string { return s.Policy.Name() }
+func (s PolicySolver) Name() string { return s.Policy }
 
 // Solve implements Solver.
 func (s PolicySolver) Solve(inst *switchnet.Instance) (*Solution, error) {
-	res, err := sim.Run(inst, s.Policy)
+	pol := stream.ByName(s.Policy)
+	if pol == nil {
+		return nil, fmt.Errorf("engine: unknown policy %q", s.Policy)
+	}
+	res, _, err := stream.Replay(inst, stream.Config{Policy: pol})
 	if err != nil {
 		return nil, err
 	}
@@ -208,12 +214,12 @@ func (s CoflowSolver) Solve(inst *switchnet.Instance) (*Solution, error) {
 }
 
 // Solvers returns the default solver registry: the paper's two offline
-// algorithms, the online batching algorithm, the three simulation
-// heuristics, and the coflow extension.
+// algorithms, the online batching algorithm, the paper's three
+// heuristics (Section 5.2), and the coflow extension.
 func Solvers() []Solver {
 	out := []Solver{ARTSolver{C: 1}, MRTSolver{}, AMRTSolver{}}
 	for _, p := range heuristics.All() {
-		out = append(out, PolicySolver{Policy: p})
+		out = append(out, PolicySolver{Policy: p.Name()})
 	}
 	return append(out, CoflowSolver{Policy: "SEBF"})
 }

@@ -8,7 +8,7 @@ import (
 	"flowsched/internal/engine"
 	"flowsched/internal/heuristics"
 	"flowsched/internal/plot"
-	"flowsched/internal/sim"
+	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
 )
 
@@ -30,13 +30,22 @@ var Artifacts = []Artifact{
 	{"sweep", "Engine sweep: every solver x workload, oracle-verified", sweep},
 }
 
-// policies adapts simulator policies to engine solvers.
-func policies(pols []sim.Policy) []engine.Solver {
-	out := make([]engine.Solver, len(pols))
-	for i, p := range pols {
-		out[i] = engine.PolicySolver{Policy: p}
+// policies adapts names of the stream policy table to engine solvers.
+func policies(names []string) []engine.Solver {
+	out := make([]engine.Solver, len(names))
+	for i, name := range names {
+		out[i] = engine.PolicySolver{Policy: name}
 	}
 	return out
+}
+
+// paperHeuristics names the three heuristics Figures 6 and 7 plot.
+func paperHeuristics() []string {
+	var names []string
+	for _, p := range heuristics.All() {
+		names = append(names, p.Name())
+	}
+	return names
 }
 
 // artLowerBound is the optimum of LP (1)-(4), a bound on total response.
@@ -77,7 +86,7 @@ func figure(key, title, name, ylabel string, y metric, bound Bound) Artifact {
 	return Artifact{key, title, func(cfg Config) (Output, []Cell) {
 		var charts Charts
 		var cells []Cell
-		pols := heuristics.All()
+		pols := paperHeuristics()
 		for ri, ratio := range cfg.Ratios {
 			chart := &plot.Chart{XLabel: "T", YLabel: ylabel,
 				Title: fmt.Sprintf("%s %s (m=%d, M=%.3g)", name, ratioName(ratio), cfg.Ports, ratio*float64(cfg.Ports))}
@@ -86,7 +95,7 @@ func figure(key, title, name, ylabel string, y metric, bound Bound) Artifact {
 				cells = append(cells, Cell{cfg.poisson(ratio, T, 1), cfg.Trials, cfg.seeds(ri, T), policies(pols), nil,
 					func(cols [][]engine.Verdict, _ []float64) {
 						for s, pol := range pols {
-							chart.AddPoint(pol.Name(), float64(T), avg(cols[s], y))
+							chart.AddPoint(pol, float64(T), avg(cols[s], y))
 						}
 					}})
 			}
@@ -158,10 +167,10 @@ func amrt(cfg Config) (Output, []Cell) {
 // fig4a shows the Lemma 5.1 divergence: on the Figure 4(a) gadget of length
 // M (T = M/4) every heuristic's ratio to the offline cost grows with M.
 func fig4a(cfg Config) (Output, []Cell) {
-	pols := heuristics.All()
+	pols := paperHeuristics()
 	tab := &Table{Title: "fig4a online ART lower bound gadget (Lemma 5.1)", Columns: strings.Fields("gadget_M T opt_upper")}
 	for _, p := range pols {
-		tab.Columns = append(tab.Columns, p.Name()+"/opt")
+		tab.Columns = append(tab.Columns, p+"/opt")
 	}
 	var cells []Cell
 	for _, gm := range []int{24, 48, 96, 192} {
@@ -181,16 +190,17 @@ func fig4a(cfg Config) (Output, []Cell) {
 	return tab, cells
 }
 
-// ablation compares the exact-matching heuristics against the greedy and
-// FIFO baselines under heavy load, on the same draws.
+// ablation compares the exact-matching heuristics against the native
+// policies — among them the FIFO and greedy-age baselines — under heavy
+// load, on the same draws.
 func ablation(cfg Config) (Output, []Cell) {
 	tab := &Table{Title: "ablation matching engines under load 4m", Columns: strings.Fields("policy avgRT maxRT")}
-	pols := heuristics.WithAblations()
+	pols := stream.AllNames()
 	return tab, []Cell{{cfg.poisson(4, 10, 1), cfg.Trials, cfg.seeds(0, 10), policies(pols), nil,
 		func(cols [][]engine.Verdict, _ []float64) {
 			for s, pol := range pols {
 				avgRT := avg(cols[s], func(v engine.Verdict) float64 { return v.Report.AvgResponse })
-				tab.row("%s %.2f %.2f", pol.Name(), avgRT, avg(cols[s], maxResponse))
+				tab.row("%s %.2f %.2f", pol, avgRT, avg(cols[s], maxResponse))
 			}
 		}}}
 }

@@ -1,11 +1,12 @@
 // Package heuristics implements the online scheduling policies evaluated
 // in Section 5.2 of the paper — MaxCard (maximum-cardinality matching),
 // MinRTime (maximum-weight matching by flow age) and MaxWeight
-// (maximum-weight matching by endpoint queue sizes) — plus FIFO and
-// shortest-first ablation baselines. On unit-demand instances selections
-// are exact matchings (via max-flow / min-cost-flow); with general demands
-// the policies fall back to weight-ordered first-fit, since per-round
-// demand matching is NP-hard.
+// (maximum-weight matching by endpoint queue sizes). On unit-demand
+// instances selections are exact matchings (via max-flow /
+// min-cost-flow); with general demands the policies fall back to
+// weight-ordered first-fit, since per-round demand matching is NP-hard.
+//
+//flowsched:deterministic
 package heuristics
 
 import (
@@ -74,42 +75,6 @@ func (MaxWeight) Pick(s *sim.State) []int {
 	return firstFit(s, func(a, b sim.Pending) bool { return weight(a) > weight(b) })
 }
 
-// FIFO is an ablation baseline: first-fit in release order, no matching
-// optimization at all.
-type FIFO struct{}
-
-// Name implements sim.Policy.
-func (FIFO) Name() string { return "FIFO" }
-
-// Pick implements sim.Policy.
-func (FIFO) Pick(s *sim.State) []int {
-	return firstFit(s, func(a, b sim.Pending) bool {
-		if a.Release != b.Release {
-			return a.Release < b.Release
-		}
-		return a.Flow < b.Flow
-	})
-}
-
-// GreedyAge is an ablation of MinRTime that replaces the exact
-// maximum-weight matching with 1/2-approximate greedy selection,
-// quantifying what the exact matcher buys.
-type GreedyAge struct{}
-
-// Name implements sim.Policy.
-func (GreedyAge) Name() string { return "GreedyAge" }
-
-// Pick implements sim.Policy.
-func (GreedyAge) Pick(s *sim.State) []int {
-	return firstFit(s, func(a, b sim.Pending) bool {
-		ageA, ageB := s.Round-a.Release, s.Round-b.Release
-		if ageA != ageB {
-			return ageA > ageB
-		}
-		return a.Flow < b.Flow
-	})
-}
-
 // allUnit reports whether every pending flow has unit demand.
 func allUnit(s *sim.State) bool {
 	for _, p := range s.Pending {
@@ -155,19 +120,4 @@ func firstFit(s *sim.State, less func(a, b sim.Pending) bool) []int {
 // All returns the three paper heuristics in presentation order.
 func All() []sim.Policy {
 	return []sim.Policy{MaxCard{}, MinRTime{}, MaxWeight{}}
-}
-
-// WithAblations returns the paper heuristics plus the ablation baselines.
-func WithAblations() []sim.Policy {
-	return append(All(), FIFO{}, GreedyAge{})
-}
-
-// ByName looks a policy up by its Name (case-sensitive); nil if unknown.
-func ByName(name string) sim.Policy {
-	for _, p := range WithAblations() {
-		if p.Name() == name {
-			return p
-		}
-	}
-	return nil
 }

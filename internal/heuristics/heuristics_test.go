@@ -1,17 +1,21 @@
-package heuristics
+// The heuristics run bridged onto the streaming runtime, as the policy
+// table ships them.
+package heuristics_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"flowsched/internal/heuristics"
 	"flowsched/internal/sim"
+	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
 	"flowsched/internal/workload"
 )
 
 func runPolicy(t *testing.T, inst *switchnet.Instance, pol sim.Policy) *sim.Result {
 	t.Helper()
-	res, err := sim.Run(inst, pol)
+	res, _, err := stream.Replay(inst, stream.Config{Policy: &stream.Bridge{P: pol}})
 	if err != nil {
 		t.Fatalf("%s: %v", pol.Name(), err)
 	}
@@ -28,7 +32,7 @@ func TestAllPoliciesProduceValidSchedules(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cfg := workload.PoissonConfig{M: 6, T: 6, Ports: 4}
 	inst := cfg.Generate(rng)
-	for _, pol := range WithAblations() {
+	for _, pol := range heuristics.All() {
 		runPolicy(t, inst, pol)
 	}
 }
@@ -44,7 +48,7 @@ func TestMaxCardTakesMaximumMatching(t *testing.T) {
 			{In: 2, Out: 2, Demand: 1, Release: 0},
 		},
 	}
-	res := runPolicy(t, inst, MaxCard{})
+	res := runPolicy(t, inst, heuristics.MaxCard{})
 	if res.MaxResponse != 1 {
 		t.Fatalf("max response = %d, want 1", res.MaxResponse)
 	}
@@ -61,7 +65,7 @@ func TestMinRTimePrefersOldFlows(t *testing.T) {
 			{In: 1, Out: 0, Demand: 1, Release: 1},
 		},
 	}
-	res := runPolicy(t, inst, MinRTime{})
+	res := runPolicy(t, inst, heuristics.MinRTime{})
 	// Round 0 schedules one of the two port-0 flows; round 1 the aged
 	// leftover wins output 0 over the fresh arrival if they conflict.
 	if res.MaxResponse > 2 {
@@ -80,9 +84,9 @@ func TestHeuristicOrderingOnHeavyLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cfg := workload.PoissonConfig{M: 16, T: 10, Ports: 4} // load factor 4
 	inst := cfg.Generate(rng)
-	card := runPolicy(t, inst, MaxCard{})
-	rtime := runPolicy(t, inst, MinRTime{})
-	weight := runPolicy(t, inst, MaxWeight{})
+	card := runPolicy(t, inst, heuristics.MaxCard{})
+	rtime := runPolicy(t, inst, heuristics.MinRTime{})
+	weight := runPolicy(t, inst, heuristics.MaxWeight{})
 	if rtime.MaxResponse > card.MaxResponse+5 {
 		t.Fatalf("MinRTime max %d much worse than MaxCard %d", rtime.MaxResponse, card.MaxResponse)
 	}
@@ -101,43 +105,17 @@ func TestGeneralDemandFallback(t *testing.T) {
 			{In: 1, Out: 1, Demand: 2, Release: 1},
 		},
 	}
-	for _, pol := range WithAblations() {
+	for _, pol := range heuristics.All() {
 		runPolicy(t, inst, pol)
-	}
-}
-
-func TestByName(t *testing.T) {
-	for _, name := range []string{"MaxCard", "MinRTime", "MaxWeight", "FIFO", "GreedyAge"} {
-		if p := ByName(name); p == nil || p.Name() != name {
-			t.Fatalf("ByName(%q) broken", name)
-		}
-	}
-	if ByName("nope") != nil {
-		t.Fatal("unknown name resolved")
 	}
 }
 
 func TestAllReturnsPaperHeuristics(t *testing.T) {
 	names := []string{}
-	for _, p := range All() {
+	for _, p := range heuristics.All() {
 		names = append(names, p.Name())
 	}
 	if len(names) != 3 || names[0] != "MaxCard" || names[1] != "MinRTime" || names[2] != "MaxWeight" {
 		t.Fatalf("All() = %v", names)
-	}
-}
-
-func TestFIFOOrdering(t *testing.T) {
-	// FIFO must schedule the earliest-released conflicting flow first.
-	inst := &switchnet.Instance{
-		Switch: switchnet.UnitSwitch(2),
-		Flows: []switchnet.Flow{
-			{In: 0, Out: 0, Demand: 1, Release: 1},
-			{In: 1, Out: 0, Demand: 1, Release: 0},
-		},
-	}
-	res := runPolicy(t, inst, FIFO{})
-	if res.Schedule.Round[1] != 0 {
-		t.Fatalf("FIFO scheduled later flow first: %v", res.Schedule.Round)
 	}
 }

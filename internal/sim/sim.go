@@ -1,23 +1,19 @@
-// Package sim is the online flow-scheduling simulator described in
-// Section 5.2.1 of the paper: it maintains the bipartite graph G_t of
-// released-but-unscheduled flows, asks a pluggable Policy for a feasible
-// set of flows each round, and advances time until every flow has been
-// scheduled. It replaces the in-house C++ simulator of the paper.
+// Package sim is the interface of Section 5.2.1's online heuristics: the
+// State a Policy sees each round (the open queue G_t and the port queue
+// sizes), the Policy that picks a feasible subset, and the Result of
+// replaying a finite instance. The round loop is internal/stream's
+// runtime (Bridge, Replay).
 //
 //flowsched:deterministic
 package sim
 
-import (
-	"fmt"
-	"sort"
-
-	"flowsched/internal/switchnet"
-)
+import "flowsched/internal/switchnet"
 
 // Pending describes one released, not-yet-scheduled flow offered to a
 // Policy.
 type Pending struct {
-	// Flow is the flow's index in the instance.
+	// Flow identifies the flow: its admission position in the runtime,
+	// its rank in (release, index) order, not its index in the instance.
 	Flow int
 	// In and Out are the flow's ports; Demand its size; Release its
 	// release round.
@@ -30,9 +26,9 @@ type State struct {
 	Round int
 	// Switch describes port counts and capacities.
 	Switch switchnet.Switch
-	// Pending lists the flows available for scheduling, in release order
-	// (ties by flow index). The "open queue" of the paper: any subset
-	// obeying port capacities may be selected.
+	// Pending lists the flows available for scheduling, in admission
+	// order (release order, ties by flow index). The "open queue" of the
+	// paper: any subset obeying port capacities may be selected.
 	Pending []Pending
 	// QueueIn[i] and QueueOut[j] are the numbers of pending flows
 	// touching input port i / output port j (the queue sizes used by the
@@ -45,11 +41,11 @@ type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
 	// Pick returns indices into s.Pending to schedule in round s.Round.
-	// The engine validates feasibility and fails loudly on violations.
+	// The runtime validates feasibility and fails the run on a violation.
 	Pick(s *State) []int
 }
 
-// Result summarizes one simulation run.
+// Result summarizes one policy's replay of a finite instance.
 type Result struct {
 	// Schedule holds the per-flow rounds chosen by the policy.
 	Schedule *switchnet.Schedule
@@ -57,125 +53,6 @@ type Result struct {
 	TotalResponse int
 	AvgResponse   float64
 	MaxResponse   int
-	// Rounds is the number of rounds simulated until the system drained.
+	// Rounds is one past the last scheduled round.
 	Rounds int
-}
-
-// Run simulates policy pol on inst until all flows are scheduled.
-func Run(inst *switchnet.Instance, pol Policy) (*Result, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	n := inst.N()
-	sched := switchnet.NewSchedule(n)
-	if n == 0 {
-		return &Result{Schedule: sched}, nil
-	}
-
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := inst.Flows[order[a]].Release, inst.Flows[order[b]].Release
-		if ra != rb {
-			return ra < rb
-		}
-		return order[a] < order[b]
-	})
-
-	st := &State{
-		Switch:   inst.Switch,
-		QueueIn:  make([]int, inst.Switch.NumIn()),
-		QueueOut: make([]int, inst.Switch.NumOut()),
-	}
-	caps := inst.Switch.Caps()
-	// Per-round scratch, allocated once and reset incrementally: loadRow is
-	// cleared via the touched-port list and seen via the picked indices, so
-	// a round's bookkeeping costs O(picks), not O(ports + pending).
-	loadRow := make([]int, inst.Switch.NumPorts())
-	touched := make([]int, 0, inst.Switch.NumPorts())
-	seen := make([]bool, 0, n)
-
-	next := 0
-	scheduled := 0
-	guard := 4*inst.CongestionHorizon() + 64
-	t := inst.Flows[order[0]].Release
-	for scheduled < n {
-		if t > guard {
-			return nil, fmt.Errorf("sim: policy %q did not drain by round %d", pol.Name(), guard)
-		}
-		for next < n && inst.Flows[order[next]].Release <= t {
-			f := order[next]
-			e := inst.Flows[f]
-			st.Pending = append(st.Pending, Pending{Flow: f, In: e.In, Out: e.Out, Demand: e.Demand, Release: e.Release})
-			st.QueueIn[e.In]++
-			st.QueueOut[e.Out]++
-			next++
-		}
-		if len(st.Pending) == 0 {
-			// Jump to the next arrival.
-			t = inst.Flows[order[next]].Release
-			continue
-		}
-		st.Round = t
-		picks := pol.Pick(st)
-
-		// Validate and apply the selection.
-		if len(seen) < len(st.Pending) {
-			seen = append(seen, make([]bool, len(st.Pending)-len(seen))...)
-		}
-		for _, pi := range picks {
-			if pi < 0 || pi >= len(st.Pending) {
-				return nil, fmt.Errorf("sim: policy %q picked out-of-range index %d", pol.Name(), pi)
-			}
-			if seen[pi] {
-				return nil, fmt.Errorf("sim: policy %q picked index %d twice", pol.Name(), pi)
-			}
-			seen[pi] = true
-			p := st.Pending[pi]
-			pIn := inst.Switch.PortIndex(switchnet.In, p.In)
-			pOut := inst.Switch.PortIndex(switchnet.Out, p.Out)
-			if loadRow[pIn] == 0 {
-				touched = append(touched, pIn)
-			}
-			if loadRow[pOut] == 0 {
-				touched = append(touched, pOut)
-			}
-			loadRow[pIn] += p.Demand
-			loadRow[pOut] += p.Demand
-			if loadRow[pIn] > caps[pIn] || loadRow[pOut] > caps[pOut] {
-				return nil, fmt.Errorf("sim: policy %q overloaded a port in round %d", pol.Name(), t)
-			}
-			sched.Round[p.Flow] = t
-			scheduled++
-		}
-		// Compact the pending list and reset the round's scratch.
-		if len(picks) > 0 {
-			kept := st.Pending[:0]
-			for pi, p := range st.Pending {
-				if seen[pi] {
-					st.QueueIn[p.In]--
-					st.QueueOut[p.Out]--
-					seen[pi] = false
-					continue
-				}
-				kept = append(kept, p)
-			}
-			st.Pending = kept
-		}
-		for _, p := range touched {
-			loadRow[p] = 0
-		}
-		touched = touched[:0]
-		t++
-	}
-	res := &Result{
-		Schedule:      sched,
-		TotalResponse: sched.TotalResponse(inst),
-		AvgResponse:   sched.AvgResponse(inst),
-		MaxResponse:   sched.MaxResponse(inst),
-		Rounds:        t,
-	}
-	return res, nil
 }

@@ -1,12 +1,25 @@
-package sim
+// The cases run each policy the way the tree does — bridged onto the
+// streaming runtime by stream.Replay — so what they pin is the Policy
+// contract as the round loop that ships enforces it.
+package sim_test
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"flowsched/internal/sim"
+	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
 )
+
+// replay drains inst through the streaming runtime under pol, bridged.
+func replay(inst *switchnet.Instance, pol sim.Policy) (*sim.Result, error) {
+	res, _, err := stream.Replay(inst, stream.Config{Policy: &stream.Bridge{P: pol}})
+	return res, err
+}
 
 // takeAll is a test policy that greedily takes pending flows first-fit in
 // pending order.
@@ -14,7 +27,7 @@ type takeAll struct{}
 
 func (takeAll) Name() string { return "takeAll" }
 
-func (takeAll) Pick(s *State) []int {
+func (takeAll) Pick(s *sim.State) []int {
 	loadIn := make([]int, s.Switch.NumIn())
 	loadOut := make([]int, s.Switch.NumOut())
 	var picks []int
@@ -28,14 +41,13 @@ func (takeAll) Pick(s *State) []int {
 	return picks
 }
 
-// lazy schedules nothing until the queue exceeds a threshold; used to test
-// queue bookkeeping.
+// overloader picks everything, ignoring capacity: the runtime must refuse
+// the first pick a port cannot carry.
 type overloader struct{}
 
 func (overloader) Name() string { return "overloader" }
 
-func (overloader) Pick(s *State) []int {
-	// Pick everything, ignoring capacity: must be rejected by the engine.
+func (overloader) Pick(s *sim.State) []int {
 	picks := make([]int, len(s.Pending))
 	for i := range picks {
 		picks[i] = i
@@ -47,13 +59,13 @@ type badIndex struct{}
 
 func (badIndex) Name() string { return "badIndex" }
 
-func (badIndex) Pick(s *State) []int { return []int{len(s.Pending)} }
+func (badIndex) Pick(s *sim.State) []int { return []int{len(s.Pending)} }
 
 type dup struct{}
 
 func (dup) Name() string { return "dup" }
 
-func (dup) Pick(s *State) []int {
+func (dup) Pick(s *sim.State) []int {
 	if len(s.Pending) > 0 {
 		return []int{0, 0}
 	}
@@ -73,7 +85,7 @@ func smallInstance() *switchnet.Instance {
 
 func TestRunDrainsAllFlows(t *testing.T) {
 	inst := smallInstance()
-	res, err := Run(inst, takeAll{})
+	res, err := replay(inst, takeAll{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +105,7 @@ func TestRunDrainsAllFlows(t *testing.T) {
 }
 
 func TestRunEmptyInstance(t *testing.T) {
-	res, err := Run(&switchnet.Instance{Switch: switchnet.UnitSwitch(1)}, takeAll{})
+	res, err := replay(&switchnet.Instance{Switch: switchnet.UnitSwitch(1)}, takeAll{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,32 +116,33 @@ func TestRunEmptyInstance(t *testing.T) {
 
 func TestRunRejectsOverload(t *testing.T) {
 	inst := smallInstance()
-	if _, err := Run(inst, overloader{}); err == nil || !strings.Contains(err.Error(), "overloaded") {
+	if _, err := replay(inst, overloader{}); err == nil || !strings.Contains(err.Error(), "infeasible or duplicate") {
 		t.Fatalf("want overload error, got %v", err)
 	}
 }
 
 func TestRunRejectsBadIndexAndDup(t *testing.T) {
 	inst := smallInstance()
-	if _, err := Run(inst, badIndex{}); err == nil || !strings.Contains(err.Error(), "out-of-range") {
+	if _, err := replay(inst, badIndex{}); err == nil || !strings.Contains(err.Error(), "out-of-range") {
 		t.Fatalf("want index error, got %v", err)
 	}
-	if _, err := Run(inst, dup{}); err == nil || !strings.Contains(err.Error(), "twice") {
+	if _, err := replay(inst, dup{}); err == nil || !strings.Contains(err.Error(), "infeasible or duplicate") {
 		t.Fatalf("want dup error, got %v", err)
 	}
 }
 
-// never schedules, so the engine's guard must fire.
+// never schedules, so the runtime's stall guard must fire.
 type never struct{}
 
 func (never) Name() string { return "never" }
 
-func (never) Pick(*State) []int { return nil }
+func (never) Pick(*sim.State) []int { return nil }
 
 func TestRunGuardsAgainstStall(t *testing.T) {
 	inst := smallInstance()
-	if _, err := Run(inst, never{}); err == nil || !strings.Contains(err.Error(), "drain") {
-		t.Fatalf("want stall error, got %v", err)
+	want := fmt.Sprintf("scheduled nothing for %d consecutive rounds", stream.DefaultStallRounds)
+	if _, err := replay(inst, never{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("want stall error %q, got %v", want, err)
 	}
 }
 
@@ -143,7 +156,7 @@ func TestQueueBookkeeping(t *testing.T) {
 			{In: 1, Out: 1, Demand: 1, Release: 1},
 		},
 	}
-	check := policyFunc(func(s *State) []int {
+	check := policyFunc(func(s *sim.State) []int {
 		wantIn := make([]int, 3)
 		wantOut := make([]int, 3)
 		for _, p := range s.Pending {
@@ -163,20 +176,19 @@ func TestQueueBookkeeping(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := Run(inst, check); err != nil {
+	if _, err := replay(inst, check); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // policyFunc adapts a function to the Policy interface for tests.
-type policyFunc func(*State) []int
+type policyFunc func(*sim.State) []int
 
-func (policyFunc) Name() string          { return "func" }
-func (f policyFunc) Pick(s *State) []int { return f(s) }
+func (policyFunc) Name() string              { return "func" }
+func (f policyFunc) Pick(s *sim.State) []int { return f(s) }
 
-// TestRunDeterministicPerSeed: the simulator itself is a pure function of
-// (instance, policy); grid fan-out determinism is covered by the engine
-// package, which replaced sim's bespoke RunGrid pool.
+// TestRunDeterministicPerSeed: a replay is a pure function of (instance,
+// policy); grid fan-out determinism is covered by the engine package.
 func TestRunDeterministicPerSeed(t *testing.T) {
 	gen := func(seed int64) *switchnet.Instance {
 		rng := rand.New(rand.NewSource(seed))
@@ -188,15 +200,15 @@ func TestRunDeterministicPerSeed(t *testing.T) {
 		}
 		return inst
 	}
-	a, err := Run(gen(5), takeAll{})
+	a, err := replay(gen(5), takeAll{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(gen(5), takeAll{})
+	b, err := replay(gen(5), takeAll{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.TotalResponse != b.TotalResponse || a.Rounds != b.Rounds {
+	if !slices.Equal(a.Schedule.Round, b.Schedule.Round) || a.TotalResponse != b.TotalResponse || a.Rounds != b.Rounds {
 		t.Fatal("same seed gave different results")
 	}
 }

@@ -19,8 +19,9 @@
 //
 // # Policy selection
 //
-// Four native policies run at incremental cost and shard (ByName/Names
-// resolve them; flowsim selects them with -policy):
+// One table (ByName, AllNames) holds the paper's three heuristics,
+// bridged, and four native policies that run at incremental cost and
+// shard (Names lists those):
 //
 //   - RoundRobin: per-input rotation over VOQs in output-port order
 //     (iSLIP-style desynchronization) — the cheapest native policy. Each
@@ -33,9 +34,9 @@
 //   - OldestFirst: serves VOQ heads globally oldest-first (release
 //     round, ties in port order) — the paper's MinRTime service
 //     discipline (SPAA 2020, Section 5.2: age-priority greedy maximal
-//     selection, the GreedyAge ablation's rule) on the fast path. At one
-//     shard, on unit-demand workloads, each round's selection is
-//     round-for-round identical to bridging that simulator policy
+//     selection, the ablation of MinRTime's exact matching) on the fast
+//     path. At one shard, on unit-demand workloads, each round's
+//     selection is round-for-round identical to bridging that greedy rule
 //     (property tested), instead of an O(pending log pending) rescan. A
 //     round reads O(input ports + active VOQs) head-age records and
 //     orders and scans only the oldest slice of them, in stages:
@@ -55,7 +56,7 @@
 //     coordination, the same starvation-freedom (age eventually
 //     dominates every tie).
 //   - StreamFIFO: admission-order first-fit. O(pending) per round — the
-//     non-incremental baseline, kept for ablations.
+//     non-incremental FIFO baseline of the ablations.
 //
 // Cost model: RoundRobin reads only VOQs whose output has capacity left
 // (a blocked output costs bitmap operations only; a multi-unit head
@@ -76,8 +77,10 @@
 // order (release, input, output); and a head no stage materialises has
 // a port that was already spent when that stage began — capacities only
 // fall during a pick, so the single-pass scan would have skipped it too.
-// Simulator policies (MaxCard, MinRTime's exact matching, MaxWeight, …)
+// The bridged heuristics (MaxCard, MinRTime's exact matching, MaxWeight)
 // run through Bridge at a full per-round rescan of the pending set.
+// Replay, the simulator every finite instance runs through, is held to a
+// plain batch loop by the tests, flow for flow.
 //
 // Sharding caveat: every native policy is Shardable, but a shard only
 // sees its own inputs, so cross-input guarantees weaken at K > 1. The

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/bits"
 
+	"flowsched/internal/heuristics"
 	"flowsched/internal/sim"
 	"flowsched/internal/switchnet"
+	"flowsched/internal/workload"
 )
 
 // scratchPolicy is implemented by native policies whose schedule depends
@@ -24,11 +26,11 @@ type scratchPolicy interface {
 	importScratch(src []int64) error
 }
 
-// FIFO takes pending flows oldest-first (admission order), first-fit. A
-// round costs O(pending) — bounded by Config.MaxPending — so it is the
-// streaming analogue of the heuristics package's FIFO baseline, not an
-// incremental policy; prefer RoundRobin when the pending set is large. It
-// is shardable: each shard serves its own flows oldest-first.
+// FIFO takes pending flows oldest-first (admission order), first-fit:
+// the ablations' FIFO baseline. A round costs O(pending) — bounded by
+// Config.MaxPending — so it is not an incremental policy; prefer
+// RoundRobin when the pending set is large. It is shardable: each shard
+// serves its own flows oldest-first.
 type FIFO struct{}
 
 // Name implements Policy.
@@ -215,15 +217,12 @@ func drainVOQ(v *View, in, out, free int) (int, bool) {
 	return free, served
 }
 
-// Bridge adapts a sim.Policy — the paper's MaxCard / MinRTime / MaxWeight
-// heuristics and the ablation baselines — to the streaming runtime by
-// materializing the bounded pending set as a sim.State each round. The
-// materialization costs O(pending + ports) per round (bounded by
-// Config.MaxPending) on top of the policy's own matching cost; the
-// pending list is presented in admission order with seq as the flow
-// identifier, which reproduces internal/sim.Run's ordering exactly on a
-// replayed finite instance. Simulator matchings need the whole pending
-// set, so Bridge is not Shardable and pins the runtime to Shards == 1.
+// Bridge adapts a sim.Policy — the paper's MaxCard / MinRTime /
+// MaxWeight heuristics — to the streaming runtime by materializing the
+// bounded pending set as a sim.State each round, at O(pending + ports) on
+// top of the policy's own matching cost, in admission order with seq as
+// the flow identifier. Simulator matchings need the whole pending set, so
+// Bridge is not Shardable and pins the runtime to Shards == 1.
 type Bridge struct {
 	// P is the simulator policy to run on the stream.
 	P sim.Policy
@@ -283,37 +282,74 @@ func (b *Bridge) Pick(v *View) {
 	}
 }
 
-// natives is the registry of native streaming policies, in presentation
-// order. Every entry's constructor returns a fresh instance, so resolved
-// policies never share rotation or scratch state between runtimes.
-var natives = []struct {
+// table is the one policy registry, in presentation order: the paper's
+// heuristics, bridged, then the native policies. Every constructor returns
+// a fresh instance, so runtimes never share a policy's state.
+var table = []struct {
 	name string
 	mk   func() Policy
 }{
+	{"MaxCard", func() Policy { return &Bridge{P: heuristics.MaxCard{}} }},
+	{"MinRTime", func() Policy { return &Bridge{P: heuristics.MinRTime{}} }},
+	{"MaxWeight", func() Policy { return &Bridge{P: heuristics.MaxWeight{}} }},
 	{"RoundRobin", func() Policy { return &RoundRobin{} }},
 	{"OldestFirst", func() Policy { return &OldestFirst{} }},
 	{"WeightedISLIP", func() Policy { return &WeightedISLIP{} }},
 	{"StreamFIFO", func() Policy { return FIFO{} }},
 }
 
-// Names returns the native streaming policy names in presentation order —
-// the strings ByName resolves (and flowsim -policy accepts without
-// bridging).
-func Names() []string {
-	names := make([]string, len(natives))
-	for i, n := range natives {
-		names[i] = n.name
+// AllNames returns every name ByName resolves, in presentation order.
+func AllNames() []string { return names(false) }
+
+// Names returns the native policies' names.
+func Names() []string { return names(true) }
+
+func names(nativeOnly bool) []string {
+	var out []string
+	for _, e := range table {
+		if _, bridged := e.mk().(*Bridge); !bridged || !nativeOnly {
+			out = append(out, e.name)
+		}
 	}
-	return names
+	return out
 }
 
-// ByName resolves a native streaming policy by name (a fresh instance per
-// call); nil if unknown. Simulator policies run on streams via Bridge.
+// ByName resolves a policy of the table by name (a fresh instance per
+// call); nil if unknown.
 func ByName(name string) Policy {
-	for _, n := range natives {
-		if n.name == name {
-			return n.mk()
+	for _, e := range table {
+		if e.name == name {
+			return e.mk()
 		}
 	}
 	return nil
+}
+
+// Replay is the simulator of Section 5.2.1: it drains the finite
+// instance inst through a runtime configured by cfg, with cfg's Switch,
+// OnSchedule and MaxPending set — N+1, so every flow is admitted in its
+// release round — and returns the schedule in inst's flow order, the
+// paper's metrics and the drain's summary.
+func Replay(inst *switchnet.Instance, cfg Config) (*sim.Result, *Summary, error) {
+	src := workload.NewInstanceSource(inst)
+	sched := switchnet.NewSchedule(inst.N())
+	cfg.Switch, cfg.MaxPending = inst.Switch, inst.N()+1
+	cfg.OnSchedule = func(seq int64, _ switchnet.Flow, round int) {
+		sched.Round[src.Order()[seq]] = round
+	}
+	rt, err := New(src, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	sum, err := rt.Run()
+	if err != nil {
+		return nil, nil, err
+	}
+	return &sim.Result{
+		Schedule:      sched,
+		TotalResponse: int(sum.TotalResponse),
+		AvgResponse:   sum.AvgResponse,
+		MaxResponse:   sum.MaxResponse,
+		Rounds:        sum.Round,
+	}, sum, nil
 }

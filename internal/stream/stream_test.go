@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"flowsched/internal/coflow"
 	"flowsched/internal/heuristics"
 	"flowsched/internal/sim"
 	"flowsched/internal/stream"
@@ -50,67 +51,61 @@ func (s *sliceSource) PullBatch(dst []switchnet.Flow, round, max int) []switchne
 
 func (s *sliceSource) Err() error { return nil }
 
-// runStreamed replays inst through the runtime under pol and returns the
-// reconstructed per-flow schedule and the final summary.
-func runStreamed(t *testing.T, inst *switchnet.Instance, pol stream.Policy, cfg stream.Config) (*switchnet.Schedule, *stream.Summary) {
-	t.Helper()
-	src := workload.NewInstanceSource(inst)
-	sched := switchnet.NewSchedule(inst.N())
-	cfg.Switch = inst.Switch
-	cfg.Policy = pol
-	cfg.OnSchedule = func(seq int64, f switchnet.Flow, round int) {
-		sched.Round[src.Order()[seq]] = round
-	}
-	rt, err := stream.New(src, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := rt.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sched, sum
-}
-
 // TestStreamMatchesSim is the subsystem's core property: replaying a
-// finite instance through the streaming runtime with a bridged simulator
-// policy must reproduce internal/sim.Run flow for flow — same rounds, same
-// metrics — whenever admission control never binds.
+// finite instance through the streaming runtime must reproduce the
+// oracle's batch round loop flow for flow — same rounds, same metrics —
+// whenever admission control never binds, which stream.Replay
+// guarantees. The paper's heuristics run as the policy table bridges
+// them, the oracle's FIFO reference bridged, and StreamFIFO natively
+// against that reference: the native rule that replaced the simulator's
+// FIFO baseline.
 func TestStreamMatchesSim(t *testing.T) {
 	configs := []workload.PoissonConfig{
 		{M: 6, T: 8, Ports: 5},
 		{M: 3, T: 5, Ports: 3},
 		{M: 4, T: 6, Ports: 4, Cap: 3, MaxDemand: 3}, // general demands: first-fit paths
 	}
+	type pair struct {
+		oracle   sim.Policy
+		streamed func() stream.Policy
+	}
+	var pairs []pair
+	for _, p := range heuristics.All() {
+		pairs = append(pairs, pair{p, func() stream.Policy { return stream.ByName(p.Name()) }})
+	}
+	pairs = append(pairs,
+		pair{fifoRef{}, func() stream.Policy { return &stream.Bridge{P: fifoRef{}} }},
+		pair{fifoRef{}, func() stream.Policy { return stream.ByName("StreamFIFO") }})
 	for _, cfg := range configs {
 		for seed := int64(1); seed <= 4; seed++ {
 			inst := cfg.Generate(rand.New(rand.NewSource(seed)))
 			if inst.N() == 0 {
 				continue
 			}
-			for _, pol := range heuristics.WithAblations() {
-				simRes, err := sim.Run(inst, pol)
+			for _, pr := range pairs {
+				pol := pr.streamed()
+				want, err := simRun(inst, pr.oracle)
 				if err != nil {
-					t.Fatalf("sim.Run(%s, seed %d): %v", pol.Name(), seed, err)
+					t.Fatalf("oracle %s seed %d: %v", pr.oracle.Name(), seed, err)
 				}
-				sched, sum := runStreamed(t, inst, &stream.Bridge{P: pol},
-					stream.Config{MaxPending: inst.N() + 1, VerifyEvery: 4})
-				for f := range sched.Round {
-					if sched.Round[f] != simRes.Schedule.Round[f] {
-						t.Fatalf("%s seed %d: flow %d streamed to round %d, sim to %d",
-							pol.Name(), seed, f, sched.Round[f], simRes.Schedule.Round[f])
+				got, _ := mustReplay(t, inst, stream.Config{Policy: pol, VerifyEvery: 4})
+				for f := range got.Schedule.Round {
+					if got.Schedule.Round[f] != want.Schedule.Round[f] {
+						t.Fatalf("%s seed %d: flow %d streamed to round %d, oracle to %d",
+							pol.Name(), seed, f, got.Schedule.Round[f], want.Schedule.Round[f])
 					}
 				}
-				if int(sum.TotalResponse) != simRes.TotalResponse || sum.MaxResponse != simRes.MaxResponse {
-					t.Fatalf("%s seed %d: streamed metrics (%d,%d) != sim (%d,%d)",
-						pol.Name(), seed, sum.TotalResponse, sum.MaxResponse,
-						simRes.TotalResponse, simRes.MaxResponse)
+				if got.TotalResponse != want.TotalResponse || got.MaxResponse != want.MaxResponse ||
+					got.AvgResponse != want.AvgResponse {
+					t.Fatalf("%s seed %d: streamed metrics (%d,%d,%v) != oracle (%d,%d,%v)",
+						pol.Name(), seed, got.TotalResponse, got.MaxResponse, got.AvgResponse,
+						want.TotalResponse, want.MaxResponse, want.AvgResponse)
 				}
-				if sum.Round != simRes.Rounds {
-					t.Fatalf("%s seed %d: streamed final round %d != sim rounds %d",
-						pol.Name(), seed, sum.Round, simRes.Rounds)
+				if got.Rounds != want.Rounds {
+					t.Fatalf("%s seed %d: streamed final round %d != oracle rounds %d",
+						pol.Name(), seed, got.Rounds, want.Rounds)
 				}
-				if _, err := verify.CheckSchedule(inst, sched, inst.Switch.Caps()); err != nil {
+				if _, err := verify.CheckSchedule(inst, got.Schedule, inst.Switch.Caps()); err != nil {
 					t.Fatalf("%s seed %d: streamed schedule rejected by oracle: %v", pol.Name(), seed, err)
 				}
 			}
@@ -118,58 +113,87 @@ func TestStreamMatchesSim(t *testing.T) {
 	}
 }
 
-// agePortOrder is the MinRTime-style reference policy for the
-// OldestFirst differential test: greedy first-fit over the whole pending
-// set ordered by (release, input, output, flow index) — MinRTime's
-// age-first priorities (the GreedyAge ablation's selection rule) with
-// the deterministic port-order tie-break OldestFirst uses, expressed the
-// expensive way: a full rescan and sort of the pending set every round.
-type agePortOrder struct{}
-
-func (agePortOrder) Name() string { return "AgePortOrder" }
-
-func (agePortOrder) Pick(s *sim.State) []int {
-	order := make([]int, len(s.Pending))
-	for i := range order {
-		order[i] = i
+// TestFIFOOrdering: StreamFIFO, and the oracle's FIFO reference it is
+// pinned to, must schedule the earliest-released conflicting flow first,
+// whatever the flows' order in the instance.
+func TestFIFOOrdering(t *testing.T) {
+	inst := &switchnet.Instance{
+		Switch: switchnet.UnitSwitch(2),
+		Flows: []switchnet.Flow{
+			{In: 0, Out: 0, Demand: 1, Release: 1},
+			{In: 1, Out: 0, Demand: 1, Release: 0},
+		},
 	}
-	sort.Slice(order, func(x, y int) bool {
-		a, b := s.Pending[order[x]], s.Pending[order[y]]
-		if a.Release != b.Release {
-			return a.Release < b.Release
-		}
-		if a.In != b.In {
-			return a.In < b.In
-		}
-		if a.Out != b.Out {
-			return a.Out < b.Out
-		}
-		return a.Flow < b.Flow
-	})
-	loadIn := make([]int, s.Switch.NumIn())
-	loadOut := make([]int, s.Switch.NumOut())
-	var picks []int
-	for _, i := range order {
-		p := s.Pending[i]
-		if loadIn[p.In]+p.Demand <= s.Switch.InCaps[p.In] && loadOut[p.Out]+p.Demand <= s.Switch.OutCaps[p.Out] {
-			loadIn[p.In] += p.Demand
-			loadOut[p.Out] += p.Demand
-			picks = append(picks, i)
+	ref, err := simRun(inst, fifoRef{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := mustReplay(t, inst, stream.Config{Policy: stream.ByName("StreamFIFO")})
+	for _, sched := range []*switchnet.Schedule{ref.Schedule, got.Schedule} {
+		if sched.Round[1] != 0 {
+			t.Fatalf("FIFO scheduled the later flow first: %v", sched.Round)
 		}
 	}
-	return picks
+}
+
+// TestCoflowRunMatchesOracle: coflow.Run replays the flattened instance
+// through the runtime, which shows its policy admission positions
+// (sim.Pending.Flow), not flattened indices — and Flatten emits coflows
+// in slice order, not release order. On coflows released out of slice
+// order, SEBF's, SCF's and FIFO's schedules and coflow metrics must still
+// be the oracle's on the flattened instance, where a flow's identifier is
+// its flattened index, flow for flow.
+func TestCoflowRunMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 12; trial++ {
+		in := &coflow.Instance{Switch: switchnet.NewSwitch(4, 4, 2)}
+		for c := 0; c < 8; c++ {
+			cf := coflow.Coflow{Release: rng.Intn(6)}
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				cf.Members = append(cf.Members, switchnet.Flow{In: rng.Intn(4), Out: rng.Intn(4), Demand: 1 + rng.Intn(2)})
+			}
+			in.Coflows = append(in.Coflows, cf)
+		}
+		flat, owner := in.Flatten()
+		for _, mk := range []func(owner []int) sim.Policy{
+			coflow.SEBF, coflow.SCF, func(owner []int) sim.Policy { return coflow.FIFO(in, owner) },
+		} {
+			pol := mk(owner)
+			want, err := simRun(flat, pol)
+			if err != nil {
+				t.Fatalf("trial %d: oracle %s: %v", trial, pol.Name(), err)
+			}
+			wantCf, err := coflow.Evaluate(in, owner, want.Schedule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotCf, got, err := coflow.Run(in, mk)
+			if err != nil {
+				t.Fatalf("trial %d: %s: %v", trial, pol.Name(), err)
+			}
+			for f, round := range got.Schedule.Round {
+				if round != want.Schedule.Round[f] {
+					t.Fatalf("trial %d: %s: flow %d (coflow %d) at round %d, oracle %d",
+						trial, pol.Name(), f, owner[f], round, want.Schedule.Round[f])
+				}
+			}
+			if !slices.Equal(gotCf.Completion, wantCf.Completion) || gotCf.TotalResponse != wantCf.TotalResponse ||
+				gotCf.MaxResponse != wantCf.MaxResponse {
+				t.Fatalf("trial %d: %s: coflow metrics %+v, oracle %+v", trial, pol.Name(), gotCf, wantCf)
+			}
+		}
+	}
 }
 
 // TestOldestFirstMatchesBridgedMinRTimeStyle is the tentpole's
 // differential property: on replayed unit-demand finite instances the
 // native OldestFirst policy must reproduce, round for round, the bridged
 // MinRTime-style simulator policy — agePortOrder, which keeps MinRTime's
-// age-ordered priorities (the GreedyAge ablation's greedy maximal
-// selection, with OldestFirst's port-order tie-break) but pays a full
-// pending rescan per round — and sim.Run of that policy too
-// (TestStreamMatchesSim pins Bridge == sim.Run for any sim policy). Unit
-// demands make the comparison exact: every flow behind a blocked VOQ
-// head shares its ports and demand, so the bridged first-fit over the
+// age-ordered priorities (a greedy maximal selection, with OldestFirst's
+// port-order tie-break) but pays a full pending rescan per round — and
+// the oracle's run of that policy too. Unit demands make the comparison
+// exact: every flow behind a blocked VOQ head shares its ports and
+// demand, so the bridged first-fit over the
 // whole pending set rejects exactly the flows OldestFirst never visits.
 // The equivalence is what "the fast path runs a paper-grade policy"
 // means — same schedule, O(active VOQs + span) per round instead of an
@@ -186,12 +210,11 @@ func TestOldestFirstMatchesBridgedMinRTimeStyle(t *testing.T) {
 			if inst.N() == 0 {
 				continue
 			}
-			simRes, err := sim.Run(inst, agePortOrder{})
+			simRes, err := simRun(inst, agePortOrder{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			bridged, _ := runStreamed(t, inst, &stream.Bridge{P: agePortOrder{}},
-				stream.Config{VerifyEvery: 4})
+			bridged, _ := mustReplay(t, inst, stream.Config{Policy: &stream.Bridge{P: agePortOrder{}}, VerifyEvery: 4})
 			// Factor 0 is the default target, which never cuts on switches
 			// this small; 1 forces a cut after almost every release, so the
 			// staged path runs. The schedules are equal, so any stage the
@@ -200,19 +223,19 @@ func TestOldestFirstMatchesBridgedMinRTimeStyle(t *testing.T) {
 			for _, factor := range []int{0, 1} {
 				pol := &stream.OldestFirst{}
 				pol.SetTargetFactor(factor)
-				native, sum := runStreamed(t, inst, pol, stream.Config{VerifyEvery: 4})
-				for f := range native.Round {
-					if native.Round[f] != bridged.Round[f] || native.Round[f] != simRes.Schedule.Round[f] {
-						t.Fatalf("M=%g seed %d factor %d: flow %d — OldestFirst round %d, bridged AgePortOrder %d, sim %d",
-							cfg.M, seed, factor, f, native.Round[f], bridged.Round[f], simRes.Schedule.Round[f])
+				native, _ := mustReplay(t, inst, stream.Config{Policy: pol, VerifyEvery: 4})
+				for f, round := range native.Schedule.Round {
+					if round != bridged.Schedule.Round[f] || round != simRes.Schedule.Round[f] {
+						t.Fatalf("M=%g seed %d factor %d: flow %d — OldestFirst round %d, bridged AgePortOrder %d, oracle %d",
+							cfg.M, seed, factor, f, round, bridged.Schedule.Round[f], simRes.Schedule.Round[f])
 					}
 				}
-				if int(sum.TotalResponse) != simRes.TotalResponse || sum.MaxResponse != simRes.MaxResponse {
-					t.Fatalf("M=%g seed %d factor %d: OldestFirst metrics (%d,%d) != sim (%d,%d)",
-						cfg.M, seed, factor, sum.TotalResponse, sum.MaxResponse,
+				if native.TotalResponse != simRes.TotalResponse || native.MaxResponse != simRes.MaxResponse {
+					t.Fatalf("M=%g seed %d factor %d: OldestFirst metrics (%d,%d) != oracle (%d,%d)",
+						cfg.M, seed, factor, native.TotalResponse, native.MaxResponse,
 						simRes.TotalResponse, simRes.MaxResponse)
 				}
-				if _, err := verify.CheckSchedule(inst, native, inst.Switch.Caps()); err != nil {
+				if _, err := verify.CheckSchedule(inst, native.Schedule, inst.Switch.Caps()); err != nil {
 					t.Fatalf("M=%g seed %d factor %d: OldestFirst schedule rejected by oracle: %v", cfg.M, seed, factor, err)
 				}
 				if factor == 0 {
@@ -318,7 +341,8 @@ func TestNativePoliciesFeasible(t *testing.T) {
 			if inst.N() == 0 {
 				continue
 			}
-			sched, sum := runStreamed(t, inst, pol, stream.Config{VerifyEvery: 3})
+			res, sum := mustReplay(t, inst, stream.Config{Policy: pol, VerifyEvery: 3})
+			sched := res.Schedule
 			if !sched.Complete() {
 				t.Fatalf("%s seed %d: incomplete schedule", pol.Name(), seed)
 			}
@@ -515,23 +539,26 @@ func TestStreamIdleGapJump(t *testing.T) {
 	}
 }
 
-// TestStreamByName pins the native policy registry: Names lists exactly
-// the resolvable policies, every resolved policy reports its registry
-// name, consecutive resolutions are distinct instances (no shared
-// rotation state between runtimes), and unknown names stay nil.
+// TestStreamByName pins the policy table: AllNames lists exactly the
+// resolvable policies — the paper's heuristics, bridged, then the natives
+// Names lists — every resolved policy reports its table name,
+// consecutive resolutions are distinct instances (no shared rotation or
+// bridge state between runtimes), and unknown names stay nil.
 func TestStreamByName(t *testing.T) {
-	want := []string{"RoundRobin", "OldestFirst", "WeightedISLIP", "StreamFIFO"}
-	got := stream.Names()
-	if len(got) != len(want) {
-		t.Fatalf("Names() = %v, want %v", got, want)
+	want := []string{"MaxCard", "MinRTime", "MaxWeight", "RoundRobin", "OldestFirst", "WeightedISLIP", "StreamFIFO"}
+	if got := stream.AllNames(); !slices.Equal(got, want) {
+		t.Fatalf("AllNames() = %v, want %v", got, want)
+	}
+	if got := stream.Names(); !slices.Equal(got, want[3:]) {
+		t.Fatalf("Names() = %v, want %v", got, want[3:])
 	}
 	for i, name := range want {
-		if got[i] != name {
-			t.Fatalf("Names() = %v, want %v", got, want)
-		}
 		p := stream.ByName(name)
 		if p == nil || p.Name() != name {
 			t.Fatalf("%s not resolvable to itself", name)
+		}
+		if _, bridged := p.(*stream.Bridge); bridged != (i < 3) {
+			t.Fatalf("%s: bridged %v, want %v", name, bridged, i < 3)
 		}
 		if q := stream.ByName(name); q == p && name != "StreamFIFO" {
 			// FIFO is a stateless value type, so equality is fine there;
@@ -541,9 +568,6 @@ func TestStreamByName(t *testing.T) {
 	}
 	if p := stream.ByName("nope"); p != nil {
 		t.Fatal("unknown name resolved")
-	}
-	if p := stream.ByName("MinRTime"); p != nil {
-		t.Fatal("simulator policy resolved natively (must go through Bridge)")
 	}
 }
 
@@ -833,9 +857,9 @@ func (s scribblePolicy) Pick(st *sim.State) []int {
 
 // TestBridgeOwnsQueueScratch: a bridged policy that mutates its sim.State
 // queue slices must not corrupt the runtime — the streamed schedule must
-// still match sim.Run of the unwrapped policy flow for flow. MaxWeight
-// weighs by queue depth, so any leak of the scribbled values changes its
-// matchings immediately.
+// still match the oracle's run of the unwrapped policy flow for flow.
+// MaxWeight weighs by queue depth, so any leak of the scribbled values
+// changes its matchings immediately.
 func TestBridgeOwnsQueueScratch(t *testing.T) {
 	cfg := workload.PoissonConfig{M: 6, T: 8, Ports: 5}
 	for seed := int64(1); seed <= 3; seed++ {
@@ -843,20 +867,19 @@ func TestBridgeOwnsQueueScratch(t *testing.T) {
 		if inst.N() == 0 {
 			continue
 		}
-		simRes, err := sim.Run(inst, heuristics.MaxWeight{})
+		simRes, err := simRun(inst, heuristics.MaxWeight{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched, sum := runStreamed(t, inst, &stream.Bridge{P: scribblePolicy{heuristics.MaxWeight{}}},
-			stream.Config{VerifyEvery: 4})
-		for f := range sched.Round {
-			if sched.Round[f] != simRes.Schedule.Round[f] {
-				t.Fatalf("seed %d: flow %d streamed to round %d, sim to %d (scribbled queues leaked into the runtime)",
-					seed, f, sched.Round[f], simRes.Schedule.Round[f])
+		got, _ := mustReplay(t, inst, stream.Config{Policy: &stream.Bridge{P: scribblePolicy{heuristics.MaxWeight{}}}, VerifyEvery: 4})
+		for f, round := range got.Schedule.Round {
+			if round != simRes.Schedule.Round[f] {
+				t.Fatalf("seed %d: flow %d streamed to round %d, oracle to %d (scribbled queues leaked into the runtime)",
+					seed, f, round, simRes.Schedule.Round[f])
 			}
 		}
-		if int(sum.TotalResponse) != simRes.TotalResponse {
-			t.Fatalf("seed %d: streamed total response %d != sim %d", seed, sum.TotalResponse, simRes.TotalResponse)
+		if got.TotalResponse != simRes.TotalResponse {
+			t.Fatalf("seed %d: streamed total response %d != oracle %d", seed, got.TotalResponse, simRes.TotalResponse)
 		}
 	}
 }
@@ -890,7 +913,8 @@ func TestStreamYoungestFirstDrain(t *testing.T) {
 		fs = append(fs, switchnet.Flow{In: 0, Out: 0, Demand: 1, Release: 0})
 	}
 	inst := &switchnet.Instance{Switch: switchnet.UnitSwitch(2), Flows: fs}
-	sched, sum := runStreamed(t, inst, &youngestFirst{}, stream.Config{VerifyEvery: 7})
+	res, sum := mustReplay(t, inst, stream.Config{Policy: &youngestFirst{}, VerifyEvery: 7})
+	sched := res.Schedule
 	if sum.Completed != flows {
 		t.Fatalf("completed %d of %d", sum.Completed, flows)
 	}
@@ -925,7 +949,8 @@ func TestStreamShardedCrossK(t *testing.T) {
 		for _, mk := range policies {
 			name := mk().Name()
 			for _, K := range []int{1, 2, 4} {
-				first, sum := runStreamed(t, inst, mk(), stream.Config{Shards: K, VerifyEvery: 5})
+				res, sum := mustReplay(t, inst, stream.Config{Policy: mk(), Shards: K, VerifyEvery: 5})
+				first := res.Schedule
 				if sum.Shards != K {
 					t.Fatalf("%s seed %d: ran with %d shards, want %d", name, seed, sum.Shards, K)
 				}
@@ -942,11 +967,11 @@ func TestStreamShardedCrossK(t *testing.T) {
 				if sum.WindowsVerified == 0 {
 					t.Fatalf("%s seed %d K=%d: no verification windows ran", name, seed, K)
 				}
-				again, _ := runStreamed(t, inst, mk(), stream.Config{Shards: K, VerifyEvery: 5})
+				again, _ := mustReplay(t, inst, stream.Config{Policy: mk(), Shards: K, VerifyEvery: 5})
 				for f := range first.Round {
-					if first.Round[f] != again.Round[f] {
+					if first.Round[f] != again.Schedule.Round[f] {
 						t.Fatalf("%s seed %d K=%d: nondeterministic — flow %d at round %d then %d",
-							name, seed, K, f, first.Round[f], again.Round[f])
+							name, seed, K, f, first.Round[f], again.Schedule.Round[f])
 					}
 				}
 			}

@@ -208,9 +208,9 @@ func (s *TraceSource) fail(err error) (switchnet.Flow, bool) {
 func (s *TraceSource) Err() error { return s.err }
 
 // InstanceSource replays a finite instance as an arrival stream, yielding
-// its flows sorted by (release, index) — the same order internal/sim.Run
-// admits them, so a streamed run of a finite instance is comparable
-// flow-for-flow with the batch simulator.
+// its flows sorted by (release, index) — the order a batch simulator
+// admits them in, so a streamed run of a finite instance is comparable
+// flow-for-flow with one (stream.Replay).
 type InstanceSource struct {
 	inst  *switchnet.Instance
 	order []int
