@@ -40,7 +40,7 @@ import (
 
 func BenchmarkSubstrateLPSolve(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	inst := GeneratePoisson(PoissonConfig{M: 6, T: 6, Ports: 6}, rng)
+	inst := workload.PoissonConfig{M: 6, T: 6, Ports: 6}.Generate(rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ARTLowerBound(inst); err != nil {
@@ -55,7 +55,7 @@ func BenchmarkSubstrateLPSolve(b *testing.B) {
 // the shape of the benchmark's offline_paper workload, which is the first
 // rung) at load M >= m, the paper's hard corner; the 150p rungs are cells of
 // the paper's own grid (Section 5.2: 150 ports, Poisson arrivals of mean M
-// per round for T rounds, GeneratePoisson at seed 1). Beside ns/op it
+// per round for T rounds, workload.PoissonConfig at seed 1). Beside ns/op it
 // reports the horizon ARTLowerBound solved LP (1)-(4) over (lb_horizon:
 // where first fit ends when the duals certify it, the congestion horizon
 // beside it otherwise), how many feasibility LPs SolveMRT's search built
@@ -80,7 +80,7 @@ func BenchmarkOfflineLadder(b *testing.B) {
 	}
 	poisson := func(m float64, t int) func() *Instance {
 		return func() *Instance {
-			return GeneratePoisson(PoissonConfig{M: m, T: t, Ports: 150}, rand.New(rand.NewSource(1)))
+			return workload.PoissonConfig{M: m, T: t, Ports: 150}.Generate(rand.New(rand.NewSource(1)))
 		}
 	}
 	for _, rung := range []struct {
@@ -193,10 +193,11 @@ func BenchmarkVerifyWindow(b *testing.B) {
 func BenchmarkSubstrateSimRound(b *testing.B) {
 	// Paper-scale switch: one full drain of a 150-port instance.
 	rng := rand.New(rand.NewSource(9))
-	inst := GeneratePoisson(PoissonConfig{M: 150, T: 10, Ports: 150}, rng)
+	inst := workload.PoissonConfig{M: 150, T: 10, Ports: 150}.Generate(rng)
+	pol := PolicyByName("MaxCard")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(inst, MaxCard); err != nil {
+		if _, err := Simulate(inst, pol); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -204,7 +205,7 @@ func BenchmarkSubstrateSimRound(b *testing.B) {
 
 func BenchmarkSubstrateSRPTBound(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
-	inst := GeneratePoisson(PoissonConfig{M: 300, T: 20, Ports: 150}, rng)
+	inst := workload.PoissonConfig{M: 300, T: 20, Ports: 150}.Generate(rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.SRPTLowerBound(inst)
@@ -213,7 +214,7 @@ func BenchmarkSubstrateSRPTBound(b *testing.B) {
 
 func BenchmarkSubstrateIterativeRound(b *testing.B) {
 	rng := rand.New(rand.NewSource(15))
-	inst := GeneratePoisson(PoissonConfig{M: 4, T: 6, Ports: 5}, rng)
+	inst := workload.PoissonConfig{M: 4, T: 6, Ports: 5}.Generate(rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := IterativeRound(inst); err != nil {

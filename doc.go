@@ -14,21 +14,23 @@
 //
 //   - FS-MRT (maximum response time): SolveMRT, the optimal schedule with
 //     per-port capacity increase at most 2*d_max-1 of Theorem 3, built on
-//     the time-constrained LP and the Karp et al. rounding theorem;
-//     SolveTimeConstrained generalizes to per-flow deadlines (Remark 4.2).
+//     the time-constrained LP and the Karp et al. rounding theorem; its
+//     time-constrained core takes per-flow deadlines (Remark 4.2,
+//     `flowsim mrt -deadlines`).
 //
 //   - Online scheduling (Section 5): the batched AMRT algorithm of
-//     Lemma 5.3 (OnlineAMRT) and the simulation heuristics MaxCard,
-//     MinRTime and MaxWeight evaluated in Figures 6 and 7 (Simulate over
-//     Policies, or one of them from PolicyByName).
+//     Lemma 5.3 (internal/core, `flowsim paper -fig amrt`) and the
+//     simulation heuristics MaxCard, MinRTime and MaxWeight evaluated in
+//     Figures 6 and 7 (Simulate with a policy from PolicyByName).
 //
-//   - The paper's workload model (GeneratePoisson: Poisson arrivals on an
-//     m x m switch) and its lower-bound gadgets (Fig4a, Fig4b); the
-//     permutation, hotspot, heavy-tailed and trace workloads are behind
-//     `flowsim gen` and the scenario engine.
+//   - The paper's workload model (Poisson arrivals on an m x m switch)
+//     and its lower-bound gadgets (Figure 4) in internal/workload; they,
+//     the permutation, hotspot, heavy-tailed and trace workloads are
+//     behind `flowsim gen` and the scenario engine.
 //
-//   - Coflows (SimulateCoflows): groups of flows that complete together,
-//     under the Varys-style policies CoflowSEBF, CoflowSCF and CoflowFIFO.
+//   - Coflows (internal/coflow): groups of flows that complete together,
+//     under the Varys-style policies SEBF, SCF and FIFO; the scenario
+//     engine runs SEBF.
 //
 //   - A schedule verifier (CheckSchedule, CheckScaled, CheckAugmented):
 //     an independent feasibility oracle that re-derives port-capacity
@@ -36,13 +38,13 @@
 //     release-time respect, and recomputes all response-time metrics from
 //     the raw assignment.
 //
-//   - A scenario engine (RunSweep over a DefaultSweep): a sharded,
-//     deterministic sweep harness that crosses any registered solver (the
-//     offline algorithms, the online heuristics, the coflow policies) with
-//     any workload generator on a bounded worker pool. Every scenario
-//     carries its own derived seed — the same seed yields an identical
-//     result table at any worker count — and every schedule is checked by
-//     the verify oracle before its metrics enter the table.
+//   - A scenario engine (internal/engine, `flowsim paper -fig sweep`): a
+//     sharded, deterministic sweep harness that crosses any registered
+//     solver (the offline algorithms, the online heuristics, the coflow
+//     policies) with any workload generator on a bounded worker pool.
+//     Every scenario carries its own derived seed — the same seed yields
+//     an identical result table at any worker count — and every schedule
+//     is checked by the verify oracle before its metrics enter the table.
 //
 //   - A streaming scheduler runtime (NewStreamRuntime): the online setting
 //     extended to unbounded arrival processes. Flows arrive from a
@@ -60,11 +62,11 @@
 //     Completed + Pending + Dropped + Expired. Runs are cancelable (Stop,
 //     RunContext) with the final summary still balancing. One table
 //     (StreamPolicyByName) holds the paper's heuristics, bridged, and
-//     four native policies at incremental cost: RoundRobin
-//     (StreamRoundRobin) serves per-(input,output) virtual output queues
-//     with iSLIP-style per-input pointers rotating in output-port order;
-//     OldestFirst serves VOQ heads globally oldest-first — the paper's
-//     MinRTime age-priority discipline on the fast path, property-tested
+//     four native policies at incremental cost: RoundRobin serves
+//     per-(input,output) virtual output queues with iSLIP-style per-input
+//     pointers rotating in output-port order; OldestFirst serves VOQ heads
+//     globally oldest-first — the paper's MinRTime age-priority discipline
+//     on the fast path, property-tested
 //     round-for-round equivalent to bridging the corresponding greedy
 //     rule on unit-demand replays at one shard; WeightedISLIP runs
 //     queue-age-weighted request/grant/accept matching with
@@ -133,10 +135,10 @@
 //     typed atomics: no sync/atomic function calls, no by-value copies),
 //     determinism (no map-order, global-rand, or clock
 //     input in schedule-affecting packages), reach (every package-level
-//     declaration is reached from a binary, the root package's exports
-//     or a //flowsched:testonly mark) — that make the runtime's
-//     performance contracts compile-time-checkable; see the "Static
-//     invariants" section of internal/stream's package doc.
+//     declaration, this package's exports included, is reached from a
+//     binary's main, an init function or a //flowsched:testonly mark) —
+//     that make the runtime's performance contracts compile-time-checkable;
+//     see the "Static invariants" section of internal/stream's package doc.
 //
 // The LP solver, capacitated matchings, edge coloring, rounding theorem, and
 // simulator are all implemented in this repository with no external

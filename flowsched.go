@@ -1,12 +1,7 @@
 package flowsched
 
 import (
-	"math/rand"
-
-	"flowsched/internal/coflow"
 	"flowsched/internal/core"
-	"flowsched/internal/engine"
-	"flowsched/internal/heuristics"
 	"flowsched/internal/obs"
 	"flowsched/internal/sim"
 	"flowsched/internal/stream"
@@ -34,30 +29,17 @@ func NewSwitch(m, mPrime, cap int) Switch { return switchnet.NewSwitch(m, mPrime
 // experimental configuration).
 func UnitSwitch(m int) Switch { return switchnet.UnitSwitch(m) }
 
-// ScaleCaps multiplies capacities by factor (resource augmentation "(1+c)x").
-func ScaleCaps(caps []int, factor int) []int { return switchnet.ScaleCaps(caps, factor) }
-
 // Offline algorithm results.
 type (
 	// ARTResult is the outcome of SolveART (Theorem 1).
 	ARTResult = core.ARTResult
 	// MRTResult is the outcome of SolveMRT (Theorem 3 + binary search).
 	MRTResult = core.MRTResult
-	// TimeConstrainedResult is the outcome of SolveTimeConstrained.
-	TimeConstrainedResult = core.TimeConstrainedResult
-	// AMRTResult is the outcome of OnlineAMRT (Lemma 5.3).
-	AMRTResult = core.AMRTResult
 	// ARTLowerBoundResult carries the LP (1)-(4) bound of Lemma 3.1.
 	ARTLowerBoundResult = core.ARTLowerBoundResult
-	// Windows lists each flow's admissible rounds for time-constrained
-	// scheduling.
-	Windows = core.Windows
 	// PseudoSchedule is the Lemma 3.3 iterative-rounding output.
 	PseudoSchedule = core.PseudoSchedule
 )
-
-// ErrInfeasible is returned when no schedule meets the requested windows.
-var ErrInfeasible = core.ErrInfeasible
 
 // SolveART computes a schedule for a unit-demand instance whose average
 // response time is within (1 + O(log n)/c) of optimal using port capacities
@@ -67,18 +49,6 @@ func SolveART(inst *Instance, c int) (*ARTResult, error) { return core.SolveART(
 // SolveMRT computes a schedule achieving the optimal maximum response time
 // with every port capacity increased by at most 2*d_max-1 (Theorem 3).
 func SolveMRT(inst *Instance) (*MRTResult, error) { return core.SolveMRT(inst) }
-
-// SolveTimeConstrained schedules every flow inside its window or reports
-// ErrInfeasible; port capacities are exceeded by at most 2*d_max-1
-// (Theorem 3, including the deadline model of Remark 4.2).
-func SolveTimeConstrained(inst *Instance, win Windows) (*TimeConstrainedResult, error) {
-	return core.SolveTimeConstrained(inst, win)
-}
-
-// DeadlineWindows builds windows [r_e, deadline_e] for every flow.
-func DeadlineWindows(inst *Instance, deadline []int) (Windows, error) {
-	return core.DeadlineWindows(inst, deadline)
-}
 
 // ARTLowerBound solves LP (1)-(4), a lower bound on any schedule's total
 // response time (Lemma 3.1); Figure 6's baseline.
@@ -95,13 +65,6 @@ func SRPTLowerBound(inst *Instance) int { return core.SRPTLowerBound(inst) }
 // IterativeRound exposes the Lemma 3.3 pseudo-schedule construction.
 func IterativeRound(inst *Instance) (*PseudoSchedule, error) { return core.IterativeRound(inst) }
 
-// OnlineAMRT runs the online batching algorithm of Lemma 5.3: maximum
-// response at most twice the final guess, capacities 2*(c_p+2*d_max-1).
-func OnlineAMRT(inst *Instance) (*AMRTResult, error) { return core.OnlineAMRT(inst) }
-
-// AMRTCaps returns the augmented capacities OnlineAMRT schedules within.
-func AMRTCaps(inst *Instance) []int { return core.AMRTCaps(inst) }
-
 // Simulation types (see internal/sim).
 type (
 	// Policy is an online per-round scheduling heuristic.
@@ -116,19 +79,6 @@ func Simulate(inst *Instance, pol Policy) (*SimResult, error) {
 	return res, err
 }
 
-// Two of the paper's heuristics (Section 5.2) by value; PolicyByName
-// resolves these and MinRTime.
-var (
-	// MaxCard extracts a maximum-cardinality matching every round.
-	MaxCard Policy = heuristics.MaxCard{}
-	// MaxWeight extracts a maximum-weight matching by queue sizes.
-	MaxWeight Policy = heuristics.MaxWeight{}
-)
-
-// Policies returns the three heuristics evaluated in Figures 6 and 7:
-// MaxCard, MinRTime and MaxWeight.
-func Policies() []Policy { return heuristics.All() }
-
 // PolicyByName resolves one of the paper's heuristics through the stream
 // policy table; nil if name is unknown or a native streaming policy.
 func PolicyByName(name string) Policy {
@@ -136,48 +86,6 @@ func PolicyByName(name string) Policy {
 		return b.P
 	}
 	return nil
-}
-
-// PoissonConfig is the paper's workload model: Poisson(M) uniform flows
-// per round for T rounds on a Ports x Ports switch.
-type PoissonConfig = workload.PoissonConfig
-
-// GeneratePoisson draws an instance from the paper's workload model.
-func GeneratePoisson(cfg PoissonConfig, rng *rand.Rand) *Instance { return cfg.Generate(rng) }
-
-// Fig4a builds the Lemma 5.1 online lower-bound gadget.
-func Fig4a(T, M int) *Instance { return workload.Fig4a(T, M) }
-
-// Fig4b builds the Lemma 5.2 online lower-bound gadget.
-func Fig4b() *Instance { return workload.Fig4b() }
-
-// Coflow extension (the Section 6 "generalizations" direction): groups of
-// flows that complete together, with Varys-style online policies.
-type (
-	// Coflow is a group of flows released together; it completes when
-	// its last member does.
-	Coflow = coflow.Coflow
-	// CoflowInstance is a coflow scheduling instance.
-	CoflowInstance = coflow.Instance
-	// CoflowResult carries coflow-level response metrics.
-	CoflowResult = coflow.Result
-)
-
-// SimulateCoflows flattens the coflow instance and runs a coflow policy:
-// one of CoflowSEBF, CoflowSCF, or CoflowFIFO.
-func SimulateCoflows(in *CoflowInstance, mk func(owner []int) Policy) (*CoflowResult, *SimResult, error) {
-	return coflow.Run(in, mk)
-}
-
-// CoflowSEBF is the smallest-effective-bottleneck-first policy (Varys).
-func CoflowSEBF(owner []int) Policy { return coflow.SEBF(owner) }
-
-// CoflowSCF is the smallest-total-size-first policy.
-func CoflowSCF(owner []int) Policy { return coflow.SCF(owner) }
-
-// CoflowFIFO schedules coflows in release order.
-func CoflowFIFO(in *CoflowInstance) func(owner []int) Policy {
-	return func(owner []int) Policy { return coflow.FIFO(in, owner) }
 }
 
 // Schedule verification (see internal/verify): the independent feasibility
@@ -204,16 +112,6 @@ func CheckScaled(inst *Instance, sched *Schedule, factor int) (*VerifyReport, er
 func CheckAugmented(inst *Instance, sched *Schedule, delta int) (*VerifyReport, error) {
 	return verify.CheckAugmented(inst, sched, delta)
 }
-
-// Scenario engine (see internal/engine): a sharded, deterministic sweep
-// harness that runs any registered solver against any workload generator
-// and verifies every schedule with the oracle.
-type (
-	// SweepConfig crosses solvers with generators over seeded trials.
-	SweepConfig = engine.SweepConfig
-	// ResultTable is a sweep's verdict table (Render, WriteCSV).
-	ResultTable = engine.ResultTable
-)
 
 // Streaming scheduler runtime (see internal/stream): the online setting of
 // Section 5.2.1 extended to unbounded arrival processes — flows arrive from
@@ -269,11 +167,6 @@ type (
 // 16,777,216, obs.MaxRecords).
 func NewFlightRecorder(rounds int) *FlightRecorder { return obs.NewFlightRecorder(rounds) }
 
-// StreamRoundRobin returns the native incremental policy: virtual output
-// queues served oldest-first with iSLIP-style per-input pointers rotating
-// in output-port order, independent of the pending count.
-func StreamRoundRobin() StreamPolicy { return &stream.RoundRobin{} }
-
 // StreamPolicyByName resolves a streaming policy by name — a native one
 // (RoundRobin, OldestFirst, WeightedISLIP, StreamFIFO) or one of the
 // paper's heuristics, bridged; see internal/stream — nil if unknown.
@@ -294,15 +187,4 @@ func NewInstanceSource(inst *Instance) *workload.InstanceSource {
 // behind the flowschedd daemon's HTTP ingest.
 func NewChanSource(buffer int) *workload.ChanSource {
 	return workload.NewChanSource(buffer)
-}
-
-// RunSweep executes a full solver x workload sweep and returns its result
-// table; failures are recorded per row (table.FirstError, AllVerified).
-func RunSweep(cfg SweepConfig) *ResultTable { return engine.RunSweep(cfg) }
-
-// DefaultSweep crosses the default solver registry (ART, MRT, AMRT, the
-// three heuristics, coflow-SEBF) with the default workload patterns
-// (Poisson, permutation, hotspot) at the given scale.
-func DefaultSweep(ports, T, trials int, seed int64, workers int) SweepConfig {
-	return engine.DefaultSweep(ports, T, trials, seed, workers)
 }

@@ -1,9 +1,11 @@
 package flowsched
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
+
+	"flowsched/internal/stream"
+	"flowsched/internal/workload"
 )
 
 // TestPublicAPIQuickstart is the doc quickstart as an integration test:
@@ -28,10 +30,11 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := art.Schedule.Validate(inst, ScaleCaps(inst.Switch.Caps(), art.CapFactor)); err != nil {
+	if _, err := CheckScaled(inst, art.Schedule, art.CapFactor); err != nil {
 		t.Fatal(err)
 	}
-	for _, pol := range Policies() {
+	for _, name := range stream.BridgedNames() {
+		pol := PolicyByName(name)
 		res, err := Simulate(inst, pol)
 		if err != nil {
 			t.Fatal(err)
@@ -42,42 +45,8 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
-// TestLemma51GadgetSeparation checks the Lemma 5.1 phenomenon end to end:
-// on the Figure 4(a) gadget, every online heuristic's total response time
-// grows superlinearly in the gadget length while the offline optimum stays
-// linear — i.e. the ratio diverges.
-func TestLemma51GadgetSeparation(t *testing.T) {
-	ratioAt := func(gm int) float64 {
-		T := gm / 4
-		inst := Fig4a(T, gm)
-		// An offline schedule: all (1,3)-flows during [0,T) as they
-		// arrive... they conflict at port 1; OPT from the paper keeps
-		// total response <= 2*(2T) + (gm-T). Use the SRPT bound's
-		// feasible counterpart: simulate the clairvoyant priority that
-		// drains (1,2) flows late. For the test we only need OPT = O(gm):
-		// bound it by the paper's schedule cost 2T + gm.
-		optUpper := float64(4*T + gm)
-		worst := 0.0
-		for _, pol := range Policies() {
-			res, err := Simulate(inst, pol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r := float64(res.TotalResponse) / optUpper; r > worst {
-				worst = r
-			}
-		}
-		return worst
-	}
-	small := ratioAt(40)
-	large := ratioAt(160)
-	if large <= small {
-		t.Fatalf("gadget ratio did not grow: %v -> %v", small, large)
-	}
-}
-
 func TestFig4bOfflineOptimum(t *testing.T) {
-	inst := Fig4b()
+	inst := workload.Fig4b()
 	rho, err := MRTLowerBound(inst)
 	if err != nil {
 		t.Fatal(err)
@@ -87,39 +56,10 @@ func TestFig4bOfflineOptimum(t *testing.T) {
 	}
 }
 
-func TestDeadlineModePublicAPI(t *testing.T) {
-	inst := &Instance{
-		Switch: UnitSwitch(2),
-		Flows: []Flow{
-			{In: 0, Out: 0, Demand: 1, Release: 0},
-			{In: 1, Out: 0, Demand: 1, Release: 0},
-		},
-	}
-	win, err := DeadlineWindows(inst, []int{2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SolveTimeConstrained(inst, win)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Schedule.Complete() {
-		t.Fatal("incomplete")
-	}
-	// Impossible deadlines surface ErrInfeasible.
-	tight, err := DeadlineWindows(inst, []int{0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SolveTimeConstrained(inst, tight); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("want ErrInfeasible, got %v", err)
-	}
-}
-
 func TestBoundsAgreeOnRandomInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 3; trial++ {
-		inst := GeneratePoisson(PoissonConfig{M: 4, T: 5, Ports: 4}, rng)
+		inst := workload.PoissonConfig{M: 4, T: 5, Ports: 4}.Generate(rng)
 		if inst.N() == 0 {
 			continue
 		}
@@ -130,7 +70,7 @@ func TestBoundsAgreeOnRandomInstances(t *testing.T) {
 		srpt := SRPTLowerBound(inst)
 		// Both are lower bounds on the same optimum; any simulated
 		// schedule must beat neither.
-		res, err := Simulate(inst, MaxCard)
+		res, err := Simulate(inst, PolicyByName("MaxCard"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,29 +83,15 @@ func TestBoundsAgreeOnRandomInstances(t *testing.T) {
 	}
 }
 
-func TestOnlineAMRTPublicAPI(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	inst := GeneratePoisson(PoissonConfig{M: 3, T: 4, Ports: 3}, rng)
-	if inst.N() == 0 {
-		t.Skip("empty draw")
-	}
-	res, err := OnlineAMRT(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Schedule.Validate(inst, AMRTCaps(inst)); err != nil {
-		t.Fatal(err)
-	}
-	if res.Schedule.MaxResponse(inst) > 2*res.FinalRho {
-		t.Fatal("Lemma 5.3 guarantee violated")
-	}
-}
-
+// TestPolicyByNamePublic: PolicyByName resolves exactly the paper's three
+// heuristics; a native streaming policy or an unknown name is nil.
 func TestPolicyByNamePublic(t *testing.T) {
-	if PolicyByName("MaxCard") == nil || PolicyByName("zzz") != nil {
-		t.Fatal("PolicyByName broken")
+	for _, name := range []string{"MaxCard", "MinRTime", "MaxWeight"} {
+		if pol := PolicyByName(name); pol == nil || pol.Name() != name {
+			t.Fatalf("PolicyByName(%q) = %v", name, pol)
+		}
 	}
-	if len(Policies()) != 3 {
-		t.Fatal("Policies() should return the paper's three heuristics")
+	if PolicyByName("RoundRobin") != nil || PolicyByName("zzz") != nil {
+		t.Fatal("PolicyByName resolved a name that is no paper heuristic")
 	}
 }

@@ -25,9 +25,9 @@
 //     global math/rand, no wall-clock input — the cross-K
 //     bit-reproducibility contract PR 1 had to retrofit dynamically.
 //   - reach: over the whole module, every package-level declaration of
-//     a non-main package is reached from a main, the root package's
-//     exports, an init or an initialised var, or is marked
-//     //flowsched:testonly <why> (itself or its package clause).
+//     a non-main package is reached from a main or an init, or is marked
+//     //flowsched:testonly <why> (itself or its package clause). The
+//     root package's exports are held to it like any other.
 //
 // Deliberate exceptions carry a justified escape hatch in the source:
 //

@@ -12,16 +12,17 @@ import (
 // only records the package's declarations and what each refers to; the
 // verdict comes from Session.Reach once the whole module is in.
 //
-// Roots are main in every main package, the root package's exports,
-// init functions and initialised package-level vars. An edge is any
-// reference inside a declaration, keyed by objectKey, because an object
-// imported from export data is not the defining package's Defs object.
-// A reached named type reaches all its methods, so interface dispatch
-// needs no analysis and a method is never a finding. Any other
-// package-level declaration of a non-main package is a finding unless it
-// or its package clause carries //flowsched:testonly <why>, which makes
-// it a root; a mark on code the other roots reach is a finding too.
-// internal/coflow counts as reached through the root's SimulateCoflows.
+// Roots are main in every main package, init functions and
+// //flowsched:testonly marks; a library's exports and an initialised
+// package-level var are no root, so a facade name no binary calls is a
+// finding like any other. An edge is any reference inside a
+// declaration, keyed by objectKey, because an object imported from
+// export data is not the defining package's Defs object. A reached named
+// type reaches all its methods, so interface dispatch needs no analysis
+// and a method is never a finding. Any other package-level declaration
+// of a non-main package is a finding unless it or its package clause
+// carries //flowsched:testonly <why>, which makes it a root; a mark on
+// code the other roots reach is a finding too.
 var Reach = &Analyzer{
 	Name: "reach",
 	Doc:  "report package-level declarations no binary reaches (whole module only; //flowsched:testonly <why> marks test support)",
@@ -72,7 +73,6 @@ func runReach(pass *Pass) {
 		if pos, ok := pass.Dirs.testonly[decl]; ok {
 			g.marks[pos] = append(g.marks[pos], key)
 		}
-		root = root || (pass.Pkg.Path() == pass.Module && obj.Exported())
 		if root {
 			g.roots = append(g.roots, key)
 		} else if candidate && !isMain && obj.Name() != "_" {
@@ -101,9 +101,8 @@ func runReach(pass *Pass) {
 					case *ast.TypeSpec:
 						declare(pass.TypesInfo.Defs[spec.Name], spec, decl, false, true)
 					case *ast.ValueSpec:
-						initialised := decl.Tok == token.VAR && len(spec.Values) > 0
 						for _, id := range spec.Names {
-							declare(pass.TypesInfo.Defs[id], spec, decl, initialised, true)
+							declare(pass.TypesInfo.Defs[id], spec, decl, false, true)
 						}
 					}
 				}

@@ -60,9 +60,10 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestReach runs the whole-module reach check over a fixture module with
-// one binary: unreached and bare-marked declarations are findings, a
-// mark on code the binary reaches is one, and marked declarations and
-// packages reach what they call.
+// one binary: unreached and bare-marked declarations are findings, the
+// root package's exports and initialised vars among them, a mark on code
+// the binary reaches is one, and marked declarations and packages reach
+// what they call.
 func TestReach(t *testing.T) {
 	runFixture(t, "reachmod", "./...")
 }

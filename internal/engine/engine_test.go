@@ -43,12 +43,26 @@ func TestDeriveSeedStableAndSpread(t *testing.T) {
 	}
 }
 
-// renderSweep runs the default sweep at tiny scale and returns its rendered
-// table.
+// sweep crosses solvers with generators over seeded trials: generators
+// outermost, then trials, then solvers, so all solvers of one trial share a
+// derived seed and judge the same instance draw.
+func sweep(solvers []Solver, gens []Generator, trials int, seed int64) []Scenario {
+	var out []Scenario
+	for gi, gen := range gens {
+		for tr := 0; tr < trials; tr++ {
+			for _, sol := range solvers {
+				out = append(out, Scenario{Seed: DeriveSeed(seed, gi, tr), Workload: gen, Solver: sol})
+			}
+		}
+	}
+	return out
+}
+
+// renderSweep runs the default registries at tiny scale and returns the
+// rendered table.
 func renderSweep(t *testing.T, workers int) string {
 	t.Helper()
-	cfg := DefaultSweep(4, 4, 2, 11, workers)
-	table := RunSweep(cfg)
+	table := NewResultTable(Run(sweep(Solvers(), Generators(4, 4), 2, 11), Options{Workers: workers}))
 	if err := table.FirstError(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,17 +75,16 @@ func renderSweep(t *testing.T, workers int) string {
 }
 
 // TestSweepDeterministicAcrossWorkerCounts is the acceptance criterion: the
-// default sweep crosses >=4 solvers with >=3 generators on a worker pool
+// default registries cross >=4 solvers with >=3 generators on a worker pool
 // with deterministic per-scenario seeds, every scenario passes the verify
 // oracle, and the same seed yields an identical result table regardless of
 // parallelism.
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	cfg := DefaultSweep(4, 4, 2, 11, 1)
-	if len(cfg.Solvers) < 4 {
-		t.Fatalf("default registry has %d solvers, want >= 4", len(cfg.Solvers))
+	if n := len(Solvers()); n < 4 {
+		t.Fatalf("default registry has %d solvers, want >= 4", n)
 	}
-	if len(cfg.Generators) < 3 {
-		t.Fatalf("default registry has %d generators, want >= 3", len(cfg.Generators))
+	if n := len(Generators(4, 4)); n < 3 {
+		t.Fatalf("default registry has %d generators, want >= 3", n)
 	}
 	serial := renderSweep(t, 1)
 	parallel := renderSweep(t, 8)
@@ -86,18 +99,19 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 // TestSweepSharesDrawsAcrossSolvers: all solvers inside one trial get the
 // same seed, hence judge the same instance draw.
 func TestSweepSharesDrawsAcrossSolvers(t *testing.T) {
-	cfg := DefaultSweep(3, 3, 1, 5, 1)
-	scenarios := cfg.Scenarios()
-	if len(scenarios) != len(cfg.Solvers)*len(cfg.Generators) {
-		t.Fatalf("got %d scenarios, want %d", len(scenarios), len(cfg.Solvers)*len(cfg.Generators))
+	solvers, gens := Solvers(), Generators(3, 3)
+	scenarios := sweep(solvers, gens, 1, 5)
+	if len(scenarios) != len(solvers)*len(gens) {
+		t.Fatalf("got %d scenarios, want %d", len(scenarios), len(solvers)*len(gens))
 	}
-	perTrial := map[string]int64{}
-	for _, sc := range scenarios {
-		key := sc.Workload.Name()
-		if prev, ok := perTrial[key]; ok && prev != sc.Seed {
-			t.Fatalf("solvers of one trial got different seeds: %d vs %d", prev, sc.Seed)
+	perTrial := map[string]Verdict{}
+	for _, v := range Run(scenarios, Options{Workers: 1}) {
+		key := v.Scenario.Workload.Name()
+		if prev, ok := perTrial[key]; ok && (prev.Scenario.Seed != v.Scenario.Seed || prev.N != v.N) {
+			t.Fatalf("solvers of one trial judged different draws: seed %d (n=%d) vs %d (n=%d)",
+				prev.Scenario.Seed, prev.N, v.Scenario.Seed, v.N)
 		}
-		perTrial[key] = sc.Seed
+		perTrial[key] = v
 	}
 }
 
@@ -195,13 +209,8 @@ func solversNamed(t testing.TB, names ...string) []Solver {
 }
 
 func TestResultTableCSV(t *testing.T) {
-	cfg := SweepConfig{
-		Solvers:    solversNamed(t, "MaxCard"),
-		Generators: []Generator{PoissonGen{Cfg: workload.PoissonConfig{M: 2, T: 3, Ports: 3}}},
-		Trials:     2,
-		Seed:       3,
-	}
-	table := RunSweep(cfg)
+	gens := []Generator{PoissonGen{Cfg: workload.PoissonConfig{M: 2, T: 3, Ports: 3}}}
+	table := NewResultTable(Run(sweep(solversNamed(t, "MaxCard"), gens, 2, 3), Options{}))
 	var buf bytes.Buffer
 	if err := table.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -223,12 +232,8 @@ func TestResultTableCSV(t *testing.T) {
 // the augmentation its solver declared. An MRT row may count no LP at all —
 // first fit answered its search — and then its whole block is zero.
 func TestLPSolversReportStageCounts(t *testing.T) {
-	table := RunSweep(SweepConfig{
-		Solvers:    solversNamed(t, "ART(c=1)", "MRT", "MaxCard"),
-		Generators: []Generator{PoissonGen{Cfg: workload.PoissonConfig{M: 3, T: 3, Ports: 3}}},
-		Trials:     1,
-		Seed:       5,
-	})
+	gens := []Generator{PoissonGen{Cfg: workload.PoissonConfig{M: 3, T: 3, Ports: 3}}}
+	table := NewResultTable(Run(sweep(solversNamed(t, "ART(c=1)", "MRT", "MaxCard"), gens, 1, 5), Options{}))
 	if err := table.FirstError(); err != nil {
 		t.Fatal(err)
 	}

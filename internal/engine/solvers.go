@@ -6,7 +6,6 @@ import (
 
 	"flowsched/internal/coflow"
 	"flowsched/internal/core"
-	"flowsched/internal/heuristics"
 	"flowsched/internal/lp"
 	"flowsched/internal/sim"
 	"flowsched/internal/stream"
@@ -218,8 +217,8 @@ func (s CoflowSolver) Solve(inst *switchnet.Instance) (*Solution, error) {
 // heuristics (Section 5.2), and the coflow extension.
 func Solvers() []Solver {
 	out := []Solver{ARTSolver{C: 1}, MRTSolver{}, AMRTSolver{}}
-	for _, p := range heuristics.All() {
-		out = append(out, PolicySolver{Policy: p.Name()})
+	for _, name := range stream.BridgedNames() {
+		out = append(out, PolicySolver{Policy: name})
 	}
 	return append(out, CoflowSolver{Policy: "SEBF"})
 }

@@ -6,7 +6,6 @@ import (
 
 	"flowsched/internal/core"
 	"flowsched/internal/engine"
-	"flowsched/internal/heuristics"
 	"flowsched/internal/plot"
 	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
@@ -37,15 +36,6 @@ func policies(names []string) []engine.Solver {
 		out[i] = engine.PolicySolver{Policy: name}
 	}
 	return out
-}
-
-// paperHeuristics names the three heuristics Figures 6 and 7 plot.
-func paperHeuristics() []string {
-	var names []string
-	for _, p := range heuristics.All() {
-		names = append(names, p.Name())
-	}
-	return names
 }
 
 // artLowerBound is the optimum of LP (1)-(4), a bound on total response.
@@ -86,7 +76,7 @@ func figure(key, title, name, ylabel string, y metric, bound Bound) Artifact {
 	return Artifact{key, title, func(cfg Config) (Output, []Cell) {
 		var charts Charts
 		var cells []Cell
-		pols := paperHeuristics()
+		pols := stream.BridgedNames()
 		for ri, ratio := range cfg.Ratios {
 			chart := &plot.Chart{XLabel: "T", YLabel: ylabel,
 				Title: fmt.Sprintf("%s %s (m=%d, M=%.3g)", name, ratioName(ratio), cfg.Ports, ratio*float64(cfg.Ports))}
@@ -167,7 +157,7 @@ func amrt(cfg Config) (Output, []Cell) {
 // fig4a shows the Lemma 5.1 divergence: on the Figure 4(a) gadget of length
 // M (T = M/4) every heuristic's ratio to the offline cost grows with M.
 func fig4a(cfg Config) (Output, []Cell) {
-	pols := paperHeuristics()
+	pols := stream.BridgedNames()
 	tab := &Table{Title: "fig4a online ART lower bound gadget (Lemma 5.1)", Columns: strings.Fields("gadget_M T opt_upper")}
 	for _, p := range pols {
 		tab.Columns = append(tab.Columns, p+"/opt")
@@ -221,8 +211,8 @@ func bounds(cfg Config) (Output, []Cell) {
 }
 
 // sweep crosses the engine's default solver registry with its default
-// workload patterns at the configuration's scale: engine.DefaultSweep's
-// scenarios, in its order (workload, then trial, then solver).
+// workload patterns at the configuration's scale, in the order workload,
+// then trial, then solver, so every solver of a trial judges one draw.
 func sweep(cfg Config) (Output, []Cell) {
 	T := 4
 	if len(cfg.HeurT) > 0 {

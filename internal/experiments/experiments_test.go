@@ -86,7 +86,8 @@ func TestRegistry(t *testing.T) {
 }
 
 // TestSweepIsTheEnginesDefaultSweep: the sweep artifact's cells expand to
-// engine.DefaultSweep's scenarios, seeds and row order included.
+// the engine's default registries crossed over seeded trials — generators
+// outermost, then trials, then solvers — seeds and row order included.
 func TestSweepIsTheEnginesDefaultSweep(t *testing.T) {
 	cfg := tinyConfig()
 	arts, err := Select("sweep")
@@ -99,9 +100,17 @@ func TestSweepIsTheEnginesDefaultSweep(t *testing.T) {
 	}
 	var got, want bytes.Buffer
 	out.Render(&got)
-	engine.RunSweep(engine.DefaultSweep(cfg.Ports, cfg.HeurT[0], cfg.Trials, cfg.Seed, 0)).Render(&want)
+	var scenarios []engine.Scenario
+	for gi, gen := range engine.Generators(cfg.Ports, cfg.HeurT[0]) {
+		for tr := 0; tr < cfg.Trials; tr++ {
+			for _, sol := range engine.Solvers() {
+				scenarios = append(scenarios, engine.Scenario{Seed: engine.DeriveSeed(cfg.Seed, gi, tr), Workload: gen, Solver: sol})
+			}
+		}
+	}
+	engine.NewResultTable(engine.Run(scenarios, engine.Options{})).Render(&want)
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("sweep artifact:\n%s\nengine.DefaultSweep:\n%s", &got, &want)
+		t.Fatalf("sweep artifact:\n%s\nreference sweep:\n%s", &got, &want)
 	}
 }
 

@@ -116,8 +116,3 @@ func firstFit(s *sim.State, less func(a, b sim.Pending) bool) []int {
 	}
 	return picks
 }
-
-// All returns the three paper heuristics in presentation order.
-func All() []sim.Policy {
-	return []sim.Policy{MaxCard{}, MinRTime{}, MaxWeight{}}
-}

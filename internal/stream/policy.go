@@ -299,15 +299,19 @@ var table = []struct {
 }
 
 // AllNames returns every name ByName resolves, in presentation order.
-func AllNames() []string { return names(false) }
+func AllNames() []string { return names(true, true) }
 
 // Names returns the native policies' names.
-func Names() []string { return names(true) }
+func Names() []string { return names(false, true) }
 
-func names(nativeOnly bool) []string {
+// BridgedNames returns the paper's heuristics, the table's bridged rows,
+// in presentation order.
+func BridgedNames() []string { return names(true, false) }
+
+func names(bridged, native bool) []string {
 	var out []string
 	for _, e := range table {
-		if _, bridged := e.mk().(*Bridge); !bridged || !nativeOnly {
+		if _, b := e.mk().(*Bridge); b && bridged || !b && native {
 			out = append(out, e.name)
 		}
 	}

@@ -70,8 +70,8 @@ func TestStreamMatchesSim(t *testing.T) {
 		streamed func() stream.Policy
 	}
 	var pairs []pair
-	for _, p := range heuristics.All() {
-		pairs = append(pairs, pair{p, func() stream.Policy { return stream.ByName(p.Name()) }})
+	for _, name := range stream.BridgedNames() {
+		pairs = append(pairs, pair{stream.ByName(name).(*stream.Bridge).P, func() stream.Policy { return stream.ByName(name) }})
 	}
 	pairs = append(pairs,
 		pair{fifoRef{}, func() stream.Policy { return &stream.Bridge{P: fifoRef{}} }},
