@@ -11,17 +11,20 @@ import (
 // of rounds, but safe to query from other goroutines while a single writer
 // records — without the writer ever taking a lock or allocating.
 //
-// The protocol is a seqlock. The writer brackets each batch of Observe
+// The protocol is a seqlock. The writer brackets each round's Observe
 // calls in Begin/End, which bump an epoch counter to odd (write open) and
-// back to even (stable). Ring state is typed atomic words: the writer, the
-// only one, bumps a count with a load and a store, and a reader merges
-// with loads. A reader snapshots the epoch, merges the live rings, and
-// retries if the epoch was odd or changed underneath it — so readers never
-// block the writer, and the writer never waits for readers. After
-// maxReadRetries inconsistent attempts a reader keeps its last merge,
-// which can be mid-write by at most one round's observations: quantile
-// sketches are approximate by construction, so a torn read only perturbs
-// the estimate, never memory safety (counts are word-atomic).
+// back to even (stable). Begin also rotates the ring and finds the round's
+// slot, so an Observe is one bucket increment: no divide, no rotation
+// check. Ring state is typed atomic words: the writer, the only one, bumps
+// a count with a load and a store, and a reader merges with loads; a
+// slot's observation count is the sum of its buckets, taken on read. A
+// reader snapshots the epoch, merges the live rings, and retries if the
+// epoch was odd or changed underneath it — so readers never block the
+// writer, and the writer never waits for readers. After maxReadRetries
+// inconsistent attempts a reader keeps its last merge, which can be
+// mid-write by at most one round's observations: quantile sketches are
+// approximate by construction, so a torn read only perturbs the
+// estimate, never memory safety (counts are word-atomic).
 //
 // Ring expiry moved from the writer to the reader: each ring slot is
 // labelled with the period it covers, and ReadInto skips slots whose
@@ -40,9 +43,10 @@ type EpochWindow struct {
 
 	perShard int
 
-	// Writer-only rotation state.
+	// Writer-only rotation state; cur is the open section's ring slot.
 	lastPeriod int64
 	started    bool
+	cur        *liveHistogram
 }
 
 // maxReadRetries bounds a reader's seqlock retry loop; past it the reader
@@ -75,23 +79,15 @@ func NewEpochWindow(windowRounds, shards int) *EpochWindow {
 	return w
 }
 
-// Begin opens a write section. Observe calls are only valid between Begin
-// and End; the writer is a single goroutine.
+// Begin opens a write section for the observations of one round,
+// rotating ring slots whose rounds have slid out of the window and
+// finding the slot round belongs to. Rounds must be non-decreasing across
+// sections. Observe calls are only valid between Begin and End; the writer
+// is a single goroutine.
 //
 //flowsched:hotpath
-func (w *EpochWindow) Begin() { w.seq.Add(1) }
-
-// End closes the write section opened by Begin.
-//
-//flowsched:hotpath
-func (w *EpochWindow) End() { w.seq.Add(1) }
-
-// Observe records value v at the given round, rotating ring slots whose
-// rounds have slid out of the window. Rounds must be non-decreasing. It
-// must be called inside a Begin/End section and never allocates.
-//
-//flowsched:hotpath
-func (w *EpochWindow) Observe(round, v int) {
+func (w *EpochWindow) Begin(round int) {
+	w.seq.Add(1)
 	n := int64(len(w.rings))
 	period := int64(round) / int64(w.perShard)
 	switch {
@@ -112,13 +108,24 @@ func (w *EpochWindow) Observe(round, v int) {
 		}
 		w.lastPeriod = period
 	}
-	ring := &w.rings[period%n]
+	w.cur = &w.rings[period%n]
+}
+
+// End closes the write section opened by Begin.
+//
+//flowsched:hotpath
+func (w *EpochWindow) End() { w.seq.Add(1) }
+
+// Observe records value v (negative values count as 0) at the round of
+// the open section. It never allocates.
+//
+//flowsched:hotpath
+func (w *EpochWindow) Observe(v int) {
 	if v < 0 {
 		v = 0
 	}
-	c := &ring.counts[sketchBucket(uint64(v))]
+	c := &w.cur.counts[sketchBucket(uint64(v))]
 	c.Store(c.Load() + 1)
-	ring.n.Store(ring.n.Load() + 1)
 }
 
 // ReadInto resets dst and merges the window's observations that are still
@@ -162,7 +169,9 @@ type WindowSnapshot struct {
 	PerShard int        `json:"per_shard"`
 	Periods  []int64    `json:"periods"`
 	Counts   [][]uint64 `json:"counts"`
-	Ns       []uint64   `json:"ns"`
+	// Ns[i] is slot i's observation count, the sum of Counts[i]. Export
+	// writes it for readers of the image; Import derives it instead.
+	Ns []uint64 `json:"ns"`
 }
 
 // Clone returns a deep copy (checkpoint encoding must not alias the
@@ -197,11 +206,14 @@ func (w *EpochWindow) ExportInto(dst *WindowSnapshot) {
 		ring := &w.rings[i]
 		dst.Periods = append(dst.Periods, w.periods[i].Load())
 		counts := dst.Counts[i][:0]
+		var sum uint64
 		for b := range ring.counts {
-			counts = append(counts, ring.counts[b].Load())
+			c := ring.counts[b].Load()
+			counts = append(counts, c)
+			sum += c
 		}
 		dst.Counts[i] = counts
-		dst.Ns = append(dst.Ns, ring.n.Load())
+		dst.Ns = append(dst.Ns, sum)
 	}
 }
 
@@ -219,7 +231,7 @@ func (w *EpochWindow) Import(s *WindowSnapshot) {
 	}
 	n := int64(len(w.rings))
 	for j := range s.Periods {
-		if j >= len(s.Counts) || j >= len(s.Ns) {
+		if j >= len(s.Counts) {
 			break
 		}
 		p := s.Periods[j]
@@ -243,7 +255,6 @@ func (w *EpochWindow) Import(s *WindowSnapshot) {
 		for b, c := range cnts {
 			ring.counts[b].Add(c)
 		}
-		ring.n.Add(s.Ns[j])
 		w.started = true
 		if p > w.lastPeriod {
 			w.lastPeriod = p
@@ -255,13 +266,11 @@ func (w *EpochWindow) Import(s *WindowSnapshot) {
 // held in typed atomic words, preallocated to every bucket, so readers
 // may load them while the writer stores.
 type liveHistogram struct {
-	n      atomic.Uint64
 	counts []atomic.Uint64
 }
 
 // reset empties the histogram under concurrent readers.
 func (h *liveHistogram) reset() {
-	h.n.Store(0)
 	for i := range h.counts {
 		h.counts[i].Store(0)
 	}
@@ -271,7 +280,8 @@ func (h *liveHistogram) reset() {
 func (h *liveHistogram) mergeInto(dst *LogHistogram) {
 	dst.Grow(math.MaxInt) // h covers every bucket
 	for i := range h.counts {
-		dst.counts[i] += h.counts[i].Load()
+		c := h.counts[i].Load()
+		dst.counts[i] += c
+		dst.n += c
 	}
-	dst.n += h.n.Load()
 }

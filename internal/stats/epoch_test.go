@@ -121,10 +121,10 @@ func TestEpochWindowMatchesWindowQuantiles(t *testing.T) {
 	round := 0
 	for step := 0; step < 400; step++ {
 		round += rng.Intn(4)
-		ew.Begin()
+		ew.Begin(round)
 		for k := rng.Intn(5); k >= 0; k-- {
 			v := rng.Intn(1 << uint(rng.Intn(16)))
-			ew.Observe(round, v)
+			ew.Observe(v)
 			wq.Observe(round, v)
 		}
 		ew.End()
@@ -178,9 +178,9 @@ func TestEpochWindowConcurrentReaders(t *testing.T) {
 		}()
 	}
 	for round := 0; round < 600; round++ {
-		w.Begin()
+		w.Begin(round)
 		for k := 0; k < 8; k++ {
-			w.Observe(round, round+k)
+			w.Observe(round + k)
 		}
 		w.End()
 	}
@@ -200,9 +200,9 @@ func TestEpochWindowRecordNoAlloc(t *testing.T) {
 	w := NewEpochWindow(256, 8)
 	round := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		w.Begin()
-		w.Observe(round, round*7)
-		w.Observe(round, 1<<40)
+		w.Begin(round)
+		w.Observe(round * 7)
+		w.Observe(1 << 40)
 		w.End()
 		round += 3 // crosses shard periods, exercising rotation
 	})
@@ -227,9 +227,9 @@ func TestEpochWindowRecordNoAlloc(t *testing.T) {
 func TestWindowSnapshotRoundTrip(t *testing.T) {
 	src := NewEpochWindow(64, 8)
 	for round := 0; round < 200; round++ {
-		src.Begin()
-		src.Observe(round, round*3)
-		src.Observe(round, round%17)
+		src.Begin(round)
+		src.Observe(round * 3)
+		src.Observe(round % 17)
 		src.End()
 	}
 	var snap WindowSnapshot
@@ -253,8 +253,8 @@ func TestWindowSnapshotRoundTrip(t *testing.T) {
 
 	// Rotation must keep working after an import: advancing far enough
 	// expires the imported periods on the read side.
-	dst.Begin()
-	dst.Observe(10_000, 1)
+	dst.Begin(10_000)
+	dst.Observe(1)
 	dst.End()
 	dst.ReadInto(&got, 10_000)
 	if got.N() != 1 {
@@ -265,8 +265,8 @@ func TestWindowSnapshotRoundTrip(t *testing.T) {
 	// slot: import into a window already past the snapshot.
 	ahead := NewEpochWindow(64, 8)
 	for round := 5_000; round < 5_100; round++ {
-		ahead.Begin()
-		ahead.Observe(round, 7)
+		ahead.Begin(round)
+		ahead.Observe(7)
 		ahead.End()
 	}
 	var before LogHistogram

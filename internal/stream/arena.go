@@ -14,51 +14,64 @@ import "flowsched/internal/switchnet"
 // shard.go).
 //
 // The arena's columns are grouped by access affinity, not one array per
-// scalar field: a feasibility or age check (Take, drainVOQ, the age-aware
-// policies' head ordering) and a step along a VOQ read exactly one 40-byte
-// hot record, and the cold sequence number stays out of the pick-path
-// cache footprint. A pending flow costs 48 bytes across the two columns.
+// scalar field: a feasibility or age check (Take, drainVOQ, a head-record
+// refresh) and a step along a VOQ read exactly one 32-byte hot record —
+// two to a cache line, none straddling two — and the cold sequence
+// number stays out of the pick-path cache footprint. A pending flow costs
+// 40 bytes across the two columns, plus its 4-byte slot in the free list.
 
-// flowRec is the hot per-flow record: release round (the age-aware
-// policies order VOQ heads by it every round), admission-order links, VOQ
-// links, demand, ports, and the live/taken state bits — everything the
-// pick and depart paths read or write, in 40 bytes. A policy walking a VOQ
-// reads each flow's record for Taken and Demand anyway, and the successor
-// link sits in that same record, so one record read serves both the
-// feasibility check and the step to the next flow. Ports are int16 (the
-// switch is capped at 1<<15 ports a side at construction); the VOQ index
-// is not cached — it is in*NumOut + out.
+// flowRec is the hot per-flow record: release round, admission-order
+// links, VOQ links, demand and ports, with the live and taken state bits
+// riding the ports' top bits — everything the pick and depart paths read
+// or write, in 32 bytes. A policy walking a VOQ reads each flow's record
+// for Taken and Demand anyway, and the successor link sits in that same
+// record, so one record read serves both the feasibility check and the
+// step to the next flow. The switch is capped at 1<<15 ports a side at
+// construction, so a port number fits the low 15 bits of its uint16 word
+// and bit 15 is free: stLive on in, stTaken on out. Read the ports
+// through inPort and outPort. The VOQ index is not cached — it is
+// in*NumOut + out.
 type flowRec struct {
 	rel          int64 // release round
 	prev, next   int32 // admission-order links; noID terminates
 	vprev, vnext int32 // VOQ links, oldest to youngest; noID terminates
 	dem          int32
-	in, out      int16
-	state        uint16
+	in, out      uint16 // port | state bit
 }
 
-// arena state bits.
+// arena state bits, each on the top bit of one port word.
 const (
-	stLive  = 1 << iota // resident ID
-	stTaken             // selected this round
+	portMask = 1<<15 - 1
+	stLive   = 1 << 15 // on in: resident ID
+	stTaken  = 1 << 15 // on out: selected this round
 )
 
+// inPort and outPort return the record's ports without the state bits.
+func (r *flowRec) inPort() int  { return int(r.in & portMask) }
+func (r *flowRec) outPort() int { return int(r.out & portMask) }
+
 // arena holds the pending flows as two parallel columns indexed by flow
-// ID — the 40-byte hot record and the 8-byte cold admission sequence
+// ID — the 32-byte hot record and the 8-byte cold admission sequence
 // number (read when OnSchedule reports a pick, by View.Each, and by a
-// checkpoint capture; no pick, head update or departure reads it). There
+// checkpoint capture; no pick, head refresh or departure reads it). There
 // is no per-flow heap object: a flow is a row across the columns,
 // reconstructed into a switchnet.Flow only at the API boundary (View.Flow,
 // verification buffering, OnSchedule).
 type arena struct {
 	rec []flowRec
 	seq []int64
-	// freed is the ID free list (LIFO, so hot IDs recycle first).
+	// freed is the ID free list (LIFO, so hot IDs recycle first). Its
+	// capacity is rec's, so a free never reallocates it.
 	freed []int32
 }
 
+// minArena is the row count of an arena's first allocation.
+const minArena = 64
+
 // alloc returns a free ID, growing every column in step only when the
-// free list is empty (i.e. the pending set reaches a new high-water mark).
+// free list is empty and the rows are full (i.e. the pending set reaches
+// a new high-water mark past the columns' capacity). The caller writes
+// the whole record.
 //
 //flowsched:hotpath
 func (a *arena) alloc() int32 {
@@ -67,29 +80,56 @@ func (a *arena) alloc() int32 {
 		a.freed = a.freed[:n-1]
 		return id
 	}
-	a.rec = append(a.rec, flowRec{prev: noID, next: noID, vprev: noID, vnext: noID}) //flowsched:allow alloc: arena rows grow to the live-flow high-water mark, then recycle through freed
-	a.seq = append(a.seq, 0)                                                         //flowsched:allow alloc: grows in lockstep with rec to the same high-water mark
-	return int32(len(a.rec) - 1)
+	n := len(a.rec)
+	if n == cap(a.rec) {
+		a.grow()
+	}
+	a.rec = a.rec[:n+1]
+	a.seq = a.seq[:n+1]
+	return int32(n)
 }
 
-// free recycles id onto the free list.
+// grow doubles the capacity of every column, so a ramp to n resident
+// flows copies and allocates O(n) bytes in all: about twice the final
+// arena, where append's 1.25x rule for large slices allocated five times
+// it. The record column's sizes stay powers of two from 2 KB, which the
+// allocator places on boundaries of their size (or of a page), so no
+// record straddles a cache line.
+//
+//flowsched:allow alloc: arena columns double at each new high-water mark, then recycle through freed
+func (a *arena) grow() {
+	c := max(2*cap(a.rec), minArena)
+	rec := make([]flowRec, len(a.rec), c)
+	copy(rec, a.rec)
+	seq := make([]int64, len(a.seq), c)
+	copy(seq, a.seq)
+	freed := make([]int32, len(a.freed), c)
+	copy(freed, a.freed)
+	a.rec, a.seq, a.freed = rec, seq, freed
+}
+
+// free recycles id onto the free list, clearing its state bits.
 //
 //flowsched:hotpath
 func (a *arena) free(id int32) {
-	a.rec[id].state = 0
-	a.freed = append(a.freed, id) //flowsched:allow alloc: free list grows to the arena high-water mark, then stabilizes
+	r := &a.rec[id]
+	r.in &^= stLive
+	r.out &^= stTaken
+	n := len(a.freed)
+	a.freed = a.freed[:n+1]
+	a.freed[n] = id
 }
 
 // live and taken test the state bits of id.
-func (a *arena) live(id int32) bool  { return a.rec[id].state&stLive != 0 }
-func (a *arena) taken(id int32) bool { return a.rec[id].state&stTaken != 0 }
+func (a *arena) live(id int32) bool  { return a.rec[id].in&stLive != 0 }
+func (a *arena) taken(id int32) bool { return a.rec[id].out&stTaken != 0 }
 
 // flow reconstructs the switchnet.Flow stored at id.
 func (a *arena) flow(id int32) switchnet.Flow {
 	r := &a.rec[id]
 	return switchnet.Flow{
-		In:      int(r.in),
-		Out:     int(r.out),
+		In:      r.inPort(),
+		Out:     r.outPort(),
 		Demand:  int(r.dem),
 		Release: int(r.rel),
 	}
@@ -102,16 +142,21 @@ type voqState struct {
 }
 
 // voqHead is the per-VOQ head-age record: the release round and demand of
-// the queue's oldest flow, mirrored out of the arena's hot record whenever
-// the head changes (first push into an empty queue, head departure —
-// appends behind a non-empty head cannot change it). The age-aware
-// policies order and filter VOQ heads every round; reading this dense
+// the queue's oldest flow, copied out of the arena's hot record when it is
+// read, not when the head changes. A head change (a push into an empty
+// queue, a head departure — appends behind a non-empty head cannot
+// change it) only sets the VOQ's bit in its input's stale bitmap, and
+// View.headRow refreshes the stale entries of an input before handing
+// out its row. So a policy that never reads head records (RoundRobin,
+// StreamFIFO, the bridged heuristics) never pays for them, and the
+// age-aware policies copy each changed head once per pick. They order
+// and filter VOQ heads every round; reading this dense
 // vi-indexed array of 16-byte records costs one sequential cache line per
 // four VOQs instead of chasing queue state -> flow record for every head.
-// Entries are only meaningful while the VOQ is non-empty, and during a
-// pick they describe the queue as of the last retirement — a head the
-// same pick already took still owns the entry until it departs (policies
-// see takes via View.Taken).
+// An entry is only meaningful while the VOQ is non-empty and only through
+// headRow. Nothing departs during a pick, so a row describes the queue as
+// of the last retirement — a head the same pick already took still owns
+// the entry until it departs (policies see takes via View.Taken).
 type voqHead struct {
 	rel int64
 	dem int32
@@ -128,6 +173,7 @@ func (rt *Runtime) initStore(mIn, mOut int) {
 	}
 	rt.heads = make([]voqHead, mIn*mOut)
 	rt.actBits = make([]uint64, mIn*rt.nw)
+	rt.stale = make([]uint64, mIn*rt.nw)
 	rt.queueIn = make([]int, mIn)
 	rt.queueOut = make([]int, mOut)
 	rt.loadIn, rt.loadOut = make([]int, mIn), make([]int, mOut)
@@ -150,12 +196,12 @@ func (rt *Runtime) shardOf(in int) *shard {
 // port tallies, and its input's shard.
 //
 //flowsched:hotpath
-func (rt *Runtime) admitFlow(f switchnet.Flow, seq int64) {
+func (rt *Runtime) admitFlow(f *switchnet.Flow, seq int64) {
 	a := &rt.ar
 	id := a.alloc()
 	a.rec[id] = flowRec{
 		rel: int64(f.Release), prev: rt.tail, next: noID,
-		dem: int32(f.Demand), in: int16(f.In), out: int16(f.Out), state: stLive,
+		dem: int32(f.Demand), in: uint16(f.In) | stLive, out: uint16(f.Out),
 	}
 	a.seq[id] = seq
 	if rt.tail != noID {
@@ -165,11 +211,7 @@ func (rt *Runtime) admitFlow(f switchnet.Flow, seq int64) {
 	}
 	rt.tail = id
 
-	vi := f.In*rt.mOut + f.Out
-	if rt.vqs[vi].live == 0 {
-		rt.actBits[f.In*rt.nw+f.Out>>6] |= 1 << uint(f.Out&63)
-	}
-	rt.voqPush(vi, id)
+	rt.voqPush(f.In, f.Out, id)
 
 	sh := rt.shardOf(f.In)
 	if rt.queueIn[f.In] == 0 {
@@ -188,7 +230,7 @@ func (rt *Runtime) admitFlow(f switchnet.Flow, seq int64) {
 func (rt *Runtime) depart(sh *shard, id int32) {
 	a := &rt.ar
 	r := &a.rec[id]
-	in, out := int(r.in), int(r.out)
+	in, out := r.inPort(), r.outPort()
 
 	if r.prev != noID {
 		a.rec[r.prev].next = r.next
@@ -201,9 +243,7 @@ func (rt *Runtime) depart(sh *shard, id int32) {
 		rt.tail = r.prev
 	}
 
-	if rt.voqRemove(in*rt.mOut+out, id) {
-		rt.actBits[in*rt.nw+out>>6] &^= 1 << uint(out&63)
-	}
+	rt.voqRemove(in, out, id)
 
 	rt.queueIn[in]--
 	rt.queueOut[out]--
@@ -236,38 +276,44 @@ func (rt *Runtime) expire() int {
 	horizon := int64(rt.round + 1 - rt.cfg.Deadline)
 	n := 0
 	for rt.head != noID && rec[rt.head].rel < horizon {
-		rt.depart(rt.shardOf(int(rec[rt.head].in)), rt.head)
+		rt.depart(rt.shardOf(rec[rt.head].inPort()), rt.head)
 		n++
 	}
 	return n
 }
 
-// voqPush links id at VOQ vi's tail.
+// voqPush links id at the tail of VOQ (in, out). A push into an empty
+// queue makes id its head: the queue turns active and its head-age record
+// stale.
 //
 //flowsched:hotpath
-func (rt *Runtime) voqPush(vi int, id int32) {
-	q := &rt.vqs[vi]
+func (rt *Runtime) voqPush(in, out int, id int32) {
+	q := &rt.vqs[in*rt.mOut+out]
 	r := &rt.ar.rec[id]
 	r.vprev, r.vnext = q.tail, noID
 	if q.tail != noID {
 		rt.ar.rec[q.tail].vnext = id
 	} else {
-		// The first flow of an empty queue is its head.
 		q.head = id
-		rt.heads[vi] = voqHead{rel: r.rel, dem: r.dem}
+		w, bit := rt.voqBit(in, out)
+		rt.actBits[w] |= bit
+		rt.stale[w] |= bit
 	}
 	q.tail = id
 	q.live++
 }
 
-// voqRemove unlinks id from VOQ vi, wherever it sits, and reports whether
-// the VOQ drained. Only a head removal refreshes the head-age record.
+// voqRemove unlinks id from VOQ (in, out), wherever it sits. A head
+// removal only marks the head-age record stale (headRow copies the new
+// head's fields when a policy reads the row); the last removal turns the
+// queue inactive.
 //
 //flowsched:hotpath
-func (rt *Runtime) voqRemove(vi int, id int32) (drained bool) {
-	q := &rt.vqs[vi]
+func (rt *Runtime) voqRemove(in, out int, id int32) {
+	q := &rt.vqs[in*rt.mOut+out]
 	rec := rt.ar.rec
 	r := &rec[id]
+	w, bit := rt.voqBit(in, out)
 	if r.vnext != noID {
 		rec[r.vnext].vprev = r.vprev
 	} else {
@@ -277,10 +323,15 @@ func (rt *Runtime) voqRemove(vi int, id int32) (drained bool) {
 		rec[r.vprev].vnext = r.vnext
 	} else {
 		q.head = r.vnext
-		if h := q.head; h != noID {
-			rt.heads[vi] = voqHead{rel: rec[h].rel, dem: rec[h].dem}
-		}
+		rt.stale[w] |= bit
 	}
-	q.live--
-	return q.live == 0
+	if q.live--; q.live == 0 {
+		rt.actBits[w] &^= bit
+	}
+}
+
+// voqBit locates VOQ (in, out) in the per-input bitmaps (actBits, stale):
+// its word index and its bit in that word.
+func (rt *Runtime) voqBit(in, out int) (int, uint64) {
+	return in*rt.nw + out>>6, 1 << uint(out&63)
 }

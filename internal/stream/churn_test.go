@@ -147,9 +147,9 @@ func testAgeOrderUnderChurn(t *testing.T, pol Policy, shards, portCap int, golde
 		for _, sh := range rt.shards {
 			want := int64(math.MaxInt64)
 			for in := sh.idx; in < ports; in += shards {
-				for vi := in * ports; vi < (in+1)*ports; vi++ {
-					if rt.vqs[vi].live > 0 && rt.heads[vi].rel < want {
-						want = rt.heads[vi].rel
+				for out, h := range sh.view.headRow(in) {
+					if rt.vqs[in*ports+out].live > 0 && h.rel < want {
+						want = h.rel
 					}
 				}
 			}

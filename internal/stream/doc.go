@@ -9,9 +9,9 @@
 //
 // Incrementality is the point: the runtime maintains per-port pending
 // state — virtual output queues (one FIFO per (input, output) pair) with
-// active-port indexes, per-VOQ head-age records, per-port queue depths,
-// and per-round load tallies reset via touched lists — updated in O(1)
-// per arrival and departure. A round therefore costs
+// active-port indexes, per-VOQ head-age records (marked stale in O(1),
+// refreshed when read), per-port queue depths, and per-round load tallies
+// reset via touched lists — updated in O(1) per arrival and departure. A round therefore costs
 // O(arrived + scheduled + policy), never a rescan of every flow seen so
 // far; with the native RoundRobin policy the policy term is bitmap-word
 // operations over the active inputs plus reads of only the VOQs whose
@@ -371,22 +371,30 @@
 // traffic is budgeted per flow, not per data structure:
 //
 //   - Arena layout. The runtime stores every pending flow, whatever its
-//     shard, in one struct-of-arrays arena indexed by flow ID: a 40-byte
-//     hot record (release, ports, demand, state bits, admission-order
-//     links, VOQ links — everything the pick and depart paths touch) and
-//     an 8-byte cold column, the admission sequence number, read only
-//     when OnSchedule reports a pick, by View.Each and by a checkpoint
-//     capture. Each VOQ's head-age record (release and demand, 16 bytes)
-//     is mirrored from the hot record when the head changes, so a head
-//     change never touches the cold column. The VOQ index is not cached;
-//     it is in*NumOut + out. IDs recycle through a LIFO free list, so the
-//     arena stops growing once the pending set reaches its high-water
-//     mark and there are no per-flow heap objects, ever.
+//     shard, in one struct-of-arrays arena indexed by flow ID: a 32-byte
+//     hot record (release, ports, demand, admission-order links, VOQ
+//     links — everything the pick and depart paths touch — with the live
+//     and taken bits riding the ports' top bits), two to a cache line and
+//     none straddling two, and an 8-byte cold column, the admission
+//     sequence number, read only when OnSchedule reports a pick, by
+//     View.Each and by a checkpoint capture: 40 bytes per pending flow.
+//     Each VOQ's head-age record (release and demand, 16 bytes) is
+//     refreshed when it is read, not when the head changes: a head change
+//     only sets the VOQ's bit in its input's stale bitmap, and
+//     View.headRow copies the stale heads' fields out of their hot
+//     records before handing out an input's row. RoundRobin never reads a
+//     head record, so it never pays for one; OldestFirst and
+//     WeightedISLIP refresh each changed head once per pick. The VOQ
+//     index is not cached; it is in*NumOut + out. IDs recycle through a
+//     LIFO free list and the columns grow by doubling, so a ramp to n
+//     resident flows allocates about twice the final arena, the arena
+//     stops growing once the pending set reaches its high-water mark, and
+//     there are no per-flow heap objects, ever.
 //   - VOQ storage. Each virtual output queue is a doubly linked list
 //     threaded through the arena's hot records, plus a {head, tail,
 //     length} record per VOQ. A push links at the tail, and a departure
-//     unlinks in O(1) from anywhere in the queue; only a head departure
-//     refreshes the VOQ's head-age record. Policies sweep a queue through
+//     unlinks in O(1) from anywhere in the queue; only a head change
+//     marks the VOQ's head-age record stale. Policies sweep a queue through
 //     View.EachVOQ, which follows the successor links: the one
 //     hot-record line per flow that the policy's Taken and Demand checks
 //     read anyway. A queue owns no storage, so queue churn never
@@ -398,13 +406,16 @@
 //     nothing carries over: a round's picks retire in that round.
 //   - Admission. A source delivers each round's released arrivals in
 //     one PullBatch call into a reused buffer — interface-call overhead
-//     is paid per round, not per flow.
+//     is paid per round, not per flow — and the runtime checks each one
+//     in place against switchnet.Switch.Admits, which inlines: no call
+//     and no copy of the flow or the switch per admitted flow.
 //   - Snapshot epochs. Scalar metrics are atomics written once per shard
 //     per round; window quantiles live in stats.EpochWindow, a
 //     seqlock ring of preallocated log-histogram shards. Snapshot readers
 //     merge with atomic loads and retry on epoch change, so metrics reads
 //     never stall the round loop, and the record path (Begin/Observe/End)
-//     neither locks nor allocates.
+//     neither locks nor allocates. Begin finds the round's ring slot once
+//     per shard apply, so a retired flow costs one bucket increment.
 //
 // # Static invariants
 //

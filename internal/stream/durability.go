@@ -107,8 +107,8 @@ func (rt *Runtime) restore(st *CheckpointState) error {
 		}
 		var err error
 		if i < st.Pending {
-			_, err = rt.route(f)
-		} else if err = rt.checkFlow(f); err == nil {
+			_, err = rt.route(&f)
+		} else if err = rt.checkFlow(&f); err == nil {
 			rt.look, rt.haveLook = f, true
 		}
 		if err != nil {

@@ -10,15 +10,16 @@ import (
 )
 
 // TestArenaRecordLayout pins the arena's cache budget: the hot record is
-// exactly 40 bytes, because it carries the VOQ links beside the release,
-// demand, ports and state bits — one record read gives a policy walking a
-// queue both the feasibility fields and the step to the next flow — and
-// the cold column is a bare sequence number. The per-VOQ head-age mirror
-// the age-aware policies sweep is 16 bytes: release and demand, four
-// records to a cache line, and nothing from the cold column.
+// exactly 32 bytes — two to a cache line, none straddling two — because
+// it carries the VOQ links beside the release, demand and ports, with the
+// state bits folded into the ports' top bits: one record read gives a
+// policy walking a queue both the feasibility fields and the step to the
+// next flow. The cold column is a bare sequence number. The per-VOQ
+// head-age record the age-aware policies sweep is 16 bytes: release and
+// demand, four records to a cache line, and nothing from the cold column.
 func TestArenaRecordLayout(t *testing.T) {
-	if s := unsafe.Sizeof(flowRec{}); s != 40 {
-		t.Fatalf("flowRec is %d bytes, want exactly 40", s)
+	if s := unsafe.Sizeof(flowRec{}); s != 32 {
+		t.Fatalf("flowRec is %d bytes, want exactly 32", s)
 	}
 	if s := unsafe.Sizeof(voqHead{}); s != 16 {
 		t.Fatalf("voqHead is %d bytes, want exactly 16", s)
@@ -125,7 +126,7 @@ func TestNextActiveVOQWordBoundaries(t *testing.T) {
 	}
 	seq := int64(0)
 	add := func(out int) {
-		rt.admitFlow(switchnet.Flow{In: 0, Out: out, Demand: 1}, seq)
+		rt.admitFlow(&switchnet.Flow{In: 0, Out: out, Demand: 1}, seq)
 		seq++
 	}
 	drain := func(out int) {
@@ -191,8 +192,9 @@ func TestNextActiveVOQWordBoundaries(t *testing.T) {
 // admissions and departures — at the head, in the middle and at the tail
 // of a queue — and compares every queue with a slice-per-VOQ reference
 // after every step: the head, the full walk both ways, the tail, the
-// length, the head-age mirror and the active-VOQ bit. Refill/drain cycles
-// afterwards must recycle arena rows, never grow past the high-water mark.
+// length, the head-age record as headRow refreshes it, and the active-VOQ
+// bit. Refill/drain cycles afterwards must recycle arena rows, never grow
+// past the high-water mark.
 func TestVOQListModel(t *testing.T) {
 	const outs = 4
 	rt, err := New(emptySource{}, Config{
@@ -211,7 +213,7 @@ func TestVOQListModel(t *testing.T) {
 	seq, live, peak := int64(0), 0, 0
 	admit := func(rel int) {
 		out, dem := rng.Intn(outs), 1+rng.Intn(3)
-		rt.admitFlow(switchnet.Flow{In: 0, Out: out, Demand: dem, Release: rel}, seq)
+		rt.admitFlow(&switchnet.Flow{In: 0, Out: out, Demand: dem, Release: rel}, seq)
 		model[out] = append(model[out], entry{id: rt.tail, hd: voqHead{rel: int64(rel), dem: int32(dem)}})
 		seq++
 		live++
@@ -262,8 +264,8 @@ func TestVOQListModel(t *testing.T) {
 			if rt.vqs[vi].tail != q[len(q)-1].id {
 				t.Fatalf("step %d VOQ %d: tail %d, want %d", step, out, rt.vqs[vi].tail, q[len(q)-1].id)
 			}
-			if rt.heads[vi] != q[0].hd {
-				t.Fatalf("step %d VOQ %d: head-age record %+v, want %+v", step, out, rt.heads[vi], q[0].hd)
+			if hd := rt.shards[0].view.headRow(0)[out]; hd != q[0].hd {
+				t.Fatalf("step %d VOQ %d: head-age record %+v, want %+v", step, out, hd, q[0].hd)
 			}
 		}
 	}

@@ -351,7 +351,8 @@ type Runtime struct {
 	// The pending store (see arena.go): one arena, with head/tail
 	// delimiting the admission-order list through it; the VOQs, indexed
 	// in*mOut+out, and their head-age records; each input's nw-word
-	// active-VOQ bitmap; the pending counts per port; the round's
+	// active-VOQ bitmap, and its stale bitmap of head-age records to
+	// refresh on their next read; the pending counts per port; the round's
 	// scheduled demand per port, with touchIn/touchOut listing the ports
 	// it is nonzero at; and each input's index in its shard's activeIn
 	// list.
@@ -360,7 +361,7 @@ type Runtime struct {
 	mOut, nw          int
 	vqs               []voqState
 	heads             []voqHead
-	actBits           []uint64
+	actBits, stale    []uint64
 	queueIn, queueOut []int
 	loadIn, loadOut   []int
 	touchIn, touchOut []int32
@@ -572,13 +573,13 @@ func (rt *Runtime) installPolicy(pol Policy) error {
 // checkFlow validates the stream contract for a consumed flow — releases
 // non-decreasing, flow admissible on the switch — whether it is admitted
 // or shed, so a malformed source fails the run even under AdmitDrop.
-func (rt *Runtime) checkFlow(f switchnet.Flow) error {
+func (rt *Runtime) checkFlow(f *switchnet.Flow) error {
 	if f.Release < rt.lastRel {
 		return fmt.Errorf("stream: source yielded release %d after %d (must be non-decreasing)", f.Release, rt.lastRel)
 	}
 	rt.lastRel = f.Release
-	if err := rt.sw.ValidateFlow(f); err != nil {
-		return fmt.Errorf("stream: inadmissible flow: %w", err)
+	if !rt.sw.Admits(f) {
+		return fmt.Errorf("stream: inadmissible flow: %w", rt.sw.ValidateFlow(*f))
 	}
 	return nil
 }
@@ -586,7 +587,7 @@ func (rt *Runtime) checkFlow(f switchnet.Flow) error {
 // route validates f, assigns its admission sequence number, and threads
 // it into the pending store (admitFlow). Returns the number backpressured
 // (0 or 1) for metric batching.
-func (rt *Runtime) route(f switchnet.Flow) (int, error) {
+func (rt *Runtime) route(f *switchnet.Flow) (int, error) {
 	if err := rt.checkFlow(f); err != nil {
 		return 0, err
 	}
@@ -637,7 +638,7 @@ func (rt *Runtime) admitted(arrived, backpressured, dropped int) {
 func (rt *Runtime) admit() error {
 	arrived, backpressured, dropped := 0, 0, 0
 	if rt.haveLook {
-		bp, err := rt.route(rt.look)
+		bp, err := rt.route(&rt.look)
 		if err != nil {
 			return err
 		}
@@ -654,7 +655,8 @@ func (rt *Runtime) admit() error {
 			want = dropChunk
 		}
 		rt.batch = rt.src.PullBatch(rt.batch[:0], rt.round, want)
-		for _, f := range rt.batch {
+		for i := range rt.batch {
+			f := &rt.batch[i]
 			if rt.count < rt.cfg.MaxPending {
 				bp, err := rt.route(f)
 				if err != nil {

@@ -57,7 +57,7 @@ func (sh *shard) oldestRel() int64 {
 	rt := sh.rt
 	rec := rt.ar.rec
 	for id := rt.head; id != noID; id = rec[id].next {
-		if sh.holds(int(rec[id].in)) {
+		if sh.holds(rec[id].inPort()) {
 			return rec[id].rel
 		}
 	}
@@ -100,7 +100,7 @@ func (sh *shard) apply() {
 	bound := rt.respBound
 	var n, sum, slow int64
 	maxR := int(rt.mMaxResp.Load())
-	rt.win.Begin()
+	rt.win.Begin(t)
 	for _, id := range sh.takes {
 		resp := t + 1 - int(a.rec[id].rel)
 		n++
@@ -111,7 +111,7 @@ func (sh *shard) apply() {
 		if bound > 0 && resp > bound {
 			slow++
 		}
-		rt.win.Observe(t, resp)
+		rt.win.Observe(resp)
 		if verifying {
 			rt.bufFlows = append(rt.bufFlows, a.flow(id)) //flowsched:allow alloc: verification buffer, nil unless verify mode is on; amortized there
 			rt.bufRounds = append(rt.bufRounds, t)        //flowsched:allow alloc: grows in lockstep with bufFlows under verify mode only

@@ -32,7 +32,7 @@ func (v *View) Each(fn func(id ID, seq int64, f switchnet.Flow) bool) {
 	rt, sh := v.rt, v.sh
 	a := &rt.ar
 	for id := rt.head; id != noID; id = a.rec[id].next {
-		if rt.nshards > 1 && !sh.holds(int(a.rec[id].in)) {
+		if rt.nshards > 1 && !sh.holds(a.rec[id].inPort()) {
 			continue
 		}
 		if !fn(ID(id), a.seq[id], a.flow(id)) {
@@ -109,16 +109,38 @@ func (v *View) NextActiveVOQ(in, from int) int {
 // active-VOQ bitmap words (the array behind NextActiveVOQ) and its
 // out-indexed row of head-age records (see voqHead), handed out as
 // slices so a policy sweeping every active VOQ pays plain array reads
-// instead of a call and an index recomputation per VOQ. Both are
-// read-only for policies.
+// instead of a call and an index recomputation per VOQ. Policies only
+// read them.
+//
+// headRow is also the one writer of head-age records: before returning
+// the row it refreshes the entries of input in's stale bitmap that are
+// still active from their heads' hot records, and clears the bitmap. A
+// row entry is current for every active VOQ, as of the last retirement;
+// an inactive VOQ's entry means nothing. A second call in the same pick
+// finds nothing stale and costs NumOut/64 word reads.
 func (v *View) voqWords(in int) []uint64 {
 	nw := v.rt.nw
 	return v.rt.actBits[in*nw : (in+1)*nw]
 }
 
 func (v *View) headRow(in int) []voqHead {
-	m := v.rt.mOut
-	return v.rt.heads[in*m : (in+1)*m]
+	rt := v.rt
+	m, nw := rt.mOut, rt.nw
+	row := rt.heads[in*m : (in+1)*m]
+	stale := rt.stale[in*nw : (in+1)*nw]
+	act := rt.actBits[in*nw : (in+1)*nw]
+	for wi, w := range stale {
+		if w == 0 {
+			continue
+		}
+		stale[wi] = 0
+		for w &= act[wi]; w != 0; w &= w - 1 {
+			out := wi<<6 + bits.TrailingZeros64(w)
+			r := &rt.ar.rec[rt.vqs[in*m+out].head]
+			row[out] = voqHead{rel: r.rel, dem: r.dem}
+		}
+	}
+	return row
 }
 
 // VOQHead returns the oldest pending flow on the (in, out) virtual output
@@ -156,7 +178,7 @@ func (v *View) Taken(id ID) bool { return v.rt.ar.taken(int32(id)) }
 func (v *View) Take(id ID) bool {
 	rt, sh := v.rt, v.sh
 	a := &rt.ar
-	if id < 0 || id >= len(a.rec) || !a.live(int32(id)) || (rt.nshards > 1 && !sh.holds(int(a.rec[id].in))) {
+	if id < 0 || id >= len(a.rec) || !a.live(int32(id)) || (rt.nshards > 1 && !sh.holds(a.rec[id].inPort())) {
 		sh.fail("stream: policy %q took id %d, which is not a pending flow at its shard's inputs", sh.pol.Name(), id) //flowsched:allow alloc: cold contract-violation path: records the first policy error and stops the shard
 		return false
 	}
@@ -164,7 +186,7 @@ func (v *View) Take(id ID) bool {
 		return false
 	}
 	rc := &a.rec[id]
-	in, out, d := int(rc.in), int(rc.out), int(rc.dem)
+	in, out, d := rc.inPort(), rc.outPort(), int(rc.dem)
 	if rt.loadIn[in]+d > rt.sw.InCaps[in] || rt.loadOut[out]+d > rt.sw.OutCaps[out] {
 		return false
 	}
@@ -176,7 +198,7 @@ func (v *View) Take(id ID) bool {
 		rt.touchOut = append(rt.touchOut, int32(out)) //flowsched:allow alloc: touched-output scratch is length-reset every round and grows to the port count
 	}
 	rt.loadOut[out] += d
-	rc.state |= stTaken
+	rc.out |= stTaken
 	sh.takes = append(sh.takes, int32(id)) //flowsched:allow alloc: takes buffer is length-reset on apply and grows to the per-round take high-water mark
 	return true
 }

@@ -52,7 +52,7 @@ func (p *viewProbe) Pick(v *View) {
 	// Each yields exactly the shard's flows, in admission order.
 	var want []ID
 	for id := rt.head; id != noID; id = rt.ar.rec[id].next {
-		if int(rt.ar.rec[id].in)%rt.nshards == sh.idx {
+		if rt.ar.rec[id].inPort()%rt.nshards == sh.idx {
 			want = append(want, ID(id))
 		}
 	}
@@ -182,7 +182,7 @@ func (p *turnProbe) Pick(v *View) {
 	// list; within a round the keys must rise, ties by index.
 	rel := int64(math.MaxInt64)
 	for id := rt.head; id != noID; id = rt.ar.rec[id].next {
-		if int(rt.ar.rec[id].in)%rt.nshards == sh.idx {
+		if rt.ar.rec[id].inPort()%rt.nshards == sh.idx {
 			rel = rt.ar.rec[id].rel
 			break
 		}
@@ -203,7 +203,7 @@ func (p *turnProbe) Pick(v *View) {
 	used := make([]int, rt.sw.NumOut())
 	for _, o := range rt.shards {
 		for _, id := range o.takes {
-			used[rt.ar.rec[id].out] += int(rt.ar.rec[id].dem)
+			used[rt.ar.rec[id].outPort()] += int(rt.ar.rec[id].dem)
 		}
 	}
 	contested := false

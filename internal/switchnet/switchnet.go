@@ -106,7 +106,29 @@ func (s Switch) Clone() Switch {
 // d_e <= kappa_e = min(cap(In), cap(Out)) from Section 2. It is the single
 // per-flow admissibility rule shared by Instance.Validate, the streaming
 // runtime's admission control, and the streaming trace reader.
+//
+// Its accept path is Admits; only a rejection reaches flowError, which
+// names the first clause the flow breaks.
 func (s Switch) ValidateFlow(e Flow) error {
+	if s.Admits(&e) {
+		return nil
+	}
+	return s.flowError(&e)
+}
+
+// Admits reports whether ValidateFlow accepts e. It is the rule as one
+// conjunction, small enough to inline, so a caller admitting a flow per
+// call — the streaming runtime — neither calls out nor copies the Switch
+// or the Flow, and calls ValidateFlow only for the error of a flow it
+// refuses.
+func (s *Switch) Admits(e *Flow) bool {
+	return uint(e.In) < uint(len(s.InCaps)) && uint(e.Out) < uint(len(s.OutCaps)) &&
+		e.Demand > 0 && e.Release >= 0 && e.Demand <= s.InCaps[e.In] && e.Demand <= s.OutCaps[e.Out]
+}
+
+// flowError is ValidateFlow's rejection: the error for the first clause
+// of the rule that e breaks.
+func (s *Switch) flowError(e *Flow) error {
 	if e.In < 0 || e.In >= s.NumIn() {
 		return fmt.Errorf("input port %d out of range [0,%d)", e.In, s.NumIn())
 	}
@@ -119,14 +141,8 @@ func (s Switch) ValidateFlow(e Flow) error {
 	if e.Release < 0 {
 		return fmt.Errorf("release %d is negative", e.Release)
 	}
-	kappa := s.InCaps[e.In]
-	if c := s.OutCaps[e.Out]; c < kappa {
-		kappa = c
-	}
-	if e.Demand > kappa {
-		return fmt.Errorf("demand %d exceeds kappa=%d (min port capacity)", e.Demand, kappa)
-	}
-	return nil
+	kappa := min(s.InCaps[e.In], s.OutCaps[e.Out])
+	return fmt.Errorf("demand %d exceeds kappa=%d (min port capacity)", e.Demand, kappa)
 }
 
 // Flow is a single flow request: an edge from input port In to output port

@@ -1,11 +1,12 @@
 package workload
 
 import (
+	"cmp"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"flowsched/internal/switchnet"
 )
@@ -217,15 +218,18 @@ type InstanceSource struct {
 	pos   int
 }
 
-// NewInstanceSource returns a source over inst's flows.
+// NewInstanceSource returns a source over inst's flows. Flows already
+// listed in release order — what every generator emits — keep the
+// identity order without a sort.
 func NewInstanceSource(inst *switchnet.Instance) *InstanceSource {
 	order := make([]int, inst.N())
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return inst.Flows[order[a]].Release < inst.Flows[order[b]].Release
-	})
+	byRelease := func(a, b switchnet.Flow) int { return cmp.Compare(a.Release, b.Release) }
+	if !slices.IsSortedFunc(inst.Flows, byRelease) {
+		slices.SortStableFunc(order, func(a, b int) int { return byRelease(inst.Flows[a], inst.Flows[b]) })
+	}
 	return &InstanceSource{inst: inst, order: order}
 }
 

@@ -3,6 +3,8 @@ package workload
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -262,5 +264,42 @@ func TestInstanceSourceOrder(t *testing.T) {
 	}
 	if n != inst.N() {
 		t.Fatalf("yielded %d flows, want %d", n, inst.N())
+	}
+}
+
+// TestInstanceSourceOrderSkipsSortWhenSorted: an instance already in
+// release order keeps the identity order (the sort is skipped), and every
+// instance — sorted, reversed, shuffled, with release ties — gets the
+// order a stable sort by release gives.
+func TestInstanceSourceOrderSkipsSortWhenSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := range 200 {
+		n := rng.Intn(40)
+		flows := make([]switchnet.Flow, n)
+		for i := range flows {
+			flows[i] = switchnet.Flow{In: rng.Intn(3), Out: rng.Intn(3), Demand: 1, Release: rng.Intn(6)}
+		}
+		switch trial % 3 {
+		case 0:
+			slices.SortStableFunc(flows, func(a, b switchnet.Flow) int { return a.Release - b.Release })
+		case 1:
+			slices.SortStableFunc(flows, func(a, b switchnet.Flow) int { return b.Release - a.Release })
+		}
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool { return flows[want[a]].Release < flows[want[b]].Release })
+		got := NewInstanceSource(&switchnet.Instance{Switch: switchnet.UnitSwitch(3), Flows: flows}).Order()
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Order() = %v, want %v", trial, got, want)
+		}
+		if trial%3 == 0 {
+			for k, idx := range got {
+				if idx != k {
+					t.Fatalf("trial %d: sorted instance reordered: Order() = %v", trial, got)
+				}
+			}
+		}
 	}
 }
