@@ -29,7 +29,7 @@ func TestRunRefuses(t *testing.T) {
 		{[]string{"-checkpointevery", "-1s"}, 2, "-checkpointevery must not be negative, got -1s"},
 		{[]string{"-nosuchflag"}, 2, "flag provided but not defined: -nosuchflag"},
 		{[]string{"-policy", "nosuch"}, 2, `unknown policy "nosuch"`},
-		// A bridged heuristic resolves but is not Shardable: a config
+		// A paper heuristic resolves but is not Shardable: a config
 		// error from the runtime, not a panic.
 		{[]string{"-policy", "MinRTime", "-shards", "2"}, 1, `policy "MinRTime" cannot run sharded`},
 		{[]string{"-admit", "bogus"}, 2, `unknown admission mode "bogus"`},

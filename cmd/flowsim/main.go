@@ -34,7 +34,7 @@
 // which take turns each round, oldest first, on one goroutine; the
 // pending flows stay in one store. K > 1 changes the schedule (native
 // policies only), not the parallelism.
-// -policy names the paper's heuristics, bridged at shards=1, or a native
+// -policy names the paper's heuristics, which run at shards=1, or a native
 // policy — RoundRobin, OldestFirst (age-aware oldest-head-first, the
 // paper's MinRTime discipline at incremental cost), WeightedISLIP
 // (queue-age-weighted request/grant/accept), and StreamFIFO — which run

@@ -41,7 +41,7 @@ func streamCmd(fs *flag.FlagSet) func() error {
 	o := &streamFlags{}
 	fs.IntVar(&o.ports, "ports", 150, "switch size m")
 	fs.Float64Var(&o.m, "M", 150, "mean flow arrivals per round")
-	fs.StringVar(&o.policy, "policy", "all", fmt.Sprintf("one of %v (the paper's heuristics run bridged, at shards=1), or all: every native policy %v in turn", stream.AllNames(), stream.Names()))
+	fs.StringVar(&o.policy, "policy", "all", fmt.Sprintf("one of %v (the paper's heuristics run at shards=1), or all: every native policy %v in turn", stream.AllNames(), stream.Names()))
 	fs.Int64Var(&o.seed, "seed", 1, "base RNG seed")
 	fs.StringVar(&o.trace, "trace", "", "load a CSV flow trace (release,in,out,demand) onto a -ports switch")
 	fs.IntVar(&o.dmax, "dmax", 1, "max flow demand (capacity scales to match)")

@@ -61,19 +61,20 @@
 //     time of everything that completes); in every mode Admitted ==
 //     Completed + Pending + Dropped + Expired. Runs are cancelable (Stop,
 //     RunContext) with the final summary still balancing. One table
-//     (StreamPolicyByName) holds the paper's heuristics, bridged, and
-//     four native policies at incremental cost: RoundRobin serves
+//     (StreamPolicyByName) holds the paper's heuristics, which match over
+//     the whole pending set at one shard, and four native policies at
+//     incremental cost: RoundRobin serves
 //     per-(input,output) virtual output queues with iSLIP-style per-input
 //     pointers rotating in output-port order; OldestFirst serves VOQ heads
 //     globally oldest-first — the paper's MinRTime age-priority discipline
 //     on the fast path, property-tested
-//     round-for-round equivalent to bridging the corresponding greedy
-//     rule on unit-demand replays at one shard; WeightedISLIP runs
-//     queue-age-weighted request/grant/accept matching with
+//     round-for-round equivalent to the corresponding greedy rule's full
+//     pending rescan on unit-demand replays at one shard; WeightedISLIP
+//     runs queue-age-weighted request/grant/accept matching with
 //     rotation-pointer tie-breaks; StreamFIFO is the admission-order
-//     baseline. internal/stream's Bridge runs any simulator heuristic on
-//     the stream unchanged; Simulate and the figures replay finite
-//     instances through the runtime. StreamConfig.Shards (default 1; more
+//     baseline. Every one of them is a StreamPolicy picking through the
+//     StreamView; Simulate and the figures replay finite instances
+//     through the runtime. StreamConfig.Shards (default 1; more
 //     is an explicit opt-in that changes the schedule and weakens the
 //     cross-input guarantees, see internal/stream's "Sharding caveat")
 //     partitions the input ports across shards: the pending flows stay in

@@ -3,7 +3,6 @@ package flowsched
 import (
 	"flowsched/internal/core"
 	"flowsched/internal/obs"
-	"flowsched/internal/sim"
 	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
 	"flowsched/internal/verify"
@@ -65,25 +64,24 @@ func SRPTLowerBound(inst *Instance) int { return core.SRPTLowerBound(inst) }
 // IterativeRound exposes the Lemma 3.3 pseudo-schedule construction.
 func IterativeRound(inst *Instance) (*PseudoSchedule, error) { return core.IterativeRound(inst) }
 
-// Simulation types (see internal/sim).
-type (
-	// Policy is an online per-round scheduling heuristic.
-	Policy = sim.Policy
-	// SimResult summarizes one simulation run.
-	SimResult = sim.Result
-)
+// SimResult summarizes one replay of a finite instance (see
+// internal/stream's Replay).
+type SimResult = stream.Result
 
 // Simulate runs the online simulator of Section 5.2.1 with the policy.
-func Simulate(inst *Instance, pol Policy) (*SimResult, error) {
-	res, _, err := stream.Replay(inst, stream.Config{Policy: &stream.Bridge{P: pol}})
+func Simulate(inst *Instance, pol StreamPolicy) (*SimResult, error) {
+	res, _, err := stream.Replay(inst, stream.Config{Policy: pol})
 	return res, err
 }
 
-// PolicyByName resolves one of the paper's heuristics through the stream
-// policy table; nil if name is unknown or a native streaming policy.
-func PolicyByName(name string) Policy {
-	if b, ok := stream.ByName(name).(*stream.Bridge); ok {
-		return b.P
+// PolicyByName resolves one of the paper's heuristics (MaxCard,
+// MinRTime, MaxWeight) through the stream policy table; nil if name is
+// unknown or a native streaming policy.
+func PolicyByName(name string) StreamPolicy {
+	for _, p := range stream.PaperNames() {
+		if p == name {
+			return stream.ByName(name)
+		}
 	}
 	return nil
 }
@@ -169,7 +167,7 @@ func NewFlightRecorder(rounds int) *FlightRecorder { return obs.NewFlightRecorde
 
 // StreamPolicyByName resolves a streaming policy by name — a native one
 // (RoundRobin, OldestFirst, WeightedISLIP, StreamFIFO) or one of the
-// paper's heuristics, bridged; see internal/stream — nil if unknown.
+// paper's heuristics; see internal/stream — nil if unknown.
 func StreamPolicyByName(name string) StreamPolicy { return stream.ByName(name) }
 
 // NewInstanceSource replays a finite instance as an arrival stream in

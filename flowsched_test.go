@@ -33,7 +33,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if _, err := CheckScaled(inst, art.Schedule, art.CapFactor); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range stream.BridgedNames() {
+	for _, name := range stream.PaperNames() {
 		pol := PolicyByName(name)
 		res, err := Simulate(inst, pol)
 		if err != nil {

@@ -8,17 +8,15 @@
 // package flattens coflow instances onto the base switch model, computes
 // coflow-level response metrics, and provides online policies:
 // coflow-FIFO, SCF (smallest total size first) and SEBF (smallest
-// effective bottleneck first, the Varys heuristic) — all implemented as
-// sim.Policy, run bridged on the streaming runtime, with the owner map
-// indexed by the flow identifiers a policy is shown (sim.Pending.Flow).
+// effective bottleneck first, the Varys heuristic) — all stream.Policy
+// implementations run on the streaming runtime, with the owner map
+// indexed by the admission sequence numbers View.Each yields.
 package coflow
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 
-	"flowsched/internal/sim"
 	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
 )
@@ -114,87 +112,85 @@ func (r *Result) AvgResponse() float64 {
 
 // policy orders coflows by a key each round and first-fits their pending
 // flows in that order (work-conserving: later coflows fill leftover
-// capacity).
+// capacity). owner is indexed by the admission sequence number View.Each
+// yields.
 type policy struct {
 	name  string
 	owner []int
-	// key returns the priority key of a coflow given its pending members;
+	// key returns the priority key of coflow c given its pending members;
 	// smaller runs first.
-	key func(st *sim.State, members []int) int
+	key func(c int, members []pending) int
+	// pend is per-pick scratch, emptied by every Pick.
+	pend []pending
 }
 
-// Name implements sim.Policy.
+// pending is one pending flow with its coflow.
+type pending struct {
+	id stream.ID
+	c  int
+	f  switchnet.Flow
+}
+
+// Name implements stream.Policy.
 func (p *policy) Name() string { return p.name }
 
-// Pick implements sim.Policy.
-func (p *policy) Pick(st *sim.State) []int {
-	// Group pending flows by coflow.
-	groups := map[int][]int{}
-	for i, pd := range st.Pending {
-		c := p.owner[pd.Flow]
-		groups[c] = append(groups[c], i)
-	}
-	order := make([]int, 0, len(groups))
-	for c := range groups {
-		order = append(order, c)
-	}
-	keys := map[int]int{}
-	for c, members := range groups {
-		keys[c] = p.key(st, members)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if keys[order[a]] != keys[order[b]] {
-			return keys[order[a]] < keys[order[b]]
-		}
-		return order[a] < order[b]
+// Pick implements stream.Policy.
+func (p *policy) Pick(v *stream.View) {
+	p.pend = p.pend[:0]
+	v.Each(func(id stream.ID, seq int64, f switchnet.Flow) bool {
+		p.pend = append(p.pend, pending{id, p.owner[seq], f})
+		return true
 	})
-	// First-fit respecting port capacities, coflow priority outermost.
-	loadIn := make([]int, st.Switch.NumIn())
-	loadOut := make([]int, st.Switch.NumOut())
-	var picks []int
-	for _, c := range order {
-		members := groups[c]
+	// Group pending flows by coflow, in coflow order, admission order
+	// within one.
+	slices.SortStableFunc(p.pend, func(a, b pending) int { return a.c - b.c })
+	type group struct{ c, key, lo, hi int }
+	var groups []group
+	for lo := 0; lo < len(p.pend); {
+		hi := lo + 1
+		for hi < len(p.pend) && p.pend[hi].c == p.pend[lo].c {
+			hi++
+		}
+		c := p.pend[lo].c
+		groups = append(groups, group{c, p.key(c, p.pend[lo:hi]), lo, hi})
+		lo = hi
+	}
+	slices.SortFunc(groups, func(a, b group) int {
+		if a.key != b.key {
+			return a.key - b.key
+		}
+		return a.c - b.c
+	})
+	// First fit, coflow priority outermost; Take refuses a flow its ports
+	// cannot carry.
+	for _, g := range groups {
+		members := p.pend[g.lo:g.hi]
 		// Within a coflow, heaviest flows first (they bound completion).
-		sort.Slice(members, func(a, b int) bool {
-			da, db := st.Pending[members[a]].Demand, st.Pending[members[b]].Demand
-			if da != db {
-				return da > db
-			}
-			return members[a] < members[b]
-		})
-		for _, i := range members {
-			pd := st.Pending[i]
-			if loadIn[pd.In]+pd.Demand <= st.Switch.InCaps[pd.In] &&
-				loadOut[pd.Out]+pd.Demand <= st.Switch.OutCaps[pd.Out] {
-				loadIn[pd.In] += pd.Demand
-				loadOut[pd.Out] += pd.Demand
-				picks = append(picks, i)
-			}
+		slices.SortStableFunc(members, func(a, b pending) int { return b.f.Demand - a.f.Demand })
+		for _, m := range members {
+			v.Take(m.id)
 		}
 	}
-	return picks
 }
 
 // FIFO schedules coflows in release order (ties by index).
-func FIFO(in *Instance, owner []int) sim.Policy {
+func FIFO(in *Instance, owner []int) stream.Policy {
 	return &policy{
 		name:  "CoflowFIFO",
 		owner: owner,
-		key: func(st *sim.State, members []int) int {
-			return in.Coflows[owner[st.Pending[members[0]].Flow]].Release
-		},
+		key:   func(c int, _ []pending) int { return in.Coflows[c].Release },
 	}
 }
 
 // SCF runs the smallest remaining total demand first.
-func SCF(owner []int) sim.Policy {
+func SCF(owner []int) stream.Policy {
 	return &policy{
 		name:  "SCF",
 		owner: owner,
-		key: func(st *sim.State, members []int) int {
+		key: func(_ int, members []pending) int {
 			total := 0
-			for _, i := range members {
-				total += st.Pending[i].Demand
+			for _, m := range members {
+				total += m.f.Demand
 			}
 			return total
 		},
@@ -204,24 +200,18 @@ func SCF(owner []int) sim.Policy {
 // SEBF runs the smallest effective bottleneck first (Varys): a coflow's
 // key is the largest per-port remaining demand among its members, i.e.
 // the minimum rounds the coflow still needs on its most congested port.
-func SEBF(owner []int) sim.Policy {
+func SEBF(owner []int) stream.Policy {
 	return &policy{
 		name:  "SEBF",
 		owner: owner,
-		key: func(st *sim.State, members []int) int {
+		key: func(_ int, members []pending) int {
 			loadIn := map[int]int{}
 			loadOut := map[int]int{}
 			bottleneck := 0
-			for _, i := range members {
-				pd := st.Pending[i]
-				loadIn[pd.In] += pd.Demand
-				loadOut[pd.Out] += pd.Demand
-				if loadIn[pd.In] > bottleneck {
-					bottleneck = loadIn[pd.In]
-				}
-				if loadOut[pd.Out] > bottleneck {
-					bottleneck = loadOut[pd.Out]
-				}
+			for _, m := range members {
+				loadIn[m.f.In] += m.f.Demand
+				loadOut[m.f.Out] += m.f.Demand
+				bottleneck = max(bottleneck, loadIn[m.f.In], loadOut[m.f.Out])
 			}
 			return bottleneck
 		},
@@ -231,14 +221,14 @@ func SEBF(owner []int) sim.Policy {
 // Run flattens the instance, replays it under the policy, and returns
 // coflow and flow-level results. The runtime shows flows by admission
 // position, in release order, so mk gets the owner map in that order.
-func Run(in *Instance, mk func(owner []int) sim.Policy) (*Result, *sim.Result, error) {
+func Run(in *Instance, mk func(owner []int) stream.Policy) (*Result, *stream.Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, nil, err
 	}
 	flat, owner := in.Flatten()
 	admitted := slices.Clone(owner)
 	slices.SortStableFunc(admitted, func(a, b int) int { return in.Coflows[a].Release - in.Coflows[b].Release })
-	simRes, _, err := stream.Replay(flat, stream.Config{Policy: &stream.Bridge{P: mk(admitted)}})
+	simRes, _, err := stream.Replay(flat, stream.Config{Policy: mk(admitted)})
 	if err != nil {
 		return nil, nil, err
 	}

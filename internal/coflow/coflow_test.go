@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"flowsched/internal/sim"
+	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
 	"flowsched/internal/workload"
 )
@@ -96,7 +96,7 @@ func TestPoliciesProduceValidSchedules(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 10; trial++ {
 		in := randomCoflows(rng, 3, 4)
-		for _, mk := range []func([]int) sim.Policy{SCF, SEBF, func(o []int) sim.Policy { return FIFO(in, o) }} {
+		for _, mk := range []func([]int) stream.Policy{SCF, SEBF, func(o []int) stream.Policy { return FIFO(in, o) }} {
 			cfRes, simRes, err := Run(in, mk)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
@@ -131,7 +131,7 @@ func TestSEBFBeatsFIFOOnSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fifo, _, err := Run(in, func(o []int) sim.Policy { return FIFO(in, o) })
+	fifo, _, err := Run(in, func(o []int) stream.Policy { return FIFO(in, o) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestRunOnPoissonDerivedCoflows(t *testing.T) {
 	if len(in.Coflows) == 0 {
 		t.Skip("empty draw")
 	}
-	for _, mk := range []func([]int) sim.Policy{SCF, SEBF} {
+	for _, mk := range []func([]int) stream.Policy{SCF, SEBF} {
 		if _, _, err := Run(in, mk); err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 
 	"flowsched/internal/coflow"
-	"flowsched/internal/sim"
+	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
 )
 
@@ -36,9 +36,9 @@ func ExampleRun() {
 	}
 	for _, p := range []struct {
 		name string
-		mk   func(owner []int) sim.Policy
+		mk   func(owner []int) stream.Policy
 	}{
-		{"FIFO", func(owner []int) sim.Policy { return coflow.FIFO(in, owner) }},
+		{"FIFO", func(owner []int) stream.Policy { return coflow.FIFO(in, owner) }},
 		{"SCF", coflow.SCF},
 		{"SEBF", coflow.SEBF},
 	} {

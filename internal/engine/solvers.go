@@ -7,7 +7,6 @@ import (
 	"flowsched/internal/coflow"
 	"flowsched/internal/core"
 	"flowsched/internal/lp"
-	"flowsched/internal/sim"
 	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
 )
@@ -181,14 +180,14 @@ func (s CoflowSolver) Solve(inst *switchnet.Instance) (*Solution, error) {
 		cin.Coflows = append(cin.Coflows, cf)
 	}
 
-	var mk func(owner []int) sim.Policy
+	var mk func(owner []int) stream.Policy
 	switch s.Policy {
 	case "SEBF":
 		mk = coflow.SEBF
 	case "SCF":
 		mk = coflow.SCF
 	case "FIFO":
-		mk = func(owner []int) sim.Policy { return coflow.FIFO(cin, owner) }
+		mk = func(owner []int) stream.Policy { return coflow.FIFO(cin, owner) }
 	default:
 		return nil, fmt.Errorf("engine: unknown coflow policy %q", s.Policy)
 	}
@@ -217,7 +216,7 @@ func (s CoflowSolver) Solve(inst *switchnet.Instance) (*Solution, error) {
 // heuristics (Section 5.2), and the coflow extension.
 func Solvers() []Solver {
 	out := []Solver{ARTSolver{C: 1}, MRTSolver{}, AMRTSolver{}}
-	for _, name := range stream.BridgedNames() {
+	for _, name := range stream.PaperNames() {
 		out = append(out, PolicySolver{Policy: name})
 	}
 	return append(out, CoflowSolver{Policy: "SEBF"})

@@ -76,7 +76,7 @@ func figure(key, title, name, ylabel string, y metric, bound Bound) Artifact {
 	return Artifact{key, title, func(cfg Config) (Output, []Cell) {
 		var charts Charts
 		var cells []Cell
-		pols := stream.BridgedNames()
+		pols := stream.PaperNames()
 		for ri, ratio := range cfg.Ratios {
 			chart := &plot.Chart{XLabel: "T", YLabel: ylabel,
 				Title: fmt.Sprintf("%s %s (m=%d, M=%.3g)", name, ratioName(ratio), cfg.Ports, ratio*float64(cfg.Ports))}
@@ -157,7 +157,7 @@ func amrt(cfg Config) (Output, []Cell) {
 // fig4a shows the Lemma 5.1 divergence: on the Figure 4(a) gadget of length
 // M (T = M/4) every heuristic's ratio to the offline cost grows with M.
 func fig4a(cfg Config) (Output, []Cell) {
-	pols := stream.BridgedNames()
+	pols := stream.PaperNames()
 	tab := &Table{Title: "fig4a online ART lower bound gadget (Lemma 5.1)", Columns: strings.Fields("gadget_M T opt_upper")}
 	for _, p := range pols {
 		tab.Columns = append(tab.Columns, p+"/opt")

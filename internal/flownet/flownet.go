@@ -1,7 +1,8 @@
 // Package flownet provides maximum-flow (Dinic) and minimum-cost
 // maximum-flow solvers on integer-capacity networks. It replaces the graph
-// toolkit (Lemon) used by the paper's original C++ simulator and supports
-// capacitated matchings in the scheduling heuristics.
+// toolkit (Lemon) used by the paper's original C++ simulator; the
+// capacitated matchings of internal/matching, which the paper's
+// heuristics in internal/stream select each round, are solved on it.
 package flownet
 
 import "math"

@@ -144,7 +144,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 					t.Fatal(err)
 				}
 				for vi := range rt.vqs {
-					if rt.vqs[vi].live > 0 {
+					if rt.vqs[vi].head != noID {
 						active++
 					}
 				}

@@ -135,10 +135,9 @@ func (a *arena) flow(id int32) switchnet.Flow {
 	}
 }
 
-// voqState is one VOQ: the ends of its list and its length.
+// voqState is one VOQ: the ends of its list.
 type voqState struct {
 	head, tail int32 // oldest and youngest IDs; noID when empty
-	live       int32
 }
 
 // voqHead is the per-VOQ head-age record: the release round and demand of
@@ -148,7 +147,7 @@ type voqState struct {
 // change it) only sets the VOQ's bit in its input's stale bitmap, and
 // View.headRow refreshes the stale entries of an input before handing
 // out its row. So a policy that never reads head records (RoundRobin,
-// StreamFIFO, the bridged heuristics) never pays for them, and the
+// StreamFIFO, the paper's heuristics) never pays for them, and the
 // age-aware policies copy each changed head once per pick. They order
 // and filter VOQ heads every round; reading this dense
 // vi-indexed array of 16-byte records costs one sequential cache line per
@@ -300,7 +299,6 @@ func (rt *Runtime) voqPush(in, out int, id int32) {
 		rt.stale[w] |= bit
 	}
 	q.tail = id
-	q.live++
 }
 
 // voqRemove unlinks id from VOQ (in, out), wherever it sits. A head
@@ -325,7 +323,7 @@ func (rt *Runtime) voqRemove(in, out int, id int32) {
 		q.head = r.vnext
 		rt.stale[w] |= bit
 	}
-	if q.live--; q.live == 0 {
+	if q.head == noID {
 		rt.actBits[w] &^= bit
 	}
 }

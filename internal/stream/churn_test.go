@@ -148,7 +148,7 @@ func testAgeOrderUnderChurn(t *testing.T, pol Policy, shards, portCap int, golde
 			want := int64(math.MaxInt64)
 			for in := sh.idx; in < ports; in += shards {
 				for out, h := range sh.view.headRow(in) {
-					if rt.vqs[in*ports+out].live > 0 && h.rel < want {
+					if rt.vqs[in*ports+out].head != noID && h.rel < want {
 						want = h.rel
 					}
 				}

@@ -1,5 +1,6 @@
 // Package stream is the event-driven streaming scheduler runtime: the
-// unbounded-arrival counterpart of internal/sim. A Source yields flows in
+// online setting of Section 5.2.1 over unbounded arrivals, and (Replay)
+// its simulator over finite instances. A Source yields flows in
 // non-decreasing release order (generator-driven or trace replay, see
 // internal/workload); the Runtime admits them into a bounded pending set,
 // asks a Policy for a capacity-feasible selection each round, and retires
@@ -19,9 +20,11 @@
 //
 // # Policy selection
 //
-// One table (ByName, AllNames) holds the paper's three heuristics,
-// bridged, and four native policies that run at incremental cost and
-// shard (Names lists those):
+// Every policy implements one contract, Policy: it reads the pending
+// set through a View and selects with View.Take. One table (ByName,
+// AllNames) holds the paper's three heuristics (PaperNames lists those)
+// and four native policies that run at incremental cost and shard (Names
+// lists those):
 //
 //   - RoundRobin: per-input rotation over VOQs in output-port order
 //     (iSLIP-style desynchronization) — the cheapest native policy. Each
@@ -36,10 +39,10 @@
 //     discipline (SPAA 2020, Section 5.2: age-priority greedy maximal
 //     selection, the ablation of MinRTime's exact matching) on the fast
 //     path. At one shard, on unit-demand workloads, each round's
-//     selection is round-for-round identical to bridging that greedy rule
-//     (property tested), instead of an O(pending log pending) rescan. A
-//     round reads O(input ports + active VOQs) head-age records and
-//     orders and scans only the oldest slice of them, in stages:
+//     selection is round-for-round identical to that greedy rule's
+//     O(pending log pending) rescan (property tested). A round reads
+//     O(input ports + active VOQs) head-age records and orders and
+//     scans only the oldest slice of them, in stages:
 //     O(candidates + release range) per stage, about 16 candidates per
 //     unit of free input capacity in the first, the ports still free
 //     after it in the rest (measured at 150 ports, 16k resident: 3.7k
@@ -77,10 +80,12 @@
 // order (release, input, output); and a head no stage materialises has
 // a port that was already spent when that stage began — capacities only
 // fall during a pick, so the single-pass scan would have skipped it too.
-// The bridged heuristics (MaxCard, MinRTime's exact matching, MaxWeight)
-// run through Bridge at a full per-round rescan of the pending set.
-// Replay, the simulator every finite instance runs through, is held to a
-// plain batch loop by the tests, flow for flow.
+// The paper's heuristics (MaxCard, MinRTime's exact matching, MaxWeight)
+// collect the whole pending set with View.Each every round and match
+// over it, or first-fit it on general demands. Replay, the simulator
+// every finite instance runs through, is held by the tests to a plain
+// batch loop running list-based references of the same rules, flow for
+// flow.
 //
 // Sharding caveat: every native policy is Shardable, but a shard only
 // sees its own inputs, so cross-input guarantees weaken at K > 1. The
@@ -88,10 +93,11 @@
 // OldestFirst is oldest-first within a shard, not the global age-greedy
 // selection, so the MinRTime-style equivalence above is a K = 1 property
 // (ages still bound waiting within a shard), and WeightedISLIP arbitrates
-// output grants per shard. Bridge (needing the global pending set)
-// refuses to shard at all. Config.Shards defaults to 1, so K > 1 is
-// always an explicit choice. Schedules remain bit-deterministic for a
-// fixed K (property tested across K in {1, 2, 4}).
+// output grants per shard. The paper's heuristics, whose matchings need
+// the global pending set, are not Shardable: New refuses them at K > 1.
+// Config.Shards defaults to 1, so K > 1 is always an explicit choice.
+// Schedules remain bit-deterministic for a fixed K (property tested
+// across K in {1, 2, 4}).
 //
 // # Sharding
 //
@@ -138,9 +144,8 @@
 // and OutputFree are exact: an input is owned, and an output offers what
 // the shards that took their turn earlier in the round left. With
 // Shards == 1 a single shard owns everything and the View is the
-// pre-sharding contract — which is why bridged simulator policies (see
-// Bridge), whose matchings need the full pending set, require
-// Shards == 1.
+// pre-sharding contract — which is why the paper's heuristics, whose
+// matchings need the full pending set, require Shards == 1.
 //
 // Config.OnSchedule is always invoked from the coordinator goroutine, in
 // shard index order within a round, so callbacks need no locking.
@@ -435,8 +440,8 @@
 //     the "zero clock reads uninstrumented" contract.
 //   - //flowsched:deterministic forbids unordered map iteration, global
 //     math/rand, and wall-clock input — the cross-K bit-reproducibility
-//     contract. internal/sim, internal/core, internal/lp and
-//     internal/matching carry the same mark.
+//     contract. internal/core, internal/lp and internal/matching carry
+//     the same mark.
 //   - Deliberate exceptions carry //flowsched:allow <check>: <why> on
 //     the offending line (or a function's doc comment); an allow without
 //     a justification is itself a finding.

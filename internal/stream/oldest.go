@@ -63,8 +63,8 @@ import (
 // abandonment is exact — every flow behind a blocked head shares its
 // ports and demand, so a first-fit pass over all pending flows in the
 // same (release, input, output) order would reject them identically, and
-// the round's selection matches that bridged MinRTime-style policy flow
-// for flow (property tested). With general demands abandonment is the
+// the round's selection matches that MinRTime-style first fit flow for
+// flow (property tested). With general demands abandonment is the
 // head-of-line trade-off: a smaller younger flow that a full first-fit
 // pass would slip past a blocked head stays queued here.
 //
@@ -76,7 +76,7 @@ import (
 // Runtime.orderTurns), and each serves its own inputs' heads
 // oldest-first against the output capacity the shards before it left.
 // That is not the global age-greedy selection — the equivalence with the
-// bridged MinRTime-style policy above is a one-shard property (see the
+// MinRTime-style first fit above is a one-shard property (see the
 // package docs, "Sharding caveat").
 type OldestFirst struct {
 	ent []ofEntry // sweep scratch: one stage's candidates, (in, out)-sorted

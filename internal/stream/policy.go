@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"flowsched/internal/heuristics"
-	"flowsched/internal/sim"
 	"flowsched/internal/switchnet"
 	"flowsched/internal/workload"
 )
@@ -217,85 +215,22 @@ func drainVOQ(v *View, in, out, free int) (int, bool) {
 	return free, served
 }
 
-// Bridge adapts a sim.Policy — the paper's MaxCard / MinRTime /
-// MaxWeight heuristics — to the streaming runtime by materializing the
-// bounded pending set as a sim.State each round, at O(pending + ports) on
-// top of the policy's own matching cost, in admission order with seq as
-// the flow identifier. Simulator matchings need the whole pending set, so
-// Bridge is not Shardable and pins the runtime to Shards == 1.
-type Bridge struct {
-	// P is the simulator policy to run on the stream.
-	P sim.Policy
-
-	st  sim.State
-	ids []ID
-	// qin/qout are Bridge-owned copies of the runtime's per-port queue
-	// depths (reused across rounds): sim policies receive them in
-	// sim.State and are free to scribble on them, which must never reach
-	// the runtime's live counters.
-	qin, qout []int
-}
-
-// Name implements Policy.
-func (b *Bridge) Name() string { return b.P.Name() }
-
-// Pick implements Policy.
-func (b *Bridge) Pick(v *View) {
-	sw := v.Switch()
-	b.st.Round = v.Round()
-	b.st.Switch = sw
-	if cap(b.qin) < sw.NumIn() {
-		b.qin = make([]int, sw.NumIn())
-	}
-	if cap(b.qout) < sw.NumOut() {
-		b.qout = make([]int, sw.NumOut())
-	}
-	b.qin = b.qin[:sw.NumIn()]
-	b.qout = b.qout[:sw.NumOut()]
-	for i := range b.qin {
-		b.qin[i] = v.QueueIn(i)
-	}
-	for j := range b.qout {
-		b.qout[j] = v.QueueOut(j)
-	}
-	b.st.QueueIn = b.qin
-	b.st.QueueOut = b.qout
-	b.st.Pending = b.st.Pending[:0]
-	b.ids = b.ids[:0]
-	v.Each(func(id ID, seq int64, f switchnet.Flow) bool {
-		b.st.Pending = append(b.st.Pending, sim.Pending{
-			Flow: int(seq), In: f.In, Out: f.Out, Demand: f.Demand, Release: f.Release,
-		})
-		b.ids = append(b.ids, id)
-		return true
-	})
-	for _, pi := range b.P.Pick(&b.st) {
-		if pi < 0 || pi >= len(b.ids) {
-			v.Fail("stream: policy %q picked out-of-range index %d", b.P.Name(), pi)
-			return
-		}
-		if !v.Take(b.ids[pi]) {
-			v.Fail("stream: policy %q picked an infeasible or duplicate flow (pending index %d) in round %d",
-				b.P.Name(), pi, b.st.Round)
-			return
-		}
-	}
-}
-
 // table is the one policy registry, in presentation order: the paper's
-// heuristics, bridged, then the native policies. Every constructor returns
-// a fresh instance, so runtimes never share a policy's state.
+// heuristics (its paper rows), then the native policies. Every
+// constructor returns a fresh instance, so runtimes never share a
+// policy's state.
 var table = []struct {
-	name string
-	mk   func() Policy
+	name  string
+	paper bool
+	mk    func() Policy
 }{
-	{"MaxCard", func() Policy { return &Bridge{P: heuristics.MaxCard{}} }},
-	{"MinRTime", func() Policy { return &Bridge{P: heuristics.MinRTime{}} }},
-	{"MaxWeight", func() Policy { return &Bridge{P: heuristics.MaxWeight{}} }},
-	{"RoundRobin", func() Policy { return &RoundRobin{} }},
-	{"OldestFirst", func() Policy { return &OldestFirst{} }},
-	{"WeightedISLIP", func() Policy { return &WeightedISLIP{} }},
-	{"StreamFIFO", func() Policy { return FIFO{} }},
+	{"MaxCard", true, maxCard},
+	{"MinRTime", true, minRTime},
+	{"MaxWeight", true, maxWeight},
+	{"RoundRobin", false, func() Policy { return &RoundRobin{} }},
+	{"OldestFirst", false, func() Policy { return &OldestFirst{} }},
+	{"WeightedISLIP", false, func() Policy { return &WeightedISLIP{} }},
+	{"StreamFIFO", false, func() Policy { return FIFO{} }},
 }
 
 // AllNames returns every name ByName resolves, in presentation order.
@@ -304,14 +239,14 @@ func AllNames() []string { return names(true, true) }
 // Names returns the native policies' names.
 func Names() []string { return names(false, true) }
 
-// BridgedNames returns the paper's heuristics, the table's bridged rows,
-// in presentation order.
-func BridgedNames() []string { return names(true, false) }
+// PaperNames returns the paper's heuristics, the table's paper rows, in
+// presentation order.
+func PaperNames() []string { return names(true, false) }
 
-func names(bridged, native bool) []string {
+func names(paper, native bool) []string {
 	var out []string
 	for _, e := range table {
-		if _, b := e.mk().(*Bridge); b && bridged || !b && native {
+		if e.paper && paper || !e.paper && native {
 			out = append(out, e.name)
 		}
 	}
@@ -329,12 +264,24 @@ func ByName(name string) Policy {
 	return nil
 }
 
+// Result summarizes one policy's replay of a finite instance.
+type Result struct {
+	// Schedule holds the per-flow rounds chosen by the policy.
+	Schedule *switchnet.Schedule
+	// TotalResponse, AvgResponse and MaxResponse are the paper's metrics.
+	TotalResponse int
+	AvgResponse   float64
+	MaxResponse   int
+	// Rounds is one past the last scheduled round.
+	Rounds int
+}
+
 // Replay is the simulator of Section 5.2.1: it drains the finite
 // instance inst through a runtime configured by cfg, with cfg's Switch,
 // OnSchedule and MaxPending set — N+1, so every flow is admitted in its
 // release round — and returns the schedule in inst's flow order, the
 // paper's metrics and the drain's summary.
-func Replay(inst *switchnet.Instance, cfg Config) (*sim.Result, *Summary, error) {
+func Replay(inst *switchnet.Instance, cfg Config) (*Result, *Summary, error) {
 	src := workload.NewInstanceSource(inst)
 	sched := switchnet.NewSchedule(inst.N())
 	cfg.Switch, cfg.MaxPending = inst.Switch, inst.N()+1
@@ -349,7 +296,7 @@ func Replay(inst *switchnet.Instance, cfg Config) (*sim.Result, *Summary, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &sim.Result{
+	return &Result{
 		Schedule:      sched,
 		TotalResponse: int(sum.TotalResponse),
 		AvgResponse:   sum.AvgResponse,

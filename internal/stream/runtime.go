@@ -87,8 +87,9 @@ type Resetter interface {
 // per-shard instances when the runtime partitions input ports across
 // shards. NewShard returns a fresh policy instance for one shard; each
 // instance only ever sees the shard-scoped View of its own inputs.
-// Policies that need the whole pending set each round (e.g. Bridge) must
-// not implement it, which pins them to Shards == 1.
+// Policies that need the whole pending set each round (the paper's
+// heuristics, whose matchings span every port) do not implement it,
+// which pins them to Shards == 1.
 type Shardable interface {
 	Policy
 	NewShard() Policy

@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"flowsched/internal/coflow"
-	"flowsched/internal/heuristics"
-	"flowsched/internal/sim"
 	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
 	"flowsched/internal/verify"
@@ -55,27 +53,26 @@ func (s *sliceSource) Err() error { return nil }
 // finite instance through the streaming runtime must reproduce the
 // oracle's batch round loop flow for flow — same rounds, same metrics —
 // whenever admission control never binds, which stream.Replay
-// guarantees. The paper's heuristics run as the policy table bridges
-// them, the oracle's FIFO reference bridged, and StreamFIFO natively
-// against that reference: the native rule that replaced the simulator's
-// FIFO baseline.
+// guarantees. The paper's heuristics, as the policy table ships them,
+// run against the oracle's list-based references of the same rules, and
+// StreamFIFO against the oracle's FIFO reference: the native rule that
+// replaced the simulator's FIFO baseline.
 func TestStreamMatchesSim(t *testing.T) {
 	configs := []workload.PoissonConfig{
 		{M: 6, T: 8, Ports: 5},
 		{M: 3, T: 5, Ports: 3},
 		{M: 4, T: 6, Ports: 4, Cap: 3, MaxDemand: 3}, // general demands: first-fit paths
+		{M: 8, T: 6, Ports: 3, Cap: 4, MaxDemand: 4}, // tie-heavy first fit: pins the sort's tie order
 	}
 	type pair struct {
-		oracle   sim.Policy
+		oracle   refPolicy
 		streamed func() stream.Policy
 	}
 	var pairs []pair
-	for _, name := range stream.BridgedNames() {
-		pairs = append(pairs, pair{stream.ByName(name).(*stream.Bridge).P, func() stream.Policy { return stream.ByName(name) }})
+	for _, name := range stream.PaperNames() {
+		pairs = append(pairs, pair{paperRef(name), func() stream.Policy { return stream.ByName(name) }})
 	}
-	pairs = append(pairs,
-		pair{fifoRef{}, func() stream.Policy { return &stream.Bridge{P: fifoRef{}} }},
-		pair{fifoRef{}, func() stream.Policy { return stream.ByName("StreamFIFO") }})
+	pairs = append(pairs, pair{fifoRef{}, func() stream.Policy { return stream.ByName("StreamFIFO") }})
 	for _, cfg := range configs {
 		for seed := int64(1); seed <= 4; seed++ {
 			inst := cfg.Generate(rand.New(rand.NewSource(seed)))
@@ -137,12 +134,12 @@ func TestFIFOOrdering(t *testing.T) {
 }
 
 // TestCoflowRunMatchesOracle: coflow.Run replays the flattened instance
-// through the runtime, which shows its policy admission positions
-// (sim.Pending.Flow), not flattened indices — and Flatten emits coflows
+// through the runtime, which shows its policy admission sequence numbers
+// (View.Each's seq), not flattened indices — and Flatten emits coflows
 // in slice order, not release order. On coflows released out of slice
 // order, SEBF's, SCF's and FIFO's schedules and coflow metrics must still
-// be the oracle's on the flattened instance, where a flow's identifier is
-// its flattened index, flow for flow.
+// be those of the oracle's references on the flattened instance, where a
+// flow's identifier is its flattened index, flow for flow.
 func TestCoflowRunMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 12; trial++ {
@@ -155,10 +152,15 @@ func TestCoflowRunMatchesOracle(t *testing.T) {
 			in.Coflows = append(in.Coflows, cf)
 		}
 		flat, owner := in.Flatten()
-		for _, mk := range []func(owner []int) sim.Policy{
-			coflow.SEBF, coflow.SCF, func(owner []int) sim.Policy { return coflow.FIFO(in, owner) },
+		for _, pr := range []struct {
+			ref func(owner []int) refPolicy
+			mk  func(owner []int) stream.Policy
+		}{
+			{sebfRef, coflow.SEBF},
+			{scfRef, coflow.SCF},
+			{func(owner []int) refPolicy { return coflowFIFORef(in, owner) }, func(owner []int) stream.Policy { return coflow.FIFO(in, owner) }},
 		} {
-			pol := mk(owner)
+			pol := pr.ref(owner)
 			want, err := simRun(flat, pol)
 			if err != nil {
 				t.Fatalf("trial %d: oracle %s: %v", trial, pol.Name(), err)
@@ -167,7 +169,7 @@ func TestCoflowRunMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotCf, got, err := coflow.Run(in, mk)
+			gotCf, got, err := coflow.Run(in, pr.mk)
 			if err != nil {
 				t.Fatalf("trial %d: %s: %v", trial, pol.Name(), err)
 			}
@@ -185,20 +187,19 @@ func TestCoflowRunMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestOldestFirstMatchesBridgedMinRTimeStyle is the tentpole's
-// differential property: on replayed unit-demand finite instances the
-// native OldestFirst policy must reproduce, round for round, the bridged
-// MinRTime-style simulator policy — agePortOrder, which keeps MinRTime's
-// age-ordered priorities (a greedy maximal selection, with OldestFirst's
-// port-order tie-break) but pays a full pending rescan per round — and
-// the oracle's run of that policy too. Unit demands make the comparison
-// exact: every flow behind a blocked VOQ head shares its ports and
-// demand, so the bridged first-fit over the
-// whole pending set rejects exactly the flows OldestFirst never visits.
+// TestOldestFirstMatchesMinRTimeStyle is OldestFirst's differential
+// property: on replayed unit-demand finite instances the native policy
+// must reproduce, round for round, the oracle's run of the MinRTime-style
+// reference agePortOrder, which keeps MinRTime's age-ordered priorities
+// (a greedy maximal selection, with OldestFirst's port-order tie-break)
+// but pays a full pending rescan per round. Unit demands make the
+// comparison exact: every flow behind a blocked VOQ head shares its
+// ports and demand, so the reference's first fit over the whole pending
+// set rejects exactly the flows OldestFirst never visits.
 // The equivalence is what "the fast path runs a paper-grade policy"
 // means — same schedule, O(active VOQs + span) per round instead of an
 // O(pending log pending) rescan.
-func TestOldestFirstMatchesBridgedMinRTimeStyle(t *testing.T) {
+func TestOldestFirstMatchesMinRTimeStyle(t *testing.T) {
 	configs := []workload.PoissonConfig{
 		{M: 6, T: 8, Ports: 5},
 		{M: 3, T: 5, Ports: 3},
@@ -214,7 +215,6 @@ func TestOldestFirstMatchesBridgedMinRTimeStyle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bridged, _ := mustReplay(t, inst, stream.Config{Policy: &stream.Bridge{P: agePortOrder{}}, VerifyEvery: 4})
 			// Factor 0 is the default target, which never cuts on switches
 			// this small; 1 forces a cut after almost every release, so the
 			// staged path runs. The schedules are equal, so any stage the
@@ -225,9 +225,9 @@ func TestOldestFirstMatchesBridgedMinRTimeStyle(t *testing.T) {
 				pol.SetTargetFactor(factor)
 				native, _ := mustReplay(t, inst, stream.Config{Policy: pol, VerifyEvery: 4})
 				for f, round := range native.Schedule.Round {
-					if round != bridged.Schedule.Round[f] || round != simRes.Schedule.Round[f] {
-						t.Fatalf("M=%g seed %d factor %d: flow %d — OldestFirst round %d, bridged AgePortOrder %d, oracle %d",
-							cfg.M, seed, factor, f, round, bridged.Schedule.Round[f], simRes.Schedule.Round[f])
+					if round != simRes.Schedule.Round[f] {
+						t.Fatalf("M=%g seed %d factor %d: flow %d — OldestFirst round %d, oracle AgePortOrder %d",
+							cfg.M, seed, factor, f, round, simRes.Schedule.Round[f])
 					}
 				}
 				if native.TotalResponse != simRes.TotalResponse || native.MaxResponse != simRes.MaxResponse {
@@ -540,10 +540,11 @@ func TestStreamIdleGapJump(t *testing.T) {
 }
 
 // TestStreamByName pins the policy table: AllNames lists exactly the
-// resolvable policies — the paper's heuristics, bridged, then the natives
-// Names lists — every resolved policy reports its table name,
-// consecutive resolutions are distinct instances (no shared rotation or
-// bridge state between runtimes), and unknown names stay nil.
+// resolvable policies — the paper's heuristics, then the natives Names
+// lists — every resolved policy reports its table name, only the natives
+// are Shardable, consecutive resolutions are distinct instances (no
+// shared rotation or scratch state between runtimes), and unknown names
+// stay nil.
 func TestStreamByName(t *testing.T) {
 	want := []string{"MaxCard", "MinRTime", "MaxWeight", "RoundRobin", "OldestFirst", "WeightedISLIP", "StreamFIFO"}
 	if got := stream.AllNames(); !slices.Equal(got, want) {
@@ -557,8 +558,8 @@ func TestStreamByName(t *testing.T) {
 		if p == nil || p.Name() != name {
 			t.Fatalf("%s not resolvable to itself", name)
 		}
-		if _, bridged := p.(*stream.Bridge); bridged != (i < 3) {
-			t.Fatalf("%s: bridged %v, want %v", name, bridged, i < 3)
+		if _, shardable := p.(stream.Shardable); shardable != (i >= 3) {
+			t.Fatalf("%s: Shardable %v, want %v", name, shardable, i >= 3)
 		}
 		if q := stream.ByName(name); q == p && name != "StreamFIFO" {
 			// FIFO is a stateless value type, so equality is fine there;
@@ -837,53 +838,6 @@ func TestStreamStallAbortsExactly(t *testing.T) {
 	}
 }
 
-// scribblePolicy wraps a sim.Policy and vandalizes the QueueIn/QueueOut
-// slices it was handed after computing its picks. A correct Bridge hands
-// the policy private copies, so the vandalism must never reach the
-// runtime's live port counters.
-type scribblePolicy struct{ p sim.Policy }
-
-func (s scribblePolicy) Name() string { return s.p.Name() }
-func (s scribblePolicy) Pick(st *sim.State) []int {
-	picks := s.p.Pick(st)
-	for i := range st.QueueIn {
-		st.QueueIn[i] = -1 << 20
-	}
-	for j := range st.QueueOut {
-		st.QueueOut[j] = 1 << 20
-	}
-	return picks
-}
-
-// TestBridgeOwnsQueueScratch: a bridged policy that mutates its sim.State
-// queue slices must not corrupt the runtime — the streamed schedule must
-// still match the oracle's run of the unwrapped policy flow for flow.
-// MaxWeight weighs by queue depth, so any leak of the scribbled values
-// changes its matchings immediately.
-func TestBridgeOwnsQueueScratch(t *testing.T) {
-	cfg := workload.PoissonConfig{M: 6, T: 8, Ports: 5}
-	for seed := int64(1); seed <= 3; seed++ {
-		inst := cfg.Generate(rand.New(rand.NewSource(seed)))
-		if inst.N() == 0 {
-			continue
-		}
-		simRes, err := simRun(inst, heuristics.MaxWeight{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := mustReplay(t, inst, stream.Config{Policy: &stream.Bridge{P: scribblePolicy{heuristics.MaxWeight{}}}, VerifyEvery: 4})
-		for f, round := range got.Schedule.Round {
-			if round != simRes.Schedule.Round[f] {
-				t.Fatalf("seed %d: flow %d streamed to round %d, oracle to %d (scribbled queues leaked into the runtime)",
-					seed, f, round, simRes.Schedule.Round[f])
-			}
-		}
-		if got.TotalResponse != simRes.TotalResponse {
-			t.Fatalf("seed %d: streamed total response %d != oracle %d", seed, got.TotalResponse, simRes.TotalResponse)
-		}
-	}
-}
-
 // youngestFirst takes pending flows newest-first — the adversarial access
 // pattern for the runtime's VOQ storage, since every take removes from the
 // tail of its queue while older flows stay pending, so every departure
@@ -1112,27 +1066,24 @@ func TestShardedRunStartsNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestShardedRejectsUnshardablePolicy: bridged simulator policies need the
-// whole pending set, so explicitly requesting shards with one must be a
-// construction error, and defaulted shard counts must quietly stay at 1.
+// TestShardedRejectsUnshardablePolicy: the paper's heuristics match over
+// the whole pending set, so explicitly requesting shards with one must be
+// a construction error naming the policy, and defaulted shard counts
+// must quietly stay at 1.
 func TestShardedRejectsUnshardablePolicy(t *testing.T) {
 	src := &sliceSource{}
-	if _, err := stream.New(src, stream.Config{
-		Switch: switchnet.UnitSwitch(4),
-		Policy: &stream.Bridge{P: heuristics.MaxWeight{}},
-		Shards: 2,
-	}); err == nil {
-		t.Fatal("sharded Bridge construction did not fail")
-	}
-	rt, err := stream.New(src, stream.Config{
-		Switch: switchnet.UnitSwitch(4),
-		Policy: &stream.Bridge{P: heuristics.MaxWeight{}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rt.Snapshot().Shards; got != 1 {
-		t.Fatalf("defaulted Bridge runtime has %d shards, want 1", got)
+	for _, name := range stream.PaperNames() {
+		_, err := stream.New(src, stream.Config{Switch: switchnet.UnitSwitch(4), Policy: stream.ByName(name), Shards: 2})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
+			t.Fatalf("%s at 2 shards: construction returned %v, want an error naming the policy", name, err)
+		}
+		rt, err := stream.New(src, stream.Config{Switch: switchnet.UnitSwitch(4), Policy: stream.ByName(name)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rt.Snapshot().Shards; got != 1 {
+			t.Fatalf("defaulted %s runtime has %d shards, want 1", name, got)
+		}
 	}
 	for _, name := range stream.Names() {
 		if _, ok := stream.ByName(name).(stream.Shardable); !ok {

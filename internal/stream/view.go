@@ -58,7 +58,7 @@ func (v *View) Release(id ID) int64 { return v.rt.ar.rec[id].rel }
 // QueueIn returns the number of pending flows at input port i (the queue
 // depth the MaxWeight heuristic weighs by), 0 for another shard's input.
 // QueueOut returns the number of pending flows at output port j across
-// the whole switch; its one reader, Bridge, runs only at Shards == 1.
+// the whole switch; its one reader, MaxWeight, runs only at Shards == 1.
 func (v *View) QueueIn(i int) int {
 	if v.rt.nshards > 1 && !v.sh.holds(i) {
 		return 0
@@ -203,8 +203,8 @@ func (v *View) Take(id ID) bool {
 	return true
 }
 
-// Fail aborts the run with a policy-contract error (e.g. a bridged
-// sim.Policy returned an infeasible or duplicate pick).
+// Fail aborts the run with a policy-contract error (e.g. one of the
+// paper's heuristics matched a flow Take refused).
 func (v *View) Fail(format string, args ...any) {
 	v.sh.fail(format, args...)
 }
