@@ -59,8 +59,8 @@
 //     shedding (shed arrivals counted in Dropped), or deadline expiry
 //     (pending flows past the Deadline bound expire, capping the response
 //     time of everything that completes); in every mode Admitted ==
-//     Completed + Pending + Dropped + Expired. Runs are cancelable (Stop,
-//     RunContext) with the final summary still balancing. One table
+//     Completed + Pending + Dropped + Expired. Runs are cancelable (Stop)
+//     with the final summary still balancing. One table
 //     (StreamPolicyByName) holds the paper's heuristics, which match over
 //     the whole pending set at one shard, and four native policies at
 //     incremental cost: RoundRobin serves

@@ -131,7 +131,7 @@ type (
 	// and verification cadence.
 	StreamConfig = stream.Config
 	// StreamRuntime drains a source round by round in bounded memory.
-	// Run blocks until the source drains (or Stop/RunContext cancels it);
+	// Run blocks until the source drains (or Stop cancels it);
 	// Snapshot reads live metrics from any goroutine.
 	StreamRuntime = stream.Runtime
 	// StreamSummary is a point-in-time view of the streaming metrics.

@@ -14,7 +14,7 @@ import (
 // constructs. The construct list is deliberately conservative — it
 // over-approximates what the compiler's escape analysis would reject, so
 // every deliberate exception (amortized append to a length-reset scratch
-// slice, a non-escaping EachVOQ closure, the cold error path) must carry
+// slice, a non-escaping Each closure, the cold error path) must carry
 // a justified //flowsched:allow alloc, turning the package's informal
 // performance notes into checked annotations.
 //

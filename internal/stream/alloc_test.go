@@ -160,6 +160,124 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPickScratchReservedBounds pins the bounds the pick path's scratch
+// lists are reserved at. A port is touched at most once a round, an input
+// is active on one shard, and a WeightedISLIP iteration keeps one request
+// per output and one accept per input, so New and Reset reserve exactly
+// those counts and the lists fill by reslicing. On an 8x8 unit switch
+// with every VOQ holding a flow, the diagonal released a round before the
+// rest, every native policy matches every input to an output in one
+// round (in one iteration for WeightedISLIP), so each list reaches its
+// bound: the runtime's touched-port lists NumIn and NumOut, each shard's
+// active-input list the inputs it owns, and each WeightedISLIP instance's
+// request list the outputs still free at its turn and its accept list the
+// shard's inputs. No list's capacity may move.
+func TestPickScratchReservedBounds(t *testing.T) {
+	const ports = 8
+	for _, name := range Names() {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/K%d", name, shards), func(t *testing.T) {
+				rt, err := New(emptySource{}, Config{
+					Switch: switchnet.UnitSwitch(ports),
+					Policy: ByName(name),
+					Shards: shards,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				capIn, capOut := cap(rt.touchIn), cap(rt.touchOut)
+				capActive := make([]int, shards)
+				for s, sh := range rt.shards {
+					capActive[s] = cap(sh.activeIn)
+				}
+				// The iSLIP lists are length-reset after every iteration,
+				// so their high-water mark is read off sentinel-filled
+				// backing arrays.
+				islip := make([]*WeightedISLIP, shards)
+				capReq, capAcc := make([]int, shards), make([]int, shards)
+				for s, sh := range rt.shards {
+					if p, ok := sh.pol.(*WeightedISLIP); ok {
+						islip[s] = p
+						capReq[s], capAcc[s] = cap(p.reqOuts), cap(p.accIns)
+						fill(p.reqOuts[:capReq[s]], noID)
+						fill(p.accIns[:capAcc[s]], noID)
+					}
+				}
+
+				seq := int64(0)
+				for i := 0; i < ports; i++ {
+					rt.admitFlow(&switchnet.Flow{In: i, Out: i, Demand: 1}, seq)
+					seq++
+				}
+				for i := 0; i < ports; i++ {
+					for j := 0; j < ports; j++ {
+						if i != j {
+							rt.admitFlow(&switchnet.Flow{In: i, Out: j, Demand: 1, Release: 1}, seq)
+							seq++
+						}
+					}
+				}
+				rt.round = 1
+				for s, sh := range rt.shards {
+					if owned := (ports - s + shards - 1) / shards; len(sh.activeIn) != owned {
+						t.Errorf("shard %d: %d active inputs, want the %d it owns", s, len(sh.activeIn), owned)
+					}
+				}
+				if shards > 1 {
+					rt.orderTurns()
+				}
+				for _, s := range rt.turns {
+					freeOut := ports - len(rt.touchOut)
+					rt.shards[s].pick()
+					if p := islip[s]; p != nil {
+						if n := highWater(p.reqOuts[:capReq[s]]); n != freeOut {
+							t.Errorf("shard %d: request list reached %d, want the %d free outputs", s, n, freeOut)
+						}
+						if n, owned := highWater(p.accIns[:capAcc[s]]), len(rt.shards[s].activeIn); n != owned {
+							t.Errorf("shard %d: accept list reached %d, want its %d inputs", s, n, owned)
+						}
+					}
+				}
+				if err := rt.firstErr(); err != nil {
+					t.Fatal(err)
+				}
+				if len(rt.touchIn) != ports || len(rt.touchOut) != ports {
+					t.Errorf("touched %d inputs and %d outputs, want %d and %d", len(rt.touchIn), len(rt.touchOut), ports, ports)
+				}
+
+				if cap(rt.touchIn) != capIn || cap(rt.touchOut) != capOut {
+					t.Errorf("touched-port capacities %d/%d, reserved %d/%d", cap(rt.touchIn), cap(rt.touchOut), capIn, capOut)
+				}
+				for s, sh := range rt.shards {
+					if cap(sh.activeIn) != capActive[s] {
+						t.Errorf("shard %d: active-input capacity %d, reserved %d", s, cap(sh.activeIn), capActive[s])
+					}
+					if p := islip[s]; p != nil && (cap(p.reqOuts) != capReq[s] || cap(p.accIns) != capAcc[s]) {
+						t.Errorf("shard %d: request/accept capacities %d/%d, reserved %d/%d", s, cap(p.reqOuts), cap(p.accIns), capReq[s], capAcc[s])
+					}
+				}
+			})
+		}
+	}
+}
+
+// fill sets every element of s to x.
+func fill(s []int32, x int32) {
+	for i := range s {
+		s[i] = x
+	}
+}
+
+// highWater returns the length of s's prefix that differs from noID: how
+// far a list reset to length 0 over a noID-filled backing array reached.
+func highWater(s []int32) int {
+	n := 0
+	for n < len(s) && s[n] != noID {
+		n++
+	}
+	return n
+}
+
 // TestOldestFirstRampAllocBounded pins that the pick's scratch grows
 // geometrically. A fresh K=2 runtime (so the shards' policy instances
 // start cold, as they do on every run) fills a 64x64 switch to 8k

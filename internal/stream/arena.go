@@ -55,7 +55,7 @@ func (r *flowRec) outPort() int { return int(r.out & portMask) }
 // number (read when OnSchedule reports a pick, by View.Each, and by a
 // checkpoint capture; no pick, head refresh or departure reads it). There
 // is no per-flow heap object: a flow is a row across the columns,
-// reconstructed into a switchnet.Flow only at the API boundary (View.Flow,
+// reconstructed into a switchnet.Flow only at the API boundary (View.Each,
 // verification buffering, OnSchedule).
 type arena struct {
 	rec []flowRec
@@ -115,9 +115,16 @@ func (a *arena) free(id int32) {
 	r := &a.rec[id]
 	r.in &^= stLive
 	r.out &^= stTaken
-	n := len(a.freed)
-	a.freed = a.freed[:n+1]
-	a.freed[n] = id
+	appendReserved(&a.freed, id)
+}
+
+// appendReserved appends x to *s within the capacity reserved for it
+// where *s was built; it never allocates, and a list that outgrows its
+// reserved bound panics instead of growing.
+func appendReserved(s *[]int32, x int32) {
+	n := len(*s)
+	*s = (*s)[:n+1]
+	(*s)[n] = x
 }
 
 // live and taken test the state bits of id.
@@ -176,6 +183,7 @@ func (rt *Runtime) initStore(mIn, mOut int) {
 	rt.queueIn = make([]int, mIn)
 	rt.queueOut = make([]int, mOut)
 	rt.loadIn, rt.loadOut = make([]int, mIn), make([]int, mOut)
+	rt.touchIn, rt.touchOut = make([]int32, 0, mIn), make([]int32, 0, mOut)
 	rt.activeInPos = make([]int32, mIn)
 	for i := range rt.activeInPos {
 		rt.activeInPos[i] = noID
@@ -215,7 +223,7 @@ func (rt *Runtime) admitFlow(f *switchnet.Flow, seq int64) {
 	sh := rt.shardOf(f.In)
 	if rt.queueIn[f.In] == 0 {
 		rt.activeInPos[f.In] = int32(len(sh.activeIn))
-		sh.activeIn = append(sh.activeIn, int32(f.In)) //flowsched:allow alloc: active-input list grows to the owned-port count
+		appendReserved(&sh.activeIn, int32(f.In))
 	}
 	rt.queueIn[f.In]++
 	rt.queueOut[f.Out]++

@@ -396,14 +396,13 @@
 //     stops growing once the pending set reaches its high-water mark, and
 //     there are no per-flow heap objects, ever.
 //   - VOQ storage. Each virtual output queue is a doubly linked list
-//     threaded through the arena's hot records, plus a {head, tail,
-//     length} record per VOQ. A push links at the tail, and a departure
-//     unlinks in O(1) from anywhere in the queue; only a head change
-//     marks the VOQ's head-age record stale. Policies sweep a queue through
-//     View.EachVOQ, which follows the successor links: the one
-//     hot-record line per flow that the policy's Taken and Demand checks
-//     read anyway. A queue owns no storage, so queue churn never
-//     allocates.
+//     threaded through the arena's hot records, plus a {head, tail}
+//     record per VOQ (it is empty when its head is). A push links at the
+//     tail, and a departure unlinks in O(1) from anywhere in the queue;
+//     only a head change marks the VOQ's head-age record stale. Policies
+//     walk a queue from View.VOQHead along View.VOQNext: each step reads
+//     the one hot-record line the policy's Taken and Demand checks read
+//     anyway. A queue owns no storage, so queue churn never allocates.
 //   - Round schedule. One goroutine owns the round: the coordinator
 //     orders the shards' turns (sharded runtimes only), runs each shard's
 //     pick in that order, then the OnSchedule callbacks over the

@@ -115,11 +115,12 @@ func TestFlushWindowLabelsTrueRounds(t *testing.T) {
 }
 
 // TestNextActiveVOQWordBoundaries probes the active-VOQ bitmap across
-// 64-bit word edges: with NumOut > 64 the per-input bitmap spans several
-// words, and the ports 63/64 and 127/128 sit on opposite sides of word
-// boundaries. Activation, circular probing (including wrap-around through
-// a zero upper word), and drain-time bit clearing exactly at a word edge
-// must all agree with the active lists.
+// 64-bit word edges through nextActiveVOQ, the probe refRoundRobin sweeps
+// with: with NumOut > 64 the per-input bitmap spans several words, and the
+// ports 63/64 and 127/128 sit on opposite sides of word boundaries.
+// Activation, circular probing (including wrap-around through a zero
+// upper word), and drain-time bit clearing exactly at a word edge must
+// all agree with the active lists.
 func TestNextActiveVOQWordBoundaries(t *testing.T) {
 	rt, err := New(emptySource{}, Config{
 		Switch: switchnet.NewSwitch(1, 130, 1),
@@ -142,8 +143,8 @@ func TestNextActiveVOQWordBoundaries(t *testing.T) {
 	}
 	probe := func(from, want int) {
 		t.Helper()
-		if got := rt.shards[0].view.NextActiveVOQ(0, from); got != want {
-			t.Fatalf("NextActiveVOQ(0, %d) = %d, want %d", from, got, want)
+		if got := nextActiveVOQ(&rt.shards[0].view, 0, from); got != want {
+			t.Fatalf("nextActiveVOQ(0, %d) = %d, want %d", from, got, want)
 		}
 	}
 

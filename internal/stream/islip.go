@@ -63,7 +63,10 @@ type WeightedISLIP struct {
 	// grant per input, as (port, release) pairs, plus a snapshot of the
 	// outputs' free capacity (constant within an iteration: the
 	// request sweep completes before any drain) so the request filter
-	// costs local array reads.
+	// costs local array reads. reqOuts and accIns list the outputs with
+	// a request and the inputs with a grant: an output holds one request
+	// and an input one accept per iteration, so they stay within the
+	// numOut and numIn capacities Reset reserves.
 	reqIn         []int32
 	reqRel        []int64
 	reqOuts       []int32
@@ -184,7 +187,7 @@ func (p *WeightedISLIP) iterate(v *View) int {
 					continue
 				}
 				if cur := p.reqIn[out]; cur == noID {
-					p.reqOuts = append(p.reqOuts, int32(out)) //flowsched:allow alloc: request list is length-reset per iteration and grows to mOut
+					appendReserved(&p.reqOuts, int32(out))
 				} else if !wins(h.rel, in, p.reqRel[out], int(cur), int(p.grant[out]), p.numIn) {
 					continue
 				}
@@ -199,7 +202,7 @@ func (p *WeightedISLIP) iterate(v *View) int {
 		out := int(o)
 		in := int(p.reqIn[out])
 		if cur := p.accOut[in]; cur == noID {
-			p.accIns = append(p.accIns, int32(in)) //flowsched:allow alloc: accept list is length-reset per iteration and grows to owned inputs
+			appendReserved(&p.accIns, int32(in))
 		} else if !wins(p.reqRel[out], out, p.accRel[in], int(cur), int(p.accept[in]), p.numOut) {
 			continue
 		}

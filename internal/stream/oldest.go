@@ -343,7 +343,7 @@ func (p *OldestFirst) take(v *View, e ofEntry) int32 {
 		// A successor can only serve while its input has capacity left;
 		// on unit-capacity inputs this never pushes, and the heap costs
 		// nothing.
-		p.push(v, v.VOQNext(id))
+		p.push(v, v.VOQNext(id), e.in, e.out)
 	}
 	return d
 }
@@ -427,23 +427,19 @@ func sortEntries(s []ofEntry) {
 	}
 }
 
-// push offers the first untaken flow at or after id in its VOQ to the
-// successor heap, keyed by its own record — a served head's successor
+// push offers the first untaken flow at or after id in VOQ (in, out) to
+// the successor heap, keyed by its own record — a served head's successor
 // sorts strictly after every entry scanned so far (same ports, same or
 // later release, later seq), so the merged scan order stays globally
 // sorted.
-func (p *OldestFirst) push(v *View, id ID) {
+func (p *OldestFirst) push(v *View, id ID, in, out int16) {
 	for id != NoID && v.Taken(id) {
 		id = v.VOQNext(id)
 	}
 	if id == NoID {
 		return
 	}
-	f := v.Flow(id)
-	p.heapPush(ofEntry{
-		rel: v.Release(id), dem: int32(f.Demand),
-		in: int16(f.In), out: int16(f.Out),
-	})
+	p.heapPush(ofEntry{rel: v.Release(id), dem: int32(v.Demand(id)), in: in, out: out})
 }
 
 // heapPush sifts e up into the min-heap.

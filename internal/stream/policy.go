@@ -187,31 +187,27 @@ func (p *RoundRobin) Pick(v *View) {
 // free input and output capacity last, skipping flows already taken this
 // round (a flow an earlier WeightedISLIP iteration took is not a blocked
 // head, so a later one may drain past it). It returns the
-// input's remaining free capacity and whether anything was served. The
-// sweep walks View.EachVOQ's links, so each queue entry costs the one
-// hot-record line its Taken and Demand checks read anyway; an untaken
-// head that does not fit stops the sweep — FIFO within the VOQ, a blocked
-// head blocks the queue. Callers reach it only for an output with
-// capacity: RoundRobin masks saturated outputs out of its sweep,
-// and WeightedISLIP drains only an accepted request, whose output its
-// request filter checked.
+// input's remaining free capacity and whether anything was served. It
+// walks the queue from VOQHead along VOQNext, as OldestFirst.take does,
+// so each queue entry costs the one hot-record line its Taken and Demand
+// checks read anyway; an untaken head that does not fit stops the walk —
+// FIFO within the VOQ, a blocked head blocks the queue. Callers reach it
+// only for an output with capacity: RoundRobin masks saturated outputs
+// out of its sweep, and WeightedISLIP drains only an accepted request,
+// whose output its request filter checked.
 func drainVOQ(v *View, in, out, free int) (int, bool) {
 	served := false
-	v.EachVOQ(in, out, func(id ID) bool { //flowsched:allow alloc: non-escaping iterator closure; zero-alloc steady state pinned by TestSteadyStateAllocs
+	for id := v.VOQHead(in, out); id != NoID && free > 0; id = v.VOQNext(id) {
 		if v.Taken(id) {
-			return true
+			continue
 		}
 		d := v.Demand(id)
-		if d > free || v.OutputFree(out) < d {
-			return false
-		}
-		if !v.Take(id) {
-			return false
+		if d > free || v.OutputFree(out) < d || !v.Take(id) {
+			break
 		}
 		free -= d
 		served = true
-		return free > 0
-	})
+	}
 	return free, served
 }
 

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,12 +11,35 @@ import (
 	"flowsched/internal/workload"
 )
 
+// nextActiveVOQ returns the output port of the next non-empty VOQ at
+// input in, at or after port from (0 <= from < NumOut) in circular port
+// order, or -1 if the input has none: one probe per word of in's
+// active-VOQ bitmap.
+func nextActiveVOQ(v *View, in, from int) int {
+	words := v.voqWords(in)
+	w := from >> 6
+	if masked := words[w] &^ (1<<uint(from&63) - 1); masked != 0 {
+		return w<<6 + bits.TrailingZeros64(masked)
+	}
+	for i := w + 1; i < len(words); i++ {
+		if words[i] != 0 {
+			return i<<6 + bits.TrailingZeros64(words[i])
+		}
+	}
+	for i := 0; i <= w; i++ {
+		if words[i] != 0 {
+			return i<<6 + bits.TrailingZeros64(words[i])
+		}
+	}
+	return -1
+}
+
 // refRoundRobin is RoundRobin's pick as it stood before the sweep masked
 // saturated outputs: it probes every active VOQ at an input with
-// View.NextActiveVOQ in circular port order from the pointer's successor
-// and drains each one until the input's capacity runs out, whatever
-// capacity the VOQ's output has left. It is the reference the masked pick
-// is held to.
+// nextActiveVOQ in circular port order from the pointer's successor and
+// drains each one until the input's capacity runs out, whatever capacity
+// the VOQ's output has left. It is the reference the masked pick is held
+// to.
 type refRoundRobin struct{ rr []int }
 
 func (*refRoundRobin) Name() string     { return "RoundRobin" }
@@ -48,7 +72,7 @@ func (p *refRoundRobin) Pick(v *View) {
 		// wrap-around: every active VOQ has been visited.
 		cur, prev := start, -1
 		for free > 0 {
-			out := v.NextActiveVOQ(in, cur)
+			out := nextActiveVOQ(v, in, cur)
 			if out < 0 {
 				break
 			}

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -13,27 +12,12 @@ import (
 	"flowsched/internal/stats"
 	"flowsched/internal/switchnet"
 	"flowsched/internal/verify"
+	"flowsched/internal/workload"
 )
 
-// Source is the runtime's one arrival contract: flows in non-decreasing
-// release order, read two ways over the same sequence. PullBatch appends
-// to dst up to max flows whose Release is <= round and returns the
-// extended slice; it never blocks, never consumes a later flow, and a
-// short batch (fewer than max) means nothing further is released at round
-// — the next flow is later, not here yet, or the stream has ended. Next
-// returns the next flow whatever its release, or ok=false once the stream
-// is exhausted or failed (Err says which; nil is a clean end); on a
-// concurrently-fed source it blocks until a flow arrives or the feed is
-// closed. Any interleaving of the two yields the sequence Next alone
-// would. The runtime admits through PullBatch every round and calls Next
-// only when the pending set is empty, so a blocking Next parks an idle
-// runtime instead of stalling a busy one. Every source in
+// Source is the runtime's one arrival contract. Every source in
 // internal/workload and internal/faultinject satisfies it.
-type Source interface {
-	Next() (f switchnet.Flow, ok bool)
-	PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow
-	Err() error
-}
+type Source = workload.FlowSource
 
 // Parker is the one optional capability of a Source: an idle wait the
 // runtime can interrupt. Park blocks like Next until a flow arrives (ok
@@ -355,7 +339,8 @@ type Runtime struct {
 	// active-VOQ bitmap, and its stale bitmap of head-age records to
 	// refresh on their next read; the pending counts per port; the round's
 	// scheduled demand per port, with touchIn/touchOut listing the ports
-	// it is nonzero at; and each input's index in its shard's activeIn
+	// it is nonzero at (reserved at the port counts: Take touches a port
+	// once a round); and each input's index in its shard's activeIn
 	// list.
 	ar                arena
 	head, tail        int32
@@ -1019,18 +1004,6 @@ func (rt *Runtime) Run() (*Summary, error) {
 func (rt *Runtime) Stop() {
 	rt.stop.Store(true)
 	rt.nudge()
-}
-
-// RunContext is Run with context cancellation wired to Stop: cancelling
-// ctx stops the run cleanly, returning the final Summary (not ctx.Err()).
-func (rt *Runtime) RunContext(ctx context.Context) (*Summary, error) {
-	if ctx.Err() != nil {
-		// AfterFunc runs its callback asynchronously even for an
-		// already-cancelled context; stop synchronously so no work starts.
-		rt.Stop()
-	}
-	defer context.AfterFunc(ctx, rt.Stop)()
-	return rt.Run()
 }
 
 // Snapshot returns the current streaming metrics. It is safe to call

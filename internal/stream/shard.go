@@ -22,7 +22,9 @@ type shard struct {
 	count int
 
 	// activeIn lists the shard's input ports with any pending flow (global
-	// port numbers); Runtime.activeInPos is each input's index there.
+	// port numbers); Runtime.activeInPos is each input's index there. Its
+	// capacity, reserved by newShard, is the count of inputs the shard
+	// owns.
 	activeIn []int32
 
 	// takes holds the round's picks until apply retires them at the end
@@ -34,7 +36,8 @@ type shard struct {
 
 // newShard builds the shard owning inputs congruent to idx mod rt.nshards.
 func newShard(rt *Runtime, idx int) *shard {
-	sh := &shard{rt: rt, idx: idx}
+	owned := (rt.sw.NumIn() - idx + rt.nshards - 1) / rt.nshards
+	sh := &shard{rt: rt, idx: idx, activeIn: make([]int32, 0, owned)}
 	sh.view = View{rt: rt, sh: sh}
 	return sh
 }

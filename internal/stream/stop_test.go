@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -180,51 +179,6 @@ func TestStopBeforeRun(t *testing.T) {
 	}
 	if sum.Admitted != 0 || sum.Completed != 0 || sum.Rounds != 0 {
 		t.Fatalf("pre-stopped run did work: %+v", sum)
-	}
-}
-
-// TestRunContextCancel wires Stop through context cancellation: a
-// cancelled context ends the run cleanly with the final summary, not an
-// error.
-func TestRunContextCancel(t *testing.T) {
-	src := &patternSource{ports: 8, per: 12}
-	rt, err := New(src, Config{
-		Switch:     switchnet.UnitSwitch(8),
-		Policy:     ByName("OldestFirst"),
-		MaxPending: 128,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		awaitProgress(t, rt, func(s Summary) bool { return s.Completed > 0 })
-		cancel()
-	}()
-	sum, err := rt.RunContext(ctx)
-	if err != nil {
-		t.Fatalf("cancelled run failed: %v", err)
-	}
-	if sum.Completed == 0 {
-		t.Fatal("cancelled run completed nothing")
-	}
-	if sum.Admitted != sum.Completed+int64(sum.Pending) {
-		t.Fatalf("accounting unbalanced after cancel: %+v", sum)
-	}
-
-	// Already-cancelled context: no work at all.
-	rt2, err := New(&patternSource{ports: 4, per: 4}, Config{
-		Switch: switchnet.UnitSwitch(4),
-		Policy: ByName("RoundRobin"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done, cancel2 := context.WithCancel(context.Background())
-	cancel2()
-	sum, err = rt2.RunContext(done)
-	if err != nil || sum.Rounds != 0 {
-		t.Fatalf("pre-cancelled run: sum %+v, err %v", sum, err)
 	}
 }
 

@@ -41,18 +41,15 @@ func (v *View) Each(fn func(id ID, seq int64, f switchnet.Flow) bool) {
 	}
 }
 
-// Flow returns the flow data of a pending id.
-func (v *View) Flow(id ID) switchnet.Flow { return v.rt.ar.flow(int32(id)) }
-
 // Demand returns just the demand of a pending id — the one field a
 // feasibility check needs, read from the hot record without gathering the
 // full flow across the arena's columns.
 func (v *View) Demand(id ID) int { return int(v.rt.ar.rec[id].dem) }
 
 // Release returns the release round of a pending id. Like Demand it is a
-// hot-record read — the age-aware policies (OldestFirst, WeightedISLIP)
-// order VOQ heads by it every round, so it shares the cache line a
-// feasibility check already pulled.
+// hot-record read: when OldestFirst serves a head and offers its
+// successor to the heap, Taken, Demand and Release all read the
+// successor's one record.
 func (v *View) Release(id ID) int64 { return v.rt.ar.rec[id].rel }
 
 // QueueIn returns the number of pending flows at input port i (the queue
@@ -81,32 +78,8 @@ func (v *View) OutputFree(j int) int { return v.rt.sw.OutCaps[j] - v.rt.loadOut[
 func (v *View) NumActiveInputs() int  { return len(v.sh.activeIn) }
 func (v *View) ActiveInput(k int) int { return int(v.sh.activeIn[k]) }
 
-// NextActiveVOQ returns the output port of the next non-empty VOQ at input
-// in, at or after port from (0 <= from < NumOut) in circular port order,
-// or -1 if the input has none, in O(NumOut/64) bitmap-word probes. It is
-// a primitive for port-order rotation policies written outside this
-// package.
-func (v *View) NextActiveVOQ(in, from int) int {
-	words := v.voqWords(in)
-	w := from >> 6
-	if masked := words[w] &^ (1<<uint(from&63) - 1); masked != 0 {
-		return w<<6 + bits.TrailingZeros64(masked)
-	}
-	for i := w + 1; i < len(words); i++ {
-		if words[i] != 0 {
-			return i<<6 + bits.TrailingZeros64(words[i])
-		}
-	}
-	for i := 0; i <= w; i++ {
-		if words[i] != 0 {
-			return i<<6 + bits.TrailingZeros64(words[i])
-		}
-	}
-	return -1
-}
-
 // voqWords and headRow are what the native policies sweep: input in's
-// active-VOQ bitmap words (the array behind NextActiveVOQ) and its
+// active-VOQ bitmap words and its
 // out-indexed row of head-age records (see voqHead), handed out as
 // slices so a policy sweeping every active VOQ pays plain array reads
 // instead of a call and an index recomputation per VOQ. Policies only
@@ -153,19 +126,6 @@ func (v *View) VOQHead(in, out int) ID {
 
 func (v *View) VOQNext(id ID) ID { return ID(v.rt.ar.rec[id].vnext) }
 
-// EachVOQ calls fn for every pending flow on the (in, out) virtual output
-// queue, oldest first, until fn returns false. It walks the queue's links
-// through the arena: each step reads the hot record that fn's own Taken
-// and Demand calls read.
-func (v *View) EachVOQ(in, out int, fn func(id ID) bool) {
-	rec := v.rt.ar.rec
-	for id := v.rt.vqs[in*v.rt.mOut+out].head; id != noID; id = rec[id].vnext {
-		if !fn(ID(id)) {
-			return
-		}
-	}
-}
-
 // Taken reports whether id was already selected this round.
 func (v *View) Taken(id ID) bool { return v.rt.ar.taken(int32(id)) }
 
@@ -190,12 +150,14 @@ func (v *View) Take(id ID) bool {
 	if rt.loadIn[in]+d > rt.sw.InCaps[in] || rt.loadOut[out]+d > rt.sw.OutCaps[out] {
 		return false
 	}
+	// A port joins its touched list when its load leaves 0, once a round,
+	// so the lists never outgrow the port counts initStore reserved.
 	if rt.loadIn[in] == 0 {
-		rt.touchIn = append(rt.touchIn, int32(in)) //flowsched:allow alloc: touched-input scratch is length-reset every round and grows to the port count
+		appendReserved(&rt.touchIn, int32(in))
 	}
 	rt.loadIn[in] += d
 	if rt.loadOut[out] == 0 {
-		rt.touchOut = append(rt.touchOut, int32(out)) //flowsched:allow alloc: touched-output scratch is length-reset every round and grows to the port count
+		appendReserved(&rt.touchOut, int32(out))
 	}
 	rt.loadOut[out] += d
 	rc.out |= stTaken

@@ -33,9 +33,12 @@ import (
 // Release <= round is currently available — the stream is exhausted,
 // failed, or its next flow releases later. The two may be interleaved
 // freely: the flows come out in the order Next alone would yield them.
-// The streaming runtime admits through PullBatch and calls Next only
-// when it has nothing pending (see stream.Source). A reader that never
-// blocks gets both reads, and that guarantee, by embedding a Seq.
+// On a concurrently-fed source Next blocks until a flow arrives or the
+// feed is closed. The streaming runtime (stream.Source is this
+// interface) admits through PullBatch every round and calls Next only
+// when it has nothing pending, so a blocking Next parks an idle runtime
+// instead of stalling a busy one. A reader that never blocks gets both
+// reads, and that guarantee, by embedding a Seq.
 type FlowSource interface {
 	Next() (f switchnet.Flow, ok bool)
 	PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow
