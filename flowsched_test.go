@@ -39,7 +39,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := res.Schedule.Validate(inst, inst.Switch.Caps()); err != nil {
+		if _, err := CheckSchedule(inst, res.Schedule, inst.Switch.Caps()); err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
 	}

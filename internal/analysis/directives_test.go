@@ -6,6 +6,8 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -175,6 +177,56 @@ func TestAllowBudget(t *testing.T) {
 	} else if got < allowBudget {
 		t.Fatalf("%d //flowsched:allow directives in non-test code: lower allowBudget from %d to match", got, allowBudget)
 	}
+}
+
+// TestAllowsNameTheirTest requires every //flowsched:allow in non-test
+// code to name, in its justification, a test its package declares: the
+// test that fails if the allowance's bound breaks. An allow that names
+// none, or a test that does not exist, is taken on trust alone.
+func TestAllowsNameTheirTest(t *testing.T) {
+	d := moduleDirectives(t)
+	testName := regexp.MustCompile(`\bTest[A-Z0-9_]\w*`)
+	declared := map[string]map[string]bool{} // package directory -> its tests
+	for _, a := range d.allows {
+		file, line := a.file, a.line
+		if a.wholeRange {
+			pos := d.fset.Position(a.lo)
+			file, line = pos.Filename, pos.Line
+		}
+		dir := filepath.Dir(file)
+		if declared[dir] == nil {
+			declared[dir] = packageTests(t, dir)
+		}
+		named := testName.FindAllString(a.why, -1)
+		if !slices.ContainsFunc(named, func(n string) bool { return declared[dir][n] }) {
+			t.Errorf("%s:%d: allow %s names no test of its package (named %v): %s",
+				file, line, a.check, named, a.why)
+		}
+	}
+}
+
+// packageTests returns the names of the Test functions the _test.go
+// files in dir declare.
+func packageTests(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
+				tests[fn.Name.Name] = true
+			}
+		}
+	}
+	return tests
 }
 
 func TestTestonlyBudget(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 
 	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
+	"flowsched/internal/verify"
 	"flowsched/internal/workload"
 )
 
@@ -102,7 +103,7 @@ func TestPoliciesProduceValidSchedules(t *testing.T) {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 			flat, _ := in.Flatten()
-			if err := simRes.Schedule.Validate(flat, flat.Switch.Caps()); err != nil {
+			if _, err := verify.CheckSchedule(flat, simRes.Schedule, flat.Switch.Caps()); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 			if cfRes.TotalResponse < len(in.Coflows) {

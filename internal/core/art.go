@@ -7,6 +7,7 @@ import (
 	"flowsched/internal/bvn"
 	"flowsched/internal/lp"
 	"flowsched/internal/switchnet"
+	"flowsched/internal/verify"
 )
 
 // ARTResult is the outcome of SolveART (Theorem 1).
@@ -103,8 +104,7 @@ func SolveART(inst *switchnet.Instance, c int) (*ARTResult, error) {
 		LPIterations:       ps.LPIterations,
 		LP:                 ps.LP,
 	}
-	caps := switchnet.ScaleCaps(inst.Switch.Caps(), 1+c)
-	if err := sched.Validate(inst, caps); err != nil {
+	if _, err := verify.CheckScaled(inst, sched, 1+c); err != nil {
 		return nil, fmt.Errorf("core: converted schedule invalid: %w", err)
 	}
 	return res, nil

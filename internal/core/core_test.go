@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"flowsched/internal/switchnet"
+	"flowsched/internal/verify"
 	"flowsched/internal/workload"
 )
 
@@ -121,9 +122,7 @@ func TestSolveMRTRandomInstances(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		dmax := inst.MaxDemand()
-		caps := switchnet.AddCaps(inst.Switch.Caps(), 2*dmax-1)
-		if err := res.Schedule.Validate(inst, caps); err != nil {
+		if _, err := verify.CheckAugmented(inst, res.Schedule, 2*inst.MaxDemand()-1); err != nil {
 			t.Fatalf("trial %d: invalid: %v", trial, err)
 		}
 		if got := res.Schedule.MaxResponse(inst); got > res.Rho {
@@ -155,8 +154,7 @@ func TestSolveMRTGeneralDemands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	caps := switchnet.AddCaps(inst.Switch.Caps(), 2*inst.MaxDemand()-1)
-	if err := res.Schedule.Validate(inst, caps); err != nil {
+	if _, err := verify.CheckAugmented(inst, res.Schedule, 2*inst.MaxDemand()-1); err != nil {
 		t.Fatal(err)
 	}
 	if res.CapIncrease != 2*inst.MaxDemand()-1 {
@@ -311,8 +309,7 @@ func TestSolveARTSmall(t *testing.T) {
 		if err != nil {
 			t.Fatalf("c=%d: %v", c, err)
 		}
-		caps := switchnet.ScaleCaps(inst.Switch.Caps(), 1+c)
-		if err := res.Schedule.Validate(inst, caps); err != nil {
+		if _, err := verify.CheckScaled(inst, res.Schedule, 1+c); err != nil {
 			t.Fatalf("c=%d: %v", c, err)
 		}
 		if res.ForcedFixes != 0 {
@@ -492,7 +489,7 @@ func TestOnlineAMRT(t *testing.T) {
 		if !res.Schedule.Complete() {
 			t.Fatalf("trial %d: incomplete schedule", trial)
 		}
-		if err := res.Schedule.Validate(inst, AMRTCaps(inst)); err != nil {
+		if _, err := verify.CheckSchedule(inst, res.Schedule, AMRTCaps(inst)); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if got := res.Schedule.MaxResponse(inst); got > 2*res.FinalRho {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flowsched/internal/switchnet"
+	"flowsched/internal/verify"
 )
 
 // TestSolveARTGeneralCapacities exercises the b-matching (port replication)
@@ -21,8 +22,7 @@ func TestSolveARTGeneralCapacities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	caps := switchnet.ScaleCaps(inst.Switch.Caps(), 2)
-	if err := res.Schedule.Validate(inst, caps); err != nil {
+	if _, err := verify.CheckScaled(inst, res.Schedule, 2); err != nil {
 		t.Fatal(err)
 	}
 	if float64(res.Schedule.TotalResponse(inst)) < res.LPBound-1e-6 {
@@ -48,8 +48,7 @@ func TestSolveARTHeterogeneousCapacities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	caps := switchnet.ScaleCaps(inst.Switch.Caps(), 3)
-	if err := res.Schedule.Validate(inst, caps); err != nil {
+	if _, err := verify.CheckScaled(inst, res.Schedule, 3); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -135,7 +134,7 @@ func TestAMRTGeneralDemands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Schedule.Validate(inst, AMRTCaps(inst)); err != nil {
+	if _, err := verify.CheckSchedule(inst, res.Schedule, AMRTCaps(inst)); err != nil {
 		t.Fatal(err)
 	}
 	if res.Schedule.MaxResponse(inst) > 2*res.FinalRho {

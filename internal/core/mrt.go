@@ -7,6 +7,7 @@ import (
 	"flowsched/internal/lp"
 	"flowsched/internal/rounding"
 	"flowsched/internal/switchnet"
+	"flowsched/internal/verify"
 )
 
 // Windows gives, for each flow, the set of rounds in which it may be
@@ -172,13 +173,8 @@ func roundWindowLP(inst *switchnet.Instance, m *timeLP, sol *lp.Solution) (*Time
 			j++
 		}
 	}
-	for f, t := range sched.Round {
-		if t == switchnet.Unscheduled {
-			return nil, fmt.Errorf("core: rounding left flow %d unscheduled", f)
-		}
-	}
 	inc := 2*dmax - 1
-	if err := sched.Validate(inst, switchnet.AddCaps(inst.Switch.Caps(), inc)); err != nil {
+	if _, err := verify.CheckAugmented(inst, sched, inc); err != nil {
 		return nil, fmt.Errorf("core: rounded schedule invalid: %w", err)
 	}
 	return &TimeConstrainedResult{

@@ -113,15 +113,15 @@ func testSteadyStateZeroAlloc(t *testing.T, shards int, pol Policy, admit AdmitM
 	return rt
 }
 
-// TestSteadyStateZeroAlloc covers every incremental native policy at
-// K in {1, 2}. StreamFIFO is excluded by design: it is the O(pending)
-// baseline, documented as non-incremental. The 8-port switch of the
+// TestSteadyStateZeroAlloc covers every native policy at K in {1, 2}.
+// StreamFIFO's round costs O(pending), but it allocates nothing either:
+// its Each closure does not escape. The 8-port switch of the
 // shared set-up is too small for OldestFirst to stage, so it gets a
 // second row where it does — 40x40 with 4k flows resident, every VOQ
 // active — and the row checks that it did: a pick that never cuts orders
 // every active VOQ's head at least once a round.
 func TestSteadyStateZeroAlloc(t *testing.T) {
-	for _, name := range []string{"RoundRobin", "OldestFirst", "WeightedISLIP"} {
+	for _, name := range []string{"RoundRobin", "OldestFirst", "WeightedISLIP", "StreamFIFO"} {
 		for _, shards := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/K%d", name, shards), func(t *testing.T) {
 				testSteadyStateZeroAlloc(t, shards, ByName(name), AdmitLossless, 0, nil)

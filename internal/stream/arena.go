@@ -96,7 +96,7 @@ func (a *arena) alloc() int32 {
 // allocator places on boundaries of their size (or of a page), so no
 // record straddles a cache line.
 //
-//flowsched:allow alloc: arena columns double at each new high-water mark, then recycle through freed
+//flowsched:allow alloc: arena columns double at each new high-water mark, then recycle through freed slots (TestArenaGrowthDoubles)
 func (a *arena) grow() {
 	c := max(2*cap(a.rec), minArena)
 	rec := make([]flowRec, len(a.rec), c)

@@ -387,7 +387,7 @@ func grown[T any](s []T, n int) []T {
 	if n <= cap(s) {
 		return s[:n]
 	}
-	return append(s[:cap(s)], make([]T, n-cap(s))...) //flowsched:allow alloc: pick scratch is length-reset per stage and grows geometrically to its high-water mark
+	return append(s[:cap(s)], make([]T, n-cap(s))...) //flowsched:allow alloc: pick scratch is length-reset per stage and grows geometrically to its high-water mark (TestOldestFirstRampAllocBounded)
 }
 
 // sortEntries sorts by the full entry order without allocating:
@@ -444,7 +444,7 @@ func (p *OldestFirst) push(v *View, id ID, in, out int16) {
 
 // heapPush sifts e up into the min-heap.
 func (p *OldestFirst) heapPush(e ofEntry) {
-	p.h = append(p.h, e) //flowsched:allow alloc: heap scratch is length-reset per round and grows to the pending high-water mark
+	p.h = append(p.h, e) //flowsched:allow alloc: heap scratch is length-reset per round and grows to the pending high-water mark (TestSteadyStateZeroAlloc)
 	i := len(p.h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2

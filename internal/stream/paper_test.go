@@ -11,6 +11,7 @@ import (
 
 	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
+	"flowsched/internal/verify"
 	"flowsched/internal/workload"
 )
 
@@ -25,7 +26,7 @@ func replay(t *testing.T, inst *switchnet.Instance, pol stream.Policy) *stream.R
 	if !res.Schedule.Complete() {
 		t.Fatalf("%s: incomplete", pol.Name())
 	}
-	if err := res.Schedule.Validate(inst, inst.Switch.Caps()); err != nil {
+	if _, err := verify.CheckSchedule(inst, res.Schedule, inst.Switch.Caps()); err != nil {
 		t.Fatalf("%s: %v", pol.Name(), err)
 	}
 	return res

@@ -41,7 +41,7 @@ func (FIFO) NewShard() Policy { return FIFO{} }
 //
 //flowsched:hotpath
 func (FIFO) Pick(v *View) {
-	v.Each(func(id ID, _ int64, _ switchnet.Flow) bool { //flowsched:allow alloc: non-escaping iterator closure; zero-alloc steady state pinned by TestSteadyStateAllocs
+	v.Each(func(id ID, _ int64, _ switchnet.Flow) bool { //flowsched:allow alloc: non-escaping iterator closure; zero-alloc steady state pinned by TestSteadyStateZeroAlloc
 		v.Take(id)
 		return true
 	})
@@ -56,6 +56,13 @@ func (FIFO) Pick(v *View) {
 // of the port space). Within a VOQ a blocked head blocks the queue —
 // strict FIFO, so no flow is ever overtaken by a younger flow on the same
 // port pair.
+//
+// It trades the tail for the mean. On uniform unit Poisson traffic at 150
+// ports and load 0.95 (seed 1) it has the best average response of the
+// native policies, 18.71 rounds against OldestFirst's 25.52, and the worst
+// maximum, 917 rounds against 81: the pointer serves ports in turn, not
+// flows by age. On the benchmark's steady_skew workload its maximum is 440
+// rounds against OldestFirst's 18.
 //
 // A pick sweeps each input's active-VOQ bitmap words AND-ed with a mask
 // of the outputs that still have capacity, so it reads queues and arena

@@ -71,7 +71,7 @@ func (sh *shard) oldestRel() int64 {
 // here via View.Fail); the coordinator surfaces it in shard order.
 func (sh *shard) fail(format string, args ...any) {
 	if sh.err == nil {
-		sh.err = fmt.Errorf(format, args...) //flowsched:allow alloc: cold error path: runs at most once, the shard stops scheduling after
+		sh.err = fmt.Errorf(format, args...) //flowsched:allow alloc: cold error path: runs at most once, the shard stops scheduling after (TestRunRejectsBadIndexAndDup)
 	}
 }
 
@@ -116,8 +116,8 @@ func (sh *shard) apply() {
 		}
 		rt.win.Observe(resp)
 		if verifying {
-			rt.bufFlows = append(rt.bufFlows, a.flow(id)) //flowsched:allow alloc: verification buffer, nil unless verify mode is on; amortized there
-			rt.bufRounds = append(rt.bufRounds, t)        //flowsched:allow alloc: grows in lockstep with bufFlows under verify mode only
+			rt.bufFlows = append(rt.bufFlows, a.flow(id)) //flowsched:allow alloc: verification buffer, nil unless verify mode is on; amortized there (TestSteadyStateZeroAllocVerify)
+			rt.bufRounds = append(rt.bufRounds, t)        //flowsched:allow alloc: grows in lockstep with bufFlows under verify mode only (TestSteadyStateZeroAllocVerify)
 		}
 	}
 	rt.win.End()

@@ -139,7 +139,7 @@ func (v *View) Take(id ID) bool {
 	rt, sh := v.rt, v.sh
 	a := &rt.ar
 	if id < 0 || id >= len(a.rec) || !a.live(int32(id)) || (rt.nshards > 1 && !sh.holds(a.rec[id].inPort())) {
-		sh.fail("stream: policy %q took id %d, which is not a pending flow at its shard's inputs", sh.pol.Name(), id) //flowsched:allow alloc: cold contract-violation path: records the first policy error and stops the shard
+		sh.fail("stream: policy %q took id %d, which is not a pending flow at its shard's inputs", sh.pol.Name(), id) //flowsched:allow alloc: cold contract-violation path: records the first policy error and stops the shard (TestRunRejectsBadIndexAndDup)
 		return false
 	}
 	if a.taken(int32(id)) {
@@ -161,7 +161,7 @@ func (v *View) Take(id ID) bool {
 	}
 	rt.loadOut[out] += d
 	rc.out |= stTaken
-	sh.takes = append(sh.takes, int32(id)) //flowsched:allow alloc: takes buffer is length-reset on apply and grows to the per-round take high-water mark
+	sh.takes = append(sh.takes, int32(id)) //flowsched:allow alloc: takes buffer is length-reset on apply and grows to the per-round take high-water mark (TestSteadyStateZeroAlloc)
 	return true
 }
 

@@ -1,9 +1,6 @@
 package switchnet
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Unscheduled marks a flow that has not been assigned a round.
 const Unscheduled = -1
@@ -86,71 +83,6 @@ func (s *Schedule) MaxResponse(inst *Instance) int {
 	return m
 }
 
-// PortRoundLoads returns the demand placed on each (global port, round)
-// pair as a map from round to per-port load slice. Only rounds with nonzero
-// load appear.
-func (s *Schedule) PortRoundLoads(inst *Instance) map[int][]int {
-	loads := make(map[int][]int)
-	for f, t := range s.Round {
-		if t == Unscheduled {
-			continue
-		}
-		row, ok := loads[t]
-		if !ok {
-			row = make([]int, inst.Switch.NumPorts())
-			loads[t] = row
-		}
-		e := inst.Flows[f]
-		row[inst.Switch.PortIndex(In, e.In)] += e.Demand
-		row[inst.Switch.PortIndex(Out, e.Out)] += e.Demand
-	}
-	return loads
-}
-
-// MaxOverload returns the largest amount by which the schedule exceeds the
-// given per-port capacities in any round (0 if it never does). caps must
-// have length inst.Switch.NumPorts().
-func (s *Schedule) MaxOverload(inst *Instance, caps []int) int {
-	worst := 0
-	for _, row := range s.PortRoundLoads(inst) {
-		for p, load := range row {
-			if over := load - caps[p]; over > worst {
-				worst = over
-			}
-		}
-	}
-	return worst
-}
-
-// Validate checks that the schedule is feasible for inst under the given
-// per-port capacities caps (global index order): every flow is scheduled,
-// no flow runs before its release, and no port is overloaded in any round.
-// Pass inst.Switch.Caps() for the unaugmented capacities.
-func (s *Schedule) Validate(inst *Instance, caps []int) error {
-	if len(s.Round) != len(inst.Flows) {
-		return fmt.Errorf("schedule covers %d flows, instance has %d", len(s.Round), len(inst.Flows))
-	}
-	if len(caps) != inst.Switch.NumPorts() {
-		return fmt.Errorf("got %d capacities, instance has %d ports", len(caps), inst.Switch.NumPorts())
-	}
-	for f, t := range s.Round {
-		if t == Unscheduled {
-			return fmt.Errorf("flow %d: %w", f, ErrUnscheduled)
-		}
-		if t < inst.Flows[f].Release {
-			return fmt.Errorf("flow %d scheduled at round %d before release %d", f, t, inst.Flows[f].Release)
-		}
-	}
-	for t, row := range s.PortRoundLoads(inst) {
-		for p, load := range row {
-			if load > caps[p] {
-				return fmt.Errorf("round %d: port %d loaded %d > capacity %d", t, p, load, caps[p])
-			}
-		}
-	}
-	return nil
-}
-
 // ScaleCaps returns capacities multiplied by factor (for "(1+c) times the
 // capacity" style augmentation).
 func ScaleCaps(caps []int, factor int) []int {
@@ -169,15 +101,4 @@ func AddCaps(caps []int, delta int) []int {
 		out[i] = c + delta
 	}
 	return out
-}
-
-// ResponseHistogram returns the sorted multiset of response times; useful
-// for percentile reporting in experiments.
-func (s *Schedule) ResponseHistogram(inst *Instance) []int {
-	rs := make([]int, len(s.Round))
-	for f := range s.Round {
-		rs[f] = s.ResponseTime(inst, f)
-	}
-	sort.Ints(rs)
-	return rs
 }

@@ -11,10 +11,7 @@
 // capacity (possibly augmented, for the resource-augmentation results).
 package switchnet
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Side distinguishes the two sides of the bipartite switch.
 type Side int
@@ -288,7 +285,3 @@ func (in *Instance) UnitDemands() bool {
 	}
 	return true
 }
-
-// ErrUnscheduled is returned by schedule validation when a flow has not been
-// assigned a round.
-var ErrUnscheduled = errors.New("flow is unscheduled")

@@ -193,10 +193,6 @@ func TestScheduleMetrics(t *testing.T) {
 	if got := s.Makespan(); got != 4 {
 		t.Errorf("makespan = %d, want 4", got)
 	}
-	hist := s.ResponseHistogram(in)
-	if len(hist) != 3 || hist[0] != 1 || hist[2] != 4 {
-		t.Errorf("hist = %v", hist)
-	}
 }
 
 func TestResponseTimePanicsOnUnscheduled(t *testing.T) {
@@ -207,62 +203,6 @@ func TestResponseTimePanicsOnUnscheduled(t *testing.T) {
 	}()
 	in := validInstance()
 	NewSchedule(in.N()).ResponseTime(in, 0)
-}
-
-func TestScheduleValidate(t *testing.T) {
-	in := validInstance()
-	s := NewSchedule(in.N())
-	caps := in.Switch.Caps()
-
-	if err := s.Validate(in, caps); err == nil {
-		t.Fatal("incomplete schedule must fail validation")
-	}
-
-	s.Round = []int{0, 1, 0}
-	if err := s.Validate(in, caps); err != nil {
-		t.Fatalf("feasible schedule rejected: %v", err)
-	}
-
-	// Violate release time.
-	s.Round = []int{0, 0, 0}
-	if err := s.Validate(in, caps); err == nil || !strings.Contains(err.Error(), "before release") {
-		t.Fatalf("want release violation, got %v", err)
-	}
-
-	// Violate capacity: flows 1 (demand 2) and 0 (demand 1) share input 0.
-	s.Round = []int{1, 1, 0}
-	if err := s.Validate(in, caps); err == nil || !strings.Contains(err.Error(), "capacity") {
-		t.Fatalf("want capacity violation, got %v", err)
-	}
-
-	// Augmentation fixes it.
-	if err := s.Validate(in, AddCaps(caps, 1)); err != nil {
-		t.Fatalf("augmented validation failed: %v", err)
-	}
-}
-
-func TestScheduleValidateShapeErrors(t *testing.T) {
-	in := validInstance()
-	s := &Schedule{Round: []int{0}}
-	if err := s.Validate(in, in.Switch.Caps()); err == nil {
-		t.Fatal("want length mismatch error")
-	}
-	s = NewSchedule(in.N())
-	if err := s.Validate(in, []int{1}); err == nil {
-		t.Fatal("want capacity length mismatch error")
-	}
-}
-
-func TestMaxOverload(t *testing.T) {
-	in := validInstance()
-	s := &Schedule{Round: []int{1, 1, 0}}
-	caps := in.Switch.Caps()
-	if got := s.MaxOverload(in, caps); got != 1 {
-		t.Fatalf("overload = %d, want 1", got)
-	}
-	if got := s.MaxOverload(in, AddCaps(caps, 1)); got != 0 {
-		t.Fatalf("augmented overload = %d, want 0", got)
-	}
 }
 
 func TestScaleAndAddCaps(t *testing.T) {
@@ -335,8 +275,10 @@ func TestQuickRandomInstancesValidate(t *testing.T) {
 	}
 }
 
-// Property: a schedule where each flow runs alone in its own round past all
-// releases is always valid, and metrics are consistent with each other.
+// Property: on a schedule where each flow runs alone in its own round past
+// all releases, the metrics are consistent with each other. That such a
+// schedule is feasible is the oracle's to say; verify's
+// TestReportMatchesScheduleMethods checks it on the same shape.
 func TestQuickSerialScheduleAlwaysValid(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -345,9 +287,6 @@ func TestQuickSerialScheduleAlwaysValid(t *testing.T) {
 		t0 := in.MaxRelease() + 1
 		for i := range s.Round {
 			s.Round[i] = t0 + i
-		}
-		if in.N() > 0 && s.Validate(in, in.Switch.Caps()) != nil {
-			return false
 		}
 		// total >= max >= 1 (when nonempty), total >= n.
 		if in.N() > 0 {

@@ -7,10 +7,12 @@
 // the paper's response-time metrics from the raw assignment so experiment
 // tables never report numbers a solver merely claims.
 //
-// The package deliberately duplicates rather than calls
-// switchnet.Schedule.Validate: an oracle shared by property tests, the
-// scenario engine, the experiment drivers and the stream runtime's windowed
-// verification must not inherit a bug from the code it checks.
+// It is the feasibility rule's one implementation. The solvers check their
+// own post-conditions with it, as do the scenario engine, the experiment
+// drivers, the property tests and the stream runtime's windowed
+// verification. It takes from switchnet only the instance and schedule
+// types and the capacity helpers, so it inherits no bug from the code it
+// checks.
 //
 // # The check
 //

@@ -122,17 +122,27 @@ func TestCheckScheduleStructuralErrors(t *testing.T) {
 
 // TestReportMatchesScheduleMethods cross-checks the oracle's recomputed
 // metrics against the switchnet.Schedule methods on random feasible-by-
-// construction schedules (each flow in its own round).
+// construction schedules (each flow in its own round): unit flows on unit
+// switches, then flows of demand up to the capacity on rectangular
+// switches of capacity 1 to 3.
 func TestReportMatchesScheduleMethods(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
+	for trial := 0; trial < 40; trial++ {
 		m := 2 + rng.Intn(4)
 		n := 1 + rng.Intn(12)
-		inst := &switchnet.Instance{Switch: switchnet.UnitSwitch(m)}
+		sw := switchnet.UnitSwitch(m)
+		if trial >= 20 {
+			sw = switchnet.NewSwitch(m, 1+rng.Intn(5), 1+rng.Intn(3))
+		}
+		inst := &switchnet.Instance{Switch: sw}
 		sched := switchnet.NewSchedule(n)
 		for f := 0; f < n; f++ {
+			d := 1
+			if trial >= 20 {
+				d += rng.Intn(sw.InCaps[0])
+			}
 			inst.Flows = append(inst.Flows, switchnet.Flow{
-				In: rng.Intn(m), Out: rng.Intn(m), Demand: 1, Release: rng.Intn(5),
+				In: rng.Intn(m), Out: rng.Intn(sw.NumOut()), Demand: d, Release: rng.Intn(5),
 			})
 		}
 		// One flow per round (past its release): feasible on any switch.
