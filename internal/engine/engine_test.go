@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -246,8 +247,8 @@ func TestLPSolversReportStageCounts(t *testing.T) {
 		st["pseudo_total"] < st["lp_bound"]-1e-9 {
 		t.Fatalf("ART stage counts missing or inconsistent: %v", st)
 	}
-	if st := table.Verdicts[1].Solution.Stats; st["overload"] < 0 || st["overload"] > st["cap_increase"] {
-		t.Fatalf("MRT overload %v outside its declared increase %v", st["overload"], st["cap_increase"])
+	if rep := table.Verdicts[1].Report; rep.MaxExcess > 0 || rep.MaxExcess == math.MinInt {
+		t.Fatalf("MRT excess %d over its declared capacities: want loaded ports within them", rep.MaxExcess)
 	}
 	for i, r := range table.Rows[:2] {
 		st := table.Verdicts[i].Solution.Stats

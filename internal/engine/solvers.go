@@ -9,7 +9,6 @@ import (
 	"flowsched/internal/lp"
 	"flowsched/internal/stream"
 	"flowsched/internal/switchnet"
-	"flowsched/internal/verify"
 )
 
 // lpStatKeys names, in table order, the solver-stage counts an LP-backed
@@ -76,17 +75,12 @@ func (MRTSolver) Solve(inst *switchnet.Instance) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	// What of the increase the schedule used: its worst port overload
-	// against the raw capacities. The check fails wherever the schedule
-	// uses the increase, so only its figure is read.
-	raw, _ := verify.CheckSchedule(inst, res.Schedule, inst.Switch.Caps())
 	return &Solution{
 		Schedule: res.Schedule,
 		Caps:     switchnet.AddCaps(inst.Switch.Caps(), res.CapIncrease),
 		Stats: withLPStats(map[string]float64{
 			"rho":              float64(res.Rho),
 			"cap_increase":     float64(res.CapIncrease),
-			"overload":         float64(raw.MaxOverload),
 			"lp_pivots":        float64(res.LPIterations),
 			"lp_search_pivots": float64(res.SearchLP.Pivots()),
 		}, res.LP),

@@ -224,29 +224,30 @@
 // retires before the next begins, so the buffer is in round order and the
 // oracle sweeps it without sorting: one pass for the per-flow checks, one
 // that sums each round's demands into a per-port counter array and
-// compares the ports the round touched with their capacities. At the
-// flush the coordinator swaps the buffer with the one the verifier has
-// finished with, grown to the flushed window's length. That is O(flows in
-// the window) time and O(flows + ports) memory — the two window buffers
-// and the oracle's verify.Checker, all owned by the runtime and reused —
-// so after the buffers have grown to the largest window a flush allocates
+// compares the ports the round touched with their capacities. The flush
+// then empties the buffer, keeping its capacity. That is O(flows in the
+// window) time and O(flows + ports) memory — the one window buffer and
+// the oracle's verify.Checker, both owned by the runtime and reused — so
+// after the buffer has grown to the largest window a flush allocates
 // nothing (TestSteadyStateZeroAllocVerify counts mallocs over eight
 // windows). What remains is a price, not zero: on the benchmark's
 // drain_verified workload (150 ports, VerifyEvery = 256, about 38 k flows
-// a window) against drain_deep, the same flows and schedule unverified,
-// alternated runs on a 2-vCPU Xeon read 0.46 against 0.42 CPU-µs per flow
-// (+9 %) and 33.4 against 22.0 B per flow, the extra bytes being one fresh
-// runtime's buffer growth spread over a million flows.
+// a window) against drain_deep, the same flows and schedule unverified, 6
+// alternated pairs on a 2-vCPU Xeon read medians of 0.221 against 0.178
+// CPU-µs per flow, 4.50 M against 5.60 M flows/s, and 14.3 against 6.1 B
+// per flow, the extra bytes being one fresh runtime's buffer growth
+// spread over a million flows. The oracle's own pass is roughly 15–25 ns a
+// flow (BenchmarkVerifyWindow in the root package).
 //
-// Who pays it. The check runs on one verifier goroutine, stopped — and
-// waited for — when Run returns, however it returns. The coordinator
-// hands it window w and goes on with the
-// rounds of window w+1; it collects the verdict at the next flush (or the
-// end of the run), so a failure surfaces one window late, labelled with
-// the first and last round its flows were really scheduled in. The
-// overlap hides the oracle's pass from flows_per_s only when a core is
-// spare for it; the buffering is on the round loop either way, and the
-// CPU is spent whether or not anyone waits for it.
+// Who pays it. The coordinator does, inline: flushWindow runs the check
+// between the window's last round and the next, so a Runtime starts no
+// goroutine, a failure ends the run at the flush of the window that
+// failed — labelled with the first and last round its flows were really
+// scheduled in — and Stop or an error return leaves nothing to join. The
+// pass lands on the round loop's wall time. Overlapping it with the next
+// window's rounds on a second goroutine hides it only while a core is
+// spare, spends the same CPU, needs a second buffer and reports a bad
+// window one window late (ROADMAP.md, "Measured negatives").
 //
 // # Observability
 //
@@ -268,10 +269,9 @@
 //     pick (the admission pass, which threads arrivals into the pending
 //     store, is in no phase), ReconcileNS the ordering of the shards'
 //     turns (0 at K = 1), ApplyNS the round's own retirement, and
-//     VerifyNS only the blocking join on the verify oracle — overlap with
-//     the next window's rounds is the oracle's normal, invisible case.
-//     The join lands between scheduling rounds and is charged to the next
-//     emitted record.
+//     VerifyNS the oracle's pass over a window at its flush. The flush
+//     lands between scheduling rounds and is charged to the next emitted
+//     record.
 //   - Only scheduling rounds emit, so the recorded round numbers are
 //     strictly increasing — idle jumps leave gaps, never duplicates.
 //   - Record emission precedes the round-counter publish, so a record

@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -189,7 +188,7 @@ type Config struct {
 	// Recorder, when non-nil, receives one obs.RoundRecord per scheduling
 	// round, written by the coordinator inside the round loop: per-round
 	// arrival/schedule/drop/expiry/pending counts plus per-phase
-	// nanoseconds (expire and pick, turn ordering, apply, verify-join).
+	// nanoseconds (expire and pick, turn ordering, apply, verify).
 	// Recording adds no allocations to the steady-state round (asserted
 	// by TestSteadyStateZeroAllocRecorded) and only two monotonic-clock
 	// reads per timed phase; with Recorder nil the hot path takes no
@@ -277,9 +276,9 @@ type Summary struct {
 
 // Runtime is the streaming scheduler. Run drives it from one goroutine —
 // the coordinator — which pulls the source, threads arrivals into the
-// pending store, and runs every shard's part of each round itself, in
-// shard order; the only other goroutine it starts is the window verifier
-// (VerifyEvery > 0). Snapshot may be called concurrently from other
+// pending store, runs every shard's part of each round itself, in shard
+// order, and checks each verification window at its flush; a Runtime
+// starts no goroutine. Snapshot may be called concurrently from other
 // goroutines; it reads atomics and the epoch window only, so it never
 // stalls the round loop.
 type Runtime struct {
@@ -375,21 +374,12 @@ type Runtime struct {
 
 	// Verification window state: vstart is the active window's first
 	// round. The shards' apply appends every retired flow and its round to
-	// bufFlows/bufRounds — round order, shard order within a round — and a
-	// flush swaps that buffer with vflows/vrounds, which the verifier
-	// goroutine (serveVerify) then checks with the runtime's one Checker.
-	// vwork hands it the window's round span, vdone carries the verdict
-	// back (joinVerify), and vexit closes when the goroutine has returned.
+	// bufFlows/bufRounds — round order, shard order within a round — and
+	// flushWindow checks that buffer with the runtime's one Checker.
 	vstart    int
 	bufFlows  []switchnet.Flow
 	bufRounds []int
-	vflows    []switchnet.Flow
-	vrounds   []int
 	checker   verify.Checker
-	vpending  bool
-	vwork     chan vwindow
-	vdone     chan error
-	vexit     chan struct{}
 
 	// Snapshot-visible metrics. The round loop only ever stores/adds;
 	// Snapshot only loads. win is the sliding response-time window, an
@@ -487,7 +477,6 @@ func New(src Source, cfg Config) (*Runtime, error) {
 		respBound: cfg.ResponseBound,
 		nshards:   cfg.Shards,
 		shards:    make([]*shard, cfg.Shards),
-		vdone:     make(chan error, 1),
 		ctl:       make(chan func(), 1),
 		wake:      make(chan struct{}, 1),
 		finished:  make(chan struct{}),
@@ -665,29 +654,6 @@ func (rt *Runtime) admit() error {
 	return nil
 }
 
-// startVerifier launches the window verifier goroutine (VerifyEvery >
-// 0), the one goroutine a Runtime starts; stopVerifier shuts it down,
-// returning once it has exited, whether or not its last verdict was
-// collected. Run brackets itself with them; white-box tests driving step
-// or flushWindow directly with verification on do the same.
-func (rt *Runtime) startVerifier() {
-	if rt.cfg.VerifyEvery <= 0 || rt.vwork != nil {
-		return
-	}
-	rt.vwork = make(chan vwindow, 1)
-	rt.vexit = make(chan struct{})
-	go rt.serveVerify()
-}
-
-func (rt *Runtime) stopVerifier() {
-	if rt.vwork == nil {
-		return
-	}
-	close(rt.vwork)
-	<-rt.vexit
-	rt.vwork = nil
-}
-
 // orderTurns sets the round's shard turn order: by the shards' oldest
 // pending release (shard.oldestRel), ties to the lower shard index, so
 // the shard holding the oldest flow picks first and each later shard
@@ -744,71 +710,38 @@ func (rt *Runtime) setRound(t int) error {
 	return nil
 }
 
-// vwindow is one flushed verification window's true round span: the first
-// and last round any of its flows was scheduled in.
-type vwindow struct{ lo, hi int }
-
-// flushWindow hands every buffered scheduled flow to the verifier
-// goroutine. All loads in the buffered rounds are fully represented —
-// every round's picks retire, into the one buffer, before the round ends,
-// and rounds only move forward — so the oracle's per-(port, round)
-// capacity check is exact, and the buffer is already in round order, so
-// the oracle sweeps it without sorting. The flush swaps the buffer with
-// the verifier's previous one, which its join has freed, and grows that
-// one to this window's length, so two buffers of a window's size carry
-// the whole run and a window no larger than an earlier one allocates
-// nothing. The check for window w runs concurrently with the rounds of
-// window w+1 and is joined at the next flush (or the end of the run); it
-// never changes the schedule. Failures are labelled with the true min/max
-// buffered rounds, not the window boundaries, so an idle jump across
-// several window starts cannot skew the report.
+// flushWindow checks every buffered scheduled flow with the oracle, on the
+// coordinator, and empties the buffer. All loads in the buffered rounds
+// are fully represented — every round's picks retire, into the one
+// buffer, before the round ends, and rounds only move forward — so the
+// oracle's per-(port, round) capacity check is exact, and the buffer is
+// already in round order, so the oracle sweeps it without sorting. The
+// buffer keeps its capacity, so a window no larger than an earlier one
+// allocates nothing. The verdict never changes the schedule; a failure
+// ends the run at this flush, labelled with the true min/max buffered
+// rounds, not the window boundaries, so an idle jump across several
+// window starts cannot skew the report.
 func (rt *Runtime) flushWindow() error {
-	if err := rt.joinVerify(); err != nil {
-		return err
-	}
 	n := len(rt.bufRounds)
 	if n == 0 {
 		return nil
 	}
-	rt.vflows, rt.bufFlows = rt.bufFlows, slices.Grow(rt.vflows[:0], n)
-	rt.vrounds, rt.bufRounds = rt.bufRounds, slices.Grow(rt.vrounds[:0], n)
-	rt.vpending = true
-	rt.vwork <- vwindow{lo: rt.vrounds[0], hi: rt.vrounds[n-1]}
-	return nil
-}
-
-// serveVerify is the verifier goroutine's loop: one oracle pass per flushed
-// window, until stopVerifier closes the channel. The coordinator leaves
-// vflows/vrounds alone from the send until it has taken the verdict. vdone
-// is buffered, so a verdict nobody collects (the run failed elsewhere)
-// does not hold the goroutine.
-func (rt *Runtime) serveVerify() {
-	defer close(rt.vexit)
-	for w := range rt.vwork {
-		inst := switchnet.Instance{Switch: rt.sw, Flows: rt.vflows}
-		sched := switchnet.Schedule{Round: rt.vrounds}
-		if _, err := rt.checker.Check(&inst, &sched, rt.caps); err != nil {
-			rt.vdone <- fmt.Errorf("stream: verification window over rounds [%d, %d] infeasible: %w", w.lo, w.hi, err)
-			continue
-		}
-		rt.mWindows.Add(1)
-		rt.vdone <- nil
-	}
-}
-
-// joinVerify waits for the in-flight window check, if any.
-func (rt *Runtime) joinVerify() error {
-	if !rt.vpending {
-		return nil
-	}
-	rt.vpending = false
+	var t0 time.Time
 	if rt.rec != nil {
-		t0 := time.Now()
-		err := <-rt.vdone
-		rt.tVerifyNS += time.Since(t0).Nanoseconds()
-		return err
+		t0 = time.Now()
 	}
-	return <-rt.vdone
+	inst := switchnet.Instance{Switch: rt.sw, Flows: rt.bufFlows}
+	sched := switchnet.Schedule{Round: rt.bufRounds}
+	_, err := rt.checker.Check(&inst, &sched, rt.caps)
+	if rt.rec != nil {
+		rt.tVerifyNS += time.Since(t0).Nanoseconds()
+	}
+	if err != nil {
+		return fmt.Errorf("stream: verification window over rounds [%d, %d] infeasible: %w", rt.bufRounds[0], rt.bufRounds[n-1], err)
+	}
+	rt.mWindows.Add(1)
+	rt.bufFlows, rt.bufRounds = rt.bufFlows[:0], rt.bufRounds[:0]
+	return nil
 }
 
 // step advances the runtime by one iteration — an idle jump or one
@@ -909,9 +842,9 @@ func (rt *Runtime) step() (done bool, err error) {
 	if rt.rec != nil {
 		// One record per scheduling round (idle jumps emit nothing, so
 		// the trace's rounds are strictly increasing). Verify time accrued
-		// after the previous record — the join at a window flush — has
-		// landed in the accumulators and is charged here, then everything
-		// resets for the next record.
+		// after the previous record — the oracle's pass at a window flush —
+		// has landed in the accumulators and is charged here, then
+		// everything resets for the next record.
 		rt.rec.Record(obs.RoundRecord{
 			Round:       int64(rt.round),
 			Arrived:     rt.recArrived,
@@ -960,9 +893,8 @@ func (rt *Runtime) idle() (done bool, err error) {
 // Run drains the source: it advances round by round until the source is
 // exhausted and the pending set is empty — or until Stop is called — then
 // returns the final summary. On either exit every round's picks have
-// retired, the last window's verdict is collected, and the verifier
-// goroutine is shut down; on an error return it is shut down all the
-// same. It is not restartable.
+// retired and the last, partial window has been checked; an error return
+// leaves nothing running either. It is not restartable.
 func (rt *Runtime) Run() (*Summary, error) {
 	defer rt.finOnce.Do(func() { close(rt.finished) })
 	rt.runMu.Lock()
@@ -971,8 +903,6 @@ func (rt *Runtime) Run() (*Summary, error) {
 	if err := rt.firstErr(); err != nil {
 		return nil, err
 	}
-	rt.startVerifier()
-	defer rt.stopVerifier()
 	for !rt.stop.Load() {
 		done, err := rt.step()
 		if err != nil {
@@ -982,20 +912,15 @@ func (rt *Runtime) Run() (*Summary, error) {
 			break
 		}
 	}
-	if rt.cfg.VerifyEvery > 0 {
-		if err := rt.flushWindow(); err != nil {
-			return nil, err
-		}
-		if err := rt.joinVerify(); err != nil {
-			return nil, err
-		}
+	if err := rt.flushWindow(); err != nil {
+		return nil, err
 	}
 	s := rt.Snapshot()
 	return &s, nil
 }
 
 // Stop requests a clean stop: Run finishes the iteration in flight,
-// joins the verify goroutine, and returns the final
+// checks the last, partial verification window, and returns the final
 // Summary with a nil error. Safe to call from any goroutine, before or
 // during Run, and idempotent. A runtime parked idle on a Parker source
 // is woken and stops promptly; blocked in the Next of a source without

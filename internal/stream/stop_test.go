@@ -25,8 +25,7 @@ func awaitProgress(t *testing.T, rt *Runtime, cond func(Summary) bool) {
 // TestStopMidRunSettlesOwedPicks is the headline-bugfix property: stopping
 // an unbounded overloaded run mid-flight returns a final Summary with
 // every pick retired (no shard holds a flow counted scheduled but not
-// completed), the verify goroutine joined, and the accounting balanced —
-// unsharded and sharded.
+// completed) and the accounting balanced — unsharded and sharded.
 func TestStopMidRunSettlesOwedPicks(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		src := &patternSource{ports: 8, per: 12}
@@ -62,9 +61,6 @@ func TestStopMidRunSettlesOwedPicks(t *testing.T) {
 				t.Fatalf("K=%d: shard %d holds %d unretired picks after Stop", shards, sh.idx, len(sh.takes))
 			}
 		}
-		if rt.vpending || !verifierExited(rt) {
-			t.Fatalf("K=%d: verifier not joined after Stop (verdict pending %v)", shards, rt.vpending)
-		}
 		if sum.Completed == 0 || sum.Pending == 0 {
 			t.Fatalf("K=%d: stop mid-overload should leave both completions (%d) and pending flows (%d)",
 				shards, sum.Completed, sum.Pending)
@@ -76,16 +72,6 @@ func TestStopMidRunSettlesOwedPicks(t *testing.T) {
 			t.Fatalf("K=%d: accounting unbalanced: admitted %d != completed %d + pending %d + dropped %d + expired %d",
 				shards, sum.Admitted, sum.Completed, sum.Pending, sum.Dropped, sum.Expired)
 		}
-	}
-}
-
-// verifierExited reports whether the verifier goroutine has returned.
-func verifierExited(rt *Runtime) bool {
-	select {
-	case <-rt.vexit:
-		return true
-	default:
-		return false
 	}
 }
 
@@ -113,40 +99,41 @@ func (s *failingSource) PullBatch(dst []switchnet.Flow, round, max int) []switch
 
 func (s *failingSource) Err() error { return s.err }
 
-// TestAbortedRunJoinsVerifier: a run that ends in an error — not through
-// the final flush-and-join — still leaves no verifier goroutine behind. A
-// source failure abandons the verdict of the window in flight; an
-// infeasible window (injected by zeroing the capacities the oracle checks
-// against, since View.Take never produces one) aborts the run one window
-// late and is reported with the rounds its flows were really scheduled in.
-func TestAbortedRunJoinsVerifier(t *testing.T) {
+// TestRunReturnsSourceError: a source that ends with an error fails the
+// run with that error, verification on or off.
+func TestRunReturnsSourceError(t *testing.T) {
+	for _, verifyEvery := range []int{0, 8} {
+		feedLost := errors.New("feed lost")
+		src := &failingSource{patternSource: patternSource{ports: 8, per: 12}, limit: 600, err: feedLost}
+		rt, err := New(src, Config{
+			Switch:      switchnet.UnitSwitch(8),
+			Policy:      ByName("RoundRobin"),
+			MaxPending:  256,
+			VerifyEvery: verifyEvery,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Run(); !errors.Is(err, feedLost) {
+			t.Fatalf("VerifyEvery=%d: run over a failing source returned %v", verifyEvery, err)
+		}
+	}
+}
+
+// TestInfeasibleWindowFailsAtItsFlush: an infeasible window (injected by
+// zeroing the capacities the oracle checks against, since View.Take never
+// produces one) ends the run at its own flush — at the close of round 7,
+// the window's last round — reported with the rounds its flows were
+// really scheduled in.
+func TestInfeasibleWindowFailsAtItsFlush(t *testing.T) {
 	for _, shards := range []int{1, 2} {
-		cfg := Config{
+		rt, err := New(&patternSource{ports: 8, per: 12}, Config{
 			Switch:      switchnet.UnitSwitch(8),
 			Policy:      ByName("RoundRobin"),
 			Shards:      shards,
 			MaxPending:  256,
 			VerifyEvery: 8,
-		}
-
-		feedLost := errors.New("feed lost")
-		src := &failingSource{patternSource: patternSource{ports: 8, per: 12}, limit: 600, err: feedLost}
-		rt, err := New(src, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rt.Run(); !errors.Is(err, feedLost) {
-			t.Fatalf("K=%d: run over a failing source returned %v", shards, err)
-		}
-		if !rt.vpending || rt.mWindows.Load() == 0 {
-			t.Fatalf("K=%d: the source failed with no window in flight (pending %v, %d verified); the test missed the abandonment path",
-				shards, rt.vpending, rt.mWindows.Load())
-		}
-		if !verifierExited(rt) {
-			t.Fatalf("K=%d: verifier goroutine outlived a run aborted by its source", shards)
-		}
-
-		rt, err = New(&patternSource{ports: 8, per: 12}, cfg)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,11 +142,11 @@ func TestAbortedRunJoinsVerifier(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "verification window over rounds [0, 7] infeasible") {
 			t.Fatalf("K=%d: run over zeroed capacities returned %v, want the first window [0, 7] reported", shards, err)
 		}
-		if last := 2*cfg.VerifyEvery - 1; rt.round != last {
-			t.Fatalf("K=%d: window [0, 7] reported in round %d, want one window late at the close of round %d", shards, rt.round, last)
+		if rt.round != 7 {
+			t.Fatalf("K=%d: window [0, 7] reported in round %d, want at its own flush closing round 7", shards, rt.round)
 		}
-		if !verifierExited(rt) {
-			t.Fatalf("K=%d: verifier goroutine outlived a run aborted by an infeasible window", shards)
+		if rt.mWindows.Load() != 0 {
+			t.Fatalf("K=%d: %d windows verified before the infeasible first one", shards, rt.mWindows.Load())
 		}
 	}
 }

@@ -1021,25 +1021,39 @@ func TestStreamShardedSnapshotRace(t *testing.T) {
 }
 
 // TestShardedRunStartsNoGoroutine: the shards are a partition, not a
-// thread pool. With verification off, a K = 4 run starts no goroutine at
-// all, so every OnSchedule callback sees the goroutine count Run's caller
-// saw before it.
+// thread pool. A K = 4 run starts no goroutine at all, so every
+// OnSchedule callback sees the goroutine count Run's caller saw before it.
 func TestShardedRunStartsNoGoroutine(t *testing.T) {
+	assertRunStartsNoGoroutine(t, stream.Config{Policy: stream.ByName("OldestFirst"), Shards: 4})
+}
+
+// TestRunStartsNoGoroutine: window verification runs on the coordinator,
+// at each window's flush, so a run that verifies starts no goroutine
+// either.
+func TestRunStartsNoGoroutine(t *testing.T) {
+	sum := assertRunStartsNoGoroutine(t, stream.Config{Policy: stream.ByName("OldestFirst"), VerifyEvery: 16})
+	if sum.WindowsVerified < 2 {
+		t.Fatalf("%d windows verified; the run missed the verification path", sum.WindowsVerified)
+	}
+}
+
+// assertRunStartsNoGoroutine runs cfg over 4,000 arrivals on an 8-port
+// switch and fails unless every OnSchedule callback sees the goroutine
+// count from before Run.
+func assertRunStartsNoGoroutine(t *testing.T, cfg stream.Config) *stream.Summary {
+	t.Helper()
 	src := workload.NewArrivalSource(workload.ArrivalConfig{
 		Ports: 8, M: 12, MaxFlows: 4000,
 	}, rand.New(rand.NewSource(2)))
 	before, calls, worst := 0, 0, 0
-	rt, err := stream.New(src, stream.Config{
-		Switch: src.Switch(),
-		Policy: stream.ByName("OldestFirst"),
-		Shards: 4,
-		OnSchedule: func(int64, switchnet.Flow, int) {
-			calls++
-			if n := runtime.NumGoroutine(); n != before && worst == before {
-				worst = n
-			}
-		},
-	})
+	cfg.Switch = src.Switch()
+	cfg.OnSchedule = func(int64, switchnet.Flow, int) {
+		calls++
+		if n := runtime.NumGoroutine(); n != before && worst == before {
+			worst = n
+		}
+	}
+	rt, err := stream.New(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1055,7 +1069,8 @@ func TestShardedRunStartsNoGoroutine(t *testing.T) {
 		}
 	}
 	worst = before
-	if _, err := rt.Run(); err != nil {
+	sum, err := rt.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if calls == 0 {
@@ -1064,6 +1079,7 @@ func TestShardedRunStartsNoGoroutine(t *testing.T) {
 	if worst != before {
 		t.Fatalf("%d goroutines inside OnSchedule, %d before Run", worst, before)
 	}
+	return sum
 }
 
 // TestShardedRejectsUnshardablePolicy: the paper's heuristics match over

@@ -46,6 +46,7 @@ package verify
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"flowsched/internal/switchnet"
@@ -74,6 +75,12 @@ type Report struct {
 	// MaxOverload is the largest amount by which any (port, round) load
 	// exceeds the checked capacities; 0 for a capacity-feasible schedule.
 	MaxOverload int
+	// MaxExcess is the largest load − capacity over the loaded (port,
+	// round) pairs: negative when every loaded port has room to spare,
+	// math.MinInt when no port is loaded. MaxOverload is max(MaxExcess, 0).
+	// Under capacities raised uniformly by delta, MaxExcess + delta is the
+	// excess over the unraised ones, so one check reads both.
+	MaxExcess int
 	// Violations lists the feasibility violations found, in the order the
 	// package comment gives, up to maxViolations of them. Empty iff the
 	// schedule is feasible.
@@ -145,7 +152,7 @@ func (c *Checker) Check(inst *switchnet.Instance, sched *switchnet.Schedule, cap
 		return nil, fmt.Errorf("verify: got %d capacities, instance has %d ports", len(caps), nIn+nOut)
 	}
 
-	c.rep = Report{Flows: len(inst.Flows), Violations: c.rep.Violations[:0]}
+	c.rep = Report{Flows: len(inst.Flows), MaxExcess: math.MinInt, Violations: c.rep.Violations[:0]}
 	rep := &c.rep
 
 	// Per-flow checks and metric accumulation, in flow order. order
@@ -232,7 +239,9 @@ func (c *Checker) Check(inst *switchnet.Instance, sched *switchnet.Schedule, cap
 			load[out] += e.Demand
 		}
 		for _, p := range touched {
-			if over := load[p] - caps[p]; over > 0 {
+			over := load[p] - caps[p]
+			rep.MaxExcess = max(rep.MaxExcess, over)
+			if over > 0 {
 				rep.MaxOverload = max(rep.MaxOverload, over)
 				rep.violate("round %d: port %d loaded %d > capacity %d", t, p, load[p], caps[p])
 			}

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -104,6 +105,37 @@ func TestCheckScheduleOverload(t *testing.T) {
 	}
 }
 
+// TestMaxExcess pins the signed excess on its three regimes: positive on
+// an overload (and equal to MaxOverload), zero on a port loaded exactly
+// to capacity, negative when every loaded port has room, and math.MinInt
+// when nothing loads a port. Raising every capacity by delta lowers it by
+// exactly delta, which is what lets one check at raised capacities read
+// the overload against the raw ones.
+func TestMaxExcess(t *testing.T) {
+	sw := switchnet.NewSwitch(2, 2, 2) // capacity 2 on every port
+	two := []switchnet.Flow{{In: 0, Out: 0, Demand: 1}, {In: 1, Out: 0, Demand: 1}}
+	for _, tc := range []struct {
+		name   string
+		flows  []switchnet.Flow
+		rounds []int
+		delta  int
+		excess int
+	}{
+		{"overload", append(two, switchnet.Flow{In: 1, Out: 0, Demand: 1}), []int{0, 0, 0}, 0, 1},
+		{"overload under +3", append(two, switchnet.Flow{In: 1, Out: 0, Demand: 1}), []int{0, 0, 0}, 3, -2},
+		{"at capacity", two, []int{0, 0}, 0, 0},
+		{"room to spare", two, []int{0, 1}, 0, -1},
+		{"unscheduled", two, []int{switchnet.Unscheduled, switchnet.Unscheduled}, 0, math.MinInt},
+		{"no flows", nil, nil, 0, math.MinInt},
+	} {
+		inst := &switchnet.Instance{Switch: sw, Flows: tc.flows}
+		rep, _ := CheckAugmented(inst, &switchnet.Schedule{Round: tc.rounds}, tc.delta)
+		if rep.MaxExcess != tc.excess || rep.MaxOverload != max(tc.excess, 0) {
+			t.Errorf("%s: MaxExcess %d, MaxOverload %d; want %d and %d", tc.name, rep.MaxExcess, rep.MaxOverload, tc.excess, max(tc.excess, 0))
+		}
+	}
+}
+
 func TestCheckScheduleStructuralErrors(t *testing.T) {
 	inst := twoFlowInstance()
 	if _, err := CheckSchedule(inst, &switchnet.Schedule{Round: []int{0}}, inst.Switch.Caps()); err == nil {
@@ -180,7 +212,7 @@ func TestReportMatchesScheduleMethods(t *testing.T) {
 // simple enough to trust by reading — and trusts Flow.In/Out/Demand, so it
 // is only fed well-formed flows.
 func referenceCheck(inst *switchnet.Instance, sched *switchnet.Schedule, caps []int) *Report {
-	rep := &Report{Flows: len(inst.Flows)}
+	rep := &Report{Flows: len(inst.Flows), MaxExcess: math.MinInt}
 	type pr struct{ port, round int }
 	loads := make(map[pr]int)
 	for f, e := range inst.Flows {
@@ -214,10 +246,9 @@ func referenceCheck(inst *switchnet.Instance, sched *switchnet.Schedule, caps []
 		rep.AvgResponse = float64(rep.TotalResponse) / float64(rep.Scheduled)
 	}
 	for key, load := range loads {
-		if over := load - caps[key.port]; over > rep.MaxOverload {
-			rep.MaxOverload = over
-		}
+		rep.MaxExcess = max(rep.MaxExcess, load-caps[key.port])
 	}
+	rep.MaxOverload = max(rep.MaxExcess, 0)
 	if rep.MaxOverload > 0 {
 		seen := make(map[pr]bool)
 		for f, e := range inst.Flows {
