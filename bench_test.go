@@ -142,11 +142,13 @@ func BenchmarkOfflineLadder(b *testing.B) {
 }
 
 // BenchmarkVerifyWindow runs the feasibility oracle over one verification
-// window of the size the drain_verified workload flushes: a 150-port unit
-// switch saturated for 256 rounds (a rotating permutation per round, 38400
-// flows, in round order). "cold" is CheckSchedule, which builds its scratch
-// per call; "warm" is one Checker kept across calls, the way the stream
-// runtime keeps its, and fails if a warmed check allocates.
+// window of the size the drain_verified workload reports on: a 150-port
+// unit switch saturated for 256 rounds (a rotating permutation per round,
+// 38400 flows, in round order). "cold" is CheckSchedule, which builds its
+// scratch per call; "warm" is one Checker kept across calls over the whole
+// window; "round" is a warm Checker over the window's first round alone,
+// 150 flows, the call the stream runtime makes as each round closes. The
+// warm cases fail if a warmed check allocates.
 func BenchmarkVerifyWindow(b *testing.B) {
 	const ports, rounds = 150, 256
 	inst := &Instance{Switch: UnitSwitch(ports)}
@@ -158,8 +160,8 @@ func BenchmarkVerifyWindow(b *testing.B) {
 		}
 	}
 	caps := inst.Switch.Caps()
-	perFlow := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(inst.Flows)), "ns/flow")
+	perFlow := func(b *testing.B, flows int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*flows), "ns/flow")
 	}
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
@@ -168,26 +170,30 @@ func BenchmarkVerifyWindow(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		perFlow(b)
+		perFlow(b, len(inst.Flows))
 	})
-	b.Run("warm", func(b *testing.B) {
-		var c verify.Checker
-		check := func() {
-			if _, err := c.Check(inst, sched, caps); err != nil {
-				b.Fatal(err)
+	warm := func(inst *Instance, sched *Schedule) func(b *testing.B) {
+		return func(b *testing.B) {
+			var c verify.Checker
+			check := func() {
+				if _, err := c.Check(inst, sched, caps); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		check()
-		if allocs := testing.AllocsPerRun(1, check); allocs != 0 {
-			b.Fatalf("a warmed Checker performed %v allocs on a window it had seen, want 0", allocs)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
 			check()
+			if allocs := testing.AllocsPerRun(1, check); allocs != 0 {
+				b.Fatalf("a warmed Checker performed %v allocs on a window it had seen, want 0", allocs)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				check()
+			}
+			perFlow(b, len(inst.Flows))
 		}
-		perFlow(b)
-	})
+	}
+	b.Run("warm", warm(inst, sched))
+	b.Run("round", warm(&Instance{Switch: inst.Switch, Flows: inst.Flows[:ports]}, &Schedule{Round: sched.Round[:ports]}))
 }
 
 func BenchmarkSubstrateSimRound(b *testing.B) {

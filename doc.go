@@ -85,9 +85,10 @@
 //     pool), so a run is reproducible at any fixed shard count; the
 //     round loop is allocation-free at steady state. Metrics are streaming
 //     (StreamSummary: running totals plus sliding-window response-time
-//     quantiles from a mergeable log-histogram sketch), VerifyEvery feeds
-//     each completed window of rounds through the verify oracle, so even
-//     unbounded runs are spot-checked for feasibility, and a
+//     quantiles from a mergeable log-histogram sketch), VerifyEvery checks
+//     every round through the verify oracle as it closes and reports once
+//     per window of that many rounds, so even unbounded runs are checked
+//     for feasibility in O(ports) memory, and a
 //     FlightRecorder (NewFlightRecorder) attached through
 //     StreamConfig.Recorder keeps the last rounds' RoundRecords.
 //

@@ -84,8 +84,8 @@ var phaseBuckets = []float64{
 // recorder's records are the only source. The phases are obs.RoundRecord's:
 // "propose" is expire + pick over all shards, "reconcile" the ordering of
 // the shards' turns (0 at one shard), "apply" the round's own retirement
-// (every round), and "verify" the oracle's check of a verification window
-// at its flush.
+// (every round), and "verify" the oracle's check of a round as it closes
+// (every round with verification on).
 func writePhaseMetrics(w io.Writer, rec *obs.FlightRecorder) {
 	recs := rec.Last(nil, rec.Cap())
 	fmt.Fprintf(w, "# HELP flowsched_phase_seconds Per-round phase time over the flight recorder window (sliding, not cumulative).\n")

@@ -38,9 +38,10 @@ const DefaultRounds = 4096
 // is in no phase), ReconcileNS the ordering of the shards' turns (0 at
 // one shard; the name and JSON key predate the turns), ApplyNS the
 // round's own retirement of its picks, every round,
-// and VerifyNS the verify oracle's pass over a verification window. The
-// pass runs on the coordinator between scheduling rounds, at the window's
-// flush, and is charged to the next emitted record.
+// and VerifyNS the verify oracle's check of a round, every round with
+// verification on. The check runs on the coordinator as the round closes,
+// after the round's record is written, and is charged to the next
+// emitted record.
 type RoundRecord struct {
 	Round       int64 `json:"round"`
 	Arrived     int64 `json:"arrived"`

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -362,6 +363,70 @@ func TestSteadyStateZeroAllocVerify(t *testing.T) {
 				t.Fatalf("K=%d: 512 steady-state rounds with verification on performed %d allocs, want 0", shards, allocs)
 			}
 		})
+	}
+}
+
+// TestVerifyBufferHoldsOneRound pins the verification buffer to one
+// round: New reserves it at the most flows a feasible round can retire —
+// 8 on an 8x8 unit switch — and every round is checked and emptied as it
+// closes, so across 512 rounds of one window that never closes the buffer
+// neither grows nor carries a flow from one step to the next.
+func TestVerifyBufferHoldsOneRound(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		rt, err := New(&patternSource{ports: 8, per: 12}, Config{
+			Switch:      switchnet.UnitSwitch(8),
+			Policy:      ByName("RoundRobin"),
+			Shards:      shards,
+			MaxPending:  512,
+			VerifyEvery: 1 << 20,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(when string) {
+			t.Helper()
+			if cap(rt.bufFlows) != 8 || cap(rt.bufRounds) != 8 {
+				t.Fatalf("K=%d %s: buffer capacity %d/%d, want 8/8", shards, when, cap(rt.bufFlows), cap(rt.bufRounds))
+			}
+			if len(rt.bufFlows) != 0 || len(rt.bufRounds) != 0 {
+				t.Fatalf("K=%d %s: %d/%d flows left buffered, want 0", shards, when, len(rt.bufFlows), len(rt.bufRounds))
+			}
+		}
+		check("after New")
+		for i := 0; i < 512; i++ {
+			if _, err := rt.step(); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("after step %d", i))
+		}
+		if rt.mCompleted.Load() < 8*256 {
+			t.Fatalf("K=%d: only %d flows retired in 512 rounds; the pattern did not load the switch", shards, rt.mCompleted.Load())
+		}
+	}
+}
+
+// TestVerifyBufferFollowsMaxPending: where the capacities would allow
+// more flows a round than can be pending, the reservation stops at
+// MaxPending, and a Reload that raises MaxPending widens it — while one
+// that lowers it keeps the room the resident backlog may still need.
+func TestVerifyBufferFollowsMaxPending(t *testing.T) {
+	pol := ByName("RoundRobin")
+	rt, err := New(emptySource{}, Config{
+		Switch:      switchnet.NewSwitch(4, 4, 1<<20),
+		Policy:      pol,
+		MaxPending:  64,
+		VerifyEvery: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ maxPending, want int }{{64, 64}, {256, 256}, {32, 256}} {
+		if err := rt.Reload(context.Background(), ReloadConfig{Policy: pol, MaxPending: tc.maxPending}); err != nil {
+			t.Fatal(err)
+		}
+		if cap(rt.bufFlows) != tc.want || cap(rt.bufRounds) != tc.want {
+			t.Fatalf("MaxPending %d: buffer capacity %d/%d, want %d", tc.maxPending, cap(rt.bufFlows), cap(rt.bufRounds), tc.want)
+		}
 	}
 }
 

@@ -213,41 +213,52 @@
 //
 // # Verification
 //
-// With Config.VerifyEvery > 0 the runtime feeds each completed window of
-// rounds — every flow scheduled in those rounds, with original releases —
-// through the internal/verify oracle, aborting the run on the first
-// infeasible window. Spot-checking keeps the unbounded run honest without
-// retaining history. The schedule never depends on the verdict.
+// With Config.VerifyEvery > 0 the runtime checks every round through the
+// internal/verify oracle as the round closes — every flow scheduled in it,
+// with its original release — and reports once per window of VerifyEvery
+// rounds: a clean window is counted in WindowsVerified, and a window with
+// an infeasible round ends the run at that window's flush. The paper's
+// feasibility rule is per port per round, so a window's verdict is its
+// rounds' verdicts taken together; the window only sets when the verdict
+// is reported. Checking keeps the unbounded run honest without retaining
+// history. The schedule never depends on the verdict.
 //
 // What a window costs. Each shard copies a flow and its round into the
-// runtime's verification buffer as it retires the flow. Every round
-// retires before the next begins, so the buffer is in round order and the
-// oracle sweeps it without sorting: one pass for the per-flow checks, one
-// that sums each round's demands into a per-port counter array and
-// compares the ports the round touched with their capacities. The flush
-// then empties the buffer, keeping its capacity. That is O(flows in the
-// window) time and O(flows + ports) memory — the one window buffer and
-// the oracle's verify.Checker, both owned by the runtime and reused — so
-// after the buffer has grown to the largest window a flush allocates
-// nothing (TestSteadyStateZeroAllocVerify counts mallocs over eight
-// windows). What remains is a price, not zero: on the benchmark's
-// drain_verified workload (150 ports, VerifyEvery = 256, about 38 k flows
-// a window) against drain_deep, the same flows and schedule unverified, 6
-// alternated pairs on a 2-vCPU Xeon read medians of 0.221 against 0.178
-// CPU-µs per flow, 4.50 M against 5.60 M flows/s, and 14.3 against 6.1 B
-// per flow, the extra bytes being one fresh runtime's buffer growth
-// spread over a million flows. The oracle's own pass is roughly 15–25 ns a
-// flow (BenchmarkVerifyWindow in the root package).
+// runtime's verification buffer as it retires the flow. Every pick of a
+// round retires before the round closes, so when it closes the buffer
+// holds exactly that round, and the oracle sweeps it without sorting: one
+// pass for the per-flow checks, one that sums the round's demands into a
+// per-port counter array and compares the ports it touched with their
+// capacities. The buffer is then emptied, keeping its capacity. New
+// reserves the buffer at the most flows a feasible round can retire —
+// min(Σ input caps, Σ output caps), capped at MaxPending (a Reload that
+// raises MaxPending widens it) — so it never grows on a feasible run and
+// verification memory is O(ports) at unit capacities, not O(VerifyEvery ×
+// ports): at 150 unit ports that is 150 flows, some 6 KB, whatever the
+// window (TestVerifyBufferHoldsOneRound; TestSteadyStateZeroAllocVerify
+// counts mallocs over eight windows). After a window's first infeasible
+// round the rest of its rounds go unchecked; the report names that round.
+// What remains is a price, not zero: on the benchmark's drain_verified
+// workload (150 ports, VerifyEvery = 256, about 150 flows a round) against
+// drain_deep, the same flows and schedule unverified, 6 alternated pairs
+// on a 2-vCPU Xeon read medians of 0.209 against 0.175 CPU-µs per flow,
+// 4.09 M against 4.96 M flows/s, and 6.15 against 6.14 B per flow: the
+// buffer and the oracle's scratch, reserved once, are a few kilobytes
+// spread over a million flows.
+// The oracle's own pass is roughly 15–30 ns a flow whether it sweeps one
+// round or a whole window (BenchmarkVerifyWindow in the root package,
+// cases "round" and "warm").
 //
-// Who pays it. The coordinator does, inline: flushWindow runs the check
-// between the window's last round and the next, so a Runtime starts no
-// goroutine, a failure ends the run at the flush of the window that
-// failed — labelled with the first and last round its flows were really
-// scheduled in — and Stop or an error return leaves nothing to join. The
-// pass lands on the round loop's wall time. Overlapping it with the next
-// window's rounds on a second goroutine hides it only while a core is
-// spare, spends the same CPU, needs a second buffer and reports a bad
-// window one window late (ROADMAP.md, "Measured negatives").
+// Who pays it. The coordinator does, inline: setRound checks the closing
+// round before the clock advances, and flushWindow reports the window
+// between its last round and the next, so a Runtime starts no goroutine, a
+// failure ends the run at the flush of the window that failed — labelled
+// with the first and last round its flows were really scheduled in — and
+// Stop or an error return leaves nothing to join. The checks land on the
+// round loop's wall time. Overlapping them with later rounds on a second
+// goroutine hides them only while a core is spare, spends the same CPU,
+// needs a second buffer and reports a bad window one window late
+// (ROADMAP.md, "Measured negatives").
 //
 // # Observability
 //
@@ -269,9 +280,9 @@
 //     pick (the admission pass, which threads arrivals into the pending
 //     store, is in no phase), ReconcileNS the ordering of the shards'
 //     turns (0 at K = 1), ApplyNS the round's own retirement, and
-//     VerifyNS the oracle's pass over a window at its flush. The flush
-//     lands between scheduling rounds and is charged to the next emitted
-//     record.
+//     VerifyNS the oracle's check of a round, every round with
+//     verification on. The check runs as the round closes, after its
+//     record is written, and is charged to the next emitted record.
 //   - Only scheduling rounds emit, so the recorded round numbers are
 //     strictly increasing — idle jumps leave gaps, never duplicates.
 //   - Record emission precedes the round-counter publish, so a record

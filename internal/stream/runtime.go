@@ -173,9 +173,11 @@ type Config struct {
 	// give it a response greater than Deadline. Required positive with
 	// AdmitDeadline, and must be zero with the other modes.
 	Deadline int
-	// VerifyEvery > 0 spot-checks each completed window of that many
-	// rounds through the verify oracle; 0 turns verification off, and a
-	// negative value is a construction error.
+	// VerifyEvery > 0 checks every round through the verify oracle as it
+	// closes and reports the verdict once per window of that many rounds:
+	// the window is counted in WindowsVerified, or its first infeasible
+	// round ends the run at the window's flush. 0 turns verification
+	// off, and a negative value is a construction error.
 	VerifyEvery int
 	// WindowRounds is the sliding metrics window in rounds (<= 0 selects
 	// DefaultWindowRounds).
@@ -266,8 +268,8 @@ type Summary struct {
 	// SlowResponses counts completions whose response time exceeded
 	// Config.ResponseBound (zero when the bound is unset).
 	SlowResponses int64
-	// WindowsVerified counts spot-check windows the verify oracle
-	// accepted.
+	// WindowsVerified counts verification windows whose every round the
+	// verify oracle accepted.
 	WindowsVerified int64
 	// P50, P90, P99 are response-time quantiles over the sliding metrics
 	// window (sketched; see stats.LogHistogram for the error bound).
@@ -277,10 +279,10 @@ type Summary struct {
 // Runtime is the streaming scheduler. Run drives it from one goroutine —
 // the coordinator — which pulls the source, threads arrivals into the
 // pending store, runs every shard's part of each round itself, in shard
-// order, and checks each verification window at its flush; a Runtime
-// starts no goroutine. Snapshot may be called concurrently from other
-// goroutines; it reads atomics and the epoch window only, so it never
-// stalls the round loop.
+// order, and checks each round with the verify oracle as it closes; a
+// Runtime starts no goroutine. Snapshot may be called concurrently from
+// other goroutines; it reads atomics and the epoch window only, so it
+// never stalls the round loop.
 type Runtime struct {
 	cfg  Config
 	src  Source
@@ -372,11 +374,17 @@ type Runtime struct {
 	err     error
 	stalled int
 
-	// Verification window state: vstart is the active window's first
-	// round. The shards' apply appends every retired flow and its round to
-	// bufFlows/bufRounds — round order, shard order within a round — and
-	// flushWindow checks that buffer with the runtime's one Checker.
+	// Verification state. The shards' apply appends every retired flow
+	// and its round to bufFlows/bufRounds, in shard order; checkRound
+	// runs the runtime's one Checker over that buffer as each round
+	// closes and empties it, so the buffer holds one round, and
+	// reserveVerify reserves it at the most flows a feasible round can
+	// retire. vstart is the active window's first round, [vlo, vhi] the
+	// rounds checked in it so far (vlo < 0: none) and verr its first
+	// failure; flushWindow reports the window.
 	vstart    int
+	vlo, vhi  int
+	verr      error
 	bufFlows  []switchnet.Flow
 	bufRounds []int
 	checker   verify.Checker
@@ -483,8 +491,10 @@ func New(src Source, cfg Config) (*Runtime, error) {
 		ckptEvery: cfg.CheckpointEveryRounds,
 		nextCkpt:  cfg.CheckpointEveryRounds,
 		win:       stats.NewEpochWindow(cfg.WindowRounds, windowShards),
+		vlo:       -1,
 	}
 	rt.parker, _ = src.(Parker)
+	rt.reserveVerify()
 	rt.initStore(mIn, mOut)
 	rt.turns = make([]int, rt.nshards)
 	rt.turnRel = make([]int64, rt.nshards)
@@ -693,54 +703,100 @@ func (rt *Runtime) firstErr() error {
 	return nil
 }
 
-// setRound advances time to t, flushing any verification window the jump
-// completes.
+// setRound advances time to t. With verification on it first checks the
+// round that is closing, then reports the window if the clock leaves it.
 func (rt *Runtime) setRound(t int) error {
-	if w := rt.cfg.VerifyEvery; w > 0 && t >= rt.vstart+w {
-		// Rounds only move forward, so the buffer never holds flows beyond
-		// the current window: one flush empties it, and the remaining
-		// boundaries an idle jump crosses advance in a single step.
-		if err := rt.flushWindow(); err != nil {
-			return err
+	if w := rt.cfg.VerifyEvery; w > 0 {
+		rt.checkRound()
+		if t >= rt.vstart+w {
+			// Rounds only move forward, so every round of the window has
+			// been checked: one flush reports it, and the remaining
+			// boundaries an idle jump crosses advance in a single step.
+			if err := rt.flushWindow(); err != nil {
+				return err
+			}
+			rt.vstart += (t - rt.vstart) / w * w
 		}
-		rt.vstart += (t - rt.vstart) / w * w
 	}
 	rt.round = t
 	rt.mRound.Store(int64(t))
 	return nil
 }
 
-// flushWindow checks every buffered scheduled flow with the oracle, on the
-// coordinator, and empties the buffer. All loads in the buffered rounds
-// are fully represented — every round's picks retire, into the one
-// buffer, before the round ends, and rounds only move forward — so the
-// oracle's per-(port, round) capacity check is exact, and the buffer is
-// already in round order, so the oracle sweeps it without sorting. The
-// buffer keeps its capacity, so a window no larger than an earlier one
-// allocates nothing. The verdict never changes the schedule; a failure
-// ends the run at this flush, labelled with the true min/max buffered
-// rounds, not the window boundaries, so an idle jump across several
-// window starts cannot skew the report.
-func (rt *Runtime) flushWindow() error {
+// reserveVerify sizes the verification buffer, with verification on, for
+// the most flows one feasible round can retire: every flow carries at
+// least one unit through an input and an output, so min(Σ input caps,
+// Σ output caps), and never more than MaxPending, the most flows pending
+// at once. It only grows, so a Reload that raises MaxPending widens it
+// and one that lowers MaxPending below the resident count keeps room for
+// them. It runs only while the buffer is empty (in New and at the
+// quiescent point).
+func (rt *Runtime) reserveVerify() {
+	if rt.cfg.VerifyEvery == 0 {
+		return
+	}
+	var in, out int
+	for _, c := range rt.sw.InCaps {
+		in += c
+	}
+	for _, c := range rt.sw.OutCaps {
+		out += c
+	}
+	if n := min(in, out, rt.cfg.MaxPending); n > cap(rt.bufFlows) {
+		rt.bufFlows = make([]switchnet.Flow, 0, n)
+		rt.bufRounds = make([]int, 0, n)
+	}
+}
+
+// checkRound runs the oracle over the buffered flows — the round that is
+// closing, on the coordinator — folds their rounds into the window's
+// [vlo, vhi] and empties the buffer. The buffer holds all of the round's
+// load, since every pick of the round retires into it before the round
+// closes, so the oracle's per-(port, round) capacity check is exact, and
+// it is one round, so the oracle sweeps it without sorting. After
+// the window's first failure the rest of its rounds are folded in
+// unchecked: the window fails at its flush either way. The verdict never
+// changes the schedule.
+func (rt *Runtime) checkRound() {
 	n := len(rt.bufRounds)
 	if n == 0 {
+		return
+	}
+	if rt.vlo < 0 {
+		rt.vlo = rt.bufRounds[0]
+	}
+	rt.vhi = rt.bufRounds[n-1]
+	if rt.verr == nil {
+		var t0 time.Time
+		if rt.rec != nil {
+			t0 = time.Now()
+		}
+		inst := switchnet.Instance{Switch: rt.sw, Flows: rt.bufFlows}
+		sched := switchnet.Schedule{Round: rt.bufRounds}
+		_, rt.verr = rt.checker.Check(&inst, &sched, rt.caps)
+		if rt.rec != nil {
+			rt.tVerifyNS += time.Since(t0).Nanoseconds()
+		}
+	}
+	rt.bufFlows, rt.bufRounds = rt.bufFlows[:0], rt.bufRounds[:0]
+}
+
+// flushWindow checks whatever is still buffered, then reports the window:
+// its first failure ends the run, labelled with the first and last round
+// its flows were really scheduled in, not the window boundaries, so an
+// idle jump across several window starts cannot skew the report; a clean
+// window is counted. A window that scheduled nothing reports nothing.
+func (rt *Runtime) flushWindow() error {
+	rt.checkRound()
+	if rt.vlo < 0 {
 		return nil
 	}
-	var t0 time.Time
-	if rt.rec != nil {
-		t0 = time.Now()
-	}
-	inst := switchnet.Instance{Switch: rt.sw, Flows: rt.bufFlows}
-	sched := switchnet.Schedule{Round: rt.bufRounds}
-	_, err := rt.checker.Check(&inst, &sched, rt.caps)
-	if rt.rec != nil {
-		rt.tVerifyNS += time.Since(t0).Nanoseconds()
-	}
+	lo, hi, err := rt.vlo, rt.vhi, rt.verr
+	rt.vlo, rt.verr = -1, nil
 	if err != nil {
-		return fmt.Errorf("stream: verification window over rounds [%d, %d] infeasible: %w", rt.bufRounds[0], rt.bufRounds[n-1], err)
+		return fmt.Errorf("stream: verification window over rounds [%d, %d] infeasible: %w", lo, hi, err)
 	}
 	rt.mWindows.Add(1)
-	rt.bufFlows, rt.bufRounds = rt.bufFlows[:0], rt.bufRounds[:0]
 	return nil
 }
 
@@ -842,9 +898,9 @@ func (rt *Runtime) step() (done bool, err error) {
 	if rt.rec != nil {
 		// One record per scheduling round (idle jumps emit nothing, so
 		// the trace's rounds are strictly increasing). Verify time accrued
-		// after the previous record — the oracle's pass at a window flush —
-		// has landed in the accumulators and is charged here, then
-		// everything resets for the next record.
+		// after the previous record — the oracle's check of the previous
+		// round, run as that round closed — has landed in the accumulators
+		// and is charged here, then everything resets for the next record.
 		rt.rec.Record(obs.RoundRecord{
 			Round:       int64(rt.round),
 			Arrived:     rt.recArrived,
@@ -893,7 +949,7 @@ func (rt *Runtime) idle() (done bool, err error) {
 // Run drains the source: it advances round by round until the source is
 // exhausted and the pending set is empty — or until Stop is called — then
 // returns the final summary. On either exit every round's picks have
-// retired and the last, partial window has been checked; an error return
+// retired and the last, partial window has been reported; an error return
 // leaves nothing running either. It is not restartable.
 func (rt *Runtime) Run() (*Summary, error) {
 	defer rt.finOnce.Do(func() { close(rt.finished) })
@@ -920,7 +976,7 @@ func (rt *Runtime) Run() (*Summary, error) {
 }
 
 // Stop requests a clean stop: Run finishes the iteration in flight,
-// checks the last, partial verification window, and returns the final
+// reports the last, partial verification window, and returns the final
 // Summary with a nil error. Safe to call from any goroutine, before or
 // during Run, and idempotent. A runtime parked idle on a Parker source
 // is woken and stops promptly; blocked in the Next of a source without

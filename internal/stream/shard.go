@@ -116,8 +116,8 @@ func (sh *shard) apply() {
 		}
 		rt.win.Observe(resp)
 		if verifying {
-			rt.bufFlows = append(rt.bufFlows, a.flow(id)) //flowsched:allow alloc: verification buffer, nil unless verify mode is on; amortized there (TestSteadyStateZeroAllocVerify)
-			rt.bufRounds = append(rt.bufRounds, t)        //flowsched:allow alloc: grows in lockstep with bufFlows under verify mode only (TestSteadyStateZeroAllocVerify)
+			rt.bufFlows = append(rt.bufFlows, a.flow(id)) //flowsched:allow alloc: reserved in New at one feasible round's flows; grows only past a round the oracle rejects (TestVerifyBufferHoldsOneRound)
+			rt.bufRounds = append(rt.bufRounds, t)        //flowsched:allow alloc: in lockstep with bufFlows, reserved alike; grows only past a round the oracle rejects (TestVerifyBufferHoldsOneRound)
 		}
 	}
 	rt.win.End()

@@ -151,6 +151,45 @@ func TestInfeasibleWindowFailsAtItsFlush(t *testing.T) {
 	}
 }
 
+// TestMidWindowFailureReportsAtFlush: a window whose round 3 alone is
+// infeasible (the oracle's capacities zeroed from round 3's departures
+// on) still ends the run only at its own flush, closing round 7. The
+// rounds after the failure extend the label to [0, 7], and the message
+// names the first infeasible round.
+func TestMidWindowFailureReportsAtFlush(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		var rt *Runtime
+		rt, err := New(&patternSource{ports: 8, per: 12}, Config{
+			Switch:      switchnet.UnitSwitch(8),
+			Policy:      ByName("RoundRobin"),
+			Shards:      shards,
+			MaxPending:  256,
+			VerifyEvery: 8,
+			OnSchedule: func(_ int64, _ switchnet.Flow, round int) {
+				if round == 3 {
+					clear(rt.caps)
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = rt.Run()
+		if err == nil || !strings.Contains(err.Error(), "verification window over rounds [0, 7] infeasible") {
+			t.Fatalf("K=%d: run with round 3 infeasible returned %v, want the window [0, 7] reported", shards, err)
+		}
+		if !strings.Contains(err.Error(), "round 3:") {
+			t.Fatalf("K=%d: report does not name round 3, the first infeasible round: %v", shards, err)
+		}
+		if rt.round != 7 {
+			t.Fatalf("K=%d: window [0, 7] reported in round %d, want at its own flush closing round 7", shards, rt.round)
+		}
+		if rt.mWindows.Load() != 0 {
+			t.Fatalf("K=%d: %d windows verified, want 0", shards, rt.mWindows.Load())
+		}
+	}
+}
+
 // TestStopBeforeRun: a stop requested before Run must return immediately
 // with an all-zero summary, never touching the source.
 func TestStopBeforeRun(t *testing.T) {

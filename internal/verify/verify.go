@@ -9,7 +9,7 @@
 //
 // It is the feasibility rule's one implementation. The solvers check their
 // own post-conditions with it, as do the scenario engine, the experiment
-// drivers, the property tests and the stream runtime's windowed
+// drivers, the property tests and the stream runtime's per-round
 // verification. It takes from switchnet only the instance and schedule
 // types and the capacity helpers, so it inherits no bug from the code it
 // checks.
@@ -21,7 +21,7 @@
 // table: one pass over the flows checks each on its own and indexes those
 // that carry load; the index is put in round order (a stable sort, skipped
 // when the rounds already arrive non-decreasing, as the stream runtime's
-// windows do); and a second pass walks it one round at a time, summing
+// rounds do); and a second pass walks it one round at a time, summing
 // demands into one counter per port, comparing the ports that round touched
 // against their capacities, and zeroing them again. Time is O(flows), plus
 // the sort when needed; memory is O(flows + ports) however far apart the
@@ -118,8 +118,9 @@ func (r *Report) violate(format string, args ...any) {
 // index of the scheduled flows, one load counter per port, the list of
 // ports the current round touched, and the Report itself. The zero value is
 // ready to use. A Checker kept across calls — the stream runtime keeps one
-// for its lifetime — checks a window no larger than one it has seen before
-// without allocating; memory is O(flows + ports) whatever the round span.
+// for its lifetime and checks each round with it as the round closes —
+// checks a round no larger than one it has seen before without
+// allocating; memory is O(flows + ports) whatever the round span.
 // A Checker is not safe for concurrent use.
 type Checker struct {
 	order   []int
