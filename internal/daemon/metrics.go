@@ -29,7 +29,7 @@ func writeMetrics(w io.Writer, s stream.Summary) {
 	counter("flowsched_flows_backpressured_total", "Flows admitted after their release round because the pending set was full.", s.Backpressured)
 	gauge("flowsched_pending_flows", "Flows currently resident in the pending set.", float64(s.Pending))
 	gauge("flowsched_pending_peak", "High-water mark of the pending set.", float64(s.PeakPending))
-	counter("flowsched_verify_windows_total", "Spot-check windows the verify oracle accepted.", s.WindowsVerified)
+	counter("flowsched_verify_windows_total", "Verification windows whose every round the verify oracle accepted.", s.WindowsVerified)
 	fmt.Fprintf(w, "# HELP flowsched_response_rounds Response time of completed flows in rounds (quantiles over the sliding window, sum/count cumulative).\n")
 	fmt.Fprintf(w, "# TYPE flowsched_response_rounds summary\n")
 	fmt.Fprintf(w, "flowsched_response_rounds{quantile=\"0.5\"} %g\n", s.P50)
@@ -84,8 +84,8 @@ var phaseBuckets = []float64{
 // recorder's records are the only source. The phases are obs.RoundRecord's:
 // "propose" is expire + pick over all shards, "reconcile" the ordering of
 // the shards' turns (0 at one shard), "apply" the round's own retirement
-// (every round), and "verify" the oracle's check of a round as it closes
-// (every round with verification on).
+// (every round), and "verify" the oracle's check of the record's own
+// round (every round with verification on).
 func writePhaseMetrics(w io.Writer, rec *obs.FlightRecorder) {
 	recs := rec.Last(nil, rec.Cap())
 	fmt.Fprintf(w, "# HELP flowsched_phase_seconds Per-round phase time over the flight recorder window (sliding, not cumulative).\n")

@@ -38,10 +38,9 @@ const DefaultRounds = 4096
 // is in no phase), ReconcileNS the ordering of the shards' turns (0 at
 // one shard; the name and JSON key predate the turns), ApplyNS the
 // round's own retirement of its picks, every round,
-// and VerifyNS the verify oracle's check of a round, every round with
-// verification on. The check runs on the coordinator as the round closes,
-// after the round's record is written, and is charged to the next
-// emitted record.
+// and VerifyNS the verify oracle's check of the round's picks, every round
+// with verification on. The check runs on the coordinator before the picks
+// retire, so a record carries its own round's check.
 type RoundRecord struct {
 	Round       int64 `json:"round"`
 	Arrived     int64 `json:"arrived"`

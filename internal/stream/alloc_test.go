@@ -168,9 +168,10 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 // rest, every native policy matches every input to an output in one
 // round (in one iteration for WeightedISLIP), so each list reaches its
 // bound: the runtime's touched-port lists NumIn and NumOut, each shard's
-// active-input list the inputs it owns, and each WeightedISLIP instance's
-// request list the outputs still free at its turn and its accept list the
-// shard's inputs. No list's capacity may move.
+// active-input list and takes the inputs it owns, and each WeightedISLIP
+// instance's request list the outputs still free at its turn and its
+// accept list the shard's inputs. No list's capacity may move, from New
+// through the rest of the drain.
 func TestPickScratchReservedBounds(t *testing.T) {
 	const ports = 8
 	for _, name := range Names() {
@@ -185,9 +186,14 @@ func TestPickScratchReservedBounds(t *testing.T) {
 					t.Fatal(err)
 				}
 				capIn, capOut := cap(rt.touchIn), cap(rt.touchOut)
-				capActive := make([]int, shards)
+				capActive, capTakes := make([]int, shards), make([]int, shards)
 				for s, sh := range rt.shards {
-					capActive[s] = cap(sh.activeIn)
+					capActive[s], capTakes[s] = cap(sh.activeIn), cap(sh.takes)
+					// A unit input carries one flow a round, so a shard picks
+					// at most one flow per input it owns.
+					if owned := (ports - s + shards - 1) / shards; capTakes[s] != owned {
+						t.Errorf("shard %d: takes capacity %d after New, want its round bound %d", s, capTakes[s], owned)
+					}
 				}
 				// The iSLIP lists are length-reset after every iteration,
 				// so their high-water mark is read off sentinel-filled
@@ -251,9 +257,30 @@ func TestPickScratchReservedBounds(t *testing.T) {
 					if cap(sh.activeIn) != capActive[s] {
 						t.Errorf("shard %d: active-input capacity %d, reserved %d", s, cap(sh.activeIn), capActive[s])
 					}
+					if len(sh.takes) != capTakes[s] {
+						t.Errorf("shard %d: %d picks, want its round bound %d", s, len(sh.takes), capTakes[s])
+					}
 					if p := islip[s]; p != nil && (cap(p.reqOuts) != capReq[s] || cap(p.accIns) != capAcc[s]) {
 						t.Errorf("shard %d: request/accept capacities %d/%d, reserved %d/%d", s, cap(p.reqOuts), cap(p.accIns), capReq[s], capAcc[s])
 					}
+				}
+
+				// Close the hand-run round, then drain the rest through step.
+				rt.retire(ports)
+				rt.count = int(seq) - ports
+				rt.round++
+				for done := false; !done; {
+					if done, err = rt.step(); err != nil {
+						t.Fatal(err)
+					}
+					for s, sh := range rt.shards {
+						if cap(sh.takes) != capTakes[s] {
+							t.Fatalf("round %d: shard %d takes capacity %d, reserved %d", rt.round, s, cap(sh.takes), capTakes[s])
+						}
+					}
+				}
+				if got := rt.mCompleted.Load(); got != seq {
+					t.Fatalf("drain completed %d of %d flows", got, seq)
 				}
 			})
 		}
@@ -328,13 +355,13 @@ func TestSteadyStateZeroAllocAdmissionModes(t *testing.T) {
 }
 
 // TestSteadyStateZeroAllocVerify extends the allocation gate to windowed
-// verification: with VerifyEvery = 64 a window is buffered, checked at
-// its flush and emptied every 64 rounds, and none of it — the buffer, the
-// oracle's Checker — may touch the allocator once warmed.
+// verification: with VerifyEvery = 64 every round's picks are checked in
+// place and a window is reported every 64 rounds, and none of it — the
+// oracle's scratch, its Checker — may touch the allocator once warmed.
 // testing.AllocsPerRun reports an integer average, which would round a
 // few allocations per window down to zero, so the gate proper is the
 // process-wide malloc count over 512 further rounds, taken on a single P
-// after one more window has run. Every window is checked at its own
+// after one more window has run. Every window is reported at its own
 // flush, so the 512 rounds verify exactly eight.
 func TestSteadyStateZeroAllocVerify(t *testing.T) {
 	for _, shards := range []int{1, 2} {
@@ -366,11 +393,11 @@ func TestSteadyStateZeroAllocVerify(t *testing.T) {
 	}
 }
 
-// TestVerifyBufferHoldsOneRound pins the verification buffer to one
-// round: New reserves it at the most flows a feasible round can retire —
-// 8 on an 8x8 unit switch — and every round is checked and emptied as it
-// closes, so across 512 rounds of one window that never closes the buffer
-// neither grows nor carries a flow from one step to the next.
+// TestVerifyBufferHoldsOneRound pins the oracle's scratch to one round:
+// New reserves it at the most flows a round can pick — 8 on an 8x8 unit
+// switch — and each round's check reslices it in place, so across 512
+// rounds of one window that never closes the scratch neither grows nor
+// keeps a flow past the step that checked it.
 func TestVerifyBufferHoldsOneRound(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		rt, err := New(&patternSource{ports: 8, per: 12}, Config{
@@ -385,11 +412,11 @@ func TestVerifyBufferHoldsOneRound(t *testing.T) {
 		}
 		check := func(when string) {
 			t.Helper()
-			if cap(rt.bufFlows) != 8 || cap(rt.bufRounds) != 8 {
-				t.Fatalf("K=%d %s: buffer capacity %d/%d, want 8/8", shards, when, cap(rt.bufFlows), cap(rt.bufRounds))
+			if cap(rt.vFlows) != 8 || cap(rt.vRounds) != 8 {
+				t.Fatalf("K=%d %s: buffer capacity %d/%d, want 8/8", shards, when, cap(rt.vFlows), cap(rt.vRounds))
 			}
-			if len(rt.bufFlows) != 0 || len(rt.bufRounds) != 0 {
-				t.Fatalf("K=%d %s: %d/%d flows left buffered, want 0", shards, when, len(rt.bufFlows), len(rt.bufRounds))
+			if len(rt.vFlows) != 0 || len(rt.vRounds) != 0 {
+				t.Fatalf("K=%d %s: %d/%d flows left buffered, want 0", shards, when, len(rt.vFlows), len(rt.vRounds))
 			}
 		}
 		check("after New")
@@ -406,9 +433,10 @@ func TestVerifyBufferHoldsOneRound(t *testing.T) {
 }
 
 // TestVerifyBufferFollowsMaxPending: where the capacities would allow
-// more flows a round than can be pending, the reservation stops at
-// MaxPending, and a Reload that raises MaxPending widens it — while one
-// that lowers it keeps the room the resident backlog may still need.
+// more flows a round than can be pending, the reservations — the
+// oracle's scratch and the shard's takes — stop at MaxPending, and a
+// Reload that raises MaxPending widens them, while one that lowers it
+// keeps the room the resident backlog may still need.
 func TestVerifyBufferFollowsMaxPending(t *testing.T) {
 	pol := ByName("RoundRobin")
 	rt, err := New(emptySource{}, Config{
@@ -424,8 +452,11 @@ func TestVerifyBufferFollowsMaxPending(t *testing.T) {
 		if err := rt.Reload(context.Background(), ReloadConfig{Policy: pol, MaxPending: tc.maxPending}); err != nil {
 			t.Fatal(err)
 		}
-		if cap(rt.bufFlows) != tc.want || cap(rt.bufRounds) != tc.want {
-			t.Fatalf("MaxPending %d: buffer capacity %d/%d, want %d", tc.maxPending, cap(rt.bufFlows), cap(rt.bufRounds), tc.want)
+		if cap(rt.vFlows) != tc.want || cap(rt.vRounds) != tc.want {
+			t.Fatalf("MaxPending %d: buffer capacity %d/%d, want %d", tc.maxPending, cap(rt.vFlows), cap(rt.vRounds), tc.want)
+		}
+		if got := cap(rt.shards[0].takes); got != tc.want {
+			t.Fatalf("MaxPending %d: takes capacity %d, want %d", tc.maxPending, got, tc.want)
 		}
 	}
 }

@@ -56,7 +56,7 @@ func (r *flowRec) outPort() int { return int(r.out & portMask) }
 // checkpoint capture; no pick, head refresh or departure reads it). There
 // is no per-flow heap object: a flow is a row across the columns,
 // reconstructed into a switchnet.Flow only at the API boundary (View.Each,
-// verification buffering, OnSchedule).
+// the round's check, OnSchedule).
 type arena struct {
 	rec []flowRec
 	seq []int64
@@ -273,7 +273,7 @@ func (rt *Runtime) depart(sh *shard, id int32) {
 // saving. The admission list follows source order and releases are
 // non-decreasing along it, so walking from the head and stopping at the
 // first survivor sees every expirable flow, whatever its shard. Runs
-// after the previous round's apply (no retired flow is still threaded)
+// after the previous round's retire (no retired flow is still threaded)
 // and before any Pick (an expired flow is never scheduled), which keeps
 // the schedule verifier-clean and deterministic.
 //

@@ -111,8 +111,8 @@
 // set that each round's releases join). The shards are not threads. The
 // coordinator runs every shard's part of a round itself, in sequence,
 // and the runtime keeps one set of completion metrics, one sliding
-// window, one verification buffer and one per-port load tally for all of
-// them.
+// window, one verification scratch and one per-port load tally for all
+// of them.
 //
 // Shards take turns, oldest first. After the expiry walk the coordinator
 // orders the shards by their oldest pending release, ties to the lower
@@ -122,9 +122,9 @@
 // port, as in the paper's model, and a flow may fill an output alone
 // whichever shard holds it. The order is the same for every policy.
 //
-// OnSchedule then reports the round's picks, and every shard retires
-// them — departures, metrics, verification buffering — before the round
-// ends. For a fixed K the schedule is a pure function of the source —
+// OnSchedule then reports the round's picks, the oracle checks them, and
+// one runtime pass retires every shard's picks — metrics, then
+// departures — before the round ends. For a fixed K the schedule is a pure function of the source —
 // replaying the same stream at the same shard count reproduces it bit for
 // bit. Sharding buys no parallelism, and threads would not pay for it: on
 // the benchmark's drain_age_k2 (2-vCPU Xeon), proposes run on a worker
@@ -223,42 +223,43 @@
 // is reported. Checking keeps the unbounded run honest without retaining
 // history. The schedule never depends on the verdict.
 //
-// What a window costs. Each shard copies a flow and its round into the
-// runtime's verification buffer as it retires the flow. Every pick of a
-// round retires before the round closes, so when it closes the buffer
-// holds exactly that round, and the oracle sweeps it without sorting: one
-// pass for the per-flow checks, one that sums the round's demands into a
-// per-port counter array and compares the ports it touched with their
-// capacities. The buffer is then emptied, keeping its capacity. New
-// reserves the buffer at the most flows a feasible round can retire —
-// min(Σ input caps, Σ output caps), capped at MaxPending (a Reload that
-// raises MaxPending widens it) — so it never grows on a feasible run and
-// verification memory is O(ports) at unit capacities, not O(VerifyEvery ×
-// ports): at 150 unit ports that is 150 flows, some 6 KB, whatever the
-// window (TestVerifyBufferHoldsOneRound; TestSteadyStateZeroAllocVerify
-// counts mallocs over eight windows). After a window's first infeasible
-// round the rest of its rounds go unchecked; the report names that round.
+// What a window costs. A round's picks are final once OnSchedule has
+// reported them, and they retire only after the check, so checkRound
+// copies them, in shard order, into the oracle's scratch and the oracle
+// sweeps that one round without sorting: one pass for the per-flow
+// checks, one that sums the round's demands into a per-port counter array
+// and compares the ports it touched with their capacities. The scratch is
+// resliced, never appended to. Take picks a flow only while both its
+// ports have room, so a round picks at most min(Σ input caps, Σ output
+// caps) flows, and never more than MaxPending; New reserves the scratch at
+// that bound, and each shard's takes at it over the inputs the shard owns
+// (a Reload that raises MaxPending widens both). Verification memory is
+// O(ports) at unit capacities, not O(VerifyEvery × ports): at 150 unit
+// ports that is 150 flows, some 6 KB, whatever the window
+// (TestVerifyBufferHoldsOneRound; TestSteadyStateZeroAllocVerify counts
+// mallocs over eight windows). After a window's first infeasible round the
+// rest of its rounds go unchecked; the report names that round.
 // What remains is a price, not zero: on the benchmark's drain_verified
 // workload (150 ports, VerifyEvery = 256, about 150 flows a round) against
-// drain_deep, the same flows and schedule unverified, 6 alternated pairs
-// on a 2-vCPU Xeon read medians of 0.209 against 0.175 CPU-µs per flow,
-// 4.09 M against 4.96 M flows/s, and 6.15 against 6.14 B per flow: the
-// buffer and the oracle's scratch, reserved once, are a few kilobytes
-// spread over a million flows.
+// drain_deep, the same flows and schedule unverified, 6 runs of each on a
+// 2-vCPU Xeon read medians of 0.193 against 0.166 CPU-µs per flow, 5.19 M
+// against 5.85 M flows/s, and 6.15 against 6.14 B per flow: the oracle's
+// scratch, reserved once, is a few kilobytes spread over a million flows.
 // The oracle's own pass is roughly 15–30 ns a flow whether it sweeps one
 // round or a whole window (BenchmarkVerifyWindow in the root package,
 // cases "round" and "warm").
 //
-// Who pays it. The coordinator does, inline: setRound checks the closing
-// round before the clock advances, and flushWindow reports the window
-// between its last round and the next, so a Runtime starts no goroutine, a
-// failure ends the run at the flush of the window that failed — labelled
-// with the first and last round its flows were really scheduled in — and
-// Stop or an error return leaves nothing to join. The checks land on the
-// round loop's wall time. Overlapping them with later rounds on a second
-// goroutine hides them only while a core is spare, spends the same CPU,
-// needs a second buffer and reports a bad window one window late
-// (ROADMAP.md, "Measured negatives").
+// Who pays it. The coordinator does, inline: step checks each round
+// between its OnSchedule callbacks and its retirement, so a round's
+// VerifyNS is on its own record, and setRound's flushWindow reports the
+// window between its last round and the next. A Runtime starts no
+// goroutine, a failure ends the run at the flush of the window that
+// failed — labelled with the first and last round its flows were really
+// scheduled in — and Stop or an error return leaves nothing to join. The
+// checks land on the round loop's wall time. Overlapping them with later
+// rounds on a second goroutine hides them only while a core is spare,
+// spends the same CPU, needs a second buffer and reports a bad window one
+// window late (ROADMAP.md, "Measured negatives").
 //
 // # Observability
 //
@@ -280,9 +281,9 @@
 //     pick (the admission pass, which threads arrivals into the pending
 //     store, is in no phase), ReconcileNS the ordering of the shards'
 //     turns (0 at K = 1), ApplyNS the round's own retirement, and
-//     VerifyNS the oracle's check of a round, every round with
-//     verification on. The check runs as the round closes, after its
-//     record is written, and is charged to the next emitted record.
+//     VerifyNS the oracle's check of the round's picks, every round with
+//     verification on. The check runs before the picks retire, so each
+//     record carries its own round's check.
 //   - Only scheduling rounds emit, so the recorded round numbers are
 //     strictly increasing — idle jumps leave gaps, never duplicates.
 //   - Record emission precedes the round-counter publish, so a record
@@ -424,13 +425,13 @@
 //     is paid per round, not per flow — and the runtime checks each one
 //     in place against switchnet.Switch.Admits, which inlines: no call
 //     and no copy of the flow or the switch per admitted flow.
-//   - Snapshot epochs. Scalar metrics are atomics written once per shard
-//     per round; window quantiles live in stats.EpochWindow, a
+//   - Snapshot epochs. Scalar metrics are atomics written once per
+//     round; window quantiles live in stats.EpochWindow, a
 //     seqlock ring of preallocated log-histogram shards. Snapshot readers
 //     merge with atomic loads and retry on epoch change, so metrics reads
 //     never stall the round loop, and the record path (Begin/Observe/End)
 //     neither locks nor allocates. Begin finds the round's ring slot once
-//     per shard apply, so a retired flow costs one bucket increment.
+//     per round, so a retired flow costs one bucket increment.
 //
 // # Static invariants
 //
@@ -441,8 +442,8 @@
 //   - //flowsched:hotpath on a function's doc comment requires it — and
 //     everything it reaches through static calls — to be free of
 //     heap-allocating constructs. The store's admission, departure and
-//     expiry (Runtime.admitFlow, depart, expire), a shard's round
-//     (shard.pick, apply), View.Take, the arena and VOQ list operations,
+//     expiry (Runtime.admitFlow, depart, expire), a shard's pick and the
+//     round's retirement (shard.pick, Runtime.retire), View.Take, the arena and VOQ list operations,
 //     every native policy's Pick, stats.EpochWindow's record path, and
 //     obs.FlightRecorder.Record are all roots.
 //   - //flowsched:clockgated (this package's mark, below) requires every

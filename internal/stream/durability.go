@@ -187,7 +187,7 @@ func (rt *Runtime) applyReload(rc ReloadConfig) error {
 		return fmt.Errorf("stream: reload: %w", err)
 	}
 	rt.cfg.MaxPending = rc.MaxPending
-	rt.reserveVerify()
+	rt.reserveRound()
 	rt.cfg.Admit = rc.Admit
 	rt.cfg.Deadline = rc.Deadline
 	rt.stalled = 0

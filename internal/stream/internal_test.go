@@ -74,12 +74,13 @@ func (emptySource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.F
 }
 
 // TestFlushWindowLabelsTrueRounds pins the verification-failure label to
-// the true min/max buffered rounds. The old label was [vstart, vstart+w)
-// with a vstart that went stale when an idle jump crossed several window
-// boundaries before the flush; deriving it from the buffered rounds cannot
-// drift. An infeasible buffer can only be injected white-box — View.Take
-// never produces one — so this test writes the runtime's one verification
-// buffer directly.
+// the first and last round the window really checked. The old label was
+// [vstart, vstart+w) with a vstart that went stale when an idle jump
+// crossed several window boundaries before the flush; deriving it from
+// the checked rounds cannot drift. View.Take never picks an infeasible
+// round, so this test closes rounds 5 and 9 by hand — one unit flow
+// taken, checked and retired each — and checks round 9 against injected
+// capacities that leave its input no room.
 func TestFlushWindowLabelsTrueRounds(t *testing.T) {
 	rt, err := New(emptySource{}, Config{
 		Switch:      switchnet.UnitSwitch(2),
@@ -89,21 +90,31 @@ func TestFlushWindowLabelsTrueRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A feasible flow at round 5, then two unit flows on the same port
-	// pair in round 9: load 2 on a unit-capacity port, infeasible.
-	rt.bufFlows = append(rt.bufFlows,
-		switchnet.Flow{In: 1, Out: 1, Demand: 1},
-		switchnet.Flow{In: 0, Out: 0, Demand: 1},
-		switchnet.Flow{In: 0, Out: 0, Demand: 1},
-	)
-	rt.bufRounds = append(rt.bufRounds, 5, 9, 9)
+	seq := int64(0)
+	closeRound := func(round, in, out int) {
+		t.Helper()
+		rt.round = round
+		rt.admitFlow(&switchnet.Flow{In: in, Out: out, Demand: 1, Release: round}, seq)
+		seq++
+		v := &rt.shards[0].view
+		if !v.Take(v.VOQHead(in, out)) {
+			t.Fatalf("round %d: Take refused the only pending flow", round)
+		}
+		rt.checkRound(1)
+		rt.retire(1)
+	}
+	// A feasible flow at round 5, then a unit flow at round 9 through an
+	// input whose checked capacity is 0: infeasible.
+	closeRound(5, 1, 1)
+	rt.caps = []int{0, 1, 1, 1}
+	closeRound(9, 0, 0)
 
 	err = rt.flushWindow()
 	if err == nil {
 		t.Fatal("infeasible window passed verification")
 	}
 	if !strings.Contains(err.Error(), "[5, 9]") {
-		t.Fatalf("window label does not cover the true buffered rounds [5, 9]: %v", err)
+		t.Fatalf("window label does not cover the true checked rounds [5, 9]: %v", err)
 	}
 }
 

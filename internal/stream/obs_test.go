@@ -72,6 +72,44 @@ func TestStreamFlightRecorderTrace(t *testing.T) {
 	}
 }
 
+// TestVerifyTimeOnItsOwnRound: a round's check runs before its record is
+// written, so the record carries its own VerifyNS. One round drains 64
+// unit flows, one per port pair of an 8x8 switch with capacity 8, so the
+// run emits a single record, and no later record could carry the check.
+func TestVerifyTimeOnItsOwnRound(t *testing.T) {
+	const ports = 8
+	inst := switchnet.Instance{Switch: switchnet.NewSwitch(ports, ports, ports)}
+	for i := 0; i < ports; i++ {
+		for j := 0; j < ports; j++ {
+			inst.Flows = append(inst.Flows, switchnet.Flow{In: i, Out: j, Demand: 1})
+		}
+	}
+	rec := obs.NewFlightRecorder(16)
+	rt, err := stream.New(workload.NewInstanceSource(&inst), stream.Config{
+		Switch:      inst.Switch,
+		Policy:      stream.ByName("OldestFirst"),
+		Recorder:    rec,
+		VerifyEvery: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := rt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Completed != ports*ports || sum.WindowsVerified != 1 {
+		t.Fatalf("completed %d flows over %d verified windows, want %d over 1", sum.Completed, sum.WindowsVerified, ports*ports)
+	}
+	recs := rec.Last(nil, rec.Cap())
+	if len(recs) != 1 || recs[0].Scheduled != ports*ports {
+		t.Fatalf("trace %+v, want one record scheduling %d flows", recs, ports*ports)
+	}
+	if recs[0].VerifyNS <= 0 {
+		t.Fatalf("the round's record carries VerifyNS %d, want its own check's time", recs[0].VerifyNS)
+	}
+}
+
 // TestStreamSlowResponses cross-checks Summary.SlowResponses against an
 // independent per-completion count reconstructed through OnSchedule.
 func TestStreamSlowResponses(t *testing.T) {

@@ -292,18 +292,13 @@ type Runtime struct {
 	// parker is src's Park method when it offers one (see Parker).
 	parker Parker
 
-	// rec is Config.Recorder; respBound caches Config.ResponseBound for
-	// the shards' apply. The recArrived/recDropped counts and the
-	// per-phase nanosecond accumulators hold what has accrued since the
-	// last emitted record; all are touched only when rec != nil.
-	rec          *obs.FlightRecorder
-	respBound    int
-	recArrived   int64
-	recDropped   int64
-	tProposeNS   int64
-	tReconcileNS int64
-	tApplyNS     int64
-	tVerifyNS    int64
+	// rec is Config.Recorder. The recArrived/recDropped counts hold the
+	// arrivals and drops since the last emitted record (an idle step
+	// admits without emitting one); both are touched only when
+	// rec != nil. A round's phase times are step's locals.
+	rec        *obs.FlightRecorder
+	recArrived int64
+	recDropped int64
 
 	// ctl is the quiescent-point mailbox: closures the coordinator runs
 	// between rounds (see quiesce); finished is closed once Run returns,
@@ -374,20 +369,19 @@ type Runtime struct {
 	err     error
 	stalled int
 
-	// Verification state. The shards' apply appends every retired flow
-	// and its round to bufFlows/bufRounds, in shard order; checkRound
-	// runs the runtime's one Checker over that buffer as each round
-	// closes and empties it, so the buffer holds one round, and
-	// reserveVerify reserves it at the most flows a feasible round can
-	// retire. vstart is the active window's first round, [vlo, vhi] the
-	// rounds checked in it so far (vlo < 0: none) and verr its first
-	// failure; flushWindow reports the window.
-	vstart    int
-	vlo, vhi  int
-	verr      error
-	bufFlows  []switchnet.Flow
-	bufRounds []int
-	checker   verify.Checker
+	// Verification state. checkRound copies the round's picks, in shard
+	// order, into vFlows/vRounds — the oracle's scratch, which
+	// reserveRound reserves at the most flows a round can pick and which
+	// is only resliced, never appended to — and runs the runtime's one
+	// Checker over them. vstart is the active window's first round,
+	// [vlo, vhi] the rounds checked in it so far (vlo < 0: none) and verr
+	// its first failure; flushWindow reports the window.
+	vstart   int
+	vlo, vhi int
+	verr     error
+	vFlows   []switchnet.Flow
+	vRounds  []int
+	checker  verify.Checker
 
 	// Snapshot-visible metrics. The round loop only ever stores/adds;
 	// Snapshot only loads. win is the sliding response-time window, an
@@ -482,7 +476,6 @@ func New(src Source, cfg Config) (*Runtime, error) {
 		sw:        cfg.Switch,
 		caps:      cfg.Switch.Caps(),
 		rec:       cfg.Recorder,
-		respBound: cfg.ResponseBound,
 		nshards:   cfg.Shards,
 		shards:    make([]*shard, cfg.Shards),
 		ctl:       make(chan func(), 1),
@@ -494,7 +487,6 @@ func New(src Source, cfg Config) (*Runtime, error) {
 		vlo:       -1,
 	}
 	rt.parker, _ = src.(Parker)
-	rt.reserveVerify()
 	rt.initStore(mIn, mOut)
 	rt.turns = make([]int, rt.nshards)
 	rt.turnRel = make([]int64, rt.nshards)
@@ -502,6 +494,7 @@ func New(src Source, cfg Config) (*Runtime, error) {
 		rt.shards[s] = newShard(rt, s)
 		rt.turns[s] = s
 	}
+	rt.reserveRound()
 	if err := rt.installPolicy(cfg.Policy); err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
@@ -703,91 +696,102 @@ func (rt *Runtime) firstErr() error {
 	return nil
 }
 
-// setRound advances time to t. With verification on it first checks the
-// round that is closing, then reports the window if the clock leaves it.
+// setRound advances time to t. With verification on it reports the
+// window if the clock leaves it.
 func (rt *Runtime) setRound(t int) error {
-	if w := rt.cfg.VerifyEvery; w > 0 {
-		rt.checkRound()
-		if t >= rt.vstart+w {
-			// Rounds only move forward, so every round of the window has
-			// been checked: one flush reports it, and the remaining
-			// boundaries an idle jump crosses advance in a single step.
-			if err := rt.flushWindow(); err != nil {
-				return err
-			}
-			rt.vstart += (t - rt.vstart) / w * w
+	if w := rt.cfg.VerifyEvery; w > 0 && t >= rt.vstart+w {
+		// Rounds only move forward, so every round of the window has been
+		// checked: one flush reports it, and the remaining boundaries an
+		// idle jump crosses advance in a single step.
+		if err := rt.flushWindow(); err != nil {
+			return err
 		}
+		rt.vstart += (t - rt.vstart) / w * w
 	}
 	rt.round = t
 	rt.mRound.Store(int64(t))
 	return nil
 }
 
-// reserveVerify sizes the verification buffer, with verification on, for
-// the most flows one feasible round can retire: every flow carries at
-// least one unit through an input and an output, so min(Σ input caps,
-// Σ output caps), and never more than MaxPending, the most flows pending
-// at once. It only grows, so a Reload that raises MaxPending widens it
-// and one that lowers MaxPending below the resident count keeps room for
-// them. It runs only while the buffer is empty (in New and at the
+// reserveRound sizes what one round fills: each shard's takes and, with
+// verification on, the oracle's scratch. Take picks a flow only while
+// both its ports have room, and every flow carries at least one unit, so
+// a round picks at most min(Σ input caps, Σ output caps) flows — the
+// input sum over a shard's own inputs for its takes — and never more
+// than MaxPending, the most flows pending at once. The reservations only
+// grow, so a Reload that raises MaxPending widens them and one that
+// lowers MaxPending below the resident count keeps room for them. It
+// runs only between rounds, when every takes is empty (in New and at the
 // quiescent point).
-func (rt *Runtime) reserveVerify() {
-	if rt.cfg.VerifyEvery == 0 {
-		return
-	}
-	var in, out int
-	for _, c := range rt.sw.InCaps {
-		in += c
-	}
+func (rt *Runtime) reserveRound() {
+	out, all := 0, 0
 	for _, c := range rt.sw.OutCaps {
 		out += c
 	}
-	if n := min(in, out, rt.cfg.MaxPending); n > cap(rt.bufFlows) {
-		rt.bufFlows = make([]switchnet.Flow, 0, n)
-		rt.bufRounds = make([]int, 0, n)
+	for _, sh := range rt.shards {
+		in := 0
+		for i := sh.idx; i < len(rt.sw.InCaps); i += rt.nshards {
+			in += rt.sw.InCaps[i]
+		}
+		all += in
+		if n := min(in, out, rt.cfg.MaxPending); n > cap(sh.takes) {
+			sh.takes = make([]int32, 0, n)
+		}
+	}
+	if n := min(all, out, rt.cfg.MaxPending); rt.cfg.VerifyEvery > 0 && n > cap(rt.vFlows) {
+		rt.vFlows = make([]switchnet.Flow, 0, n)
+		rt.vRounds = make([]int, 0, n)
 	}
 }
 
-// checkRound runs the oracle over the buffered flows — the round that is
-// closing, on the coordinator — folds their rounds into the window's
-// [vlo, vhi] and empties the buffer. The buffer holds all of the round's
-// load, since every pick of the round retires into it before the round
-// closes, so the oracle's per-(port, round) capacity check is exact, and
-// it is one round, so the oracle sweeps it without sorting. After
-// the window's first failure the rest of its rounds are folded in
-// unchecked: the window fails at its flush either way. The verdict never
-// changes the schedule.
-func (rt *Runtime) checkRound() {
-	n := len(rt.bufRounds)
-	if n == 0 {
+// checkRound runs the oracle, with verification on, over the round's n
+// picks, on the coordinator, after the OnSchedule callbacks and before
+// the picks retire, and folds the round into the window's [vlo, vhi].
+// The picks are all of the round's load, so the oracle's per-(port,
+// round) capacity check is exact, and they are one round, so the oracle
+// sweeps them without sorting. After the window's first failure the rest
+// of its rounds are folded in unchecked: the window fails at its flush
+// either way. A round that picked nothing is not folded in. The verdict
+// never changes the schedule. It returns the check's wall time in
+// nanoseconds when a recorder is attached, 0 otherwise.
+func (rt *Runtime) checkRound(n int) (ns int64) {
+	if n == 0 || rt.cfg.VerifyEvery == 0 {
 		return
 	}
 	if rt.vlo < 0 {
-		rt.vlo = rt.bufRounds[0]
+		rt.vlo = rt.round
 	}
-	rt.vhi = rt.bufRounds[n-1]
-	if rt.verr == nil {
-		var t0 time.Time
-		if rt.rec != nil {
-			t0 = time.Now()
-		}
-		inst := switchnet.Instance{Switch: rt.sw, Flows: rt.bufFlows}
-		sched := switchnet.Schedule{Round: rt.bufRounds}
-		_, rt.verr = rt.checker.Check(&inst, &sched, rt.caps)
-		if rt.rec != nil {
-			rt.tVerifyNS += time.Since(t0).Nanoseconds()
+	rt.vhi = rt.round
+	if rt.verr != nil {
+		return
+	}
+	var t0 time.Time
+	if rt.rec != nil {
+		t0 = time.Now()
+	}
+	flows, rounds := rt.vFlows[:n], rt.vRounds[:n]
+	i := 0
+	for _, sh := range rt.shards {
+		for _, id := range sh.takes {
+			flows[i], rounds[i] = rt.ar.flow(id), rt.round
+			i++
 		}
 	}
-	rt.bufFlows, rt.bufRounds = rt.bufFlows[:0], rt.bufRounds[:0]
+	inst := switchnet.Instance{Switch: rt.sw, Flows: flows}
+	sched := switchnet.Schedule{Round: rounds}
+	_, rt.verr = rt.checker.Check(&inst, &sched, rt.caps)
+	if rt.rec != nil {
+		ns = time.Since(t0).Nanoseconds()
+	}
+	return ns
 }
 
-// flushWindow checks whatever is still buffered, then reports the window:
-// its first failure ends the run, labelled with the first and last round
-// its flows were really scheduled in, not the window boundaries, so an
-// idle jump across several window starts cannot skew the report; a clean
-// window is counted. A window that scheduled nothing reports nothing.
+// flushWindow reports the window: its first failure ends the run,
+// labelled with the first and last round its flows were really scheduled
+// in, not the window boundaries, so an idle jump across several window
+// starts cannot skew the report; a clean window is counted. A window
+// that scheduled nothing reports nothing.
 func (rt *Runtime) flushWindow() error {
-	rt.checkRound()
 	if rt.vlo < 0 {
 		return nil
 	}
@@ -798,6 +802,57 @@ func (rt *Runtime) flushWindow() error {
 	}
 	rt.mWindows.Add(1)
 	return nil
+}
+
+// retire ends the round: it folds the round's n picks into the completion
+// metrics — one write section of the sliding window, one batch of atomics
+// — departs them in shard-then-pick order, and clears the round's port
+// loads. It runs after the OnSchedule callbacks and the round's check.
+//
+//flowsched:hotpath
+func (rt *Runtime) retire(n int) {
+	if n == 0 {
+		return
+	}
+	t := rt.round
+	bound := rt.cfg.ResponseBound
+	var sum, slow int64
+	maxR := int(rt.mMaxResp.Load())
+	rt.win.Begin(t)
+	for _, sh := range rt.shards {
+		for _, id := range sh.takes {
+			resp := t + 1 - int(rt.ar.rec[id].rel)
+			sum += int64(resp)
+			if resp > maxR {
+				maxR = resp
+			}
+			if bound > 0 && resp > bound {
+				slow++
+			}
+			rt.win.Observe(resp)
+		}
+	}
+	rt.win.End()
+	rt.mCompleted.Add(int64(n))
+	rt.mTotalResp.Add(sum)
+	rt.mMaxResp.Store(int64(maxR))
+	if slow > 0 {
+		rt.mSlowResp.Add(slow)
+	}
+
+	for _, sh := range rt.shards {
+		for _, id := range sh.takes {
+			rt.depart(sh, id)
+		}
+		sh.takes = sh.takes[:0]
+	}
+	for _, p := range rt.touchIn {
+		rt.loadIn[p] = 0
+	}
+	for _, p := range rt.touchOut {
+		rt.loadOut[p] = 0
+	}
+	rt.touchIn, rt.touchOut = rt.touchIn[:0], rt.touchOut[:0]
 }
 
 // step advances the runtime by one iteration — an idle jump or one
@@ -821,6 +876,7 @@ func (rt *Runtime) step() (done bool, err error) {
 	// Expire what the deadline has passed, then the shards take their
 	// turns. The turn ordering is timed apart from the span around it.
 	var t0 time.Time
+	var proposeNS, reconcileNS, applyNS int64
 	if rt.rec != nil {
 		t0 = time.Now()
 	}
@@ -835,9 +891,8 @@ func (rt *Runtime) step() (done bool, err error) {
 		}
 		rt.orderTurns()
 		if rt.rec != nil {
-			d := time.Since(t1).Nanoseconds()
-			rt.tReconcileNS += d
-			rt.tProposeNS -= d
+			reconcileNS = time.Since(t1).Nanoseconds()
+			proposeNS = -reconcileNS
 		}
 	}
 	for _, s := range rt.turns {
@@ -847,7 +902,7 @@ func (rt *Runtime) step() (done bool, err error) {
 		rt.mExpired.Add(int64(expired))
 	}
 	if rt.rec != nil {
-		rt.tProposeNS += time.Since(t0).Nanoseconds()
+		proposeNS += time.Since(t0).Nanoseconds()
 	}
 	if err := rt.firstErr(); err != nil {
 		rt.err = err
@@ -878,29 +933,19 @@ func (rt *Runtime) step() (done bool, err error) {
 			}
 		}
 	}
+	verifyNS := rt.checkRound(total)
 	if rt.rec != nil {
 		t0 = time.Now()
 	}
-	for _, sh := range rt.shards {
-		sh.apply()
-	}
-	for _, p := range rt.touchIn {
-		rt.loadIn[p] = 0
-	}
-	for _, p := range rt.touchOut {
-		rt.loadOut[p] = 0
-	}
-	rt.touchIn, rt.touchOut = rt.touchIn[:0], rt.touchOut[:0]
+	rt.retire(total)
 	if rt.rec != nil {
-		rt.tApplyNS += time.Since(t0).Nanoseconds()
+		applyNS = time.Since(t0).Nanoseconds()
 	}
 	rt.count -= total + expired
 	if rt.rec != nil {
 		// One record per scheduling round (idle jumps emit nothing, so
-		// the trace's rounds are strictly increasing). Verify time accrued
-		// after the previous record — the oracle's check of the previous
-		// round, run as that round closed — has landed in the accumulators
-		// and is charged here, then everything resets for the next record.
+		// the trace's rounds are strictly increasing), carrying the
+		// round's own phases, its check included.
 		rt.rec.Record(obs.RoundRecord{
 			Round:       int64(rt.round),
 			Arrived:     rt.recArrived,
@@ -908,13 +953,12 @@ func (rt *Runtime) step() (done bool, err error) {
 			Dropped:     rt.recDropped,
 			Expired:     int64(expired),
 			Pending:     int64(rt.count),
-			ProposeNS:   rt.tProposeNS,
-			ReconcileNS: rt.tReconcileNS,
-			ApplyNS:     rt.tApplyNS,
-			VerifyNS:    rt.tVerifyNS,
+			ProposeNS:   proposeNS,
+			ReconcileNS: reconcileNS,
+			ApplyNS:     applyNS,
+			VerifyNS:    verifyNS,
 		})
 		rt.recArrived, rt.recDropped = 0, 0
-		rt.tProposeNS, rt.tReconcileNS, rt.tApplyNS, rt.tVerifyNS = 0, 0, 0, 0
 	}
 	return false, rt.setRound(rt.round + 1)
 }

@@ -11,8 +11,9 @@ import (
 // runtime's one store (see arena.go); a shard only counts its own and
 // lists its inputs that have any. The shards are a partition, not a set
 // of threads: each round the coordinator runs every shard's pick once,
-// in the turn order Runtime.orderTurns computes, then every shard's
-// apply, all in sequence on the coordinator's goroutine.
+// in the turn order Runtime.orderTurns computes, in sequence on the
+// coordinator's goroutine, and Runtime.retire then retires every shard's
+// picks in one pass.
 type shard struct {
 	rt  *Runtime
 	idx int
@@ -27,8 +28,10 @@ type shard struct {
 	// owns.
 	activeIn []int32
 
-	// takes holds the round's picks until apply retires them at the end
-	// of the same round.
+	// takes holds the round's picks until Runtime.retire retires them at
+	// the end of the same round. Its capacity, reserved by
+	// Runtime.reserveRound, is the most flows one round can pick at the
+	// shard's inputs.
 	takes []int32
 	view  View
 	err   error
@@ -84,52 +87,4 @@ func (sh *shard) pick() {
 	if sh.count > 0 {
 		sh.pol.Pick(&sh.view)
 	}
-}
-
-// apply retires the round's taken flows: the runtime's completion metrics
-// and verification buffer, and structure unlinking. It runs
-// at the end of the round the flows were picked in, after the
-// coordinator's OnSchedule callbacks for that round have fired.
-//
-//flowsched:hotpath
-func (sh *shard) apply() {
-	if len(sh.takes) == 0 {
-		return
-	}
-	rt := sh.rt
-	a := &rt.ar
-	t := rt.round
-	verifying := rt.cfg.VerifyEvery > 0
-	bound := rt.respBound
-	var n, sum, slow int64
-	maxR := int(rt.mMaxResp.Load())
-	rt.win.Begin(t)
-	for _, id := range sh.takes {
-		resp := t + 1 - int(a.rec[id].rel)
-		n++
-		sum += int64(resp)
-		if resp > maxR {
-			maxR = resp
-		}
-		if bound > 0 && resp > bound {
-			slow++
-		}
-		rt.win.Observe(resp)
-		if verifying {
-			rt.bufFlows = append(rt.bufFlows, a.flow(id)) //flowsched:allow alloc: reserved in New at one feasible round's flows; grows only past a round the oracle rejects (TestVerifyBufferHoldsOneRound)
-			rt.bufRounds = append(rt.bufRounds, t)        //flowsched:allow alloc: in lockstep with bufFlows, reserved alike; grows only past a round the oracle rejects (TestVerifyBufferHoldsOneRound)
-		}
-	}
-	rt.win.End()
-	rt.mCompleted.Add(n)
-	rt.mTotalResp.Add(sum)
-	rt.mMaxResp.Store(int64(maxR))
-	if slow > 0 {
-		rt.mSlowResp.Add(slow)
-	}
-
-	for _, id := range sh.takes {
-		rt.depart(sh, id)
-	}
-	sh.takes = sh.takes[:0]
 }

@@ -151,7 +151,8 @@ func (v *View) Take(id ID) bool {
 		return false
 	}
 	// A port joins its touched list when its load leaves 0, once a round,
-	// so the lists never outgrow the port counts initStore reserved.
+	// so the lists never outgrow the port counts initStore reserved; the
+	// capacity check above bounds takes at what reserveRound reserved.
 	if rt.loadIn[in] == 0 {
 		appendReserved(&rt.touchIn, int32(in))
 	}
@@ -161,7 +162,7 @@ func (v *View) Take(id ID) bool {
 	}
 	rt.loadOut[out] += d
 	rc.out |= stTaken
-	sh.takes = append(sh.takes, int32(id)) //flowsched:allow alloc: takes buffer is length-reset on apply and grows to the per-round take high-water mark (TestSteadyStateZeroAlloc)
+	appendReserved(&sh.takes, int32(id))
 	return true
 }
 
