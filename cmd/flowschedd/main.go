@@ -109,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxPending  = fs.Int("maxpending", stream.DefaultMaxPending, "admission limit on the resident pending set")
 		admit       = fs.String("admit", "lossless", "admission mode: lossless, drop, or deadline")
 		deadline    = fs.Int("deadline", 0, "response-time bound in rounds (admit mode deadline)")
-		verifyEvery = fs.Int("verifyevery", 0, "check every round with the verify oracle as it closes, reporting once per this many rounds (0 = off)")
+		verifyEvery = fs.Int("verifyevery", 0, "check every round with the verify oracle as it closes, failing the run in a rejected round and counting each window of this many rounds that checked one (0 = off)")
 		buffer      = fs.Int("buffer", daemon.DefaultBuffer, "ingest queue depth in flows between HTTP handlers and the round loop")
 
 		traceRounds = fs.Int("tracerounds", 0, "flight recorder ring size behind GET /trace (0 = default)")

@@ -54,7 +54,7 @@ func streamCmd(fs *flag.FlagSet) func() error {
 	fs.Float64Var(&o.alpha, "alpha", 0, "bounded-Pareto size tail index (0 = unit/uniform sizes)")
 	fs.IntVar(&o.maxPending, "maxpending", stream.DefaultMaxPending, "admission limit on the resident pending set")
 	fs.IntVar(&o.window, "window", stream.DefaultWindowRounds, "sliding metrics window in rounds")
-	fs.IntVar(&o.verifyEvery, "verifyevery", 0, "check every round with the verify oracle as it closes, reporting once per this many rounds (0 = off)")
+	fs.IntVar(&o.verifyEvery, "verifyevery", 0, "check every round with the verify oracle as it closes, failing the run in a rejected round and counting each window of this many rounds that checked one (0 = off)")
 	fs.StringVar(&o.roundLog, "roundlog", "", "write the flight recorder's last rounds as JSONL to this file (policy-suffixed when sweeping)")
 	fs.IntVar(&o.logRounds, "logrounds", 0, "flight recorder ring size for -roundlog (0 = default)")
 	fs.StringVar(&o.ckptFile, "checkpoint", "", "write a checkpoint file every -checkpointrounds rounds (0 = once, after the drain)")

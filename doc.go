@@ -86,9 +86,10 @@
 //     round loop is allocation-free at steady state. Metrics are streaming
 //     (StreamSummary: running totals plus sliding-window response-time
 //     quantiles from a mergeable log-histogram sketch), VerifyEvery checks
-//     every round through the verify oracle as it closes and reports once
-//     per window of that many rounds, so even unbounded runs are checked
-//     for feasibility in O(ports) memory, and a
+//     every round through the verify oracle as it closes, ends the run in
+//     the first round it rejects, and counts each window of that many
+//     rounds that checked one, so even unbounded runs are checked for
+//     feasibility in O(ports) memory, and a
 //     FlightRecorder (NewFlightRecorder) attached through
 //     StreamConfig.Recorder keeps the last rounds' RoundRecords.
 //

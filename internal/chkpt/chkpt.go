@@ -163,26 +163,10 @@ type Checkpoint struct {
 
 // FromState converts a runtime capture into a durable Checkpoint. cfg
 // must be the configuration the capturing runtime was built with (its
-// Switch, Policy, and admission settings are recorded for restore).
+// Switch, Policy, and admission settings are recorded for restore). The
+// Checkpoint shares st's Flows, Scratch and Windows slices: a capture
+// owns what it returns, so there is nothing to copy.
 func FromState(st *stream.CheckpointState, cfg stream.Config) *Checkpoint {
-	flows := make([]switchnet.Flow, len(st.Flows))
-	copy(flows, st.Flows)
-	// Deep-copy the scratch and window sections: periodic captures hand
-	// out runtime-owned buffers the next capture overwrites.
-	var scratch [][]int64
-	if st.Scratch != nil {
-		scratch = make([][]int64, len(st.Scratch))
-		for i, s := range st.Scratch {
-			scratch[i] = append([]int64(nil), s...)
-		}
-	}
-	var windows []stats.WindowSnapshot
-	if st.Windows != nil {
-		windows = make([]stats.WindowSnapshot, len(st.Windows))
-		for i := range st.Windows {
-			windows[i] = st.Windows[i].Clone()
-		}
-	}
 	return &Checkpoint{
 		Round:          st.Round,
 		Pending:        st.Pending,
@@ -195,9 +179,9 @@ func FromState(st *stream.CheckpointState, cfg stream.Config) *Checkpoint {
 		InCaps:         append([]int(nil), cfg.Switch.InCaps...),
 		OutCaps:        append([]int(nil), cfg.Switch.OutCaps...),
 		Counters:       countersOf(st.Summary),
-		Flows:          flows,
-		Scratch:        scratch,
-		Windows:        windows,
+		Flows:          st.Flows,
+		Scratch:        st.Scratch,
+		Windows:        st.Windows,
 	}
 }
 

@@ -42,8 +42,9 @@ func (s *Server) Drain() (*stream.Summary, error) {
 
 // Stop is the hard stop: pending flows are abandoned where Drain would
 // finish them. The runtime still finishes the round in flight — its
-// picks retire in it — and checks its last verification window, so the
-// summary's accounting balances; Pending just need not be zero.
+// picks are checked and retire in it — and counts its last verification
+// window, so the summary's accounting balances; Pending just need not be
+// zero.
 func (s *Server) Stop() (*stream.Summary, error) {
 	s.setDraining()
 	s.rt.Stop()

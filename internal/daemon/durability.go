@@ -39,12 +39,11 @@ func (s *Server) CheckpointNow(ctx context.Context) (*chkpt.Checkpoint, error) {
 	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	st, err := s.rt.CheckpointState(ctx, s.ckptBuf)
+	st, err := s.rt.CheckpointState(ctx, nil)
 	if err != nil {
 		s.ckptErrors++
 		return nil, fmt.Errorf("daemon: checkpoint capture: %w", err)
 	}
-	s.ckptBuf = st.Flows
 	ck := chkpt.FromState(&st, s.schedCfg)
 	if err := chkpt.Save(s.ckptPath, ck); err != nil {
 		s.ckptErrors++

@@ -29,7 +29,7 @@ func writeMetrics(w io.Writer, s stream.Summary) {
 	counter("flowsched_flows_backpressured_total", "Flows admitted after their release round because the pending set was full.", s.Backpressured)
 	gauge("flowsched_pending_flows", "Flows currently resident in the pending set.", float64(s.Pending))
 	gauge("flowsched_pending_peak", "High-water mark of the pending set.", float64(s.PeakPending))
-	counter("flowsched_verify_windows_total", "Verification windows whose every round the verify oracle accepted.", s.WindowsVerified)
+	counter("flowsched_verify_windows_total", "Verification windows that checked at least one round; a round the verify oracle rejects ends the run, so every counted round was accepted.", s.WindowsVerified)
 	fmt.Fprintf(w, "# HELP flowsched_response_rounds Response time of completed flows in rounds (quantiles over the sliding window, sum/count cumulative).\n")
 	fmt.Fprintf(w, "# TYPE flowsched_response_rounds summary\n")
 	fmt.Fprintf(w, "flowsched_response_rounds{quantile=\"0.5\"} %g\n", s.P50)

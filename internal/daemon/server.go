@@ -172,9 +172,8 @@ type Server struct {
 	// ckptMu serializes checkpoint writes and reloads: a checkpoint
 	// records the live scheduling configuration (schedCfg) alongside the
 	// runtime state, and a reload swaps that configuration, so the two
-	// must not interleave. ckptBuf is the reused flow-capture scratch.
+	// must not interleave.
 	ckptMu    sync.Mutex
-	ckptBuf   []switchnet.Flow
 	schedCfg  stream.Config
 	ckptPath  string
 	ckptEvery time.Duration

@@ -39,10 +39,12 @@ import (
 )
 
 // Defaults for Config fields left zero, and the snapshot bounds.
-// DefaultSnapshotTimeout bounds each pending-set snapshot: an
-// idle-parked live runtime answers nothing until its next arrival, so
-// the pilot treats a timeout as "idle" rather than an error worth
-// waiting on. DefaultMaxSnapshot caps the pending flows fed to the
+// DefaultSnapshotTimeout bounds each pending-set snapshot. A runtime
+// parked idle on a Parker source is woken to answer at once, so the
+// timeout only guards a coordinator stuck in a long round or blocked in
+// the Next of a source without Park; the pilot counts it in
+// SnapshotErrors rather than waiting on it. DefaultMaxSnapshot caps the
+// pending flows fed to the
 // backlog bound. The snapshot is in admission order, so the prefix kept
 // is the oldest flows; the bound over it is still a valid lower bound
 // for the whole backlog, and the cap keeps the O(n^2) sweep bounded when

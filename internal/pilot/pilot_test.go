@@ -201,3 +201,56 @@ func TestPilotRunLoop(t *testing.T) {
 		t.Fatalf("no final evaluation on cancel: %d -> %d", before, after)
 	}
 }
+
+// TestPilotSnapshotsParkedRuntime: a live runtime that has drained its
+// ChanSource feed parks in Park, and the pilot's pending-set snapshot
+// still lands, because the request wakes the park: no snapshot error,
+// and an empty backlog.
+func TestPilotSnapshotsParkedRuntime(t *testing.T) {
+	const ports, n = 4, 8
+	sw := switchnet.UnitSwitch(ports)
+	p, err := pilot.New(sw, pilot.Config{Window: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := workload.NewChanSource(16)
+	rt, err := stream.New(src, stream.Config{Switch: sw, Policy: stream.ByName("RoundRobin"), OnSchedule: p.OnSchedule})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Bind(rt)
+	runDone := make(chan error, 1)
+	go func() {
+		_, err := rt.Run()
+		runDone <- err
+	}()
+	for k := 0; k < n; k++ {
+		src.Push(switchnet.Flow{In: k % ports, Out: (k + 1) % ports, Demand: 1})
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for rt.Snapshot().Completed < n {
+		if time.Now().After(deadline) {
+			t.Fatal("runtime never drained the pushed flows")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 3; i++ {
+		st := p.Evaluate(context.Background())
+		if st.SnapshotErrors != 0 || st.PendingFlows != 0 {
+			t.Fatalf("evaluation %d of a parked runtime: %d snapshot errors, %d pending flows, want 0 and 0",
+				i, st.SnapshotErrors, st.PendingFlows)
+		}
+		if st.WindowFlows != n {
+			t.Fatalf("evaluation %d: window holds %d completions, want %d", i, st.WindowFlows, n)
+		}
+	}
+	rt.Stop()
+	select {
+	case err := <-runDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop did not end the parked run")
+	}
+}

@@ -174,47 +174,29 @@ type WindowSnapshot struct {
 	Ns []uint64 `json:"ns"`
 }
 
-// Clone returns a deep copy (checkpoint encoding must not alias the
-// runtime's reused capture buffers).
-func (s *WindowSnapshot) Clone() WindowSnapshot {
-	c := WindowSnapshot{
-		PerShard: s.PerShard,
-		Periods:  append([]int64(nil), s.Periods...),
-		Ns:       append([]uint64(nil), s.Ns...),
-		Counts:   make([][]uint64, len(s.Counts)),
-	}
-	for i := range s.Counts {
-		c.Counts[i] = append([]uint64(nil), s.Counts[i]...)
-	}
-	return c
-}
-
-// ExportInto captures the window's state into dst, reusing dst's backing
-// slices so a warmed caller allocates nothing. The caller must hold the
-// writer quiescent (checkpoint captures run on the coordinator between
-// rounds); concurrent readers are harmless — they only load.
-func (w *EpochWindow) ExportInto(dst *WindowSnapshot) {
+// Export captures the window's state into a fresh snapshot. The caller
+// must hold the writer quiescent (checkpoint captures run on the
+// coordinator between rounds); concurrent readers are harmless — they
+// only load.
+func (w *EpochWindow) Export() WindowSnapshot {
 	n := len(w.rings)
-	dst.PerShard = w.perShard
-	dst.Periods = dst.Periods[:0]
-	dst.Ns = dst.Ns[:0]
-	if cap(dst.Counts) < n {
-		dst.Counts = append(dst.Counts, make([][]uint64, n-len(dst.Counts))...)
+	s := WindowSnapshot{
+		PerShard: w.perShard,
+		Periods:  make([]int64, n),
+		Counts:   make([][]uint64, n),
+		Ns:       make([]uint64, n),
 	}
-	dst.Counts = dst.Counts[:n]
 	for i := range w.rings {
 		ring := &w.rings[i]
-		dst.Periods = append(dst.Periods, w.periods[i].Load())
-		counts := dst.Counts[i][:0]
-		var sum uint64
+		s.Periods[i] = w.periods[i].Load()
+		s.Counts[i] = make([]uint64, len(ring.counts))
 		for b := range ring.counts {
 			c := ring.counts[b].Load()
-			counts = append(counts, c)
-			sum += c
+			s.Counts[i][b] = c
+			s.Ns[i] += c
 		}
-		dst.Counts[i] = counts
-		dst.Ns = append(dst.Ns, sum)
 	}
+	return s
 }
 
 // Import merges a snapshot into the window. Geometry differences are

@@ -232,8 +232,7 @@ func TestWindowSnapshotRoundTrip(t *testing.T) {
 		src.Observe(round % 17)
 		src.End()
 	}
-	var snap WindowSnapshot
-	src.ExportInto(&snap)
+	snap := src.Export()
 
 	var want, got LogHistogram
 	src.ReadInto(&want, 199)
@@ -283,25 +282,5 @@ func TestWindowSnapshotRoundTrip(t *testing.T) {
 	other.ReadInto(&got, 199)
 	if got.N() != 0 {
 		t.Fatalf("mismatched-geometry import leaked %d observations", got.N())
-	}
-
-	// Clone must be deep: scribbling on the original leaves it intact.
-	c := snap.Clone()
-	for i := range snap.Counts {
-		for b := range snap.Counts[i] {
-			snap.Counts[i][b] = 999
-		}
-	}
-	fresh := NewEpochWindow(64, 8)
-	fresh.Import(&c)
-	fresh.ReadInto(&got, 199)
-	if got.N() != want.N() {
-		t.Fatalf("clone aliased the source buffers: %d observations, want %d", got.N(), want.N())
-	}
-
-	// ExportInto must reuse a warmed snapshot's buffers.
-	src.ExportInto(&c) // warm to this source's geometry
-	if allocs := testing.AllocsPerRun(50, func() { src.ExportInto(&c) }); allocs != 0 {
-		t.Fatalf("warmed export allocated %v per call, want 0", allocs)
 	}
 }

@@ -215,13 +215,13 @@
 //
 // With Config.VerifyEvery > 0 the runtime checks every round through the
 // internal/verify oracle as the round closes — every flow scheduled in it,
-// with its original release — and reports once per window of VerifyEvery
-// rounds: a clean window is counted in WindowsVerified, and a window with
-// an infeasible round ends the run at that window's flush. The paper's
-// feasibility rule is per port per round, so a window's verdict is its
-// rounds' verdicts taken together; the window only sets when the verdict
-// is reported. Checking keeps the unbounded run honest without retaining
-// history. The schedule never depends on the verdict.
+// with its original release. The paper's feasibility rule is per port per
+// round, so the round is the unit of the verdict: a rejected round ends
+// the run in that round, and no later round is scheduled. A window of
+// VerifyEvery rounds is only a unit of reporting: each window that checked
+// a round is counted once in WindowsVerified. Checking keeps the
+// unbounded run honest without retaining history. The schedule never
+// depends on the verdict.
 //
 // What a window costs. A round's picks are final once OnSchedule has
 // reported them, and they retire only after the check, so checkRound
@@ -237,8 +237,7 @@
 // O(ports) at unit capacities, not O(VerifyEvery × ports): at 150 unit
 // ports that is 150 flows, some 6 KB, whatever the window
 // (TestVerifyBufferHoldsOneRound; TestSteadyStateZeroAllocVerify counts
-// mallocs over eight windows). After a window's first infeasible round the
-// rest of its rounds go unchecked; the report names that round.
+// mallocs over eight windows).
 // What remains is a price, not zero: on the benchmark's drain_verified
 // workload (150 ports, VerifyEvery = 256, about 150 flows a round) against
 // drain_deep, the same flows and schedule unverified, 6 runs of each on a
@@ -251,12 +250,13 @@
 //
 // Who pays it. The coordinator does, inline: step checks each round
 // between its OnSchedule callbacks and its retirement, so a round's
-// VerifyNS is on its own record, and setRound's flushWindow reports the
+// VerifyNS is on its own record, and setRound's flushWindow counts the
 // window between its last round and the next. A Runtime starts no
-// goroutine, a failure ends the run at the flush of the window that
-// failed — labelled with the first and last round its flows were really
-// scheduled in — and Stop or an error return leaves nothing to join. The
-// checks land on the round loop's wall time. Overlapping them with later
+// goroutine. A rejected round still retires and is recorded, then step
+// returns "stream: round R failed verification: " and the oracle's
+// error, with the clock left on R, so the failed run's state is
+// quiescent; Stop or an error return leaves nothing to join. The checks
+// land on the round loop's wall time. Overlapping them with later
 // rounds on a second goroutine hides them only while a core is spare,
 // spends the same CPU, needs a second buffer and reports a bad window one
 // window late (ROADMAP.md, "Measured negatives").
@@ -315,10 +315,11 @@
 //     reads and the periodic trigger alike.
 //     Config.CheckpointEveryRounds > 0 instead fires OnCheckpoint
 //     periodically from the coordinator itself — the cadence check is two
-//     integer compares per round, capture reuses runtime-owned buffers,
-//     and the steady-state loop stays allocation-free (covered by
-//     TestSteadyStateZeroAllocCheckpoint). internal/chkpt serializes the
-//     state to atomic, CRC-sealed files.
+//     integer compares per round, and the rounds between captures stay
+//     allocation-free (TestSteadyStateZeroAllocCheckpoint). Each capture
+//     is freshly allocated, so OnCheckpoint owns it and may keep it
+//     (TestPeriodicCapturesCanBeKept). internal/chkpt serializes the
+//     state to atomic, CRC-sealed files, sharing its slices.
 //
 //   - Config.Resume takes a CheckpointState, and a restored runtime is
 //     whole when New returns: the clock reads the checkpointed round, the

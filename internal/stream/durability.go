@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"flowsched/internal/stats"
 	"flowsched/internal/switchnet"
@@ -263,11 +264,15 @@ func (rt *Runtime) nudge() {
 }
 
 // capture builds the CheckpointState of the quiescent runtime, appending
-// the flows to dst and reusing scratch and windows when their shapes
-// match (see collectScratch). Explicit requests pass nil for both, so a
-// reply never aliases the periodic trigger's reused buffers.
-func (rt *Runtime) capture(dst []switchnet.Flow, scratch [][]int64, windows []stats.WindowSnapshot) CheckpointState {
-	flows := rt.collectPending(dst)
+// the flows to dst[:0], grown once to hold them. Everything else it
+// returns is freshly allocated, so the state shares nothing with the
+// runtime but dst.
+func (rt *Runtime) capture(dst []switchnet.Flow) CheckpointState {
+	n := rt.count
+	if rt.haveLook {
+		n++
+	}
+	flows := rt.collectPending(slices.Grow(dst[:0], n))
 	pending := len(flows)
 	if rt.haveLook {
 		flows = append(flows, rt.look)
@@ -278,36 +283,23 @@ func (rt *Runtime) capture(dst []switchnet.Flow, scratch [][]int64, windows []st
 		Flows:   flows,
 		Summary: rt.Snapshot(),
 		Policy:  rt.cfg.Policy.Name(),
-		Scratch: rt.collectScratch(scratch),
-		Windows: rt.collectWindows(windows),
+		Scratch: rt.collectScratch(),
+		Windows: []stats.WindowSnapshot{rt.win.Export()},
 	}
 }
 
 // collectScratch captures each shard policy's scratch state (see
-// scratchPolicy) into dst, reusing its per-shard slices when the shape
-// matches; nil when the policy carries no scratch.
-func (rt *Runtime) collectScratch(dst [][]int64) [][]int64 {
+// scratchPolicy) into fresh slices; nil when the policy carries no
+// scratch.
+func (rt *Runtime) collectScratch() [][]int64 {
 	if _, ok := rt.shards[0].pol.(scratchPolicy); !ok {
 		return nil
 	}
-	if len(dst) != rt.nshards {
-		dst = make([][]int64, rt.nshards)
-	}
+	scratch := make([][]int64, rt.nshards)
 	for s, sh := range rt.shards {
-		dst[s] = sh.pol.(scratchPolicy).exportScratch(dst[s][:0])
+		scratch[s] = sh.pol.(scratchPolicy).exportScratch(nil)
 	}
-	return dst
-}
-
-// collectWindows captures the sliding-window sketch into dst's one
-// entry, reusing its backing slices when dst has that shape. Same
-// aliasing discipline as collectScratch.
-func (rt *Runtime) collectWindows(dst []stats.WindowSnapshot) []stats.WindowSnapshot {
-	if len(dst) != 1 {
-		dst = make([]stats.WindowSnapshot, 1)
-	}
-	rt.win.ExportInto(&dst[0])
-	return dst
+	return scratch
 }
 
 // collectPending appends every resident pending flow to dst in admission
@@ -324,14 +316,11 @@ func (rt *Runtime) collectPending(dst []switchnet.Flow) []switchnet.Flow {
 }
 
 // fireCheckpoint services the round-cadence periodic trigger (see
-// Config.CheckpointEveryRounds): it captures into the previous capture's
-// buffers and hands the state to OnCheckpoint. The callback must not
-// retain the state or its slices past its return — the next capture
-// overwrites them.
+// Config.CheckpointEveryRounds): it hands OnCheckpoint a fresh capture,
+// which the callback owns.
 func (rt *Runtime) fireCheckpoint() {
-	st := &rt.ckptState
-	*st = rt.capture(st.Flows[:0], st.Scratch, st.Windows)
-	rt.cfg.OnCheckpoint(st)
+	st := rt.capture(nil)
+	rt.cfg.OnCheckpoint(&st)
 	rt.nextCkpt = rt.round + rt.ckptEvery
 }
 
@@ -362,7 +351,7 @@ func (rt *Runtime) PendingFlows(ctx context.Context, dst []switchnet.Flow) ([]sw
 // result.
 func (rt *Runtime) CheckpointState(ctx context.Context, dst []switchnet.Flow) (CheckpointState, error) {
 	var st CheckpointState
-	if err := rt.quiesce(ctx, func() { st = rt.capture(dst[:0], nil, nil) }); err != nil {
+	if err := rt.quiesce(ctx, func() { st = rt.capture(dst) }); err != nil {
 		return CheckpointState{}, err
 	}
 	return st, nil

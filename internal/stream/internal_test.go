@@ -2,7 +2,6 @@ package stream
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"unsafe"
 
@@ -71,51 +70,6 @@ func (emptySource) Next() (switchnet.Flow, bool) { return switchnet.Flow{}, fals
 func (emptySource) Err() error                   { return nil }
 func (emptySource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet.Flow {
 	return dst
-}
-
-// TestFlushWindowLabelsTrueRounds pins the verification-failure label to
-// the first and last round the window really checked. The old label was
-// [vstart, vstart+w) with a vstart that went stale when an idle jump
-// crossed several window boundaries before the flush; deriving it from
-// the checked rounds cannot drift. View.Take never picks an infeasible
-// round, so this test closes rounds 5 and 9 by hand — one unit flow
-// taken, checked and retired each — and checks round 9 against injected
-// capacities that leave its input no room.
-func TestFlushWindowLabelsTrueRounds(t *testing.T) {
-	rt, err := New(emptySource{}, Config{
-		Switch:      switchnet.UnitSwitch(2),
-		Policy:      FIFO{},
-		VerifyEvery: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := int64(0)
-	closeRound := func(round, in, out int) {
-		t.Helper()
-		rt.round = round
-		rt.admitFlow(&switchnet.Flow{In: in, Out: out, Demand: 1, Release: round}, seq)
-		seq++
-		v := &rt.shards[0].view
-		if !v.Take(v.VOQHead(in, out)) {
-			t.Fatalf("round %d: Take refused the only pending flow", round)
-		}
-		rt.checkRound(1)
-		rt.retire(1)
-	}
-	// A feasible flow at round 5, then a unit flow at round 9 through an
-	// input whose checked capacity is 0: infeasible.
-	closeRound(5, 1, 1)
-	rt.caps = []int{0, 1, 1, 1}
-	closeRound(9, 0, 0)
-
-	err = rt.flushWindow()
-	if err == nil {
-		t.Fatal("infeasible window passed verification")
-	}
-	if !strings.Contains(err.Error(), "[5, 9]") {
-		t.Fatalf("window label does not cover the true checked rounds [5, 9]: %v", err)
-	}
 }
 
 // TestNextActiveVOQWordBoundaries probes the active-VOQ bitmap across

@@ -174,10 +174,10 @@ type Config struct {
 	// AdmitDeadline, and must be zero with the other modes.
 	Deadline int
 	// VerifyEvery > 0 checks every round through the verify oracle as it
-	// closes and reports the verdict once per window of that many rounds:
-	// the window is counted in WindowsVerified, or its first infeasible
-	// round ends the run at the window's flush. 0 turns verification
-	// off, and a negative value is a construction error.
+	// closes: an infeasible round ends the run in that round, after it
+	// retires. Each window of that many rounds that checked a round counts
+	// once in WindowsVerified. 0 turns verification off, and a negative
+	// value is a construction error.
 	VerifyEvery int
 	// WindowRounds is the sliding metrics window in rounds (<= 0 selects
 	// DefaultWindowRounds).
@@ -221,13 +221,15 @@ type Config struct {
 	// CheckpointEveryRounds > 0 invokes OnCheckpoint with a quiescent
 	// CheckpointState at most once per that many rounds, from the
 	// coordinator between rounds. The trigger is a round-cadence integer
-	// comparison — no clock reads, no allocations (the state and its
-	// flow buffer are reused across captures, so the callback must not
-	// retain them past its return). Requires OnCheckpoint.
+	// comparison with no clock reads; a round that captures allocates
+	// the capture, and the rounds between allocate nothing. Requires
+	// OnCheckpoint.
 	CheckpointEveryRounds int
 	// OnCheckpoint receives periodic checkpoint captures (see
 	// CheckpointEveryRounds). It runs on the coordinator goroutine with
-	// the round loop paused; a slow callback stalls scheduling.
+	// the round loop paused; a slow callback stalls scheduling. Each
+	// capture is freshly allocated and shares nothing with the runtime,
+	// so the callback owns it and may keep it.
 	OnCheckpoint func(*CheckpointState)
 }
 
@@ -268,8 +270,9 @@ type Summary struct {
 	// SlowResponses counts completions whose response time exceeded
 	// Config.ResponseBound (zero when the bound is unset).
 	SlowResponses int64
-	// WindowsVerified counts verification windows whose every round the
-	// verify oracle accepted.
+	// WindowsVerified counts the verification windows that checked at
+	// least one round (see Config.VerifyEvery). A rejected round ends the
+	// run, so every counted window's rounds were all accepted.
 	WindowsVerified int64
 	// P50, P90, P99 are response-time quantiles over the sliding metrics
 	// window (sketched; see stats.LogHistogram for the error bound).
@@ -318,13 +321,9 @@ type Runtime struct {
 	runMu   sync.Mutex
 	running bool
 
-	// Periodic-checkpoint state: ckptEvery/nextCkpt drive the
-	// round-cadence OnCheckpoint trigger, with ckptState's flow, scratch
-	// and window buffers reused across captures so a warmed trigger
-	// allocates nothing.
+	// ckptEvery/nextCkpt drive the round-cadence OnCheckpoint trigger.
 	ckptEvery int
 	nextCkpt  int
-	ckptState CheckpointState
 
 	nshards int
 	shards  []*shard
@@ -373,12 +372,11 @@ type Runtime struct {
 	// order, into vFlows/vRounds — the oracle's scratch, which
 	// reserveRound reserves at the most flows a round can pick and which
 	// is only resliced, never appended to — and runs the runtime's one
-	// Checker over them. vstart is the active window's first round,
-	// [vlo, vhi] the rounds checked in it so far (vlo < 0: none) and verr
-	// its first failure; flushWindow reports the window.
+	// Checker over them. vstart is the active window's first round and
+	// vchecked whether the window has checked a round; flushWindow counts
+	// it.
 	vstart   int
-	vlo, vhi int
-	verr     error
+	vchecked bool
 	vFlows   []switchnet.Flow
 	vRounds  []int
 	checker  verify.Checker
@@ -484,7 +482,6 @@ func New(src Source, cfg Config) (*Runtime, error) {
 		ckptEvery: cfg.CheckpointEveryRounds,
 		nextCkpt:  cfg.CheckpointEveryRounds,
 		win:       stats.NewEpochWindow(cfg.WindowRounds, windowShards),
-		vlo:       -1,
 	}
 	rt.parker, _ = src.(Parker)
 	rt.initStore(mIn, mOut)
@@ -696,21 +693,18 @@ func (rt *Runtime) firstErr() error {
 	return nil
 }
 
-// setRound advances time to t. With verification on it reports the
+// setRound advances time to t. With verification on it counts the
 // window if the clock leaves it.
-func (rt *Runtime) setRound(t int) error {
+func (rt *Runtime) setRound(t int) {
 	if w := rt.cfg.VerifyEvery; w > 0 && t >= rt.vstart+w {
 		// Rounds only move forward, so every round of the window has been
-		// checked: one flush reports it, and the remaining boundaries an
-		// idle jump crosses advance in a single step.
-		if err := rt.flushWindow(); err != nil {
-			return err
-		}
+		// checked: one flush counts it, and the empty windows an idle jump
+		// crosses are skipped in a single step.
+		rt.flushWindow()
 		rt.vstart += (t - rt.vstart) / w * w
 	}
 	rt.round = t
 	rt.mRound.Store(int64(t))
-	return nil
 }
 
 // reserveRound sizes what one round fills: each shard's takes and, with
@@ -746,25 +740,18 @@ func (rt *Runtime) reserveRound() {
 
 // checkRound runs the oracle, with verification on, over the round's n
 // picks, on the coordinator, after the OnSchedule callbacks and before
-// the picks retire, and folds the round into the window's [vlo, vhi].
-// The picks are all of the round's load, so the oracle's per-(port,
-// round) capacity check is exact, and they are one round, so the oracle
-// sweeps them without sorting. After the window's first failure the rest
-// of its rounds are folded in unchecked: the window fails at its flush
-// either way. A round that picked nothing is not folded in. The verdict
-// never changes the schedule. It returns the check's wall time in
-// nanoseconds when a recorder is attached, 0 otherwise.
-func (rt *Runtime) checkRound(n int) (ns int64) {
+// the picks retire, and marks the window as having checked a round. The
+// picks are all of the round's load, so the oracle's per-(port, round)
+// capacity check is exact, and they are one round, so the oracle sweeps
+// them without sorting. A round that picked nothing is not checked. The
+// verdict never changes the schedule. It returns the check's wall time
+// in nanoseconds when a recorder is attached, 0 otherwise, and the
+// oracle's error.
+func (rt *Runtime) checkRound(n int) (ns int64, err error) {
 	if n == 0 || rt.cfg.VerifyEvery == 0 {
 		return
 	}
-	if rt.vlo < 0 {
-		rt.vlo = rt.round
-	}
-	rt.vhi = rt.round
-	if rt.verr != nil {
-		return
-	}
+	rt.vchecked = true
 	var t0 time.Time
 	if rt.rec != nil {
 		t0 = time.Now()
@@ -779,29 +766,21 @@ func (rt *Runtime) checkRound(n int) (ns int64) {
 	}
 	inst := switchnet.Instance{Switch: rt.sw, Flows: flows}
 	sched := switchnet.Schedule{Round: rounds}
-	_, rt.verr = rt.checker.Check(&inst, &sched, rt.caps)
+	_, err = rt.checker.Check(&inst, &sched, rt.caps)
 	if rt.rec != nil {
 		ns = time.Since(t0).Nanoseconds()
 	}
-	return ns
+	return ns, err
 }
 
-// flushWindow reports the window: its first failure ends the run,
-// labelled with the first and last round its flows were really scheduled
-// in, not the window boundaries, so an idle jump across several window
-// starts cannot skew the report; a clean window is counted. A window
-// that scheduled nothing reports nothing.
-func (rt *Runtime) flushWindow() error {
-	if rt.vlo < 0 {
-		return nil
+// flushWindow counts the window in WindowsVerified if it checked a
+// round. Every round it checked was accepted: a rejected one ends the
+// run before its window can flush.
+func (rt *Runtime) flushWindow() {
+	if rt.vchecked {
+		rt.vchecked = false
+		rt.mWindows.Add(1)
 	}
-	lo, hi, err := rt.vlo, rt.vhi, rt.verr
-	rt.vlo, rt.verr = -1, nil
-	if err != nil {
-		return fmt.Errorf("stream: verification window over rounds [%d, %d] infeasible: %w", lo, hi, err)
-	}
-	rt.mWindows.Add(1)
-	return nil
 }
 
 // retire ends the round: it folds the round's n picks into the completion
@@ -861,9 +840,8 @@ func (rt *Runtime) step() (done bool, err error) {
 	rt.serveCtl()
 	if rt.ckptEvery > 0 && rt.round >= rt.nextCkpt {
 		// Round-cadence periodic checkpoint: the trigger is one integer
-		// compare per step (no clock reads) and the capture reuses the
-		// runtime-owned state and flow buffer, so a warmed checkpoint
-		// cadence adds nothing to the steady-state allocation budget.
+		// compare per step (no clock reads), so only the capturing round
+		// allocates.
 		rt.fireCheckpoint()
 	}
 	if err := rt.admit(); err != nil {
@@ -933,7 +911,7 @@ func (rt *Runtime) step() (done bool, err error) {
 			}
 		}
 	}
-	verifyNS := rt.checkRound(total)
+	verifyNS, checkErr := rt.checkRound(total)
 	if rt.rec != nil {
 		t0 = time.Now()
 	}
@@ -960,7 +938,13 @@ func (rt *Runtime) step() (done bool, err error) {
 		})
 		rt.recArrived, rt.recDropped = 0, 0
 	}
-	return false, rt.setRound(rt.round + 1)
+	if checkErr != nil {
+		// The rejected round has retired and been recorded, so the state
+		// the run leaves behind is quiescent; the clock stays on it.
+		return false, fmt.Errorf("stream: round %d failed verification: %w", rt.round, checkErr)
+	}
+	rt.setRound(rt.round + 1)
+	return false, nil
 }
 
 // idle is the step of a runtime with nothing pending and nothing
@@ -985,7 +969,7 @@ func (rt *Runtime) idle() (done bool, err error) {
 	}
 	rt.look, rt.haveLook = f, true
 	if f.Release > rt.round {
-		return false, rt.setRound(f.Release)
+		rt.setRound(f.Release)
 	}
 	return false, nil
 }
@@ -993,8 +977,9 @@ func (rt *Runtime) idle() (done bool, err error) {
 // Run drains the source: it advances round by round until the source is
 // exhausted and the pending set is empty — or until Stop is called — then
 // returns the final summary. On either exit every round's picks have
-// retired and the last, partial window has been reported; an error return
-// leaves nothing running either. It is not restartable.
+// retired and the last, partial window has been counted; an error return,
+// a rejected round's included, leaves nothing running either. It is not
+// restartable.
 func (rt *Runtime) Run() (*Summary, error) {
 	defer rt.finOnce.Do(func() { close(rt.finished) })
 	rt.runMu.Lock()
@@ -1012,15 +997,13 @@ func (rt *Runtime) Run() (*Summary, error) {
 			break
 		}
 	}
-	if err := rt.flushWindow(); err != nil {
-		return nil, err
-	}
+	rt.flushWindow()
 	s := rt.Snapshot()
 	return &s, nil
 }
 
 // Stop requests a clean stop: Run finishes the iteration in flight,
-// reports the last, partial verification window, and returns the final
+// counts the last, partial verification window, and returns the final
 // Summary with a nil error. Safe to call from any goroutine, before or
 // during Run, and idempotent. A runtime parked idle on a Parker source
 // is woken and stops promptly; blocked in the Next of a source without

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"flowsched/internal/obs"
 	"flowsched/internal/switchnet"
 	"flowsched/internal/workload"
 )
@@ -120,45 +121,60 @@ func TestRunReturnsSourceError(t *testing.T) {
 	}
 }
 
-// TestInfeasibleWindowFailsAtItsFlush: an infeasible window (injected by
+// TestInfeasibleRoundFailsInItsRound: an infeasible round (injected by
 // zeroing the capacities the oracle checks against, since View.Take never
-// produces one) ends the run at its own flush — at the close of round 7,
-// the window's last round — reported with the rounds its flows were
-// really scheduled in.
-func TestInfeasibleWindowFailsAtItsFlush(t *testing.T) {
+// produces one) ends the run in that round — round 0 here — not at its
+// window's flush. The rejected round has still retired and been
+// recorded, its check on its own record, so the runtime it leaves behind
+// is quiescent, and no window was counted.
+func TestInfeasibleRoundFailsInItsRound(t *testing.T) {
 	for _, shards := range []int{1, 2} {
+		rec := obs.NewFlightRecorder(16)
 		rt, err := New(&patternSource{ports: 8, per: 12}, Config{
 			Switch:      switchnet.UnitSwitch(8),
 			Policy:      ByName("RoundRobin"),
 			Shards:      shards,
 			MaxPending:  256,
 			VerifyEvery: 8,
+			Recorder:    rec,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		clear(rt.caps)
 		_, err = rt.Run()
-		if err == nil || !strings.Contains(err.Error(), "verification window over rounds [0, 7] infeasible") {
-			t.Fatalf("K=%d: run over zeroed capacities returned %v, want the first window [0, 7] reported", shards, err)
+		if err == nil || !strings.Contains(err.Error(), "stream: round 0 failed verification: ") {
+			t.Fatalf("K=%d: run over zeroed capacities returned %v, want round 0 rejected", shards, err)
 		}
-		if rt.round != 7 {
-			t.Fatalf("K=%d: window [0, 7] reported in round %d, want at its own flush closing round 7", shards, rt.round)
+		if rt.round != 0 {
+			t.Fatalf("K=%d: round 0 rejected with the clock at round %d, want 0", shards, rt.round)
 		}
 		if rt.mWindows.Load() != 0 {
-			t.Fatalf("K=%d: %d windows verified before the infeasible first one", shards, rt.mWindows.Load())
+			t.Fatalf("K=%d: %d windows verified, want 0", shards, rt.mWindows.Load())
+		}
+		for _, sh := range rt.shards {
+			if len(sh.takes) > 0 {
+				t.Fatalf("K=%d: shard %d holds %d unretired picks after the rejected round", shards, sh.idx, len(sh.takes))
+			}
+		}
+		if rt.mCompleted.Load() == 0 || int64(rt.count) != rt.mAdmitted.Load()-rt.mCompleted.Load() {
+			t.Fatalf("K=%d: rejected round did not retire: completed %d, pending %d, admitted %d",
+				shards, rt.mCompleted.Load(), rt.count, rt.mAdmitted.Load())
+		}
+		if last := rec.Last(nil, 16); len(last) != 1 || last[0].Round != 0 || last[0].VerifyNS <= 0 {
+			t.Fatalf("K=%d: records %+v, want round 0's alone, carrying its check", shards, last)
 		}
 	}
 }
 
-// TestMidWindowFailureReportsAtFlush: a window whose round 3 alone is
-// infeasible (the oracle's capacities zeroed from round 3's departures
-// on) still ends the run only at its own flush, closing round 7. The
-// rounds after the failure extend the label to [0, 7], and the message
-// names the first infeasible round.
-func TestMidWindowFailureReportsAtFlush(t *testing.T) {
+// TestMidWindowFailureEndsItsRound: with the oracle's capacities zeroed
+// from round 3's departures on, round 3 is rejected and the run ends in
+// it, four rounds before its window would flush: no later round is
+// scheduled, and the message names round 3.
+func TestMidWindowFailureEndsItsRound(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		var rt *Runtime
+		lastRound := -1
 		rt, err := New(&patternSource{ports: 8, per: 12}, Config{
 			Switch:      switchnet.UnitSwitch(8),
 			Policy:      ByName("RoundRobin"),
@@ -166,6 +182,7 @@ func TestMidWindowFailureReportsAtFlush(t *testing.T) {
 			MaxPending:  256,
 			VerifyEvery: 8,
 			OnSchedule: func(_ int64, _ switchnet.Flow, round int) {
+				lastRound = round
 				if round == 3 {
 					clear(rt.caps)
 				}
@@ -175,14 +192,14 @@ func TestMidWindowFailureReportsAtFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = rt.Run()
-		if err == nil || !strings.Contains(err.Error(), "verification window over rounds [0, 7] infeasible") {
-			t.Fatalf("K=%d: run with round 3 infeasible returned %v, want the window [0, 7] reported", shards, err)
+		if err == nil || !strings.Contains(err.Error(), "round 3:") {
+			t.Fatalf("K=%d: run with round 3 infeasible returned %v, want round 3 named", shards, err)
 		}
-		if !strings.Contains(err.Error(), "round 3:") {
-			t.Fatalf("K=%d: report does not name round 3, the first infeasible round: %v", shards, err)
+		if lastRound != 3 {
+			t.Fatalf("K=%d: OnSchedule saw round %d after round 3 was rejected", shards, lastRound)
 		}
-		if rt.round != 7 {
-			t.Fatalf("K=%d: window [0, 7] reported in round %d, want at its own flush closing round 7", shards, rt.round)
+		if rt.round != 3 {
+			t.Fatalf("K=%d: round 3 rejected with the clock at round %d, want 3", shards, rt.round)
 		}
 		if rt.mWindows.Load() != 0 {
 			t.Fatalf("K=%d: %d windows verified, want 0", shards, rt.mWindows.Load())

@@ -511,7 +511,8 @@ func TestStreamRejectsBadSources(t *testing.T) {
 // TestStreamIdleGapJump: a sparse stream must jump over idle rounds, not
 // iterate them — and with verification enabled, the jump must skip the
 // empty windows in between in O(1), not flush them one by one (a release
-// this large would otherwise hang the run).
+// this large would otherwise hang the run). Exactly the two windows that
+// checked a round are counted, none of the empty ones the jump crosses.
 func TestStreamIdleGapJump(t *testing.T) {
 	src := &sliceSource{flows: []switchnet.Flow{
 		{In: 0, Out: 0, Demand: 1, Release: 0},
@@ -536,6 +537,9 @@ func TestStreamIdleGapJump(t *testing.T) {
 	}
 	if sum.MaxResponse != 1 {
 		t.Fatalf("max response %d, want 1", sum.MaxResponse)
+	}
+	if sum.WindowsVerified != 2 {
+		t.Fatalf("%d windows verified, want 2 (one per window that checked a round)", sum.WindowsVerified)
 	}
 }
 
