@@ -257,10 +257,17 @@ func drainStream(o *streamFlags, pol stream.Policy, mode stream.AdmitMode, logFi
 	fmt.Printf("wall time       %v (%.0f flows/s)\n",
 		elapsed.Round(time.Millisecond),
 		float64(sum.Completed)/elapsed.Seconds())
-	fmt.Printf("round cost      %.0f ns/round, %.3f allocs/round, %.1f B/round (drain total amortized)\n",
-		float64(elapsed.Nanoseconds())/float64(rounds),
-		float64(ms1.Mallocs-ms0.Mallocs)/float64(rounds),
-		float64(ms1.TotalAlloc-ms0.TotalAlloc)/float64(rounds))
+	cost := fmt.Sprintf("%.0f ns/round", float64(elapsed.Nanoseconds())/float64(rounds))
+	if scfg.OnCheckpoint == nil {
+		// Periodic captures would dominate the allocation figures, and
+		// they vary run to run: encoding/json's Marshal grows its pooled
+		// buffer afresh whenever a GC has emptied the pool since the last
+		// capture.
+		cost += fmt.Sprintf(", %.3f allocs/round, %.1f B/round",
+			float64(ms1.Mallocs-ms0.Mallocs)/float64(rounds),
+			float64(ms1.TotalAlloc-ms0.TotalAlloc)/float64(rounds))
+	}
+	fmt.Printf("round cost      %s (drain total amortized)\n", cost)
 	fmt.Printf("avg response    %.3f rounds\n", sum.AvgResponse)
 	fmt.Printf("max response    %d rounds\n", sum.MaxResponse)
 	fmt.Printf("window p50/p90/p99  %.0f / %.0f / %.0f rounds (last %d rounds)\n",

@@ -162,7 +162,8 @@ func k2Config() stream.Config {
 // stream's next flow appended as its lookahead, which Config.Resume
 // accepts.) The restored runtime must report the
 // summary that build reported right after New — counters and window
-// quantiles alike — and capture the same flows back in the same order.
+// quantiles alike — and capture the same flows and the same rotation
+// pointers back, in the same order.
 // The drained tail (k2TailHash, k2Drained) pins the schedule the restored
 // runtime continues with, the shards taking turns.
 func TestParentK2ImageRestoresExactly(t *testing.T) {
@@ -203,6 +204,9 @@ func TestParentK2ImageRestoresExactly(t *testing.T) {
 	if st.Pending != ck.Pending || !slices.Equal(st.Flows, ck.Flows) {
 		t.Fatalf("re-capture holds %d flows (%d pending), the image %d (%d pending), or a different order",
 			len(st.Flows), st.Pending, len(ck.Flows), ck.Pending)
+	}
+	if !slices.EqualFunc(st.Scratch, ck.Scratch, slices.Equal[[]int64]) {
+		t.Fatalf("re-capture's policy scratch %v, the image's %v", st.Scratch, ck.Scratch)
 	}
 	sum, err := rt.Run()
 	if err != nil {

@@ -82,8 +82,8 @@ var phaseBuckets = []float64{
 // histogram (counts can go down as rounds age out), which trades
 // counter semantics for zero new hot-path instrumentation — the
 // recorder's records are the only source. The phases are obs.RoundRecord's:
-// "propose" is expire + pick over all shards, "reconcile" the ordering of
-// the shards' turns (0 at one shard), "apply" the round's own retirement
+// "propose" is expire + pick, the ordering of the shards' turns included,
+// "reconcile" is 0 at every shard count, "apply" the round's own retirement
 // (every round), and "verify" the oracle's check of the record's own
 // round (every round with verification on).
 func writePhaseMetrics(w io.Writer, rec *obs.FlightRecorder) {

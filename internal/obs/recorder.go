@@ -33,14 +33,14 @@ const DefaultRounds = 4096
 // RoundRecord is one scheduling round as the coordinator saw it: what
 // moved (arrivals, scheduled departures, drops, expiries, the resident
 // pending count after the round) and where the time went, split by the
-// round protocol's phases. ProposeNS covers expire + pick over all
-// shards (the admission pass that threads arrivals into the pending store
-// is in no phase), ReconcileNS the ordering of the shards' turns (0 at
-// one shard; the name and JSON key predate the turns), ApplyNS the
-// round's own retirement of its picks, every round,
-// and VerifyNS the verify oracle's check of the round's picks, every round
-// with verification on. The check runs on the coordinator before the picks
-// retire, so a record carries its own round's check.
+// round protocol's phases. ProposeNS covers expire + pick, at K > 1 the
+// ordering of the shards' turns included (the admission pass that threads
+// arrivals into the pending store is in no phase); ReconcileNS is 0 at
+// every shard count (the field and JSON key stay for readers that predate
+// the turns); ApplyNS is the round's own retirement of its picks, every
+// round, and VerifyNS the verify oracle's check of the round's picks,
+// every round with verification on. The check runs on the coordinator
+// before the picks retire, so a record carries its own round's check.
 type RoundRecord struct {
 	Round       int64 `json:"round"`
 	Arrived     int64 `json:"arrived"`

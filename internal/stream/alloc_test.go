@@ -135,8 +135,8 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 				cfg.MaxPending = 4096
 			})
 			var ordered, active int64
-			for _, sh := range rt.shards {
-				ordered -= sh.pol.(*OldestFirst).ordered
+			for _, p := range rt.instances() {
+				ordered -= p.(*OldestFirst).ordered
 			}
 			const rounds = 64
 			for i := 0; i < rounds; i++ {
@@ -149,8 +149,8 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 					}
 				}
 			}
-			for _, sh := range rt.shards {
-				ordered += sh.pol.(*OldestFirst).ordered
+			for _, p := range rt.instances() {
+				ordered += p.(*OldestFirst).ordered
 			}
 			if ordered >= active {
 				t.Fatalf("%d heads ordered over %d rounds with %d active VOQs a round: the gate never ran the staged path",
@@ -162,17 +162,18 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 
 // TestPickScratchReservedBounds pins the bounds the pick path's scratch
 // lists are reserved at. A port is touched at most once a round, an input
-// is active on one shard, and a WeightedISLIP iteration keeps one request
-// per output and one accept per input, so New and Reset reserve exactly
-// those counts and the lists fill by reslicing. On an 8x8 unit switch
-// with every VOQ holding a flow, the diagonal released a round before the
-// rest, every native policy matches every input to an output in one
-// round (in one iteration for WeightedISLIP), so each list reaches its
-// bound: the runtime's touched-port lists NumIn and NumOut, each shard's
-// active-input list and takes the inputs it owns, and each WeightedISLIP
-// instance's request list the outputs still free at its turn and its
-// accept list the shard's inputs. No list's capacity may move, from New
-// through the rest of the drain.
+// is active in one scope, a round picks at most one flow per unit input,
+// and a WeightedISLIP iteration keeps one request per output and one
+// accept per input, so New and Reset reserve exactly those counts and the
+// lists fill by reslicing. On an 8x8 unit switch with every VOQ holding a
+// flow, the diagonal released a round before the rest, every native
+// policy matches every input to an output in one round (in one iteration
+// for WeightedISLIP), so each list reaches its bound: the runtime's
+// touched-port lists NumIn and NumOut, takes NumIn, each scope's
+// active-input list the inputs it owns, and each WeightedISLIP instance's
+// request list the outputs still free at its turn and its accept list
+// the scope's inputs. No list's capacity may move, from New through the
+// rest of the drain.
 func TestPickScratchReservedBounds(t *testing.T) {
 	const ports = 8
 	for _, name := range Names() {
@@ -186,14 +187,16 @@ func TestPickScratchReservedBounds(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				capIn, capOut := cap(rt.touchIn), cap(rt.touchOut)
-				capActive, capTakes := make([]int, shards), make([]int, shards)
-				for s, sh := range rt.shards {
-					capActive[s], capTakes[s] = cap(sh.activeIn), cap(sh.takes)
-					// A unit input carries one flow a round, so a shard picks
-					// at most one flow per input it owns.
-					if owned := (ports - s + shards - 1) / shards; capTakes[s] != owned {
-						t.Errorf("shard %d: takes capacity %d after New, want its round bound %d", s, capTakes[s], owned)
+				capIn, capOut, capTakes := cap(rt.touchIn), cap(rt.touchOut), cap(rt.takes)
+				// A unit input carries one flow a round.
+				if capTakes != ports {
+					t.Errorf("takes capacity %d after New, want its round bound %d", capTakes, ports)
+				}
+				capActive := make([]int, shards)
+				for s, act := range rt.activeIn {
+					capActive[s] = cap(act)
+					if owned := (ports - s + shards - 1) / shards; capActive[s] != owned {
+						t.Errorf("scope %d: active-input capacity %d after New, want the %d inputs it owns", s, capActive[s], owned)
 					}
 				}
 				// The iSLIP lists are length-reset after every iteration,
@@ -201,8 +204,8 @@ func TestPickScratchReservedBounds(t *testing.T) {
 				// backing arrays.
 				islip := make([]*WeightedISLIP, shards)
 				capReq, capAcc := make([]int, shards), make([]int, shards)
-				for s, sh := range rt.shards {
-					if p, ok := sh.pol.(*WeightedISLIP); ok {
+				for s, pol := range rt.instances() {
+					if p, ok := pol.(*WeightedISLIP); ok {
 						islip[s] = p
 						capReq[s], capAcc[s] = cap(p.reqOuts), cap(p.accIns)
 						fill(p.reqOuts[:capReq[s]], noID)
@@ -224,28 +227,36 @@ func TestPickScratchReservedBounds(t *testing.T) {
 					}
 				}
 				rt.round = 1
-				for s, sh := range rt.shards {
-					if owned := (ports - s + shards - 1) / shards; len(sh.activeIn) != owned {
-						t.Errorf("shard %d: %d active inputs, want the %d it owns", s, len(sh.activeIn), owned)
+				for s, act := range rt.activeIn {
+					if owned := (ports - s + shards - 1) / shards; len(act) != owned {
+						t.Errorf("scope %d: %d active inputs, want the %d it owns", s, len(act), owned)
 					}
 				}
-				if shards > 1 {
-					rt.orderTurns()
+				rt.pol.Pick(&rt.view)
+				if rt.refused || rt.err != nil {
+					t.Fatalf("pick failed: refused %v (id %d), %v", rt.refused, rt.refusedID, rt.err)
 				}
-				for _, s := range rt.turns {
-					freeOut := ports - len(rt.touchOut)
-					rt.shards[s].pick()
+				// Each turn found free the outputs the turns before it left:
+				// one per flow they picked.
+				order := []int{0}
+				if tp, ok := rt.pol.(*turns); ok {
+					order = tp.order
+				}
+				freeOut := ports
+				for _, s := range order {
 					if p := islip[s]; p != nil {
 						if n := highWater(p.reqOuts[:capReq[s]]); n != freeOut {
-							t.Errorf("shard %d: request list reached %d, want the %d free outputs", s, n, freeOut)
+							t.Errorf("scope %d: request list reached %d, want the %d free outputs", s, n, freeOut)
 						}
-						if n, owned := highWater(p.accIns[:capAcc[s]]), len(rt.shards[s].activeIn); n != owned {
-							t.Errorf("shard %d: accept list reached %d, want its %d inputs", s, n, owned)
+						if n, owned := highWater(p.accIns[:capAcc[s]]), len(rt.activeIn[s]); n != owned {
+							t.Errorf("scope %d: accept list reached %d, want its %d inputs", s, n, owned)
 						}
 					}
-				}
-				if err := rt.firstErr(); err != nil {
-					t.Fatal(err)
+					for _, id := range rt.takes {
+						if rt.ar.rec[id].inPort()%shards == s {
+							freeOut--
+						}
+					}
 				}
 				if len(rt.touchIn) != ports || len(rt.touchOut) != ports {
 					t.Errorf("touched %d inputs and %d outputs, want %d and %d", len(rt.touchIn), len(rt.touchOut), ports, ports)
@@ -254,30 +265,28 @@ func TestPickScratchReservedBounds(t *testing.T) {
 				if cap(rt.touchIn) != capIn || cap(rt.touchOut) != capOut {
 					t.Errorf("touched-port capacities %d/%d, reserved %d/%d", cap(rt.touchIn), cap(rt.touchOut), capIn, capOut)
 				}
-				for s, sh := range rt.shards {
-					if cap(sh.activeIn) != capActive[s] {
-						t.Errorf("shard %d: active-input capacity %d, reserved %d", s, cap(sh.activeIn), capActive[s])
-					}
-					if len(sh.takes) != capTakes[s] {
-						t.Errorf("shard %d: %d picks, want its round bound %d", s, len(sh.takes), capTakes[s])
+				if len(rt.takes) != capTakes {
+					t.Errorf("%d picks, want the round bound %d", len(rt.takes), capTakes)
+				}
+				for s, act := range rt.activeIn {
+					if cap(act) != capActive[s] {
+						t.Errorf("scope %d: active-input capacity %d, reserved %d", s, cap(act), capActive[s])
 					}
 					if p := islip[s]; p != nil && (cap(p.reqOuts) != capReq[s] || cap(p.accIns) != capAcc[s]) {
-						t.Errorf("shard %d: request/accept capacities %d/%d, reserved %d/%d", s, cap(p.reqOuts), cap(p.accIns), capReq[s], capAcc[s])
+						t.Errorf("scope %d: request/accept capacities %d/%d, reserved %d/%d", s, cap(p.reqOuts), cap(p.accIns), capReq[s], capAcc[s])
 					}
 				}
 
 				// Close the hand-run round, then drain the rest through step.
-				rt.retire(ports)
+				rt.retire()
 				rt.count = int(seq) - ports
 				rt.round++
 				for done := false; !done; {
 					if done, err = rt.step(); err != nil {
 						t.Fatal(err)
 					}
-					for s, sh := range rt.shards {
-						if cap(sh.takes) != capTakes[s] {
-							t.Fatalf("round %d: shard %d takes capacity %d, reserved %d", rt.round, s, cap(sh.takes), capTakes[s])
-						}
+					if cap(rt.takes) != capTakes {
+						t.Fatalf("round %d: takes capacity %d, reserved %d", rt.round, cap(rt.takes), capTakes)
 					}
 				}
 				if got := rt.mCompleted.Load(); got != seq {
@@ -456,7 +465,7 @@ func TestVerifyBufferFollowsMaxPending(t *testing.T) {
 		if cap(rt.vFlows) != tc.want || cap(rt.vRounds) != tc.want {
 			t.Fatalf("MaxPending %d: buffer capacity %d/%d, want %d", tc.maxPending, cap(rt.vFlows), cap(rt.vRounds), tc.want)
 		}
-		if got := cap(rt.shards[0].takes); got != tc.want {
+		if got := cap(rt.takes); got != tc.want {
 			t.Fatalf("MaxPending %d: takes capacity %d, want %d", tc.maxPending, got, tc.want)
 		}
 	}

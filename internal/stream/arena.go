@@ -10,8 +10,7 @@ import "flowsched/internal/switchnet"
 // a free list, so at steady state (pending count fluctuating below its
 // high-water mark) the store performs zero heap allocations per round:
 // slot IDs come off the arena free list, and every per-round scratch
-// slice is length-reset, never reallocated. Shards own none of it (see
-// shard.go).
+// slice is length-reset, never reallocated.
 //
 // The arena's columns are grouped by access affinity, not one array per
 // scalar field: a feasibility or age check (Take, drainVOQ, a head-record
@@ -188,19 +187,16 @@ func (rt *Runtime) initStore(mIn, mOut int) {
 	for i := range rt.activeInPos {
 		rt.activeInPos[i] = noID
 	}
-}
-
-// shardOf returns the shard owning input in.
-func (rt *Runtime) shardOf(in int) *shard {
-	if rt.nshards == 1 {
-		return rt.shards[0]
+	K := rt.nshards
+	rt.activeIn = make([][]int32, K)
+	for k := range K {
+		rt.activeIn[k] = make([]int32, 0, (mIn-k+K-1)/K)
 	}
-	return rt.shards[in%rt.nshards]
 }
 
 // admitFlow threads one admitted flow, under admission sequence number
 // seq, into the pending store: the admission-order list, its VOQ, the
-// port tallies, and its input's shard.
+// port tallies, and its input's scope's active-input list.
 //
 //flowsched:hotpath
 func (rt *Runtime) admitFlow(f *switchnet.Flow, seq int64) {
@@ -220,21 +216,19 @@ func (rt *Runtime) admitFlow(f *switchnet.Flow, seq int64) {
 
 	rt.voqPush(f.In, f.Out, id)
 
-	sh := rt.shardOf(f.In)
 	if rt.queueIn[f.In] == 0 {
-		rt.activeInPos[f.In] = int32(len(sh.activeIn))
-		appendReserved(&sh.activeIn, int32(f.In))
+		act := &rt.activeIn[f.In%rt.nshards]
+		rt.activeInPos[f.In] = int32(len(*act))
+		appendReserved(act, int32(f.In))
 	}
 	rt.queueIn[f.In]++
 	rt.queueOut[f.Out]++
-	sh.count++
 }
 
-// depart unthreads pending flow id, whose input belongs to sh, from every
-// pending structure.
+// depart unthreads pending flow id from every pending structure.
 //
 //flowsched:hotpath
-func (rt *Runtime) depart(sh *shard, id int32) {
+func (rt *Runtime) depart(id int32) {
 	a := &rt.ar
 	r := &a.rec[id]
 	in, out := r.inPort(), r.outPort()
@@ -255,15 +249,14 @@ func (rt *Runtime) depart(sh *shard, id int32) {
 	rt.queueIn[in]--
 	rt.queueOut[out]--
 	if rt.queueIn[in] == 0 {
-		pos := rt.activeInPos[in]
-		last := len(sh.activeIn) - 1
-		moved := sh.activeIn[last]
-		sh.activeIn[pos] = moved
-		sh.activeIn = sh.activeIn[:last]
+		act := &rt.activeIn[in%rt.nshards]
+		pos, last := rt.activeInPos[in], len(*act)-1
+		moved := (*act)[last]
+		(*act)[pos] = moved
+		*act = (*act)[:last]
 		rt.activeInPos[moved] = pos
 		rt.activeInPos[in] = noID
 	}
-	sh.count--
 	a.free(id)
 }
 
@@ -272,7 +265,7 @@ func (rt *Runtime) depart(sh *shard, id int32) {
 // round+1-release, so any flow with round+1-release > Deadline is past
 // saving. The admission list follows source order and releases are
 // non-decreasing along it, so walking from the head and stopping at the
-// first survivor sees every expirable flow, whatever its shard. Runs
+// first survivor sees every expirable flow, whatever its scope. Runs
 // after the previous round's retire (no retired flow is still threaded)
 // and before any Pick (an expired flow is never scheduled), which keeps
 // the schedule verifier-clean and deterministic.
@@ -283,7 +276,7 @@ func (rt *Runtime) expire() int {
 	horizon := int64(rt.round + 1 - rt.cfg.Deadline)
 	n := 0
 	for rt.head != noID && rec[rt.head].rel < horizon {
-		rt.depart(rt.shardOf(rec[rt.head].inPort()), rt.head)
+		rt.depart(rt.head)
 		n++
 	}
 	return n

@@ -77,8 +77,8 @@ func TestHeadRowMatchesQueueHeads(t *testing.T) {
 					t.Fatal(err)
 				}
 				checks := 0
-				for _, sh := range rt.shards {
-					checks += sh.pol.(*headProbe).checks
+				for _, p := range rt.instances() {
+					checks += p.(*headProbe).checks
 				}
 				if sum.Completed == 0 || checks == 0 {
 					t.Fatalf("vacuous run: %d completed, %d head records checked", sum.Completed, checks)

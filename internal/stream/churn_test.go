@@ -144,17 +144,18 @@ func testAgeOrderUnderChurn(t *testing.T, pol Policy, shards, portCap int, golde
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sh := range rt.shards {
+		for k := range rt.nshards {
+			v := View{rt: rt, k: k}
 			want := int64(math.MaxInt64)
-			for in := sh.idx; in < ports; in += shards {
-				for out, h := range sh.view.headRow(in) {
+			for in := k; in < ports; in += shards {
+				for out, h := range v.headRow(in) {
 					if rt.vqs[in*ports+out].head != noID && h.rel < want {
 						want = h.rel
 					}
 				}
 			}
-			if got := sh.oldestRel(); got != want {
-				t.Fatalf("round %d shard %d: oldestRel %d, oldest VOQ head record %d", rt.round, sh.idx, got, want)
+			if got := v.oldestRel(); got != want {
+				t.Fatalf("round %d scope %d: oldestRel %d, oldest VOQ head record %d", rt.round, k, got, want)
 			}
 		}
 		if done {
@@ -170,8 +171,8 @@ func testAgeOrderUnderChurn(t *testing.T, pol Policy, shards, portCap int, golde
 	if got := h.Sum64(); got != golden {
 		t.Fatalf("schedule hash %#x, golden %#x", got, golden)
 	}
-	for _, sh := range rt.shards {
-		if of, ok := sh.pol.(*OldestFirst); ok {
+	for _, p := range rt.instances() {
+		if of, ok := p.(*OldestFirst); ok {
 			stages += of.stages
 		}
 	}

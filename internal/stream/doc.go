@@ -87,13 +87,13 @@
 // batch loop running list-based references of the same rules, flow for
 // flow.
 //
-// Sharding caveat: every native policy is Shardable, but a shard only
-// sees its own inputs, so cross-input guarantees weaken at K > 1. The
-// shards take turns, oldest first, and each serves only its own heads:
-// OldestFirst is oldest-first within a shard, not the global age-greedy
-// selection, so the MinRTime-style equivalence above is a K = 1 property
-// (ages still bound waiting within a shard), and WeightedISLIP arbitrates
-// output grants per shard. The paper's heuristics, whose matchings need
+// Sharding caveat: every native policy is Shardable, but an instance
+// only sees its scope's inputs, so cross-input guarantees weaken at
+// K > 1. The instances take turns, oldest first, and each serves only its
+// own heads: OldestFirst is oldest-first within a scope, not the global
+// age-greedy selection, so the MinRTime-style equivalence above is a
+// K = 1 property (ages still bound waiting within a scope), and
+// WeightedISLIP arbitrates output grants per scope. The paper's heuristics, whose matchings need
 // the global pending set, are not Shardable: New refuses them at K > 1.
 // Config.Shards defaults to 1, so K > 1 is always an explicit choice.
 // Schedules remain bit-deterministic for a fixed K (property tested
@@ -101,54 +101,55 @@
 //
 // # Sharding
 //
-// Config.Shards > 1 partitions the input ports across K shards: input i
-// belongs to shard i mod K. A shard owns a policy instance
-// (Shardable.NewShard), the count and active-input list of its pending
-// flows and its round's picks. The pending flows themselves stay in the
-// runtime's one store — one arena, one admission-order list, one VOQ per
-// (input, output) pair — which admission threads each arrival into
-// directly, as in the paper's online model (Section 5.2.1: one pending
-// set that each round's releases join). The shards are not threads. The
-// coordinator runs every shard's part of a round itself, in sequence,
-// and the runtime keeps one set of completion metrics, one sliding
-// window, one verification scratch and one per-port load tally for all
-// of them.
+// Config.Shards = K > 1 is one policy value, not a second round loop:
+// New and Reload wrap the configured policy, which must be Shardable, in
+// the turns policy (shard.go) — K instances from NewShard, instance k
+// picking through a View scoped to the inputs ≡ k (mod K). The rest is
+// the runtime's one of each: one pending store (one arena, one
+// admission-order list, one VOQ per (input, output) pair), which
+// admission threads each arrival into directly, as in the paper's online
+// model (Section 5.2.1: one pending set that each round's releases
+// join); one list of the round's picks, one set of completion metrics,
+// one sliding window, one verification scratch and one per-port load
+// tally. A scope owns only its list of active inputs, whose order is
+// schedule state: RoundRobin and WeightedISLIP visit inputs in it.
+// Summary, checkpoints and errors name the configured policy, and a
+// checkpoint carries one scratch slice per instance.
 //
-// Shards take turns, oldest first. After the expiry walk the coordinator
-// orders the shards by their oldest pending release, ties to the lower
-// index, and each shard picks once, in that order, against the output
-// capacity the shards before it left. No capacity is set aside for a
-// shard, so a round may schedule any set of flows whose demand fits every
-// port, as in the paper's model, and a flow may fill an output alone
-// whichever shard holds it. The order is the same for every policy.
+// Scopes take turns, oldest first. After the expiry walk the turns
+// policy orders the scopes by their oldest pending release, ties to the
+// lower index, and each instance with a pending flow picks once, in that
+// order, against the output capacity the turns before it left. No
+// capacity is set aside for a scope, so a round may schedule any set of
+// flows whose demand fits every port, as in the paper's model, and a
+// flow may fill an output alone whichever scope holds it. The order is
+// the same for every policy. Each turn's picks are one run of the
+// round's list, which the turns policy moves in behind the runs of the
+// lower scopes, so OnSchedule reports, and retire departs, the picks in
+// scope index order, then pick order, whatever order the turns ran in.
 //
-// OnSchedule then reports the round's picks, the oracle checks them, and
-// one runtime pass retires every shard's picks — metrics, then
-// departures — before the round ends. For a fixed K the schedule is a pure function of the source —
-// replaying the same stream at the same shard count reproduces it bit for
-// bit. Sharding buys no parallelism, and threads would not pay for it: on
-// the benchmark's drain_age_k2 (2-vCPU Xeon), proposes run on a worker
-// pool read 1.26 M flows/s at 0.98 CPU-µs per flow, run inline 1.40 M at
-// 0.72.
+// For a fixed K the schedule is a pure function of the source — replaying
+// the same stream at the same shard count reproduces it bit for bit.
+// Sharding buys no parallelism, and threads would not pay for it: on the
+// benchmark's drain_age_k2 (2-vCPU Xeon), proposes run on a worker pool
+// read 1.26 M flows/s at 0.98 CPU-µs per flow, run inline 1.40 M at 0.72.
 //
 // # Shard-scoped View contract
 //
-// Inside Pick a View reads the runtime's one store, scoped to the calling
-// shard where a policy depends on it. Each walks the admission-order list
-// and yields only the shard's flows; QueueIn counts the shard's flows at
-// its own inputs and reads 0 at every other input (OldestFirst's input
-// loop relies on this); NumActiveInputs and ActiveInput list only the
-// shard's inputs. IDs are runtime-wide: VOQHead, VOQNext and the per-flow
-// reads work at any input, but Take refuses a flow at another shard's
-// input and fails the run. QueueOut is the switch-wide count. InputFree
-// and OutputFree are exact: an input is owned, and an output offers what
-// the shards that took their turn earlier in the round left. With
-// Shards == 1 a single shard owns everything and the View is the
-// pre-sharding contract — which is why the paper's heuristics, whose
-// matchings need the full pending set, require Shards == 1.
-//
-// Config.OnSchedule is always invoked from the coordinator goroutine, in
-// shard index order within a round, so callbacks need no locking.
+// Inside Pick a View reads the runtime's one store, scoped to its inputs
+// where a policy depends on it. Each walks the admission-order list and
+// yields only the scope's flows; QueueIn counts the flows at the scope's
+// inputs and reads 0 at every other input (OldestFirst's input loop
+// relies on this); NumActiveInputs and ActiveInput list only the scope's
+// inputs. IDs are runtime-wide: VOQHead, VOQNext and the per-flow reads
+// work at any input, but Take refuses a flow outside the scope and fails
+// the run. QueueOut is the switch-wide count. InputFree and OutputFree
+// are exact: an input is in one scope, and an output offers what the
+// earlier turns of the round left. With Shards == 1 the one scope is the
+// whole switch — which is why the paper's heuristics, whose matchings
+// need the full pending set, require Shards == 1. Config.OnSchedule is
+// always invoked from the coordinator goroutine, so callbacks need no
+// locking.
 //
 // # Admission modes
 //
@@ -179,8 +180,8 @@
 //     trades completions for a hard response-time bound.
 //
 // Drop and expiry decisions are part of the deterministic round protocol
-// (drops on the coordinator's admission path, expiry before any shard
-// picks), so for a fixed K the counts replay bit for bit and verification
+// (drops on the coordinator's admission path, expiry before any pick),
+// so for a fixed K the counts replay bit for bit and verification
 // windows stay oracle-clean in every mode.
 //
 // # Sources, live and finite
@@ -225,15 +226,15 @@
 //
 // What a window costs. A round's picks are final once OnSchedule has
 // reported them, and they retire only after the check, so checkRound
-// copies them, in shard order, into the oracle's scratch and the oracle
+// copies them into the oracle's scratch and the oracle
 // sweeps that one round without sorting: one pass for the per-flow
 // checks, one that sums the round's demands into a per-port counter array
 // and compares the ports it touched with their capacities. The scratch is
 // resliced, never appended to. Take picks a flow only while both its
 // ports have room, so a round picks at most min(Σ input caps, Σ output
-// caps) flows, and never more than MaxPending; New reserves the scratch at
-// that bound, and each shard's takes at it over the inputs the shard owns
-// (a Reload that raises MaxPending widens both). Verification memory is
+// caps) flows, and never more than MaxPending; New reserves the scratch
+// and the round's list of picks at that bound (a Reload that raises
+// MaxPending widens both). Verification memory is
 // O(ports) at unit capacities, not O(VerifyEvery × ports): at 150 unit
 // ports that is 150 flows, some 6 KB, whatever the window
 // (TestVerifyBufferHoldsOneRound; TestSteadyStateZeroAllocVerify counts
@@ -277,10 +278,11 @@
 //     round, and the instrumented path is measured against the plain
 //     one, with repeats, by the benchmark/ suite
 //     (obs.recorder_overhead_pct).
-//   - Phase semantics. ProposeNS times the expiry walk and every shard's
-//     pick (the admission pass, which threads arrivals into the pending
-//     store, is in no phase), ReconcileNS the ordering of the shards'
-//     turns (0 at K = 1), ApplyNS the round's own retirement, and
+//   - Phase semantics. ProposeNS times the expiry walk and the pick, the
+//     turns policy's ordering of its turns included (the admission pass,
+//     which threads arrivals into the pending store, is in no phase);
+//     ReconcileNS reads 0 at every K. ApplyNS times the round's own
+//     retirement, and
 //     VerifyNS the oracle's check of the round's picks, every round with
 //     verification on. The check runs before the picks retire, so each
 //     record carries its own round's check.
@@ -363,7 +365,7 @@
 //
 //   - Runtime.Reload swaps the policy and the admission settings
 //     (MaxPending, Admit, Deadline) between rounds without dropping the
-//     pending set; per-shard policy instances are rebuilt and Reset, and
+//     pending set; the policy's instances are rebuilt and Reset, and
 //     the next round schedules under the new configuration. Shrinking
 //     MaxPending below the resident count sheds nothing — admission just
 //     stays closed until the backlog drains.
@@ -389,7 +391,7 @@
 // traffic is budgeted per flow, not per data structure:
 //
 //   - Arena layout. The runtime stores every pending flow, whatever its
-//     shard, in one struct-of-arrays arena indexed by flow ID: a 32-byte
+//     scope, in one struct-of-arrays arena indexed by flow ID: a 32-byte
 //     hot record (release, ports, demand, admission-order links, VOQ
 //     links — everything the pick and depart paths touch — with the live
 //     and taken bits riding the ports' top bits), two to a cache line and
@@ -416,11 +418,12 @@
 //     walk a queue from View.VOQHead along View.VOQNext: each step reads
 //     the one hot-record line the policy's Taken and Demand checks read
 //     anyway. A queue owns no storage, so queue churn never allocates.
-//   - Round schedule. One goroutine owns the round: the coordinator
-//     orders the shards' turns (sharded runtimes only), runs each shard's
-//     pick in that order, then the OnSchedule callbacks over the
-//     still-live taken slots and each shard's retirement, in sequence. There is no barrier and no hand-off, and
-//     nothing carries over: a round's picks retire in that round.
+//   - Round schedule. One goroutine owns the round: the coordinator runs
+//     the policy's pick (the turns policy's ordered turns at K > 1), then
+//     the OnSchedule callbacks over the still-live taken slots, the check
+//     and one retirement, in sequence. There is no barrier and no
+//     hand-off, and nothing carries over: a round's picks retire in that
+//     round.
 //   - Admission. A source delivers each round's released arrivals in
 //     one PullBatch call into a reused buffer — interface-call overhead
 //     is paid per round, not per flow — and the runtime checks each one
@@ -443,9 +446,9 @@
 //   - //flowsched:hotpath on a function's doc comment requires it — and
 //     everything it reaches through static calls — to be free of
 //     heap-allocating constructs. The store's admission, departure and
-//     expiry (Runtime.admitFlow, depart, expire), a shard's pick and the
-//     round's retirement (shard.pick, Runtime.retire), View.Take, the arena and VOQ list operations,
-//     every native policy's Pick, stats.EpochWindow's record path, and
+//     expiry (Runtime.admitFlow, depart, expire), the turns policy's Pick
+//     and the round's retirement (turns.Pick, Runtime.retire), View.Take,
+//     the arena and VOQ list operations, every native policy's Pick, stats.EpochWindow's record path, and
 //     obs.FlightRecorder.Record are all roots.
 //   - //flowsched:clockgated (this package's mark, below) requires every
 //     time.Now/Since/Until to be dominated by a recorder nil check —

@@ -43,8 +43,8 @@ type CheckpointState struct {
 	// Summary is the exact metrics summary at the snapshot point.
 	Summary Summary
 	// Policy names the scheduling policy the snapshot was captured under;
-	// Scratch holds its per-shard scratch state (rotation pointers, one
-	// slice per shard in shard order — see scratchPolicy), nil for
+	// Scratch holds its instances' scratch state (rotation pointers, one
+	// slice per instance in scope order — see scratchPolicy), nil for
 	// memoryless policies. A restore replays the scratch only when it
 	// resumes the same policy at the same shard count, which is what
 	// makes RoundRobin and WeightedISLIP restore-exact.
@@ -129,13 +129,13 @@ func (rt *Runtime) restore(st *CheckpointState) error {
 	rt.mMaxResp.Store(int64(c.MaxResponse))
 	rt.mSlowResp.Store(c.SlowResponses)
 	// Policy scratch: replay only on an exact (policy, shard count) match
-	// onto shard instances that carry scratch — anything else means the
+	// onto instances that carry scratch — anything else means the
 	// operator overrode the configuration at restore, and fresh rotation
 	// pointers are the correct fallback.
-	if len(st.Scratch) == rt.nshards && st.Policy == rt.cfg.Policy.Name() {
-		if _, ok := rt.shards[0].pol.(scratchPolicy); ok {
-			for s, shd := range rt.shards {
-				if err := shd.pol.(scratchPolicy).importScratch(st.Scratch[s]); err != nil {
+	if pols := rt.instances(); len(st.Scratch) == len(pols) && st.Policy == rt.cfg.Policy.Name() {
+		if _, ok := pols[0].(scratchPolicy); ok {
+			for s, p := range pols {
+				if err := p.(scratchPolicy).importScratch(st.Scratch[s]); err != nil {
 					return fmt.Errorf("stream: resume policy scratch (shard %d): %w", s, err)
 				}
 			}
@@ -152,7 +152,7 @@ func (rt *Runtime) restore(st *CheckpointState) error {
 // required — a caller keeping a setting passes its current value.
 type ReloadConfig struct {
 	// Policy replaces the scheduling policy; with Shards > 1 it must
-	// implement Shardable (each shard gets a fresh NewShard instance).
+	// implement Shardable (the runtime gets fresh NewShard instances).
 	Policy Policy
 	// MaxPending replaces the admission limit. Shrinking it below the
 	// resident count is allowed: nothing is shed, admission just stays
@@ -288,16 +288,17 @@ func (rt *Runtime) capture(dst []switchnet.Flow) CheckpointState {
 	}
 }
 
-// collectScratch captures each shard policy's scratch state (see
+// collectScratch captures each policy instance's scratch state (see
 // scratchPolicy) into fresh slices; nil when the policy carries no
 // scratch.
 func (rt *Runtime) collectScratch() [][]int64 {
-	if _, ok := rt.shards[0].pol.(scratchPolicy); !ok {
+	pols := rt.instances()
+	if _, ok := pols[0].(scratchPolicy); !ok {
 		return nil
 	}
-	scratch := make([][]int64, rt.nshards)
-	for s, sh := range rt.shards {
-		scratch[s] = sh.pol.(scratchPolicy).exportScratch(nil)
+	scratch := make([][]int64, len(pols))
+	for s, p := range pols {
+		scratch[s] = p.(scratchPolicy).exportScratch()
 	}
 	return scratch
 }
@@ -360,7 +361,7 @@ func (rt *Runtime) CheckpointState(ctx context.Context, dst []switchnet.Flow) (C
 // Reload swaps the scheduling policy and admission settings between
 // rounds without dropping the pending set: the coordinator applies rc at
 // the next quiescent point (every pick retired, the store consistent),
-// per-shard policy instances are rebuilt and Reset, and the very next
+// the policy's instances are rebuilt and Reset, and the very next
 // round schedules under the new configuration. Pending flows keep their
 // original releases, so response accounting is unaffected. Returns the
 // validation error, if any, without changing anything; it cannot be

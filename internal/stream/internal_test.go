@@ -97,11 +97,11 @@ func TestNextActiveVOQWordBoundaries(t *testing.T) {
 		if id == noID {
 			t.Fatalf("VOQ (0, %d) empty before drain", out)
 		}
-		rt.depart(rt.shards[0], id)
+		rt.depart(id)
 	}
 	probe := func(from, want int) {
 		t.Helper()
-		if got := nextActiveVOQ(&rt.shards[0].view, 0, from); got != want {
+		if got := nextActiveVOQ(&rt.view, 0, from); got != want {
 			t.Fatalf("nextActiveVOQ(0, %d) = %d, want %d", from, got, want)
 		}
 	}
@@ -186,7 +186,7 @@ func TestVOQListModel(t *testing.T) {
 	// index the tail, anything between a mid-queue unlink.
 	depart := func(out, k int) {
 		q := model[out]
-		rt.depart(rt.shards[0], q[k].id)
+		rt.depart(q[k].id)
 		model[out] = append(q[:k], q[k+1:]...)
 		live--
 	}
@@ -227,7 +227,7 @@ func TestVOQListModel(t *testing.T) {
 			if rt.vqs[vi].tail != q[len(q)-1].id {
 				t.Fatalf("step %d VOQ %d: tail %d, want %d", step, out, rt.vqs[vi].tail, q[len(q)-1].id)
 			}
-			if hd := rt.shards[0].view.headRow(0)[out]; hd != q[0].hd {
+			if hd := rt.view.headRow(0)[out]; hd != q[0].hd {
 				t.Fatalf("step %d VOQ %d: head-age record %+v, want %+v", step, out, hd, q[0].hd)
 			}
 		}

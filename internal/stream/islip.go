@@ -46,9 +46,9 @@ const DefaultISLIPIters = 2
 // A round costs O(active VOQs + scheduled) hot-record reads — the
 // request sweep skips a saturated input in O(1) — with all scratch
 // preallocated at Reset, so steady-state rounds allocate nothing.
-// WeightedISLIP is Shardable: each shard, at its turn (see
-// Runtime.orderTurns), matches its own inputs against the output
-// capacity the shards before it left, with its own pointer state, which
+// WeightedISLIP is Shardable: each instance, at its turn (see
+// turns.Pick), matches its own inputs against the output capacity the
+// turns before it left, with its own pointer state, which
 // is exactly the per-input decomposition the request/grant/accept
 // structure already has.
 type WeightedISLIP struct {
@@ -80,8 +80,8 @@ type WeightedISLIP struct {
 // Name implements Policy.
 func (*WeightedISLIP) Name() string { return "WeightedISLIP" }
 
-// NewShard implements Shardable: pointer and scratch state is per-shard
-// (the runtime calls Reset on every shard instance at construction).
+// NewShard implements Shardable: pointer and scratch state is per
+// instance (the runtime calls Reset on every instance at construction).
 func (p *WeightedISLIP) NewShard() Policy { return &WeightedISLIP{} }
 
 // Reset implements Resetter: it sizes the pointer and scratch arrays to
@@ -103,7 +103,8 @@ func (p *WeightedISLIP) Reset(sw switchnet.Switch) {
 // output-port order, then the accept pointers in input-port order — the
 // full schedule-affecting state a checkpoint must carry for a restore to
 // be tie-break exact.
-func (p *WeightedISLIP) exportScratch(dst []int64) []int64 {
+func (p *WeightedISLIP) exportScratch() []int64 {
+	dst := make([]int64, 0, len(p.grant)+len(p.accept))
 	for _, g := range p.grant {
 		dst = append(dst, int64(g))
 	}
@@ -165,7 +166,7 @@ func (p *WeightedISLIP) Pick(v *View) {
 // iterate runs one request/grant/accept pass and returns how many VOQs it
 // served.
 func (p *WeightedISLIP) iterate(v *View) int {
-	// Request + grant: sweep the shard's active VOQs once in ascending
+	// Request + grant: sweep the scope's active VOQs once in ascending
 	// port order off the bitmap words, reading each queue's head-age
 	// record (one dense array read per VOQ, no list chasing and
 	// no per-VOQ calls); each output retains only its strongest request,

@@ -32,7 +32,7 @@ import (
 // reads, and a served head's successor re-enters through a small
 // auxiliary heap (at most one entry per flow served), where it waits for
 // the stage that covers its release, keeping the merged order exact. The
-// pick ends as soon as the shard's input capacity or the output capacity
+// pick ends as soon as the scope's input capacity or the output capacity
 // it can see is exhausted.
 //
 // The first stage ends where about ofFactor candidates per unit of free
@@ -72,9 +72,9 @@ import (
 // geometrically to its high-water mark, so steady-state rounds allocate
 // nothing and a backlog ramping to a new high costs O(log) regrowths.
 //
-// OldestFirst is Shardable: the shards take turns, oldest first (see
-// Runtime.orderTurns), and each serves its own inputs' heads
-// oldest-first against the output capacity the shards before it left.
+// OldestFirst is Shardable: the instances take turns, oldest first (see
+// turns.Pick), and each serves its own inputs' heads oldest-first
+// against the output capacity the turns before it left.
 // That is not the global age-greedy selection — the equivalence with the
 // MinRTime-style first fit above is a one-shard property (see the
 // package docs, "Sharding caveat").
@@ -158,7 +158,7 @@ func (e ofEntry) before(o ofEntry) bool {
 func (*OldestFirst) Name() string { return "OldestFirst" }
 
 // NewShard implements Shardable: all state is per-Pick scratch, so a
-// fresh instance per shard shares nothing.
+// fresh instance per scope shares nothing.
 func (p *OldestFirst) NewShard() Policy { return &OldestFirst{factor: p.factor} }
 
 // Pick implements Policy.
@@ -200,7 +200,7 @@ func (p *OldestFirst) Pick(v *View) {
 	// Stages cover the disjoint ascending release ranges [lo, hi); every
 	// head record lies in [oldestRel, round], so the last one ends past
 	// the current round.
-	lo, end := v.sh.oldestRel(), int64(v.Round())+1
+	lo, end := v.oldestRel(), int64(v.Round())+1
 	for inSum > 0 && nOut > 0 && lo < end {
 		// No more candidates are left than flows queued at the live inputs,
 		// nor than one per live input and free output. A backlog that thin

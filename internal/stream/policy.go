@@ -10,9 +10,9 @@ import (
 
 // scratchPolicy is implemented by native policies whose schedule depends
 // on per-run scratch state beyond the pending set — rotation pointers
-// that survive between rounds. A checkpoint captures the scratch per
-// shard (exportScratch appends onto dst, reusing its capacity) and a
-// restore replays it after Reset (importScratch, offered only when the
+// that survive between rounds. A checkpoint captures the scratch of each
+// policy instance (exportScratch, into a fresh slice) and a restore
+// replays it after Reset (importScratch, offered only when the
 // restored runtime runs the same policy at the same shard count), which
 // is what makes the stateful policies restore-exact: a kill -9/restore
 // continues the exact schedule the uninterrupted run would have
@@ -20,15 +20,15 @@ import (
 // schedule is a pure function of the pending set — and need nothing
 // carried.
 type scratchPolicy interface {
-	exportScratch(dst []int64) []int64
+	exportScratch() []int64
 	importScratch(src []int64) error
 }
 
 // FIFO takes pending flows oldest-first (admission order), first-fit:
 // the ablations' FIFO baseline. A round costs O(pending) — bounded by
 // Config.MaxPending — so it is not an incremental policy; prefer
-// RoundRobin when the pending set is large. It is shardable: each shard
-// serves its own flows oldest-first.
+// RoundRobin when the pending set is large. It is shardable: each
+// instance serves its scope's flows oldest-first.
 type FIFO struct{}
 
 // Name implements Policy.
@@ -87,7 +87,7 @@ type RoundRobin struct {
 func (*RoundRobin) Name() string { return "RoundRobin" }
 
 // NewShard implements Shardable: per-input pointers carry no cross-input
-// state, so a fresh instance per shard preserves the rotation semantics.
+// state, so a fresh instance per scope preserves the rotation semantics.
 func (*RoundRobin) NewShard() Policy { return &RoundRobin{} }
 
 // Reset implements Resetter: it sizes the pointers and the free-output
@@ -103,9 +103,10 @@ func (p *RoundRobin) Reset(sw switchnet.Switch) {
 
 // exportScratch implements scratchPolicy: the per-input rotation
 // pointers, in input-port order.
-func (p *RoundRobin) exportScratch(dst []int64) []int64 {
-	for _, r := range p.rr {
-		dst = append(dst, int64(r))
+func (p *RoundRobin) exportScratch() []int64 {
+	dst := make([]int64, len(p.rr))
+	for i, r := range p.rr {
+		dst[i] = int64(r)
 	}
 	return dst
 }

@@ -52,9 +52,10 @@ func (p *refRoundRobin) Reset(sw switchnet.Switch) {
 	}
 }
 
-func (p *refRoundRobin) exportScratch(dst []int64) []int64 {
-	for _, r := range p.rr {
-		dst = append(dst, int64(r))
+func (p *refRoundRobin) exportScratch() []int64 {
+	dst := make([]int64, len(p.rr))
+	for i, r := range p.rr {
+		dst[i] = int64(r)
 	}
 	return dst
 }
@@ -184,9 +185,10 @@ func drainRoundRobin(t *testing.T, flows []switchnet.Flow, cfg Config, pol Polic
 	if cfg.Admit == AdmitDeadline && sum.Expired == 0 {
 		t.Fatalf("%s: deadline run expired nothing: %+v", pol.Name(), sum)
 	}
-	ptrs := make([][]int64, len(rt.shards))
-	for s, sh := range rt.shards {
-		ptrs[s] = sh.pol.(interface{ exportScratch([]int64) []int64 }).exportScratch(nil)
+	pols := rt.instances()
+	ptrs := make([][]int64, len(pols))
+	for s, p := range pols {
+		ptrs[s] = p.(interface{ exportScratch() []int64 }).exportScratch()
 	}
 	return sched, ptrs
 }

@@ -32,8 +32,8 @@ type Parker interface {
 
 // ID identifies an admitted flow in the runtime's pending set. IDs are
 // reused after departure: they are stable only while the flow is pending.
-// Every shard's View reads the same IDs, but only the shard owning a
-// flow's input may take it.
+// Every scoped View reads the same IDs, but only the View whose scope
+// holds a flow's input may take it.
 type ID = int
 
 // NoID marks the absence of a pending flow.
@@ -46,11 +46,10 @@ const noID int32 = -1
 // calling View.Take. The runtime enforces port capacities inside Take, so
 // a policy cannot overload a port; it can only fail to make progress.
 //
-// In a sharded runtime (Config.Shards > 1) each shard runs its own policy
-// instance, and Pick is invoked once per shard per round, the shards
-// taking turns oldest first (see the package docs); the View is
-// shard-scoped. Every Pick, at any shard count, runs on the goroutine
-// driving Run.
+// At Config.Shards = K > 1 the runtime runs K instances (see Shardable),
+// each picking once per round through a View scoped to its inputs, the
+// instances taking turns oldest first (see the package docs). Every
+// Pick, at any shard count, runs on the goroutine driving Run.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
@@ -66,13 +65,12 @@ type Resetter interface {
 	Reset(sw switchnet.Switch)
 }
 
-// Shardable is implemented by policies that can run as independent
-// per-shard instances when the runtime partitions input ports across
-// shards. NewShard returns a fresh policy instance for one shard; each
-// instance only ever sees the shard-scoped View of its own inputs.
-// Policies that need the whole pending set each round (the paper's
-// heuristics, whose matchings span every port) do not implement it,
-// which pins them to Shards == 1.
+// Shardable is implemented by policies that can run at Config.Shards =
+// K > 1: the runtime then picks through K instances from NewShard, taking
+// turns each round, instance k seeing only the View of the inputs ≡ k
+// (mod K). Policies that need the whole pending set each round (the
+// paper's heuristics, whose matchings span every port) do not implement
+// it, which pins them to Shards == 1.
 type Shardable interface {
 	Policy
 	NewShard() Policy
@@ -147,16 +145,15 @@ type Config struct {
 	// Switch describes the port structure; all source flows must fit it.
 	Switch switchnet.Switch
 	// Policy selects flows each round. With Shards > 1 it must implement
-	// Shardable; each shard then runs its own NewShard instance.
+	// Shardable, and the runtime picks through its NewShard instances;
+	// reports (Summary, checkpoints, errors) still name Policy.
 	Policy Policy
-	// Shards partitions the input ports across that many shards (input i
-	// belongs to shard i mod Shards), each with its own policy instance
-	// and a View scoped to its inputs; each round the shards take turns,
-	// oldest first, as the package docs describe. The pending flows stay
-	// in the runtime's one store.
-	// The shards run in sequence on the goroutine driving Run, so the
-	// count changes the schedule, not the parallelism. <= 0 selects 1; the
-	// value is always capped at NumIn.
+	// Shards = K > 1 runs K instances of Policy, instance k picking
+	// through a View scoped to the inputs ≡ k (mod K); each round they
+	// take turns, oldest first, as the package docs describe. The pending
+	// flows stay in the runtime's one store, and the turns run in sequence
+	// on the goroutine driving Run, so K changes the schedule, not the
+	// parallelism. <= 0 selects 1; the value is always capped at NumIn.
 	Shards int
 	// MaxPending bounds the resident pending set (admission control);
 	// <= 0 selects DefaultMaxPending. What happens at the limit is
@@ -184,13 +181,14 @@ type Config struct {
 	WindowRounds int
 	// OnSchedule, when non-nil, observes every departure: seq is the
 	// flow's admission sequence number (its position in source order). It
-	// is always invoked from the goroutine driving Run, in shard index
-	// order within a round, before the round's picks retire.
+	// is always invoked from the goroutine driving Run, before the round's
+	// picks retire: in pick order, and with Shards > 1 in scope index
+	// order first, whatever order the turns ran in.
 	OnSchedule func(seq int64, f switchnet.Flow, round int)
 	// Recorder, when non-nil, receives one obs.RoundRecord per scheduling
 	// round, written by the coordinator inside the round loop: per-round
 	// arrival/schedule/drop/expiry/pending counts plus per-phase
-	// nanoseconds (expire and pick, turn ordering, apply, verify).
+	// nanoseconds (expire and pick, apply, verify; ReconcileNS is 0).
 	// Recording adds no allocations to the steady-state round (asserted
 	// by TestSteadyStateZeroAllocRecorded) and only two monotonic-clock
 	// reads per timed phase; with Recorder nil the hot path takes no
@@ -281,8 +279,8 @@ type Summary struct {
 
 // Runtime is the streaming scheduler. Run drives it from one goroutine —
 // the coordinator — which pulls the source, threads arrivals into the
-// pending store, runs every shard's part of each round itself, in shard
-// order, and checks each round with the verify oracle as it closes; a
+// pending store, runs the policy's pick each round, and checks each round
+// with the verify oracle as it closes; a
 // Runtime starts no goroutine. Snapshot may be called concurrently from
 // other goroutines; it reads atomics and the epoch window only, so it
 // never stalls the round loop.
@@ -325,8 +323,15 @@ type Runtime struct {
 	ckptEvery int
 	nextCkpt  int
 
+	// pol is what picks: Config.Policy at one shard, the turns policy
+	// over its instances at several (see shard.go). view is the View pol
+	// picks through, and takes holds the round's picks until retire
+	// retires them at the end of the same round; reserveRound reserves its
+	// capacity.
 	nshards int
-	shards  []*shard
+	pol     Policy
+	view    View
+	takes   []int32
 
 	// The pending store (see arena.go): one arena, with head/tail
 	// delimiting the admission-order list through it; the VOQs, indexed
@@ -335,8 +340,9 @@ type Runtime struct {
 	// refresh on their next read; the pending counts per port; the round's
 	// scheduled demand per port, with touchIn/touchOut listing the ports
 	// it is nonzero at (reserved at the port counts: Take touches a port
-	// once a round); and each input's index in its shard's activeIn
-	// list.
+	// once a round); and activeIn[k], the inputs ≡ k (mod nshards) with a
+	// pending flow, with each input's index there. The lists' order is
+	// schedule state: RoundRobin and WeightedISLIP visit inputs in it.
 	ar                arena
 	head, tail        int32
 	mOut, nw          int
@@ -346,6 +352,7 @@ type Runtime struct {
 	queueIn, queueOut []int
 	loadIn, loadOut   []int
 	touchIn, touchOut []int32
+	activeIn          [][]int32
 	activeInPos       []int32
 
 	round int
@@ -360,16 +367,16 @@ type Runtime struct {
 	lastRel  int
 	batch    []switchnet.Flow
 
-	// turns is the round's shard turn order (see orderTurns) and
-	// turnRel its per-shard sort key scratch.
-	turns   []int
-	turnRel []int64
+	// err is the run's first error, from View.Fail or a refused Take.
+	// Take only notes the refused id (refused, refusedID); step formats
+	// the error after the picks.
+	err       error
+	refused   bool
+	refusedID ID
+	stalled   int
 
-	err     error
-	stalled int
-
-	// Verification state. checkRound copies the round's picks, in shard
-	// order, into vFlows/vRounds — the oracle's scratch, which
+	// Verification state. checkRound copies the round's picks into
+	// vFlows/vRounds — the oracle's scratch, which
 	// reserveRound reserves at the most flows a round can pick and which
 	// is only resliced, never appended to — and runs the runtime's one
 	// Checker over them. vstart is the active window's first round and
@@ -475,7 +482,6 @@ func New(src Source, cfg Config) (*Runtime, error) {
 		caps:      cfg.Switch.Caps(),
 		rec:       cfg.Recorder,
 		nshards:   cfg.Shards,
-		shards:    make([]*shard, cfg.Shards),
 		ctl:       make(chan func(), 1),
 		wake:      make(chan struct{}, 1),
 		finished:  make(chan struct{}),
@@ -484,13 +490,8 @@ func New(src Source, cfg Config) (*Runtime, error) {
 		win:       stats.NewEpochWindow(cfg.WindowRounds, windowShards),
 	}
 	rt.parker, _ = src.(Parker)
+	rt.view = View{rt: rt}
 	rt.initStore(mIn, mOut)
-	rt.turns = make([]int, rt.nshards)
-	rt.turnRel = make([]int64, rt.nshards)
-	for s := range rt.shards {
-		rt.shards[s] = newShard(rt, s)
-		rt.turns[s] = s
-	}
 	rt.reserveRound()
 	if err := rt.installPolicy(cfg.Policy); err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
@@ -523,25 +524,23 @@ func validateAdmit(mode AdmitMode, deadline int) error {
 	return nil
 }
 
-// installPolicy gives every shard its instance of pol — pol itself at one
-// shard, a fresh NewShard each otherwise — Reset against the switch, and
-// records pol as the configured policy.
+// installPolicy makes pol the configured policy: the runtime picks
+// through pol itself at one shard and through a turns policy over its
+// NewShard instances at several, Reset against the switch.
 func (rt *Runtime) installPolicy(pol Policy) error {
-	sharder, shardable := pol.(Shardable)
-	if rt.nshards > 1 && !shardable {
-		return fmt.Errorf("policy %q cannot run sharded (it does not implement Shardable) and the runtime has %d shards",
-			pol.Name(), rt.nshards)
-	}
-	for _, sh := range rt.shards {
-		sh.pol = pol
-		if rt.nshards > 1 {
-			sh.pol = sharder.NewShard()
+	run := pol
+	if rt.nshards > 1 {
+		sharder, ok := pol.(Shardable)
+		if !ok {
+			return fmt.Errorf("policy %q cannot run sharded (it does not implement Shardable) and the runtime has %d shards",
+				pol.Name(), rt.nshards)
 		}
-		if r, ok := sh.pol.(Resetter); ok {
-			r.Reset(rt.sw)
-		}
+		run = newTurns(rt, sharder)
 	}
-	rt.cfg.Policy = pol
+	if r, ok := run.(Resetter); ok {
+		r.Reset(rt.sw)
+	}
+	rt.pol, rt.cfg.Policy = run, pol
 	return nil
 }
 
@@ -654,45 +653,6 @@ func (rt *Runtime) admit() error {
 	return nil
 }
 
-// orderTurns sets the round's shard turn order: by the shards' oldest
-// pending release (shard.oldestRel), ties to the lower shard index, so
-// the shard holding the oldest flow picks first and each later shard
-// picks against the output capacity the earlier ones left. Each shard
-// still serves only its own inputs, so this is not the global selection
-// an unsharded policy makes. The order is a pure function of the
-// pending store, so schedules stay deterministic for a fixed K.
-func (rt *Runtime) orderTurns() {
-	order := rt.turns
-	for i, sh := range rt.shards {
-		rt.turnRel[i] = sh.oldestRel()
-	}
-	// Insertion sort by (oldest pending release, shard index): K is small
-	// and last round's order is usually nearly right.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j], order[j-1]
-			if rt.turnRel[a] > rt.turnRel[b] || (rt.turnRel[a] == rt.turnRel[b] && a > b) {
-				break
-			}
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-}
-
-// firstErr surfaces the first error in deterministic order: the runtime's
-// own, then each shard's in shard order.
-func (rt *Runtime) firstErr() error {
-	if rt.err != nil {
-		return rt.err
-	}
-	for _, sh := range rt.shards {
-		if sh.err != nil {
-			return sh.err
-		}
-	}
-	return nil
-}
-
 // setRound advances time to t. With verification on it counts the
 // window if the clock leaves it.
 func (rt *Runtime) setRound(t int) {
@@ -707,38 +667,34 @@ func (rt *Runtime) setRound(t int) {
 	rt.mRound.Store(int64(t))
 }
 
-// reserveRound sizes what one round fills: each shard's takes and, with
-// verification on, the oracle's scratch. Take picks a flow only while
-// both its ports have room, and every flow carries at least one unit, so
-// a round picks at most min(Σ input caps, Σ output caps) flows — the
-// input sum over a shard's own inputs for its takes — and never more
-// than MaxPending, the most flows pending at once. The reservations only
+// reserveRound sizes what one round fills: takes and, with verification
+// on, the oracle's scratch. Take picks a flow only while both its ports
+// have room, and every flow carries at least one unit, so a round picks
+// at most min(Σ input caps, Σ output caps) flows, and never more than
+// MaxPending, the most flows pending at once. The reservations only
 // grow, so a Reload that raises MaxPending widens them and one that
 // lowers MaxPending below the resident count keeps room for them. It
-// runs only between rounds, when every takes is empty (in New and at the
+// runs only between rounds, when takes is empty (in New and at the
 // quiescent point).
 func (rt *Runtime) reserveRound() {
-	out, all := 0, 0
+	in, out := 0, 0
+	for _, c := range rt.sw.InCaps {
+		in += c
+	}
 	for _, c := range rt.sw.OutCaps {
 		out += c
 	}
-	for _, sh := range rt.shards {
-		in := 0
-		for i := sh.idx; i < len(rt.sw.InCaps); i += rt.nshards {
-			in += rt.sw.InCaps[i]
-		}
-		all += in
-		if n := min(in, out, rt.cfg.MaxPending); n > cap(sh.takes) {
-			sh.takes = make([]int32, 0, n)
-		}
+	n := min(in, out, rt.cfg.MaxPending)
+	if n > cap(rt.takes) {
+		rt.takes = make([]int32, 0, n)
 	}
-	if n := min(all, out, rt.cfg.MaxPending); rt.cfg.VerifyEvery > 0 && n > cap(rt.vFlows) {
+	if rt.cfg.VerifyEvery > 0 && n > cap(rt.vFlows) {
 		rt.vFlows = make([]switchnet.Flow, 0, n)
 		rt.vRounds = make([]int, 0, n)
 	}
 }
 
-// checkRound runs the oracle, with verification on, over the round's n
+// checkRound runs the oracle, with verification on, over the round's
 // picks, on the coordinator, after the OnSchedule callbacks and before
 // the picks retire, and marks the window as having checked a round. The
 // picks are all of the round's load, so the oracle's per-(port, round)
@@ -747,7 +703,8 @@ func (rt *Runtime) reserveRound() {
 // verdict never changes the schedule. It returns the check's wall time
 // in nanoseconds when a recorder is attached, 0 otherwise, and the
 // oracle's error.
-func (rt *Runtime) checkRound(n int) (ns int64, err error) {
+func (rt *Runtime) checkRound() (ns int64, err error) {
+	n := len(rt.takes)
 	if n == 0 || rt.cfg.VerifyEvery == 0 {
 		return
 	}
@@ -757,12 +714,8 @@ func (rt *Runtime) checkRound(n int) (ns int64, err error) {
 		t0 = time.Now()
 	}
 	flows, rounds := rt.vFlows[:n], rt.vRounds[:n]
-	i := 0
-	for _, sh := range rt.shards {
-		for _, id := range sh.takes {
-			flows[i], rounds[i] = rt.ar.flow(id), rt.round
-			i++
-		}
+	for i, id := range rt.takes {
+		flows[i], rounds[i] = rt.ar.flow(id), rt.round
 	}
 	inst := switchnet.Instance{Switch: rt.sw, Flows: flows}
 	sched := switchnet.Schedule{Round: rounds}
@@ -783,13 +736,14 @@ func (rt *Runtime) flushWindow() {
 	}
 }
 
-// retire ends the round: it folds the round's n picks into the completion
+// retire ends the round: it folds the round's picks into the completion
 // metrics — one write section of the sliding window, one batch of atomics
-// — departs them in shard-then-pick order, and clears the round's port
-// loads. It runs after the OnSchedule callbacks and the round's check.
+// — departs them in takes order, and clears the round's port loads. It
+// runs after the OnSchedule callbacks and the round's check.
 //
 //flowsched:hotpath
-func (rt *Runtime) retire(n int) {
+func (rt *Runtime) retire() {
+	n := len(rt.takes)
 	if n == 0 {
 		return
 	}
@@ -798,18 +752,16 @@ func (rt *Runtime) retire(n int) {
 	var sum, slow int64
 	maxR := int(rt.mMaxResp.Load())
 	rt.win.Begin(t)
-	for _, sh := range rt.shards {
-		for _, id := range sh.takes {
-			resp := t + 1 - int(rt.ar.rec[id].rel)
-			sum += int64(resp)
-			if resp > maxR {
-				maxR = resp
-			}
-			if bound > 0 && resp > bound {
-				slow++
-			}
-			rt.win.Observe(resp)
+	for _, id := range rt.takes {
+		resp := t + 1 - int(rt.ar.rec[id].rel)
+		sum += int64(resp)
+		if resp > maxR {
+			maxR = resp
 		}
+		if bound > 0 && resp > bound {
+			slow++
+		}
+		rt.win.Observe(resp)
 	}
 	rt.win.End()
 	rt.mCompleted.Add(int64(n))
@@ -819,12 +771,10 @@ func (rt *Runtime) retire(n int) {
 		rt.mSlowResp.Add(slow)
 	}
 
-	for _, sh := range rt.shards {
-		for _, id := range sh.takes {
-			rt.depart(sh, id)
-		}
-		sh.takes = sh.takes[:0]
+	for _, id := range rt.takes {
+		rt.depart(id)
 	}
+	rt.takes = rt.takes[:0]
 	for _, p := range rt.touchIn {
 		rt.loadIn[p] = 0
 	}
@@ -851,10 +801,10 @@ func (rt *Runtime) step() (done bool, err error) {
 		return rt.idle()
 	}
 
-	// Expire what the deadline has passed, then the shards take their
-	// turns. The turn ordering is timed apart from the span around it.
+	// Expire what the deadline has passed, then pick, if anything is
+	// still pending.
 	var t0 time.Time
-	var proposeNS, reconcileNS, applyNS int64
+	var proposeNS, applyNS int64
 	if rt.rec != nil {
 		t0 = time.Now()
 	}
@@ -862,35 +812,23 @@ func (rt *Runtime) step() (done bool, err error) {
 	if rt.cfg.Deadline > 0 {
 		expired = rt.expire()
 	}
-	if rt.nshards > 1 {
-		var t1 time.Time
-		if rt.rec != nil {
-			t1 = time.Now()
-		}
-		rt.orderTurns()
-		if rt.rec != nil {
-			reconcileNS = time.Since(t1).Nanoseconds()
-			proposeNS = -reconcileNS
-		}
-	}
-	for _, s := range rt.turns {
-		rt.shards[s].pick()
+	if rt.head != noID {
+		rt.pol.Pick(&rt.view)
 	}
 	if expired > 0 {
 		rt.mExpired.Add(int64(expired))
 	}
 	if rt.rec != nil {
-		proposeNS += time.Since(t0).Nanoseconds()
+		proposeNS = time.Since(t0).Nanoseconds()
 	}
-	if err := rt.firstErr(); err != nil {
-		rt.err = err
-		return false, err
+	if rt.refused {
+		rt.err = fmt.Errorf("stream: policy %q took id %d, which is not a pending flow at its shard's inputs", rt.cfg.Policy.Name(), rt.refusedID)
+	}
+	if rt.err != nil {
+		return false, rt.err
 	}
 
-	total := 0
-	for _, sh := range rt.shards {
-		total += len(sh.takes)
-	}
+	total := len(rt.takes)
 	rt.mRounds.Add(1)
 	if total == 0 && expired == 0 {
 		rt.stalled++
@@ -903,19 +841,16 @@ func (rt *Runtime) step() (done bool, err error) {
 	}
 
 	if cb := rt.cfg.OnSchedule; cb != nil {
-		// The taken slots retire below, so they are still live here; shard
-		// order keeps the callback sequence deterministic.
-		for _, sh := range rt.shards {
-			for _, id := range sh.takes {
-				cb(rt.ar.seq[id], rt.ar.flow(id), rt.round)
-			}
+		// The taken slots retire below, so they are still live here.
+		for _, id := range rt.takes {
+			cb(rt.ar.seq[id], rt.ar.flow(id), rt.round)
 		}
 	}
-	verifyNS, checkErr := rt.checkRound(total)
+	verifyNS, checkErr := rt.checkRound()
 	if rt.rec != nil {
 		t0 = time.Now()
 	}
-	rt.retire(total)
+	rt.retire()
 	if rt.rec != nil {
 		applyNS = time.Since(t0).Nanoseconds()
 	}
@@ -925,16 +860,15 @@ func (rt *Runtime) step() (done bool, err error) {
 		// the trace's rounds are strictly increasing), carrying the
 		// round's own phases, its check included.
 		rt.rec.Record(obs.RoundRecord{
-			Round:       int64(rt.round),
-			Arrived:     rt.recArrived,
-			Scheduled:   int64(total),
-			Dropped:     rt.recDropped,
-			Expired:     int64(expired),
-			Pending:     int64(rt.count),
-			ProposeNS:   proposeNS,
-			ReconcileNS: reconcileNS,
-			ApplyNS:     applyNS,
-			VerifyNS:    verifyNS,
+			Round:     int64(rt.round),
+			Arrived:   rt.recArrived,
+			Scheduled: int64(total),
+			Dropped:   rt.recDropped,
+			Expired:   int64(expired),
+			Pending:   int64(rt.count),
+			ProposeNS: proposeNS,
+			ApplyNS:   applyNS,
+			VerifyNS:  verifyNS,
 		})
 		rt.recArrived, rt.recDropped = 0, 0
 	}
@@ -985,8 +919,8 @@ func (rt *Runtime) Run() (*Summary, error) {
 	rt.runMu.Lock()
 	rt.running = true
 	rt.runMu.Unlock()
-	if err := rt.firstErr(); err != nil {
-		return nil, err
+	if rt.err != nil {
+		return nil, rt.err
 	}
 	for !rt.stop.Load() {
 		done, err := rt.step()

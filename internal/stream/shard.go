@@ -1,90 +1,108 @@
 package stream
 
-import (
-	"fmt"
-	"math"
-)
+import "flowsched/internal/switchnet"
 
-// shard is one part of the input-port partition: the input ports
-// congruent to idx modulo Runtime.nshards, their policy instance and the
-// round's picks at them. The pending flows themselves live in the
-// runtime's one store (see arena.go); a shard only counts its own and
-// lists its inputs that have any. The shards are a partition, not a set
-// of threads: each round the coordinator runs every shard's pick once,
-// in the turn order Runtime.orderTurns computes, in sequence on the
-// coordinator's goroutine, and Runtime.retire then retires every shard's
-// picks in one pass.
-type shard struct {
-	rt  *Runtime
-	idx int
-	pol Policy
-
-	// count is the number of pending flows at the shard's inputs.
-	count int
-
-	// activeIn lists the shard's input ports with any pending flow (global
-	// port numbers); Runtime.activeInPos is each input's index there. Its
-	// capacity, reserved by newShard, is the count of inputs the shard
-	// owns.
-	activeIn []int32
-
-	// takes holds the round's picks until Runtime.retire retires them at
-	// the end of the same round. Its capacity, reserved by
-	// Runtime.reserveRound, is the most flows one round can pick at the
-	// shard's inputs.
-	takes []int32
-	view  View
-	err   error
+// turns is the policy a runtime with Config.Shards = K > 1 picks
+// through: K instances of the configured Shardable policy, instance k
+// seeing a View scoped to the inputs ≡ k (mod K). The pending flows stay
+// in the runtime's one store; a scope is only its list of active inputs,
+// Runtime.activeIn[k]. Each round the scopes take turns, oldest first:
+// ordered by their oldest pending release, ties to the lower index, each
+// instance picks once against the output capacity the turns before it
+// left. The turns run in sequence on the coordinator, so K changes the
+// schedule, not the parallelism.
+type turns struct {
+	pols  []Policy
+	views []View
+	// order is the round's turn order, rel each scope's oldest pending
+	// release (the sort key) and n the picks each scope's turn added.
+	order []int
+	rel   []int64
+	n     []int
 }
 
-// newShard builds the shard owning inputs congruent to idx mod rt.nshards.
-func newShard(rt *Runtime, idx int) *shard {
-	owned := (rt.sw.NumIn() - idx + rt.nshards - 1) / rt.nshards
-	sh := &shard{rt: rt, idx: idx, activeIn: make([]int32, 0, owned)}
-	sh.view = View{rt: rt, sh: sh}
-	return sh
+// newTurns builds the K = rt.nshards instances of pol, one per scope.
+func newTurns(rt *Runtime, pol Shardable) *turns {
+	K := rt.nshards
+	t := &turns{pols: make([]Policy, K), views: make([]View, K), order: make([]int, K), rel: make([]int64, K), n: make([]int, K)}
+	for k := range K {
+		t.pols[k], t.views[k], t.order[k] = pol.NewShard(), View{rt: rt, k: k}, k
+	}
+	return t
 }
 
-// holds reports whether input in has pending flows on this shard. Every
-// input with pending flows sits in exactly one shard's activeIn list, at
-// the slot Runtime.activeInPos records, so two reads answer it without
-// dividing by the shard count.
-func (sh *shard) holds(in int) bool {
-	pos := sh.rt.activeInPos[in]
-	return pos != noID && int(pos) < len(sh.activeIn) && sh.activeIn[pos] == int32(in)
-}
+// Name implements Policy; the runtime reports Config.Policy's name.
+func (t *turns) Name() string { return t.pols[0].Name() }
 
-// oldestRel returns the release round of the shard's oldest pending flow
-// (math.MaxInt64 when it has none) — the key the shards take turns by.
-// Releases are non-decreasing along the runtime's admission list
-// (checkFlow), so the shard's first flow on it is its oldest, and every
-// VOQ head record of the shard is at least that old.
-func (sh *shard) oldestRel() int64 {
-	rt := sh.rt
-	rec := rt.ar.rec
-	for id := rt.head; id != noID; id = rec[id].next {
-		if sh.holds(rec[id].inPort()) {
-			return rec[id].rel
+// Reset implements Resetter: it resets every instance that carries
+// per-run state.
+func (t *turns) Reset(sw switchnet.Switch) {
+	for _, p := range t.pols {
+		if r, ok := p.(Resetter); ok {
+			r.Reset(sw)
 		}
 	}
-	return math.MaxInt64
 }
 
-// fail records the shard's first error (policy contract violations land
-// here via View.Fail); the coordinator surfaces it in shard order.
-func (sh *shard) fail(format string, args ...any) {
-	if sh.err == nil {
-		sh.err = fmt.Errorf(format, args...) //flowsched:allow alloc: cold error path: runs at most once, the shard stops scheduling after (TestRunRejectsBadIndexAndDup)
-	}
-}
-
-// pick runs the shard's policy for its one turn of the round, when it
-// has a pending flow: after admission and expiry, against the capacity
-// the shards before it in the turn order left (see Runtime.orderTurns).
+// Pick runs the round's turns: it orders the scopes by (oldest pending
+// release, index) and runs each instance that has a pending flow once.
+// Each turn's picks land on Runtime.takes as one contiguous run, which
+// Pick moves in behind the runs of the lower scopes, so takes stays in
+// scope-then-pick order: the order OnSchedule reports and the picks
+// depart in. The order is a pure function of the pending store, so
+// schedules stay deterministic for a fixed K.
 //
 //flowsched:hotpath
-func (sh *shard) pick() {
-	if sh.count > 0 {
-		sh.pol.Pick(&sh.view)
+func (t *turns) Pick(v *View) {
+	rt := v.rt
+	for k := range t.views {
+		t.rel[k] = t.views[k].oldestRel()
 	}
+	// Insertion sort: K is small and last round's order is usually nearly
+	// right.
+	order := t.order
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0; j-- {
+			a, b := order[j], order[j-1]
+			if t.rel[a] > t.rel[b] || (t.rel[a] == t.rel[b] && a > b) {
+				break
+			}
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	clear(t.n)
+	for _, k := range order {
+		end := len(rt.takes)
+		if len(rt.activeIn[k]) > 0 {
+			t.pols[k].Pick(&t.views[k])
+		}
+		t.n[k] = len(rt.takes) - end
+		at := 0
+		for _, n := range t.n[:k] {
+			at += n
+		}
+		if at < end && t.n[k] > 0 {
+			// Rotate takes[at:] so the run just picked comes first.
+			reverse(rt.takes[at:end])
+			reverse(rt.takes[end:])
+			reverse(rt.takes[at:])
+		}
+	}
+}
+
+// reverse reverses s in place.
+func reverse(s []int32) {
+	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
+		s[i], s[j] = s[j], s[i]
+	}
+}
+
+// instances returns the policy instances the runtime picks through: one
+// per scope under turns, the configured policy itself at K = 1. A
+// checkpoint carries one scratch slice per instance, in this order.
+func (rt *Runtime) instances() []Policy {
+	if t, ok := rt.pol.(*turns); ok {
+		return t.pols
+	}
+	return []Policy{rt.pol}
 }

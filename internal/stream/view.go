@@ -1,20 +1,51 @@
 package stream
 
 import (
+	"fmt"
+	"math"
 	"math/bits"
 
 	"flowsched/internal/switchnet"
 )
 
 // View is a Policy's window onto the runtime's pending store, scoped to
-// one shard (the whole runtime when Config.Shards == 1; see the package
-// docs for the shard-scoped contract). It is valid only inside Pick: the
-// pending set, the admission order, and the VOQ indexes are frozen for the
-// duration (Take marks flows but departures apply after the round's picks
-// complete), so iteration is always safe.
+// the inputs ≡ k (mod Config.Shards): the whole switch at one shard (see
+// the package docs for the scoped contract). It is valid only inside
+// Pick: the pending set, the admission order, and the VOQ indexes are
+// frozen for the duration (Take marks flows but departures apply after
+// the round's picks complete), so iteration is always safe.
 type View struct {
 	rt *Runtime
-	sh *shard
+	k  int
+}
+
+// holds reports whether input in, which has pending flows, is in the
+// View's scope. Every such input sits in exactly one scope's active-input
+// list, at the slot Runtime.activeInPos records, so two reads answer it
+// without dividing by the shard count.
+func (v *View) holds(in int) bool {
+	rt := v.rt
+	if rt.nshards == 1 {
+		return true
+	}
+	act, pos := rt.activeIn[v.k], rt.activeInPos[in]
+	return pos != noID && int(pos) < len(act) && act[pos] == int32(in)
+}
+
+// oldestRel returns the release round of the oldest pending flow in the
+// View's scope (math.MaxInt64 when it has none): the key the scopes take
+// turns by, and where OldestFirst's first stage starts. Releases are
+// non-decreasing along the admission list (checkFlow), so the scope's
+// first flow on it is its oldest, and every VOQ head record in the scope
+// is at least that old.
+func (v *View) oldestRel() int64 {
+	rec := v.rt.ar.rec
+	for id := v.rt.head; id != noID; id = rec[id].next {
+		if v.holds(rec[id].inPort()) {
+			return rec[id].rel
+		}
+	}
+	return math.MaxInt64
 }
 
 // Round returns the current round t.
@@ -23,16 +54,15 @@ func (v *View) Round() int { return v.rt.round }
 // Switch describes port counts and capacities.
 func (v *View) Switch() switchnet.Switch { return v.rt.sw }
 
-// Each calls fn for every pending flow at the shard's inputs in admission
+// Each calls fn for every pending flow in the View's scope in admission
 // order (oldest first) until fn returns false. seq is the flow's global
 // admission sequence number; id its (reusable) pending identifier. With
 // several shards it walks the runtime's whole admission list and skips
-// the other shards' flows.
+// the flows outside the scope.
 func (v *View) Each(fn func(id ID, seq int64, f switchnet.Flow) bool) {
-	rt, sh := v.rt, v.sh
-	a := &rt.ar
-	for id := rt.head; id != noID; id = a.rec[id].next {
-		if rt.nshards > 1 && !sh.holds(a.rec[id].inPort()) {
+	a := &v.rt.ar
+	for id := v.rt.head; id != noID; id = a.rec[id].next {
+		if !v.holds(a.rec[id].inPort()) {
 			continue
 		}
 		if !fn(ID(id), a.seq[id], a.flow(id)) {
@@ -53,11 +83,11 @@ func (v *View) Demand(id ID) int { return int(v.rt.ar.rec[id].dem) }
 func (v *View) Release(id ID) int64 { return v.rt.ar.rec[id].rel }
 
 // QueueIn returns the number of pending flows at input port i (the queue
-// depth the MaxWeight heuristic weighs by), 0 for another shard's input.
+// depth the MaxWeight heuristic weighs by), 0 outside the View's scope.
 // QueueOut returns the number of pending flows at output port j across
 // the whole switch; its one reader, MaxWeight, runs only at Shards == 1.
 func (v *View) QueueIn(i int) int {
-	if v.rt.nshards > 1 && !v.sh.holds(i) {
+	if !v.holds(i) {
 		return 0
 	}
 	return v.rt.queueIn[i]
@@ -66,17 +96,16 @@ func (v *View) QueueIn(i int) int {
 func (v *View) QueueOut(j int) int { return v.rt.queueOut[j] }
 
 // InputFree and OutputFree return a port's remaining capacity this round.
-// An input belongs to one shard, so only that shard's picks use it; an
-// output offers what the shards that took their turn earlier in the round
-// left of it.
+// An input is in one scope, so only that scope's picks use it; an output
+// offers what the turns earlier in the round left of it.
 func (v *View) InputFree(i int) int  { return v.rt.sw.InCaps[i] - v.rt.loadIn[i] }
 func (v *View) OutputFree(j int) int { return v.rt.sw.OutCaps[j] - v.rt.loadOut[j] }
 
-// NumActiveInputs returns how many of the shard's input ports have pending
+// NumActiveInputs returns how many of the scope's input ports have pending
 // flows; ActiveInput returns the k-th of them. The order is arbitrary but
 // fixed during Pick.
-func (v *View) NumActiveInputs() int  { return len(v.sh.activeIn) }
-func (v *View) ActiveInput(k int) int { return int(v.sh.activeIn[k]) }
+func (v *View) NumActiveInputs() int  { return len(v.rt.activeIn[v.k]) }
+func (v *View) ActiveInput(k int) int { return int(v.rt.activeIn[v.k][k]) }
 
 // voqWords and headRow are what the native policies sweep: input in's
 // active-VOQ bitmap words and its
@@ -118,7 +147,7 @@ func (v *View) headRow(in int) []voqHead {
 
 // VOQHead returns the oldest pending flow on the (in, out) virtual output
 // queue, or NoID if it is empty; VOQNext walks the queue toward younger
-// flows. Another shard's queues are readable, but Take refuses their
+// flows. Queues outside the scope are readable, but Take refuses their
 // flows.
 func (v *View) VOQHead(in, out int) ID {
 	return ID(v.rt.vqs[in*v.rt.mOut+out].head)
@@ -132,14 +161,18 @@ func (v *View) Taken(id ID) bool { return v.rt.ar.taken(int32(id)) }
 // Take schedules pending flow id in the current round if its input and
 // output ports both have room (see InputFree and OutputFree), and
 // reports whether it did. Taking an id twice is a no-op returning false;
-// taking a dead id, or a flow at another shard's input, fails the run.
+// taking a dead id, or a flow outside the View's scope, fails the run:
+// Take notes the first such id, and the run ends with its error once the
+// round's picks are done.
 //
 //flowsched:hotpath
 func (v *View) Take(id ID) bool {
-	rt, sh := v.rt, v.sh
+	rt := v.rt
 	a := &rt.ar
-	if id < 0 || id >= len(a.rec) || !a.live(int32(id)) || (rt.nshards > 1 && !sh.holds(a.rec[id].inPort())) {
-		sh.fail("stream: policy %q took id %d, which is not a pending flow at its shard's inputs", sh.pol.Name(), id) //flowsched:allow alloc: cold contract-violation path: records the first policy error and stops the shard (TestRunRejectsBadIndexAndDup)
+	if id < 0 || id >= len(a.rec) || !a.live(int32(id)) || !v.holds(a.rec[id].inPort()) {
+		if rt.err == nil && !rt.refused {
+			rt.refused, rt.refusedID = true, id
+		}
 		return false
 	}
 	if a.taken(int32(id)) {
@@ -162,12 +195,15 @@ func (v *View) Take(id ID) bool {
 	}
 	rt.loadOut[out] += d
 	rc.out |= stTaken
-	appendReserved(&sh.takes, int32(id))
+	appendReserved(&rt.takes, int32(id))
 	return true
 }
 
 // Fail aborts the run with a policy-contract error (e.g. one of the
-// paper's heuristics matched a flow Take refused).
+// paper's heuristics matched a flow Take refused), unless the run already
+// has one; the run ends once the round's picks are done.
 func (v *View) Fail(format string, args ...any) {
-	v.sh.fail(format, args...)
+	if rt := v.rt; rt.err == nil && !rt.refused {
+		rt.err = fmt.Errorf(format, args...)
+	}
 }

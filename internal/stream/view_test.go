@@ -30,17 +30,17 @@ func (p *viewProbe) NewShard() Policy {
 func (p *viewProbe) Reset(sw switchnet.Switch) { p.inner.(Resetter).Reset(sw) }
 
 func (p *viewProbe) Pick(v *View) {
-	t, rt, sh := p.t, v.rt, v.sh
+	t, rt, sc := p.t, v.rt, v.k
 	*p.picks++
 	if p.steal {
 		for in := range rt.sw.NumIn() {
-			if in%rt.nshards == sh.idx {
+			if in%rt.nshards == sc {
 				continue
 			}
 			for out := range rt.sw.NumOut() {
 				if id := v.VOQHead(in, out); id != NoID {
 					if v.Take(id) {
-						t.Errorf("shard %d took flow %d at input %d, another shard's", sh.idx, id, in)
+						t.Errorf("shard %d took flow %d at input %d, another shard's", sc, id, in)
 					}
 					return
 				}
@@ -52,45 +52,49 @@ func (p *viewProbe) Pick(v *View) {
 	// Each yields exactly the shard's flows, in admission order.
 	var want []ID
 	for id := rt.head; id != noID; id = rt.ar.rec[id].next {
-		if rt.ar.rec[id].inPort()%rt.nshards == sh.idx {
+		if rt.ar.rec[id].inPort()%rt.nshards == sc {
 			want = append(want, ID(id))
 		}
 	}
 	k := 0
 	lastSeq := int64(-1)
 	v.Each(func(id ID, seq int64, f switchnet.Flow) bool {
-		if k >= len(want) || id != want[k] || seq <= lastSeq || f.In%rt.nshards != sh.idx {
+		if k >= len(want) || id != want[k] || seq <= lastSeq || f.In%rt.nshards != sc {
 			t.Fatalf("round %d shard %d: Each yielded id %d (seq %d, input %d) at position %d; want ids %v",
-				rt.round, sh.idx, id, seq, f.In, k, want)
+				rt.round, sc, id, seq, f.In, k, want)
 		}
 		k++
 		lastSeq = seq
 		return true
 	})
-	if k != len(want) || k != sh.count {
-		t.Fatalf("round %d shard %d: Each yielded %d flows, the shard holds %d (count %d)", rt.round, sh.idx, k, len(want), sh.count)
+	held := 0
+	for in := sc; in < rt.sw.NumIn(); in += rt.nshards {
+		held += rt.queueIn[in]
+	}
+	if k != len(want) || k != held {
+		t.Fatalf("round %d shard %d: Each yielded %d flows, the shard holds %d (%d queued at its inputs)", rt.round, sc, k, len(want), held)
 	}
 
 	// QueueIn is the depth at the shard's own inputs and 0 at the others';
 	// ActiveInput names only the shard's inputs.
 	for in := range rt.sw.NumIn() {
 		got := v.QueueIn(in)
-		if in%rt.nshards == sh.idx {
+		if in%rt.nshards == sc {
 			if got != rt.queueIn[in] {
-				t.Fatalf("round %d shard %d: QueueIn(%d) = %d, want %d", rt.round, sh.idx, in, got, rt.queueIn[in])
+				t.Fatalf("round %d shard %d: QueueIn(%d) = %d, want %d", rt.round, sc, in, got, rt.queueIn[in])
 			}
 			continue
 		}
 		if got != 0 {
-			t.Fatalf("round %d shard %d: QueueIn(%d) = %d at another shard's input", rt.round, sh.idx, in, got)
+			t.Fatalf("round %d shard %d: QueueIn(%d) = %d at another shard's input", rt.round, sc, in, got)
 		}
 		if rt.queueIn[in] > 0 {
 			*p.foreign++
 		}
 	}
 	for a := range v.NumActiveInputs() {
-		if in := v.ActiveInput(a); in%rt.nshards != sh.idx {
-			t.Fatalf("round %d shard %d: ActiveInput(%d) = %d, another shard's input", rt.round, sh.idx, a, in)
+		if in := v.ActiveInput(a); in%rt.nshards != sc {
+			t.Fatalf("round %d shard %d: ActiveInput(%d) = %d, another shard's input", rt.round, sc, a, in)
 		}
 	}
 	p.inner.Pick(v)
@@ -172,45 +176,43 @@ func (p *turnProbe) Reset(sw switchnet.Switch) {
 }
 
 func (p *turnProbe) Pick(v *View) {
-	t, rt, sh, lg := p.t, v.rt, v.sh, p.log
-	if lg.last[sh.idx] == rt.round {
-		t.Fatalf("round %d: shard %d picked a second time", rt.round, sh.idx)
+	t, rt, sc, lg := p.t, v.rt, v.k, p.log
+	if lg.last[sc] == rt.round {
+		t.Fatalf("round %d: shard %d picked a second time", rt.round, sc)
 	}
-	lg.last[sh.idx] = rt.round
+	lg.last[sc] = rt.round
 
 	// The shard's key is the release of its first flow on the admission
 	// list; within a round the keys must rise, ties by index.
 	rel := int64(math.MaxInt64)
 	for id := rt.head; id != noID; id = rt.ar.rec[id].next {
-		if rt.ar.rec[id].inPort()%rt.nshards == sh.idx {
+		if rt.ar.rec[id].inPort()%rt.nshards == sc {
 			rel = rt.ar.rec[id].rel
 			break
 		}
 	}
 	if lg.round == rt.round {
-		if rel < lg.rel || (rel == lg.rel && sh.idx < lg.idx) {
+		if rel < lg.rel || (rel == lg.rel && sc < lg.idx) {
 			t.Fatalf("round %d: shard %d (oldest release %d) picked after shard %d (oldest release %d)",
-				rt.round, sh.idx, rel, lg.idx, lg.rel)
+				rt.round, sc, rel, lg.idx, lg.rel)
 		}
-		if sh.idx < lg.idx {
+		if sc < lg.idx {
 			lg.reordered++
 		}
 	}
-	lg.round, lg.rel, lg.idx = rt.round, rel, sh.idx
+	lg.round, lg.rel, lg.idx = rt.round, rel, sc
 
 	// Every output offers its capacity minus what the shards before this
 	// one took at it this round.
 	used := make([]int, rt.sw.NumOut())
-	for _, o := range rt.shards {
-		for _, id := range o.takes {
-			used[rt.ar.rec[id].outPort()] += int(rt.ar.rec[id].dem)
-		}
+	for _, id := range rt.takes {
+		used[rt.ar.rec[id].outPort()] += int(rt.ar.rec[id].dem)
 	}
 	contested := false
 	for j, u := range used {
 		if got, want := v.OutputFree(j), rt.sw.OutCaps[j]-u; got != want {
 			t.Fatalf("round %d shard %d: OutputFree(%d) = %d on entry, want capacity %d minus %d taken = %d",
-				rt.round, sh.idx, j, got, rt.sw.OutCaps[j], u, want)
+				rt.round, sc, j, got, rt.sw.OutCaps[j], u, want)
 		}
 		contested = contested || u > 0
 	}

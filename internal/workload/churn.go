@@ -43,7 +43,7 @@ type ChurnSource struct {
 // 1 the input draw is skipped, so the output sequence depends only on the
 // seed and PerRound.
 //
-//flowsched:testonly the churn fairness and golden tests of workload and stream draw from it; ROADMAP 2b decides whether a benchmark workload does
+//flowsched:testonly workload's TestChurnSource*, TestSourceConformance and TestSourceSequencesGolden, and stream's TestNativeScheduleGolden, TestWeightedISLIPServesOldestHeadUnderChurn and TestRoundRobinMatchesUnmaskedReference draw from it
 func NewChurnSource(cfg ChurnConfig, rng *rand.Rand) *ChurnSource {
 	if cfg.Ins <= 0 {
 		cfg.Ins = 1
