@@ -123,7 +123,7 @@ func lineContaining(t *testing.T, src, sub string) int {
 // module's non-test code. Each one is a hot-path or determinism
 // exception a reviewer has to take on trust, so the number may only be
 // lowered: a change that needs a new allow retires an old one.
-const allowBudget = 4
+const allowBudget = 3
 
 // testonlyBudget is the number of //flowsched:testonly marks in the
 // module's non-test code. Each one keeps code no binary reaches, so it

@@ -47,6 +47,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 
 	"flowsched/internal/stats"
 	"flowsched/internal/stream"
@@ -286,20 +287,47 @@ func (c *Checkpoint) Validate() error {
 	return nil
 }
 
-// Encode serializes the checkpoint into its file image.
+// Encode serializes the checkpoint into its file image. The payload is
+// encoded once, by a pooled json.Encoder, straight into the image behind
+// its header; the encoder's trailing newline is dropped, and the length
+// and CRC are filled in around it. The bytes are those of json.Marshal.
 func Encode(c *Checkpoint) ([]byte, error) {
-	payload, err := json.Marshal(c)
-	if err != nil {
+	e := encoders.Get().(*imageEncoder)
+	defer encoders.Put(e)
+	e.img = nil
+	if err := e.enc.Encode(c); err != nil {
 		return nil, fmt.Errorf("chkpt: encode: %w", err)
 	}
-	buf := make([]byte, 0, headerLen+len(payload)+trailerLen)
-	buf = append(buf, magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, Version)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-	return buf, nil
+	buf := e.img[:len(e.img)-1] // the newline Encode appends
+	e.img = nil
+	copy(buf, magic)
+	binary.LittleEndian.PutUint32(buf[len(magic):], Version)
+	binary.LittleEndian.PutUint64(buf[len(magic)+4:], uint64(len(buf)-headerLen))
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli)), nil
 }
+
+// imageEncoder is a json.Encoder writing into the checkpoint image it is
+// building: its one Write, the whole encoded payload, lands behind room
+// for the header in an array sized for the trailer too, so the payload is
+// copied once.
+type imageEncoder struct {
+	img []byte
+	enc *json.Encoder
+}
+
+func (e *imageEncoder) Write(p []byte) (int, error) {
+	if e.img == nil {
+		e.img = make([]byte, headerLen, headerLen+len(p)+trailerLen)
+	}
+	e.img = append(e.img, p...)
+	return len(p), nil
+}
+
+var encoders = sync.Pool{New: func() any {
+	e := &imageEncoder{}
+	e.enc = json.NewEncoder(e)
+	return e
+}}
 
 // Decode parses and verifies a checkpoint file image, failing with one
 // of the typed errors (ErrEmpty, ErrTruncated, ErrVersion, ErrCorrupt)

@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"flag"
+	"hash/crc32"
 	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -135,6 +138,94 @@ func TestParentImageDecodes(t *testing.T) {
 	}
 	if !bytes.Equal(again, data) {
 		t.Fatalf("re-encoded image differs from the parent-written one:\n got %q\nwant %q", again, data)
+	}
+}
+
+// marshalImage builds c's image the way Encode did before it streamed
+// the payload: json.Marshal, then the envelope around a copy of it.
+func marshalImage(t *testing.T, c *Checkpoint) []byte {
+	t.Helper()
+	payload, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := append([]byte(magic), make([]byte, 12)...)
+	binary.LittleEndian.PutUint32(buf[len(magic):], Version)
+	binary.LittleEndian.PutUint64(buf[len(magic)+4:], uint64(len(payload)))
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+}
+
+// bigCheckpoint is a valid checkpoint holding n pending flows.
+func bigCheckpoint(n int) *Checkpoint {
+	c := sample()
+	c.Flows = c.Flows[:0]
+	for i := range n {
+		c.Flows = append(c.Flows, switchnet.Flow{In: i % 4, Out: (i / 4) % 4, Demand: 1, Release: 40 + i/64})
+	}
+	c.Pending = n
+	c.Counters.Admitted = c.Counters.Completed + int64(n)
+	return c
+}
+
+// TestEncodeMatchesMarshal pins Encode's images to the json.Marshal
+// path's bytes: on the sample, on the K=2 image an earlier build wrote
+// (window sketches and rotation pointers), on a large pending set, and
+// on a policy name json escapes for HTML.
+func TestEncodeMatchesMarshal(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "k2_roundrobin.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k2, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	escaped := sample()
+	escaped.Policy = "<Oldest&First>"
+	for name, c := range map[string]*Checkpoint{
+		"sample": sample(), "k2": k2, "big": bigCheckpoint(5000), "escaped": escaped,
+	} {
+		got, err := Encode(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := marshalImage(t, c); !bytes.Equal(got, want) {
+			t.Fatalf("%s: Encode's image differs from the json.Marshal path's:\n got %q\nwant %q", name, got, want)
+		}
+	}
+	again, err := Encode(k2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatal("re-encoded K=2 image differs from the file an earlier build wrote")
+	}
+}
+
+// TestEncodeCopiesOnce bounds the bytes one Encode allocates: the image
+// itself plus a sliver, where the json.Marshal path allocated the payload
+// and then the image around a copy of it, twice the bytes. The least of
+// several single calls is taken, so a GC that empties json's pooled
+// encoder state between two of them cannot fail the bound.
+func TestEncodeCopiesOnce(t *testing.T) {
+	c := bigCheckpoint(20000)
+	img, err := Encode(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	least := uint64(1) << 62
+	var before, after runtime.MemStats
+	for range 8 {
+		runtime.ReadMemStats(&before)
+		if _, err := Encode(c); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if bound := uint64(len(img)) + uint64(len(img))/8; least > bound {
+		t.Fatalf("Encode of a %d-byte image allocated %d bytes, want <= %d", len(img), least, bound)
 	}
 }
 

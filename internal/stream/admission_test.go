@@ -2,7 +2,6 @@ package stream_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"flowsched/internal/stream"
@@ -96,17 +95,6 @@ func runPinned(t *testing.T, flows []switchnet.Flow, ports, K int, pol stream.Po
 	return sum, trace
 }
 
-// pinnedPolicy resolves a registry name; a "/cuts" suffix selects
-// OldestFirst with its stage target forced to 1.
-func pinnedPolicy(name string) stream.Policy {
-	base, cuts := strings.CutSuffix(name, "/cuts")
-	pol := stream.ByName(base)
-	if cuts {
-		pol.(*stream.OldestFirst).SetTargetFactor(1)
-	}
-	return pol
-}
-
 // TestAdmitDropPinnedCrossK pins AdmitDrop's shed counts against the
 // arithmetic reference on a deterministic diagonal overload, at K in
 // {1, 2}, verifier-clean, with bit-identical schedules across repeat runs.
@@ -169,14 +157,11 @@ func TestAdmitDeadlinePinnedCrossK(t *testing.T) {
 	if wantMax > deadline {
 		t.Fatalf("reference violates its own deadline: max response %d > %d", wantMax, deadline)
 	}
-	// "OldestFirst/cuts" is OldestFirst with its stage target forced to 1,
-	// so every pick cuts: expiry changes the heads between rounds, and the
-	// staged path must land on the same pinned counts.
-	for _, name := range []string{"RoundRobin", "OldestFirst", "OldestFirst/cuts"} {
+	for _, name := range []string{"RoundRobin", "OldestFirst"} {
 		for _, K := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/K%d", name, K), func(t *testing.T) {
 				cfg := stream.Config{Admit: stream.AdmitDeadline, Deadline: deadline, VerifyEvery: 4}
-				sum, trace := runPinned(t, flows, ports, K, pinnedPolicy(name), cfg)
+				sum, trace := runPinned(t, flows, ports, K, stream.ByName(name), cfg)
 				if sum.Admitted != int64(len(flows)) {
 					t.Fatalf("admitted %d, want %d", sum.Admitted, len(flows))
 				}
@@ -199,7 +184,7 @@ func TestAdmitDeadlinePinnedCrossK(t *testing.T) {
 				if sum.WindowsVerified == 0 {
 					t.Fatal("no verification windows ran")
 				}
-				_, again := runPinned(t, flows, ports, K, pinnedPolicy(name), cfg)
+				_, again := runPinned(t, flows, ports, K, stream.ByName(name), cfg)
 				if len(trace) != len(again) {
 					t.Fatalf("nondeterministic: %d then %d scheduled flows", len(trace), len(again))
 				}

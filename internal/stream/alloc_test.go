@@ -52,7 +52,7 @@ func (s *patternSource) Err() error { return nil }
 // scheduling round performs zero heap allocations — arena slots recycle
 // through their free list (the VOQs are links inside them), the admission
 // batch, takes,
-// and policy scratch buffers (RoundRobin's pointers, OldestFirst's heap,
+// and policy scratch buffers (RoundRobin's pointers, OldestFirst's lists,
 // WeightedISLIP's request/grant arrays) length-reset, and the metric path
 // (atomic counters plus the preallocated epoch window) never touches the
 // allocator. It returns the warmed runtime, still steppable, for gates
@@ -115,11 +115,11 @@ func testSteadyStateZeroAlloc(t *testing.T, shards int, pol Policy, admit AdmitM
 
 // TestSteadyStateZeroAlloc covers every native policy at K in {1, 2}.
 // StreamFIFO's round costs O(pending), but it allocates nothing either:
-// its Each closure does not escape. The 8-port switch of the
-// shared set-up is too small for OldestFirst to stage, so it gets a
-// second row where it does — 40x40 with 4k flows resident, every VOQ
-// active — and the row checks that it did: a pick that never cuts orders
-// every active VOQ's head at least once a round.
+// its Each closure does not escape. OldestFirst gets a second row at
+// depth — 40x40 with 4k flows resident, every VOQ active — which checks
+// that its lists are what made the rounds cheap: built once, then only
+// synced, and the merges examining fewer entries than half the active
+// VOQs' heads.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	for _, name := range []string{"RoundRobin", "OldestFirst", "WeightedISLIP", "StreamFIFO"} {
 		for _, shards := range []int{1, 2} {
@@ -134,10 +134,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 				cfg.Switch = switchnet.UnitSwitch(40)
 				cfg.MaxPending = 4096
 			})
-			var ordered, active int64
-			for _, p := range rt.instances() {
-				ordered -= p.(*OldestFirst).ordered
-			}
+			examined, active := -visited(rt), int64(0)
 			const rounds = 64
 			for i := 0; i < rounds; i++ {
 				if _, err := rt.step(); err != nil {
@@ -149,12 +146,15 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 					}
 				}
 			}
-			for _, p := range rt.instances() {
-				ordered += p.(*OldestFirst).ordered
+			examined += visited(rt)
+			if 2*examined >= active {
+				t.Fatalf("the merges examined %d entries over %d rounds with %d active VOQs a round: want under half",
+					examined, rounds, active/rounds)
 			}
-			if ordered >= active {
-				t.Fatalf("%d heads ordered over %d rounds with %d active VOQs a round: the gate never ran the staged path",
-					ordered, rounds, active/rounds)
+			for _, p := range rt.instances() {
+				if b := p.(*OldestFirst).builds; b != 1 {
+					t.Fatalf("an instance built its lists %d times, want once", b)
+				}
 			}
 		})
 	}
@@ -314,14 +314,13 @@ func highWater(s []int32) int {
 	return n
 }
 
-// TestOldestFirstRampAllocBounded pins that the pick's scratch grows
-// geometrically. A fresh K=2 runtime (so the shards' policy instances
-// start cold, as they do on every run) fills a 64x64 switch to 8k
-// resident over some 250 rounds, its candidate count a new high on each
-// of them; scratch that regrew to the exact size reallocated two ~30 KB
-// arrays per shard every round, 11.3 MB for the ramp, where geometric
-// growth leaves 2.2 MB for everything the round loop allocates on the
-// way up — arena columns included.
+// TestOldestFirstRampAllocBounded pins that the pick allocates its lists
+// once. A fresh K=2 runtime (so the shards' policy instances start
+// cold, as they do on every run) fills a 64x64 switch to 8k resident
+// over some 250 rounds, its active VOQ count a new high on each of them.
+// Each instance builds its lists once, at its first pick, and they never
+// grow after: the ramp stays within 4 MB for everything the round loop
+// allocates on the way up, arena columns included.
 func TestOldestFirstRampAllocBounded(t *testing.T) {
 	const ports, backlog = 64, 8192
 	rt, err := New(&patternSource{ports: ports, per: ports * 3 / 2}, Config{
@@ -340,6 +339,11 @@ func TestOldestFirstRampAllocBounded(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
 		t.Fatalf("ramp to %d resident allocated %d bytes in %d rounds, want <= %d", backlog, got, rt.round, 4<<20)
+	}
+	for _, p := range rt.instances() {
+		if b := p.(*OldestFirst).builds; b != 1 {
+			t.Fatalf("an instance built its lists %d times over the ramp, want once", b)
+		}
 	}
 }
 

@@ -154,14 +154,16 @@ type voqState struct {
 // View.headRow refreshes the stale entries of an input before handing
 // out its row. So a policy that never reads head records (RoundRobin,
 // StreamFIFO, the paper's heuristics) never pays for them, and the
-// age-aware policies copy each changed head once per pick. They order
-// and filter VOQ heads every round; reading this dense
+// age-aware policies copy each changed head once per pick. They filter
+// VOQ heads by age and demand every round; reading this dense
 // vi-indexed array of 16-byte records costs one sequential cache line per
 // four VOQs instead of chasing queue state -> flow record for every head.
 // An entry is only meaningful while the VOQ is non-empty and only through
-// headRow. Nothing departs during a pick, so a row describes the queue as
-// of the last retirement — a head the same pick already took still owns
-// the entry until it departs (policies see takes via View.Taken).
+// headRow (OldestFirst, whose list keys copy these records, also reads
+// its rows around its own headRow calls). Nothing departs during a pick,
+// so a row describes the queue as of the last retirement — a head the
+// same pick already took still owns the entry until it departs
+// (policies see takes via View.Taken).
 type voqHead struct {
 	rel int64
 	dem int32

@@ -11,10 +11,12 @@ import (
 )
 
 // headProbe wraps a policy and, after each of its picks, holds every
-// active VOQ's head-age record, as headRow hands it out, to the queue's
-// actual head: its release and demand read from the arena. The inner
-// policy's own headRow calls run first, so the rows it read were
-// refreshed by the lazy path itself.
+// active VOQ's head-age record at the scope's active inputs, as headRow
+// hands it out, to the queue's actual head: its release and demand read
+// from the arena. The inner policy's own headRow calls run first, so the
+// rows it read were refreshed by the lazy path itself. The probe reads
+// no other input's row: its headRow calls would clear stale bits that
+// OldestFirst's lists have not synced from yet.
 type headProbe struct {
 	t      *testing.T
 	inner  Policy
@@ -36,7 +38,8 @@ func (p *headProbe) Reset(sw switchnet.Switch) {
 func (p *headProbe) Pick(v *View) {
 	p.inner.Pick(v)
 	rt := v.rt
-	for in := range rt.sw.NumIn() {
+	for a := range v.NumActiveInputs() {
+		in := v.ActiveInput(a)
 		row := v.headRow(in)
 		for out := range rt.sw.NumOut() {
 			h := rt.vqs[in*rt.mOut+out].head

@@ -10,25 +10,21 @@ import (
 // BenchmarkOldestFirstPick times one scheduling round of an OldestFirst
 // runtime pinned at a resident backlog — the paper's 150-port switch,
 // Poisson arrivals at twice what it can serve — and reports beside
-// ns/round what the pick did with it: the VOQ heads its stages ordered
-// and scanned per round and the stages per round (the counters are per
-// Pick call, and K=1 calls Pick once a round). The cap1 rungs are
-// drain_age's regime at a thin, the benchmark's and a deep backlog; the
-// cap8 rung carries multi-unit demands, where the target (16 x the free
-// capacity) exceeds the VOQ count and the pick is the single-stage case
-// with a live successor heap.
+// ns/round the list entries its merge examined per round (K=1 calls Pick
+// once a round). The cap1 rungs are drain_age's regime at a thin, the
+// benchmark's and a deep backlog; the cap8 rung carries multi-unit
+// demands, where served heads' successors re-enter the lists.
 func BenchmarkOldestFirstPick(b *testing.B) {
 	for _, rung := range pickRungs {
 		b.Run(rung.name, func(b *testing.B) {
 			pol := &OldestFirst{}
 			step := pinnedRuntime(b, pol, rung.cap, rung.backlog)
-			stages, ordered := pol.stages, pol.ordered
+			visited := pol.visited
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				step()
 			}
-			b.ReportMetric(float64(pol.ordered-ordered)/float64(b.N), "heads/round")
-			b.ReportMetric(float64(pol.stages-stages)/float64(b.N), "stages/round")
+			b.ReportMetric(float64(pol.visited-visited)/float64(b.N), "entries/round")
 		})
 	}
 }

@@ -84,44 +84,35 @@ var churnGolden = map[string]uint64{
 // several shard counts through the churn source with deadline expiry on
 // (so heads change by activation, departure, and expiry) and checks,
 // after every round, that shard.oldestRel — the release of the shard's
-// first flow on the runtime's admission list — is the minimum head-age
-// record over the non-empty VOQs at the shard's inputs, the key the
-// shards take turns by. The whole run's schedule must also hash to its
-// golden value.
+// first flow on the runtime's admission list — is the release of the
+// oldest head among the non-empty VOQs at the shard's inputs, the key
+// the shards take turns by. The whole run's schedule must also hash to
+// its golden value. OldestFirst runs a second time under listProbe,
+// whose every pick holds the synced lists to a from-scratch build, on
+// the same golden row.
 func TestShardedAgeOrderUnderChurn(t *testing.T) {
-	const ports, rounds = 7, 160
 	for _, pol := range []string{"OldestFirst", "WeightedISLIP"} {
 		for _, shards := range []int{2, 3, 4} {
 			for _, portCap := range []int{3, 2} {
 				name := fmt.Sprintf("%s/K%d/cap%d", pol, shards, portCap)
-				var plain int64
 				t.Run(name, func(t *testing.T) {
-					plain = testAgeOrderUnderChurn(t, ByName(pol), shards, portCap, churnGolden[name])
+					testAgeOrderUnderChurn(t, ByName(pol), shards, portCap, churnGolden[name])
 				})
 				if pol != "OldestFirst" {
 					continue
 				}
-				// The same golden row with OldestFirst's stage target
-				// forced below zero: every shard's pick cuts after every
-				// release and finishes in later stages. (Deadline 4 keeps
-				// the backlog too thin for a target of 1 to cut.) The
-				// default target never cuts on a 7-port switch and the
-				// schedules are equal, so any extra stage is a cut.
-				t.Run(name+"/cuts", func(t *testing.T) {
-					cuts := testAgeOrderUnderChurn(t, &OldestFirst{factor: -1}, shards, portCap, churnGolden[name])
-					if cuts <= plain {
-						t.Fatalf("%d stages with the target forced below zero, %d at the default: the staged path never ran", cuts, plain)
-					}
+				t.Run(name+"/lists", func(t *testing.T) {
+					testAgeOrderUnderChurn(t, &listProbe{t: t, p: &OldestFirst{}}, shards, portCap, churnGolden[name])
 				})
 			}
 		}
 	}
 }
 
-// testAgeOrderUnderChurn is one row of TestShardedAgeOrderUnderChurn; it
-// returns the stages the shards' OldestFirst instances ran (0 for another
-// policy).
-func testAgeOrderUnderChurn(t *testing.T, pol Policy, shards, portCap int, golden uint64) (stages int64) {
+// testAgeOrderUnderChurn is one row of TestShardedAgeOrderUnderChurn. It
+// reads the VOQ heads from the arena, not through headRow, whose calls
+// would clear the stale bits OldestFirst's lists sync from.
+func testAgeOrderUnderChurn(t *testing.T, pol Policy, shards, portCap int, golden uint64) {
 	const ports, rounds = 7, 160
 	h := fnv.New64a()
 	var buf [16]byte
@@ -148,14 +139,14 @@ func testAgeOrderUnderChurn(t *testing.T, pol Policy, shards, portCap int, golde
 			v := View{rt: rt, k: k}
 			want := int64(math.MaxInt64)
 			for in := k; in < ports; in += shards {
-				for out, h := range v.headRow(in) {
-					if rt.vqs[in*ports+out].head != noID && h.rel < want {
-						want = h.rel
+				for out := range ports {
+					if id := rt.vqs[in*ports+out].head; id != noID {
+						want = min(want, rt.ar.rec[id].rel)
 					}
 				}
 			}
 			if got := v.oldestRel(); got != want {
-				t.Fatalf("round %d scope %d: oldestRel %d, oldest VOQ head record %d", rt.round, k, got, want)
+				t.Fatalf("round %d scope %d: oldestRel %d, oldest VOQ head %d", rt.round, k, got, want)
 			}
 		}
 		if done {
@@ -171,10 +162,4 @@ func testAgeOrderUnderChurn(t *testing.T, pol Policy, shards, portCap int, golde
 	if got := h.Sum64(); got != golden {
 		t.Fatalf("schedule hash %#x, golden %#x", got, golden)
 	}
-	for _, p := range rt.instances() {
-		if of, ok := p.(*OldestFirst); ok {
-			stages += of.stages
-		}
-	}
-	return stages
 }

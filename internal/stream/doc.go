@@ -40,15 +40,15 @@
 //     selection, the ablation of MinRTime's exact matching) on the fast
 //     path. At one shard, on unit-demand workloads, each round's
 //     selection is round-for-round identical to that greedy rule's
-//     O(pending log pending) rescan (property tested). A round reads
-//     O(input ports + active VOQs) head-age records and orders and
-//     scans only the oldest slice of them, in stages:
-//     O(candidates + release range) per stage, about 16 candidates per
-//     unit of free input capacity in the first, the ports still free
-//     after it in the rest (measured at 150 ports, 16k resident: 3.7k
-//     of 10.8k heads ordered, 2.4 stages a round). Best for maximum
-//     response time; no flow ever starves (a waiting head only gets
-//     older until nothing outranks it).
+//     O(pending log pending) rescan (property tested). Pick is a
+//     function of the View plus a cache rebuilt from it: per input, the
+//     active VOQ heads sorted by (release, output), kept from round to
+//     round. A round re-keys only the heads the stale bitmap names,
+//     then merges the lists oldest release first until the ports are
+//     spent (at 150 ports, 16k resident: some 2k of 11k listed heads
+//     examined a round). Best for maximum response time; no flow ever
+//     starves (a waiting head only gets older until nothing outranks
+//     it).
 //   - WeightedISLIP: iterative request/grant/accept matching weighted
 //     by head-of-queue age with per-port rotation pointers as
 //     tie-breakers — the queue-age-weighted crossbar matchings of
@@ -63,23 +63,20 @@
 //
 // Cost model: RoundRobin reads only VOQs whose output has capacity left
 // (a blocked output costs bitmap operations only; a multi-unit head
-// larger than what is left costs one record read); OldestFirst and
-// WeightedISLIP read every active VOQ's head-age record every round, at
-// every shard count (that is what an age-aware selection has to look
-// at; nothing is carried between rounds), so their cost grows with the
-// resident backlog's active-VOQ count while RoundRobin's does not — see
-// the benchmark/ suite's quality.<policy>.flows_per_s for the measured
-// ratios. Reading is the cheap part. What OldestFirst no longer does is
-// order and scan every record it read: a greedy pick saturates nearly
-// every port within the oldest few candidates per port, so it cuts the
-// release range where about 16 candidates per unit of free capacity
-// lie below, orders and serves those, and then re-reads only the rows
-// of inputs that still have capacity, masked to the outputs that do.
-// The cuts cannot move the schedule. The stages' release ranges are
-// disjoint and ascending, so their concatenation is the same total
-// order (release, input, output); and a head no stage materialises has
-// a port that was already spent when that stage began — capacities only
-// fall during a pick, so the single-pass scan would have skipped it too.
+// larger than what is left costs one record read). WeightedISLIP reads
+// every active VOQ's head-age record every round, at every shard count,
+// so its cost grows with the resident backlog's active-VOQ count while
+// RoundRobin's does not — see the benchmark/ suite's
+// quality.<policy>.flows_per_s for the measured ratios. OldestFirst
+// reads only what changed: its per-input lists stay sorted across
+// rounds, a round re-keys the heads the last one served, expired or
+// activated, and the merge passes over every head that cannot fit any
+// more (capacities only fall in a pick), so it ends long before it has
+// examined every head. The lists cannot move the schedule: they hold
+// exactly the active VOQs' heads (checked against a from-scratch build
+// every round in the tests), and the merge's order is the total order
+// (release, input, output, seq) a single sorted pass over all of them
+// would take.
 // The paper's heuristics (MaxCard, MinRTime's exact matching, MaxWeight)
 // collect the whole pending set with View.Each every round and match
 // over it, or first-fit it on general demands. Replay, the simulator
@@ -139,11 +136,11 @@
 // Inside Pick a View reads the runtime's one store, scoped to its inputs
 // where a policy depends on it. Each walks the admission-order list and
 // yields only the scope's flows; QueueIn counts the flows at the scope's
-// inputs and reads 0 at every other input (OldestFirst's input loop
-// relies on this); NumActiveInputs and ActiveInput list only the scope's
-// inputs. IDs are runtime-wide: VOQHead, VOQNext and the per-flow reads
-// work at any input, but Take refuses a flow outside the scope and fails
-// the run. QueueOut is the switch-wide count. InputFree and OutputFree
+// inputs and reads 0 at every other input; NumActiveInputs and
+// ActiveInput list only the scope's inputs (the native policies' input
+// loops rely on this). IDs are runtime-wide: VOQHead, VOQNext and the
+// per-flow reads work at any input, but Take refuses a flow outside the
+// scope and fails the run. QueueOut is the switch-wide count. InputFree and OutputFree
 // are exact: an input is in one scope, and an output offers what the
 // earlier turns of the round left. With Shards == 1 the one scope is the
 // whole switch — which is why the paper's heuristics, whose matchings
@@ -326,9 +323,11 @@
 //   - Config.Resume takes a CheckpointState, and a restored runtime is
 //     whole when New returns: the clock reads the checkpointed round, the
 //     cumulative counters continue from the checkpointed values, the
-//     pending set is resident again — threaded back into the store under
-//     the admission sequence numbers it had, not counted again as
-//     admissions or backpressure — and a lookahead flow is held exactly
+//     pending set is resident again — threaded back into the store in
+//     checkpointed order and numbered afresh from sequence number 0 (the
+//     flows admitted after it continue the count, so OnSchedule's seq
+//     counts from the restore), not counted again as admissions or
+//     backpressure — and a lookahead flow is held exactly
 //     where idle left it. The source carries only the rest of the stream
 //     (workload.Skip for a replayable one; a live feed starts empty), so
 //     there is no interval after a restart in which the backlog is still
@@ -351,9 +350,9 @@
 //     silently change post-restore tie-breaking).
 //
 //   - OldestFirst: restore-exact; selection is memoryless given the
-//     restored pending set. Its staged pick chooses its cuts from the
-//     View each round and keeps no candidate index between rounds, so
-//     there is still nothing to checkpoint.
+//     restored pending set. Its sorted per-input lists are a cache of
+//     the View that the first pick after a restore rebuilds, so there
+//     is nothing to checkpoint.
 //
 //   - WeightedISLIP: restore-exact; the grant and accept rotation
 //     pointers are checkpointed and re-imported.
@@ -404,7 +403,9 @@
 //     View.headRow copies the stale heads' fields out of their hot
 //     records before handing out an input's row. RoundRobin never reads a
 //     head record, so it never pays for one; OldestFirst and
-//     WeightedISLIP refresh each changed head once per pick. The VOQ
+//     WeightedISLIP refresh each changed head once per pick; OldestFirst
+//     re-keys its sorted entries from the stale bits, so during a run
+//     only the installed policy calls headRow. The VOQ
 //     index is not cached; it is in*NumOut + out. IDs recycle through a
 //     LIFO free list and the columns grow by doubling, so a ramp to n
 //     resident flows allocates about twice the final arena, the arena

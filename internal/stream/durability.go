@@ -70,9 +70,10 @@ func (st *CheckpointState) SourceFlows() int64 {
 // restore validates st (see Config.Resume) and makes the runtime its
 // continuation: the clock opens at st.Round, the cumulative counters
 // continue from st.Summary, the pending set is threaded back into the
-// store with its original releases — under the admission sequence
-// numbers it held before, and counted neither as admissions nor as
-// backpressure, because it arrived in the previous run — and a trailing
+// store with its original releases — in checkpointed order, numbered
+// afresh from sequence number 0 (a checkpoint carries no sequence
+// numbers), and counted neither as admissions nor as backpressure,
+// because it arrived in the previous run — and a trailing
 // lookahead becomes the held flow idle would have left.
 // Called once, at the end of New.
 func (rt *Runtime) restore(st *CheckpointState) error {

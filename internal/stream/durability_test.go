@@ -270,6 +270,46 @@ func TestPendingFlowsInAdmissionOrder(t *testing.T) {
 	wg.Wait()
 }
 
+// TestResumeRenumbersSequence pins the sequence numbers OnSchedule
+// reports after a restore: a checkpoint carries none, so the restored
+// pending flows are numbered 0 through Pending-1 in their checkpointed
+// order, the lookahead next, and the source's flows after it — whatever
+// numbers the flows had in the run that wrote the checkpoint (here 7
+// admissions came before them).
+func TestResumeRenumbersSequence(t *testing.T) {
+	pending := []switchnet.Flow{
+		{In: 2, Out: 0, Demand: 1, Release: 3},
+		{In: 0, Out: 1, Demand: 1, Release: 4},
+		{In: 1, Out: 3, Demand: 1, Release: 4},
+	}
+	look := switchnet.Flow{In: 3, Out: 2, Demand: 1, Release: 5}
+	tail := []switchnet.Flow{{In: 0, Out: 2, Demand: 1, Release: 6}, {In: 2, Out: 2, Demand: 1, Release: 6}}
+	st := &CheckpointState{
+		Round: 5, Pending: len(pending), Flows: append(slices.Clone(pending), look),
+		Summary: Summary{Admitted: 10, Completed: 7},
+	}
+	got := map[switchnet.Flow]int64{}
+	rt, err := New(&sliceSource{flows: tail}, Config{
+		Switch: switchnet.UnitSwitch(4), Policy: ByName("OldestFirst"), Resume: st,
+		OnSchedule: func(seq int64, f switchnet.Flow, _ int) { got[f] = seq },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := append(append(slices.Clone(pending), look), tail...)
+	if len(got) != len(want) {
+		t.Fatalf("%d flows scheduled, want %d", len(got), len(want))
+	}
+	for i, f := range want {
+		if seq, ok := got[f]; !ok || seq != int64(i) {
+			t.Fatalf("flow %+v scheduled under seq %d (reported %v), want %d", f, seq, ok, i)
+		}
+	}
+}
+
 // TestVerifyEveryValidation: a negative window is refused at
 // construction rather than read as "off".
 func TestVerifyEveryValidation(t *testing.T) {

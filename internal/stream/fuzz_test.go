@@ -2,7 +2,6 @@ package stream_test
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -57,16 +56,7 @@ func FuzzPolicyPicks(f *testing.F) {
 		if rng.Intn(2) == 0 {
 			maxPending = 8 + rng.Intn(64) // exercise backpressure
 		}
-		// OldestFirst runs twice: at its default stage target, and with
-		// the target forced to 1 so every pick cuts after almost every
-		// release and finishes in later stages.
-		factors := []int{0}
-		if name == "OldestFirst" {
-			factors = []int{0, 1}
-		}
-		for _, factor := range factors {
-			fuzzPolicyPicks(t, inst, name, K, maxPending, factor)
-		}
+		fuzzPolicyPicks(t, inst, name, K, maxPending)
 	})
 }
 
@@ -176,17 +166,12 @@ func FuzzResume(f *testing.F) {
 }
 
 // fuzzPolicyPicks drains inst under the named policy at K shards and
-// checks FuzzPolicyPicks' invariants; factor is OldestFirst's stage
-// target (0 = default).
-func fuzzPolicyPicks(t *testing.T, inst *switchnet.Instance, name string, K, maxPending, factor int) {
+// checks FuzzPolicyPicks' invariants.
+func fuzzPolicyPicks(t *testing.T, inst *switchnet.Instance, name string, K, maxPending int) {
 	sw, flows := inst.Switch, inst.Flows
 	n, ports := len(flows), sw.NumIn()
 	src := workload.NewInstanceSource(inst)
 	pol := stream.ByName(name)
-	if of, ok := pol.(*stream.OldestFirst); ok && factor != 0 {
-		of.SetTargetFactor(factor)
-		name = fmt.Sprintf("%s(factor %d)", name, factor)
-	}
 	cfg := stream.Config{
 		Switch:      sw,
 		Policy:      pol,

@@ -15,46 +15,33 @@ import (
 // service order is the total order (release, input, output, admission
 // seq) and the schedule is a pure function of the stream.
 //
-// A pick runs in stages over disjoint, ascending release ranges
-// [lo, hi). A stage sweeps the head-age records — inputs with capacity
-// left in ascending port order, each input's active VOQs in ascending
-// port order off the bitmap words, AND-ed with a mask of the outputs
-// that still have capacity — and keeps the heads released inside
-// its range, so candidates are emitted pre-sorted by (input, output) and
-// the record reads are plain sequential array traffic. The port-order
-// tie-break is what makes ordering sort-free: one stable counting pass
-// over the range — head ages are small integers around the current round
-// — yields the exact global order in O(candidates + hi - lo), with no
-// comparison sort and no log factor. (A range degenerately wider than
-// the candidate count — a few long-waiting heads, a sparse last stage —
-// falls back to one comparison sort.) The scan then serves candidates in
-// order: an entry whose ports lack capacity is skipped in O(1) array
-// reads, and a served head's successor re-enters through a small
-// auxiliary heap (at most one entry per flow served), where it waits for
-// the stage that covers its release, keeping the merged order exact. The
-// pick ends as soon as the scope's input capacity or the output capacity
-// it can see is exhausted.
+// The policy keeps, for each input of its scope, the list of that
+// input's active VOQ heads sorted by (release, output), from one round
+// to the next. Between two picks at most the heads the last round served
+// or expired and the VOQs it activated change, and the runtime's stale
+// bitmap names exactly those, so a pick starts by syncing each active
+// input: the entries of its changed VOQs are dropped, View.headRow
+// refreshes their head records (it stays their one writer), and the
+// still-active heads go back in under their new releases. The merge then
+// walks releases oldest first through a bucket queue of inputs, each
+// keyed by the release at its list's cursor: at each release every input
+// with capacity left, in ascending port order, walks its entries of that
+// release in output order and takes each head that fits. Capacities only
+// fall during a pick, so a head that does not fit now never will: the
+// walk passes over it whatever its release, and parks the input at the
+// first head that still could. A served head's successor takes the
+// head's place in the list, at its own release, for the rest of the
+// pick, which is what serves capacities above one and multi-unit demands
+// in the exact order. The pick ends as soon as the scope's input
+// capacity or the output capacity it can see is exhausted, so at depth
+// it examines a few entries per port, not every head.
 //
-// The first stage ends where about ofFactor candidates per unit of free
-// input capacity lie below, estimated from a release histogram over every
-// ofSample-th live input's rows; every later stage re-sweeps only what
-// can still be served, and cuts again only if that is still more than
-// twice its own target — usually the second stage finishes on the few
-// ports still free. A backlog thin against the target from the start
-// (known in O(1) from the queue depths) is one stage over everything
-// with no estimate taken: the same loop, run once. At depth a greedy
-// pick saturates nearly every port within the oldest few candidates per
-// port, which is why this pays: at 150 unit ports with 16k flows
-// resident a round reads 10.8k head records and orders and scans 3.7k.
-//
-// The schedule does not depend on where the cuts fall. The ranges are
-// disjoint and ascending, so the stages' concatenation is the one total
-// order (release, input, output); and a head that no stage materialises
-// sits on a port that was spent when that stage began — the capacity
-// mirrors only decrease within a pick, so a single pass over everything
-// would have reached it later still and skipped it. Pick therefore stays
-// a pure function of the View: no candidate index lives between rounds,
-// nothing hooks the VOQ updates, a checkpoint has nothing to carry.
+// The lists are a cache of the View, not state: Reset (construction,
+// restore, Reload) drops them and the next pick rebuilds them from the
+// View's head records, so Pick is a function of the View plus a cache
+// rebuilt from it, and a checkpoint carries nothing for it. The cache
+// relies on every head change reaching it through the stale bitmap, so
+// while it is installed no one else calls headRow for its inputs.
 //
 // Within a VOQ the policy is strict FIFO: a head whose demand does not
 // fit the remaining port capacity blocks its queue for the round (the
@@ -68,9 +55,9 @@ import (
 // head-of-line trade-off: a smaller younger flow that a full first-fit
 // pass would slip past a blocked head stays queued here.
 //
-// All scratch (entry, bucket, and heap slices) is length-reset and grows
-// geometrically to its high-water mark, so steady-state rounds allocate
-// nothing and a backlog ramping to a new high costs O(log) regrowths.
+// The lists take one row of NumOut 8-byte keys per scope input (see
+// ofKey), allocated at the first pick after Reset, when the scope is
+// known, and kept across Resets; a pick allocates nothing.
 //
 // OldestFirst is Shardable: the instances take turns, oldest first (see
 // turns.Pick), and each serves its own inputs' heads oldest-first
@@ -79,404 +66,407 @@ import (
 // MinRTime-style first fit above is a one-shard property (see the
 // package docs, "Sharding caveat").
 type OldestFirst struct {
-	ent []ofEntry // sweep scratch: one stage's candidates, (in, out)-sorted
-	ord []ofEntry // the stage's candidates in global order
-	cnt []int32   // calendar buckets: per-release counts, then offsets
-	h   []ofEntry // auxiliary min-heap of served heads' successors
-	// inFree/outFree mirror the ports' remaining capacity during the
-	// pick (seeded from the View, decremented alongside every take), so
-	// a skipped entry costs local array reads, not View calls.
+	// keys holds a row of mOut entries per scope input, input in at row
+	// in/nk: its active VOQ heads as ofKey keys, ascending, in the first
+	// n[row]. cur[row] is the merge's cursor; succ[row] is set when a
+	// pick re-keyed a served head's entry to its successor, whose key no
+	// head record holds, so the next sync drops by VOQ, not by key.
+	keys   []uint64
+	n, cur []int32
+	succ   []bool
+	// k and nk are the scope (View.k) and shard count the rows are laid
+	// out for; rel0, the keys' origin, is at most every release pending
+	// or still to come when the lists were built.
+	k, nk, mOut int
+	rel0        int64
+	built       bool
+	// inFree/outFree mirror the ports' capacity left during the pick;
+	// inSum and nOut count the free input capacity and the outputs with
+	// any left.
 	inFree, outFree []int32
-	// live lists, ascending, the inputs that still have queued flows and
-	// capacity (settled before every stage); mask has one bit per output
-	// with capacity left, laid out like the active-VOQ bitmap words it is
-	// AND-ed with.
-	live []int16
-	mask []uint64
-	hist [ofHistLen]int32 // cut estimate: sampled head releases per bucket
-	// factor overrides ofFactor when nonzero; only tests set it (to cut
-	// after almost every release, after every one when negative, or
-	// never).
-	factor int
-	// stages, ordered and sorts count the stages run, the candidates they
-	// ordered and the stages that fell back to the comparison sort, for
-	// tests and benchmarks. Nothing reads them to decide.
-	stages, ordered, sorts int64
+	inSum, nOut     int
+	// mask holds the VOQs one sync replaces (an input's stale words, or
+	// all when building), add the keys it inserts.
+	mask, add []uint64
+	// The merge's bucket queue: bucket b is a bitmap over rows of the
+	// inputs whose cursor release is lo+b (occ marks the non-empty
+	// ones, rw is the words per bitmap), over those past the window.
+	bkt, over []uint64
+	occ, lo   uint64
+	rw        int
+	// builds, visited and moved count the lists' builds, the entries the
+	// merges examined and the successors they re-keyed, for tests and
+	// benchmarks; nothing reads them to decide.
+	builds, visited, moved int64
 }
 
-const (
-	// ofFactor is how many candidates a stage aims to order per unit of
-	// free input capacity. Measured flat around its optimum (one pick at
-	// 150 unit ports, 16k resident: 64 / 61 / 63 / 63 / 68 / 78 us at
-	// 4 / 8 / 12 / 16 / 24 / 32, 108 us uncut), so it is a constant, not
-	// a setting.
-	ofFactor = 16
-	// ofSample is the stride, in live inputs, of the rows the cut
-	// estimate reads.
-	ofSample = 8
-	// ofHistLen is the estimate's resolution: a release range wider than
-	// this many rounds is bucketed by a power of two.
-	ofHistLen = 256
-)
+// ofWindow is the bucket queue's width in releases: one occupancy word.
+const ofWindow = 64
 
-// Reset implements Resetter: it sizes the capacity mirrors, the live
-// input list and the free-output mask to the switch so Pick never
-// allocates for them.
+// ofKey packs a list entry, so the merge reads nothing else to check a
+// head's fit: the release relative to rel0 (41 bits), the output (15)
+// and the demand (8, saturating at ofDemMax). Keys order as (release,
+// output), a VOQ having at most one.
+func ofKey(rel int64, out int, dem int32) uint64 {
+	return uint64(rel)<<23 | uint64(out)<<8 | uint64(min(dem, ofDemMax))
+}
+
+// ofRel, ofOut and ofDem unpack a key.
+func ofRel(key uint64) uint64 { return key >> 23 }
+func ofOut(key uint64) int    { return int(key >> 8 & portMask) }
+func ofDem(key uint64) int32  { return int32(key & ofDemMax) }
+
+// ofDemMax is the largest demand a key holds; it stands for any demand
+// at least that large.
+const ofDemMax = 1<<8 - 1
+
+// Reset implements Resetter: it sizes the capacity mirrors and the sync
+// mask to the switch and marks the lists for a rebuild at the next pick.
 func (p *OldestFirst) Reset(sw switchnet.Switch) {
 	p.inFree = make([]int32, sw.NumIn())
 	p.outFree = make([]int32, sw.NumOut())
-	p.live = make([]int16, 0, sw.NumIn())
 	p.mask = make([]uint64, (sw.NumOut()+63)/64)
-}
-
-// ofEntry is one candidate: an active VOQ identified by its port pair,
-// keyed and prechecked by its head-age record, packed into 16 bytes (a
-// stage's candidate set streams through cache three times — sweep,
-// scatter, scan — so entry size is bandwidth). Entries order by
-// (rel, in, out); at most one candidate per VOQ is live at a time —
-// the sweeps emit one entry per queue over the whole pick, and a
-// successor enters only after its predecessor was consumed — so
-// the key is unique, the order total, and the scan sequence
-// deterministic.
-type ofEntry struct {
-	rel     int64
-	dem     int32
-	in, out int16
-}
-
-func (e ofEntry) before(o ofEntry) bool {
-	if e.rel != o.rel {
-		return e.rel < o.rel
-	}
-	if e.in != o.in {
-		return e.in < o.in
-	}
-	return e.out < o.out
+	p.built = false
 }
 
 // Name implements Policy.
 func (*OldestFirst) Name() string { return "OldestFirst" }
 
-// NewShard implements Shardable: all state is per-Pick scratch, so a
-// fresh instance per scope shares nothing.
-func (p *OldestFirst) NewShard() Policy { return &OldestFirst{factor: p.factor} }
+// NewShard implements Shardable: every instance builds its own lists
+// over its own scope, so a fresh instance per scope shares nothing.
+func (*OldestFirst) NewShard() Policy { return &OldestFirst{} }
 
 // Pick implements Policy.
 //
 //flowsched:hotpath
 func (p *OldestFirst) Pick(v *View) {
-	sw := v.Switch()
-	mIn, mOut := sw.NumIn(), sw.NumOut()
-	p.h = p.h[:0]
-	clear(p.mask)
-	nOut := 0
-	for j := 0; j < mOut; j++ {
+	p.refresh(v)
+
+	// Every input with capacity and a head starts at its first entry,
+	// past the window, so the first rebase pulls in the oldest.
+	clear(p.bkt)
+	clear(p.over)
+	p.occ, p.inSum, p.nOut = 0, 0, 0
+	for j := range p.outFree {
 		free := v.OutputFree(j)
 		p.outFree[j] = int32(free)
 		if free > 0 {
-			p.mask[j>>6] |= 1 << uint(j&63)
-			nOut++
+			p.nOut++
 		}
 	}
-	// Every candidate lives on an input with queued flows and capacity.
-	p.live = p.live[:0]
-	inSum := 0
-	for in := 0; in < mIn; in++ {
-		if v.QueueIn(in) == 0 {
-			continue
-		}
-		free := v.InputFree(in)
+	for a := range v.NumActiveInputs() {
+		in := v.ActiveInput(a)
+		free, r := v.InputFree(in), in/p.nk
 		p.inFree[in] = int32(free)
-		if free > 0 {
-			p.live = p.live[:len(p.live)+1]
-			p.live[len(p.live)-1] = int16(in)
-			inSum += free
+		if free > 0 && p.n[r] > 0 {
+			p.cur[r] = 0
+			p.over[r>>6] |= 1 << uint(r&63)
+			p.inSum += free
 		}
 	}
-	factor := p.factor
-	if factor == 0 {
-		factor = ofFactor
-	}
-	// Stages cover the disjoint ascending release ranges [lo, hi); every
-	// head record lies in [oldestRel, round], so the last one ends past
-	// the current round.
-	lo, end := v.oldestRel(), int64(v.Round())+1
-	for inSum > 0 && nOut > 0 && lo < end {
-		// No more candidates are left than flows queued at the live inputs,
-		// nor than one per live input and free output. A backlog that thin
-		// against the target is ordered whole.
-		hi := end
-		if target := factor * inSum; min(p.settle(v), len(p.live)*nOut) > 2*target {
-			hi = p.cut(v, lo, end, target)
-		}
-		p.sweep(v, lo, hi)
-		p.order(lo, hi)
-		p.stages++
-		p.ordered += int64(len(p.ord))
-
-		// Serve the stage's candidates in order, merged with the
-		// successors whose release it covers; later ones wait in the heap
-		// for their stage.
-		for i := 0; inSum > 0 && nOut > 0; {
-			var e ofEntry
-			if i < len(p.ord) && (len(p.h) == 0 || p.ord[i].before(p.h[0])) {
-				e = p.ord[i]
-				i++
-			} else if len(p.h) > 0 && p.h[0].rel < hi {
-				e = p.pop()
-			} else {
-				break
-			}
-			// A head that does not fit blocks its whole queue for the round
-			// (strict FIFO): two local array reads, the queue itself is
-			// never touched. Demands are positive, so a spent port fails it.
-			if e.dem > p.inFree[e.in] || e.dem > p.outFree[e.out] {
-				continue
-			}
-			inSum -= int(p.take(v, e))
-			if p.outFree[e.out] == 0 {
-				p.mask[e.out>>6] &^= 1 << uint(e.out&63)
-				nOut--
-			}
-		}
-		lo = hi
-	}
-}
-
-// settle drops from live the inputs a previous stage saturated and
-// returns how many flows are queued at the rest.
-func (p *OldestFirst) settle(v *View) (depth int) {
-	n := 0
-	for _, in := range p.live {
-		if p.inFree[in] > 0 {
-			p.live[n] = in
-			n++
-			depth += v.QueueIn(int(in))
-		}
-	}
-	p.live = p.live[:n]
-	return depth
-}
-
-// cut chooses a stage's upper release bound in (lo, end]: it counts, per
-// release bucket, the servable heads of every ofSample-th live input and
-// returns the first bucket boundary by which the sample, scaled to all
-// live inputs, reaches target — end when it never does. Any value would
-// give the same schedule; this one only has to be deterministic and
-// roughly right.
-func (p *OldestFirst) cut(v *View, lo, end int64, target int) int64 {
-	shift := uint(0)
-	for (end-1-lo)>>shift >= ofHistLen {
-		shift++
-	}
-	hist := p.hist[:(end-1-lo)>>shift+1]
-	clear(hist)
-	rows := 0
-	for k := 0; k < len(p.live); k += ofSample {
-		in := int(p.live[k])
-		rows++
-		row := v.headRow(in)
-		for wi, w := range v.voqWords(in) {
-			for w &= p.mask[wi]; w != 0; w &= w - 1 {
-				if d := row[wi<<6+bits.TrailingZeros64(w)].rel - lo; d >= 0 && d < end-lo {
-					hist[d>>shift]++
+	for p.inSum > 0 && p.nOut > 0 && (p.occ != 0 || p.rebase()) {
+		b := bits.TrailingZeros64(p.occ)
+		p.occ &^= 1 << uint(b)
+		rel := p.lo + uint64(b)
+		words := p.bkt[b*p.rw : (b+1)*p.rw]
+		for wi, w := range words {
+			words[wi] = 0
+			for ; w != 0; w &= w - 1 {
+				p.serve(v, wi<<6+bits.TrailingZeros64(w), rel)
+				if p.inSum == 0 || p.nOut == 0 {
+					return
 				}
 			}
 		}
 	}
-	need := (target*rows + len(p.live) - 1) / len(p.live)
-	sum := 0
-	for b, c := range hist {
-		if sum += int(c); sum >= need {
-			return min(end, lo+int64(b+1)<<shift)
-		}
-	}
-	return end
 }
 
-// sweep collects into p.ent the stage's candidates: the heads released in
-// [lo, hi) of the live inputs' active VOQs toward outputs with capacity
-// left. Inputs run in ascending port order and each input's VOQs in
-// ascending port order off the bitmap words, so candidates are emitted
-// pre-sorted by (input, output) and the head-age records are read in
-// ascending vi order — plain sequential array traffic, no per-VOQ calls.
-// Every head is written to the next slot and the slot kept by advancing
-// past it: whether a head falls inside the range is a coin flip the
-// branch predictor loses.
-func (p *OldestFirst) sweep(v *View, lo, hi int64) {
-	ent, mask, n := p.ent, p.mask, 0
-	for _, in := range p.live {
-		// Room for a full row, so the inner loop stores unconditionally.
-		ent = grown(ent, n+len(p.outFree))
-		row := v.headRow(int(in))
-		for wi, w := range v.voqWords(int(in)) {
-			for w &= mask[wi]; w != 0; w &= w - 1 {
+// refresh brings the lists up to date with the View: it syncs every
+// active input with a stale head, or builds the lists if there are none.
+func (p *OldestFirst) refresh(v *View) {
+	if !p.built || int64(v.Round())-p.rel0 >= 1<<40 {
+		p.build(v)
+		return
+	}
+	for a := range v.NumActiveInputs() {
+		in := v.ActiveInput(a)
+		stale := 0
+		for wi, w := range v.staleWords(in) {
+			p.mask[wi] = w
+			stale += bits.OnesCount64(w)
+		}
+		if stale > 0 {
+			p.sync(v, in, stale)
+		}
+	}
+}
+
+// build lays the lists out for the View's scope and fills them from
+// scratch: every active input's row holds all its active VOQs. It runs
+// at the first pick after Reset, and again should the pending releases
+// outrun the keys' 41 bits of span.
+func (p *OldestFirst) build(v *View) {
+	rt := v.rt
+	p.k, p.nk, p.mOut = v.k, rt.nshards, rt.mOut
+	rows := (rt.sw.NumIn() + p.nk - 1) / p.nk
+	if len(p.n) < rows || cap(p.keys) < rows*p.mOut || len(p.add) < p.mOut {
+		p.alloc(rows)
+	}
+	p.keys = p.keys[:rows*p.mOut]
+	p.rw = (rows + 63) / 64
+	p.bkt, p.over = p.bkt[:ofWindow*p.rw], p.over[:p.rw]
+	// Releases never fall below the last one consumed, nor below the
+	// oldest pending flow's.
+	p.rel0 = int64(rt.lastRel)
+	if rt.head != noID {
+		p.rel0 = min(p.rel0, rt.ar.rec[rt.head].rel)
+	}
+	clear(p.n)
+	clear(p.succ)
+	for wi := range p.mask {
+		p.mask[wi] = ^uint64(0)
+	}
+	for a := range v.NumActiveInputs() {
+		p.sync(v, v.ActiveInput(a), p.mOut)
+	}
+	p.built = true
+	p.builds++
+}
+
+// alloc sizes the lists and the merge's bitmaps to rows inputs.
+//
+//flowsched:allow alloc: the lists are allocated once per scope layout and kept across Resets, so a round allocates nothing (TestOldestFirstRampAllocBounded)
+func (p *OldestFirst) alloc(rows int) {
+	rw := (rows + 63) / 64
+	p.keys = make([]uint64, rows*p.mOut)
+	p.n, p.cur = make([]int32, rows), make([]int32, rows)
+	p.succ = make([]bool, rows)
+	p.add = make([]uint64, p.mOut)
+	p.bkt, p.over = make([]uint64, ofWindow*rw), make([]uint64, rw)
+}
+
+// sync replaces, in input in's list, the entries of the stale VOQs in
+// p.mask: it drops them, refreshes their head records through headRow
+// (which clears the input's stale bits), and inserts the heads still
+// active. A few changes on a long list go one by one, an entry found by
+// the key its head record holds until headRow refreshes it; otherwise
+// one pass drops every entry on a stale VOQ, and the new keys are
+// sorted and merged in from the back.
+//
+//flowsched:hotpath
+func (p *OldestFirst) sync(v *View, in, stale int) {
+	r := in / p.nk
+	keys := p.keys[r*p.mOut : (r+1)*p.mOut]
+	m, row := int(p.n[r]), v.rt.heads[in*p.mOut:(in+1)*p.mOut]
+	few := !p.succ[r] && stale*ofFew <= m
+	if few {
+		for wi, w := range p.mask {
+			for ; w != 0; w &= w - 1 {
 				out := wi<<6 + bits.TrailingZeros64(w)
-				h := &row[out]
-				ent[n] = ofEntry{rel: h.rel, dem: h.dem, in: in, out: int16(out)}
-				// Releases are non-negative, so neither difference wraps,
-				// and rel-hi < 0 <= rel-lo is one sign bit.
-				n += int(uint64((h.rel-hi)&^(h.rel-lo)) >> 63)
+				key := ofKey(row[out].rel-p.rel0, out, row[out].dem)
+				if i := search(keys[:m], key); i < m && keys[i] == key {
+					copy(keys[i:m-1], keys[i+1:m])
+					m--
+				}
+			}
+		}
+	} else {
+		n := 0
+		for _, key := range keys[:m] {
+			out := ofOut(key)
+			keys[n] = key
+			n += int(^p.mask[out>>6] >> (out & 63) & 1)
+		}
+		m, p.succ[r] = n, false
+	}
+	v.headRow(in)
+	add := 0
+	for wi, w := range v.voqWords(in) {
+		for w &= p.mask[wi]; w != 0; w &= w - 1 {
+			out := wi<<6 + bits.TrailingZeros64(w)
+			key := ofKey(row[out].rel-p.rel0, out, row[out].dem)
+			if few {
+				i := search(keys[:m], key)
+				copy(keys[i+1:m+1], keys[i:m])
+				keys[i] = key
+				m++
+			} else {
+				p.add[add] = key
+				add++
 			}
 		}
 	}
-	p.ent = ent[:n]
-}
-
-// take serves entry e, whose head fits both remaining capacities: it
-// walks past already-taken flows to the queue's current head, takes it,
-// updates the capacity mirrors, and offers the served head's successor
-// to the heap. Returns the served demand, 0 when nothing was taken.
-func (p *OldestFirst) take(v *View, e ofEntry) int32 {
-	in := int(e.in)
-	id := v.VOQHead(in, int(e.out))
-	for id != NoID && v.Taken(id) {
-		id = v.VOQNext(id)
-	}
-	if id == NoID || !v.Take(id) {
-		return 0 // not reached: e is the queue's untaken head, checked to fit
-	}
-	d := int32(v.Demand(id))
-	p.inFree[e.in] -= d
-	p.outFree[e.out] -= d
-	if p.inFree[e.in] > 0 {
-		// A successor can only serve while its input has capacity left;
-		// on unit-capacity inputs this never pushes, and the heap costs
-		// nothing.
-		p.push(v, v.VOQNext(id), e.in, e.out)
-	}
-	return d
-}
-
-// order arranges p.ent, whose releases lie in [lo, hi), into p.ord in
-// global (rel, in, out) order. The sweep emitted entries (in, out)-sorted,
-// so one stable counting pass by release — O(candidates + hi - lo) —
-// finishes the job without comparing anything. A range far wider than the
-// entry count (idle-jump shaped streams, a sparse last stage) falls back
-// to one comparison sort of everything.
-func (p *OldestFirst) order(lo, hi int64) {
-	p.ord = grown(p.ord, len(p.ent))
-	if hi-lo > int64(4*len(p.ent)+64) {
-		copy(p.ord, p.ent)
-		sortEntries(p.ord)
-		p.sorts++
-		return
-	}
-	p.cnt = grown(p.cnt, int(hi-lo))
-	clear(p.cnt)
-	for i := range p.ent {
-		p.cnt[p.ent[i].rel-lo]++
-	}
-	sum := int32(0)
-	for i, c := range p.cnt {
-		p.cnt[i] = sum
-		sum += c
-	}
-	for i := range p.ent {
-		b := p.ent[i].rel - lo
-		p.ord[p.cnt[b]] = p.ent[i]
-		p.cnt[b]++
-	}
-}
-
-// grown returns s resized to n elements, those within its old capacity
-// kept, on the same array when that holds n and on one grown by append's
-// geometric rule when not — so a backlog that ramps to a new high-water
-// mark costs O(log) reallocations, not one per round.
-func grown[T any](s []T, n int) []T {
-	if n <= cap(s) {
-		return s[:n]
-	}
-	return append(s[:cap(s)], make([]T, n-cap(s))...) //flowsched:allow alloc: pick scratch is length-reset per stage and grows geometrically to its high-water mark (TestOldestFirstRampAllocBounded)
-}
-
-// sortEntries sorts by the full entry order without allocating:
-// insertion sort for short runs, quicksort (middle pivot) above. Keys
-// are unique, so the order — and with it the schedule — is
-// deterministic.
-func sortEntries(s []ofEntry) {
-	for len(s) > 12 {
-		pivot := s[len(s)/2]
-		lo, hi := 0, len(s)-1
-		for lo <= hi {
-			for s[lo].before(pivot) {
-				lo++
-			}
-			for pivot.before(s[hi]) {
-				hi--
-			}
-			if lo <= hi {
-				s[lo], s[hi] = s[hi], s[lo]
-				lo++
-				hi--
-			}
-		}
-		// Recurse into the smaller side, loop on the larger.
-		if hi < len(s)-lo {
-			sortEntries(s[:hi+1])
-			s = s[lo:]
+	sortKeys(p.add[:add])
+	// Merge the new keys in from the back.
+	i, j := m-1, add-1
+	for w := m + add - 1; j >= 0; w-- {
+		if i >= 0 && keys[i] > p.add[j] {
+			keys[w] = keys[i]
+			i--
 		} else {
-			sortEntries(s[lo:])
-			s = s[:hi+1]
+			keys[w] = p.add[j]
+			j--
 		}
 	}
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].before(s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+	p.n[r] = int32(m + add)
+}
+
+// ofFew is the list length per stale head from which sync makes its
+// changes one by one (a search and a memmove each) instead of in a pass.
+const ofFew = 16
+
+// search returns the index of the first key in s at or above key.
+func search(s []uint64, key uint64) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if s[h] < key {
+			lo = h + 1
+		} else {
+			hi = h
 		}
 	}
+	return lo
 }
 
-// push offers the first untaken flow at or after id in VOQ (in, out) to
-// the successor heap, keyed by its own record — a served head's successor
-// sorts strictly after every entry scanned so far (same ports, same or
-// later release, later seq), so the merged scan order stays globally
-// sorted.
-func (p *OldestFirst) push(v *View, id ID, in, out int16) {
-	for id != NoID && v.Taken(id) {
-		id = v.VOQNext(id)
-	}
-	if id == NoID {
-		return
-	}
-	p.heapPush(ofEntry{rel: v.Release(id), dem: int32(v.Demand(id)), in: in, out: out})
-}
-
-// heapPush sifts e up into the min-heap.
-func (p *OldestFirst) heapPush(e ofEntry) {
-	p.h = append(p.h, e) //flowsched:allow alloc: heap scratch is length-reset per round and grows to the pending high-water mark (TestSteadyStateZeroAlloc)
-	i := len(p.h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !p.h[i].before(p.h[parent]) {
+// serve walks row r's entries released at rel, from its cursor, in
+// output order, and takes each head that fits both remaining capacities;
+// a head that does not fit blocks its queue for the round. A served
+// head's successor takes the head's entry, re-keyed and moved to its
+// place. While the input has capacity left it walks on past the heads
+// that cannot fit any more and re-queues at the release of the first
+// one that can.
+//
+//flowsched:hotpath
+func (p *OldestFirst) serve(v *View, r int, rel uint64) {
+	in := r*p.nk + p.k
+	keys, outFree := p.keys[r*p.mOut:(r+1)*p.mOut], p.outFree
+	n, i, free, seen := int(p.n[r]), int(p.cur[r]), p.inFree[in], int64(0)
+	for i < n {
+		seen++
+		key := keys[i]
+		// Capacities only fall during a pick, so a head that does not fit
+		// now never will. The key's demand is a lower bound (exact below
+		// ofDemMax), so Take, which checks the flow's own, rejects the
+		// rest; demands are positive, so a spent port fails too.
+		out, dem := ofOut(key), ofDem(key)
+		if dem > free || dem > outFree[out] {
+			i++
+			continue
+		}
+		if ofRel(key) != rel {
 			break
 		}
-		p.h[i], p.h[parent] = p.h[parent], p.h[i]
-		i = parent
+		id := v.VOQHead(in, out) // a successor entry's VOQ head is taken
+		for v.Taken(id) {
+			id = v.VOQNext(id)
+		}
+		if !v.Take(id) {
+			i++
+			continue
+		}
+		dem = int32(v.Demand(id))
+		free -= dem
+		outFree[out] -= dem
+		p.inSum -= int(dem)
+		if outFree[out] == 0 {
+			p.nOut--
+		}
+		if free == 0 || p.nOut == 0 {
+			break
+		}
+		next := v.VOQNext(id)
+		if next == NoID {
+			i++
+			continue
+		}
+		// The successor sorts after the served head (same ports, same or
+		// later release): at the same release it is the next entry to
+		// examine, later it moves up to its place.
+		succ := ofKey(v.Release(next)-p.rel0, out, int32(v.Demand(next)))
+		j := i + 1 + search(keys[i+1:n], succ)
+		copy(keys[i:j-1], keys[i+1:j])
+		keys[j-1] = succ
+		p.succ[r] = true
+		p.moved++
+	}
+	p.inFree[in], p.cur[r] = free, int32(i)
+	p.visited += seen
+	if free > 0 && i < n {
+		p.queue(r, ofRel(keys[i]))
 	}
 }
 
-// pop removes and returns the successor heap's minimum entry.
-func (p *OldestFirst) pop() ofEntry {
-	e := p.h[0]
-	last := len(p.h) - 1
-	p.h[0] = p.h[last]
-	p.h = p.h[:last]
-	n := last
-	i := 0
+// queue files row r under release rel: in its bucket when rel lies in
+// the window, past it otherwise.
+func (p *OldestFirst) queue(r int, rel uint64) {
+	if d := rel - p.lo; d < ofWindow {
+		p.bkt[int(d)*p.rw+r>>6] |= 1 << uint(r&63)
+		p.occ |= 1 << d
+	} else {
+		p.over[r>>6] |= 1 << uint(r&63)
+	}
+}
+
+// rebase moves the window onto the oldest cursor release among the
+// inputs past it and files them again; false when none is left.
+func (p *OldestFirst) rebase() bool {
+	lo := ^uint64(0)
+	for wi, w := range p.over {
+		for ; w != 0; w &= w - 1 {
+			r := wi<<6 + bits.TrailingZeros64(w)
+			lo = min(lo, ofRel(p.keys[r*p.mOut+int(p.cur[r])]))
+		}
+	}
+	if lo == ^uint64(0) {
+		return false
+	}
+	p.lo = lo
+	for wi, w := range p.over {
+		p.over[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			r := wi<<6 + bits.TrailingZeros64(w)
+			p.queue(r, ofRel(p.keys[r*p.mOut+int(p.cur[r])]))
+		}
+	}
+	return true
+}
+
+// sortKeys sorts s ascending in place, without allocating: by insertion
+// when short (a sync's new keys, mostly in order already), else by
+// heapsort (a build's whole row).
+func sortKeys(s []uint64) {
+	if len(s) <= 16 {
+		for i := 1; i < len(s); i++ {
+			for j := i; j > 0 && s[j] < s[j-1]; j-- {
+				s[j], s[j-1] = s[j-1], s[j]
+			}
+		}
+		return
+	}
+	for i := len(s)/2 - 1; i >= 0; i-- {
+		siftDown(s, i)
+	}
+	for end := len(s) - 1; end > 0; end-- {
+		s[0], s[end] = s[end], s[0]
+		siftDown(s[:end], 0)
+	}
+}
+
+// siftDown restores the max-heap property of s below i.
+func siftDown(s []uint64, i int) {
 	for {
-		l := 2*i + 1
-		if l >= n {
-			return e
+		c := 2*i + 1
+		if c >= len(s) {
+			return
 		}
-		min := l
-		if r := l + 1; r < n && p.h[r].before(p.h[l]) {
-			min = r
+		if c+1 < len(s) && s[c+1] > s[c] {
+			c++
 		}
-		if !p.h[min].before(p.h[i]) {
-			return e
+		if s[i] >= s[c] {
+			return
 		}
-		p.h[i], p.h[min] = p.h[min], p.h[i]
-		i = min
+		s[i], s[c] = s[c], s[i]
+		i = c
 	}
 }

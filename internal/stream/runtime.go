@@ -180,7 +180,8 @@ type Config struct {
 	// DefaultWindowRounds).
 	WindowRounds int
 	// OnSchedule, when non-nil, observes every departure: seq is the
-	// flow's admission sequence number (its position in source order). It
+	// flow's admission sequence number (its position in admission order,
+	// counted from 0 at New; see Resume for a restored runtime's). It
 	// is always invoked from the goroutine driving Run, before the round's
 	// picks retire: in pick order, and with Shards > 1 in scope index
 	// order first, whatever order the turns ran in.
@@ -204,9 +205,10 @@ type Config struct {
 	// CheckpointState, and the restore is complete when New returns: the
 	// clock reads Resume.Round, the cumulative counters continue from
 	// Resume.Summary, and the pending set Resume.Flows[:Resume.Pending] is
-	// resident with its original releases, under the admission sequence
-	// numbers and shards it had (not counted again as admissions or
-	// backpressure). A trailing lookahead flow is the next one admitted.
+	// resident with its original releases, in the shards it had (not
+	// counted again as admissions or backpressure), numbered afresh:
+	// OnSchedule's seq counts from 0 at the restore, in checkpointed order
+	// and then on. A trailing lookahead flow is the next one admitted.
 	// The source carries only what follows: a replayable one skips
 	// Resume.SourceFlows() flows (workload.Skip), a live one starts empty.
 	// New rejects a state it cannot continue faithfully — a negative

@@ -34,10 +34,9 @@ func (v *View) holds(in int) bool {
 
 // oldestRel returns the release round of the oldest pending flow in the
 // View's scope (math.MaxInt64 when it has none): the key the scopes take
-// turns by, and where OldestFirst's first stage starts. Releases are
-// non-decreasing along the admission list (checkFlow), so the scope's
-// first flow on it is its oldest, and every VOQ head record in the scope
-// is at least that old.
+// turns by. Releases are non-decreasing along the admission list
+// (checkFlow), so the scope's first flow on it is its oldest, and every
+// VOQ head record in the scope is at least that old.
 func (v *View) oldestRel() int64 {
 	rec := v.rt.ar.rec
 	for id := v.rt.head; id != noID; id = rec[id].next {
@@ -77,8 +76,8 @@ func (v *View) Each(fn func(id ID, seq int64, f switchnet.Flow) bool) {
 func (v *View) Demand(id ID) int { return int(v.rt.ar.rec[id].dem) }
 
 // Release returns the release round of a pending id. Like Demand it is a
-// hot-record read: when OldestFirst serves a head and offers its
-// successor to the heap, Taken, Demand and Release all read the
+// hot-record read: when OldestFirst serves a head and re-keys its list
+// entry to the successor, Taken, Demand and Release all read the
 // successor's one record.
 func (v *View) Release(id ID) int64 { return v.rt.ar.rec[id].rel }
 
@@ -120,10 +119,15 @@ func (v *View) ActiveInput(k int) int { return int(v.rt.activeIn[v.k][k]) }
 // row entry is current for every active VOQ, as of the last retirement;
 // an inactive VOQ's entry means nothing. A second call in the same pick
 // finds nothing stale and costs NumOut/64 word reads.
+// staleWords hands out those bits for reading; OldestFirst syncs its
+// lists from them, so during a run only the installed policy calls
+// headRow, each instance for its own scope's inputs.
 func (v *View) voqWords(in int) []uint64 {
 	nw := v.rt.nw
 	return v.rt.actBits[in*nw : (in+1)*nw]
 }
+
+func (v *View) staleWords(in int) []uint64 { return v.rt.stale[in*v.rt.nw : (in+1)*v.rt.nw] }
 
 func (v *View) headRow(in int) []voqHead {
 	rt := v.rt

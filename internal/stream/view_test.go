@@ -102,9 +102,9 @@ func (p *viewProbe) Pick(v *View) {
 
 // TestShardScopedViewContract holds a K = 2 runtime to the View contract
 // its policies rely on. From a shard's View, Each walks only that shard's
-// flows in admission order, QueueIn reads 0 at the other shard's inputs
-// (OldestFirst's input loop depends on it), and ActiveInput never names
-// one of them, whatever the shard's turn. IDs are
+// flows in admission order, QueueIn reads 0 at the other shard's inputs,
+// and ActiveInput never names one of them (OldestFirst's and
+// WeightedISLIP's input loops depend on it), whatever the shard's turn. IDs are
 // runtime-wide, so another shard's flow is readable through VOQHead; a
 // Take of it fails the run with the policy-contract error.
 func TestShardScopedViewContract(t *testing.T) {
