@@ -279,7 +279,6 @@ func TestPickScratchReservedBounds(t *testing.T) {
 
 				// Close the hand-run round, then drain the rest through step.
 				rt.retire()
-				rt.count = int(seq) - ports
 				rt.round++
 				for done := false; !done; {
 					if done, err = rt.step(); err != nil {

@@ -198,7 +198,8 @@ func (rt *Runtime) initStore(mIn, mOut int) {
 
 // admitFlow threads one admitted flow, under admission sequence number
 // seq, into the pending store: the admission-order list, its VOQ, the
-// port tallies, and its input's scope's active-input list.
+// port tallies, the pending count, and its input's scope's active-input
+// list. It and depart are the count's only writers.
 //
 //flowsched:hotpath
 func (rt *Runtime) admitFlow(f *switchnet.Flow, seq int64) {
@@ -225,6 +226,7 @@ func (rt *Runtime) admitFlow(f *switchnet.Flow, seq int64) {
 	}
 	rt.queueIn[f.In]++
 	rt.queueOut[f.Out]++
+	rt.count++
 }
 
 // depart unthreads pending flow id from every pending structure.
@@ -250,6 +252,7 @@ func (rt *Runtime) depart(id int32) {
 
 	rt.queueIn[in]--
 	rt.queueOut[out]--
+	rt.count--
 	if rt.queueIn[in] == 0 {
 		act := &rt.activeIn[in%rt.nshards]
 		pos, last := rt.activeInPos[in], len(*act)-1
@@ -260,28 +263,6 @@ func (rt *Runtime) depart(id int32) {
 		rt.activeInPos[in] = noID
 	}
 	a.free(id)
-}
-
-// expire unthreads pending flows that can no longer meet the deadline and
-// returns how many: completing a flow this round gives it response
-// round+1-release, so any flow with round+1-release > Deadline is past
-// saving. The admission list follows source order and releases are
-// non-decreasing along it, so walking from the head and stopping at the
-// first survivor sees every expirable flow, whatever its scope. Runs
-// after the previous round's retire (no retired flow is still threaded)
-// and before any Pick (an expired flow is never scheduled), which keeps
-// the schedule verifier-clean and deterministic.
-//
-//flowsched:hotpath
-func (rt *Runtime) expire() int {
-	rec := rt.ar.rec
-	horizon := int64(rt.round + 1 - rt.cfg.Deadline)
-	n := 0
-	for rt.head != noID && rec[rt.head].rel < horizon {
-		rt.depart(rt.head)
-		n++
-	}
-	return n
 }
 
 // voqPush links id at the tail of VOQ (in, out). A push into an empty

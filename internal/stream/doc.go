@@ -96,6 +96,24 @@
 // Schedules remain bit-deterministic for a fixed K (property tested
 // across K in {1, 2, 4}).
 //
+// # Round phases
+//
+// One goroutine, the coordinator, owns the round: Runtime.step runs these
+// phases in sequence, with no barrier and no hand-off, and a round's
+// picks retire in that round. Each names its file and the obs.RoundRecord
+// field that times it:
+//
+//   - Mailbox and periodic checkpoint (durability.go): untimed.
+//   - Admission (admit.go): untimed; with nothing pending, the idle wait.
+//   - Expiry (admit.go) and the pick (the policy, or at K > 1 the turns
+//     policy's ordered turns, shard.go): ProposeNS. ReconcileNS reads 0.
+//   - OnSchedule over the still-live taken slots (runtime.go): untimed.
+//   - Check (round.go): VerifyNS, with verification on. It runs before
+//     retirement, so each record carries its own round's check.
+//   - Retirement (round.go): ApplyNS.
+//   - Record (runtime.go), then the clock (round.go's setRound, which
+//     counts a verification window the clock leaves).
+//
 // # Sharding
 //
 // Config.Shards = K > 1 is one policy value, not a second round loop:
@@ -221,21 +239,20 @@
 // unbounded run honest without retaining history. The schedule never
 // depends on the verdict.
 //
-// What a window costs. A round's picks are final once OnSchedule has
-// reported them, and they retire only after the check, so checkRound
-// copies them into the oracle's scratch and the oracle
-// sweeps that one round without sorting: one pass for the per-flow
-// checks, one that sums the round's demands into a per-port counter array
-// and compares the ports it touched with their capacities. The scratch is
-// resliced, never appended to. Take picks a flow only while both its
-// ports have room, so a round picks at most min(Σ input caps, Σ output
-// caps) flows, and never more than MaxPending; New reserves the scratch
-// and the round's list of picks at that bound (a Reload that raises
-// MaxPending widens both). Verification memory is
-// O(ports) at unit capacities, not O(VerifyEvery × ports): at 150 unit
-// ports that is 150 flows, some 6 KB, whatever the window
-// (TestVerifyBufferHoldsOneRound; TestSteadyStateZeroAllocVerify counts
-// mallocs over eight windows).
+// What a round's check costs. A round's picks are final once OnSchedule
+// has reported them, and they retire only after the check, so checkRound
+// copies them into the oracle's scratch and the oracle sweeps that one
+// round without sorting: one pass for the per-flow checks, one that sums
+// the round's demands into a per-port counter array and compares the ports
+// it touched with their capacities. The scratch is resliced, never
+// appended to. Take picks a flow only while both its ports have room, so a
+// round picks at most min(Σ input caps, Σ output caps) flows, and never
+// more than MaxPending; New reserves the scratch and the round's list of
+// picks at that bound (a Reload that raises MaxPending widens both).
+// Verification memory is O(ports) at unit capacities, not O(VerifyEvery ×
+// ports): at 150 unit ports that is 150 flows, some 6 KB, whatever the
+// window (TestVerifyBufferHoldsOneRound; TestSteadyStateZeroAllocVerify
+// counts mallocs over eight windows).
 // What remains is a price, not zero: on the benchmark's drain_verified
 // workload (150 ports, VerifyEvery = 256, about 150 flows a round) against
 // drain_deep, the same flows and schedule unverified, 6 runs of each on a
@@ -246,43 +263,31 @@
 // round or a whole window (BenchmarkVerifyWindow in the root package,
 // cases "round" and "warm").
 //
-// Who pays it. The coordinator does, inline: step checks each round
-// between its OnSchedule callbacks and its retirement, so a round's
-// VerifyNS is on its own record, and setRound's flushWindow counts the
-// window between its last round and the next. A Runtime starts no
-// goroutine. A rejected round still retires and is recorded, then step
-// returns "stream: round R failed verification: " and the oracle's
-// error, with the clock left on R, so the failed run's state is
+// Who pays it. The coordinator does, inline (see Round phases); a Runtime
+// starts no goroutine. A rejected round still retires and is recorded,
+// then step returns "stream: round R failed verification: " and the
+// oracle's error, with the clock left on R, so the failed run's state is
 // quiescent; Stop or an error return leaves nothing to join. The checks
-// land on the round loop's wall time. Overlapping them with later
-// rounds on a second goroutine hides them only while a core is spare,
-// spends the same CPU, needs a second buffer and reports a bad window one
-// window late (ROADMAP.md, "Measured negatives").
+// land on the round loop's wall time. Overlapping them with later rounds
+// on a second goroutine hides them only while a core is spare, spends the
+// same CPU, needs a second buffer and reports a bad window one window late
+// (ROADMAP.md, "Measured negatives").
 //
 // # Observability
 //
 // Config.Recorder attaches an obs.FlightRecorder to the round loop: the
 // coordinator writes one RoundRecord per scheduling round — admission,
-// scheduling, shedding, and backlog counts plus per-phase wall time —
-// into the recorder's fixed ring with zero allocations (an obs.Ring: a
-// reader drops any record the writer may have lapped while it copied,
-// unlike the stats.EpochWindow sketches, which are a seqlock), and
-// readers drain the last N rounds concurrently without ever stalling
-// the writer. The contract:
+// scheduling, shedding, and backlog counts plus the wall time of each
+// timed phase (see Round phases) — into the recorder's fixed ring with
+// zero allocations (an obs.Ring: a reader drops any record the writer may
+// have lapped while it copied, unlike the stats.EpochWindow sketches,
+// which are a seqlock), and readers drain the last N rounds concurrently
+// without ever stalling the writer. The contract:
 //
 //   - No recorder, no cost. Every clock read is gated on the recorder's
 //     presence; an uninstrumented runtime takes zero time.Now calls per
-//     round, and the instrumented path is measured against the plain
-//     one, with repeats, by the benchmark/ suite
-//     (obs.recorder_overhead_pct).
-//   - Phase semantics. ProposeNS times the expiry walk and the pick, the
-//     turns policy's ordering of its turns included (the admission pass,
-//     which threads arrivals into the pending store, is in no phase);
-//     ReconcileNS reads 0 at every K. ApplyNS times the round's own
-//     retirement, and
-//     VerifyNS the oracle's check of the round's picks, every round with
-//     verification on. The check runs before the picks retire, so each
-//     record carries its own round's check.
+//     round, and the instrumented path is measured against the plain one,
+//     with repeats, by the benchmark/ suite (obs.recorder_overhead_pct).
 //   - Only scheduling rounds emit, so the recorded round numbers are
 //     strictly increasing — idle jumps leave gaps, never duplicates.
 //   - Record emission precedes the round-counter publish, so a record
@@ -306,15 +311,14 @@
 //   - Runtime.CheckpointState captures a CheckpointState: the pending set
 //     in admission order (a walk of the store's admission-order list, so
 //     releases are non-decreasing along it and a restore can re-admit it
-//     in order),
-//     original releases preserved, plus the coordinator's un-admitted
-//     lookahead flow if it holds one (it does only between an idle fetch
-//     and the next admission pass), the round, and an exact Summary. One
-//     function, capture, builds the state for explicit requests, post-run
-//     reads and the periodic trigger alike.
+//     in order), original releases preserved, plus the coordinator's
+//     un-admitted lookahead flow if it holds one (it does only between an
+//     idle fetch and the next admission pass), the round, and an exact
+//     Summary. One function, capture, builds the state for explicit
+//     requests, post-run reads and the periodic trigger alike.
 //     Config.CheckpointEveryRounds > 0 instead fires OnCheckpoint
 //     periodically from the coordinator itself — the cadence check is two
-//     integer compares per round, and the rounds between captures stay
+//     integer compares per step, and the rounds between captures stay
 //     allocation-free (TestSteadyStateZeroAllocCheckpoint). Each capture
 //     is freshly allocated, so OnCheckpoint owns it and may keep it
 //     (TestPeriodicCapturesCanBeKept). internal/chkpt serializes the
@@ -419,12 +423,6 @@
 //     walk a queue from View.VOQHead along View.VOQNext: each step reads
 //     the one hot-record line the policy's Taken and Demand checks read
 //     anyway. A queue owns no storage, so queue churn never allocates.
-//   - Round schedule. One goroutine owns the round: the coordinator runs
-//     the policy's pick (the turns policy's ordered turns at K > 1), then
-//     the OnSchedule callbacks over the still-live taken slots, the check
-//     and one retirement, in sequence. There is no barrier and no
-//     hand-off, and nothing carries over: a round's picks retire in that
-//     round.
 //   - Admission. A source delivers each round's released arrivals in
 //     one PullBatch call into a reused buffer — interface-call overhead
 //     is paid per round, not per flow — and the runtime checks each one

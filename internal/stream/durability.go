@@ -323,16 +323,15 @@ func (rt *Runtime) collectPending(dst []switchnet.Flow) []switchnet.Flow {
 func (rt *Runtime) fireCheckpoint() {
 	st := rt.capture(nil)
 	rt.cfg.OnCheckpoint(&st)
-	rt.nextCkpt = rt.round + rt.ckptEvery
+	rt.nextCkpt = rt.round + rt.cfg.CheckpointEveryRounds
 }
 
 // PendingFlows snapshots the resident pending set without stalling the
 // round loop: the coordinator collects it between rounds (every pick
 // retired, so the snapshot never contains an already-scheduled flow) into
 // dst[:0] in global admission order, the order a checkpoint stores, along
-// with the round the snapshot is consistent at.
-// Before Run has started or after it has returned the quiescent state is
-// read directly. A runtime
+// with the round the snapshot is consistent at. Before Run has started or
+// after it has returned the quiescent state is read directly. A runtime
 // parked idle on a Parker source is woken to answer. dst is reused across
 // calls by design; the returned slice aliases it.
 func (rt *Runtime) PendingFlows(ctx context.Context, dst []switchnet.Flow) ([]switchnet.Flow, int, error) {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -274,6 +275,89 @@ func TestVOQListModel(t *testing.T) {
 		check(-2 - cycle)
 		if len(rt.ar.rec) > hw {
 			t.Fatalf("cycle %d: arena grew from %d to %d rows", cycle, hw, len(rt.ar.rec))
+		}
+	}
+}
+
+// TestPendingCountFollowsStore pins the pending count to the store it
+// counts: admitFlow raises it and depart lowers it, so after every
+// hand-run admission, departure and expiry walk, and after every step of
+// drains at K in {1, 2} under each admission mode, the count equals the
+// flows queued at the inputs and the length of the admission-order list,
+// and the snapshot's counters balance to it.
+func TestPendingCountFollowsStore(t *testing.T) {
+	check := func(t *testing.T, rt *Runtime, at string) {
+		t.Helper()
+		queued, listed := 0, 0
+		for _, n := range rt.queueIn {
+			queued += n
+		}
+		for id := rt.head; id != noID; id = rt.ar.rec[id].next {
+			listed++
+		}
+		if rt.count != queued || rt.count != listed {
+			t.Fatalf("%s: count %d, %d queued at the inputs, %d on the admission list", at, rt.count, queued, listed)
+		}
+	}
+	t.Run("hand", func(t *testing.T) {
+		rt, err := New(emptySource{}, Config{
+			Switch: switchnet.UnitSwitch(4),
+			Policy: &RoundRobin{},
+			Admit:  AdmitDeadline, Deadline: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range 12 {
+			rt.admitFlow(&switchnet.Flow{In: i % 4, Out: i * 3 % 4, Demand: 1, Release: i / 4}, int64(i))
+			check(t, rt, fmt.Sprintf("admitFlow %d", i))
+		}
+		rt.depart(rt.head)
+		check(t, rt, "depart head")
+		rt.depart(rt.tail)
+		check(t, rt, "depart tail")
+		// Round 2 expires what was released at 0: three flows are left.
+		rt.round = 2
+		if n := rt.expire(); n != 3 || rt.mExpired.Load() != 3 {
+			t.Fatalf("expire took %d flows and counted %d, want 3", n, rt.mExpired.Load())
+		}
+		check(t, rt, "expire")
+	})
+	for _, K := range []int{1, 2} {
+		for _, admit := range []AdmitMode{AdmitLossless, AdmitDrop, AdmitDeadline} {
+			t.Run(fmt.Sprintf("K%d/%s", K, admit), func(t *testing.T) {
+				cfg := Config{
+					Switch:     switchnet.UnitSwitch(8),
+					Policy:     ByName("OldestFirst"),
+					Shards:     K,
+					MaxPending: 64,
+					Admit:      admit,
+				}
+				if admit == AdmitDeadline {
+					cfg.Deadline = 5
+				}
+				// Twelve flows a round on eight unit ports: the backlog
+				// grows until admission or expiry holds it.
+				rt, err := New(&sliceSource{flows: genFlows(8, 40, 12)}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, rt, "New")
+				for done := false; !done; {
+					if done, err = rt.step(); err != nil {
+						t.Fatal(err)
+					}
+					at := fmt.Sprintf("round %d", rt.round)
+					check(t, rt, at)
+					if s := rt.Snapshot(); s.Pending != rt.count {
+						t.Fatalf("%s: snapshot pending %d, count %d", at, s.Pending, rt.count)
+					}
+				}
+				s := rt.Snapshot()
+				if s.Completed == 0 || (admit == AdmitDrop) != (s.Dropped > 0) || (admit == AdmitDeadline) != (s.Expired > 0) {
+					t.Fatalf("drain exercised nothing: %+v", s)
+				}
+			})
 		}
 	}
 }

@@ -90,56 +90,6 @@ const DefaultStallRounds = 4096
 // windowShards is the ring granularity of the sliding metrics window.
 const windowShards = 8
 
-// AdmitMode selects how the runtime behaves when it cannot serve every
-// arrival: lossless backpressure (the default), shedding on a full
-// pending set, or deadline expiry of aged pending flows. See the package
-// docs ("Admission modes") for the exact semantics and what each mode
-// counts.
-type AdmitMode int
-
-const (
-	// AdmitLossless stalls the source while the pending set is full:
-	// nothing is ever dropped, late admissions count as Backpressured,
-	// and response times stay charged from the original release round.
-	AdmitLossless AdmitMode = iota
-	// AdmitDrop sheds arrivals released while the pending set is full:
-	// they are consumed from the source, never scheduled, and counted in
-	// Summary.Dropped. The source is never stalled.
-	AdmitDrop
-	// AdmitDeadline expires pending flows that can no longer complete
-	// within Config.Deadline rounds of their release: they leave the
-	// pending set unscheduled and count in Summary.Expired, so every
-	// completed flow satisfies response <= Deadline.
-	AdmitDeadline
-)
-
-// String returns the mode's flag spelling ("lossless", "drop",
-// "deadline").
-func (m AdmitMode) String() string {
-	switch m {
-	case AdmitLossless:
-		return "lossless"
-	case AdmitDrop:
-		return "drop"
-	case AdmitDeadline:
-		return "deadline"
-	}
-	return fmt.Sprintf("AdmitMode(%d)", int(m))
-}
-
-// ParseAdmitMode resolves a flag spelling to its mode.
-func ParseAdmitMode(s string) (AdmitMode, error) {
-	switch s {
-	case "lossless", "":
-		return AdmitLossless, nil
-	case "drop":
-		return AdmitDrop, nil
-	case "deadline":
-		return AdmitDeadline, nil
-	}
-	return 0, fmt.Errorf("stream: unknown admission mode %q (lossless, drop, deadline)", s)
-}
-
 // Config tunes a Runtime.
 type Config struct {
 	// Switch describes the port structure; all source flows must fit it.
@@ -220,9 +170,9 @@ type Config struct {
 	Resume *CheckpointState
 	// CheckpointEveryRounds > 0 invokes OnCheckpoint with a quiescent
 	// CheckpointState at most once per that many rounds, from the
-	// coordinator between rounds. The trigger is a round-cadence integer
-	// comparison with no clock reads; a round that captures allocates
-	// the capture, and the rounds between allocate nothing. Requires
+	// coordinator between rounds. The trigger is two integer compares per
+	// step with no clock read; a step that captures allocates the
+	// capture, and the steps between allocate nothing. Requires
 	// OnCheckpoint.
 	CheckpointEveryRounds int
 	// OnCheckpoint receives periodic checkpoint captures (see
@@ -282,10 +232,9 @@ type Summary struct {
 // Runtime is the streaming scheduler. Run drives it from one goroutine —
 // the coordinator — which pulls the source, threads arrivals into the
 // pending store, runs the policy's pick each round, and checks each round
-// with the verify oracle as it closes; a
-// Runtime starts no goroutine. Snapshot may be called concurrently from
-// other goroutines; it reads atomics and the epoch window only, so it
-// never stalls the round loop.
+// with the verify oracle as it closes. A Runtime starts no goroutine.
+// Snapshot may be called concurrently from other goroutines; it reads
+// atomics and the epoch window only, so it never stalls the round loop.
 type Runtime struct {
 	cfg  Config
 	src  Source
@@ -321,9 +270,8 @@ type Runtime struct {
 	runMu   sync.Mutex
 	running bool
 
-	// ckptEvery/nextCkpt drive the round-cadence OnCheckpoint trigger.
-	ckptEvery int
-	nextCkpt  int
+	// nextCkpt is the round the next periodic OnCheckpoint capture is due.
+	nextCkpt int
 
 	// pol is what picks: Config.Policy at one shard, the turns policy
 	// over its instances at several (see shard.go). view is the View pol
@@ -357,6 +305,7 @@ type Runtime struct {
 	activeIn          [][]int32
 	activeInPos       []int32
 
+	// count is the pending count: admitFlow raises it and depart lowers it.
 	round int
 	count int
 	seq   int64
@@ -432,22 +381,19 @@ func New(src Source, cfg Config) (*Runtime, error) {
 		// Port numbers ride in the arena's 16-bit descriptor fields.
 		return nil, fmt.Errorf("stream: switch %d x %d exceeds the runtime's %d ports per side", mIn, mOut, 1<<15)
 	}
-	for i, c := range cfg.Switch.InCaps {
+	caps := cfg.Switch.Caps()
+	for p, c := range caps {
+		side, i := "input", p
+		if p >= mIn {
+			side, i = "output", p-mIn
+		}
 		if c <= 0 {
-			return nil, fmt.Errorf("stream: input port %d capacity %d is not positive", i, c)
+			return nil, fmt.Errorf("stream: %s port %d capacity %d is not positive", side, i, c)
 		}
 		if c > math.MaxInt32 {
 			// Demands ride in the arena's 32-bit descriptor field and are
 			// bounded by the port capacities (ValidateFlow).
-			return nil, fmt.Errorf("stream: input port %d capacity %d exceeds the runtime's %d", i, c, math.MaxInt32)
-		}
-	}
-	for j, c := range cfg.Switch.OutCaps {
-		if c <= 0 {
-			return nil, fmt.Errorf("stream: output port %d capacity %d is not positive", j, c)
-		}
-		if c > math.MaxInt32 {
-			return nil, fmt.Errorf("stream: output port %d capacity %d exceeds the runtime's %d", j, c, math.MaxInt32)
+			return nil, fmt.Errorf("stream: %s port %d capacity %d exceeds the runtime's %d", side, i, c, math.MaxInt32)
 		}
 	}
 	if cfg.MaxPending <= 0 {
@@ -478,18 +424,16 @@ func New(src Source, cfg Config) (*Runtime, error) {
 		return nil, fmt.Errorf("stream: CheckpointEveryRounds %d needs an OnCheckpoint callback", cfg.CheckpointEveryRounds)
 	}
 	rt := &Runtime{
-		cfg:       cfg,
-		src:       src,
-		sw:        cfg.Switch,
-		caps:      cfg.Switch.Caps(),
-		rec:       cfg.Recorder,
-		nshards:   cfg.Shards,
-		ctl:       make(chan func(), 1),
-		wake:      make(chan struct{}, 1),
-		finished:  make(chan struct{}),
-		ckptEvery: cfg.CheckpointEveryRounds,
-		nextCkpt:  cfg.CheckpointEveryRounds,
-		win:       stats.NewEpochWindow(cfg.WindowRounds, windowShards),
+		cfg:      cfg,
+		src:      src,
+		sw:       cfg.Switch,
+		caps:     caps,
+		rec:      cfg.Recorder,
+		nshards:  cfg.Shards,
+		ctl:      make(chan func(), 1),
+		wake:     make(chan struct{}, 1),
+		finished: make(chan struct{}),
+		win:      stats.NewEpochWindow(cfg.WindowRounds, windowShards),
 	}
 	rt.parker, _ = src.(Parker)
 	rt.view = View{rt: rt}
@@ -502,28 +446,9 @@ func New(src Source, cfg Config) (*Runtime, error) {
 		if err := rt.restore(cfg.Resume); err != nil {
 			return nil, err
 		}
-		if rt.ckptEvery > 0 {
-			rt.nextCkpt = rt.round + rt.ckptEvery
-		}
 	}
+	rt.nextCkpt = rt.round + cfg.CheckpointEveryRounds
 	return rt, nil
-}
-
-// validateAdmit checks an admission mode against its deadline.
-func validateAdmit(mode AdmitMode, deadline int) error {
-	switch mode {
-	case AdmitLossless, AdmitDrop:
-		if deadline != 0 {
-			return fmt.Errorf("Deadline %d is set but Admit is %s (deadlines need AdmitDeadline)", deadline, mode)
-		}
-	case AdmitDeadline:
-		if deadline <= 0 {
-			return fmt.Errorf("AdmitDeadline needs a positive Deadline, got %d", deadline)
-		}
-	default:
-		return fmt.Errorf("unknown admission mode %d", int(mode))
-	}
-	return nil
 }
 
 // installPolicy makes pol the configured policy: the runtime picks
@@ -546,254 +471,15 @@ func (rt *Runtime) installPolicy(pol Policy) error {
 	return nil
 }
 
-// checkFlow validates the stream contract for a consumed flow — releases
-// non-decreasing, flow admissible on the switch — whether it is admitted
-// or shed, so a malformed source fails the run even under AdmitDrop.
-func (rt *Runtime) checkFlow(f *switchnet.Flow) error {
-	if f.Release < rt.lastRel {
-		return fmt.Errorf("stream: source yielded release %d after %d (must be non-decreasing)", f.Release, rt.lastRel)
-	}
-	rt.lastRel = f.Release
-	if !rt.sw.Admits(f) {
-		return fmt.Errorf("stream: inadmissible flow: %w", rt.sw.ValidateFlow(*f))
-	}
-	return nil
-}
-
-// route validates f, assigns its admission sequence number, and threads
-// it into the pending store (admitFlow). Returns the number backpressured
-// (0 or 1) for metric batching.
-func (rt *Runtime) route(f *switchnet.Flow) (int, error) {
-	if err := rt.checkFlow(f); err != nil {
-		return 0, err
-	}
-	rt.admitFlow(f, rt.seq)
-	rt.seq++
-	rt.count++
-	if f.Release < rt.round {
-		return 1, nil
-	}
-	return 0, nil
-}
-
-// dropChunk is the batch size for shedding a released backlog under
-// AdmitDrop: large enough to amortize the interface call, small enough
-// that the reused batch buffer stays cache-resident.
-const dropChunk = 512
-
-// admitted batches one admission pass's counter updates into the
-// snapshot-visible atomics.
-func (rt *Runtime) admitted(arrived, backpressured, dropped int) {
-	if arrived == 0 {
-		return
-	}
-	if rt.rec != nil {
-		rt.recArrived += int64(arrived)
-		rt.recDropped += int64(dropped)
-	}
-	rt.mAdmitted.Add(int64(arrived))
-	if backpressured > 0 {
-		rt.mBackpressured.Add(int64(backpressured))
-	}
-	if dropped > 0 {
-		rt.mDropped.Add(int64(dropped))
-	}
-	if rt.count > rt.peak {
-		rt.peak = rt.count
-		rt.mPeak.Store(int64(rt.peak))
-	}
-}
-
-// admit is the one admission pass: it routes the flow an idle step
-// fetched (the pending set was empty then, so there is room), then drains
-// everything the source has released by this round into the pending
-// store, MaxPending-count flows at a time, until a short batch says
-// nothing more is released. At the limit AdmitDrop keeps draining in
-// dropChunk batches and sheds them; the other modes stop and leave the
-// backlog in the source.
-func (rt *Runtime) admit() error {
-	arrived, backpressured, dropped := 0, 0, 0
-	if rt.haveLook {
-		bp, err := rt.route(&rt.look)
-		if err != nil {
-			return err
-		}
-		arrived++
-		backpressured += bp
-		rt.haveLook = false
-	}
-	for {
-		want := rt.cfg.MaxPending - rt.count
-		if want <= 0 {
-			if rt.cfg.Admit != AdmitDrop {
-				break
-			}
-			want = dropChunk
-		}
-		rt.batch = rt.src.PullBatch(rt.batch[:0], rt.round, want)
-		for i := range rt.batch {
-			f := &rt.batch[i]
-			if rt.count < rt.cfg.MaxPending {
-				bp, err := rt.route(f)
-				if err != nil {
-					return err
-				}
-				backpressured += bp
-			} else {
-				if err := rt.checkFlow(f); err != nil {
-					return err
-				}
-				dropped++
-			}
-		}
-		arrived += len(rt.batch)
-		if len(rt.batch) < want {
-			break
-		}
-	}
-	rt.admitted(arrived, backpressured, dropped)
-	return nil
-}
-
-// setRound advances time to t. With verification on it counts the
-// window if the clock leaves it.
-func (rt *Runtime) setRound(t int) {
-	if w := rt.cfg.VerifyEvery; w > 0 && t >= rt.vstart+w {
-		// Rounds only move forward, so every round of the window has been
-		// checked: one flush counts it, and the empty windows an idle jump
-		// crosses are skipped in a single step.
-		rt.flushWindow()
-		rt.vstart += (t - rt.vstart) / w * w
-	}
-	rt.round = t
-	rt.mRound.Store(int64(t))
-}
-
-// reserveRound sizes what one round fills: takes and, with verification
-// on, the oracle's scratch. Take picks a flow only while both its ports
-// have room, and every flow carries at least one unit, so a round picks
-// at most min(Σ input caps, Σ output caps) flows, and never more than
-// MaxPending, the most flows pending at once. The reservations only
-// grow, so a Reload that raises MaxPending widens them and one that
-// lowers MaxPending below the resident count keeps room for them. It
-// runs only between rounds, when takes is empty (in New and at the
-// quiescent point).
-func (rt *Runtime) reserveRound() {
-	in, out := 0, 0
-	for _, c := range rt.sw.InCaps {
-		in += c
-	}
-	for _, c := range rt.sw.OutCaps {
-		out += c
-	}
-	n := min(in, out, rt.cfg.MaxPending)
-	if n > cap(rt.takes) {
-		rt.takes = make([]int32, 0, n)
-	}
-	if rt.cfg.VerifyEvery > 0 && n > cap(rt.vFlows) {
-		rt.vFlows = make([]switchnet.Flow, 0, n)
-		rt.vRounds = make([]int, 0, n)
-	}
-}
-
-// checkRound runs the oracle, with verification on, over the round's
-// picks, on the coordinator, after the OnSchedule callbacks and before
-// the picks retire, and marks the window as having checked a round. The
-// picks are all of the round's load, so the oracle's per-(port, round)
-// capacity check is exact, and they are one round, so the oracle sweeps
-// them without sorting. A round that picked nothing is not checked. The
-// verdict never changes the schedule. It returns the check's wall time
-// in nanoseconds when a recorder is attached, 0 otherwise, and the
-// oracle's error.
-func (rt *Runtime) checkRound() (ns int64, err error) {
-	n := len(rt.takes)
-	if n == 0 || rt.cfg.VerifyEvery == 0 {
-		return
-	}
-	rt.vchecked = true
-	var t0 time.Time
-	if rt.rec != nil {
-		t0 = time.Now()
-	}
-	flows, rounds := rt.vFlows[:n], rt.vRounds[:n]
-	for i, id := range rt.takes {
-		flows[i], rounds[i] = rt.ar.flow(id), rt.round
-	}
-	inst := switchnet.Instance{Switch: rt.sw, Flows: flows}
-	sched := switchnet.Schedule{Round: rounds}
-	_, err = rt.checker.Check(&inst, &sched, rt.caps)
-	if rt.rec != nil {
-		ns = time.Since(t0).Nanoseconds()
-	}
-	return ns, err
-}
-
-// flushWindow counts the window in WindowsVerified if it checked a
-// round. Every round it checked was accepted: a rejected one ends the
-// run before its window can flush.
-func (rt *Runtime) flushWindow() {
-	if rt.vchecked {
-		rt.vchecked = false
-		rt.mWindows.Add(1)
-	}
-}
-
-// retire ends the round: it folds the round's picks into the completion
-// metrics — one write section of the sliding window, one batch of atomics
-// — departs them in takes order, and clears the round's port loads. It
-// runs after the OnSchedule callbacks and the round's check.
-//
-//flowsched:hotpath
-func (rt *Runtime) retire() {
-	n := len(rt.takes)
-	if n == 0 {
-		return
-	}
-	t := rt.round
-	bound := rt.cfg.ResponseBound
-	var sum, slow int64
-	maxR := int(rt.mMaxResp.Load())
-	rt.win.Begin(t)
-	for _, id := range rt.takes {
-		resp := t + 1 - int(rt.ar.rec[id].rel)
-		sum += int64(resp)
-		if resp > maxR {
-			maxR = resp
-		}
-		if bound > 0 && resp > bound {
-			slow++
-		}
-		rt.win.Observe(resp)
-	}
-	rt.win.End()
-	rt.mCompleted.Add(int64(n))
-	rt.mTotalResp.Add(sum)
-	rt.mMaxResp.Store(int64(maxR))
-	if slow > 0 {
-		rt.mSlowResp.Add(slow)
-	}
-
-	for _, id := range rt.takes {
-		rt.depart(id)
-	}
-	rt.takes = rt.takes[:0]
-	for _, p := range rt.touchIn {
-		rt.loadIn[p] = 0
-	}
-	for _, p := range rt.touchOut {
-		rt.loadOut[p] = 0
-	}
-	rt.touchIn, rt.touchOut = rt.touchIn[:0], rt.touchOut[:0]
-}
-
 // step advances the runtime by one iteration — an idle jump or one
-// scheduling round — and reports whether the stream is fully drained.
+// scheduling round — and reports whether the stream is fully drained. It
+// runs the round's phases in the order, and under the RoundRecord fields,
+// that the package docs list ("Round phases").
 func (rt *Runtime) step() (done bool, err error) {
 	rt.serveCtl()
-	if rt.ckptEvery > 0 && rt.round >= rt.nextCkpt {
-		// Round-cadence periodic checkpoint: the trigger is one integer
-		// compare per step (no clock reads), so only the capturing round
-		// allocates.
+	if rt.cfg.CheckpointEveryRounds > 0 && rt.round >= rt.nextCkpt {
+		// Two integer compares per step and no clock read, so only a
+		// capturing step allocates.
 		rt.fireCheckpoint()
 	}
 	if err := rt.admit(); err != nil {
@@ -803,13 +489,7 @@ func (rt *Runtime) step() (done bool, err error) {
 		return rt.idle()
 	}
 
-	// Expire what the deadline has passed, then pick, if anything is
-	// still pending.
-	var t0 time.Time
-	var proposeNS, applyNS int64
-	if rt.rec != nil {
-		t0 = time.Now()
-	}
+	t0 := rt.now()
 	expired := 0
 	if rt.cfg.Deadline > 0 {
 		expired = rt.expire()
@@ -817,12 +497,7 @@ func (rt *Runtime) step() (done bool, err error) {
 	if rt.head != noID {
 		rt.pol.Pick(&rt.view)
 	}
-	if expired > 0 {
-		rt.mExpired.Add(int64(expired))
-	}
-	if rt.rec != nil {
-		proposeNS = time.Since(t0).Nanoseconds()
-	}
+	proposeNS := rt.since(t0)
 	if rt.refused {
 		rt.err = fmt.Errorf("stream: policy %q took id %d, which is not a pending flow at its shard's inputs", rt.cfg.Policy.Name(), rt.refusedID)
 	}
@@ -849,14 +524,9 @@ func (rt *Runtime) step() (done bool, err error) {
 		}
 	}
 	verifyNS, checkErr := rt.checkRound()
-	if rt.rec != nil {
-		t0 = time.Now()
-	}
+	t0 = rt.now()
 	rt.retire()
-	if rt.rec != nil {
-		applyNS = time.Since(t0).Nanoseconds()
-	}
-	rt.count -= total + expired
+	applyNS := rt.since(t0)
 	if rt.rec != nil {
 		// One record per scheduling round (idle jumps emit nothing, so
 		// the trace's rounds are strictly increasing), carrying the
@@ -883,31 +553,21 @@ func (rt *Runtime) step() (done bool, err error) {
 	return false, nil
 }
 
-// idle is the step of a runtime with nothing pending and nothing
-// released: it fetches the next flow — Park(wake) on a Parker source,
-// Next otherwise — holds it as the lookahead and jumps the clock to its
-// release, or ends the run when the stream has. On a concurrently-fed
-// source this is where the runtime waits; a wake (a queued mailbox
-// closure, a Stop) returns without a flow and the next step serves it.
-func (rt *Runtime) idle() (done bool, err error) {
-	var f switchnet.Flow
-	var ok bool
-	if rt.parker != nil {
-		var woke bool
-		if f, ok, woke = rt.parker.Park(rt.wake); woke {
-			return false, nil
-		}
-	} else {
-		f, ok = rt.src.Next()
+// now reads the clock for a phase time when a recorder is attached and
+// returns the zero time otherwise, so a runtime without one reads no
+// clock; since returns the phase's nanoseconds from now's t0, or 0.
+func (rt *Runtime) now() time.Time {
+	if rt.rec == nil {
+		return time.Time{}
 	}
-	if !ok {
-		return true, rt.src.Err()
+	return time.Now()
+}
+
+func (rt *Runtime) since(t0 time.Time) int64 {
+	if rt.rec == nil {
+		return 0
 	}
-	rt.look, rt.haveLook = f, true
-	if f.Release > rt.round {
-		rt.setRound(f.Release)
-	}
-	return false, nil
+	return time.Since(t0).Nanoseconds()
 }
 
 // Run drains the source: it advances round by round until the source is

@@ -36,8 +36,12 @@ func (v *View) holds(in int) bool {
 // View's scope (math.MaxInt64 when it has none): the key the scopes take
 // turns by. Releases are non-decreasing along the admission list
 // (checkFlow), so the scope's first flow on it is its oldest, and every
-// VOQ head record in the scope is at least that old.
+// VOQ head record in the scope is at least that old. A scope with no
+// active input answers without the walk.
 func (v *View) oldestRel() int64 {
+	if len(v.rt.activeIn[v.k]) == 0 {
+		return math.MaxInt64
+	}
 	rec := v.rt.ar.rec
 	for id := v.rt.head; id != noID; id = rec[id].next {
 		if v.holds(rec[id].inPort()) {
