@@ -96,9 +96,10 @@
 //   - A scheduler daemon (cmd/flowschedd, internal/daemon): the streaming
 //     runtime as a long-running HTTP/JSON service. POST /flows decodes
 //     a body of the canonical shape {"flows":[{"in":0,"out":1,"demand":1}]}
-//     in one pass (any other valid JSON takes encoding/json, slower),
-//     validates the batch atomically at the door and hands it whole, as
-//     one slice, to a concurrently fed ChanSource; GET /metrics serves
+//     in one pass into a pooled scratch slice (any other valid JSON takes
+//     encoding/json, slower), validates the batch atomically at the door
+//     and pushes it whole to a concurrently fed ChanSource, which copies
+//     it into slabs it recycles; GET /metrics serves
 //     the Prometheus text exposition from the runtime's lock-free
 //     snapshot path, GET /snapshot returns
 //     the live StreamSummary as JSON, and POST /drain (or SIGTERM)

@@ -178,9 +178,10 @@ func NewInstanceSource(inst *Instance) *workload.InstanceSource {
 
 // NewChanSource returns a concurrent-feed arrival source: producers
 // PushBatch slices of flows (or Push single ones) from any goroutine while
-// a runtime drains it; Close ends the stream. A pushed slice is queued as
-// it is and belongs to the source from then on. buffer bounds the flows
-// waiting for the runtime, not the batches. Release rounds are assigned
+// a runtime drains it; Close ends the stream. A pushed slice is copied
+// into slabs the source recycles, so the caller may reuse it as soon as
+// PushBatch returns. buffer bounds the flows waiting for the runtime, not
+// the batches. Release rounds are assigned
 // at admission (the scheduler's clock is virtual). This is the source
 // behind the flowschedd daemon's HTTP ingest.
 func NewChanSource(buffer int) *workload.ChanSource {

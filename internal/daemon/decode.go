@@ -17,13 +17,14 @@ type flowsRequest struct {
 // decodeFlows is the one decode entry point of POST /flows. The canonical
 // body — one object with the single member "flows", an array of objects
 // whose members are "in", "out", "demand" and "release" spelled exactly
-// so, with plain integer values — is read in one pass by scanFlows.
-// Anything else goes, as the same bytes, through encoding/json exactly
-// as before the scanner existed, so which bodies are accepted, what they
-// decode to and what the 400 says are encoding/json's by construction;
-// fallback reports that this slower path ran.
-func decodeFlows(body []byte) (flows []switchnet.Flow, fallback bool, err error) {
-	if flows, ok := scanFlows(body); ok {
+// so, with plain integer values — is read in one pass by scanFlows and
+// appended to dst, a scratch slice the caller may reuse. Anything else
+// goes, as the same bytes, through encoding/json exactly as before the
+// scanner existed, into a fresh slice, so which bodies are accepted, what
+// they decode to and what the 400 says are encoding/json's by
+// construction; fallback reports that this slower path ran.
+func decodeFlows(body []byte, dst []switchnet.Flow) (flows []switchnet.Flow, fallback bool, err error) {
+	if flows, ok := scanFlows(body, dst); ok {
 		return flows, false, nil
 	}
 	var req flowsRequest
@@ -31,102 +32,113 @@ func decodeFlows(body []byte) (flows []switchnet.Flow, fallback bool, err error)
 	return req.Flows, true, err
 }
 
-// scanFlows decodes a canonical body into an exactly-sized slice, or
-// reports false without judging it: it must never accept what
-// encoding/json would reject or would decode differently
-// (FuzzDecodeFlows holds it to that), and is free to give up on anything.
-func scanFlows(b []byte) ([]switchnet.Flow, bool) {
-	i, ok := lit(b, ws(b, 0), `{`)
-	if !ok {
-		return nil, false
+// scanFlows appends the flows of a canonical body to dst, or reports
+// false without judging it: it must never accept what encoding/json
+// would reject or would decode differently (FuzzDecodeFlows holds it to
+// that), and is free to give up on anything. Each flow starts from zero,
+// whatever dst's spare capacity held before.
+func scanFlows(b []byte, dst []switchnet.Flow) ([]switchnet.Flow, bool) {
+	i := ws(b, 0)
+	if !is(b, i, '{') {
+		return dst, false
 	}
-	if i, ok = lit(b, ws(b, i), `"flows"`); !ok {
-		return nil, false
+	if i = ws(b, i+1); len(b)-i < 7 || string(b[i:i+7]) != `"flows"` {
+		return dst, false
 	}
-	if i, ok = lit(b, ws(b, i), `:`); !ok {
-		return nil, false
+	if i = ws(b, i+7); !is(b, i, ':') {
+		return dst, false
 	}
-	if i, ok = lit(b, ws(b, i), `[`); !ok {
-		return nil, false
+	if i = ws(b, i+1); !is(b, i, '[') {
+		return dst, false
 	}
-	// In a body this scanner accepts, '{' opens the request and then one
-	// flow each, nothing else: keys are matched whole and values are digits.
-	flows := make([]switchnet.Flow, 0, bytes.Count(b, []byte{'{'})-1)
-	if j, empty := lit(b, ws(b, i), `]`); empty {
-		i = j
+	flows := dst
+	if i = ws(b, i+1); is(b, i, ']') {
+		i++
 	} else {
 		for {
-			var f switchnet.Flow
-			if i, ok = scanFlow(b, ws(b, i), &f); !ok {
-				return nil, false
+			var ok bool
+			flows = append(flows, switchnet.Flow{})
+			if i, ok = scanFlow(b, i, &flows[len(flows)-1]); !ok {
+				return dst, false
 			}
-			flows = append(flows, f)
-			i = ws(b, i)
-			if j, more := lit(b, i, `,`); more {
-				i = j
+			if i = ws(b, i); is(b, i, ',') {
+				i = ws(b, i+1)
 				continue
 			}
-			if i, ok = lit(b, i, `]`); !ok {
-				return nil, false
+			if !is(b, i, ']') {
+				return dst, false
 			}
+			i++
 			break
 		}
 	}
-	if i, ok = lit(b, ws(b, i), `}`); !ok {
-		return nil, false
+	if i = ws(b, i); !is(b, i, '}') {
+		return dst, false
 	}
 	// Decoder.Decode ignores what follows the first value; leave deciding
 	// what "follows" means to it.
-	if ws(b, i) != len(b) {
-		return nil, false
+	if ws(b, i+1) != len(b) {
+		return dst, false
 	}
 	return flows, true
 }
 
 // scanFlow reads one flow object starting at b[i] into f and returns the
 // index after its closing brace. A repeated key overwrites, as it does in
-// encoding/json.
+// encoding/json. Each key is compared with its own constant, which
+// compiles to a few word loads.
 func scanFlow(b []byte, i int, f *switchnet.Flow) (int, bool) {
-	i, ok := lit(b, i, `{`)
-	if !ok {
+	if !is(b, i, '{') {
 		return 0, false
 	}
-	if j, empty := lit(b, ws(b, i), `}`); empty {
-		return j, true
+	if i = ws(b, i+1); is(b, i, '}') {
+		return i + 1, true
 	}
 	for {
-		i = ws(b, i)
 		// The byte after the quote tells the four keys apart.
-		var key string
 		var dst *int
-		if i+1 >= len(b) {
+		if len(b)-i < 4 {
 			return 0, false
 		}
 		switch b[i+1] {
 		case 'i':
-			key, dst = `"in"`, &f.In
+			if string(b[i:i+4]) != `"in"` {
+				return 0, false
+			}
+			i, dst = i+4, &f.In
 		case 'o':
-			key, dst = `"out"`, &f.Out
+			if len(b)-i < 5 || string(b[i:i+5]) != `"out"` {
+				return 0, false
+			}
+			i, dst = i+5, &f.Out
 		case 'd':
-			key, dst = `"demand"`, &f.Demand
+			if len(b)-i < 8 || string(b[i:i+8]) != `"demand"` {
+				return 0, false
+			}
+			i, dst = i+8, &f.Demand
+		case 'r':
+			if len(b)-i < 9 || string(b[i:i+9]) != `"release"` {
+				return 0, false
+			}
+			i, dst = i+9, &f.Release
 		default:
-			key, dst = `"release"`, &f.Release
-		}
-		if i, ok = lit(b, i, key); !ok {
 			return 0, false
 		}
-		if i, ok = lit(b, ws(b, i), `:`); !ok {
+		if i = ws(b, i); !is(b, i, ':') {
 			return 0, false
 		}
-		if i, ok = scanInt(b, ws(b, i), dst); !ok {
+		var ok bool
+		if i, ok = scanInt(b, ws(b, i+1), dst); !ok {
 			return 0, false
 		}
-		i = ws(b, i)
-		if j, more := lit(b, i, `,`); more {
-			i = j
+		if i = ws(b, i); is(b, i, ',') {
+			i = ws(b, i+1)
 			continue
 		}
-		return lit(b, i, `}`)
+		if !is(b, i, '}') {
+			return 0, false
+		}
+		return i + 1, true
 	}
 }
 
@@ -137,23 +149,23 @@ const maxIntDigits = 18
 // scanInt reads a JSON integer — '-'? ('0' | [1-9][0-9]*) with no
 // fraction or exponent after it — of at most maxIntDigits digits.
 func scanInt(b []byte, i int, dst *int) (int, bool) {
-	neg := i < len(b) && b[i] == '-'
+	neg := is(b, i, '-')
 	if neg {
 		i++
 	}
-	start := i
+	// One digit past the limit is read, so a longer number is refused,
+	// not cut short.
+	d := b[i:min(len(b), i+maxIntDigits+1)]
+	n := 0
 	var v int64
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		v = v*10 + int64(b[i]-'0')
-		i++
-		if i-start > maxIntDigits {
-			return 0, false
-		}
+	for n < len(d) && d[n]-'0' <= 9 {
+		v = v*10 + int64(d[n]-'0')
+		n++
 	}
-	if i == start || (b[start] == '0' && i-start > 1) {
-		return 0, false // no digits, or a leading zero
+	if n == 0 || n > maxIntDigits || (d[0] == '0' && n > 1) {
+		return 0, false // no digits, too many, or a leading zero
 	}
-	if i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E') {
+	if i += n; i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E') {
 		return 0, false
 	}
 	if neg {
@@ -167,18 +179,14 @@ func scanInt(b []byte, i int, dst *int) (int, bool) {
 }
 
 // ws returns the index of the first byte at or after b[i] that is not
-// JSON whitespace.
+// JSON whitespace. Every whitespace byte is at most ' ', so a byte above
+// it — the usual case, as encoding/json writes none — costs one compare.
 func ws(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
+	for i < len(b) && b[i] <= ' ' && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
 		i++
 	}
 	return i
 }
 
-// lit steps over s at b[i:], or reports false.
-func lit(b []byte, i int, s string) (int, bool) {
-	if len(b)-i < len(s) || string(b[i:i+len(s)]) != s {
-		return i, false
-	}
-	return i + len(s), true
-}
+// is reports whether b[i] is c.
+func is(b []byte, i int, c byte) bool { return i < len(b) && b[i] == c }

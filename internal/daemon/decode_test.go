@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -60,7 +61,7 @@ var decodeCorpus = []struct {
 // that either way decodeFlows answers what encoding/json answers.
 func TestScanFlowsLine(t *testing.T) {
 	for _, tc := range decodeCorpus {
-		_, fast := scanFlows([]byte(tc.body))
+		_, fast := scanFlows([]byte(tc.body), nil)
 		if fast != tc.fast {
 			t.Errorf("%s: scanner accepted = %v, want %v", tc.name, fast, tc.fast)
 		}
@@ -71,23 +72,33 @@ func TestScanFlowsLine(t *testing.T) {
 // checkAgainstJSON holds decodeFlows to the decoder it replaced: same
 // bytes, same flows, an error exactly when encoding/json has one. On the
 // fallback path that is true by construction; on the fast path it is the
-// property the scanner must earn.
+// property the scanner must earn. The body is decoded twice: into no
+// scratch, and into a scratch whose spare capacity holds nonzero flows,
+// as a pooled one does, so an element that inherited a field it does not
+// name would differ.
 func checkAgainstJSON(t *testing.T, body []byte) {
 	t.Helper()
 	var want flowsRequest
 	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
-	got, fallback, err := decodeFlows(body)
-	if !fallback && wantErr != nil {
-		t.Fatalf("scanner accepted %q, encoding/json rejects it: %v", body, wantErr)
+	stale := make([]switchnet.Flow, 64)
+	for i := range stale {
+		stale[i] = switchnet.Flow{In: 7, Out: 9, Demand: 11, Release: 13 + i}
 	}
-	if (err != nil) != (wantErr != nil) {
-		t.Fatalf("%q: decodeFlows error %v, encoding/json error %v", body, err, wantErr)
-	}
-	if err == nil && !slices.Equal(got, want.Flows) {
-		t.Fatalf("%q (fallback=%v):\n decodeFlows   %+v\n encoding/json %+v", body, fallback, got, want.Flows)
-	}
-	if !fallback && cap(got) != len(got) {
-		t.Fatalf("%q: scanner sized its slice %d for %d flows", body, cap(got), len(got))
+	for _, dst := range [][]switchnet.Flow{nil, stale[:0]} {
+		got, fallback, err := decodeFlows(body, dst)
+		if !fallback && wantErr != nil {
+			t.Fatalf("scanner accepted %q, encoding/json rejects it: %v", body, wantErr)
+		}
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%q: decodeFlows error %v, encoding/json error %v", body, err, wantErr)
+		}
+		if err == nil && !slices.Equal(got, want.Flows) {
+			t.Fatalf("%q (fallback=%v, scratch cap %d):\n decodeFlows   %+v\n encoding/json %+v",
+				body, fallback, cap(dst), got, want.Flows)
+		}
+		if !fallback && len(got) > 0 && len(got) <= cap(dst) && &got[0] != &dst[:1][0] {
+			t.Fatalf("%q: %d flows fit the scratch, decoded elsewhere", body, len(got))
+		}
 	}
 }
 
@@ -114,8 +125,34 @@ func TestScanFlowsMarshalled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := scanFlows(body)
+	got, ok := scanFlows(body, nil)
 	if !ok || !slices.Equal(got, flows) {
 		t.Fatalf("scanner ok=%v on a marshalled request; %d flows back", ok, len(got))
 	}
+}
+
+// BenchmarkDecodeFlows decodes the body the benchmark harness posts —
+// json.Marshal of 256 unit flows on 150 ports, "release" included — into
+// a reused scratch slice, as the handler does with its pooled one.
+func BenchmarkDecodeFlows(b *testing.B) {
+	const n, ports = 256, 150
+	rng := rand.New(rand.NewSource(1))
+	flows := make([]switchnet.Flow, n)
+	for i := range flows {
+		flows[i] = switchnet.Flow{In: rng.Intn(ports), Out: rng.Intn(ports), Demand: 1}
+	}
+	body, err := json.Marshal(flowsRequest{flows})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var dst []switchnet.Flow
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	for b.Loop() {
+		var fallback bool
+		if dst, fallback, err = decodeFlows(body, dst[:0]); fallback || err != nil || len(dst) != n {
+			b.Fatalf("fallback=%v err=%v, %d flows", fallback, err, len(dst))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/flow")
 }

@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"flowsched/internal/switchnet"
 )
 
 // maxIngestBody bounds one POST /flows body (1 MiB ≈ 20k flows).
@@ -18,10 +20,14 @@ const maxIngestBody = 1 << 20
 // grows to the largest body it has held, which maxIngestBody caps.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// flowsResponse acknowledges an accepted batch.
-type flowsResponse struct {
-	Accepted int `json:"accepted"`
-}
+// flowsPool recycles the scratch slices bodies are decoded into; the feed
+// copies what it is handed, so a scratch is free again once PushBatch
+// returns. A scratch keeps what decoding grew it to, up to maxPooledFlows:
+// a larger one, which only a degenerate body needs, is left to the GC.
+var flowsPool = sync.Pool{New: func() any { return new([]switchnet.Flow) }}
+
+// maxPooledFlows bounds a pooled scratch slice to 1 MiB of flows.
+const maxPooledFlows = 1 << 15
 
 // ingestCodes are the statuses POST /flows answers with.
 var ingestCodes = [...]int{
@@ -57,7 +63,8 @@ func (s *Server) refuse(w http.ResponseWriter, code int, msg string) {
 // the switch before anything is pushed: the runtime treats an
 // inadmissible flow as a fatal stream error (it would abort the run), so
 // garbage must be rejected at the door, atomically per batch. A valid
-// batch is handed to the feed as one slice, which the feed then owns.
+// batch is handed to the feed as one slice, which the feed copies, so the
+// pooled scratch it was decoded into goes back to the pool after.
 func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 	if !s.beginIngest() {
 		s.refuse(w, http.StatusServiceUnavailable, "draining: no new flows accepted")
@@ -81,11 +88,13 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 		s.refuse(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	// The decoded flows hold no reference into buf, so it can go back to
-	// the pool while they sit in the feed.
-	flows, fallback, err := decodeFlows(buf.Bytes())
+	scratch := flowsPool.Get().(*[]switchnet.Flow)
+	defer flowsPool.Put(scratch)
+	flows, fallback, err := decodeFlows(buf.Bytes(), (*scratch)[:0])
 	if fallback {
 		s.stats.fallback.Add(1)
+	} else if cap(flows) <= maxPooledFlows {
+		*scratch = flows // keep what it grew to
 	}
 	if err != nil {
 		s.refuse(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
@@ -114,7 +123,12 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 	s.stats.answered(http.StatusAccepted)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(flowsResponse{Accepted: len(flows)})
+	// The body is what json.Encoder writes for {"accepted":N}, built in
+	// the body buffer, whose bytes are spent.
+	buf.Reset()
+	ack := append(buf.AvailableBuffer(), `{"accepted":`...)
+	ack = strconv.AppendInt(ack, int64(len(flows)), 10)
+	w.Write(append(ack, "}\n"...))
 }
 
 // healthzResponse is the GET /healthz body.

@@ -31,9 +31,10 @@
 //
 // — the one member "flows"; flow members "in", "out", "demand" and an
 // ignored "release", lower case, any order; plain integers; whitespace
-// anywhere JSON allows — is decoded in a single pass into one slice,
-// validated whole, and handed to the feed as that slice: one
-// synchronisation per request, not per flow. Every other body goes
+// anywhere JSON allows — is decoded in a single pass into a pooled
+// scratch slice, validated whole, and pushed to the feed in one call,
+// which copies it into slabs the feed recycles: one synchronisation per
+// 256 flows, not per flow, and no allocation that grows with the batch. Every other body goes
 // through encoding/json exactly as it always did, so anything that
 // decoder accepts (other key case, unknown members, 1e0, trailing data)
 // is still accepted, several times slower, and its errors still word the

@@ -25,20 +25,27 @@ var ErrSourceClosed = errors.New("workload: ChanSource closed")
 // arrives or the source is closed and drained, and Park is Next with a
 // wake channel, which is where an idle runtime waits.
 //
-// The feed carries slabs, not flows: a pushed slice is queued as it is,
-// in sub-slices of at most slabChunk flows, and the consumer reads the
-// flows out of it through a cursor. Nothing is copied on the way in, so
-// a pushed slice belongs to the source from the call on — the caller must
-// not write to it or reuse it, whatever PushBatch returns. One
-// synchronisation per slab on each side replaces one per flow. Slabs of
+// The feed carries slabs, not flows: PushBatch copies a batch, in chunks
+// of at most slabChunk flows, into slabs of slabChunk flows the source
+// owns, and the consumer reads the flows out of a slab through a cursor.
+// The caller keeps its slice and may reuse it as soon as the call
+// returns, whatever it returned. A chunk fills the spare room of the
+// queued tail slab first and spills into a slab from the source's free
+// list, which is allocated only when that list is empty; the consumer
+// hands the slabs it has read back to the list when it next takes the
+// queue. One synchronisation per chunk on the producer side, and one per
+// queue swap on the consumer's, replace one per flow. Chunks of
 // concurrent producers interleave whole: a batch's flows come out in
-// order, and each slab of it contiguously.
+// order, and each chunk of it contiguously.
 //
-// The bound is on flows, not slabs: a slab is queued only while fewer
+// The bound is on flows, not slabs: a chunk is queued only while fewer
 // than buf flows are buffered (pushed and not yet handed to the
-// consumer), so at most buf-1 flows plus one slab ever are. A batch
+// consumer), so at most buf-1 flows plus one chunk ever are. A batch
 // longer than buf is therefore delivered piecewise as the consumer makes
-// room, never refused and never deadlocked.
+// room, never refused and never deadlocked. Coalescing into the tail
+// keeps every queued slab but the last full, so the queue holds at most
+// ⌈(buf+slabChunk-1)/slabChunk⌉ slabs, and the source owns at most twice
+// that: the queue, and the slabs of the swap the consumer is reading.
 //
 // Release rounds are assigned by the source, not the producers: scheduler
 // time is virtual (rounds advance as fast as the round loop spins, and
@@ -50,32 +57,37 @@ type ChanSource struct {
 	buf  int64
 	done chan struct{}
 
-	// mu guards the producer side of the queue. buffered is written under
-	// it by producers and without it by the consumer, which only lowers it:
-	// a producer's room check under mu errs towards waiting.
+	// mu guards the producer side of the queue and the free list. Only
+	// the last queued slab is ever written to again. buffered is written
+	// under mu by producers and without it by the consumer, which only
+	// lowers it: a producer's room check under mu errs towards waiting.
 	mu       sync.Mutex
 	closed   bool
 	queued   [][]switchnet.Flow
+	free     [][]switchnet.Flow
 	buffered atomic.Int64
 
-	// ready tells a parked consumer a slab was queued; space tells a parked
+	// ready tells a parked consumer a chunk was queued; space tells a parked
 	// producer room appeared. One-slot and lossy: a token is a hint to look
 	// again, and a producer that leaves room behind passes it on.
 	ready chan struct{}
 	space chan struct{}
 
 	// Consumer-side state, touched only by the runtime's goroutine: the
-	// slabs taken off the queue in one swap, the next one to open, and what
-	// is left of the open one.
+	// slabs taken off the queue in one swap, the next one to open, the
+	// open one and what is left of it, and the slabs read out since the
+	// swap, which go back to the free list at the next.
 	taken     [][]switchnet.Flow
 	next      int
+	slab      []switchnet.Flow
 	cur       []switchnet.Flow
+	spent     [][]switchnet.Flow
 	lastRound int
 	lastRel   int
 }
 
 // NewChanSource returns a live source whose feed buffers up to buf pushed
-// flows (minimum 1), plus at most one slab of slack.
+// flows (minimum 1), plus at most one chunk of slack.
 func NewChanSource(buf int) *ChanSource {
 	if buf < 1 {
 		buf = 1
@@ -88,15 +100,17 @@ func NewChanSource(buf int) *ChanSource {
 	}
 }
 
-// PushBatch feeds flows in order, blocking while the buffer is full, and
-// takes ownership of the slice. A blocked call gives up when ctx is done
-// or the source is closed; delivered then says exactly how many leading
-// flows were queued (they will be drained; the rest never will). ctx is
-// consulted only while blocked. Safe for concurrent use.
+// PushBatch feeds a copy of flows in order, blocking while the buffer is
+// full; the caller may reuse flows once it returns. A blocked call gives
+// up when ctx is done or the source is closed; delivered then says
+// exactly how many leading flows were queued (they will be drained; the
+// rest never will). ctx is consulted only while blocked. On a warm feed
+// — one whose free list holds a slab when the tail has no room — it
+// allocates nothing. Safe for concurrent use.
 func (s *ChanSource) PushBatch(ctx context.Context, flows []switchnet.Flow) (delivered int, err error) {
 	for delivered < len(flows) {
 		end := min(delivered+slabChunk, len(flows))
-		if err := s.pushSlab(ctx, flows[delivered:end:end]); err != nil {
+		if err := s.pushChunk(ctx, flows[delivered:end]); err != nil {
 			return delivered, err
 		}
 		delivered = end
@@ -105,15 +119,18 @@ func (s *ChanSource) PushBatch(ctx context.Context, flows []switchnet.Flow) (del
 }
 
 // Push feeds one flow, blocking while the buffer is full. It returns
-// false — without delivering — once the source is closed. Safe for
-// concurrent use.
+// false — without delivering — once the source is closed. It shares the
+// tail slab with the flows queued before it, so single-flow pushes fill
+// slabs as batches do. Safe for concurrent use.
 func (s *ChanSource) Push(f switchnet.Flow) bool {
-	_, err := s.PushBatch(context.Background(), []switchnet.Flow{f})
+	one := [1]switchnet.Flow{f}
+	_, err := s.PushBatch(context.Background(), one[:])
 	return err == nil
 }
 
-// pushSlab queues one non-empty slab once there is room for it.
-func (s *ChanSource) pushSlab(ctx context.Context, slab []switchnet.Flow) error {
+// pushChunk queues a copy of one non-empty chunk of at most slabChunk
+// flows once there is room for it.
+func (s *ChanSource) pushChunk(ctx context.Context, chunk []switchnet.Flow) error {
 	for {
 		s.mu.Lock()
 		if s.closed {
@@ -121,8 +138,8 @@ func (s *ChanSource) pushSlab(ctx context.Context, slab []switchnet.Flow) error 
 			return ErrSourceClosed
 		}
 		if s.buffered.Load() < s.buf {
-			s.queued = append(s.queued, slab)
-			room := s.buffered.Add(int64(len(slab))) < s.buf
+			s.enqueue(chunk)
+			room := s.buffered.Add(int64(len(chunk))) < s.buf
 			s.mu.Unlock()
 			hint(s.ready)
 			if room {
@@ -139,6 +156,29 @@ func (s *ChanSource) pushSlab(ctx context.Context, slab []switchnet.Flow) error 
 			return ErrSourceClosed
 		}
 	}
+}
+
+// enqueue copies chunk, under mu, into the tail slab's spare room and
+// spills the rest into a slab off the free list, or a new one when the
+// list is empty. Both parts are queued in the one hold of mu, so the
+// chunk comes out whole.
+func (s *ChanSource) enqueue(chunk []switchnet.Flow) {
+	if n := len(s.queued); n > 0 {
+		tail := s.queued[n-1]
+		k := min(len(chunk), cap(tail)-len(tail))
+		s.queued[n-1] = append(tail, chunk[:k]...)
+		chunk = chunk[k:]
+	}
+	if len(chunk) == 0 {
+		return
+	}
+	var slab []switchnet.Flow
+	if n := len(s.free); n > 0 {
+		slab, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		slab = make([]switchnet.Flow, 0, slabChunk)
+	}
+	s.queued = append(s.queued, append(slab, chunk...))
 }
 
 // hint leaves a token in a one-slot channel unless one is already there.
@@ -168,20 +208,36 @@ func (s *ChanSource) Close() {
 func (s *ChanSource) Buffered() int { return int(s.buffered.Load()) }
 
 // open makes cur the next non-empty slab; false means nothing is queued.
+// A slab read out is kept in spent until the consumer next takes the
+// queue, which hands them all back to the free list in the hold of mu it
+// makes anyway: no producer writes to a slab once it has left the queue.
+// A consumer that finds the feed dry with slabs in spent takes the (maybe
+// empty) queue once all the same, so a feed that is filled and drained in
+// turns reuses one set of slabs.
 func (s *ChanSource) open() bool {
 	if len(s.cur) > 0 {
 		return true
 	}
+	if s.slab != nil {
+		s.spent = append(s.spent, s.slab[:0])
+		s.slab = nil
+	}
 	if s.next == len(s.taken) {
-		if s.buffered.Load() == 0 {
+		if s.buffered.Load() == 0 && len(s.spent) == 0 {
 			return false
 		}
 		s.mu.Lock()
 		s.taken, s.queued = s.queued, s.taken[:0]
+		s.free = append(s.free, s.spent...)
 		s.mu.Unlock()
+		s.spent = s.spent[:0]
 		s.next = 0
+		if len(s.taken) == 0 {
+			return false
+		}
 	}
-	s.cur, s.taken[s.next] = s.taken[s.next], nil
+	s.slab, s.taken[s.next] = s.taken[s.next], nil
+	s.cur = s.slab
 	s.next++
 	return true
 }
