@@ -116,10 +116,10 @@ func testSteadyStateZeroAlloc(t *testing.T, shards int, pol Policy, admit AdmitM
 // TestSteadyStateZeroAlloc covers every native policy at K in {1, 2}.
 // StreamFIFO's round costs O(pending), but it allocates nothing either:
 // its Each closure does not escape. OldestFirst gets a second row at
-// depth — 40x40 with 4k flows resident, every VOQ active — which checks
-// that its lists are what made the rounds cheap: built once, then only
-// synced, and the merges examining fewer entries than half the active
-// VOQs' heads.
+// depth — 40x40 unit ports with 4k flows resident, every VOQ active —
+// which checks that its window is what made the rounds cheap: built
+// once, then only synced, and the picks examining fewer input bitmaps
+// than half the active VOQs' heads.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	for _, name := range []string{"RoundRobin", "OldestFirst", "WeightedISLIP", "StreamFIFO"} {
 		for _, shards := range []int{1, 2} {
@@ -152,8 +152,8 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 					examined, rounds, active/rounds)
 			}
 			for _, p := range rt.instances() {
-				if b := p.(*OldestFirst).builds; b != 1 {
-					t.Fatalf("an instance built its lists %d times, want once", b)
+				if p := p.(*OldestFirst); !p.windowed() || p.builds != 1 {
+					t.Fatalf("an instance on unit ports built its window (%v) %d times, want once", p.windowed(), p.builds)
 				}
 			}
 		})
@@ -313,13 +313,14 @@ func highWater(s []int32) int {
 	return n
 }
 
-// TestOldestFirstRampAllocBounded pins that the pick allocates its lists
-// once. A fresh K=2 runtime (so the shards' policy instances start
-// cold, as they do on every run) fills a 64x64 switch to 8k resident
-// over some 250 rounds, its active VOQ count a new high on each of them.
-// Each instance builds its lists once, at its first pick, and they never
-// grow after: the ramp stays within 4 MB for everything the round loop
-// allocates on the way up, arena columns included.
+// TestOldestFirstRampAllocBounded pins that the pick allocates its window
+// once per doubling. A fresh K=2 runtime over a fresh OldestFirst (so
+// the window storage starts cold) fills a 64x64 unit switch to 8k
+// resident over some 250 rounds, its active VOQ count a new high on each
+// of them. Each instance builds its window once, at its first pick, and
+// after that only doubles it when the pending releases outspan it: the
+// ramp stays within 4 MB for everything the round loop allocates on the
+// way up, arena columns included.
 func TestOldestFirstRampAllocBounded(t *testing.T) {
 	const ports, backlog = 64, 8192
 	rt, err := New(&patternSource{ports: ports, per: ports * 3 / 2}, Config{
@@ -340,8 +341,8 @@ func TestOldestFirstRampAllocBounded(t *testing.T) {
 		t.Fatalf("ramp to %d resident allocated %d bytes in %d rounds, want <= %d", backlog, got, rt.round, 4<<20)
 	}
 	for _, p := range rt.instances() {
-		if b := p.(*OldestFirst).builds; b != 1 {
-			t.Fatalf("an instance built its lists %d times over the ramp, want once", b)
+		if p := p.(*OldestFirst); !p.windowed() || p.builds != 1 {
+			t.Fatalf("an instance on unit ports built its window (%v) %d times over the ramp, want once", p.windowed(), p.builds)
 		}
 	}
 }

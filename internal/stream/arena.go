@@ -159,8 +159,8 @@ type voqState struct {
 // vi-indexed array of 16-byte records costs one sequential cache line per
 // four VOQs instead of chasing queue state -> flow record for every head.
 // An entry is only meaningful while the VOQ is non-empty and only through
-// headRow (OldestFirst, whose list keys copy these records, also reads
-// its rows around its own headRow calls). Nothing departs during a pick,
+// headRow (OldestFirst, whose window bits and list keys are placed by
+// these records, also reads its rows around its own headRow calls). Nothing departs during a pick,
 // so a row describes the queue as of the last retirement — a head the
 // same pick already took still owns the entry until it departs
 // (policies see takes via View.Taken).

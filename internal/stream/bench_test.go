@@ -10,10 +10,12 @@ import (
 // BenchmarkOldestFirstPick times one scheduling round of an OldestFirst
 // runtime pinned at a resident backlog — the paper's 150-port switch,
 // Poisson arrivals at twice what it can serve — and reports beside
-// ns/round the list entries its merge examined per round (K=1 calls Pick
-// once a round). The cap1 rungs are drain_age's regime at a thin, the
-// benchmark's and a deep backlog; the cap8 rung carries multi-unit
-// demands, where served heads' successors re-enter the lists.
+// ns/round the entries its pick examined per round (K=1 calls Pick once
+// a round). The cap1 rungs are drain_age's regime at a thin, the
+// benchmark's and a deep backlog, picked on the window, where an entry
+// is an input's bitmap of heads at one release; the cap8 rung carries
+// multi-unit demands on the lists, where served heads' successors
+// re-enter them and an entry is a list entry.
 func BenchmarkOldestFirstPick(b *testing.B) {
 	for _, rung := range pickRungs {
 		b.Run(rung.name, func(b *testing.B) {

@@ -41,14 +41,21 @@
 //     path. At one shard, on unit-demand workloads, each round's
 //     selection is round-for-round identical to that greedy rule's
 //     O(pending log pending) rescan (property tested). Pick is a
-//     function of the View plus a cache rebuilt from it: per input, the
-//     active VOQ heads sorted by (release, output), kept from round to
-//     round. A round re-keys only the heads the stale bitmap names,
-//     then merges the lists oldest release first until the ports are
-//     spent (at 150 ports, 16k resident: some 2k of 11k listed heads
-//     examined a round). Best for maximum response time; no flow ever
-//     starves (a waiting head only gets older until nothing outranks
-//     it).
+//     function of the View plus a cache rebuilt from it and kept from
+//     round to round, in a layout chosen by the switch's shape and the
+//     span of pending releases. On
+//     unit ports (every capacity 1, the paper's model), while the
+//     pending releases span under 1,024 rounds, it is a window of
+//     per-release head bitmaps: a round moves the bits of the heads
+//     the stale bitmap names, one clear and one set each, then walks
+//     the releases oldest first, each free input taking its lowest free
+//     output (at 150 ports, 16k resident: some 1.3k input bitmaps
+//     examined a round, over 11k heads). Otherwise it is, per input,
+//     the active heads sorted by (release, output): a round
+//     re-keys the stale heads, then merges the lists oldest release
+//     first until the ports are spent. Best for maximum response time;
+//     no flow ever starves (a waiting head only gets older until
+//     nothing outranks it).
 //   - WeightedISLIP: iterative request/grant/accept matching weighted
 //     by head-of-queue age with per-port rotation pointers as
 //     tie-breakers — the queue-age-weighted crossbar matchings of
@@ -68,15 +75,19 @@
 // so its cost grows with the resident backlog's active-VOQ count while
 // RoundRobin's does not — see the benchmark/ suite's
 // quality.<policy>.flows_per_s for the measured ratios. OldestFirst
-// reads only what changed: its per-input lists stay sorted across
-// rounds, a round re-keys the heads the last one served, expired or
-// activated, and the merge passes over every head that cannot fit any
+// reads only what changed: its window or lists persist across rounds, a
+// round moves or re-keys the heads the last one served, expired or
+// activated, and the pick passes over every head that cannot fit any
 // more (capacities only fall in a pick), so it ends long before it has
-// examined every head. The lists cannot move the schedule: they hold
-// exactly the active VOQs' heads (checked against a from-scratch build
-// every round in the tests), and the merge's order is the total order
-// (release, input, output, seq) a single sorted pass over all of them
-// would take.
+// examined every head. On unit ports a changed head costs two bit
+// operations and the pick ANDs an input's bitmap at a release with the
+// free outputs; the lists pay a search and a move per changed head and
+// an entry per head passed over, which capacities above one and
+// multi-unit demands need. Neither layout can move the schedule: each
+// holds exactly the active VOQs' heads (checked against a from-scratch
+// build every round in the tests), and the pick's order is the total
+// order (release, input, output, seq) a single sorted pass over all of
+// them would take.
 // The paper's heuristics (MaxCard, MinRTime's exact matching, MaxWeight)
 // collect the whole pending set with View.Each every round and match
 // over it, or first-fit it on general demands. Replay, the simulator
@@ -354,9 +365,9 @@
 //     silently change post-restore tie-breaking).
 //
 //   - OldestFirst: restore-exact; selection is memoryless given the
-//     restored pending set. Its sorted per-input lists are a cache of
-//     the View that the first pick after a restore rebuilds, so there
-//     is nothing to checkpoint.
+//     restored pending set. Its window or sorted per-input lists are a
+//     cache of the View that the first pick after a restore rebuilds,
+//     so there is nothing to checkpoint.
 //
 //   - WeightedISLIP: restore-exact; the grant and accept rotation
 //     pointers are checkpointed and re-imported.
@@ -408,8 +419,9 @@
 //     records before handing out an input's row. RoundRobin never reads a
 //     head record, so it never pays for one; OldestFirst and
 //     WeightedISLIP refresh each changed head once per pick; OldestFirst
-//     re-keys its sorted entries from the stale bits, so during a run
-//     only the installed policy calls headRow. The VOQ
+//     moves its window bits or re-keys its sorted entries from the
+//     stale bits, so during a run only the installed policy calls
+//     headRow. The VOQ
 //     index is not cached; it is in*NumOut + out. IDs recycle through a
 //     LIFO free list and the columns grow by doubling, so a ramp to n
 //     resident flows allocates about twice the final arena, the arena

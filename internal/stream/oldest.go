@@ -15,33 +15,51 @@ import (
 // service order is the total order (release, input, output, admission
 // seq) and the schedule is a pure function of the stream.
 //
-// The policy keeps, for each input of its scope, the list of that
-// input's active VOQ heads sorted by (release, output), from one round
-// to the next. Between two picks at most the heads the last round served
+// The policy keeps the active VOQ heads of its scope from one round to
+// the next, in one of two layouts that Reset chooses from the switch's
+// capacities. Between two picks at most the heads the last round served
 // or expired and the VOQs it activated change, and the runtime's stale
 // bitmap names exactly those, so a pick starts by syncing each active
-// input: the entries of its changed VOQs are dropped, View.headRow
-// refreshes their head records (it stays their one writer), and the
-// still-active heads go back in under their new releases. The merge then
-// walks releases oldest first through a bucket queue of inputs, each
-// keyed by the release at its list's cursor: at each release every input
-// with capacity left, in ascending port order, walks its entries of that
+// input: its changed VOQs leave the layout, View.headRow refreshes their
+// head records (it stays their one writer), and the still-active heads
+// go back in under their new releases.
+//
+// On a switch whose every port capacity is 1 — the paper's model, where
+// every demand is 1 too — the layout is a window of per-release head
+// bitmaps (oldest_unit.go), while the pending releases span fewer than
+// ofMaxSlots rounds: for each pending release, each scope input's
+// bitmap of the outputs whose head was released then, and the bitmap of
+// the inputs with any. A changed head costs O(1), one bit cleared and one
+// set. The pick walks the releases oldest first; at each, every input
+// still free, in ascending port order, ANDs its bitmap with the
+// free-output mask and takes the lowest output. A unit input takes one
+// flow a round, so no served head's successor competes in the same pick
+// and no demand needs checking.
+//
+// On every other switch, and on unit ports while the pending releases
+// span more than the window holds, the layout is, for each input of the
+// scope, the list of its active heads sorted by (release, output). The
+// merge walks
+// releases oldest first through a bucket queue of inputs, each keyed by
+// the release at its list's cursor: at each release every input with
+// capacity left, in ascending port order, walks its entries of that
 // release in output order and takes each head that fits. Capacities only
 // fall during a pick, so a head that does not fit now never will: the
 // walk passes over it whatever its release, and parks the input at the
 // first head that still could. A served head's successor takes the
 // head's place in the list, at its own release, for the rest of the
 // pick, which is what serves capacities above one and multi-unit demands
-// in the exact order. The pick ends as soon as the scope's input
-// capacity or the output capacity it can see is exhausted, so at depth
-// it examines a few entries per port, not every head.
+// in the exact order.
 //
-// The lists are a cache of the View, not state: Reset (construction,
-// restore, Reload) drops them and the next pick rebuilds them from the
-// View's head records, so Pick is a function of the View plus a cache
-// rebuilt from it, and a checkpoint carries nothing for it. The cache
-// relies on every head change reaching it through the stale bitmap, so
-// while it is installed no one else calls headRow for its inputs.
+// Either pick ends as soon as the scope's input capacity or the output
+// capacity it can see is exhausted, so at depth it examines a few
+// entries per port, not every head. The layouts are a cache of the View,
+// not state: Reset (construction, restore, Reload) drops them and the
+// next pick rebuilds them from the View's head records, so Pick is a
+// function of the View plus a cache rebuilt from it, and a checkpoint
+// carries nothing for it. The cache relies on every head change reaching
+// it through the stale bitmap, so while it is installed no one else calls
+// headRow for its inputs.
 //
 // Within a VOQ the policy is strict FIFO: a head whose demand does not
 // fit the remaining port capacity blocks its queue for the round (the
@@ -57,7 +75,19 @@ import (
 //
 // The lists take one row of NumOut 8-byte keys per scope input (see
 // ofKey), allocated at the first pick after Reset, when the scope is
-// known, and kept across Resets; a pick allocates nothing.
+// known, and kept across Resets. The window takes ⌈rows/64⌉ +
+// rows·⌈NumOut/64⌉ words per release slot, rows being the scope's
+// inputs, over a power of two of slots, at least 64 and at least the
+// span of pending releases, doubled when the span outgrows it: on the
+// paper's 150 unit ports at twice their service rate, 256 slots (928 KB)
+// with 16k flows resident and 1,024 (3.7 MB) at DefaultMaxPending. It
+// stops at ofMaxSlots (1,024 slots, 128 bytes per VOQ of the scope): a
+// burst on one VOQ can hold its head back for as many rounds as the
+// burst has flows, and while the pending releases span that many the
+// lists stand in, handing back once they span under half. It is kept
+// on the value NewShard was called on, each instance in its scope's
+// part, so a runtime built from a value that has run before allocates
+// none of it. A steady-state pick allocates nothing.
 //
 // OldestFirst is Shardable: the instances take turns, oldest first (see
 // turns.Pick), and each serves its own inputs' heads oldest-first
@@ -94,10 +124,31 @@ type OldestFirst struct {
 	bkt, over []uint64
 	occ, lo   uint64
 	rw        int
-	// builds, visited and moved count the lists' builds, the entries the
-	// merges examined and the successors they re-keyed, for tests and
-	// benchmarks; nothing reads them to decide.
-	builds, visited, moved int64
+	// unit is set by Reset on a switch whose every port capacity is 1,
+	// where the window (oldest_unit.go) picks unless wide is set: the
+	// pending releases outspan ofMaxSlots and the lists stand in. The
+	// window is win,
+	// slots release slots of stride words, each the rw words of its
+	// input bitmap and then the scope's rows rows of nw output words;
+	// oldest and newest are the first and last pending releases, and
+	// freeIn and freeOut the pick's masks of free rows and outputs.
+	unit, wide      bool
+	win             []uint64
+	slots, stride   int
+	rows, nw        int
+	oldest, newest  int64
+	freeIn, freeOut []uint64
+	// home is the value NewShard was called on (nil on that value), whose
+	// wins holds each scope's window storage: instance k takes wins[k],
+	// and at one shard the value takes wins[0], so the storage outlives
+	// the runtime and the next one built from the value reuses it.
+	home *OldestFirst
+	wins [][]uint64
+	// builds, visited, moved and grows count the builds, the entries the
+	// picks examined (list entries, or the window's input bitmaps at a
+	// release), the successors the merges re-keyed and the window's
+	// doublings, for tests and benchmarks; nothing reads them to decide.
+	builds, visited, moved, grows int64
 }
 
 // ofWindow is the bucket queue's width in releases: one occupancy word.
@@ -120,27 +171,49 @@ func ofDem(key uint64) int32  { return int32(key & ofDemMax) }
 // at least that large.
 const ofDemMax = 1<<8 - 1
 
-// Reset implements Resetter: it sizes the capacity mirrors and the sync
-// mask to the switch and marks the lists for a rebuild at the next pick.
+// Reset implements Resetter: it notes whether the switch's ports allow
+// the window, sizes the sync mask and the pick's masks (the window's) or
+// capacity mirrors (the lists') to the switch, and marks the layout for
+// a rebuild at the next pick. Should the lists stand in for the window,
+// alloc sizes their mirrors.
 func (p *OldestFirst) Reset(sw switchnet.Switch) {
-	p.inFree = make([]int32, sw.NumIn())
-	p.outFree = make([]int32, sw.NumOut())
+	p.unit, p.wide = unitPorts(sw), false
 	p.mask = make([]uint64, (sw.NumOut()+63)/64)
+	if p.unit {
+		p.freeIn = make([]uint64, (sw.NumIn()+63)/64)
+		p.freeOut = make([]uint64, len(p.mask))
+	} else {
+		p.inFree = make([]int32, sw.NumIn())
+		p.outFree = make([]int32, sw.NumOut())
+	}
 	p.built = false
 }
 
 // Name implements Policy.
 func (*OldestFirst) Name() string { return "OldestFirst" }
 
-// NewShard implements Shardable: every instance builds its own lists
-// over its own scope, so a fresh instance per scope shares nothing.
-func (*OldestFirst) NewShard() Policy { return &OldestFirst{} }
+// NewShard implements Shardable: every instance builds its own layout
+// over its own scope, the window in its scope's part of the storage kept
+// on the value NewShard was called on.
+func (p *OldestFirst) NewShard() Policy { return &OldestFirst{home: p.root()} }
+
+// root returns the value that keeps the window storage.
+func (p *OldestFirst) root() *OldestFirst {
+	if p.home != nil {
+		return p.home
+	}
+	return p
+}
 
 // Pick implements Policy.
 //
 //flowsched:hotpath
 func (p *OldestFirst) Pick(v *View) {
 	p.refresh(v)
+	if p.windowed() {
+		p.pickUnit(v)
+		return
+	}
 
 	// Every input with capacity and a head starts at its first entry,
 	// past the window, so the first rebase pulls in the oldest.
@@ -181,9 +254,25 @@ func (p *OldestFirst) Pick(v *View) {
 	}
 }
 
-// refresh brings the lists up to date with the View: it syncs every
-// active input with a stale head, or builds the lists if there are none.
+// refresh brings the layout up to date with the View. On unit ports it
+// first settles which layout picks: the lists stand in for the window
+// while the pending releases span ofMaxSlots or more, and hand back once
+// they span under half that, each layout built afresh when it takes
+// over. The lists sync every active input with a stale head, or build
+// if there are none.
 func (p *OldestFirst) refresh(v *View) {
+	if p.unit {
+		rt := v.rt
+		p.oldest, p.newest = rt.ar.rec[rt.head].rel, rt.ar.rec[rt.tail].rel
+		span := p.newest - p.oldest
+		if wide := span >= ofMaxSlots || p.wide && span >= ofMaxSlots/2; wide != p.wide {
+			p.wide, p.built = wide, false
+		}
+		if !p.wide {
+			p.refreshUnit(v)
+			return
+		}
+	}
 	if !p.built || int64(v.Round())-p.rel0 >= 1<<40 {
 		p.build(v)
 		return
@@ -209,7 +298,7 @@ func (p *OldestFirst) build(v *View) {
 	rt := v.rt
 	p.k, p.nk, p.mOut = v.k, rt.nshards, rt.mOut
 	rows := (rt.sw.NumIn() + p.nk - 1) / p.nk
-	if len(p.n) < rows || cap(p.keys) < rows*p.mOut || len(p.add) < p.mOut {
+	if len(p.n) < rows || cap(p.keys) < rows*p.mOut || len(p.add) < p.mOut || len(p.inFree) < rt.sw.NumIn() || len(p.outFree) != p.mOut {
 		p.alloc(rows)
 	}
 	p.keys = p.keys[:rows*p.mOut]
@@ -233,11 +322,28 @@ func (p *OldestFirst) build(v *View) {
 	p.builds++
 }
 
-// alloc sizes the lists and the merge's bitmaps to rows inputs.
+// alloc sizes the lists, the merge's bitmaps and, where Reset sized the
+// window's masks instead, the capacity mirrors to rows inputs; or, on the
+// window, the storage its scope keeps on the root value to slots release
+// slots, keeping what the storage held.
 //
-//flowsched:allow alloc: the lists are allocated once per scope layout and kept across Resets, so a round allocates nothing (TestOldestFirstRampAllocBounded)
+//flowsched:allow alloc: the lists are allocated once per scope layout and kept across Resets, and the window once per value, scope layout and doubling of its span, so a round allocates nothing (TestOldestFirstRampAllocBounded)
 func (p *OldestFirst) alloc(rows int) {
+	if p.windowed() {
+		home := p.root()
+		if len(home.wins) <= p.k {
+			home.wins = append(home.wins, make([][]uint64, p.k+1-len(home.wins))...)
+		}
+		if w := home.wins[p.k]; cap(w) < p.slots*p.stride {
+			home.wins[p.k] = make([]uint64, p.slots*p.stride)
+			copy(home.wins[p.k], w[:cap(w)])
+		}
+		return
+	}
 	rw := (rows + 63) / 64
+	if len(p.inFree) < rows*p.nk || len(p.outFree) != p.mOut {
+		p.inFree, p.outFree = make([]int32, rows*p.nk), make([]int32, p.mOut)
+	}
 	p.keys = make([]uint64, rows*p.mOut)
 	p.n, p.cur = make([]int32, rows), make([]int32, rows)
 	p.succ = make([]bool, rows)

@@ -32,7 +32,14 @@ type refHeap []refFlow
 
 func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
-	return cmp.Or(cmp.Compare(h[i].rel, h[j].rel), cmp.Compare(h[i].in, h[j].in), cmp.Compare(h[i].out, h[j].out)) < 0
+	a, b := &h[i], &h[j]
+	if a.rel != b.rel {
+		return a.rel < b.rel
+	}
+	if a.in != b.in {
+		return a.in < b.in
+	}
+	return a.out < b.out
 }
 func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *refHeap) Push(x any)   { *h = append(*h, x.(refFlow)) }
@@ -96,8 +103,9 @@ func sameTrace(t *testing.T, got, want [][2]int64) {
 	}
 }
 
-// visited sums the merge's examined entries over rt's OldestFirst
-// instances.
+// visited sums the entries the picks examined over rt's OldestFirst
+// instances: list entries, or on unit ports the window's input bitmaps
+// at a release.
 func visited(rt *Runtime) (n int64) {
 	for _, p := range rt.instances() {
 		n += p.(*OldestFirst).visited
@@ -105,11 +113,11 @@ func visited(rt *Runtime) (n int64) {
 	return n
 }
 
-// TestOldestFirstMatchesReferenceAtDepth runs the pick where the lists
-// pay — a 64x64 unit switch at twice its service rate with 8k flows
+// TestOldestFirstMatchesReferenceAtDepth runs the pick where the window
+// pays — a 64x64 unit switch at twice its service rate with 8k flows
 // resident, so some 3.5k VOQs are active — and holds it to the
-// reference: the same (seq, round) stream, while the merges examine
-// fewer entries than half the heads the lists hold.
+// reference: the same (seq, round) stream, while the picks examine
+// fewer input bitmaps than half the heads the window holds.
 func TestOldestFirstMatchesReferenceAtDepth(t *testing.T) {
 	const ports, backlog, flows = 64, 8192, 40000
 	src := func() Source {
@@ -120,6 +128,9 @@ func TestOldestFirstMatchesReferenceAtDepth(t *testing.T) {
 	want, _ := ofTrace(t, src(), sw, refOldest{}, 1, backlog)
 	got, rt := ofTrace(t, src(), sw, &OldestFirst{}, 1, backlog)
 	sameTrace(t, got, want)
+	if !rt.pol.(*OldestFirst).windowed() {
+		t.Fatal("OldestFirst on unit ports does not pick on the window")
+	}
 	if rt.peak != backlog {
 		t.Fatalf("backlog peaked at %d, want the admission limit %d", rt.peak, backlog)
 	}
@@ -129,16 +140,21 @@ func TestOldestFirstMatchesReferenceAtDepth(t *testing.T) {
 	}
 }
 
-// TestOldestFirstWideSpanMatchesReference puts the bucket queue's awkward
-// shapes into one pick. Every input holds a long queue for output 0,
-// released at the start of a phase and served one flow a round, so the
-// oldest heads stay over a thousand rounds old while a backlog of recent
-// flows keeps some five hundred other VOQs active: each pick's releases
-// span far more than the queue's window of 64, so it re-bases past the
-// gap. Two more phases follow idle jumps, past 2^40 and to just short of
-// 2^48: releases the keys' 40 bits cannot hold relative to the first
-// phase's origin, so the lists must rebuild around a later one. The
-// schedule must be the reference's.
+// TestOldestFirstWideSpanMatchesReference puts wide release spans into
+// one pick. Every input holds a long queue for output 0, released at the
+// start of a phase and served a flow or two a round, so the oldest heads
+// stay hundreds of rounds old while a backlog of recent flows keeps some
+// five hundred other VOQs active. On unit ports the window must double
+// past its first 64 slots to span them; at capacity 2 each pick's
+// releases span far more than the lists' bucket queue of 64, so it
+// re-bases past the gap. Two more phases follow idle jumps, past 2^40
+// and to just short of 2^48: releases the lists' keys cannot hold
+// relative to the first phase's origin, so the lists must rebuild around
+// a later one, while the window's slots wrap. On unit ports each phase's
+// span outgrows the window's most slots, so the lists stand in until
+// the next phase hands back to a window. At K in {1, 2}, with the
+// layout held to a from-scratch build (listProbe) after every build and
+// doubling and every 16th pick, the schedule must be the reference's.
 func TestOldestFirstWideSpanMatchesReference(t *testing.T) {
 	const nIn, nOut, hot, burst, perRound, rounds, backlog = 8, 64, 1400, 5000, 12, 1400, 8192
 	rng := rand.New(rand.NewSource(7))
@@ -157,12 +173,28 @@ func TestOldestFirstWideSpanMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	sw := switchnet.NewSwitch(nIn, nOut, 1)
-	want, _ := ofTrace(t, &sliceSource{flows: flows}, sw, refOldest{}, 1, backlog)
-	got, _ := ofTrace(t, &sliceSource{flows: flows}, sw, &OldestFirst{}, 1, backlog)
-	sameTrace(t, got, want)
-	if last := want[len(want)-1][1]; last < 1<<48 {
-		t.Fatalf("last serve in round %d: the stream never jumped", last)
+	for _, K := range []int{1, 2} {
+		for _, portCap := range []int{1, 2} {
+			t.Run(fmt.Sprintf("K%d/cap%d", K, portCap), func(t *testing.T) {
+				sw := switchnet.NewSwitch(nIn, nOut, portCap)
+				want, _ := ofTrace(t, &sliceSource{flows: flows}, sw, refOldest{}, K, backlog)
+				got, rt := ofTrace(t, &sliceSource{flows: flows}, sw, &listProbe{t: t, p: &OldestFirst{}, every: 16}, K, backlog)
+				sameTrace(t, got, want)
+				if last := want[len(want)-1][1]; last < 1<<48 {
+					t.Fatalf("last serve in round %d: the stream never jumped", last)
+				}
+				for _, pol := range rt.instances() {
+					q := pol.(*listProbe)
+					if portCap == 1 && (q.p.grows == 0 || q.windows == 0 || q.windows == q.checks) {
+						t.Fatalf("an instance doubled its window %d times and checked %d of %d picks on it: want doublings, and the lists standing in past its %d slots",
+							q.p.grows, q.windows, q.checks, ofMaxSlots)
+					}
+					if portCap > 1 && q.p.builds < 3 {
+						t.Fatalf("an instance built its lists %d times: want a rebuild after each jump", q.p.builds)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -194,19 +226,27 @@ func TestOldestFirstReusedInstanceMatchesFresh(t *testing.T) {
 	}
 }
 
-// listProbe runs an OldestFirst and, at the start of each pick, once the
-// lists have synced, holds every active input's list to a from-scratch
-// build: that input's non-empty VOQs' heads, read from the arena, sorted
-// by (release, output), with their demands. few and batch count the
-// syncs that took each of sync's two paths.
+// listProbe runs an OldestFirst and, at the start of each pick, once its
+// layout has synced, holds it to a from-scratch build. On the lists, each
+// active input's list must be that input's non-empty VOQs' heads, read
+// from the arena, sorted by (release, output), with their demands; few
+// and batch count the syncs that took each of sync's two paths. On the
+// window, each active input's row must hold exactly its heads' bits (see
+// checkWindow); windows counts those picks. every > 1 checks one pick in
+// every, and always the first after a build or a doubling. Its instances
+// share their parent's storage, as OldestFirst's do.
 type listProbe struct {
-	t                  *testing.T
-	p                  *OldestFirst
-	checks, few, batch int
+	t                           *testing.T
+	p                           *OldestFirst
+	every, picks                int
+	laid                        int64
+	checks, few, batch, windows int
 }
 
-func (q *listProbe) Name() string              { return q.p.Name() }
-func (q *listProbe) NewShard() Policy          { return &listProbe{t: q.t, p: &OldestFirst{}} }
+func (q *listProbe) Name() string { return q.p.Name() }
+func (q *listProbe) NewShard() Policy {
+	return &listProbe{t: q.t, p: q.p.NewShard().(*OldestFirst), every: q.every}
+}
 func (q *listProbe) Reset(sw switchnet.Switch) { q.p.Reset(sw) }
 
 func (q *listProbe) Pick(v *View) {
@@ -216,7 +256,7 @@ func (q *listProbe) Pick(v *View) {
 		for _, w := range v.staleWords(in) {
 			stale += bits.OnesCount64(w)
 		}
-		if r := in / max(q.p.nk, 1); !q.p.built || stale == 0 {
+		if r := in / max(q.p.nk, 1); q.p.windowed() || !q.p.built || stale == 0 {
 		} else if !q.p.succ[r] && stale*ofFew <= int(q.p.n[r]) {
 			q.few++
 		} else {
@@ -224,6 +264,23 @@ func (q *listProbe) Pick(v *View) {
 		}
 	}
 	q.p.refresh(v)
+	if laid := q.p.builds + q.p.grows; laid != q.laid || q.every <= 1 || q.picks%q.every == 0 {
+		if q.p.windowed() {
+			q.checkWindow(v)
+			q.windows++
+		} else {
+			q.checkLists(v)
+		}
+		q.checks++
+		q.laid = laid
+	}
+	q.picks++
+	q.p.Pick(v)
+}
+
+// checkLists holds every active input's synced list to a build from the
+// arena's VOQ heads.
+func (q *listProbe) checkLists(v *View) {
 	rt, p := v.rt, q.p
 	for a := range v.NumActiveInputs() {
 		in := v.ActiveInput(a)
@@ -246,19 +303,66 @@ func (q *listProbe) Pick(v *View) {
 			}
 		}
 	}
-	q.checks++
-	p.Pick(v)
+}
+
+// checkWindow holds every active input's row of the synced window to a
+// build from the arena's VOQ heads: each head's bit is set in the slot of
+// its release, the row holds no other bit, and each slot's input bitmap
+// marks the row exactly where the row has a bit.
+func (q *listProbe) checkWindow(v *View) {
+	rt, p := v.rt, q.p
+	if span := p.newest - p.oldest; span < 0 || span >= int64(p.slots) {
+		q.t.Fatalf("round %d: releases %d..%d pending, the window spans %d", rt.round, p.oldest, p.newest, p.slots)
+	}
+	listed := make([]int, v.NumActiveInputs())
+	for a := range v.NumActiveInputs() {
+		in := v.ActiveInput(a)
+		r := in / p.nk
+		for out := range rt.mOut {
+			h := rt.vqs[in*rt.mOut+out].head
+			if h == noID {
+				continue
+			}
+			listed[a]--
+			rel := rt.ar.rec[h].rel
+			if rel < p.oldest || rel > p.newest {
+				q.t.Fatalf("round %d: head (%d, %d) released at %d, outside the pending %d..%d", rt.round, in, out, rel, p.oldest, p.newest)
+			}
+			if s := p.slot(rel); p.win[s+p.rw+r*p.nw+out>>6]>>uint(out&63)&1 == 0 {
+				q.t.Fatalf("round %d: head (%d, %d) released at %d is not in its slot", rt.round, in, out, rel)
+			}
+		}
+	}
+	for s := 0; s < len(p.win); s += p.stride {
+		for a := range v.NumActiveInputs() {
+			r := v.ActiveInput(a) / p.nk
+			any := uint64(0)
+			for _, w := range p.win[s+p.rw+r*p.nw : s+p.rw+(r+1)*p.nw] {
+				listed[a] += bits.OnesCount64(w)
+				any |= w
+			}
+			if marked := p.win[s+r>>6]>>uint(r&63)&1 == 1; marked != (any != 0) {
+				q.t.Fatalf("round %d input %d slot %d: input bit %v over a row of %d outputs", rt.round, v.ActiveInput(a), s/p.stride, marked, any)
+			}
+		}
+	}
+	for a, n := range listed {
+		if n != 0 {
+			q.t.Fatalf("round %d input %d: %d more outputs listed than VOQs active", rt.round, v.ActiveInput(a), n)
+		}
+	}
 }
 
 // TestOldestFirstListsMatchRebuild is the differential check on the
-// persistent lists: on Poisson arrivals at twice the switch's capacity
-// (multi-unit demands at capacity 3, so served heads' successors re-enter
-// the lists), at K in {1, 2, 3}, lossless and under a deadline that
-// expires heads, every pick's synced lists must equal a from-scratch
-// build — through a Reload to WeightedISLIP (whose headRow calls clear
-// the stale bits the lists never see) and back, and across a checkpoint
-// restored into a new runtime. Both of sync's paths and the successor
-// path must have run.
+// persistent layouts: on Poisson arrivals at twice the switch's capacity,
+// at K in {1, 2, 3}, lossless and under a deadline that expires heads,
+// every pick's synced layout must equal a from-scratch build — through a
+// Reload to WeightedISLIP (whose headRow calls clear the stale bits the
+// layout never sees) and back, and across a checkpoint restored into a
+// new runtime. At capacity 1 every pick runs on the window; at capacity 3
+// (multi-unit demands, so served heads' successors re-enter the lists)
+// every pick runs on the lists, and both of sync's paths and the
+// successor path must have run.
 func TestOldestFirstListsMatchRebuild(t *testing.T) {
 	const ports, flows, maxPending = 24, 12000, 1 << 11
 	for _, K := range []int{1, 2, 3} {
@@ -269,11 +373,11 @@ func TestOldestFirstListsMatchRebuild(t *testing.T) {
 					if deadline > 0 {
 						cfg.Admit, cfg.Deadline = AdmitDeadline, deadline
 					}
-					checks, few, batch, moved, builds := 0, 0, 0, int64(0), int64(0)
+					checks, few, batch, windows, moved, builds := 0, 0, 0, 0, int64(0), int64(0)
 					tally := func(rt *Runtime) {
 						for _, pol := range rt.instances() {
 							if q, ok := pol.(*listProbe); ok {
-								checks, few, batch = checks+q.checks, few+q.few, batch+q.batch
+								checks, few, batch, windows = checks+q.checks, few+q.few, batch+q.batch, windows+q.windows
 								moved += q.p.moved
 								builds += q.p.builds
 							}
@@ -334,8 +438,11 @@ func TestOldestFirstListsMatchRebuild(t *testing.T) {
 					if builds != int64(3*K) || checks < 100 {
 						t.Fatalf("%d builds, %d checked picks: want %d builds and the picks of a whole run", builds, checks, 3*K)
 					}
-					if (portCap > 1) != (moved > 0) || few == 0 || batch == 0 {
-						t.Fatalf("capacity %d: the merges re-keyed %d successors; %d syncs one by one, %d in a batch", portCap, moved, few, batch)
+					if portCap == 1 && (windows != checks || moved > 0) {
+						t.Fatalf("unit ports: %d of %d checked picks on the window, %d successors re-keyed", windows, checks, moved)
+					}
+					if portCap > 1 && (windows > 0 || moved == 0 || few == 0 || batch == 0) {
+						t.Fatalf("capacity %d: %d picks on the window; the merges re-keyed %d successors; %d syncs one by one, %d in a batch", portCap, windows, moved, few, batch)
 					}
 				})
 			}

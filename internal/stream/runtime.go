@@ -96,7 +96,12 @@ type Config struct {
 	Switch switchnet.Switch
 	// Policy selects flows each round. With Shards > 1 it must implement
 	// Shardable, and the runtime picks through its NewShard instances;
-	// reports (Summary, checkpoints, errors) still name Policy.
+	// reports (Summary, checkpoints, errors) still name Policy. A policy
+	// value serves one runtime at a time: at one shard the runtime picks
+	// with the value itself, and at several OldestFirst's instances pick
+	// in storage kept on the value (which is what lets the next runtime
+	// built from it reuse that storage). Runtimes that run at once each
+	// need a value of their own, from ByName for instance.
 	Policy Policy
 	// Shards = K > 1 runs K instances of Policy, instance k picking
 	// through a View scoped to the inputs ≡ k (mod K); each round they

@@ -124,7 +124,7 @@ func (v *View) ActiveInput(k int) int { return int(v.rt.activeIn[v.k][k]) }
 // an inactive VOQ's entry means nothing. A second call in the same pick
 // finds nothing stale and costs NumOut/64 word reads.
 // staleWords hands out those bits for reading; OldestFirst syncs its
-// lists from them, so during a run only the installed policy calls
+// window or lists from them, so during a run only the installed policy calls
 // headRow, each instance for its own scope's inputs.
 func (v *View) voqWords(in int) []uint64 {
 	nw := v.rt.nw

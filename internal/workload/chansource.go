@@ -32,20 +32,23 @@ var ErrSourceClosed = errors.New("workload: ChanSource closed")
 // returns, whatever it returned. A chunk fills the spare room of the
 // queued tail slab first and spills into a slab from the source's free
 // list, which is allocated only when that list is empty; the consumer
-// hands the slabs it has read back to the list when it next takes the
-// queue. One synchronisation per chunk on the producer side, and one per
-// queue swap on the consumer's, replace one per flow. Chunks of
-// concurrent producers interleave whole: a batch's flows come out in
-// order, and each chunk of it contiguously.
+// hands each slab back to the list as it finishes reading it. One
+// synchronisation per chunk on the producer side, and one per slab on
+// the consumer's, replace one per flow. Chunks of concurrent producers
+// interleave whole: a batch's flows come out in order, and each chunk of
+// it contiguously.
 //
 // The bound is on flows, not slabs: a chunk is queued only while fewer
 // than buf flows are buffered (pushed and not yet handed to the
 // consumer), so at most buf-1 flows plus one chunk ever are. A batch
 // longer than buf is therefore delivered piecewise as the consumer makes
 // room, never refused and never deadlocked. Coalescing into the tail
-// keeps every queued slab but the last full, so the queue holds at most
-// ⌈(buf+slabChunk-1)/slabChunk⌉ slabs, and the source owns at most twice
-// that: the queue, and the slabs of the swap the consumer is reading.
+// keeps every queued slab but the last full, and the consumer takes a
+// partly filled tail off the queue only when it is all the queue holds,
+// so the slabs it has taken are full, or one alone. Every slab the
+// source owns is free or holds buffered flows, all full but the tail,
+// the open slab and the one a chunk spills into: however slow the
+// consumer, the source owns at most ⌈buf/slabChunk⌉ + 2 slabs.
 //
 // Release rounds are assigned by the source, not the producers: scheduler
 // time is virtual (rounds advance as fast as the round loop spins, and
@@ -74,14 +77,12 @@ type ChanSource struct {
 	space chan struct{}
 
 	// Consumer-side state, touched only by the runtime's goroutine: the
-	// slabs taken off the queue in one swap, the next one to open, the
-	// open one and what is left of it, and the slabs read out since the
-	// swap, which go back to the free list at the next.
+	// slabs taken off the queue in one swap, the next one to open, and
+	// the open one and what is left of it.
 	taken     [][]switchnet.Flow
 	next      int
 	slab      []switchnet.Flow
 	cur       []switchnet.Flow
-	spent     [][]switchnet.Flow
 	lastRound int
 	lastRel   int
 }
@@ -208,29 +209,23 @@ func (s *ChanSource) Close() {
 func (s *ChanSource) Buffered() int { return int(s.buffered.Load()) }
 
 // open makes cur the next non-empty slab; false means nothing is queued.
-// A slab read out is kept in spent until the consumer next takes the
-// queue, which hands them all back to the free list in the hold of mu it
-// makes anyway: no producer writes to a slab once it has left the queue.
-// A consumer that finds the feed dry with slabs in spent takes the (maybe
-// empty) queue once all the same, so a feed that is filled and drained in
-// turns reuses one set of slabs.
+// A swap leaves a partly filled tail on the queue for the producers to
+// fill, unless it is all the queue holds.
 func (s *ChanSource) open() bool {
 	if len(s.cur) > 0 {
 		return true
 	}
-	if s.slab != nil {
-		s.spent = append(s.spent, s.slab[:0])
-		s.slab = nil
-	}
 	if s.next == len(s.taken) {
-		if s.buffered.Load() == 0 && len(s.spent) == 0 {
+		if s.buffered.Load() == 0 {
 			return false
 		}
 		s.mu.Lock()
 		s.taken, s.queued = s.queued, s.taken[:0]
-		s.free = append(s.free, s.spent...)
+		if n := len(s.taken); n > 1 && len(s.taken[n-1]) < slabChunk {
+			s.queued = append(s.queued, s.taken[n-1])
+			s.taken = s.taken[:n-1]
+		}
 		s.mu.Unlock()
-		s.spent = s.spent[:0]
 		s.next = 0
 		if len(s.taken) == 0 {
 			return false
@@ -240,6 +235,18 @@ func (s *ChanSource) open() bool {
 	s.cur = s.slab
 	s.next++
 	return true
+}
+
+// consume moves the read cursor past the first n flows of cur and hands
+// the open slab back to the free list once it is read out: no producer
+// writes to a slab once it has left the queue.
+func (s *ChanSource) consume(n int) {
+	if s.cur = s.cur[n:]; len(s.cur) == 0 {
+		s.mu.Lock()
+		s.free = append(s.free, s.slab[:0])
+		s.mu.Unlock()
+		s.slab = nil
+	}
 }
 
 // handed stamps the flows just handed to the consumer — release is the
@@ -275,8 +282,8 @@ func (s *ChanSource) PullBatch(dst []switchnet.Flow, round, max int) []switchnet
 	for max > 0 && s.open() {
 		n := min(max, len(s.cur))
 		dst = append(dst, s.cur[:n]...)
+		s.consume(n)
 		s.handed(dst[len(dst)-n:])
-		s.cur = s.cur[n:]
 		max -= n
 	}
 	return dst
@@ -301,7 +308,7 @@ func (s *ChanSource) Park(wake <-chan struct{}) (f switchnet.Flow, ok, woke bool
 		}
 	}
 	out := [1]switchnet.Flow{s.cur[0]}
-	s.cur = s.cur[1:]
+	s.consume(1)
 	s.handed(out[:])
 	return out[0], true, false
 }

@@ -101,3 +101,40 @@ func TestChanSourceSinglePushesShareSlabs(t *testing.T) {
 		}
 	}
 }
+
+// TestChanSourceSlowConsumerSlabBound: behind a consumer slower than its
+// producer, the source still owns at most ⌈buf/slabChunk⌉ + 2 slabs. A
+// producer tops the feed up to its bound before every read by the
+// consumer, so the queue is full each time the consumer takes it. Its
+// batches are single flows, chunks that straddle slabs and whole slabs,
+// none longer than a chunk, so a top-up never blocks; the reads fall
+// within a slab and across several. Every slab the source ever allocated
+// is on the free list once the feed has drained dry.
+func TestChanSourceSlowConsumerSlabBound(t *testing.T) {
+	const buf, flows = 4096, 1 << 15
+	for _, batch := range []int{1, 100, slabChunk} {
+		for _, read := range []int{1, 37, slabChunk + 1, 1000} {
+			s := NewChanSource(buf)
+			pushed, drained := 0, 0
+			var dst []switchnet.Flow
+			for drained < flows {
+				for pushed < flows && s.Buffered() < buf {
+					n := min(batch, flows-pushed)
+					if _, err := s.PushBatch(context.Background(), numbered(0, 0, n)); err != nil {
+						t.Fatal(err)
+					}
+					pushed += n
+				}
+				dst = s.PullBatch(dst[:0], 0, read)
+				drained += len(dst)
+			}
+			if s.PullBatch(nil, 0, 1) != nil {
+				t.Fatal("drained feed yielded a flow")
+			}
+			if n, limit := len(s.free), (buf+slabChunk-1)/slabChunk+2; n > limit {
+				t.Fatalf("batches of %d, reads of %d: the source allocated %d slabs for a %d-flow buffer, want at most %d",
+					batch, read, n, buf, limit)
+			}
+		}
+	}
+}
