@@ -1,7 +1,7 @@
 package flowsched
 
 // The Go benchmarks time the building blocks the paper outsourced to Lemon
-// and Gurobi, and the two that CI runs on every push:
+// and Gurobi, and the three that CI runs on every push:
 //
 //	BenchmarkOfflineLadder - the offline LP pipeline at growing paper-model
 //	                  sizes and at two cells of the paper's own grid (150
@@ -9,6 +9,10 @@ package flowsched
 //	                  SolveMRT built, pivots, phase-1 pivots, flows in the
 //	                  starting basis, perturbations, peak L+U nonzeros,
 //	                  milliseconds per call and B/op and allocs/op per rung.
+//	BenchmarkOfflinePaper - one pass of the benchmark's offline_paper
+//	                  workload, oracle checks included, with its
+//	                  alloc_bytes_per_flow as B/flow beside allocs/flow and
+//	                  us/flow.
 //	BenchmarkVerifyWindow - the feasibility oracle on one stream-sized
 //	                  window, cold (CheckSchedule) and on a warmed Checker.
 //	BenchmarkSubstrate* - one LP solve, one 150-port drain, the SRPT bound,
@@ -29,6 +33,7 @@ package flowsched
 // coflow-oblivious order coflow's TestSEBFBeatsFIFOOnSkew.
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -139,6 +144,70 @@ func BenchmarkOfflineLadder(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkOfflinePaper is one pass of the benchmark's offline_paper
+// workload over its instances: 64 paper-model instances (a 5x5 unit switch,
+// 25 unit flows each, releases uniform on [0, 5), generated as the harness
+// does at seed 1), and per instance ARTLowerBound, SolveART(c=1) checked by
+// CheckScaled at its CapFactor, MRTLowerBound, and SolveMRT checked by
+// CheckAugmented at +2*d_max-1. Its per-flow figures are the harness's
+// alloc_bytes_per_flow and the allocation count beside it: B/flow and
+// allocs/flow divide the heap the b.N passes allocated by the flows they
+// solved, so the warmed figure (-benchtime 20x and up) reproduces the
+// workload's without benchmark/.
+func BenchmarkOfflinePaper(b *testing.B) {
+	const count, ports, rounds, flows = 64, 5, 5, 25
+	rng := rand.New(rand.NewSource(1))
+	insts := make([]*Instance, count)
+	for i := range insts {
+		fl := make([]Flow, flows)
+		for j := range fl {
+			fl[j] = Flow{In: rng.Intn(ports), Out: rng.Intn(ports), Demand: 1, Release: rng.Intn(rounds)}
+		}
+		insts[i] = &Instance{Switch: UnitSwitch(ports), Flows: fl}
+	}
+	pass := func() {
+		for _, inst := range insts {
+			if _, err := ARTLowerBound(inst); err != nil {
+				b.Fatal(err)
+			}
+			art, err := SolveART(inst, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := CheckScaled(inst, art.Schedule, art.CapFactor); err != nil {
+				b.Fatal(err)
+			}
+			rho, err := MRTLowerBound(inst)
+			if err != nil {
+				b.Fatal(err)
+			}
+			mrt, err := SolveMRT(inst)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := CheckAugmented(inst, mrt.Schedule, 2*inst.MaxDemand()-1); err != nil {
+				b.Fatal(err)
+			}
+			if mrt.Rho != rho {
+				b.Fatalf("SolveMRT rho %d, MRTLowerBound %d", mrt.Rho, rho)
+			}
+		}
+	}
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	solved := float64(b.N * count * flows)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/solved, "B/flow")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/solved, "allocs/flow")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/solved/1e3, "us/flow")
 }
 
 // BenchmarkVerifyWindow runs the feasibility oracle over one verification

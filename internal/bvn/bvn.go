@@ -6,15 +6,34 @@
 // capacities (the transformation of [24] cited in the paper).
 package bvn
 
-// EdgeColor colors the edges of a bipartite multigraph so that no two edges
-// sharing an endpoint receive the same color, using at most
-// max-degree colors (König's theorem). Edges are (left, right) pairs;
-// parallel edges are allowed. It returns the color of each edge and the
-// number of colors used.
-func EdgeColor(nL, nR int, edges [][2]int) (colors []int, numColors int) {
+// Scratch is the working memory of Color, for a caller that decomposes many
+// multigraphs one after another (internal/core colors each conversion window
+// of Theorem 1 in one). Every array in it is rewritten before it is read, so
+// a call depends on its arguments alone, and what a call returns is the
+// Scratch's own until the next. The zero value is ready to use; Decompose
+// runs in a fresh one, so what it returns is the caller's.
+type Scratch struct {
+	rep          [][2]int
+	baseL, baseR []int
+	cntL, cntR   []int
+	degL, degR   []int
+	// occL[u][c] / occR[v][c] is the edge currently colored c at the vertex,
+	// or -1: views of palette-sized runs of occ.
+	occ        []int
+	occL, occR [][]int
+	colors     []int
+	chain      []int
+}
+
+// edgeColor colors the edges of a bipartite multigraph so that no two edges
+// sharing an endpoint receive the same color, using at most max-degree
+// colors (König's theorem), in s's memory. Edges are (left, right) pairs;
+// parallel edges are allowed. It returns the color of each edge, every one
+// in [0, numColors), and the number of colors used.
+func (s *Scratch) edgeColor(nL, nR int, edges [][2]int) (colors []int, numColors int) {
 	// Max degree bounds the palette size.
-	degL := make([]int, nL)
-	degR := make([]int, nR)
+	degL, degR := zeroed(s.degL, nL), zeroed(s.degR, nR)
+	s.degL, s.degR = degL, degR
 	for _, e := range edges {
 		degL[e[0]]++
 		degR[e[1]]++
@@ -30,21 +49,27 @@ func EdgeColor(nL, nR int, edges [][2]int) (colors []int, numColors int) {
 			maxDeg = d
 		}
 	}
+	colors = grow(s.colors, len(edges))
+	s.colors = colors
 	if maxDeg == 0 {
-		return make([]int, len(edges)), 0
+		clear(colors)
+		return colors, 0
 	}
 
-	// occL[u][c] / occR[v][c] is the edge currently colored c at the vertex,
-	// or -1.
-	occL := make([][]int, nL)
-	occR := make([][]int, nR)
+	occ := grow(s.occ, (nL+nR)*maxDeg)
+	s.occ = occ
+	for i := range occ {
+		occ[i] = -1
+	}
+	occL, occR := grow(s.occL, nL), grow(s.occR, nR)
+	s.occL, s.occR = occL, occR
 	for u := range occL {
-		occL[u] = newOcc(maxDeg)
+		occL[u] = occ[u*maxDeg : (u+1)*maxDeg : (u+1)*maxDeg]
 	}
+	occ = occ[nL*maxDeg:]
 	for v := range occR {
-		occR[v] = newOcc(maxDeg)
+		occR[v] = occ[v*maxDeg : (v+1)*maxDeg : (v+1)*maxDeg]
 	}
-	colors = make([]int, len(edges))
 	for i := range colors {
 		colors[i] = -1
 	}
@@ -72,7 +97,7 @@ func EdgeColor(nL, nR int, edges [][2]int) (colors []int, numColors int) {
 		// chain starting at v. In a bipartite graph the chain cannot reach
 		// u, so a stays free at u.
 		if occR[v][a] != -1 {
-			flipChain(edges, colors, occL, occR, v, a, b)
+			s.flipChain(edges, v, a, b)
 		}
 		colors[id] = a
 		occL[u][a] = id
@@ -88,21 +113,29 @@ func EdgeColor(nL, nR int, edges [][2]int) (colors []int, numColors int) {
 	return colors, used
 }
 
-// newOcc returns a palette occupancy slice initialized to -1.
-func newOcc(size int) []int {
-	occ := make([]int, size)
-	for i := range occ {
-		occ[i] = -1
+// grow returns s resized to n, reallocated only when its capacity is short;
+// the contents are whatever s held.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return occ
+	return s[:n]
+}
+
+// zeroed is grow with every entry 0.
+func zeroed(s []int, n int) []int {
+	s = grow(s, n)
+	clear(s)
+	return s
 }
 
 // flipChain swaps colors a and b along the maximal alternating chain that
 // starts at right vertex v with an edge colored a.
-func flipChain(edges [][2]int, colors []int, occL, occR [][]int, v, a, b int) {
+func (s *Scratch) flipChain(edges [][2]int, v, a, b int) {
+	colors, occL, occR := s.colors, s.occL, s.occR
 	// Collect the chain first, then repaint; repainting while walking
 	// corrupts the occupancy lookups.
-	var chain []int
+	chain := s.chain[:0]
 	onRight := true
 	vert := v
 	col := a
@@ -129,6 +162,7 @@ func flipChain(edges [][2]int, colors []int, occL, occR [][]int, v, a, b int) {
 			col = a
 		}
 	}
+	s.chain = chain
 	for _, id := range chain {
 		old := colors[id]
 		next := a
@@ -149,7 +183,7 @@ func flipChain(edges [][2]int, colors []int, occL, occR [][]int, v, a, b int) {
 }
 
 // Matchings groups edge indices by color, producing the decomposition into
-// matchings. colors and numColors are as returned by EdgeColor.
+// matchings. colors and numColors are as Color returns them.
 func Matchings(colors []int, numColors int) [][]int {
 	groups := make([][]int, numColors)
 	for id, c := range colors {
@@ -160,15 +194,15 @@ func Matchings(colors []int, numColors int) [][]int {
 	return groups
 }
 
-// Replicate applies the b-matching-to-matching transform from the proof of
+// replicate applies the b-matching-to-matching transform from the proof of
 // Theorem 1: each left port l is replicated capL[l] times and each right
 // port r capR[r] times, and every edge is attached to replicas of its
 // endpoints in round-robin order. The resulting multigraph has maximum
 // degree at most max_p ceil(deg(p)/cap(p)). It returns the replicated edge
-// list and the replica counts on each side.
-func Replicate(edges [][2]int, capL, capR []int) (rep [][2]int, nRepL, nRepR int) {
-	baseL := make([]int, len(capL))
-	baseR := make([]int, len(capR))
+// list, in s's memory, and the replica counts on each side.
+func (s *Scratch) replicate(edges [][2]int, capL, capR []int) (rep [][2]int, nRepL, nRepR int) {
+	baseL, baseR := zeroed(s.baseL, len(capL)), zeroed(s.baseR, len(capR))
+	s.baseL, s.baseR = baseL, baseR
 	for l := 1; l < len(capL); l++ {
 		baseL[l] = baseL[l-1] + capL[l-1]
 	}
@@ -181,9 +215,10 @@ func Replicate(edges [][2]int, capL, capR []int) (rep [][2]int, nRepL, nRepR int
 	if len(capR) > 0 {
 		nRepR = baseR[len(capR)-1] + capR[len(capR)-1]
 	}
-	cntL := make([]int, len(capL))
-	cntR := make([]int, len(capR))
-	rep = make([][2]int, len(edges))
+	cntL, cntR := zeroed(s.cntL, len(capL)), zeroed(s.cntR, len(capR))
+	s.cntL, s.cntR = cntL, cntR
+	rep = grow(s.rep, len(edges))
+	s.rep = rep
 	for i, e := range edges {
 		l, r := e[0], e[1]
 		rep[i] = [2]int{baseL[l] + cntL[l]%capL[l], baseR[r] + cntR[r]%capR[r]}
@@ -196,10 +231,18 @@ func Replicate(edges [][2]int, capL, capR []int) (rep [][2]int, nRepL, nRepR int
 // Decompose partitions the edges of a capacitated bipartite multigraph into
 // classes such that within each class every left port l carries at most
 // capL[l] edges and every right port r at most capR[r]. It combines
-// Replicate with EdgeColor and returns the classes as slices of edge
+// port replication with edge coloring and returns the classes as slices of edge
 // indices. The number of classes is at most max_p ceil(deg(p)/cap(p)).
 func Decompose(edges [][2]int, capL, capR []int) [][]int {
-	rep, nRepL, nRepR := Replicate(edges, capL, capR)
-	colors, num := EdgeColor(nRepL, nRepR, rep)
-	return Matchings(colors, num)
+	var s Scratch
+	return Matchings(s.Color(edges, capL, capR))
+}
+
+// Color is Decompose without the grouping, in s's memory: the class of each
+// edge, every one in [0, numColors), and the number of classes, which
+// Matchings turns into Decompose's classes. colors is s's until its next
+// call.
+func (s *Scratch) Color(edges [][2]int, capL, capR []int) (colors []int, numColors int) {
+	rep, nRepL, nRepR := s.replicate(edges, capL, capR)
+	return s.edgeColor(nRepL, nRepR, rep)
 }

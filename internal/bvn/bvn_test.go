@@ -2,9 +2,22 @@ package bvn
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// EdgeColor is edgeColor in a fresh Scratch: the coloring is the caller's.
+func EdgeColor(nL, nR int, edges [][2]int) (colors []int, numColors int) {
+	var s Scratch
+	return s.edgeColor(nL, nR, edges)
+}
+
+// Replicate is replicate in a fresh Scratch: the edges are the caller's.
+func Replicate(edges [][2]int, capL, capR []int) (rep [][2]int, nRepL, nRepR int) {
+	var s Scratch
+	return s.replicate(edges, capL, capR)
+}
 
 // maxDegree computes the maximum vertex degree of a bipartite multigraph.
 func maxDegree(nL, nR int, edges [][2]int) int {
@@ -215,5 +228,42 @@ func TestQuickDecomposeRespectsCaps(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScratchColorsAsFresh: one Scratch, colouring capacitated multigraphs
+// of every size in turn, gives each the colouring a fresh one gives — so
+// Matchings of it is Decompose's classes — and, colouring the last one
+// again, allocates nothing.
+func TestScratchColorsAsFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var s Scratch
+	var edges [][2]int
+	var capL, capR []int
+	for trial := range 40 {
+		nL, nR := 1+rng.Intn(6), 1+rng.Intn(6)
+		capL, capR = make([]int, nL), make([]int, nR)
+		for i := range capL {
+			capL[i] = 1 + rng.Intn(3)
+		}
+		for i := range capR {
+			capR[i] = 1 + rng.Intn(3)
+		}
+		edges = make([][2]int, rng.Intn(30))
+		for i := range edges {
+			edges[i] = [2]int{rng.Intn(nL), rng.Intn(nR)}
+		}
+		var fresh Scratch
+		want, wantNum := fresh.Color(edges, capL, capR)
+		got, num := s.Color(edges, capL, capR)
+		if num != wantNum || !slices.Equal(got, want) {
+			t.Fatalf("trial %d: reused scratch colours %v (%d), a fresh one %v (%d)", trial, got, num, want, wantNum)
+		}
+		if classes := Decompose(edges, capL, capR); !slices.EqualFunc(classes, Matchings(got, num), slices.Equal) {
+			t.Fatalf("trial %d: Decompose %v, Matchings of the colouring %v", trial, classes, Matchings(got, num))
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { s.Color(edges, capL, capR) }); n != 0 {
+		t.Errorf("%v allocations colouring a multigraph the Scratch has coloured, want 0", n)
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"flowsched/internal/bvn"
 	"flowsched/internal/lp"
 	"flowsched/internal/switchnet"
-	"flowsched/internal/verify"
 )
 
 // ARTResult is the outcome of SolveART (Theorem 1).
@@ -71,8 +69,10 @@ func SolveART(inst *switchnet.Instance, c int) (*ARTResult, error) {
 		return &ARTResult{Schedule: switchnet.NewSchedule(0), CapFactor: 1 + c}, nil
 	}
 
-	ps, err := IterativeRound(inst)
-	if err != nil {
+	ws := getWorkspace()
+	defer ws.put()
+	ps := &ws.ps
+	if err := ws.iterativeRound(inst, ps); err != nil {
 		return nil, err
 	}
 
@@ -80,11 +80,11 @@ func SolveART(inst *switchnet.Instance, c int) (*ARTResult, error) {
 	if h0 < 1 {
 		h0 = 1
 	}
-	var sched *switchnet.Schedule
+	sched := switchnet.NewSchedule(n)
 	var usedH, batches int
 	for h := h0; ; h *= 2 {
-		sched, batches = convertPseudoSchedule(inst, ps, c, h)
-		if sched != nil {
+		var ok bool
+		if batches, ok = ws.convertPseudoSchedule(inst, ps, c, h, sched); ok {
 			usedH = h
 			break
 		}
@@ -104,7 +104,7 @@ func SolveART(inst *switchnet.Instance, c int) (*ARTResult, error) {
 		LPIterations:       ps.LPIterations,
 		LP:                 ps.LP,
 	}
-	if _, err := verify.CheckScaled(inst, sched, 1+c); err != nil {
+	if err := ws.check(inst, sched, 1+c, 0); err != nil {
 		return nil, fmt.Errorf("core: converted schedule invalid: %w", err)
 	}
 	return res, nil
@@ -112,40 +112,55 @@ func SolveART(inst *switchnet.Instance, c int) (*ARTResult, error) {
 
 // convertPseudoSchedule batches the pseudo-schedule into windows of length
 // h and colors each batch into matchings executed in the following window
-// with capacity (1+c)*c_p per round. It returns nil if some batch needs
-// more than h rounds (caller doubles h).
-func convertPseudoSchedule(inst *switchnet.Instance, ps *PseudoSchedule, c, h int) (*switchnet.Schedule, int) {
-	batches := make(map[int][]int) // window index -> flow ids
+// with capacity (1+c)*c_p per round, writing every flow's round into sched.
+// It returns the number of windows that held flows, and false, with sched
+// partly written, if some batch needs more than h rounds (caller doubles h).
+func (ws *workspace) convertPseudoSchedule(inst *switchnet.Instance, ps *PseudoSchedule, c, h int, sched *switchnet.Schedule) (int, bool) {
+	// Count the flows of each window, at end[w+1], and place them window by
+	// window, each window's in flow order.
 	maxWin := 0
-	for f, t := range ps.Round {
-		w := t / h
-		batches[w] = append(batches[w], f)
-		if w > maxWin {
-			maxWin = w
-		}
+	for _, t := range ps.Round {
+		maxWin = max(maxWin, t/h)
 	}
-	sched := switchnet.NewSchedule(inst.N())
-	for w := 0; w <= maxWin; w++ {
-		flows := batches[w]
+	end := zeroed(ws.winEnd, maxWin+2) // where window w's next flow goes
+	ws.winEnd = end
+	for _, t := range ps.Round {
+		end[t/h+1]++
+	}
+	for w := range maxWin + 1 {
+		end[w+1] += end[w]
+	}
+	byWin := grow(ws.inWin, len(ps.Round))
+	ws.inWin = byWin
+	for f, t := range ps.Round {
+		byWin[end[t/h]] = f
+		end[t/h]++
+	}
+	// Window w's flows now end at end[w], where window w+1's begin.
+	batches, lo := 0, 0
+	for w := range maxWin + 1 {
+		flows := byWin[lo:end[w]]
+		lo = end[w]
 		if len(flows) == 0 {
 			continue
 		}
-		edges := make([][2]int, len(flows))
+		batches++
+		edges := grow(ws.edges, len(flows))
+		ws.edges = edges
 		for i, f := range flows {
 			edges[i] = [2]int{inst.Flows[f].In, inst.Flows[f].Out}
 		}
-		classes := bvn.Decompose(edges, inst.Switch.InCaps, inst.Switch.OutCaps)
-		need := (len(classes) + c) / (1 + c) // ceil(classes/(1+c))
+		// Edge i's class (bvn.Decompose's classes, ungrouped) is the
+		// matching it runs in.
+		classes, numClasses := ws.colors.Color(edges, inst.Switch.InCaps, inst.Switch.OutCaps)
+		need := (numClasses + c) / (1 + c) // ceil(classes/(1+c))
 		if need > h {
-			return nil, 0
+			return 0, false
 		}
 		start := (w + 1) * h
-		for k, cls := range classes {
-			round := start + k/(1+c)
-			for _, i := range cls {
-				sched.Round[flows[i]] = round
-			}
+		for i, f := range flows {
+			sched.Round[f] = start + classes[i]/(1+c)
 		}
 	}
-	return sched, len(batches)
+	return batches, true
 }

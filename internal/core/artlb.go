@@ -52,7 +52,9 @@ func ARTLowerBound(inst *switchnet.Instance) (*ARTLowerBoundResult, error) {
 	if inst.N() == 0 {
 		return &ARTLowerBoundResult{}, nil
 	}
-	sol, horizon, st, err := solveOverFirstFit(inst, artLayout, "ART lower-bound LP")
+	ws := getWorkspace()
+	defer ws.put()
+	sol, horizon, st, err := ws.solveOverFirstFit(inst, artLayout, "ART lower-bound LP")
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"flowsched/internal/lp"
 	"flowsched/internal/switchnet"
@@ -67,19 +68,32 @@ func IterativeRound(inst *switchnet.Instance) (*PseudoSchedule, error) {
 	if err := requireUnitDemands(inst); err != nil {
 		return nil, err
 	}
+	ws := getWorkspace()
+	defer ws.put()
+	ps := new(PseudoSchedule)
+	if err := ws.iterativeRound(inst, ps); err != nil {
+		return nil, err
+	}
+	return ps, nil
+}
+
+// iterativeRound is IterativeRound on a valid unit-demand instance, in ws's
+// memory, into ps, which it overwrites whole, keeping the capacity of
+// ps.Round.
+func (ws *workspace) iterativeRound(inst *switchnet.Instance, ps *PseudoSchedule) error {
 	n := inst.N()
-	ps := &PseudoSchedule{Round: make([]int, n)}
+	*ps = PseudoSchedule{Round: grow(ps.Round, n)}
 	for f := range ps.Round {
 		ps.Round[f] = switchnet.Unscheduled
 	}
 	if n == 0 {
-		return ps, nil
+		return nil
 	}
 
 	// LP(0): interval constraints of width 4 with capacity 4*c_p (7).
-	entries, lpVal, st, err := solveInitialIntervalLP(inst)
+	entries, lpVal, st, err := ws.solveInitialIntervalLP(inst)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ps.LPValue = lpVal
 	ps.addSolve(st)
@@ -123,7 +137,7 @@ func IterativeRound(inst *switchnet.Instance) (*PseudoSchedule, error) {
 				}
 			}
 			if best < 0 {
-				return nil, fmt.Errorf("core: iterative rounding lost all variables with %d flows left", remaining)
+				return fmt.Errorf("core: iterative rounding lost all variables with %d flows left", remaining)
 			}
 			f := entries[best].flow
 			ps.Round[f] = entries[best].round
@@ -145,17 +159,18 @@ func IterativeRound(inst *switchnet.Instance) (*PseudoSchedule, error) {
 
 		// Build and solve LP(l) over the surviving variables with
 		// regrouped intervals (11).
-		entries, st, err = solveRegroupedLP(inst, entries)
+		entries, st, err = ws.solveRegroupedLP(inst, entries)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ps.addSolve(st)
 	}
-	return ps, nil
+	return nil
 }
 
 // solveInitialIntervalLP solves LP (5)-(8) and returns its support as
-// entries with the stats of the solves. It is ARTLowerBound's rule at window
+// entries, in flow order and each flow's in round order, with the stats of
+// the solves; the entries are ws's. It is ARTLowerBound's rule at window
 // width 4 (solveOverFirstFit): the LP is solved over the rounds the width-4
 // first fit uses, rounded up to whole windows, and that optimum stands when
 // its duals price every later round out; otherwise, or when first fit cannot
@@ -167,13 +182,13 @@ func IterativeRound(inst *switchnet.Instance) (*PseudoSchedule, error) {
 // and Theorem 1's conversion hold at every one — not the vertex a cold start
 // happens to reach, so the pseudo-schedule may differ from a cold solve's
 // where the optimum is not unique, at the same LP cost.
-func solveInitialIntervalLP(inst *switchnet.Instance) ([]entry, float64, lp.Stats, error) {
-	sol, horizon, st, err := solveOverFirstFit(inst, intervalLayout, "interval LP")
+func (ws *workspace) solveInitialIntervalLP(inst *switchnet.Instance) ([]entry, float64, lp.Stats, error) {
+	sol, horizon, st, err := ws.solveOverFirstFit(inst, intervalLayout, "interval LP")
 	if err != nil {
 		return nil, 0, st, err
 	}
 	// The variables are x_et for t in [r_e, horizon), flow by flow.
-	var entries []entry
+	entries := ws.entries[:0]
 	j := 0
 	for f, e := range inst.Flows {
 		for t := e.Release; t < horizon; t++ {
@@ -183,6 +198,7 @@ func solveInitialIntervalLP(inst *switchnet.Instance) ([]entry, float64, lp.Stat
 			j++
 		}
 	}
+	ws.entries = entries
 	return entries, sol.Obj, st, nil
 }
 
@@ -199,85 +215,103 @@ func intervalCost(inst *switchnet.Instance, f, t int) float64 {
 // solveRegroupedLP builds LP(l) for iteration l >= 1: variables are exactly
 // the surviving entries; per-port interval groups are regrown greedily from
 // the previous solution until their size first exceeds 4*c_p (Section 3.1).
-func solveRegroupedLP(inst *switchnet.Instance, entries []entry) ([]entry, lp.Stats, error) {
-	p := lp.NewProblem(len(entries))
+// The LP is built in ws.lps[0] and solved cold, and the support of its
+// optimum overwrites entries, in the same order, and is returned.
+//
+// The entries are in flow order, as solveInitialIntervalLP writes them and
+// every step since keeps them, so each flow's covering row is one run of
+// them, and the rows come in ascending flow order.
+func (ws *workspace) solveRegroupedLP(inst *switchnet.Instance, entries []entry) ([]entry, lp.Stats, error) {
+	m := &ws.lps[0]
+	p := &m.p
+	p.Reset(len(entries), 3*len(entries), 3*len(entries))
 	for j, en := range entries {
 		e := inst.Flows[en.flow]
 		p.SetCost(j, float64(en.round-e.Release)+0.5)
 		p.SetBounds(j, 0, 1)
 	}
-	// Flow covering rows, in ascending flow order (map iteration order
-	// would perturb the simplex pivot sequence run to run).
-	byFlow := make(map[int][]int)
-	flows := make([]int, 0, len(entries))
-	for j, en := range entries {
-		if _, ok := byFlow[en.flow]; !ok {
-			flows = append(flows, en.flow)
+	// row appends the constraint sum_{j in vars} x_j (sense) rhs.
+	row := func(vars []int, sense lp.Sense, rhs float64) {
+		idx, val := p.AppendRow(len(vars), sense, rhs)
+		copy(idx, vars)
+		for k := range val {
+			val[k] = 1
 		}
-		byFlow[en.flow] = append(byFlow[en.flow], j)
 	}
-	sort.Ints(flows)
-	for _, f := range flows {
-		idx := byFlow[f]
-		val := make([]float64, len(idx))
-		for i := range val {
-			val[i] = 1
+	// Flow covering rows: each flow's run of variables, written in place.
+	for a := 0; a < len(entries); {
+		b := a + 1
+		for b < len(entries) && entries[b].flow == entries[a].flow {
+			b++
 		}
-		p.AddRow(idx, val, lp.GE, 1)
+		idx, val := p.AppendRow(b-a, lp.GE, 1)
+		for k := range idx {
+			idx[k], val[k] = a+k, 1
+		}
+		a = b
 	}
-	// Interval groups per port.
+	// Interval groups per port: each port's variables, counted into one run
+	// of vars per port in variable order, then sorted by round and flow —
+	// a key no two variables of a port share.
 	numPorts := inst.Switch.NumPorts()
-	byPort := make([][]int, numPorts)
-	for j, en := range entries {
+	ports := func(en entry) [2]int {
 		e := inst.Flows[en.flow]
-		pIn := inst.Switch.PortIndex(switchnet.In, e.In)
-		pOut := inst.Switch.PortIndex(switchnet.Out, e.Out)
-		byPort[pIn] = append(byPort[pIn], j)
-		byPort[pOut] = append(byPort[pOut], j)
+		return [2]int{inst.Switch.PortIndex(switchnet.In, e.In), inst.Switch.PortIndex(switchnet.Out, e.Out)}
 	}
-	for port, vars := range byPort {
+	end := zeroed(ws.portEnd, numPorts+1) // where port p's next variable goes
+	ws.portEnd = end
+	for _, en := range entries {
+		for _, port := range ports(en) {
+			end[port+1]++
+		}
+	}
+	for port := range numPorts {
+		end[port+1] += end[port]
+	}
+	all := grow(ws.portVars, 2*len(entries))
+	ws.portVars = all
+	for j, en := range entries {
+		for _, port := range ports(en) {
+			all[end[port]] = j
+			end[port]++
+		}
+	}
+	// Port p's run now ends at end[p], where port p+1's begins.
+	lo := 0
+	for port := range numPorts {
+		vars := all[lo:end[port]]
+		lo = end[port]
 		if len(vars) == 0 {
 			continue
 		}
 		capP := float64(inst.Switch.Cap(port))
-		sort.Slice(vars, func(a, b int) bool {
-			ea, eb := entries[vars[a]], entries[vars[b]]
+		slices.SortFunc(vars, func(a, b int) int {
+			ea, eb := entries[a], entries[b]
 			if ea.round != eb.round {
-				return ea.round < eb.round
+				return cmp.Compare(ea.round, eb.round)
 			}
-			return ea.flow < eb.flow
+			return cmp.Compare(ea.flow, eb.flow)
 		})
-		group := []int{}
-		size := 0.0
-		flush := func() {
-			if len(group) == 0 {
-				return
-			}
-			val := make([]float64, len(group))
-			for i := range val {
-				val[i] = 1
-			}
-			p.AddRow(group, val, lp.LE, size)
-			group = group[:0]
-			size = 0
-		}
-		for _, j := range vars {
-			group = append(group, j)
+		first, size := 0, 0.0
+		for k, j := range vars {
 			size += entries[j].val
 			if size > 4*capP {
-				flush()
+				row(vars[first:k+1], lp.LE, size)
+				first, size = k+1, 0
 			}
 		}
-		flush()
+		if first < len(vars) {
+			row(vars[first:], lp.LE, size)
+		}
 	}
-	sol, err := p.Solve()
-	if err != nil {
+	sol := &m.sol
+	if err := p.SolveInto(sol, lp.SolveOptions{}); err != nil {
 		return nil, lp.Stats{}, err
 	}
 	if sol.Status != lp.Optimal {
 		return nil, lp.Stats{}, fmt.Errorf("core: regrouped LP status %v", sol.Status)
 	}
-	out := make([]entry, 0, len(entries))
+	out := entries[:0]
 	for j, en := range entries {
 		if sol.X[j] > zeroTol {
 			out = append(out, entry{en.flow, en.round, sol.X[j]})

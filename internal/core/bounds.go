@@ -128,6 +128,16 @@ func srptPort(inst *switchnet.Instance, flows []int, cap int) int {
 // time: the per-port backlog bound max_p ceil(peak simultaneous load / cap)
 // restricted to release-time prefixes, and at least 1.
 func TrivialMRTLowerBound(inst *switchnet.Instance) int {
+	ws := getWorkspace()
+	defer ws.put()
+	return ws.trivialMRTLowerBound(inst)
+}
+
+// portEvent is a flow as TrivialMRTLowerBound sees it at one of its ports.
+type portEvent struct{ release, demand int }
+
+// trivialMRTLowerBound is TrivialMRTLowerBound in ws's memory.
+func (ws *workspace) trivialMRTLowerBound(inst *switchnet.Instance) int {
 	if inst.N() == 0 {
 		return 0
 	}
@@ -141,9 +151,9 @@ func TrivialMRTLowerBound(inst *switchnet.Instance) int {
 	// and each run is sorted by release. The order among equal releases
 	// does not matter: a window holding every tie at both its ends
 	// dominates one that holds only some.
-	type ev struct{ release, demand int }
 	numPorts := inst.Switch.NumPorts()
-	next := make([]int, numPorts+1) // where port p's next event goes
+	next := zeroed(ws.eventNext, numPorts+1) // where port p's next event goes
+	ws.eventNext = next
 	for _, e := range inst.Flows {
 		next[inst.Switch.PortIndex(switchnet.In, e.In)+1]++
 		next[inst.Switch.PortIndex(switchnet.Out, e.Out)+1]++
@@ -151,10 +161,11 @@ func TrivialMRTLowerBound(inst *switchnet.Instance) int {
 	for p := range numPorts {
 		next[p+1] += next[p]
 	}
-	evs := make([]ev, 2*inst.N())
+	evs := grow(ws.events, 2*inst.N())
+	ws.events = evs
 	for _, e := range inst.Flows {
 		for _, p := range [2]int{inst.Switch.PortIndex(switchnet.In, e.In), inst.Switch.PortIndex(switchnet.Out, e.Out)} {
-			evs[next[p]] = ev{e.Release, e.Demand}
+			evs[next[p]] = portEvent{e.Release, e.Demand}
 			next[p]++
 		}
 	}
@@ -163,7 +174,7 @@ func TrivialMRTLowerBound(inst *switchnet.Instance) int {
 	for p := range numPorts {
 		port := evs[lo:next[p]]
 		lo = next[p]
-		slices.SortFunc(port, func(a, b ev) int { return cmp.Compare(a.release, b.release) })
+		slices.SortFunc(port, func(a, b portEvent) int { return cmp.Compare(a.release, b.release) })
 		cap := inst.Switch.Cap(p)
 		for i := range port {
 			load := 0

@@ -11,12 +11,15 @@
 //   - Online (Section 5.1): the batched AMRT algorithm of Lemma 5.3.
 //   - Combinatorial lower bounds used when LPs are too large.
 //
-// One time-indexed builder (newTimeLP) serves the three LPs: a layout says
-// which one, and the builder writes every row in place into a reused
-// lp.Problem, which goes back for the next build once the solve — or, for
-// LP (19)-(21), Theorem 3's rounding, which reads the same rows — is done.
+// One time-indexed builder (timeLP.build) serves the three LPs: a layout
+// says which one, and the builder writes every row in place into a reused
+// lp.Problem. That Problem, the windows it is built over, first fit's
+// placement and the solution are one of the two LP slots of a workspace
+// (workspace.go), which holds every other piece of scratch a call throws
+// away too: each exported entry point takes one from a pool and hands it
+// back, so a warmed call allocates its result and nothing else.
 //
-// First fit (firstFit) runs before any of the three LPs is built, and what
+// First fit (timeLP.fit) runs before any of the three LPs is built, and what
 // it finds decides how much LP there is. Every LP that is built is
 // crash-started at that greedy schedule, handed to the solver as
 // lp.SolveOptions.Start. A schedule names one column per covering row —
@@ -58,7 +61,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"flowsched/internal/lp"
 	"flowsched/internal/switchnet"
@@ -78,11 +80,13 @@ var ErrInfeasible = errors.New("core: infeasible")
 // rounds are.
 type windowSlots struct {
 	width, lo, n int
-	rank         []int // the distinct windows in use, ascending; nil when slots are offsets
+	ranked       bool  // slots are ranks in rank, not offsets
+	rank         []int // the distinct windows in use, ascending, when ranked
 }
 
-func newWindowSlots(win Windows, width int) windowSlots {
-	s := windowSlots{width: width, lo: math.MaxInt}
+// reset numbers the windows of win at width, keeping rank's capacity.
+func (s *windowSlots) reset(win Windows, width int) {
+	*s = windowSlots{width: width, lo: math.MaxInt, rank: s.rank[:0]}
 	hi, count := -1, 0
 	for _, rounds := range win {
 		for _, t := range rounds {
@@ -91,12 +95,13 @@ func newWindowSlots(win Windows, width int) windowSlots {
 		count += len(rounds)
 	}
 	if count == 0 {
-		return windowSlots{width: width}
+		s.lo = 0
+		return
 	}
 	if s.n = hi - s.lo + 1; s.n <= count {
-		return s
+		return
 	}
-	s.rank = make([]int, 0, count)
+	s.ranked = true
 	for _, rounds := range win {
 		for _, t := range rounds {
 			s.rank = append(s.rank, t/width)
@@ -105,34 +110,57 @@ func newWindowSlots(win Windows, width int) windowSlots {
 	slices.Sort(s.rank)
 	s.rank = slices.Compact(s.rank)
 	s.n = len(s.rank)
-	return s
 }
 
 // slot is the slot of round t, one of the rounds the slots were made from.
-func (s windowSlots) slot(t int) int {
-	if s.rank == nil {
+func (s *windowSlots) slot(t int) int {
+	if !s.ranked {
 		return t/s.width - s.lo
 	}
 	k, _ := slices.BinarySearch(s.rank, t/s.width)
 	return k
 }
 
+// windowStore holds a family of windows and the rounds behind them, so that
+// a slot rebuilds its windows in the memory of the last ones. What it
+// returns is its own until its next call.
+type windowStore struct {
+	rounds []int
+	win    Windows
+}
+
 // fromRelease gives every flow the candidate rounds [r_e, horizon), the
 // variables of LP (1)-(4) and of the interval LP (5)-(8). The windows
 // share one backing array.
-func fromRelease(inst *switchnet.Instance, horizon int) Windows {
-	rounds := make([]int, horizon)
-	for t := range rounds {
-		rounds[t] = t
+func (s *windowStore) fromRelease(inst *switchnet.Instance, horizon int) Windows {
+	s.rounds = grow(s.rounds, horizon)
+	for t := range s.rounds {
+		s.rounds[t] = t
 	}
-	cand := make(Windows, inst.N())
+	s.win = grow(s.win, inst.N())
 	for f, e := range inst.Flows {
-		cand[f] = rounds[e.Release:]
+		s.win[f] = s.rounds[e.Release:horizon:horizon]
 	}
-	return cand
+	return s.win
 }
 
-// layout is what tells the paper's three time-indexed LPs apart; newTimeLP
+// response gives every flow the rounds [r_e, r_e+rho), the windows of the
+// FS-MRT reduction. The windows share one backing array, each capped at its
+// own end.
+func (s *windowStore) response(inst *switchnet.Instance, rho int) Windows {
+	s.rounds = grow(s.rounds, inst.N()*rho)
+	s.win = grow(s.win, inst.N())
+	for f, e := range inst.Flows {
+		w := s.rounds[f*rho : (f+1)*rho : (f+1)*rho]
+		for i := range w {
+			w[i] = e.Release + i
+		}
+		s.win[f] = w
+	}
+	return s.win
+}
+
+// layout is what tells the paper's three time-indexed LPs apart; timeLP.build
 // builds all three. What they share is the layout itself:
 //
 //   - one variable per flow and candidate round, flow by flow, in the order
@@ -162,32 +190,37 @@ var (
 	windowLayout   = layout{width: 1, cover: lp.EQ}                             // LP (19)-(21)
 )
 
-// timeLP is a time-indexed LP laid out in its own lp.Problem, with the
-// windows it was built over and the point its solve starts from. The build,
-// the solve and Theorem 3's rounding all read the same rows; release hands
-// it back to timeLPs after the last of them.
+// timeLP is one of a workspace's two LP slots: a family of windows (built in
+// wins, or the caller's), first fit's placement in them, and the
+// time-indexed LP built over them in its own lp.Problem, with the point its
+// solve starts from and its solution. The build, the solve and Theorem 3's
+// rounding all read the same rows. A slot carries nothing from one use to
+// the next but capacity: fit, build and solve write everything they read,
+// and each reads only what the one before it wrote in this use.
 type timeLP struct {
-	p   lp.Problem
-	win Windows
-	// start is firstFit's placement as a point of the LP: the covering row's
+	wins windowStore
+	win  Windows
+	// placed is first fit's placement in win: the position in win[f] chosen
+	// for each flow, -1 for a flow none can take.
+	placed []int
+	load   []int // first fit's, per (window slot, port)
+	slots  windowSlots
+	p      lp.Problem
+	// start is first fit's placement as a point of the LP: the covering row's
 	// right-hand side on the variable chosen for each flow placed, 0
 	// elsewhere.
 	start []float64
 	next  []int // per (port, window): the build's counting sort
+	sol   lp.Solution
 }
 
-// timeLPs keeps the memory of released LPs for the next build. A timeLP
-// carries nothing from one build to the next but capacity, as lp's solver
-// state does: newTimeLP resets or writes everything it holds.
-var timeLPs = sync.Pool{New: func() any { return new(timeLP) }}
-
-// newTimeLP builds the LP of layout l over the candidate rounds win, its
-// start placed by firstFit over win (nil places nothing), writing every row
-// in place into the Problem's arena, which is reserved at its final size.
-func newTimeLP(inst *switchnet.Instance, win Windows, l layout, placed []int) *timeLP {
-	m := timeLPs.Get().(*timeLP)
-	m.win = win
-	slots := newWindowSlots(win, l.width)
+// build lays out the LP of layout l over the candidate rounds m.win, its
+// start at m.placed (nil places nothing), writing every row in place into
+// the Problem's arena, which is reserved at its final size.
+func (m *timeLP) build(inst *switchnet.Instance, l layout) {
+	win, placed := m.win, m.placed
+	slots := &m.slots
+	slots.reset(win, l.width)
 	ports := inst.Switch.NumPorts()
 	keys := func(f int) (in, out int) {
 		e := inst.Flows[f]
@@ -195,7 +228,7 @@ func newTimeLP(inst *switchnet.Instance, win Windows, l layout, placed []int) *t
 	}
 	// Count each port row's entries, one per variable on each of its two
 	// ports, at next[key+1].
-	m.next = append(m.next[:0], make([]int, ports*slots.n+1)...)
+	m.next = zeroed(m.next, ports*slots.n+1)
 	n := 0
 	for f, rounds := range win {
 		in, out := keys(f)
@@ -208,7 +241,7 @@ func newTimeLP(inst *switchnet.Instance, win Windows, l layout, placed []int) *t
 	}
 	p := &m.p
 	p.Reset(n, len(win)+min(2*n, ports*slots.n), 3*n)
-	m.start = append(m.start[:0], make([]float64, n)...)
+	m.start = zeroed(m.start, n)
 	j := 0
 	for f, rounds := range win {
 		cover := 1.0
@@ -254,37 +287,35 @@ func newTimeLP(inst *switchnet.Instance, win Windows, l layout, placed []int) *t
 			j++
 		}
 	}
-	return m
 }
 
-// solve runs the LP's solve from its start.
+// solve runs the LP's solve from its start into the slot's Solution, which
+// it returns; it is the slot's until the next solve.
 func (m *timeLP) solve() (*lp.Solution, error) {
-	return m.p.SolveWith(lp.SolveOptions{Start: m.start})
+	return &m.sol, m.p.SolveInto(&m.sol, lp.SolveOptions{Start: m.start})
 }
 
-// release hands m back to timeLPs; nothing may read it, or a Solution's
-// rounding system built on its rows, afterwards.
-func (m *timeLP) release() {
-	m.win = nil
-	timeLPs.Put(m)
-}
-
-// firstFit places each flow, in the given order, at the first of its
-// candidate rounds win[f] whose aligned window of width rounds — the round
-// itself at width 1 — still has room for its whole demand on both of its
-// ports, a window holding width*c_p per port, and returns the position in
-// win[f] chosen per flow (-1 for a flow no candidate can take). It needs no
-// LP: the loads are one dense array of windowSlots per port, so it runs
-// before any LP is built and decides whether one is. At width 1 the
-// placement is a schedule that respects every port capacity, a feasible 0/1
-// point of LP (1)-(4) and of LP (19)-(21) over the same candidates; at width
-// 4 it respects constraint (7) and is one of the interval LP (5)-(8). It is
-// the point all three LPs' solves start from.
-func firstFit(inst *switchnet.Instance, order []int, win Windows, width int) []int {
-	slots := newWindowSlots(win, width)
+// fit is first fit: it places each flow, in the given order, at the first
+// of its candidate rounds m.win[f] whose aligned window of width rounds —
+// the round itself at width 1 — still has room for its whole demand on both
+// of its ports, a window holding width*c_p per port, and records in
+// m.placed, which it returns, the position in m.win[f] chosen per flow (-1
+// for a flow no candidate can take). It needs no LP: the loads are one
+// dense array of windowSlots per port, so it runs before any LP is built
+// and decides whether one is. At width 1 the placement is a schedule that
+// respects every port capacity, a feasible 0/1 point of LP (1)-(4) and of
+// LP (19)-(21) over the same candidates; at width 4 it respects constraint
+// (7) and is one of the interval LP (5)-(8). It is the point all three LPs'
+// solves start from.
+func (m *timeLP) fit(inst *switchnet.Instance, order []int, width int) []int {
+	win := m.win
+	slots := &m.slots
+	slots.reset(win, width)
 	ports := inst.Switch.NumPorts()
-	load := make([]int, slots.n*ports)
-	placed := make([]int, inst.N())
+	load := zeroed(m.load, slots.n*ports)
+	m.load = load
+	placed := grow(m.placed, inst.N())
+	m.placed = placed
 	for f := range placed {
 		placed[f] = -1
 	}
@@ -307,11 +338,11 @@ func firstFit(inst *switchnet.Instance, order []int, win Windows, width int) []i
 	return placed
 }
 
-// placedAll reports whether firstFit placed every flow.
+// placedAll reports whether first fit placed every flow.
 func placedAll(placed []int) bool { return !slices.Contains(placed, -1) }
 
 // fitHorizon is the horizon an LP over the rounds [r_e, horizon) of
-// fromRelease is solved at when firstFit placed every flow there: the round
+// fromRelease is solved at when first fit placed every flow there: the round
 // after the last one the placement uses, rounded up to a multiple of width so
 // that no window row of that width is cut. It is horizon itself when a flow
 // is unplaced or the rounding reaches it.
@@ -349,21 +380,27 @@ type costFunc func(inst *switchnet.Instance, f, t int) float64
 
 // solveOverFirstFit solves a time-indexed LP over the rounds [r_e, horizon)
 // of fromRelease whose costs grow in t — LP (1)-(4) or the interval LP
-// (5)-(8), of layout l, named what in errors — started at firstFit's
+// (5)-(8), of layout l, named what in errors — started at first fit's
 // placement in release order at l's width. The first solve is over
 // fitHorizon, and its optimum stands when pricedOut certifies it; otherwise,
 // or when first fit cannot place every flow, the LP is solved once over the
 // rounds before inst.CongestionHorizon(), where it is always feasible and is
-// the full LP. Each LP is released once solved. It returns the solve that
-// stands, its horizon, and the stats of every solve.
-func solveOverFirstFit(inst *switchnet.Instance, l layout, what string) (*lp.Solution, int, lp.Stats, error) {
+// the full LP. Every solve is in ws.lps[0]. It returns the solve that
+// stands, which is that slot's until its next use, its horizon, and the
+// stats of every solve.
+func (ws *workspace) solveOverFirstFit(inst *switchnet.Instance, l layout, what string) (*lp.Solution, int, lp.Stats, error) {
 	full := inst.CongestionHorizon()
-	placed := firstFit(inst, releaseOrder(inst), fromRelease(inst, full), l.width)
+	m := &ws.lps[0]
+	m.win = m.wins.fromRelease(inst, full)
+	placed := m.fit(inst, ws.releaseOrder(inst), l.width)
 	var st lp.Stats
 	for horizon := fitHorizon(inst, placed, l.width, full); ; horizon = full {
-		m := newTimeLP(inst, fromRelease(inst, horizon), l, placed)
+		// Cutting the windows at horizon keeps every position in them, so
+		// the placement over the full windows is the start at any horizon
+		// it fits in.
+		m.win = m.wins.fromRelease(inst, horizon)
+		m.build(inst, l)
 		sol, err := m.solve()
-		m.release()
 		if err != nil {
 			return nil, horizon, st, fmt.Errorf("core: %s at horizon %d: %w", what, horizon, err)
 		}
@@ -376,26 +413,6 @@ func solveOverFirstFit(inst *switchnet.Instance, l layout, what string) (*lp.Sol
 			return sol, horizon, st, nil
 		}
 	}
-}
-
-// releaseOrder returns the flows sorted by release round, ties in index
-// order: the order firstFit takes them in for LP (1)-(4) and LP (5)-(8).
-func releaseOrder(inst *switchnet.Instance) []int {
-	release := make([]int, inst.N())
-	for f, e := range inst.Flows {
-		release[f] = e.Release
-	}
-	return orderBy(release)
-}
-
-// orderBy returns the flows sorted by key, ties in index order.
-func orderBy(key []int) []int {
-	order := make([]int, len(key))
-	for f := range order {
-		order[f] = f
-	}
-	slices.SortStableFunc(order, func(a, b int) int { return key[a] - key[b] })
-	return order
 }
 
 // requireUnitDemands guards the Theorem 1 pipeline, which the paper states

@@ -24,7 +24,7 @@ func ExactFeasibleWindows(inst *switchnet.Instance, win Windows) bool {
 			return false
 		}
 	}
-	order := deadlineOrder(win)
+	order := new(workspace).deadlineOrder(win)
 	loads := map[int][]int{}
 	numPorts := inst.Switch.NumPorts()
 	caps := inst.Switch.Caps()

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"flowsched/internal/lp"
 	"flowsched/internal/switchnet"
@@ -69,38 +71,88 @@ func layoutHash(p *lp.Problem, start []float64) uint64 {
 }
 
 // TestWarmedCallsAllocate pins what the offline pipeline allocates once
-// warmed, on TestPaperModelGolden's 5x5 instance: the solver state and the
-// LPs' memory come back from their pools, so a call allocates its result,
-// first fit's arrays, each solve's Solution, X and Dual, and nothing per row
-// or per entry of an LP. A builder that copies its rows again, or an LP that
-// is not handed back, shows up here as more. (Seed 7's SolveMRT is the path
-// that builds LP (19)-(21) and rounds it; on seed 1 first fit answers.)
+// warmed, on TestPaperModelGolden's 5x5 instance, in allocations and in
+// bytes: every piece of scratch — the LPs and their Solutions, the
+// rounding's, the colouring's and the oracle's included — comes back from
+// the pool's workspace, so a call allocates its result and nothing else:
+// ARTLowerBound its result struct, SolveART that and its Schedule (struct
+// and rounds, 25 flows), SolveMRT those and the TimeConstrainedResult in
+// it, MRTLowerBound nothing. A builder that copies its rows again, a
+// Solution that is not kept, or a scratch array that is not in the
+// workspace shows up here as more. (Seed 7's SolveMRT is the path that
+// builds LP (19)-(21) and rounds it; on seed 1 first fit answers.)
 func TestWarmedCallsAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race a sync.Pool drops one Put in four")
 	}
 	golden, short := paperInstance(1, 5, 5, 25), paperInstance(7, 5, 5, 25)
 	for _, c := range []struct {
-		name string
-		max  float64
-		call func() error
+		name          string
+		allocs, bytes float64
+		call          func() error
 	}{
-		{"ARTLowerBound", 13, func() error { _, err := ARTLowerBound(golden); return err }},
-		{"SolveART", 116, func() error { _, err := SolveART(golden, 1); return err }},
-		{"MRTLowerBound", 73, func() error { _, err := MRTLowerBound(golden); return err }},
-		{"SolveMRT", 77, func() error { _, err := SolveMRT(golden); return err }},
-		{"SolveMRT/seed7", 104, func() error { _, err := SolveMRT(short); return err }},
+		{"ARTLowerBound", 1, 112, func() error { _, err := ARTLowerBound(golden); return err }},
+		{"SolveART", 3, 392, func() error { _, err := SolveART(golden, 1); return err }},
+		{"MRTLowerBound", 0, 0, func() error { _, err := MRTLowerBound(golden); return err }},
+		{"SolveMRT", 4, 472, func() error { _, err := SolveMRT(golden); return err }},
+		{"SolveMRT/seed7", 4, 472, func() error { _, err := SolveMRT(short); return err }},
 	} {
 		call := func() {
 			if err := c.call(); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
 		}
-		call()
-		if n := testing.AllocsPerRun(20, call); n > c.max {
-			t.Errorf("%s: %v allocations per warmed call, want at most %v", c.name, n, c.max)
+		if allocs, bytes := warmCost(20, call, call); allocs > c.allocs || bytes > c.bytes {
+			t.Errorf("%s: %v allocations and %v bytes per warmed call, want at most %v and %v", c.name, allocs, bytes, c.allocs, c.bytes)
 		}
 	}
+}
+
+// TestWarmARTLowerBoundAllocatesItsResult: once the pool's workspace has
+// served a larger instance, ARTLowerBound on smaller ones — each a
+// different instance — allocates its result and nothing else, in bytes as
+// well as in count.
+func TestWarmARTLowerBoundAllocatesItsResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race a sync.Pool drops one Put in four")
+	}
+	large := paperInstance(1, 10, 10, 100)
+	small := paperInstances(3, 8, 5, 5, 25)
+	i := 0
+	allocs, bytes := warmCost(len(small),
+		func() {
+			if _, err := ARTLowerBound(large); err != nil {
+				t.Fatal(err)
+			}
+		},
+		func() {
+			if _, err := ARTLowerBound(small[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	// The result is one object, of a size class that is a multiple of 16 at
+	// this size.
+	result := float64((unsafe.Sizeof(ARTLowerBoundResult{}) + 15) / 16 * 16)
+	if allocs != 1 || bytes != result {
+		t.Errorf("a warm ARTLowerBound on a smaller instance: %v allocations and %v bytes per call, want 1 and %v (its result)", allocs, bytes, result)
+	}
+}
+
+// warmCost runs warm once, then f runs times, and returns f's mean
+// allocations and bytes, all on one P, as testing.AllocsPerRun measures: a
+// sync.Pool's private slot is per P, and what warm put there is what f
+// gets back.
+func warmCost(runs int, warm, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	warm()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // TestLayoutGolden pins how each of the three LPs is laid out, not only what

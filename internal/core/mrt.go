@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"flowsched/internal/lp"
 	"flowsched/internal/rounding"
 	"flowsched/internal/switchnet"
-	"flowsched/internal/verify"
 )
 
 // Windows gives, for each flow, the set of rounds in which it may be
@@ -19,15 +17,8 @@ type Windows [][]int
 // run in rounds [r_e, r_e+rho). The windows share one backing array, each
 // capped at its own end.
 func ResponseWindows(inst *switchnet.Instance, rho int) Windows {
-	rounds := make([]int, inst.N()*rho)
-	w := make(Windows, inst.N())
-	for f, e := range inst.Flows {
-		w[f] = rounds[f*rho : (f+1)*rho : (f+1)*rho]
-		for i := range w[f] {
-			w[f][i] = e.Release + i
-		}
-	}
-	return w
+	var s windowStore
+	return s.response(inst, rho)
 }
 
 // DeadlineWindows builds windows for the deadline model of Remark 4.2:
@@ -48,25 +39,6 @@ func DeadlineWindows(inst *switchnet.Instance, deadline []int) (Windows, error) 
 	return w, nil
 }
 
-// deadlineOrder returns the flows sorted by the last round of their windows,
-// ties in index order: the order firstFit takes them in for LP (19)-(21).
-//
-// That LP, over a window family, is windowLayout: x_et for t in R(e), an
-// equality row per flow — constraint (20) — and a capacity row per (port,
-// round) that some window touches — constraint (19). Theorem 3's rounding
-// system has the same rows and reads them from the LP. Its start is x_et = 1
-// where first fit placed flow e. The LP is built only where that placement
-// leaves a flow out, so phase 1 works on the unplaced flows only; only
-// whether the LP is feasible and Theorem 3's guarantee — which holds at any
-// vertex — are used, so the solve may start there.
-func deadlineOrder(win Windows) []int {
-	deadline := make([]int, len(win))
-	for f, rounds := range win {
-		deadline[f] = slices.Max(rounds)
-	}
-	return orderBy(deadline)
-}
-
 // TimeConstrainedResult is the outcome of SolveTimeConstrained.
 type TimeConstrainedResult struct {
 	// Schedule assigns each flow one round within its window.
@@ -83,7 +55,7 @@ type TimeConstrainedResult struct {
 	ForcedDrops int
 }
 
-// fitSchedule is the result where firstFit placed every flow inside its
+// fitSchedule is the result where first fit placed every flow inside its
 // window: the placement is a 0/1 point of LP (19)-(21), so the LP is
 // feasible, and Theorem 3's rounding leaves an integral point as it is, so
 // the placement is the schedule — one that also respects the original
@@ -122,12 +94,15 @@ func SolveTimeConstrained(inst *switchnet.Instance, win Windows) (*TimeConstrain
 			}
 		}
 	}
-	placed := firstFit(inst, deadlineOrder(win), win, 1)
+	ws := getWorkspace()
+	defer ws.put()
+	m := &ws.lps[0]
+	m.win = win
+	placed := m.fit(inst, ws.deadlineOrder(win), 1)
 	if placedAll(placed) {
 		return fitSchedule(inst, win, placed), nil
 	}
-	m := newTimeLP(inst, win, windowLayout, placed)
-	defer m.release()
+	m.build(inst, windowLayout)
 	sol, err := m.solve()
 	if err != nil {
 		return nil, err
@@ -139,18 +114,19 @@ func SolveTimeConstrained(inst *switchnet.Instance, win Windows) (*TimeConstrain
 	default:
 		return nil, fmt.Errorf("core: LP (19)-(21): status %v (%s)", sol.Status, describeLP(sol.Stats))
 	}
-	return roundWindowLP(inst, m, sol)
+	return ws.roundWindowLP(inst, m, sol)
 }
 
 // roundWindowLP is the rounding half of Theorem 3: from an optimal solution
 // of m to a schedule inside the windows at capacities c_p + 2*d_max - 1.
-func roundWindowLP(inst *switchnet.Instance, m *timeLP, sol *lp.Solution) (*TimeConstrainedResult, error) {
+func (ws *workspace) roundWindowLP(inst *switchnet.Instance, m *timeLP, sol *lp.Solution) (*TimeConstrainedResult, error) {
 	dmax := inst.MaxDemand()
 	// Build the rounding system exactly as in the proof of Theorem 3, on the
 	// LP's own rows: assignment rows (the first, one per flow) guarded from
 	// dropping below 1 (budget 1, scaled Delta = 2*d_max in the paper's
 	// matrix form), capacity rows guarded from rising by 2*d_max or more.
-	sys := rounding.NewSystem(m.p.NumVars())
+	sys := &ws.sys
+	sys.Reset(m.p.NumVars())
 	for i := range m.p.NumRows() {
 		idx, val, _, _ := m.p.Row(i)
 		if i < inst.N() {
@@ -174,7 +150,7 @@ func roundWindowLP(inst *switchnet.Instance, m *timeLP, sol *lp.Solution) (*Time
 		}
 	}
 	inc := 2*dmax - 1
-	if _, err := verify.CheckAugmented(inst, sched, inc); err != nil {
+	if err := ws.check(inst, sched, 1, inc); err != nil {
 		return nil, fmt.Errorf("core: rounded schedule invalid: %w", err)
 	}
 	return &TimeConstrainedResult{
@@ -215,66 +191,59 @@ type MRTResult struct {
 // that placement (see deadlineOrder), only where it does not: only the yes/no
 // answer is used.
 func MRTLowerBound(inst *switchnet.Instance) (int, error) {
-	s, err := searchRho(inst)
-	s.release()
+	ws := getWorkspace()
+	defer ws.put()
+	s, err := ws.searchRho(inst)
 	return s.rho, err
 }
 
-// rhoSearch is what searchRho found: the smallest feasible rho with, at rho,
-// the windows and first fit's placement in them, and the LP with its optimal
-// solution when the placement left a flow out (nil otherwise); the summed
-// stats of the other LPs solved on the way, and how many LPs were built.
+// rhoSearch is what searchRho found: the smallest feasible rho, the slot
+// that holds, at rho, the windows and first fit's placement in them and,
+// when the placement left a flow out, the LP with its optimal solution; the
+// summed stats of the other LPs solved on the way, and how many LPs were
+// built.
 type rhoSearch struct {
-	rho    int
-	win    Windows
-	placed []int
-	m      *timeLP
-	sol    *lp.Solution
-	other  lp.Stats
-	lps    int
+	rho   int
+	at    *timeLP
+	built bool // whether at holds an LP solved at rho
+	other lp.Stats
+	lps   int
 }
 
 // schedule is Theorem 3's schedule at the search's rho.
-func (s *rhoSearch) schedule(inst *switchnet.Instance) (*TimeConstrainedResult, error) {
-	if s.sol == nil {
-		return fitSchedule(inst, s.win, s.placed), nil
+func (ws *workspace) schedule(inst *switchnet.Instance, s *rhoSearch) (*TimeConstrainedResult, error) {
+	if !s.built {
+		return fitSchedule(inst, s.at.win, s.at.placed), nil
 	}
-	return roundWindowLP(inst, s.m, s.sol)
+	return ws.roundWindowLP(inst, s.at, &s.at.sol)
 }
 
-// release hands back the LP at rho, if one was built, once nothing reads it.
-func (s *rhoSearch) release() {
-	if s.m != nil {
-		s.m.release()
-		s.m = nil
-	}
-}
-
-// searchRho finds the smallest rho whose LP (19)-(21) is feasible.
-func searchRho(inst *switchnet.Instance) (rhoSearch, error) {
+// searchRho finds the smallest rho whose LP (19)-(21) is feasible, in ws's
+// two LP slots: the one s.at holds the answer at the search's upper end,
+// the other the rho being probed, and a feasible probe swaps them.
+func (ws *workspace) searchRho(inst *switchnet.Instance) (rhoSearch, error) {
 	var s rhoSearch
 	if inst.N() == 0 {
 		return s, nil
 	}
 	// The deadlines r_e+rho-1 of the windows order the flows as their
 	// releases do, whatever rho is.
-	order := releaseOrder(inst)
+	order := ws.releaseOrder(inst)
 	// feasible answers rho by first fit, or by the LP where first fit leaves
-	// a flow out; a feasible rho replaces what s holds, which is thereby
-	// always the answer at the search's upper end. Every other LP is
-	// released as soon as it has answered.
+	// a flow out, in the slot s.at does not hold; a feasible rho becomes
+	// what s.at holds, which is thereby always the answer at the search's
+	// upper end.
 	feasible := func(rho int) (bool, error) {
-		win := ResponseWindows(inst, rho)
-		placed := firstFit(inst, order, win, 1)
-		var m *timeLP
-		var sol *lp.Solution
-		if !placedAll(placed) {
-			m = newTimeLP(inst, win, windowLayout, placed)
+		probe := &ws.lps[0]
+		if probe == s.at {
+			probe = &ws.lps[1]
+		}
+		probe.win = probe.wins.response(inst, rho)
+		built := !placedAll(probe.fit(inst, order, 1))
+		if built {
+			probe.build(inst, windowLayout)
 			s.lps++
-			var err error
-			if sol, err = m.solve(); err != nil || sol.Status != lp.Optimal {
-				m.release()
-			}
+			sol, err := probe.solve()
 			switch {
 			case err != nil:
 				return false, fmt.Errorf("core: LP (19)-(21) at rho %d: %w", rho, err)
@@ -286,18 +255,17 @@ func searchRho(inst *switchnet.Instance) (rhoSearch, error) {
 					rho, sol.Status, describeLP(sol.Stats))
 			}
 		}
-		if s.sol != nil {
-			s.other.Add(s.sol.Stats)
+		if s.built {
+			s.other.Add(s.at.sol.Stats)
 		}
-		s.release()
-		s.win, s.placed, s.m, s.sol = win, placed, m, sol
+		s.at, s.built = probe, built
 		return true, nil
 	}
 	// The volume bound of TrivialMRTLowerBound is valid for the LP too
 	// (it only compares demand mass against capacity mass), so the search
 	// can start there; exponential search finds a feasible upper end,
 	// then binary search closes the gap.
-	lo := TrivialMRTLowerBound(inst)
+	lo := ws.trivialMRTLowerBound(inst)
 	if lo < 1 {
 		lo = 1
 	}
@@ -348,12 +316,13 @@ func SolveMRT(inst *switchnet.Instance) (*MRTResult, error) {
 	if inst.N() == 0 {
 		return &MRTResult{TimeConstrainedResult: &TimeConstrainedResult{Schedule: switchnet.NewSchedule(0)}, Rho: 0}, nil
 	}
-	s, err := searchRho(inst)
-	defer s.release()
+	ws := getWorkspace()
+	defer ws.put()
+	s, err := ws.searchRho(inst)
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.schedule(inst)
+	res, err := ws.schedule(inst, &s)
 	if err != nil {
 		return nil, err
 	}

@@ -74,8 +74,8 @@ func TestCrashBasisIsTriangular(t *testing.T) {
 			if !slices.Equal(s.basis, c.basis) || s.startBasic != basic || s.startAtUpper != p.n {
 				t.Errorf("starting basis %v with %d of %d started variables in it, want %v", s.basis, s.startBasic, s.startAtUpper, c.basis)
 			}
-			warm, err := s.solve(p)
-			if err != nil {
+			warm := new(Solution)
+			if err := s.solve(p, warm); err != nil {
 				t.Fatal(err)
 			}
 			cold, err := p.Solve()
@@ -119,8 +119,8 @@ func TestCrashBasisOfAPartialStart(t *testing.T) {
 			t.Errorf("row %d (covering, activity %v) holds an artificial", i, activity)
 		}
 	}
-	warm, err := s.solve(p)
-	if err != nil || warm.Status != Optimal {
+	warm := new(Solution)
+	if err := s.solve(p, warm); err != nil || warm.Status != Optimal {
 		t.Fatalf("solve: %+v, %v", warm, err)
 	}
 	if cold := solveOK(t, p); math.Abs(warm.Obj-cold.Obj) > 1e-9 || !dualIdentityHolds(p, warm) {

@@ -51,8 +51,11 @@
 //
 // A solve's working state — column arrays, bounds, basis, work vectors, the
 // LU and the eta file — comes from a sync.Pool and goes back on every exit,
-// so a solve allocates its Solution, X and Dual and otherwise only what the
-// state has not yet grown to. The state carries nothing from one solve to
+// so a solve allocates only what the state has not yet grown to and its
+// result: SolveWith a fresh Solution, X and Dual for the caller to keep,
+// SolveInto nothing at all once the Solution the caller hands it has held a
+// problem of the size before (internal/core keeps its Solutions in its
+// workspace and solves every LP that way). The state carries nothing from one solve to
 // the next but capacity: load sizes and writes every array before anything
 // reads it, and the counters and the perturbation's random state restart
 // from the same values, so a solve is still a function of its problem and
@@ -166,8 +169,9 @@ type row struct {
 //	minimize    sum_j Cost[j] * x_j
 //	subject to  each added row, and Lower[j] <= x_j <= Upper[j].
 //
-// Variables default to cost 0 and bounds [0, +Inf). Build with NewProblem
-// or Reset, SetCost, SetBounds and AddRow or AppendRow, then call Solve.
+// Build with Reset, which sizes the variables at cost 0 and bounds
+// [0, +Inf) (the zero Problem is ready for it), SetCost, SetBounds and
+// AddRow or AppendRow, then call Solve.
 //
 // A Problem is reusable. Reset empties it for the next LP and keeps the
 // capacity of its arrays, and a solve keeps no reference to it, so it can be
@@ -185,16 +189,9 @@ type Problem struct {
 	val []float64
 }
 
-// NewProblem returns a problem with numVars variables, all with zero cost
-// and bounds [0, +Inf).
-func NewProblem(numVars int) *Problem {
-	p := new(Problem)
-	p.Reset(numVars, 0, 0)
-	return p
-}
-
-// Reset makes p the problem NewProblem(numVars) returns, keeping the
-// capacity of p's arrays; nothing of the problem before survives. rows and
+// Reset makes p a problem over numVars variables, all with zero cost and
+// bounds [0, +Inf), and no rows, keeping the capacity of p's arrays; nothing
+// of the problem before survives. rows and
 // nonzeros reserve room for that many rows and entries in all, so that a
 // builder that knows its LP's size appends every row without the arena
 // growing.

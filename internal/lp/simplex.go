@@ -84,7 +84,9 @@ type tally struct {
 }
 
 // simplexPool hands the working state of one solve to the next, so that a
-// solve allocates its Solution and little else. A simplex taken from it is
+// solve allocates its result and nothing else once the state has grown: a
+// fresh Solution, X and Dual from SolveWith, and from SolveInto, into a
+// Solution the caller keeps, nothing. A simplex taken from it is
 // overwritten by load before anything reads it.
 var simplexPool = sync.Pool{New: func() any { return new(simplex) }}
 
@@ -166,16 +168,40 @@ func (p *Problem) SolveWith(opt SolveOptions) (*Solution, error) {
 	return s.run(p, opt)
 }
 
-// run solves p on s, whatever s held before.
-func (s *simplex) run(p *Problem, opt SolveOptions) (*Solution, error) {
-	if sol, err := s.load(p, opt); sol != nil || err != nil {
-		return sol, err
-	}
-	return s.solve(p)
+// SolveInto is SolveWith writing its result into sol, which it overwrites
+// whole: X and Dual keep their capacity and are resized to the problem, so a
+// caller that keeps its Solution solves an LP of a size it has solved before
+// without allocating. X and Dual are empty unless the status is Optimal.
+// After an error sol holds nothing of use.
+func (p *Problem) SolveInto(sol *Solution, opt SolveOptions) error {
+	s := simplexPool.Get().(*simplex)
+	defer simplexPool.Put(s)
+	return s.runInto(p, opt, sol)
 }
 
-// solve runs both phases from the factored starting basis of load.
-func (s *simplex) solve(p *Problem) (*Solution, error) {
+// run solves p on s, whatever s held before, into a fresh Solution.
+func (s *simplex) run(p *Problem, opt SolveOptions) (*Solution, error) {
+	sol := new(Solution)
+	if err := s.runInto(p, opt, sol); err != nil {
+		return nil, err
+	}
+	return sol, nil
+}
+
+// runInto solves p on s, whatever s held before, into sol.
+func (s *simplex) runInto(p *Problem, opt SolveOptions, sol *Solution) error {
+	*sol = Solution{X: sol.X[:0], Dual: sol.Dual[:0]}
+	if early, err := s.load(p, opt); early != nil || err != nil {
+		if early != nil {
+			*sol = *early
+		}
+		return err
+	}
+	return s.solve(p, sol)
+}
+
+// solve runs both phases from the factored starting basis of load, into sol.
+func (s *simplex) solve(p *Problem, sol *Solution) error {
 	// Artificials sit at p.n+s.m and above; those from live on are still to
 	// be driven out. The loop runs once unless a phase stalled, perturbed
 	// its bounds and ended at a basis the true bounds reject: settle then
@@ -191,14 +217,15 @@ func (s *simplex) solve(p *Problem) (*Solution, error) {
 			before := s.iters
 			st, err := s.iterate()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			s.phase1 += s.iters - before
 			if st == IterLimit {
-				return s.solution(IterLimit), nil
+				s.report(sol, IterLimit)
+				return nil
 			}
 			if added, err := s.settle(); err != nil {
-				return nil, err
+				return err
 			} else if added > 0 {
 				continue
 			}
@@ -207,7 +234,8 @@ func (s *simplex) solve(p *Problem) (*Solution, error) {
 				infeas += s.x[j]
 			}
 			if infeas > phase1Tol {
-				return s.solution(Infeasible), nil
+				s.report(sol, Infeasible)
+				return nil
 			}
 			// Freeze artificials at zero.
 			for j := live; j < s.n; j++ {
@@ -222,13 +250,14 @@ func (s *simplex) solve(p *Problem) (*Solution, error) {
 		clear(s.cost[copy(s.cost, p.cost):])
 		st, err := s.iterate()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if st != Optimal {
-			return s.solution(st), nil
+			s.report(sol, st)
+			return nil
 		}
 		if added, err := s.settle(); err != nil {
-			return nil, err
+			return err
 		} else if added == 0 {
 			break
 		}
@@ -237,20 +266,20 @@ func (s *simplex) solve(p *Problem) (*Solution, error) {
 	// factorisation: it would rebuild the LU and the basic values it holds.
 	if !s.factored {
 		if err := s.refactor(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	sol := s.solution(Optimal)
-	sol.X = make([]float64, p.n)
+	s.report(sol, Optimal)
+	sol.X = grow(sol.X, p.n)
 	copy(sol.X, s.x[:p.n])
 	sol.Obj = p.Objective(sol.X)
 	// Dual values: y = B^{-T} c_B at the final basis.
-	sol.Dual = make([]float64, s.m)
+	sol.Dual = grow(sol.Dual, s.m)
 	for i, j := range s.basis {
 		sol.Dual[i] = s.cost[j]
 	}
 	s.btran(sol.Dual)
-	return sol, nil
+	return nil
 }
 
 // load makes s the working state of a solve of p with its starting basis
@@ -462,9 +491,9 @@ func (s *simplex) crashRow(j int) int {
 	return row
 }
 
-// solution reports the solve's status and counters.
-func (s *simplex) solution(st Status) *Solution {
-	return &Solution{Status: st, Iterations: s.iters, Stats: Stats{
+// report writes the solve's status and counters into sol.
+func (s *simplex) report(sol *Solution, st Status) {
+	sol.Status, sol.Iterations, sol.Stats = st, s.iters, Stats{
 		Rows:           s.m,
 		Cols:           s.nStruct,
 		Nonzeros:       s.nnz,
@@ -476,7 +505,7 @@ func (s *simplex) solution(st Status) *Solution {
 		Perturbations:  s.perturbations,
 		StartAtUpper:   s.startAtUpper,
 		StartBasic:     s.startBasic,
-	}}
+	}
 }
 
 // solveUnconstrained handles problems without rows: each variable sits at

@@ -10,6 +10,14 @@ import (
 	"flowsched/internal/flownet"
 )
 
+// NewProblem returns a problem with numVars variables, all with zero cost
+// and bounds [0, +Inf).
+func NewProblem(numVars int) *Problem {
+	p := new(Problem)
+	p.Reset(numVars, 0, 0)
+	return p
+}
+
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()
 	sol, err := p.Solve()

@@ -322,6 +322,80 @@ func TestPivotLoopAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestSolveIntoMatchesSolveWith: one Solution, solved into again and again
+// across problems of different sizes and outcomes — larger, smaller,
+// crash-started, infeasible, and without rows — holds what SolveWith returns
+// for each, bit for bit, with X and Dual empty unless the status is Optimal;
+// and once it has held a problem's size, solving that problem into it again
+// allocates nothing.
+func TestSolveIntoMatchesSolveWith(t *testing.T) {
+	infeasible := NewProblem(1)
+	infeasible.AddRow([]int{0}, []float64{1}, GE, 2)
+	infeasible.AddRow([]int{0}, []float64{1}, LE, 1)
+	rowless := NewProblem(3)
+	rowless.SetCost(1, -1)
+	rowless.SetBounds(1, 0, 2)
+	started, start := responseLP(3, 4, 4, 20)
+	for j := 0; j < started.NumVars(); j++ {
+		started.SetCost(j, float64(j%7+1))
+	}
+	cases := []struct {
+		name string
+		p    *Problem
+		opt  SolveOptions
+	}{
+		{"large", matchingLP(rand.New(rand.NewSource(3)), 10, 8, 160), SolveOptions{}},
+		{"small", matchingLP(rand.New(rand.NewSource(4)), 3, 3, 12), SolveOptions{}},
+		{"started", started, SolveOptions{Start: start}},
+		{"infeasible", infeasible, SolveOptions{}},
+		{"rowless", rowless, SolveOptions{}},
+		{"large again", matchingLP(rand.New(rand.NewSource(3)), 10, 8, 160), SolveOptions{}},
+	}
+	var into Solution
+	for _, c := range cases {
+		want, err := c.p.SolveWith(c.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := c.p.SolveInto(&into, c.opt); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !sameBits(&into, want) {
+			t.Errorf("%s: SolveInto %+v, SolveWith %+v", c.name, into, *want)
+		}
+		if into.Status != Optimal && (len(into.X) != 0 || len(into.Dual) != 0) {
+			t.Errorf("%s: status %v with %d values and %d duals", c.name, into.Status, len(into.X), len(into.Dual))
+		}
+	}
+	if raceEnabled {
+		return // under -race a sync.Pool drops one Put in four
+	}
+	p := cases[0].p
+	solve := func() {
+		if err := p.SolveInto(&into, SolveOptions{}); err != nil || into.Status != Optimal {
+			t.Fatalf("solve: %v, %v", into.Status, err)
+		}
+	}
+	if n := testing.AllocsPerRun(5, solve); n != 0 {
+		t.Errorf("%v allocations in a repeated SolveInto, want 0", n)
+	}
+}
+
+// sameBits reports whether two solutions agree in every field, floats bit
+// for bit.
+func sameBits(a, b *Solution) bool {
+	bits := func(v []float64) []uint64 {
+		out := make([]uint64, len(v))
+		for i, x := range v {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	return a.Status == b.Status && math.Float64bits(a.Obj) == math.Float64bits(b.Obj) &&
+		a.Iterations == b.Iterations && a.Stats == b.Stats &&
+		slices.Equal(bits(a.X), bits(b.X)) && slices.Equal(bits(a.Dual), bits(b.Dual))
+}
+
 // TestSingularRefactorIsAnError drives a solve into a basis the
 // factorisation rejects: y's only coefficient, 1e-14, is a legal simplex
 // pivot relative to x's 1e-7 (the ratio 1e-7 clears pivotTol) but sits

@@ -183,8 +183,8 @@ func TestSettleRepairsARejectedBasis(t *testing.T) {
 	s.lower0, s.upper0 = slices.Clone(s.lower), slices.Clone(s.upper)
 	s.perturbed = true
 	s.upper[0] = 2
-	sol, err := s.solve(p)
-	if err != nil || sol.Status != Optimal {
+	sol := new(Solution)
+	if err := s.solve(p, sol); err != nil || sol.Status != Optimal {
 		t.Fatalf("solve: %+v, %v", sol, err)
 	}
 	if math.Abs(sol.X[0]-0.6) > 1e-9 || math.Abs(sol.X[1]-0.4) > 1e-9 || math.Abs(sol.Obj+1.6) > 1e-9 {

@@ -33,10 +33,32 @@ const (
 	Lower
 )
 
-// System collects rounding rows over NumVars variables.
+// System collects rounding rows over a number of variables that Reset sets.
+// It is reusable: Reset empties it for the next system and keeps the
+// capacity of its rows and of Round's working arrays, so a caller that keeps
+// a System rounds a system of a size it has rounded before without
+// allocating.
 type System struct {
 	numVars int
 	rows    []sysRow
+
+	// Round's working state, kept between calls and rewritten by each before
+	// it is read: the point, which variables are fractional and their list,
+	// which rows are active, and the result, whose X is cur.
+	cur      []float64
+	frac     []bool
+	fracList []int
+	active   []bool
+	res      Result
+	// nullDirection's: the column of each fractional variable (read only at
+	// fractional variables), the dense rows one after another in flat and as
+	// views in dense, the pivot columns, and the direction.
+	pos      []int
+	flat     []float64
+	dense    [][]float64
+	pivotCol []int
+	isPivot  []bool
+	dir      []float64
 }
 
 type sysRow struct {
@@ -46,9 +68,23 @@ type sysRow struct {
 	budget float64
 }
 
-// NewSystem returns an empty system over numVars variables.
-func NewSystem(numVars int) *System {
-	return &System{numVars: numVars}
+// Reset makes s an empty system over numVars variables, keeping the
+// capacity of its arrays; the zero System is ready for it. It drops the
+// rows, and with them the caller's slices AddRow kept; the Result of the
+// last Round is the next Round's to overwrite.
+func (s *System) Reset(numVars int) {
+	s.numVars = numVars
+	clear(s.rows)
+	s.rows = s.rows[:0]
+}
+
+// grow returns s resized to n, reallocated only when its capacity is short;
+// the contents are whatever s held.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // AddRow adds a row with the given sparse coefficients (which must be
@@ -59,7 +95,7 @@ func NewSystem(numVars int) *System {
 //
 // The system keeps idx and coef, not copies — a row can be an LP's own row
 // — and only reads them, so the caller must not change them before Round
-// returns.
+// returns; Reset lets go of them.
 func (s *System) AddRow(idx []int, coef []float64, kind RowKind, budget float64) {
 	if len(idx) != len(coef) {
 		panic("rounding: AddRow index/coefficient length mismatch")
@@ -67,7 +103,9 @@ func (s *System) AddRow(idx []int, coef []float64, kind RowKind, budget float64)
 	s.rows = append(s.rows, sysRow{idx: idx, coef: coef, kind: kind, budget: budget})
 }
 
-// Result is the output of Round.
+// Result is the output of Round. It belongs to the System that returned it,
+// X included: the next Round of that System overwrites it, so a caller that
+// keeps X past then copies it.
 type Result struct {
 	// X is the rounded vector; every entry is exactly 0 or 1.
 	X []float64
@@ -78,15 +116,18 @@ type Result struct {
 }
 
 // Round rounds x (entries in [0,1]) to a 0/1 vector honouring every row's
-// budget guarantee. The input slice is not modified.
+// budget guarantee. The input slice is not modified. The Result is s's own
+// (see Result), and so is the memory Round works in: Round allocates only
+// where a working array must grow past what earlier calls needed.
 func (s *System) Round(x []float64) *Result {
 	n := s.numVars
-	cur := make([]float64, n)
+	cur := grow(s.cur, n)
 	copy(cur, x)
 
-	frac := make([]bool, n)
-	var fracList []int
+	frac := grow(s.frac, n)
+	fracList := s.fracList[:0]
 	for j := 0; j < n; j++ {
+		frac[j] = false
 		if cur[j] > fixTol && cur[j] < 1-fixTol {
 			frac[j] = true
 			fracList = append(fracList, j)
@@ -96,12 +137,15 @@ func (s *System) Round(x []float64) *Result {
 			cur[j] = 0
 		}
 	}
+	s.cur, s.frac = cur, frac
 
-	active := make([]bool, len(s.rows))
+	active := grow(s.active, len(s.rows))
+	s.active = active
 	for i := range active {
 		active[i] = true
 	}
-	res := &Result{}
+	res := &s.res
+	*res = Result{}
 
 	for len(fracList) > 0 {
 		// Step 1: drop rows whose adverse potential is under budget.
@@ -189,6 +233,7 @@ func (s *System) Round(x []float64) *Result {
 		fracList = newList
 	}
 
+	s.fracList = fracList[:0]
 	res.X = cur
 	return res
 }
@@ -216,32 +261,39 @@ func (s *System) adverse(r sysRow, cur []float64, frac []bool) float64 {
 // (square or overdetermined after elimination).
 func (s *System) nullDirection(cur []float64, frac []bool, fracList []int, active []bool) []float64 {
 	// Column position of each fractional variable.
-	pos := make(map[int]int, len(fracList))
+	s.pos = grow(s.pos, s.numVars)
+	pos := s.pos
 	for k, j := range fracList {
 		pos[j] = k
 	}
-	// Gather active rows that touch fractional variables.
-	type denseRow []float64
-	var mat []denseRow
+	// Gather active rows that touch fractional variables, each a zeroed run
+	// of nCols entries in s.flat, dropped again if it touches none.
+	nCols := len(fracList)
+	flat := s.flat[:0]
 	for i, r := range s.rows {
 		if !active[i] {
 			continue
 		}
-		var dr denseRow
+		at := len(flat)
+		flat = append(flat, make([]float64, nCols)...)
+		dr, touched := flat[at:], false
 		for k, j := range r.idx {
 			if !frac[j] {
 				continue
 			}
-			if dr == nil {
-				dr = make(denseRow, len(fracList))
-			}
+			touched = true
 			dr[pos[j]] += r.coef[k]
 		}
-		if dr != nil {
-			mat = append(mat, dr)
+		if !touched {
+			flat = flat[:at]
 		}
 	}
-	nCols := len(fracList)
+	s.flat = flat
+	mat := s.dense[:0]
+	for at := 0; at < len(flat); at += nCols {
+		mat = append(mat, flat[at:at+nCols:at+nCols])
+	}
+	s.dense = mat
 	if len(mat) >= nCols {
 		// Might still be rank-deficient, but elimination below will tell.
 		if len(mat) > 4*nCols {
@@ -250,7 +302,7 @@ func (s *System) nullDirection(cur []float64, frac []bool, fracList []int, activ
 	}
 
 	// Gaussian elimination to row echelon form, tracking pivot columns.
-	pivotCol := make([]int, 0, len(mat))
+	pivotCol := s.pivotCol[:0]
 	rowUsed := 0
 	for col := 0; col < nCols && rowUsed < len(mat); col++ {
 		// Find pivot.
@@ -280,11 +332,14 @@ func (s *System) nullDirection(cur []float64, frac []bool, fracList []int, activ
 		pivotCol = append(pivotCol, col)
 		rowUsed++
 	}
+	s.pivotCol = pivotCol
 	if rowUsed >= nCols {
 		return nil // full column rank: no null space
 	}
 	// Pick a free column and back-substitute.
-	isPivot := make([]bool, nCols)
+	isPivot := grow(s.isPivot, nCols)
+	s.isPivot = isPivot
+	clear(isPivot)
 	for _, c := range pivotCol {
 		isPivot[c] = true
 	}
@@ -298,7 +353,9 @@ func (s *System) nullDirection(cur []float64, frac []bool, fracList []int, activ
 	if freeCol < 0 {
 		return nil
 	}
-	d := make([]float64, nCols)
+	d := grow(s.dir, nCols)
+	s.dir = d
+	clear(d)
 	d[freeCol] = 1
 	// Each pivot row determines its pivot column's value.
 	for r := rowUsed - 1; r >= 0; r-- {

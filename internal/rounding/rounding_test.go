@@ -7,6 +7,13 @@ import (
 	"testing/quick"
 )
 
+// NewSystem returns an empty system over numVars variables.
+func NewSystem(numVars int) *System {
+	s := new(System)
+	s.Reset(numVars)
+	return s
+}
+
 func activity(idx []int, coef []float64, x []float64) float64 {
 	s := 0.0
 	for k, j := range idx {
@@ -283,5 +290,41 @@ func TestAdverseComputation(t *testing.T) {
 	// Lower adverse: 2*0.25 + 3*0.5 = 2.
 	if got := s.adverse(r, cur, frac); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("adverse = %v, want 2", got)
+	}
+}
+
+// TestResetSystemRoundsAsFresh: one System, Reset and refilled for
+// schedule-shaped systems of growing, then shrinking, sizes, rounds each
+// exactly as a fresh System does — every entry of X and the forced drops —
+// and, holding the last one again, Round allocates nothing.
+func TestResetSystemRoundsAsFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var systems []*schedSys
+	for _, n := range []int{2, 6, 12, 15, 9, 4} {
+		systems = append(systems, buildScheduleLike(rng, n, 1+rng.Intn(5), 1+rng.Intn(5), 3))
+	}
+	var reused System
+	refill := func(ss *schedSys) {
+		reused.Reset(ss.sys.numVars)
+		for _, r := range ss.sys.rows {
+			reused.AddRow(r.idx, r.coef, r.kind, r.budget)
+		}
+	}
+	for i, ss := range systems {
+		fresh := ss.sys.Round(ss.x)
+		refill(ss)
+		got := reused.Round(ss.x)
+		if got.ForcedDrops != fresh.ForcedDrops || len(got.X) != len(fresh.X) {
+			t.Fatalf("system %d: reused %+v, fresh %+v", i, got, fresh)
+		}
+		for j := range got.X {
+			if math.Float64bits(got.X[j]) != math.Float64bits(fresh.X[j]) {
+				t.Fatalf("system %d: reused X %v, fresh %v", i, got.X, fresh.X)
+			}
+		}
+	}
+	last := systems[len(systems)-1]
+	if n := testing.AllocsPerRun(10, func() { refill(last); reused.Round(last.x) }); n != 0 {
+		t.Errorf("%v allocations refilling and rounding a system the System has held, want 0", n)
 	}
 }

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"cmp"
-	"container/heap"
 	"context"
 	"fmt"
 	"math/bits"
@@ -16,9 +15,10 @@ import (
 
 // refOldest is the reference OldestFirst the tests hold the policy to:
 // each pick heaps every active VOQ head of its scope by (release, input,
-// output) and offers the minimum to View.Take until the heap is empty; a
-// taken head's successor joins the heap, a head Take refuses blocks its
-// queue for the round (strict FIFO). Nothing is carried between rounds.
+// output) and offers the minimum to View.Take until the heap is empty or no
+// input of the scope has room left, after which Take would refuse every
+// head; a taken head's successor joins the heap, a head Take refuses blocks
+// its queue for the round (strict FIFO). Nothing is carried between rounds.
 type refOldest struct{}
 
 type refFlow struct {
@@ -27,12 +27,10 @@ type refFlow struct {
 	in, out int
 }
 
-// refHeap is a min-heap of refFlows in (release, input, output) order.
-type refHeap []refFlow
-
-func (h refHeap) Len() int { return len(h) }
-func (h refHeap) Less(i, j int) bool {
-	a, b := &h[i], &h[j]
+// before is the heap's order: (release, input, output), which no two heads
+// share, so the order the heap pops them in is the policy's whatever the
+// heap's shape.
+func (a *refFlow) before(b *refFlow) bool {
 	if a.rel != b.rel {
 		return a.rel < b.rel
 	}
@@ -41,13 +39,47 @@ func (h refHeap) Less(i, j int) bool {
 	}
 	return a.out < b.out
 }
-func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)   { *h = append(*h, x.(refFlow)) }
-func (h *refHeap) Pop() any {
+
+// refHeap is a binary min-heap of refFlows in before order.
+type refHeap []refFlow
+
+// down sifts entry i toward the leaves.
+func (h refHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+func (h *refHeap) push(f refFlow) {
+	*h = append(*h, f)
+	for i := len(*h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !(*h)[i].before(&(*h)[p]) {
+			break
+		}
+		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
+		i = p
+	}
+}
+
+func (h *refHeap) pop() refFlow {
 	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
+	top, n := old[0], len(old)-1
+	old[0] = old[n]
+	*h = old[:n]
+	h.down(0)
+	return top
 }
 
 func (refOldest) Name() string     { return "refOldest" }
@@ -55,19 +87,32 @@ func (refOldest) NewShard() Policy { return refOldest{} }
 
 func (refOldest) Pick(v *View) {
 	var h refHeap
+	room := 0 // inputs of the scope with room left
 	for a := range v.NumActiveInputs() {
 		in := v.ActiveInput(a)
+		if v.InputFree(in) > 0 {
+			room++
+		}
 		for out := range v.Switch().NumOut() {
 			if id := v.VOQHead(in, out); id != NoID {
 				h = append(h, refFlow{id, v.Release(id), in, out})
 			}
 		}
 	}
-	heap.Init(&h)
-	for h.Len() > 0 {
-		f := heap.Pop(&h).(refFlow)
-		if next := v.VOQNext(f.id); v.Take(f.id) && next != NoID {
-			heap.Push(&h, refFlow{next, v.Release(next), f.in, f.out})
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	for len(h) > 0 && room > 0 {
+		f := h.pop()
+		next := v.VOQNext(f.id)
+		if !v.Take(f.id) {
+			continue
+		}
+		if v.InputFree(f.in) == 0 {
+			room--
+		}
+		if next != NoID {
+			h.push(refFlow{next, v.Release(next), f.in, f.out})
 		}
 	}
 }

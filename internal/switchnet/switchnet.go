@@ -213,11 +213,16 @@ func (in *Instance) TotalDemand() int {
 // incident on the port.
 func (in *Instance) PortLoads() []int {
 	loads := make([]int, in.Switch.NumPorts())
+	in.addPortLoads(loads)
+	return loads
+}
+
+// addPortLoads adds each flow's demand to loads at both of its ports.
+func (in *Instance) addPortLoads(loads []int) {
 	for _, e := range in.Flows {
 		loads[in.Switch.PortIndex(In, e.In)] += e.Demand
 		loads[in.Switch.PortIndex(Out, e.Out)] += e.Demand
 	}
-	return loads
 }
 
 // CongestionHorizon returns a round count within which the paper's
@@ -233,8 +238,17 @@ func (in *Instance) PortLoads() []int {
 // when the optimum's duals do not rule out every round up to it; an
 // infeasible LP here is reported as an internal error.
 func (in *Instance) CongestionHorizon() int {
+	// The loads of a switch of up to 64 ports sit on the stack: core calls
+	// this on every LP solve, and a warmed call there allocates nothing else.
+	var small [64]int
+	loads := small[:0]
+	if n := in.Switch.NumPorts(); n <= len(small) {
+		loads = small[:n]
+	} else {
+		loads = make([]int, n)
+	}
+	in.addPortLoads(loads)
 	h := 0
-	loads := in.PortLoads()
 	for p, load := range loads {
 		c := in.Switch.Cap(p)
 		if c <= 0 {
