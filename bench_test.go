@@ -14,7 +14,8 @@ package flowsched
 //	                  alloc_bytes_per_flow as B/flow beside allocs/flow and
 //	                  us/flow.
 //	BenchmarkVerifyWindow - the feasibility oracle on one stream-sized
-//	                  window, cold (CheckSchedule) and on a warmed Checker.
+//	                  window, pooled (CheckSchedule) and on a warmed
+//	                  Checker.
 //	BenchmarkSubstrate* - one LP solve, one 150-port drain, the SRPT bound,
 //	                  the iterative rounding, a workload generator.
 //
@@ -155,7 +156,11 @@ func BenchmarkOfflineLadder(b *testing.B) {
 // alloc_bytes_per_flow and the allocation count beside it: B/flow and
 // allocs/flow divide the heap the b.N passes allocated by the flows they
 // solved, so the warmed figure (-benchtime 20x and up) reproduces the
-// workload's without benchmark/.
+// workload's without benchmark/: ~50-70 B/flow and 0.40 allocs/flow on two
+// Ps, 48.0 B/flow at -cpu 1. The spread above the -cpu 1 figure is
+// sync.Pool's per-P private slot: a pooled workspace or Checker left on the
+// P the goroutine migrated away from is not found, and one is rebuilt; it
+// shows with GOGC=off too, so it is not the GC emptying the pools.
 func BenchmarkOfflinePaper(b *testing.B) {
 	const count, ports, rounds, flows = 64, 5, 5, 25
 	rng := rand.New(rand.NewSource(1))
@@ -213,11 +218,12 @@ func BenchmarkOfflinePaper(b *testing.B) {
 // BenchmarkVerifyWindow runs the feasibility oracle over one verification
 // window of the size the drain_verified workload reports on: a 150-port
 // unit switch saturated for 256 rounds (a rotating permutation per round,
-// 38400 flows, in round order). "cold" is CheckSchedule, which builds its
-// scratch per call; "warm" is one Checker kept across calls over the whole
-// window; "round" is a warm Checker over the window's first round alone,
-// 150 flows, the call the stream runtime makes as each round closes. The
-// warm cases fail if a warmed check allocates.
+// 38400 flows, in round order). "pooled" is CheckSchedule, which checks on
+// a Checker from the package's pool and copies its Report out; "warm" is
+// one Checker kept across calls over the whole window; "round" is a warm
+// Checker over the window's first round alone, 150 flows, the call the
+// stream runtime makes as each round closes. The warm cases fail if a
+// warmed check allocates.
 func BenchmarkVerifyWindow(b *testing.B) {
 	const ports, rounds = 150, 256
 	inst := &Instance{Switch: UnitSwitch(ports)}
@@ -232,7 +238,7 @@ func BenchmarkVerifyWindow(b *testing.B) {
 	perFlow := func(b *testing.B, flows int) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*flows), "ns/flow")
 	}
-	b.Run("cold", func(b *testing.B) {
+	b.Run("pooled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := CheckSchedule(inst, sched, caps); err != nil {

@@ -94,19 +94,24 @@ type VerifyReport = verify.Report
 // caps (global index order) and recomputes the response-time metrics. It
 // returns a non-nil error iff the schedule is not a real schedule for the
 // instance under caps; a flow whose ports are not on the switch or whose
-// demand is not positive is reported as a violation like any other.
+// demand is not positive is reported as a violation like any other. The
+// check runs on a pooled oracle and the Report is the caller's to keep: a
+// warmed feasible check allocates the Report and nothing else.
 func CheckSchedule(inst *Instance, sched *Schedule, caps []int) (*VerifyReport, error) {
 	return verify.CheckSchedule(inst, sched, caps)
 }
 
 // CheckScaled checks sched under capacities scaled by factor (Theorem 1's
-// "(1+c)x" augmentation).
+// "(1+c)x" augmentation). The oracle raises the capacities in its own
+// pooled scratch, so, as with CheckSchedule, a warmed feasible check
+// allocates only the Report it returns.
 func CheckScaled(inst *Instance, sched *Schedule, factor int) (*VerifyReport, error) {
 	return verify.CheckScaled(inst, sched, factor)
 }
 
 // CheckAugmented checks sched under capacities increased by delta
-// (Theorem 3's "+2*d_max-1" augmentation).
+// (Theorem 3's "+2*d_max-1" augmentation), on the pooled oracle as
+// CheckScaled is.
 func CheckAugmented(inst *Instance, sched *Schedule, delta int) (*VerifyReport, error) {
 	return verify.CheckAugmented(inst, sched, delta)
 }

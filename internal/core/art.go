@@ -104,7 +104,7 @@ func SolveART(inst *switchnet.Instance, c int) (*ARTResult, error) {
 		LPIterations:       ps.LPIterations,
 		LP:                 ps.LP,
 	}
-	if err := ws.check(inst, sched, 1+c, 0); err != nil {
+	if _, err := ws.checker.CheckAt(inst, sched, 1+c, 0); err != nil {
 		return nil, fmt.Errorf("core: converted schedule invalid: %w", err)
 	}
 	return res, nil

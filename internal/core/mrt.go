@@ -150,7 +150,7 @@ func (ws *workspace) roundWindowLP(inst *switchnet.Instance, m *timeLP, sol *lp.
 		}
 	}
 	inc := 2*dmax - 1
-	if err := ws.check(inst, sched, 1, inc); err != nil {
+	if _, err := ws.checker.CheckAt(inst, sched, 1, inc); err != nil {
 		return nil, fmt.Errorf("core: rounded schedule invalid: %w", err)
 	}
 	return &TimeConstrainedResult{

@@ -45,11 +45,10 @@ type workspace struct {
 	winEnd []int
 	edges  [][2]int
 	colors bvn.Scratch
-	// Theorem 3's rounding system, and the oracle with the capacities it
-	// checks a schedule at.
+	// Theorem 3's rounding system, and the oracle that checks Theorems 1
+	// and 3's schedules at their raised capacities.
 	sys     rounding.System
 	checker verify.Checker
-	caps    []int
 }
 
 // workspaces is core's one pool: each exported entry point takes a workspace
@@ -111,18 +110,6 @@ func (ws *workspace) orderBy() []int {
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return key[a] - key[b] })
 	return order
-}
-
-// check is the oracle on sched at every port's capacity times factor plus
-// delta: verify.CheckScaled at (factor, 0), verify.CheckAugmented at (1,
-// delta), in ws's Checker. Only the verdict is returned.
-func (ws *workspace) check(inst *switchnet.Instance, sched *switchnet.Schedule, factor, delta int) error {
-	ws.caps = append(append(ws.caps[:0], inst.Switch.InCaps...), inst.Switch.OutCaps...)
-	for p, c := range ws.caps {
-		ws.caps[p] = c*factor + delta
-	}
-	_, err := ws.checker.Check(inst, sched, ws.caps)
-	return err
 }
 
 // grow returns s resized to n, reallocated only when its capacity is short;

@@ -11,8 +11,8 @@
 // own post-conditions with it, as do the scenario engine, the experiment
 // drivers, the property tests and the stream runtime's per-round
 // verification. It takes from switchnet only the instance and schedule
-// types and the capacity helpers, so it inherits no bug from the code it
-// checks.
+// types, and raises capacities itself, so it inherits no bug from the code
+// it checks.
 //
 // # The check
 //
@@ -25,8 +25,12 @@
 // demands into one counter per port, comparing the ports that round touched
 // against their capacities, and zeroing them again. Time is O(flows), plus
 // the sort when needed; memory is O(flows + ports) however far apart the
-// rounds lie. There is one implementation: a Checker owns the scratch and
-// CheckSchedule, CheckScaled and CheckAugmented run a fresh one.
+// rounds lie. There is one implementation: a Checker owns the scratch, and
+// CheckSchedule, CheckScaled and CheckAugmented run one taken from a
+// package pool and hand back a copy of its Report. Theorems 1 and 3 check at
+// raised capacities, every port's capacity times a factor plus a delta;
+// CheckAt is that rule's one implementation, and builds the raised
+// capacities in the Checker's scratch.
 //
 // The oracle trusts nothing about a flow. One whose input or output port is
 // not on the switch, or whose demand is not positive, is a violation in its
@@ -48,6 +52,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"flowsched/internal/switchnet"
 )
@@ -116,9 +121,11 @@ func (r *Report) violate(format string, args ...any) {
 
 // Checker is the oracle with its scratch memory attached: the round-ordered
 // index of the scheduled flows, one load counter per port, the list of
-// ports the current round touched, and the Report itself. The zero value is
-// ready to use. A Checker kept across calls — the stream runtime keeps one
-// for its lifetime and checks each round with it as the round closes —
+// ports the current round touched, the raised capacities CheckAt checks
+// at, and the Report itself. The zero value is ready to use. A Checker kept
+// across calls — the stream runtime keeps one for its lifetime and checks
+// each round with it as the round closes, the offline pipeline keeps one in
+// each pooled workspace, and the package helpers share a pool of them —
 // checks a round no larger than one it has seen before without
 // allocating; memory is O(flows + ports) whatever the round span.
 // A Checker is not safe for concurrent use.
@@ -126,6 +133,7 @@ type Checker struct {
 	order   []int
 	load    []int
 	touched []int
+	caps    []int
 	rep     Report
 }
 
@@ -253,26 +261,65 @@ func (c *Checker) Check(inst *switchnet.Instance, sched *switchnet.Schedule, cap
 	return rep, rep.Err()
 }
 
-// CheckSchedule is Check on a fresh Checker. The Report it returns is a
-// copy, the caller's to keep, and holds none of the Checker's scratch.
-func CheckSchedule(inst *switchnet.Instance, sched *switchnet.Schedule, caps []int) (*Report, error) {
-	var c Checker
-	rep, err := c.Check(inst, sched, caps)
+// CheckAt is Check at every port's capacity times factor plus delta:
+// Theorem 1's (1+c)x augmentation at (1+c, 0), Theorem 3's +2*d_max-1 at
+// (1, 2*d_max-1), the switch's own capacities at (1, 0). The raised
+// capacities are written into c's scratch, so a warmed CheckAt allocates
+// nothing either. The Report is c's own, as Check's is.
+func (c *Checker) CheckAt(inst *switchnet.Instance, sched *switchnet.Schedule, factor, delta int) (*Report, error) {
+	if inst == nil {
+		return nil, fmt.Errorf("verify: nil instance")
+	}
+	c.caps = append(append(c.caps[:0], inst.Switch.InCaps...), inst.Switch.OutCaps...)
+	for p, cp := range c.caps {
+		c.caps[p] = cp*factor + delta
+	}
+	return c.Check(inst, sched, c.caps)
+}
+
+// checkers is the pool the package helpers check on: each takes a Checker,
+// copies out its Report and puts it back, so a warmed helper call allocates
+// the caller's Report and, for an infeasible schedule, its violation list.
+var checkers = sync.Pool{New: func() any { return new(Checker) }}
+
+// owned returns a copy of the Checker's rep that the caller keeps: the
+// violation list is cloned, because the next check on that Checker
+// overwrites it, and stays nil when it is empty.
+func owned(rep *Report, err error) (*Report, error) {
 	if rep == nil {
 		return nil, err
 	}
 	out := *rep
+	out.Violations = nil
+	if len(rep.Violations) > 0 {
+		out.Violations = slices.Clone(rep.Violations)
+	}
 	return &out, err
 }
 
+// CheckSchedule is Check on a pooled Checker. The Report it returns is a
+// copy, the caller's to keep, and holds none of the Checker's scratch.
+func CheckSchedule(inst *switchnet.Instance, sched *switchnet.Schedule, caps []int) (*Report, error) {
+	c := checkers.Get().(*Checker)
+	defer checkers.Put(c)
+	return owned(c.Check(inst, sched, caps))
+}
+
 // CheckScaled checks sched under port capacities scaled by factor — the
-// "(1+c) times the capacity" augmentation of Theorem 1.
+// "(1+c) times the capacity" augmentation of Theorem 1 — on a pooled
+// Checker: CheckAt at (factor, 0), with the Report copied out as
+// CheckSchedule does.
 func CheckScaled(inst *switchnet.Instance, sched *switchnet.Schedule, factor int) (*Report, error) {
-	return CheckSchedule(inst, sched, switchnet.ScaleCaps(inst.Switch.Caps(), factor))
+	c := checkers.Get().(*Checker)
+	defer checkers.Put(c)
+	return owned(c.CheckAt(inst, sched, factor, 0))
 }
 
 // CheckAugmented checks sched under port capacities increased by delta —
-// the "+2*d_max-1" augmentation of Theorem 3.
+// the "+2*d_max-1" augmentation of Theorem 3 — on a pooled Checker: CheckAt
+// at (1, delta), with the Report copied out as CheckSchedule does.
 func CheckAugmented(inst *switchnet.Instance, sched *switchnet.Schedule, delta int) (*Report, error) {
-	return CheckSchedule(inst, sched, switchnet.AddCaps(inst.Switch.Caps(), delta))
+	c := checkers.Get().(*Checker)
+	defer checkers.Put(c)
+	return owned(c.CheckAt(inst, sched, 1, delta))
 }
