@@ -172,8 +172,11 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 // touched-port lists NumIn and NumOut, takes NumIn, each scope's
 // active-input list the inputs it owns, and each WeightedISLIP instance's
 // request list the outputs still free at its turn and its accept list
-// the scope's inputs. No list's capacity may move, from New through the
-// rest of the drain.
+// the scope's inputs. The unit picks' pair scratch (RoundRobin's and
+// OldestFirst's) is reserved at min(NumIn, NumOut) pairs and holds one
+// pair per flow its instance picked, so at one shard it reaches that
+// bound. No list's capacity may move, from New through the rest of the
+// drain.
 func TestPickScratchReservedBounds(t *testing.T) {
 	const ports = 8
 	for _, name := range Names() {
@@ -213,6 +216,16 @@ func TestPickScratchReservedBounds(t *testing.T) {
 					}
 				}
 
+				pairs := make([]*[]int32, shards)
+				capPairs := make([]int, shards)
+				for s, pol := range rt.instances() {
+					if pairs[s] = pairScratch(pol); pairs[s] != nil {
+						if capPairs[s] = cap(*pairs[s]); capPairs[s] != ports {
+							t.Errorf("scope %d: pair scratch capacity %d after New, want min(NumIn, NumOut) = %d", s, capPairs[s], ports)
+						}
+					}
+				}
+
 				seq := int64(0)
 				for i := 0; i < ports; i++ {
 					rt.admitFlow(&switchnet.Flow{In: i, Out: i, Demand: 1}, seq)
@@ -244,6 +257,15 @@ func TestPickScratchReservedBounds(t *testing.T) {
 				}
 				freeOut := ports
 				for _, s := range order {
+					picked := 0
+					for _, id := range rt.takes {
+						if rt.ar.rec[id].inPort()%shards == s {
+							picked++
+						}
+					}
+					if pairs[s] != nil && len(*pairs[s]) != picked {
+						t.Errorf("scope %d: pair scratch reached %d, want its %d picks", s, len(*pairs[s]), picked)
+					}
 					if p := islip[s]; p != nil {
 						if n := highWater(p.reqOuts[:capReq[s]]); n != freeOut {
 							t.Errorf("scope %d: request list reached %d, want the %d free outputs", s, n, freeOut)
@@ -252,11 +274,7 @@ func TestPickScratchReservedBounds(t *testing.T) {
 							t.Errorf("scope %d: accept list reached %d, want its %d inputs", s, n, owned)
 						}
 					}
-					for _, id := range rt.takes {
-						if rt.ar.rec[id].inPort()%shards == s {
-							freeOut--
-						}
-					}
+					freeOut -= picked
 				}
 				if len(rt.touchIn) != ports || len(rt.touchOut) != ports {
 					t.Errorf("touched %d inputs and %d outputs, want %d and %d", len(rt.touchIn), len(rt.touchOut), ports, ports)
@@ -276,6 +294,9 @@ func TestPickScratchReservedBounds(t *testing.T) {
 						t.Errorf("scope %d: request/accept capacities %d/%d, reserved %d/%d", s, cap(p.reqOuts), cap(p.accIns), capReq[s], capAcc[s])
 					}
 				}
+				if shards == 1 && pairs[0] != nil && len(*pairs[0]) != capPairs[0] {
+					t.Errorf("pair scratch reached %d, want its bound %d", len(*pairs[0]), capPairs[0])
+				}
 
 				// Close the hand-run round, then drain the rest through step.
 				rt.retire()
@@ -287,6 +308,11 @@ func TestPickScratchReservedBounds(t *testing.T) {
 					if cap(rt.takes) != capTakes {
 						t.Fatalf("round %d: takes capacity %d, reserved %d", rt.round, cap(rt.takes), capTakes)
 					}
+					for s, ps := range pairs {
+						if ps != nil && cap(*ps) != capPairs[s] {
+							t.Fatalf("round %d: scope %d's pair scratch capacity %d, reserved %d", rt.round, s, cap(*ps), capPairs[s])
+						}
+					}
 				}
 				if got := rt.mCompleted.Load(); got != seq {
 					t.Fatalf("drain completed %d of %d flows", got, seq)
@@ -294,6 +320,18 @@ func TestPickScratchReservedBounds(t *testing.T) {
 			})
 		}
 	}
+}
+
+// pairScratch returns the pair scratch of a policy instance that decides
+// unit-port picks before committing them, nil for any other.
+func pairScratch(pol Policy) *[]int32 {
+	switch p := pol.(type) {
+	case *RoundRobin:
+		return &p.pairs
+	case *OldestFirst:
+		return &p.pairs
+	}
+	return nil
 }
 
 // fill sets every element of s to x.

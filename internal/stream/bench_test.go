@@ -33,8 +33,11 @@ func BenchmarkOldestFirstPick(b *testing.B) {
 
 // BenchmarkRoundRobinPick times one scheduling round of a RoundRobin
 // runtime on the same rungs (ns/op is ns/round): the deep cap1 rungs are
-// drain_deep's regime, where most outputs saturate early in the pick and
-// the masked sweep stops reading their VOQs.
+// drain_deep's regime, picked by the unit path, whose decide pass reads
+// only the VOQ and free-output bitmaps and whose commit pass then takes
+// the matched heads, their record loads independent of one another; the
+// cap8 rung runs the general sweep, which reads each served head's
+// record before it moves on.
 func BenchmarkRoundRobinPick(b *testing.B) {
 	for _, rung := range pickRungs {
 		b.Run(rung.name, func(b *testing.B) {

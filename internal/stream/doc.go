@@ -16,7 +16,11 @@
 // O(arrived + scheduled + policy), never a rescan of every flow seen so
 // far; with the native RoundRobin policy the policy term is bitmap-word
 // operations over the active inputs plus reads of only the VOQs whose
-// output still has capacity, independent of the pending count.
+// output still has capacity, independent of the pending count. On unit
+// ports (the paper's model) the native unit picks decide the round's
+// matching from those bitmaps alone and only then take the matched
+// heads, so the flow records a round reads are one independent load per
+// pick.
 //
 // # Policy selection
 //
@@ -31,6 +35,9 @@
 //     input's active-VOQ bitmap words are AND-ed with a mask of the
 //     outputs that still have capacity, so a round reads only VOQs it
 //     could serve, and a saturated output costs bitmap operations only.
+//     On unit ports a decide pass matches each input to its first such
+//     VOQ without reading a flow record, and a commit pass takes the
+//     matched heads; elsewhere the sweep drains each VOQ it reaches.
 //     Fairness guarantee: port-order rotation, no VOQ overtaken within
 //     one rotation of the port space; no age awareness, so no
 //     response-time guarantee from the paper.
@@ -70,10 +77,14 @@
 //
 // Cost model: RoundRobin reads only VOQs whose output has capacity left
 // (a blocked output costs bitmap operations only; a multi-unit head
-// larger than what is left costs one record read). WeightedISLIP reads
-// every active VOQ's head-age record every round, at every shard count,
-// so its cost grows with the resident backlog's active-VOQ count while
-// RoundRobin's does not — see the benchmark/ suite's
+// larger than what is left costs one record read). On unit ports it
+// reads no record before its matching is decided and then one per
+// pick, in a commit pass whose loads do not wait on one another, where
+// the general sweep waits on each served head's record before it moves
+// on; OldestFirst's window commits its matching the same way.
+// WeightedISLIP reads every active VOQ's head-age record every round, at
+// every shard count, so its cost grows with the resident backlog's
+// active-VOQ count while RoundRobin's does not — see the benchmark/ suite's
 // quality.<policy>.flows_per_s for the measured ratios. OldestFirst
 // reads only what changed: its window or lists persist across rounds, a
 // round moves or re-keys the heads the last one served, expired or

@@ -32,9 +32,10 @@ import (
 // the inputs with any. A changed head costs O(1), one bit cleared and one
 // set. The pick walks the releases oldest first; at each, every input
 // still free, in ascending port order, ANDs its bitmap with the
-// free-output mask and takes the lowest output. A unit input takes one
-// flow a round, so no served head's successor competes in the same pick
-// and no demand needs checking.
+// free-output mask and is matched to the lowest output, reading no flow
+// record; the walk done, the matched heads are taken in the order
+// matched. A unit input takes one flow a round, so no served head's
+// successor competes in the same pick and no demand needs checking.
 //
 // On every other switch, and on unit ports while the pending releases
 // span more than the window holds, the layout is, for each input of the
@@ -131,13 +132,16 @@ type OldestFirst struct {
 	// slots release slots of stride words, each the rw words of its
 	// input bitmap and then the scope's rows rows of nw output words;
 	// oldest and newest are the first and last pending releases, and
-	// freeIn and freeOut the pick's masks of free rows and outputs.
+	// freeIn and freeOut the pick's masks of free rows and outputs;
+	// pairs is the matching the pick decides before commitUnit takes it
+	// (see RoundRobin.pairs).
 	unit, wide      bool
 	win             []uint64
 	slots, stride   int
 	rows, nw        int
 	oldest, newest  int64
 	freeIn, freeOut []uint64
+	pairs           []int32
 	// home is the value NewShard was called on (nil on that value), whose
 	// wins holds each scope's window storage: instance k takes wins[k],
 	// and at one shard the value takes wins[0], so the storage outlives
@@ -172,9 +176,9 @@ func ofDem(key uint64) int32  { return int32(key & ofDemMax) }
 const ofDemMax = 1<<8 - 1
 
 // Reset implements Resetter: it notes whether the switch's ports allow
-// the window, sizes the sync mask and the pick's masks (the window's) or
-// capacity mirrors (the lists') to the switch, and marks the layout for
-// a rebuild at the next pick. Should the lists stand in for the window,
+// the window, sizes the sync mask and the pick's masks and pair scratch
+// (the window's) or capacity mirrors (the lists') to the switch, and
+// marks the layout for a rebuild at the next pick. Should the lists stand in for the window,
 // alloc sizes their mirrors.
 func (p *OldestFirst) Reset(sw switchnet.Switch) {
 	p.unit, p.wide = unitPorts(sw), false
@@ -182,6 +186,7 @@ func (p *OldestFirst) Reset(sw switchnet.Switch) {
 	if p.unit {
 		p.freeIn = make([]uint64, (sw.NumIn()+63)/64)
 		p.freeOut = make([]uint64, len(p.mask))
+		p.pairs = make([]int32, 0, min(sw.NumIn(), sw.NumOut()))
 	} else {
 		p.inFree = make([]int32, sw.NumIn())
 		p.outFree = make([]int32, sw.NumOut())

@@ -13,7 +13,8 @@ import (
 // after a bitmap of the rows with any. The pick walks the releases
 // pending, oldest first; at each, every input with a head there that is
 // still free, in port order, ANDs its bitmap with the free-output mask
-// and takes the lowest output. A unit input serves one flow a round, so
+// and is matched to the lowest output, and the matched heads are taken
+// after the walk (commitUnit). A unit input serves one flow a round, so
 // a served head's successor never competes in the same pick, and a head
 // whose ports are free always fits: the window holds no demands and the
 // pick checks none.
@@ -216,12 +217,24 @@ func (p *OldestFirst) slot(rel int64) int {
 	return int(uint64(rel)&uint64(p.slots-1)) * p.stride
 }
 
-// pickUnit walks the pending releases oldest first and, at each, serves
-// every free input with a head there, in port order, its lowest free
-// output, until the scope's inputs or the outputs it can see are spent.
+// pickUnit is the window's pick, in two passes: matchUnit decides the
+// round's matching from the window and the free-port masks alone, and
+// commitUnit takes the matched heads in the order decided.
 //
 //flowsched:hotpath
 func (p *OldestFirst) pickUnit(v *View) {
+	p.matchUnit(v)
+	commitUnit(v, p.pairs)
+}
+
+// matchUnit walks the pending releases oldest first and, at each,
+// matches every free input with a head there, in port order, to its
+// lowest free output, until the scope's inputs or the outputs it can see
+// are spent. It records each pair in p.pairs and reads no flow record.
+//
+//flowsched:hotpath
+func (p *OldestFirst) matchUnit(v *View) {
+	p.pairs = p.pairs[:0]
 	clear(p.freeIn)
 	clear(p.freeOut)
 	nIn, nOut := 0, 0
@@ -250,7 +263,7 @@ func (p *OldestFirst) pickUnit(v *View) {
 						continue
 					}
 					out := oi<<6 + bits.TrailingZeros64(ow)
-					v.Take(v.VOQHead(r*p.nk+p.k, out))
+					appendReserved(&p.pairs, int32((r*p.nk+p.k)*p.mOut+out))
 					p.freeIn[wi] &^= 1 << uint(r&63)
 					p.freeOut[oi] &^= 1 << uint(out&63)
 					if nIn, nOut = nIn-1, nOut-1; nIn == 0 || nOut == 0 {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -73,6 +74,18 @@ func (FIFO) Pick(v *View) {
 // Skipping a saturated output cannot move the schedule: demands are at
 // least 1, so its VOQ would serve nothing, and the pointer moves only on
 // a serve.
+//
+// On a switch whose every port capacity is 1 (the paper's model, where
+// every demand is 1 too) the pick is a matching, and Reset chooses a
+// path that decides it from the bitmaps alone: each input with room
+// takes the first active VOQ from its pointer whose output is still in
+// the mask, and the pass records the pair, moves the pointer and clears
+// the output's bit without reading a flow record. A commit pass then
+// takes the recorded heads in order (commitUnit), so their record loads
+// are independent of one another and their cache misses overlap. A head
+// is never taken before its input's one visit and always fits a free
+// input and a masked output, so the decisions, pointers and take order
+// are those of the general sweep, which serves every other switch.
 type RoundRobin struct {
 	// rr[in] is the last output port served at input in (-1 before any);
 	// a pass over in's VOQs starts at its successor in port order.
@@ -81,6 +94,12 @@ type RoundRobin struct {
 	// out like the active-VOQ bitmap words it is AND-ed with.
 	mask []uint64
 	nOut int
+	// unit is set by Reset on a switch whose every port capacity is 1,
+	// where pickUnit decides the round into pairs, each recorded as its
+	// VOQ's index in*NumOut+out, before commitUnit takes them; pairs is
+	// reserved at the most a matching holds, min(NumIn, NumOut).
+	unit  bool
+	pairs []int32
 }
 
 // Name implements Policy.
@@ -91,7 +110,8 @@ func (*RoundRobin) Name() string { return "RoundRobin" }
 func (*RoundRobin) NewShard() Policy { return &RoundRobin{} }
 
 // Reset implements Resetter: it sizes the pointers and the free-output
-// mask to the switch so Pick never allocates.
+// mask to the switch, notes whether its ports are all unit, and there
+// reserves the pair scratch, so Pick never allocates.
 func (p *RoundRobin) Reset(sw switchnet.Switch) {
 	p.rr = make([]int, sw.NumIn())
 	for i := range p.rr {
@@ -99,6 +119,10 @@ func (p *RoundRobin) Reset(sw switchnet.Switch) {
 	}
 	p.nOut = sw.NumOut()
 	p.mask = make([]uint64, (p.nOut+63)/64)
+	p.unit, p.pairs = unitPorts(sw), nil
+	if p.unit {
+		p.pairs = make([]int32, 0, min(sw.NumIn(), p.nOut))
+	}
 }
 
 // exportScratch implements scratchPolicy: the per-input rotation
@@ -132,14 +156,11 @@ func (p *RoundRobin) importScratch(src []int64) error {
 //
 //flowsched:hotpath
 func (p *RoundRobin) Pick(v *View) {
-	clear(p.mask)
-	nOut := 0
-	for j := 0; j < p.nOut; j++ {
-		if v.OutputFree(j) > 0 {
-			p.mask[j>>6] |= 1 << uint(j&63)
-			nOut++
-		}
+	if p.unit {
+		p.pickUnit(v)
+		return
 	}
+	nOut := p.fillMask(v)
 	nw := len(p.mask)
 	for a := 0; a < v.NumActiveInputs() && nOut > 0; a++ {
 		in := v.ActiveInput(a)
@@ -191,6 +212,90 @@ func (p *RoundRobin) Pick(v *View) {
 	}
 }
 
+// fillMask sets the mask bit of every output with capacity left and
+// returns how many there are.
+func (p *RoundRobin) fillMask(v *View) int {
+	clear(p.mask)
+	nOut := 0
+	for j := 0; j < p.nOut; j++ {
+		if v.OutputFree(j) > 0 {
+			p.mask[j>>6] |= 1 << uint(j&63)
+			nOut++
+		}
+	}
+	return nOut
+}
+
+// pickUnit is Pick on unit ports, in two passes. The decide pass gives
+// each active input with room the first active VOQ in circular port
+// order from its pointer's successor whose output is still in the mask,
+// the one VOQ the general sweep would serve there: it records the pair,
+// moves the pointer and clears the output's bit, reading bitmaps only.
+// The commit pass takes the recorded heads in the order decided.
+//
+//flowsched:hotpath
+func (p *RoundRobin) pickUnit(v *View) {
+	nOut := p.fillMask(v)
+	nw := len(p.mask)
+	p.pairs = p.pairs[:0]
+	for a := 0; a < v.NumActiveInputs() && nOut > 0; a++ {
+		in := v.ActiveInput(a)
+		if v.InputFree(in) <= 0 {
+			continue
+		}
+		start := p.rr[in] + 1
+		if start == p.nOut {
+			start = 0
+		}
+		w0, below := start>>6, uint64(1)<<uint(start&63)-1
+		words := v.voqWords(in)
+		for k := 0; k <= nw; k++ {
+			wi := w0 + k
+			if wi >= nw {
+				wi -= nw
+			}
+			w := words[wi] & p.mask[wi]
+			if k == 0 {
+				w &^= below
+			} else if k == nw {
+				w &= below
+			}
+			if w != 0 {
+				out := wi<<6 + bits.TrailingZeros64(w)
+				appendReserved(&p.pairs, int32(in*p.nOut+out))
+				p.rr[in] = out
+				p.mask[wi] &^= 1 << uint(out&63)
+				nOut--
+				break
+			}
+		}
+	}
+	commitUnit(v, p.pairs)
+}
+
+// errUnitTake is the run's error when a unit pick's commit is refused a
+// take: the free-port masks its decide pass read disagreed with the View.
+var errUnitTake = errors.New("stream: a unit-port pick's take was refused: its free-port masks disagree with the View")
+
+// commitUnit is the commit pass of a pick on unit ports (RoundRobin's
+// and OldestFirst's): it takes the head of each recorded VOQ, given as
+// its index in*NumOut+out, in the order recorded. The decide pass has
+// already matched every pair to a free input and a free output, so every
+// take succeeds; one that does not fails the run (View.fail) rather than
+// leave the policy's state and the schedule apart. The heads' records
+// are read here and nowhere before, one independent load per pair.
+//
+//flowsched:hotpath
+func commitUnit(v *View, pairs []int32) {
+	vqs := v.rt.vqs
+	for _, q := range pairs {
+		if !v.Take(ID(vqs[q].head)) {
+			v.fail(errUnitTake)
+			return
+		}
+	}
+}
+
 // drainVOQ drains the (in, out) virtual output queue oldest-first while
 // free input and output capacity last, skipping flows already taken this
 // round (a flow an earlier WeightedISLIP iteration took is not a blocked
@@ -200,9 +305,11 @@ func (p *RoundRobin) Pick(v *View) {
 // so each queue entry costs the one hot-record line its Taken and Demand
 // checks read anyway; an untaken head that does not fit stops the walk —
 // FIFO within the VOQ, a blocked head blocks the queue. Callers reach it
-// only for an output with capacity: RoundRobin masks saturated outputs
-// out of its sweep, and WeightedISLIP drains only an accepted request,
-// whose output its request filter checked.
+// only for an output with capacity: RoundRobin's general sweep masks
+// saturated outputs out (on unit ports RoundRobin does not call it: its
+// decide pass reads no record and commitUnit takes each head once), and
+// WeightedISLIP drains only an accepted request, whose output its
+// request filter checked.
 func drainVOQ(v *View, in, out, free int) (int, bool) {
 	served := false
 	for id := v.VOQHead(in, out); id != NoID && free > 0; id = v.VOQNext(id) {

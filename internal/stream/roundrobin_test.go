@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -97,17 +98,34 @@ func (p *refRoundRobin) Pick(v *View) {
 // RoundRobin and refRoundRobin at K in {1, 2, 4} under lossless and
 // deadline admission and requires the identical OnSchedule (seq, round)
 // stream and, after the drain, the identical rotation pointers in every
-// shard. Two inputs: unit flows at depth on a 130-port unit switch (three
+// shard. Four inputs: unit flows at depth on a 130-port unit switch (three
 // bitmap words, the last one partial), where outputs saturate partway
-// through a round and the mask empties before the inputs do; and a
+// through a round and the mask empties before the inputs do; a
 // multi-unit draw on a capacity-3 switch with two hot outputs, where a
 // head whose demand exceeds what its output has left blocks its queue
-// while the output stays in the mask.
+// while the output stays in the mask; unit flows on a 70 x 130 unit
+// switch, where the matching is bounded by the inputs, not the outputs;
+// and unit flows on a switch whose ports are all unit but one output of
+// capacity 2, drained by a RoundRobin that has just drained the same
+// flows on a unit switch, so a Reset that kept the unit path, or judged
+// the switch by its inputs alone, would serve that output once a round.
 func TestRoundRobinMatchesUnmaskedReference(t *testing.T) {
 	unit := func() ([]switchnet.Flow, switchnet.Switch) {
 		src := workload.NewArrivalSource(workload.ArrivalConfig{Ports: 130, Cap: 1, M: 260, MaxFlows: 40000},
 			rand.New(rand.NewSource(1)))
 		return drainSource(t, src), src.Switch()
+	}
+	asym := func() ([]switchnet.Flow, switchnet.Switch) {
+		src := workload.NewChurnSource(workload.ChurnConfig{Ins: 70, Outs: 130, PerRound: 140, MaxFlows: 30000},
+			rand.New(rand.NewSource(3)))
+		return drainSource(t, src), src.Switch()
+	}
+	mixed := func() ([]switchnet.Flow, switchnet.Switch) {
+		src := workload.NewArrivalSource(workload.ArrivalConfig{Ports: 70, Cap: 1, M: 140, MaxFlows: 30000},
+			rand.New(rand.NewSource(4)))
+		sw := src.Switch()
+		sw.OutCaps[5] = 2
+		return drainSource(t, src), sw
 	}
 	hot := func() ([]switchnet.Flow, switchnet.Switch) {
 		src := workload.NewChurnSource(workload.ChurnConfig{Ins: 70, Outs: 70, PerRound: 90, HotOuts: 2, MaxFlows: 30000},
@@ -122,7 +140,10 @@ func TestRoundRobinMatchesUnmaskedReference(t *testing.T) {
 	for _, in := range []struct {
 		name string
 		gen  func() ([]switchnet.Flow, switchnet.Switch)
-	}{{"unit_depth", unit}, {"cap3_hot", hot}} {
+		// warm drains the flows on a unit switch first, through the
+		// RoundRobin value under test (the instance that picks at K = 1).
+		warm bool
+	}{{"unit_depth", unit, false}, {"cap3_hot", hot, false}, {"unit_70x130", asym, false}, {"mixed", mixed, true}} {
 		flows, sw := in.gen()
 		for _, K := range []int{1, 2, 4} {
 			for _, mode := range []AdmitMode{AdmitLossless, AdmitDeadline} {
@@ -131,7 +152,16 @@ func TestRoundRobinMatchesUnmaskedReference(t *testing.T) {
 					if mode == AdmitDeadline {
 						cfg.Deadline = 24
 					}
-					gotSched, gotPtrs := drainRoundRobin(t, flows, cfg, &RoundRobin{})
+					pol := &RoundRobin{}
+					if in.warm {
+						unitCfg := cfg
+						unitCfg.Switch = switchnet.NewSwitch(sw.NumIn(), sw.NumOut(), 1)
+						drainRoundRobin(t, flows, unitCfg, pol)
+						if K == 1 && !pol.unit {
+							t.Fatal("the warm-up drain on a unit switch did not take the unit path")
+						}
+					}
+					gotSched, gotPtrs := drainRoundRobin(t, flows, cfg, pol)
 					wantSched, wantPtrs := drainRoundRobin(t, flows, cfg, &refRoundRobin{})
 					if i := firstDiff(gotSched, wantSched); i >= 0 {
 						t.Fatalf("schedules diverge at pick %d of %d (reference %d): %v, reference %v",
@@ -212,4 +242,38 @@ func at(s [][2]int64, i int) any {
 		return s[i]
 	}
 	return "nothing"
+}
+
+// TestUnitCommitRefusalFailsRun marks a head taken behind the pick's
+// back, so the unit decide pass, which reads no flow record, matches it
+// and the commit's Take refuses it. The run must fail with errUnitTake,
+// not carry on with a pointer or window that moved for a flow that was
+// never scheduled. On a 4-port unit switch every input i holds flows to
+// outputs i and i+1 released in round 0, so RoundRobin (pointers at -1)
+// and OldestFirst (one release, ties in port order) both match input 1
+// to output 1.
+func TestUnitCommitRefusalFailsRun(t *testing.T) {
+	const ports = 4
+	for _, name := range []string{"RoundRobin", "OldestFirst"} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/K%d", name, shards), func(t *testing.T) {
+				rt, err := New(emptySource{}, Config{Switch: switchnet.UnitSwitch(ports), Policy: ByName(name), Shards: shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				seq := int64(0)
+				for i := range ports {
+					for _, out := range []int{i, (i + 1) % ports} {
+						rt.admitFlow(&switchnet.Flow{In: i, Out: out, Demand: 1}, seq)
+						seq++
+					}
+				}
+				id := rt.vqs[1*ports+1].head
+				rt.ar.rec[id].out |= stTaken
+				if _, err := rt.step(); !errors.Is(err, errUnitTake) {
+					t.Fatalf("step after a refused commit: %v, want %v", err, errUnitTake)
+				}
+			})
+		}
+	}
 }

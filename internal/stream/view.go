@@ -210,8 +210,12 @@ func (v *View) Take(id ID) bool {
 // Fail aborts the run with a policy-contract error (e.g. one of the
 // paper's heuristics matched a flow Take refused), unless the run already
 // has one; the run ends once the round's picks are done.
-func (v *View) Fail(format string, args ...any) {
+func (v *View) Fail(format string, args ...any) { v.fail(fmt.Errorf(format, args...)) }
+
+// fail is Fail with the error already built, for a pick whose failure
+// path must not allocate.
+func (v *View) fail(err error) {
 	if rt := v.rt; rt.err == nil && !rt.refused {
-		rt.err = fmt.Errorf(format, args...)
+		rt.err = err
 	}
 }
