@@ -205,8 +205,8 @@ func (p *StallPolicy) Pick(v *stream.View) {
 }
 
 // NewShard implements stream.Shardable when the wrapped policy does.
-func (p *StallPolicy) NewShard() stream.Policy {
-	return &StallPolicy{P: p.P.(stream.Shardable).NewShard(), Period: p.Period, StallLen: p.StallLen}
+func (p *StallPolicy) NewShard(k int) stream.Policy {
+	return &StallPolicy{P: p.P.(stream.Shardable).NewShard(k), Period: p.Period, StallLen: p.StallLen}
 }
 
 // Reset implements stream.Resetter, forwarding when the wrapped policy

@@ -12,6 +12,10 @@ import (
 	"flowsched/internal/workload"
 )
 
+// StallPolicy must stay Shardable, or the sharded chaos runs would fail
+// at construction rather than at compile time.
+var _ stream.Shardable = (*StallPolicy)(nil)
+
 // fixedSource replays a slice through both source read paths.
 type fixedSource struct {
 	flows []switchnet.Flow

@@ -352,11 +352,11 @@ func highWater(s []int32) int {
 }
 
 // TestOldestFirstRampAllocBounded pins that the pick allocates its window
-// once per doubling. A fresh K=2 runtime over a fresh OldestFirst (so
-// the window storage starts cold) fills a 64x64 unit switch to 8k
-// resident over some 250 rounds, its active VOQ count a new high on each
-// of them. Each instance builds its window once, at its first pick, and
-// after that only doubles it when the pending releases outspan it: the
+// once per size. A fresh K=2 runtime over a fresh OldestFirst (so the
+// window storage starts cold) fills a 64x64 unit switch to 8k resident
+// over some 250 rounds, its active VOQ count a new high on each of them.
+// Each instance builds its window once, at its first pick, and after
+// that only rebuilds it larger when the pending releases outspan it: the
 // ramp stays within 4 MB for everything the round loop allocates on the
 // way up, arena columns included.
 func TestOldestFirstRampAllocBounded(t *testing.T) {

@@ -25,8 +25,8 @@ type headProbe struct {
 
 func (p *headProbe) Name() string { return p.inner.Name() }
 
-func (p *headProbe) NewShard() Policy {
-	return &headProbe{t: p.t, inner: p.inner.(Shardable).NewShard()}
+func (p *headProbe) NewShard(k int) Policy {
+	return &headProbe{t: p.t, inner: p.inner.(Shardable).NewShard(k)}
 }
 
 func (p *headProbe) Reset(sw switchnet.Switch) {

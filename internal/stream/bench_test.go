@@ -11,16 +11,21 @@ import (
 // runtime pinned at a resident backlog — the paper's 150-port switch,
 // Poisson arrivals at twice what it can serve — and reports beside
 // ns/round the entries its pick examined per round (K=1 calls Pick once
-// a round). The cap1 rungs are drain_age's regime at a thin, the
-// benchmark's and a deep backlog, picked on the window, where an entry
-// is an input's bitmap of heads at one release; the cap8 rung carries
-// multi-unit demands on the lists, where served heads' successors
-// re-enter them and an entry is a list entry.
+// a round). The cap1 rungs up to 64k are drain_age's regime at a thin,
+// the benchmark's and a deep backlog, picked on the window, where an
+// entry is an input's bitmap of heads at one release. cap1_wide's
+// backlog spans more releases than the window holds, so it picks on the
+// lists (the rung fails if the window picks), as the cap8 rung does with
+// multi-unit demands, whose served heads' successors re-enter them; there
+// an entry is a list entry.
 func BenchmarkOldestFirstPick(b *testing.B) {
 	for _, rung := range pickRungs {
 		b.Run(rung.name, func(b *testing.B) {
 			pol := &OldestFirst{}
 			step := pinnedRuntime(b, pol, rung.cap, rung.backlog)
+			if rung.wide && pol.windowed() {
+				b.Fatalf("a backlog of %d picks on the window: want its span past the window's %d slots", rung.backlog, ofMaxSlots)
+			}
 			visited := pol.visited
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -51,16 +56,19 @@ func BenchmarkRoundRobinPick(b *testing.B) {
 }
 
 // pickRungs are the pick benchmarks' shapes: unit ports at a thin, the
-// benchmark's and a deep backlog, and capacity-8 ports with multi-unit
+// benchmark's and a deep backlog, unit ports at a backlog whose releases
+// span past ofMaxSlots (wide), and capacity-8 ports with multi-unit
 // demands.
 var pickRungs = []struct {
 	name         string
 	cap, backlog int
+	wide         bool
 }{
-	{"cap1_2k", 1, 1 << 11},
-	{"cap1_16k", 1, 1 << 14},
-	{"cap1_64k", 1, 1 << 16},
-	{"cap8_16k", 8, 1 << 14},
+	{"cap1_2k", 1, 1 << 11, false},
+	{"cap1_16k", 1, 1 << 14, false},
+	{"cap1_64k", 1, 1 << 16, false},
+	{"cap1_wide", 1, 1 << 19, true},
+	{"cap8_16k", 8, 1 << 14, false},
 }
 
 // pinnedRuntime builds a runtime under pol on the paper's 150-port switch

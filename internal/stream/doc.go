@@ -140,8 +140,10 @@
 //
 // Config.Shards = K > 1 is one policy value, not a second round loop:
 // New and Reload wrap the configured policy, which must be Shardable, in
-// the turns policy (shard.go) — K instances from NewShard, instance k
-// picking through a View scoped to the inputs ≡ k (mod K). The rest is
+// the turns policy (shard.go) — the K instances NewShard(k) hands out,
+// instance k picking through a View scoped to the inputs ≡ k (mod K),
+// each Reset at install. OldestFirst keeps its instances on the value,
+// so the next runtime built from it reuses their storage. The rest is
 // the runtime's one of each: one pending store (one arena, one
 // admission-order list, one VOQ per (input, output) pair), which
 // admission threads each arrival into directly, as in the paper's online
@@ -390,7 +392,7 @@
 //
 //   - Runtime.Reload swaps the policy and the admission settings
 //     (MaxPending, Admit, Deadline) between rounds without dropping the
-//     pending set; the policy's instances are rebuilt and Reset, and
+//     pending set; the new policy's instances are installed and Reset, and
 //     the next round schedules under the new configuration. Shrinking
 //     MaxPending below the resident count sheds nothing — admission just
 //     stays closed until the backlog drains.

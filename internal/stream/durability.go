@@ -153,7 +153,8 @@ func (rt *Runtime) restore(st *CheckpointState) error {
 // required — a caller keeping a setting passes its current value.
 type ReloadConfig struct {
 	// Policy replaces the scheduling policy; with Shards > 1 it must
-	// implement Shardable (the runtime gets fresh NewShard instances).
+	// implement Shardable (the runtime picks through its NewShard
+	// instances, each Reset, so none carries a layout over).
 	Policy Policy
 	// MaxPending replaces the admission limit. Shrinking it below the
 	// resident count is allowed: nothing is shed, admission just stays

@@ -82,7 +82,7 @@ func (*WeightedISLIP) Name() string { return "WeightedISLIP" }
 
 // NewShard implements Shardable: pointer and scratch state is per
 // instance (the runtime calls Reset on every instance at construction).
-func (p *WeightedISLIP) NewShard() Policy { return &WeightedISLIP{} }
+func (p *WeightedISLIP) NewShard(int) Policy { return &WeightedISLIP{} }
 
 // Reset implements Resetter: it sizes the pointer and scratch arrays to
 // the switch so Pick never allocates.

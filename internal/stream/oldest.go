@@ -2,6 +2,7 @@ package stream
 
 import (
 	"math/bits"
+	"slices"
 
 	"flowsched/internal/switchnet"
 )
@@ -76,19 +77,20 @@ import (
 //
 // The lists take one row of NumOut 8-byte keys per scope input (see
 // ofKey), allocated at the first pick after Reset, when the scope is
-// known, and kept across Resets. The window takes ⌈rows/64⌉ +
-// rows·⌈NumOut/64⌉ words per release slot, rows being the scope's
-// inputs, over a power of two of slots, at least 64 and at least the
-// span of pending releases, doubled when the span outgrows it: on the
-// paper's 150 unit ports at twice their service rate, 256 slots (928 KB)
-// with 16k flows resident and 1,024 (3.7 MB) at DefaultMaxPending. It
-// stops at ofMaxSlots (1,024 slots, 128 bytes per VOQ of the scope): a
-// burst on one VOQ can hold its head back for as many rounds as the
-// burst has flows, and while the pending releases span that many the
-// lists stand in, handing back once they span under half. It is kept
-// on the value NewShard was called on, each instance in its scope's
-// part, so a runtime built from a value that has run before allocates
-// none of it. A steady-state pick allocates nothing.
+// known. The window takes ⌈rows/64⌉ + rows·⌈NumOut/64⌉ words per
+// release slot, rows being the scope's inputs, over a power of two of
+// slots, at least 64 and more than the span of pending releases, and is
+// built afresh, larger, when the span outgrows it: on the paper's 150
+// unit ports at twice their service rate, 256 slots (928 KB) with 16k
+// flows resident and 1,024 (3.7 MB) at DefaultMaxPending. It stops at
+// ofMaxSlots (1,024 slots, 128 bytes per VOQ of the scope): a burst on
+// one VOQ can hold its head back for as many rounds as the burst has
+// flows, and while the pending releases span that many the lists stand
+// in, handing back once they span under half. An instance owns its
+// storage and keeps it across Resets, and a value keeps the instances
+// it hands out at K > 1 (NewShard), so a runtime built from a value that
+// has run before reuses all of it. A steady-state pick allocates
+// nothing.
 //
 // OldestFirst is Shardable: the instances take turns, oldest first (see
 // turns.Pick), and each serves its own inputs' heads oldest-first
@@ -142,16 +144,14 @@ type OldestFirst struct {
 	oldest, newest  int64
 	freeIn, freeOut []uint64
 	pairs           []int32
-	// home is the value NewShard was called on (nil on that value), whose
-	// wins holds each scope's window storage: instance k takes wins[k],
-	// and at one shard the value takes wins[0], so the storage outlives
-	// the runtime and the next one built from the value reuses it.
-	home *OldestFirst
-	wins [][]uint64
-	// builds, visited, moved and grows count the builds, the entries the
-	// picks examined (list entries, or the window's input bitmaps at a
-	// release), the successors the merges re-keyed and the window's
-	// doublings, for tests and benchmarks; nothing reads them to decide.
+	// shards holds the instances NewShard has handed out, instance k at
+	// shards[k], so each keeps its storage from one runtime to the next.
+	shards []*OldestFirst
+	// builds, visited, moved and grows count, since Reset, the layouts
+	// built (first builds and hand-overs), the entries the picks examined
+	// (list entries, or the window's input bitmaps at a release), the
+	// successors the merges re-keyed and the windows rebuilt larger for
+	// the span, for tests and benchmarks; nothing reads them to decide.
 	builds, visited, moved, grows int64
 }
 
@@ -176,38 +176,40 @@ func ofDem(key uint64) int32  { return int32(key & ofDemMax) }
 const ofDemMax = 1<<8 - 1
 
 // Reset implements Resetter: it notes whether the switch's ports allow
-// the window, sizes the sync mask and the pick's masks and pair scratch
-// (the window's) or capacity mirrors (the lists') to the switch, and
-// marks the layout for a rebuild at the next pick. Should the lists stand in for the window,
-// alloc sizes their mirrors.
+// the window, fits the sync mask and the pick's masks and pair scratch
+// (the window's) or capacity mirrors (the lists') to the switch, keeping
+// their storage, zeroes the counters and marks the layout for a rebuild
+// at the next pick. Should the lists stand in for the window, alloc sizes
+// their mirrors.
 func (p *OldestFirst) Reset(sw switchnet.Switch) {
 	p.unit, p.wide = unitPorts(sw), false
-	p.mask = make([]uint64, (sw.NumOut()+63)/64)
+	p.mask = fit(p.mask, (sw.NumOut()+63)/64)
 	if p.unit {
-		p.freeIn = make([]uint64, (sw.NumIn()+63)/64)
-		p.freeOut = make([]uint64, len(p.mask))
-		p.pairs = make([]int32, 0, min(sw.NumIn(), sw.NumOut()))
+		p.freeIn = fit(p.freeIn, (sw.NumIn()+63)/64)
+		p.freeOut = fit(p.freeOut, len(p.mask))
+		p.pairs = slices.Grow(p.pairs[:0], min(sw.NumIn(), sw.NumOut()))
 	} else {
-		p.inFree = make([]int32, sw.NumIn())
-		p.outFree = make([]int32, sw.NumOut())
+		p.inFree = fit(p.inFree, sw.NumIn())
+		p.outFree = fit(p.outFree, sw.NumOut())
 	}
 	p.built = false
+	p.builds, p.visited, p.moved, p.grows = 0, 0, 0, 0
 }
+
+// fit returns s at length n, reusing its storage when it holds n.
+func fit[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // Name implements Policy.
 func (*OldestFirst) Name() string { return "OldestFirst" }
 
-// NewShard implements Shardable: every instance builds its own layout
-// over its own scope, the window in its scope's part of the storage kept
-// on the value NewShard was called on.
-func (p *OldestFirst) NewShard() Policy { return &OldestFirst{home: p.root()} }
-
-// root returns the value that keeps the window storage.
-func (p *OldestFirst) root() *OldestFirst {
-	if p.home != nil {
-		return p.home
+// NewShard implements Shardable: it hands out the k-th instance the value
+// keeps, making it at the first call, and every instance builds its own
+// layout over its own scope in storage of its own.
+func (p *OldestFirst) NewShard(k int) Policy {
+	for len(p.shards) <= k {
+		p.shards = append(p.shards, &OldestFirst{})
 	}
-	return p
+	return p.shards[k]
 }
 
 // Pick implements Policy.
@@ -263,8 +265,10 @@ func (p *OldestFirst) Pick(v *View) {
 // first settles which layout picks: the lists stand in for the window
 // while the pending releases span ofMaxSlots or more, and hand back once
 // they span under half that, each layout built afresh when it takes
-// over. The lists sync every active input with a stale head, or build
-// if there are none.
+// over. A layout is built, too, at the first pick after Reset, the window
+// again once the span outgrows it and the lists should the releases
+// outrun their keys; otherwise every active input with a stale head
+// syncs.
 func (p *OldestFirst) refresh(v *View) {
 	if p.unit {
 		rt := v.rt
@@ -273,12 +277,19 @@ func (p *OldestFirst) refresh(v *View) {
 		if wide := span >= ofMaxSlots || p.wide && span >= ofMaxSlots/2; wide != p.wide {
 			p.wide, p.built = wide, false
 		}
-		if !p.wide {
-			p.refreshUnit(v)
-			return
-		}
 	}
-	if !p.built || int64(v.Round())-p.rel0 >= 1<<40 {
+	win := p.windowed()
+	switch {
+	case !p.built && win:
+		p.builds++
+		p.buildUnit(v)
+		return
+	case win && p.newest-p.oldest >= int64(p.slots):
+		p.grows++
+		p.buildUnit(v)
+		return
+	case !win && (!p.built || int64(v.Round())-p.rel0 >= 1<<40):
+		p.builds++
 		p.build(v)
 		return
 	}
@@ -289,7 +300,12 @@ func (p *OldestFirst) refresh(v *View) {
 			p.mask[wi] = w
 			stale += bits.OnesCount64(w)
 		}
-		if stale > 0 {
+		if stale == 0 {
+			continue
+		}
+		if win {
+			p.syncUnit(v, in)
+		} else {
 			p.sync(v, in, stale)
 		}
 	}
@@ -324,25 +340,16 @@ func (p *OldestFirst) build(v *View) {
 		p.sync(v, v.ActiveInput(a), p.mOut)
 	}
 	p.built = true
-	p.builds++
 }
 
 // alloc sizes the lists, the merge's bitmaps and, where Reset sized the
 // window's masks instead, the capacity mirrors to rows inputs; or, on the
-// window, the storage its scope keeps on the root value to slots release
-// slots, keeping what the storage held.
+// window, the window to slots release slots.
 //
-//flowsched:allow alloc: the lists are allocated once per scope layout and kept across Resets, and the window once per value, scope layout and doubling of its span, so a round allocates nothing (TestOldestFirstRampAllocBounded)
+//flowsched:allow alloc: the lists are allocated once per scope layout and the window once per scope layout and span it outgrows, both kept across Resets, so a round allocates nothing (TestOldestFirstRampAllocBounded)
 func (p *OldestFirst) alloc(rows int) {
 	if p.windowed() {
-		home := p.root()
-		if len(home.wins) <= p.k {
-			home.wins = append(home.wins, make([][]uint64, p.k+1-len(home.wins))...)
-		}
-		if w := home.wins[p.k]; cap(w) < p.slots*p.stride {
-			home.wins[p.k] = make([]uint64, p.slots*p.stride)
-			copy(home.wins[p.k], w[:cap(w)])
-		}
+		p.win = make([]uint64, p.slots*p.stride)
 		return
 	}
 	rw := (rows + 63) / 64

@@ -82,8 +82,8 @@ func (h *refHeap) pop() refFlow {
 	return top
 }
 
-func (refOldest) Name() string     { return "refOldest" }
-func (refOldest) NewShard() Policy { return refOldest{} }
+func (refOldest) Name() string        { return "refOldest" }
+func (refOldest) NewShard(int) Policy { return refOldest{} }
 
 func (refOldest) Pick(v *View) {
 	var h refHeap
@@ -247,9 +247,14 @@ func TestOldestFirstWideSpanMatchesReference(t *testing.T) {
 // the reference: on multi-unit demands over capacities above one — a
 // served head's successor re-entering its input's list, heads that do
 // not fit abandoning their queues, demands past what a key holds — at K
-// in {1, 2, 3}, the (seq, round) stream is the reference's. One instance reused for three runs at K=1
-// (where the runtime picks with the value it was given) serves what a
-// fresh one does, because Reset drops its lists.
+// in {1, 2, 3}, the (seq, round) stream is the reference's. One value
+// reused for three runs serves what a fresh one does, because Reset drops
+// the layout of the value (K=1) and of each instance it keeps (K > 1).
+// Last, one value is carried across switch shapes and shard counts — unit
+// ports at K=2, capacity 4 at K=3, unit ports at K=1 and unit ports at
+// K=2 again, each switch of its own size — so its kept instances meet a
+// switch unlike the one they last ran on, and every run must still match
+// the reference.
 func TestOldestFirstReusedInstanceMatchesFresh(t *testing.T) {
 	for _, cfg := range []workload.PoissonConfig{
 		{M: 40, T: 30, Ports: 9, Cap: 4, MaxDemand: 4},
@@ -269,6 +274,29 @@ func TestOldestFirstReusedInstanceMatchesFresh(t *testing.T) {
 			}
 		}
 	}
+	used := &OldestFirst{}
+	for i, step := range []struct {
+		cfg workload.PoissonConfig
+		K   int
+	}{
+		{workload.PoissonConfig{M: 32, T: 100, Ports: 16, Cap: 1}, 2},
+		{workload.PoissonConfig{M: 40, T: 30, Ports: 9, Cap: 4, MaxDemand: 4}, 3},
+		{workload.PoissonConfig{M: 48, T: 60, Ports: 24, Cap: 1}, 1},
+		{workload.PoissonConfig{M: 24, T: 100, Ports: 12, Cap: 1}, 2},
+	} {
+		inst := step.cfg.Generate(rand.New(rand.NewSource(int64(i))))
+		want, _ := ofTrace(t, workload.NewInstanceSource(inst), inst.Switch, refOldest{}, step.K, 0)
+		if len(want) != inst.N() {
+			t.Fatalf("step %d: %d of %d flows scheduled", i, len(want), inst.N())
+		}
+		got, rt := ofTrace(t, workload.NewInstanceSource(inst), inst.Switch, used, step.K, 0)
+		sameTrace(t, got, want)
+		for _, p := range rt.instances() {
+			if p := p.(*OldestFirst); p.windowed() != (step.cfg.Cap == 1) {
+				t.Fatalf("step %d: an instance picks on the window: %v, want %v", i, p.windowed(), step.cfg.Cap == 1)
+			}
+		}
+	}
 }
 
 // listProbe runs an OldestFirst and, at the start of each pick, once its
@@ -278,8 +306,9 @@ func TestOldestFirstReusedInstanceMatchesFresh(t *testing.T) {
 // and batch count the syncs that took each of sync's two paths. On the
 // window, each active input's row must hold exactly its heads' bits (see
 // checkWindow); windows counts those picks. every > 1 checks one pick in
-// every, and always the first after a build or a doubling. Its instances
-// share their parent's storage, as OldestFirst's do.
+// every, and always the first after a build or a rebuild for the span.
+// Its instances wrap the instances its OldestFirst keeps, as the runtime's
+// would.
 type listProbe struct {
 	t                           *testing.T
 	p                           *OldestFirst
@@ -289,8 +318,8 @@ type listProbe struct {
 }
 
 func (q *listProbe) Name() string { return q.p.Name() }
-func (q *listProbe) NewShard() Policy {
-	return &listProbe{t: q.t, p: q.p.NewShard().(*OldestFirst), every: q.every}
+func (q *listProbe) NewShard(k int) Policy {
+	return &listProbe{t: q.t, p: q.p.NewShard(k).(*OldestFirst), every: q.every}
 }
 func (q *listProbe) Reset(sw switchnet.Switch) { q.p.Reset(sw) }
 

@@ -20,17 +20,16 @@ import (
 // pick checks none.
 //
 // Every pending release lies in [oldest, newest], the releases of the
-// first and last flows on the admission list, and the window spans at
-// least that: a refresh that finds the span past it doubles the slots
-// until it fits, up to ofMaxSlots, past which the lists stand in (see
-// refresh). A row's bits are current from its input's last sync on,
-// and those of an input that went idle stay put until it is active
+// first and last flows on the admission list, and the window spans more
+// than that: a refresh that finds the span past it builds the window
+// afresh over enough slots, up to ofMaxSlots, past which the lists stand
+// in (see refresh). A row's bits are current from its input's last sync
+// on, and those of an input that went idle stay put until it is active
 // again, when its first sync clears them: every VOQ the input had listed
 // went empty, so its stale bit is set. Every bit in the window, current
 // or idle, lies at the release its head record holds — headRow, the
 // records' one writer, has not refreshed the record since the bit was
-// set — so a sync finds the bit it clears, and a doubling knows where
-// each bit moves, without a search.
+// set — so a sync finds the bit it clears without a search.
 
 // unitPorts reports whether every port of sw has capacity 1.
 func unitPorts(sw switchnet.Switch) bool {
@@ -55,55 +54,23 @@ const (
 // pending releases span it.
 func (p *OldestFirst) windowed() bool { return p.unit && !p.wide }
 
-// refreshUnit brings the window up to date with the View: it builds the
-// window when it has none yet, and otherwise doubles it while the
-// pending releases outspan it and syncs every active input with a stale
-// head.
-//
-//flowsched:hotpath
-func (p *OldestFirst) refreshUnit(v *View) {
-	if !p.built {
-		p.buildUnit(v)
-		return
-	}
-	if p.newest-p.oldest >= int64(p.slots) {
-		p.grow(v)
-	}
-	for a := range v.NumActiveInputs() {
-		in := v.ActiveInput(a)
-		stale := uint64(0)
-		for wi, w := range v.staleWords(in) {
-			p.mask[wi] = w
-			stale |= w
-		}
-		if stale != 0 {
-			p.syncUnit(v, in)
-		}
-	}
-}
-
-// buildUnit lays the window out for the View's scope, over the most
-// slots its kept storage holds and at least the pending span, and fills
-// it from every active input's heads.
+// buildUnit lays the window out for the View's scope, over more slots
+// than the pending releases span and as many as its storage holds, and
+// fills it from every active input's heads.
 func (p *OldestFirst) buildUnit(v *View) {
 	rt := v.rt
 	p.k, p.nk, p.mOut = v.k, rt.nshards, rt.mOut
 	p.rows = (rt.sw.NumIn() + p.nk - 1) / p.nk
 	p.rw, p.nw = (p.rows+63)/64, rt.nw
 	p.stride = p.rw + p.rows*p.nw
-	home := p.root()
-	held := 0
-	if p.k < len(home.wins) {
-		held = cap(home.wins[p.k])
-	}
 	p.slots = ofMinSlots
-	for int64(p.slots) <= p.newest-p.oldest || p.slots < ofMaxSlots && 2*p.slots*p.stride <= held {
+	for int64(p.slots) <= p.newest-p.oldest || p.slots < ofMaxSlots && 2*p.slots*p.stride <= cap(p.win) {
 		p.slots *= 2
 	}
-	if p.slots*p.stride > held {
+	if p.slots*p.stride > cap(p.win) {
 		p.alloc(p.rows)
 	}
-	p.win = home.wins[p.k][:p.slots*p.stride]
+	p.win = p.win[:p.slots*p.stride]
 	clear(p.win)
 	for wi := range p.mask {
 		p.mask[wi] = ^uint64(0)
@@ -114,50 +81,6 @@ func (p *OldestFirst) buildUnit(v *View) {
 		p.listUnit(v, in)
 	}
 	p.built = true
-	p.builds++
-}
-
-// grow doubles the window until it spans the pending releases. Slot s
-// of a window of n slots splits into s and s+n: a bit moves up when the
-// release its head record holds has bit n set.
-func (p *OldestFirst) grow(v *View) {
-	for int64(p.slots) <= p.newest-p.oldest {
-		n, half := p.slots, p.slots*p.stride
-		p.slots *= 2
-		p.alloc(p.rows)
-		p.win = p.root().wins[p.k][:2*half]
-		clear(p.win[half:])
-		for s := range n {
-			lo := p.win[s*p.stride : (s+1)*p.stride]
-			hi := p.win[half+s*p.stride : half+(s+1)*p.stride]
-			for wi, w := range lo[:p.rw] {
-				for ; w != 0; w &= w - 1 {
-					r := wi<<6 + bits.TrailingZeros64(w)
-					row := v.rt.heads[(r*p.nk+p.k)*p.mOut:]
-					off := p.rw + r*p.nw
-					for oi := range p.nw {
-						for x := lo[off+oi]; x != 0; x &= x - 1 {
-							out := oi<<6 + bits.TrailingZeros64(x)
-							if row[out].rel&int64(n) != 0 {
-								lo[off+oi] &^= 1 << uint(out&63)
-								hi[off+oi] |= 1 << uint(out&63)
-							}
-						}
-					}
-					rbit := uint64(1) << uint(r&63)
-					for oi := range p.nw {
-						if hi[off+oi] != 0 {
-							hi[wi] |= rbit
-						}
-					}
-					if isZero(lo[off : off+p.nw]) {
-						lo[wi] &^= rbit
-					}
-				}
-			}
-		}
-		p.grows++
-	}
 }
 
 // isZero reports whether every word of s is 0.
@@ -236,19 +159,12 @@ func (p *OldestFirst) pickUnit(v *View) {
 func (p *OldestFirst) matchUnit(v *View) {
 	p.pairs = p.pairs[:0]
 	clear(p.freeIn)
-	clear(p.freeOut)
-	nIn, nOut := 0, 0
+	nIn, nOut := 0, fillFree(v, p.freeOut)
 	for a := range v.NumActiveInputs() {
 		if in := v.ActiveInput(a); v.InputFree(in) > 0 {
 			r := in / p.nk
 			p.freeIn[r>>6] |= 1 << uint(r&63)
 			nIn++
-		}
-	}
-	for j := range p.mOut {
-		if v.OutputFree(j) > 0 {
-			p.freeOut[j>>6] |= 1 << uint(j&63)
-			nOut++
 		}
 	}
 	for rel := p.oldest; rel <= p.newest && nIn > 0 && nOut > 0; rel++ {

@@ -81,13 +81,16 @@ func TestOldestFirstLayoutFollowsSwitch(t *testing.T) {
 	}
 }
 
-// TestOldestFirstShardsReuseWindowStorage pins where the window lives: on
-// the value NewShard was called on, so a runtime built from a value that
-// has run before allocates none. Two K=2 runtimes drain the same flows
-// on the paper's 150 unit ports over one OldestFirst value, deep enough
-// that the window doubles. The second allocates, over New and Run,
-// at least the kept storage less than the first, and its instances pick
-// in that same storage.
+// TestOldestFirstShardsReuseWindowStorage pins where the instances'
+// storage lives: each instance owns its window and scratch, and the value
+// keeps the instances it hands out, so a runtime built from a value that
+// has run before allocates none of it. Two K=2 runtimes drain the same
+// flows on the paper's 150 unit ports over one OldestFirst value, deep
+// enough that the window outgrows its first size. The second allocates,
+// over New and Run, at least the kept windows less than the first; it
+// picks through the same two instances, each in the window, sync mask,
+// free-port masks and pair scratch the first runtime left, and none
+// rebuilds its window for the span.
 func TestOldestFirstShardsReuseWindowStorage(t *testing.T) {
 	const ports = 150
 	pol := &OldestFirst{}
@@ -106,14 +109,27 @@ func TestOldestFirstShardsReuseWindowStorage(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return rt, after.TotalAlloc - before.TotalAlloc
 	}
-	_, first := drain()
-	if len(pol.wins) != 2 {
-		t.Fatalf("the value keeps %d scopes' windows, want 2", len(pol.wins))
+	// storage is an instance's window and scratch, each slice by its
+	// backing array.
+	type storage struct {
+		win, mask, freeIn, freeOut *uint64
+		pairs                      *int32
 	}
-	held, kept := uint64(0), make([]*uint64, 2)
-	for k, w := range pol.wins {
-		held += 8 * uint64(cap(w))
-		kept[k] = unsafe.SliceData(w)
+	scratch := func(p *OldestFirst) storage {
+		return storage{unsafe.SliceData(p.win), unsafe.SliceData(p.mask), unsafe.SliceData(p.freeIn),
+			unsafe.SliceData(p.freeOut), unsafe.SliceData(p.pairs)}
+	}
+	_, first := drain()
+	if len(pol.shards) != 2 {
+		t.Fatalf("the value keeps %d instances, want 2", len(pol.shards))
+	}
+	held, kept := uint64(0), make([]storage, 2)
+	for k, p := range pol.shards {
+		if p.grows == 0 {
+			t.Fatalf("scope %d never rebuilt its window for the span: the drain does not reach past its first size", k)
+		}
+		held += 8 * uint64(cap(p.win))
+		kept[k] = scratch(p)
 	}
 	rt, second := drain()
 	if first < second+held {
@@ -121,11 +137,14 @@ func TestOldestFirstShardsReuseWindowStorage(t *testing.T) {
 	}
 	for k, p := range rt.instances() {
 		p := p.(*OldestFirst)
-		if unsafe.SliceData(p.win) != kept[k] || unsafe.SliceData(pol.wins[k]) != kept[k] {
-			t.Fatalf("scope %d picks in storage the first runtime did not leave", k)
+		if p != pol.shards[k] {
+			t.Fatalf("scope %d picks through an instance the value did not keep", k)
+		}
+		if got := scratch(p); got != kept[k] {
+			t.Fatalf("scope %d picks in storage the first runtime did not leave: %+v then, %+v now", k, kept[k], got)
 		}
 		if p.grows != 0 {
-			t.Fatalf("scope %d doubled its window %d times: the kept storage already spanned the drain", k, p.grows)
+			t.Fatalf("scope %d rebuilt its window %d times for the span: the kept storage already spanned the drain", k, p.grows)
 		}
 	}
 }
@@ -155,10 +174,10 @@ func TestOldestFirstMatchesReferenceAtPaperPorts(t *testing.T) {
 // ofMaxSlots whatever the span of pending releases. One VOQ holds a
 // burst of 3,000 flows released at round 0, served one a round, while
 // every other input gets fresh flows each round: the pending releases
-// come to span thousands of rounds, so the window doubles to its most
+// come to span thousands of rounds, so the window grows to its most
 // slots and the lists stand in past them. At K in {1, 2}, with the
 // layout held to a from-scratch build (listProbe) after every build and
-// doubling and every 8th pick, the schedule must be the reference's, and
+// rebuild and every 8th pick, the schedule must be the reference's, and
 // no window may hold more than ofMaxSlots slots.
 func TestOldestFirstBurstBoundsWindow(t *testing.T) {
 	const ports, burst = 16, 3000

@@ -36,7 +36,7 @@ type FIFO struct{}
 func (FIFO) Name() string { return "StreamFIFO" }
 
 // NewShard implements Shardable.
-func (FIFO) NewShard() Policy { return FIFO{} }
+func (FIFO) NewShard(int) Policy { return FIFO{} }
 
 // Pick implements Policy.
 //
@@ -107,7 +107,7 @@ func (*RoundRobin) Name() string { return "RoundRobin" }
 
 // NewShard implements Shardable: per-input pointers carry no cross-input
 // state, so a fresh instance per scope preserves the rotation semantics.
-func (*RoundRobin) NewShard() Policy { return &RoundRobin{} }
+func (*RoundRobin) NewShard(int) Policy { return &RoundRobin{} }
 
 // Reset implements Resetter: it sizes the pointers and the free-output
 // mask to the switch, notes whether its ports are all unit, and there
@@ -160,7 +160,7 @@ func (p *RoundRobin) Pick(v *View) {
 		p.pickUnit(v)
 		return
 	}
-	nOut := p.fillMask(v)
+	nOut := fillFree(v, p.mask)
 	nw := len(p.mask)
 	for a := 0; a < v.NumActiveInputs() && nOut > 0; a++ {
 		in := v.ActiveInput(a)
@@ -212,18 +212,20 @@ func (p *RoundRobin) Pick(v *View) {
 	}
 }
 
-// fillMask sets the mask bit of every output with capacity left and
-// returns how many there are.
-func (p *RoundRobin) fillMask(v *View) int {
-	clear(p.mask)
-	nOut := 0
-	for j := 0; j < p.nOut; j++ {
+// fillFree sets, in mask, the bit of every output with capacity left,
+// laid out like an input's active-VOQ words, and returns how many there
+// are: the free-output mask RoundRobin's picks and OldestFirst's window
+// start from.
+func fillFree(v *View, mask []uint64) int {
+	clear(mask)
+	n := 0
+	for j := range v.rt.mOut {
 		if v.OutputFree(j) > 0 {
-			p.mask[j>>6] |= 1 << uint(j&63)
-			nOut++
+			mask[j>>6] |= 1 << uint(j&63)
+			n++
 		}
 	}
-	return nOut
+	return n
 }
 
 // pickUnit is Pick on unit ports, in two passes. The decide pass gives
@@ -235,7 +237,7 @@ func (p *RoundRobin) fillMask(v *View) int {
 //
 //flowsched:hotpath
 func (p *RoundRobin) pickUnit(v *View) {
-	nOut := p.fillMask(v)
+	nOut := fillFree(v, p.mask)
 	nw := len(p.mask)
 	p.pairs = p.pairs[:0]
 	for a := 0; a < v.NumActiveInputs() && nOut > 0; a++ {

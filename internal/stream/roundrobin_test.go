@@ -43,8 +43,8 @@ func nextActiveVOQ(v *View, in, from int) int {
 // to.
 type refRoundRobin struct{ rr []int }
 
-func (*refRoundRobin) Name() string     { return "RoundRobin" }
-func (*refRoundRobin) NewShard() Policy { return &refRoundRobin{} }
+func (*refRoundRobin) Name() string        { return "RoundRobin" }
+func (*refRoundRobin) NewShard(int) Policy { return &refRoundRobin{} }
 
 func (p *refRoundRobin) Reset(sw switchnet.Switch) {
 	p.rr = make([]int, sw.NumIn())

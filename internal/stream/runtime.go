@@ -66,14 +66,17 @@ type Resetter interface {
 }
 
 // Shardable is implemented by policies that can run at Config.Shards =
-// K > 1: the runtime then picks through K instances from NewShard, taking
-// turns each round, instance k seeing only the View of the inputs ≡ k
-// (mod K). Policies that need the whole pending set each round (the
-// paper's heuristics, whose matchings span every port) do not implement
-// it, which pins them to Shards == 1.
+// K > 1: the runtime then picks through the K instances NewShard(0), …,
+// NewShard(K-1) returns, taking turns each round, instance k seeing only
+// the View of the inputs ≡ k (mod K). NewShard may hand out a new value
+// or one it keeps: the runtime Resets each before its first pick, and a
+// policy that keeps its instances (OldestFirst) lets the next runtime
+// built from the same value reuse their storage. Policies that need the
+// whole pending set each round (the paper's heuristics, whose matchings
+// span every port) do not implement it, which pins them to Shards == 1.
 type Shardable interface {
 	Policy
-	NewShard() Policy
+	NewShard(k int) Policy
 }
 
 // Defaults for Config fields left zero.
@@ -98,9 +101,9 @@ type Config struct {
 	// Shardable, and the runtime picks through its NewShard instances;
 	// reports (Summary, checkpoints, errors) still name Policy. A policy
 	// value serves one runtime at a time: at one shard the runtime picks
-	// with the value itself, and at several OldestFirst's instances pick
-	// in storage kept on the value (which is what lets the next runtime
-	// built from it reuse that storage). Runtimes that run at once each
+	// with the value itself, and at several with the instances NewShard
+	// hands out, which OldestFirst keeps on the value (so the next runtime
+	// built from it reuses their storage). Runtimes that run at once each
 	// need a value of their own, from ByName for instance.
 	Policy Policy
 	// Shards = K > 1 runs K instances of Policy, instance k picking

@@ -26,7 +26,7 @@ func newTurns(rt *Runtime, pol Shardable) *turns {
 	K := rt.nshards
 	t := &turns{pols: make([]Policy, K), views: make([]View, K), order: make([]int, K), rel: make([]int64, K), n: make([]int, K)}
 	for k := range K {
-		t.pols[k], t.views[k], t.order[k] = pol.NewShard(), View{rt: rt, k: k}, k
+		t.pols[k], t.views[k], t.order[k] = pol.NewShard(k), View{rt: rt, k: k}, k
 	}
 	return t
 }

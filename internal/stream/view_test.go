@@ -9,6 +9,23 @@ import (
 	"flowsched/internal/switchnet"
 )
 
+// Every native policy and every probe that wraps or stands in for one
+// must stay Shardable: a NewShard whose signature drifts from the
+// interface's still compiles, and the runtime would refuse to shard the
+// policy only when it runs.
+var (
+	_ Shardable = (*RoundRobin)(nil)
+	_ Shardable = (*OldestFirst)(nil)
+	_ Shardable = (*WeightedISLIP)(nil)
+	_ Shardable = FIFO{}
+	_ Shardable = (*headProbe)(nil)
+	_ Shardable = (*listProbe)(nil)
+	_ Shardable = (*turnProbe)(nil)
+	_ Shardable = (*viewProbe)(nil)
+	_ Shardable = refOldest{}
+	_ Shardable = (*refRoundRobin)(nil)
+)
+
 // viewProbe checks the shard-scoped View contract from inside Pick, then
 // hands the pick to a RoundRobin instance so the run makes progress. With
 // steal set, a shard instead takes the head of another shard's VOQ.
@@ -23,7 +40,7 @@ type viewProbe struct {
 
 func (p *viewProbe) Name() string { return "viewProbe" }
 
-func (p *viewProbe) NewShard() Policy {
+func (p *viewProbe) NewShard(int) Policy {
 	return &viewProbe{t: p.t, steal: p.steal, inner: &RoundRobin{}, picks: p.picks, foreign: p.foreign}
 }
 
@@ -165,8 +182,8 @@ type turnLog struct {
 
 func (p *turnProbe) Name() string { return p.inner.Name() }
 
-func (p *turnProbe) NewShard() Policy {
-	return &turnProbe{t: p.t, inner: p.inner.(Shardable).NewShard(), log: p.log}
+func (p *turnProbe) NewShard(k int) Policy {
+	return &turnProbe{t: p.t, inner: p.inner.(Shardable).NewShard(k), log: p.log}
 }
 
 func (p *turnProbe) Reset(sw switchnet.Switch) {
